@@ -13,16 +13,20 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/ingest"
 	"repro/internal/labeler"
+	"repro/internal/query/aggregation"
+	"repro/internal/query/limitq"
+	"repro/internal/query/supg"
 	"repro/internal/shard"
 	"repro/tasti"
 )
 
 // The benchmark suite mirrors the shapes of internal/core's
 // BenchmarkBuildParallel and BenchmarkPropagateParallel at workers=1, so a
-// committed baseline (BENCH_10.json) stays comparable with `go test -bench`
+// committed baseline (BENCH_12.json) stays comparable with `go test -bench`
 // output while being runnable from the built binary, and adds the streaming
-// write path (WAL append with fsync, index AppendRecords). cmd/benchgate
-// compares two of these reports.
+// write path (WAL append with fsync, index AppendRecords) and the three
+// query processors over a propagated proxy. cmd/benchgate compares two of
+// these reports.
 
 // BenchResult is one benchmark's steady-state cost.
 type BenchResult struct {
@@ -87,6 +91,51 @@ func runBenchSuite(path string) error {
 		for i := 0; i < b.N; i++ {
 			if _, err := ix.Propagate(score); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+
+	// The query processors over that corpus, each priced for what a served
+	// query pays after propagation: the EBS estimator to a 0.05 error target
+	// with the propagated control variate, a 1000-label SUPG recall query,
+	// and the limit scan order as far as a scan takes it (heapify plus the
+	// first 24 IDs, no labeling).
+	carProxy, err := ix.Propagate(score)
+	if err != nil {
+		return fmt.Errorf("propagating car scores: %w", err)
+	}
+	rep.Benchmarks["estimate_car_e05_w1"] = runBench(func(b *testing.B) {
+		opts := aggregation.Options{ErrTarget: 0.05, Delta: 0.05, MinSamples: 100, Seed: 3}
+		for i := 0; i < b.N; i++ {
+			if _, err := aggregation.Estimate(opts, propDS.Len(), carProxy, aggregation.ScoreFunc(score), propLab); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	hasCar := func(ann dataset.Annotation) bool { return score(ann) >= 1 }
+	matchProxy, err := ix.Propagate(core.MatchScore(hasCar))
+	if err != nil {
+		return fmt.Errorf("propagating match scores: %w", err)
+	}
+	rep.Benchmarks["supg_draw_b1000_w1"] = runBench(func(b *testing.B) {
+		opts := supg.Options{Budget: 1000, Target: 0.9, Delta: 0.05, Seed: 4, Parallelism: 1}
+		for i := 0; i < b.N; i++ {
+			if _, err := supg.RecallTarget(opts, propDS.Len(), matchProxy, hasCar, propLab); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	nearScores, nearDists, err := ix.PropagateNearest(score)
+	if err != nil {
+		return fmt.Errorf("propagating nearest scores: %w", err)
+	}
+	rep.Benchmarks["limit_first24_w1"] = runBench(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c := limitq.NewCursor(limitq.NewHeap(nearScores, nearDists, 0, len(nearScores)))
+			for k := 0; k < 24; k++ {
+				if _, ok := c.Next(); !ok {
+					b.Fatal("scan order ended early")
+				}
 			}
 		}
 	})

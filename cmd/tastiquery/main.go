@@ -32,20 +32,20 @@ import (
 // runOptions collects the flag values; one struct instead of a 20-parameter
 // run signature.
 type runOptions struct {
-	dsName string
-	size   int
-	seed   int64
-	query  string
-	class  string
-	count  int
-	k      int
-	train  int
-	reps   int
-	budget int
-	save   string
-	load   string
-	errTgt float64
-	recall float64
+	dsName   string
+	size     int
+	seed     int64
+	query    string
+	class    string
+	count    int
+	k        int
+	train    int
+	reps     int
+	budget   int
+	save     string
+	load     string
+	errTgt   float64
+	recall   float64
 	useANN   bool
 	quantize bool
 	par      int
@@ -210,8 +210,7 @@ func run(o runOptions) error {
 			return err
 		}
 		ss := qs.Child("scan")
-		order := sharded.LimitOrder(scores, dists)
-		res, err := tasti.FindLimitScan(tasti.LimitOptions{}, o.k, order, pred, counting)
+		res, err := tasti.FindLimitNext(tasti.LimitOptions{}, o.k, sharded.LimitCursor(scores, dists, nil).Next, pred, counting)
 		ss.End()
 		if err != nil {
 			return err

@@ -53,14 +53,15 @@ func TestServeQueriesConcurrentWithCracking(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				// Limit queries with crack=true mutate the index while the
-				// other clients propagate and read index stats. Target the
-				// rare multi-car bursts (count >= 3): finding them forces the
-				// scan deep past the already-annotated representatives, so
-				// non-representative records get labeled and cracked in. A
-				// common predicate could be satisfied entirely by top-ranked
-				// representatives, cracking nothing.
+				// other clients propagate and read index stats. Ask for more
+				// matches than there are representatives: the scan is forced
+				// past the already-annotated records, so non-representative
+				// records get labeled and cracked in. A narrow query could be
+				// satisfied entirely by top-ranked representatives, and an
+				// exhausted one promotes only what it found — either way
+				// cracking nothing.
 				if err := post("/query/limit", map[string]interface{}{
-					"class": "car", "count": 3, "k": 2, "crack": true,
+					"class": "car", "count": 1, "k": 60, "crack": true,
 				}); err != nil {
 					errs <- err
 				}

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -1272,8 +1274,10 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		sample = sample[:20]
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"returned":    len(res.Returned),
-		"threshold":   res.Threshold,
+		"returned": len(res.Returned),
+		// Non-finite when no sampled record was positive: the query then
+		// returns everything and there is no cutoff to report.
+		"threshold":   finiteOrNil(res.Threshold),
 		"label_calls": res.OracleCalls,
 		"sample_ids":  sample,
 		"degraded":    res.Degraded,
@@ -1306,14 +1310,16 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc.setCost(int64(len(scores)), int64(ix.NumShards()))
-	// Per-shard sorted runs merged under limitq's comparator: the scan order
-	// is bitwise identical to the unsharded sort over the full vectors.
+	// Per-shard heaps merged head by head under limitq's comparator: the
+	// scan order is bitwise identical to the unsharded order over the full
+	// vectors. The order span is the O(records) heapify; each ID the scan
+	// takes is an O(log records) pop billed to the scan span.
 	osp := sc.child("order")
-	order := ix.LimitOrderSpan(scores, dists, osp)
+	cursor := ix.LimitCursor(scores, dists, osp)
 	osp.End()
 	scan := sc.child("scan")
-	res, err := tasti.FindLimitScan(tasti.LimitOptions{Telemetry: s.reg},
-		req.K, order, pred, s.queryLabeler(ctx, r, ix, sc))
+	res, err := tasti.FindLimitNext(tasti.LimitOptions{Telemetry: s.reg},
+		req.K, cursor.Next, pred, s.queryLabeler(ctx, r, ix, sc))
 	scan.SetAttr("label_calls", res.OracleCalls)
 	scan.End()
 	if err != nil {
@@ -1322,8 +1328,18 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 	}
 	cracked := 0
 	if req.Crack {
+		// An exhausted scan labeled the whole corpus; promoting all of it
+		// would make every record a representative (and take seconds under
+		// the query lock). Only the matches it found are worth keeping then.
+		toCrack := res.Labeled
+		if res.Exhausted {
+			toCrack = make(map[int]tasti.Annotation, len(res.Found))
+			for _, id := range res.Found {
+				toCrack[id] = res.Labeled[id]
+			}
+		}
 		before := ix.RepCount()
-		ix.CrackAll(res.Labeled)
+		ix.CrackAll(toCrack)
 		cracked = ix.RepCount() - before
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
@@ -1335,10 +1351,28 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeJSON encodes v before committing the status line, so a value
+// encoding/json refuses (a non-finite float, say) answers 500 with an error
+// body instead of the intended status over an empty one.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		json.NewEncoder(&buf).Encode(map[string]string{"error": "encoding response: " + err.Error()}) //nolint:errcheck // a string map always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // best-effort response write
+	w.Write(buf.Bytes()) //nolint:errcheck // best-effort response write
+}
+
+// finiteOrNil returns v, or nil — JSON null — when v is ±Inf or NaN, which
+// JSON cannot carry.
+func finiteOrNil(v float64) interface{} {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return nil
+	}
+	return v
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

@@ -129,12 +129,12 @@ func FuzzLoadIndexQuant(f *testing.F) {
 	rows, dim := ix.Embeddings.Rows(), ix.Embeddings.Dim()
 	maxInt := int(^uint(0) >> 1)
 	f.Add(rows, dim, dim, dim, rows*dim, 0.01)
-	f.Add(rows, dim, dim-1, dim, rows*dim, 0.01)  // short scale array
-	f.Add(rows, dim, dim, dim+1, rows*dim, 0.01)  // long offset array
-	f.Add(rows, dim, dim, dim, rows*dim-1, 0.01)  // truncated codes
-	f.Add(rows+1, dim, dim, dim, rows*dim, 0.01)  // row-count mismatch vs embeddings
-	f.Add(-1, dim, dim, dim, 0, 0.01)             // negative shape
-	f.Add(maxInt/2+1, 4, 4, 4, 16, 0.01)          // rows*dim overflow
+	f.Add(rows, dim, dim-1, dim, rows*dim, 0.01)      // short scale array
+	f.Add(rows, dim, dim, dim+1, rows*dim, 0.01)      // long offset array
+	f.Add(rows, dim, dim, dim, rows*dim-1, 0.01)      // truncated codes
+	f.Add(rows+1, dim, dim, dim, rows*dim, 0.01)      // row-count mismatch vs embeddings
+	f.Add(-1, dim, dim, dim, 0, 0.01)                 // negative shape
+	f.Add(maxInt/2+1, 4, 4, 4, 16, 0.01)              // rows*dim overflow
 	f.Add(rows, dim, dim, dim, rows*dim, -1.0)        // negative error bound
 	f.Add(rows, dim, dim, dim, rows*dim, math.Inf(1)) // non-finite error bound
 

@@ -82,7 +82,7 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 		{Kind: "unknown"},
 		{Kind: "pretrained", Rows: 0, Dim: 4},
 		{Kind: "pretrained", Rows: 4, Dim: 4, Data: make([]float64, 3)}, // wrong backing length
-		{Kind: "triplet-trained"},                                      // no network
+		{Kind: "triplet-trained"}, // no network
 		{Kind: "triplet-trained", Net: &nn.MLP{Sizes: []int{5}}},
 		{Kind: "triplet-trained", Net: &nn.MLP{Sizes: []int{5, 3}, W: [][][]float64{{{1}}}, B: [][]float64{{0, 0, 0}}}},
 	}

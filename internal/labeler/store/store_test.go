@@ -34,9 +34,9 @@ func (b *blockingLabeler) Label(id int) (dataset.Annotation, error) {
 	return dataset.VideoAnnotation{Boxes: []dataset.Box{{Class: fmt.Sprintf("rec-%d", id)}}}, nil
 }
 
-func (b *blockingLabeler) Name() string             { return "blocking" }
-func (b *blockingLabeler) Cost() labeler.CostModel  { return labeler.CostModel{} }
-func (b *blockingLabeler) Calls() int               { b.mu.Lock(); defer b.mu.Unlock(); return b.calls }
+func (b *blockingLabeler) Name() string            { return "blocking" }
+func (b *blockingLabeler) Cost() labeler.CostModel { return labeler.CostModel{} }
+func (b *blockingLabeler) Calls() int              { b.mu.Lock(); defer b.mu.Unlock(); return b.calls }
 
 // oracleN is an immediate labeler over n synthetic records.
 type oracleN struct {

@@ -108,9 +108,10 @@ func Estimate(opts Options, n int, proxy []float64, score ScoreFunc, lab labeler
 
 	r := xrand.New(opts.Seed)
 	var (
-		fs, ps []float64 // raw labeler scores and matched proxy scores
+		fs, ps []float64 // raw labeler scores and matched proxy scores (0 without a proxy)
 		calls  int64
 	)
+	scr := stopScreen{target: opts.ErrTarget, delta: opts.Delta, proxyMean: proxyMean}
 	sample := func() error {
 		id := r.Intn(n)
 		ann, err := lab.Label(id)
@@ -119,10 +120,12 @@ func Estimate(opts Options, n int, proxy []float64, score ScoreFunc, lab labeler
 		}
 		calls++
 		mCalls.Inc()
-		fs = append(fs, score(ann))
+		f, p := score(ann), 0.0
 		if proxy != nil {
-			ps = append(ps, proxy[id])
+			p = proxy[id]
 		}
+		fs, ps = append(fs, f), append(ps, p)
+		scr.add(f, p)
 		return nil
 	}
 
@@ -147,31 +150,45 @@ func Estimate(opts Options, n int, proxy []float64, score ScoreFunc, lab labeler
 
 	var res Result
 	for {
-		c := 0.0
-		if proxy != nil {
-			if v := stats.Variance(ps); v > 0 {
-				c = stats.Covariance(fs, ps) / v
-			}
-		}
-		// Control-variate residuals y_i = f_i - c*(p_i - E[p]).
-		var w stats.Welford
-		for i, f := range fs {
-			y := f
+		// The exact pass below is the only thing that decides stopping and
+		// produces the result; the screen only skips it on draws where it
+		// provably could not have stopped, so the pass runs a handful of
+		// times per query instead of once per draw.
+		if degraded || len(fs) >= maxSamples || !scr.provesNotYet() {
+			c := 0.0
 			if proxy != nil {
-				y -= c * (ps[i] - proxyMean)
+				if v := stats.Variance(ps); v > 0 {
+					c = stats.Covariance(fs, ps) / v
+				}
 			}
-			w.Add(y)
-		}
-		half := stats.EmpiricalBernsteinRadius(w.StdDev(), w.Range(), w.N(), opts.Delta)
-		if degraded || half <= opts.ErrTarget || len(fs) >= maxSamples {
-			res = Result{
-				Estimate:            w.Mean(),
-				LabelerCalls:        calls,
-				HalfWidth:           half,
-				ControlVariateCoeff: c,
-				Degraded:            degraded,
+			// Control-variate residuals y_i = f_i - c*(p_i - E[p]).
+			var w stats.Welford
+			hi, lo := 0, 0 // samples holding the largest and smallest residual
+			for i, f := range fs {
+				y := f
+				if proxy != nil {
+					y -= c * (ps[i] - proxyMean)
+				}
+				if y > w.Max() {
+					hi = i
+				}
+				if y < w.Min() {
+					lo = i
+				}
+				w.Add(y)
 			}
-			break
+			half := stats.EmpiricalBernsteinRadius(w.StdDev(), w.Range(), w.N(), opts.Delta)
+			if degraded || half <= opts.ErrTarget || len(fs) >= maxSamples {
+				res = Result{
+					Estimate:            w.Mean(),
+					LabelerCalls:        calls,
+					HalfWidth:           half,
+					ControlVariateCoeff: c,
+					Degraded:            degraded,
+				}
+				break
+			}
+			scr.hi, scr.lo = point{fs[hi], ps[hi]}, point{fs[lo], ps[lo]}
 		}
 		if err := sample(); err != nil {
 			if errors.Is(err, labeler.ErrBudgetExhausted) && len(fs) >= 2 {

@@ -1,10 +1,12 @@
 package aggregation
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/labeler"
+	"repro/internal/xrand"
 )
 
 func benchEnv(b *testing.B) (*dataset.Dataset, labeler.Labeler, []float64) {
@@ -44,5 +46,33 @@ func BenchmarkEstimateWithProxy(b *testing.B) {
 		if _, err := Estimate(opts, ds.Len(), truth, carCount, lab); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEstimatePerSample pins the sample count (an unreachable error
+// target under a MaxSamples cap) and reports the cost per sample drawn. With
+// the stopping screen it is flat in the sample count; with an exact pass per
+// draw it grew linearly (4x the samples, 4x the ns/sample).
+func BenchmarkEstimatePerSample(b *testing.B) {
+	ds, lab, truth := benchEnv(b)
+	r := xrand.New(3)
+	proxy := make([]float64, len(truth))
+	for i, v := range truth {
+		proxy[i] = v + 0.7*r.NormFloat64()
+	}
+	for _, samples := range []int{1000, 4000} {
+		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
+			opts := Options{ErrTarget: 1e-9, Delta: 0.05, MinSamples: 100, MaxSamples: samples}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opts.Seed = int64(i)
+				res, err := Estimate(opts, ds.Len(), proxy, carCount, lab)
+				if err != nil || res.LabelerCalls != int64(samples) {
+					b.Fatalf("calls = %d, err = %v", res.LabelerCalls, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(samples), "ns/sample")
+		})
 	}
 }

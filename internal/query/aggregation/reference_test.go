@@ -1,0 +1,228 @@
+package aggregation
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/labeler"
+	"repro/internal/stats"
+	"repro/internal/xrand"
+)
+
+// referenceEstimate is the sampler as it stood before the stopping screen:
+// variance, covariance and every residual recomputed over all samples on
+// every draw. Kept verbatim as the reference Estimate must equal bit for bit.
+func referenceEstimate(opts Options, n int, proxy []float64, score ScoreFunc, lab labeler.Labeler) (Result, error) {
+	maxSamples := opts.MaxSamples
+	if maxSamples <= 0 || maxSamples > n {
+		maxSamples = n
+	}
+	minSamples := opts.MinSamples
+	if minSamples < 2 {
+		minSamples = 2
+	}
+	if minSamples > maxSamples {
+		minSamples = maxSamples
+	}
+	proxyMean := 0.0
+	if proxy != nil {
+		proxyMean = stats.Mean(proxy)
+	}
+
+	r := xrand.New(opts.Seed)
+	var (
+		fs, ps []float64
+		calls  int64
+	)
+	sample := func() error {
+		id := r.Intn(n)
+		ann, err := lab.Label(id)
+		if err != nil {
+			return fmt.Errorf("aggregation: labeling record %d: %w", id, err)
+		}
+		calls++
+		fs = append(fs, score(ann))
+		if proxy != nil {
+			ps = append(ps, proxy[id])
+		}
+		return nil
+	}
+
+	degraded := false
+	for len(fs) < minSamples {
+		if err := sample(); err != nil {
+			if errors.Is(err, labeler.ErrBudgetExhausted) && len(fs) >= 2 {
+				degraded = true
+				break
+			}
+			return Result{}, err
+		}
+	}
+
+	var res Result
+	for {
+		c := 0.0
+		if proxy != nil {
+			if v := stats.Variance(ps); v > 0 {
+				c = stats.Covariance(fs, ps) / v
+			}
+		}
+		var w stats.Welford
+		for i, f := range fs {
+			y := f
+			if proxy != nil {
+				y -= c * (ps[i] - proxyMean)
+			}
+			w.Add(y)
+		}
+		half := stats.EmpiricalBernsteinRadius(w.StdDev(), w.Range(), w.N(), opts.Delta)
+		if degraded || half <= opts.ErrTarget || len(fs) >= maxSamples {
+			res = Result{
+				Estimate:            w.Mean(),
+				LabelerCalls:        calls,
+				HalfWidth:           half,
+				ControlVariateCoeff: c,
+				Degraded:            degraded,
+			}
+			break
+		}
+		if err := sample(); err != nil {
+			if errors.Is(err, labeler.ErrBudgetExhausted) && len(fs) >= 2 {
+				degraded = true
+				continue
+			}
+			return Result{}, err
+		}
+	}
+	return res, nil
+}
+
+// referenceProxies returns the proxy vectors the equivalence matrix runs
+// over: none, a realistic noisy one, the truth itself (ρ² = 1, the screen's
+// cancellation fallback), a constant (zero proxy variance), one
+// anticorrelated with a large offset, and one whose scores are mostly zero.
+func referenceProxies(truth []float64) map[string][]float64 {
+	r := xrand.New(77)
+	n := len(truth)
+	noisy, offset, sparse := make([]float64, n), make([]float64, n), make([]float64, n)
+	constant := make([]float64, n)
+	for i, v := range truth {
+		noisy[i] = v + 0.7*r.NormFloat64()
+		offset[i] = 1e6 - 3*v + r.NormFloat64()
+		if i%9 == 0 {
+			sparse[i] = v
+		}
+		constant[i] = 0.1
+	}
+	return map[string][]float64{
+		"nil": nil, "noisy": noisy, "truth": truth, "constant": constant,
+		"offset": offset, "sparse": sparse,
+	}
+}
+
+// TestEstimateMatchesReference requires Estimate's Result to equal the
+// every-draw reference bit for bit — same stopping draw, same estimate, same
+// half-width, same coefficient — across seeds, error targets, proxies, a
+// MaxSamples cap that binds, and a labeler whose budget runs out during the
+// warm-up and during the adaptive loop (the degraded paths).
+func TestEstimateMatchesReference(t *testing.T) {
+	ds, _, truth := testEnv(t, 3000)
+	// Scores with a large common offset exercise the conditioning of the
+	// screen's running moments.
+	bigScore := func(ann dataset.Annotation) float64 { return 1e7 + carCount(ann) }
+	type variant struct {
+		name       string
+		maxSamples int
+		budget     int64 // 0 = unlimited
+	}
+	variants := []variant{
+		{"plain", 0, 0},
+		{"capped", 400, 0},
+		{"exhaust-warmup", 0, 37},
+		{"exhaust-loop", 0, 180},
+	}
+	cases, degraded := 0, map[string]int{}
+	for name, proxy := range referenceProxies(truth) {
+		for _, errTarget := range []float64{0.2, 0.08, 0.04} {
+			for seed := int64(1); seed <= 3; seed++ {
+				for _, v := range variants {
+					for _, score := range []ScoreFunc{carCount, bigScore} {
+						opts := Options{ErrTarget: errTarget, Delta: 0.05, MinSamples: 100, MaxSamples: v.maxSamples, Seed: seed}
+						newLab := func() labeler.Labeler {
+							var lab labeler.Labeler = labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
+							if v.budget > 0 {
+								lab = labeler.NewBudgeted(lab, v.budget)
+							}
+							return lab
+						}
+						want, wantErr := referenceEstimate(opts, ds.Len(), proxy, score, newLab())
+						got, gotErr := Estimate(opts, ds.Len(), proxy, score, newLab())
+						if (wantErr == nil) != (gotErr == nil) {
+							t.Fatalf("%s err=%v seed=%d %s: error %v, reference %v", name, errTarget, seed, v.name, gotErr, wantErr)
+						}
+						if got != want {
+							t.Fatalf("%s err=%v seed=%d %s:\n got %+v\nwant %+v", name, errTarget, seed, v.name, got, want)
+						}
+						if got.Degraded {
+							degraded[v.name]++
+						}
+						cases++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cases equal to the reference, degraded: %v", cases, degraded)
+	if degraded["exhaust-warmup"] == 0 || degraded["exhaust-loop"] == 0 || degraded["plain"] != 0 {
+		t.Errorf("degraded runs per variant = %v: the matrix does not cover both exhaustion paths", degraded)
+	}
+}
+
+// TestScreenIsALowerBound checks the property the skipping rests on: at every
+// sample count, the screen's bound does not exceed the exact half-width by
+// more than a sliver of its margin, and it is tight enough to be useful.
+func TestScreenIsALowerBound(t *testing.T) {
+	_, _, truth := testEnv(t, 3000)
+	for name, proxy := range referenceProxies(truth) {
+		if proxy == nil {
+			proxy = make([]float64, len(truth)) // the screen's view of "no proxy"
+		}
+		proxyMean := stats.Mean(proxy)
+		r := xrand.New(5)
+		scr := stopScreen{target: math.Inf(-1), delta: 0.05, proxyMean: proxyMean}
+		var fs, ps []float64
+		loosest := 1.0
+		for s := 1; s <= 1500; s++ {
+			id := r.Intn(len(truth))
+			fs, ps = append(fs, truth[id]), append(ps, proxy[id])
+			scr.add(truth[id], proxy[id])
+			if s < 100 {
+				continue
+			}
+			c := 0.0
+			if v := stats.Variance(ps); v > 0 {
+				c = stats.Covariance(fs, ps) / v
+			}
+			var w stats.Welford
+			for i, f := range fs {
+				w.Add(f - c*(ps[i]-proxyMean))
+			}
+			exact := stats.EmpiricalBernsteinRadius(w.StdDev(), w.Range(), w.N(), 0.05)
+			bound, trusted := scr.bound()
+			if !trusted {
+				continue
+			}
+			if bound > exact*(1+screenMargin/1000) {
+				t.Fatalf("%s s=%d: screen bound %v above the exact half-width %v", name, s, bound, exact)
+			}
+			loosest = math.Min(loosest, bound/exact)
+		}
+		t.Logf("%s: bound/exact >= %.4f", name, loosest)
+		if loosest < 0.9 {
+			t.Errorf("%s: screen bound fell to %.3f of the exact half-width; it would not skip the pass", name, loosest)
+		}
+	}
+}

@@ -8,12 +8,10 @@ package limitq
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/labeler"
 	"repro/internal/telemetry"
-	"repro/internal/vecmath"
 )
 
 // Predicate reports whether a target-labeler output matches the query.
@@ -65,49 +63,118 @@ func RunOpts(opts Options, limit int, proxy, tieDist []float64, pred Predicate, 
 	if tieDist != nil && len(tieDist) != n {
 		return Result{}, fmt.Errorf("limitq: %d tie distances for %d records", len(tieDist), n)
 	}
-	return RunScan(opts, limit, Order(proxy, tieDist), pred, lab)
+	return RunNext(opts, limit, NewCursor(NewHeap(proxy, tieDist, 0, n)).Next, pred, lab)
 }
 
 // Order returns every record ID in scan order: descending proxy score, ties
 // broken by ascending tieDist (nil disables the tie distance), then by
 // ascending ID. The comparator is a strict total order, so the permutation is
-// unique — which is what lets a sharded index compute OrderRange per shard
-// and merge the sorted runs into the identical global order.
+// unique — which is what lets a sharded index heap each shard's range apart
+// and merge them head by head into the identical global order. Order is the
+// full drain of the same Cursor a scan pops lazily; a limit query that labels
+// a few dozen records should take those from the Cursor instead of paying
+// O(n log n) for a permutation it reads the front of.
 func Order(proxy, tieDist []float64) []int {
-	return OrderRange(proxy, tieDist, 0, len(proxy))
+	return NewCursor(NewHeap(proxy, tieDist, 0, len(proxy))).Drain()
 }
 
-// OrderRange orders the record IDs [lo, hi) by the scan comparator, reading
-// proxy (and tieDist, when non-nil) at the global IDs. Without tie distances
-// the comparator is exactly vecmath.TopK's ascending (value, index) order on
-// negated scores, so the selection runs through the shared bounded heap; with
-// tie distances the composite key cannot be encoded in a single float64 and a
-// comparison sort produces the same unique permutation.
-func OrderRange(proxy, tieDist []float64, lo, hi int) []int {
-	m := hi - lo
-	order := make([]int, m)
-	if tieDist == nil {
-		tk := vecmath.NewTopK(m)
-		for i := lo; i < hi; i++ {
-			tk.Offer(i, -proxy[i])
-		}
-		for j, iv := range tk.Sorted(make([]vecmath.IndexedValue, 0, m)) {
-			order[j] = iv.Index
-		}
-		return order
-	}
-	for j := range order {
-		order[j] = lo + j
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return Less(proxy, tieDist, order[a], order[b])
-	})
-	return order
+// Heap is a binary min-heap of the record IDs [lo, hi) under Less: building
+// it is O(hi-lo), and a Cursor takes each next ID off it in O(log(hi-lo)). It reads proxy (and tieDist, when non-nil) at the global
+// IDs and copies neither.
+type Heap struct {
+	proxy, tieDist []float64
+	ids            []int
 }
 
-// Less reports whether record i scans before record j under the comparator
-// Order sorts by. Exported so scatter-gather layers can merge per-shard
-// sorted runs with the very same ordering.
+// NewHeap heapifies the record IDs [lo, hi).
+func NewHeap(proxy, tieDist []float64, lo, hi int) *Heap {
+	h := &Heap{proxy: proxy, tieDist: tieDist, ids: make([]int, hi-lo)}
+	for j := range h.ids {
+		h.ids[j] = lo + j
+	}
+	for i := len(h.ids)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
+// pop removes and returns the ID that scans before every other ID left. The
+// heap must be non-empty.
+func (h *Heap) pop() int {
+	top := h.ids[0]
+	last := len(h.ids) - 1
+	h.ids[0] = h.ids[last]
+	h.ids = h.ids[:last]
+	if last > 0 {
+		h.down(0)
+	}
+	return top
+}
+
+// down sifts the ID at position i toward the leaves until neither child
+// scans before it.
+func (h *Heap) down(i int) {
+	ids := h.ids
+	id := ids[i]
+	for {
+		c := 2*i + 1
+		if c >= len(ids) {
+			break
+		}
+		if c+1 < len(ids) && Less(h.proxy, h.tieDist, ids[c+1], ids[c]) {
+			c++
+		}
+		if !Less(h.proxy, h.tieDist, ids[c], id) {
+			break
+		}
+		ids[i] = ids[c]
+		i = c
+	}
+	ids[i] = id
+}
+
+// Cursor yields record IDs in scan order lazily, merging one Heap per
+// disjoint ID range head by head. Less is a strict total order over distinct
+// IDs, so the sequence is the one permutation Order returns however the
+// ranges were cut.
+type Cursor struct {
+	heaps []*Heap
+}
+
+// NewCursor merges heaps built over disjoint ID ranges of the same proxy and
+// tieDist vectors.
+func NewCursor(heaps ...*Heap) *Cursor { return &Cursor{heaps: heaps} }
+
+// Next returns the next record ID in scan order; ok is false once every ID
+// has been yielded.
+func (c *Cursor) Next() (id int, ok bool) {
+	var best *Heap
+	for _, h := range c.heaps {
+		if len(h.ids) > 0 && (best == nil || Less(h.proxy, h.tieDist, h.ids[0], best.ids[0])) {
+			best = h
+		}
+	}
+	if best == nil {
+		return 0, false
+	}
+	return best.pop(), true
+}
+
+// Drain returns every ID not yet yielded, in scan order.
+func (c *Cursor) Drain() []int {
+	m := 0
+	for _, h := range c.heaps {
+		m += len(h.ids)
+	}
+	out := make([]int, 0, m)
+	for id, ok := c.Next(); ok; id, ok = c.Next() {
+		out = append(out, id)
+	}
+	return out
+}
+
+// Less reports whether record i scans before record j: the one comparator
+// every Heap and Cursor orders by.
 func Less(proxy, tieDist []float64, i, j int) bool {
 	if proxy[i] != proxy[j] {
 		return proxy[i] > proxy[j]
@@ -119,22 +186,37 @@ func Less(proxy, tieDist []float64, i, j int) bool {
 }
 
 // RunScan labels records in the given scan order until limit matches are
-// found. It is the labeling half of RunOpts, split out so callers that build
-// the order themselves — a sharded index merging per-shard candidate runs —
-// reuse the identical scan loop.
+// found: RunNext over a materialized order.
 func RunScan(opts Options, limit int, order []int, pred Predicate, lab labeler.Labeler) (Result, error) {
-	if len(order) == 0 {
-		return Result{}, errors.New("limitq: empty dataset")
-	}
+	i := 0
+	return RunNext(opts, limit, func() (int, bool) {
+		if i == len(order) {
+			return 0, false
+		}
+		i++
+		return order[i-1], true
+	}, pred, lab)
+}
+
+// RunNext labels the records next yields, in that order, until limit matches
+// are found or next reports the order exhausted. It is the labeling half of
+// RunOpts, split out so callers that build the order themselves — a sharded
+// index merging per-shard heaps — reuse the identical scan loop, and pay for
+// only as much of the order as the scan consumes.
+func RunNext(opts Options, limit int, next func() (id int, ok bool), pred Predicate, lab labeler.Labeler) (Result, error) {
 	if limit <= 0 {
 		return Result{}, fmt.Errorf("limitq: limit must be positive, got %d", limit)
+	}
+	id, ok := next()
+	if !ok {
+		return Result{}, errors.New("limitq: empty dataset")
 	}
 
 	opts.Telemetry.Counter(`tasti_query_runs_total{type="limit"}`).Inc()
 	mCalls := opts.Telemetry.Counter(`tasti_query_label_calls_total{type="limit"}`)
 
 	res := Result{Labeled: make(map[int]dataset.Annotation)}
-	for _, id := range order {
+	for ; ok; id, ok = next() {
 		ann, err := lab.Label(id)
 		if err != nil {
 			// Budget exhaustion mid-scan is graceful: the matches verified so

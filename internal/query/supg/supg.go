@@ -258,6 +258,9 @@ func drawSample(opts Options, n int, proxy []float64, pred Predicate, lab labele
 		total += weights[i]
 	}
 
+	// One O(n) prefix-sum build, then O(log n) per draw: the per-draw cost
+	// no longer scales with the corpus.
+	cdf := xrand.NewCDF(weights)
 	r := xrand.New(opts.Seed)
 	budget := opts.Budget
 	if budget > n {
@@ -272,7 +275,7 @@ func drawSample(opts Options, n int, proxy []float64, pred Predicate, lab labele
 	opts.Telemetry.Counter(`tasti_query_runs_total{type="select"}`).Inc()
 	mCalls := opts.Telemetry.Counter(`tasti_query_label_calls_total{type="select"}`)
 	for len(s.ids) < budget {
-		id := xrand.Categorical(r, weights)
+		id := cdf.Draw(r)
 		ann, err := lab.Label(id)
 		if err != nil {
 			if errors.Is(err, labeler.ErrBudgetExhausted) && len(s.ids) > 0 {

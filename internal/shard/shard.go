@@ -21,10 +21,10 @@
 //     from only that record's neighbor row and the shared representative
 //     scores, so any partition of the record space — across shards or across
 //     workers within a shard — computes the same bits (core.PropagateKRange).
-//   - Limit-query ordering (LimitOrder) computes per-shard sorted runs and
-//     merges them under the same strict total order limitq sorts by; a strict
-//     total order has exactly one sorted permutation, so the merge equals the
-//     global sort.
+//   - Limit-query ordering (LimitCursor, LimitOrder) heaps each shard's range
+//     and merges the heaps head by head under the one strict total order
+//     limitq scans by; a strict total order has exactly one sorted
+//     permutation, so the merge equals the global order.
 //   - Cracking (Crack, CrackAll) updates each record's neighbor row from only
 //     that row, the record's own embedding, and the new representative's
 //     embedding — supplied by the owning shard — so per-shard tables evolve
@@ -39,7 +39,7 @@
 // # Concurrency
 //
 // Like core.Index, an Index is safe for concurrent reads (Propagate*,
-// LimitOrder, RepCount) but Crack/CrackAll and ReplaceShard mutate state and
+// LimitCursor, LimitOrder, RepCount) but Crack/CrackAll and ReplaceShard mutate state and
 // must be serialized against all other use by the caller — cmd/tastiserve
 // holds its query semaphore for exactly this.
 package shard
@@ -448,44 +448,29 @@ func (x *Index) countPropagate(s int) {
 
 // LimitOrder returns every record ID in the limit-query scan order —
 // descending proxy, ties by ascending tieDist (nil disables) then ascending
-// ID — by ordering each shard's range concurrently and merging the sorted
-// runs under limitq's comparator. The comparator is a strict total order, so
-// the merged permutation is bitwise identical to limitq.Order over the full
-// vectors. proxy (and tieDist, when non-nil) must have NumRecords entries.
+// ID: the full drain of LimitCursor, bitwise identical to limitq.Order over
+// the full vectors. A scan that stops after a few matches should pop the
+// cursor instead of draining it.
 func (x *Index) LimitOrder(proxy, tieDist []float64) []int {
-	return x.LimitOrderSpan(proxy, tieDist, nil)
+	return x.LimitCursor(proxy, tieDist, nil).Drain()
 }
 
-// LimitOrderSpan is LimitOrder threading a request span: per-shard ordering
-// runs open one child span per shard under sp (nil sp disables tracing).
-func (x *Index) LimitOrderSpan(proxy, tieDist []float64, sp *telemetry.Span) []int {
+// LimitCursor heaps each shard's record range under limitq's comparator —
+// concurrently, O(records) in total, one child span per shard under sp (nil
+// disables tracing) — and returns the cursor that merges the heaps head by
+// head, O(shards + log records) per ID taken. The comparator is a strict
+// total order, so the cursor yields limitq.Order's permutation at any shard
+// count. proxy (and tieDist, when non-nil) must have NumRecords entries.
+func (x *Index) LimitCursor(proxy, tieDist []float64, sp *telemetry.Span) *limitq.Cursor {
 	if len(proxy) != x.total {
 		panic(fmt.Sprintf("shard: %d proxy scores for %d records", len(proxy), x.total))
 	}
-	runs := make([][]int, len(x.shards))
+	heaps := make([]*limitq.Heap, len(x.shards))
 	_ = x.scatterSpan(sp, func(s int, sh *Shard) error {
-		runs[s] = limitq.OrderRange(proxy, tieDist, sh.Lo, sh.Hi)
+		heaps[s] = limitq.NewHeap(proxy, tieDist, sh.Lo, sh.Hi)
 		return nil
 	})
-	if len(runs) == 1 {
-		return runs[0]
-	}
-	out := make([]int, 0, x.total)
-	heads := make([]int, len(runs))
-	for len(out) < x.total {
-		best := -1
-		for s, run := range runs {
-			if heads[s] == len(run) {
-				continue
-			}
-			if best == -1 || limitq.Less(proxy, tieDist, run[heads[s]], runs[best][heads[best]]) {
-				best = s
-			}
-		}
-		out = append(out, runs[best][heads[best]])
-		heads[best]++
-	}
-	return out
+	return limitq.NewCursor(heaps...)
 }
 
 // Crack adds a target-labeler observation as a new representative on every

@@ -85,7 +85,7 @@ func TestScatterSpanLinkage(t *testing.T) {
 		t.Errorf("nearest span has %d children, want %d", len(sp2.Children()), shards)
 	}
 	sp3 := tr.Root().Child("order")
-	x.LimitOrderSpan(scores, dists, sp3)
+	x.LimitCursor(scores, dists, sp3)
 	if len(sp3.Children()) != shards {
 		t.Errorf("order span has %d children, want %d", len(sp3.Children()), shards)
 	}

@@ -177,3 +177,38 @@ func (w *Welford) Max() float64 { return w.max }
 
 // Range returns max-min.
 func (w *Welford) Range() float64 { return w.max - w.min }
+
+// CoWelford accumulates the running means and centered co-moments of paired
+// observations in one pass (Welford's update extended to the cross term).
+// The zero value is ready to use.
+type CoWelford struct {
+	n          int
+	meanX      float64
+	meanY      float64
+	m2X, m2Y   float64 // Σ(x-x̄)², Σ(y-ȳ)²
+	comomentXY float64 // Σ(x-x̄)(y-ȳ)
+}
+
+// Add incorporates one (x, y) pair.
+func (w *CoWelford) Add(x, y float64) {
+	w.n++
+	dx := x - w.meanX
+	dy := y - w.meanY
+	w.meanX += dx / float64(w.n)
+	w.meanY += dy / float64(w.n)
+	w.m2X += dx * (x - w.meanX)
+	w.m2Y += dy * (y - w.meanY)
+	w.comomentXY += dx * (y - w.meanY)
+}
+
+// N returns the number of pairs.
+func (w *CoWelford) N() int { return w.n }
+
+// SumSquaresX returns Σ(x-x̄)².
+func (w *CoWelford) SumSquaresX() float64 { return w.m2X }
+
+// SumSquaresY returns Σ(y-ȳ)².
+func (w *CoWelford) SumSquaresY() float64 { return w.m2Y }
+
+// SumProducts returns Σ(x-x̄)(y-ȳ).
+func (w *CoWelford) SumProducts() float64 { return w.comomentXY }

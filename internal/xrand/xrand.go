@@ -10,6 +10,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sort"
 )
 
 // New returns a deterministic source for the given seed.
@@ -106,31 +107,55 @@ func Poisson(r *rand.Rand, lambda float64) int {
 	}
 }
 
-// Categorical draws an index in [0, len(weights)) with probability
-// proportional to weights[i]. Non-positive weights are treated as zero. It
-// panics if all weights are zero or the slice is empty.
-func Categorical(r *rand.Rand, weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		panic("xrand: categorical distribution has no mass")
-	}
-	u := r.Float64() * total
+// CDF is a categorical distribution prepared for repeated draws: the running
+// left-fold of the positive weights, built once in O(n), binary-searched per
+// draw in O(log n). The partial sums are the very floats a linear scan would
+// accumulate and compare against, so Draw returns the index that scan would
+// for the same *rand.Rand state — bit for bit, not just in distribution.
+type CDF struct {
+	cum []float64 // cum[i] = sum of the positive weights[0..i], folded left to right
+}
+
+// NewCDF prepares the distribution with probability proportional to
+// weights[i]. Non-positive weights are treated as zero. It panics if all
+// weights are zero or the slice is empty.
+func NewCDF(weights []float64) *CDF {
+	cum := make([]float64, len(weights))
 	acc := 0.0
 	for i, w := range weights {
-		if w <= 0 {
-			continue
+		if w > 0 {
+			acc += w
 		}
-		acc += w
-		if u < acc {
-			return i
-		}
+		cum[i] = acc
 	}
-	return len(weights) - 1
+	if acc <= 0 {
+		panic("xrand: categorical distribution has no mass")
+	}
+	return &CDF{cum: cum}
+}
+
+// Total returns the sum of the positive weights.
+func (c *CDF) Total() float64 { return c.cum[len(c.cum)-1] }
+
+// Draw returns an index in [0, len(weights)), consuming exactly one
+// r.Float64(). The first index whose partial sum exceeds u always carries a
+// positive weight: a zero-weight (or absorbed) entry repeats its
+// predecessor's sum, so the search cannot land on it.
+func (c *CDF) Draw(r *rand.Rand) int {
+	u := r.Float64() * c.Total()
+	i := sort.Search(len(c.cum), func(i int) bool { return u < c.cum[i] })
+	if i == len(c.cum) {
+		return len(c.cum) - 1 // u rounded up to the total
+	}
+	return i
+}
+
+// Categorical draws an index in [0, len(weights)) with probability
+// proportional to weights[i]. Non-positive weights are treated as zero. It
+// panics if all weights are zero or the slice is empty. Callers drawing more
+// than once from the same weights build the CDF once and call Draw.
+func Categorical(r *rand.Rand, weights []float64) int {
+	return NewCDF(weights).Draw(r)
 }
 
 // Bernoulli returns true with probability p.

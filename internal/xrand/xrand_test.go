@@ -1,7 +1,9 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -204,3 +206,92 @@ func TestShuffleIsPermutation(t *testing.T) {
 		t.Errorf("shuffle lost elements: %v", xs)
 	}
 }
+
+// referenceCategorical is Categorical as it stood before the CDF: two linear
+// passes over the weights per draw. Kept verbatim as the reference.
+func referenceCategorical(r *rand.Rand, weights []float64) int {
+	total := 0.0
+	for _, w := range weights {
+		if w > 0 {
+			total += w
+		}
+	}
+	if total <= 0 {
+		panic("xrand: categorical distribution has no mass")
+	}
+	u := r.Float64() * total
+	acc := 0.0
+	for i, w := range weights {
+		if w <= 0 {
+			continue
+		}
+		acc += w
+		if u < acc {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// TestCategoricalMatchesLinearScan requires Categorical and CDF.Draw to
+// return the index the linear scan returns from the same generator state,
+// and to leave the generator in the same state — including weights that are
+// zero, negative, or too small to move the running sum.
+func TestCategoricalMatchesLinearScan(t *testing.T) {
+	gen := New(11)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + gen.Intn(300)
+		weights := make([]float64, n)
+		for i := range weights {
+			switch gen.Intn(6) {
+			case 0:
+				weights[i] = 0
+			case 1:
+				weights[i] = -gen.Float64()
+			case 2:
+				weights[i] = 1e-30 // absorbed by any running sum near 1
+			default:
+				weights[i] = gen.Float64() * 3
+			}
+		}
+		weights[gen.Intn(n)] = 1 // some mass, possibly followed by zero-weight tails
+		seed := int64(trial)
+		want, got, drawn := New(seed), New(seed), New(seed)
+		cdf := NewCDF(weights)
+		for d := 0; d < 50; d++ {
+			w := referenceCategorical(want, weights)
+			if g := Categorical(got, weights); g != w {
+				t.Fatalf("trial %d draw %d: Categorical = %d, linear scan = %d", trial, d, g, w)
+			}
+			if g := cdf.Draw(drawn); g != w {
+				t.Fatalf("trial %d draw %d: CDF.Draw = %d, linear scan = %d", trial, d, g, w)
+			}
+		}
+		if want.Int63() != got.Int63() {
+			t.Fatalf("trial %d: generator states diverged", trial)
+		}
+	}
+}
+
+// BenchmarkCDFDraw reports the per-draw cost at two corpus sizes: it must
+// not grow with n the way the linear scan's does.
+func BenchmarkCDFDraw(b *testing.B) {
+	for _, n := range []int{20000, 60000} {
+		weights := make([]float64, n)
+		gen := New(1)
+		for i := range weights {
+			weights[i] = gen.Float64() + 0.05
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cdf := NewCDF(weights)
+			r := New(2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink = cdf.Draw(r)
+			}
+		})
+	}
+}
+
+var sink int

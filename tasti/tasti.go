@@ -423,11 +423,19 @@ func FindLimitOpts(opts LimitOptions, limit int, proxy, tieDist []float64, pred 
 	return limitq.RunOpts(opts, limit, proxy, tieDist, pred, lab)
 }
 
-// FindLimitScan is FindLimit over a caller-supplied scan order — typically
-// ShardedIndex.LimitOrder's merge of per-shard sorted runs, which is bitwise
-// identical to the order FindLimit computes itself.
+// FindLimitScan is FindLimit over a caller-supplied, fully materialized scan
+// order such as ShardedIndex.LimitOrder's. A scan that stops after a few
+// matches is cheaper through FindLimitNext.
 func FindLimitScan(opts LimitOptions, limit int, order []int, pred func(Annotation) bool, lab Labeler) (LimitResult, error) {
 	return limitq.RunScan(opts, limit, order, pred, lab)
+}
+
+// FindLimitNext is FindLimit over a lazily produced scan order — typically
+// ShardedIndex.LimitCursor(...).Next, the head-by-head merge of per-shard
+// heaps, which yields the order FindLimit computes itself and charges only
+// for the IDs the scan takes.
+func FindLimitNext(opts LimitOptions, limit int, next func() (id int, ok bool), pred func(Annotation) bool, lab Labeler) (LimitResult, error) {
+	return limitq.RunNext(opts, limit, next, pred, lab)
 }
 
 // Observability: a dependency-free metrics registry and span tracer that
