@@ -22,7 +22,7 @@ import (
 
 // The benchmark suite mirrors the shapes of internal/core's
 // BenchmarkBuildParallel and BenchmarkPropagateParallel at workers=1, so a
-// committed baseline (BENCH_12.json) stays comparable with `go test -bench`
+// committed baseline (BENCH_15.json) stays comparable with `go test -bench`
 // output while being runnable from the built binary, and adds the streaming
 // write path (WAL append with fsync, index AppendRecords) and the three
 // query processors over a propagated proxy. cmd/benchgate compares two of
@@ -185,6 +185,39 @@ func runBenchSuite(path string) error {
 			if _, err := sharded.Propagate(score); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+
+	// What a served request pays for its proxy column, over the same sharded
+	// corpus. A miss is the once-per-generation cost: one weighted column
+	// with its SUPG design plus one nearest column with its limit heaps —
+	// the propagation, sqrt-weight, prefix-sum and heapify passes every
+	// request ran before columns existed. A fresh scorer name per iteration
+	// keeps every fetch a miss (and exercises LRU eviction once the 64 MiB
+	// budget fills). A hit is what every later request pays instead: two
+	// store lookups and a copy of the heaps' IDs.
+	fetchColumns := func(b *testing.B, sc shard.Scorer) {
+		w, _, err := sharded.Column(sc, shard.ColumnWeighted, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.Design()
+		nr, _, err := sharded.Column(sc, shard.ColumnNearest, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nr.Cursor(nil)
+	}
+	misses := 0
+	rep.Benchmarks["column_miss_w1"] = runBench(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			misses++
+			fetchColumns(b, shard.Scorer{Name: fmt.Sprintf("count/car#%d", misses), Score: score})
+		}
+	})
+	rep.Benchmarks["column_hit_w1"] = runBench(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fetchColumns(b, shard.Scorer{Name: "count/car", Score: score})
 		}
 	})
 

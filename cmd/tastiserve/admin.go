@@ -177,6 +177,21 @@ func (s *server) labelStoreStatus() map[string]interface{} {
 	return body
 }
 
+// proxyColumnStatus is the /admin/status "proxy_columns" section: what the
+// serving index's column store retains and its generation, beside the
+// process-wide hit and miss counts (which, unlike the store, survive index
+// swaps). The store locks itself, so this needs no index semaphore.
+func (s *server) proxyColumnStatus() map[string]interface{} {
+	cs := s.index.Load().ColumnStats()
+	return map[string]interface{}{
+		"entries":    cs.Entries,
+		"bytes":      cs.Bytes,
+		"generation": cs.Generation,
+		"hits":       s.reg.Counter(`tasti_proxy_column_requests_total{result="hit"}`).Value(),
+		"misses":     s.reg.Counter(`tasti_proxy_column_requests_total{result="miss"}`).Value(),
+	}
+}
+
 // handleTraces is GET /admin/traces: the retained sampled traces, oldest
 // first, filterable by ?route=/query/aggregate and ?min_ms=50. Span trees
 // are rendered at read time, so an ingest trace shows its apply span once
@@ -411,6 +426,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body["breaker_state"] = s.breaker.State().String()
+	body["proxy_columns"] = s.proxyColumnStatus()
 	h, err := s.collectHealth(r.Context())
 	if err != nil {
 		// A canceled collection falls back to the loop's last snapshot.

@@ -330,6 +330,11 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_budget_exhausted_total", "Label admissions rejected by an exhausted budget, by scope (global or tenant).")
 	reg.Help("tasti_budget_remaining", "Oracle calls still admissible, by scope; absent when that scope is unlimited.")
 	reg.Help("tasti_query_degraded_total", "Queries that returned a partial (Degraded) answer after mid-query budget exhaustion, by type.")
+	reg.Help("tasti_proxy_column_requests_total", "Proxy-column fetches by the query handlers, by result: a hit propagated nothing, a miss ran the propagation.")
+	reg.Help("tasti_proxy_column_invalidations_total", "Times a crack, append or shard swap dropped the retained proxy columns.")
+	reg.Help("tasti_proxy_column_evictions_total", "Proxy columns evicted least-recently-used-first to stay inside the 64 MiB budget.")
+	reg.Help("tasti_proxy_column_bytes", "Payload charged to the retained proxy columns, in bytes.")
+	reg.Help("tasti_index_generation", "State-changing mutations (representatives added, appends, shard swaps) applied to the serving index object; restarts from 0 when the whole index is swapped.")
 	labels := tasti.NewLabelStore(tasti.LabelStoreOptions{MaxInflight: opts.labelInflight, Telemetry: reg})
 	budget := tasti.NewBudgetManager(tasti.BudgetConfig{
 		Global:    opts.labelBudget,
@@ -1086,12 +1091,27 @@ type queryRequest struct {
 	Crack  bool    `json:"crack"`
 }
 
-func (s *server) decode(r *http.Request, req *queryRequest) error {
+// maxQueryBody caps a /query/* body. A request is a handful of scalars and a
+// class name; the class names a retained proxy column, so an unbounded one
+// would be an unbounded key.
+const maxQueryBody = 64 << 10
+
+// decode parses a query body into req and fills the defaults. On failure it
+// has written the response — 413 for a body over maxQueryBody, 400 for
+// anything else — and returns false.
+func (s *server) decode(w http.ResponseWriter, r *http.Request, req *queryRequest) bool {
 	if r.Method != http.MethodPost {
-		return fmt.Errorf("use POST")
+		httpError(w, http.StatusBadRequest, "use POST")
+		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		return fmt.Errorf("bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
+			return false
+		}
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return false
 	}
 	// Defaults.
 	if req.Class == "" {
@@ -1112,31 +1132,58 @@ func (s *server) decode(r *http.Request, req *queryRequest) error {
 	if req.K <= 0 {
 		req.K = 10
 	}
-	return nil
+	return true
 }
 
-// spec translates a request into a score function and predicate for the
+// querySpec is a request translated for the server's corpus. Each scorer
+// carries the name that keys its proxy column, built from exactly the
+// request fields its closure reads (after normalisation), so two requests
+// share a column if and only if they score every annotation alike.
+type querySpec struct {
+	// score is the statistic aggregates estimate and limits rank by.
+	score tasti.Scorer
+	// match is pred as a 0/1 score: the proxy selects sample by.
+	match tasti.Scorer
+	pred  func(tasti.Annotation) bool
+}
+
+// spec translates a request into scoring functions and a predicate for the
 // server's corpus.
-func (s *server) spec(req queryRequest) (tasti.ScoreFunc, func(tasti.Annotation) bool) {
+func (s *server) spec(req queryRequest) querySpec {
+	// On the text and speech corpora the statistic is the predicate itself.
+	matchOnly := func(value string, pred func(tasti.Annotation) bool) querySpec {
+		match := tasti.Scorer{Name: "match/" + value, Score: tasti.MatchScore(pred)}
+		return querySpec{score: match, match: match, pred: pred}
+	}
 	switch s.name {
 	case "wikisql":
 		op := strings.ToUpper(req.Class)
-		pred := func(ann tasti.Annotation) bool {
+		return matchOnly(op, func(ann tasti.Annotation) bool {
 			return ann.(tasti.TextAnnotation).Operator == op
-		}
-		return tasti.MatchScore(pred), pred
+		})
 	case "common-voice":
 		gender := strings.ToLower(req.Class)
-		pred := func(ann tasti.Annotation) bool {
+		return matchOnly(gender, func(ann tasti.Annotation) bool {
 			return ann.(tasti.SpeechAnnotation).Gender == gender
-		}
-		return tasti.MatchScore(pred), pred
+		})
 	default:
 		pred := func(ann tasti.Annotation) bool {
 			return ann.(tasti.VideoAnnotation).Count(req.Class) >= req.Count
 		}
-		return tasti.CountScore(req.Class), pred
+		return querySpec{
+			score: tasti.Scorer{Name: "count/" + req.Class, Score: tasti.CountScore(req.Class)},
+			match: tasti.Scorer{Name: fmt.Sprintf("match/%s/%d", req.Class, req.Count), Score: tasti.MatchScore(pred)},
+			pred:  pred,
+		}
 	}
+}
+
+// cacheAttr is the value of a span's cache attribute.
+func cacheAttr(hit bool) string {
+	if hit {
+		return "hit"
+	}
+	return "miss"
 }
 
 // queryLabeler assembles one request's sampling labeler, innermost first: the
@@ -1191,8 +1238,7 @@ func (s *server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := s.decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
 	ctx := r.Context()
@@ -1203,21 +1249,22 @@ func (s *server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	ix := s.index.Load()
 	sc := scopeFrom(ctx)
-	score, _ := s.spec(req)
+	score := s.spec(req).score
 	psp := sc.child("propagate")
-	scores, err := ix.PropagateSpan(score, psp)
+	col, hit, err := ix.Column(score, tasti.ColumnWeighted, psp)
+	psp.SetAttr("cache", cacheAttr(hit))
 	psp.End()
 	if err != nil {
 		s.queryError(w, r, err)
 		return
 	}
-	sc.setCost(int64(len(scores)), int64(ix.NumShards()))
+	sc.setCost(int64(len(col.Scores)), int64(ix.NumShards()))
 	lab := s.queryLabeler(ctx, r, ix, sc)
 	esp := sc.child("estimate")
 	res, err := tasti.EstimateAggregate(tasti.AggregateOptions{
 		ErrTarget: req.Err, Delta: 0.05, MinSamples: 100, Seed: s.seed + 1,
 		Telemetry: s.reg,
-	}, s.ds.Len(), scores, score, lab)
+	}, s.ds.Len(), col.Scores, score.Score, lab)
 	esp.SetAttr("label_calls", res.LabelerCalls)
 	esp.End()
 	if err != nil {
@@ -1237,8 +1284,7 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := s.decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
 	ctx := r.Context()
@@ -1249,20 +1295,24 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	ix := s.index.Load()
 	sc := scopeFrom(ctx)
-	_, pred := s.spec(req)
+	q := s.spec(req)
 	psp := sc.child("propagate")
-	scores, err := ix.PropagateSpan(tasti.MatchScore(pred), psp)
+	col, hit, err := ix.Column(q.match, tasti.ColumnWeighted, psp)
+	psp.SetAttr("cache", cacheAttr(hit))
 	psp.End()
 	if err != nil {
 		s.queryError(w, r, err)
 		return
 	}
-	sc.setCost(int64(len(scores)), int64(ix.NumShards()))
+	sc.setCost(int64(len(col.Scores)), int64(ix.NumShards()))
+	// The sample span keeps the design's two O(records) passes on the first
+	// select over a column, and only the draws and the threshold search
+	// after it.
 	ssp := sc.child("sample")
-	res, err := tasti.SelectWithRecall(tasti.SelectOptions{
+	res, err := col.Design().RecallTarget(tasti.SelectOptions{
 		Budget: req.Budget, Target: req.Recall, Delta: 0.05, Seed: s.seed + 2,
 		Telemetry: s.reg, Parallelism: s.opts.parallelism,
-	}, s.ds.Len(), scores, pred, s.queryLabeler(ctx, r, ix, sc))
+	}, q.pred, s.queryLabeler(ctx, r, ix, sc))
 	ssp.SetAttr("label_calls", res.OracleCalls)
 	ssp.End()
 	if err != nil {
@@ -1289,8 +1339,7 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := s.decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
 	ctx := r.Context()
@@ -1301,25 +1350,28 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	ix := s.index.Load()
 	sc := scopeFrom(ctx)
-	score, pred := s.spec(req)
+	q := s.spec(req)
 	psp := sc.child("propagate")
-	scores, dists, err := ix.PropagateNearestSpan(score, psp)
+	col, hit, err := ix.Column(q.score, tasti.ColumnNearest, psp)
+	psp.SetAttr("cache", cacheAttr(hit))
 	psp.End()
 	if err != nil {
 		s.queryError(w, r, err)
 		return
 	}
-	sc.setCost(int64(len(scores)), int64(ix.NumShards()))
+	sc.setCost(int64(len(col.Scores)), int64(ix.NumShards()))
 	// Per-shard heaps merged head by head under limitq's comparator: the
 	// scan order is bitwise identical to the unsharded order over the full
-	// vectors. The order span is the O(records) heapify; each ID the scan
+	// vectors. The order span is the O(records) heapify on the column's
+	// first limit and a copy of the heaps' IDs after it; each ID the scan
 	// takes is an O(log records) pop billed to the scan span.
 	osp := sc.child("order")
-	cursor := ix.LimitCursor(scores, dists, osp)
+	cursor, ordered := col.Cursor(osp)
+	osp.SetAttr("cache", cacheAttr(ordered))
 	osp.End()
 	scan := sc.child("scan")
 	res, err := tasti.FindLimitNext(tasti.LimitOptions{Telemetry: s.reg},
-		req.K, cursor.Next, pred, s.queryLabeler(ctx, r, ix, sc))
+		req.K, cursor.Next, q.pred, s.queryLabeler(ctx, r, ix, sc))
 	scan.SetAttr("label_calls", res.OracleCalls)
 	scan.End()
 	if err != nil {

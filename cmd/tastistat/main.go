@@ -43,6 +43,7 @@ type statusDoc struct {
 	BreakerState    string             `json:"breaker_state"`
 	Ledger          tasti.LedgerTotals `json:"ledger"`
 	LabelStore      *labelStoreDoc     `json:"label_store"`
+	ProxyColumns    *proxyColumnsDoc   `json:"proxy_columns"`
 	Health          *healthDoc         `json:"health"`
 }
 
@@ -53,6 +54,14 @@ type labelStoreDoc struct {
 	TenantBudget    int64                   `json:"tenant_budget"`
 	GlobalRemaining int64                   `json:"global_remaining"`
 	Tenants         map[string]tenantBudget `json:"tenants"`
+}
+
+type proxyColumnsDoc struct {
+	Entries    int    `json:"entries"`
+	Bytes      int64  `json:"bytes"`
+	Generation uint64 `json:"generation"`
+	Hits       int64  `json:"hits"`
+	Misses     int64  `json:"misses"`
 }
 
 type tenantBudget struct {
@@ -183,6 +192,13 @@ func render(st *statusDoc, fams map[string]*tasti.PromFamily) string {
 	if line := labelLine(st.LabelStore, fams); line != "" {
 		b.WriteString(line)
 		b.WriteByte('\n')
+	}
+	if pc := st.ProxyColumns; pc != nil {
+		fmt.Fprintf(&b, "columns %d cached · %s", pc.Entries, sizeOf(pc.Bytes))
+		if n := pc.Hits + pc.Misses; n > 0 {
+			fmt.Fprintf(&b, " · hit rate %.1f%% (%d/%d)", 100*float64(pc.Hits)/float64(n), pc.Hits, n)
+		}
+		fmt.Fprintf(&b, " · generation %d\n", pc.Generation)
 	}
 	if h := st.Health; h != nil && h.WAL != nil {
 		fmt.Fprintf(&b, "ingest  acked %.0f · queue %d · wal lag %d rec / %d seg / %s",

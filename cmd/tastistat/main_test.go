@@ -39,6 +39,7 @@ const fakeStatus = `{
       "beta": {"spent": 200, "remaining": 0}
     }
   },
+  "proxy_columns": {"entries": 9, "bytes": 4320000, "generation": 12, "hits": 1984, "misses": 16},
   "health": {
     "collected_at": "2026-08-08T12:00:00Z",
     "records": 916,
@@ -99,8 +100,8 @@ func TestSnapshotReadyView(t *testing.T) {
 		t.Fatalf("snapshot: %v", err)
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 7 {
-		t.Fatalf("want 7 lines, got %d:\n%s", len(lines), out)
+	if len(lines) != 8 {
+		t.Fatalf("want 8 lines, got %d:\n%s", len(lines), out)
 	}
 	wantIn := map[int][]string{
 		0: {"night-street", "ready", "v0.8.0 go1.22.0", "kernel avx2", "up 2m8s"},
@@ -108,8 +109,9 @@ func TestSnapshotReadyView(t *testing.T) {
 		2: {"agg 5 sel 3 lim 1", "labels 412 (hits 37)", "5xx 2", "in-flight 1", "breaker closed"},
 		3: {"ledger  9 requests", "5400 records touched", "wall 2.5ms"},
 		4: {"labels  680 stored (14 dirty)", "hit rate 78.8% (1530/1942)", "coalesced 24", "budget 588/1000 left", "tenants acme 20/200 beta 0/200"},
-		5: {"acked 16", "queue 3", "wal lag 16 rec / 1 seg / 2.0KiB", "drift 1.62x of 0.03", "TRIGGERED"},
-		6: {"traces  12/256 retained", "sampling 25.0%"},
+		5: {"columns 9 cached", "4.1MiB", "hit rate 99.2% (1984/2000)", "generation 12"},
+		6: {"acked 16", "queue 3", "wal lag 16 rec / 1 seg / 2.0KiB", "drift 1.62x of 0.03", "TRIGGERED"},
+		7: {"traces  12/256 retained", "sampling 25.0%"},
 	}
 	for i, wants := range wantIn {
 		for _, want := range wants {

@@ -79,8 +79,9 @@ func Order(proxy, tieDist []float64) []int {
 }
 
 // Heap is a binary min-heap of the record IDs [lo, hi) under Less: building
-// it is O(hi-lo), and a Cursor takes each next ID off it in O(log(hi-lo)). It reads proxy (and tieDist, when non-nil) at the global
-// IDs and copies neither.
+// it is O(hi-lo), and a Cursor takes each next ID off it in O(log(hi-lo)).
+// It reads proxy (and tieDist, when non-nil) at the global IDs and copies
+// neither.
 type Heap struct {
 	proxy, tieDist []float64
 	ids            []int
@@ -144,6 +145,18 @@ type Cursor struct {
 // NewCursor merges heaps built over disjoint ID ranges of the same proxy and
 // tieDist vectors.
 func NewCursor(heaps ...*Heap) *Cursor { return &Cursor{heaps: heaps} }
+
+// Clone returns an independent cursor at c's position: each heap's ID slice
+// is copied — an O(n) memmove instead of NewHeap's O(n) comparisons — and the
+// proxy and tieDist vectors stay shared. Advancing the clone leaves c
+// untouched, so a cursor that is never advanced is a reusable scan order.
+func (c *Cursor) Clone() *Cursor {
+	heaps := make([]*Heap, len(c.heaps))
+	for i, h := range c.heaps {
+		heaps[i] = &Heap{proxy: h.proxy, tieDist: h.tieDist, ids: append([]int(nil), h.ids...)}
+	}
+	return &Cursor{heaps: heaps}
+}
 
 // Next returns the next record ID in scan order; ok is false once every ID
 // has been yielded.

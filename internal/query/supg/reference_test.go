@@ -140,7 +140,7 @@ func TestDrawSampleMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := drawSample(opts, ds.Len(), proxy, pred, newLab())
+				got, err := NewDesign(proxy).drawSample(opts, pred, newLab())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,7 +180,7 @@ func BenchmarkDrawSample(b *testing.B) {
 		proxy := goodProxy(truth, 0.15, 2)
 		run := func(b *testing.B, budget int, seed int64) {
 			opts := Options{Budget: budget, Target: 0.9, Delta: 0.05, Seed: seed}
-			if _, err := drawSample(opts, n, proxy, pred, lab); err != nil {
+			if _, err := NewDesign(proxy).drawSample(opts, pred, lab); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
 	"repro/internal/dataset"
@@ -66,13 +67,18 @@ type Result struct {
 	Degraded bool
 }
 
-func (o Options) validate(n int, proxy []float64) error {
+// checkCorpus rejects a corpus a Design cannot be built over.
+func checkCorpus(n int, proxy []float64) error {
 	if n <= 0 {
 		return errors.New("supg: empty dataset")
 	}
 	if len(proxy) != n {
 		return fmt.Errorf("supg: %d proxy scores for %d records", len(proxy), n)
 	}
+	return nil
+}
+
+func (o Options) validate() error {
 	if o.Budget <= 0 {
 		return fmt.Errorf("supg: budget must be positive, got %d", o.Budget)
 	}
@@ -85,14 +91,64 @@ func (o Options) validate(n int, proxy []float64) error {
 	return nil
 }
 
+// Design is SUPG's sampling design over one proxy vector: the defensive
+// sqrt-proxy weights, their total, and the prefix sums each draw searches.
+// It depends on nothing but the proxy scores, so one Design serves every
+// query over that vector — any budget, target, or seed — and is read-only
+// once built: concurrent queries may share it. The proxy slice is retained,
+// not copied, and must not change while the Design is in use.
+type Design struct {
+	proxy   []float64
+	weights []float64
+	total   float64
+	cdf     *xrand.CDF
+}
+
+// NewDesign builds the design in two O(n) passes — the weights and their
+// prefix sums. It panics on an empty proxy vector; RecallTarget and
+// PrecisionTarget reject that case as an error first.
+func NewDesign(proxy []float64) *Design {
+	weights := make([]float64, len(proxy))
+	total := 0.0
+	for i, p := range proxy {
+		if p < 0 {
+			p = 0
+		}
+		// Defensive importance sampling: the additive floor mixes in a
+		// uniform component so low-score records stay reachable and the
+		// total-positive estimate in the denominator is not starved of
+		// tail mass.
+		weights[i] = math.Sqrt(p) + 0.05
+		total += weights[i]
+	}
+	return &Design{proxy: proxy, weights: weights, total: total, cdf: xrand.NewCDF(weights)}
+}
+
+// Draw returns one record ID with probability Prob(id), consuming exactly
+// one r.Float64(): O(log n), whatever the corpus size.
+func (d *Design) Draw(r *rand.Rand) int { return d.cdf.Draw(r) }
+
+// Prob returns the probability that one Draw yields record id.
+func (d *Design) Prob(id int) float64 { return d.weights[id] / d.total }
+
 // RecallTarget runs the recall-target SUPG query: it returns a set that
 // contains at least a Target fraction of all matching records with
-// probability 1-Delta, spending exactly the labeler budget.
+// probability 1-Delta, spending exactly the labeler budget. It is the
+// one-shot form of NewDesign(proxy).RecallTarget.
 func RecallTarget(opts Options, n int, proxy []float64, pred Predicate, lab labeler.Labeler) (Result, error) {
-	if err := opts.validate(n, proxy); err != nil {
+	if err := checkCorpus(n, proxy); err != nil {
 		return Result{}, err
 	}
-	s, err := drawSample(opts, n, proxy, pred, lab)
+	return NewDesign(proxy).RecallTarget(opts, pred, lab)
+}
+
+// RecallTarget runs the recall-target query over the design's proxy vector.
+func (d *Design) RecallTarget(opts Options, pred Predicate, lab labeler.Labeler) (Result, error) {
+	if err := opts.validate(); err != nil {
+		return Result{}, err
+	}
+	n, proxy := len(d.proxy), d.proxy
+	s, err := d.drawSample(opts, pred, lab)
 	if err != nil {
 		return Result{}, err
 	}
@@ -166,12 +222,23 @@ func RecallTarget(opts Options, n int, proxy []float64, pred Predicate, lab labe
 
 // PrecisionTarget runs the precision-target SUPG variant: the returned set
 // contains at least a Target fraction of true matches, maximizing set size
-// subject to that, with probability 1-Delta.
+// subject to that, with probability 1-Delta. It is the one-shot form of
+// NewDesign(proxy).PrecisionTarget.
 func PrecisionTarget(opts Options, n int, proxy []float64, pred Predicate, lab labeler.Labeler) (Result, error) {
-	if err := opts.validate(n, proxy); err != nil {
+	if err := checkCorpus(n, proxy); err != nil {
 		return Result{}, err
 	}
-	s, err := drawSample(opts, n, proxy, pred, lab)
+	return NewDesign(proxy).PrecisionTarget(opts, pred, lab)
+}
+
+// PrecisionTarget runs the precision-target query over the design's proxy
+// vector.
+func (d *Design) PrecisionTarget(opts Options, pred Predicate, lab labeler.Labeler) (Result, error) {
+	if err := opts.validate(); err != nil {
+		return Result{}, err
+	}
+	n, proxy := len(d.proxy), d.proxy
+	s, err := d.drawSample(opts, pred, lab)
 	if err != nil {
 		return Result{}, err
 	}
@@ -238,32 +305,16 @@ type sample struct {
 	degraded bool
 }
 
-// drawSample draws Budget records i.i.d. with probability proportional to
-// sqrt(proxy) (the SUPG sampling design) and labels them. A label budget
-// exhausted mid-draw truncates the sample instead of failing the query —
-// the importance weights are normalized by the draws actually made, so the
-// downstream guarantee machinery runs unchanged, just with wider error bars.
-func drawSample(opts Options, n int, proxy []float64, pred Predicate, lab labeler.Labeler) (*sample, error) {
-	weights := make([]float64, n)
-	total := 0.0
-	for i, p := range proxy {
-		if p < 0 {
-			p = 0
-		}
-		// Defensive importance sampling: the additive floor mixes in a
-		// uniform component so low-score records stay reachable and the
-		// total-positive estimate in the denominator is not starved of
-		// tail mass.
-		weights[i] = math.Sqrt(p) + 0.05
-		total += weights[i]
-	}
-
-	// One O(n) prefix-sum build, then O(log n) per draw: the per-draw cost
-	// no longer scales with the corpus.
-	cdf := xrand.NewCDF(weights)
+// drawSample draws Budget records i.i.d. from the design — probability
+// proportional to sqrt(proxy) plus the defensive floor — and labels them. A
+// label budget exhausted mid-draw truncates the sample instead of failing
+// the query — the importance weights are normalized by the draws actually
+// made, so the downstream guarantee machinery runs unchanged, just with
+// wider error bars.
+func (d *Design) drawSample(opts Options, pred Predicate, lab labeler.Labeler) (*sample, error) {
 	r := xrand.New(opts.Seed)
 	budget := opts.Budget
-	if budget > n {
+	if n := len(d.proxy); budget > n {
 		budget = n
 	}
 	s := &sample{
@@ -275,7 +326,7 @@ func drawSample(opts Options, n int, proxy []float64, pred Predicate, lab labele
 	opts.Telemetry.Counter(`tasti_query_runs_total{type="select"}`).Inc()
 	mCalls := opts.Telemetry.Counter(`tasti_query_label_calls_total{type="select"}`)
 	for len(s.ids) < budget {
-		id := cdf.Draw(r)
+		id := d.Draw(r)
 		ann, err := lab.Label(id)
 		if err != nil {
 			if errors.Is(err, labeler.ErrBudgetExhausted) && len(s.ids) > 0 {
@@ -287,7 +338,7 @@ func drawSample(opts Options, n int, proxy []float64, pred Predicate, lab labele
 		mCalls.Inc()
 		s.ids = append(s.ids, id)
 		s.labels = append(s.labels, pred(ann))
-		qs = append(qs, weights[id]/total)
+		qs = append(qs, d.Prob(id))
 	}
 	// Importance weights 1/(B*q_i), with B the draws actually made: equal to
 	// the configured budget on the undegraded path (bitwise identical to

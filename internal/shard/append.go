@@ -24,8 +24,9 @@ import (
 // and table is built first and atomically stored, so code that reads shard
 // pointers without the index lock (PublishMetrics) only ever observes a fully
 // formed shard — never a half-appended one. Like Crack, AppendRecords mutates
-// the index and must be serialized by the caller against all other index use
-// (cmd/tastiserve's ingest apply loop holds the query semaphore).
+// the index — advancing the generation — and must be serialized by the
+// caller against all other index use (cmd/tastiserve's ingest apply loop
+// holds the query semaphore).
 func (x *Index) AppendRecords(features [][]float64) ([]int, error) {
 	if x.emb == nil {
 		return nil, core.ErrNoEmbedder
@@ -158,6 +159,7 @@ func (x *Index) appendEmbedded(embs vecmath.Matrix) []int {
 	}
 	x.shards[len(x.shards)-1].Store(next)
 	x.total += n
+	x.cols.invalidate()
 	var total cluster.QuantScanStats
 	for _, st := range qstats {
 		total.Add(st)

@@ -13,7 +13,8 @@ import (
 // neighbor rows, representative list, and annotation map are freshly
 // allocated, so cracking or appending to the clone never disturbs the
 // original (and vice versa). The embedding model is shared — it is immutable
-// once serving starts — and telemetry wiring is NOT carried over; call
+// once serving starts — while the proxy-column store starts empty at
+// generation 0 and telemetry wiring is NOT carried over; call
 // SetTelemetry on whichever copy ends up serving. The drift-triggered online
 // refresh builds on exactly this: clone under the query lock, re-crack the
 // clone off the lock, swap it back in.
@@ -28,6 +29,7 @@ func (x *Index) Clone() *Index {
 		par:    x.par,
 		emb:    x.emb,
 		Stats:  x.Stats,
+		cols:   newColumnStore(columnBudgetBytes),
 	}
 	for s := range x.shards {
 		sh := x.shards[s].Load()
@@ -69,7 +71,8 @@ func (x *Index) Clone() *Index {
 // reranks bound survivors against the unchanged float rows.
 //
 // Shards are replaced copy-on-write, but Requantize reads and mutates index
-// state and must be serialized against other mutation like Crack.
+// state and must be serialized against other mutation like Crack. Because no
+// result moves, it keeps the generation and the retained proxy columns.
 func (x *Index) Requantize() {
 	if !x.shards[0].Load().Quant.Enabled() {
 		return

@@ -1,0 +1,281 @@
+package shard
+
+import (
+	"container/list"
+	"errors"
+	"fmt"
+	"sync"
+
+	"repro/internal/core"
+	"repro/internal/query/limitq"
+	"repro/internal/query/supg"
+	"repro/internal/telemetry"
+)
+
+// Proxy columns: the O(records) part of a query that depends on nothing but
+// (index state, scoring function) — the propagated score vector, and the
+// SUPG sampling design or limit heaps derived from it alone — computed once
+// per index generation and handed to every later request read-only. What is
+// left of a request is the part proportional to the labels it buys.
+//
+// A generation is one state of the index as queries see it. Every mutator
+// that changes a propagated score advances it and drops the retained columns:
+// Crack when it adds a representative, AppendRecords/AppendEmbedded, and
+// ReplaceShard. A Crack of an already-annotated record changes nothing and
+// keeps the generation (and the columns); so does Requantize, which re-codes
+// the scan plane without moving any result. Clone, Load and Split start at
+// generation 0 with an empty store, so a whole-index swap needs no
+// invalidation protocol of its own.
+
+// ColumnKind selects the propagation a column holds.
+type ColumnKind uint8
+
+const (
+	// ColumnWeighted is Propagate's output — the distance-weighted mean over
+	// each record's K nearest representatives — serving aggregation directly
+	// and SUPG selection through Design.
+	ColumnWeighted ColumnKind = iota
+	// ColumnNearest is PropagateNearest's output — each record's nearest
+	// representative's exact score and the distance to it — serving limit
+	// queries through Cursor.
+	ColumnNearest
+)
+
+// Scorer is a scoring function together with the name that identifies it
+// across requests. The name is the column key, so two Scorers with one name
+// must score every annotation identically; the function of the first request
+// in a generation is the one that runs.
+type Scorer struct {
+	Name  string
+	Score core.ScoreFunc
+}
+
+// columnBudgetBytes bounds the column payload the store retains. Scorer
+// names come from clients, so the bound is a safety property rather than a
+// tunable: at 60k records a column is 1.4 MB and the budget holds 46.
+const columnBudgetBytes = 64 << 20
+
+// Column is one scoring function's propagated scores over one index
+// generation, plus the query structures derived from the scores alone. All of
+// it is read-only: requests share the slices and must not write them.
+type Column struct {
+	// Kind is the propagation Scores came from.
+	Kind ColumnKind
+	// Generation is the index generation the column describes.
+	Generation uint64
+	// Scores is the corpus-global proxy vector: the very slice Propagate
+	// (ColumnWeighted) or PropagateNearest (ColumnNearest) returned.
+	Scores []float64
+	// Dists is PropagateNearest's distance vector; nil for ColumnWeighted.
+	Dists []float64
+
+	x          *Index
+	designOnce sync.Once
+	design     *supg.Design
+	orderOnce  sync.Once
+	order      *limitq.Cursor // never advanced: Cursor hands out clones
+}
+
+// bytes is the payload the store charges a column: three 8-byte-per-record
+// vectors — scores, design weights and prefix sums, or scores, distances and
+// heap IDs. The derived vectors are charged before they are built, so the
+// bound holds whenever a request first asks for them.
+func (c *Column) bytes() int64 { return 3 * 8 * int64(len(c.Scores)) }
+
+// Design returns SUPG's sampling design over a ColumnWeighted column's
+// scores, built by the first request that selects over the column.
+func (c *Column) Design() *supg.Design {
+	if c.Kind != ColumnWeighted {
+		panic("shard: Design on a column that is not ColumnWeighted")
+	}
+	c.designOnce.Do(func() { c.design = supg.NewDesign(c.Scores) })
+	return c.design
+}
+
+// Cursor returns a fresh limit-scan cursor over a ColumnNearest column:
+// descending score, ties by ascending distance, then ID. The first call
+// heaps each shard's range through LimitCursor (one child span per shard
+// under sp, nil disables tracing); every call, that one included, pays only
+// a copy of the heaps' ID slices. hit reports that the heaps were already
+// built. Like the Column fetch that returned c, Cursor is an index read.
+func (c *Column) Cursor(sp *telemetry.Span) (cur *limitq.Cursor, hit bool) {
+	if c.Kind != ColumnNearest {
+		panic("shard: Cursor on a column that is not ColumnNearest")
+	}
+	hit = true
+	c.orderOnce.Do(func() {
+		hit = false
+		c.order = c.x.LimitCursor(c.Scores, c.Dists, sp)
+	})
+	return c.order.Clone(), hit
+}
+
+// Column returns the proxy column of sc under kind for the index's current
+// generation, building it on a miss with the code the uncached calls run
+// (PropagateKSpan at the table's K, or PropagateNearestSpan; one child span
+// per shard under sp) — so a column is bitwise the slice those calls return.
+// hit reports that no propagation ran for this call. Concurrent fetches of
+// one key share one build. Column is an index read: safe beside other reads,
+// serialized against mutation by the caller like Propagate.
+func (x *Index) Column(sc Scorer, kind ColumnKind, sp *telemetry.Span) (col *Column, hit bool, err error) {
+	e, hit := x.cols.acquire(columnKey{sc.Name, kind})
+	if hit {
+		<-e.ready
+		return e.col, true, e.err
+	}
+	// Deferred so that a panicking score function still releases the
+	// fetches waiting on this build.
+	defer x.cols.finish(e)
+	e.col, e.err = x.buildColumn(sc.Score, kind, e.gen, sp)
+	return e.col, false, e.err
+}
+
+func (x *Index) buildColumn(score core.ScoreFunc, kind ColumnKind, gen uint64, sp *telemetry.Span) (*Column, error) {
+	col := &Column{Kind: kind, Generation: gen, x: x}
+	var err error
+	switch kind {
+	case ColumnWeighted:
+		col.Scores, err = x.PropagateKSpan(score, x.K(), sp)
+	case ColumnNearest:
+		col.Scores, col.Dists, err = x.PropagateNearestSpan(score, sp)
+	default:
+		err = fmt.Errorf("shard: unknown column kind %d", kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return col, nil
+}
+
+// ColumnStats is the store's residency for /admin/status and the
+// tasti_proxy_column_bytes / tasti_index_generation gauges.
+type ColumnStats struct {
+	// Entries is the number of retained columns.
+	Entries int
+	// Bytes is their charged payload, at most the 64 MiB budget.
+	Bytes int64
+	// Generation counts the state-changing mutations applied to this index
+	// object since it was split, loaded or cloned.
+	Generation uint64
+}
+
+// ColumnStats reports the column store's residency. Internally synchronized:
+// callers need not hold the read serialization.
+func (x *Index) ColumnStats() ColumnStats {
+	cs := x.cols
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return ColumnStats{Entries: cs.lru.Len(), Bytes: cs.bytes, Generation: cs.gen}
+}
+
+type columnKey struct {
+	name string
+	kind ColumnKind
+}
+
+// columnEntry is one key's column, in flight until ready closes. An entry
+// sits in the store's map from the moment its build starts (later fetches
+// wait on it instead of building again) and in the LRU list once it is
+// built and retained.
+type columnEntry struct {
+	key   columnKey
+	gen   uint64
+	ready chan struct{} // closed by finish, after col and err are set
+	col   *Column
+	err   error
+	elem  *list.Element // nil until retained
+}
+
+// columnStore is the generation-scoped, byte-bounded column memo of one
+// Index. The mutex guards the map, the LRU list and the counters; builds run
+// outside it, one per entry. The store synchronizes itself, so its safety
+// does not lean on the caller's read/write serialization of the index — that
+// contract only guarantees no build overlaps a mutation, and an entry that
+// did overlap one is served to its waiters but never retained.
+type columnStore struct {
+	mu      sync.Mutex
+	gen     uint64
+	entries map[columnKey]*columnEntry
+	lru     list.List // retained entries, most recently used at the front
+	bytes   int64
+	budget  int64
+
+	mHit, mMiss, mInvalidate, mEvict *telemetry.Counter
+}
+
+func newColumnStore(budget int64) *columnStore {
+	return &columnStore{entries: make(map[columnKey]*columnEntry), budget: budget}
+}
+
+// setTelemetry resolves the store's counters (nil-safe handles on a nil
+// registry). A wiring call, like Index.SetTelemetry.
+func (cs *columnStore) setTelemetry(reg *telemetry.Registry) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	cs.mHit = reg.Counter(`tasti_proxy_column_requests_total{result="hit"}`)
+	cs.mMiss = reg.Counter(`tasti_proxy_column_requests_total{result="miss"}`)
+	cs.mInvalidate = reg.Counter("tasti_proxy_column_invalidations_total")
+	cs.mEvict = reg.Counter("tasti_proxy_column_evictions_total")
+}
+
+// acquire returns key's entry, creating it — for the caller to build and
+// finish — when the current generation has none. A hit on an entry still in
+// flight is a hit: the caller waits on ready instead of propagating.
+func (cs *columnStore) acquire(key columnKey) (e *columnEntry, hit bool) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if e, ok := cs.entries[key]; ok {
+		if e.elem != nil {
+			cs.lru.MoveToFront(e.elem)
+		}
+		cs.mHit.Inc()
+		return e, true
+	}
+	e = &columnEntry{key: key, gen: cs.gen, ready: make(chan struct{})}
+	cs.entries[key] = e
+	cs.mMiss.Inc()
+	return e, false
+}
+
+// finish publishes a built entry to its waiters and decides retention: a
+// failed build, a column over the whole budget, and an entry whose generation
+// ended mid-build are served but not kept; anything else is retained and the
+// least recently used columns make room for it.
+func (cs *columnStore) finish(e *columnEntry) {
+	defer close(e.ready)
+	if e.col == nil && e.err == nil {
+		e.err = errors.New("shard: building proxy column: score function panicked")
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if cs.entries[e.key] != e {
+		return
+	}
+	if e.err != nil || e.col.bytes() > cs.budget {
+		delete(cs.entries, e.key)
+		return
+	}
+	e.elem = cs.lru.PushFront(e)
+	cs.bytes += e.col.bytes()
+	for cs.bytes > cs.budget {
+		old := cs.lru.Remove(cs.lru.Back()).(*columnEntry)
+		delete(cs.entries, old.key)
+		cs.bytes -= old.col.bytes()
+		cs.mEvict.Inc()
+	}
+}
+
+// invalidate starts a new generation: every retained and in-flight entry is
+// forgotten (requests already holding one keep using it).
+func (cs *columnStore) invalidate() {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	cs.gen++
+	if len(cs.entries) == 0 {
+		return
+	}
+	cs.mInvalidate.Inc()
+	clear(cs.entries)
+	cs.lru.Init()
+	cs.bytes = 0
+}

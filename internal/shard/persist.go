@@ -149,6 +149,7 @@ func Load(r io.Reader) (*Index, error) {
 		shards: make([]atomic.Pointer[Shard], len(man.Shards)),
 		total:  man.Total,
 		Stats:  man.Stats,
+		cols:   newColumnStore(columnBudgetBytes),
 	}
 	for s := range man.Shards {
 		name, payload, err := sr.Next()

@@ -38,10 +38,12 @@
 //
 // # Concurrency
 //
-// Like core.Index, an Index is safe for concurrent reads (Propagate*,
-// LimitCursor, LimitOrder, RepCount) but Crack/CrackAll and ReplaceShard mutate state and
-// must be serialized against all other use by the caller — cmd/tastiserve
-// holds its query semaphore for exactly this.
+// Like core.Index, an Index is safe for concurrent reads (Propagate*, Column,
+// LimitCursor, LimitOrder, RepCount) but Crack/CrackAll, AppendRecords and
+// ReplaceShard mutate state and must be serialized against all other use by
+// the caller — cmd/tastiserve holds its query semaphore for exactly this.
+// The proxy-column store (column.go) is the one piece of index state with
+// its own lock.
 package shard
 
 import (
@@ -149,10 +151,16 @@ type Index struct {
 	// phase timings, degraded representatives) for /readyz and /index.
 	Stats core.BuildStats
 
-	tel      *telemetry.Registry
-	mProp    []*telemetry.Counter // tasti_shard_propagate_total{shard="s"}
-	gRecords []*telemetry.Gauge   // tasti_shard_records{shard="s"}
-	gReps    []*telemetry.Gauge   // tasti_shard_reps{shard="s"}
+	// cols memoizes proxy columns for the current generation (column.go).
+	// Every mutator that changes what a query can observe invalidates it.
+	cols *columnStore
+
+	tel       *telemetry.Registry
+	mProp     []*telemetry.Counter // tasti_shard_propagate_total{shard="s"}
+	gRecords  []*telemetry.Gauge   // tasti_shard_records{shard="s"}
+	gReps     []*telemetry.Gauge   // tasti_shard_reps{shard="s"}
+	gColBytes *telemetry.Gauge     // tasti_proxy_column_bytes
+	gGen      *telemetry.Gauge     // tasti_index_generation
 }
 
 // Split partitions a built index into n contiguous-range shards, taking
@@ -176,6 +184,7 @@ func Split(ix *core.Index, n int) (*Index, error) {
 		par:    cfg.Parallelism,
 		emb:    ix.Embedder,
 		Stats:  ix.Stats,
+		cols:   newColumnStore(columnBudgetBytes),
 	}
 	for s := 0; s < n; s++ {
 		lo, hi := s*total/n, (s+1)*total/n
@@ -245,13 +254,17 @@ func (x *Index) SetTelemetry(reg *telemetry.Registry) {
 		x.gRecords[s] = reg.Gauge(fmt.Sprintf(`tasti_shard_records{shard="%d"}`, s))
 		x.gReps[s] = reg.Gauge(fmt.Sprintf(`tasti_shard_reps{shard="%d"}`, s))
 	}
+	x.gColBytes = reg.Gauge("tasti_proxy_column_bytes")
+	x.gGen = reg.Gauge("tasti_index_generation")
+	x.cols.setTelemetry(reg)
 	x.PublishMetrics()
 }
 
 // PublishMetrics refreshes the per-shard gauges (record and representative
-// counts) from the live shards. cmd/tastiserve calls it on /metrics scrapes
-// and after reloads and cracks, so gauge staleness is bounded by scrape
-// cadence.
+// counts) from the live shards, and the proxy-column residency and index
+// generation gauges from the column store. cmd/tastiserve calls it on
+// /metrics scrapes and after reloads and cracks, so gauge staleness is
+// bounded by scrape cadence.
 func (x *Index) PublishMetrics() {
 	if x.tel == nil {
 		return
@@ -261,12 +274,16 @@ func (x *Index) PublishMetrics() {
 		x.gRecords[s].Set(float64(sh.NumRecords()))
 		x.gReps[s].Set(float64(len(sh.Table.Reps)))
 	}
+	cs := x.ColumnStats()
+	x.gColBytes.Set(float64(cs.Bytes))
+	x.gGen.Set(float64(cs.Generation))
 }
 
 // ReplaceShard atomically swaps in a replacement for shard i after checking
 // it covers the identical record range — the one shard-shape invariant a
-// hot reload must not bend. The caller serializes it against queries and
-// cracking (cmd/tastiserve holds its query semaphore).
+// hot reload must not bend — and advances the generation. The caller
+// serializes it against queries and cracking (cmd/tastiserve holds its query
+// semaphore).
 func (x *Index) ReplaceShard(i int, sh *Shard) error {
 	if i < 0 || i >= len(x.shards) {
 		return fmt.Errorf("shard: shard %d out of range [0,%d)", i, len(x.shards))
@@ -280,6 +297,7 @@ func (x *Index) ReplaceShard(i int, sh *Shard) error {
 		return err
 	}
 	x.shards[i].Store(sh)
+	x.cols.invalidate()
 	x.PublishMetrics()
 	return nil
 }
@@ -358,12 +376,6 @@ func (x *Index) Propagate(score core.ScoreFunc) ([]float64, error) {
 	return x.PropagateKSpan(score, x.K(), nil)
 }
 
-// PropagateSpan is Propagate threading a request span: the scatter opens one
-// child span per shard under sp. A nil sp runs identically with no tracing.
-func (x *Index) PropagateSpan(score core.ScoreFunc, sp *telemetry.Span) ([]float64, error) {
-	return x.PropagateKSpan(score, x.K(), sp)
-}
-
 // PropagateK is Propagate with an explicit neighbor count k <= K. Each shard
 // evaluates its own representative annotations (shards agree on the
 // representative set in steady state, and a rolling reload only ever scores
@@ -374,7 +386,9 @@ func (x *Index) PropagateK(score core.ScoreFunc, k int) ([]float64, error) {
 	return x.PropagateKSpan(score, k, nil)
 }
 
-// PropagateKSpan is PropagateK threading a request span (see PropagateSpan).
+// PropagateKSpan is PropagateK threading a request span: the scatter opens
+// one child span per shard under sp. A nil sp runs identically with no
+// tracing.
 func (x *Index) PropagateKSpan(score core.ScoreFunc, k int, sp *telemetry.Span) ([]float64, error) {
 	if kMax := x.K(); k <= 0 || k > kMax {
 		return nil, fmt.Errorf("shard: propagation k=%d outside [1,%d]", k, kMax)
@@ -412,7 +426,7 @@ func (x *Index) PropagateNearest(score core.ScoreFunc) (scores, dists []float64,
 }
 
 // PropagateNearestSpan is PropagateNearest threading a request span (see
-// PropagateSpan).
+// PropagateKSpan).
 func (x *Index) PropagateNearestSpan(score core.ScoreFunc, sp *telemetry.Span) (scores, dists []float64, err error) {
 	defer x.observePropagate(metricPropagateNearest, time.Now())
 	scores = make([]float64, x.total)
@@ -479,7 +493,9 @@ func (x *Index) LimitCursor(proxy, tieDist []float64, sp *telemetry.Span) *limit
 // the same per-record computation the unsharded Table.AddRepresentative
 // runs, so the sharded tables stay bitwise identical to the global one.
 // Cracking a record that is already annotated is a no-op, mirroring
-// core.Index.Crack. Callers serialize Crack against all other index use.
+// core.Index.Crack — it keeps the generation and the retained proxy columns;
+// a crack that adds a representative advances the generation and drops
+// them. Callers serialize Crack against all other index use.
 func (x *Index) Crack(id int, ann dataset.Annotation) {
 	if id < 0 || id >= x.total {
 		panic(fmt.Sprintf("shard: crack id %d out of range [0,%d)", id, x.total))
@@ -499,6 +515,7 @@ func (x *Index) Crack(id int, ann dataset.Annotation) {
 			sh.Table.AddRepresentativeEmb(sh.Embeddings, id, repEmb, x.par)
 		}
 	}
+	x.cols.invalidate()
 	core.PublishQuantStats(x.tel, qstats)
 	x.PublishMetrics()
 }

@@ -26,7 +26,7 @@ func TestScatterSpanLinkage(t *testing.T) {
 	tr := telemetry.NewTrace("query/aggregate")
 	tr.SetID(telemetry.NewTraceID())
 	sp := tr.Root().Child("propagate")
-	got, err := x.PropagateSpan(score, sp)
+	got, err := x.PropagateKSpan(score, x.K(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestScatterSpanLinkage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, "PropagateSpan", got, want)
+	sameBits(t, "PropagateKSpan", got, want)
 
 	// The other two scatter paths trace the same way.
 	sp2 := tr.Root().Child("nearest")
@@ -91,7 +91,7 @@ func TestScatterSpanLinkage(t *testing.T) {
 	}
 
 	// And a nil span is the untraced path.
-	if _, err := x.PropagateSpan(score, nil); err != nil {
+	if _, err := x.PropagateKSpan(score, x.K(), nil); err != nil {
 		t.Fatal(err)
 	}
 }

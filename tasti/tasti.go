@@ -286,6 +286,26 @@ type (
 	ShardedIndex = shard.Index
 	// Shard is one contiguous record-range slice of a sharded index.
 	Shard = shard.Shard
+	// Scorer is a scoring function together with the name that identifies
+	// it across requests — the key of ShardedIndex.Column.
+	Scorer = shard.Scorer
+	// ProxyColumn is one Scorer's propagated scores for one index
+	// generation, with the SUPG design or limit heaps derived from them:
+	// computed once by ShardedIndex.Column, then shared read-only by every
+	// request until a crack, append or shard swap starts a new generation.
+	ProxyColumn = shard.Column
+	// ProxyColumnStats is ShardedIndex.ColumnStats's residency report.
+	ProxyColumnStats = shard.ColumnStats
+)
+
+// The propagation a proxy column holds.
+const (
+	// ColumnWeighted columns hold ShardedIndex.Propagate's output and serve
+	// EstimateAggregate and ProxyColumn.Design.
+	ColumnWeighted = shard.ColumnWeighted
+	// ColumnNearest columns hold ShardedIndex.PropagateNearest's output and
+	// serve FindLimitNext through ProxyColumn.Cursor.
+	ColumnNearest = shard.ColumnNearest
 )
 
 // SplitIndex partitions a built index into n contiguous record-range shards,
@@ -386,6 +406,11 @@ type (
 	SelectOptions = supg.Options
 	// SelectResult is the SUPG output.
 	SelectResult = supg.Result
+	// SelectDesign is SUPG's sampling design over one proxy vector, reusable
+	// across queries: SelectWithRecall(opts, n, proxy, ...) is
+	// supg.NewDesign(proxy).RecallTarget(opts, ...). ProxyColumn.Design
+	// returns the one a column keeps.
+	SelectDesign = supg.Design
 	// LimitResult is FindLimit's output.
 	LimitResult = limitq.Result
 	// ThresholdResult is SelectByThreshold's output.
@@ -431,9 +456,9 @@ func FindLimitScan(opts LimitOptions, limit int, order []int, pred func(Annotati
 }
 
 // FindLimitNext is FindLimit over a lazily produced scan order — typically
-// ShardedIndex.LimitCursor(...).Next, the head-by-head merge of per-shard
-// heaps, which yields the order FindLimit computes itself and charges only
-// for the IDs the scan takes.
+// the Next of ProxyColumn.Cursor or ShardedIndex.LimitCursor, the
+// head-by-head merge of per-shard heaps, which yields the order FindLimit
+// computes itself and charges only for the IDs the scan takes.
 func FindLimitNext(opts LimitOptions, limit int, next func() (id int, ok bool), pred func(Annotation) bool, lab Labeler) (LimitResult, error) {
 	return limitq.RunNext(opts, limit, next, pred, lab)
 }
