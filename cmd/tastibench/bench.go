@@ -11,18 +11,21 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/embed"
 	"repro/internal/ingest"
 	"repro/internal/labeler"
 	"repro/internal/query/aggregation"
 	"repro/internal/query/limitq"
 	"repro/internal/query/supg"
 	"repro/internal/shard"
+	"repro/internal/triplet"
+	"repro/internal/xrand"
 	"repro/tasti"
 )
 
 // The benchmark suite mirrors the shapes of internal/core's
 // BenchmarkBuildParallel and BenchmarkPropagateParallel at workers=1, so a
-// committed baseline (BENCH_15.json) stays comparable with `go test -bench`
+// committed baseline (BENCH_19.json) stays comparable with `go test -bench`
 // output while being runnable from the built binary, and adds the streaming
 // write path (WAL append with fsync, index AppendRecords) and the three
 // query processors over a propagated proxy. cmd/benchgate compares two of
@@ -220,6 +223,32 @@ func runBenchSuite(path string) error {
 			fetchColumns(b, shard.Scorer{Name: "count/car", Score: score})
 		}
 	})
+
+	// Triplet training as an index build runs it — the corpus, label budget
+	// and network the repository benchmark's server builds with (taipei 20k,
+	// 300 FPF-mined labels, the default 4000 steps into 64 dimensions) — at
+	// one and two workers. Same weights either way; w1/w2 is what the second
+	// core buys.
+	trainDS, err := dataset.Generate("taipei", 20000, 1)
+	if err != nil {
+		return fmt.Errorf("generating training corpus: %w", err)
+	}
+	trainCfg := triplet.DefaultConfig(64, 1)
+	pre := embed.AllPar(embed.NewPretrained(trainDS.FeatureDim(), trainCfg.EmbedDim, 1), trainDS, 0)
+	trainIDs := triplet.MineFPF(xrand.Split(1, "mining"), pre, 300)
+	trainAnns := make([]dataset.Annotation, len(trainIDs))
+	for i, id := range trainIDs {
+		trainAnns[i] = trainDS.Truth[id]
+	}
+	for _, workers := range []int{1, 2} {
+		rep.Benchmarks[fmt.Sprintf("train_triplet_w%d", workers)] = runBench(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := triplet.Train(trainCfg, trainDS, trainIDs, trainAnns, triplet.VideoBucketKey(0.5), workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 
 	// The streaming write path: one WAL frame per op, fsync included — this
 	// is the floor under every /ingest ack.

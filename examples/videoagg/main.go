@@ -59,7 +59,7 @@ func main() {
 	proxyCfg := proxy.DefaultConfig(proxy.Regression, seed+3)
 	proxyCfg.Hidden = 16
 	proxyCfg.Epochs = 20
-	model, err := proxy.Train(proxyCfg, ds, tmas, targets)
+	model, err := proxy.Train(proxyCfg, ds, tmas, targets, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

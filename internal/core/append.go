@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/cluster"
+	"repro/internal/embed"
 	"repro/internal/parallel"
 	"repro/internal/vecmath"
 )
@@ -62,7 +63,7 @@ func (ix *Index) AppendRecords(features [][]float64) ([]int, error) {
 		var sc cluster.Scanner      // per-chunk scratch
 		var qc cluster.QuantScanner // per-chunk scratch (quantized path)
 		for i := s.Lo; i < s.Hi; i++ {
-			copy(embs.Row(i), ix.Embedder.Embed(features[i]))
+			embed.Into(ix.Embedder, embs.Row(i), features[i])
 			dst := make([]cluster.Neighbor, 0, k)
 			if quantized {
 				nbrLists[i] = qc.ScanInto(dst, embs.Row(i), repMat, repQ, reps, k)

@@ -390,7 +390,7 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		tcfg.EmbedDim = cfg.EmbedDim
 		fitSpan := trainSpan.Child("train/fit")
 		fitSpan.SetAttr("steps", tcfg.Steps)
-		trained, err := triplet.Train(tcfg, ds, keptIDs, keptAnns, cfg.BucketKey)
+		trained, err := triplet.Train(tcfg, ds, keptIDs, keptAnns, cfg.BucketKey, cfg.Parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("core: triplet training: %w", err)
 		}

@@ -81,30 +81,50 @@ func (p *Pretrained) Dim() int { return p.w.Rows() }
 // Name implements Embedder.
 func (p *Pretrained) Name() string { return "pretrained" }
 
-// Trained wraps a triplet-fine-tuned MLP as an Embedder.
+// Trained wraps a triplet-fine-tuned MLP as an Embedder. The network is
+// what snapshots persist; the forward pass runs on a Forwarder derived from
+// it at construction (and so again on every load).
 type Trained struct {
-	// Net is the underlying network; package triplet trains it in place.
-	Net *nn.MLP
+	net *nn.MLP
+	fw  *nn.Forwarder
 }
 
-// NewTrained wraps net.
-func NewTrained(net *nn.MLP) *Trained { return &Trained{Net: net} }
+// NewTrained wraps net, whose weights must be final.
+func NewTrained(net *nn.MLP) *Trained {
+	return &Trained{net: net, fw: nn.NewForwarder(net)}
+}
 
 // Embed implements Embedder.
 func (t *Trained) Embed(features []float64) []float64 {
-	return t.Net.Forward(features)
+	return t.fw.Forward(features)
+}
+
+// EmbedInto embeds features into dst (len Dim()) without allocating.
+func (t *Trained) EmbedInto(dst, features []float64) {
+	t.fw.ForwardInto(dst, features)
 }
 
 // Dim implements Embedder.
-func (t *Trained) Dim() int { return t.Net.OutputDim() }
+func (t *Trained) Dim() int { return t.net.OutputDim() }
 
 // Name implements Embedder.
 func (t *Trained) Name() string { return "triplet-trained" }
 
 // intoEmbedder is the optional allocation-free fast path: embedders that can
-// write directly into a preallocated row implement it (Pretrained does).
+// write directly into a preallocated row implement it (both embedders of
+// this package do).
 type intoEmbedder interface {
 	EmbedInto(dst, features []float64)
+}
+
+// Into embeds features into dst (len e.Dim()): in place when e has the
+// EmbedInto fast path, by copy otherwise.
+func Into(e Embedder, dst, features []float64) {
+	if ie, ok := e.(intoEmbedder); ok {
+		ie.EmbedInto(dst, features)
+		return
+	}
+	copy(dst, e.Embed(features))
 }
 
 // All embeds every record of ds in parallel on all CPUs and returns the
@@ -116,21 +136,11 @@ func All(e Embedder, ds *dataset.Dataset) vecmath.Matrix {
 // AllPar is All with an explicit parallelism level p (p <= 0 uses all CPUs).
 // Records embed independently, so the output is identical at every p. The
 // embedder must be safe for concurrent Embed calls; both implementations
-// here are (their forward passes only read model weights). Embedders with an
-// EmbedInto fast path fill their matrix rows in place; others embed per
-// record and are copied in.
+// here are (their forward passes only read model weights).
 func AllPar(e Embedder, ds *dataset.Dataset, p int) vecmath.Matrix {
 	out := vecmath.NewMatrix(ds.Len(), e.Dim())
-	if ie, ok := e.(intoEmbedder); ok {
-		parallel.ForChunks(p, ds.Len(), func(_ int, s parallel.Span) {
-			for i := s.Lo; i < s.Hi; i++ {
-				ie.EmbedInto(out.Row(i), ds.Records[i].Features)
-			}
-		})
-		return out
-	}
 	parallel.For(p, ds.Len(), func(i int) {
-		copy(out.Row(i), e.Embed(ds.Records[i].Features))
+		Into(e, out.Row(i), ds.Records[i].Features)
 	})
 	return out
 }

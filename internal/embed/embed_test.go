@@ -78,11 +78,44 @@ func TestTrained(t *testing.T) {
 	if e.Dim() != 3 || e.Name() != "triplet-trained" {
 		t.Error("metadata wrong")
 	}
-	out := e.Embed(make([]float64, 5))
-	want := net.Forward(make([]float64, 5))
+	x := []float64{0.5, -1, 2, 0, 1.5}
+	out := e.Embed(x)
+	into := make([]float64, 3)
+	e.EmbedInto(into, x)
+	want := nn.NewForwarder(net).Forward(x)
 	for i := range out {
-		if out[i] != want[i] {
-			t.Error("Embed differs from Forward")
+		if out[i] != want[i] || into[i] != want[i] {
+			t.Error("Embed/EmbedInto differ from the network's forward pass")
+		}
+	}
+}
+
+// opaque hides an embedder's EmbedInto fast path.
+type opaque struct{ Embedder }
+
+// TestIntoAndAllParFastPath: both embedders fill rows in place without
+// allocating, an embedder without the fast path is copied in, and all three
+// routes give the same matrix.
+func TestIntoAndAllParFastPath(t *testing.T) {
+	ds, err := dataset.Generate("night-street", 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := nn.NewMLP(rand.New(rand.NewSource(3)), ds.FeatureDim(), 160, 32)
+	for _, e := range []Embedder{NewTrained(net), NewPretrained(ds.FeatureDim(), 32, 4)} {
+		dst := make([]float64, e.Dim())
+		x := ds.Records[7].Features
+		if allocs := testing.AllocsPerRun(20, func() { Into(e, dst, x) }); allocs != 0 {
+			t.Errorf("%s: Into allocates %v times per record", e.Name(), allocs)
+		}
+		fast, slow := AllPar(e, ds, 2), AllPar(opaque{e}, ds, 1)
+		for i := 0; i < ds.Len(); i++ {
+			want := e.Embed(ds.Records[i].Features)
+			for j := range want {
+				if fast.Row(i)[j] != want[j] || slow.Row(i)[j] != want[j] {
+					t.Fatalf("%s record %d dim %d: in-place %v, copied %v, Embed %v", e.Name(), i, j, fast.Row(i)[j], slow.Row(i)[j], want[j])
+				}
+			}
 		}
 	}
 }

@@ -35,10 +35,10 @@ func NewSnapshot(e Embedder) (Snapshot, error) {
 			Data: t.w.Data(),
 		}, nil
 	case *Trained:
-		if t.Net == nil {
+		if t.net == nil {
 			return Snapshot{}, fmt.Errorf("embed: trained embedder has no network")
 		}
-		return Snapshot{Kind: t.Name(), Net: t.Net}, nil
+		return Snapshot{Kind: t.Name(), Net: t.net}, nil
 	default:
 		return Snapshot{}, fmt.Errorf("embed: cannot snapshot embedder %q", e.Name())
 	}
@@ -62,7 +62,7 @@ func (s Snapshot) Embedder() (Embedder, error) {
 		if err := validateMLP(s.Net); err != nil {
 			return nil, fmt.Errorf("embed: trained snapshot: %w", err)
 		}
-		return &Trained{Net: s.Net}, nil
+		return NewTrained(s.Net), nil
 	default:
 		return nil, fmt.Errorf("embed: unknown embedder kind %q", s.Kind)
 	}

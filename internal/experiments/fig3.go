@@ -104,7 +104,7 @@ func trainProxyWithTMAS(env *Env, tmas int, score func(ann dataset.Annotation) f
 		}
 		targets[i] = score(ann)
 	}
-	model, err := proxy.Train(TinyProxyConfig(proxy.Regression, env.Scale.Seed), env.DS, ids, targets)
+	model, err := proxy.Train(TinyProxyConfig(proxy.Regression, env.Scale.Seed), env.DS, ids, targets, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -135,7 +135,7 @@ func (e *Env) TrainProxy(kind proxy.Kind, score func(ann dataset.Annotation) flo
 		}
 		targets[i] = score(ann)
 	}
-	model, err := proxy.Train(TinyProxyConfig(kind, e.Scale.Seed), e.DS, ids, targets)
+	model, err := proxy.Train(TinyProxyConfig(kind, e.Scale.Seed), e.DS, ids, targets, 0)
 	if err != nil {
 		return nil, 0, fmt.Errorf("experiments: training per-query proxy: %w", err)
 	}

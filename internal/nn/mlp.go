@@ -1,8 +1,15 @@
 // Package nn is the minimal deep-learning substrate the reproduction needs:
-// a multi-layer perceptron with manual backpropagation and an Adam
-// optimizer. It stands in for the paper's ResNet-18/BERT embedding DNNs and
-// the "tiny ResNet"/CNN-10 per-query proxy models, which are gated behind
-// GPU inference we do not have.
+// a multi-layer perceptron (MLP), its forward pass (Forwarder) and a batched
+// minibatch Adam step with manual backpropagation (Trainer). It stands in
+// for the paper's ResNet-18/BERT embedding DNNs and the "tiny
+// ResNet"/CNN-10 per-query proxy models, which are gated behind GPU
+// inference we do not have.
+//
+// Every inner loop — forward, gradient accumulation, back-propagated deltas
+// — is the vecmath.AXPY operation, whose product is rounded before its add
+// on both the assembly and the portable path, and no loop combines floats
+// across work items, so a network's outputs and trained weights do not
+// depend on the kernel dispatched to or on the worker count.
 package nn
 
 import (
@@ -64,148 +71,6 @@ func (m *MLP) NumParams() int {
 		n += len(m.W[l])*len(m.W[l][0]) + len(m.B[l])
 	}
 	return n
-}
-
-// Forward computes the network output for input x.
-func (m *MLP) Forward(x []float64) []float64 {
-	cache := m.forward(x)
-	return cache.acts[len(cache.acts)-1]
-}
-
-// Cache holds the intermediate activations of one forward pass, needed by
-// Backward.
-type Cache struct {
-	// acts[0] is the input; acts[l] the post-activation output of layer l.
-	acts [][]float64
-}
-
-// Output returns the network output stored in the cache.
-func (c *Cache) Output() []float64 { return c.acts[len(c.acts)-1] }
-
-// ForwardCache computes the output and retains activations for Backward.
-func (m *MLP) ForwardCache(x []float64) *Cache {
-	return m.forward(x)
-}
-
-func (m *MLP) forward(x []float64) *Cache {
-	if len(x) != m.InputDim() {
-		panic(fmt.Sprintf("nn: input dim %d, want %d", len(x), m.InputDim()))
-	}
-	cache := &Cache{acts: make([][]float64, 0, len(m.W)+1)}
-	cache.acts = append(cache.acts, x)
-	cur := x
-	for l := range m.W {
-		out := make([]float64, len(m.W[l]))
-		for i, row := range m.W[l] {
-			s := m.B[l][i]
-			for j, w := range row {
-				s += w * cur[j]
-			}
-			out[i] = s
-		}
-		if l < len(m.W)-1 { // hidden layers use tanh; output stays linear
-			for i := range out {
-				out[i] = math.Tanh(out[i])
-			}
-		}
-		cache.acts = append(cache.acts, out)
-		cur = out
-	}
-	return cache
-}
-
-// Grads holds parameter gradients with the same shape as the MLP's weights.
-type Grads struct {
-	W [][][]float64
-	B [][]float64
-}
-
-// NewGrads allocates a zero gradient for m.
-func NewGrads(m *MLP) *Grads {
-	g := &Grads{}
-	for l := range m.W {
-		w := make([][]float64, len(m.W[l]))
-		for i := range w {
-			w[i] = make([]float64, len(m.W[l][i]))
-		}
-		g.W = append(g.W, w)
-		g.B = append(g.B, make([]float64, len(m.B[l])))
-	}
-	return g
-}
-
-// Zero resets all gradients to zero.
-func (g *Grads) Zero() {
-	for l := range g.W {
-		for i := range g.W[l] {
-			for j := range g.W[l][i] {
-				g.W[l][i][j] = 0
-			}
-		}
-		for i := range g.B[l] {
-			g.B[l][i] = 0
-		}
-	}
-}
-
-// Scale multiplies every gradient by s (e.g. 1/batchSize).
-func (g *Grads) Scale(s float64) {
-	for l := range g.W {
-		for i := range g.W[l] {
-			for j := range g.W[l][i] {
-				g.W[l][i][j] *= s
-			}
-		}
-		for i := range g.B[l] {
-			g.B[l][i] *= s
-		}
-	}
-}
-
-// Backward accumulates into g the parameter gradients of a scalar loss whose
-// gradient with respect to the network output is gradOut, for the forward
-// pass recorded in cache. It returns the gradient with respect to the input
-// (useful for tests).
-func (m *MLP) Backward(cache *Cache, gradOut []float64, g *Grads) []float64 {
-	if len(gradOut) != m.OutputDim() {
-		panic(fmt.Sprintf("nn: gradOut dim %d, want %d", len(gradOut), m.OutputDim()))
-	}
-	delta := append([]float64(nil), gradOut...)
-	for l := len(m.W) - 1; l >= 0; l-- {
-		in := cache.acts[l]
-		// Accumulate parameter gradients for layer l.
-		for i := range m.W[l] {
-			g.B[l][i] += delta[i]
-			row := g.W[l][i]
-			for j := range row {
-				row[j] += delta[i] * in[j]
-			}
-		}
-		if l == 0 {
-			// Gradient w.r.t. the network input.
-			gin := make([]float64, len(in))
-			for i, row := range m.W[l] {
-				for j, w := range row {
-					gin[j] += delta[i] * w
-				}
-			}
-			return gin
-		}
-		// Propagate to the previous layer through the tanh of layer l-1:
-		// d/dz tanh(z) = 1 - tanh(z)^2, and acts[l] stores tanh(z).
-		prev := make([]float64, len(cache.acts[l]))
-		for i, row := range m.W[l] {
-			for j, w := range row {
-				prev[j] += delta[i] * w
-			}
-		}
-		a := cache.acts[l]
-		for j := range prev {
-			prev[j] *= 1 - a[j]*a[j]
-		}
-		delta = prev
-	}
-	return nil
 }
 
 // Clone returns a deep copy of the network.

@@ -15,7 +15,7 @@ func TestNewMLPShapes(t *testing.T) {
 	if got, want := m.NumParams(), 5*7+7+7*3+3; got != want {
 		t.Errorf("NumParams = %d, want %d", got, want)
 	}
-	out := m.Forward(make([]float64, 5))
+	out := NewForwarder(m).Forward(make([]float64, 5))
 	if len(out) != 3 {
 		t.Errorf("output len = %d", len(out))
 	}
@@ -42,14 +42,110 @@ func TestForwardPanicsOnBadInput(t *testing.T) {
 			t.Error("no panic on wrong input dim")
 		}
 	}()
-	m.Forward([]float64{1})
+	NewForwarder(m).Forward([]float64{1})
 }
 
-// TestGradientCheck verifies Backward against finite differences for a
-// scalar loss L = sum(out_i * g_i) on a two-hidden-layer network.
+// dotForward is the textbook forward pass — per unit, s = B[i]; for j:
+// s += W[i][j]*x[j] — that the AXPY formulation must reproduce bit for bit.
+func dotForward(m *MLP, x []float64) []float64 {
+	cur := x
+	for l := range m.W {
+		out := make([]float64, len(m.W[l]))
+		for i, row := range m.W[l] {
+			s := m.B[l][i]
+			for j, w := range row {
+				s += float64(w * cur[j])
+			}
+			out[i] = s
+		}
+		if l < len(m.W)-1 {
+			for i := range out {
+				out[i] = math.Tanh(out[i])
+			}
+		}
+		cur = out
+	}
+	return cur
+}
+
+func TestForwarderMatchesDotProductBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	// Shapes: no hidden layer, the three dataset input widths into the
+	// default embedder, several hidden layers (activations ping-pong), and a
+	// hidden layer wider than the stack buffer.
+	for _, sizes := range [][]int{{3, 2}, {52, 160, 128}, {128, 160, 128}, {40, 160, 16}, {6, 9, 5, 7, 4}, {5, stackWidth + 3, 2}} {
+		m := NewMLP(r, sizes...)
+		for l := range m.B {
+			for i := range m.B[l] {
+				m.B[l][i] = r.NormFloat64()
+			}
+		}
+		f := NewForwarder(m)
+		x := make([]float64, sizes[0])
+		into := make([]float64, m.OutputDim())
+		for trial := 0; trial < 5; trial++ {
+			for j := range x {
+				x[j] = r.NormFloat64()
+			}
+			want := dotForward(m, x)
+			got := f.Forward(x)
+			f.ForwardInto(into, x)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(into[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("sizes %v output %d: Forward %v, ForwardInto %v, dot product %v", sizes, i, got[i], into[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestForwarderIsASnapshot(t *testing.T) {
+	m := NewMLP(rand.New(rand.NewSource(4)), 2, 3, 1)
+	f := NewForwarder(m)
+	x := []float64{0.5, -1}
+	before := f.Forward(x)[0]
+	m.W[0][0][0] += 100
+	m.B[1][0] += 100
+	if got := f.Forward(x)[0]; got != before {
+		t.Errorf("forwarder saw a later weight change: %v vs %v", got, before)
+	}
+	if got := NewForwarder(m).Forward(x)[0]; got == before {
+		t.Error("rebuilt forwarder did not see the weight change")
+	}
+}
+
+func TestForwardIntoDoesNotAllocate(t *testing.T) {
+	m := NewMLP(rand.New(rand.NewSource(4)), 52, 160, 128)
+	f := NewForwarder(m)
+	x := make([]float64, 52)
+	dst := make([]float64, 128)
+	if allocs := testing.AllocsPerRun(50, func() { f.ForwardInto(dst, x) }); allocs != 0 {
+		t.Errorf("ForwardInto allocates %v times per call", allocs)
+	}
+}
+
+// gradients runs a step's first region over the examples and returns the
+// summed (unscaled) parameter gradients the update region would fold.
+func gradients(tr *Trainer, n int, example func(e int, ex *Example)) (gw [][][]float64, gb [][]float64) {
+	tr.backprop(n, example)
+	gw, gb = zerosLike(tr.net)
+	for _, blk := range tr.blocks {
+		w, b := tr.fold(0, blk)
+		in := tr.net.Sizes[blk.l]
+		for i := blk.lo; i < blk.hi; i++ {
+			copy(gw[blk.l][i], w[(i-blk.lo)*in:][:in])
+			gb[blk.l][i] = b[i-blk.lo]
+		}
+	}
+	return gw, gb
+}
+
+// TestGradientCheck verifies the batched step's gradients against finite
+// differences for a scalar loss L = sum(out_i * g_i) on a network with two
+// hidden layers and more rows than one block.
 func TestGradientCheck(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	m := NewMLP(r, 4, 6, 5, 3)
+	m := NewMLP(r, 4, blockRows+3, 5, 3)
 	x := make([]float64, 4)
 	for i := range x {
 		x[i] = r.NormFloat64()
@@ -59,7 +155,7 @@ func TestGradientCheck(t *testing.T) {
 		gradOut[i] = r.NormFloat64()
 	}
 	loss := func() float64 {
-		out := m.Forward(x)
+		out := NewForwarder(m).Forward(x)
 		s := 0.0
 		for i, v := range out {
 			s += v * gradOut[i]
@@ -67,8 +163,13 @@ func TestGradientCheck(t *testing.T) {
 		return s
 	}
 
-	grads := NewGrads(m)
-	gin := m.Backward(m.ForwardCache(x), gradOut, grads)
+	tr := NewTrainer(m, NewAdam(1e-3), 1, 1, 1)
+	defer tr.Close()
+	gw, gb := gradients(tr, 1, func(_ int, ex *Example) {
+		ex.Forward(0, x)
+		copy(ex.Grad(0), gradOut)
+		ex.Backward(0)
+	})
 
 	const eps = 1e-6
 	check := func(analytic float64, bump func(delta float64), what string) {
@@ -86,44 +187,92 @@ func TestGradientCheck(t *testing.T) {
 	for l := range m.W {
 		for i := 0; i < len(m.W[l]); i += 2 {
 			for j := 0; j < len(m.W[l][i]); j += 2 {
-				l, i, j := l, i, j
-				check(grads.W[l][i][j], func(d float64) { m.W[l][i][j] += d },
-					"weight")
+				check(gw[l][i][j], func(d float64) { m.W[l][i][j] += d }, "weight")
 			}
 		}
 		for i := 0; i < len(m.B[l]); i += 2 {
-			l, i := l, i
-			check(grads.B[l][i], func(d float64) { m.B[l][i] += d }, "bias")
+			check(gb[l][i], func(d float64) { m.B[l][i] += d }, "bias")
 		}
-	}
-	for j := range x {
-		j := j
-		check(gin[j], func(d float64) { x[j] += d }, "input")
 	}
 }
 
+// TestBackwardAccumulates checks that live passes sum into the batch
+// gradient — across examples and across one example's slots — and that a
+// pass without Backward contributes nothing.
 func TestBackwardAccumulates(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	m := NewMLP(r, 3, 4, 2)
 	x := []float64{1, -1, 0.5}
 	g := []float64{1, 2}
-
-	once := NewGrads(m)
-	m.Backward(m.ForwardCache(x), g, once)
-	twice := NewGrads(m)
-	m.Backward(m.ForwardCache(x), g, twice)
-	m.Backward(m.ForwardCache(x), g, twice)
-
-	if got, want := twice.W[0][0][0], 2*once.W[0][0][0]; math.Abs(got-want) > 1e-12 {
-		t.Errorf("accumulation: %v vs %v", got, want)
+	tr := NewTrainer(m, NewAdam(1e-3), 3, 2, 2)
+	defer tr.Close()
+	pass := func(ex *Example, slot int) {
+		ex.Forward(slot, x)
+		copy(ex.Grad(slot), g)
+		ex.Backward(slot)
 	}
-	twice.Scale(0.5)
-	if got := twice.W[0][0][0]; math.Abs(got-once.W[0][0][0]) > 1e-12 {
-		t.Errorf("scale: %v vs %v", got, once.W[0][0][0])
+
+	once, _ := gradients(tr, 1, func(_ int, ex *Example) { pass(ex, 0) })
+	if once[0][0][0] == 0 {
+		t.Fatal("zero gradient makes the test vacuous")
 	}
-	twice.Zero()
-	if twice.W[0][0][0] != 0 || twice.B[1][0] != 0 {
-		t.Error("zero did not clear")
+	twice, _ := gradients(tr, 2, func(_ int, ex *Example) { pass(ex, 0) })
+	if got, want := twice[0][0][0], 2*once[0][0][0]; math.Abs(got-want) > 1e-12 {
+		t.Errorf("two examples: %v vs %v", got, want)
+	}
+	slots, _ := gradients(tr, 1, func(_ int, ex *Example) { pass(ex, 0); pass(ex, 1) })
+	if got, want := slots[0][0][0], 2*once[0][0][0]; math.Abs(got-want) > 1e-12 {
+		t.Errorf("two slots: %v vs %v", got, want)
+	}
+	// A forward pass alone (a rejected candidate, a zero-loss example)
+	// leaves the gradient untouched, and the flags reset between steps.
+	mixed, _ := gradients(tr, 3, func(e int, ex *Example) {
+		ex.Forward(1, x)
+		if e == 1 {
+			pass(ex, 0)
+		}
+	})
+	if got, want := mixed[0][0][0], once[0][0][0]; got != want {
+		t.Errorf("one live pass among three examples: %v vs %v", got, want)
+	}
+}
+
+// TestStepWithoutActiveExamplesIsANoOp pins the empty-gradient contract: no
+// weight moves and Adam's step count — which sets the bias correction of
+// every later step — does not advance.
+func TestStepWithoutActiveExamplesIsANoOp(t *testing.T) {
+	m := NewMLP(rand.New(rand.NewSource(8)), 3, 4, 2)
+	before := m.Clone()
+	opt := NewAdam(1e-2)
+	tr := NewTrainer(m, opt, 4, 1, 2)
+	defer tr.Close()
+	x := []float64{1, 2, 3}
+	if active := tr.Step(4, func(_ int, ex *Example) { ex.Forward(0, x) }); active != 0 {
+		t.Fatalf("active = %d, want 0", active)
+	}
+	if opt.t != 0 {
+		t.Errorf("Adam advanced to t=%d on an empty step", opt.t)
+	}
+	for l := range m.W {
+		for i := range m.W[l] {
+			for j := range m.W[l][i] {
+				if m.W[l][i][j] != before.W[l][i][j] {
+					t.Fatalf("weight [%d][%d][%d] moved on an empty step", l, i, j)
+				}
+			}
+		}
+	}
+	if active := tr.Step(3, func(e int, ex *Example) {
+		if e != 1 {
+			ex.Forward(0, x)
+			ex.Grad(0)[0] = 1
+			ex.Backward(0)
+		}
+	}); active != 2 {
+		t.Fatalf("active = %d, want 2", active)
+	}
+	if opt.t != 1 || m.W[0][0][0] == before.W[0][0][0] {
+		t.Errorf("a step with active examples did not update: t=%d", opt.t)
 	}
 }
 
@@ -140,43 +289,44 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// trainRegression fits y = 2x0 - x1 and returns the final MSE.
-func trainRegression(t *testing.T, step func(m *MLP, g *Grads)) float64 {
-	t.Helper()
+// trainRegression fits y = 2x0 - x1 with the given worker count and returns
+// the trained network and its final batch MSE.
+func trainRegression(workers int) (*MLP, float64) {
 	r := rand.New(rand.NewSource(5))
 	m := NewMLP(r, 2, 8, 1)
-	grads := NewGrads(m)
+	tr := NewTrainer(m, NewAdam(1e-2), 16, 1, workers)
+	defer tr.Close()
+	xs := make([][]float64, 16)
+	sq := make([]float64, 16)
 	var mse float64
 	for iter := 0; iter < 2000; iter++ {
-		grads.Zero()
-		mse = 0
-		for b := 0; b < 16; b++ {
-			x := []float64{r.NormFloat64(), r.NormFloat64()}
-			y := 2*x[0] - x[1]
-			cache := m.ForwardCache(x)
-			diff := cache.Output()[0] - y
-			mse += diff * diff
-			m.Backward(cache, []float64{diff}, grads)
+		for b := range xs {
+			xs[b] = []float64{r.NormFloat64(), r.NormFloat64()}
 		}
-		grads.Scale(1.0 / 16)
-		mse /= 16
-		step(m, grads)
+		tr.Step(len(xs), func(e int, ex *Example) {
+			x := xs[e]
+			diff := ex.Forward(0, x)[0] - (2*x[0] - x[1])
+			sq[e] = diff * diff
+			ex.Grad(0)[0] = diff
+			ex.Backward(0)
+		})
+		mse = 0
+		for _, v := range sq {
+			mse += v / 16
+		}
 	}
-	return mse
+	return m, mse
 }
 
 func TestAdamLearnsRegression(t *testing.T) {
-	opt := NewAdam(1e-2)
-	mse := trainRegression(t, opt.Step)
+	m, mse := trainRegression(1)
 	if mse > 0.1 {
 		t.Errorf("Adam final MSE = %v", mse)
 	}
-}
-
-func TestSGDLearnsRegression(t *testing.T) {
-	opt := NewSGD(1e-2, 0.9)
-	mse := trainRegression(t, opt.Step)
-	if mse > 0.1 {
-		t.Errorf("SGD final MSE = %v", mse)
+	// The forward pass the trainer keeps in step with the weights is the one
+	// a fresh Forwarder computes from them.
+	x := []float64{0.3, -0.7}
+	if got, want := NewForwarder(m).Forward(x)[0], 2*x[0]-x[1]; math.Abs(got-want) > 0.5 {
+		t.Errorf("trained net predicts %v for %v", got, want)
 	}
 }

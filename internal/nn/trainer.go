@@ -1,0 +1,302 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/parallel"
+	"repro/internal/vecmath"
+)
+
+// Adam holds the Adam optimizer's hyperparameters (Kingma & Ba, 2015) and,
+// once a Trainer has stepped with it, its moment estimates.
+type Adam struct {
+	// LR is the learning rate.
+	LR float64
+	// Beta1, Beta2 are the moment decay rates.
+	Beta1, Beta2 float64
+	// Eps is the numerical-stability constant.
+	Eps float64
+
+	t      int
+	mW, vW [][][]float64
+	mB, vB [][]float64
+}
+
+// NewAdam returns an Adam optimizer with the usual defaults
+// (β1=0.9, β2=0.999, ε=1e-8) for the given learning rate.
+func NewAdam(lr float64) *Adam {
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+}
+
+// update applies one Adam update to the parameters w given their gradients
+// g and moment estimates m and v; c1 and c2 are the step's bias corrections.
+func (a *Adam) update(w, g, m, v []float64, c1, c2 float64) {
+	for j := range w {
+		m[j] = a.Beta1*m[j] + (1-a.Beta1)*g[j]
+		v[j] = a.Beta2*v[j] + (1-a.Beta2)*g[j]*g[j]
+		mHat := m[j] / c1
+		vHat := v[j] / c2
+		w[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+	}
+}
+
+// zerosLike allocates zeroed arrays in the shape of m's weights and biases.
+func zerosLike(m *MLP) (w [][][]float64, b [][]float64) {
+	for l := range m.W {
+		rows := make([][]float64, len(m.W[l]))
+		for i := range rows {
+			rows[i] = make([]float64, len(m.W[l][i]))
+		}
+		w = append(w, rows)
+		b = append(b, make([]float64, len(m.B[l])))
+	}
+	return w, b
+}
+
+// blockRows is how many parameter rows (units of one layer) one work item
+// of the update region covers: enough that a block's gradient rows and one
+// pass's activations stay in L1 together while the block folds the batch.
+const blockRows = 8
+
+// rowBlock is units [lo, hi) of layer l.
+type rowBlock struct{ l, lo, hi int }
+
+// pass is one forward pass kept for back-propagation: acts[0] aliases the
+// input and acts[l+1] is layer l's output; delta[l] is the loss gradient at
+// layer l's pre-activation, filled by Backward.
+type pass struct {
+	acts  [][]float64
+	delta [][]float64
+	live  bool
+}
+
+// Example is one training example's scratch inside a Step: a fixed number
+// of pass slots, each holding a forward pass and, once Backward is called
+// on it, that pass's contribution to the batch gradient. An Example is
+// handed to the step's callback and must not be retained.
+type Example struct {
+	t      *Trainer
+	passes []pass
+}
+
+// Forward runs the network on x, keeps the activations in slot, and returns
+// the output — valid until the slot's next Forward. x is retained (not
+// copied) until the step ends.
+func (ex *Example) Forward(slot int, x []float64) []float64 {
+	t := ex.t
+	checkInput(x, t.net.Sizes[0])
+	p := &ex.passes[slot]
+	p.acts[0] = x
+	last := len(t.wt) - 1
+	for l := range t.wt {
+		forwardLayer(t.wt[l], t.net.B[l], p.acts[l], p.acts[l+1], l < last)
+	}
+	return p.acts[last+1]
+}
+
+// Grad returns slot's output-gradient buffer (len OutputDim), zeroed, for
+// the caller to fill with dLoss/dOutput before calling Backward.
+func (ex *Example) Grad(slot int) []float64 {
+	d := ex.passes[slot].delta
+	g := d[len(d)-1]
+	clear(g)
+	return g
+}
+
+// Backward back-propagates the gradient in slot's Grad buffer through the
+// slot's last Forward and marks the pass as part of the batch gradient.
+// Passes join the gradient in example order, and within an example in slot
+// order; an example with no Backward call is inactive and does not count
+// towards the batch mean.
+func (ex *Example) Backward(slot int) {
+	p := &ex.passes[slot]
+	p.live = true
+	w := ex.t.net.W
+	for l := len(w) - 1; l >= 1; l-- {
+		// Through layer l's weights, then through the tanh of layer l-1:
+		// d/dz tanh(z) = 1 - tanh(z)^2, and acts[l] stores tanh(z).
+		prev := p.delta[l-1]
+		clear(prev)
+		for i, row := range w[l] {
+			vecmath.AXPY(prev, p.delta[l][i], row)
+		}
+		a := p.acts[l]
+		for j := range prev {
+			prev[j] *= 1 - a[j]*a[j]
+		}
+	}
+}
+
+// Trainer runs minibatch Adam steps on one MLP with a team of workers, and
+// produces the same weights bit for bit at every team size. A step has two
+// parallel regions, and no float is ever combined across work items in
+// either:
+//
+//   - over examples: forward passes, the caller's loss, and the deltas of
+//     back-propagation only read the weights, and each example writes only
+//     its own slots;
+//   - over blocks of parameter rows (layer, unit): gradient accumulation,
+//     the batch mean, weight decay and the Adam update are elementwise per
+//     parameter, so each row folds the batch's live passes in batch order —
+//     the addition sequence a one-example-at-a-time loop performs on that
+//     element — and then updates itself and its column of the transposed
+//     copy the forward pass reads.
+//
+// A Trainer is for one goroutine; distinct Trainers share nothing. Close
+// releases the team.
+type Trainer struct {
+	// WeightDecay is the L2 coefficient: WeightDecay*w joins each weight's
+	// (not bias's) mean gradient. Zero disables it.
+	WeightDecay float64
+
+	net     *MLP
+	opt     *Adam
+	wt      [][]float64 // transposed weights, kept equal to net.W by every update
+	team    *parallel.Team
+	ex      []Example
+	live    []*pass     // the current step's live passes, in batch order
+	blocks  []rowBlock  // every parameter row, the items of the update region
+	scratch [][]float64 // per worker: blockRows gradient rows, then blockRows bias gradients
+}
+
+// NewTrainer prepares to train net with opt on batches of up to examples
+// examples, each making up to passes retained forward passes, at
+// parallelism p (p <= 0 uses all CPUs; never more workers than examples).
+func NewTrainer(net *MLP, opt *Adam, examples, passes, p int) *Trainer {
+	if opt.mW == nil {
+		opt.mW, opt.mB = zerosLike(net)
+		opt.vW, opt.vB = zerosLike(net)
+	}
+	t := &Trainer{net: net, opt: opt, wt: transpose(net)}
+	t.team = parallel.NewTeam(min(parallel.Workers(p), examples))
+	t.ex = make([]Example, examples)
+	for e := range t.ex {
+		t.ex[e] = Example{t: t, passes: make([]pass, passes)}
+		for s := range t.ex[e].passes {
+			ps := &t.ex[e].passes[s]
+			ps.acts = make([][]float64, len(net.Sizes))
+			ps.delta = make([][]float64, len(net.W))
+			for l := range net.W {
+				ps.acts[l+1] = make([]float64, net.Sizes[l+1])
+				ps.delta[l] = make([]float64, net.Sizes[l+1])
+			}
+		}
+	}
+	widest := 0
+	for l, w := range net.W {
+		widest = max(widest, net.Sizes[l])
+		for lo := 0; lo < len(w); lo += blockRows {
+			t.blocks = append(t.blocks, rowBlock{l: l, lo: lo, hi: min(lo+blockRows, len(w))})
+		}
+	}
+	t.scratch = make([][]float64, t.team.Workers())
+	for w := range t.scratch {
+		t.scratch[w] = make([]float64, blockRows*(widest+1))
+	}
+	return t
+}
+
+// Close stops the trainer's workers; the trained weights are in the MLP.
+func (t *Trainer) Close() { t.team.Close() }
+
+// Step runs one minibatch step over n examples and returns how many were
+// active. example(e, ex) is called once per e in [0, n), concurrently for
+// distinct e: it runs Forward passes on ex, computes its loss, and calls
+// Backward on the slots the loss depends on (none, for an example with zero
+// loss). The weights then move by Adam on the mean gradient over active
+// examples; with none active nothing changes, Adam's step count included.
+func (t *Trainer) Step(n int, example func(e int, ex *Example)) int {
+	active := t.backprop(n, example)
+	if active == 0 {
+		return 0
+	}
+	t.opt.t++
+	c1 := 1 - math.Pow(t.opt.Beta1, float64(t.opt.t))
+	c2 := 1 - math.Pow(t.opt.Beta2, float64(t.opt.t))
+	scale := 1 / float64(active)
+	t.team.Run(len(t.blocks), func(w, b int) {
+		blk := t.blocks[b]
+		gw, gb := t.fold(w, blk)
+		t.apply(blk, gw, gb, scale, c1, c2)
+	})
+	return active
+}
+
+// backprop is a step's first region: it runs the examples, collects their
+// live passes in batch order, and returns the active-example count.
+func (t *Trainer) backprop(n int, example func(e int, ex *Example)) int {
+	if n > len(t.ex) {
+		panic(fmt.Sprintf("nn: step of %d examples on a trainer sized for %d", n, len(t.ex)))
+	}
+	t.team.Run(n, func(_, e int) {
+		ex := &t.ex[e]
+		for s := range ex.passes {
+			ex.passes[s].live = false
+		}
+		example(e, ex)
+	})
+	t.live = t.live[:0]
+	active := 0
+	for e := range t.ex[:n] {
+		before := len(t.live)
+		for s := range t.ex[e].passes {
+			if p := &t.ex[e].passes[s]; p.live {
+				t.live = append(t.live, p)
+			}
+		}
+		if len(t.live) > before {
+			active++
+		}
+	}
+	return active
+}
+
+// fold sums the live passes' gradients for one block of rows into worker
+// w's scratch: gw holds the block's weight-gradient rows back to back, gb
+// its bias gradients. Passes are the outer loop so one pass's activations
+// serve the whole block from L1; each row still sees the passes in order.
+func (t *Trainer) fold(w int, blk rowBlock) (gw, gb []float64) {
+	in, rows := t.net.Sizes[blk.l], blk.hi-blk.lo
+	gw = t.scratch[w][:rows*in]
+	gb = t.scratch[w][len(t.scratch[w])-blockRows:][:rows]
+	clear(gw)
+	clear(gb)
+	for _, p := range t.live {
+		x, d := p.acts[blk.l], p.delta[blk.l][blk.lo:blk.hi]
+		for r, di := range d {
+			gb[r] += di
+			vecmath.AXPY(gw[r*in:r*in+in], di, x)
+		}
+	}
+	return gw, gb
+}
+
+// apply turns a block's gradient sums into the batch mean (plus weight
+// decay), moves the block's parameters by Adam, and refreshes their column
+// of the transposed copy.
+func (t *Trainer) apply(blk rowBlock, gw, gb []float64, scale, c1, c2 float64) {
+	l, in, out := blk.l, t.net.Sizes[blk.l], t.net.Sizes[blk.l+1]
+	for j := range gw {
+		gw[j] *= scale
+	}
+	for r := range gb {
+		gb[r] *= scale
+	}
+	for i := blk.lo; i < blk.hi; i++ {
+		r := i - blk.lo
+		w, g := t.net.W[l][i], gw[r*in:r*in+in]
+		if t.WeightDecay > 0 {
+			vecmath.AXPY(g, t.WeightDecay, w)
+		}
+		t.opt.update(w, g, t.opt.mW[l][i], t.opt.vW[l][i], c1, c2)
+	}
+	// The block's rows are adjacent in every row of the transposed copy.
+	for j := 0; j < in; j++ {
+		col := t.wt[l][j*out+blk.lo : j*out+blk.hi]
+		for r := range col {
+			col[r] = t.net.W[l][blk.lo+r][j]
+		}
+	}
+	t.opt.update(t.net.B[l][blk.lo:blk.hi], gb, t.opt.mB[l][blk.lo:blk.hi], t.opt.vB[l][blk.lo:blk.hi], c1, c2)
+}

@@ -57,14 +57,24 @@ func DefaultConfig(kind Kind, seed int64) Config {
 
 // Model is a trained per-query proxy.
 type Model struct {
-	net  *nn.MLP
+	fw   *nn.Forwarder
 	kind Kind
 }
 
 // Train fits a proxy on the labeled records: ids and targets are parallel
 // slices of record IDs and their query-specific scores (0/1 for
-// Classification).
-func Train(cfg Config, ds *dataset.Dataset, ids []int, targets []float64) (*Model, error) {
+// Classification). p is the parallelism level (p <= 0 uses all CPUs); the
+// trained weights are bitwise identical at every p.
+func Train(cfg Config, ds *dataset.Dataset, ids []int, targets []float64, p int) (*Model, error) {
+	net, err := fit(cfg, ds, ids, targets, p)
+	if err != nil {
+		return nil, err
+	}
+	return &Model{fw: nn.NewForwarder(net), kind: cfg.Kind}, nil
+}
+
+// fit trains the proxy's network.
+func fit(cfg Config, ds *dataset.Dataset, ids []int, targets []float64, p int) (*nn.MLP, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("proxy: empty training set")
 	}
@@ -74,9 +84,12 @@ func Train(cfg Config, ds *dataset.Dataset, ids []int, targets []float64) (*Mode
 	if cfg.Hidden <= 0 || cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("proxy: invalid config %+v", cfg)
 	}
+	if cfg.Kind != Regression && cfg.Kind != Classification {
+		return nil, fmt.Errorf("proxy: unknown kind %d", cfg.Kind)
+	}
 	net := nn.NewMLP(xrand.Split(cfg.Seed, "proxy-init"), ds.FeatureDim(), cfg.Hidden, 1)
-	opt := nn.NewAdam(cfg.LR)
-	grads := nn.NewGrads(net)
+	trainer := nn.NewTrainer(net, nn.NewAdam(cfg.LR), min(cfg.BatchSize, len(ids)), 1, p)
+	defer trainer.Close()
 	r := xrand.Split(cfg.Seed, "proxy-shuffle")
 
 	order := make([]int, len(ids))
@@ -86,39 +99,29 @@ func Train(cfg Config, ds *dataset.Dataset, ids []int, targets []float64) (*Mode
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		xrand.Shuffle(r, order)
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			grads.Zero()
-			for _, j := range order[start:end] {
-				cache := net.ForwardCache(ds.Records[ids[j]].Features)
-				out := cache.Output()[0]
-				var g float64
-				switch cfg.Kind {
-				case Regression:
-					g = out - targets[j] // d/dout 0.5*(out-y)^2
-				case Classification:
-					g = sigmoid(out) - targets[j] // d/dlogit BCE
-				default:
-					return nil, fmt.Errorf("proxy: unknown kind %d", cfg.Kind)
+			batch := order[start:min(start+cfg.BatchSize, len(order))]
+			trainer.Step(len(batch), func(e int, ex *nn.Example) {
+				j := batch[e]
+				out := ex.Forward(0, ds.Records[ids[j]].Features)[0]
+				if cfg.Kind == Classification {
+					out = sigmoid(out) // d/dlogit BCE = sigmoid(logit) - y
 				}
-				net.Backward(cache, []float64{g}, grads)
-			}
-			grads.Scale(1 / float64(end-start))
-			opt.Step(net, grads)
+				ex.Grad(0)[0] = out - targets[j] // Regression: d/dout 0.5*(out-y)^2
+				ex.Backward(0)
+			})
 		}
 	}
-	return &Model{net: net, kind: cfg.Kind}, nil
+	return net, nil
 }
 
 // Score predicts the proxy score of one record's raw features.
 func (m *Model) Score(features []float64) float64 {
-	out := m.net.Forward(features)[0]
+	var out [1]float64
+	m.fw.ForwardInto(out[:], features)
 	if m.kind == Classification {
-		return sigmoid(out)
+		return sigmoid(out[0])
 	}
-	return out
+	return out[0]
 }
 
 // Scores predicts proxy scores for every record of the dataset.

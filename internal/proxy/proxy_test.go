@@ -29,7 +29,7 @@ func TestRegressionLearnsCounts(t *testing.T) {
 	for i, id := range ids {
 		targets[i] = truth[id]
 	}
-	m, err := Train(DefaultConfig(Regression, 3), ds, ids, targets)
+	m, err := Train(DefaultConfig(Regression, 3), ds, ids, targets, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestClassificationProbabilities(t *testing.T) {
 			targets[i] = 1
 		}
 	}
-	m, err := Train(DefaultConfig(Classification, 5), ds, ids, targets)
+	m, err := Train(DefaultConfig(Classification, 5), ds, ids, targets, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 	cfg := DefaultConfig(Regression, 7)
 	cfg.Epochs = 3
-	a, err := Train(cfg, ds, ids, targets)
+	a, err := Train(cfg, ds, ids, targets, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(cfg, ds, ids, targets)
+	b, err := Train(cfg, ds, ids, targets, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,20 +103,20 @@ func TestTrainDeterministic(t *testing.T) {
 func TestTrainValidation(t *testing.T) {
 	ds, _ := proxyEnv(t, 100)
 	cfg := DefaultConfig(Regression, 1)
-	if _, err := Train(cfg, ds, nil, nil); err == nil {
+	if _, err := Train(cfg, ds, nil, nil, 2); err == nil {
 		t.Error("empty training set should error")
 	}
-	if _, err := Train(cfg, ds, []int{1, 2}, []float64{1}); err == nil {
+	if _, err := Train(cfg, ds, []int{1, 2}, []float64{1}, 2); err == nil {
 		t.Error("length mismatch should error")
 	}
 	bad := cfg
 	bad.Hidden = 0
-	if _, err := Train(bad, ds, []int{1}, []float64{1}); err == nil {
+	if _, err := Train(bad, ds, []int{1}, []float64{1}, 2); err == nil {
 		t.Error("Hidden=0 should error")
 	}
 	bad = cfg
 	bad.Kind = Kind(99)
-	if _, err := Train(bad, ds, []int{1}, []float64{1}); err == nil {
+	if _, err := Train(bad, ds, []int{1}, []float64{1}, 2); err == nil {
 		t.Error("unknown kind should error")
 	}
 }

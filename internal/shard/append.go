@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/embed"
 	"repro/internal/parallel"
 	"repro/internal/vecmath"
 )
@@ -40,7 +41,7 @@ func (x *Index) AppendRecords(features [][]float64) ([]int, error) {
 	embs := vecmath.NewMatrix(len(features), x.emb.Dim())
 	parallel.ForChunks(x.par, len(features), func(_ int, s parallel.Span) {
 		for i := s.Lo; i < s.Hi; i++ {
-			copy(embs.Row(i), x.emb.Embed(features[i]))
+			embed.Into(x.emb, embs.Row(i), features[i])
 		}
 	})
 	return x.appendEmbedded(embs), nil

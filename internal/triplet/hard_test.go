@@ -39,11 +39,11 @@ func TestHardNegativesTrainAtLeastAsWell(t *testing.T) {
 	hard := base
 	hard.HardNegatives = 4
 
-	randTrained, err := Train(base, ds, ids, anns, key)
+	randTrained, err := Train(base, ds, ids, anns, key, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hardTrained, err := Train(hard, ds, ids, anns, key)
+	hardTrained, err := Train(hard, ds, ids, anns, key, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,6 +48,9 @@ type Buckets struct {
 	byKey map[string][]int
 	keyOf map[int]string
 	keys  []string
+	// anchorKeys are the keys, in sorted order, of the buckets an anchor can
+	// come from (at least two members, so a positive exists).
+	anchorKeys []string
 }
 
 // BucketRecords groups record IDs by the bucket key of their annotation.
@@ -66,6 +69,11 @@ func BucketRecords(ids []int, anns []dataset.Annotation, key BucketKey) *Buckets
 		b.keyOf[id] = k
 	}
 	sort.Strings(b.keys)
+	for _, k := range b.keys {
+		if len(b.byKey[k]) >= 2 {
+			b.anchorKeys = append(b.anchorKeys, k)
+		}
+	}
 	return b
 }
 
@@ -90,18 +98,10 @@ func (b *Buckets) SampleTriplet(r *rand.Rand) (Triplet, bool) {
 	if len(b.keys) < 2 {
 		return Triplet{}, false
 	}
-	// Find candidate anchor buckets (size >= 2) once per call; the training
-	// sets here are small so a scan is fine.
-	var anchorKeys []string
-	for _, k := range b.keys {
-		if len(b.byKey[k]) >= 2 {
-			anchorKeys = append(anchorKeys, k)
-		}
-	}
-	if len(anchorKeys) == 0 {
+	if len(b.anchorKeys) == 0 {
 		return Triplet{}, false
 	}
-	ak := anchorKeys[r.Intn(len(anchorKeys))]
+	ak := b.anchorKeys[r.Intn(len(b.anchorKeys))]
 	var nk string
 	for {
 		nk = b.keys[r.Intn(len(b.keys))]

@@ -76,8 +76,10 @@ func l2(a, b []float64) float64 {
 // Train fine-tunes a fresh MLP embedder with the triplet loss over the
 // labeled training records. trainIDs and anns are parallel slices: the
 // training record IDs and their target-labeler annotations. Triplets are
-// sampled by bucketing the annotations under key (paper Section 3.1).
-func Train(cfg Config, ds *dataset.Dataset, trainIDs []int, anns []dataset.Annotation, key BucketKey) (*embed.Trained, error) {
+// sampled by bucketing the annotations under key (paper Section 3.1). p is
+// the parallelism level (p <= 0 uses all CPUs); the trained weights are
+// bitwise identical at every p.
+func Train(cfg Config, ds *dataset.Dataset, trainIDs []int, anns []dataset.Annotation, key BucketKey, p int) (*embed.Trained, error) {
 	if cfg.EmbedDim <= 0 {
 		return nil, fmt.Errorf("triplet: invalid embed dim %d", cfg.EmbedDim)
 	}
@@ -98,99 +100,94 @@ func Train(cfg Config, ds *dataset.Dataset, trainIDs []int, anns []dataset.Annot
 	sizes := append([]int{ds.FeatureDim()}, cfg.Hidden...)
 	sizes = append(sizes, cfg.EmbedDim)
 	net := nn.NewMLP(xrand.Split(cfg.Seed, "init"), sizes...)
-	opt := nn.NewAdam(cfg.LR)
-	grads := nn.NewGrads(net)
+	// Slots per example: anchor, positive, negative, and with mining a
+	// spare the candidate negatives are tried in.
+	slots := 3
+	if cfg.HardNegatives > 1 {
+		slots = 4
+	}
+	batch := make([]draw, max(cfg.BatchSize, 0))
+	trainer := nn.NewTrainer(net, nn.NewAdam(cfg.LR), len(batch), slots, p)
+	defer trainer.Close()
+	trainer.WeightDecay = cfg.WeightDecay
 	sampleRand := xrand.Split(cfg.Seed, "sample")
 
 	for step := 0; step < cfg.Steps; step++ {
-		grads.Zero()
-		active := 0
-		for b := 0; b < cfg.BatchSize; b++ {
-			tr, ok := buckets.SampleTriplet(sampleRand)
-			if !ok {
+		// Drawing never reads the network, so the whole batch is drawn
+		// before any of it is evaluated.
+		for b := range batch {
+			if !batch[b].sample(buckets, sampleRand, cfg.HardNegatives) {
 				return nil, ErrNoTriplets
 			}
-			if cfg.HardNegatives > 1 {
-				tr = hardestNegative(net, ds, buckets, sampleRand, tr, cfg)
-			}
-			if backwardTriplet(net, ds, tr, cfg.Margin, grads) {
-				active++
-			}
 		}
-		if active == 0 {
-			continue
-		}
-		grads.Scale(1 / float64(active))
-		if cfg.WeightDecay > 0 {
-			addWeightDecay(net, grads, cfg.WeightDecay)
-		}
-		opt.Step(net, grads)
+		trainer.Step(len(batch), func(e int, ex *nn.Example) {
+			backwardTriplet(ex, ds, &batch[e], cfg.Margin)
+		})
 	}
 	return embed.NewTrained(net), nil
 }
 
-// hardestNegative redraws the triplet's negative up to cfg.HardNegatives
-// times and keeps the candidate with the highest triplet loss under the
-// current network (semi-hard mining). The anchor and positive stay fixed.
-func hardestNegative(net *nn.MLP, ds *dataset.Dataset, buckets *Buckets, r *rand.Rand, tr Triplet, cfg Config) Triplet {
-	a := net.Forward(ds.Records[tr.Anchor].Features)
-	p := net.Forward(ds.Records[tr.Positive].Features)
-	best := tr
-	bestLoss := Loss(a, p, net.Forward(ds.Records[tr.Negative].Features), cfg.Margin)
-	for i := 1; i < cfg.HardNegatives; i++ {
+// draw is one batch element as sampled: the triplet, and under semi-hard
+// mining the candidate negatives that may replace its negative.
+type draw struct {
+	Triplet
+	candidates []int
+}
+
+// sample draws the triplet and, for hardNegatives > 1, hardNegatives-1
+// further triplets whose negatives become candidates. A candidate must come
+// from a bucket different from the anchor's, which SampleTriplet guarantees
+// for its own anchor but not ours, so same-bucket ones are dropped.
+func (d *draw) sample(buckets *Buckets, r *rand.Rand, hardNegatives int) bool {
+	tr, ok := buckets.SampleTriplet(r)
+	if !ok {
+		return false
+	}
+	d.Triplet, d.candidates = tr, d.candidates[:0]
+	for i := 1; i < hardNegatives; i++ {
 		cand, ok := buckets.SampleTriplet(r)
 		if !ok {
 			break
 		}
-		// Only the negative is swapped in; it must come from a bucket
-		// different from the anchor's, which SampleTriplet guarantees for
-		// its own anchor but not ours.
-		if buckets.Key(tr.Anchor) == buckets.Key(cand.Negative) {
-			continue
-		}
-		loss := Loss(a, p, net.Forward(ds.Records[cand.Negative].Features), cfg.Margin)
-		if loss > bestLoss {
-			best.Negative = cand.Negative
-			bestLoss = loss
+		if buckets.Key(tr.Anchor) != buckets.Key(cand.Negative) {
+			d.candidates = append(d.candidates, cand.Negative)
 		}
 	}
-	return best
+	return true
 }
 
-// addWeightDecay adds wd * W to the weight gradients (biases are exempt).
-func addWeightDecay(net *nn.MLP, grads *nn.Grads, wd float64) {
-	for l := range net.W {
-		for i := range net.W[l] {
-			for j := range net.W[l][i] {
-				grads.W[l][i][j] += wd * net.W[l][i][j]
+// backwardTriplet evaluates one drawn triplet under the current network and,
+// when its loss is positive, back-propagates it. With candidates (semi-hard
+// mining) the negative is first replaced by the candidate with the highest
+// triplet loss; the anchor and positive stay fixed.
+func backwardTriplet(ex *nn.Example, ds *dataset.Dataset, d *draw, margin float64) {
+	a := ex.Forward(0, ds.Records[d.Anchor].Features)
+	p := ex.Forward(1, ds.Records[d.Positive].Features)
+	n := ex.Forward(2, ds.Records[d.Negative].Features)
+	neg, spare := 2, 3
+	if len(d.candidates) > 0 {
+		bestLoss := Loss(a, p, n, margin)
+		for _, id := range d.candidates {
+			c := ex.Forward(spare, ds.Records[id].Features)
+			if loss := Loss(a, p, c, margin); loss > bestLoss {
+				bestLoss, n = loss, c
+				neg, spare = spare, neg
 			}
 		}
 	}
-}
-
-// backwardTriplet accumulates the triplet-loss gradient for one example and
-// reports whether the example was active (loss > 0).
-func backwardTriplet(net *nn.MLP, ds *dataset.Dataset, tr Triplet, margin float64, grads *nn.Grads) bool {
-	ca := net.ForwardCache(ds.Records[tr.Anchor].Features)
-	cp := net.ForwardCache(ds.Records[tr.Positive].Features)
-	cn := net.ForwardCache(ds.Records[tr.Negative].Features)
-	a, p, n := ca.Output(), cp.Output(), cn.Output()
 
 	dp := l2(a, p)
 	dn := l2(a, n)
 	if margin+dp-dn <= 0 {
-		return false
+		return
 	}
 	// L = m + |a-p| - |a-n| when positive, so
 	//   dL/da = (a-p)/|a-p| - (a-n)/|a-n|
 	//   dL/dp = -(a-p)/|a-p|
 	//   dL/dn =  (a-n)/|a-n|
 	// with zero-distance guards.
-	dim := len(a)
-	ga := make([]float64, dim)
-	gp := make([]float64, dim)
-	gn := make([]float64, dim)
-	for i := 0; i < dim; i++ {
+	ga, gp, gn := ex.Grad(0), ex.Grad(1), ex.Grad(neg)
+	for i := range a {
 		if dp > 1e-12 {
 			u := (a[i] - p[i]) / dp
 			ga[i] += u
@@ -202,10 +199,9 @@ func backwardTriplet(net *nn.MLP, ds *dataset.Dataset, tr Triplet, margin float6
 			gn[i] += v
 		}
 	}
-	net.Backward(ca, ga, grads)
-	net.Backward(cp, gp, grads)
-	net.Backward(cn, gn, grads)
-	return true
+	ex.Backward(0)
+	ex.Backward(1)
+	ex.Backward(neg)
 }
 
 // EmpiricalLoss estimates the population triplet loss L(φ; ·, m) of an

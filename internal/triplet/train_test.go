@@ -3,7 +3,9 @@ package triplet
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/embed"
@@ -44,7 +46,7 @@ func TestTrainReducesTripletLoss(t *testing.T) {
 
 	cfg := DefaultConfig(16, 3)
 	cfg.Steps = 600
-	trained, err := Train(cfg, ds, ids, anns, key)
+	trained, err := Train(cfg, ds, ids, anns, key, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +66,27 @@ func TestTrainReducesTripletLoss(t *testing.T) {
 	}
 }
 
+// TestTrainDeterministic: the same config and seed give the same model —
+// whatever the worker count — and the worker team is gone when Train
+// returns (a leaked, polling helper would tax every query served after the
+// build).
 func TestTrainDeterministic(t *testing.T) {
 	ds, ids, anns := trainSetup(t, 600)
 	cfg := DefaultConfig(8, 5)
 	cfg.Steps = 50
-	a, err := Train(cfg, ds, ids, anns, SpeechBucketKey())
+	goroutines := runtime.NumGoroutine()
+	a, err := Train(cfg, ds, ids, anns, SpeechBucketKey(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(cfg, ds, ids, anns, SpeechBucketKey())
+	b, err := Train(cfg, ds, ids, anns, SpeechBucketKey(), 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Train, %d before", runtime.NumGoroutine(), goroutines)
+		}
 	}
 	ea := a.Embed(ds.Records[0].Features)
 	eb := b.Embed(ds.Records[0].Features)
@@ -89,21 +101,21 @@ func TestTrainErrors(t *testing.T) {
 	ds, ids, anns := trainSetup(t, 600)
 	cfg := DefaultConfig(8, 1)
 	cfg.EmbedDim = 0
-	if _, err := Train(cfg, ds, ids, anns, SpeechBucketKey()); err == nil {
+	if _, err := Train(cfg, ds, ids, anns, SpeechBucketKey(), 2); err == nil {
 		t.Error("EmbedDim=0 should error")
 	}
 	cfg = DefaultConfig(8, 1)
 	cfg.Hidden = []int{-1}
-	if _, err := Train(cfg, ds, ids, anns, SpeechBucketKey()); err == nil {
+	if _, err := Train(cfg, ds, ids, anns, SpeechBucketKey(), 2); err == nil {
 		t.Error("negative hidden width should error")
 	}
 	cfg = DefaultConfig(8, 1)
-	if _, err := Train(cfg, ds, ids[:3], anns, SpeechBucketKey()); err == nil {
+	if _, err := Train(cfg, ds, ids[:3], anns, SpeechBucketKey(), 2); err == nil {
 		t.Error("id/annotation mismatch should error")
 	}
 	// Degenerate bucketing: every record in one bucket.
 	oneBucket := func(dataset.Annotation) string { return "all" }
-	if _, err := Train(cfg, ds, ids, anns, oneBucket); !errors.Is(err, ErrNoTriplets) {
+	if _, err := Train(cfg, ds, ids, anns, oneBucket, 2); !errors.Is(err, ErrNoTriplets) {
 		t.Errorf("err = %v, want ErrNoTriplets", err)
 	}
 }

@@ -56,6 +56,29 @@ func dotKernel(a, b []float64) float64 {
 	return dotGeneric(a, b)
 }
 
+// axpyKernel dispatches dst[i] += s*a[i]. Unlike the distance kernels the
+// two paths here are bitwise identical to each other, not just each to
+// itself: neither fuses the multiply into the add (see axpyGeneric), and
+// elements never combine.
+func axpyKernel(s float64, a, dst []float64) {
+	if useAVX {
+		axpyAVX(s, a, dst[:len(a)])
+		return
+	}
+	axpyGeneric(s, a, dst)
+}
+
+// axpyRowsKernel dispatches dst += sum_j s[j]*m[j*len(dst):(j+1)*len(dst)],
+// rows added in order. Callers guarantee len(m) >= len(s)*len(dst). Both
+// paths are bitwise the per-row AXPY loop.
+func axpyRowsKernel(s, m, dst []float64) {
+	if useAVX {
+		axpyRowsAVX(s, m[:len(s)*len(dst)], dst)
+		return
+	}
+	axpyRowsGeneric(s, m, dst)
+}
+
 // maxAVXCodeDim caps the row width the AVX2 code-distance kernel accepts.
 // Each 32-bit lane accumulates one VPMADDWD result (at most 2*255² =
 // 130050) per 16-byte block, so a lane stays below 2³¹ while dim/16 *
@@ -106,6 +129,19 @@ func dotAVX(a, b []float64) float64
 //
 //go:noescape
 func sqL2BatchAVX(q, data, dst []float64)
+
+// axpyAVX is the AVX dst[i] += s*a[i]: VMULPD then VADDPD (no FMA), 16
+// float64 per iteration, then 4, then a scalar tail.
+//
+//go:noescape
+func axpyAVX(s float64, a, dst []float64)
+
+// axpyRowsAVX is the AVX dst += sum_j s[j]*row j of m: the axpyAVX multiply
+// and add per element per row, with dst held in registers across the rows
+// of a column block.
+//
+//go:noescape
+func axpyRowsAVX(s, m, dst []float64)
 
 // cpuidex executes CPUID with the given leaf and subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -279,6 +279,232 @@ qcdone:
 	VZEROUPPER
 	RET
 
+// func axpyAVX(s float64, a, dst []float64)
+//
+// dst[i] += s*a[i] over len(a) elements with the product rounded before the
+// add: VMULPD then VADDPD, never an FMA, so every element is the two IEEE
+// operations the scalar Go statement `dst[i] += s * a[i]` performs and the
+// result is bitwise that loop's. Elements are independent (no accumulator,
+// no reduction), so the 16-wide body, the 4-wide body and the scalar tail
+// only differ in how many elements they retire per instruction.
+TEXT ·axpyAVX(SB), NOSPLIT, $0-56
+	VBROADCASTSD s+0(FP), Y0
+	MOVQ a_base+8(FP), SI
+	MOVQ a_len+16(FP), CX
+	MOVQ dst_base+32(FP), DI
+	MOVQ CX, AX
+	SHRQ $4, AX
+	JZ   axpyquads
+
+axpyloop:
+	VMULPD (SI), Y0, Y1
+	VMULPD 32(SI), Y0, Y2
+	VMULPD 64(SI), Y0, Y3
+	VMULPD 96(SI), Y0, Y4
+	VADDPD (DI), Y1, Y1
+	VADDPD 32(DI), Y2, Y2
+	VADDPD 64(DI), Y3, Y3
+	VADDPD 96(DI), Y4, Y4
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VMOVUPD Y3, 64(DI)
+	VMOVUPD Y4, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	DECQ AX
+	JNZ  axpyloop
+
+axpyquads:
+	MOVQ CX, AX
+	ANDQ $15, AX
+	SHRQ $2, AX
+	JZ   axpytail
+
+axpyquad:
+	VMULPD (SI), Y0, Y1
+	VADDPD (DI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ AX
+	JNZ  axpyquad
+
+axpytail:
+	ANDQ $3, CX
+	JZ   axpydone
+
+axpyone:
+	VMULSD (SI), X0, X1
+	VADDSD (DI), X1, X1
+	VMOVSD X1, (DI)
+	ADDQ $8, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  axpyone
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func axpyRowsAVX(s, m, dst []float64)
+//
+// dst += s[0]*row 0 + s[1]*row 1 + ... over the len(s) rows of m, each
+// len(dst) long, adding the rows in that order: per element the VMULPD /
+// VADDPD pair of axpyAVX once per row, operands in the same positions, so
+// the result is bitwise that of len(s) axpyAVX calls. What differs is where
+// dst lives meanwhile: a block of columns stays in registers while the rows
+// stream past (32 columns in eight accumulators, then at most one block of
+// 16, then of 4, then single columns), so dst is loaded and stored once per
+// block instead of once per row, and the eight independent add chains hide
+// the add latency.
+TEXT ·axpyRowsAVX(SB), NOSPLIT, $0-72
+	MOVQ s_base+0(FP), R8
+	MOVQ s_len+8(FP), R9
+	MOVQ m_base+24(FP), R10
+	MOVQ dst_base+48(FP), DI
+	MOVQ dst_len+56(FP), CX
+	TESTQ R9, R9
+	JZ   rowsdone
+	MOVQ CX, R11
+	SHLQ $3, R11    // row stride in bytes
+	MOVQ CX, R12
+	SHRQ $5, R12    // blocks of 32 columns
+	JZ   rows16
+
+rowsblock32:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	MOVQ R10, SI
+	MOVQ R8, BX
+	MOVQ R9, AX
+
+rowsrow32:
+	VBROADCASTSD (BX), Y8
+	VMULPD (SI), Y8, Y9
+	VMULPD 32(SI), Y8, Y10
+	VMULPD 64(SI), Y8, Y11
+	VMULPD 96(SI), Y8, Y12
+	VADDPD Y0, Y9, Y0
+	VADDPD Y1, Y10, Y1
+	VADDPD Y2, Y11, Y2
+	VADDPD Y3, Y12, Y3
+	VMULPD 128(SI), Y8, Y9
+	VMULPD 160(SI), Y8, Y10
+	VMULPD 192(SI), Y8, Y11
+	VMULPD 224(SI), Y8, Y12
+	VADDPD Y4, Y9, Y4
+	VADDPD Y5, Y10, Y5
+	VADDPD Y6, Y11, Y6
+	VADDPD Y7, Y12, Y7
+	ADDQ R11, SI
+	ADDQ $8, BX
+	DECQ AX
+	JNZ  rowsrow32
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, R10
+	DECQ R12
+	JNZ  rowsblock32
+
+rows16:
+	TESTQ $16, CX
+	JZ   rows4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ R10, SI
+	MOVQ R8, BX
+	MOVQ R9, AX
+
+rowsrow16:
+	VBROADCASTSD (BX), Y8
+	VMULPD (SI), Y8, Y9
+	VMULPD 32(SI), Y8, Y10
+	VMULPD 64(SI), Y8, Y11
+	VMULPD 96(SI), Y8, Y12
+	VADDPD Y0, Y9, Y0
+	VADDPD Y1, Y10, Y1
+	VADDPD Y2, Y11, Y2
+	VADDPD Y3, Y12, Y3
+	ADDQ R11, SI
+	ADDQ $8, BX
+	DECQ AX
+	JNZ  rowsrow16
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, R10
+
+rows4:
+	MOVQ CX, R12
+	ANDQ $15, R12
+	SHRQ $2, R12    // blocks of 4 columns
+	JZ   rows1
+
+rowsblock4:
+	VMOVUPD (DI), Y0
+	MOVQ R10, SI
+	MOVQ R8, BX
+	MOVQ R9, AX
+
+rowsrow4:
+	VBROADCASTSD (BX), Y8
+	VMULPD (SI), Y8, Y9
+	VADDPD Y0, Y9, Y0
+	ADDQ R11, SI
+	ADDQ $8, BX
+	DECQ AX
+	JNZ  rowsrow4
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, R10
+	DECQ R12
+	JNZ  rowsblock4
+
+rows1:
+	ANDQ $3, CX
+	JZ   rowsdone
+
+rowsblock1:
+	VMOVSD (DI), X0
+	MOVQ R10, SI
+	MOVQ R8, BX
+	MOVQ R9, AX
+
+rowsrow1:
+	VMOVSD (BX), X8
+	VMULSD (SI), X8, X9
+	VADDSD X0, X9, X0
+	ADDQ R11, SI
+	ADDQ $8, BX
+	DECQ AX
+	JNZ  rowsrow1
+	VMOVSD X0, (DI)
+	ADDQ $8, DI
+	ADDQ $8, R10
+	DECQ CX
+	JNZ  rowsblock1
+
+rowsdone:
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

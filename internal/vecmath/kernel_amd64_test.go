@@ -55,3 +55,120 @@ func TestAVXKernelIdenticalVectors(t *testing.T) {
 		}
 	}
 }
+
+// TestAxpyAVXMatchesGenericBitwise pins the contract MLP training rests on:
+// the assembly AXPY and the portable loop give the same bits for every
+// element — all lengths across the 16-wide / 4-wide / scalar-tail seams,
+// slices starting at every offset of a 32-byte lane, and the special values
+// whose handling differs between a fused and an unfused multiply-add.
+func TestAxpyAVXMatchesGenericBitwise(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX2+FMA on this machine")
+	}
+	r := xrand.New(33)
+	denorm := math.Float64frombits(3)
+	// One special per element at most two operands deep, so the expected
+	// NaN is the single one IEEE propagation yields on any operand order.
+	specials := []struct{ s, a, dst float64 }{
+		{1.5, math.NaN(), 2},                     // NaN in a
+		{math.NaN(), 1, 2},                       // NaN scale
+		{1.5, 1, math.NaN()},                     // NaN in dst
+		{math.Inf(1), 0, 2},                      // Inf*0 = NaN
+		{math.Inf(1), 1, math.Inf(-1)},           // Inf + -Inf = NaN
+		{math.Inf(-1), 2, 1},                     // -Inf
+		{2, math.Inf(1), math.Inf(1)},            // Inf + Inf
+		{0.5, denorm, 0},                         // product rounds to even below the denormal grid
+		{1, denorm, -denorm},                     // exact cancellation to +0
+		{math.SmallestNonzeroFloat64, 0.25, 0},   // underflow to zero
+		{-1, 0, 0},                               // -0 + 0
+		{1 + 0x1p-52, 1 + 0x1p-52, -1 - 0x1p-51}, // rounds differently when fused
+		{math.MaxFloat64, 2, math.Inf(-1)},       // overflowed product
+	}
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 4; off++ {
+			a := make([]float64, n+8)[off : off+n]
+			want := make([]float64, n+8)[(off+1)%4 : (off+1)%4+n]
+			s := r.NormFloat64()
+			for i := 0; i < n; i++ {
+				a[i] = r.NormFloat64()
+				want[i] = r.NormFloat64()
+			}
+			scales := []float64{s}
+			if n > 0 {
+				// Plant one special at a rotating position; specials that
+				// fix the scale get their own pass.
+				sp := specials[(n+off)%len(specials)]
+				a[(n*7+off)%n], want[(n*7+off)%n] = sp.a, sp.dst
+				scales = append(scales, sp.s)
+			}
+			for _, s := range scales {
+				got := make([]float64, n+8)[(off+2)%4 : (off+2)%4+n]
+				ref := append([]float64(nil), want...)
+				copy(got, want)
+				axpyAVX(s, a, got)
+				axpyGeneric(s, a, ref)
+				for i := range ref {
+					if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("n=%d off=%d s=%v i=%d: AVX %x vs generic %x (a=%v dst=%v)",
+							n, off, s, i, math.Float64bits(got[i]), math.Float64bits(ref[i]), a[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAxpyRowsAVXMatchesRowLoopBitwise: the register-blocked kernel is, per
+// element, the per-row AXPY loop — for every width across its 32/16/4/1
+// column-block seams, any row count, and special values in the scales, the
+// rows and the destination.
+func TestAxpyRowsAVXMatchesRowLoopBitwise(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX2+FMA on this machine")
+	}
+	r := xrand.New(34)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.Float64frombits(3), math.SmallestNonzeroFloat64, math.MaxFloat64, 1 + 0x1p-52}
+	for n := 0; n <= 100; n++ {
+		for _, k := range []int{0, 1, 2, 5, 52} {
+			s := make([]float64, k)
+			m := make([]float64, k*n+3)[3:] // off the 32-byte grid
+			dst := make([]float64, n+1)[1:]
+			for i := range s {
+				s[i] = r.NormFloat64()
+			}
+			for i := range m {
+				m[i] = r.NormFloat64()
+			}
+			for i := range dst {
+				dst[i] = r.NormFloat64()
+			}
+			if (n+k)%3 == 0 && k > 0 && n > 0 {
+				// One special per element column at most (see the AXPY
+				// test): plant in distinct columns.
+				sp := specials[(n+k)%len(specials)]
+				switch (n + k) % 9 / 3 {
+				case 0:
+					s[k/2] = sp
+				case 1:
+					m[(k/2)*n+n/2] = sp
+				default:
+					dst[n/2] = sp
+				}
+			}
+			want := append([]float64(nil), dst...)
+			for j, v := range s {
+				axpyAVX(v, m[j*n:j*n+n], want)
+			}
+			ref := append([]float64(nil), dst...)
+			axpyRowsGeneric(s, m, ref)
+			axpyRowsAVX(s, m, dst)
+			for i := range want {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) || math.Float64bits(ref[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d k=%d column %d: rows kernel %x, generic %x, AXPY loop %x",
+						n, k, i, math.Float64bits(dst[i]), math.Float64bits(ref[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}

@@ -20,6 +20,10 @@ func sqL2BatchKernel(q, data, dst []float64) {
 
 func dotKernel(a, b []float64) float64 { return dotGeneric(a, b) }
 
+func axpyKernel(s float64, a, dst []float64) { axpyGeneric(s, a, dst) }
+
+func axpyRowsKernel(s, m, dst []float64) { axpyRowsGeneric(s, m, dst) }
+
 func sqCodeDistBatchKernel(q, data []uint8, dst []int64) {
 	d := len(q)
 	for r := range dst {

@@ -190,11 +190,49 @@ func Scale(a []float64, s float64) []float64 {
 	return out
 }
 
-// AXPY computes dst += s*a in place.
+// AXPY computes dst += s*a in place: per element, the product rounded to
+// float64 and then the sum rounded — never a fused multiply-add — so the
+// result is bitwise the same on the assembly and the portable path, and
+// bitwise what a scalar `dst[i] += s * a[i]` loop gives on a target that
+// does not fuse. It is the one inner operation of MLP training and
+// inference (internal/nn): forward passes over transposed weights
+// (AXPYRows), gradient rows, and back-propagated deltas are all AXPYs.
 func AXPY(dst []float64, s float64, a []float64) {
 	checkLen(dst, a)
-	for i := range dst {
-		dst[i] += s * a[i]
+	axpyKernel(s, a, dst)
+}
+
+// axpyGeneric is the portable AXPY loop. The explicit conversion rounds the
+// product before the add: without it the Go spec lets a compiler fuse the
+// two operations (arm64, ppc64, s390x and GOAMD64=v3 do), which rounds once
+// and would break bitwise agreement with the unfused assembly kernel.
+func axpyGeneric(s float64, a, dst []float64) {
+	dst = dst[:len(a)]
+	for i, v := range a {
+		dst[i] += float64(s * v)
+	}
+}
+
+// AXPYRows computes dst += s[0]*m[0:n] + s[1]*m[n:2n] + ... for n =
+// len(dst), adding the len(s) rows of the flat row-major m in order: per
+// element exactly the operations of len(s) AXPY calls, in their order, so
+// the result is bitwise theirs — the assembly path only keeps dst in
+// registers across rows instead of reloading it per row. With dst a bias
+// vector, s a layer's input and m its input-major weights, this is a dense
+// layer's forward pass. It panics unless len(m) == len(s)*len(dst).
+func AXPYRows(dst, s, m []float64) {
+	if len(m) != len(s)*len(dst) {
+		panic(fmt.Sprintf("vecmath: AXPYRows of %d rows into %d columns over %d values", len(s), len(dst), len(m)))
+	}
+	axpyRowsKernel(s, m, dst)
+}
+
+// axpyRowsGeneric is the portable AXPYRows: the per-row loop it is defined
+// by.
+func axpyRowsGeneric(s, m, dst []float64) {
+	n := len(dst)
+	for j, v := range s {
+		axpyGeneric(v, m[j*n:j*n+n], dst)
 	}
 }
 

@@ -87,6 +87,30 @@ func TestAXPY(t *testing.T) {
 	}
 }
 
+// TestAxpyUnfused pins the rounding itself: an input where a fused
+// multiply-add and the two-rounding sequence disagree must come out as the
+// two-rounding value on whichever path AXPY dispatches to.
+func TestAxpyUnfused(t *testing.T) {
+	x := 1 + 0x1p-52
+	want := float64(x*x) + (-1 - 0x1p-51) // product rounded, then the add
+	if fused := math.FMA(x, x, -1-0x1p-51); fused == want {
+		t.Fatal("test input does not separate fused from unfused")
+	}
+	for n := 1; n <= 21; n++ {
+		dst := make([]float64, n)
+		a := make([]float64, n)
+		for i := range a {
+			a[i], dst[i] = x, -1-0x1p-51
+		}
+		AXPY(dst, x, a)
+		for i, v := range dst {
+			if v != want {
+				t.Fatalf("n=%d i=%d: AXPY = %v, want the unfused %v", n, i, v, want)
+			}
+		}
+	}
+}
+
 func TestMatVecAndTranspose(t *testing.T) {
 	m := [][]float64{{1, 2}, {3, 4}, {5, 6}}
 	x := []float64{1, 1}
@@ -150,4 +174,22 @@ func TestArgMinMax(t *testing.T) {
 	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
 		t.Error("empty slice should give -1")
 	}
+}
+
+func TestAXPYRows(t *testing.T) {
+	dst := []float64{1, 1, 1}
+	AXPYRows(dst, []float64{2, -1}, []float64{1, 2, 3, 10, 20, 30})
+	if dst[0] != -7 || dst[1] != -15 || dst[2] != -23 {
+		t.Errorf("AXPYRows = %v", dst)
+	}
+	AXPYRows(dst, nil, nil) // no rows: unchanged
+	if dst[0] != -7 {
+		t.Errorf("AXPYRows with no rows changed dst: %v", dst)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on a matrix that is not rows x columns")
+		}
+	}()
+	AXPYRows(dst, []float64{1, 2}, []float64{1, 2, 3, 4, 5})
 }
