@@ -1,11 +1,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -14,10 +16,12 @@ import (
 	"repro/internal/embed"
 	"repro/internal/ingest"
 	"repro/internal/labeler"
+	"repro/internal/labeler/store"
 	"repro/internal/query/aggregation"
 	"repro/internal/query/limitq"
 	"repro/internal/query/supg"
 	"repro/internal/shard"
+	"repro/internal/telemetry"
 	"repro/internal/triplet"
 	"repro/internal/xrand"
 	"repro/tasti"
@@ -25,7 +29,7 @@ import (
 
 // The benchmark suite mirrors the shapes of internal/core's
 // BenchmarkBuildParallel and BenchmarkPropagateParallel at workers=1, so a
-// committed baseline (BENCH_19.json) stays comparable with `go test -bench`
+// committed baseline (BENCH_20.json) stays comparable with `go test -bench`
 // output while being runnable from the built binary, and adds the streaming
 // write path (WAL append with fsync, index AppendRecords) and the three
 // query processors over a propagated proxy. cmd/benchgate compares two of
@@ -221,6 +225,62 @@ func runBenchSuite(path string) error {
 	rep.Benchmarks["column_hit_w1"] = runBench(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fetchColumns(b, shard.Scorer{Name: "count/car", Score: score})
+		}
+	})
+
+	// The known-label path — the part of a request the paper calls free, and
+	// at a 98.5 % hit rate the most-travelled one: 1000 draws of labels the
+	// cross-query store already holds, through the chain tastiserve's request
+	// labeler is built on (context binding over the store's bound labeler,
+	// counting hits into a registry as the server's does), by one goroutine
+	// and by two at once, each with its own binding like two requests. w2 over
+	// w1 is what two overlapping requests cost each other on this path: equal
+	// when a hit shares nothing but read-only memory.
+	hitStore := store.New(store.Options{Telemetry: telemetry.NewRegistry()})
+	known := make(map[int]dataset.Annotation, propDS.Len())
+	for id, ann := range propDS.Truth {
+		known[id] = ann
+	}
+	hitStore.Warm(known)
+	for _, workers := range []int{1, 2} {
+		rep.Benchmarks[fmt.Sprintf("label_hit_w%d", workers)] = runBench(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for g := 0; g < workers; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						lab := labeler.WithContext(context.Background(), hitStore.Bind(propLab, nil, "", sharded.AnnotationOf))
+						for d := 0; d < 1000; d++ {
+							if _, err := lab.Label((g*9973 + d*7919) % propDS.Len()); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+			}
+		})
+	}
+
+	// What a cracking limit query adds to its request: one CrackAll of 32
+	// records into the 4-shard, 20k-record index — the per-shard scan for each
+	// new representative plus the copy-on-write that keeps the published
+	// version intact for the requests reading it. Each iteration cracks a
+	// fresh deep copy (cloned off the clock).
+	crackBatch := make(map[int]dataset.Annotation, 32)
+	for id := 97; len(crackBatch) < 32; id += 601 {
+		if !sharded.Annotated(id) {
+			crackBatch[id] = propDS.Truth[id]
+		}
+	}
+	rep.Benchmarks["crack_batch_b32"] = runBench(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c := sharded.Clone()
+			b.StartTimer()
+			c.CrackAll(crackBatch)
 		}
 	})
 

@@ -210,7 +210,7 @@ func run(o runOptions) error {
 			return err
 		}
 		ss := qs.Child("scan")
-		res, err := tasti.FindLimitNext(tasti.LimitOptions{}, o.k, sharded.LimitCursor(scores, dists, nil).Next, pred, counting)
+		res, err := tasti.FindLimitNext(tasti.LimitOptions{}, o.k, sharded.Pin().LimitCursor(scores, dists, nil).Next, pred, counting)
 		ss.End()
 		if err != nil {
 			return err

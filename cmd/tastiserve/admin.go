@@ -83,6 +83,16 @@ func (sc *reqScope) addLabel(hit bool) {
 	}
 }
 
+// addHits books n labels answered from records the system had already
+// annotated: n labels, all of them hits.
+func (sc *reqScope) addHits(n int64) {
+	if sc == nil {
+		return
+	}
+	sc.labels.Add(n)
+	sc.hits.Add(n)
+}
+
 // setCost records the request's propagation footprint.
 func (sc *reqScope) setCost(records, shards int64) {
 	if sc == nil {
@@ -92,44 +102,69 @@ func (sc *reqScope) setCost(records, shards int64) {
 	sc.shards.Store(shards)
 }
 
-// meteringLabeler wraps the serve-path labeler chain so each request's
-// ledger entry carries its own oracle spend. It counts exactly the
-// successful Label calls — the same events every query processor counts
-// into tasti_query_label_calls_total — so per-tenant ledger totals
-// reconcile exactly with the global counters: a failed call increments
-// neither. A hit is a label spent on a record the index had already
-// annotated (cracked, or labeled by an earlier query) — spend an admission
-// controller could avoid, which is what the ledger exists to expose.
-type meteringLabeler struct {
-	inner tasti.Labeler
-	ix    *tasti.ShardedIndex
+// requestLabeler is one request's sampling labeler (see queryLabeler). It
+// does one lookup per label: a label the store already holds is returned
+// straight from the store's lock-free read index — no mutex, no second
+// lookup further down — and everything else goes through chain, which ends
+// in the same store's miss path (index-annotation promotion, singleflight,
+// budget, oracle).
+//
+// It is also the request's meter, so each ledger entry carries its own
+// label spend: it counts exactly the successful Label calls — the same events
+// every query processor counts into tasti_query_label_calls_total — so
+// per-tenant ledger totals reconcile exactly with the global counters: a
+// failed call increments neither. A hit is a label spent on a record the
+// system had already annotated (cracked, or labeled by an earlier query) —
+// spend an admission controller could avoid, which is what the ledger exists
+// to expose.
+type requestLabeler struct {
+	ctx   context.Context
+	done  <-chan struct{} // ctx.Done(): a canceled request stops drawing hits too
 	st    *tasti.LabelStore
+	v     *tasti.IndexVersion
+	chain tasti.Labeler
 	sc    *reqScope
+
+	// fast counts the labels answered from the read index — one add per
+	// draw, on memory no other request touches. publish books them, once:
+	// into the request's ledger entry, and into tasti_labelstore_hits_total
+	// (they are the store's hits as much as the ones its bound labeler
+	// counts).
+	fast  atomic.Int64
+	mHits *tasti.MetricCounter
 }
 
-// meter wraps lab for one request. Called with the index semaphore held
-// (Annotated reads shard state), like every query-path index access. st,
-// when non-nil, extends hit detection to the cross-query label store, so a
-// label served from an earlier query's spend books as a hit too.
-func meter(lab tasti.Labeler, ix *tasti.ShardedIndex, st *tasti.LabelStore, sc *reqScope) tasti.Labeler {
-	return &meteringLabeler{inner: lab, ix: ix, st: st, sc: sc}
-}
-
-func (m *meteringLabeler) Label(id int) (tasti.Annotation, error) {
-	hit := m.ix.Annotated(id)
-	if !hit && m.st != nil {
-		_, hit = m.st.Get(id)
+func (l *requestLabeler) Label(id int) (tasti.Annotation, error) {
+	select {
+	case <-l.done:
+		return nil, l.ctx.Err()
+	default:
 	}
-	ann, err := m.inner.Label(id)
+	if ann, ok := l.st.Get(id); ok {
+		l.fast.Add(1)
+		return ann, nil
+	}
+	// Not in the store: an annotation the pinned version owns is still a hit
+	// (chain promotes it into the store for free); anything else is bought.
+	hit := l.v.Annotated(id)
+	ann, err := l.chain.Label(id)
 	if err != nil {
 		return nil, err
 	}
-	m.sc.addLabel(hit)
+	l.sc.addLabel(hit)
 	return ann, nil
 }
 
-func (m *meteringLabeler) Name() string          { return m.inner.Name() }
-func (m *meteringLabeler) Cost() tasti.CostModel { return m.inner.Cost() }
+// publish books the request's read-index hits. Call it when the query
+// processor has returned, before the response is written.
+func (l *requestLabeler) publish() {
+	n := l.fast.Swap(0)
+	l.sc.addHits(n)
+	l.mHits.Add(n)
+}
+
+func (l *requestLabeler) Name() string          { return l.chain.Name() }
+func (l *requestLabeler) Cost() tasti.CostModel { return l.chain.Cost() }
 
 // costKind maps a route to its ledger entry kind; other routes are free and
 // get no entry.
@@ -180,9 +215,9 @@ func (s *server) labelStoreStatus() map[string]interface{} {
 // proxyColumnStatus is the /admin/status "proxy_columns" section: what the
 // serving index's column store retains and its generation, beside the
 // process-wide hit and miss counts (which, unlike the store, survive index
-// swaps). The store locks itself, so this needs no index semaphore.
+// swaps).
 func (s *server) proxyColumnStatus() map[string]interface{} {
-	cs := s.index.Load().ColumnStats()
+	cs := s.index.ColumnStats()
 	return map[string]interface{}{
 		"entries":    cs.Entries,
 		"bytes":      cs.Bytes,
@@ -293,15 +328,12 @@ type walHealth struct {
 	QueueDepth  int   `json:"queue_depth"`
 }
 
-// collectHealth takes one health snapshot: index shape under the semaphore
-// (skew and radius walk shard tables, which cracking mutates), drift and WAL
-// from their own synchronized state. The snapshot is stored for /readyz and
-// its numbers published as gauges.
-func (s *server) collectHealth(ctx context.Context) (*healthSnapshot, error) {
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
-	}
-	ix := s.index.Load()
+// collectHealth takes one health snapshot: index shape from the published
+// version (skew and radius walk its shard tables, which no writer touches),
+// drift and WAL from their own synchronized state. The snapshot is stored for
+// /readyz and its numbers published as gauges.
+func (s *server) collectHealth() *healthSnapshot {
+	ix := s.index.Pin()
 	qs := ix.RadiusQuantiles([]float64{0.5, 0.9, 0.99})
 	h := &healthSnapshot{
 		At:         time.Now(),
@@ -321,7 +353,6 @@ func (s *server) collectHealth(ctx context.Context) (*healthSnapshot, error) {
 		QuantBytes:       mem.QuantBytes,
 		CompressionRatio: mem.CompressionRatio(),
 	}
-	s.release()
 	if cands := s.reg.Counter("tasti_quant_candidates_total").Value(); cands > 0 {
 		h.Memory.RerankRate = float64(s.reg.Counter("tasti_quant_rerank_total").Value()) / float64(cands)
 	}
@@ -362,25 +393,17 @@ func (s *server) collectHealth(ctx context.Context) (*healthSnapshot, error) {
 		s.reg.Gauge("tasti_wal_lag_bytes").Set(float64(h.WAL.Bytes))
 	}
 	s.health.Store(h)
-	return h, nil
+	return h
 }
 
-// healthLoop runs the collector every opts.healthInterval. It skips while
-// the index is still building and bounds each collection by the interval so
-// a wedged semaphore cannot pile up waiters. Runs for the process lifetime.
+// healthLoop runs the collector every opts.healthInterval, skipping while
+// the index is still building. Runs for the process lifetime.
 func (s *server) healthLoop() {
-	interval := s.opts.healthInterval
-	t := time.NewTicker(interval)
+	t := time.NewTicker(s.opts.healthInterval)
 	defer t.Stop()
 	for range t.C {
-		if !s.ready.Load() {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), interval)
-		_, err := s.collectHealth(ctx)
-		cancel()
-		if err != nil {
-			s.log.Warn("index-health collection failed", "err", err.Error())
+		if s.ready.Load() {
+			s.collectHealth()
 		}
 	}
 }
@@ -427,14 +450,6 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	body["breaker_state"] = s.breaker.State().String()
 	body["proxy_columns"] = s.proxyColumnStatus()
-	h, err := s.collectHealth(r.Context())
-	if err != nil {
-		// A canceled collection falls back to the loop's last snapshot.
-		body["health_stale"] = true
-		h = s.health.Load()
-	}
-	if h != nil {
-		body["health"] = h
-	}
+	body["health"] = s.collectHealth()
 	writeJSON(w, http.StatusOK, body)
 }

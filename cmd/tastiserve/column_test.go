@@ -111,7 +111,7 @@ func TestServedColumnEquivalence(t *testing.T) {
 	if _, misses := counts(srvB); misses != int64(len(built)) {
 		t.Errorf("server B: %d misses on %d columns", misses, len(built))
 	}
-	genBefore := srvA.index.Load().ColumnStats().Generation
+	genBefore := srvA.index.ColumnStats().Generation
 
 	// The cracking limit reads the retained nearest column, then promotes what
 	// it labeled: a new generation with nothing retained.
@@ -125,7 +125,7 @@ func TestServedColumnEquivalence(t *testing.T) {
 	if crackedB := postQuery(t, b.URL, "limit", crack, ""); !bytes.Equal(crackedA, crackedB) {
 		t.Errorf("crack:true limit:\n A %s B %s", crackedA, crackedB)
 	}
-	ix := srvA.index.Load()
+	ix := srvA.index
 	if cs := ix.ColumnStats(); cs.Entries != 0 || cs.Generation != genBefore+uint64(cracked.Cracked) {
 		t.Errorf("after cracking %d records: %d columns retained, generation %d -> %d",
 			cracked.Cracked, cs.Entries, genBefore, cs.Generation)
@@ -230,7 +230,7 @@ func TestQueryBodyCap(t *testing.T) {
 				route, resp.StatusCode, body, err)
 		}
 	}
-	if cs := srv.index.Load().ColumnStats(); cs.Entries != 0 {
+	if cs := srv.index.ColumnStats(); cs.Entries != 0 {
 		t.Errorf("oversized requests left %d columns behind", cs.Entries)
 	}
 	// A body inside the cap still decodes: a long class is just a class no

@@ -96,7 +96,7 @@ func TestServerPanicRecovery(t *testing.T) {
 }
 
 // TestServerQueryTimeout: a query whose per-request budget has expired is
-// refused instead of taking the index lock.
+// refused (503) at its first label draw — it buys nothing.
 func TestServerQueryTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

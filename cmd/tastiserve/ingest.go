@@ -2,10 +2,11 @@ package main
 
 // Streaming ingest wiring: POST /ingest appends records through a crash-safe
 // WAL (internal/ingest), replayed into the index at boot; drift past the
-// build-time baseline triggers a background re-crack that hot-swaps a cloned
-// index; POST /admin/refresh forces one and folds the result into the
-// snapshot, truncating covered WAL segments. See docs/RELIABILITY.md for the
-// durability contract and the crashed-ingester runbook.
+// build-time baseline triggers a background re-crack of a cloned index whose
+// state is then swapped in through the index's write path; POST
+// /admin/refresh forces one and folds the result into the snapshot,
+// truncating covered WAL segments. See docs/RELIABILITY.md for the durability
+// contract and the crashed-ingester runbook.
 
 import (
 	"context"
@@ -155,19 +156,13 @@ func (s *server) initIngest(index *tasti.ShardedIndex, ds *tasti.Dataset) error 
 	}
 	window, threshold := opts.driftParams()
 	drift := tasti.NewDriftDetector(window, threshold, s.reg)
-	drift.Reset(index.MeanNearestDistance())
+	drift.Reset(index.Pin().MeanNearestDistance())
 
 	s.wal = wal
 	s.drift = drift
 	s.tenants.cap = opts.tenantPendingCap()
 	s.refresher, err = tasti.NewRefresher(tasti.RefreshConfig{
-		Index:   func() *tasti.ShardedIndex { return s.index.Load() },
-		Acquire: s.acquire,
-		Release: s.release,
-		Swap: func(x *tasti.ShardedIndex) {
-			x.SetTelemetry(s.reg)
-			s.index.Store(x)
-		},
+		Index:     index,
 		Label:     s.labelForRefresh,
 		Drift:     drift,
 		Budget:    opts.refreshBudget,
@@ -211,38 +206,38 @@ func (s *server) closeIngest() {
 }
 
 // applyIngest is the Ingester's visibility callback: the batch is already
-// durable (fsynced and acked), this makes it queryable. It serializes with
-// every query and refresh through the index semaphore, extends the dataset's
-// ground truth, appends to the serving index, feeds the drift detector, and
-// may kick off a background refresh.
+// durable (fsynced and acked), this makes it queryable. It runs on the
+// ingester's one apply goroutine — the only appender, so the record count it
+// reads cannot move under it. It publishes the corpus view extended with the
+// batch's ground truth first and the index version carrying the records
+// second (so a query that pinned that version can have any of them labeled),
+// waiting only for index writes ahead of it, never for a query. Then it feeds
+// the drift detector and may kick off a background refresh.
 func (s *server) applyIngest(b tasti.IngestBatch) error {
-	if err := s.acquire(context.Background()); err != nil {
-		return err
-	}
-	ix := s.index.Load()
-	n := ix.NumRecords()
+	n := s.index.NumRecords()
 	if b.Base > n {
-		s.release()
 		return fmt.Errorf("ingest batch starts at record %d but the index covers %d", b.Base, n)
 	}
+	// Copy-on-write: append through a copy of the published header. Writes
+	// land past the length every published view holds.
+	ds := *s.corpus.Load()
 	for i := range b.Features {
-		if id := b.Base + i; id == s.ds.Len() {
-			s.ds.Records = append(s.ds.Records, tasti.Record{ID: id, Features: slices.Clone(b.Features[i])})
-			s.ds.Truth = append(s.ds.Truth, b.Anns[i])
+		if id := b.Base + i; id == ds.Len() {
+			ds.Records = append(ds.Records, tasti.Record{ID: id, Features: slices.Clone(b.Features[i])})
+			ds.Truth = append(ds.Truth, b.Anns[i])
 		}
 	}
-	s.corpusLen.Store(int64(s.ds.Len()))
+	s.corpus.Store(&ds)
 	if lo := n - b.Base; lo < len(b.Features) {
-		ids, err := ix.AppendRecords(b.Features[lo:])
+		ids, err := s.index.AppendRecords(b.Features[lo:])
 		if err != nil {
-			s.release()
 			return err
 		}
+		v := s.index.Pin()
 		for _, id := range ids {
-			s.drift.Observe(ix.NearestDistance(id))
+			s.drift.Observe(v.NearestDistance(id))
 		}
 	}
-	s.release()
 	s.maybeRefresh()
 	return nil
 }
@@ -265,7 +260,7 @@ func (s *server) maybeRefresh() {
 		s.log.Info("drift-triggered refresh complete",
 			"cracked", st.Cracked, "catch_up", st.CatchUp, "baseline", st.Baseline,
 			"elapsed_ms", float64(st.Elapsed.Microseconds())/1000)
-		if err := s.persistIngestState(context.Background()); err != nil {
+		if err := s.persistIngestState(); err != nil {
 			s.log.Warn("persisting refreshed state failed; WAL retains full coverage", "err", err.Error())
 		}
 	}()
@@ -275,23 +270,23 @@ func (s *server) maybeRefresh() {
 // WAL space: the extended dataset is saved first (so a crash between the two
 // writes never leaves the dataset older than the index), then the sharded
 // index snapshot, then every WAL segment fully covered by the snapshot is
-// deleted. A no-op without -snapshot: the WAL then retains everything and
-// replay covers restarts by itself.
-func (s *server) persistIngestState(ctx context.Context) error {
+// deleted. It saves a pinned version and the corpus view loaded after it —
+// which covers it — so serving and ingest carry on meanwhile; persisting only
+// keeps two persists from interleaving their file pairs. A no-op without
+// -snapshot: the WAL then retains everything and replay covers restarts by
+// itself.
+func (s *server) persistIngestState() error {
 	if s.opts.snapshotPath == "" {
 		return nil
 	}
-	if err := s.acquire(ctx); err != nil {
+	s.persisting.Lock()
+	defer s.persisting.Unlock()
+	v := s.index.Pin()
+	n := v.NumRecords()
+	if err := tasti.WriteFileAtomic(s.ingestDatasetPath(), s.corpus.Load().Save); err != nil {
 		return err
 	}
-	ix := s.index.Load()
-	n := ix.NumRecords()
-	err := tasti.WriteFileAtomic(s.ingestDatasetPath(), s.ds.Save)
-	if err == nil {
-		err = tasti.WriteFileAtomic(s.opts.snapshotPath, ix.Save)
-	}
-	s.release()
-	if err != nil {
+	if err := tasti.WriteFileAtomic(s.opts.snapshotPath, v.Save); err != nil {
 		return err
 	}
 	removed, err := s.wal.TruncateThrough(n)
@@ -306,20 +301,16 @@ func (s *server) persistIngestState(ctx context.Context) error {
 // labelForRefresh supplies annotations to the refresher's crack phase. Base
 // records go through the serve-path labeler chain (billed, breaker-guarded);
 // appended records use the ground truth that arrived with their ingest
-// request, read under the index lock because the dataset slices grow
-// concurrently with it held.
+// request, from the published corpus view.
 func (s *server) labelForRefresh(ctx context.Context, id int) (tasti.Annotation, error) {
 	if id < s.opts.size {
 		return tasti.LabelerWithContext(ctx, s.target).Label(id)
 	}
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
+	ds := s.corpus.Load()
+	if id >= ds.Len() {
+		return nil, fmt.Errorf("refresh: record %d past corpus end %d", id, ds.Len())
 	}
-	defer s.release()
-	if id >= s.ds.Len() {
-		return nil, fmt.Errorf("refresh: record %d past corpus end %d", id, s.ds.Len())
-	}
-	return s.ds.Truth[id], nil
+	return ds.Truth[id], nil
 }
 
 // ingestRecord is one record in a POST /ingest body.
@@ -495,7 +486,7 @@ func (s *server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	persisted := false
-	if perr := s.persistIngestState(r.Context()); perr != nil {
+	if perr := s.persistIngestState(); perr != nil {
 		s.log.Warn("persisting refreshed state failed; WAL retains full coverage", "err", perr.Error())
 	} else {
 		persisted = s.opts.snapshotPath != ""
@@ -505,7 +496,7 @@ func (s *server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		"catch_up":       st.CatchUp,
 		"baseline":       st.Baseline,
 		"elapsed_ms":     float64(st.Elapsed.Microseconds()) / 1000,
-		"records":        int(s.corpusLen.Load()),
+		"records":        s.corpus.Load().Len(),
 		"snapshot_saved": persisted,
 	})
 }

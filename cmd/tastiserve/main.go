@@ -197,7 +197,7 @@ func main() {
 		go func() {
 			for range hup {
 				logger.Info("SIGHUP: reloading index snapshot", "path", *snapshotPath)
-				if err := srv.reload(context.Background()); err != nil {
+				if err := srv.reload(); err != nil {
 					logger.Error("SIGHUP reload failed", "err", err.Error())
 				}
 			}

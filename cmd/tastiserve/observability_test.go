@@ -338,6 +338,25 @@ func TestLedgerReconciliation(t *testing.T) {
 	if snap.Global.Labels <= 0 {
 		t.Error("no label spend booked at all")
 	}
+	// Every successful label came back exactly one way: as a store hit (read
+	// lock-free by the request's labeler and published once per request, or
+	// counted by the store on its own paths), as the leader of an oracle call,
+	// or as a waiter on one. Nothing failed here, so the three add up to the
+	// ledger's labels — concurrent requests lose and double-count nothing.
+	var storeLabels int64
+	for _, name := range []string{"tasti_labelstore_hits_total", "tasti_labelstore_misses_total", "tasti_labelstore_coalesced_total"} {
+		if fam := fams[name]; fam != nil {
+			for _, sm := range fam.Samples {
+				storeLabels += int64(sm.Value)
+			}
+		}
+	}
+	if snap.Global.Labels != storeLabels {
+		t.Errorf("ledger books %d labels, the store's hits+misses+coalesced say %d", snap.Global.Labels, storeLabels)
+	}
+	if snap.Global.Hits <= 0 || snap.Global.Hits > snap.Global.Labels {
+		t.Errorf("ledger books %d hits of %d labels", snap.Global.Hits, snap.Global.Labels)
+	}
 }
 
 // scrapeMetrics fetches /metrics, verifies the exact Prometheus 0.0.4

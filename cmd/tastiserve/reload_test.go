@@ -114,7 +114,7 @@ func TestServeReloadCorruptSnapshotKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	repsNow := srv.index.Load().RepCount()
+	repsNow := srv.index.RepCount()
 
 	// Corrupt the snapshot mid-file and try to reload it.
 	bad := append([]byte(nil), good...)
@@ -135,7 +135,7 @@ func TestServeReloadCorruptSnapshotKeepsServing(t *testing.T) {
 			srv.reg.Counter("tasti_snapshot_reload_failures_total").Value())
 	}
 	// The cracked index must still be serving, untouched.
-	if got := srv.index.Load().RepCount(); got != repsNow {
+	if got := srv.index.RepCount(); got != repsNow {
 		t.Errorf("failed reload changed the serving index: %d reps, want %d", got, repsNow)
 	}
 	resp, err = http.Post(ts.URL+"/query/aggregate", "application/json",
@@ -161,7 +161,7 @@ func TestServeReloadCorruptSnapshotKeepsServing(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload of repaired snapshot: status %d, body %v", resp.StatusCode, body)
 	}
-	if got := srv.index.Load().RepCount(); got != 200 {
+	if got := srv.index.RepCount(); got != 200 {
 		t.Errorf("reloaded index has %d reps, want the snapshot's 200", got)
 	}
 }
@@ -174,7 +174,7 @@ func TestServeStartupLoadsSnapshot(t *testing.T) {
 		t.Skip("short mode")
 	}
 	srv, _, snap := reloadServer(t)
-	want := srv.index.Load()
+	want := srv.index
 
 	restarted, err := newServer(serverOptions{
 		dataset: "night-street", size: 1500, train: 250, reps: 200, seed: 1,
@@ -183,7 +183,7 @@ func TestServeStartupLoadsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := restarted.index.Load()
+	got := restarted.index
 	if got.NumRecords() != want.NumRecords() {
 		t.Fatalf("restored index has %d records, want %d", got.NumRecords(), want.NumRecords())
 	}
@@ -215,7 +215,7 @@ func TestServeReloadRejectsWrongSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := other.index.Load().Save(&buf); err != nil {
+	if err := other.index.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(snap, buf.Bytes(), 0o644); err != nil {
@@ -230,7 +230,7 @@ func TestServeReloadRejectsWrongSnapshot(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("reload of mismatched snapshot: status %d, body %v", resp.StatusCode, body)
 	}
-	if got := srv.index.Load().NumRecords(); got != 1500 {
+	if got := srv.index.NumRecords(); got != 1500 {
 		t.Errorf("serving index now has %d records, want the original 1500", got)
 	}
 }

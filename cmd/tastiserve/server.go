@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -179,21 +180,20 @@ func (o serverOptions) shardCount() int {
 	return o.shards
 }
 
-// server owns an index over one corpus and answers queries over HTTP. A
-// single semaphore (sem, capacity 1) serializes queries against cracking:
-// Index.Crack/CrackAll mutate Annotations and the distance table with no
-// internal synchronization (see package core's concurrency contract), so
-// every handler that touches the index — including nominally read-only
-// propagation — holds the semaphore for its full critical section. A channel
-// rather than a mutex so acquisition is context-aware: a client that
-// disconnects or times out while queued stops waiting instead of taking the
-// lock for a response nobody reads. The lock is coarse on purpose: queries
-// spend their time in propagation and sampling, which parallelize
-// internally, so a finer-grained scheme would buy little until multiple
-// indexes are served. TestServeQueriesConcurrentWithCracking holds this
-// contract under the race detector.
+// server owns an index over one corpus and answers queries over HTTP. No
+// request takes a lock another request or a writer can hold for its length:
+// a handler pins the index's published version (tasti.IndexVersion, one
+// atomic load) and reads only it — proxy columns, annotations, record and
+// representative counts — so its answer is the serial answer for that
+// version whatever is published meanwhile, and a label the system already
+// owns comes back through the label store's lock-free read index. Writers —
+// cracking limits, the ingest apply loop, refreshes, reloads — go through the
+// index's one write path, serialized among themselves only
+// (tasti_index_writer_wait_seconds is all the waiting there is); each
+// publishes the next version copy-on-write, never touching what a pinned
+// request reads. TestServeQueriesConcurrentWithCracking holds this contract
+// under the race detector.
 type server struct {
-	sem  chan struct{}
 	opts serverOptions
 	name string
 	seed int64
@@ -205,44 +205,43 @@ type server struct {
 	reg      *tasti.MetricsRegistry
 	inFlight *tasti.MetricGauge
 
-	// ready flips to true once build() has published ds/target/breaker/
+	// ready flips to true once build() has published corpus/target/breaker/
 	// index below; handlers must observe ready before touching them.
 	ready    atomic.Bool
 	buildErr atomic.Value // string
 	started  time.Time
 
-	ds      *tasti.Dataset
 	target  tasti.Labeler // serve-path labeler: retry(breaker(deadline(base)))
 	breaker *tasti.Breaker
 
-	// corpusLen mirrors ds.Len() and dim mirrors ds.FeatureDim() for
-	// handlers that run OUTSIDE the index semaphore (request decoding,
-	// /ingest validation). With streaming ingest on, ds grows under the
-	// semaphore; reading its slice headers unsynchronized would race, so
-	// lock-free paths read this atomic instead. dim never changes after
-	// build, so the ready flag alone orders it.
-	corpusLen atomic.Int64
-	dim       int
+	// corpus is the view of the corpus the oracle labels from and the
+	// persist path saves. With streaming ingest on it grows: the apply loop —
+	// its only writer once serving — publishes each extended view as a new
+	// Dataset value BEFORE the index version that makes the records
+	// queryable, so whoever pinned a version finds every record of it here.
+	// dim never changes after build, so the ready flag alone orders it.
+	corpus atomic.Pointer[tasti.Dataset]
+	dim    int
 
-	// index is the sharded serving index, swapped atomically by hot reload
-	// — wholesale, or one shard at a time through ShardedIndex's own
-	// per-shard pointers (POST /admin/reload?shard=i). Handlers load it once
-	// per request after taking sem; every swap also takes sem, so a request
-	// always sees one consistent index end to end and swaps land only at
-	// request boundaries — never under an in-flight query.
-	index atomic.Pointer[tasti.ShardedIndex]
+	// index is the sharded serving index, set once by the build. Every state
+	// change — crack, append, one-shard or whole-index reload, refresh —
+	// goes through its write path and lands as a new published version;
+	// handlers Pin once per request, so a request sees one consistent index
+	// end to end and no swap ever lands under it.
+	index *tasti.ShardedIndex
 	// reloading serializes reloads: a second reload arriving while one is
 	// loading and validating is rejected, not queued.
 	reloading atomic.Bool
 
 	// Streaming ingest state, populated by initIngest when -wal-dir is set
-	// (nil otherwise). The ingester's Apply callback and the refresher both
-	// serialize index access through sem like every query handler.
-	wal       *tasti.WAL
-	ingester  *tasti.Ingester
-	drift     *tasti.DriftDetector
-	refresher *tasti.Refresher
-	tenants   tenantLimiter
+	// (nil otherwise). persisting keeps one persistIngestState's dataset and
+	// index files a pair.
+	wal        *tasti.WAL
+	ingester   *tasti.Ingester
+	drift      *tasti.DriftDetector
+	refresher  *tasti.Refresher
+	tenants    tenantLimiter
+	persisting sync.Mutex
 
 	// Observability plane (see cmd/tastiserve/admin.go): sampler decides
 	// which requests retain a span tree in traces; ledger attributes every
@@ -258,10 +257,14 @@ type server struct {
 	// store every query handler binds its sampling labeler through (hits
 	// and coalesced calls spend nothing); budget admits each real oracle
 	// call against the global and per-tenant caps. Unlike the index, both
-	// are internally synchronized — they outlive index swaps and are shared
-	// across requests without the semaphore.
-	labels *tasti.LabelStore
-	budget *tasti.BudgetManager
+	// are internally synchronized and outlive index swaps; a label the store
+	// already holds is read without any lock (labelHits counts those).
+	labels    *tasti.LabelStore
+	budget    *tasti.BudgetManager
+	labelHits *tasti.MetricCounter // tasti_labelstore_hits_total
+
+	// routes holds each route's HTTP metric handles, resolved on first use.
+	routes map[string]*routeMetrics
 }
 
 // newServerShell returns a server that is alive (serves /healthz and
@@ -335,14 +338,18 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_proxy_column_evictions_total", "Proxy columns evicted least-recently-used-first to stay inside the 64 MiB budget.")
 	reg.Help("tasti_proxy_column_bytes", "Payload charged to the retained proxy columns, in bytes.")
 	reg.Help("tasti_index_generation", "State-changing mutations (representatives added, appends, shard swaps) applied to the serving index object; restarts from 0 when the whole index is swapped.")
+	reg.Help("tasti_index_writer_wait_seconds", "Time an index write (crack, append, shard or whole-index swap) waited for the write ahead of it; reads never wait.")
 	labels := tasti.NewLabelStore(tasti.LabelStoreOptions{MaxInflight: opts.labelInflight, Telemetry: reg})
 	budget := tasti.NewBudgetManager(tasti.BudgetConfig{
 		Global:    opts.labelBudget,
 		PerTenant: opts.tenantBudget,
 		Telemetry: reg,
 	})
+	routes := make(map[string]*routeMetrics, len(routeLabels)+1)
+	for _, route := range append([]string{"other"}, routeLabels...) {
+		routes[route] = &routeMetrics{route: route}
+	}
 	return &server{
-		sem:      make(chan struct{}, 1),
 		opts:     opts,
 		name:     opts.dataset,
 		seed:     opts.seed,
@@ -355,6 +362,9 @@ func newServerShell(opts serverOptions) *server {
 		ledger:   tasti.NewCostLedger(0),
 		labels:   labels,
 		budget:   budget,
+
+		labelHits: reg.Counter("tasti_labelstore_hits_total"),
+		routes:    routes,
 	}
 }
 
@@ -400,13 +410,16 @@ func (s *server) buildIndex() error {
 	if opts.walDir != "" {
 		ds = s.restoreIngestDataset(ds)
 	}
+	s.corpus.Store(ds)
 	cost := tasti.MaskRCNNCost
 	if opts.dataset == "wikisql" || opts.dataset == "common-voice" {
 		cost = tasti.HumanCost
 	}
 	// base is the (possibly chaos-injected) target labeler tier shared by
-	// construction and serving.
-	base := tasti.NewOracle(ds, "target", cost)
+	// construction and serving. It labels from the published corpus view, so
+	// records ingest appends later are covered without the oracle ever
+	// reading a corpus that is being appended to.
+	base := tasti.NewLiveOracle(s.corpus.Load, "target", cost)
 	if opts.faultRate > 0 {
 		base = tasti.NewFlakyLabeler(base, tasti.FlakyConfig{
 			Seed:           opts.seed,
@@ -531,20 +544,18 @@ func (s *server) buildIndex() error {
 		serveLab = rt
 	}
 
-	s.ds = ds
 	s.dim = ds.FeatureDim()
-	s.corpusLen.Store(int64(ds.Len()))
 	s.target = serveLab
 	s.breaker = breaker
-	s.index.Store(index)
+	s.index = index
 	s.ready.Store(true)
 	s.log.Info("index built",
 		"dataset", s.name,
 		"records", ds.Len(),
 		"shards", index.NumShards(),
 		"representatives", index.RepCount(),
-		"label_calls", index.Stats.TotalLabelCalls(),
-		"stats", index.Stats.String())
+		"label_calls", index.Pin().Stats.TotalLabelCalls(),
+		"stats", index.Pin().Stats.String())
 	return nil
 }
 
@@ -609,12 +620,13 @@ func loadServingSnapshot(path string, ds *tasti.Dataset, parallelism, shards, mi
 // loading and validating.
 var errReloadInProgress = errors.New("reload already in progress")
 
-// reload replaces the serving index with a freshly loaded copy of the
-// snapshot file, with zero downtime: the new index is read and validated
-// entirely off the request path, and only the pointer swap takes the index
-// lock, so it lands between requests. Validation failure is contained — the
-// previous index keeps serving, the failure is counted and logged.
-func (s *server) reload(ctx context.Context) error {
+// reload replaces the serving index's state with a freshly loaded copy of
+// the snapshot file, with zero downtime: the new index is read and validated
+// entirely off the request path and published as one index write. Requests
+// that pinned the previous version finish on it. Validation failure is
+// contained — the previous index keeps serving, the failure is counted and
+// logged.
+func (s *server) reload() error {
 	if s.opts.snapshotPath == "" {
 		return errors.New("no -snapshot path configured")
 	}
@@ -624,13 +636,17 @@ func (s *server) reload(ctx context.Context) error {
 		// WAL. The refresh path owns snapshotting instead.
 		return errors.New("hot reload is disabled while streaming ingest is on; POST /admin/refresh re-cracks and snapshots instead")
 	}
+	if !s.ready.Load() {
+		return errors.New("index not ready")
+	}
 	if !s.reloading.CompareAndSwap(false, true) {
 		return errReloadInProgress
 	}
 	defer s.reloading.Store(false)
 
 	start := time.Now()
-	next, err := loadServingSnapshot(s.opts.snapshotPath, s.ds, s.opts.parallelism, s.opts.shardCount(), s.ds.Len())
+	ds := s.corpus.Load()
+	next, err := loadServingSnapshot(s.opts.snapshotPath, ds, s.opts.parallelism, s.opts.shardCount(), ds.Len())
 	if err != nil {
 		s.reg.Counter(`tasti_snapshot_reload_total{outcome="error"}`).Inc()
 		s.reg.Counter("tasti_snapshot_reload_failures_total").Inc()
@@ -638,14 +654,11 @@ func (s *server) reload(ctx context.Context) error {
 			"path", s.opts.snapshotPath, "err", err.Error())
 		return err
 	}
-	next.SetTelemetry(s.reg)
-	if err := s.acquire(ctx); err != nil {
-		s.reg.Counter(`tasti_snapshot_reload_total{outcome="error"}`).Inc()
-		s.reg.Counter("tasti_snapshot_reload_failures_total").Inc()
-		return fmt.Errorf("canceled waiting to swap the index: %w", err)
-	}
-	prev := s.index.Swap(next)
-	s.release()
+	var prevReps int
+	_ = s.index.Swap(func(live *tasti.IndexVersion) (*tasti.ShardedIndex, error) { // the build cannot fail
+		prevReps = live.RepCount()
+		return next, nil
+	})
 	elapsed := time.Since(start)
 	s.reg.Counter(`tasti_snapshot_reload_total{outcome="ok"}`).Inc()
 	s.reg.Histogram("tasti_snapshot_reload_seconds", tasti.DefLatencyBuckets).Observe(elapsed.Seconds())
@@ -654,18 +667,18 @@ func (s *server) reload(ctx context.Context) error {
 		"records", next.NumRecords(),
 		"shards", next.NumShards(),
 		"representatives", next.RepCount(),
-		"previous_representatives", prev.RepCount(),
+		"previous_representatives", prevReps,
 		"elapsed_ms", float64(elapsed.Microseconds())/1000)
 	return nil
 }
 
 // reloadShard replaces the single shard i from the snapshot file, leaving
 // its peers serving untouched — the rolling-upgrade primitive. Like reload,
-// the shard is read and validated entirely off the request path; only the
-// per-shard pointer swap takes the index lock. Requires a sharded snapshot:
-// a single-index container fails with the snapshot-kind error and the old
-// shard keeps serving.
-func (s *server) reloadShard(ctx context.Context, i int) error {
+// the shard is read and validated entirely off the request path and
+// published as one index write. Requires a sharded snapshot: a single-index
+// container fails with the snapshot-kind error and the old shard keeps
+// serving.
+func (s *server) reloadShard(i int) error {
 	if s.opts.snapshotPath == "" {
 		return errors.New("no -snapshot path configured")
 	}
@@ -694,12 +707,7 @@ func (s *server) reloadShard(ctx context.Context, i int) error {
 	if err != nil {
 		return fail(err)
 	}
-	if err := s.acquire(ctx); err != nil {
-		return fail(fmt.Errorf("canceled waiting to swap shard %d: %w", i, err))
-	}
-	err = s.index.Load().ReplaceShard(i, sh)
-	s.release()
-	if err != nil {
+	if err := s.index.ReplaceShard(i, sh); err != nil {
 		return fail(err)
 	}
 	elapsed := time.Since(start)
@@ -735,10 +743,10 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "bad shard number: "+arg)
 			return
 		}
-		err = s.reloadShard(r.Context(), i)
+		err = s.reloadShard(i)
 		body["shard"] = i
 	} else {
-		err = s.reload(r.Context())
+		err = s.reload()
 	}
 	if err != nil {
 		switch {
@@ -749,28 +757,9 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	body["records"] = s.index.Load().NumRecords()
+	body["records"] = s.index.NumRecords()
 	writeJSON(w, http.StatusOK, body)
 }
-
-// acquire takes the index lock, giving up when ctx is canceled — a
-// disconnected client or an expired per-request timeout stops queueing.
-func (s *server) acquire(ctx context.Context) error {
-	// Checked first: a select with an expired context and a free semaphore
-	// picks a case at random, and an already-canceled request must never
-	// take the lock.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (s *server) release() { <-s.sem }
 
 // handler wires the routes behind the hardening middleware: panic recovery
 // outermost, then the per-request query timeout.
@@ -804,7 +793,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.reg.Gauge("tasti_breaker_state").Set(float64(s.breaker.State()))
 		// Per-shard record/representative gauges refresh at scrape time, so
 		// cracks and rolling reloads between scrapes still read correctly.
-		s.index.Load().PublishMetrics()
+		s.index.PublishMetrics()
 	}
 	s.publishBudgetMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -877,17 +866,47 @@ func (sr *statusRecorder) WriteHeader(code int) {
 	sr.ResponseWriter.WriteHeader(code)
 }
 
-// routeLabel normalizes a request path to a bounded metric label, so an
-// attacker probing random paths cannot mint unbounded series.
-func routeLabel(path string) string {
-	switch path {
-	case "/healthz", "/readyz", "/index", "/metrics",
-		"/query/aggregate", "/query/select", "/query/limit",
-		"/ingest", "/admin/reload", "/admin/refresh",
-		"/admin/traces", "/admin/ledger", "/admin/status":
-		return path
+// routeLabels are the served paths; anything else is metered as "other", so
+// an attacker probing random paths cannot mint unbounded series.
+var routeLabels = []string{
+	"/healthz", "/readyz", "/index", "/metrics",
+	"/query/aggregate", "/query/select", "/query/limit",
+	"/ingest", "/admin/reload", "/admin/refresh",
+	"/admin/traces", "/admin/ledger", "/admin/status",
+}
+
+// routeMetrics holds one route's HTTP metric handles. Each is resolved the
+// first time the route needs it — a series appears on /metrics when it first
+// counts something, exactly as when every request looked it up by formatted
+// name — and found by an atomic load or a lock-free map read afterwards.
+type routeMetrics struct {
+	route   string
+	seconds atomic.Pointer[tasti.MetricHistogram] // tasti_http_request_seconds{route}
+	errors  atomic.Pointer[tasti.MetricCounter]   // tasti_http_errors_total{route}
+	byCode  sync.Map                              // status code -> *tasti.MetricCounter, tasti_http_requests_total{route,code}
+}
+
+// observe books one finished request.
+func (m *routeMetrics) observe(reg *tasti.MetricsRegistry, code int, elapsed time.Duration) {
+	c, ok := m.byCode.Load(code)
+	if !ok {
+		c, _ = m.byCode.LoadOrStore(code, reg.Counter(fmt.Sprintf(`tasti_http_requests_total{route=%q,code="%d"}`, m.route, code)))
 	}
-	return "other"
+	c.(*tasti.MetricCounter).Inc()
+	if code >= 500 {
+		e := m.errors.Load()
+		if e == nil {
+			e = reg.Counter(fmt.Sprintf(`tasti_http_errors_total{route=%q}`, m.route))
+			m.errors.Store(e)
+		}
+		e.Inc()
+	}
+	h := m.seconds.Load()
+	if h == nil {
+		h = reg.Histogram(fmt.Sprintf(`tasti_http_request_seconds{route=%q}`, m.route), tasti.DefLatencyBuckets)
+		m.seconds.Store(h)
+	}
+	h.Observe(elapsed.Seconds())
 }
 
 // instrument wraps every request with metrics — request/error counters by
@@ -899,7 +918,11 @@ func routeLabel(path string) string {
 // and costed routes get a ledger entry once the response is written.
 func (s *server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := routeLabel(r.URL.Path)
+		rm := s.routes[r.URL.Path]
+		if rm == nil {
+			rm = s.routes["other"]
+		}
+		route := rm.route
 		kind, costed := costKind(route)
 		sc := &reqScope{id: tasti.NewTraceID()}
 		if costed && s.sampler.Sample() {
@@ -913,11 +936,7 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		next.ServeHTTP(rec, r)
 		elapsed := time.Since(start)
 		s.inFlight.Dec()
-		s.reg.Counter(fmt.Sprintf(`tasti_http_requests_total{route=%q,code="%d"}`, route, rec.code)).Inc()
-		if rec.code >= 500 {
-			s.reg.Counter(fmt.Sprintf(`tasti_http_errors_total{route=%q}`, route)).Inc()
-		}
-		s.reg.Histogram(fmt.Sprintf(`tasti_http_request_seconds{route=%q}`, route), tasti.DefLatencyBuckets).Observe(elapsed.Seconds())
+		rm.observe(s.reg, rec.code, elapsed)
 		if sc.tr != nil {
 			sc.tr.Finish()
 			s.traces.Push(route, sc.tr)
@@ -972,7 +991,7 @@ func (s *server) recoverPanics(next http.Handler) http.Handler {
 }
 
 // withQueryTimeout derives a deadline-bound context for /query/ requests, so
-// lock waits, propagation, and sampling all stop at the budget.
+// sampling and labeling stop at the budget.
 func (s *server) withQueryTimeout(next http.Handler) http.Handler {
 	if s.opts.queryTimeout <= 0 {
 		return next
@@ -1007,19 +1026,19 @@ func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
-	ix := s.index.Load()
+	v := s.index.Pin()
 	body := map[string]interface{}{
 		"status":           "ready",
 		"dataset":          s.name,
-		"records":          ix.NumRecords(),
-		"degraded":         ix.Stats.Degraded(),
+		"records":          v.NumRecords(),
+		"degraded":         v.Stats.Degraded(),
 		"breaker_state":    s.breaker.State().String(),
 		"breaker_trips":    s.breaker.Trips(),
 		"breaker_rejected": s.breaker.Rejected(),
 	}
 	// The health collector's last snapshot rides along so a readiness probe
 	// (or an operator curling it) sees shard balance and replay debt without
-	// a fresh — semaphore-taking — collection.
+	// a fresh collection's pass over every record's radius.
 	if h := s.health.Load(); h != nil {
 		body["record_skew"] = h.RecordSkew
 		body["health_age_seconds"] = time.Since(h.At).Seconds()
@@ -1061,20 +1080,15 @@ func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {
 		return
 	}
-	if err := s.acquire(r.Context()); err != nil {
-		httpError(w, http.StatusServiceUnavailable, "canceled waiting for the index")
-		return
-	}
-	defer s.release()
-	ix := s.index.Load()
+	v := s.index.Pin()
 	writeJSON(w, http.StatusOK, indexInfo{
 		Dataset:         s.name,
-		Records:         ix.NumRecords(),
-		Shards:          ix.NumShards(),
-		Representatives: ix.RepCount(),
-		LabelCalls:      ix.Stats.TotalLabelCalls(),
-		DegradedReps:    len(ix.Stats.DegradedReps),
-		LabelRetries:    ix.Stats.LabelRetries,
+		Records:         v.NumRecords(),
+		Shards:          v.NumShards(),
+		Representatives: v.RepCount(),
+		LabelCalls:      v.Stats.TotalLabelCalls(),
+		DegradedReps:    len(v.Stats.DegradedReps),
+		LabelRetries:    v.Stats.LabelRetries,
 	})
 }
 
@@ -1124,7 +1138,7 @@ func (s *server) decode(w http.ResponseWriter, r *http.Request, req *queryReques
 		req.Err = 0.05
 	}
 	if req.Budget <= 0 {
-		req.Budget = max(100, int(s.corpusLen.Load())/40)
+		req.Budget = max(100, s.corpus.Load().Len()/40)
 	}
 	if req.Recall <= 0 || req.Recall >= 1 {
 		req.Recall = 0.9
@@ -1186,15 +1200,21 @@ func cacheAttr(hit bool) string {
 	return "miss"
 }
 
-// queryLabeler assembles one request's sampling labeler, innermost first: the
-// serve chain (retry/breaker/deadline), the cross-query label store with
-// budget admission keyed by X-Tasti-Tenant and a free-lookup into the index's
-// own annotations, context binding so a disconnected client cancels in-flight
-// calls, and the per-request meter feeding the cost ledger. Called with the
-// index semaphore held, like every query-path index access.
-func (s *server) queryLabeler(ctx context.Context, r *http.Request, ix *tasti.ShardedIndex, sc *reqScope) tasti.Labeler {
-	bound := s.labels.Bind(s.target, s.budget, r.Header.Get("X-Tasti-Tenant"), ix.AnnotationOf)
-	return meter(tasti.LabelerWithContext(ctx, bound), ix, s.labels, sc)
+// queryLabeler assembles one request's sampling labeler over the version the
+// request pinned: a label the store already holds is one lock-free lookup;
+// anything else takes the full chain, innermost first — the serve chain
+// (retry/breaker/deadline), the cross-query label store with budget admission
+// keyed by X-Tasti-Tenant and a free lookup into the version's own
+// annotations, and context binding so a disconnected client cancels in-flight
+// calls. Either way the label is metered into the request's ledger entry. The
+// handler calls publish once the query processor is done with it.
+func (s *server) queryLabeler(ctx context.Context, r *http.Request, v *tasti.IndexVersion, sc *reqScope) *requestLabeler {
+	bound := s.labels.Bind(s.target, s.budget, r.Header.Get("X-Tasti-Tenant"), v.AnnotationOf)
+	return &requestLabeler{
+		ctx: ctx, done: ctx.Done(),
+		st: s.labels, v: v, chain: tasti.LabelerWithContext(ctx, bound),
+		sc: sc, mHits: s.labelHits,
+	}
 }
 
 // queryError maps a failed query to a response: cancellations and breaker
@@ -1242,29 +1262,25 @@ func (s *server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	if err := s.acquire(ctx); err != nil {
-		httpError(w, http.StatusServiceUnavailable, "canceled waiting for the index")
-		return
-	}
-	defer s.release()
-	ix := s.index.Load()
+	v := s.index.Pin()
 	sc := scopeFrom(ctx)
 	score := s.spec(req).score
 	psp := sc.child("propagate")
-	col, hit, err := ix.Column(score, tasti.ColumnWeighted, psp)
+	col, hit, err := v.Column(score, tasti.ColumnWeighted, psp)
 	psp.SetAttr("cache", cacheAttr(hit))
 	psp.End()
 	if err != nil {
 		s.queryError(w, r, err)
 		return
 	}
-	sc.setCost(int64(len(col.Scores)), int64(ix.NumShards()))
-	lab := s.queryLabeler(ctx, r, ix, sc)
+	sc.setCost(int64(len(col.Scores)), int64(v.NumShards()))
+	lab := s.queryLabeler(ctx, r, v, sc)
 	esp := sc.child("estimate")
 	res, err := tasti.EstimateAggregate(tasti.AggregateOptions{
 		ErrTarget: req.Err, Delta: 0.05, MinSamples: 100, Seed: s.seed + 1,
 		Telemetry: s.reg,
-	}, s.ds.Len(), col.Scores, score.Score, lab)
+	}, v.NumRecords(), col.Scores, score.Score, lab)
+	lab.publish()
 	esp.SetAttr("label_calls", res.LabelerCalls)
 	esp.End()
 	if err != nil {
@@ -1288,31 +1304,28 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	if err := s.acquire(ctx); err != nil {
-		httpError(w, http.StatusServiceUnavailable, "canceled waiting for the index")
-		return
-	}
-	defer s.release()
-	ix := s.index.Load()
+	v := s.index.Pin()
 	sc := scopeFrom(ctx)
 	q := s.spec(req)
 	psp := sc.child("propagate")
-	col, hit, err := ix.Column(q.match, tasti.ColumnWeighted, psp)
+	col, hit, err := v.Column(q.match, tasti.ColumnWeighted, psp)
 	psp.SetAttr("cache", cacheAttr(hit))
 	psp.End()
 	if err != nil {
 		s.queryError(w, r, err)
 		return
 	}
-	sc.setCost(int64(len(col.Scores)), int64(ix.NumShards()))
+	sc.setCost(int64(len(col.Scores)), int64(v.NumShards()))
 	// The sample span keeps the design's two O(records) passes on the first
 	// select over a column, and only the draws and the threshold search
 	// after it.
+	lab := s.queryLabeler(ctx, r, v, sc)
 	ssp := sc.child("sample")
 	res, err := col.Design().RecallTarget(tasti.SelectOptions{
 		Budget: req.Budget, Target: req.Recall, Delta: 0.05, Seed: s.seed + 2,
 		Telemetry: s.reg, Parallelism: s.opts.parallelism,
-	}, q.pred, s.queryLabeler(ctx, r, ix, sc))
+	}, q.pred, lab)
+	lab.publish()
 	ssp.SetAttr("label_calls", res.OracleCalls)
 	ssp.End()
 	if err != nil {
@@ -1343,23 +1356,18 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	if err := s.acquire(ctx); err != nil {
-		httpError(w, http.StatusServiceUnavailable, "canceled waiting for the index")
-		return
-	}
-	defer s.release()
-	ix := s.index.Load()
+	v := s.index.Pin()
 	sc := scopeFrom(ctx)
 	q := s.spec(req)
 	psp := sc.child("propagate")
-	col, hit, err := ix.Column(q.score, tasti.ColumnNearest, psp)
+	col, hit, err := v.Column(q.score, tasti.ColumnNearest, psp)
 	psp.SetAttr("cache", cacheAttr(hit))
 	psp.End()
 	if err != nil {
 		s.queryError(w, r, err)
 		return
 	}
-	sc.setCost(int64(len(col.Scores)), int64(ix.NumShards()))
+	sc.setCost(int64(len(col.Scores)), int64(v.NumShards()))
 	// Per-shard heaps merged head by head under limitq's comparator: the
 	// scan order is bitwise identical to the unsharded order over the full
 	// vectors. The order span is the O(records) heapify on the column's
@@ -1369,9 +1377,11 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 	cursor, ordered := col.Cursor(osp)
 	osp.SetAttr("cache", cacheAttr(ordered))
 	osp.End()
+	lab := s.queryLabeler(ctx, r, v, sc)
 	scan := sc.child("scan")
 	res, err := tasti.FindLimitNext(tasti.LimitOptions{Telemetry: s.reg},
-		req.K, cursor.Next, q.pred, s.queryLabeler(ctx, r, ix, sc))
+		req.K, cursor.Next, q.pred, lab)
+	lab.publish()
 	scan.SetAttr("label_calls", res.OracleCalls)
 	scan.End()
 	if err != nil {
@@ -1381,8 +1391,9 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 	cracked := 0
 	if req.Crack {
 		// An exhausted scan labeled the whole corpus; promoting all of it
-		// would make every record a representative (and take seconds under
-		// the query lock). Only the matches it found are worth keeping then.
+		// would make every record a representative (and hold the index's
+		// write path for seconds). Only the matches it found are worth
+		// keeping then.
 		toCrack := res.Labeled
 		if res.Exhausted {
 			toCrack = make(map[int]tasti.Annotation, len(res.Found))
@@ -1390,9 +1401,7 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 				toCrack[id] = res.Labeled[id]
 			}
 		}
-		before := ix.RepCount()
-		ix.CrackAll(toCrack)
-		cracked = ix.RepCount() - before
+		cracked = s.index.CrackAll(toCrack)
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"found":       res.Found,

@@ -91,7 +91,7 @@ func TestChaosShardReloadUnderLoad(t *testing.T) {
 	if got := srv.reg.Counter(`tasti_shard_reload_total{shard="1",outcome="error"}`).Value(); got != 0 {
 		t.Errorf("%d shard reload failures under a healthy snapshot", got)
 	}
-	ix := srv.index.Load()
+	ix := srv.index
 	if ix.NumShards() != 2 {
 		t.Fatalf("serving index has %d shards, want 2", ix.NumShards())
 	}
@@ -166,7 +166,7 @@ func TestServeShardedEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := restarted.index.Load().NumShards(); got != 2 {
+	if got := restarted.index.NumShards(); got != 2 {
 		t.Errorf("restart from a 2-shard snapshot serves %d shards, want 2", got)
 	}
 }

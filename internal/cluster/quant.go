@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/parallel"
 	"repro/internal/vecmath"
@@ -309,14 +308,7 @@ func (t *Table) AddRepresentativeEmbQuant(embeddings vecmath.Matrix, quant vecma
 			if len(nbrs) >= t.K && d >= nbrs[len(nbrs)-1].Dist {
 				continue
 			}
-			pos := sort.Search(len(nbrs), func(j int) bool { return nbrs[j].Dist > d })
-			nbrs = append(nbrs, Neighbor{})
-			copy(nbrs[pos+1:], nbrs[pos:])
-			nbrs[pos] = Neighbor{Rep: rep, Dist: d}
-			if len(nbrs) > t.K {
-				nbrs = nbrs[:t.K]
-			}
-			t.Neighbors[i] = nbrs
+			t.Neighbors[i] = insertNeighbor(nbrs, Neighbor{Rep: rep, Dist: d}, t.K)
 		}
 		return st
 	})

@@ -23,12 +23,14 @@ type Neighbor struct {
 //
 // BuildTable lays the per-record lists out as full-capacity subslices of one
 // contiguous block, so a freshly built table is a handful of allocations
-// rather than one per record; AddRepresentative may later regrow individual
-// lists with ordinary append semantics.
+// rather than one per record; AddRepresentative later replaces the lists it
+// changes with freshly allocated rows and never writes an existing one.
 //
-// A Table is not internally synchronized: AddRepresentative mutates it, so
-// callers serialize it against reads and against other mutations (see the
-// package comment).
+// A Table is not internally synchronized: AddRepresentative reassigns Reps
+// and elements of Neighbors, so callers serialize it against reads of THIS
+// table and against other mutations (see the package comment). A copy of the
+// Table holding its own Neighbors outer slice is untouched by it — which is
+// how package shard cracks copy-on-write under concurrent readers.
 type Table struct {
 	// K is the number of neighbors retained per record.
 	K int
@@ -251,16 +253,22 @@ func (t *Table) AddRepresentativeEmb(embeddings vecmath.Matrix, rep int, repEmb 
 			if len(nbrs) >= t.K && d >= nbrs[len(nbrs)-1].Dist {
 				continue
 			}
-			pos := sort.Search(len(nbrs), func(j int) bool { return nbrs[j].Dist > d })
-			nbrs = append(nbrs, Neighbor{})
-			copy(nbrs[pos+1:], nbrs[pos:])
-			nbrs[pos] = Neighbor{Rep: rep, Dist: d}
-			if len(nbrs) > t.K {
-				nbrs = nbrs[:t.K]
-			}
-			t.Neighbors[i] = nbrs
+			t.Neighbors[i] = insertNeighbor(nbrs, Neighbor{Rep: rep, Dist: d}, t.K)
 		}
 	})
+}
+
+// insertNeighbor returns nbrs with nb inserted at its distance rank (after
+// any equal distances) and the list cut back to k entries — as a freshly
+// allocated row. The old row is never written: an index version published
+// before the crack may still be propagating from it (see package shard).
+func insertNeighbor(nbrs []Neighbor, nb Neighbor, k int) []Neighbor {
+	pos := sort.Search(len(nbrs), func(j int) bool { return nbrs[j].Dist > nb.Dist })
+	row := make([]Neighbor, min(len(nbrs)+1, k))
+	copy(row, nbrs[:pos])
+	row[pos] = nb
+	copy(row[pos+1:], nbrs[pos:])
+	return row
 }
 
 // Nearest returns record i's closest representative and distance.

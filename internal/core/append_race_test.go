@@ -13,8 +13,9 @@ import (
 // TestAppendRecordsRaceWithQueries exercises the Crack serialization
 // contract under the race detector: AppendRecords mutates the index while
 // aggregation, SUPG-selection, and limit queries run against it from other
-// goroutines, every use serialized by one mutex the way tastiserve's index
-// semaphore does it. The contract holds if -race sees no unsynchronized
+// goroutines, every use serialized by one mutex, as core.Index asks of its
+// caller (package shard, which tastiserve serves from, publishes immutable
+// versions instead). The contract holds if -race sees no unsynchronized
 // state inside the index (lazily grown tables, shared scratch leaking across
 // the lock boundary) and every query observes a consistent record count —
 // no torn reads of a half-appended batch.

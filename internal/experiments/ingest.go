@@ -54,8 +54,8 @@ func RunIngest(sc Scale, w io.Writer) (*Report, error) {
 		return nil, err
 	}
 
-	// mu serializes the apply path and the query storm against the index,
-	// exactly the contract tastiserve's semaphore enforces.
+	// mu serializes the apply path and the query storm against the index —
+	// the contract core.Index asks of its caller.
 	var mu sync.Mutex
 	ing, err := ingest.New(ingest.Config{
 		WAL: wal,

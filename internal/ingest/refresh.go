@@ -18,22 +18,14 @@ import (
 var ErrRefreshInProgress = errors.New("ingest: refresh already in progress")
 
 // RefreshConfig wires a Refresher to the serving index it refreshes.
-// Acquire/Release bracket the same serialization every index mutation uses
-// (cmd/tastiserve's query semaphore); Swap publishes a replacement index at
-// a request boundary (the server's atomic index pointer).
 type RefreshConfig struct {
-	// Index returns the live serving index. Called under Acquire.
-	Index func() *shard.Index
-	// Acquire blocks until the caller may read or mutate the index
-	// exclusively; Release undoes it.
-	Acquire func(ctx context.Context) error
-	Release func()
-	// Swap publishes the refreshed index. Called under Acquire.
-	Swap func(*shard.Index)
+	// Index is the live serving index. The refresher reads a pinned version
+	// of it and publishes the refreshed state through its Swap — the same
+	// write path every append and crack takes.
+	Index *shard.Index
 	// Label produces the ground-truth annotation for a record — the target
-	// labeler (oracle) lookup. Called OUTSIDE Acquire; must be safe to run
-	// concurrently with queries. Record IDs passed are stable because IDs
-	// are append-only.
+	// labeler (oracle) lookup. It runs beside queries and ingest, and must be
+	// safe to. Record IDs passed are stable because IDs are append-only.
 	Label func(ctx context.Context, id int) (dataset.Annotation, error)
 	// Drift, when non-nil, is reset to the refreshed index's baseline after
 	// a successful swap.
@@ -55,8 +47,8 @@ const DefaultRefreshBudget = 32
 type RefreshStats struct {
 	// Cracked is the number of new representatives added.
 	Cracked int
-	// CatchUp is the number of records that arrived during the off-lock
-	// phase and were re-appended to the refreshed clone before the swap.
+	// CatchUp is the number of records that arrived while the clone was being
+	// cracked and were re-appended to it before the swap.
 	CatchUp int
 	// Baseline is the refreshed index's mean nearest-representative
 	// distance — the drift detector's new denominator.
@@ -65,21 +57,22 @@ type RefreshStats struct {
 }
 
 // Refresher rebuilds representative coverage online, without blocking
-// queries:
+// queries or ingest while it labels and cracks:
 //
-//  1. Under the index lock: deep-Clone the live index and collect the
+//  1. Pin the live index's published version, deep-Clone it, and collect the
 //     farthest un-annotated appended records (by nearest-representative
-//     distance — the records the current representatives cover worst).
-//  2. Off the lock: label each candidate and crack it into the clone.
-//     Queries keep hitting the untouched live index the whole time.
-//  3. Under the lock again: records that streamed in during step 2 are
-//     copied (already-embedded) from the live index into the clone and
-//     scanned against the clone's refreshed representatives; then the clone
-//     is swapped in and the drift detector re-baselined.
+//     distance — the records the current representatives cover worst). A
+//     version is immutable, so this takes no lock.
+//  2. Label each candidate and crack it into the clone. Queries and appends
+//     keep landing on the live index the whole time.
+//  3. Swap: as one write on the live index, records that streamed in during
+//     step 2 are copied (already-embedded) from the then-live version into
+//     the clone and scanned against the clone's refreshed representatives,
+//     and the clone's state is published. Appends queue behind that write
+//     like behind any other, so none is lost between catch-up and publish.
 //
-// Queries therefore never observe a partial refresh: they see the old index
-// until the swap, the new index after, and the swap itself happens at a
-// request boundary under the same lock every query acquires.
+// Queries never observe a partial refresh: a request reads the version it
+// pinned — the old state before the publish, the new one after.
 type Refresher struct {
 	cfg     RefreshConfig
 	running atomic.Bool
@@ -93,8 +86,8 @@ type Refresher struct {
 
 // NewRefresher validates the wiring and builds a Refresher.
 func NewRefresher(cfg RefreshConfig) (*Refresher, error) {
-	if cfg.Index == nil || cfg.Acquire == nil || cfg.Release == nil || cfg.Swap == nil || cfg.Label == nil {
-		return nil, errors.New("ingest: RefreshConfig requires Index, Acquire, Release, Swap, and Label")
+	if cfg.Index == nil || cfg.Label == nil {
+		return nil, errors.New("ingest: RefreshConfig requires Index and Label")
 	}
 	if cfg.Budget <= 0 {
 		cfg.Budget = DefaultRefreshBudget
@@ -145,20 +138,16 @@ func (r *Refresher) Refresh(ctx context.Context) (RefreshStats, error) {
 func (r *Refresher) refresh(ctx context.Context) (RefreshStats, error) {
 	var st RefreshStats
 
-	// Phase 1 (under lock): clone and pick candidates.
-	if err := r.cfg.Acquire(ctx); err != nil {
-		return st, err
-	}
-	live := r.cfg.Index()
-	clone := live.Clone()
-	n0 := clone.NumRecords()
+	// Phase 1: clone the pinned version and pick candidates from it.
+	pinned := r.cfg.Index.Pin()
+	clone := pinned.Clone()
+	n0 := pinned.NumRecords()
 	var cands []candidate
 	for id := r.cfg.Since; id < n0; id++ {
-		if !clone.Annotated(id) {
-			cands = append(cands, candidate{id: id, dist: clone.NearestDistance(id)})
+		if !pinned.Annotated(id) {
+			cands = append(cands, candidate{id: id, dist: pinned.NearestDistance(id)})
 		}
 	}
-	r.cfg.Release()
 
 	// Worst-covered first; ties by ID for determinism.
 	sort.Slice(cands, func(i, j int) bool {
@@ -171,8 +160,11 @@ func (r *Refresher) refresh(ctx context.Context) (RefreshStats, error) {
 		cands = cands[:r.cfg.Budget]
 	}
 
-	// Phase 2 (off lock): label and crack the clone. Queries run untouched.
-	for _, c := range cands {
+	// Phase 2: label the candidates, then crack them into the clone
+	// worst-covered first, as one batch.
+	ids := make([]int, len(cands))
+	anns := make(map[int]dataset.Annotation, len(cands))
+	for i, c := range cands {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
@@ -180,38 +172,39 @@ func (r *Refresher) refresh(ctx context.Context) (RefreshStats, error) {
 		if err != nil {
 			return st, fmt.Errorf("ingest: refresh labeling record %d: %w", c.id, err)
 		}
-		clone.Crack(c.id, ann)
-		st.Cracked++
+		ids[i], anns[c.id] = c.id, ann
 	}
-	// Still off the lock: refit the quantized scan plane (no-op when the
-	// index runs float-only). Drifted appends quantized under stale build
-	// params widen the plane's pruning bound; retraining over the clone's
-	// current rows restores a tight grid without changing any result.
+	clone.CrackInOrder(ids, anns)
+	st.Cracked = len(ids)
+	// Refit the quantized scan plane (no-op when the index runs float-only).
+	// Drifted appends quantized under stale build params widen the plane's
+	// pruning bound; retraining over the clone's current rows restores a
+	// tight grid without changing any result.
 	clone.Requantize()
 
-	// Phase 3 (under lock): catch up on records appended meanwhile, then
-	// swap. The catch-up rows keep their already-computed embeddings and are
-	// scanned against the clone's refreshed representative set — exactly the
-	// state cracking first and appending after would have produced.
-	if err := r.cfg.Acquire(ctx); err != nil {
-		return st, err
-	}
-	defer r.cfg.Release()
-	live = r.cfg.Index()
-	if n := live.NumRecords(); n > n0 {
-		rows := make([][]float64, 0, n-n0)
-		for id := n0; id < n; id++ {
-			rows = append(rows, live.EmbeddingRow(id))
+	// Phase 3: catch up on records appended meanwhile and publish, as one
+	// write on the live index. The catch-up rows keep their already-computed
+	// embeddings and are scanned against the clone's refreshed representative
+	// set — exactly the state cracking first and appending after would have
+	// produced.
+	err := r.cfg.Index.Swap(func(live *shard.Version) (*shard.Index, error) {
+		if n := live.NumRecords(); n > n0 {
+			rows := make([][]float64, 0, n-n0)
+			for id := n0; id < n; id++ {
+				rows = append(rows, live.EmbeddingRow(id))
+			}
+			if _, err := clone.AppendEmbedded(rows); err != nil {
+				return nil, fmt.Errorf("ingest: refresh catch-up: %w", err)
+			}
+			st.CatchUp = n - n0
 		}
-		if _, err := clone.AppendEmbedded(rows); err != nil {
-			return st, fmt.Errorf("ingest: refresh catch-up: %w", err)
+		st.Baseline = clone.Pin().MeanNearestDistance()
+		// Re-baselined inside the write, so every append queued behind it is
+		// observed against the refreshed representatives' baseline.
+		if r.cfg.Drift != nil {
+			r.cfg.Drift.Reset(st.Baseline)
 		}
-		st.CatchUp = n - n0
-	}
-	r.cfg.Swap(clone)
-	st.Baseline = clone.MeanNearestDistance()
-	if r.cfg.Drift != nil {
-		r.cfg.Drift.Reset(st.Baseline)
-	}
-	return st, nil
+		return clone, nil
+	})
+	return st, err
 }

@@ -13,12 +13,10 @@ import (
 	"repro/internal/shard"
 )
 
-// refreshRig is a miniature of cmd/tastiserve's serving state: the index
-// behind an atomic pointer, a one-slot semaphore serializing all index use,
-// and ground truth spanning built and appended records.
+// refreshRig is a miniature of cmd/tastiserve's serving state: the one live
+// index, and ground truth spanning built and appended records.
 type refreshRig struct {
-	ix   atomic.Pointer[shard.Index]
-	sem  chan struct{}
+	ix   *shard.Index
 	base *dataset.Dataset // built records
 	ext  *dataset.Dataset // appended records (IDs offset by base.Len())
 }
@@ -42,21 +40,8 @@ func newRefreshRig(t *testing.T, built, extra, shards int) *refreshRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := &refreshRig{sem: make(chan struct{}, 1), base: ds, ext: ext}
-	rig.ix.Store(x)
-	return rig
+	return &refreshRig{ix: x, base: ds, ext: ext}
 }
-
-func (rig *refreshRig) acquire(ctx context.Context) error {
-	select {
-	case rig.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (rig *refreshRig) release() { <-rig.sem }
 
 func (rig *refreshRig) label(_ context.Context, id int) (dataset.Annotation, error) {
 	if id < rig.base.Len() {
@@ -67,41 +52,35 @@ func (rig *refreshRig) label(_ context.Context, id int) (dataset.Annotation, err
 
 func (rig *refreshRig) config(drift *DriftDetector, budget int) RefreshConfig {
 	return RefreshConfig{
-		Index:   func() *shard.Index { return rig.ix.Load() },
-		Acquire: rig.acquire,
-		Release: rig.release,
-		Swap:    func(x *shard.Index) { rig.ix.Store(x) },
-		Label:   rig.label,
-		Drift:   drift,
-		Budget:  budget,
-		Since:   rig.base.Len(),
+		Index:  rig.ix,
+		Label:  rig.label,
+		Drift:  drift,
+		Budget: budget,
+		Since:  rig.base.Len(),
 	}
 }
 
-// appendExt streams ext records [lo, hi) into the live index under the lock,
-// the way the ingest apply loop does.
+// appendExt streams ext records [lo, hi) into the live index, the way the
+// ingest apply loop does.
 func (rig *refreshRig) appendExt(t *testing.T, lo, hi int) {
 	t.Helper()
-	if err := rig.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer rig.release()
 	features := make([][]float64, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		features = append(features, rig.ext.Records[i].Features)
 	}
-	if _, err := rig.ix.Load().AppendRecords(features); err != nil {
+	if _, err := rig.ix.AppendRecords(features); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRefreshCracksWorstCovered pins the refresh contract: the budgeted
 // refresh cracks exactly the worst-covered appended records into a clone and
-// swaps it in without losing any records.
+// swaps it in without losing any records — and without touching the version
+// that was published before it.
 func TestRefreshCracksWorstCovered(t *testing.T) {
 	rig := newRefreshRig(t, 250, 40, 2)
 	rig.appendExt(t, 0, 40)
-	old := rig.ix.Load()
+	old := rig.ix.Pin()
 	n := old.NumRecords()
 	repsBefore := old.RepCount()
 
@@ -131,9 +110,9 @@ func TestRefreshCracksWorstCovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := rig.ix.Load()
+	cur := rig.ix.Pin()
 	if cur == old {
-		t.Fatal("refresh did not swap the index")
+		t.Fatal("refresh did not publish a new version")
 	}
 	if st.Cracked != 8 || st.CatchUp != 0 {
 		t.Fatalf("stats %+v", st)
@@ -156,10 +135,14 @@ func TestRefreshCracksWorstCovered(t *testing.T) {
 		t.Fatalf("refreshed index does not serve: %v", err)
 	}
 
-	// The untouched original still serves — queries racing the swap were
-	// reading it the whole time.
+	// The version pinned before the refresh still serves, with the
+	// representatives it had — queries racing the swap were reading it the
+	// whole time.
 	if _, err := old.Propagate(core.CountScore("car")); err != nil {
-		t.Fatalf("pre-refresh index broken by refresh: %v", err)
+		t.Fatalf("pre-refresh version broken by refresh: %v", err)
+	}
+	if got := old.RepCount(); got != repsBefore {
+		t.Fatalf("pre-refresh version now has %d representatives, had %d", got, repsBefore)
 	}
 }
 
@@ -193,7 +176,7 @@ func TestRefreshCatchUp(t *testing.T) {
 	if st.CatchUp != 15 {
 		t.Fatalf("CatchUp = %d, want 15", st.CatchUp)
 	}
-	cur := rig.ix.Load()
+	cur := rig.ix.Pin()
 	if cur.NumRecords() != 290 {
 		t.Fatalf("NumRecords = %d, want 290", cur.NumRecords())
 	}

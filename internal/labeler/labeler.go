@@ -72,23 +72,32 @@ var (
 // most accurate target labeler (Mask R-CNN on video, crowd workers on text
 // and speech).
 type Oracle struct {
-	ds   *dataset.Dataset
-	name string
-	cost CostModel
+	corpus func() *dataset.Dataset
+	name   string
+	cost   CostModel
 }
 
 // NewOracle builds an exact labeler over ds with the given display name and
 // per-call cost.
 func NewOracle(ds *dataset.Dataset, name string, cost CostModel) *Oracle {
-	return &Oracle{ds: ds, name: name, cost: cost}
+	return NewLiveOracle(func() *dataset.Dataset { return ds }, name, cost)
+}
+
+// NewLiveOracle is NewOracle over a corpus that grows while it is served:
+// every call labels from the view corpus returns at that moment. The owner
+// publishes each extended view whole (an atomic pointer to a new Dataset
+// value), so a call never reads a corpus that is being appended to.
+func NewLiveOracle(corpus func() *dataset.Dataset, name string, cost CostModel) *Oracle {
+	return &Oracle{corpus: corpus, name: name, cost: cost}
 }
 
 // Label implements Labeler.
 func (o *Oracle) Label(id int) (dataset.Annotation, error) {
-	if id < 0 || id >= o.ds.Len() {
-		return nil, fmt.Errorf("labeler %s: record %d out of range [0,%d)", o.name, id, o.ds.Len())
+	ds := o.corpus()
+	if id < 0 || id >= ds.Len() {
+		return nil, fmt.Errorf("labeler %s: record %d out of range [0,%d)", o.name, id, ds.Len())
 	}
-	return o.ds.Truth[id], nil
+	return ds.Truth[id], nil
 }
 
 // Name implements Labeler.

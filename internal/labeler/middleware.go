@@ -38,18 +38,29 @@ func labelWithContext(ctx context.Context, lab Labeler, id int) (dataset.Annotat
 // WithContext binds a labeler to a context: every Label call first checks
 // ctx and forwards it to context-aware inner labelers. It is how the serve
 // path hands each HTTP request's context to the query processors, whose
-// Labeler-based sampling loops know nothing about contexts.
+// Labeler-based sampling loops know nothing about contexts. The check is on
+// every call — a context-aware inner labeler that answers from a cache never
+// looks at its context, and a canceled query must not keep drawing hits.
 func WithContext(ctx context.Context, inner Labeler) Labeler {
-	return &ctxBound{ctx: ctx, inner: inner}
+	return &ctxBound{ctx: ctx, done: ctx.Done(), inner: inner}
 }
 
 type ctxBound struct {
 	ctx   context.Context
+	done  <-chan struct{} // ctx.Done(), polled without the context's lock
 	inner Labeler
 }
 
 func (c *ctxBound) Label(id int) (dataset.Annotation, error) {
-	return labelWithContext(c.ctx, c.inner, id)
+	select {
+	case <-c.done:
+		return nil, c.ctx.Err()
+	default:
+	}
+	if cl, ok := c.inner.(ContextLabeler); ok {
+		return cl.LabelContext(c.ctx, id)
+	}
+	return c.inner.Label(id)
 }
 
 func (c *ctxBound) LabelContext(ctx context.Context, id int) (dataset.Annotation, error) {

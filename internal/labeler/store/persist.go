@@ -82,8 +82,8 @@ func Load(r io.Reader, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("label store: meta declares %d entries, labels frame carries %d", meta.Count, len(anns))
 	}
 	s := New(opts)
-	s.anns = anns
-	s.reg.Gauge("tasti_labelstore_entries").Set(float64(len(s.anns)))
+	s.Warm(anns)
+	s.MarkClean()
 	return s, nil
 }
 
@@ -112,12 +112,12 @@ func (s *Store) Flush(path string) error {
 		return s.saveLocked(w)
 	})
 	if err != nil {
-		s.counter(`tasti_labelstore_flush_total{outcome="error"}`).Inc()
+		s.met.Load().reg.Counter(`tasti_labelstore_flush_total{outcome="error"}`).Inc()
 		return err
 	}
 	s.mu.Lock()
 	s.dirty -= flushed
 	s.mu.Unlock()
-	s.counter(`tasti_labelstore_flush_total{outcome="ok"}`).Inc()
+	s.met.Load().reg.Counter(`tasti_labelstore_flush_total{outcome="ok"}`).Inc()
 	return nil
 }

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/labeler"
@@ -60,6 +61,12 @@ type call struct {
 }
 
 // Store is the shared label store. All methods are safe for concurrent use.
+//
+// The store is append-only and first-writer-wins, and record IDs are dense,
+// so beside the map it keeps a lock-free read index: a known label — the
+// overwhelmingly common request — is answered by Get with two atomic loads
+// and no mutex. The mutex serializes writers (and the in-flight table), which
+// publish each new annotation into the read index as they add it to the map.
 type Store struct {
 	maxInflight int
 
@@ -70,7 +77,33 @@ type Store struct {
 	// periodic flushers can skip writes when nothing changed.
 	dirty int64
 
-	reg *telemetry.Registry
+	// pages is the read index over IDs in [0, denseLimit): an immutable
+	// directory of pages of slots. A slot is stored once, under mu, when its
+	// ID enters anns, and never changes after — so whatever a lock-free read
+	// finds is what the map holds. Growing the directory republishes it.
+	pages atomic.Pointer[[]*page]
+
+	met atomic.Pointer[metrics]
+}
+
+const (
+	pageBits = 9
+	pageSize = 1 << pageBits
+	// denseLimit bounds the read index; IDs outside [0, denseLimit) — no
+	// record ID the index hands out, but the snapshot format allows them —
+	// live in the map alone and are read under the mutex.
+	denseLimit = 1 << 22
+)
+
+type page [pageSize]atomic.Pointer[dataset.Annotation]
+
+// metrics is the store's telemetry: the handles every label request touches,
+// resolved once per registry so that no hit or miss looks a name up, and the
+// registry itself for the rare events (nil-safe on a nil registry).
+type metrics struct {
+	reg          *telemetry.Registry
+	hits, misses *telemetry.Counter
+	entries      *telemetry.Gauge
 }
 
 // New returns an empty store.
@@ -79,49 +112,97 @@ func New(opts Options) *Store {
 	if maxIn <= 0 {
 		maxIn = 1024
 	}
-	return &Store{
+	s := &Store{
 		maxInflight: maxIn,
 		anns:        make(map[int]dataset.Annotation),
 		inflight:    make(map[int]*call),
-		reg:         opts.Telemetry,
 	}
+	s.SetTelemetry(opts.Telemetry)
+	return s
 }
 
-// SetTelemetry directs the store's counters into reg. Call before serving;
-// a nil registry disables recording.
+// SetTelemetry directs the store's counters into reg; a nil registry
+// disables recording.
 func (s *Store) SetTelemetry(reg *telemetry.Registry) {
-	s.mu.Lock()
-	s.reg = reg
-	s.mu.Unlock()
+	s.met.Store(&metrics{
+		reg:     reg,
+		hits:    reg.Counter("tasti_labelstore_hits_total"),
+		misses:  reg.Counter("tasti_labelstore_misses_total"),
+		entries: reg.Gauge("tasti_labelstore_entries"),
+	})
 }
 
-// counter resolves a store counter, reading the registry pointer under the
-// mutex so SetTelemetry cannot race a recording path.
-func (s *Store) counter(name string) *telemetry.Counter {
-	s.mu.Lock()
-	reg := s.reg
-	s.mu.Unlock()
-	return reg.Counter(name)
-}
-
-// Get returns the stored annotation for id, if present.
+// Get returns the stored annotation for id, if present. For a record ID the
+// read index covers — every ID an index hands out — that is one lock-free
+// lookup, hit or miss; only an out-of-range ID goes to the map.
 func (s *Store) Get(id int) (dataset.Annotation, bool) {
+	if uint(id) < denseLimit {
+		return s.known(id)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ann, ok := s.anns[id]
 	return ann, ok
 }
 
+// known is the lock-free lookup: it finds every annotation whose put has
+// returned, for IDs in [0, denseLimit), and nothing outside that range.
+func (s *Store) known(id int) (dataset.Annotation, bool) {
+	dir := s.pages.Load()
+	if dir == nil || uint(id)>>pageBits >= uint(len(*dir)) {
+		return nil, false
+	}
+	pg := (*dir)[id>>pageBits]
+	if pg == nil {
+		return nil, false
+	}
+	ann := pg[id&(pageSize-1)].Load()
+	if ann == nil {
+		return nil, false
+	}
+	return *ann, true
+}
+
+// put adds ann under id unless the ID already has one — the first annotation
+// bought for a record is the one every later query sees — and publishes it
+// to the read index. Caller holds mu.
+func (s *Store) put(id int, ann dataset.Annotation) {
+	if _, dup := s.anns[id]; dup {
+		return
+	}
+	s.anns[id] = ann
+	s.dirty++
+	s.index(id, ann)
+}
+
+// index publishes one annotation to the read index. Caller holds mu, which
+// makes it the only writer of the directory and of unset slots.
+func (s *Store) index(id int, ann dataset.Annotation) {
+	if uint(id) >= denseLimit {
+		return
+	}
+	var dir []*page
+	if d := s.pages.Load(); d != nil {
+		dir = *d
+	}
+	p := id >> pageBits
+	if p >= len(dir) || dir[p] == nil {
+		// Directories are immutable once published: adding a page copies.
+		grown := make([]*page, max(p+1, len(dir)))
+		copy(grown, dir)
+		grown[p] = new(page)
+		s.pages.Store(&grown)
+		dir = grown
+	}
+	dir[p][id&(pageSize-1)].Store(&ann)
+}
+
 // Put stores an annotation bought elsewhere (index construction, cracking).
-// An existing entry wins: the first annotation bought for a record is the
-// one every later query sees, so concurrent writers cannot flap answers.
+// An existing entry wins, so concurrent writers cannot flap answers.
 func (s *Store) Put(id int, ann dataset.Annotation) {
 	s.mu.Lock()
-	if _, ok := s.anns[id]; !ok {
-		s.anns[id] = ann
-		s.dirty++
-		s.reg.Gauge("tasti_labelstore_entries").Set(float64(len(s.anns)))
-	}
+	s.put(id, ann)
+	s.met.Load().entries.Set(float64(len(s.anns)))
 	s.mu.Unlock()
 }
 
@@ -131,12 +212,9 @@ func (s *Store) Put(id int, ann dataset.Annotation) {
 func (s *Store) Warm(anns map[int]dataset.Annotation) {
 	s.mu.Lock()
 	for id, ann := range anns {
-		if _, ok := s.anns[id]; !ok {
-			s.anns[id] = ann
-			s.dirty++
-		}
+		s.put(id, ann)
 	}
-	s.reg.Gauge("tasti_labelstore_entries").Set(float64(len(s.anns)))
+	s.met.Load().entries.Set(float64(len(s.anns)))
 	s.mu.Unlock()
 }
 
@@ -201,14 +279,20 @@ func (b *boundLabeler) Label(id int) (dataset.Annotation, error) {
 	return b.LabelContext(context.Background(), id)
 }
 
-// LabelContext implements labeler.ContextLabeler. The fast path is a mutex
-// hold around one map read; the miss path runs the oracle outside the lock.
+// LabelContext implements labeler.ContextLabeler. The fast path is the
+// lock-free read index; everything else takes the mutex, and the miss path
+// runs the oracle outside it.
 func (b *boundLabeler) LabelContext(ctx context.Context, id int) (dataset.Annotation, error) {
 	s := b.store
+	met := s.met.Load()
+	if ann, ok := s.known(id); ok {
+		met.hits.Inc()
+		return ann, nil
+	}
 	s.mu.Lock()
 	if ann, ok := s.anns[id]; ok {
 		s.mu.Unlock()
-		s.counter("tasti_labelstore_hits_total").Inc()
+		met.hits.Inc()
 		return ann, nil
 	}
 	if c, ok := s.inflight[id]; ok {
@@ -216,7 +300,7 @@ func (b *boundLabeler) LabelContext(ctx context.Context, id int) (dataset.Annota
 		// and share the result or its typed error. Exactly one oracle call
 		// is issued regardless of how many queries race here.
 		s.mu.Unlock()
-		s.counter("tasti_labelstore_coalesced_total").Inc()
+		met.reg.Counter("tasti_labelstore_coalesced_total").Inc()
 		select {
 		case <-c.done:
 			return c.ann, c.err
@@ -228,25 +312,22 @@ func (b *boundLabeler) LabelContext(ctx context.Context, id int) (dataset.Annota
 	// cracked records) are free — no budget, no oracle.
 	if b.lookup != nil {
 		if ann, ok := b.lookup(id); ok {
-			if _, dup := s.anns[id]; !dup {
-				s.anns[id] = ann
-				s.dirty++
-				s.reg.Gauge("tasti_labelstore_entries").Set(float64(len(s.anns)))
-			}
+			s.put(id, ann)
+			met.entries.Set(float64(len(s.anns)))
 			s.mu.Unlock()
-			s.counter("tasti_labelstore_hits_total").Inc()
+			met.hits.Inc()
 			return ann, nil
 		}
 	}
 	if len(s.inflight) >= s.maxInflight {
 		s.mu.Unlock()
-		s.counter("tasti_labelstore_saturated_total").Inc()
+		met.reg.Counter("tasti_labelstore_saturated_total").Inc()
 		return nil, fmt.Errorf("labeler store: %d oracle calls in flight: %w", s.maxInflight, ErrSaturated)
 	}
 	c := &call{done: make(chan struct{})}
 	s.inflight[id] = c
 	s.mu.Unlock()
-	s.counter("tasti_labelstore_misses_total").Inc()
+	met.misses.Inc()
 
 	// Leader path: reserve budget, call the oracle, publish to waiters. The
 	// reservation is debited at call time and refunded on failure, so a
@@ -254,11 +335,8 @@ func (b *boundLabeler) LabelContext(ctx context.Context, id int) (dataset.Annota
 	c.ann, c.err = b.buy(ctx, id)
 	s.mu.Lock()
 	if c.err == nil {
-		if _, dup := s.anns[id]; !dup {
-			s.anns[id] = c.ann
-			s.dirty++
-			s.reg.Gauge("tasti_labelstore_entries").Set(float64(len(s.anns)))
-		}
+		s.put(id, c.ann)
+		met.entries.Set(float64(len(s.anns)))
 	}
 	delete(s.inflight, id)
 	s.mu.Unlock()

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -21,30 +22,25 @@ import (
 // and the same scan kernel runs at the same parallelism contract (output
 // identical at every worker count).
 //
-// The append is copy-on-write: a replacement *Shard with the extended matrix
-// and table is built first and atomically stored, so code that reads shard
-// pointers without the index lock (PublishMetrics) only ever observes a fully
-// formed shard — never a half-appended one. Like Crack, AppendRecords mutates
-// the index — advancing the generation — and must be serialized by the
-// caller against all other index use (cmd/tastiserve's ingest apply loop
-// holds the query semaphore).
+// The append is a write like Crack: a replacement last shard with the
+// extended matrix and table is built and published as the next version, one
+// generation on. The records are embedded before the writer lock is taken —
+// embedding reads no index state — so only the scan and the publish hold it.
 func (x *Index) AppendRecords(features [][]float64) ([]int, error) {
-	if x.emb == nil {
+	w := x.Pin().w
+	if w.emb == nil {
 		return nil, core.ErrNoEmbedder
 	}
 	if len(features) == 0 {
 		return nil, nil
 	}
-	if len(x.lastShard().Table.Reps) == 0 {
-		return nil, errors.New("shard: appending records: no representatives")
-	}
-	embs := vecmath.NewMatrix(len(features), x.emb.Dim())
-	parallel.ForChunks(x.par, len(features), func(_ int, s parallel.Span) {
+	embs := vecmath.NewMatrix(len(features), w.emb.Dim())
+	parallel.ForChunks(w.par, len(features), func(_ int, s parallel.Span) {
 		for i := s.Lo; i < s.Hi; i++ {
-			embed.Into(x.emb, embs.Row(i), features[i])
+			embed.Into(w.emb, embs.Row(i), features[i])
 		}
 	})
-	return x.appendEmbedded(embs), nil
+	return x.appendEmbedded(embs)
 }
 
 // AppendEmbedded appends records whose embeddings are already computed,
@@ -54,49 +50,62 @@ func (x *Index) AppendRecords(features [][]float64) ([]int, error) {
 // re-scanned against the clone's (larger) representative set, so the clone
 // converges to exactly the state a never-refreshed index would have reached
 // by cracking first and appending after. Rows must have the index's embedding
-// dimension. Serialization contract as AppendRecords.
+// dimension.
 func (x *Index) AppendEmbedded(rows [][]float64) ([]int, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	dim := x.lastShard().Embeddings.Dim()
+	dim := x.Pin().lastShard().Embeddings.Dim()
 	for i, r := range rows {
 		if len(r) != dim {
 			return nil, fmt.Errorf("shard: appending embedded row %d: dim %d, want %d", i, len(r), dim)
 		}
 	}
-	if len(x.lastShard().Table.Reps) == 0 {
-		return nil, errors.New("shard: appending records: no representatives")
-	}
-	return x.appendEmbedded(vecmath.FromRows(rows)), nil
+	return x.appendEmbedded(vecmath.FromRows(rows))
 }
 
-// lastShard returns the live highest-range shard — the append target.
-func (x *Index) lastShard() *Shard { return x.shards[len(x.shards)-1].Load() }
+// appendEmbedded is the shared append tail: one write that scans the rows
+// against the published representative set and publishes the extended index.
+func (x *Index) appendEmbedded(embs vecmath.Matrix) (ids []int, err error) {
+	err = x.write(func(cur *Version) (*Version, error) {
+		if len(cur.lastShard().Table.Reps) == 0 {
+			return nil, errors.New("shard: appending records: no representatives")
+		}
+		var next *Version
+		next, ids = cur.appended(embs)
+		return next, nil
+	})
+	return ids, err
+}
+
+// lastShard returns the highest-range shard — the append target.
+func (v *Version) lastShard() *Shard { return v.shards[len(v.shards)-1] }
 
 // gatherRepEmbeddings assembles the representative embedding matrix from the
 // owner shards, in representative-list order — the same values
 // core.AppendRecords gathers from the unsharded matrix, so the scans stay
 // bitwise identical.
-func (x *Index) gatherRepEmbeddings(reps []int, dim int) vecmath.Matrix {
+func (v *Version) gatherRepEmbeddings(reps []int, dim int) vecmath.Matrix {
 	m := vecmath.NewMatrix(len(reps), dim)
 	for j, rep := range reps {
-		owner := x.owner(rep)
+		owner := v.owner(rep)
 		copy(m.Row(j), owner.Embeddings.Row(rep-owner.Lo))
 	}
 	return m
 }
 
-// appendEmbedded is the shared append tail: scan embedded rows against the
-// representative set, then copy-on-write-extend the last shard.
-func (x *Index) appendEmbedded(embs vecmath.Matrix) []int {
-	last := x.lastShard()
+// appended scans embedded rows against v's representative set and returns
+// v's successor with them appended to a copy-on-write last shard, plus the
+// IDs they received.
+func (v *Version) appended(embs vecmath.Matrix) (*Version, []int) {
+	last := v.lastShard()
+	par := v.w.par
 	reps := last.Table.Reps
 	k := last.Table.K
 	if len(reps) < k {
 		k = len(reps)
 	}
-	repMat := x.gatherRepEmbeddings(reps, embs.Dim())
+	repMat := v.gatherRepEmbeddings(reps, embs.Dim())
 	// With the quantized plane enabled, re-code the gathered representative
 	// rows under the trained params (the code map is deterministic, so these
 	// equal the stored plane rows) and scan codes first, reranking bound
@@ -112,7 +121,7 @@ func (x *Index) appendEmbedded(embs vecmath.Matrix) []int {
 	}
 	n := embs.Rows()
 	nbrLists := make([][]cluster.Neighbor, n)
-	qstats := parallel.Map(x.par, n, func(_ int, s parallel.Span) cluster.QuantScanStats {
+	qstats := parallel.Map(par, n, func(_ int, s parallel.Span) cluster.QuantScanStats {
 		var sc cluster.Scanner      // per-chunk scratch
 		var qc cluster.QuantScanner // per-chunk scratch (quantized path)
 		for i := s.Lo; i < s.Hi; i++ {
@@ -126,17 +135,18 @@ func (x *Index) appendEmbedded(embs vecmath.Matrix) []int {
 		return qc.Stats
 	})
 
-	// Build the replacement shard before publishing anything. The matrix and
-	// neighbor slice grow with append semantics: the first append past the
-	// split-time capacity reallocates, after which growth is amortized — and
-	// writes beyond the previous generation's length are invisible to any
-	// reader still holding the old *Shard.
+	// The matrix and neighbor slice grow with append semantics: the first
+	// append past the split-time capacity reallocates, after which growth is
+	// amortized — and writes beyond the previous version's length are
+	// invisible to any reader still holding it. Writers are serialized and
+	// each starts from the published version, so no two versions ever extend
+	// one backing array differently.
 	m := last.Embeddings
 	q := last.Quant
 	nbrs := last.Table.Neighbors
 	ids := make([]int, n)
 	for i := 0; i < n; i++ {
-		ids[i] = x.total + i
+		ids[i] = v.total + i
 		m.AppendRow(embs.Row(i))
 		if quantized {
 			// Appends under the trained params: rows outside the trained
@@ -158,51 +168,48 @@ func (x *Index) appendEmbedded(embs vecmath.Matrix) []int {
 		},
 		Annotations: last.Annotations,
 	}
-	x.shards[len(x.shards)-1].Store(next)
-	x.total += n
-	x.cols.invalidate()
+	shards := slices.Clone(v.shards)
+	shards[len(shards)-1] = next
 	var total cluster.QuantScanStats
 	for _, st := range qstats {
 		total.Add(st)
 	}
-	core.PublishQuantStats(x.tel, total)
-	x.PublishMetrics()
-	return ids
+	core.PublishQuantStats(v.w.tel, total)
+	return v.successor(shards, v.total+n, 1), ids
 }
 
-// EmbeddingRow returns record id's embedding row (a live view, not a copy).
-// Callers hold the same serialization the read paths do.
-func (x *Index) EmbeddingRow(id int) []float64 {
-	if id < 0 || id >= x.total {
-		panic(fmt.Sprintf("shard: embedding row %d out of range [0,%d)", id, x.total))
+// EmbeddingRow returns record id's embedding row (a shared view, not a copy:
+// read-only).
+func (v *Version) EmbeddingRow(id int) []float64 {
+	if id < 0 || id >= v.total {
+		panic(fmt.Sprintf("shard: embedding row %d out of range [0,%d)", id, v.total))
 	}
-	owner := x.owner(id)
+	owner := v.owner(id)
 	return owner.Embeddings.Row(id - owner.Lo)
 }
 
 // NearestDistance returns record id's distance to its nearest representative
 // — the per-record signal the ingest drift detector accumulates.
-func (x *Index) NearestDistance(id int) float64 {
-	if id < 0 || id >= x.total {
-		panic(fmt.Sprintf("shard: nearest distance %d out of range [0,%d)", id, x.total))
+func (v *Version) NearestDistance(id int) float64 {
+	if id < 0 || id >= v.total {
+		panic(fmt.Sprintf("shard: nearest distance %d out of range [0,%d)", id, v.total))
 	}
-	owner := x.owner(id)
+	owner := v.owner(id)
 	return owner.Table.Neighbors[id-owner.Lo][0].Dist
 }
 
 // MeanNearestDistance returns the mean nearest-representative distance across
 // the whole corpus — the build-time (or post-refresh) baseline the drift
 // detector compares recent appends against.
-func (x *Index) MeanNearestDistance() float64 {
-	if x.total == 0 {
+func (v *Version) MeanNearestDistance() float64 {
+	if v.total == 0 {
 		return 0
 	}
 	sum := 0.0
-	for s := range x.shards {
-		sh := x.shards[s].Load()
+	for _, sh := range v.shards {
 		for i := range sh.Table.Neighbors {
 			sum += sh.Table.Neighbors[i][0].Dist
 		}
 	}
-	return sum / float64(x.total)
+	return sum / float64(v.total)
 }

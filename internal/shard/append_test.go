@@ -61,8 +61,8 @@ func TestShardAppendInvariance(t *testing.T) {
 				t.Fatalf("shards=%d: NumRecords = %d, want %d", shards, x.NumRecords(), n+len(features))
 			}
 			for _, id := range ids {
-				sameBits(t, "embedding row", x.EmbeddingRow(id), base.Embeddings.Row(id))
-				if got, want := x.NearestDistance(id), base.Table.Neighbors[id][0].Dist; math.Float64bits(got) != math.Float64bits(want) {
+				sameBits(t, "embedding row", x.Pin().EmbeddingRow(id), base.Embeddings.Row(id))
+				if got, want := x.Pin().NearestDistance(id), base.Table.Neighbors[id][0].Dist; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("shards=%d record %d: nearest dist %v, want %v", shards, id, got, want)
 				}
 			}
@@ -130,7 +130,7 @@ func TestShardAppendEmbedded(t *testing.T) {
 	}
 	rows := make([][]float64, len(idsA))
 	for i, id := range idsA {
-		rows[i] = a.EmbeddingRow(id)
+		rows[i] = a.Pin().EmbeddingRow(id)
 	}
 	idsB, err := b.AppendEmbedded(rows)
 	if err != nil {
@@ -138,9 +138,9 @@ func TestShardAppendEmbedded(t *testing.T) {
 	}
 	sameInts(t, "embedded append ids", idsB, idsA)
 	for _, id := range idsB {
-		sameBits(t, "embedded append row", b.EmbeddingRow(id), a.EmbeddingRow(id))
-		if math.Float64bits(b.NearestDistance(id)) != math.Float64bits(a.NearestDistance(id)) {
-			t.Fatalf("record %d: nearest dist %v vs %v", id, b.NearestDistance(id), a.NearestDistance(id))
+		sameBits(t, "embedded append row", b.Pin().EmbeddingRow(id), a.Pin().EmbeddingRow(id))
+		if math.Float64bits(b.Pin().NearestDistance(id)) != math.Float64bits(a.Pin().NearestDistance(id)) {
+			t.Fatalf("record %d: nearest dist %v vs %v", id, b.Pin().NearestDistance(id), a.Pin().NearestDistance(id))
 		}
 	}
 
@@ -219,7 +219,7 @@ func TestShardMeanNearestDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := x.MeanNearestDistance(); math.Float64bits(got) != math.Float64bits(want) {
+	if got := x.Pin().MeanNearestDistance(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("MeanNearestDistance = %v, want %v", got, want)
 	}
 }
@@ -256,7 +256,7 @@ func TestShardPersistEmbedder(t *testing.T) {
 	}
 	sameInts(t, "reloaded append ids", ids, wantIDs)
 	for _, id := range ids {
-		sameBits(t, "reloaded append row", loaded.EmbeddingRow(id), x.EmbeddingRow(id))
+		sameBits(t, "reloaded append row", loaded.Pin().EmbeddingRow(id), x.Pin().EmbeddingRow(id))
 	}
 
 	x.SetEmbedder(nil)

@@ -19,13 +19,16 @@ import (
 // left of a request is the part proportional to the labels it buys.
 //
 // A generation is one state of the index as queries see it. Every mutator
-// that changes a propagated score advances it and drops the retained columns:
-// Crack when it adds a representative, AppendRecords/AppendEmbedded, and
-// ReplaceShard. A Crack of an already-annotated record changes nothing and
-// keeps the generation (and the columns); so does Requantize, which re-codes
-// the scan plane without moving any result. Clone, Load and Split start at
-// generation 0 with an empty store, so a whole-index swap needs no
-// invalidation protocol of its own.
+// that changes a propagated score publishes a Version of a later generation,
+// whose store starts empty: CrackAll for each representative it adds,
+// AppendRecords/AppendEmbedded, and ReplaceShard. A Crack of an
+// already-annotated record changes nothing and keeps the version; Requantize,
+// which re-codes the scan plane without moving any result, publishes a
+// version sharing its predecessor's generation and store. Clone, Load and
+// Split start at generation 0 with an empty store, and Swap adopts the
+// swapped-in index's generation. A store therefore only ever describes the
+// one state its version pins, and needs no invalidation: it becomes garbage
+// with the version.
 
 // ColumnKind selects the propagation a column holds.
 type ColumnKind uint8
@@ -69,7 +72,7 @@ type Column struct {
 	// Dists is PropagateNearest's distance vector; nil for ColumnWeighted.
 	Dists []float64
 
-	x          *Index
+	v          *Version
 	designOnce sync.Once
 	design     *supg.Design
 	orderOnce  sync.Once
@@ -97,7 +100,7 @@ func (c *Column) Design() *supg.Design {
 // heaps each shard's range through LimitCursor (one child span per shard
 // under sp, nil disables tracing); every call, that one included, pays only
 // a copy of the heaps' ID slices. hit reports that the heaps were already
-// built. Like the Column fetch that returned c, Cursor is an index read.
+// built. The heaps cover the shard ranges of the version c was fetched from.
 func (c *Column) Cursor(sp *telemetry.Span) (cur *limitq.Cursor, hit bool) {
 	if c.Kind != ColumnNearest {
 		panic("shard: Cursor on a column that is not ColumnNearest")
@@ -105,39 +108,38 @@ func (c *Column) Cursor(sp *telemetry.Span) (cur *limitq.Cursor, hit bool) {
 	hit = true
 	c.orderOnce.Do(func() {
 		hit = false
-		c.order = c.x.LimitCursor(c.Scores, c.Dists, sp)
+		c.order = c.v.LimitCursor(c.Scores, c.Dists, sp)
 	})
 	return c.order.Clone(), hit
 }
 
-// Column returns the proxy column of sc under kind for the index's current
-// generation, building it on a miss with the code the uncached calls run
-// (PropagateKSpan at the table's K, or PropagateNearestSpan; one child span
-// per shard under sp) — so a column is bitwise the slice those calls return.
-// hit reports that no propagation ran for this call. Concurrent fetches of
-// one key share one build. Column is an index read: safe beside other reads,
-// serialized against mutation by the caller like Propagate.
-func (x *Index) Column(sc Scorer, kind ColumnKind, sp *telemetry.Span) (col *Column, hit bool, err error) {
-	e, hit := x.cols.acquire(columnKey{sc.Name, kind})
+// Column returns the proxy column of sc under kind for this version,
+// building it on a miss with the code the uncached calls run (PropagateKSpan
+// at the table's K, or PropagateNearestSpan; one child span per shard under
+// sp) — so a column is bitwise the slice those calls return. hit reports that
+// no propagation ran for this call. Concurrent fetches of one key share one
+// build.
+func (v *Version) Column(sc Scorer, kind ColumnKind, sp *telemetry.Span) (col *Column, hit bool, err error) {
+	e, hit := v.cols.acquire(columnKey{sc.Name, kind})
 	if hit {
 		<-e.ready
 		return e.col, true, e.err
 	}
 	// Deferred so that a panicking score function still releases the
 	// fetches waiting on this build.
-	defer x.cols.finish(e)
-	e.col, e.err = x.buildColumn(sc.Score, kind, e.gen, sp)
+	defer v.cols.finish(e)
+	e.col, e.err = v.buildColumn(sc.Score, kind, sp)
 	return e.col, false, e.err
 }
 
-func (x *Index) buildColumn(score core.ScoreFunc, kind ColumnKind, gen uint64, sp *telemetry.Span) (*Column, error) {
-	col := &Column{Kind: kind, Generation: gen, x: x}
+func (v *Version) buildColumn(score core.ScoreFunc, kind ColumnKind, sp *telemetry.Span) (*Column, error) {
+	col := &Column{Kind: kind, Generation: v.gen, v: v}
 	var err error
 	switch kind {
 	case ColumnWeighted:
-		col.Scores, err = x.PropagateKSpan(score, x.K(), sp)
+		col.Scores, err = v.PropagateKSpan(score, v.K(), sp)
 	case ColumnNearest:
-		col.Scores, col.Dists, err = x.PropagateNearestSpan(score, sp)
+		col.Scores, col.Dists, err = v.PropagateNearestSpan(score, sp)
 	default:
 		err = fmt.Errorf("shard: unknown column kind %d", kind)
 	}
@@ -159,13 +161,13 @@ type ColumnStats struct {
 	Generation uint64
 }
 
-// ColumnStats reports the column store's residency. Internally synchronized:
-// callers need not hold the read serialization.
-func (x *Index) ColumnStats() ColumnStats {
-	cs := x.cols
+// ColumnStats reports the version's generation and what its column store
+// retains.
+func (v *Version) ColumnStats() ColumnStats {
+	cs := v.cols
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	return ColumnStats{Entries: cs.lru.Len(), Bytes: cs.bytes, Generation: cs.gen}
+	return ColumnStats{Entries: cs.lru.Len(), Bytes: cs.bytes, Generation: v.gen}
 }
 
 type columnKey struct {
@@ -179,47 +181,39 @@ type columnKey struct {
 // built and retained.
 type columnEntry struct {
 	key   columnKey
-	gen   uint64
 	ready chan struct{} // closed by finish, after col and err are set
 	col   *Column
 	err   error
 	elem  *list.Element // nil until retained
 }
 
-// columnStore is the generation-scoped, byte-bounded column memo of one
-// Index. The mutex guards the map, the LRU list and the counters; builds run
-// outside it, one per entry. The store synchronizes itself, so its safety
-// does not lean on the caller's read/write serialization of the index — that
-// contract only guarantees no build overlaps a mutation, and an entry that
-// did overlap one is served to its waiters but never retained.
+// columnStore is the byte-bounded column memo of one generation: every entry
+// was built from the immutable state of the versions that share the store.
+// The mutex guards the map, the LRU list and the byte count; builds run
+// outside it, one per entry. The hit, miss and eviction counters come from
+// the owning index's wiring.
 type columnStore struct {
 	mu      sync.Mutex
-	gen     uint64
 	entries map[columnKey]*columnEntry
 	lru     list.List // retained entries, most recently used at the front
 	bytes   int64
 	budget  int64
-
-	mHit, mMiss, mInvalidate, mEvict *telemetry.Counter
+	w       *wiring
 }
 
-func newColumnStore(budget int64) *columnStore {
-	return &columnStore{entries: make(map[columnKey]*columnEntry), budget: budget}
+func newColumnStore(budget int64, w *wiring) *columnStore {
+	return &columnStore{entries: make(map[columnKey]*columnEntry), budget: budget, w: w}
 }
 
-// setTelemetry resolves the store's counters (nil-safe handles on a nil
-// registry). A wiring call, like Index.SetTelemetry.
-func (cs *columnStore) setTelemetry(reg *telemetry.Registry) {
+// len counts the store's entries, retained and in flight.
+func (cs *columnStore) len() int {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	cs.mHit = reg.Counter(`tasti_proxy_column_requests_total{result="hit"}`)
-	cs.mMiss = reg.Counter(`tasti_proxy_column_requests_total{result="miss"}`)
-	cs.mInvalidate = reg.Counter("tasti_proxy_column_invalidations_total")
-	cs.mEvict = reg.Counter("tasti_proxy_column_evictions_total")
+	return len(cs.entries)
 }
 
 // acquire returns key's entry, creating it — for the caller to build and
-// finish — when the current generation has none. A hit on an entry still in
+// finish — when the store has none. A hit on an entry still in
 // flight is a hit: the caller waits on ready instead of propagating.
 func (cs *columnStore) acquire(key columnKey) (e *columnEntry, hit bool) {
 	cs.mu.Lock()
@@ -228,19 +222,19 @@ func (cs *columnStore) acquire(key columnKey) (e *columnEntry, hit bool) {
 		if e.elem != nil {
 			cs.lru.MoveToFront(e.elem)
 		}
-		cs.mHit.Inc()
+		cs.w.mColHit.Inc()
 		return e, true
 	}
-	e = &columnEntry{key: key, gen: cs.gen, ready: make(chan struct{})}
+	e = &columnEntry{key: key, ready: make(chan struct{})}
 	cs.entries[key] = e
-	cs.mMiss.Inc()
+	cs.w.mColMiss.Inc()
 	return e, false
 }
 
 // finish publishes a built entry to its waiters and decides retention: a
-// failed build, a column over the whole budget, and an entry whose generation
-// ended mid-build are served but not kept; anything else is retained and the
-// least recently used columns make room for it.
+// failed build and a column over the whole budget are served but not kept;
+// anything else is retained and the least recently used columns make room
+// for it.
 func (cs *columnStore) finish(e *columnEntry) {
 	defer close(e.ready)
 	if e.col == nil && e.err == nil {
@@ -248,9 +242,6 @@ func (cs *columnStore) finish(e *columnEntry) {
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if cs.entries[e.key] != e {
-		return
-	}
 	if e.err != nil || e.col.bytes() > cs.budget {
 		delete(cs.entries, e.key)
 		return
@@ -261,21 +252,6 @@ func (cs *columnStore) finish(e *columnEntry) {
 		old := cs.lru.Remove(cs.lru.Back()).(*columnEntry)
 		delete(cs.entries, old.key)
 		cs.bytes -= old.col.bytes()
-		cs.mEvict.Inc()
+		cs.w.mColEvict.Inc()
 	}
-}
-
-// invalidate starts a new generation: every retained and in-flight entry is
-// forgotten (requests already holding one keep using it).
-func (cs *columnStore) invalidate() {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.gen++
-	if len(cs.entries) == 0 {
-		return
-	}
-	cs.mInvalidate.Inc()
-	clear(cs.entries)
-	cs.lru.Init()
-	cs.bytes = 0
 }

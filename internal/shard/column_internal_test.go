@@ -15,7 +15,7 @@ func put(cs *columnStore, name string, n int) (col *Column, hit bool) {
 		<-e.ready
 		return e.col, true
 	}
-	e.col = &Column{Kind: ColumnWeighted, Generation: e.gen, Scores: make([]float64, n)}
+	e.col = &Column{Kind: ColumnWeighted, Scores: make([]float64, n)}
 	cs.finish(e)
 	return e.col, false
 }
@@ -26,9 +26,8 @@ func put(cs *columnStore, name string, n int) (col *Column, hit bool) {
 func TestColumnStoreBudget(t *testing.T) {
 	const n = 100 // a 100-record column is charged 2400 bytes
 	one := (&Column{Scores: make([]float64, n)}).bytes()
-	cs := newColumnStore(3 * one)
 	reg := telemetry.NewRegistry()
-	cs.setTelemetry(reg)
+	cs := newColumnStore(3*one, wiring{tel: reg}.resolved(1))
 	evictions := reg.Counter("tasti_proxy_column_evictions_total")
 
 	retained := func(name string) bool {
@@ -76,15 +75,18 @@ func TestColumnStoreBudget(t *testing.T) {
 		t.Fatal("over-budget column was retained")
 	}
 
-	cs.invalidate()
-	if cs.bytes != 0 || cs.lru.Len() != 0 || len(cs.entries) != 0 || cs.gen != 1 {
-		t.Fatalf("after invalidate: %d bytes, %d columns, %d entries, generation %d", cs.bytes, cs.lru.Len(), len(cs.entries), cs.gen)
+	// A successor starts a new generation with nothing retained; dropping a
+	// non-empty store is one counted invalidation, dropping an empty one none.
+	v := &Version{w: cs.w, cols: cs}
+	next := v.successor(nil, 0, 1)
+	if st := next.ColumnStats(); st.Bytes != 0 || st.Entries != 0 || next.cols.len() != 0 || st.Generation != 1 {
+		t.Fatalf("successor: %+v with %d entries", st, next.cols.len())
 	}
 	if got := reg.Counter("tasti_proxy_column_invalidations_total").Value(); got != 1 {
 		t.Fatalf("%d invalidations counted, want 1", got)
 	}
-	cs.invalidate() // nothing retained: a new generation, not a counted drop
-	if got := reg.Counter("tasti_proxy_column_invalidations_total").Value(); got != 1 || cs.gen != 2 {
-		t.Fatalf("empty invalidate: %d invalidations, generation %d", got, cs.gen)
+	if after := next.successor(nil, 0, 1); reg.Counter("tasti_proxy_column_invalidations_total").Value() != 1 || after.gen != 2 {
+		t.Fatalf("empty successor: %d invalidations, generation %d",
+			reg.Counter("tasti_proxy_column_invalidations_total").Value(), after.gen)
 	}
 }

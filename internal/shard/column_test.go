@@ -204,13 +204,15 @@ func TestColumnInvalidationModel(t *testing.T) {
 }
 
 // TestColumnConcurrentFetch runs 8 readers fetching the same and different
-// keys while a writer cracks and appends, readers and writer serialized by an
-// RWMutex the way the index contract requires (and cmd/tastiserve's semaphore
-// does, more coarsely). Under -race this is the store's own synchronization
-// on trial: readers share one build per key per generation — every reader of
-// a (generation, key) sees the same *Column, and the miss counter equals the
-// number of such pairs — and no reader ever sees a column that differs from a
-// fresh propagation of the index it is reading.
+// keys while a writer cracks and appends, with nothing between them: each
+// reader pins a version the way a cmd/tastiserve handler does and reads only
+// it, the writer publishes as it pleases. Under -race this is the whole
+// concurrency contract on trial — copy-on-write writers beside lock-free
+// readers, and the column store's own synchronization: readers share one
+// build per key per generation — every reader of a (generation, key) sees the
+// same *Column, and the miss counter equals the number of such pairs — and no
+// reader ever sees a column that differs from a fresh propagation of the
+// version it pinned.
 func TestColumnConcurrentFetch(t *testing.T) {
 	const n, reps, readers, writes = 300, 30, 8, 12
 	ix, ds := buildIndex(t, n, reps)
@@ -229,18 +231,16 @@ func TestColumnConcurrentFetch(t *testing.T) {
 		kind shard.ColumnKind
 	}
 	var (
-		index   sync.RWMutex // the caller-side read/write serialization
 		seenM   sync.Mutex
 		seen    = map[genKey]*shard.Column{}
 		fetches atomic.Int64
 		done    = make(chan struct{})
 		wg      sync.WaitGroup
 	)
-	// read is one reader iteration under the read lock: fetch a random key
-	// and hold it against a fresh propagation of the index as it is now.
+	// read is one reader iteration: pin the published version, fetch a random
+	// key and hold it against a fresh propagation of that same version.
 	read := func(r *rand.Rand) error {
-		index.RLock()
-		defer index.RUnlock()
+		x := x.Pin()
 		gen := x.ColumnStats().Generation
 		sc := scorers[r.Intn(len(scorers))]
 		kind := shard.ColumnKind(r.Intn(2))
@@ -307,7 +307,6 @@ func TestColumnConcurrentFetch(t *testing.T) {
 
 	w := rand.New(rand.NewSource(99))
 	for i := 0; i < writes && !t.Failed(); i++ {
-		index.Lock()
 		if i%3 == 2 {
 			feats, anns := extraRecords(t, 4, int64(500+i))
 			if _, err := x.AppendRecords(feats); err != nil {
@@ -318,7 +317,6 @@ func TestColumnConcurrentFetch(t *testing.T) {
 			id := w.Intn(x.NumRecords())
 			x.Crack(id, truth[id]) // a no-op when id is already a representative
 		}
-		index.Unlock()
 		// Let the readers at this state before the next write.
 		for target := fetches.Load() + 4*readers; fetches.Load() < target && !t.Failed(); {
 			runtime.Gosched()

@@ -3,9 +3,9 @@ package shard
 import "sort"
 
 // Health introspection: cheap shape statistics the index-health monitor
-// publishes as gauges and /admin/status reports. All of these are reads and
-// follow the usual serialization rule (the caller holds the query
-// semaphore); none of them feed back into query execution.
+// publishes as gauges and /admin/status reports. All of these are reads of
+// one pinned Version, lock-free like every other read; none of them feed back
+// into query execution.
 
 // MemoryStats describes the resident scan-plane memory across all shards:
 // the float64 embedding matrix every path can fall back to, and the uint8
@@ -33,10 +33,9 @@ func (m MemoryStats) CompressionRatio() float64 {
 }
 
 // MemoryStats sums the scan-plane bytes across every live shard.
-func (x *Index) MemoryStats() MemoryStats {
+func (v *Version) MemoryStats() MemoryStats {
 	var m MemoryStats
-	for s := range x.shards {
-		sh := x.shards[s].Load()
+	for _, sh := range v.shards {
 		m.FloatBytes += 8 * int64(sh.Embeddings.Rows()) * int64(sh.Embeddings.Dim())
 		m.QuantBytes += sh.Quant.Bytes()
 	}
@@ -48,10 +47,10 @@ func (x *Index) MemoryStats() MemoryStats {
 // mean and bounds the scatter's critical path accordingly. Contiguous-range
 // splitting keeps this near 1, but streaming ingest appends only to the last
 // shard, so skew grows between refreshes; the monitor makes that visible.
-func (x *Index) RecordSkew() float64 {
+func (v *Version) RecordSkew() float64 {
 	max, total := 0, 0
-	for s := range x.shards {
-		n := x.shards[s].Load().NumRecords()
+	for _, sh := range v.shards {
+		n := sh.NumRecords()
 		total += n
 		if n > max {
 			max = n
@@ -60,16 +59,16 @@ func (x *Index) RecordSkew() float64 {
 	if total == 0 {
 		return 1
 	}
-	return float64(max) * float64(len(x.shards)) / float64(total)
+	return float64(max) * float64(len(v.shards)) / float64(total)
 }
 
 // RepSkew returns max/mean of per-shard representative counts. Shards agree
 // on the representative set in steady state (skew 1.0); a rolling per-shard
 // reload across table generations shows up here.
-func (x *Index) RepSkew() float64 {
+func (v *Version) RepSkew() float64 {
 	max, total := 0, 0
-	for s := range x.shards {
-		n := len(x.shards[s].Load().Table.Reps)
+	for _, sh := range v.shards {
+		n := len(sh.Table.Reps)
 		total += n
 		if n > max {
 			max = n
@@ -78,7 +77,7 @@ func (x *Index) RepSkew() float64 {
 	if total == 0 {
 		return 1
 	}
-	return float64(max) * float64(len(x.shards)) / float64(total)
+	return float64(max) * float64(len(v.shards)) / float64(total)
 }
 
 // RadiusQuantiles returns the requested quantiles (each in [0,1]) of the
@@ -87,10 +86,9 @@ func (x *Index) RepSkew() float64 {
 // representative set is thinning relative to the corpus (drift, or ingest
 // outpacing cracking) and propagated scores are extrapolating further.
 // Quantiles use the nearest-rank method on the sorted distances.
-func (x *Index) RadiusQuantiles(qs []float64) []float64 {
-	dists := make([]float64, 0, x.total)
-	for s := range x.shards {
-		sh := x.shards[s].Load()
+func (v *Version) RadiusQuantiles(qs []float64) []float64 {
+	dists := make([]float64, 0, v.total)
+	for _, sh := range v.shards {
 		for _, row := range sh.Table.Neighbors {
 			dists = append(dists, row[0].Dist)
 		}

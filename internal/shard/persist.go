@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/embed"
@@ -80,31 +79,30 @@ func repsInRange(sh *Shard, total int) error {
 // shard, each payload a complete single-index container in the existing core
 // snapshot format. Nesting whole containers buys per-shard CRCs, the typed
 // error taxonomy, and a LoadShard that can lift one shard without decoding
-// its peers — while reusing core's codec for every byte of bulk data.
-// Callers serialize Save against Crack and ReplaceShard.
-func (x *Index) Save(w io.Writer) error {
+// its peers — while reusing core's codec for every byte of bulk data. The
+// version is immutable, so the written state is consistent however long the
+// write takes and whatever is published meanwhile.
+func (v *Version) Save(w io.Writer) error {
 	sw, err := snapshot.NewWriter(w, IndexKind)
 	if err != nil {
 		return fmt.Errorf("shard: saving index: %w", err)
 	}
-	man := manifest{Total: x.total, Stats: x.Stats}
-	shards := make([]*Shard, len(x.shards))
-	for s := range x.shards {
-		shards[s] = x.shards[s].Load()
-		man.Shards = append(man.Shards, shardRange{Lo: shards[s].Lo, Hi: shards[s].Hi})
+	man := manifest{Total: v.total, Stats: v.Stats}
+	for _, sh := range v.shards {
+		man.Shards = append(man.Shards, shardRange{Lo: sh.Lo, Hi: sh.Hi})
 	}
 	if err := sw.Encode(manifestFrame, man); err != nil {
 		return fmt.Errorf("shard: saving index: %w", err)
 	}
 	var buf bytes.Buffer
-	for s, sh := range shards {
+	for s, sh := range v.shards {
 		buf.Reset()
 		inner := &core.Index{
 			Embeddings:  sh.Embeddings,
 			Quant:       sh.Quant,
 			Table:       sh.Table,
 			Annotations: sh.Annotations,
-			Stats:       x.Stats,
+			Stats:       v.Stats,
 		}
 		if err := inner.Save(&buf); err != nil {
 			return fmt.Errorf("shard: saving shard %d: %w", s, err)
@@ -113,8 +111,8 @@ func (x *Index) Save(w io.Writer) error {
 			return fmt.Errorf("shard: saving shard %d: %w", s, err)
 		}
 	}
-	if x.emb != nil {
-		es, err := embed.NewSnapshot(x.emb)
+	if v.w.emb != nil {
+		es, err := embed.NewSnapshot(v.w.emb)
 		if err != nil {
 			// Degrade to the historic contract (restores with no embedder, so
 			// no appends after a restart) instead of failing the save.
@@ -145,12 +143,8 @@ func Load(r io.Reader) (*Index, error) {
 	if err := man.validate(); err != nil {
 		return nil, err
 	}
-	idx := &Index{
-		shards: make([]atomic.Pointer[Shard], len(man.Shards)),
-		total:  man.Total,
-		Stats:  man.Stats,
-		cols:   newColumnStore(columnBudgetBytes),
-	}
+	shards := make([]*Shard, len(man.Shards))
+	var emb embed.Embedder
 	for s := range man.Shards {
 		name, payload, err := sr.Next()
 		if err == io.EOF {
@@ -166,7 +160,7 @@ func Load(r io.Reader) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: loading shard %d: %w", s, err)
 		}
-		idx.shards[s].Store(sh)
+		shards[s] = sh
 	}
 	// Walk the remaining frames through the trailer so the whole-file CRC is
 	// verified, decoding the optional embedder frame and skipping unknown
@@ -186,11 +180,11 @@ func Load(r io.Reader) (*Index, error) {
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&es); err != nil {
 			return nil, fmt.Errorf("shard: loading index: decoding frame %q: %w", name, err)
 		}
-		if idx.emb, err = es.Embedder(); err != nil {
+		if emb, err = es.Embedder(); err != nil {
 			return nil, fmt.Errorf("shard: loading index: %w", err)
 		}
 	}
-	return idx, nil
+	return newIndex(wiring{emb: emb}, man.Stats, shards, man.Total), nil
 }
 
 // LoadShard lifts the single shard i out of a sharded snapshot without

@@ -113,7 +113,7 @@ func TestShardQuantMemoryStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := x.MemoryStats()
+	m := x.Pin().MemoryStats()
 	if !m.Quantized() {
 		t.Fatal("quantized index reports no plane bytes")
 	}
@@ -132,7 +132,7 @@ func TestShardQuantMemoryStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm := fs.MemoryStats()
+	fm := fs.Pin().MemoryStats()
 	if fm.Quantized() || fm.CompressionRatio() != 0 {
 		t.Fatalf("float-only index reports a plane: %+v", fm)
 	}
@@ -160,7 +160,7 @@ func TestShardQuantPersistRoundTrip(t *testing.T) {
 			t.Fatalf("restored shard %d has no plane", s)
 		}
 	}
-	if r := got.MemoryStats().CompressionRatio(); r != 8 {
+	if r := got.Pin().MemoryStats().CompressionRatio(); r != 8 {
 		t.Fatalf("restored CompressionRatio = %v, want 8", r)
 	}
 	sh, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 1)
@@ -240,7 +240,7 @@ func TestShardQuantRequantize(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Requantize() // must be a no-op, not a panic
-	if fs.MemoryStats().Quantized() {
+	if fs.Pin().MemoryStats().Quantized() {
 		t.Fatal("Requantize grew a plane on a float-only index")
 	}
 }

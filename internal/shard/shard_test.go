@@ -179,7 +179,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d shards over %d records, want 3 over 300",
 			loaded.NumShards(), loaded.NumRecords())
 	}
-	if got, want := loaded.Stats.TotalLabelCalls(), x.Stats.TotalLabelCalls(); got != want {
+	if got, want := loaded.Pin().Stats.TotalLabelCalls(), x.Pin().Stats.TotalLabelCalls(); got != want {
 		t.Errorf("loaded stats report %d label calls, want %d", got, want)
 	}
 	got, err := loaded.Propagate(score)
@@ -279,10 +279,10 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	score := core.CountScore("car")
-	if _, err := x.PropagateK(score, 0); err == nil {
+	if _, err := x.Pin().PropagateK(score, 0); err == nil {
 		t.Error("PropagateK accepted k=0")
 	}
-	if _, err := x.PropagateK(score, x.K()+1); err == nil {
+	if _, err := x.Pin().PropagateK(score, x.K()+1); err == nil {
 		t.Errorf("PropagateK accepted k=%d > K=%d", x.K()+1, x.K())
 	}
 

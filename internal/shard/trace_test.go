@@ -26,7 +26,7 @@ func TestScatterSpanLinkage(t *testing.T) {
 	tr := telemetry.NewTrace("query/aggregate")
 	tr.SetID(telemetry.NewTraceID())
 	sp := tr.Root().Child("propagate")
-	got, err := x.PropagateKSpan(score, x.K(), sp)
+	got, err := x.Pin().PropagateKSpan(score, x.K(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestScatterSpanLinkage(t *testing.T) {
 
 	// The other two scatter paths trace the same way.
 	sp2 := tr.Root().Child("nearest")
-	scores, dists, err := x.PropagateNearestSpan(score, sp2)
+	scores, dists, err := x.Pin().PropagateNearestSpan(score, sp2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,13 @@ func TestScatterSpanLinkage(t *testing.T) {
 		t.Errorf("nearest span has %d children, want %d", len(sp2.Children()), shards)
 	}
 	sp3 := tr.Root().Child("order")
-	x.LimitCursor(scores, dists, sp3)
+	x.Pin().LimitCursor(scores, dists, sp3)
 	if len(sp3.Children()) != shards {
 		t.Errorf("order span has %d children, want %d", len(sp3.Children()), shards)
 	}
 
 	// And a nil span is the untraced path.
-	if _, err := x.PropagateKSpan(score, x.K(), nil); err != nil {
+	if _, err := x.Pin().PropagateKSpan(score, x.K(), nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -102,13 +102,13 @@ func TestHealthStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skew := x.RecordSkew(); skew < 1 || skew > 1.01 {
+	if skew := x.Pin().RecordSkew(); skew < 1 || skew > 1.01 {
 		t.Errorf("contiguous split record skew = %v, want ~1", skew)
 	}
-	if skew := x.RepSkew(); skew != 1 {
+	if skew := x.Pin().RepSkew(); skew != 1 {
 		t.Errorf("steady-state rep skew = %v, want 1", skew)
 	}
-	qs := x.RadiusQuantiles([]float64{0.5, 0.9, 0.99})
+	qs := x.Pin().RadiusQuantiles([]float64{0.5, 0.9, 0.99})
 	for i := range qs {
 		if math.IsNaN(qs[i]) || qs[i] < 0 {
 			t.Fatalf("radius quantile %d = %v", i, qs[i])

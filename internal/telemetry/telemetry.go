@@ -44,25 +44,23 @@ import (
 // Registry owns a process's metrics. Instruments are registered on first
 // use and live for the registry's lifetime; handing out the same pointer
 // for the same full name makes repeated Counter(name) calls cheap enough
-// for request paths, while hot loops hold the returned handle. A nil
-// *Registry is the disabled state: it returns nil instruments, whose
-// methods no-op.
+// for request paths, while hot loops hold the returned handle. The series
+// set is small and settles early, so the instrument tables are sync.Maps:
+// looking up a registered name takes no lock, and concurrent requests never
+// queue behind one another for a handle. A nil *Registry is the disabled
+// state: it returns nil instruments, whose methods no-op.
 type Registry struct {
+	counters sync.Map // full name -> *Counter
+	gauges   sync.Map // full name -> *Gauge
+	hists    sync.Map // full name -> *Histogram
+
 	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
 	helpByMet map[string]string // base name -> HELP text
 }
 
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:  make(map[string]*Counter),
-		gauges:    make(map[string]*Gauge),
-		hists:     make(map[string]*Histogram),
-		helpByMet: make(map[string]string),
-	}
+	return &Registry{helpByMet: make(map[string]string)}
 }
 
 // Enabled reports whether the registry records anything.
@@ -75,14 +73,11 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{name: name}
-		r.counters[name] = c
+	if c, ok := r.counters.Load(name); ok {
+		return c.(*Counter)
 	}
-	return c
+	c, _ := r.counters.LoadOrStore(name, &Counter{name: name})
+	return c.(*Counter)
 }
 
 // Gauge returns the float gauge registered under name.
@@ -90,14 +85,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
+	if g, ok := r.gauges.Load(name); ok {
+		return g.(*Gauge)
 	}
-	return g
+	g, _ := r.gauges.LoadOrStore(name, &Gauge{name: name})
+	return g.(*Gauge)
 }
 
 // Histogram returns the fixed-bucket histogram registered under name.
@@ -109,23 +101,20 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		if len(buckets) == 0 {
-			buckets = DefLatencyBuckets
-		}
-		bounds := append([]float64(nil), buckets...)
-		sort.Float64s(bounds)
-		h = &Histogram{
-			name:   name,
-			bounds: bounds,
-			counts: make([]atomic.Int64, len(bounds)+1),
-		}
-		r.hists[name] = h
+	if h, ok := r.hists.Load(name); ok {
+		return h.(*Histogram)
 	}
-	return h
+	if len(buckets) == 0 {
+		buckets = DefLatencyBuckets
+	}
+	bounds := append([]float64(nil), buckets...)
+	sort.Float64s(bounds)
+	h, _ := r.hists.LoadOrStore(name, &Histogram{
+		name:   name,
+		bounds: bounds,
+		counts: make([]atomic.Int64, len(bounds)+1),
+	})
+	return h.(*Histogram)
 }
 
 // Help attaches HELP text to a base metric name (the name with any label
@@ -374,19 +363,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		f.series = append(f.series, s)
 	}
 
+	var counters []*Counter
+	r.counters.Range(func(_, c any) bool {
+		counters = append(counters, c.(*Counter))
+		return true
+	})
+	var gauges []*Gauge
+	r.gauges.Range(func(_, g any) bool {
+		gauges = append(gauges, g.(*Gauge))
+		return true
+	})
+	var hists []*Histogram
+	r.hists.Range(func(_, h any) bool {
+		hists = append(hists, h.(*Histogram))
+		return true
+	})
 	r.mu.Lock()
-	counters := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		counters = append(counters, c)
-	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
-	}
-	hists := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		hists = append(hists, h)
-	}
 	help := make(map[string]string, len(r.helpByMet))
 	for k, v := range r.helpByMet {
 		help[k] = v

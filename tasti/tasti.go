@@ -108,6 +108,14 @@ func NewOracle(ds *Dataset, name string, cost CostModel) Labeler {
 	return labeler.NewOracle(ds, name, cost)
 }
 
+// NewLiveOracle is NewOracle over a corpus that grows while it is served:
+// each call labels from the view corpus returns at that moment, which the
+// owner publishes whole (cmd/tastiserve's ingest apply does, ahead of the
+// index version that makes the new records queryable).
+func NewLiveOracle(corpus func() *Dataset, name string, cost CostModel) Labeler {
+	return labeler.NewLiveOracle(corpus, name, cost)
+}
+
 // NewCountingLabeler wraps a labeler with invocation accounting; use it to
 // meter query costs.
 func NewCountingLabeler(inner Labeler) *labeler.Counting {
@@ -282,16 +290,23 @@ var LoadIndex = core.Load
 // reload runbook.
 type (
 	// ShardedIndex is a sharded TASTI index: N self-contained shards behind
-	// one scatter-gather query surface with per-shard hot swap.
+	// one scatter-gather query surface with per-shard hot swap. It publishes
+	// immutable IndexVersions: reads take no lock, writers (crack, append,
+	// shard and whole-index swap) are serialized among themselves only.
 	ShardedIndex = shard.Index
+	// IndexVersion is one immutable state of a ShardedIndex, from
+	// ShardedIndex.Pin: everything a request reads from it — columns,
+	// annotations, record and representative counts — describes that one
+	// state, whatever is published meanwhile.
+	IndexVersion = shard.Version
 	// Shard is one contiguous record-range slice of a sharded index.
 	Shard = shard.Shard
 	// Scorer is a scoring function together with the name that identifies
-	// it across requests — the key of ShardedIndex.Column.
+	// it across requests — the key of IndexVersion.Column.
 	Scorer = shard.Scorer
 	// ProxyColumn is one Scorer's propagated scores for one index
 	// generation, with the SUPG design or limit heaps derived from them:
-	// computed once by ShardedIndex.Column, then shared read-only by every
+	// computed once by IndexVersion.Column, then shared read-only by every
 	// request until a crack, append or shard swap starts a new generation.
 	ProxyColumn = shard.Column
 	// ProxyColumnStats is ShardedIndex.ColumnStats's residency report.
