@@ -586,11 +586,10 @@ func loadIndexSnapshot(path string, ds *tasti.Dataset, parallelism, minRecords i
 }
 
 // loadServingSnapshot restores the sharded serving index from a snapshot of
-// either generation: a sharded container is loaded as saved (the snapshot's
-// shard layout wins over the -shards flag, since per-shard reload must agree
-// with the file's frames), while a legacy single-index container — framed or
-// pre-framing gob — is loaded through the existing single-index path and
-// re-sharded to the configured count.
+// either container: a sharded one is loaded as saved (the snapshot's shard
+// layout wins over the -shards flag, since per-shard reload must agree with
+// the file's frames), while a single-index container is loaded through the
+// single-index path and re-sharded to the configured count.
 func loadServingSnapshot(path string, ds *tasti.Dataset, parallelism, shards, minRecords int) (*tasti.ShardedIndex, error) {
 	var sx *tasti.ShardedIndex
 	err := tasti.ReadSnapshotFile(path, func(r io.Reader) error {
@@ -599,7 +598,7 @@ func loadServingSnapshot(path string, ds *tasti.Dataset, parallelism, shards, mi
 		return lerr
 	})
 	if err != nil {
-		if !errors.Is(err, tasti.ErrSnapshotKind) && !errors.Is(err, tasti.ErrSnapshotBadMagic) {
+		if !errors.Is(err, tasti.ErrSnapshotKind) {
 			return nil, err
 		}
 		ix, lerr := loadIndexSnapshot(path, ds, parallelism, minRecords)

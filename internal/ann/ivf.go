@@ -380,7 +380,7 @@ func (ix *IVF) Search(q []float64, k, nprobe int) []vecmath.IndexedValue {
 	return s.Search(ix, q, k, nprobe)
 }
 
-// BuildTableApprox builds a cluster.Table like cluster.BuildTable, but uses
+// BuildTableApprox builds a cluster.Table like cluster.BuildTablePar, but uses
 // an IVF over the representative embeddings so each record probes only
 // nprobe cells instead of scanning every representative. Neighbor lists may
 // miss true nearest representatives with small probability; nprobe trades

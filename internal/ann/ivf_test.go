@@ -121,13 +121,13 @@ func TestSearchEdgeCases(t *testing.T) {
 
 func TestBuildTableApproxMatchesExactAtFullProbe(t *testing.T) {
 	emb := testVectors(500, 8, 8)
-	reps := cluster.FPF(emb, 60, 0)
+	reps := cluster.FPFPar(emb, 60, 0, 0)
 	cfg := Config{Cells: 8, Iterations: 5, Seed: 9}
 	approx, err := BuildTableApprox(emb, reps, 3, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := cluster.BuildTable(emb, reps, 3)
+	exact := cluster.BuildTablePar(emb, reps, 3, 0)
 	for i := 0; i < emb.Rows(); i++ {
 		for j := range exact.Neighbors[i] {
 			a, e := approx.Neighbors[i][j], exact.Neighbors[i][j]
@@ -140,12 +140,12 @@ func TestBuildTableApproxMatchesExactAtFullProbe(t *testing.T) {
 
 func TestBuildTableApproxLowProbeCloseToExact(t *testing.T) {
 	emb := testVectors(800, 16, 10)
-	reps := cluster.FPF(emb, 100, 0)
+	reps := cluster.FPFPar(emb, 100, 0, 0)
 	approx, err := BuildTableApprox(emb, reps, 1, 3, Config{Cells: 10, Iterations: 5, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := cluster.BuildTable(emb, reps, 1)
+	exact := cluster.BuildTablePar(emb, reps, 1, 0)
 	agree := 0
 	for i := 0; i < emb.Rows(); i++ {
 		if approx.Neighbors[i][0].Rep == exact.Neighbors[i][0].Rep {

@@ -12,7 +12,7 @@ import (
 // per-record cost at pure kernel work.
 func TestScannerZeroAllocWarm(t *testing.T) {
 	emb := benchEmbeddings(400, 32)
-	reps := FPF(emb, 50, 0)
+	reps := FPFPar(emb, 50, 0, 0)
 	repMat := vecmath.GatherRows(emb, reps)
 	const k = 5
 	var sc Scanner
@@ -30,8 +30,8 @@ func TestScannerZeroAllocWarm(t *testing.T) {
 // the row BuildTable computes for the same record.
 func TestScannerMatchesBuildTable(t *testing.T) {
 	emb := benchEmbeddings(300, 16)
-	reps := FPF(emb, 40, 0)
-	table := BuildTable(emb, reps, 4)
+	reps := FPFPar(emb, 40, 0, 0)
+	table := BuildTablePar(emb, reps, 4, 0)
 	repMat := vecmath.GatherRows(emb, reps)
 	var sc Scanner
 	for i := 0; i < emb.Rows(); i += 29 {

@@ -24,27 +24,27 @@ func BenchmarkFPF(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FPF(emb, 100, 0)
+		FPFPar(emb, 100, 0, 0)
 	}
 }
 
 func BenchmarkBuildTable(b *testing.B) {
 	emb := benchEmbeddings(5000, 64)
-	reps := FPF(emb, 200, 0)
+	reps := FPFPar(emb, 200, 0, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildTable(emb, reps, 5)
+		BuildTablePar(emb, reps, 5, 0)
 	}
 }
 
 func BenchmarkAddRepresentative(b *testing.B) {
 	emb := benchEmbeddings(5000, 64)
-	table := BuildTable(emb, FPF(emb, 200, 0), 5)
+	table := BuildTablePar(emb, FPFPar(emb, 200, 0, 0), 5, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Cycle through non-representative IDs.
-		table.AddRepresentative(emb, 300+i%4000)
+		table.AddRepresentativePar(emb, 300+i%4000, 0)
 	}
 }

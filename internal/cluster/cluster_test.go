@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -21,10 +23,52 @@ func randomEmbeddings(r *rand.Rand, n, d int) vecmath.Matrix {
 	return out
 }
 
+// eachPlane runs fn once per scan plane ∈ {float, quant} × worker count ∈
+// {1, 2, 4, 7}: the float plane is the zero QuantMatrix, the quant plane is
+// m's trained code plane. Every scan in the package takes the plane as an
+// argument, so one reference test covers both through the same entry point.
+// at names the combination for failure messages.
+func eachPlane(t *testing.T, m vecmath.Matrix, fn func(at string, quant vecmath.QuantMatrix, p int)) {
+	t.Helper()
+	q, err := vecmath.QuantizeMatrix(m, vecmath.TrainQuantParams(m))
+	if err != nil {
+		t.Fatalf("QuantizeMatrix: %v", err)
+	}
+	for _, plane := range []struct {
+		name  string
+		quant vecmath.QuantMatrix
+	}{{"float", vecmath.QuantMatrix{}}, {"quant", q}} {
+		for _, p := range testWorkers {
+			fn(fmt.Sprintf("%s plane, %d workers", plane.name, p), plane.quant, p)
+		}
+	}
+}
+
+var testWorkers = []int{1, 2, 4, 7}
+
+// checkStats pins the accounting side of the plane argument: a float scan
+// counts nothing, a quantized one counts candidates and never reranks more
+// than it examined.
+func checkStats(t *testing.T, at string, quant vecmath.QuantMatrix, st QuantScanStats) {
+	t.Helper()
+	if !quant.Enabled() && st != (QuantScanStats{}) {
+		t.Fatalf("%s: float scan counted %+v", at, st)
+	}
+	if quant.Enabled() && (st.Candidates == 0 || st.Reranked > st.Candidates) {
+		t.Fatalf("%s: implausible quant stats %+v", at, st)
+	}
+}
+
+// coverRadius is the maximum over records of the distance to the nearest of
+// reps — the clustering-density quantity the paper's Theorems 1 and 2 bound.
+func coverRadius(emb vecmath.Matrix, reps []int) float64 {
+	return BuildTablePar(emb, reps, 1, 0).MaxNearestDistance()
+}
+
 func TestFPFBasics(t *testing.T) {
 	r := xrand.New(1)
 	emb := randomEmbeddings(r, 100, 4)
-	reps := FPF(emb, 10, 0)
+	reps := FPFPar(emb, 10, 0, 0)
 	if len(reps) != 10 {
 		t.Fatalf("got %d reps", len(reps))
 	}
@@ -38,17 +82,17 @@ func TestFPFBasics(t *testing.T) {
 	if reps[0] != 0 {
 		t.Errorf("first rep should be the start, got %d", reps[0])
 	}
-	if FPF(emb, 0, 0) != nil {
+	if FPFPar(emb, 0, 0, 0) != nil {
 		t.Error("k=0 should give nil")
 	}
-	if got := FPF(emb, 1000, 0); len(got) != 100 {
+	if got := FPFPar(emb, 1000, 0, 0); len(got) != 100 {
 		t.Errorf("k>n should clamp, got %d", len(got))
 	}
 }
 
 func TestFPFStopsOnDuplicates(t *testing.T) {
 	emb := vecmath.FromRows([][]float64{{1, 1}, {1, 1}, {1, 1}, {2, 2}})
-	reps := FPF(emb, 4, 0)
+	reps := FPFPar(emb, 4, 0, 0)
 	// Only two distinct points exist, so FPF stops after covering both.
 	if len(reps) != 2 {
 		t.Errorf("got %d reps for 2 distinct points: %v", len(reps), reps)
@@ -61,7 +105,7 @@ func TestFPFPanicsOnBadStart(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	FPF(randomEmbeddings(xrand.New(1), 5, 2), 2, 9)
+	FPFPar(randomEmbeddings(xrand.New(1), 5, 2), 2, 9, 0)
 }
 
 // TestFPFTwoApproximation checks Gonzalez's guarantee: FPF's max point-to-
@@ -81,8 +125,8 @@ func TestFPFTwoApproximation(t *testing.T) {
 		}
 	}
 	emb := vecmath.FromRows(rows)
-	reps := FPF(emb, 3, 0)
-	radius := MaxMinDistance(emb, reps)
+	reps := FPFPar(emb, 3, 0, 0)
+	radius := coverRadius(emb, reps)
 	if radius > 3 {
 		t.Errorf("FPF failed to place one rep per blob: radius %v", radius)
 	}
@@ -104,7 +148,11 @@ func TestFPFTwoApproximation(t *testing.T) {
 func TestFPFMixed(t *testing.T) {
 	r := xrand.New(3)
 	emb := randomEmbeddings(r, 200, 3)
-	reps := FPFMixed(r, emb, 40, 0.25)
+	mixed := func(k int, frac float64) []int {
+		reps, _ := FPFMixedPar(r, emb, vecmath.QuantMatrix{}, k, frac, 0)
+		return reps
+	}
+	reps := mixed(40, 0.25)
 	if len(reps) != 40 {
 		t.Fatalf("got %d reps", len(reps))
 	}
@@ -115,14 +163,14 @@ func TestFPFMixed(t *testing.T) {
 		}
 		seen[rep] = true
 	}
-	if got := FPFMixed(r, emb, 0, 0.5); got != nil {
+	if got := mixed(0, 0.5); got != nil {
 		t.Error("k=0 should give nil")
 	}
 	// All-random and all-FPF extremes work.
-	if got := FPFMixed(r, emb, 10, 1.0); len(got) != 10 {
+	if got := mixed(10, 1.0); len(got) != 10 {
 		t.Errorf("randomFrac=1 gave %d", len(got))
 	}
-	if got := FPFMixed(r, emb, 10, 0.0); len(got) != 10 {
+	if got := mixed(10, 0.0); len(got) != 10 {
 		t.Errorf("randomFrac=0 gave %d", len(got))
 	}
 }
@@ -133,7 +181,7 @@ func TestFPFMixedPanicsOnBadFrac(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	FPFMixed(xrand.New(1), randomEmbeddings(xrand.New(1), 10, 2), 5, 1.5)
+	FPFMixedPar(xrand.New(1), randomEmbeddings(xrand.New(1), 10, 2), vecmath.QuantMatrix{}, 5, 1.5, 0)
 }
 
 func TestRandomReps(t *testing.T) {
@@ -166,14 +214,17 @@ func TestFPFBeatsRandomCoverage(t *testing.T) {
 	for i := 0; i < 5; i++ { // rare outliers
 		emb.AppendRow([]float64{10 + r.NormFloat64(), 10 + r.NormFloat64()})
 	}
-	fpf := FPF(emb, 10, 0)
+	fpf := FPFPar(emb, 10, 0, 0)
 	random := RandomReps(xrand.New(12), emb.Rows(), 10)
-	if MaxMinDistance(emb, fpf) >= MaxMinDistance(emb, random) {
+	if coverRadius(emb, fpf) >= coverRadius(emb, random) {
 		t.Errorf("FPF radius %v not better than random %v",
-			MaxMinDistance(emb, fpf), MaxMinDistance(emb, random))
+			coverRadius(emb, fpf), coverRadius(emb, random))
 	}
 }
 
+// TestBuildTableMatchesBruteForce checks the one table body against a scalar
+// brute-force nearest-representative search, on either plane at every worker
+// count.
 func TestBuildTableMatchesBruteForce(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -182,26 +233,24 @@ func TestBuildTableMatchesBruteForce(t *testing.T) {
 		emb := randomEmbeddings(r, n, 3)
 		numReps := n/2 + 1
 		reps := RandomReps(r, n, numReps)
-		table := BuildTable(emb, reps, k)
-		if table.Validate() != nil {
-			return false
-		}
-		// Brute force nearest rep for a few records.
-		for i := 0; i < n; i += 7 {
-			best, bestD := -1, math.Inf(1)
-			for _, rep := range reps {
-				d := vecmath.L2(emb.Row(i), emb.Row(rep))
-				if d < bestD {
-					best, bestD = rep, d
+		eachPlane(t, emb, func(at string, quant vecmath.QuantMatrix, p int) {
+			table, st := BuildTableQuantPar(emb, quant, reps, k, p)
+			checkStats(t, at, quant, st)
+			if err := table.Validate(); err != nil {
+				t.Errorf("%s: %v", at, err)
+			}
+			// Brute force nearest rep for a few records.
+			for i := 0; i < n; i += 7 {
+				bestD := math.Inf(1)
+				for _, rep := range reps {
+					bestD = math.Min(bestD, vecmath.L2(emb.Row(i), emb.Row(rep)))
+				}
+				if got := table.Nearest(i); math.Abs(got.Dist-bestD) > 1e-9 {
+					t.Errorf("%s: record %d: nearest %v, brute force %v", at, i, got.Dist, bestD)
 				}
 			}
-			got := table.Nearest(i)
-			if math.Abs(got.Dist-bestD) > 1e-9 {
-				return false
-			}
-			_ = best
-		}
-		return true
+		})
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -211,9 +260,9 @@ func TestBuildTableMatchesBruteForce(t *testing.T) {
 func TestBuildTablePanics(t *testing.T) {
 	emb := randomEmbeddings(xrand.New(1), 10, 2)
 	for _, fn := range []func(){
-		func() { BuildTable(emb, []int{0}, 0) },
-		func() { BuildTable(emb, nil, 1) },
-		func() { BuildTable(emb, []int{50}, 1) },
+		func() { BuildTablePar(emb, []int{0}, 0, 0) },
+		func() { BuildTablePar(emb, nil, 1, 0) },
+		func() { BuildTablePar(emb, []int{50}, 1, 0) },
 	} {
 		func() {
 			defer func() {
@@ -226,36 +275,41 @@ func TestBuildTablePanics(t *testing.T) {
 	}
 }
 
+// TestAddRepresentativeMatchesRebuild checks incremental insertion against a
+// rebuild over the extended representative set, on either plane at every
+// worker count.
 func TestAddRepresentativeMatchesRebuild(t *testing.T) {
 	r := xrand.New(13)
 	emb := randomEmbeddings(r, 120, 4)
 	reps := RandomReps(r, 120, 20)
-	incremental := BuildTable(emb, reps, 3)
-
 	extra := []int{100, 101, 102}
-	for _, rep := range extra {
-		incremental.AddRepresentative(emb, rep)
-	}
-	full := BuildTable(emb, append(append([]int{}, reps...), extra...), 3)
+	full := BuildTablePar(emb, append(append([]int{}, reps...), extra...), 3, 0)
 
-	if err := incremental.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < emb.Rows(); i++ {
-		for j := range full.Neighbors[i] {
-			a, b := incremental.Neighbors[i][j], full.Neighbors[i][j]
-			if math.Abs(a.Dist-b.Dist) > 1e-9 {
-				t.Fatalf("record %d neighbor %d: incremental %v vs rebuild %v", i, j, a, b)
+	eachPlane(t, emb, func(at string, quant vecmath.QuantMatrix, p int) {
+		incremental := BuildTablePar(emb, reps, 3, p)
+		for _, rep := range extra {
+			st := incremental.AddRepresentativeEmb(emb, quant, rep, emb.Row(rep), p)
+			checkStats(t, at, quant, st)
+		}
+		if err := incremental.Validate(); err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		for i := 0; i < emb.Rows(); i++ {
+			for j := range full.Neighbors[i] {
+				a, b := incremental.Neighbors[i][j], full.Neighbors[i][j]
+				if math.Abs(a.Dist-b.Dist) > 1e-9 {
+					t.Fatalf("%s: record %d neighbor %d: incremental %v vs rebuild %v", at, i, j, a, b)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestAddRepresentativeIdempotent(t *testing.T) {
 	r := xrand.New(17)
 	emb := randomEmbeddings(r, 50, 2)
-	table := BuildTable(emb, []int{0, 1}, 2)
-	table.AddRepresentative(emb, 0)
+	table := BuildTablePar(emb, []int{0, 1}, 2, 0)
+	table.AddRepresentativePar(emb, 0, 0)
 	if len(table.Reps) != 2 {
 		t.Errorf("re-adding existing rep changed reps: %v", table.Reps)
 	}
@@ -264,8 +318,8 @@ func TestAddRepresentativeIdempotent(t *testing.T) {
 func TestMaxNearestDistanceShrinksWithReps(t *testing.T) {
 	r := xrand.New(19)
 	emb := randomEmbeddings(r, 200, 3)
-	small := BuildTable(emb, FPF(emb, 5, 0), 1)
-	large := BuildTable(emb, FPF(emb, 50, 0), 1)
+	small := BuildTablePar(emb, FPFPar(emb, 5, 0, 0), 1, 0)
+	large := BuildTablePar(emb, FPFPar(emb, 50, 0, 0), 1, 0)
 	if large.MaxNearestDistance() > small.MaxNearestDistance() {
 		t.Errorf("more reps increased covering radius: %v > %v",
 			large.MaxNearestDistance(), small.MaxNearestDistance())
@@ -275,19 +329,19 @@ func TestMaxNearestDistanceShrinksWithReps(t *testing.T) {
 func TestValidateCatchesCorruption(t *testing.T) {
 	r := xrand.New(23)
 	emb := randomEmbeddings(r, 30, 2)
-	table := BuildTable(emb, []int{0, 1, 2}, 2)
+	table := BuildTablePar(emb, []int{0, 1, 2}, 2, 0)
 	table.Neighbors[4][0], table.Neighbors[4][1] = table.Neighbors[4][1], table.Neighbors[4][0]
 	if table.Neighbors[4][0].Dist != table.Neighbors[4][1].Dist {
 		if err := table.Validate(); err == nil {
 			t.Error("unsorted neighbors not caught")
 		}
 	}
-	table2 := BuildTable(emb, []int{0, 1, 2}, 2)
+	table2 := BuildTablePar(emb, []int{0, 1, 2}, 2, 0)
 	table2.Neighbors[3][0].Rep = 29
 	if err := table2.Validate(); err == nil {
 		t.Error("non-representative neighbor not caught")
 	}
-	table3 := BuildTable(emb, []int{0, 1, 2}, 2)
+	table3 := BuildTablePar(emb, []int{0, 1, 2}, 2, 0)
 	table3.Reps = append(table3.Reps, 0)
 	if err := table3.Validate(); err == nil {
 		t.Error("duplicate rep not caught")
@@ -329,23 +383,28 @@ func sequentialFPF(embeddings vecmath.Matrix, k, start int) []int {
 	return reps
 }
 
+// TestFPFMatchesSequential checks the one FPF sweep against the sequential
+// reference through the mixed selector (randomFrac 0 is pure FPF from the
+// start record r draws), on either plane at every worker count.
 func TestFPFMatchesSequential(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%80 + 2
 		k := int(kRaw)%n + 1
 		emb := randomEmbeddings(r, n, 3)
-		got := FPF(emb, k, 0)
-		want := sequentialFPF(emb, k, 0)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
+		start := rand.New(rand.NewSource(seed)).Intn(n)
+		want := sequentialFPF(emb, k, start)
+		eachPlane(t, emb, func(at string, quant vecmath.QuantMatrix, p int) {
+			got, st := FPFMixedPar(rand.New(rand.NewSource(seed)), emb, quant, k, 0, p)
+			checkStats(t, at, quant, st)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: FPFMixedPar = %v, sequential %v", at, got, want)
 			}
-		}
-		return true
+			if got := FPFPar(emb, k, start, p); !slices.Equal(got, want) {
+				t.Errorf("%s: FPFPar = %v, sequential %v", at, got, want)
+			}
+		})
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -390,9 +449,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 // the RNG identically at every parallelism level.
 func TestFPFMixedWorkerCountInvariance(t *testing.T) {
 	emb := randomEmbeddings(rand.New(rand.NewSource(7)), 300, 4)
-	want := FPFMixedPar(rand.New(rand.NewSource(11)), emb, 50, 0.2, 1)
+	want, _ := FPFMixedPar(rand.New(rand.NewSource(11)), emb, vecmath.QuantMatrix{}, 50, 0.2, 1)
 	for _, p := range []int{2, 5} {
-		got := FPFMixedPar(rand.New(rand.NewSource(11)), emb, 50, 0.2, p)
+		got, _ := FPFMixedPar(rand.New(rand.NewSource(11)), emb, vecmath.QuantMatrix{}, 50, 0.2, p)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("p=%d: rep[%d] = %d, want %d", p, i, got[i], want[i])

@@ -7,17 +7,17 @@ import (
 	"repro/internal/vecmath"
 )
 
-// ExampleBuildTable builds the min-k distance table of Algorithm 1 over a
+// ExampleBuildTablePar builds the min-k distance table of Algorithm 1 over a
 // toy 1-D corpus: FPF picks well-spread representatives, and every record
 // retains its two nearest.
-func ExampleBuildTable() {
+func ExampleBuildTablePar() {
 	embeddings := vecmath.FromRows([][]float64{
 		{0.0}, {0.1}, {0.2}, // a cluster near 0
 		{1.0}, {1.1}, // a cluster near 1
 		{5.0}, // an outlier
 	})
-	reps := cluster.FPF(embeddings, 3, 0)
-	table := cluster.BuildTable(embeddings, reps, 2)
+	reps := cluster.FPFPar(embeddings, 3, 0, 0)
+	table := cluster.BuildTablePar(embeddings, reps, 2, 0)
 
 	fmt.Println("representatives:", reps)
 	for i := 0; i < embeddings.Rows(); i++ {

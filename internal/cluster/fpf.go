@@ -7,17 +7,24 @@
 // (vecmath.SquaredL2Batch) over row ranges of it, which is where index
 // construction spends its O(N·reps·D) distance budget.
 //
+// Each of the three operations — the FPF sweep, the min-k row scan and the
+// add-representative sweep — exists once and takes the quantized code plane
+// as an optional argument: the zero vecmath.QuantMatrix scans the float64
+// rows, an enabled plane prunes with code-distance bounds and reranks the
+// survivors exactly (see quant.go). The results are the same bits either way.
+//
 // # Concurrency contract
 //
 // The package functions parallelize internally over internal/parallel and
 // return results that are bitwise identical at every worker count: each
 // record's distances are computed by the same kernel whatever chunk it lands
 // in. The functions themselves are safe to call concurrently on distinct
-// inputs, but a *Table is not internally synchronized: AddRepresentative
-// mutates Reps and the Neighbors lists in place, so callers must not run it
+// inputs, but a *Table is not internally synchronized: AddRepresentativeEmb
+// reassigns Reps and elements of Neighbors, so callers must not run it
 // concurrently with reads of the same Table (Nearest, Validate, propagation)
-// or with another AddRepresentative. core.Index.Crack inherits this contract
-// — see cmd/tastiserve for the serialization a server needs.
+// or with another AddRepresentativeEmb. core.Index.Crack inherits this
+// contract; package shard instead cracks a copy of the Table header
+// (copy-on-write), so readers of a published version never see the mutation.
 package cluster
 
 import (
@@ -29,61 +36,38 @@ import (
 	"repro/internal/vecmath"
 )
 
-// FPF selects k representatives from the embeddings with the
+// FPFPar selects k representatives from the embeddings with the
 // furthest-point-first (Gonzalez, 1985) algorithm, starting from the record
-// with the given index, using all CPUs. It returns representative indices in
-// selection order and runs in O(N·k) distance computations. FPF
-// 2-approximates the optimal maximum intra-cluster distance, the property
-// the paper's analysis relies on.
-func FPF(embeddings vecmath.Matrix, k, start int) []int {
-	return FPFPar(embeddings, k, start, 0)
-}
-
-// FPFPar is FPF with an explicit parallelism level p (p <= 0 uses all CPUs).
+// with the given index, at parallelism level p (p <= 0 uses all CPUs). It
+// returns representative indices in selection order and runs in O(N·k)
+// distance computations. FPF 2-approximates the optimal maximum
+// intra-cluster distance, the property the paper's analysis relies on.
+//
 // The selection is identical at every p: each iteration's distance sweep is
 // an argmax reduced over a fixed chunk grid with ties broken toward the
 // smaller record index, and each chunk runs the same one-to-many kernel, so
 // the chosen representative never depends on the worker count.
 func FPFPar(embeddings vecmath.Matrix, k, start, p int) []int {
-	var scratch []float64 // one shared sweep buffer, overwritten per iteration
-	return fpfSweep(embeddings, k, start, p, func(int) []float64 {
-		if scratch == nil {
-			scratch = make([]float64, embeddings.Rows())
-		}
-		return scratch
-	})
+	reps, _ := fpfSweep(embeddings, vecmath.QuantMatrix{}, k, start, p)
+	return reps
 }
 
-// FPFParDists is FPFPar, additionally returning the representative-by-record
-// squared-distance matrix the selection sweep computes as a byproduct: row j
-// holds the squared distance from representative j (in selection order) to
-// every record. The squared-distance kernel is bitwise symmetric in its
-// arguments — each lane difference only flips sign before it is squared — so
-// every entry equals the record-to-representative distance a table scan
-// would recompute, and BuildTableFromDists can consume the matrix without
-// re-streaming the embeddings. The retained matrix costs rows×records
-// float64s; DistCacheFits is the deterministic size gate callers apply first.
-func FPFParDists(embeddings vecmath.Matrix, k, start, p int) ([]int, vecmath.Matrix) {
+// fpfSweep is the FPF loop. With an enabled plane (the code plane of
+// embeddings) a record's exact distance to the newest representative is
+// skipped when its code-distance bound squared reaches its current
+// nearest-representative distance: the min update needs a strict
+// improvement, so the skip can never change minDist, and the argmax sees
+// identical values on either plane at every worker count. The newest
+// representative's own code row is the query side, so its decode error is
+// already covered by the plane's tracked bound.
+func fpfSweep(embeddings vecmath.Matrix, quant vecmath.QuantMatrix, k, start, p int) ([]int, QuantScanStats) {
 	n := embeddings.Rows()
-	rows := k
-	if rows > n {
-		rows = n
+	quantized := quant.Enabled()
+	if quantized && quant.Rows() != n {
+		panic(fmt.Sprintf("cluster: quant plane has %d rows for %d records", quant.Rows(), n))
 	}
-	if rows < 0 {
-		rows = 0
-	}
-	d := vecmath.NewMatrix(rows, n)
-	reps := fpfSweep(embeddings, k, start, p, d.Row)
-	return reps, d.RowRange(0, len(reps))
-}
-
-// fpfSweep is the shared FPF loop. distRow hands back the batch-kernel
-// output buffer for iteration it — a single recycled scratch slice for plain
-// selection, or the it-th row of a retained distance matrix.
-func fpfSweep(embeddings vecmath.Matrix, k, start, p int, distRow func(it int) []float64) []int {
-	n := embeddings.Rows()
 	if k <= 0 {
-		return nil
+		return nil, QuantScanStats{}
 	}
 	if k > n {
 		k = n
@@ -96,63 +80,91 @@ func fpfSweep(embeddings vecmath.Matrix, k, start, p int, distRow func(it int) [
 	for i := range minDist {
 		minDist[i] = math.Inf(1)
 	}
+	// One sweep buffer on the plane being scanned, overwritten per iteration
+	// with chunk-disjoint writes.
+	var dists []float64
+	var codeDists []int64
+	if quantized {
+		codeDists = make([]int64, n)
+	} else {
+		dists = make([]float64, n)
+	}
 	// Each iteration updates every record's distance to the newest
 	// representative and finds the global argmax — the dominant cost of
 	// index construction, so the sweep is the pipeline's hottest loop.
 	type candidate struct {
-		idx  int
-		dist float64
+		idx      int
+		dist     float64
+		reranked int64
 	}
+	var stats QuantScanStats
 	cur := start
 	for len(reps) < k {
-		dists := distRow(len(reps)) // chunk-disjoint writes
 		reps = append(reps, cur)
 		curEmb := embeddings.Row(cur)
 		parts := parallel.Map(p, n, func(_ int, s parallel.Span) candidate {
-			vecmath.SquaredL2Batch(curEmb, embeddings.RowRange(s.Lo, s.Hi), dists[s.Lo:s.Hi])
+			var reranked int64
+			if quantized {
+				vecmath.CodeDistBatch(quant.Row(cur), quant.RowRange(s.Lo, s.Hi), codeDists[s.Lo:s.Hi])
+				for i := s.Lo; i < s.Hi; i++ {
+					if lb := quant.LowerBound(codeDists[i], quant.MaxErr()); lb*lb < minDist[i] {
+						reranked++
+						if d := vecmath.SquaredL2(curEmb, embeddings.Row(i)); d < minDist[i] {
+							minDist[i] = d
+						}
+					}
+				}
+			} else {
+				vecmath.SquaredL2Batch(curEmb, embeddings.RowRange(s.Lo, s.Hi), dists[s.Lo:s.Hi])
+				for i := s.Lo; i < s.Hi; i++ {
+					if dists[i] < minDist[i] {
+						minDist[i] = dists[i]
+					}
+				}
+			}
 			far, farDist := -1, -1.0
 			for i := s.Lo; i < s.Hi; i++ {
-				if dists[i] < minDist[i] {
-					minDist[i] = dists[i]
-				}
 				if minDist[i] > farDist {
 					far, farDist = i, minDist[i]
 				}
 			}
-			return candidate{far, farDist}
+			return candidate{far, farDist, reranked}
 		})
 		far, farDist := -1, -1.0
 		for _, c := range parts {
+			stats.Reranked += c.reranked
 			if c.dist > farDist || (c.dist == farDist && c.idx < far) {
 				far, farDist = c.idx, c.dist
 			}
+		}
+		if quantized {
+			stats.Candidates += int64(n)
 		}
 		if farDist == 0 { // every point coincides with a representative
 			break
 		}
 		cur = far
 	}
-	return reps
+	return reps, stats
 }
 
-// FPFMixed selects k representatives, the first (1-randomFrac)·k by FPF and
-// the remainder uniformly at random from records not yet selected, using all
-// CPUs. The paper mixes in a small random fraction to help average-case
-// queries while FPF covers the outliers.
-func FPFMixed(r *rand.Rand, embeddings vecmath.Matrix, k int, randomFrac float64) []int {
-	return FPFMixedPar(r, embeddings, k, randomFrac, 0)
-}
-
-// FPFMixedPar is FPFMixed with an explicit parallelism level p (p <= 0 uses
-// all CPUs). The random draws consume r identically at every p, so the full
+// FPFMixedPar selects k representatives, the first (1-randomFrac)·k by FPF
+// and the remainder uniformly at random from records not yet selected, at
+// parallelism level p (p <= 0 uses all CPUs). The paper mixes in a small
+// random fraction to help average-case queries while FPF covers the
+// outliers. The random draws consume r identically at every p, so the full
 // selection depends only on r, never on the worker count.
-func FPFMixedPar(r *rand.Rand, embeddings vecmath.Matrix, k int, randomFrac float64, p int) []int {
+//
+// quant is the optional code plane of embeddings (the zero value scans the
+// float rows): it prunes the FPF prefix's exact distance work and selects
+// identical representatives; the stats report how much it pruned.
+func FPFMixedPar(r *rand.Rand, embeddings vecmath.Matrix, quant vecmath.QuantMatrix, k int, randomFrac float64, p int) ([]int, QuantScanStats) {
 	n := embeddings.Rows()
 	if k > n {
 		k = n
 	}
 	if k <= 0 {
-		return nil
+		return nil, QuantScanStats{}
 	}
 	if randomFrac < 0 || randomFrac > 1 {
 		panic(fmt.Sprintf("cluster: randomFrac %v out of [0,1]", randomFrac))
@@ -160,9 +172,10 @@ func FPFMixedPar(r *rand.Rand, embeddings vecmath.Matrix, k int, randomFrac floa
 	numRandom := int(math.Round(randomFrac * float64(k)))
 	numFPF := k - numRandom
 	var reps []int
+	var stats QuantScanStats
 	selected := make(map[int]bool, k)
 	if numFPF > 0 {
-		reps = FPFPar(embeddings, numFPF, r.Intn(n), p)
+		reps, stats = fpfSweep(embeddings, quant, numFPF, r.Intn(n), p)
 		for _, id := range reps {
 			selected[id] = true
 		}
@@ -175,75 +188,7 @@ func FPFMixedPar(r *rand.Rand, embeddings vecmath.Matrix, k int, randomFrac floa
 		selected[id] = true
 		reps = append(reps, id)
 	}
-	return reps
-}
-
-// FPFMixedParDists is FPFMixedPar, additionally returning the
-// representative-by-record squared-distance matrix row-aligned with the
-// returned representatives (see FPFParDists). Rows for the FPF prefix fall
-// out of the selection sweep itself; rows for the random tail are filled
-// afterwards with the same one-to-many kernel. The selection consumes r
-// exactly as FPFMixedPar does, so the two functions pick identical
-// representatives from identical r, and the matrix values are bitwise
-// identical to a fresh scan at every parallelism level.
-func FPFMixedParDists(r *rand.Rand, embeddings vecmath.Matrix, k int, randomFrac float64, p int) ([]int, vecmath.Matrix) {
-	n := embeddings.Rows()
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		return nil, vecmath.Matrix{}
-	}
-	if randomFrac < 0 || randomFrac > 1 {
-		panic(fmt.Sprintf("cluster: randomFrac %v out of [0,1]", randomFrac))
-	}
-	numRandom := int(math.Round(randomFrac * float64(k)))
-	numFPF := k - numRandom
-	d := vecmath.NewMatrix(k, n)
-	var reps []int
-	selected := make(map[int]bool, k)
-	if numFPF > 0 {
-		reps = fpfSweep(embeddings, numFPF, r.Intn(n), p, d.Row)
-		for _, id := range reps {
-			selected[id] = true
-		}
-	}
-	firstRandom := len(reps)
-	for len(reps) < k {
-		id := r.Intn(n)
-		if selected[id] {
-			continue
-		}
-		selected[id] = true
-		reps = append(reps, id)
-	}
-	// The random tail never ran through the sweep; fill its rows now, one
-	// whole row per representative so each write stays chunk-disjoint.
-	if tail := len(reps) - firstRandom; tail > 0 {
-		parallel.ForChunks(p, tail, func(_ int, s parallel.Span) {
-			for j := firstRandom + s.Lo; j < firstRandom+s.Hi; j++ {
-				vecmath.SquaredL2Batch(embeddings.Row(reps[j]), embeddings, d.Row(j))
-			}
-		})
-	}
-	return reps, d.RowRange(0, len(reps))
-}
-
-// maxDistCacheBytes caps the FPF distance matrix retained for
-// BuildTableFromDists at 256 MiB. Beyond it, builds fall back to re-scanning
-// the embeddings, trading the extra memory bandwidth for bounded residency.
-const maxDistCacheBytes = 256 << 20
-
-// DistCacheFits reports whether an n-record, k-representative squared
-// distance matrix fits the retention budget. The decision depends only on
-// the two counts — never on worker count or observed memory pressure — so
-// whether a build takes the cached-table path is deterministic for a given
-// configuration, and both paths produce bitwise-identical tables anyway.
-func DistCacheFits(n, k int) bool {
-	if n <= 0 || k <= 0 {
-		return false
-	}
-	return k <= maxDistCacheBytes/8/n
+	return reps, stats
 }
 
 // RandomReps selects k distinct representatives uniformly at random, the
@@ -258,29 +203,4 @@ func RandomReps(r *rand.Rand, n, k int) []int {
 	perm := r.Perm(n)
 	reps := append([]int(nil), perm[:k]...)
 	return reps
-}
-
-// MaxMinDistance returns the maximum over all records of the distance to the
-// nearest representative — the clustering-density quantity bounded by the
-// paper's Theorems 1 and 2.
-func MaxMinDistance(embeddings vecmath.Matrix, reps []int) float64 {
-	repMat := vecmath.GatherRows(embeddings, reps)
-	worst := parallel.Reduce(0, embeddings.Rows(), 0.0, func(_ int, s parallel.Span) float64 {
-		dists := make([]float64, repMat.Rows()) // per-chunk scratch
-		chunkWorst := 0.0
-		for i := s.Lo; i < s.Hi; i++ {
-			vecmath.SquaredL2Batch(embeddings.Row(i), repMat, dists)
-			best := math.Inf(1)
-			for _, d := range dists {
-				if d < best {
-					best = d
-				}
-			}
-			if best > chunkWorst {
-				chunkWorst = best
-			}
-		}
-		return chunkWorst
-	}, math.Max)
-	return math.Sqrt(worst)
 }

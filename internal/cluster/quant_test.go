@@ -61,7 +61,7 @@ func TestBuildTableQuantBitwise(t *testing.T) {
 	m, q := quantTestMatrix(t, r, 400, 16)
 	reps := RandomReps(rand.New(rand.NewSource(7)), 400, 40)
 	want := BuildTablePar(m, reps, 3, 1)
-	for _, p := range []int{1, 2, 4} {
+	for _, p := range testWorkers {
 		got, stats := BuildTableQuantPar(m, q, reps, 3, p)
 		sameTable(t, got, want)
 		if stats.Candidates == 0 || stats.Reranked > stats.Candidates {
@@ -77,9 +77,12 @@ func TestBuildTableQuantBitwise(t *testing.T) {
 // same representatives from the same rand stream at every worker count.
 func TestFPFMixedQuantBitwise(t *testing.T) {
 	m, q := quantTestMatrix(t, rand.New(rand.NewSource(3)), 300, 12)
-	want := FPFMixedPar(rand.New(rand.NewSource(5)), m, 30, 0.1, 1)
-	for _, p := range []int{1, 2, 4} {
-		got, stats := FPFMixedParQuant(rand.New(rand.NewSource(5)), m, q, 30, 0.1, p)
+	want, floatStats := FPFMixedPar(rand.New(rand.NewSource(5)), m, vecmath.QuantMatrix{}, 30, 0.1, 1)
+	if floatStats != (QuantScanStats{}) {
+		t.Fatalf("float sweep counted %+v", floatStats)
+	}
+	for _, p := range testWorkers {
+		got, stats := FPFMixedPar(rand.New(rand.NewSource(5)), m, q, 30, 0.1, p)
 		if len(got) != len(want) {
 			t.Fatalf("p=%d: %d reps vs %d", p, len(got), len(want))
 		}
@@ -100,41 +103,41 @@ func TestAddRepresentativeQuantBitwise(t *testing.T) {
 	m, q := quantTestMatrix(t, rand.New(rand.NewSource(11)), 250, 8)
 	reps := RandomReps(rand.New(rand.NewSource(2)), 250, 20)
 	cracks := []int{5, 99, 200, 7, 123}
-	for _, p := range []int{1, 4} {
+	for _, p := range testWorkers {
 		exact := BuildTablePar(m, reps, 3, 1)
 		quant := BuildTablePar(m, reps, 3, 1)
 		for _, rep := range cracks {
-			exact.AddRepresentativeEmb(m, rep, m.Row(rep), p)
-			stats := quant.AddRepresentativeEmbQuant(m, q, rep, m.Row(rep), p)
+			exact.AddRepresentativePar(m, rep, p)
+			stats := quant.AddRepresentativeEmb(m, q, rep, m.Row(rep), p)
 			if stats.Candidates != 250 {
 				t.Fatalf("p=%d rep %d: candidates %d, want 250", p, rep, stats.Candidates)
 			}
 		}
 		sameTable(t, quant, exact)
 		// Re-adding an existing representative stays a no-op.
-		if stats := quant.AddRepresentativeEmbQuant(m, q, cracks[0], m.Row(cracks[0]), p); stats.Candidates != 0 {
+		if stats := quant.AddRepresentativeEmb(m, q, cracks[0], m.Row(cracks[0]), p); stats.Candidates != 0 {
 			t.Fatalf("p=%d: re-add scanned %d candidates", p, stats.Candidates)
 		}
 	}
 }
 
-// TestQuantScannerMatchesScanner: the per-record min-k scan used by appends
-// must agree with the exact Scanner, and a warm scan must not allocate.
+// TestQuantScannerMatchesScanner: the per-record min-k scan must return the
+// same rows with the code plane as without, and a warm quantized scan must
+// not allocate.
 func TestQuantScannerMatchesScanner(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	m, q := quantTestMatrix(t, r, 120, 10)
 	reps := RandomReps(rand.New(rand.NewSource(9)), 120, 25)
 	repMat := vecmath.GatherRows(m, reps)
 	repQ := gatherQuantRows(q, reps)
-	var sc Scanner
-	var qc QuantScanner
+	var sc, qc Scanner
 	for i := 0; i < 50; i++ {
 		query := make([]float64, 10)
 		for d := range query {
 			query[d] = -3 + r.Float64()*6
 		}
 		exact := sc.ScanInto(nil, query, repMat, reps, 4)
-		quant := qc.ScanInto(nil, query, repMat, repQ, reps, 4)
+		quant := qc.scan(nil, query, repMat, repQ, reps, 4)
 		if len(exact) != len(quant) {
 			t.Fatalf("query %d: %d vs %d neighbors", i, len(exact), len(quant))
 		}
@@ -147,32 +150,9 @@ func TestQuantScannerMatchesScanner(t *testing.T) {
 	query := make([]float64, 10)
 	dst := make([]Neighbor, 0, 4)
 	allocs := testing.AllocsPerRun(20, func() {
-		dst = qc.ScanInto(dst[:0], query, repMat, repQ, reps, 4)
+		dst = qc.scan(dst[:0], query, repMat, repQ, reps, 4)
 	})
 	if allocs > 0 {
-		t.Fatalf("warm QuantScanner.ScanInto allocates %v times per scan", allocs)
-	}
-}
-
-// TestDistCacheFitsPlane pins the quantization-aware cache gate: the float
-// decision is unchanged, and with the plane enabled the cache must also not
-// out-cost the bytes quantization saved.
-func TestDistCacheFitsPlane(t *testing.T) {
-	if !DistCacheFitsPlane(1000, 100, 128, false) {
-		t.Fatal("float plane: small cache rejected")
-	}
-	if DistCacheFitsPlane(1<<20, 1<<20, 128, false) {
-		t.Fatal("float plane: oversized cache accepted")
-	}
-	// 8k <= 7*dim boundary: k=112, dim=128 -> 896 == 896 fits; k=113 doesn't.
-	if !DistCacheFitsPlane(1000, 112, 128, true) {
-		t.Fatal("quant plane: cache within savings rejected")
-	}
-	if DistCacheFitsPlane(1000, 113, 128, true) {
-		t.Fatal("quant plane: cache beyond savings accepted")
-	}
-	// The 256 MiB ceiling still applies with the plane enabled.
-	if DistCacheFitsPlane(1<<22, 1<<10, 1<<20, true) {
-		t.Fatal("quant plane: 256 MiB ceiling ignored")
+		t.Fatalf("warm quantized scan allocates %v times per scan", allocs)
 	}
 }

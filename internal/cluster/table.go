@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/parallel"
 	"repro/internal/vecmath"
@@ -21,12 +22,13 @@ type Neighbor struct {
 // embedding distance — the MinKDistances of the paper's Algorithm 1. It
 // supports incremental representative insertion for index cracking.
 //
-// BuildTable lays the per-record lists out as full-capacity subslices of one
-// contiguous block, so a freshly built table is a handful of allocations
-// rather than one per record; AddRepresentative later replaces the lists it
-// changes with freshly allocated rows and never writes an existing one.
+// BuildTablePar lays the per-record lists out as full-capacity subslices of
+// one contiguous block (see ScanRows), so a freshly built table is a handful
+// of allocations rather than one per record; AddRepresentativeEmb later
+// replaces the lists it changes with freshly allocated rows and never writes
+// an existing one.
 //
-// A Table is not internally synchronized: AddRepresentative reassigns Reps
+// A Table is not internally synchronized: AddRepresentativeEmb reassigns Reps
 // and elements of Neighbors, so callers serialize it against reads of THIS
 // table and against other mutations (see the package comment). A copy of the
 // Table holding its own Neighbors outer slice is untouched by it — which is
@@ -42,15 +44,19 @@ type Table struct {
 }
 
 // Scanner is reusable scratch for min-k scans of one embedding against a
-// gathered representative matrix: the batch-kernel distance buffer, a
+// gathered representative matrix: the batch-kernel distance buffers, a
 // bounded TopK selector, and its output buffer. A warm Scanner performs
 // zero allocations per scan, which is what keeps the table build, record
 // appends, and serve-path lookups allocation-free in steady state. A Scanner
 // is not safe for concurrent use; parallel callers hold one per chunk.
 type Scanner struct {
-	dists []float64
-	tk    *vecmath.TopK
-	ivs   []vecmath.IndexedValue
+	dists     []float64
+	codeDists []int64
+	qrow      []uint8
+	tk        *vecmath.TopK
+	ivs       []vecmath.IndexedValue
+	// Stats accumulates over every quantized scan through this scanner.
+	Stats QuantScanStats
 }
 
 // ScanInto appends emb's min(k, len(reps)) nearest representatives to dst,
@@ -60,21 +66,35 @@ type Scanner struct {
 // Distances go through the same SquaredL2 kernel as every other path, then a
 // final sqrt — bitwise identical to a scalar scan.
 func (sc *Scanner) ScanInto(dst []Neighbor, emb []float64, repMat vecmath.Matrix, reps []int, k int) []Neighbor {
-	if repMat.Rows() != len(reps) {
-		panic(fmt.Sprintf("cluster: rep matrix has %d rows for %d reps", repMat.Rows(), len(reps)))
+	return sc.scan(dst, emb, repMat, vecmath.QuantMatrix{}, reps, k)
+}
+
+// scan is ScanInto with the optional code plane: an enabled repQ must hold
+// the representatives' code rows aligned with reps (under the plane's
+// trained params), and then only representatives whose code-distance bound
+// clears the current TopK threshold are reranked through the exact kernel —
+// identical results.
+func (sc *Scanner) scan(dst []Neighbor, emb []float64, repMat vecmath.Matrix, repQ vecmath.QuantMatrix, reps []int, k int) []Neighbor {
+	if repMat.Rows() != len(reps) || (repQ.Enabled() && repQ.Rows() != len(reps)) {
+		panic(fmt.Sprintf("cluster: rep matrices have %d float / %d quant rows for %d reps",
+			repMat.Rows(), repQ.Rows(), len(reps)))
 	}
-	if cap(sc.dists) < len(reps) {
-		sc.dists = make([]float64, len(reps))
-	}
-	dists := sc.dists[:len(reps)]
-	vecmath.SquaredL2Batch(emb, repMat, dists)
 	if sc.tk == nil {
 		sc.tk = vecmath.NewTopK(k)
 	} else {
 		sc.tk.Reset(k)
 	}
-	for j, d := range dists {
-		sc.tk.Offer(j, d)
+	if repQ.Enabled() {
+		sc.offerQuant(emb, repMat, repQ)
+	} else {
+		if cap(sc.dists) < len(reps) {
+			sc.dists = make([]float64, len(reps))
+		}
+		dists := sc.dists[:len(reps)]
+		vecmath.SquaredL2Batch(emb, repMat, dists)
+		for j, d := range dists {
+			sc.tk.Offer(j, d)
+		}
 	}
 	sc.ivs = sc.tk.Sorted(sc.ivs[:0])
 	for _, iv := range sc.ivs {
@@ -83,16 +103,51 @@ func (sc *Scanner) ScanInto(dst []Neighbor, emb []float64, repMat vecmath.Matrix
 	return dst
 }
 
-// BuildTable computes the min-k distance table from each embedding to the
-// representatives, in parallel across records on all CPUs.
-func BuildTable(embeddings vecmath.Matrix, reps []int, k int) *Table {
-	return BuildTablePar(embeddings, reps, k, 0)
+// ScanRows computes, for every row of queries, its min(k, len(reps)) nearest
+// representatives — the one min-k row scan behind the table build and record
+// appends — in parallel across rows at parallelism level p (p <= 0 uses all
+// CPUs). repMat holds the representatives' embeddings row-aligned with reps;
+// repQ is their optional code rows (the zero value scans the float rows).
+// Each row is an independent computation through the shared kernels, so the
+// lists are identical at every p and on either plane.
+//
+// The lists are full-capacity subslices of one contiguous block, so the scan
+// is a handful of allocations rather than one per row, and a later append on
+// one list cannot spill into the next.
+func ScanRows(queries, repMat vecmath.Matrix, repQ vecmath.QuantMatrix, reps []int, k, p int) ([][]Neighbor, QuantScanStats) {
+	n := queries.Rows()
+	want := min(k, len(reps))
+	lists := make([][]Neighbor, n)
+	block := make([]Neighbor, n*want)
+	parts := parallel.Map(p, n, func(_ int, s parallel.Span) QuantScanStats {
+		var sc Scanner // per-chunk scratch, reused across the chunk's rows
+		for i := s.Lo; i < s.Hi; i++ {
+			row := block[i*want : i*want : (i+1)*want]
+			lists[i] = sc.scan(row, queries.Row(i), repMat, repQ, reps, k)
+		}
+		return sc.Stats
+	})
+	var stats QuantScanStats
+	for _, part := range parts {
+		stats.Add(part)
+	}
+	return lists, stats
 }
 
-// BuildTablePar is BuildTable with an explicit parallelism level p (p <= 0
+// BuildTablePar computes the min-k distance table from each embedding to the
+// representatives, in parallel across records at parallelism level p (p <= 0
 // uses all CPUs). Each record's neighbor list is an independent computation
 // through the shared batch kernel, so the table is identical at every p.
 func BuildTablePar(embeddings vecmath.Matrix, reps []int, k, p int) *Table {
+	t, _ := BuildTableQuantPar(embeddings, vecmath.QuantMatrix{}, reps, k, p)
+	return t
+}
+
+// BuildTableQuantPar is BuildTablePar scanning the quantized plane: the
+// returned table is bitwise identical, and the stats report how much exact
+// work the plane pruned. quant must be the code plane of embeddings, or the
+// zero value to scan the float rows.
+func BuildTableQuantPar(embeddings vecmath.Matrix, quant vecmath.QuantMatrix, reps []int, k, p int) (*Table, QuantScanStats) {
 	if k <= 0 {
 		panic(fmt.Sprintf("cluster: table needs k > 0, got %d", k))
 	}
@@ -105,131 +160,28 @@ func BuildTablePar(embeddings vecmath.Matrix, reps []int, k, p int) *Table {
 			panic(fmt.Sprintf("cluster: representative %d out of range [0,%d)", rep, n))
 		}
 	}
-	repMat := vecmath.GatherRows(embeddings, reps)
-	want := k
-	if len(reps) < want {
-		want = len(reps)
-	}
-	t := &Table{
-		K:         k,
-		Reps:      append([]int(nil), reps...),
-		Neighbors: make([][]Neighbor, n),
-	}
-	// One contiguous block for every record's list; each row is a
-	// full-capacity subslice so a later AddRepresentative append on one row
-	// cannot spill into the next.
-	block := make([]Neighbor, n*want)
-	parallel.ForChunks(p, n, func(_ int, s parallel.Span) {
-		var sc Scanner // per-chunk scratch, reused across the chunk's records
-		for i := s.Lo; i < s.Hi; i++ {
-			row := block[i*want : i*want : (i+1)*want]
-			t.Neighbors[i] = sc.ScanInto(row, embeddings.Row(i), repMat, reps, k)
+	var repQ vecmath.QuantMatrix
+	if quant.Enabled() {
+		if quant.Rows() != n {
+			panic(fmt.Sprintf("cluster: quant plane has %d rows for %d records", quant.Rows(), n))
 		}
-	})
-	return t
+		repQ = gatherQuantRows(quant, reps)
+	}
+	lists, stats := ScanRows(embeddings, vecmath.GatherRows(embeddings, reps), repQ, reps, k, p)
+	return &Table{K: k, Reps: append([]int(nil), reps...), Neighbors: lists}, stats
 }
 
-// BuildTableFromDists builds the min-k table from a precomputed
-// representative-by-record squared-distance matrix — sqDists.Row(j)[i] is
-// the squared distance from reps[j] to record i — as returned by
-// FPFParDists and FPFMixedParDists. The matrix entries are bitwise identical
-// to what a table scan would recompute (the squared-distance kernel is
-// symmetric in its arguments), and representatives are offered to the top-k
-// selector in the same ascending order as ScanInto, so the resulting table
-// is bitwise identical to BuildTablePar(embeddings, reps, k, p) at every
-// parallelism level — without streaming the embedding matrix a second time.
-func BuildTableFromDists(sqDists vecmath.Matrix, reps []int, k, p int) *Table {
-	if k <= 0 {
-		panic(fmt.Sprintf("cluster: table needs k > 0, got %d", k))
-	}
-	if len(reps) == 0 {
-		panic("cluster: table needs at least one representative")
-	}
-	if sqDists.Rows() != len(reps) {
-		panic(fmt.Sprintf("cluster: distance matrix has %d rows for %d representatives", sqDists.Rows(), len(reps)))
-	}
-	n := sqDists.Dim()
-	for _, rep := range reps {
-		if rep < 0 || rep >= n {
-			panic(fmt.Sprintf("cluster: representative %d out of range [0,%d)", rep, n))
-		}
-	}
-	want := k
-	if len(reps) < want {
-		want = len(reps)
-	}
-	tbl := &Table{
-		K:         k,
-		Reps:      append([]int(nil), reps...),
-		Neighbors: make([][]Neighbor, n),
-	}
-	// Same contiguous full-capacity layout as BuildTable (see its comment).
-	block := make([]Neighbor, n*want)
-	// The matrix is representative-major but the table is record-major, so a
-	// naive per-record pass would stride through every row. Records are
-	// processed in tiles instead: each representative row is read in
-	// tile-sized contiguous runs while the tile's top-k selectors stay
-	// cache-resident.
-	const tile = 256
-	parallel.ForChunks(p, n, func(_ int, s parallel.Span) {
-		var tks [tile]vecmath.TopK // per-chunk scratch, recycled every tile
-		var thr [tile]float64      // per-record admission bounds (TopK.Threshold)
-		var ivs []vecmath.IndexedValue
-		for lo := s.Lo; lo < s.Hi; lo += tile {
-			hi := lo + tile
-			if hi > s.Hi {
-				hi = s.Hi
-			}
-			m := hi - lo
-			for t := 0; t < m; t++ {
-				tks[t].Reset(want)
-				thr[t] = tks[t].Threshold()
-			}
-			for j := range reps {
-				row := sqDists.Row(j)[lo:hi]
-				for t, d := range row {
-					// Most candidates are over the record's current k-th
-					// distance; the cached bound rejects them without the
-					// Offer call. Equal values still go through for the
-					// index tie-break, which keeps the result bitwise
-					// identical to the unconditional scan.
-					if d > thr[t] {
-						continue
-					}
-					tks[t].Offer(j, d)
-					thr[t] = tks[t].Threshold()
-				}
-			}
-			for t := 0; t < m; t++ {
-				i := lo + t
-				dst := block[i*want : i*want : (i+1)*want]
-				ivs = tks[t].Sorted(ivs[:0])
-				for _, iv := range ivs {
-					dst = append(dst, Neighbor{Rep: reps[iv.Index], Dist: math.Sqrt(iv.Value)})
-				}
-				tbl.Neighbors[i] = dst
-			}
-		}
-	})
-	return tbl
-}
-
-// AddRepresentative inserts a new representative (cracking) on all CPUs:
-// each record's neighbor list is updated if the new representative is closer
-// than its current k-th neighbor. Adding an existing representative is a
-// no-op. The caller must serialize it against all other Table use.
-func (t *Table) AddRepresentative(embeddings vecmath.Matrix, rep int) {
-	t.AddRepresentativePar(embeddings, rep, 0)
-}
-
-// AddRepresentativePar is AddRepresentative with an explicit parallelism
-// level p (p <= 0 uses all CPUs); per-record updates are independent, so the
-// result is identical at every p.
+// AddRepresentativePar inserts a new representative (cracking) at
+// parallelism level p (p <= 0 uses all CPUs): each record's neighbor list is
+// updated if the new representative is closer than its current k-th
+// neighbor. Adding an existing representative is a no-op. Per-record updates
+// are independent, so the result is identical at every p. The caller must
+// serialize it against all other Table use.
 func (t *Table) AddRepresentativePar(embeddings vecmath.Matrix, rep, p int) {
 	if rep < 0 || rep >= embeddings.Rows() {
 		panic(fmt.Sprintf("cluster: representative %d out of range [0,%d)", rep, embeddings.Rows()))
 	}
-	t.AddRepresentativeEmb(embeddings, rep, embeddings.Row(rep), p)
+	t.AddRepresentativeEmb(embeddings, vecmath.QuantMatrix{}, rep, embeddings.Row(rep), p)
 }
 
 // AddRepresentativeEmb is AddRepresentativePar with the representative's
@@ -239,23 +191,61 @@ func (t *Table) AddRepresentativePar(embeddings vecmath.Matrix, rep, p int) {
 // the record supplies repEmb. Each record's update reads only its own
 // embedding row, repEmb, and its own neighbor list, so the table mutation is
 // bitwise identical whether the corpus is one table or many shard-local ones.
-func (t *Table) AddRepresentativeEmb(embeddings vecmath.Matrix, rep int, repEmb []float64, p int) {
+//
+// quant is the optional code plane of embeddings (the zero value scans the
+// float rows): records whose neighbor list is full and whose code-distance
+// bound already reaches the k-th distance skip the exact kernel, the mutation
+// is the same bits, and the stats report the pruning.
+func (t *Table) AddRepresentativeEmb(embeddings vecmath.Matrix, quant vecmath.QuantMatrix, rep int, repEmb []float64, p int) QuantScanStats {
+	n := embeddings.Rows()
+	quantized := quant.Enabled()
+	if quantized && quant.Rows() != n {
+		panic(fmt.Sprintf("cluster: quant plane has %d rows for %d records", quant.Rows(), n))
+	}
 	for _, existing := range t.Reps {
 		if existing == rep {
-			return
+			return QuantScanStats{}
 		}
 	}
 	t.Reps = append(t.Reps, rep)
-	parallel.ForChunks(p, embeddings.Rows(), func(_ int, s parallel.Span) {
+	var stats QuantScanStats
+	var reranked atomic.Int64
+	var qrow []uint8
+	var qErr float64
+	var codeDists []int64 // chunk-disjoint writes
+	if quantized {
+		qrow = make([]uint8, quant.Dim())
+		qErr = vecmath.QuantizeRowInto(qrow, repEmb, quant.Params())
+		codeDists = make([]int64, n)
+		stats.Candidates = int64(n)
+	}
+	parallel.ForChunks(p, n, func(_ int, s parallel.Span) {
+		if quantized {
+			vecmath.CodeDistBatch(qrow, quant.RowRange(s.Lo, s.Hi), codeDists[s.Lo:s.Hi])
+		}
+		var exact int64
 		for i := s.Lo; i < s.Hi; i++ {
-			d := math.Sqrt(vecmath.SquaredL2(embeddings.Row(i), repEmb))
 			nbrs := t.Neighbors[i]
-			if len(nbrs) >= t.K && d >= nbrs[len(nbrs)-1].Dist {
+			full := len(nbrs) >= t.K
+			if quantized {
+				// The exact test below discards the update when d >= the
+				// current k-th distance, so a bound at or past it proves the
+				// skip.
+				if full && quant.LowerBound(codeDists[i], qErr) >= nbrs[len(nbrs)-1].Dist {
+					continue
+				}
+				exact++
+			}
+			d := math.Sqrt(vecmath.SquaredL2(embeddings.Row(i), repEmb))
+			if full && d >= nbrs[len(nbrs)-1].Dist {
 				continue
 			}
 			t.Neighbors[i] = insertNeighbor(nbrs, Neighbor{Rep: rep, Dist: d}, t.K)
 		}
+		reranked.Add(exact)
 	})
+	stats.Reranked = reranked.Load()
+	return stats
 }
 
 // insertNeighbor returns nbrs with nb inserted at its distance rank (after

@@ -37,10 +37,6 @@ func (ix *Index) AppendRecords(features [][]float64) ([]int, error) {
 	if len(ix.Table.Reps) == 0 {
 		return nil, errors.New("core: appending records: no representatives")
 	}
-	k := ix.Table.K
-	if len(ix.Table.Reps) < k {
-		k = len(ix.Table.Reps)
-	}
 	reps := ix.Table.Reps
 	repMat := vecmath.GatherRows(ix.Embeddings, reps)
 	// With the quantized plane enabled, re-code the gathered representative
@@ -55,24 +51,13 @@ func (ix *Index) AppendRecords(features [][]float64) ([]int, error) {
 			return nil, err
 		}
 	}
-	// Embed and scan in parallel into per-record slots, then append in
-	// record order so IDs and table rows stay sequential.
+	// Embed in parallel, scan the batch, then append in record order so IDs
+	// and table rows stay sequential.
 	embs := vecmath.NewMatrix(len(features), ix.Embedder.Dim())
-	nbrLists := make([][]cluster.Neighbor, len(features))
-	stats := parallel.Map(ix.cfg.Parallelism, len(features), func(_ int, s parallel.Span) cluster.QuantScanStats {
-		var sc cluster.Scanner      // per-chunk scratch
-		var qc cluster.QuantScanner // per-chunk scratch (quantized path)
-		for i := s.Lo; i < s.Hi; i++ {
-			embed.Into(ix.Embedder, embs.Row(i), features[i])
-			dst := make([]cluster.Neighbor, 0, k)
-			if quantized {
-				nbrLists[i] = qc.ScanInto(dst, embs.Row(i), repMat, repQ, reps, k)
-			} else {
-				nbrLists[i] = sc.ScanInto(dst, embs.Row(i), repMat, reps, k)
-			}
-		}
-		return qc.Stats
+	parallel.For(ix.cfg.Parallelism, len(features), func(i int) {
+		embed.Into(ix.Embedder, embs.Row(i), features[i])
 	})
+	nbrLists, stats := cluster.ScanRows(embs, repMat, repQ, reps, ix.Table.K, ix.cfg.Parallelism)
 	ids := make([]int, len(features))
 	for i := range features {
 		ids[i] = ix.Embeddings.Rows()
@@ -85,10 +70,6 @@ func (ix *Index) AppendRecords(features [][]float64) ([]int, error) {
 		}
 		ix.Table.Neighbors = append(ix.Table.Neighbors, nbrLists[i])
 	}
-	var total cluster.QuantScanStats
-	for _, st := range stats {
-		total.Add(st)
-	}
-	PublishQuantStats(ix.cfg.Telemetry, total)
+	PublishQuantStats(ix.cfg.Telemetry, stats)
 	return ids, nil
 }

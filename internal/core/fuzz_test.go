@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -33,9 +34,11 @@ var fuzzSeedIndex = sync.OnceValues(func() ([]byte, error) {
 	return buf.Bytes(), nil
 })
 
-// FuzzLoadIndex feeds arbitrary bytes to Load — both the framed decoder and
-// the legacy gob fallback — and requires it to terminate with a value or an
-// error: no panic, no hang, no unbounded allocation.
+// FuzzLoadIndex feeds arbitrary bytes to Load and requires it to terminate
+// with a value or an error: no panic, no hang, no unbounded allocation. A
+// stream that does not open with the snapshot magic — the bare-gob seed is
+// what builds before the framed format wrote — is refused as ErrBadMagic
+// before any of it is decoded.
 func FuzzLoadIndex(f *testing.F) {
 	valid, err := fuzzSeedIndex()
 	if err != nil {
@@ -50,13 +53,32 @@ func FuzzLoadIndex(f *testing.F) {
 	mut := append([]byte(nil), valid...)
 	mut[len(mut)/3] ^= 0x10
 	f.Add(mut)
+	ix, err := fuzzSeedIndexValue()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var bare bytes.Buffer
+	if err := gob.NewEncoder(&bare).Encode(indexMeta{K: ix.Table.K, Reps: ix.Table.Reps}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bare.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := Load(bytes.NewReader(data))
 		if err == nil && ix.Table.Validate() != nil {
 			t.Fatal("Load accepted an index its own validation rejects")
 		}
+		requireBadMagic(t, data, err)
 	})
+}
+
+// requireBadMagic fails unless input without the snapshot magic was refused
+// with snapshot.ErrBadMagic.
+func requireBadMagic(t *testing.T, data []byte, err error) {
+	t.Helper()
+	if !bytes.HasPrefix(data, snapshot.Magic[:]) && !errors.Is(err, snapshot.ErrBadMagic) {
+		t.Fatalf("input without the snapshot magic: err = %v, want ErrBadMagic", err)
+	}
 }
 
 // FuzzLoadIndexFlat targets the flat embeddings frame specifically: it
@@ -223,17 +245,18 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	if err := ckpt.Save(&framed); err != nil {
 		f.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(ckpt); err != nil {
+	var bare bytes.Buffer // what builds before the framed format wrote
+	if err := gob.NewEncoder(&bare).Encode(ckpt); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(framed.Bytes())
-	f.Add(legacy.Bytes())
+	f.Add(bare.Bytes())
 	f.Add(framed.Bytes()[:len(framed.Bytes())/2])
 	f.Add([]byte{})
 	f.Add([]byte("TASTISNP\x00\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = LoadCheckpoint(bytes.NewReader(data)) //nolint:errcheck // only panics/hangs matter
+		_, err := LoadCheckpoint(bytes.NewReader(data))
+		requireBadMagic(t, data, err)
 	})
 }

@@ -435,24 +435,8 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 	sp = cfg.TraceSpan.Child("cluster/select")
 	repRand := xrand.Split(cfg.Seed, "reps")
 	var reps []int
-	// The FPF sweep computes every representative-to-record distance the
-	// exact table build would recompute. When the matrix fits the retention
-	// budget, keep it and build the table from it directly; the gate depends
-	// only on the configured sizes (with Quantize on, it additionally
-	// requires the retained cache not to out-cost the bytes the plane
-	// saves), and both table paths are bitwise identical, so this is purely
-	// a bandwidth optimization.
-	var repDists vecmath.Matrix
 	if cfg.FPFCluster {
-		if !cfg.ApproxTable && cluster.DistCacheFitsPlane(ds.Len(), cfg.NumReps, cfg.EmbedDim, cfg.Quantize) {
-			reps, repDists = cluster.FPFMixedParDists(repRand, embeddings, cfg.NumReps, cfg.RandomRepFraction, cfg.Parallelism)
-		} else if cfg.Quantize {
-			var st cluster.QuantScanStats
-			reps, st = cluster.FPFMixedParQuant(repRand, embeddings, quant, cfg.NumReps, cfg.RandomRepFraction, cfg.Parallelism)
-			quantStats.Add(st)
-		} else {
-			reps = cluster.FPFMixedPar(repRand, embeddings, cfg.NumReps, cfg.RandomRepFraction, cfg.Parallelism)
-		}
+		reps, quantStats = cluster.FPFMixedPar(repRand, embeddings, quant, cfg.NumReps, cfg.RandomRepFraction, cfg.Parallelism)
 	} else {
 		reps = cluster.RandomReps(repRand, ds.Len(), cfg.NumReps)
 	}
@@ -571,19 +555,15 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		}
 		table = approx
 		sp.SetAttr("mode", "ivf")
-	} else if repDists.Rows() > 0 && repDists.Rows() == len(liveReps) {
-		// A degraded build drops representatives, misaligning the retained
-		// rows, so the cached path only fires when every rep survived.
-		table = cluster.BuildTableFromDists(repDists, liveReps, tableK, cfg.Parallelism)
-		sp.SetAttr("mode", "exact-cached")
-	} else if cfg.Quantize {
+	} else {
 		var st cluster.QuantScanStats
 		table, st = cluster.BuildTableQuantPar(embeddings, quant, liveReps, tableK, cfg.Parallelism)
 		quantStats.Add(st)
-		sp.SetAttr("mode", "exact-quant")
-	} else {
-		table = cluster.BuildTablePar(embeddings, liveReps, tableK, cfg.Parallelism)
-		sp.SetAttr("mode", "exact")
+		if cfg.Quantize {
+			sp.SetAttr("mode", "exact-quant")
+		} else {
+			sp.SetAttr("mode", "exact")
+		}
 	}
 	sp.End()
 	stats.TableWall = time.Since(tableStart)
@@ -655,12 +635,8 @@ func (ix *Index) Crack(id int, ann dataset.Annotation) {
 		return
 	}
 	ix.Annotations[id] = ann
-	if ix.Quant.Enabled() {
-		st := ix.Table.AddRepresentativeEmbQuant(ix.Embeddings, ix.Quant, id, ix.Embeddings.Row(id), ix.cfg.Parallelism)
-		PublishQuantStats(ix.cfg.Telemetry, st)
-		return
-	}
-	ix.Table.AddRepresentativePar(ix.Embeddings, id, ix.cfg.Parallelism)
+	st := ix.Table.AddRepresentativeEmb(ix.Embeddings, ix.Quant, id, ix.Embeddings.Row(id), ix.cfg.Parallelism)
+	PublishQuantStats(ix.cfg.Telemetry, st)
 }
 
 // CrackAll cracks a batch of (id, annotation) observations. It inherits

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -55,6 +56,36 @@ func TestBuildAccounting(t *testing.T) {
 	}
 	if err := ix.Table.Validate(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBuildFailsCleanlyOnBudgetExhaustion injects a labeler failure mid
+// construction and checks Build surfaces it as an error instead of
+// panicking or returning a half-built index.
+func TestBuildFailsCleanlyOnBudgetExhaustion(t *testing.T) {
+	ds, err := dataset.Generate("night-street", 400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
+	budgeted := labeler.NewBudgeted(oracle, 30) // less than the 50 training labels needed
+	cfg := fastConfig(50, 40)
+	ix, err := Build(cfg, ds, budgeted)
+	if !errors.Is(err, labeler.ErrBudgetExhausted) {
+		t.Fatalf("err = %v, want budget exhaustion", err)
+	}
+	if ix != nil {
+		t.Error("failed build returned an index")
+	}
+
+	// Enough for training but not for all representatives.
+	budgeted = labeler.NewBudgeted(oracle, 60)
+	ix, err = Build(cfg, ds, budgeted)
+	if !errors.Is(err, labeler.ErrBudgetExhausted) {
+		t.Fatalf("err = %v, want budget exhaustion in rep phase", err)
+	}
+	if ix != nil {
+		t.Error("failed build returned an index")
 	}
 }
 

@@ -30,13 +30,9 @@ const (
 	checkpointKind = "tasti-checkpoint"
 )
 
-// Embedding frame names: v2 snapshots persist the contiguous matrix as one
-// flat frame; v1 snapshots carried a gob [][]float64. Load picks the decoder
-// by the frame name it finds, so both generations stay readable.
-const (
-	embeddingsFlatFrame   = "embeddings.flat"
-	embeddingsLegacyFrame = "embeddings"
-)
+// embeddingsFlatFrame names the frame that persists the contiguous embedding
+// matrix: the shape plus the backing array.
+const embeddingsFlatFrame = "embeddings.flat"
 
 // embeddingsQuantFrame is the optional trailing frame carrying the quantized
 // scan plane (v3): per-dimension quantization params plus the uint8 code
@@ -81,19 +77,6 @@ type quantEmbeddings struct {
 	Offset    []float64
 	MaxErr    float64
 	Codes     []uint8
-}
-
-// gobSnapshot is the legacy (pre-framing) on-disk form: one bare
-// encoding/gob stream with no version, checksum, or atomicity. Load still
-// reads it so pre-existing snapshots keep working; Save always writes the
-// framed format.
-type gobSnapshot struct {
-	K           int
-	Reps        []int
-	Neighbors   [][]cluster.Neighbor
-	Annotations map[int]dataset.Annotation
-	Embeddings  [][]float64
-	Stats       BuildStats
 }
 
 // Save serializes the index in the framed snapshot format: magic, version,
@@ -156,146 +139,94 @@ func (ix *Index) Save(w io.Writer) error {
 	return nil
 }
 
-// decodeEmbeddingsFrame decodes the embeddings section of a framed snapshot,
-// accepting both the v2 flat layout and the v1 per-row gob layout, with the
-// shape validated (row count × dim overflow, backing-array length, ragged
-// rows) before the matrix is trusted.
-func decodeEmbeddingsFrame(sr *snapshot.Reader) (vecmath.Matrix, error) {
-	name, payload, err := sr.Next()
-	if err == io.EOF {
-		return vecmath.Matrix{}, fmt.Errorf("%w: missing frame %q", snapshot.ErrTruncated, embeddingsFlatFrame)
-	}
-	if err != nil {
-		return vecmath.Matrix{}, err
-	}
-	switch name {
-	case embeddingsFlatFrame:
-		var flat flatEmbeddings
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&flat); err != nil {
-			return vecmath.Matrix{}, fmt.Errorf("snapshot: decoding frame %q: %w", name, err)
-		}
-		m, err := vecmath.MatrixFromFlat(flat.Data, flat.Rows, flat.Dim)
-		if err != nil {
-			return vecmath.Matrix{}, fmt.Errorf("core: embeddings frame: %w", err)
-		}
-		return m, nil
-	case embeddingsLegacyFrame:
-		var rows [][]float64
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rows); err != nil {
-			return vecmath.Matrix{}, fmt.Errorf("snapshot: decoding frame %q: %w", name, err)
-		}
-		m, err := vecmath.TryFromRows(rows)
-		if err != nil {
-			return vecmath.Matrix{}, fmt.Errorf("core: embeddings frame: %w", err)
-		}
-		return m, nil
-	default:
-		return vecmath.Matrix{}, fmt.Errorf("snapshot: unexpected frame %q, want %q or %q",
-			name, embeddingsFlatFrame, embeddingsLegacyFrame)
-	}
-}
-
-// Load deserializes an index saved with Save. It sniffs the magic bytes:
-// framed snapshots are decoded with per-section and whole-file checksum
-// verification and a typed error taxonomy (snapshot.ErrChecksum,
-// ErrTruncated, ...), with the embeddings section accepted in both the v2
-// flat layout and the v1 per-row layout; anything else falls back to the
-// legacy bare-gob decoder for pre-framing snapshots, with a deprecation
-// warning. The returned index propagates scores and supports cracking; when
-// the snapshot carries the optional embedder frame (see embedderFrame) the
-// embedding model is restored too, so AppendRecords keeps working — older
-// snapshots load with Embedder == nil exactly as before.
+// Load deserializes an index saved with Save: per-section and whole-file
+// checksums are verified and failures carry the typed error taxonomy
+// (snapshot.ErrBadMagic for a stream that is not a snapshot at all,
+// ErrChecksum, ErrTruncated, ...). The returned index propagates scores and
+// supports cracking; when the snapshot carries the optional embedder frame
+// (see embedderFrame) the embedding model is restored too, so AppendRecords
+// keeps working — snapshots without it load with Embedder == nil.
 func Load(r io.Reader) (*Index, error) {
-	framed, replay, err := snapshot.Sniff(r)
+	sr, err := snapshot.NewReader(r, indexKind)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading index: %w", err)
 	}
-	var snap gobSnapshot
-	var embeddings vecmath.Matrix
+	var meta indexMeta
+	var neighbors [][]cluster.Neighbor
+	var annotations map[int]dataset.Annotation
+	var stats BuildStats
+	if err := sr.Decode("meta", &meta); err != nil {
+		return nil, fmt.Errorf("core: loading index: %w", err)
+	}
+	if err := sr.Decode("neighbors", &neighbors); err != nil {
+		return nil, fmt.Errorf("core: loading index: %w", err)
+	}
+	if err := sr.Decode("annotations", &annotations); err != nil {
+		return nil, fmt.Errorf("core: loading index: %w", err)
+	}
+	var flat flatEmbeddings
+	if err := sr.Decode(embeddingsFlatFrame, &flat); err != nil {
+		return nil, fmt.Errorf("core: loading index: %w", err)
+	}
+	// The shape is validated (row count × dim overflow, backing-array length)
+	// before the matrix is trusted.
+	embeddings, err := vecmath.MatrixFromFlat(flat.Data, flat.Rows, flat.Dim)
+	if err != nil {
+		return nil, fmt.Errorf("core: loading index: embeddings frame: %w", err)
+	}
+	if err := sr.Decode("stats", &stats); err != nil {
+		return nil, fmt.Errorf("core: loading index: %w", err)
+	}
+	// Walk every remaining frame through the trailer, so the whole-file
+	// checksum is verified before any decoded state is trusted. Optional
+	// trailing frames (today: the quantized plane and the embedder) are
+	// decoded by name; unknown ones are skipped for forward compatibility.
 	var embedder embed.Embedder
 	var quant vecmath.QuantMatrix
-	if framed {
-		sr, err := snapshot.NewReader(replay, indexKind)
+	for {
+		name, payload, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: loading index: %w", err)
 		}
-		var meta indexMeta
-		if err := sr.Decode("meta", &meta); err != nil {
-			return nil, fmt.Errorf("core: loading index: %w", err)
-		}
-		snap.K, snap.Reps = meta.K, meta.Reps
-		if err := sr.Decode("neighbors", &snap.Neighbors); err != nil {
-			return nil, fmt.Errorf("core: loading index: %w", err)
-		}
-		if err := sr.Decode("annotations", &snap.Annotations); err != nil {
-			return nil, fmt.Errorf("core: loading index: %w", err)
-		}
-		if embeddings, err = decodeEmbeddingsFrame(sr); err != nil {
-			return nil, fmt.Errorf("core: loading index: %w", err)
-		}
-		if err := sr.Decode("stats", &snap.Stats); err != nil {
-			return nil, fmt.Errorf("core: loading index: %w", err)
-		}
-		// Walk every remaining frame through the trailer, so the whole-file
-		// checksum is verified before any decoded state is trusted. Optional
-		// trailing frames (today: the quantized plane and the embedder) are
-		// decoded by name; unknown ones are skipped for forward compatibility.
-		for {
-			name, payload, err := sr.Next()
-			if err == io.EOF {
-				break
+		switch name {
+		case embedderFrame:
+			var es embed.Snapshot
+			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&es); err != nil {
+				return nil, fmt.Errorf("core: loading index: decoding frame %q: %w", name, err)
 			}
-			if err != nil {
+			if embedder, err = es.Embedder(); err != nil {
 				return nil, fmt.Errorf("core: loading index: %w", err)
 			}
-			switch name {
-			case embedderFrame:
-				var es embed.Snapshot
-				if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&es); err != nil {
-					return nil, fmt.Errorf("core: loading index: decoding frame %q: %w", name, err)
-				}
-				if embedder, err = es.Embedder(); err != nil {
-					return nil, fmt.Errorf("core: loading index: %w", err)
-				}
-			case embeddingsQuantFrame:
-				var qe quantEmbeddings
-				if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&qe); err != nil {
-					return nil, fmt.Errorf("core: loading index: decoding frame %q: %w", name, err)
-				}
-				quant, err = vecmath.QuantMatrixFromParts(qe.Codes, qe.Rows, qe.Dim,
-					vecmath.QuantParams{Scale: qe.Scale, Offset: qe.Offset}, qe.MaxErr)
-				if err != nil {
-					return nil, fmt.Errorf("core: loading index: frame %q: %w", name, err)
-				}
-				if !quant.Enabled() {
-					// Save only writes trained planes; a frame decoding to the
-					// disabled zero plane (gob drops empty parameter arrays) is
-					// a degenerate artifact, not a usable scan plane.
-					return nil, fmt.Errorf("core: loading index: frame %q: empty quantization parameters", name)
-				}
+		case embeddingsQuantFrame:
+			var qe quantEmbeddings
+			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&qe); err != nil {
+				return nil, fmt.Errorf("core: loading index: decoding frame %q: %w", name, err)
 			}
-		}
-		if quant.Enabled() {
-			// The plane must mirror the float matrix row for row, or scan
-			// pruning would consult codes for the wrong records.
-			if quant.Rows() != embeddings.Rows() || quant.Dim() != embeddings.Dim() {
-				return nil, fmt.Errorf("core: loading index: quantized plane is %dx%d but embeddings are %dx%d",
-					quant.Rows(), quant.Dim(), embeddings.Rows(), embeddings.Dim())
+			quant, err = vecmath.QuantMatrixFromParts(qe.Codes, qe.Rows, qe.Dim,
+				vecmath.QuantParams{Scale: qe.Scale, Offset: qe.Offset}, qe.MaxErr)
+			if err != nil {
+				return nil, fmt.Errorf("core: loading index: frame %q: %w", name, err)
 			}
-		}
-	} else {
-		if err := gob.NewDecoder(replay).Decode(&snap); err != nil {
-			return nil, fmt.Errorf("core: loading index: not a framed snapshot and legacy gob decode failed (%v): %w",
-				err, snapshot.ErrBadMagic)
-		}
-		slog.Warn("core: loaded legacy un-checksummed gob index snapshot; re-save to upgrade to the framed format")
-		if embeddings, err = vecmath.TryFromRows(snap.Embeddings); err != nil {
-			return nil, fmt.Errorf("core: loading index: embeddings: %w", err)
+			if !quant.Enabled() {
+				// Save only writes trained planes; a frame decoding to the
+				// disabled zero plane (gob drops empty parameter arrays) is
+				// a degenerate artifact, not a usable scan plane.
+				return nil, fmt.Errorf("core: loading index: frame %q: empty quantization parameters", name)
+			}
 		}
 	}
-	if embeddings.Rows() != len(snap.Neighbors) {
+	// The plane must mirror the float matrix row for row, or scan pruning
+	// would consult codes for the wrong records.
+	if quant.Enabled() && (quant.Rows() != embeddings.Rows() || quant.Dim() != embeddings.Dim()) {
+		return nil, fmt.Errorf("core: loading index: quantized plane is %dx%d but embeddings are %dx%d",
+			quant.Rows(), quant.Dim(), embeddings.Rows(), embeddings.Dim())
+	}
+	if embeddings.Rows() != len(neighbors) {
 		return nil, fmt.Errorf("core: loaded index invalid: %d embedding rows for %d neighbor lists",
-			embeddings.Rows(), len(snap.Neighbors))
+			embeddings.Rows(), len(neighbors))
 	}
 	if embedder != nil && embeddings.Rows() > 0 && embedder.Dim() != embeddings.Dim() {
 		return nil, fmt.Errorf("core: loaded index invalid: embedder outputs dim %d, embeddings have dim %d",
@@ -306,12 +237,12 @@ func Load(r io.Reader) (*Index, error) {
 		Embeddings: embeddings,
 		Quant:      quant,
 		Table: &cluster.Table{
-			K:         snap.K,
-			Reps:      snap.Reps,
-			Neighbors: snap.Neighbors,
+			K:         meta.K,
+			Reps:      meta.Reps,
+			Neighbors: neighbors,
 		},
-		Annotations: snap.Annotations,
-		Stats:       snap.Stats,
+		Annotations: annotations,
+		Stats:       stats,
 	}
 	if err := ix.Table.Validate(); err != nil {
 		return nil, fmt.Errorf("core: loaded index invalid: %w", err)

@@ -7,84 +7,14 @@ import (
 	"repro/internal/snapshot"
 )
 
-// saveV1 writes a version-1 framed snapshot of ix: the container format one
-// generation back, with the embeddings as a per-row gob "embeddings" frame
-// instead of the flat "embeddings.flat" frame v2 writes.
-func saveV1(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	sw, err := snapshot.NewWriterVersion(&buf, indexKind, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sections := []struct {
-		name string
-		v    any
-	}{
-		{"meta", indexMeta{K: ix.Table.K, Reps: ix.Table.Reps}},
-		{"neighbors", ix.Table.Neighbors},
-		{"annotations", ix.Annotations},
-		{embeddingsLegacyFrame, ix.Embeddings.CopyRows()},
-		{"stats", ix.Stats},
-	}
-	for _, s := range sections {
-		if err := sw.Encode(s.name, s.v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestV1FramedSnapshotLoads pins cross-version compatibility: a version-1
-// framed snapshot (per-row embeddings frame) must load to the same state as
-// the current flat-frame format — snapshots written before the flat-memory
-// engine keep working.
-func TestV1FramedSnapshotLoads(t *testing.T) {
-	ix := smallIndex(t)
-	got, err := Load(bytes.NewReader(saveV1(t, ix)))
-	if err != nil {
-		t.Fatalf("v1 load: %v", err)
-	}
-	if got.Table.K != ix.Table.K || len(got.Table.Reps) != len(ix.Table.Reps) {
-		t.Fatal("v1: table mismatch")
-	}
-	if got.Embeddings.Rows() != ix.Embeddings.Rows() || got.Embeddings.Dim() != ix.Embeddings.Dim() {
-		t.Fatalf("v1: embeddings %dx%d, want %dx%d",
-			got.Embeddings.Rows(), got.Embeddings.Dim(), ix.Embeddings.Rows(), ix.Embeddings.Dim())
-	}
-	for i := 0; i < ix.Embeddings.Rows(); i++ {
-		for j, v := range ix.Embeddings.Row(i) {
-			if got.Embeddings.Row(i)[j] != v {
-				t.Fatalf("v1: embedding [%d][%d] differs", i, j)
-			}
-		}
-	}
-	// The loaded index must be queryable, not just structurally equal.
-	want, err := ix.Propagate(CountScore("car"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores, err := got.Propagate(CountScore("car"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if scores[i] != want[i] {
-			t.Fatalf("v1: propagated score[%d] = %v, want %v", i, scores[i], want[i])
-		}
-	}
-}
-
 // TestFlatFrameShapeMismatchRejected pins the flat-frame validation: a
 // snapshot whose embeddings frame declares a shape inconsistent with its
-// backing array (or with the neighbor table) must be rejected with an error,
-// never accepted or panicked on.
+// backing array (or with the neighbor table), or that carries the v1 per-row
+// "embeddings" frame in its place, must be rejected with an error, never
+// accepted or panicked on.
 func TestFlatFrameShapeMismatchRejected(t *testing.T) {
 	ix := smallIndex(t)
-	write := func(flat flatEmbeddings) []byte {
+	write := func(frame string, embeddings any) []byte {
 		var buf bytes.Buffer
 		sw, err := snapshot.NewWriter(&buf, indexKind)
 		if err != nil {
@@ -97,7 +27,7 @@ func TestFlatFrameShapeMismatchRejected(t *testing.T) {
 			{"meta", indexMeta{K: ix.Table.K, Reps: ix.Table.Reps}},
 			{"neighbors", ix.Table.Neighbors},
 			{"annotations", ix.Annotations},
-			{embeddingsFlatFrame, flat},
+			{frame, embeddings},
 			{"stats", ix.Stats},
 		}
 		for _, s := range sections {
@@ -124,8 +54,11 @@ func TestFlatFrameShapeMismatchRejected(t *testing.T) {
 		{"row count vs neighbors", flatEmbeddings{Rows: rows - 1, Dim: dim, Data: data[:(rows-1)*dim]}},
 	}
 	for _, tc := range bad {
-		if _, err := Load(bytes.NewReader(write(tc.flat))); err == nil {
+		if _, err := Load(bytes.NewReader(write(embeddingsFlatFrame, tc.flat))); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	if _, err := Load(bytes.NewReader(write("embeddings", ix.Embeddings.CopyRows()))); err == nil {
+		t.Error("v1 per-row embeddings frame: accepted")
 	}
 }

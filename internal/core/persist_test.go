@@ -3,32 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/snapshot"
 )
-
-// saveLegacy writes the pre-framing bare-gob snapshot format, pinning the
-// compatibility path: indexes saved by old builds must keep loading.
-func saveLegacy(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	snap := gobSnapshot{
-		K:           ix.Table.K,
-		Reps:        ix.Table.Reps,
-		Neighbors:   ix.Table.Neighbors,
-		Annotations: ix.Annotations,
-		Embeddings:  ix.Embeddings.CopyRows(),
-		Stats:       ix.Stats,
-	}
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // smallIndex builds a compact TASTI-PT index for persistence tests.
 func smallIndex(t *testing.T) *Index {
@@ -40,47 +21,30 @@ func smallIndex(t *testing.T) *Index {
 	return ix
 }
 
-// TestLegacyGobLoadRoundTrip pins both load paths: a legacy bare-gob stream
-// and a framed snapshot of the same index must load to identical state.
-func TestLegacyGobLoadRoundTrip(t *testing.T) {
+// TestLoadRoundTripState pins the loaded state field by field: table shape,
+// representatives, annotations and every embedding bit.
+func TestLoadRoundTripState(t *testing.T) {
 	ix := smallIndex(t)
-
-	legacy, err := Load(bytes.NewReader(saveLegacy(t, ix)))
-	if err != nil {
-		t.Fatalf("legacy load: %v", err)
-	}
-	var framedBuf bytes.Buffer
-	if err := ix.Save(&framedBuf); err != nil {
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	framed, err := Load(bytes.NewReader(framedBuf.Bytes()))
+	got, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("framed load: %v", err)
+		t.Fatal(err)
 	}
-
-	for name, got := range map[string]*Index{"legacy": legacy, "framed": framed} {
-		if got.Table.K != ix.Table.K || len(got.Table.Reps) != len(ix.Table.Reps) {
-			t.Fatalf("%s: table mismatch", name)
-		}
-		for i, rep := range ix.Table.Reps {
-			if got.Table.Reps[i] != rep {
-				t.Fatalf("%s: rep %d differs", name, i)
-			}
-		}
-		if len(got.Annotations) != len(ix.Annotations) {
-			t.Fatalf("%s: %d annotations, want %d", name, len(got.Annotations), len(ix.Annotations))
-		}
-		if got.Embeddings.Rows() != ix.Embeddings.Rows() || got.Embeddings.Dim() != ix.Embeddings.Dim() {
-			t.Fatalf("%s: embeddings %dx%d, want %dx%d",
-				name, got.Embeddings.Rows(), got.Embeddings.Dim(), ix.Embeddings.Rows(), ix.Embeddings.Dim())
-		}
-		for i := 0; i < ix.Embeddings.Rows(); i++ {
-			for j, v := range ix.Embeddings.Row(i) {
-				if got.Embeddings.Row(i)[j] != v {
-					t.Fatalf("%s: embedding [%d][%d] differs", name, i, j)
-				}
-			}
-		}
+	if got.Table.K != ix.Table.K || !slices.Equal(got.Table.Reps, ix.Table.Reps) {
+		t.Fatal("table mismatch")
+	}
+	if len(got.Annotations) != len(ix.Annotations) {
+		t.Fatalf("%d annotations, want %d", len(got.Annotations), len(ix.Annotations))
+	}
+	if got.Embeddings.Rows() != ix.Embeddings.Rows() || got.Embeddings.Dim() != ix.Embeddings.Dim() {
+		t.Fatalf("embeddings %dx%d, want %dx%d",
+			got.Embeddings.Rows(), got.Embeddings.Dim(), ix.Embeddings.Rows(), ix.Embeddings.Dim())
+	}
+	if !slices.Equal(got.Embeddings.Data(), ix.Embeddings.Data()) {
+		t.Fatal("embedding bits differ")
 	}
 }
 
@@ -122,7 +86,7 @@ func frameBoundaries(t *testing.T, data []byte) []int {
 }
 
 // loadTyped asserts that loading corrupted bytes yields an error from the
-// snapshot taxonomy (legacy-fallback failures carry ErrBadMagic).
+// snapshot taxonomy.
 func loadTyped(t *testing.T, data []byte, what string) {
 	t.Helper()
 	_, err := Load(bytes.NewReader(data))
@@ -225,22 +189,6 @@ func TestCorruptCheckpointTruncationMatrix(t *testing.T) {
 	}
 	if got.Seed != 7 || got.Failed[3] != "broken sensor" {
 		t.Fatalf("round trip lost state: %+v", got)
-	}
-}
-
-// TestLegacyCheckpointLoads pins the legacy bare-gob checkpoint path.
-func TestLegacyCheckpointLoads(t *testing.T) {
-	ckpt := &Checkpoint{Seed: 9, DatasetLen: 20, Labeled: map[int]dataset.Annotation{}, Failed: map[int]string{}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy checkpoint load: %v", err)
-	}
-	if got.Seed != 9 || got.DatasetLen != 20 {
-		t.Fatalf("legacy checkpoint state: %+v", got)
 	}
 }
 

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
-	"log/slog"
 	"sort"
 
 	"repro/internal/dataset"
@@ -78,25 +76,12 @@ func (c *Checkpoint) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadCheckpoint deserializes a checkpoint saved with Save. Framed files
-// are checksum-verified with typed errors; legacy bare-gob checkpoints
-// still load, with a deprecation warning.
+// LoadCheckpoint deserializes a checkpoint saved with Save, checksum-verified
+// with typed errors (snapshot.ErrBadMagic for a stream that is not a snapshot).
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	framed, replay, err := snapshot.Sniff(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading checkpoint: %w", err)
-	}
 	var c Checkpoint
-	if framed {
-		if err := snapshot.DecodeGob(replay, checkpointKind, &c); err != nil {
-			return nil, fmt.Errorf("core: loading checkpoint: %w", err)
-		}
-	} else {
-		if err := gob.NewDecoder(replay).Decode(&c); err != nil {
-			return nil, fmt.Errorf("core: loading checkpoint: not a framed snapshot and legacy gob decode failed (%v): %w",
-				err, snapshot.ErrBadMagic)
-		}
-		slog.Warn("core: loaded legacy un-checksummed gob checkpoint; it will be re-saved in the framed format")
+	if err := snapshot.DecodeGob(r, checkpointKind, &c); err != nil {
+		return nil, fmt.Errorf("core: loading checkpoint: %w", err)
 	}
 	return &c, nil
 }

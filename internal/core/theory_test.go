@@ -35,15 +35,15 @@ func TestTheorem1Bound(t *testing.T) {
 		// margin condition max |phi(x) - phi(c(x))| < m holds.
 		numReps := 4
 		var reps []int
+		var table *cluster.Table
 		for {
-			reps = cluster.FPF(embeddings, numReps, 0)
-			if cluster.MaxMinDistance(embeddings, reps) < m || numReps >= n {
+			reps = cluster.FPFPar(embeddings, numReps, 0, 0)
+			table = cluster.BuildTablePar(embeddings, reps, 1, 0)
+			if table.MaxNearestDistance() < m || numReps >= n {
 				break
 			}
 			numReps *= 2
 		}
-
-		table := cluster.BuildTable(embeddings, reps, 1)
 		anns := make(map[int]dataset.Annotation, len(reps))
 		ds := make([]dataset.Annotation, n)
 		for i := range ds {

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"log/slog"
 
 	"repro/internal/snapshot"
 )
@@ -44,25 +43,13 @@ func (d *Dataset) Save(w io.Writer) error {
 	return nil
 }
 
-// Load deserializes a dataset saved with Save and validates it. Framed
-// files are checksum-verified with typed errors; legacy bare-gob corpora
-// still load, with a deprecation warning.
+// Load deserializes a dataset saved with Save and validates it. The file is
+// checksum-verified with typed errors (snapshot.ErrBadMagic for a stream that
+// is not a snapshot).
 func Load(r io.Reader) (*Dataset, error) {
-	framed, replay, err := snapshot.Sniff(r)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: loading: %w", err)
-	}
 	var d Dataset
-	if framed {
-		if err := snapshot.DecodeGob(replay, datasetKind, &d); err != nil {
-			return nil, fmt.Errorf("dataset: loading: %w", err)
-		}
-	} else {
-		if err := gob.NewDecoder(replay).Decode(&d); err != nil {
-			return nil, fmt.Errorf("dataset: loading: not a framed snapshot and legacy gob decode failed (%v): %w",
-				err, snapshot.ErrBadMagic)
-		}
-		slog.Warn("dataset: loaded legacy un-checksummed gob corpus; re-save to upgrade to the framed format")
+	if err := snapshot.DecodeGob(r, datasetKind, &d); err != nil {
+		return nil, fmt.Errorf("dataset: loading: %w", err)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("dataset: loaded dataset invalid: %w", err)

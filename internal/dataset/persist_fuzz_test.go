@@ -9,10 +9,11 @@ import (
 	"repro/internal/snapshot"
 )
 
-// FuzzDatasetLoad feeds arbitrary bytes to Load — the framed decoder and
-// the legacy gob fallback — and requires termination with a value or an
-// error: no panic, no hang. Accepted datasets must pass their own
-// validation.
+// FuzzDatasetLoad feeds arbitrary bytes to Load and requires termination
+// with a value or an error: no panic, no hang. Accepted datasets must pass
+// their own validation, and a stream that does not open with the snapshot
+// magic — the bare-gob seed is what builds before the framed format wrote —
+// is refused as ErrBadMagic before any of it is decoded.
 func FuzzDatasetLoad(f *testing.F) {
 	ds, err := Generate("wikisql", 60, 2)
 	if err != nil {
@@ -22,12 +23,12 @@ func FuzzDatasetLoad(f *testing.F) {
 	if err := ds.Save(&framed); err != nil {
 		f.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(ds); err != nil {
+	var bare bytes.Buffer
+	if err := gob.NewEncoder(&bare).Encode(ds); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(framed.Bytes())
-	f.Add(legacy.Bytes())
+	f.Add(bare.Bytes())
 	f.Add(framed.Bytes()[:len(framed.Bytes())/2])
 	f.Add([]byte{})
 	f.Add([]byte("TASTISNP"))
@@ -36,6 +37,9 @@ func FuzzDatasetLoad(f *testing.F) {
 		got, err := Load(bytes.NewReader(data))
 		if err == nil && got.Validate() != nil {
 			t.Fatal("Load accepted a dataset its own validation rejects")
+		}
+		if !bytes.HasPrefix(data, snapshot.Magic[:]) && !errors.Is(err, snapshot.ErrBadMagic) {
+			t.Fatalf("input without the snapshot magic: err = %v, want ErrBadMagic", err)
 		}
 	})
 }
@@ -74,24 +78,5 @@ func TestCorruptDatasetTruncationMatrix(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(data)); err != nil {
 		t.Fatalf("intact corpus: %v", err)
-	}
-}
-
-// TestLegacyDatasetLoads pins the legacy bare-gob corpus path.
-func TestLegacyDatasetLoads(t *testing.T) {
-	ds, err := Generate("night-street", 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy load: %v", err)
-	}
-	if got.Len() != 30 || got.Name != ds.Name {
-		t.Fatalf("legacy round trip: %d records, name %q", got.Len(), got.Name)
 	}
 }

@@ -148,7 +148,7 @@ func RunExtraANN(sc Scale, w io.Writer) (*Report, error) {
 	}
 
 	start := time.Now()
-	exact := cluster.BuildTable(ix.Embeddings, ix.Table.Reps, ix.Table.K)
+	exact := cluster.BuildTablePar(ix.Embeddings, ix.Table.Reps, ix.Table.K, 0)
 	if err := measure("exact", exact, time.Since(start)); err != nil {
 		return nil, err
 	}

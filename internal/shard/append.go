@@ -101,10 +101,6 @@ func (v *Version) appended(embs vecmath.Matrix) (*Version, []int) {
 	last := v.lastShard()
 	par := v.w.par
 	reps := last.Table.Reps
-	k := last.Table.K
-	if len(reps) < k {
-		k = len(reps)
-	}
 	repMat := v.gatherRepEmbeddings(reps, embs.Dim())
 	// With the quantized plane enabled, re-code the gathered representative
 	// rows under the trained params (the code map is deterministic, so these
@@ -120,20 +116,7 @@ func (v *Version) appended(embs vecmath.Matrix) (*Version, []int) {
 		}
 	}
 	n := embs.Rows()
-	nbrLists := make([][]cluster.Neighbor, n)
-	qstats := parallel.Map(par, n, func(_ int, s parallel.Span) cluster.QuantScanStats {
-		var sc cluster.Scanner      // per-chunk scratch
-		var qc cluster.QuantScanner // per-chunk scratch (quantized path)
-		for i := s.Lo; i < s.Hi; i++ {
-			dst := make([]cluster.Neighbor, 0, k)
-			if quantized {
-				nbrLists[i] = qc.ScanInto(dst, embs.Row(i), repMat, repQ, reps, k)
-			} else {
-				nbrLists[i] = sc.ScanInto(dst, embs.Row(i), repMat, reps, k)
-			}
-		}
-		return qc.Stats
-	})
+	nbrLists, qstats := cluster.ScanRows(embs, repMat, repQ, reps, last.Table.K, par)
 
 	// The matrix and neighbor slice grow with append semantics: the first
 	// append past the split-time capacity reallocates, after which growth is
@@ -170,11 +153,7 @@ func (v *Version) appended(embs vecmath.Matrix) (*Version, []int) {
 	}
 	shards := slices.Clone(v.shards)
 	shards[len(shards)-1] = next
-	var total cluster.QuantScanStats
-	for _, st := range qstats {
-		total.Add(st)
-	}
-	core.PublishQuantStats(v.w.tel, total)
+	core.PublishQuantStats(v.w.tel, qstats)
 	return v.successor(shards, v.total+n, 1), ids
 }
 

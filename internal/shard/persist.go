@@ -14,8 +14,8 @@ import (
 
 // IndexKind is the framed-container artifact type of a sharded index
 // snapshot. Loading a single-index snapshot through Load (or vice versa)
-// fails with snapshot.ErrKind, so cmd/tastiserve can fall back to the legacy
-// single-container format on a typed error instead of a decode mystery.
+// fails with snapshot.ErrKind, so cmd/tastiserve can fall back to the
+// single-index container on a typed error instead of a decode mystery.
 const IndexKind = "tasti-shard-index"
 
 // manifestFrame precedes the shard payloads so a reader can learn the

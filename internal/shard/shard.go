@@ -627,7 +627,7 @@ func (x *Index) Crack(id int, ann dataset.Annotation) {
 // publishes the result as one version. For each record the owning shard
 // supplies the embedding row, then each shard records the annotation and
 // updates its own table rows — the same per-record computation the unsharded
-// Table.AddRepresentative runs, so the sharded tables stay bitwise identical
+// Table.AddRepresentativeEmb runs, so the sharded tables stay bitwise identical
 // to the global one. Records that are already annotated are skipped,
 // mirroring core.Index.Crack; a batch of nothing else keeps the published
 // version, its generation and its proxy columns. Each representative added
@@ -700,11 +700,7 @@ func (v *Version) cracked(ids []int, anns map[int]dataset.Annotation) (next *Ver
 		repEmb := owner.Embeddings.Row(id - owner.Lo)
 		for _, sh := range shards {
 			sh.Annotations[id] = anns[id]
-			if sh.Quant.Enabled() {
-				qstats.Add(sh.Table.AddRepresentativeEmbQuant(sh.Embeddings, sh.Quant, id, repEmb, v.w.par))
-			} else {
-				sh.Table.AddRepresentativeEmb(sh.Embeddings, id, repEmb, v.w.par)
-			}
+			qstats.Add(sh.Table.AddRepresentativeEmb(sh.Embeddings, sh.Quant, id, repEmb, v.w.par))
 		}
 	}
 	core.PublishQuantStats(v.w.tel, qstats)

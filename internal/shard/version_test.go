@@ -23,7 +23,8 @@ import (
 // copy-on-write crack must reproduce bit for bit — and, mutating shared rows
 // as it does, exactly what a pinned version must never observe.
 
-// refAddRepresentativeEmb is the in-place cluster.Table.AddRepresentativeEmb.
+// refAddRepresentativeEmb is the in-place cluster.Table.AddRepresentativeEmb
+// over the float rows.
 func refAddRepresentativeEmb(t *cluster.Table, embeddings vecmath.Matrix, rep int, repEmb []float64, p int) {
 	for _, existing := range t.Reps {
 		if existing == rep {
@@ -50,9 +51,9 @@ func refAddRepresentativeEmb(t *cluster.Table, embeddings vecmath.Matrix, rep in
 	})
 }
 
-// refAddRepresentativeEmbQuant is the in-place
-// cluster.Table.AddRepresentativeEmbQuant, less its scan statistics.
-func refAddRepresentativeEmbQuant(t *cluster.Table, embeddings vecmath.Matrix, quant vecmath.QuantMatrix, rep int, repEmb []float64, p int) {
+// refAddRepresentativeQuant is the in-place cluster.Table.AddRepresentativeEmb
+// over the quantized plane, less its scan statistics.
+func refAddRepresentativeQuant(t *cluster.Table, embeddings vecmath.Matrix, quant vecmath.QuantMatrix, rep int, repEmb []float64, p int) {
 	for _, existing := range t.Reps {
 		if existing == rep {
 			return
@@ -104,7 +105,7 @@ func refCrack(x *shard.Index, id int, ann dataset.Annotation, par int) {
 		sh := x.Shard(s)
 		sh.Annotations[id] = ann
 		if sh.Quant.Enabled() {
-			refAddRepresentativeEmbQuant(sh.Table, sh.Embeddings, sh.Quant, id, repEmb, par)
+			refAddRepresentativeQuant(sh.Table, sh.Embeddings, sh.Quant, id, repEmb, par)
 		} else {
 			refAddRepresentativeEmb(sh.Table, sh.Embeddings, id, repEmb, par)
 		}

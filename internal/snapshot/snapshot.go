@@ -62,14 +62,15 @@ var Magic = [8]byte{'T', 'A', 'S', 'T', 'I', 'S', 'N', 'P'}
 //	     [][]float64 frame named "embeddings".
 //	v2 — flat embedding layout: index embeddings as one contiguous
 //	     row-major frame named "embeddings.flat" (rows, dim, backing
-//	     array). v1 files remain readable; readers pick the decoder by
-//	     frame name.
+//	     array). The container still opens at v1, but core.Load reads only
+//	     the flat frame: a v1 index snapshot fails on its "embeddings"
+//	     frame name and is rebuilt, not converted.
 //	v3 — quantized scan plane: index snapshots may carry an optional
 //	     trailing frame named "embeddings.quant" (per-dimension scale and
-//	     offset, decode-error bound, uint8 code matrix). v1/v2 files
-//	     remain readable — the frame is simply absent; v2 readers would
-//	     skip it as an unknown trailing frame, but the version is bumped
-//	     so operators can tell which builds materialize the plane on load.
+//	     offset, decode-error bound, uint8 code matrix). v2 files remain
+//	     readable — the frame is simply absent; v2 readers would skip it as
+//	     an unknown trailing frame, but the version is bumped so operators
+//	     can tell which builds materialize the plane on load.
 const Version uint32 = 3
 
 // MinVersion is the oldest container-format version this build still reads.
@@ -470,17 +471,4 @@ func DecodeGob(r io.Reader, kind string, v any) error {
 		return err
 	}
 	return sr.Drain()
-}
-
-// Sniff reads up to len(Magic) bytes from r and reports whether they are the
-// snapshot magic. The returned reader replays the consumed bytes, so the
-// caller can hand it to either the framed or a legacy decoder.
-func Sniff(r io.Reader) (framed bool, replay io.Reader, err error) {
-	buf := make([]byte, len(Magic))
-	n, err := io.ReadFull(r, buf)
-	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return false, nil, fmt.Errorf("snapshot: sniff: %w", err)
-	}
-	buf = buf[:n]
-	return bytes.Equal(buf, Magic[:]), io.MultiReader(bytes.NewReader(buf), r), nil
 }

@@ -58,8 +58,8 @@ import (
 const Version = "0.9.0"
 
 // SnapshotFormatVersion is the framed snapshot container's current format
-// version (the write-side version; older versions back to
-// snapshot.MinVersion still load).
+// version (the write-side version; the container opens back to
+// snapshot.MinVersion, the index loader reads the flat embedding layout only).
 const SnapshotFormatVersion = snapshot.Version
 
 // Data model.
@@ -353,8 +353,7 @@ func KernelName() string { return vecmath.KernelName() }
 // every corruption with the typed errors below. See docs/RELIABILITY.md
 // "Persistence format" for the layout, version policy, and error taxonomy.
 var (
-	// ErrSnapshotBadMagic marks a file that is not a framed snapshot (and,
-	// where a legacy fallback exists, also failed legacy decoding).
+	// ErrSnapshotBadMagic marks a file that is not a framed snapshot at all.
 	ErrSnapshotBadMagic = snapshot.ErrBadMagic
 	// ErrSnapshotKind marks a framed snapshot of the wrong artifact type,
 	// e.g. a checkpoint file passed to LoadIndex.
