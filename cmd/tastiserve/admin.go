@@ -109,6 +109,13 @@ func (sc *reqScope) setCost(records, shards int64) {
 // in the same store's miss path (index-annotation promotion, singleflight,
 // budget, oracle).
 //
+// Aggregates and selects do not need the label, only a scoring function's
+// number for it, and sample through values / matches instead: a draw on a
+// record whose exact score the request's proxy column already holds is that
+// one read, and any other draw is Label, scored once and recorded in the
+// column. A column knows a record's score only after the store holds its
+// label, so such a draw is metered as the store hit Label would have made it.
+//
 // It is also the request's meter, so each ledger entry carries its own
 // label spend: it counts exactly the successful Label calls — the same events
 // every query processor counts into tasti_query_label_calls_total — so
@@ -125,11 +132,11 @@ type requestLabeler struct {
 	chain tasti.Labeler
 	sc    *reqScope
 
-	// fast counts the labels answered from the read index — one add per
-	// draw, on memory no other request touches. publish books them, once:
-	// into the request's ledger entry, and into tasti_labelstore_hits_total
-	// (they are the store's hits as much as the ones its bound labeler
-	// counts).
+	// fast counts the labels answered from the read index or an exact-score
+	// column — one add per draw, on memory no other request touches. publish
+	// books them, once: into the request's ledger entry, and into
+	// tasti_labelstore_hits_total (they are the store's hits as much as the
+	// ones its bound labeler counts).
 	fast  atomic.Int64
 	mHits *tasti.MetricCounter
 }
@@ -155,8 +162,41 @@ func (l *requestLabeler) Label(id int) (tasti.Annotation, error) {
 	return ann, nil
 }
 
-// publish books the request's read-index hits. Call it when the query
-// processor has returned, before the response is written.
+// values is the request's per-record value source for the scoring function
+// sc, whose column of the pinned version col must be.
+func (l *requestLabeler) values(col *tasti.ProxyColumn, sc tasti.Scorer) tasti.ValueSource {
+	return func(id int) (float64, error) {
+		if v, ok := col.Value(id); ok {
+			select {
+			case <-l.done:
+				return 0, l.ctx.Err()
+			default:
+			}
+			l.fast.Add(1)
+			return v, nil
+		}
+		ann, err := l.Label(id)
+		if err != nil {
+			return 0, err
+		}
+		v := sc.Score(ann)
+		col.SetValue(id, v)
+		return v, nil
+	}
+}
+
+// matches is values for a predicate's 0/1 scoring function (tasti.MatchScore):
+// a record matches when its score is not 0.
+func (l *requestLabeler) matches(col *tasti.ProxyColumn, sc tasti.Scorer) tasti.MatchSource {
+	value := l.values(col, sc)
+	return func(id int) (bool, error) {
+		v, err := value(id)
+		return v != 0, err
+	}
+}
+
+// publish books the request's read-index and exact-score hits. Call it when
+// the query processor has returned, before the response is written.
 func (l *requestLabeler) publish() {
 	n := l.fast.Swap(0)
 	l.sc.addHits(n)

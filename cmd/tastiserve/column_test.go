@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -47,13 +51,86 @@ func newestSpanAttr(t *testing.T, url, span, key string) string {
 	return ""
 }
 
-// TestServedColumnEquivalence answers a mixed schedule twice in a row on one
-// server — the first answer of a scoring function propagates, every later one
-// reads the retained column — and once on a fresh server, and requires all
-// three bodies of every shape to be byte-identical: a column is the very
-// slice the uncached call returns, so a hit cannot move an answer. The
-// schedule ends with a crack:true limit, which must drop the columns, and the
-// aggregate it was preceded by, which must therefore propagate again.
+// annotationAnswer answers an aggregate or select request in process the way
+// everything but the server does — tastiquery, the experiments, bench/'s
+// traced replay: an uncached propagation over the published version, the
+// annotation-taking estimator entry, the bare target labeler — rendered the
+// way the handler renders it.
+func annotationAnswer(t *testing.T, srv *server, route, body string) []byte {
+	t.Helper()
+	var req queryRequest
+	rec := httptest.NewRecorder()
+	if !srv.decode(rec, httptest.NewRequest(http.MethodPost, "/query/"+route, strings.NewReader(body)), &req) {
+		t.Fatalf("decoding %s: %s", body, rec.Body)
+	}
+	q, v := srv.spec(req), srv.index.Pin()
+	switch route {
+	case "aggregate":
+		proxy, err := v.Propagate(q.score.Score)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tasti.EstimateAggregate(tasti.AggregateOptions{
+			ErrTarget: req.Err, Delta: 0.05, MinSamples: 100, Seed: srv.seed + 1,
+		}, v.NumRecords(), proxy, q.score.Score, srv.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeJSON(rec, http.StatusOK, map[string]interface{}{
+			"estimate": res.Estimate, "half_width": res.HalfWidth, "label_calls": res.LabelerCalls, "degraded": res.Degraded,
+		})
+	case "select":
+		proxy, err := v.Propagate(q.match.Score)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tasti.SelectWithRecall(tasti.SelectOptions{
+			Budget: req.Budget, Target: req.Recall, Delta: 0.05, Seed: srv.seed + 2,
+		}, v.NumRecords(), proxy, q.pred, srv.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeJSON(rec, http.StatusOK, map[string]interface{}{
+			"returned": len(res.Returned), "threshold": finiteOrNil(res.Threshold), "label_calls": res.OracleCalls,
+			"sample_ids": res.Returned[:min(20, len(res.Returned))], "degraded": res.Degraded,
+		})
+	default:
+		t.Fatalf("no annotation-path answer for /query/%s", route)
+	}
+	return rec.Body.Bytes()
+}
+
+// knownValues lists what a server's column of sc knows: record → the bits of
+// its exact score.
+func knownValues(t *testing.T, srv *server, sc tasti.Scorer) map[int]uint64 {
+	t.Helper()
+	col, hit, err := srv.index.Pin().Column(sc, tasti.ColumnWeighted, nil)
+	if err != nil || !hit {
+		t.Fatalf("column %s: hit=%v err=%v", sc.Name, hit, err)
+	}
+	known := map[int]uint64{}
+	for id := range col.Scores {
+		if v, ok := col.Value(id); ok {
+			known[id] = math.Float64bits(v)
+		}
+	}
+	return known
+}
+
+// TestServedColumnEquivalence answers a mixed schedule in every state a
+// request can find the server in and requires the bodies of each shape to be
+// byte-identical. Server A answers it twice in a row: the first answer of a
+// scoring function propagates and finds the label store cold (its draws are
+// bought, scored and recorded in the column), the repeat reads the retained
+// column and every draw's exact score out of it. Server B answers it once,
+// its label store warmed with everything A's holds: every draw is a store hit
+// whose score the column does not know yet. An aggregate or a select must
+// also equal the in-process answer over annotations, with no column and no
+// store at all. A column is the very slice the uncached call returns and an
+// exact score the very number the score function returns, so none of it can
+// move an answer. The schedule ends with a crack:true limit, which must drop
+// the columns, and the aggregate it was preceded by, which must therefore
+// propagate again.
 func TestServedColumnEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -100,9 +177,19 @@ func TestServedColumnEquivalence(t *testing.T) {
 				t.Errorf("%s %s repeated: order span cache=%q, want hit", sh.route, sh.body, got)
 			}
 		}
+		srvB.labels.Warm(srvA.labels.Annotations())
+		bought := srvB.reg.Counter("tasti_labelstore_misses_total").Value()
 		fresh := postQuery(t, b.URL, sh.route, sh.body, "")
 		if !bytes.Equal(first, second) || !bytes.Equal(first, fresh) {
-			t.Errorf("%s %s:\n miss  %s hit   %s fresh %s", sh.route, sh.body, first, second, fresh)
+			t.Errorf("%s %s:\n cold store  %s warm values %s warm store  %s", sh.route, sh.body, first, second, fresh)
+		}
+		if now := srvB.reg.Counter("tasti_labelstore_misses_total").Value(); now != bought {
+			t.Errorf("%s %s: server B bought %d labels over a store holding everything A's request bought", sh.route, sh.body, now-bought)
+		}
+		if sh.route != "limit" {
+			if inProcess := annotationAnswer(t, srvA, sh.route, sh.body); !bytes.Equal(first, inProcess) {
+				t.Errorf("%s %s:\n served     %s in process %s", sh.route, sh.body, first, inProcess)
+			}
 		}
 	}
 	if hits, misses := counts(srvA); misses != int64(len(built)) || hits != int64(2*len(schedule)-len(built)) {
@@ -110,6 +197,18 @@ func TestServedColumnEquivalence(t *testing.T) {
 	}
 	if _, misses := counts(srvB); misses != int64(len(built)) {
 		t.Errorf("server B: %d misses on %d columns", misses, len(built))
+	}
+	// Both servers answered the same draws, so their columns have learnt the
+	// same exact scores, whichever way each draw's label came; a limit's
+	// nearest column learns nothing.
+	for _, sc := range []tasti.Scorer{
+		srvA.spec(queryRequest{Class: "car", Count: 1}).score, srvA.spec(queryRequest{Class: "bus", Count: 1}).score,
+		srvA.spec(queryRequest{Class: "car", Count: 1}).match, srvA.spec(queryRequest{Class: "car", Count: 2}).match,
+	} {
+		knownA, knownB := knownValues(t, srvA, sc), knownValues(t, srvB, sc)
+		if len(knownA) == 0 || !maps.Equal(knownA, knownB) {
+			t.Errorf("column %s knows %d exact scores on server A, %d on server B, or different ones", sc.Name, len(knownA), len(knownB))
+		}
 	}
 	genBefore := srvA.index.ColumnStats().Generation
 
@@ -205,6 +304,62 @@ func TestServedColumnEquivalence(t *testing.T) {
 		if fam := fams[name]; fam == nil || len(fam.Samples) != 1 || fam.Samples[0].Value != want {
 			t.Errorf("/metrics %s = %+v, want %v", name, fam, want)
 		}
+	}
+}
+
+// TestCanceledQueryStopsDrawingValues: a request whose every draw is answered
+// from the column's exact scores never reaches a labeler, a store or anything
+// else that looks at its context — so the value source checks it on each such
+// draw, and a canceled request stops at its next one instead of sampling on to
+// its error target. (The store-level twin is TestCanceledQueryStopsDrawingHits
+// in internal/labeler/store.)
+func TestCanceledQueryStopsDrawingValues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const cancelAt = 150
+	srv, _ := columnServer(t)
+	v := srv.index.Pin()
+	score := srv.spec(queryRequest{Class: "car", Count: 1}).score
+	col, _, err := v.Column(score, tasti.ColumnWeighted, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := srv.corpus.Load()
+	for id := range col.Scores {
+		srv.labels.Put(id, corpus.Truth[id])
+		col.SetValue(id, score.Score(corpus.Truth[id]))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	lab := srv.queryLabeler(ctx, httptest.NewRequest(http.MethodPost, "/query/aggregate", nil), v, nil)
+	source, drawn := lab.values(col, score), 0
+	hitsBefore := srv.labelHits.Value()
+	// An error target this tight needs every record; the sampler is nowhere
+	// near done at draw 150.
+	_, err = tasti.EstimateAggregateValues(tasti.AggregateOptions{ErrTarget: 1e-9, Delta: 0.05, MinSamples: 100, Seed: 5},
+		v.NumRecords(), col.Scores, func(id int) (float64, error) {
+			v, err := source(id)
+			if drawn++; drawn == cancelAt {
+				cancel()
+			}
+			return v, err
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("estimate over a canceled context returned %v, want context.Canceled", err)
+	}
+	// The context was canceled as draw cancelAt returned; the very next draw
+	// is refused, and the draws answered are booked as the store hits they
+	// stand for.
+	if drawn != cancelAt+1 {
+		t.Fatalf("%d draws, want the sampler stopped at draw %d", drawn, cancelAt+1)
+	}
+	lab.publish()
+	if got := srv.labelHits.Value() - hitsBefore; got != cancelAt {
+		t.Errorf("%d store hits booked for %d draws answered from exact scores", got, cancelAt)
+	}
+	if misses := srv.reg.Counter("tasti_labelstore_misses_total").Value(); misses != 0 {
+		t.Errorf("%d labels bought by a request whose every draw was a known value", misses)
 	}
 }
 

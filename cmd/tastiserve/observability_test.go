@@ -177,9 +177,17 @@ func TestTracesAndLogCorrelation(t *testing.T) {
 		}
 	}
 
-	// Every query's JSON log line carries the trace ID of its retained trace.
+	// Every query's JSON log line carries the trace ID of its retained trace,
+	// and the line is, key for key and in this order, the access-log schema of
+	// docs/OBSERVABILITY.md.
+	fullLine := regexp.MustCompile(`^\{"time":"[^"]+","level":"INFO","msg":"request","method":"POST","route":"/query/aggregate",` +
+		`"status":200,"latency_ms":[0-9]+(\.[0-9]+)?,"trace_id":"[0-9a-f]{16}","query_type":"aggregate"\}$`)
+	fullLines := 0
 	logIDs := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		if fullLine.MatchString(line) {
+			fullLines++
+		}
 		var rec struct {
 			Msg     string `json:"msg"`
 			Route   string `json:"route"`
@@ -200,6 +208,9 @@ func TestTracesAndLogCorrelation(t *testing.T) {
 		if !logIDs[e.TraceID] {
 			t.Errorf("trace %s (%s) has no matching request log line", e.TraceID, e.Route)
 		}
+	}
+	if fullLines != 1 {
+		t.Errorf("%d log lines match the aggregate request's full access-log line, want 1:\n%s", fullLines, logBuf.String())
 	}
 }
 
@@ -356,6 +367,34 @@ func TestLedgerReconciliation(t *testing.T) {
 	}
 	if snap.Global.Hits <= 0 || snap.Global.Hits > snap.Global.Labels {
 		t.Errorf("ledger books %d hits of %d labels", snap.Global.Hits, snap.Global.Labels)
+	}
+
+	// Each entry's hits. The storm's entries sum to the global figure, which
+	// the store's own hit counter bounds (a label another request lands
+	// between this one's two lookups is the store's hit and this ledger's
+	// miss). A repeat of each query with nothing else going on buys nothing:
+	// every draw is a store hit or an exact score standing for one, so its
+	// entry books as many hits as labels — the labels its body reports.
+	var entryHits int64
+	for _, e := range snap.Recent {
+		entryHits += e.Hits
+	}
+	if storeHits := int64(fams["tasti_labelstore_hits_total"].Samples[0].Value); entryHits != snap.Global.Hits || entryHits > storeHits {
+		t.Errorf("entries book %d hits, the ledger %d, the store %d", entryHits, snap.Global.Hits, storeHits)
+	}
+	for _, kind := range []string{"aggregate", "select", "limit"} {
+		var body struct {
+			LabelCalls int64 `json:"label_calls"`
+		}
+		if err := json.Unmarshal(postQuery(t, ts.URL, kind, queries[kind], "alpha"), &body); err != nil {
+			t.Fatal(err)
+		}
+		if e := srv.ledger.Snapshot().Recent[0]; e.Kind != kind || e.Labels != body.LabelCalls || e.Hits != e.Labels || e.Labels == 0 {
+			t.Errorf("repeated %s answered with %d label calls; its entry books %d labels, %d hits (%+v)", kind, body.LabelCalls, e.Labels, e.Hits, e)
+		}
+	}
+	if bought := scrapeMetrics(t, ts.URL)["tasti_labelstore_misses_total"]; bought.Samples[0].Value != fams["tasti_labelstore_misses_total"].Samples[0].Value {
+		t.Errorf("the repeats bought labels: misses %v -> %v", fams["tasti_labelstore_misses_total"].Samples[0].Value, bought.Samples[0].Value)
 	}
 }
 

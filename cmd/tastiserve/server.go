@@ -956,21 +956,22 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			})
 		}
 
-		attrs := []any{
-			"method", r.Method,
-			"route", route,
-			"status", rec.code,
-			"latency_ms", float64(elapsed.Microseconds()) / 1000,
-			"trace_id", sc.id,
-		}
+		attrs := make([]slog.Attr, 0, 6)
+		attrs = append(attrs,
+			slog.String("method", r.Method),
+			slog.String("route", route),
+			slog.Int("status", rec.code),
+			slog.Float64("latency_ms", float64(elapsed.Microseconds())/1000),
+			slog.String("trace_id", sc.id),
+		)
 		if qt, ok := strings.CutPrefix(route, "/query/"); ok {
-			attrs = append(attrs, "query_type", qt)
+			attrs = append(attrs, slog.String("query_type", qt))
 		}
 		level := slog.LevelInfo
 		if route == "/healthz" || route == "/readyz" || route == "/metrics" {
 			level = slog.LevelDebug
 		}
-		s.log.Log(r.Context(), level, "request", attrs...)
+		s.log.LogAttrs(r.Context(), level, "request", attrs...)
 	})
 }
 
@@ -1275,10 +1276,10 @@ func (s *server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	sc.setCost(int64(len(col.Scores)), int64(v.NumShards()))
 	lab := s.queryLabeler(ctx, r, v, sc)
 	esp := sc.child("estimate")
-	res, err := tasti.EstimateAggregate(tasti.AggregateOptions{
+	res, err := tasti.EstimateAggregateValues(tasti.AggregateOptions{
 		ErrTarget: req.Err, Delta: 0.05, MinSamples: 100, Seed: s.seed + 1,
 		Telemetry: s.reg,
-	}, v.NumRecords(), col.Scores, score.Score, lab)
+	}, v.NumRecords(), col.Scores, lab.values(col, score))
 	lab.publish()
 	esp.SetAttr("label_calls", res.LabelerCalls)
 	esp.End()
@@ -1320,10 +1321,10 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	// after it.
 	lab := s.queryLabeler(ctx, r, v, sc)
 	ssp := sc.child("sample")
-	res, err := col.Design().RecallTarget(tasti.SelectOptions{
+	res, err := col.Design().RecallTargetMatches(tasti.SelectOptions{
 		Budget: req.Budget, Target: req.Recall, Delta: 0.05, Seed: s.seed + 2,
-		Telemetry: s.reg, Parallelism: s.opts.parallelism,
-	}, q.pred, lab)
+		Telemetry: s.reg,
+	}, lab.matches(col, q.match))
 	lab.publish()
 	ssp.SetAttr("label_calls", res.OracleCalls)
 	ssp.End()

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/labeler"
@@ -66,11 +67,39 @@ type Result struct {
 	Degraded bool
 }
 
+// ValueSource returns the aggregated quantity of one record — the score of
+// its target-labeler output — or the error that kept the label from being
+// obtained. The sampler calls it once per draw, in draw order, and spends one
+// labeler invocation per successful call.
+type ValueSource func(id int) (float64, error)
+
 // Estimate runs the EBS sampler over a dataset of n records. proxy supplies
 // per-record proxy scores used as a control variate; pass nil to run without
 // a proxy (uniform sampling). score maps labeler output to the aggregated
-// quantity.
+// quantity. It is EstimateValues over "label the record, then score it".
 func Estimate(opts Options, n int, proxy []float64, score ScoreFunc, lab labeler.Labeler) (Result, error) {
+	return EstimateValues(opts, n, proxy, func(id int) (float64, error) {
+		ann, err := lab.Label(id)
+		if err != nil {
+			return 0, err
+		}
+		return score(ann), nil
+	})
+}
+
+// sampleBuf holds one run's sample vectors between runs, so a run appends
+// into the capacity the previous one grew instead of doubling its way up
+// again. Result carries scalars only; nothing outlives the run that filled it.
+type sampleBuf struct{ fs, ps []float64 }
+
+var sampleBufs = sync.Pool{New: func() any { return new(sampleBuf) }}
+
+// EstimateValues is the sampler itself: Estimate with the labeler and the
+// score function folded into one per-record value source, for a caller that
+// can answer some records' values without materialising an annotation (a
+// served request reading a proxy column's exact scores). Draw order, stopping
+// and the result are those of Estimate over the same values.
+func EstimateValues(opts Options, n int, proxy []float64, value ValueSource) (Result, error) {
 	if n <= 0 {
 		return Result{}, errors.New("aggregation: empty dataset")
 	}
@@ -107,20 +136,24 @@ func Estimate(opts Options, n int, proxy []float64, score ScoreFunc, lab labeler
 	mCalls := opts.Telemetry.Counter(`tasti_query_label_calls_total{type="aggregate"}`)
 
 	r := xrand.New(opts.Seed)
-	var (
-		fs, ps []float64 // raw labeler scores and matched proxy scores (0 without a proxy)
-		calls  int64
-	)
+	buf := sampleBufs.Get().(*sampleBuf)
+	// Raw labeler scores and matched proxy scores (0 without a proxy).
+	fs, ps := buf.fs[:0], buf.ps[:0]
+	defer func() {
+		buf.fs, buf.ps = fs, ps
+		sampleBufs.Put(buf)
+	}()
+	var calls int64
 	scr := stopScreen{target: opts.ErrTarget, delta: opts.Delta, proxyMean: proxyMean}
 	sample := func() error {
 		id := r.Intn(n)
-		ann, err := lab.Label(id)
+		f, err := value(id)
 		if err != nil {
 			return fmt.Errorf("aggregation: labeling record %d: %w", id, err)
 		}
 		calls++
 		mCalls.Inc()
-		f, p := score(ann), 0.0
+		p := 0.0
 		if proxy != nil {
 			p = proxy[id]
 		}

@@ -156,9 +156,11 @@ func TestPercentError(t *testing.T) {
 // estimate flagged Degraded with a widened (honest) confidence radius.
 func TestBudgetExhaustionDegradesEstimate(t *testing.T) {
 	ds, _, _ := testEnv(t, 200)
-	lab := labeler.NewBudgeted(labeler.NewOracle(ds, "o", labeler.MaskRCNNCost), 5)
+	newLab := func() labeler.Labeler {
+		return labeler.NewBudgeted(labeler.NewOracle(ds, "o", labeler.MaskRCNNCost), 5)
+	}
 	opts := Options{ErrTarget: 1e-6, Delta: 0.05, MinSamples: 100, Seed: 5}
-	res, err := Estimate(opts, ds.Len(), nil, carCount, lab)
+	res, err := estimateBoth(t, ds, opts, nil, carCount, newLab)
 	if err != nil {
 		t.Fatalf("exhaustion mid-query should degrade, not fail: %v", err)
 	}
@@ -190,16 +192,17 @@ func TestBudgetExhaustionBeforeAnySamplesFails(t *testing.T) {
 func TestBudgetAmpleIsBitwiseIdentical(t *testing.T) {
 	ds, lab, truth := testEnv(t, 300)
 	opts := Options{ErrTarget: 0.1, Delta: 0.05, MinSamples: 50, Seed: 9}
-	plain, err := Estimate(opts, ds.Len(), truth, carCount, lab)
+	plain, err := estimateBoth(t, ds, opts, truth, carCount, func() labeler.Labeler { return lab })
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := Estimate(opts, ds.Len(), truth, carCount,
-		labeler.NewBudgeted(labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost), 1<<30))
+	budgeted, err := estimateBoth(t, ds, opts, truth, carCount, func() labeler.Labeler {
+		return labeler.NewBudgeted(labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost), 1<<30)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain != budgeted {
+	if !sameBits(plain, budgeted) {
 		t.Errorf("ample budget changed bits:\n got %+v\nwant %+v", budgeted, plain)
 	}
 }

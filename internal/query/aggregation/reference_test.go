@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -100,6 +102,61 @@ func referenceEstimate(opts Options, n int, proxy []float64, score ScoreFunc, la
 	return res, nil
 }
 
+// drawLog records the record IDs a run asks its labeler for, in order.
+type drawLog struct {
+	labeler.Labeler
+	ids []int
+}
+
+func (d *drawLog) Label(id int) (dataset.Annotation, error) {
+	d.ids = append(d.ids, id)
+	return d.Labeler.Label(id)
+}
+
+// sameBits reports whether two results are equal field by field, floats by
+// their bits.
+func sameBits(a, b Result) bool {
+	return math.Float64bits(a.Estimate) == math.Float64bits(b.Estimate) &&
+		math.Float64bits(a.HalfWidth) == math.Float64bits(b.HalfWidth) &&
+		math.Float64bits(a.ControlVariateCoeff) == math.Float64bits(b.ControlVariateCoeff) &&
+		a.LabelerCalls == b.LabelerCalls && a.Degraded == b.Degraded
+}
+
+// estimateBoth runs one query through both entries of the sampler — Estimate
+// over (score, labeler), and EstimateValues over a table of the records'
+// values computed up front, which touches its labeler only to be charged the
+// draw, the way a served request reads an exact-score column — each on its
+// own newLab(). It fails the test unless the two agree on the Result bit for
+// bit, on failing at all, and on the sequence of records drawn; it returns
+// the one answer.
+func estimateBoth(t *testing.T, ds *dataset.Dataset, opts Options, proxy []float64, score ScoreFunc, newLab func() labeler.Labeler) (Result, error) {
+	t.Helper()
+	viaAnn := &drawLog{Labeler: newLab()}
+	want, wantErr := Estimate(opts, ds.Len(), proxy, score, viaAnn)
+
+	table := make([]float64, ds.Len())
+	for id, ann := range ds.Truth {
+		table[id] = score(ann)
+	}
+	viaValues := &drawLog{Labeler: newLab()}
+	got, gotErr := EstimateValues(opts, ds.Len(), proxy, func(id int) (float64, error) {
+		if _, err := viaValues.Label(id); err != nil {
+			return 0, err
+		}
+		return table[id], nil
+	})
+	if (wantErr == nil) != (gotErr == nil) || errors.Is(wantErr, labeler.ErrBudgetExhausted) != errors.Is(gotErr, labeler.ErrBudgetExhausted) {
+		t.Fatalf("value source failed with %v, annotation entry with %v", gotErr, wantErr)
+	}
+	if !sameBits(got, want) {
+		t.Fatalf("value source and annotation entry disagree:\n got %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(viaValues.ids, viaAnn.ids) {
+		t.Fatalf("value source drew %d records, annotation entry %d, or in another order", len(viaValues.ids), len(viaAnn.ids))
+	}
+	return want, wantErr
+}
+
 // referenceProxies returns the proxy vectors the equivalence matrix runs
 // over: none, a realistic noisy one, the truth itself (ρ² = 1, the screen's
 // cancellation fallback), a constant (zero proxy variance), one
@@ -123,11 +180,12 @@ func referenceProxies(truth []float64) map[string][]float64 {
 	}
 }
 
-// TestEstimateMatchesReference requires Estimate's Result to equal the
-// every-draw reference bit for bit — same stopping draw, same estimate, same
-// half-width, same coefficient — across seeds, error targets, proxies, a
-// MaxSamples cap that binds, and a labeler whose budget runs out during the
-// warm-up and during the adaptive loop (the degraded paths).
+// TestEstimateMatchesReference requires the sampler's Result, through either
+// entry, to equal the every-draw reference bit for bit — same stopping draw,
+// same estimate, same half-width, same coefficient — across seeds, error
+// targets, proxies, a MaxSamples cap that binds, and a labeler whose budget
+// runs out during the warm-up and during the adaptive loop (the degraded
+// paths).
 func TestEstimateMatchesReference(t *testing.T) {
 	ds, _, truth := testEnv(t, 3000)
 	// Scores with a large common offset exercise the conditioning of the
@@ -159,11 +217,11 @@ func TestEstimateMatchesReference(t *testing.T) {
 							return lab
 						}
 						want, wantErr := referenceEstimate(opts, ds.Len(), proxy, score, newLab())
-						got, gotErr := Estimate(opts, ds.Len(), proxy, score, newLab())
+						got, gotErr := estimateBoth(t, ds, opts, proxy, score, newLab)
 						if (wantErr == nil) != (gotErr == nil) {
 							t.Fatalf("%s err=%v seed=%d %s: error %v, reference %v", name, errTarget, seed, v.name, gotErr, wantErr)
 						}
-						if got != want {
+						if !sameBits(got, want) {
 							t.Fatalf("%s err=%v seed=%d %s:\n got %+v\nwant %+v", name, errTarget, seed, v.name, got, want)
 						}
 						if got.Degraded {
@@ -178,6 +236,60 @@ func TestEstimateMatchesReference(t *testing.T) {
 	t.Logf("%d cases equal to the reference, degraded: %v", cases, degraded)
 	if degraded["exhaust-warmup"] == 0 || degraded["exhaust-loop"] == 0 || degraded["plain"] != 0 {
 		t.Errorf("degraded runs per variant = %v: the matrix does not cover both exhaustion paths", degraded)
+	}
+}
+
+// TestSampleBufferReuse: the sample vectors a run leaves in the pool must not
+// reach the next run's answer. Two queries of different lengths over
+// different proxies, back to back and then from two goroutines at once (under
+// -race), answer exactly what each answers on an empty pool.
+func TestSampleBufferReuse(t *testing.T) {
+	ds, lab, truth := testEnv(t, 3000)
+	proxies := referenceProxies(truth)
+	type query struct {
+		opts  Options
+		proxy []float64
+	}
+	queries := []query{
+		{Options{ErrTarget: 0.04, Delta: 0.05, MinSamples: 100, Seed: 1}, proxies["noisy"]},
+		{Options{ErrTarget: 0.2, Delta: 0.05, MinSamples: 100, Seed: 2}, nil},
+	}
+	fresh := make([]Result, len(queries))
+	for i, q := range queries {
+		sampleBufs = sync.Pool{New: func() any { return new(sampleBuf) }}
+		var err error
+		if fresh[i], err = Estimate(q.opts, ds.Len(), q.proxy, carCount, lab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fresh[0].LabelerCalls <= 2*fresh[1].LabelerCalls {
+		t.Fatalf("queries draw %d and %d samples: the short one would not run inside the long one's leftovers", fresh[0].LabelerCalls, fresh[1].LabelerCalls)
+	}
+	run := func(rounds int) error {
+		for r := 0; r < rounds; r++ {
+			for i, q := range queries {
+				got, err := Estimate(q.opts, ds.Len(), q.proxy, carCount, lab)
+				if err != nil {
+					return err
+				}
+				if !sameBits(got, fresh[i]) {
+					return fmt.Errorf("round %d query %d on a reused buffer:\n got %+v\nwant %+v", r, i, got, fresh[i])
+				}
+			}
+		}
+		return nil
+	}
+	if err := run(3); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func() { errs <- run(10) }()
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

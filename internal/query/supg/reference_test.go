@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,10 +97,86 @@ func referenceDrawSample(opts Options, n int, proxy []float64, pred Predicate, l
 	return s, nil
 }
 
-// TestDrawSampleMatchesReference requires the CDF-search draw to produce the
-// same record IDs, labels and importance weights as the per-draw linear scan
-// — with zero and negative proxy scores in the corpus, a budget larger than
-// the corpus, and a label budget that runs out mid-draw.
+// drawLog records the record IDs a run asks its labeler for, in order.
+type drawLog struct {
+	labeler.Labeler
+	ids []int
+}
+
+func (d *drawLog) Label(id int) (dataset.Annotation, error) {
+	d.ids = append(d.ids, id)
+	return d.Labeler.Label(id)
+}
+
+// tabled is the match source of a caller that knows every record's answer
+// without its annotation — the way a served request reads an exact-score
+// column — and touches lab only to be charged the draw.
+func tabled(truth []bool, lab labeler.Labeler) MatchSource {
+	return func(id int) (bool, error) {
+		if _, err := lab.Label(id); err != nil {
+			return false, err
+		}
+		return truth[id], nil
+	}
+}
+
+// entries are the two ways into every sampler body: the annotation adapter
+// and a match source that never looks at an annotation.
+var entries = []struct {
+	name   string
+	source func(pred Predicate, truth []bool, lab labeler.Labeler) MatchSource
+}{
+	{"annotations", func(pred Predicate, _ []bool, lab labeler.Labeler) MatchSource { return labeled(pred, lab) }},
+	{"values", func(_ Predicate, truth []bool, lab labeler.Labeler) MatchSource { return tabled(truth, lab) }},
+}
+
+// targets are the two queries, each by its annotation entry and by the
+// match-source body that entry adapts onto.
+var targets = []struct {
+	name    string
+	ann     func(*Design, Options, Predicate, labeler.Labeler) (Result, error)
+	matches func(*Design, Options, MatchSource) (Result, error)
+}{
+	{"recall", (*Design).RecallTarget, (*Design).RecallTargetMatches},
+	{"precision", (*Design).PrecisionTarget, (*Design).PrecisionTargetMatches},
+}
+
+// sameResult reports whether two results are equal, the threshold by its
+// bits and a nil returned set distinct from an empty one.
+func sameResult(a, b Result) bool {
+	return math.Float64bits(a.Threshold) == math.Float64bits(b.Threshold) &&
+		a.OracleCalls == b.OracleCalls && a.Degraded == b.Degraded && reflect.DeepEqual(a.Returned, b.Returned)
+}
+
+// selectBoth runs one query through both entries of a target — predicate and
+// labeler, and a table of the records' answers that only charges its labeler
+// — each on its own newLab(). It fails the test unless the two agree on the
+// Result, on failing at all, and on the sequence of records drawn; it returns
+// the one answer.
+func selectBoth(t *testing.T, target int, d *Design, opts Options, pred Predicate, truth []bool, newLab func() labeler.Labeler) (Result, error) {
+	t.Helper()
+	tg := targets[target]
+	viaAnn := &drawLog{Labeler: newLab()}
+	want, wantErr := tg.ann(d, opts, pred, viaAnn)
+	viaValues := &drawLog{Labeler: newLab()}
+	got, gotErr := tg.matches(d, opts, tabled(truth, viaValues))
+	if (wantErr == nil) != (gotErr == nil) || errors.Is(wantErr, labeler.ErrBudgetExhausted) != errors.Is(gotErr, labeler.ErrBudgetExhausted) {
+		t.Fatalf("%s: match source failed with %v, annotation entry with %v", tg.name, gotErr, wantErr)
+	}
+	if !sameResult(got, want) {
+		t.Fatalf("%s: match source and annotation entry disagree:\n got %+v\nwant %+v", tg.name, got, want)
+	}
+	if !reflect.DeepEqual(viaValues.ids, viaAnn.ids) {
+		t.Fatalf("%s: match source drew %d records, annotation entry %d, or in another order", tg.name, len(viaValues.ids), len(viaAnn.ids))
+	}
+	return want, wantErr
+}
+
+// TestDrawSampleMatchesReference requires the CDF-search draw, through either
+// entry, to produce the same record IDs, labels and importance weights as the
+// per-draw linear scan, and to ask its labeler for the same records — with
+// zero and negative proxy scores in the corpus, a budget larger than the
+// corpus, and a label budget that runs out mid-draw.
 func TestDrawSampleMatchesReference(t *testing.T) {
 	ds, _, pred, truth := selectionEnv(t, 2500)
 	good := goodProxy(truth, 0.15, 2)
@@ -136,25 +213,90 @@ func TestDrawSampleMatchesReference(t *testing.T) {
 					return lab
 				}
 				opts := Options{Budget: v.budget, Target: 0.9, Delta: 0.05, Seed: seed}
-				want, err := referenceDrawSample(opts, ds.Len(), proxy, pred, newLab())
+				refLab := &drawLog{Labeler: newLab()}
+				want, err := referenceDrawSample(opts, ds.Len(), proxy, pred, refLab)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := NewDesign(proxy).drawSample(opts, pred, newLab())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s %s seed=%d: sample differs from the reference (ids equal: %v, weights equal: %v, degraded %v/%v)",
-						name, v.name, seed, reflect.DeepEqual(got.ids, want.ids), reflect.DeepEqual(got.weights, want.weights), got.degraded, want.degraded)
-				}
-				if wantDegraded := v.labelBudget > 0; got.degraded != wantDegraded {
-					t.Fatalf("%s %s seed=%d: degraded = %v", name, v.name, seed, got.degraded)
-				}
-				if v.name == "budget>n" && len(got.ids) != ds.Len() {
-					t.Fatalf("%s: %d draws, want the corpus size %d", v.name, len(got.ids), ds.Len())
+				for _, e := range entries {
+					lab := &drawLog{Labeler: newLab()}
+					got, err := NewDesign(proxy).drawSample(opts, e.source(pred, truth, lab))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.ids, want.ids) || !reflect.DeepEqual(got.labels, want.labels) ||
+						!reflect.DeepEqual(got.weights, want.weights) || got.degraded != want.degraded {
+						t.Fatalf("%s %s seed=%d %s: sample differs from the reference (ids equal: %v, weights equal: %v, degraded %v/%v)",
+							name, v.name, seed, e.name, reflect.DeepEqual(got.ids, want.ids), reflect.DeepEqual(got.weights, want.weights), got.degraded, want.degraded)
+					}
+					if !reflect.DeepEqual(lab.ids, refLab.ids) {
+						t.Fatalf("%s %s seed=%d %s: %d labeler calls, reference %d, or for other records", name, v.name, seed, e.name, len(lab.ids), len(refLab.ids))
+					}
+					if wantDegraded := v.labelBudget > 0; got.degraded != wantDegraded {
+						t.Fatalf("%s %s seed=%d %s: degraded = %v", name, v.name, seed, e.name, got.degraded)
+					}
+					if v.name == "budget>n" && len(got.ids) != ds.Len() {
+						t.Fatalf("%s %s: %d draws, want the corpus size %d", v.name, e.name, len(got.ids), ds.Len())
+					}
+					got.release()
 				}
 			}
+		}
+	}
+}
+
+// TestSampleReuse: the vectors a query leaves in the pool must not reach the
+// next query's answer. A large and a small query over different corpora, back
+// to back and then from two goroutines at once (under -race), answer — under
+// both targets — exactly what each answers on an empty pool.
+func TestSampleReuse(t *testing.T) {
+	_, lab, pred, truth := selectionEnv(t, 2500)
+	type query struct {
+		d    *Design
+		opts Options
+	}
+	queries := []query{
+		{NewDesign(goodProxy(truth, 0.15, 2)), Options{Budget: 600, Target: 0.9, Delta: 0.05, Seed: 1}},
+		{NewDesign(goodProxy(truth[:700], 0.4, 3)), Options{Budget: 90, Target: 0.8, Delta: 0.05, Seed: 2}},
+	}
+	fresh := make([][]Result, len(queries))
+	for i, q := range queries {
+		for _, tg := range targets {
+			samplePool = sync.Pool{New: func() any { return new(sample) }}
+			res, err := tg.ann(q.d, q.opts, pred, lab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh[i] = append(fresh[i], res)
+		}
+	}
+	run := func(rounds int) error {
+		for r := 0; r < rounds; r++ {
+			for i, q := range queries {
+				for j, tg := range targets {
+					got, err := tg.ann(q.d, q.opts, pred, lab)
+					if err != nil {
+						return err
+					}
+					if !sameResult(got, fresh[i][j]) {
+						return fmt.Errorf("round %d query %d %s on a reused sample: threshold %v with %d returned, want %v with %d",
+							r, i, tg.name, got.Threshold, len(got.Returned), fresh[i][j].Threshold, len(fresh[i][j].Returned))
+					}
+				}
+			}
+		}
+		return nil
+	}
+	if err := run(3); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func() { errs <- run(10) }()
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }
@@ -180,9 +322,11 @@ func BenchmarkDrawSample(b *testing.B) {
 		proxy := goodProxy(truth, 0.15, 2)
 		run := func(b *testing.B, budget int, seed int64) {
 			opts := Options{Budget: budget, Target: 0.9, Delta: 0.05, Seed: seed}
-			if _, err := NewDesign(proxy).drawSample(opts, pred, lab); err != nil {
+			s, err := NewDesign(proxy).drawSample(opts, labeled(pred, lab))
+			if err != nil {
 				b.Fatal(err)
 			}
+			s.release()
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()

@@ -13,16 +13,34 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/labeler"
-	"repro/internal/parallel"
 	"repro/internal/telemetry"
 	"repro/internal/xrand"
 )
 
 // Predicate reports whether a target-labeler output matches the selection.
 type Predicate func(ann dataset.Annotation) bool
+
+// MatchSource reports whether one record matches the selection — the
+// predicate over its target-labeler output — or the error that kept the label
+// from being obtained. A query calls it once per draw, in draw order, and
+// spends one labeler invocation per successful call.
+type MatchSource func(id int) (bool, error)
+
+// labeled is the MatchSource of "label the record, then test it": what the
+// annotation-taking entry points run their queries over.
+func labeled(pred Predicate, lab labeler.Labeler) MatchSource {
+	return func(id int) (bool, error) {
+		ann, err := lab.Label(id)
+		if err != nil {
+			return false, err
+		}
+		return pred(ann), nil
+	}
+}
 
 // Options configures a SUPG query.
 type Options struct {
@@ -38,10 +56,9 @@ type Options struct {
 	// spend (tasti_query_runs_total / tasti_query_label_calls_total with
 	// type="select"). Record-only: the sampling design is unaffected.
 	Telemetry *telemetry.Registry
-	// Parallelism bounds the workers used to assemble the returned set over
-	// the full corpus (<= 0 uses all CPUs). The sampling design, threshold
-	// search, and returned set are identical at every worker count: only the
-	// embarrassingly parallel per-record threshold test is sharded.
+	// Parallelism is unused: the returned set is assembled in one serial
+	// pass, which measured faster than any worker grid at the corpus sizes
+	// served. The field remains for the callers that still set it.
 	Parallelism int
 }
 
@@ -91,37 +108,48 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Design is SUPG's sampling design over one proxy vector: the defensive
-// sqrt-proxy weights, their total, and the prefix sums each draw searches.
-// It depends on nothing but the proxy scores, so one Design serves every
-// query over that vector — any budget, target, or seed — and is read-only
-// once built: concurrent queries may share it. The proxy slice is retained,
-// not copied, and must not change while the Design is in use.
+// Design is SUPG's sampling design over one proxy vector: the total of the
+// defensive sqrt-proxy weights and the prefix sums each draw searches (a
+// record's own weight is recomputed from its proxy score when a draw needs
+// its probability, the same float either way). It depends on nothing but the
+// proxy scores, so one Design serves every query over that vector — any
+// budget, target, or seed — and is read-only once built: concurrent queries
+// may share it. The proxy slice is retained, not copied, and must not change
+// while the Design is in use.
+//
+// Each target has two entries over one body: RecallTarget / PrecisionTarget
+// take a predicate and a labeler, RecallTargetMatches /
+// PrecisionTargetMatches the per-record MatchSource the former are adapters
+// onto — for a caller that can answer some records without materialising an
+// annotation. Draws, threshold and returned set are the same through either.
 type Design struct {
-	proxy   []float64
-	weights []float64
-	total   float64
-	cdf     *xrand.CDF
+	proxy []float64
+	total float64
+	cdf   *xrand.CDF
+}
+
+// weight is one record's sampling weight. Defensive importance sampling: the
+// additive floor mixes in a uniform component so low-score records stay
+// reachable and the total-positive estimate in the denominator is not starved
+// of tail mass.
+func weight(proxy float64) float64 {
+	if proxy < 0 {
+		proxy = 0
+	}
+	return math.Sqrt(proxy) + 0.05
 }
 
 // NewDesign builds the design in two O(n) passes — the weights and their
-// prefix sums. It panics on an empty proxy vector; RecallTarget and
-// PrecisionTarget reject that case as an error first.
+// prefix sums, in one vector. It panics on an empty proxy vector;
+// RecallTarget and PrecisionTarget reject that case as an error first.
 func NewDesign(proxy []float64) *Design {
 	weights := make([]float64, len(proxy))
 	total := 0.0
 	for i, p := range proxy {
-		if p < 0 {
-			p = 0
-		}
-		// Defensive importance sampling: the additive floor mixes in a
-		// uniform component so low-score records stay reachable and the
-		// total-positive estimate in the denominator is not starved of
-		// tail mass.
-		weights[i] = math.Sqrt(p) + 0.05
+		weights[i] = weight(p)
 		total += weights[i]
 	}
-	return &Design{proxy: proxy, weights: weights, total: total, cdf: xrand.NewCDF(weights)}
+	return &Design{proxy: proxy, total: total, cdf: xrand.NewCDFInPlace(weights)}
 }
 
 // Draw returns one record ID with probability Prob(id), consuming exactly
@@ -129,7 +157,7 @@ func NewDesign(proxy []float64) *Design {
 func (d *Design) Draw(r *rand.Rand) int { return d.cdf.Draw(r) }
 
 // Prob returns the probability that one Draw yields record id.
-func (d *Design) Prob(id int) float64 { return d.weights[id] / d.total }
+func (d *Design) Prob(id int) float64 { return weight(d.proxy[id]) / d.total }
 
 // RecallTarget runs the recall-target SUPG query: it returns a set that
 // contains at least a Target fraction of all matching records with
@@ -144,14 +172,20 @@ func RecallTarget(opts Options, n int, proxy []float64, pred Predicate, lab labe
 
 // RecallTarget runs the recall-target query over the design's proxy vector.
 func (d *Design) RecallTarget(opts Options, pred Predicate, lab labeler.Labeler) (Result, error) {
+	return d.RecallTargetMatches(opts, labeled(pred, lab))
+}
+
+// RecallTargetMatches is RecallTarget over a per-record match source.
+func (d *Design) RecallTargetMatches(opts Options, match MatchSource) (Result, error) {
 	if err := opts.validate(); err != nil {
 		return Result{}, err
 	}
-	n, proxy := len(d.proxy), d.proxy
-	s, err := d.drawSample(opts, pred, lab)
+	proxy := d.proxy
+	s, err := d.drawSample(opts, match)
 	if err != nil {
 		return Result{}, err
 	}
+	defer s.release()
 
 	// Importance-weighted recall estimation. Thresholds are the distinct
 	// proxy values of sampled positives, scanned from high (smallest
@@ -161,11 +195,7 @@ func (d *Design) RecallTarget(opts Options, pred Predicate, lab labeler.Labeler)
 	// highest threshold whose lower confidence bound clears the target wins
 	// — the SUPG guarantee structure.
 	totalW := 0.0
-	type posSample struct {
-		score  float64
-		weight float64
-	}
-	var positives []posSample
+	positives := s.positives // empty, with room for every draw
 	for i := range s.ids {
 		if s.labels[i] {
 			totalW += s.weights[i]
@@ -213,11 +243,7 @@ func (d *Design) RecallTarget(opts Options, pred Predicate, lab labeler.Labeler)
 		}
 	}
 
-	returned := assemble(opts, n, proxy, threshold, s)
-	if s.degraded {
-		opts.Telemetry.Counter(`tasti_query_degraded_total{type="select"}`).Inc()
-	}
-	return Result{Returned: returned, OracleCalls: int64(len(s.ids)), Threshold: threshold, Degraded: s.degraded}, nil
+	return d.result(opts, threshold, s), nil
 }
 
 // PrecisionTarget runs the precision-target SUPG variant: the returned set
@@ -234,14 +260,20 @@ func PrecisionTarget(opts Options, n int, proxy []float64, pred Predicate, lab l
 // PrecisionTarget runs the precision-target query over the design's proxy
 // vector.
 func (d *Design) PrecisionTarget(opts Options, pred Predicate, lab labeler.Labeler) (Result, error) {
+	return d.PrecisionTargetMatches(opts, labeled(pred, lab))
+}
+
+// PrecisionTargetMatches is PrecisionTarget over a per-record match source.
+func (d *Design) PrecisionTargetMatches(opts Options, match MatchSource) (Result, error) {
 	if err := opts.validate(); err != nil {
 		return Result{}, err
 	}
-	n, proxy := len(d.proxy), d.proxy
-	s, err := d.drawSample(opts, pred, lab)
+	proxy := d.proxy
+	s, err := d.drawSample(opts, match)
 	if err != nil {
 		return Result{}, err
 	}
+	defer s.release()
 
 	// Scan candidate thresholds from high to low; the precision of
 	// {proxy >= tau} is estimated by the importance-weighted positive
@@ -249,9 +281,9 @@ func (d *Design) PrecisionTarget(opts Options, pred Predicate, lab labeler.Label
 	// standard error (mirroring the recall side). Keep the lowest threshold
 	// whose lower confidence bound still clears the target, maximizing the
 	// returned set under the guarantee.
-	order := make([]int, len(s.ids))
-	for i := range order {
-		order[i] = i
+	order := s.order // empty, with room for every draw
+	for i := range s.ids {
+		order = append(order, i)
 	}
 	sort.Slice(order, func(a, b int) bool { return proxy[s.ids[order[a]]] > proxy[s.ids[order[b]]] })
 
@@ -287,14 +319,14 @@ func (d *Design) PrecisionTarget(opts Options, pred Predicate, lab labeler.Label
 		}
 	}
 
-	returned := assemble(opts, n, proxy, threshold, s)
-	if s.degraded {
-		opts.Telemetry.Counter(`tasti_query_degraded_total{type="select"}`).Inc()
-	}
-	return Result{Returned: returned, OracleCalls: int64(len(s.ids)), Threshold: threshold, Degraded: s.degraded}, nil
+	return d.result(opts, threshold, s), nil
 }
 
-// sample is the labeled importance sample shared by both targets.
+// sample is the labeled importance sample shared by both targets, and the
+// scratch the rest of one query works in. Queries reuse one another's samples
+// through samplePool — a query sizes every vector once, to its budget or the
+// corpus, and a sample that already has the room allocates nothing — so
+// nothing in a Result may alias one: release hands it to the next query.
 type sample struct {
 	ids     []int
 	labels  []bool
@@ -303,42 +335,66 @@ type sample struct {
 	// weights were computed against the calls actually made, so the
 	// estimators below stay consistent over the partial sample.
 	degraded bool
+
+	qs        []float64   // draw probabilities, until the weights are final
+	positives []posSample // RecallTarget's threshold candidates
+	order     []int       // PrecisionTarget's sample order by descending proxy
+	include   []bool      // assemble's per-record membership
+}
+
+// posSample is one sampled positive: its proxy score and importance weight.
+type posSample struct {
+	score  float64
+	weight float64
+}
+
+var samplePool = sync.Pool{New: func() any { return new(sample) }}
+
+func (s *sample) release() { samplePool.Put(s) }
+
+// sized returns v emptied, with room for n elements.
+func sized[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, 0, n)
+	}
+	return v[:0]
 }
 
 // drawSample draws Budget records i.i.d. from the design — probability
-// proportional to sqrt(proxy) plus the defensive floor — and labels them. A
-// label budget exhausted mid-draw truncates the sample instead of failing
-// the query — the importance weights are normalized by the draws actually
-// made, so the downstream guarantee machinery runs unchanged, just with
-// wider error bars.
-func (d *Design) drawSample(opts Options, pred Predicate, lab labeler.Labeler) (*sample, error) {
+// proportional to sqrt(proxy) plus the defensive floor — and asks match for
+// each. A label budget exhausted mid-draw truncates the sample instead of
+// failing the query — the importance weights are normalized by the draws
+// actually made, so the downstream guarantee machinery runs unchanged, just
+// with wider error bars. The caller releases the sample when its Result is
+// built.
+func (d *Design) drawSample(opts Options, match MatchSource) (*sample, error) {
 	r := xrand.New(opts.Seed)
 	budget := opts.Budget
 	if n := len(d.proxy); budget > n {
 		budget = n
 	}
-	s := &sample{
-		ids:     make([]int, 0, budget),
-		labels:  make([]bool, 0, budget),
-		weights: make([]float64, 0, budget),
-	}
-	qs := make([]float64, 0, budget)
+	s := samplePool.Get().(*sample)
+	s.degraded = false
+	s.ids, s.labels = sized(s.ids, budget), sized(s.labels, budget)
+	s.weights, s.qs = sized(s.weights, budget), sized(s.qs, budget)
+	s.positives, s.order = sized(s.positives, budget), sized(s.order, budget)
 	opts.Telemetry.Counter(`tasti_query_runs_total{type="select"}`).Inc()
 	mCalls := opts.Telemetry.Counter(`tasti_query_label_calls_total{type="select"}`)
 	for len(s.ids) < budget {
 		id := d.Draw(r)
-		ann, err := lab.Label(id)
+		positive, err := match(id)
 		if err != nil {
 			if errors.Is(err, labeler.ErrBudgetExhausted) && len(s.ids) > 0 {
 				s.degraded = true
 				break
 			}
+			s.release()
 			return nil, fmt.Errorf("supg: labeling record %d: %w", id, err)
 		}
 		mCalls.Inc()
 		s.ids = append(s.ids, id)
-		s.labels = append(s.labels, pred(ann))
-		qs = append(qs, d.Prob(id))
+		s.labels = append(s.labels, positive)
+		s.qs = append(s.qs, d.Prob(id))
 	}
 	// Importance weights 1/(B*q_i), with B the draws actually made: equal to
 	// the configured budget on the undegraded path (bitwise identical to
@@ -346,7 +402,7 @@ func (d *Design) drawSample(opts Options, pred Predicate, lab labeler.Labeler) (
 	// cut the draw short — keeping each estimator's weighted sums consistent
 	// with the sample they run over.
 	actual := len(s.ids)
-	for _, q := range qs {
+	for _, q := range s.qs {
 		s.weights = append(s.weights, 1/(float64(actual)*q))
 	}
 	// Truncated importance sampling: a single low-probability draw can
@@ -367,30 +423,48 @@ func (d *Design) drawSample(opts Options, pred Predicate, lab labeler.Labeler) (
 	return s, nil
 }
 
+// result assembles the returned set for the threshold a target settled on and
+// books a degraded query.
+func (d *Design) result(opts Options, threshold float64, s *sample) Result {
+	if s.degraded {
+		opts.Telemetry.Counter(`tasti_query_degraded_total{type="select"}`).Inc()
+	}
+	return Result{Returned: assemble(d.proxy, threshold, s), OracleCalls: int64(len(s.ids)), Threshold: threshold, Degraded: s.degraded}
+}
+
 // assemble builds the returned set: every record at or above the threshold
-// plus all sampled positives (which are known matches and free to include).
-// The threshold test writes disjoint per-record cells, so it shards across
-// Options.Parallelism workers; the sample overrides and the ascending-ID
-// collect stay serial, making the output invariant in worker count.
-func assemble(opts Options, n int, proxy []float64, threshold float64, s *sample) []int {
-	include := make([]bool, n)
-	parallel.ForChunks(opts.Parallelism, n, func(_ int, sp parallel.Span) {
-		for i := sp.Lo; i < sp.Hi; i++ {
-			if proxy[i] >= threshold {
-				include[i] = true
-			}
-		}
-	})
-	for i, id := range s.ids {
-		if s.labels[i] {
-			include[id] = true
-		} else {
-			// Sampled negatives are known non-matches; excluding them is
-			// free precision.
-			include[id] = false
+// plus all sampled positives (which are known matches and free to include),
+// minus the sampled negatives. One serial pass writes every record's
+// membership — so the reused vector needs no clearing — and counts the
+// members, the sample overrides adjust the count, and the ascending-ID
+// collect fills one allocation of exactly that size.
+func assemble(proxy []float64, threshold float64, s *sample) []int {
+	include := sized(s.include, len(proxy))[:len(proxy)]
+	s.include = include
+	count := 0
+	for i, p := range proxy {
+		in := p >= threshold
+		include[i] = in
+		if in {
+			count++
 		}
 	}
-	var out []int
+	for i, id := range s.ids {
+		// Sampled negatives are known non-matches; excluding them is free
+		// precision. A record drawn twice is settled by its last draw.
+		if include[id] != s.labels[i] {
+			include[id] = s.labels[i]
+			if s.labels[i] {
+				count++
+			} else {
+				count--
+			}
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]int, 0, count)
 	for i, ok := range include {
 		if ok {
 			out = append(out, i)

@@ -2,7 +2,6 @@ package supg
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -222,25 +221,29 @@ func TestNormalQuantilePanics(t *testing.T) {
 // flagged Degraded instead of failing.
 func TestBudgetExhaustionDegradesSelection(t *testing.T) {
 	ds, _, pred, truth := selectionEnv(t, 2000)
-	scores := goodProxy(truth, 0.15, 4)
-	budgeted := labeler.NewBudgeted(labeler.NewOracle(ds, "o", labeler.MaskRCNNCost), 40)
+	d := NewDesign(goodProxy(truth, 0.15, 4))
+	budgeted := func() labeler.Labeler {
+		return labeler.NewBudgeted(labeler.NewOracle(ds, "o", labeler.MaskRCNNCost), 40)
+	}
 	opts := Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 4}
-	res, err := RecallTarget(opts, ds.Len(), scores, pred, budgeted)
-	if err != nil {
-		t.Fatalf("exhaustion mid-sample should degrade, not fail: %v", err)
-	}
-	if !res.Degraded {
-		t.Error("truncated sample not flagged Degraded")
-	}
-	if res.OracleCalls != 40 {
-		t.Errorf("calls = %d, want the full budget of 40", res.OracleCalls)
-	}
-	if len(res.Returned) == 0 {
-		t.Error("degraded selection returned an empty set")
-	}
-	for _, id := range res.Returned {
-		if id < 0 || id >= ds.Len() {
-			t.Fatalf("returned ID %d out of range", id)
+	for target, tg := range targets {
+		res, err := selectBoth(t, target, d, opts, pred, truth, budgeted)
+		if err != nil {
+			t.Fatalf("%s: exhaustion mid-sample should degrade, not fail: %v", tg.name, err)
+		}
+		if !res.Degraded {
+			t.Errorf("%s: truncated sample not flagged Degraded", tg.name)
+		}
+		if res.OracleCalls != 40 {
+			t.Errorf("%s: calls = %d, want the full budget of 40", tg.name, res.OracleCalls)
+		}
+		if len(res.Returned) == 0 {
+			t.Errorf("%s: degraded selection returned an empty set", tg.name)
+		}
+		for _, id := range res.Returned {
+			if id < 0 || id >= ds.Len() {
+				t.Fatalf("%s: returned ID %d out of range", tg.name, id)
+			}
 		}
 	}
 }
@@ -263,18 +266,21 @@ func TestBudgetExhaustionBeforeAnyDrawFails(t *testing.T) {
 // sample completes.
 func TestBudgetAmpleIsBitwiseIdentical(t *testing.T) {
 	ds, lab, pred, truth := selectionEnv(t, 2000)
-	scores := goodProxy(truth, 0.15, 6)
+	d := NewDesign(goodProxy(truth, 0.15, 6))
 	opts := Options{Budget: 120, Target: 0.9, Delta: 0.05, Seed: 6}
-	plain, err := RecallTarget(opts, ds.Len(), scores, pred, lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgeted, err := RecallTarget(opts, ds.Len(), scores, pred,
-		labeler.NewBudgeted(labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost), 1<<30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, budgeted) {
-		t.Errorf("ample budget changed the result:\n got %+v\nwant %+v", budgeted, plain)
+	for target, tg := range targets {
+		plain, err := selectBoth(t, target, d, opts, pred, truth, func() labeler.Labeler { return lab })
+		if err != nil {
+			t.Fatal(err)
+		}
+		budgeted, err := selectBoth(t, target, d, opts, pred, truth, func() labeler.Labeler {
+			return labeler.NewBudgeted(labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost), 1<<30)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(plain, budgeted) {
+			t.Errorf("%s: ample budget changed the result:\n got %+v\nwant %+v", tg.name, budgeted, plain)
+		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/query/limitq"
@@ -17,6 +19,13 @@ import (
 // SUPG sampling design or limit heaps derived from it alone — computed once
 // per index generation and handed to every later request read-only. What is
 // left of a request is the part proportional to the labels it buys.
+//
+// Beside its proxy scores a column memoizes exact ones: Value(id) is
+// score(annotation of id) for every record some request already obtained the
+// label of. That number is a constant of (scoring function, record) — the
+// label store is append-only and first-writer-wins, and a Scorer's name is its
+// identity — so a sampler's draw on such a record is two array reads (proxy
+// score, exact score) instead of a label lookup and a walk of the annotation.
 //
 // A generation is one state of the index as queries see it. Every mutator
 // that changes a propagated score publishes a Version of a later generation,
@@ -55,12 +64,20 @@ type Scorer struct {
 
 // columnBudgetBytes bounds the column payload the store retains. Scorer
 // names come from clients, so the bound is a safety property rather than a
-// tunable: at 60k records a column is 1.4 MB and the budget holds 46.
+// tunable: at 60k records a column is 1.9 MB and the budget holds 34.
 const columnBudgetBytes = 64 << 20
 
+// unknownValue is the one float64 bit pattern — a NaN payload no arithmetic
+// produces — that Value cannot hold. A cell stores its value's bits XOR this
+// pattern, so the zero cell of a fresh vector reads "not known yet" and a
+// score whose bits equal the pattern is simply never memoized.
+const unknownValue = 0x7ff8_7a57_1c01_0001
+
 // Column is one scoring function's propagated scores over one index
-// generation, plus the query structures derived from the scores alone. All of
-// it is read-only: requests share the slices and must not write them.
+// generation, plus the query structures derived from the scores alone and the
+// exact scores requests have learnt so far. The slices are read-only —
+// requests share them and must not write them — and the exact scores are
+// written only through SetValue.
 type Column struct {
 	// Kind is the propagation Scores came from.
 	Kind ColumnKind
@@ -77,13 +94,43 @@ type Column struct {
 	design     *supg.Design
 	orderOnce  sync.Once
 	order      *limitq.Cursor // never advanced: Cursor hands out clones
+	// exact holds one cell per record, allocated by the first SetValue.
+	exact atomic.Pointer[[]atomic.Uint64]
 }
 
-// bytes is the payload the store charges a column: three 8-byte-per-record
-// vectors — scores, design weights and prefix sums, or scores, distances and
-// heap IDs. The derived vectors are charged before they are built, so the
-// bound holds whenever a request first asks for them.
-func (c *Column) bytes() int64 { return 3 * 8 * int64(len(c.Scores)) }
+// bytes is the payload the store charges a column: four 8-byte-per-record
+// vectors — scores, distances, heap IDs and exact scores, what a nearest
+// column comes to; a weighted one (scores, design prefix sums, exact scores)
+// is charged the same. The derived vectors are charged before they are built,
+// so the bound holds whenever a request first asks for them.
+func (c *Column) bytes() int64 { return 4 * 8 * int64(len(c.Scores)) }
+
+// Value returns the scoring function's exact score of record id — its score
+// of the record's annotation, not the propagated estimate in Scores — when
+// some request has recorded it with SetValue. It takes no lock.
+func (c *Column) Value(id int) (v float64, known bool) {
+	cells := c.exact.Load()
+	if cells == nil {
+		return 0, false
+	}
+	stored := (*cells)[id].Load()
+	return math.Float64frombits(stored ^ unknownValue), stored != 0
+}
+
+// SetValue records v as the exact score of record id. The caller must have
+// obtained the record's label through the label store and scored it with this
+// column's Scorer: a known value is then worth exactly a store hit, and every
+// writer of one cell writes the same bits. Values live and die with the
+// column — a successor version's column starts with none.
+func (c *Column) SetValue(id int, v float64) {
+	cells := c.exact.Load()
+	if cells == nil {
+		fresh := make([]atomic.Uint64, len(c.Scores))
+		c.exact.CompareAndSwap(nil, &fresh)
+		cells = c.exact.Load()
+	}
+	(*cells)[id].Store(math.Float64bits(v) ^ unknownValue)
+}
 
 // Design returns SUPG's sampling design over a ColumnWeighted column's
 // scores, built by the first request that selects over the column.

@@ -42,13 +42,30 @@ func extraRecords(t *testing.T, n int, seed int64) ([][]float64, []dataset.Annot
 	return extraFeatures(t, n, seed), extra.Truth
 }
 
+// checkExactValues holds a column's exact-score cells to its lifetime: a
+// column built by this fetch knows no value, a retained one knows exactly the
+// values the check of its first fetch recorded — every third record's, a
+// number that names the record — and nothing else.
+func checkExactValues(t *testing.T, step string, col *shard.Column, retained bool) {
+	t.Helper()
+	for id := range col.Scores {
+		v, known := col.Value(id)
+		if wantKnown := retained && id%3 == 0; known != wantKnown || (known && v != float64(id)+0.25) {
+			t.Fatalf("%s: Value(%d) = %v, %v on a column that was retained=%v", step, id, v, known, retained)
+		}
+		if id%3 == 0 {
+			col.SetValue(id, float64(id)+0.25)
+		}
+	}
+}
+
 // checkColumnsFresh fetches every scorer × kind column and requires each to
 // be bitwise what the uncached calls compute on the same index right now:
 // scores and distances against Propagate / PropagateNearest, the design's
 // draws against a fresh CDF over the SUPG weights of the fresh scores, and
 // two full cursor drains against LimitOrder (two, so a drain that consumed
-// the column's own heaps would show). wantHit is what every fetch must
-// report.
+// the column's own heaps would show) — and to hold the exact scores of its
+// own lifetime only. wantHit is what every fetch must report.
 func checkColumnsFresh(t *testing.T, step string, x *shard.Index, wantHit bool) {
 	t.Helper()
 	gen := x.ColumnStats().Generation
@@ -66,6 +83,7 @@ func checkColumnsFresh(t *testing.T, step string, x *shard.Index, wantHit bool) 
 			t.Fatal(err)
 		}
 		sameBits(t, step+" weighted "+sc.Name, w.Scores, fresh)
+		checkExactValues(t, step+" weighted "+sc.Name, w, wantHit)
 		weights := make([]float64, len(fresh))
 		for i, p := range fresh {
 			weights[i] = math.Sqrt(math.Max(p, 0)) + 0.05
@@ -96,6 +114,7 @@ func checkColumnsFresh(t *testing.T, step string, x *shard.Index, wantHit bool) 
 		}
 		sameBits(t, step+" nearest scores "+sc.Name, nr.Scores, fs)
 		sameBits(t, step+" nearest dists "+sc.Name, nr.Dists, fd)
+		checkExactValues(t, step+" nearest "+sc.Name, nr, wantHit)
 		order := x.LimitOrder(fs, fd)
 		for pass := 0; pass < 2; pass++ {
 			cur, ordered := nr.Cursor(nil)
@@ -111,8 +130,9 @@ func checkColumnsFresh(t *testing.T, step string, x *shard.Index, wantHit bool) 
 // mutator (and the two operations that must NOT invalidate) over 1, 2 and 4
 // shards. After every step each cached column must equal a fresh computation
 // on the same index; a state-changing step must have advanced the generation
-// and turned the next fetch into a miss, a no-op crack and a Requantize must
-// have kept both the generation and the retained columns.
+// and turned the next fetch into a miss — of a column that knows no exact
+// score — a no-op crack and a Requantize must have kept the generation, the
+// retained columns and the exact scores recorded in them.
 func TestColumnInvalidationModel(t *testing.T) {
 	const n, reps, steps = 360, 40, 36
 	for _, shards := range []int{1, 2, 4} {

@@ -157,7 +157,8 @@ func sameState(t *testing.T, step string, got *shard.Version, ref *shard.Index) 
 }
 
 // pinnedVersion is a version held across later writes with what it propagated
-// when it was pinned.
+// when it was pinned, and a column of it in which every other record's exact
+// score — a number that names the record — was recorded then.
 type pinnedVersion struct {
 	step             string
 	v                *shard.Version
@@ -177,10 +178,25 @@ func pinVersion(t *testing.T, step string, v *shard.Version) pinnedVersion {
 	if err != nil {
 		t.Fatalf("%s: %v", step, err)
 	}
+	// A version no write has published since the last pin is pinned again with
+	// its column retained; one a write did publish starts with no exact score.
+	col, hit, err := v.Column(shard.Scorer{Name: "count/car", Score: score}, shard.ColumnWeighted, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	for id := range col.Scores {
+		if _, known := col.Value(id); known && !hit {
+			t.Fatalf("%s: a column built for this version already knows record %d's exact score", step, id)
+		}
+		if id%2 == 0 {
+			col.SetValue(id, float64(id))
+		}
+	}
 	return pinnedVersion{step: step, v: v, weighted: w, scores: sc, dists: di, reps: v.RepCount()}
 }
 
-// check fails unless the version still propagates the bits it did when pinned.
+// check fails unless the version still propagates the bits it did when
+// pinned and its column still knows every exact score recorded then.
 func (p pinnedVersion) check(t *testing.T, after string) {
 	t.Helper()
 	score := core.CountScore("car")
@@ -198,6 +214,15 @@ func (p pinnedVersion) check(t *testing.T, after string) {
 	sameBits(t, name+": nearest dists", di, p.dists)
 	if got := p.v.RepCount(); got != p.reps {
 		t.Fatalf("%s: %d representatives, had %d", name, got, p.reps)
+	}
+	col, hit, err := p.v.Column(shard.Scorer{Name: "count/car", Score: score}, shard.ColumnWeighted, nil)
+	if err != nil || !hit {
+		t.Fatalf("%s: column refetch hit=%v err=%v", name, hit, err)
+	}
+	for id := 0; id < len(col.Scores); id += 2 {
+		if v, known := col.Value(id); !known || v != float64(id) {
+			t.Fatalf("%s: Value(%d) = %v, %v, recorded %d", name, id, v, known, id)
+		}
 	}
 }
 

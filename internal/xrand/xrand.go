@@ -120,18 +120,23 @@ type CDF struct {
 // weights[i]. Non-positive weights are treated as zero. It panics if all
 // weights are zero or the slice is empty.
 func NewCDF(weights []float64) *CDF {
-	cum := make([]float64, len(weights))
+	return NewCDFInPlace(append([]float64(nil), weights...))
+}
+
+// NewCDFInPlace is NewCDF for a caller done with its weights: it overwrites
+// the slice with the partial sums and keeps it, allocating nothing.
+func NewCDFInPlace(weights []float64) *CDF {
 	acc := 0.0
 	for i, w := range weights {
 		if w > 0 {
 			acc += w
 		}
-		cum[i] = acc
+		weights[i] = acc
 	}
 	if acc <= 0 {
 		panic("xrand: categorical distribution has no mass")
 	}
-	return &CDF{cum: cum}
+	return &CDF{cum: weights}
 }
 
 // Total returns the sum of the positive weights.

@@ -308,6 +308,8 @@ type (
 	// generation, with the SUPG design or limit heaps derived from them:
 	// computed once by IndexVersion.Column, then shared read-only by every
 	// request until a crack, append or shard swap starts a new generation.
+	// Beside them it memoizes the Scorer's exact score of every record a
+	// request obtained the label of (Value / SetValue).
 	ProxyColumn = shard.Column
 	// ProxyColumnStats is ShardedIndex.ColumnStats's residency report.
 	ProxyColumnStats = shard.ColumnStats
@@ -423,8 +425,15 @@ type (
 	// SelectDesign is SUPG's sampling design over one proxy vector, reusable
 	// across queries: SelectWithRecall(opts, n, proxy, ...) is
 	// supg.NewDesign(proxy).RecallTarget(opts, ...). ProxyColumn.Design
-	// returns the one a column keeps.
+	// returns the one a column keeps. RecallTargetMatches and
+	// PrecisionTargetMatches run the same queries over a MatchSource.
 	SelectDesign = supg.Design
+	// ValueSource answers one record's aggregated quantity — the score of
+	// its label — for EstimateAggregateValues.
+	ValueSource = aggregation.ValueSource
+	// MatchSource answers whether one record matches a selection — the
+	// predicate over its label — for SelectDesign's ...Matches queries.
+	MatchSource = supg.MatchSource
 	// LimitResult is FindLimit's output.
 	LimitResult = limitq.Result
 	// ThresholdResult is SelectByThreshold's output.
@@ -436,6 +445,14 @@ type (
 // (nil runs plain uniform sampling).
 func EstimateAggregate(opts AggregateOptions, n int, proxy []float64, score func(Annotation) float64, lab Labeler) (AggregateResult, error) {
 	return aggregation.Estimate(opts, n, proxy, score, lab)
+}
+
+// EstimateAggregateValues is EstimateAggregate with the labeler and the score
+// function folded into one per-record value source — the sampler itself, which
+// EstimateAggregate adapts (label, then score) onto. A caller that already
+// knows some records' values answers those draws without an annotation.
+func EstimateAggregateValues(opts AggregateOptions, n int, proxy []float64, value ValueSource) (AggregateResult, error) {
+	return aggregation.EstimateValues(opts, n, proxy, value)
 }
 
 // SelectWithRecall returns a record set containing at least a target
