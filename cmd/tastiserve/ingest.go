@@ -2,11 +2,11 @@ package main
 
 // Streaming ingest wiring: POST /ingest appends records through a crash-safe
 // WAL (internal/ingest), replayed into the index at boot; drift past the
-// build-time baseline triggers a background re-crack of a cloned index whose
-// state is then swapped in through the index's write path; POST
-// /admin/refresh forces one and folds the result into the snapshot,
-// truncating covered WAL segments. See docs/RELIABILITY.md for the durability
-// contract and the crashed-ingester runbook.
+// build-time baseline triggers a background refresh that cracks the
+// worst-covered appended records into the live index; POST /admin/refresh
+// forces one and folds the result into the snapshot, truncating covered WAL
+// segments. See docs/RELIABILITY.md for the durability contract and the
+// crashed-ingester runbook.
 
 import (
 	"context"
@@ -147,15 +147,11 @@ func (s *server) initIngest(index *tasti.ShardedIndex, ds *tasti.Dataset) error 
 		ds.Truth = ds.Truth[:index.NumRecords()]
 	}
 
-	wal, err := tasti.OpenWAL(opts.walDir, index.NumRecords(), tasti.WALOptions{
-		SegmentBytes: opts.walSegmentBytes,
-		Telemetry:    s.reg,
-	})
+	wal, err := tasti.OpenWAL(opts.walDir, index.NumRecords(), tasti.WALOptions{Telemetry: s.reg})
 	if err != nil {
 		return err
 	}
-	window, threshold := opts.driftParams()
-	drift := tasti.NewDriftDetector(window, threshold, s.reg)
+	drift := tasti.NewDriftDetector(driftWindow, driftThreshold, s.reg)
 	drift.Reset(index.Pin().MeanNearestDistance())
 
 	s.wal = wal
@@ -176,7 +172,6 @@ func (s *server) initIngest(index *tasti.ShardedIndex, ds *tasti.Dataset) error 
 	s.ingester, err = tasti.NewIngester(tasti.IngestConfig{
 		WAL:             wal,
 		Apply:           s.applyIngest,
-		QueueDepth:      opts.ingestQueue,
 		MaxBatchRecords: opts.ingestBatch,
 		Telemetry:       s.reg,
 	})
@@ -188,8 +183,6 @@ func (s *server) initIngest(index *tasti.ShardedIndex, ds *tasti.Dataset) error 
 	s.log.Info("streaming ingest enabled",
 		"wal_dir", opts.walDir,
 		"next_record", index.NumRecords(),
-		"drift_window", window,
-		"drift_threshold", threshold,
 		"auto_refresh", opts.refreshAuto)
 	return nil
 }
@@ -258,7 +251,7 @@ func (s *server) maybeRefresh() {
 			return
 		}
 		s.log.Info("drift-triggered refresh complete",
-			"cracked", st.Cracked, "catch_up", st.CatchUp, "baseline", st.Baseline,
+			"cracked", st.Cracked, "baseline", st.Baseline,
 			"elapsed_ms", float64(st.Elapsed.Microseconds())/1000)
 		if err := s.persistIngestState(); err != nil {
 			s.log.Warn("persisting refreshed state failed; WAL retains full coverage", "err", err.Error())
@@ -460,7 +453,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRefresh is POST /admin/refresh: force one drift-style refresh —
-// clone, crack the worst-covered appended records, hot-swap — then persist
+// label the worst-covered appended records and crack them in — then persist
 // the dataset and index snapshot and truncate covered WAL segments. 409
 // marks a refresh already running, 502 a refresh that failed (the previous
 // index keeps serving).
@@ -493,7 +486,6 @@ func (s *server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"cracked":        st.Cracked,
-		"catch_up":       st.CatchUp,
 		"baseline":       st.Baseline,
 		"elapsed_ms":     float64(st.Elapsed.Microseconds()) / 1000,
 		"records":        s.corpus.Load().Len(),

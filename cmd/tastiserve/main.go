@@ -39,9 +39,10 @@
 // write-ahead log before the 200 is written, so an acknowledged record
 // survives kill -9 and replays into the index at the next boot. A drift
 // detector watches appended records' nearest-representative distances and —
-// with -refresh-auto — re-cracks the worst-covered appends on a cloned index
-// swapped in with zero downtime. POST /admin/refresh forces the same cycle
-// and then persists the snapshot pair, truncating covered WAL segments.
+// with -refresh-auto — cracks the worst-covered appends into the live index
+// as new representatives, with zero downtime. POST /admin/refresh forces the
+// same cycle and then persists the snapshot pair, truncating covered WAL
+// segments.
 // While -wal-dir is set, /admin/reload is disabled (a stale snapshot swap
 // would fork the record-ID sequence the WAL continues from). See
 // docs/RELIABILITY.md for the durability contract and runbook.
@@ -99,13 +100,9 @@ func main() {
 		snapshotPath = flag.String("snapshot", "", "index snapshot file: loaded at startup if present, saved after a fresh build, hot-reloaded on POST /admin/reload or SIGHUP (empty disables)")
 
 		walDir          = flag.String("wal-dir", "", "write-ahead-log directory: enables POST /ingest with fsync-before-ack durability and crash replay (empty disables)")
-		walSegBytes     = flag.Int64("wal-segment-bytes", 0, "rotate WAL segments at this size (<= 0 uses the 16 MiB default)")
-		ingestQueue     = flag.Int("ingest-queue", 0, "pending ingest submissions before /ingest answers 429 (<= 0 uses the default)")
 		ingestBatch     = flag.Int("ingest-batch", 0, "max records coalesced into one WAL frame and fsync (<= 0 uses the default)")
 		ingestMaxBody   = flag.Int64("ingest-max-body", 0, "largest accepted /ingest body in bytes (<= 0 uses 8 MiB)")
 		ingestTenantCap = flag.Int("ingest-tenant-pending", 0, "per-tenant in-flight record cap, keyed by X-Tasti-Tenant (<= 0 uses 4096)")
-		driftWindow     = flag.Int("drift-window", 0, "appended records per drift-detector window (<= 0 uses 256)")
-		driftThreshold  = flag.Float64("drift-threshold", 0, "windowed mean nearest-rep distance over baseline ratio that flags drift (<= 0 uses 1.5)")
 		refreshBudget   = flag.Int("refresh-budget", 0, "worst-covered appended records re-cracked per refresh (<= 0 uses the default)")
 		refreshAuto     = flag.Bool("refresh-auto", false, "start a background refresh automatically when drift trips")
 
@@ -154,13 +151,9 @@ func main() {
 		snapshotPath:  *snapshotPath,
 
 		walDir:              *walDir,
-		walSegmentBytes:     *walSegBytes,
-		ingestQueue:         *ingestQueue,
 		ingestBatch:         *ingestBatch,
 		ingestMaxBody:       *ingestMaxBody,
 		ingestTenantPending: *ingestTenantCap,
-		driftWindow:         *driftWindow,
-		driftThreshold:      *driftThreshold,
 		refreshBudget:       *refreshBudget,
 		refreshAuto:         *refreshAuto,
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/tasti"
 )
 
 // reloadServer builds a server whose index lives in a snapshot file, plus
@@ -168,13 +171,54 @@ func TestServeReloadCorruptSnapshotKeepsServing(t *testing.T) {
 
 // TestServeStartupLoadsSnapshot pins the crash-recovery path: a second
 // server pointed at the first one's snapshot serves without re-spending any
-// labeling budget, and its index matches the snapshot.
+// labeling budget, and its index matches the snapshot. The file a one-shard
+// server writes is the sharded container — the one a refresh rewrites it as,
+// and the one /admin/reload?shard=0 reads — while a single-index container an
+// older binary left still boots.
 func TestServeStartupLoadsSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	srv, _, snap := reloadServer(t)
+	srv, ts, snap := reloadServer(t)
 	want := srv.index
+
+	err := tasti.ReadSnapshotFile(snap, func(r io.Reader) error {
+		_, lerr := tasti.LoadShardedIndex(r)
+		return lerr
+	})
+	if err != nil {
+		t.Fatalf("a -shards 1 boot did not write the sharded container: %v", err)
+	}
+	resp, err := http.Post(ts.URL+"/admin/reload?shard=0", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := decodeBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("one-shard reload of shard 0: status %d, body %v", resp.StatusCode, body)
+	}
+
+	ds, err := tasti.GenerateDataset("night-street", 1500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := tasti.Build(tasti.PretrainedConfig(40, 1), ds, tasti.NewOracle(ds, "target", tasti.MaskRCNNCost))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "single.snap")
+	if err := tasti.WriteFileAtomic(old, single.Save); err != nil {
+		t.Fatal(err)
+	}
+	fromOld, err := newServer(serverOptions{
+		dataset: "night-street", size: 1500, train: 250, reps: 200, seed: 1,
+		snapshotPath: old,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fromOld.index.RepCount(); got != 40 {
+		t.Fatalf("server booted on a single-index snapshot has %d reps, want the file's 40 (a rebuild has 200)", got)
+	}
 
 	restarted, err := newServer(serverOptions{
 		dataset: "night-street", size: 1500, train: 250, reps: 200, seed: 1,

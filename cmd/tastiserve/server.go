@@ -30,10 +30,9 @@ type serverOptions struct {
 	reps        int
 	seed        int64
 	parallelism int
-	// shards is the scatter-gather shard count (<= 1 serves one shard,
-	// preserving the single-index snapshot format on disk). Results are
-	// bitwise identical at every shard count; the knob trades per-shard
-	// build, snapshot, and reload granularity. See docs/SHARDING.md.
+	// shards is the scatter-gather shard count (<= 1 serves one shard).
+	// Results are bitwise identical at every shard count; the knob trades
+	// per-shard build, snapshot, and reload granularity. See docs/SHARDING.md.
 	shards int
 	// quantize builds the uint8 quantized scan plane: candidate-generation
 	// scans stream 1-byte codes instead of float64 rows and rerank bound
@@ -72,12 +71,6 @@ type serverOptions struct {
 	// boot, and folded into the snapshot by POST /admin/refresh. Empty
 	// disables POST /ingest (it answers 501). See docs/RELIABILITY.md.
 	walDir string
-	// walSegmentBytes bounds a WAL segment before rotation (<= 0 uses the
-	// library default, 16 MiB).
-	walSegmentBytes int64
-	// ingestQueue bounds requests awaiting the ingest writer loop; a full
-	// queue answers 429 (<= 0 uses the library default).
-	ingestQueue int
 	// ingestBatch bounds how many records one WAL frame (and fsync)
 	// coalesces (<= 0 uses the library default).
 	ingestBatch int
@@ -88,13 +81,6 @@ type serverOptions struct {
 	// have in flight through the ingest pipeline; beyond it the tenant gets
 	// 429 while others keep writing (<= 0: 4096).
 	ingestTenantPending int
-	// driftWindow is how many recent appends the drift detector averages
-	// over (<= 0: 256).
-	driftWindow int
-	// driftThreshold triggers a refresh once the windowed mean
-	// nearest-representative distance exceeds threshold x the build-time
-	// baseline (<= 0: 1.5).
-	driftThreshold float64
 	// refreshBudget bounds representatives added per refresh (<= 0 uses the
 	// library default).
 	refreshBudget int
@@ -160,17 +146,13 @@ func (o serverOptions) tenantPendingCap() int {
 	return o.ingestTenantPending
 }
 
-// driftParams resolves the drift-detector defaults.
-func (o serverOptions) driftParams() (window int, threshold float64) {
-	window, threshold = o.driftWindow, o.driftThreshold
-	if window <= 0 {
-		window = 256
-	}
-	if threshold <= 0 {
-		threshold = 1.5
-	}
-	return window, threshold
-}
+// The drift detector averages the last driftWindow appends' nearest-
+// representative distances and flags drift once that mean exceeds
+// driftThreshold x the baseline captured at build or refresh.
+const (
+	driftWindow    = 256
+	driftThreshold = 1.5
+)
 
 // shardCount normalizes the shard knob: anything below 1 serves one shard.
 func (o serverOptions) shardCount() int {
@@ -441,9 +423,9 @@ func (s *server) buildIndex() error {
 	// when -snapshot names an existing file, load and validate it; any
 	// corruption is contained by the typed snapshot errors and the server
 	// falls back to building fresh. A fresh build is saved back to the same
-	// path (atomically), so the next start — and every hot reload — has it.
-	// One shard keeps the single-index container on disk; more shards write
-	// the sharded container (manifest + one nested container per shard).
+	// path (atomically), so the next start — and every hot reload — has it:
+	// the sharded container (manifest + one nested container per shard) at
+	// every shard count, the one the refresh path writes too.
 	// With ingest enabled a snapshot may cover any prefix from the base
 	// corpus through the full extended dataset — WAL replay fills the rest.
 	minRecords := ds.Len()
@@ -477,23 +459,15 @@ func (s *server) buildIndex() error {
 		if err != nil {
 			return err
 		}
-		// The single-shard snapshot must be written before SplitIndex takes
-		// ownership of the built index.
-		if opts.snapshotPath != "" && opts.shardCount() == 1 {
-			if err := tasti.WriteFileAtomic(opts.snapshotPath, built.Save); err != nil {
-				return fmt.Errorf("saving index snapshot: %w", err)
-			}
-			s.log.Info("index snapshot saved", "path", opts.snapshotPath)
-		}
 		index, err = tasti.SplitIndex(built, opts.shardCount())
 		if err != nil {
 			return err
 		}
-		if opts.snapshotPath != "" && opts.shardCount() > 1 {
+		if opts.snapshotPath != "" {
 			if err := tasti.WriteFileAtomic(opts.snapshotPath, index.Save); err != nil {
 				return fmt.Errorf("saving index snapshot: %w", err)
 			}
-			s.log.Info("sharded index snapshot saved",
+			s.log.Info("index snapshot saved",
 				"path", opts.snapshotPath, "shards", index.NumShards())
 		}
 	}
@@ -653,11 +627,8 @@ func (s *server) reload() error {
 			"path", s.opts.snapshotPath, "err", err.Error())
 		return err
 	}
-	var prevReps int
-	_ = s.index.Swap(func(live *tasti.IndexVersion) (*tasti.ShardedIndex, error) { // the build cannot fail
-		prevReps = live.RepCount()
-		return next, nil
-	})
+	prevReps := s.index.RepCount()
+	s.index.Replace(next)
 	elapsed := time.Since(start)
 	s.reg.Counter(`tasti_snapshot_reload_total{outcome="ok"}`).Inc()
 	s.reg.Histogram("tasti_snapshot_reload_seconds", tasti.DefLatencyBuckets).Observe(elapsed.Seconds())

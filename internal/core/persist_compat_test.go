@@ -58,7 +58,11 @@ func TestFlatFrameShapeMismatchRejected(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	if _, err := Load(bytes.NewReader(write("embeddings", ix.Embeddings.CopyRows()))); err == nil {
+	perRow := make([][]float64, rows)
+	for i := range perRow {
+		perRow[i] = ix.Embeddings.Row(i)
+	}
+	if _, err := Load(bytes.NewReader(write("embeddings", perRow))); err == nil {
 		t.Error("v1 per-row embeddings frame: accepted")
 	}
 }

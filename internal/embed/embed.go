@@ -127,14 +127,9 @@ func Into(e Embedder, dst, features []float64) {
 	copy(dst, e.Embed(features))
 }
 
-// All embeds every record of ds in parallel on all CPUs and returns the
-// embeddings in record order as one contiguous matrix.
-func All(e Embedder, ds *dataset.Dataset) vecmath.Matrix {
-	return AllPar(e, ds, 0)
-}
-
-// AllPar is All with an explicit parallelism level p (p <= 0 uses all CPUs).
-// Records embed independently, so the output is identical at every p. The
+// AllPar embeds every record of ds on p workers (p <= 0 uses all CPUs) and
+// returns the embeddings in record order as one contiguous matrix. Records
+// embed independently, so the output is identical at every p. The
 // embedder must be safe for concurrent Embed calls; both implementations
 // here are (their forward passes only read model weights).
 func AllPar(e Embedder, ds *dataset.Dataset, p int) vecmath.Matrix {

@@ -126,7 +126,7 @@ func TestAllMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPretrained(ds.FeatureDim(), 16, 4)
-	parallel := All(p, ds)
+	parallel := AllPar(p, ds, 0)
 	if parallel.Rows() != ds.Len() {
 		t.Fatalf("got %d embeddings", parallel.Rows())
 	}

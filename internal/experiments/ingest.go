@@ -7,20 +7,24 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ingest"
+	"repro/internal/labeler"
 	"repro/internal/query/aggregation"
+	"repro/internal/shard"
 )
 
 // RunIngest is the streaming-ingest experiment (not in the paper): it
 // measures sustained append throughput and ack latency through the full
 // durability path — WAL frame encode, fsync, ack, apply into the index —
-// while an aggregation query storm runs against the same index, serialized
-// per the Crack contract the way tastiserve serializes them. Acks are
-// durability receipts: the latency includes the fsync.
+// while an aggregation query storm runs against the same index the way
+// tastiserve runs them: appends are writes on a one-shard shard.Index, each
+// query reads the version it pinned, and nothing else orders the two. Acks
+// are durability receipts: the latency includes the fsync.
 func RunIngest(sc Scale, w io.Writer) (*Report, error) {
 	const (
 		appended = 512
@@ -35,7 +39,11 @@ func RunIngest(sc Scale, w io.Writer) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := env.BuildIndexWith(env.IndexConfig(TastiT))
+	built, err := env.BuildIndexWith(env.IndexConfig(TastiT))
+	if err != nil {
+		return nil, err
+	}
+	ix, err := shard.Split(built, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -54,20 +62,23 @@ func RunIngest(sc Scale, w io.Writer) (*Report, error) {
 		return nil, err
 	}
 
-	// mu serializes the apply path and the query storm against the index —
-	// the contract core.Index asks of its caller.
-	var mu sync.Mutex
+	// The apply path publishes each extended corpus view whole, before the
+	// index version that makes its records queryable, so the storm's oracle
+	// can label every record of whatever version it pinned.
+	var corpus atomic.Pointer[dataset.Dataset]
+	corpus.Store(env.DS)
+	oracle := labeler.NewLiveOracle(corpus.Load, s.TargetName, s.TargetCost)
 	ing, err := ingest.New(ingest.Config{
 		WAL: wal,
 		Apply: func(b ingest.Batch) error {
-			mu.Lock()
-			defer mu.Unlock()
+			ds := *corpus.Load()
 			for i := range b.Features {
-				if id := b.Base + i; id == env.DS.Len() {
-					env.DS.Records = append(env.DS.Records, dataset.Record{ID: id, Features: b.Features[i]})
-					env.DS.Truth = append(env.DS.Truth, b.Anns[i])
+				if id := b.Base + i; id == ds.Len() {
+					ds.Records = append(ds.Records, dataset.Record{ID: id, Features: b.Features[i]})
+					ds.Truth = append(ds.Truth, b.Anns[i])
 				}
 			}
+			corpus.Store(&ds)
 			_, aerr := ix.AppendRecords(b.Features)
 			return aerr
 		},
@@ -94,13 +105,11 @@ func RunIngest(sc Scale, w io.Writer) (*Report, error) {
 				return
 			default:
 			}
-			mu.Lock()
-			n := ix.NumRecords()
-			scores, perr := ix.Propagate(score)
+			v := ix.Pin()
+			scores, perr := v.Propagate(score)
 			if perr == nil {
-				_, perr = aggregation.Estimate(opts, n, scores, aggregation.ScoreFunc(score), env.Oracle)
+				_, perr = aggregation.Estimate(opts, v.NumRecords(), scores, aggregation.ScoreFunc(score), oracle)
 			}
-			mu.Unlock()
 			if perr != nil {
 				stormErr = perr
 				return
@@ -135,7 +144,7 @@ func RunIngest(sc Scale, w io.Writer) (*Report, error) {
 	if stormErr != nil {
 		return nil, fmt.Errorf("experiments: query storm: %w", stormErr)
 	}
-	if got := ix.NumRecords(); got != env.DS.Len() || got != sc.CorpusSize(s)+appended {
+	if got := ix.NumRecords(); got != corpus.Load().Len() || got != sc.CorpusSize(s)+appended {
 		return nil, fmt.Errorf("experiments: index covers %d records, want %d", got, sc.CorpusSize(s)+appended)
 	}
 

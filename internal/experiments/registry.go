@@ -70,16 +70,3 @@ func Run(id string, sc Scale, w io.Writer) (*Report, error) {
 	sort.Strings(ids)
 	return nil, fmt.Errorf("experiments: unknown experiment %q (valid: %v)", id, ids)
 }
-
-// RunAll executes every experiment in order, printing each report.
-func RunAll(sc Scale, w io.Writer) ([]*Report, error) {
-	var out []*Report
-	for _, e := range registry {
-		rep, err := e.Run(sc, w)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", e.ID, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}

@@ -57,7 +57,7 @@ func NewDriftDetector(window int, threshold float64, reg *telemetry.Registry) *D
 
 // Reset installs a new baseline (the index's mean nearest-representative
 // distance) and clears the window — called at build, after replay, and
-// after every refresh swap.
+// after every refresh.
 func (d *DriftDetector) Reset(baseline float64) {
 	d.mu.Lock()
 	d.count, d.next, d.sum = 0, 0, 0

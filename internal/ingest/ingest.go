@@ -30,11 +30,12 @@ type Config struct {
 	// WAL is the durability log. Required.
 	WAL *WAL
 	// Apply makes a durable batch visible: it must append the records to the
-	// serving index (serialized against queries by the caller's own lock) and
-	// extend any side state (dataset, drift window). Called from the writer
-	// goroutine only, after the batch is fsynced and acked. An Apply error
-	// poisons the ingester: the records are safe in the WAL and replay on
-	// the next boot, but this process stops accepting writes.
+	// serving index (a shard.Index write — queries read the version they
+	// pinned and need no lock from the caller) and extend any side state
+	// (dataset, drift window). Called from the writer goroutine only, after
+	// the batch is fsynced and acked. An Apply error poisons the ingester:
+	// the records are safe in the WAL and replay on the next boot, but this
+	// process stops accepting writes.
 	Apply func(Batch) error
 	// QueueDepth bounds pending requests (<= 0: DefaultQueueDepth).
 	QueueDepth int
@@ -70,7 +71,7 @@ type result struct {
 // durability receipt: the records survive kill -9 and replay into the index
 // on the next boot. Visibility follows immediately via Apply — a query
 // racing an ack may or may not see the new records, but never a torn state,
-// because Apply runs under the caller's index serialization.
+// because Apply publishes them as one index version.
 type Ingester struct {
 	cfg   Config
 	queue chan *request

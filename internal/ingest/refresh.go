@@ -19,16 +19,16 @@ var ErrRefreshInProgress = errors.New("ingest: refresh already in progress")
 
 // RefreshConfig wires a Refresher to the serving index it refreshes.
 type RefreshConfig struct {
-	// Index is the live serving index. The refresher reads a pinned version
-	// of it and publishes the refreshed state through its Swap — the same
-	// write path every append and crack takes.
+	// Index is the live serving index. The refresher ranks candidates on a
+	// pinned version of it and cracks them into it — the same write every
+	// query-time crack takes.
 	Index *shard.Index
 	// Label produces the ground-truth annotation for a record — the target
 	// labeler (oracle) lookup. It runs beside queries and ingest, and must be
 	// safe to. Record IDs passed are stable because IDs are append-only.
 	Label func(ctx context.Context, id int) (dataset.Annotation, error)
 	// Drift, when non-nil, is reset to the refreshed index's baseline after
-	// a successful swap.
+	// a successful refresh.
 	Drift *DriftDetector
 	// Budget bounds how many appended records one refresh cracks in as new
 	// representatives (<= 0: 32).
@@ -47,9 +47,6 @@ const DefaultRefreshBudget = 32
 type RefreshStats struct {
 	// Cracked is the number of new representatives added.
 	Cracked int
-	// CatchUp is the number of records that arrived while the clone was being
-	// cracked and were re-appended to it before the swap.
-	CatchUp int
 	// Baseline is the refreshed index's mean nearest-representative
 	// distance — the drift detector's new denominator.
 	Baseline float64
@@ -57,19 +54,19 @@ type RefreshStats struct {
 }
 
 // Refresher rebuilds representative coverage online, without blocking
-// queries or ingest while it labels and cracks:
+// queries or ingest while it labels:
 //
-//  1. Pin the live index's published version, deep-Clone it, and collect the
-//     farthest un-annotated appended records (by nearest-representative
-//     distance — the records the current representatives cover worst). A
-//     version is immutable, so this takes no lock.
-//  2. Label each candidate and crack it into the clone. Queries and appends
-//     keep landing on the live index the whole time.
-//  3. Swap: as one write on the live index, records that streamed in during
-//     step 2 are copied (already-embedded) from the then-live version into
-//     the clone and scanned against the clone's refreshed representatives,
-//     and the clone's state is published. Appends queue behind that write
-//     like behind any other, so none is lost between catch-up and publish.
+//  1. Pin the live index's published version and rank the un-annotated
+//     appended records by nearest-representative distance — the records the
+//     current representatives cover worst. A version is immutable, so this
+//     takes no lock.
+//  2. Label the worst-covered candidates, up to the budget. Queries, cracks
+//     and appends keep landing on the live index the whole time.
+//  3. Crack them into the live index, worst-covered first, as one
+//     copy-on-write batch (shard.Index.CrackInOrder). Appends and query-time
+//     cracks queue behind that write like behind any other, so nothing that
+//     landed during step 2 is lost; a candidate some query cracked meanwhile
+//     is skipped like any already-annotated record.
 //
 // Queries never observe a partial refresh: a request reads the version it
 // pinned — the old state before the publish, the new one after.
@@ -137,13 +134,12 @@ func (r *Refresher) Refresh(ctx context.Context) (RefreshStats, error) {
 
 func (r *Refresher) refresh(ctx context.Context) (RefreshStats, error) {
 	var st RefreshStats
+	ix := r.cfg.Index
 
-	// Phase 1: clone the pinned version and pick candidates from it.
-	pinned := r.cfg.Index.Pin()
-	clone := pinned.Clone()
-	n0 := pinned.NumRecords()
+	// Pick candidates from the pinned version.
+	pinned := ix.Pin()
 	var cands []candidate
-	for id := r.cfg.Since; id < n0; id++ {
+	for id, n := r.cfg.Since, pinned.NumRecords(); id < n; id++ {
 		if !pinned.Annotated(id) {
 			cands = append(cands, candidate{id: id, dist: pinned.NearestDistance(id)})
 		}
@@ -160,8 +156,8 @@ func (r *Refresher) refresh(ctx context.Context) (RefreshStats, error) {
 		cands = cands[:r.cfg.Budget]
 	}
 
-	// Phase 2: label the candidates, then crack them into the clone
-	// worst-covered first, as one batch.
+	// Label the candidates off the write path, then crack them into the live
+	// index worst-covered first, as one batch.
 	ids := make([]int, len(cands))
 	anns := make(map[int]dataset.Annotation, len(cands))
 	for i, c := range cands {
@@ -174,37 +170,16 @@ func (r *Refresher) refresh(ctx context.Context) (RefreshStats, error) {
 		}
 		ids[i], anns[c.id] = c.id, ann
 	}
-	clone.CrackInOrder(ids, anns)
-	st.Cracked = len(ids)
+	st.Cracked = ix.CrackInOrder(ids, anns)
 	// Refit the quantized scan plane (no-op when the index runs float-only).
 	// Drifted appends quantized under stale build params widen the plane's
-	// pruning bound; retraining over the clone's current rows restores a
-	// tight grid without changing any result.
-	clone.Requantize()
+	// pruning bound; retraining over the current rows restores a tight grid
+	// without changing any result.
+	ix.Requantize()
 
-	// Phase 3: catch up on records appended meanwhile and publish, as one
-	// write on the live index. The catch-up rows keep their already-computed
-	// embeddings and are scanned against the clone's refreshed representative
-	// set — exactly the state cracking first and appending after would have
-	// produced.
-	err := r.cfg.Index.Swap(func(live *shard.Version) (*shard.Index, error) {
-		if n := live.NumRecords(); n > n0 {
-			rows := make([][]float64, 0, n-n0)
-			for id := n0; id < n; id++ {
-				rows = append(rows, live.EmbeddingRow(id))
-			}
-			if _, err := clone.AppendEmbedded(rows); err != nil {
-				return nil, fmt.Errorf("ingest: refresh catch-up: %w", err)
-			}
-			st.CatchUp = n - n0
-		}
-		st.Baseline = clone.Pin().MeanNearestDistance()
-		// Re-baselined inside the write, so every append queued behind it is
-		// observed against the refreshed representatives' baseline.
-		if r.cfg.Drift != nil {
-			r.cfg.Drift.Reset(st.Baseline)
-		}
-		return clone, nil
-	})
-	return st, err
+	st.Baseline = ix.Pin().MeanNearestDistance()
+	if r.cfg.Drift != nil {
+		r.cfg.Drift.Reset(st.Baseline)
+	}
+	return st, nil
 }

@@ -3,6 +3,10 @@ package ingest
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -22,13 +26,19 @@ type refreshRig struct {
 }
 
 func newRefreshRig(t *testing.T, built, extra, shards int) *refreshRig {
+	return buildRefreshRig(t, built, extra, shards, 30, false)
+}
+
+func buildRefreshRig(t *testing.T, built, extra, shards, reps int, quantize bool) *refreshRig {
 	t.Helper()
 	ds, err := dataset.Generate("night-street", built, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lab := labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
-	core0, err := core.Build(core.PretrainedConfig(30, 2), ds, lab)
+	cfg := core.PretrainedConfig(reps, 2)
+	cfg.Quantize = quantize
+	core0, err := core.Build(cfg, ds, lab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +84,9 @@ func (rig *refreshRig) appendExt(t *testing.T, lo, hi int) {
 }
 
 // TestRefreshCracksWorstCovered pins the refresh contract: the budgeted
-// refresh cracks exactly the worst-covered appended records into a clone and
-// swaps it in without losing any records — and without touching the version
-// that was published before it.
+// refresh cracks exactly the worst-covered appended records into the live
+// index without losing any records — and without touching the version that
+// was published before it.
 func TestRefreshCracksWorstCovered(t *testing.T) {
 	rig := newRefreshRig(t, 250, 40, 2)
 	rig.appendExt(t, 0, 40)
@@ -114,7 +124,7 @@ func TestRefreshCracksWorstCovered(t *testing.T) {
 	if cur == old {
 		t.Fatal("refresh did not publish a new version")
 	}
-	if st.Cracked != 8 || st.CatchUp != 0 {
+	if st.Cracked != 8 {
 		t.Fatalf("stats %+v", st)
 	}
 	if cur.NumRecords() != n {
@@ -136,7 +146,7 @@ func TestRefreshCracksWorstCovered(t *testing.T) {
 	}
 
 	// The version pinned before the refresh still serves, with the
-	// representatives it had — queries racing the swap were reading it the
+	// representatives it had — queries racing the refresh were reading it the
 	// whole time.
 	if _, err := old.Propagate(core.CountScore("car")); err != nil {
 		t.Fatalf("pre-refresh version broken by refresh: %v", err)
@@ -146,19 +156,25 @@ func TestRefreshCracksWorstCovered(t *testing.T) {
 	}
 }
 
-// TestRefreshCatchUp pins the catch-up path: records appended while the
-// clone was being cracked are carried into the refreshed index before the
-// swap.
+// TestRefreshCatchUp pins what happens to records appended while a refresh is
+// labeling its candidates: they are in the refreshed index, scanned against
+// the refreshed representatives, and the version pinned before the refresh
+// still propagates its old bits.
 func TestRefreshCatchUp(t *testing.T) {
 	rig := newRefreshRig(t, 250, 40, 2)
 	rig.appendExt(t, 0, 25)
+	old := rig.ix.Pin()
+	oldProxy, err := old.Propagate(core.CountScore("car"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	appended := false
 	cfg := rig.config(nil, 4)
 	inner := cfg.Label
 	cfg.Label = func(ctx context.Context, id int) (dataset.Annotation, error) {
-		// First label call happens off the lock — stream more records into
-		// the LIVE index mid-refresh.
+		// The first label call runs off the write path — stream more records
+		// into the LIVE index mid-refresh.
 		if !appended {
 			appended = true
 			rig.appendExt(t, 25, 40)
@@ -173,8 +189,8 @@ func TestRefreshCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CatchUp != 15 {
-		t.Fatalf("CatchUp = %d, want 15", st.CatchUp)
+	if st.Cracked != 4 {
+		t.Fatalf("Cracked = %d, want 4", st.Cracked)
 	}
 	cur := rig.ix.Pin()
 	if cur.NumRecords() != 290 {
@@ -182,6 +198,240 @@ func TestRefreshCatchUp(t *testing.T) {
 	}
 	if _, err := cur.Propagate(core.CountScore("car")); err != nil {
 		t.Fatal(err)
+	}
+	again, err := old.Propagate(core.CountScore("car"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "pre-refresh version's proxy", again, oldProxy)
+}
+
+// TestRefreshKeepsConcurrentCrack pins that a refresh is one more write on the
+// live index, not a replacement of it: a representative a query cracks in
+// while the refresh is labeling is still there afterwards. (The clone / swap
+// refresh published its clone's shards and dropped it.)
+func TestRefreshKeepsConcurrentCrack(t *testing.T) {
+	rig := newRefreshRig(t, 250, 40, 2)
+	rig.appendExt(t, 0, 40)
+	base := rig.ix.RepCount()
+	const cracked, budget = 5, 8 // record 5 is a built record: never a refresh candidate
+	if rig.ix.Annotated(cracked) {
+		t.Fatalf("record %d is already a representative; pick another", cracked)
+	}
+
+	done := false
+	cfg := rig.config(nil, budget)
+	inner := cfg.Label
+	cfg.Label = func(ctx context.Context, id int) (dataset.Annotation, error) {
+		if !done {
+			done = true
+			rig.ix.Crack(cracked, rig.base.Truth[cracked])
+		}
+		return inner(ctx, id)
+	}
+	r, err := NewRefresher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Refresh(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cracked != budget {
+		t.Fatalf("Cracked = %d, want %d", st.Cracked, budget)
+	}
+	cur := rig.ix.Pin()
+	if !cur.Annotated(cracked) {
+		t.Errorf("record %d, cracked during the refresh, is no longer annotated", cracked)
+	}
+	if got, want := cur.RepCount(), base+1+budget; got != want {
+		t.Errorf("RepCount = %d, want %d (built %d + 1 concurrent crack + %d refreshed)", got, want, base, budget)
+	}
+}
+
+// referenceRefresh is the refresh this package ran before a refresh became a
+// crack batch on the live index — deep-copy the pinned version, crack the
+// copy, re-append the records that arrived meanwhile, swap — kept as the
+// reference TestRefreshMatchesCloneSwapReference compares against. It is the
+// old body verbatim except for the two calls whose API went with it: the
+// catch-up re-embeds the records' features with AppendRecords (the old code
+// copied their rows out through Version.EmbeddingRow into AppendEmbedded; the
+// embedding is deterministic and the test compares the rows bit for bit), and
+// the publish is Index.Replace rather than a Swap whose build ran under the
+// writer lock, which a single-goroutine test does not need.
+func referenceRefresh(ctx context.Context, rig *refreshRig, cfg RefreshConfig) (RefreshStats, error) {
+	var st RefreshStats
+
+	// Phase 1: clone the pinned version and pick candidates from it.
+	pinned := cfg.Index.Pin()
+	clone := pinned.Clone()
+	n0 := pinned.NumRecords()
+	var cands []candidate
+	for id := cfg.Since; id < n0; id++ {
+		if !pinned.Annotated(id) {
+			cands = append(cands, candidate{id: id, dist: pinned.NearestDistance(id)})
+		}
+	}
+
+	// Worst-covered first; ties by ID for determinism.
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].dist != cands[j].dist {
+			return cands[i].dist > cands[j].dist
+		}
+		return cands[i].id < cands[j].id
+	})
+	if len(cands) > cfg.Budget {
+		cands = cands[:cfg.Budget]
+	}
+
+	// Phase 2: label the candidates, then crack them into the clone
+	// worst-covered first, as one batch.
+	ids := make([]int, len(cands))
+	anns := make(map[int]dataset.Annotation, len(cands))
+	for i, c := range cands {
+		if err := ctx.Err(); err != nil {
+			return st, err
+		}
+		ann, err := cfg.Label(ctx, c.id)
+		if err != nil {
+			return st, fmt.Errorf("ingest: refresh labeling record %d: %w", c.id, err)
+		}
+		ids[i], anns[c.id] = c.id, ann
+	}
+	clone.CrackInOrder(ids, anns)
+	st.Cracked = len(ids)
+	clone.Requantize()
+
+	// Phase 3: catch up on records appended meanwhile and publish.
+	live := cfg.Index.Pin()
+	if n := live.NumRecords(); n > n0 {
+		features := make([][]float64, 0, n-n0)
+		for id := n0; id < n; id++ {
+			features = append(features, rig.ext.Records[id-rig.base.Len()].Features)
+		}
+		if _, err := clone.AppendRecords(features); err != nil {
+			return st, fmt.Errorf("ingest: refresh catch-up: %w", err)
+		}
+	}
+	st.Baseline = clone.Pin().MeanNearestDistance()
+	cfg.Index.Replace(clone)
+	return st, nil
+}
+
+// TestRefreshMatchesCloneSwapReference checks Refresh leaves the index the
+// clone / crack / catch-up / swap refresh left — representative order,
+// neighbour rows, embedding rows and nearest-representative propagation bit
+// for bit — with 15 records appended mid-refresh, at every shard count, with
+// and without the quantized plane.
+func TestRefreshMatchesCloneSwapReference(t *testing.T) {
+	for _, quantize := range []bool{false, true} {
+		for _, shards := range []int{1, 2, 3} {
+			run := func(refresh func(*refreshRig, RefreshConfig) (RefreshStats, error)) (*shard.Version, RefreshStats) {
+				rig := buildRefreshRig(t, 250, 40, shards, 30, quantize)
+				rig.appendExt(t, 0, 25)
+				appended := false
+				cfg := rig.config(nil, 6)
+				inner := cfg.Label
+				cfg.Label = func(ctx context.Context, id int) (dataset.Annotation, error) {
+					if !appended {
+						appended = true
+						rig.appendExt(t, 25, 40)
+					}
+					return inner(ctx, id)
+				}
+				st, err := refresh(rig, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rig.ix.Pin(), st
+			}
+			got, gotSt := run(func(_ *refreshRig, cfg RefreshConfig) (RefreshStats, error) {
+				r, err := NewRefresher(cfg)
+				if err != nil {
+					return RefreshStats{}, err
+				}
+				return r.Refresh(context.Background())
+			})
+			want, wantSt := run(func(rig *refreshRig, cfg RefreshConfig) (RefreshStats, error) {
+				return referenceRefresh(context.Background(), rig, cfg)
+			})
+
+			name := fmt.Sprintf("shards=%d quantize=%v", shards, quantize)
+			if gotSt.Cracked != wantSt.Cracked || math.Float64bits(gotSt.Baseline) != math.Float64bits(wantSt.Baseline) {
+				t.Fatalf("%s: stats %+v, reference %+v", name, gotSt, wantSt)
+			}
+			if got.NumRecords() != want.NumRecords() || got.NumRecords() != 290 {
+				t.Fatalf("%s: %d records, reference %d, want 290", name, got.NumRecords(), want.NumRecords())
+			}
+			for s := 0; s < shards; s++ {
+				g, w := got.Shard(s), want.Shard(s)
+				if g.Lo != w.Lo || g.Hi != w.Hi || !slices.Equal(g.Table.Reps, w.Table.Reps) {
+					t.Fatalf("%s shard %d: [%d,%d) reps %v, reference [%d,%d) reps %v",
+						name, s, g.Lo, g.Hi, g.Table.Reps, w.Lo, w.Hi, w.Table.Reps)
+				}
+				sameBits(t, name+" embeddings", g.Embeddings.Data(), w.Embeddings.Data())
+				for i := range w.Table.Neighbors {
+					gn, wn := g.Table.Neighbors[i], w.Table.Neighbors[i]
+					if len(gn) != len(wn) {
+						t.Fatalf("%s record %d: %d neighbours, reference %d", name, g.Lo+i, len(gn), len(wn))
+					}
+					for j := range wn {
+						if gn[j].Rep != wn[j].Rep || math.Float64bits(gn[j].Dist) != math.Float64bits(wn[j].Dist) {
+							t.Fatalf("%s record %d neighbour %d: %+v, reference %+v", name, g.Lo+i, j, gn[j], wn[j])
+						}
+					}
+				}
+			}
+			gs, gd, err := got.PropagateNearest(core.CountScore("car"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws, wd, err := want.PropagateNearest(core.CountScore("car"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, name+" nearest scores", gs, ws)
+			sameBits(t, name+" nearest dists", gd, wd)
+		}
+	}
+}
+
+// TestRefreshCopiesNoIndex bounds what a refresh allocates: a crack batch's
+// copy-on-write headers, far under the embedding matrix a whole-index copy
+// would start with.
+func TestRefreshCopiesNoIndex(t *testing.T) {
+	rig := buildRefreshRig(t, 20000, 64, 1, 200, false)
+	rig.appendExt(t, 0, 64)
+	r, err := NewRefresher(rig.config(nil, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := r.Refresh(context.Background())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cracked != 32 {
+		t.Fatalf("Cracked = %d, want 32", st.Cracked)
+	}
+	matrix := uint64(8 * len(rig.ix.Shard(0).Embeddings.Data()))
+	if got := after.TotalAlloc - before.TotalAlloc; got > matrix/4 {
+		t.Fatalf("refresh allocated %d bytes, over a quarter of the %d-byte embedding matrix", got, matrix)
+	}
+}
+
+// sameBits fails unless got and want are float64-bitwise identical.
+func sameBits(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v", name, i, got[i], want[i])
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/telemetry"
 )
 
 func flakyOracle(t *testing.T, n int, cfg FlakyConfig) (*Flaky, *Counting) {
@@ -108,6 +109,8 @@ func TestFlakyMaxConsecutiveBoundsFaults(t *testing.T) {
 func TestRetryRecoversTransientFaults(t *testing.T) {
 	f, counting := flakyOracle(t, 30, FlakyConfig{Seed: 3, TransientRate: 0.6, MaxConsecutive: 3})
 	rt := NewRetry(f, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond, Seed: 3})
+	reg := telemetry.NewRegistry()
+	rt.SetTelemetry(reg)
 	for id := 0; id < 30; id++ {
 		if _, err := rt.Label(id); err != nil {
 			t.Fatalf("record %d failed through retry: %v", id, err)
@@ -119,8 +122,8 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 	if rt.Retries() == 0 {
 		t.Fatal("no retries recorded at fault rate 0.6")
 	}
-	if rt.GiveUps() != 0 {
-		t.Fatalf("give-ups = %d", rt.GiveUps())
+	if got := reg.Counter("tasti_labeler_retry_giveups_total").Value(); got != 0 {
+		t.Fatalf("give-ups = %d", got)
 	}
 	if got, want := rt.Retries(), f.Stats().Transient; got != want {
 		t.Fatalf("retries %d != injected transient faults %d", got, want)
@@ -130,6 +133,8 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 func TestRetryGivesUpAfterBudget(t *testing.T) {
 	f, _ := flakyOracle(t, 10, FlakyConfig{Seed: 1, TransientRate: 1})
 	rt := NewRetry(f, RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, Seed: 1})
+	reg := telemetry.NewRegistry()
+	rt.SetTelemetry(reg)
 	_, err := rt.Label(2)
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("err = %v", err)
@@ -137,8 +142,8 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 	if got := f.Stats().Calls; got != 4 {
 		t.Fatalf("attempts = %d, want 4", got)
 	}
-	if rt.GiveUps() != 1 {
-		t.Fatalf("give-ups = %d", rt.GiveUps())
+	if got := reg.Counter("tasti_labeler_retry_giveups_total").Value(); got != 1 {
+		t.Fatalf("give-ups = %d", got)
 	}
 }
 

@@ -11,11 +11,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/dataset"
-	"repro/internal/xrand"
 )
 
 // ErrBudgetExhausted is returned by a Budgeted labeler once its invocation
@@ -106,95 +104,18 @@ func (o *Oracle) Name() string { return o.name }
 // Cost implements Labeler.
 func (o *Oracle) Cost() CostModel { return o.cost }
 
-// Noisy degrades an exact video labeler the way a cheap detector (SSD)
-// degrades Mask R-CNN: it drops boxes, hallucinates boxes, and jitters
-// positions. It only supports video annotations.
-type Noisy struct {
-	inner     Labeler
-	name      string
-	cost      CostModel
-	missProb  float64
-	fpProb    float64
-	posJitter float64
-	seed      int64
-}
-
-// NewNoisy wraps inner with detection noise. missProb is the per-box drop
-// probability, fpProb the per-record hallucination probability, and
-// posJitter the stddev of position noise. The noise is deterministic per
-// record ID for a fixed seed.
-func NewNoisy(inner Labeler, name string, cost CostModel, missProb, fpProb, posJitter float64, seed int64) *Noisy {
-	return &Noisy{
-		inner: inner, name: name, cost: cost,
-		missProb: missProb, fpProb: fpProb, posJitter: posJitter, seed: seed,
-	}
-}
-
-// Label implements Labeler.
-func (n *Noisy) Label(id int) (dataset.Annotation, error) {
-	ann, err := n.inner.Label(id)
-	if err != nil {
-		return nil, err
-	}
-	va, ok := ann.(dataset.VideoAnnotation)
-	if !ok {
-		return nil, fmt.Errorf("labeler %s: noisy labeler requires video annotations, got %s", n.name, ann.Kind())
-	}
-	r := xrand.Split(n.seed, fmt.Sprintf("noisy-%d", id))
-	out := dataset.VideoAnnotation{}
-	for _, b := range va.Boxes {
-		if xrand.Bernoulli(r, n.missProb) {
-			continue
-		}
-		b.X = clamp01(b.X + xrand.Normal(r, 0, n.posJitter))
-		b.Y = clamp01(b.Y + xrand.Normal(r, 0, n.posJitter))
-		out.Boxes = append(out.Boxes, b)
-	}
-	if xrand.Bernoulli(r, n.fpProb) {
-		out.Boxes = append(out.Boxes, dataset.Box{
-			Class: fpClass(r, va),
-			X:     r.Float64(), Y: r.Float64(), W: 0.1, H: 0.08,
-		})
-	}
-	return out, nil
-}
-
-func fpClass(r *rand.Rand, va dataset.VideoAnnotation) string {
-	if len(va.Boxes) > 0 {
-		return va.Boxes[r.Intn(len(va.Boxes))].Class
-	}
-	return "car"
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
-// Name implements Labeler.
-func (n *Noisy) Name() string { return n.name }
-
-// Cost implements Labeler.
-func (n *Noisy) Cost() CostModel { return n.cost }
-
-// Counting wraps a labeler and records how many invocations it served and
-// how many distinct records were labeled. It is safe for concurrent use.
+// Counting wraps a labeler and records how many invocations it served. It is
+// safe for concurrent use.
 type Counting struct {
 	inner Labeler
 
-	mu     sync.Mutex
-	calls  int64
-	unique map[int]struct{}
+	mu    sync.Mutex
+	calls int64
 }
 
 // NewCounting wraps inner with invocation accounting.
 func NewCounting(inner Labeler) *Counting {
-	return &Counting{inner: inner, unique: make(map[int]struct{})}
+	return &Counting{inner: inner}
 }
 
 // Label implements Labeler.
@@ -211,7 +132,6 @@ func (c *Counting) LabelContext(ctx context.Context, id int) (dataset.Annotation
 	}
 	c.mu.Lock()
 	c.calls++
-	c.unique[id] = struct{}{}
 	c.mu.Unlock()
 	return ann, nil
 }
@@ -229,24 +149,11 @@ func (c *Counting) Calls() int64 {
 	return c.calls
 }
 
-// Unique returns the number of distinct records labeled.
-func (c *Counting) Unique() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.unique)
-}
-
-// Reset zeroes the counters.
+// Reset zeroes the counter.
 func (c *Counting) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.calls = 0
-	c.unique = make(map[int]struct{})
-}
-
-// TotalCost returns the simulated cost of all invocations so far.
-func (c *Counting) TotalCost() CostModel {
-	return c.inner.Cost().Mul(c.Calls())
 }
 
 // Cached wraps a labeler with a result cache so repeated requests for the

@@ -138,7 +138,6 @@ type Retry struct {
 	pol   RetryPolicy
 
 	retries atomic.Int64
-	giveUps atomic.Int64
 	waited  atomic.Int64 // nanoseconds spent in backoff
 
 	// Per-attempt telemetry (nil-safe; see SetTelemetry).
@@ -200,7 +199,6 @@ func (rt *Retry) LabelContext(ctx context.Context, id int) (dataset.Annotation, 
 		}
 		rt.mRetryable.Inc()
 	}
-	rt.giveUps.Add(1)
 	rt.mGiveUps.Inc()
 	return nil, fmt.Errorf("labeler: %d attempts exhausted for record %d: %w", attempts, id, lastErr)
 }
@@ -215,10 +213,6 @@ func (rt *Retry) Cost() CostModel { return rt.inner.Cost() }
 // invoked the inner labeler again, so reliability overhead in cost terms is
 // Cost().Mul(Retries()).
 func (rt *Retry) Retries() int64 { return rt.retries.Load() }
-
-// GiveUps returns how many logical calls failed even after the full attempt
-// budget.
-func (rt *Retry) GiveUps() int64 { return rt.giveUps.Load() }
 
 // Waited returns the total backoff time slept.
 func (rt *Retry) Waited() time.Duration { return time.Duration(rt.waited.Load()) }

@@ -58,20 +58,8 @@ func NewMLP(r *rand.Rand, sizes ...int) *MLP {
 	return m
 }
 
-// InputDim returns the expected input width.
-func (m *MLP) InputDim() int { return m.Sizes[0] }
-
 // OutputDim returns the output width.
 func (m *MLP) OutputDim() int { return m.Sizes[len(m.Sizes)-1] }
-
-// NumParams returns the total number of weights and biases.
-func (m *MLP) NumParams() int {
-	n := 0
-	for l := range m.W {
-		n += len(m.W[l])*len(m.W[l][0]) + len(m.B[l])
-	}
-	return n
-}
 
 // Clone returns a deep copy of the network.
 func (m *MLP) Clone() *MLP {

@@ -9,11 +9,8 @@ import (
 func TestNewMLPShapes(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	m := NewMLP(r, 5, 7, 3)
-	if m.InputDim() != 5 || m.OutputDim() != 3 {
-		t.Errorf("dims = %d, %d", m.InputDim(), m.OutputDim())
-	}
-	if got, want := m.NumParams(), 5*7+7+7*3+3; got != want {
-		t.Errorf("NumParams = %d, want %d", got, want)
+	if m.Sizes[0] != 5 || m.OutputDim() != 3 {
+		t.Errorf("dims = %d, %d", m.Sizes[0], m.OutputDim())
 	}
 	out := NewForwarder(m).Forward(make([]float64, 5))
 	if len(out) != 3 {

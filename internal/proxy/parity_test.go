@@ -33,8 +33,8 @@ type refCache struct {
 func (c *refCache) Output() []float64 { return c.acts[len(c.acts)-1] }
 
 func refForward(m *nn.MLP, x []float64) *refCache {
-	if len(x) != m.InputDim() {
-		panic(fmt.Sprintf("nn: input dim %d, want %d", len(x), m.InputDim()))
+	if len(x) != m.Sizes[0] {
+		panic(fmt.Sprintf("nn: input dim %d, want %d", len(x), m.Sizes[0]))
 	}
 	cache := &refCache{acts: make([][]float64, 0, len(m.W)+1)}
 	cache.acts = append(cache.acts, x)

@@ -40,34 +40,8 @@ func (x *Index) AppendRecords(features [][]float64) ([]int, error) {
 			embed.Into(w.emb, embs.Row(i), features[i])
 		}
 	})
-	return x.appendEmbedded(embs)
-}
-
-// AppendEmbedded appends records whose embeddings are already computed,
-// scanning them against THIS index's representative set. It exists for the
-// refresh catch-up path: records that arrived while a refreshed clone was
-// being cracked have their embedding rows copied from the live index and
-// re-scanned against the clone's (larger) representative set, so the clone
-// converges to exactly the state a never-refreshed index would have reached
-// by cracking first and appending after. Rows must have the index's embedding
-// dimension.
-func (x *Index) AppendEmbedded(rows [][]float64) ([]int, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	dim := x.Pin().lastShard().Embeddings.Dim()
-	for i, r := range rows {
-		if len(r) != dim {
-			return nil, fmt.Errorf("shard: appending embedded row %d: dim %d, want %d", i, len(r), dim)
-		}
-	}
-	return x.appendEmbedded(vecmath.FromRows(rows))
-}
-
-// appendEmbedded is the shared append tail: one write that scans the rows
-// against the published representative set and publishes the extended index.
-func (x *Index) appendEmbedded(embs vecmath.Matrix) (ids []int, err error) {
-	err = x.write(func(cur *Version) (*Version, error) {
+	var ids []int
+	err := x.write(func(cur *Version) (*Version, error) {
 		if len(cur.lastShard().Table.Reps) == 0 {
 			return nil, errors.New("shard: appending records: no representatives")
 		}
@@ -155,16 +129,6 @@ func (v *Version) appended(embs vecmath.Matrix) (*Version, []int) {
 	shards[len(shards)-1] = next
 	core.PublishQuantStats(v.w.tel, qstats)
 	return v.successor(shards, v.total+n, 1), ids
-}
-
-// EmbeddingRow returns record id's embedding row (a shared view, not a copy:
-// read-only).
-func (v *Version) EmbeddingRow(id int) []float64 {
-	if id < 0 || id >= v.total {
-		panic(fmt.Sprintf("shard: embedding row %d out of range [0,%d)", id, v.total))
-	}
-	owner := v.owner(id)
-	return owner.Embeddings.Row(id - owner.Lo)
 }
 
 // NearestDistance returns record id's distance to its nearest representative

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -24,6 +25,16 @@ func extraFeatures(t *testing.T, n int, seed int64) [][]float64 {
 		features[i] = ds.Records[i].Features
 	}
 	return features
+}
+
+// embeddingRow returns record id's embedding row from the shard that owns it.
+func embeddingRow(v *shard.Version, id int) []float64 {
+	for s := 0; s < v.NumShards(); s++ {
+		if sh := v.Shard(s); id >= sh.Lo && id < sh.Hi {
+			return sh.Embeddings.Row(id - sh.Lo)
+		}
+	}
+	panic(fmt.Sprintf("record %d not in any shard", id))
 }
 
 // TestShardAppendInvariance pins the append determinism contract: appending
@@ -61,7 +72,7 @@ func TestShardAppendInvariance(t *testing.T) {
 				t.Fatalf("shards=%d: NumRecords = %d, want %d", shards, x.NumRecords(), n+len(features))
 			}
 			for _, id := range ids {
-				sameBits(t, "embedding row", x.Pin().EmbeddingRow(id), base.Embeddings.Row(id))
+				sameBits(t, "embedding row", embeddingRow(x.Pin(), id), base.Embeddings.Row(id))
 				if got, want := x.Pin().NearestDistance(id), base.Table.Neighbors[id][0].Dist; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("shards=%d record %d: nearest dist %v, want %v", shards, id, got, want)
 				}
@@ -105,47 +116,6 @@ func TestShardAppendThenCrack(t *testing.T) {
 	}
 	if _, err := x.Propagate(core.CountScore("car")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestShardAppendEmbedded checks the pre-embedded append path scans against
-// the index's own representatives exactly like the embedding path does.
-func TestShardAppendEmbedded(t *testing.T) {
-	features := extraFeatures(t, 25, 13)
-
-	ixA, _ := buildIndex(t, 300, 40)
-	a, err := shard.Split(ixA, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idsA, err := a.AppendRecords(features)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ixB, _ := buildIndex(t, 300, 40)
-	b, err := shard.Split(ixB, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make([][]float64, len(idsA))
-	for i, id := range idsA {
-		rows[i] = a.Pin().EmbeddingRow(id)
-	}
-	idsB, err := b.AppendEmbedded(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameInts(t, "embedded append ids", idsB, idsA)
-	for _, id := range idsB {
-		sameBits(t, "embedded append row", b.Pin().EmbeddingRow(id), a.Pin().EmbeddingRow(id))
-		if math.Float64bits(b.Pin().NearestDistance(id)) != math.Float64bits(a.Pin().NearestDistance(id)) {
-			t.Fatalf("record %d: nearest dist %v vs %v", id, b.Pin().NearestDistance(id), a.Pin().NearestDistance(id))
-		}
-	}
-
-	if _, err := b.AppendEmbedded([][]float64{make([]float64, 3)}); err == nil {
-		t.Fatal("wrong-dimension embedded row accepted")
 	}
 }
 
@@ -256,7 +226,7 @@ func TestShardPersistEmbedder(t *testing.T) {
 	}
 	sameInts(t, "reloaded append ids", ids, wantIDs)
 	for _, id := range ids {
-		sameBits(t, "reloaded append row", loaded.Pin().EmbeddingRow(id), x.Pin().EmbeddingRow(id))
+		sameBits(t, "reloaded append row", embeddingRow(loaded.Pin(), id), embeddingRow(x.Pin(), id))
 	}
 
 	x.SetEmbedder(nil)

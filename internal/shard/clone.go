@@ -14,8 +14,7 @@ import (
 // shares no memory with the original (and vice versa). The embedding model is
 // shared — it is immutable — while the clone starts at generation 0 with an
 // empty proxy-column store and telemetry wiring is NOT carried over. The
-// drift-triggered online refresh builds on exactly this: clone the pinned
-// version, re-crack the clone, Swap it back in.
+// benchmarks reset their index state with it between rounds.
 //
 // Clone reads one immutable version, so it needs no serialization against
 // anything.
@@ -54,10 +53,10 @@ func (v *Version) Clone() *Index {
 //
 // Appends after build quantize under the build-time parameters; rows outside
 // the trained range widen the plane's decode-error bound, which keeps scans
-// correct but prunes less. The drift refresher calls Requantize on its clone
-// so a drifted corpus gets a freshly fitted grid — a pure pruning improvement
-// with zero effect on any result, since every scan reranks bound survivors
-// against the unchanged float rows.
+// correct but prunes less. The drift refresher calls Requantize after its
+// crack batch so a drifted corpus gets a freshly fitted grid — a pure pruning
+// improvement with zero effect on any result, since every scan reranks bound
+// survivors against the unchanged float rows.
 //
 // A write like any other, except that no result moves: the version it
 // publishes keeps its predecessor's generation and proxy columns.

@@ -30,14 +30,13 @@ import (
 // A generation is one state of the index as queries see it. Every mutator
 // that changes a propagated score publishes a Version of a later generation,
 // whose store starts empty: CrackAll for each representative it adds,
-// AppendRecords/AppendEmbedded, and ReplaceShard. A Crack of an
-// already-annotated record changes nothing and keeps the version; Requantize,
-// which re-codes the scan plane without moving any result, publishes a
-// version sharing its predecessor's generation and store. Clone, Load and
-// Split start at generation 0 with an empty store, and Swap adopts the
-// swapped-in index's generation. A store therefore only ever describes the
-// one state its version pins, and needs no invalidation: it becomes garbage
-// with the version.
+// AppendRecords, and ReplaceShard. A Crack of an already-annotated record
+// changes nothing and keeps the version; Requantize, which re-codes the scan
+// plane without moving any result, publishes a version sharing its
+// predecessor's generation and store. Clone, Load and Split start at
+// generation 0 with an empty store, and Replace adopts the incoming index's
+// generation. A store therefore only ever describes the one state its version
+// pins, and needs no invalidation: it becomes garbage with the version.
 
 // ColumnKind selects the propagation a column holds.
 type ColumnKind uint8

@@ -47,11 +47,11 @@
 // conveniences that pin per call; a request that makes several reads pins
 // once and reads the Version, so they all describe one state.
 //
-// Writers — Crack/CrackAll, AppendRecords/AppendEmbedded, ReplaceShard,
-// Requantize, Swap and the Set* wiring calls — are serialized among
-// themselves only, by one mutex readers never touch. Each builds the next
-// version copy-on-write from the published one and publishes it: nothing
-// reachable from a published Version is written again. Cracking clones each
+// Writers — Crack/CrackAll, AppendRecords, ReplaceShard, Requantize, Replace
+// and the Set* wiring calls — are serialized among themselves only, by one
+// mutex readers never touch. Each builds the next version copy-on-write from
+// the published one and publishes it: nothing reachable from a published
+// Version is written again. Cracking clones each
 // shard's Neighbors outer slice, representative list and Annotations map and
 // gives every neighbor list it changes a fresh row (cluster.Table); appending
 // extends the last shard's matrix and table past the lengths older versions
@@ -417,20 +417,13 @@ func (x *Index) ReplaceShard(i int, sh *Shard) error {
 	})
 }
 
-// Swap replaces the whole index state with another index's — a snapshot
-// loaded for a hot reload, a clone a refresh re-cracked — as one more write:
-// build runs with the writer lock held and the live version in hand (a
-// refresh copies over the records appended since it cloned), and the index it
-// returns is published under this index's wiring with its own generation
-// count and an empty column store. No append or crack can land between build
-// and the publish. Swap takes ownership of the returned index's shards.
-func (x *Index) Swap(build func(live *Version) (*Index, error)) error {
-	return x.write(func(cur *Version) (*Version, error) {
-		nx, err := build(cur)
-		if err != nil {
-			return nil, err
-		}
-		nv := nx.Pin()
+// Replace replaces the whole index state with another index's — a snapshot
+// loaded for a hot reload — as one more write: next's published version goes
+// out under this index's wiring with its own generation count and an empty
+// column store. Replace takes ownership of next's shards.
+func (x *Index) Replace(next *Index) {
+	_ = x.write(func(cur *Version) (*Version, error) {
+		nv := next.Pin()
 		w := cur.w
 		if len(nv.shards) != len(cur.shards) {
 			w = w.resolved(len(nv.shards))

@@ -114,16 +114,6 @@ func EmpiricalBernsteinRadius(sd float64, rangeWidth float64, n int, delta float
 	return sd*math.Sqrt(2*logTerm/float64(n)) + 3*rangeWidth*logTerm/float64(n)
 }
 
-// HoeffdingRadius returns the half-width of a (1-delta) Hoeffding confidence
-// interval for the mean of n observations bounded in a range of width
-// rangeWidth.
-func HoeffdingRadius(rangeWidth float64, n int, delta float64) float64 {
-	if n <= 0 {
-		return math.Inf(1)
-	}
-	return rangeWidth * math.Sqrt(math.Log(2/delta)/(2*float64(n)))
-}
-
 // Welford accumulates running mean and variance in one pass. The zero value
 // is ready to use.
 type Welford struct {

@@ -112,15 +112,6 @@ func TestEmpiricalBernsteinCoverage(t *testing.T) {
 	}
 }
 
-func TestHoeffdingRadius(t *testing.T) {
-	if !math.IsInf(HoeffdingRadius(1, 0, 0.05), 1) {
-		t.Error("n=0 should give +inf")
-	}
-	if got := HoeffdingRadius(1, 100, 0.05); got <= 0 || got > 1 {
-		t.Errorf("radius = %v", got)
-	}
-}
-
 // TestWelfordMatchesBatch is the property check: streaming moments equal the
 // batch formulas.
 func TestWelfordMatchesBatch(t *testing.T) {

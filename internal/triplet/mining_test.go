@@ -33,7 +33,7 @@ func TestMineFPFDiversity(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := embed.NewPretrained(ds.FeatureDim(), 16, 3)
-	emb := embed.All(pre, ds)
+	emb := embed.AllPar(pre, ds, 0)
 
 	ids := MineFPF(xrand.New(4), emb, 50)
 	if len(ids) != 50 {

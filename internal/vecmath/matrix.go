@@ -110,16 +110,6 @@ func (m *Matrix) AppendRow(row []float64) {
 	m.rows++
 }
 
-// CopyRows materializes the matrix as a [][]float64 of fresh per-row slices
-// (the legacy layout), for interop and tests.
-func (m Matrix) CopyRows() [][]float64 {
-	out := make([][]float64, m.rows)
-	for i := range out {
-		out[i] = append([]float64(nil), m.Row(i)...)
-	}
-	return out
-}
-
 // GatherRows copies the given rows of m into a new contiguous matrix — the
 // one-time gather that turns a scattered index set (cluster representatives,
 // IVF cell members) into a block the batched kernels can stream over.

@@ -165,17 +165,3 @@ func SmallestK(xs []float64, k int) []IndexedValue {
 	}
 	return t.Sorted(make([]IndexedValue, 0, k))
 }
-
-// LargestK returns the k largest values with their indices, ordered
-// descending by value (ties broken by smaller index first).
-func LargestK(xs []float64, k int) []IndexedValue {
-	neg := make([]float64, len(xs))
-	for i, v := range xs {
-		neg[i] = -v
-	}
-	out := SmallestK(neg, k)
-	for i := range out {
-		out[i].Value = -out[i].Value
-	}
-	return out
-}

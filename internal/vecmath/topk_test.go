@@ -79,13 +79,6 @@ func TestSmallestKMatchesSort(t *testing.T) {
 	}
 }
 
-func TestLargestK(t *testing.T) {
-	got := LargestK([]float64{5, 1, 4, 2, 3}, 2)
-	if got[0].Index != 0 || got[0].Value != 5 || got[1].Index != 2 || got[1].Value != 4 {
-		t.Errorf("LargestK = %v", got)
-	}
-}
-
 // TestTopKReuseMatchesFresh pins the recycle contract: a TopK reused across
 // queries via Reset (and a reused Sorted destination) selects exactly what a
 // fresh selector would, including on all-tie inputs.

@@ -142,25 +142,6 @@ func NormsSquared(m Matrix, dst []float64) []float64 {
 	return dst
 }
 
-// Norm returns the Euclidean norm of a.
-func Norm(a []float64) float64 {
-	s := 0.0
-	for _, v := range a {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Cosine returns the cosine distance 1 - <a,b>/(|a||b|). Zero vectors are
-// treated as maximally distant (distance 1).
-func Cosine(a, b []float64) float64 {
-	na, nb := Norm(a), Norm(b)
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	return 1 - Dot(a, b)/(na*nb)
-}
-
 // Add returns a+b as a new slice.
 func Add(a, b []float64) []float64 {
 	checkLen(a, b)
@@ -243,44 +224,6 @@ func Clone(a []float64) []float64 {
 	return out
 }
 
-// MatVec computes m*x where m is row-major with len(m) rows. The result has
-// one entry per row.
-func MatVec(m [][]float64, x []float64) []float64 {
-	out := make([]float64, len(m))
-	for i, row := range m {
-		out[i] = Dot(row, x)
-	}
-	return out
-}
-
-// MatTVec computes mᵀ*x where m is row-major. x must have len(m) entries and
-// the result has len(m[0]) entries.
-func MatTVec(m [][]float64, x []float64) []float64 {
-	if len(m) == 0 {
-		return nil
-	}
-	if len(x) != len(m) {
-		panic(fmt.Sprintf("vecmath: MatTVec length mismatch: %d rows vs %d entries", len(m), len(x)))
-	}
-	out := make([]float64, len(m[0]))
-	for i, row := range m {
-		AXPY(out, x[i], row)
-	}
-	return out
-}
-
-// Normalize scales a to unit Euclidean norm in place. A zero vector is left
-// unchanged.
-func Normalize(a []float64) {
-	n := Norm(a)
-	if n == 0 {
-		return
-	}
-	for i := range a {
-		a[i] /= n
-	}
-}
-
 // Mean returns the element-wise mean of the vectors. It panics if vs is empty
 // or the lengths differ.
 func Mean(vs [][]float64) []float64 {
@@ -295,34 +238,6 @@ func Mean(vs [][]float64) []float64 {
 		out[i] /= float64(len(vs))
 	}
 	return out
-}
-
-// ArgMin returns the index of the smallest element, or -1 for an empty slice.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range xs {
-		if v < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element, or -1 for an empty slice.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range xs {
-		if v > xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 func checkLen(a, b []float64) {

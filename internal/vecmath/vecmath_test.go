@@ -48,18 +48,6 @@ func TestL2TriangleInequality(t *testing.T) {
 	}
 }
 
-func TestCosine(t *testing.T) {
-	if got := Cosine([]float64{1, 0}, []float64{1, 0}); !almostEqual(got, 0) {
-		t.Errorf("cosine of identical = %v", got)
-	}
-	if got := Cosine([]float64{1, 0}, []float64{0, 1}); !almostEqual(got, 1) {
-		t.Errorf("cosine of orthogonal = %v", got)
-	}
-	if got := Cosine([]float64{0, 0}, []float64{1, 0}); got != 1 {
-		t.Errorf("cosine with zero vector = %v", got)
-	}
-}
-
 func TestAddSubScaleClone(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 5}
@@ -111,42 +99,6 @@ func TestAxpyUnfused(t *testing.T) {
 	}
 }
 
-func TestMatVecAndTranspose(t *testing.T) {
-	m := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	x := []float64{1, 1}
-	got := MatVec(m, x)
-	if got[0] != 3 || got[1] != 7 || got[2] != 11 {
-		t.Errorf("MatVec = %v", got)
-	}
-	y := []float64{1, 0, 1}
-	gt := MatTVec(m, y)
-	if gt[0] != 6 || gt[1] != 8 {
-		t.Errorf("MatTVec = %v", gt)
-	}
-}
-
-func TestMatTVecPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on mismatch")
-		}
-	}()
-	MatTVec([][]float64{{1, 2}}, []float64{1, 2})
-}
-
-func TestNormalize(t *testing.T) {
-	v := []float64{3, 4}
-	Normalize(v)
-	if !almostEqual(Norm(v), 1) {
-		t.Errorf("norm after normalize = %v", Norm(v))
-	}
-	z := []float64{0, 0}
-	Normalize(z)
-	if z[0] != 0 || z[1] != 0 {
-		t.Error("zero vector changed")
-	}
-}
-
 func TestMean(t *testing.T) {
 	got := Mean([][]float64{{1, 2}, {3, 4}})
 	if got[0] != 2 || got[1] != 3 {
@@ -161,19 +113,6 @@ func TestMeanPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	Mean(nil)
-}
-
-func TestArgMinMax(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if got := ArgMin(xs); got != 1 {
-		t.Errorf("ArgMin = %d", got)
-	}
-	if got := ArgMax(xs); got != 4 {
-		t.Errorf("ArgMax = %d", got)
-	}
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Error("empty slice should give -1")
-	}
 }
 
 func TestAXPYRows(t *testing.T) {

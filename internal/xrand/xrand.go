@@ -8,7 +8,6 @@ package xrand
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand"
 	"sort"
 )
@@ -82,31 +81,6 @@ func Normal(r *rand.Rand, mean, stddev float64) float64 {
 	return mean + stddev*r.NormFloat64()
 }
 
-// Poisson returns a Poisson variate with mean lambda (Knuth's algorithm for
-// small lambda, normal approximation above 30).
-func Poisson(r *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		v := int(math.Round(Normal(r, lambda, math.Sqrt(lambda))))
-		if v < 0 {
-			v = 0
-		}
-		return v
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // CDF is a categorical distribution prepared for repeated draws: the running
 // left-fold of the positive weights, built once in O(n), binary-searched per
 // draw in O(log n). The partial sums are the very floats a linear scan would
@@ -166,40 +140,4 @@ func Categorical(r *rand.Rand, weights []float64) int {
 // Bernoulli returns true with probability p.
 func Bernoulli(r *rand.Rand, p float64) bool {
 	return r.Float64() < p
-}
-
-// WeightedSampleWithoutReplacement draws k distinct indices with probability
-// proportional to weights, using the Efraimidis-Spirakis exponential-keys
-// method. Zero-weight items are never selected; it panics if fewer than k
-// items have positive weight.
-func WeightedSampleWithoutReplacement(r *rand.Rand, weights []float64, k int) []int {
-	type keyed struct {
-		idx int
-		key float64
-	}
-	pos := make([]keyed, 0, len(weights))
-	for i, w := range weights {
-		if w > 0 {
-			// key = u^(1/w); larger keys win. Using log keeps precision.
-			pos = append(pos, keyed{i, math.Log(r.Float64()) / w})
-		}
-	}
-	if len(pos) < k {
-		panic("xrand: not enough positive-weight items")
-	}
-	// Partial selection of the k largest keys.
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(pos); j++ {
-			if pos[j].key > pos[best].key {
-				best = j
-			}
-		}
-		pos[i], pos[best] = pos[best], pos[i]
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = pos[i].idx
-	}
-	return out
 }

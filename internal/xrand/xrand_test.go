@@ -86,24 +86,6 @@ func TestSampleWithoutReplacementUniform(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(3)
-	for _, lambda := range []float64{0.5, 3, 50} {
-		sum := 0
-		const trials = 20000
-		for i := 0; i < trials; i++ {
-			sum += Poisson(r, lambda)
-		}
-		mean := float64(sum) / trials
-		if math.Abs(mean-lambda) > lambda*0.1+0.05 {
-			t.Errorf("Poisson(%v) mean = %v", lambda, mean)
-		}
-	}
-	if Poisson(r, 0) != 0 || Poisson(r, -1) != 0 {
-		t.Error("non-positive lambda should give 0")
-	}
-}
-
 func TestCategorical(t *testing.T) {
 	r := New(5)
 	weights := []float64{1, 0, 3}
@@ -143,39 +125,6 @@ func TestBernoulli(t *testing.T) {
 	if math.Abs(p-0.3) > 0.02 {
 		t.Errorf("Bernoulli(0.3) rate = %v", p)
 	}
-}
-
-func TestWeightedSampleWithoutReplacement(t *testing.T) {
-	r := New(11)
-	weights := []float64{0, 1, 10, 1}
-	heavy := 0
-	const trials = 5000
-	for i := 0; i < trials; i++ {
-		out := WeightedSampleWithoutReplacement(r, weights, 2)
-		if len(out) != 2 || out[0] == out[1] {
-			t.Fatalf("bad sample %v", out)
-		}
-		for _, v := range out {
-			if v == 0 {
-				t.Fatal("zero-weight item selected")
-			}
-			if v == 2 {
-				heavy++
-			}
-		}
-	}
-	if float64(heavy)/trials < 0.9 {
-		t.Errorf("heavy item selected in only %.2f of samples", float64(heavy)/trials)
-	}
-}
-
-func TestWeightedSamplePanicsWithoutMass(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic when fewer than k positive weights")
-		}
-	}()
-	WeightedSampleWithoutReplacement(New(1), []float64{1, 0}, 2)
 }
 
 func TestNormalMoments(t *testing.T) {

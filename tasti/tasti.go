@@ -671,11 +671,12 @@ func EstimateAggregateWithPredicate(opts PredicateAggregateOptions, n int, proxy
 
 // Streaming ingest: the crash-safe write path of internal/ingest. A WAL
 // (write-ahead log in the snapshot frame format) makes appends durable before
-// they are acked, an Ingester batches them into the index under the caller's
-// serialization lock, a DriftDetector watches how far recent appends land
-// from their nearest representative, and a Refresher re-cracks a cloned index
-// in the background and hot-swaps it. See docs/RELIABILITY.md for the WAL
-// format and the replay/truncation semantics.
+// they are acked, an Ingester batches them into the index as writes on it
+// (ShardedIndex.AppendRecords; queries read the version they pinned), a
+// DriftDetector watches how far recent appends land from their nearest
+// representative, and a Refresher cracks the worst-covered appends into the
+// live index in the background. See docs/RELIABILITY.md for the WAL format
+// and the replay/truncation semantics.
 type (
 	// WAL is the crash-safe append log: a directory of checksummed segments.
 	WAL = ingest.WAL
@@ -693,7 +694,8 @@ type (
 	// DriftDetector compares recent appends' nearest-representative distance
 	// against the build-time baseline.
 	DriftDetector = ingest.DriftDetector
-	// Refresher re-cracks a cloned index in the background and swaps it in.
+	// Refresher cracks the worst-covered appended records into the live
+	// index as new representatives, in the background.
 	Refresher = ingest.Refresher
 	// RefreshConfig wires a Refresher.
 	RefreshConfig = ingest.RefreshConfig
