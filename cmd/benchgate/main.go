@@ -9,7 +9,7 @@
 // Usage:
 //
 //	tastibench -bench-json current.json
-//	benchgate -baseline BENCH_24.json -current current.json
+//	benchgate -baseline BENCH_27.json -current current.json
 package main
 
 import (

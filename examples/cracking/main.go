@@ -23,11 +23,16 @@ func main() {
 	}
 	oracle := tasti.NewOracle(ds, "mask-rcnn", tasti.MaskRCNNCost)
 
-	index, err := tasti.Build(tasti.DefaultConfig(500, 700, tasti.VideoBucketKey(0.5), seed), ds, oracle)
+	built, err := tasti.Build(tasti.DefaultConfig(500, 700, tasti.VideoBucketKey(0.5), seed), ds, oracle)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("index: %d representatives\n", len(index.Table.Reps))
+	// Serve it: a one-shard index takes cracks as copy-on-write versions.
+	index, err := tasti.SplitIndex(built, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("index: %d representatives\n", index.RepCount())
 
 	hasCar := func(ann tasti.Annotation) bool {
 		return ann.(tasti.VideoAnnotation).Count("car") >= 1
@@ -67,7 +72,7 @@ func main() {
 	}
 	index.CrackAll(paid)
 	fmt.Printf("cracked %d labels into the index (%d representatives now)\n",
-		len(paid), len(index.Table.Reps))
+		len(paid), index.RepCount())
 
 	// Second query: the same selection, now on the cracked index.
 	fprAfter, err := runSelection(index, ds, hasCar, oracle, seed)
@@ -79,7 +84,7 @@ func main() {
 
 // runSelection executes the recall-target selection and returns its false
 // positive rate against ground truth.
-func runSelection(index *tasti.Index, ds *tasti.Dataset, pred func(tasti.Annotation) bool, oracle tasti.Labeler, seed int64) (float64, error) {
+func runSelection(index *tasti.ShardedIndex, ds *tasti.Dataset, pred func(tasti.Annotation) bool, oracle tasti.Labeler, seed int64) (float64, error) {
 	scores, err := index.Propagate(tasti.MatchScore(pred))
 	if err != nil {
 		return 0, err

@@ -1,8 +1,9 @@
 // Streaming demonstrates live ingestion: a TASTI index is built over the
-// first half of a video stream, new frames arrive and are appended with
-// Index.AppendRecords (embedding + neighbor lists only — no new labels), and
-// queries over the grown corpus keep working. The appended half's proxy
-// quality is compared against a full rebuild.
+// first half of a video stream and served as a one-shard ShardedIndex, new
+// frames arrive and are appended with ShardedIndex.AppendRecords (embedding +
+// neighbor lists only — no new labels), and queries over the grown corpus
+// keep working. The appended half's proxy quality is compared against a full
+// rebuild.
 package main
 
 import (
@@ -34,12 +35,16 @@ func main() {
 		Truth:   full.Truth[:half],
 	}
 	firstOracle := tasti.NewOracle(first, "mask-rcnn", tasti.MaskRCNNCost)
-	index, err := tasti.Build(tasti.DefaultConfig(500, 700, tasti.VideoBucketKey(0.5), seed), first, firstOracle)
+	built, err := tasti.Build(tasti.DefaultConfig(500, 700, tasti.VideoBucketKey(0.5), seed), first, firstOracle)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("built index over first %d frames (%d label calls)\n",
-		half, index.Stats.TotalLabelCalls())
+		half, built.Stats.TotalLabelCalls())
+	index, err := tasti.SplitIndex(built, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Stream in the second half, a batch at a time.
 	const batch = 1000

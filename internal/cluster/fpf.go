@@ -22,9 +22,9 @@
 // inputs, but a *Table is not internally synchronized: AddRepresentativeEmb
 // reassigns Reps and elements of Neighbors, so callers must not run it
 // concurrently with reads of the same Table (Nearest, Validate, propagation)
-// or with another AddRepresentativeEmb. core.Index.Crack inherits this
-// contract; package shard instead cracks a copy of the Table header
-// (copy-on-write), so readers of a published version never see the mutation.
+// or with another AddRepresentativeEmb. Package shard therefore cracks a copy
+// of the Table header (copy-on-write), so readers of a published version
+// never see the mutation.
 package cluster
 
 import (

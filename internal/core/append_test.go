@@ -1,105 +1,35 @@
-package core
+package core_test
 
 import (
 	"bytes"
-	"errors"
+	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/labeler"
+	"repro/internal/shard"
 )
-
-func TestAppendRecords(t *testing.T) {
-	ix, ds, _ := buildTestIndex(t, PretrainedConfig(60, 2), "night-street", 600)
-
-	// A second batch of frames from the same camera.
-	more, err := dataset.Generate("night-street", 100, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	features := make([][]float64, more.Len())
-	for i := range features {
-		features[i] = more.Records[i].Features
-	}
-
-	before := ix.NumRecords()
-	ids, err := ix.AppendRecords(features)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 100 {
-		t.Fatalf("got %d ids", len(ids))
-	}
-	for i, id := range ids {
-		if id != before+i {
-			t.Fatalf("id %d = %d, want %d", i, id, before+i)
-		}
-	}
-	if ix.NumRecords() != before+100 {
-		t.Errorf("NumRecords = %d", ix.NumRecords())
-	}
-	if err := ix.Table.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Propagation covers the appended records.
-	scores, err := ix.Propagate(CountScore("car"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != before+100 {
-		t.Errorf("propagated %d scores", len(scores))
-	}
-
-	// An appended copy of a representative's raw record lands at distance
-	// zero and gets the exact score.
-	rep := ix.Table.Reps[0]
-	dupIDs, err := ix.AppendRecords([][]float64{ds.Records[rep].Features})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores, err = ix.Propagate(CountScore("car"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scores[dupIDs[0]] != scores[rep] {
-		t.Errorf("duplicate of rep %d scored %v, want %v", rep, scores[dupIDs[0]], scores[rep])
-	}
-
-	// Cracking still works after appends.
-	ix.Crack(ids[0], more.Truth[0])
-	if err := ix.Table.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAppendRecordsEmpty(t *testing.T) {
-	ix, _, _ := buildTestIndex(t, PretrainedConfig(20, 2), "night-street", 200)
-	ids, err := ix.AppendRecords(nil)
-	if err != nil || ids != nil {
-		t.Errorf("empty append: ids=%v err=%v", ids, err)
-	}
-}
-
-func TestAppendRecordsNoEmbedder(t *testing.T) {
-	ix, _, _ := buildTestIndex(t, PretrainedConfig(20, 2), "night-street", 200)
-	ix.Embedder = nil
-	if _, err := ix.AppendRecords([][]float64{make([]float64, 52)}); !errors.Is(err, ErrNoEmbedder) {
-		t.Errorf("err = %v, want ErrNoEmbedder", err)
-	}
-}
 
 // TestAppendRecordsAfterReload pins the restored-embedder contract: a
 // snapshot round trip keeps the embedding model, and appending the same
-// features to the original and the reloaded index produces bitwise-identical
-// embeddings and neighbor rows — the invariant WAL replay after a restart
-// depends on.
+// features to the served original and the served reload produces
+// bitwise-identical embeddings and neighbor rows — the invariant WAL replay
+// after a restart depends on.
 func TestAppendRecordsAfterReload(t *testing.T) {
-	ix, ds, _ := buildTestIndex(t, PretrainedConfig(20, 2), "night-street", 200)
+	ds, err := dataset.Generate("night-street", 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.Build(core.PretrainedConfig(20, 2), ds, labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := core.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,29 +44,29 @@ func TestAppendRecordsAfterReload(t *testing.T) {
 	for _, r := range extra.Records[200:] {
 		features = append(features, r.Features)
 	}
-	idsA, err := ix.AppendRecords(features)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idsB, err := loaded.AppendRecords(features)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idsA) != len(features) || len(idsB) != len(features) {
-		t.Fatalf("appended %d and %d ids, want %d", len(idsA), len(idsB), len(features))
-	}
-	for i := range idsA {
-		id := idsA[i]
-		if idsB[i] != id {
-			t.Fatalf("id %d: original %d, reloaded %d", i, id, idsB[i])
+	var served [2]*shard.Shard
+	for i, built := range []*core.Index{ix, loaded} {
+		x, err := shard.Split(built, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		a, b := ix.Embeddings.Row(id), loaded.Embeddings.Row(id)
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("record %d embedding dim %d: %v vs %v", id, j, a[j], b[j])
+		ids, err := x.AppendRecords(features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != len(features) || ids[0] != 200 {
+			t.Fatalf("appended ids %v, want %d from 200", ids, len(features))
+		}
+		served[i] = x.Shard(0)
+	}
+	a, b := served[0], served[1]
+	for id := 200; id < a.Hi; id++ {
+		for j, v := range a.Embeddings.Row(id) {
+			if w := b.Embeddings.Row(id)[j]; math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("record %d embedding dim %d: %v vs %v", id, j, v, w)
 			}
 		}
-		na, nb := ix.Table.Neighbors[id], loaded.Table.Neighbors[id]
+		na, nb := a.Table.Neighbors[id], b.Table.Neighbors[id]
 		if len(na) != len(nb) {
 			t.Fatalf("record %d: %d vs %d neighbors", id, len(na), len(nb))
 		}
@@ -146,5 +76,4 @@ func TestAppendRecordsAfterReload(t *testing.T) {
 			}
 		}
 	}
-	_ = ds
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/labeler"
 )
 
-func benchIndex(b *testing.B) (*Index, *dataset.Dataset) {
+func benchIndex(b *testing.B) *Index {
 	b.Helper()
 	ds, err := dataset.Generate("night-street", 3000, 1)
 	if err != nil {
@@ -20,7 +20,7 @@ func benchIndex(b *testing.B) (*Index, *dataset.Dataset) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ix, ds
+	return ix
 }
 
 func BenchmarkBuildPretrained(b *testing.B) {
@@ -39,29 +39,12 @@ func BenchmarkBuildPretrained(b *testing.B) {
 }
 
 func BenchmarkPropagate(b *testing.B) {
-	ix, _ := benchIndex(b)
+	ix := benchIndex(b)
 	score := CountScore("car")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ix.Propagate(score); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPropagateVote(b *testing.B) {
-	ix, _ := benchIndex(b)
-	label := func(ann dataset.Annotation) string {
-		if ann.(dataset.VideoAnnotation).Count("car") > 0 {
-			return "busy"
-		}
-		return "empty"
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.PropagateVote(label); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -126,15 +109,5 @@ func BenchmarkPropagateParallel(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkCrack(b *testing.B) {
-	ix, ds := benchIndex(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := 500 + i%2000
-		ix.Crack(id, ds.Truth[id])
 	}
 }

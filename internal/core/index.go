@@ -1,21 +1,18 @@
-// Package core implements the TASTI index: Algorithm 1's construction
-// pipeline (pre-trained embeddings → FPF training-data mining → triplet
-// training → FPF cluster-representative selection → min-k distance table),
-// score propagation from annotated representatives to every record, and
-// index cracking.
+// Package core builds the TASTI index: Algorithm 1's construction pipeline
+// (pre-trained embeddings → FPF training-data mining → triplet training → FPF
+// cluster-representative selection → min-k distance table), its checkpoint,
+// and its snapshot format. A built Index is the input to package shard, whose
+// Index is the one type that answers queries and takes writes — cracks and
+// appends — as copy-on-write versions; core keeps the propagation kernel both
+// share (PropagateKRange) and the unsharded Propagate the benchmark prices.
 //
 // # Concurrency contract
 //
 // Build parallelizes internally to Config.Parallelism workers through
 // internal/parallel, and the built index is bitwise identical at every
 // worker count for a fixed seed (see docs/ARCHITECTURE.md for how each
-// phase preserves that). On a built index, the Propagate* methods are
-// read-only and safe to call concurrently with each other. Crack and
-// CrackAll are NOT: they mutate Annotations and Table in place with no
-// internal synchronization, so callers must serialize them against every
-// other use of the index — cmd/tastiserve does this with one mutex across
-// all query handlers, and TestServeQueriesConcurrentWithCracking holds the
-// contract under the race detector.
+// phase preserves that). A built Index is never mutated by this package:
+// Propagate and Save are read-only and safe to call concurrently.
 package core
 
 import (
@@ -250,6 +247,11 @@ type Index struct {
 // ErrNoAnnotation is returned when propagation encounters a representative
 // without a cached annotation; it indicates index corruption.
 var ErrNoAnnotation = errors.New("core: representative missing annotation")
+
+// ErrNoEmbedder is returned when records are appended to an index without an
+// embedding model — e.g. one restored from a snapshot that predates the
+// embedder frame.
+var ErrNoEmbedder = errors.New("core: index has no embedder; rebuild or keep the original in memory")
 
 // Build constructs a TASTI index over ds using lab as the target labeler.
 // Labeler invocations are cached and counted; the counts land in
@@ -614,41 +616,10 @@ func checkConfig(cfg Config, ds *dataset.Dataset) error {
 // Config returns the configuration the index was built with.
 func (ix *Index) Config() Config { return ix.cfg }
 
-// SetParallelism overrides the worker count used by Propagate* and Crack
-// (p <= 0 uses all CPUs). It is the knob for indexes restored with Load,
-// whose configuration is not persisted. It must not be called concurrently
-// with any other method.
+// SetParallelism overrides the worker count Propagate uses (p <= 0 uses all
+// CPUs). It is the knob for indexes restored with Load, whose configuration
+// is not persisted. It must not be called concurrently with any other method.
 func (ix *Index) SetParallelism(p int) { ix.cfg.Parallelism = p }
 
 // NumRecords returns the number of indexed records.
 func (ix *Index) NumRecords() int { return ix.Embeddings.Rows() }
-
-// Crack adds a target-labeler result observed during query processing as a
-// new cluster representative, improving subsequent proxy scores (Section
-// 3.3). It is a no-op for records that are already representatives.
-//
-// Crack mutates Annotations and Table with no internal synchronization: the
-// caller must serialize it against every concurrent use of the index,
-// including the read-only Propagate* methods (see the package comment).
-func (ix *Index) Crack(id int, ann dataset.Annotation) {
-	if _, ok := ix.Annotations[id]; ok {
-		return
-	}
-	ix.Annotations[id] = ann
-	st := ix.Table.AddRepresentativeEmb(ix.Embeddings, ix.Quant, id, ix.Embeddings.Row(id), ix.cfg.Parallelism)
-	PublishQuantStats(ix.cfg.Telemetry, st)
-}
-
-// CrackAll cracks a batch of (id, annotation) observations. It inherits
-// Crack's contract: callers serialize it against all other index use.
-func (ix *Index) CrackAll(anns map[int]dataset.Annotation) {
-	// Deterministic order keeps the table reproducible.
-	ids := make([]int, 0, len(anns))
-	for id := range anns {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		ix.Crack(id, anns[id])
-	}
-}

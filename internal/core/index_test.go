@@ -165,30 +165,6 @@ func TestPropagateBounds(t *testing.T) {
 	}
 }
 
-func TestPropagateKValidation(t *testing.T) {
-	ix, _, _ := buildTestIndex(t, PretrainedConfig(30, 2), "night-street", 300)
-	if _, err := ix.PropagateK(CountScore("car"), 0); err == nil {
-		t.Error("k=0 should error")
-	}
-	if _, err := ix.PropagateK(CountScore("car"), ix.Table.K+1); err == nil {
-		t.Error("k beyond table should error")
-	}
-	// k=1 equals the nearest-rep exact score.
-	k1, err := ix.PropagateK(CountScore("car"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	near, _, err := ix.PropagateNearest(CountScore("car"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range k1 {
-		if k1[i] != near[i] {
-			t.Fatalf("record %d: PropagateK(1)=%v vs PropagateNearest=%v", i, k1[i], near[i])
-		}
-	}
-}
-
 func TestPropagateMissingAnnotation(t *testing.T) {
 	ix, _, _ := buildTestIndex(t, PretrainedConfig(30, 2), "night-street", 300)
 	delete(ix.Annotations, ix.Table.Reps[0])
@@ -197,75 +173,8 @@ func TestPropagateMissingAnnotation(t *testing.T) {
 	}
 }
 
-func TestPropagateVote(t *testing.T) {
-	ix, ds, _ := buildTestIndex(t, PretrainedConfig(60, 2), "night-street", 600)
-	label := func(ann dataset.Annotation) string {
-		if ann.(dataset.VideoAnnotation).Count("car") > 0 {
-			return "busy"
-		}
-		return "empty"
-	}
-	votes, err := ix.PropagateVote(label)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(votes) != ds.Len() {
-		t.Fatalf("got %d votes", len(votes))
-	}
-	for _, rep := range ix.Table.Reps {
-		if votes[rep] != label(ds.Truth[rep]) {
-			t.Errorf("rep %d vote %q, want exact label", rep, votes[rep])
-		}
-	}
-	for _, v := range votes {
-		if v != "busy" && v != "empty" {
-			t.Fatalf("unexpected vote %q", v)
-		}
-	}
-}
-
-func TestCrack(t *testing.T) {
-	ix, ds, _ := buildTestIndex(t, PretrainedConfig(40, 2), "night-street", 400)
-	before := ix.Table.MaxNearestDistance()
-	repsBefore := len(ix.Table.Reps)
-
-	// Crack in every 10th record.
-	anns := map[int]dataset.Annotation{}
-	for i := 0; i < ds.Len(); i += 10 {
-		anns[i] = ds.Truth[i]
-	}
-	ix.CrackAll(anns)
-
-	if len(ix.Table.Reps) <= repsBefore {
-		t.Error("cracking added no representatives")
-	}
-	if got := ix.Table.MaxNearestDistance(); got > before {
-		t.Errorf("cracking increased covering radius: %v > %v", got, before)
-	}
-	if err := ix.Table.Validate(); err != nil {
-		t.Error(err)
-	}
-	// Cracked records now get exact scores.
-	score := CountScore("car")
-	scores, err := ix.Propagate(score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range anns {
-		if scores[id] != score(ds.Truth[id]) {
-			t.Errorf("cracked record %d not exact", id)
-		}
-	}
-	// Cracking an existing rep is a no-op.
-	n := len(ix.Table.Reps)
-	ix.Crack(ix.Table.Reps[0], ds.Truth[ix.Table.Reps[0]])
-	if len(ix.Table.Reps) != n {
-		t.Error("re-cracking a representative changed the table")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
-	ix, ds, _ := buildTestIndex(t, fastConfig(80, 50), "night-street", 500)
+	ix, _, _ := buildTestIndex(t, fastConfig(80, 50), "night-street", 500)
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -288,8 +197,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: loaded index propagates %v, want %v", i, got[i], want[i])
 		}
 	}
-	// The loaded index still cracks.
-	loaded.Crack(7, ds.Truth[7])
 	if err := loaded.Table.Validate(); err != nil {
 		t.Error(err)
 	}

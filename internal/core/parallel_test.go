@@ -105,26 +105,6 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestCrackDeterministicAcrossWorkerCounts covers the incremental path: the
-// same cracks applied at different parallelism levels converge to the same
-// table.
-func TestCrackDeterministicAcrossWorkerCounts(t *testing.T) {
-	ds, err := dataset.Generate("night-street", 800, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := PretrainedConfig(50, 9)
-	serial := buildAt(t, base, ds, 1)
-	par := buildAt(t, base, ds, 4)
-	cracks := map[int]dataset.Annotation{}
-	for _, id := range []int{3, 150, 420, 601, 799} {
-		cracks[id] = ds.Truth[id]
-	}
-	serial.CrackAll(cracks)
-	par.CrackAll(cracks)
-	assertIndexesIdentical(t, serial, par, 4)
-}
-
 // TestBuildRecordsPhaseWalls checks the new BuildStats breakdown: the
 // sub-phase walls are populated and nest inside ClusterWall.
 func TestBuildRecordsPhaseWalls(t *testing.T) {

@@ -142,10 +142,10 @@ func (ix *Index) Save(w io.Writer) error {
 // Load deserializes an index saved with Save: per-section and whole-file
 // checksums are verified and failures carry the typed error taxonomy
 // (snapshot.ErrBadMagic for a stream that is not a snapshot at all,
-// ErrChecksum, ErrTruncated, ...). The returned index propagates scores and
-// supports cracking; when the snapshot carries the optional embedder frame
-// (see embedderFrame) the embedding model is restored too, so AppendRecords
-// keeps working — snapshots without it load with Embedder == nil.
+// ErrChecksum, ErrTruncated, ...). The returned index splits into a serving
+// shard.Index like a built one; when the snapshot carries the optional
+// embedder frame (see embedderFrame) the embedding model is restored too, so
+// appends keep working — snapshots without it load with Embedder == nil.
 func Load(r io.Reader) (*Index, error) {
 	sr, err := snapshot.NewReader(r, indexKind)
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/cluster"
@@ -14,110 +13,17 @@ import (
 // must not be rebuilt (allocated) per call.
 const (
 	metricPropagateWeighted = `tasti_propagate_total{kind="weighted"}`
-	metricPropagateNearest  = `tasti_propagate_total{kind="nearest"}`
-	metricPropagateVote     = `tasti_propagate_total{kind="vote"}`
 	metricPropagateSeconds  = "tasti_propagate_seconds"
 )
-
-// observePropagate records one propagation pass into the index's registry —
-// a count and a latency observation per call, nothing per record. No-op
-// without Config.Telemetry.
-func (ix *Index) observePropagate(metric string, start time.Time) {
-	reg := ix.cfg.Telemetry
-	if reg == nil {
-		return
-	}
-	reg.Counter(metric).Inc()
-	reg.Histogram(metricPropagateSeconds, nil).Observe(time.Since(start).Seconds())
-}
 
 // ScoreFunc turns a target-labeler output into a numeric query-specific
 // score — the paper's Section 4.2 developer API. Examples: count of "car"
 // boxes for an aggregation query, 0/1 predicate match for a selection query.
 type ScoreFunc func(ann dataset.Annotation) float64
 
-// LabelFunc turns a target-labeler output into a categorical label, for
-// propagation by distance-weighted majority vote.
-type LabelFunc func(ann dataset.Annotation) string
-
 // invDistEps regularizes inverse-distance weights so exact matches do not
 // divide by zero.
 const invDistEps = 1e-9
-
-// Propagator holds reusable scratch for score propagation over one index:
-// the dense record-ID-indexed representative-score slice and the output
-// buffer. A warm Propagator performs zero allocations per PropagateK call,
-// which is what keeps the serve-path query loop allocation-free in steady
-// state. A Propagator is not safe for concurrent use; it shares the
-// index's read-only contract (concurrent with other reads, never with
-// Crack).
-type Propagator struct {
-	ix        *Index
-	repScores []float64
-	out       []float64
-}
-
-// NewPropagator returns a Propagator over ix.
-func NewPropagator(ix *Index) *Propagator { return &Propagator{ix: ix} }
-
-// fillRepScores evaluates score on every representative's cached annotation
-// into a dense slice indexed by record ID. Entries for non-representatives
-// are stale garbage that no read path touches: neighbor lists only ever name
-// representatives.
-func (p *Propagator) fillRepScores(score ScoreFunc) ([]float64, error) {
-	ix := p.ix
-	n := ix.NumRecords()
-	if cap(p.repScores) < n {
-		p.repScores = make([]float64, n)
-	}
-	rs := p.repScores[:n]
-	for _, rep := range ix.Table.Reps {
-		ann, ok := ix.Annotations[rep]
-		if !ok {
-			return nil, fmt.Errorf("%w: representative %d", ErrNoAnnotation, rep)
-		}
-		rs[rep] = score(ann)
-	}
-	return rs, nil
-}
-
-// scratchOut returns the reusable n-entry output buffer.
-func (p *Propagator) scratchOut(n int) []float64 {
-	if cap(p.out) < n {
-		p.out = make([]float64, n)
-	}
-	return p.out[:n]
-}
-
-// PropagateK computes the inverse-distance-weighted proxy score of every
-// record over its k nearest representatives, like Index.PropagateK, but into
-// the Propagator's reusable output buffer — the returned slice is valid
-// until the next call.
-func (p *Propagator) PropagateK(score ScoreFunc, k int) ([]float64, error) {
-	ix := p.ix
-	if k <= 0 || k > ix.Table.K {
-		return nil, fmt.Errorf("core: propagation k=%d outside [1,%d]", k, ix.Table.K)
-	}
-	defer ix.observePropagate(metricPropagateWeighted, time.Now())
-	rs, err := p.fillRepScores(score)
-	if err != nil {
-		return nil, err
-	}
-	n := ix.NumRecords()
-	out := p.scratchOut(n)
-	// The serial path is a plain method call: a closure handed to
-	// parallel.For would escape to the heap and break the zero-allocation
-	// guarantee. Both paths run the identical per-record computation, so the
-	// output is bitwise identical at every worker count.
-	if parallel.Workers(ix.cfg.Parallelism) == 1 {
-		PropagateKRange(out, ix.Table.Neighbors, rs, k, 0, n)
-	} else {
-		parallel.ForChunks(ix.cfg.Parallelism, n, func(_ int, s parallel.Span) {
-			PropagateKRange(out, ix.Table.Neighbors, rs, k, s.Lo, s.Hi)
-		})
-	}
-	return out, nil
-}
 
 // PropagateKRange scores records [lo, hi): the exact score for zero-distance
 // records (representatives), the inverse-distance-weighted mean of the k
@@ -151,80 +57,38 @@ func PropagateKRange(out []float64, neighbors [][]cluster.Neighbor, repScores []
 }
 
 // Propagate computes a proxy score for every record: the exact score on
-// representatives and the inverse-distance-weighted mean of the k nearest
-// representatives' scores elsewhere (Section 4.3).
-//
-// All Propagate* methods shard the per-record loop across
-// Config.Parallelism workers (each record only reads the table and the
-// shared representative scores, so the output is identical at every worker
-// count) and are safe to call concurrently with each other — but not with
-// Crack. Hot query loops that care about steady-state allocations hold a
-// Propagator instead; these methods return freshly allocated slices.
+// representatives and the inverse-distance-weighted mean of the Table.K
+// nearest representatives' scores elsewhere (Section 4.3). The per-record
+// loop runs across Config.Parallelism workers; each record reads only the
+// table and the representative scores, so the output is identical at every
+// worker count. Queries run on the served index (package shard), which
+// computes the same bits; this is the unsharded baseline the benchmark
+// prices.
 func (ix *Index) Propagate(score ScoreFunc) ([]float64, error) {
-	return ix.PropagateK(score, ix.Table.K)
-}
-
-// PropagateK is Propagate with an explicit neighbor count k <= Table.K
-// (limit queries use k=1).
-func (ix *Index) PropagateK(score ScoreFunc, k int) ([]float64, error) {
-	p := Propagator{ix: ix}
-	out, err := p.PropagateK(score, k)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PropagateNearest returns each record's nearest representative's exact
-// score along with the distance to it, the k=1 scoring with distance
-// tie-breaking that the paper's limit queries use (Section 6.3).
-func (ix *Index) PropagateNearest(score ScoreFunc) (scores, dists []float64, err error) {
-	defer ix.observePropagate(metricPropagateNearest, time.Now())
-	p := Propagator{ix: ix}
-	rs, err := p.fillRepScores(score)
-	if err != nil {
-		return nil, nil, err
-	}
-	scores = make([]float64, ix.NumRecords())
-	dists = make([]float64, ix.NumRecords())
-	parallel.For(ix.cfg.Parallelism, ix.NumRecords(), func(i int) {
-		nb := ix.Table.Nearest(i)
-		scores[i] = rs[nb.Rep]
-		dists[i] = nb.Dist
-	})
-	return scores, dists, nil
-}
-
-// PropagateVote computes a categorical label per record by
-// distance-weighted majority vote over the k nearest representatives.
-func (ix *Index) PropagateVote(label LabelFunc) ([]string, error) {
-	defer ix.observePropagate(metricPropagateVote, time.Now())
-	labels := make(map[int]string, len(ix.Annotations))
-	for id, ann := range ix.Annotations {
-		labels[id] = label(ann)
-	}
-	out := make([]string, ix.NumRecords())
-	parallel.ForChunks(ix.cfg.Parallelism, ix.NumRecords(), func(_ int, s parallel.Span) {
-		votes := make(map[string]float64, ix.Table.K) // per-chunk scratch
-		for i := s.Lo; i < s.Hi; i++ {
-			nbrs := ix.Table.Neighbors[i]
-			if nbrs[0].Dist == 0 {
-				out[i] = labels[nbrs[0].Rep]
-				continue
-			}
-			clear(votes)
-			for _, nb := range nbrs {
-				votes[labels[nb.Rep]] += 1 / (nb.Dist + invDistEps)
-			}
-			best, bestW := "", math.Inf(-1)
-			for l, w := range votes {
-				if w > bestW || (w == bestW && l < best) {
-					best, bestW = l, w
-				}
-			}
-			out[i] = best
+	start := time.Now()
+	n := ix.NumRecords()
+	repScores := make([]float64, n)
+	for _, rep := range ix.Table.Reps {
+		ann, ok := ix.Annotations[rep]
+		if !ok {
+			return nil, fmt.Errorf("%w: representative %d", ErrNoAnnotation, rep)
 		}
-	})
+		repScores[rep] = score(ann)
+	}
+	out := make([]float64, n)
+	// One worker is a plain call: the closure parallel.ForChunks takes would
+	// escape to the heap.
+	if parallel.Workers(ix.cfg.Parallelism) == 1 {
+		PropagateKRange(out, ix.Table.Neighbors, repScores, ix.Table.K, 0, n)
+	} else {
+		parallel.ForChunks(ix.cfg.Parallelism, n, func(_ int, s parallel.Span) {
+			PropagateKRange(out, ix.Table.Neighbors, repScores, ix.Table.K, s.Lo, s.Hi)
+		})
+	}
+	if reg := ix.cfg.Telemetry; reg != nil {
+		reg.Counter(metricPropagateWeighted).Inc()
+		reg.Histogram(metricPropagateSeconds, nil).Observe(time.Since(start).Seconds())
+	}
 	return out, nil
 }
 

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/labeler"
 )
 
 // TestBuildQuantBitwise is the tentpole equivalence property: with Quantize
@@ -62,85 +62,13 @@ func TestBuildQuantBitwise(t *testing.T) {
 	}
 }
 
-// TestCrackQuantBitwise: incremental cracking through the quantized scan
-// stays bitwise identical to the float path, including the re-cracked rows'
-// freshly quantized query codes.
-func TestCrackQuantBitwise(t *testing.T) {
-	ds, err := dataset.Generate("night-street", 700, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := PretrainedConfig(50, 11)
-	exact := buildAt(t, base, ds, 2)
-	qcfg := base
-	qcfg.Quantize = true
-	quant := buildAt(t, qcfg, ds, 2)
-	cracks := map[int]dataset.Annotation{}
-	for _, id := range []int{5, 99, 200, 7, 123, 698} {
-		cracks[id] = ds.Truth[id]
-	}
-	exact.CrackAll(cracks)
-	quant.CrackAll(cracks)
-	assertIndexesIdentical(t, exact, quant, 2)
-}
-
-// TestAppendQuantBitwise: appended records get identical neighbor lists on
-// either plane, and the quantized plane grows with them — including rows
-// outside the trained coordinate range, which widen the decode-error bound
-// instead of corrupting it.
-func TestAppendQuantBitwise(t *testing.T) {
-	ds, err := dataset.Generate("night-street", 500, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := PretrainedConfig(40, 4)
-	lab := labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
-	exact, err := Build(base, ds, lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qcfg := base
-	qcfg.Quantize = true
-	quant, err := Build(qcfg, ds, lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	more, err := dataset.Generate("night-street", 80, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	features := make([][]float64, more.Len())
-	for i := range features {
-		features[i] = more.Records[i].Features
-	}
-	errBefore := quant.Quant.MaxErr()
-	if _, err := exact.AppendRecords(features); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := quant.AppendRecords(features); err != nil {
-		t.Fatal(err)
-	}
-	assertIndexesIdentical(t, exact, quant, 1)
-	if quant.Quant.Rows() != quant.Embeddings.Rows() {
-		t.Fatalf("plane has %d rows after append, embeddings %d", quant.Quant.Rows(), quant.Embeddings.Rows())
-	}
-	if quant.Quant.MaxErr() < errBefore {
-		t.Fatalf("append narrowed the decode-error bound: %v -> %v", errBefore, quant.Quant.MaxErr())
-	}
-	// Cracking an appended record still matches.
-	id := exact.NumRecords() - 1
-	exact.Crack(id, more.Truth[more.Len()-1])
-	quant.Crack(id, more.Truth[more.Len()-1])
-	assertIndexesIdentical(t, exact, quant, 1)
-}
-
 // TestQuantSaveLoadRoundTrip: the v3 embeddings.quant frame round-trips the
 // plane — params, decode-error bound, and every code byte — and the restored
-// index cracks through the quantized scan exactly like the original.
+// plane scans: a table built through it is the original's, bit for bit.
 func TestQuantSaveLoadRoundTrip(t *testing.T) {
 	cfg := PretrainedConfig(40, 6)
 	cfg.Quantize = true
-	ix, ds, _ := buildTestIndex(t, cfg, "night-street", 400)
+	ix, _, _ := buildTestIndex(t, cfg, "night-street", 400)
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -173,9 +101,10 @@ func TestQuantSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("code byte %d differs", i)
 		}
 	}
-	// The restored plane is functional: cracks through it match the original.
-	ix.Crack(123, ds.Truth[123])
-	got.Crack(123, ds.Truth[123])
+	// The restored plane is functional: a table scanned through it matches
+	// the original's.
+	table, _ := cluster.BuildTableQuantPar(got.Embeddings, got.Quant, got.Table.Reps, got.Table.K, 1)
+	got.Table = table
 	assertIndexesIdentical(t, ix, got, 1)
 }
 

@@ -61,8 +61,8 @@ func TestBuildTelemetryInvariant(t *testing.T) {
 	}
 }
 
-// TestBuildPropagateQueryMetrics covers the per-query instruments end to
-// end: propagation counters/latency and the shared builds counter.
+// TestBuildPropagateQueryMetrics covers the propagation instruments end to
+// end: one count and one latency observation per call.
 func TestBuildPropagateQueryMetrics(t *testing.T) {
 	ds, err := dataset.Generate("night-street", 800, 3)
 	if err != nil {
@@ -79,17 +79,11 @@ func TestBuildPropagateQueryMetrics(t *testing.T) {
 	if _, err := ix.Propagate(CountScore("car")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ix.PropagateNearest(CountScore("car")); err != nil {
-		t.Fatal(err)
-	}
 	if got := reg.Counter(`tasti_propagate_total{kind="weighted"}`).Value(); got != 1 {
 		t.Errorf(`propagate{weighted} = %d, want 1`, got)
 	}
-	if got := reg.Counter(`tasti_propagate_total{kind="nearest"}`).Value(); got != 1 {
-		t.Errorf(`propagate{nearest} = %d, want 1`, got)
-	}
-	if got := reg.Histogram("tasti_propagate_seconds", nil).Count(); got != 2 {
-		t.Errorf("propagate latency observations = %d, want 2", got)
+	if got := reg.Histogram("tasti_propagate_seconds", nil).Count(); got != 1 {
+		t.Errorf("propagate latency observations = %d, want 1", got)
 	}
 }
 

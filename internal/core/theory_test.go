@@ -54,19 +54,17 @@ func TestTheorem1Bound(t *testing.T) {
 		for _, rep := range reps {
 			anns[rep] = ds[rep]
 		}
-		ix := &Index{Embeddings: embeddings, Table: table, Annotations: anns}
-		scores, _, err := ix.PropagateNearest(func(a dataset.Annotation) float64 {
-			return a.(dataset.VideoAnnotation).Boxes[0].X * 10
-		})
-		if err != nil {
-			t.Fatal(err)
+		// The query's estimate f_hat(x) is the nearest representative's
+		// exact score (k = 1 propagation).
+		estimate := func(i int) float64 {
+			return anns[table.Nearest(i).Rep].(dataset.VideoAnnotation).Boxes[0].X * 10
 		}
 
 		// With zero triplet loss at margin m = M, Theorem 1 gives
 		// E[l_Q(x, f_hat(x))] <= E[l_Q(x, f(x))] + M*K_Q = 0 + 2m.
 		meanLoss := 0.0
-		for i := range scores {
-			meanLoss += math.Abs(scores[i] - truth[i])
+		for i := 0; i < n; i++ {
+			meanLoss += math.Abs(estimate(i) - truth[i])
 		}
 		meanLoss /= n
 		bound := 2 * m

@@ -9,7 +9,7 @@ import (
 
 // Snapshot is the serializable form of an Embedder, so an index snapshot can
 // carry its embedding model and a restarted process can keep appending
-// records (core.Index.AppendRecords) with bitwise-identical embeddings.
+// records (shard.Index.AppendRecords) with bitwise-identical embeddings.
 // Exactly one of the payload groups is populated, selected by Kind — the
 // Pretrained projection matrix in flat form, or the Trained network, whose
 // fields are all exported and gob-encode directly.

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/labeler"
 )
 
@@ -180,6 +182,41 @@ func TestIndexConfigPanicsForNonIndexVariant(t *testing.T) {
 		}
 	}()
 	env.IndexConfig(NoProxy)
+}
+
+// TestPropagateVote: every representative votes its own label and every
+// record gets one of the labels the representatives carry.
+func TestPropagateVote(t *testing.T) {
+	s, _ := SettingByKey("night-street")
+	env, err := NewEnv(s, TinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := env.BuildIndexWith(core.PretrainedConfig(60, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := func(ann dataset.Annotation) string {
+		if ann.(dataset.VideoAnnotation).Count("car") > 0 {
+			return "busy"
+		}
+		return "empty"
+	}
+	sh := ix.Shard(0)
+	votes := propagateVote(sh, label)
+	if len(votes) != env.DS.Len() {
+		t.Fatalf("got %d votes", len(votes))
+	}
+	for _, rep := range sh.Table.Reps {
+		if votes[rep] != label(env.DS.Truth[rep]) {
+			t.Errorf("rep %d vote %q, want exact label", rep, votes[rep])
+		}
+	}
+	for _, v := range votes {
+		if v != "busy" && v != "empty" {
+			t.Fatalf("unexpected vote %q", v)
+		}
+	}
 }
 
 // TestRunFig2Tiny exercises one cheap runner end to end.

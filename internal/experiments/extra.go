@@ -46,8 +46,9 @@ func RunExtraK(sc Scale, w io.Writer) (*Report, error) {
 	aggOpts.ErrTarget = sc.AggErrTarget(s)
 	supgOpts := supg.DefaultOptions(sc.SUPGBudget(s), sc.Seed+1001)
 
+	v := ix.Pin()
 	for _, k := range []int{1, 2, 3, 5, 8} {
-		scores, err := ix.PropagateK(s.AggScore, k)
+		scores, err := v.PropagateK(s.AggScore, k)
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +60,7 @@ func RunExtraK(sc Scale, w io.Writer) (*Report, error) {
 		rep.Add(s.Key, fmt.Sprintf("k=%d", k), "agg target calls", float64(aggRes.LabelerCalls),
 			fmt.Sprintf("rho2=%.3f", stats.RSquared(scores, truth)))
 
-		selScores, err := ix.PropagateK(BoolScore(s.SelPred), k)
+		selScores, err := v.PropagateK(BoolScore(s.SelPred), k)
 		if err != nil {
 			return nil, err
 		}
@@ -122,17 +123,13 @@ func RunExtraANN(sc Scale, w io.Writer) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	sh := ix.Shard(0) // the whole corpus: one shard
 	truth := env.Truth(s.AggScore)
 	aggOpts := aggregation.DefaultOptions(sc.Seed + 1002)
 	aggOpts.ErrTarget = sc.AggErrTarget(s)
 
 	measure := func(name string, table *cluster.Table, buildTime time.Duration) error {
-		probe := &core.Index{
-			Embedder:    ix.Embedder,
-			Embeddings:  ix.Embeddings,
-			Table:       table,
-			Annotations: ix.Annotations,
-		}
+		probe := &core.Index{Embeddings: sh.Embeddings, Table: table, Annotations: sh.Annotations}
 		scores, err := probe.Propagate(s.AggScore)
 		if err != nil {
 			return err
@@ -148,14 +145,14 @@ func RunExtraANN(sc Scale, w io.Writer) (*Report, error) {
 	}
 
 	start := time.Now()
-	exact := cluster.BuildTablePar(ix.Embeddings, ix.Table.Reps, ix.Table.K, 0)
+	exact := cluster.BuildTablePar(sh.Embeddings, sh.Table.Reps, sh.Table.K, 0)
 	if err := measure("exact", exact, time.Since(start)); err != nil {
 		return nil, err
 	}
 	for _, nprobe := range []int{1, 2, 4, 8} {
 		start := time.Now()
-		approx, err := ann.BuildTableApprox(ix.Embeddings, ix.Table.Reps, ix.Table.K, nprobe,
-			ann.DefaultConfig(len(ix.Table.Reps), sc.Seed))
+		approx, err := ann.BuildTableApprox(sh.Embeddings, sh.Table.Reps, sh.Table.K, nprobe,
+			ann.DefaultConfig(len(sh.Table.Reps), sc.Seed))
 		if err != nil {
 			return nil, err
 		}

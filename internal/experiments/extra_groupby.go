@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/query/aggregation"
+	"repro/internal/shard"
 )
 
 // trafficGroup buckets taipei frames by bus load — the grouped-aggregation
@@ -81,11 +83,7 @@ func RunExtraGroupBy(sc Scale, w io.Writer) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	votes, err := ix.PropagateVote(trafficGroup)
-	if err != nil {
-		return nil, err
-	}
-	if err := run("TASTI-T votes", votes); err != nil {
+	if err := run("TASTI-T votes", propagateVote(ix.Shard(0), trafficGroup)); err != nil {
 		return nil, err
 	}
 
@@ -93,4 +91,40 @@ func RunExtraGroupBy(sc Scale, w io.Writer) (*Report, error) {
 		rep.Print(w)
 	}
 	return rep, nil
+}
+
+// voteEps regularizes inverse-distance vote weights so an exact match does not
+// divide by zero, as in score propagation.
+const voteEps = 1e-9
+
+// propagateVote labels every record a shard owns by distance-weighted
+// majority vote over its nearest representatives: a representative keeps its
+// own label, any other record takes the label with the largest summed inverse
+// distance, ties to the smaller label. The result is indexed from the shard's
+// first record, so over a one-shard index it is indexed by record ID.
+func propagateVote(sh *shard.Shard, label func(dataset.Annotation) string) []string {
+	labels := make(map[int]string, len(sh.Annotations))
+	for id, ann := range sh.Annotations {
+		labels[id] = label(ann)
+	}
+	out := make([]string, sh.NumRecords())
+	votes := make(map[string]float64)
+	for i, nbrs := range sh.Table.Neighbors {
+		if nbrs[0].Dist == 0 {
+			out[i] = labels[nbrs[0].Rep]
+			continue
+		}
+		clear(votes)
+		for _, nb := range nbrs {
+			votes[labels[nb.Rep]] += 1 / (nb.Dist + voteEps)
+		}
+		best, bestW := "", math.Inf(-1)
+		for l, w := range votes {
+			if w > bestW || (w == bestW && l < best) {
+				best, bestW = l, w
+			}
+		}
+		out[i] = best
+	}
+	return out
 }

@@ -33,9 +33,10 @@ func RunFaults(sc Scale, w io.Writer) (*Report, error) {
 		return nil, err
 	}
 
-	// Baseline: fault-free build.
+	// Baseline: fault-free build. The experiment compares built indexes, so
+	// it keeps core's, unserved.
 	cfg := env.IndexConfig(TastiT)
-	clean, err := env.BuildIndexWith(cfg)
+	clean, err := core.Build(cfg, env.DS, env.Oracle)
 	if err != nil {
 		return nil, err
 	}

@@ -31,11 +31,10 @@ func (c ConstructionCost) Total() float64 {
 	return c.TrainTargetSeconds + c.BucketTargetSeconds + c.EmbeddingSeconds + c.ClusterSeconds
 }
 
-// SimulateConstructionCost converts an index's build statistics into the
-// Figure 2 breakdown for a target labeler with the given per-call cost.
-func SimulateConstructionCost(ix *core.Index, numRecords int, target labeler.CostModel) ConstructionCost {
-	st := ix.Stats
-	cfg := ix.Config()
+// SimulateConstructionCost converts the statistics of an index built with cfg
+// into the Figure 2 breakdown for a target labeler with the given per-call
+// cost.
+func SimulateConstructionCost(cfg core.Config, st core.BuildStats, numRecords int, target labeler.CostModel) ConstructionCost {
 	embedPasses := 1.0
 	if cfg.DoTrain {
 		embedPasses = 2 // the pre-trained pass for mining plus the final pass
@@ -81,13 +80,15 @@ func RunFig2(sc Scale, w io.Writer) (*Report, error) {
 	rep.Add(s.Key, "BlazeIt", "TMAS s", tmasSeconds, fmt.Sprintf("%d target calls", sc.ProxyTMAS))
 	rep.Add(s.Key, "BlazeIt", "total s", tmasSeconds, "")
 
-	ix, err := env.BuildIndex(TastiT)
+	cfg := env.IndexConfig(TastiT)
+	ix, err := env.BuildIndexWith(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cost := SimulateConstructionCost(ix, env.DS.Len(), s.TargetCost)
-	rep.Add(s.Key, "TASTI-T", "train target DNN s", cost.TrainTargetSeconds, fmt.Sprintf("%d target calls", ix.Stats.TrainLabelCalls))
-	rep.Add(s.Key, "TASTI-T", "bucket target DNN s", cost.BucketTargetSeconds, fmt.Sprintf("%d target calls", ix.Stats.RepLabelCalls))
+	st := ix.Pin().Stats
+	cost := SimulateConstructionCost(cfg, st, env.DS.Len(), s.TargetCost)
+	rep.Add(s.Key, "TASTI-T", "train target DNN s", cost.TrainTargetSeconds, fmt.Sprintf("%d target calls", st.TrainLabelCalls))
+	rep.Add(s.Key, "TASTI-T", "bucket target DNN s", cost.BucketTargetSeconds, fmt.Sprintf("%d target calls", st.RepLabelCalls))
 	rep.Add(s.Key, "TASTI-T", "embedding s", cost.EmbeddingSeconds, "embedding DNN passes + triplet training")
 	rep.Add(s.Key, "TASTI-T", "cluster s", cost.ClusterSeconds, "measured FPF + distance table")
 	rep.Add(s.Key, "TASTI-T", "total s", cost.Total(), "")

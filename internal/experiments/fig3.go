@@ -59,7 +59,7 @@ func RunFig3(sc Scale, w io.Writer) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cost := SimulateConstructionCost(ix, env.DS.Len(), s.TargetCost)
+		cost := SimulateConstructionCost(cfg, ix.Pin().Stats, env.DS.Len(), s.TargetCost)
 		rep.Add(s.Key, fmt.Sprintf("TASTI-T reps=%d", reps), "query target calls", float64(calls),
 			fmt.Sprintf("construction=%.0fs", cost.Total()))
 	}

@@ -72,7 +72,7 @@ func fig6Setting(rep *Report, env *Env) error {
 		if err != nil {
 			return err
 		}
-		scores, dists, err := ix.PropagateNearest(rankScore)
+		scores, dists, err := ix.Pin().PropagateNearest(rankScore)
 		if err != nil {
 			return err
 		}

@@ -15,16 +15,15 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/labeler"
 	"repro/internal/query/aggregation"
-	"repro/internal/shard"
 )
 
 // RunIngest is the streaming-ingest experiment (not in the paper): it
 // measures sustained append throughput and ack latency through the full
 // durability path — WAL frame encode, fsync, ack, apply into the index —
 // while an aggregation query storm runs against the same index the way
-// tastiserve runs them: appends are writes on a one-shard shard.Index, each
-// query reads the version it pinned, and nothing else orders the two. Acks
-// are durability receipts: the latency includes the fsync.
+// tastiserve runs them: appends are writes on the one-shard index BuildIndex
+// serves, each query reads the version it pinned, and nothing else orders the
+// two. Acks are durability receipts: the latency includes the fsync.
 func RunIngest(sc Scale, w io.Writer) (*Report, error) {
 	const (
 		appended = 512
@@ -39,11 +38,7 @@ func RunIngest(sc Scale, w io.Writer) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	built, err := env.BuildIndexWith(env.IndexConfig(TastiT))
-	if err != nil {
-		return nil, err
-	}
-	ix, err := shard.Split(built, 1)
+	ix, err := env.BuildIndex(TastiT)
 	if err != nil {
 		return nil, err
 	}

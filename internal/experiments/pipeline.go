@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/labeler"
 	"repro/internal/proxy"
+	"repro/internal/shard"
 	"repro/internal/triplet"
 	"repro/internal/xrand"
 )
@@ -76,21 +77,28 @@ const SelectionK = 16
 
 // BuildSelectionIndex builds a variant's index with the selection smoothing
 // depth retained in the distance table.
-func (e *Env) BuildSelectionIndex(v Variant) (*core.Index, error) {
+func (e *Env) BuildSelectionIndex(v Variant) (*shard.Index, error) {
 	cfg := e.IndexConfig(v)
 	cfg.K = SelectionK
 	return e.BuildIndexWith(cfg)
 }
 
 // BuildIndex constructs the TASTI index for a variant.
-func (e *Env) BuildIndex(v Variant) (*core.Index, error) {
+func (e *Env) BuildIndex(v Variant) (*shard.Index, error) {
 	return e.BuildIndexWith(e.IndexConfig(v))
 }
 
 // BuildIndexWith constructs a TASTI index with an explicit configuration
-// (ablations and sensitivity sweeps tweak the variant configs).
-func (e *Env) BuildIndexWith(cfg core.Config) (*core.Index, error) {
-	return core.Build(cfg, e.DS, e.Oracle)
+// (ablations and sensitivity sweeps tweak the variant configs) and serves it
+// as the one-shard index tastiserve runs: every experiment reads, and
+// table3 cracks, through the same copy-on-write versions a client's
+// queries do.
+func (e *Env) BuildIndexWith(cfg core.Config) (*shard.Index, error) {
+	ix, err := core.Build(cfg, e.DS, e.Oracle)
+	if err != nil {
+		return nil, err
+	}
+	return shard.Split(ix, 1)
 }
 
 // BoolScore converts a predicate into the 0/1 scoring function selection

@@ -28,10 +28,12 @@ func RunTable1(sc Scale, w io.Writer) (*Report, error) {
 	// labeler is billed, since all three labelers answer the same question
 	// at different prices and accuracies (SSD's accuracy loss is Table 1's
 	// accompanying discussion, quantified in extra).
-	ix, err := env.BuildIndex(TastiT)
+	cfg := env.IndexConfig(TastiT)
+	ix, err := env.BuildIndexWith(cfg)
 	if err != nil {
 		return nil, err
 	}
+	st := ix.Pin().Stats
 	scores, err := ix.Propagate(s.AggScore)
 	if err != nil {
 		return nil, err
@@ -51,7 +53,7 @@ func RunTable1(sc Scale, w io.Writer) (*Report, error) {
 		return nil, err
 	}
 
-	indexCalls := ix.Stats.TotalLabelCalls()
+	indexCalls := st.TotalLabelCalls()
 	n := int64(env.DS.Len())
 
 	targets := []struct {
@@ -75,7 +77,7 @@ func RunTable1(sc Scale, w io.Writer) (*Report, error) {
 			// DNN targets pay the embedding/training compute in the same
 			// unit; crowd-labeler costs are dollars and GPU time is not
 			// billed against them, as in the paper.
-			c := SimulateConstructionCost(ix, env.DS.Len(), tgt.cost)
+			c := SimulateConstructionCost(cfg, st, env.DS.Len(), tgt.cost)
 			indexCompute = c.EmbeddingSeconds + c.ClusterSeconds
 		}
 

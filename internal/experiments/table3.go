@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
-
 	"repro/internal/dataset"
 	"repro/internal/labeler"
 	"repro/internal/metrics"
 	"repro/internal/query/aggregation"
 	"repro/internal/query/supg"
+	"repro/internal/shard"
 )
 
 // RunTable3 reproduces Table 3: index cracking. On night-street and taipei,
@@ -46,10 +45,11 @@ func table3Setting(rep *Report, env *Env) error {
 	aggOpts.ErrTarget = env.Scale.AggErrTarget(s)
 	supgOpts := supg.DefaultOptions(env.Scale.SUPGBudget(s), env.Scale.Seed+801)
 
-	// runAgg executes the aggregation query against ix and returns the
-	// labeler calls plus everything the query labeled (for cracking).
-	runAgg := func(ix *core.Index) (int64, map[int]dataset.Annotation, error) {
-		scores, err := ix.PropagateK(s.AggScore, 5)
+	// runAgg executes the aggregation query against the version of ix it
+	// pins and returns the labeler calls plus everything the query labeled
+	// (for cracking).
+	runAgg := func(ix *shard.Index) (int64, map[int]dataset.Annotation, error) {
+		scores, err := ix.Pin().PropagateK(s.AggScore, 5)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -68,7 +68,7 @@ func table3Setting(rep *Report, env *Env) error {
 
 	// runSUPG executes the selection query against ix and returns its FPR
 	// plus everything it labeled.
-	runSUPG := func(ix *core.Index) (float64, map[int]dataset.Annotation, error) {
+	runSUPG := func(ix *shard.Index) (float64, map[int]dataset.Annotation, error) {
 		scores, err := ix.Propagate(BoolScore(s.SelPred))
 		if err != nil {
 			return 0, nil, err

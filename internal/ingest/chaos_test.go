@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/labeler"
+	"repro/internal/shard"
 )
 
 // chaosEnvDir gates the re-exec helper: when set, the test binary runs the
@@ -211,9 +212,9 @@ func verifyChaosReplay(t *testing.T, dir string, maxAcked int) int {
 	}
 
 	// Bitwise-identical index contract: appending the replayed prefix to a
-	// deterministic base index equals a never-crashed run appending the same
-	// features directly.
-	build := func() *core.Index {
+	// deterministic served index equals a never-crashed run appending the
+	// same features directly.
+	build := func() *shard.Index {
 		ds, err := dataset.Generate("night-street", 120, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -222,7 +223,11 @@ func verifyChaosReplay(t *testing.T, dir string, maxAcked int) int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ix
+		x, err := shard.Split(ix, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
 	}
 	crashed, reference := build(), build()
 	if _, err := crashed.AppendRecords(features); err != nil {
@@ -231,21 +236,22 @@ func verifyChaosReplay(t *testing.T, dir string, maxAcked int) int {
 	if _, err := reference.AppendRecords(features); err != nil {
 		t.Fatal(err)
 	}
-	for id := 120; id < crashed.NumRecords(); id++ {
-		a, b := crashed.Embeddings.Row(id), reference.Embeddings.Row(id)
-		for j := range a {
-			if a[j] != b[j] {
+	a, b := crashed.Shard(0), reference.Shard(0)
+	for id := 120; id < a.Hi; id++ {
+		ra, rb := a.Embeddings.Row(id), b.Embeddings.Row(id)
+		for j := range ra {
+			if ra[j] != rb[j] {
 				t.Fatalf("record %d dim %d differs after replay", id, j)
 			}
 		}
-		na, nb := crashed.Table.Neighbors[id], reference.Table.Neighbors[id]
+		na, nb := a.Table.Neighbors[id], b.Table.Neighbors[id]
 		for j := range na {
 			if na[j] != nb[j] {
 				t.Fatalf("record %d neighbor %d differs after replay", id, j)
 			}
 		}
 	}
-	if _, err := crashed.Propagate(core.CountScore("car")); err != nil {
+	if _, err := crashed.Pin().Propagate(core.CountScore("car")); err != nil {
 		t.Fatalf("replayed index does not serve: %v", err)
 	}
 	return next

@@ -41,11 +41,12 @@ type GroupByResult struct {
 
 // EstimateGroups answers a grouped aggregation ("average score per group")
 // at a fixed labeler budget. proxyGroups supplies a predicted group per
-// record (e.g. from Index.PropagateVote); sampling is stratified by the
-// predicted group with equal allocation, which concentrates budget on rare
-// groups when the proxy is accurate. Group membership and scores of sampled
-// records come from the target labeler, so the estimates are unbiased
-// within strata regardless of proxy quality.
+// record (e.g. a distance-weighted vote of its nearest representatives'
+// labels); sampling is stratified by the predicted group with equal
+// allocation, which concentrates budget on rare groups when the proxy is
+// accurate. Group membership and scores of sampled records come from the
+// target labeler, so the estimates are unbiased within strata regardless of
+// proxy quality.
 func EstimateGroups(opts GroupByOptions, n int, proxyGroups []string, groupOf GroupFunc, score ScoreFunc, lab labeler.Labeler) (GroupByResult, error) {
 	if n <= 0 {
 		return GroupByResult{}, errors.New("aggregation: empty dataset")

@@ -16,11 +16,11 @@ import (
 // record is embedded with the shared model and min-k scanned against the
 // corpus-global representative set, and the rows are appended to the LAST
 // shard, whose range grows from [Lo, Hi) to [Lo, Hi+n). Records receive
-// consecutive IDs starting at NumRecords, and the computation is bit-for-bit
-// the one core.Index.AppendRecords runs on the unsharded index — the
-// representative matrix is gathered from the owner shards in the same order,
-// and the same scan kernel runs at the same parallelism contract (output
-// identical at every worker count).
+// consecutive IDs starting at NumRecords, and each record's neighbor list is
+// bit for bit the row a one-pass table build over the grown corpus computes —
+// the representative matrix is gathered from the owner shards in
+// representative-list order, and the same scan kernel runs at the same
+// parallelism contract (output identical at every worker count).
 //
 // The append is a write like Crack: a replacement last shard with the
 // extended matrix and table is built and published as the next version, one
@@ -56,9 +56,9 @@ func (x *Index) AppendRecords(features [][]float64) ([]int, error) {
 func (v *Version) lastShard() *Shard { return v.shards[len(v.shards)-1] }
 
 // gatherRepEmbeddings assembles the representative embedding matrix from the
-// owner shards, in representative-list order — the same values
-// core.AppendRecords gathers from the unsharded matrix, so the scans stay
-// bitwise identical.
+// owner shards, in representative-list order — the rows
+// vecmath.GatherRows takes from the whole-corpus matrix, so the scans stay
+// bitwise identical at every shard count.
 func (v *Version) gatherRepEmbeddings(reps []int, dim int) vecmath.Matrix {
 	m := vecmath.NewMatrix(len(reps), dim)
 	for j, rep := range reps {

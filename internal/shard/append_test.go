@@ -38,25 +38,20 @@ func embeddingRow(v *shard.Version, id int) []float64 {
 }
 
 // TestShardAppendInvariance pins the append determinism contract: appending
-// the same features to the unsharded index and to a sharded twin — at every
-// shard count and worker count — produces bitwise-identical embeddings,
-// neighbor rows, and downstream propagation.
+// features to a served index — at every shard count and worker count —
+// produces the embeddings, neighbor rows, and downstream propagation a
+// from-scratch table over the grown corpus computes, bit for bit.
 func TestShardAppendInvariance(t *testing.T) {
 	const n, reps = 400, 50
 	base, _ := buildIndex(t, n, reps)
 	features := extraFeatures(t, 80, 99)
-	wantIDs, err := base.AppendRecords(features)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newReference(base, features, nil, nil)
 	score := core.CountScore("car")
-	wantProxy, err := base.Propagate(score)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantProxy := ref.propagate(score, base.Table.K)
 
 	for _, shards := range []int{1, 2, 3, 4} {
 		for _, par := range []int{1, 4} {
+			name := fmt.Sprintf("shards=%d par=%d", shards, par)
 			ix, _ := buildIndex(t, n, reps)
 			x, err := shard.Split(ix, shards)
 			if err != nil {
@@ -65,16 +60,17 @@ func TestShardAppendInvariance(t *testing.T) {
 			x.SetParallelism(par)
 			ids, err := x.AppendRecords(features)
 			if err != nil {
-				t.Fatalf("shards=%d par=%d: %v", shards, par, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			sameInts(t, "append ids", ids, wantIDs)
-			if x.NumRecords() != n+len(features) {
-				t.Fatalf("shards=%d: NumRecords = %d, want %d", shards, x.NumRecords(), n+len(features))
+			for i, id := range ids {
+				if id != n+i {
+					t.Fatalf("%s: append id %d = %d, want %d", name, i, id, n+i)
+				}
 			}
+			sameTable(t, name, x.Pin(), ref)
 			for _, id := range ids {
-				sameBits(t, "embedding row", embeddingRow(x.Pin(), id), base.Embeddings.Row(id))
-				if got, want := x.Pin().NearestDistance(id), base.Table.Neighbors[id][0].Dist; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("shards=%d record %d: nearest dist %v, want %v", shards, id, got, want)
+				if got, want := x.Pin().NearestDistance(id), ref.table.Neighbors[id][0].Dist; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s record %d: nearest dist %v, want %v", name, id, got, want)
 				}
 			}
 			got, err := x.Propagate(score)
@@ -84,7 +80,7 @@ func TestShardAppendInvariance(t *testing.T) {
 			sameBits(t, "proxy after append", got, wantProxy)
 			for s := 0; s < x.NumShards(); s++ {
 				if err := x.Shard(s).Validate(); err != nil {
-					t.Fatalf("shards=%d shard %d after append: %v", shards, s, err)
+					t.Fatalf("%s: shard %d after append: %v", name, s, err)
 				}
 			}
 		}
@@ -93,12 +89,15 @@ func TestShardAppendInvariance(t *testing.T) {
 
 // TestShardAppendThenCrack checks appended records are crackable like any
 // built record: the new representative lands in every shard's table and the
-// tables stay valid.
+// tables stay valid. An empty batch appends nothing.
 func TestShardAppendThenCrack(t *testing.T) {
 	ix, _ := buildIndex(t, 300, 40)
 	x, err := shard.Split(ix, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ids, err := x.AppendRecords(nil); err != nil || ids != nil || x.NumRecords() != 300 {
+		t.Fatalf("empty append: ids=%v err=%v, %d records", ids, err, x.NumRecords())
 	}
 	ids, err := x.AppendRecords(extraFeatures(t, 30, 7))
 	if err != nil {

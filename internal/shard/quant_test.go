@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -31,39 +32,25 @@ func buildQuantIndex(t *testing.T, n, reps int) (*core.Index, *dataset.Dataset) 
 
 // TestShardQuantInvariance extends the headline shard property to the
 // quantized plane: every scatter-gather path of a quantized sharded index —
-// including cracks and appends that scan the code plane — is bitwise
-// identical to the float-only unsharded index, at every shard count and
-// every worker count.
+// including cracks and appends that scan the code plane — is bitwise what a
+// float-only, from-scratch table over the final corpus and representatives
+// computes, at every shard count and every worker count.
 func TestShardQuantInvariance(t *testing.T) {
 	const n, reps = 500, 60
-	base, ds := buildIndex(t, n, reps) // float-only ground truth
+	base, ds := buildIndex(t, n, reps)
 	score := core.CountScore("car")
 
-	// Evolve the baseline: crack a spread of records, then append a batch.
+	// The writes: crack a spread of records, then append a batch.
 	anns := map[int]dataset.Annotation{}
+	var ids []int
 	for id := 3; id < n; id += 41 {
 		anns[id] = ds.Truth[id]
+		ids = append(ids, id)
 	}
-	base.CrackAll(anns)
-	more, err := dataset.Generate("night-street", 60, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	features := make([][]float64, more.Len())
-	for i := range features {
-		features[i] = more.Records[i].Features
-	}
-	if _, err := base.AppendRecords(features); err != nil {
-		t.Fatal(err)
-	}
-	wantProxy, err := base.Propagate(score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantScores, wantDists, err := base.PropagateNearest(score)
-	if err != nil {
-		t.Fatal(err)
-	}
+	features := extraFeatures(t, 60, 8)
+	ref := newReference(base, features, ids, anns)
+	wantProxy := ref.propagate(score, base.Table.K)
+	wantScores, wantDists := ref.nearest(score)
 	wantOrder := limitq.Order(wantScores, wantDists)
 
 	for _, shards := range []int{1, 2, 4} {
@@ -78,6 +65,7 @@ func TestShardQuantInvariance(t *testing.T) {
 			if _, err := x.AppendRecords(features); err != nil {
 				t.Fatal(err)
 			}
+			sameTable(t, fmt.Sprintf("shards=%d par=%d", shards, par), x.Pin(), ref)
 			for s := 0; s < x.NumShards(); s++ {
 				if err := x.Shard(s).Validate(); err != nil {
 					t.Fatalf("shards=%d par=%d: shard %d invalid: %v", shards, par, s, err)

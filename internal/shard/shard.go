@@ -1,6 +1,8 @@
-// Package shard partitions a built TASTI index into record-range shards and
-// serves every query through a scatter-gather layer that is bitwise
-// indistinguishable from the unsharded index.
+// Package shard serves a built TASTI index: its Index is the one type that
+// answers queries and takes writes — cracks, appends, reloads. Split
+// partitions a core.Index into record-range shards, and every query runs
+// through a scatter-gather layer that is bitwise indistinguishable from one
+// shard holding the whole corpus.
 //
 // # Partitioning
 //
@@ -14,8 +16,8 @@
 //
 // # Determinism contract
 //
-// Every scatter-gather path produces output bitwise identical to the
-// unsharded index, for any shard count and any worker count:
+// Every scatter-gather path produces output bitwise identical to one shard
+// holding the whole corpus, for any shard count and any worker count:
 //
 //   - Propagation (PropagateK, PropagateNearest) writes each record's score
 //     from only that record's neighbor row and the shared representative
@@ -28,7 +30,8 @@
 //   - Cracking (Crack, CrackAll) updates each record's neighbor row from only
 //     that row, the record's own embedding, and the new representative's
 //     embedding — supplied by the owning shard — so per-shard tables evolve
-//     exactly as one global table would.
+//     exactly as one global table would, and equal the table a one-pass
+//     build over the final representative list computes.
 //
 // What deliberately does NOT scatter: estimator-side reductions. Floating-
 // point addition is not associative, so combining per-shard partial sums
@@ -51,9 +54,9 @@
 // and the Set* wiring calls — are serialized among themselves only, by one
 // mutex readers never touch. Each builds the next version copy-on-write from
 // the published one and publishes it: nothing reachable from a published
-// Version is written again. Cracking clones each
-// shard's Neighbors outer slice, representative list and Annotations map and
-// gives every neighbor list it changes a fresh row (cluster.Table); appending
+// Version is written again. Cracking clones each shard's Neighbors outer
+// slice, representative list and Annotations map and gives every neighbor
+// list it changes a fresh row (cluster.Table); appending
 // extends the last shard's matrix and table past the lengths older versions
 // hold, where their readers never look. A superseded version is garbage once
 // the last request that pinned it returns.
@@ -498,7 +501,8 @@ func (v *Version) observePropagate(metric string, start time.Time) {
 
 // Propagate computes the corpus-global proxy-score vector over each record's
 // K nearest representatives, scattering across shards and gathering into one
-// slice — bitwise identical to core.Index.Propagate on the unsharded index.
+// slice — bitwise identical to one min-k table over the whole corpus, and to
+// core.Index.Propagate on the unsharded index.
 func (v *Version) Propagate(score core.ScoreFunc) ([]float64, error) {
 	return v.PropagateKSpan(score, v.K(), nil)
 }
@@ -548,7 +552,7 @@ func (v *Version) PropagateKSpan(score core.ScoreFunc, k int, sp *telemetry.Span
 
 // PropagateNearest gathers each record's nearest representative's exact
 // score and the distance to it — the k=1 scoring with distance tie-breaking
-// that limit queries use — bitwise identical to core.Index.PropagateNearest.
+// that limit queries use — bitwise identical at every shard count.
 func (v *Version) PropagateNearest(score core.ScoreFunc) (scores, dists []float64, err error) {
 	return v.PropagateNearestSpan(score, nil)
 }
@@ -621,12 +625,11 @@ func (x *Index) Crack(id int, ann dataset.Annotation) {
 // supplies the embedding row, then each shard records the annotation and
 // updates its own table rows — the same per-record computation the unsharded
 // Table.AddRepresentativeEmb runs, so the sharded tables stay bitwise identical
-// to the global one. Records that are already annotated are skipped,
-// mirroring core.Index.Crack; a batch of nothing else keeps the published
-// version, its generation and its proxy columns. Each representative added
-// advances the generation by one. CrackAll returns how many representatives
-// the batch added to the index: what RepCount grew by, with no other write in
-// between.
+// to the global one. Records that are already annotated are skipped; a batch
+// of nothing else keeps the published version, its generation and its proxy
+// columns. Each representative added advances the generation by one.
+// CrackAll returns how many representatives the batch added to the index:
+// what RepCount grew by, with no other write in between.
 func (x *Index) CrackAll(anns map[int]dataset.Annotation) (added int) {
 	ids := make([]int, 0, len(anns))
 	for id := range anns {

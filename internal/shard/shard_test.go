@@ -3,16 +3,22 @@ package shard_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/embed"
 	"repro/internal/labeler"
 	"repro/internal/query/limitq"
 	"repro/internal/shard"
 	"repro/internal/snapshot"
 	"repro/internal/telemetry"
+	"repro/internal/vecmath"
 )
 
 // buildIndex builds a deterministic TASTI-PT index. Build is seed-driven, so
@@ -48,6 +54,91 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 	}
 }
 
+// reference is the state a sequence of cracks and appends on a served index
+// must reach bit for bit, computed from scratch: cluster's min-k table over
+// the whole embedding matrix and the final representative list, built in one
+// pass, and propagated with the shared kernel.
+type reference struct {
+	emb   vecmath.Matrix
+	table *cluster.Table
+	anns  map[int]dataset.Annotation
+}
+
+// newReference is built index ix with the records of appended embedded by its
+// model and appended, then every record of cracked that is not yet a
+// representative added as one, in order.
+func newReference(ix *core.Index, appended [][]float64, cracked []int, anns map[int]dataset.Annotation) reference {
+	n := ix.NumRecords()
+	emb := vecmath.NewMatrix(n+len(appended), ix.Embeddings.Dim())
+	copy(emb.Data(), ix.Embeddings.Data())
+	for i, f := range appended {
+		embed.Into(ix.Embedder, emb.Row(n+i), f)
+	}
+	reps := slices.Clone(ix.Table.Reps)
+	all := maps.Clone(ix.Annotations)
+	for _, id := range cracked {
+		if _, ok := all[id]; !ok {
+			reps = append(reps, id)
+			all[id] = anns[id]
+		}
+	}
+	return reference{emb: emb, table: cluster.BuildTablePar(emb, reps, ix.Table.K, 1), anns: all}
+}
+
+// propagate is the reference's weighted propagation over k neighbors.
+func (r reference) propagate(score core.ScoreFunc, k int) []float64 {
+	n := r.emb.Rows()
+	repScores := make([]float64, n)
+	for _, rep := range r.table.Reps {
+		repScores[rep] = score(r.anns[rep])
+	}
+	out := make([]float64, n)
+	core.PropagateKRange(out, r.table.Neighbors, repScores, k, 0, n)
+	return out
+}
+
+// nearest is the reference's nearest-representative scores and distances.
+func (r reference) nearest(score core.ScoreFunc) (scores, dists []float64) {
+	n := r.emb.Rows()
+	scores, dists = make([]float64, n), make([]float64, n)
+	for i, nbrs := range r.table.Neighbors {
+		scores[i], dists[i] = score(r.anns[nbrs[0].Rep]), nbrs[0].Dist
+	}
+	return scores, dists
+}
+
+// sameTable fails unless every shard of v holds the reference's
+// representative list, and its embedding and neighbor rows, bit for bit.
+func sameTable(t *testing.T, name string, v *shard.Version, ref reference) {
+	t.Helper()
+	if v.NumRecords() != ref.emb.Rows() {
+		t.Fatalf("%s: %d records, reference %d", name, v.NumRecords(), ref.emb.Rows())
+	}
+	for s := 0; s < v.NumShards(); s++ {
+		sh := v.Shard(s)
+		sameInts(t, fmt.Sprintf("%s: shard %d reps", name, s), sh.Table.Reps, ref.table.Reps)
+		for i := range sh.Table.Neighbors {
+			id := sh.Lo + i
+			sameBits(t, fmt.Sprintf("%s: record %d embedding", name, id), sh.Embeddings.Row(i), ref.emb.Row(id))
+			sameNeighbors(t, fmt.Sprintf("%s: record %d", name, id), sh.Table.Neighbors[i], ref.table.Neighbors[id])
+		}
+	}
+}
+
+// sameNeighbors fails unless two neighbor rows name the same representatives
+// at float64-bitwise identical distances.
+func sameNeighbors(t *testing.T, name string, got, want []cluster.Neighbor) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d neighbors, want %d", name, len(got), len(want))
+	}
+	for j := range want {
+		if got[j].Rep != want[j].Rep || math.Float64bits(got[j].Dist) != math.Float64bits(want[j].Dist) {
+			t.Fatalf("%s: neighbor %d = %+v, want %+v", name, j, got[j], want[j])
+		}
+	}
+}
+
 func sameInts(t *testing.T, name string, got, want []int) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -61,20 +152,15 @@ func sameInts(t *testing.T, name string, got, want []int) {
 }
 
 // TestShardCountInvariance is the headline property: every scatter-gather
-// query path produces output bitwise identical to the unsharded index, at
-// every shard count and every worker count.
+// query path produces output bitwise identical to one table over the whole
+// corpus, at every shard count and every worker count.
 func TestShardCountInvariance(t *testing.T) {
 	const n, reps = 500, 60
 	base, _ := buildIndex(t, n, reps)
+	ref := newReference(base, nil, nil, nil)
 	score := core.CountScore("car")
-	wantProxy, err := base.Propagate(score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantScores, wantDists, err := base.PropagateNearest(score)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantProxy := ref.propagate(score, base.Table.K)
+	wantScores, wantDists := ref.nearest(score)
 	wantOrder := limitq.Order(wantScores, wantDists)
 	wantProxyOrder := limitq.Order(wantProxy, nil)
 
@@ -86,6 +172,7 @@ func TestShardCountInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			x.SetParallelism(par)
+			sameTable(t, fmt.Sprintf("shards=%d par=%d", shards, par), x.Pin(), ref)
 
 			got, err := x.Propagate(score)
 			if err != nil {
@@ -107,49 +194,57 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestCrackInvariance: cracking through the sharded surface evolves every
-// shard's table exactly as the one global table would — same representative
-// set, bitwise-identical propagation afterwards.
+// TestCrackInvariance: cracking through the sharded surface, in ascending ID
+// order, evolves every shard's table into the one a from-scratch build over
+// the final representative list computes — at shard counts 1 and 3, with the
+// quantized plane off and on — and propagates its bits afterwards.
 func TestCrackInvariance(t *testing.T) {
 	const n, reps = 400, 40
 	base, ds := buildIndex(t, n, reps)
 	anns := map[int]dataset.Annotation{}
+	var ids []int
 	for id := 5; id < n; id += 29 {
 		anns[id] = ds.Truth[id]
+		ids = append(ids, id)
 	}
-	base.CrackAll(anns)
+	ref := newReference(base, nil, ids, anns)
 	score := core.CountScore("car")
-	wantProxy, err := base.Propagate(score)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantProxy := ref.propagate(score, base.Table.K)
 
-	ix, _ := buildIndex(t, n, reps)
-	x, err := shard.Split(ix, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x.CrackAll(anns)
-	if got, want := x.RepCount(), len(base.Table.Reps); got != want {
-		t.Fatalf("sharded crack grew to %d reps, unsharded to %d", got, want)
-	}
-	got, err := x.Propagate(score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, "post-crack Propagate", got, wantProxy)
-	for s := 0; s < x.NumShards(); s++ {
-		if err := x.Shard(s).Validate(); err != nil {
-			t.Errorf("shard %d invalid after cracking: %v", s, err)
+	for _, shards := range []int{1, 3} {
+		for _, quantized := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d quantized=%v", shards, quantized)
+			build := buildIndex
+			if quantized {
+				build = buildQuantIndex
+			}
+			ix, _ := build(t, n, reps)
+			x, err := shard.Split(ix, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if added := x.CrackAll(anns); added != len(ref.table.Reps)-reps {
+				t.Fatalf("%s: CrackAll added %d reps, reference %d", name, added, len(ref.table.Reps)-reps)
+			}
+			sameTable(t, name, x.Pin(), ref)
+			got, err := x.Propagate(score)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, name+": post-crack Propagate", got, wantProxy)
+			for s := 0; s < x.NumShards(); s++ {
+				if err := x.Shard(s).Validate(); err != nil {
+					t.Errorf("%s: shard %d invalid after cracking: %v", name, s, err)
+				}
+			}
+
+			// Cracking an already-annotated record is a no-op.
+			before := x.RepCount()
+			x.Crack(ids[0], anns[ids[0]])
+			if x.RepCount() != before {
+				t.Errorf("%s: re-cracking a representative changed RepCount %d -> %d", name, before, x.RepCount())
+			}
 		}
-	}
-
-	// Cracking an already-annotated record is a no-op, mirroring core.
-	before := x.RepCount()
-	rep := x.Shard(0).Table.Reps[0]
-	x.Crack(rep, ds.Truth[rep])
-	if x.RepCount() != before {
-		t.Errorf("cracking an existing representative changed RepCount %d -> %d", before, x.RepCount())
 	}
 }
 

@@ -2,156 +2,114 @@ package shard_test
 
 import (
 	"fmt"
-	"math"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/parallel"
+	"repro/internal/embed"
 	"repro/internal/shard"
 	"repro/internal/vecmath"
 )
 
-// The reference below is the cracking this package ran before index versions
-// existed, kept verbatim (receivers turned into parameters): Crack recorded
-// the annotation in each live shard's map and let the shard's table shift the
-// new representative into each neighbor row IN PLACE. It is what the
-// copy-on-write crack must reproduce bit for bit — and, mutating shared rows
-// as it does, exactly what a pinned version must never observe.
-
-// refAddRepresentativeEmb is the in-place cluster.Table.AddRepresentativeEmb
-// over the float rows.
-func refAddRepresentativeEmb(t *cluster.Table, embeddings vecmath.Matrix, rep int, repEmb []float64, p int) {
-	for _, existing := range t.Reps {
-		if existing == rep {
-			return
-		}
-	}
-	t.Reps = append(t.Reps, rep)
-	parallel.ForChunks(p, embeddings.Rows(), func(_ int, s parallel.Span) {
-		for i := s.Lo; i < s.Hi; i++ {
-			d := math.Sqrt(vecmath.SquaredL2(embeddings.Row(i), repEmb))
-			nbrs := t.Neighbors[i]
-			if len(nbrs) >= t.K && d >= nbrs[len(nbrs)-1].Dist {
-				continue
-			}
-			pos := sort.Search(len(nbrs), func(j int) bool { return nbrs[j].Dist > d })
-			nbrs = append(nbrs, cluster.Neighbor{})
-			copy(nbrs[pos+1:], nbrs[pos:])
-			nbrs[pos] = cluster.Neighbor{Rep: rep, Dist: d}
-			if len(nbrs) > t.K {
-				nbrs = nbrs[:t.K]
-			}
-			t.Neighbors[i] = nbrs
-		}
-	})
+// model is what the published version must hold after each write, kept from
+// scratch: every record's embedding, and per shard the range, representative
+// list and annotations its writes left — a rolling reload leaves one shard a
+// representative ahead of its peers. Each shard's neighbor rows are then
+// cluster's one-pass table over the whole matrix and that shard's list.
+type model struct {
+	emb    vecmath.Matrix
+	lo, hi []int
+	reps   [][]int
+	anns   []map[int]dataset.Annotation
 }
 
-// refAddRepresentativeQuant is the in-place cluster.Table.AddRepresentativeEmb
-// over the quantized plane, less its scan statistics.
-func refAddRepresentativeQuant(t *cluster.Table, embeddings vecmath.Matrix, quant vecmath.QuantMatrix, rep int, repEmb []float64, p int) {
-	for _, existing := range t.Reps {
-		if existing == rep {
-			return
-		}
+func newModel(ix *core.Index, v *shard.Version) *model {
+	m := &model{emb: vecmath.NewMatrix(ix.NumRecords(), ix.Embeddings.Dim())}
+	copy(m.emb.Data(), ix.Embeddings.Data())
+	for s := 0; s < v.NumShards(); s++ {
+		m.lo = append(m.lo, v.Shard(s).Lo)
+		m.hi = append(m.hi, v.Shard(s).Hi)
+		m.reps = append(m.reps, slices.Clone(ix.Table.Reps))
+		m.anns = append(m.anns, maps.Clone(ix.Annotations))
 	}
-	t.Reps = append(t.Reps, rep)
-	qrow := make([]uint8, quant.Dim())
-	qErr := vecmath.QuantizeRowInto(qrow, repEmb, quant.Params())
-	codeDists := make([]int64, embeddings.Rows()) // chunk-disjoint writes
-	parallel.ForChunks(p, embeddings.Rows(), func(_ int, s parallel.Span) {
-		vecmath.CodeDistBatch(qrow, quant.RowRange(s.Lo, s.Hi), codeDists[s.Lo:s.Hi])
-		for i := s.Lo; i < s.Hi; i++ {
-			nbrs := t.Neighbors[i]
-			if len(nbrs) >= t.K {
-				if lb := quant.LowerBound(codeDists[i], qErr); lb >= nbrs[len(nbrs)-1].Dist {
-					continue
-				}
-			}
-			d := math.Sqrt(vecmath.SquaredL2(embeddings.Row(i), repEmb))
-			if len(nbrs) >= t.K && d >= nbrs[len(nbrs)-1].Dist {
-				continue
-			}
-			pos := sort.Search(len(nbrs), func(j int) bool { return nbrs[j].Dist > d })
-			nbrs = append(nbrs, cluster.Neighbor{})
-			copy(nbrs[pos+1:], nbrs[pos:])
-			nbrs[pos] = cluster.Neighbor{Rep: rep, Dist: d}
-			if len(nbrs) > t.K {
-				nbrs = nbrs[:t.K]
-			}
-			t.Neighbors[i] = nbrs
-		}
-	})
+	return m
 }
 
-// refCrack is the in-place Index.Crack over x's live shards. x must be an
-// index nothing else reads: this writes the published shards.
-func refCrack(x *shard.Index, id int, ann dataset.Annotation, par int) {
-	total := x.NumRecords()
-	if id < 0 || id >= total {
-		panic(fmt.Sprintf("shard: crack id %d out of range [0,%d)", id, total))
-	}
-	n := x.NumShards()
-	owner := x.Shard(sort.Search(n, func(s int) bool { return x.Shard(s).Hi > id }))
-	if _, ok := owner.Annotations[id]; ok {
-		return
-	}
-	repEmb := owner.Embeddings.Row(id - owner.Lo)
-	for s := 0; s < n; s++ {
-		sh := x.Shard(s)
-		sh.Annotations[id] = ann
-		if sh.Quant.Enabled() {
-			refAddRepresentativeQuant(sh.Table, sh.Embeddings, sh.Quant, id, repEmb, par)
-		} else {
-			refAddRepresentativeEmb(sh.Table, sh.Embeddings, id, repEmb, par)
-		}
-	}
+// owner is the shard whose range holds id.
+func (m *model) owner(id int) int {
+	return sort.Search(len(m.hi), func(s int) bool { return m.hi[s] > id })
 }
 
-// refCrackAll is the in-place Index.CrackAll.
-func refCrackAll(x *shard.Index, anns map[int]dataset.Annotation, par int) {
-	ids := make([]int, 0, len(anns))
-	for id := range anns {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+// crack adds, in order, the records of ids its owner has not annotated as
+// representatives of the shards in only (every shard when only is nil), and
+// returns how many no shard had before.
+func (m *model) crack(ids []int, anns map[int]dataset.Annotation, only []int) (added int) {
+	var fresh []int
 	for _, id := range ids {
-		refCrack(x, id, anns[id], par)
+		if _, ok := m.anns[m.owner(id)][id]; ok {
+			continue
+		}
+		fresh = append(fresh, id)
+		if !slices.ContainsFunc(m.reps, func(reps []int) bool { return slices.Contains(reps, id) }) {
+			added++
+		}
 	}
+	if only == nil {
+		for s := range m.reps {
+			only = append(only, s)
+		}
+	}
+	for _, id := range fresh {
+		for _, s := range only {
+			m.anns[s][id] = anns[id]
+			if !slices.Contains(m.reps[s], id) {
+				m.reps[s] = append(m.reps[s], id)
+			}
+		}
+	}
+	return added
 }
 
-// sameState fails unless the published version of got and the reference hold
-// the same tables, representative lists and annotations, shard by shard.
-func sameState(t *testing.T, step string, got *shard.Version, ref *shard.Index) {
+// append embeds features with e onto the corpus; the last shard grows.
+func (m *model) append(e embed.Embedder, features [][]float64) {
+	for _, f := range features {
+		row := make([]float64, m.emb.Dim())
+		embed.Into(e, row, f)
+		m.emb.AppendRow(row)
+	}
+	m.hi[len(m.hi)-1] = m.emb.Rows()
+}
+
+// sameState fails unless got's shards hold the model's ranges, representative
+// lists and annotations, and the embedding and neighbor rows cluster computes
+// from scratch over them, bit for bit.
+func sameState(t *testing.T, step string, got *shard.Version, m *model, k int) {
 	t.Helper()
-	if got.NumRecords() != ref.NumRecords() || got.NumShards() != ref.NumShards() {
-		t.Fatalf("%s: %d records in %d shards, reference %d in %d", step,
-			got.NumRecords(), got.NumShards(), ref.NumRecords(), ref.NumShards())
+	if got.NumRecords() != m.emb.Rows() || got.NumShards() != len(m.reps) {
+		t.Fatalf("%s: %d records in %d shards, model %d in %d", step,
+			got.NumRecords(), got.NumShards(), m.emb.Rows(), len(m.reps))
 	}
 	for s := 0; s < got.NumShards(); s++ {
-		g, r := got.Shard(s), ref.Shard(s)
-		if g.Lo != r.Lo || g.Hi != r.Hi {
-			t.Fatalf("%s: shard %d covers [%d,%d), reference [%d,%d)", step, s, g.Lo, g.Hi, r.Lo, r.Hi)
+		g := got.Shard(s)
+		if g.Lo != m.lo[s] || g.Hi != m.hi[s] {
+			t.Fatalf("%s: shard %d covers [%d,%d), model [%d,%d)", step, s, g.Lo, g.Hi, m.lo[s], m.hi[s])
 		}
-		sameInts(t, fmt.Sprintf("%s: shard %d reps", step, s), g.Table.Reps, r.Table.Reps)
-		for i := range r.Table.Neighbors {
-			gr, rr := g.Table.Neighbors[i], r.Table.Neighbors[i]
-			if len(gr) != len(rr) {
-				t.Fatalf("%s: shard %d row %d has %d neighbors, reference %d", step, s, i, len(gr), len(rr))
-			}
-			for j := range rr {
-				if gr[j].Rep != rr[j].Rep || math.Float64bits(gr[j].Dist) != math.Float64bits(rr[j].Dist) {
-					t.Fatalf("%s: shard %d row %d neighbor %d = %+v, reference %+v", step, s, i, j, gr[j], rr[j])
-				}
-			}
+		sameInts(t, fmt.Sprintf("%s: shard %d reps", step, s), g.Table.Reps, m.reps[s])
+		table := cluster.BuildTablePar(m.emb, m.reps[s], k, 1)
+		for i := range g.Table.Neighbors {
+			id := g.Lo + i
+			sameBits(t, fmt.Sprintf("%s: record %d embedding", step, id), g.Embeddings.Row(i), m.emb.Row(id))
+			sameNeighbors(t, fmt.Sprintf("%s: record %d", step, id), g.Table.Neighbors[i], table.Neighbors[id])
 		}
-		if !reflect.DeepEqual(g.Annotations, r.Annotations) {
-			t.Fatalf("%s: shard %d annotations differ from the reference (%d vs %d entries)",
-				step, s, len(g.Annotations), len(r.Annotations))
+		if !reflect.DeepEqual(g.Annotations, m.anns[s]) {
+			t.Fatalf("%s: shard %d annotations differ from the model (%d vs %d entries)",
+				step, s, len(g.Annotations), len(m.anns[s]))
 		}
 	}
 }
@@ -226,16 +184,15 @@ func (p pinnedVersion) check(t *testing.T, after string) {
 	}
 }
 
-// TestVersionsMatchInPlaceReference drives a seeded sequence of crack
+// TestVersionsMatchFromScratchReference drives a seeded sequence of crack
 // batches (in ID order and in the caller's), appends and shard replacements
-// through the copy-on-write writers and, beside it, through the in-place
-// reference on a private deep copy — at shards 1/2/4, workers 1/2/4,
-// quantized off and on. After every write the
-// published version's tables, representative lists and annotations equal the
-// reference's exactly, and every version pinned before any earlier write
-// still propagates the bits it did then: no writer reaches memory a published
-// version can read.
-func TestVersionsMatchInPlaceReference(t *testing.T) {
+// through the copy-on-write writers — at shards 1/2/4, workers 1/2/4,
+// quantized off and on — and beside it through a model of what each write
+// leaves. After every write the published version's tables equal cluster's
+// from-scratch build over the model's representative lists, and every
+// version pinned before any earlier write still propagates the bits it did
+// then: no writer reaches memory a published version can read.
+func TestVersionsMatchFromScratchReference(t *testing.T) {
 	const n, reps, steps = 300, 30, 9
 	for _, quantized := range []bool{false, true} {
 		for _, shards := range []int{1, 2, 4} {
@@ -245,12 +202,13 @@ func TestVersionsMatchInPlaceReference(t *testing.T) {
 					build = buildQuantIndex
 				}
 				ix, ds := build(t, n, reps)
+				twin, _ := build(t, n, reps)
 				x, err := shard.Split(ix, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
 				x.SetParallelism(workers)
-				ref := x.Clone()
+				m := newModel(twin, x.Pin())
 				truth := append([]dataset.Annotation(nil), ds.Truth...)
 				r := rand.New(rand.NewSource(int64(100*shards + workers)))
 				cfg := fmt.Sprintf("quantized=%v shards=%d workers=%d", quantized, shards, workers)
@@ -269,11 +227,13 @@ func TestVersionsMatchInPlaceReference(t *testing.T) {
 							id := r.Intn(x.NumRecords())
 							batch[id] = truth[id]
 						}
-						want := ref.RepCount()
-						refCrackAll(ref, batch, workers)
-						want = ref.RepCount() - want
-						if added := x.CrackAll(batch); added != want {
-							t.Fatalf("%s: CrackAll reports %d representatives added, reference grew by %d", step, added, want)
+						var ids []int
+						for id := range batch {
+							ids = append(ids, id)
+						}
+						sort.Ints(ids)
+						if added, want := x.CrackAll(batch), m.crack(ids, batch, nil); added != want {
+							t.Fatalf("%s: CrackAll reports %d representatives added, model %d", step, added, want)
 						}
 					case "crack-in-order":
 						// The refresher's batch: a caller-chosen order, which
@@ -286,26 +246,19 @@ func TestVersionsMatchInPlaceReference(t *testing.T) {
 								ids = append(ids, id)
 							}
 						}
-						want := ref.RepCount()
-						for _, id := range ids {
-							refCrack(ref, id, batch[id], workers)
-						}
-						want = ref.RepCount() - want
-						if added := x.CrackInOrder(ids, batch); added != want {
-							t.Fatalf("%s: CrackInOrder reports %d representatives added, reference grew by %d", step, added, want)
+						if added, want := x.CrackInOrder(ids, batch), m.crack(ids, batch, nil); added != want {
+							t.Fatalf("%s: CrackInOrder reports %d representatives added, model %d", step, added, want)
 						}
 					case "append":
 						feats, anns := extraRecords(t, 3+r.Intn(4), int64(1000+i))
 						truth = append(truth, anns...)
-						for _, idx := range []*shard.Index{x, ref} {
-							if _, err := idx.AppendRecords(feats); err != nil {
-								t.Fatalf("%s: %v", step, err)
-							}
+						if _, err := x.AppendRecords(feats); err != nil {
+							t.Fatalf("%s: %v", step, err)
 						}
+						m.append(twin.Embedder, feats)
 					case "replace":
 						// A rolling reload caught half way: the replacement
-						// carries one more representative than its peers. The
-						// reference gets its own deep copy — it cracks in place.
+						// carries one more representative than its peers.
 						c := x.Clone()
 						id := r.Intn(x.NumRecords())
 						c.Crack(id, truth[id])
@@ -313,11 +266,9 @@ func TestVersionsMatchInPlaceReference(t *testing.T) {
 						if err := x.ReplaceShard(s, c.Shard(s)); err != nil {
 							t.Fatalf("%s: %v", step, err)
 						}
-						if err := ref.ReplaceShard(s, c.Clone().Shard(s)); err != nil {
-							t.Fatalf("%s: %v", step, err)
-						}
+						m.crack([]int{id}, map[int]dataset.Annotation{id: truth[id]}, []int{s})
 					}
-					sameState(t, step, x.Pin(), ref)
+					sameState(t, step, x.Pin(), m, twin.Table.K)
 					for _, p := range pinned {
 						p.check(t, step)
 					}

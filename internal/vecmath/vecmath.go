@@ -142,35 +142,6 @@ func NormsSquared(m Matrix, dst []float64) []float64 {
 	return dst
 }
 
-// Add returns a+b as a new slice.
-func Add(a, b []float64) []float64 {
-	checkLen(a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a-b as a new slice.
-func Sub(a, b []float64) []float64 {
-	checkLen(a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Scale returns s*a as a new slice.
-func Scale(a []float64, s float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = s * a[i]
-	}
-	return out
-}
-
 // AXPY computes dst += s*a in place: per element, the product rounded to
 // float64 and then the sum rounded — never a fused multiply-add — so the
 // result is bitwise the same on the assembly and the portable path, and
@@ -215,29 +186,6 @@ func axpyRowsGeneric(s, m, dst []float64) {
 	for j, v := range s {
 		axpyGeneric(v, m[j*n:j*n+n], dst)
 	}
-}
-
-// Clone returns a copy of a.
-func Clone(a []float64) []float64 {
-	out := make([]float64, len(a))
-	copy(out, a)
-	return out
-}
-
-// Mean returns the element-wise mean of the vectors. It panics if vs is empty
-// or the lengths differ.
-func Mean(vs [][]float64) []float64 {
-	if len(vs) == 0 {
-		panic("vecmath: mean of no vectors")
-	}
-	out := make([]float64, len(vs[0]))
-	for _, v := range vs {
-		AXPY(out, 1, v)
-	}
-	for i := range out {
-		out[i] /= float64(len(vs))
-	}
-	return out
 }
 
 func checkLen(a, b []float64) {

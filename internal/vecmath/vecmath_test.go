@@ -48,25 +48,6 @@ func TestL2TriangleInequality(t *testing.T) {
 	}
 }
 
-func TestAddSubScaleClone(t *testing.T) {
-	a := []float64{1, 2}
-	b := []float64{3, 5}
-	if got := Add(a, b); got[0] != 4 || got[1] != 7 {
-		t.Errorf("Add = %v", got)
-	}
-	if got := Sub(b, a); got[0] != 2 || got[1] != 3 {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := Scale(a, 2); got[0] != 2 || got[1] != 4 {
-		t.Errorf("Scale = %v", got)
-	}
-	c := Clone(a)
-	c[0] = 99
-	if a[0] == 99 {
-		t.Error("Clone shares storage")
-	}
-}
-
 func TestAXPY(t *testing.T) {
 	dst := []float64{1, 1}
 	AXPY(dst, 2, []float64{3, 4})
@@ -97,22 +78,6 @@ func TestAxpyUnfused(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestMean(t *testing.T) {
-	got := Mean([][]float64{{1, 2}, {3, 4}})
-	if got[0] != 2 || got[1] != 3 {
-		t.Errorf("Mean = %v", got)
-	}
-}
-
-func TestMeanPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on empty input")
-		}
-	}()
-	Mean(nil)
 }
 
 func TestAXPYRows(t *testing.T) {

@@ -38,20 +38,24 @@ func Example() {
 	// Output: estimate within ±0.2 of the true mean: true
 }
 
-// ExampleIndex_PropagateNearest shows the limit-query scoring: k=1
-// propagation with distance tie-breaking.
-func ExampleIndex_PropagateNearest() {
+// ExampleIndexVersion_PropagateNearest shows the limit-query scoring on the
+// served index: k=1 propagation with distance tie-breaking.
+func ExampleIndexVersion_PropagateNearest() {
 	ds, err := tasti.GenerateDataset("night-street", 2000, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
 	oracle := tasti.NewOracle(ds, "mask-rcnn", tasti.MaskRCNNCost)
-	index, err := tasti.Build(tasti.PretrainedConfig(200, 3), ds, oracle)
+	built, err := tasti.Build(tasti.PretrainedConfig(200, 3), ds, oracle)
+	if err != nil {
+		log.Fatal(err)
+	}
+	index, err := tasti.SplitIndex(built, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	scores, dists, err := index.PropagateNearest(tasti.CountScore("car"))
+	scores, dists, err := index.Pin().PropagateNearest(tasti.CountScore("car"))
 	if err != nil {
 		log.Fatal(err)
 	}

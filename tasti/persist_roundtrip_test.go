@@ -9,11 +9,11 @@ import (
 )
 
 // TestSaveLoadQueryEquivalence is the persistence property test: an index
-// restored from its snapshot must answer aggregation, SUPG selection, and
-// limit queries bitwise-identically to the in-memory original — at every
-// worker count, since the repository guarantees parallelism never changes
-// results. Any divergence means Save/Load dropped or reordered state that
-// queries observe.
+// restored from its snapshot and served must answer aggregation, SUPG
+// selection, and limit queries bitwise-identically to the in-memory original
+// served — at every worker count, since the repository guarantees
+// parallelism never changes results. Any divergence means Save/Load dropped
+// or reordered state that queries observe.
 func TestSaveLoadQueryEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -23,14 +23,19 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := tasti.NewOracle(ds, "mask-rcnn", tasti.MaskRCNNCost)
-	index, err := tasti.Build(tasti.PretrainedConfig(150, 5), ds, oracle)
+	built, err := tasti.Build(tasti.PretrainedConfig(150, 5), ds, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := index.Save(&buf); err != nil {
+	if err := built.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	index, err := tasti.SplitIndex(built, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := index.Pin()
 
 	carCount := tasti.CountScore("car")
 	hasCar := func(ann tasti.Annotation) bool {
@@ -38,7 +43,7 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 	}
 
 	// Reference answers from the in-memory index.
-	refScores, err := index.Propagate(carCount)
+	refScores, err := ref.Propagate(carCount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +59,7 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refNear, refDist, err := index.PropagateNearest(carCount)
+	refNear, refDist, err := ref.PropagateNearest(carCount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +69,16 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 	}
 
 	for _, p := range []int{1, 4} {
-		loaded, err := tasti.LoadIndex(bytes.NewReader(buf.Bytes()))
+		restored, err := tasti.LoadIndex(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("p=%d: load: %v", p, err)
 		}
-		loaded.SetParallelism(p)
+		served, err := tasti.SplitIndex(restored, 1)
+		if err != nil {
+			t.Fatalf("p=%d: split: %v", p, err)
+		}
+		served.SetParallelism(p)
+		loaded := served.Pin()
 
 		scores, err := loaded.Propagate(carCount)
 		if err != nil {

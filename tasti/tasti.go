@@ -16,17 +16,22 @@
 //	ds, _ := tasti.GenerateDataset("night-street", 20000, 1)
 //	oracle := tasti.NewOracle(ds, "mask-rcnn", tasti.MaskRCNNCost)
 //	cfg := tasti.DefaultConfig(600, 900, tasti.VideoBucketKey(0.5), 1)
-//	index, _ := tasti.Build(cfg, ds, oracle)
+//	built, _ := tasti.Build(cfg, ds, oracle)
+//	index, _ := tasti.SplitIndex(built, 1) // the served index
 //
 //	// Aggregation: average cars per frame with an error guarantee.
-//	scores, _ := index.Propagate(tasti.CountScore("car"))
+//	scores, _ := index.Pin().Propagate(tasti.CountScore("car"))
 //	res, _ := tasti.EstimateAggregate(tasti.AggregateOptions{ErrTarget: 0.05, Delta: 0.05, Seed: 2},
 //	    ds.Len(), scores, tasti.CountScore("car"), oracle)
 //
 // The same index serves selection queries with recall guarantees
 // (SelectWithRecall), limit queries over rare events (FindLimit), and
 // guarantee-free threshold selection (SelectByThreshold). Labels paid for
-// during query execution can be folded back into the index with Crack.
+// during query execution are folded back into it with
+// ShardedIndex.CrackAll, and new records arrive with
+// ShardedIndex.AppendRecords. Build's Index is the builder's output: it
+// saves, loads and splits, and the ShardedIndex it splits into is the one
+// type that answers queries and takes writes.
 package tasti
 
 import (
@@ -124,7 +129,7 @@ func NewCountingLabeler(inner Labeler) *labeler.Counting {
 
 // NewCachingLabeler wraps a labeler with a result cache. Run a query
 // through it, then read CachedIDs/Label to collect every annotation the
-// query paid for — the input to Index.CrackAll.
+// query paid for — the input to ShardedIndex.CrackAll.
 func NewCachingLabeler(inner Labeler) *labeler.Cached {
 	return labeler.NewCached(inner)
 }
@@ -243,13 +248,14 @@ func BuildResumable(cfg Config, ds *Dataset, lab Labeler, ckpt *Checkpoint) (*In
 // Index construction.
 type (
 	// Config parameterizes index construction. Config.Parallelism bounds
-	// the worker count for construction, propagation, and cracking (<= 0
-	// uses all CPUs); for a fixed Seed the built index is bitwise identical
-	// at every parallelism level, so the knob only trades wall-clock time
-	// for CPU. See docs/ARCHITECTURE.md for the pipeline's concurrency
-	// design.
+	// the worker count for construction, and SplitIndex carries it over to
+	// propagation, cracking and appends (<= 0 uses all CPUs); for a fixed
+	// Seed the built index is bitwise identical at every parallelism level,
+	// so the knob only trades wall-clock time for CPU. See
+	// docs/ARCHITECTURE.md for the pipeline's concurrency design.
 	Config = core.Config
-	// Index is a built TASTI index.
+	// Index is a built TASTI index: Save it, load it, and SplitIndex it into
+	// the ShardedIndex that serves queries and takes cracks and appends.
 	Index = core.Index
 	// ScoreFunc turns an annotation into a numeric query-specific score.
 	ScoreFunc = core.ScoreFunc
@@ -646,7 +652,8 @@ type (
 
 // EstimateGroupedAggregate estimates the mean of score within each group at
 // a fixed labeler budget, stratifying the sample by predicted groups —
-// typically Index.PropagateVote output — to sharpen rare groups.
+// typically a distance-weighted vote of each record's nearest
+// representatives' labels — to sharpen rare groups.
 func EstimateGroupedAggregate(opts GroupByOptions, n int, proxyGroups []string, groupOf func(Annotation) string, score func(Annotation) float64, lab Labeler) (GroupByResult, error) {
 	return aggregation.EstimateGroups(opts, n, proxyGroups, groupOf, score, lab)
 }

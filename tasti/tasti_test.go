@@ -8,8 +8,8 @@ import (
 )
 
 // TestEndToEnd drives the public API the way the README's quickstart does:
-// generate a corpus, build an index, and run all four query types plus
-// persistence and cracking.
+// generate a corpus, build an index, persist it, serve it, and run all four
+// query types plus cracking on the served index.
 func TestEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -21,17 +21,26 @@ func TestEndToEnd(t *testing.T) {
 	oracle := tasti.NewOracle(ds, "mask-rcnn", tasti.MaskRCNNCost)
 
 	cfg := tasti.DefaultConfig(400, 350, tasti.VideoBucketKey(0.5), 3)
-	index, err := tasti.Build(cfg, ds, oracle)
+	built, err := tasti.Build(cfg, ds, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if index.Stats.TotalLabelCalls() > 750 {
-		t.Errorf("index spent %d labels, budgeted 750", index.Stats.TotalLabelCalls())
+	if built.Stats.TotalLabelCalls() > 750 {
+		t.Errorf("index spent %d labels, budgeted 750", built.Stats.TotalLabelCalls())
 	}
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	index, err := tasti.SplitIndex(built, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := index.Pin()
 
 	// Aggregation.
 	carCount := tasti.CountScore("car")
-	scores, err := index.Propagate(carCount)
+	scores, err := v.Propagate(carCount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +67,7 @@ func TestEndToEnd(t *testing.T) {
 	hasCar := func(ann tasti.Annotation) bool {
 		return ann.(tasti.VideoAnnotation).Count("car") >= 1
 	}
-	selScores, err := index.Propagate(tasti.MatchScore(hasCar))
+	selScores, err := v.Propagate(tasti.MatchScore(hasCar))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +89,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Limit query.
-	limScores, limDists, err := index.PropagateNearest(carCount)
+	limScores, limDists, err := v.PropagateNearest(carCount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +109,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Persistence round trip.
-	var buf bytes.Buffer
-	if err := index.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	// Persistence round trip: the restored index propagates the served bits.
 	loaded, err := tasti.LoadIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -134,10 +139,9 @@ func TestEndToEnd(t *testing.T) {
 		}
 		paid[id] = ann
 	}
-	before := len(index.Table.Reps)
-	index.CrackAll(paid)
-	if len(index.Table.Reps) <= before {
-		t.Error("cracking added no representatives")
+	before := index.RepCount()
+	if added := index.CrackAll(paid); added == 0 || index.RepCount() != before+added {
+		t.Errorf("cracking added %d representatives: %d -> %d", added, before, index.RepCount())
 	}
 }
 
