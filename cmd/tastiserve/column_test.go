@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,6 +102,74 @@ func annotationAnswer(t *testing.T, srv *server, route, body string) []byte {
 	return rec.Body.Bytes()
 }
 
+// checkSelectionReaders holds the served select's two readers of its returned
+// set to the set itself: over srv's column of the request's match scorer,
+// Len and IDs(20) of each target's Selection must be len(Returned) and
+// Returned[:min(20, len)] of the one-shot SelectWithRecall /
+// SelectWithPrecision over the same scores — with an ample labeler, and with
+// one whose budget runs out a third of the way into the sample. It returns
+// how many of those sets were empty; each must render "sample_ids":null.
+func checkSelectionReaders(t *testing.T, srv *server, body string) (empty int) {
+	t.Helper()
+	var req queryRequest
+	rec := httptest.NewRecorder()
+	if !srv.decode(rec, httptest.NewRequest(http.MethodPost, "/query/select", strings.NewReader(body)), &req) {
+		t.Fatalf("decoding %s: %s", body, rec.Body)
+	}
+	q, v := srv.spec(req), srv.index.Pin()
+	col, _, err := v.Column(q.match, tasti.ColumnWeighted, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := tasti.SelectOptions{Budget: req.Budget, Target: req.Recall, Delta: 0.05, Seed: srv.seed + 2}
+	targets := []struct {
+		name      string
+		selection func(tasti.SelectOptions, tasti.MatchSource) (tasti.Selection, error)
+		oneShot   func(tasti.SelectOptions, int, []float64, func(tasti.Annotation) bool, tasti.Labeler) (tasti.SelectResult, error)
+	}{
+		{"recall", col.Design().RecallTargetSelection, tasti.SelectWithRecall},
+		{"precision", col.Design().PrecisionTargetSelection, tasti.SelectWithPrecision},
+	}
+	for _, labelBudget := range []int64{0, int64(req.Budget / 3)} {
+		newLab := func() tasti.Labeler {
+			if labelBudget == 0 {
+				return srv.target
+			}
+			return tasti.NewBudgetedLabeler(srv.target, labelBudget)
+		}
+		for _, tg := range targets {
+			name := fmt.Sprintf("%s %s label budget %d", body, tg.name, labelBudget)
+			lab := newLab()
+			sel, err := tg.selection(opts, func(id int) (bool, error) {
+				ann, err := lab.Label(id)
+				return err == nil && q.pred(ann), err
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := tg.oneShot(opts, v.NumRecords(), col.Scores, q.pred, newLab())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sel.Degraded != (labelBudget > 0) || want.Degraded != sel.Degraded {
+				t.Errorf("%s: degraded %v, one-shot %v", name, sel.Degraded, want.Degraded)
+			}
+			if got, head := sel.IDs(20), want.Returned[:min(20, len(want.Returned))]; sel.Len() != len(want.Returned) || !slices.Equal(got, head) || (got == nil) != (head == nil) {
+				t.Errorf("%s: Len %d and head %v, one-shot %d records headed %v", name, sel.Len(), got, len(want.Returned), head)
+			}
+			if sel.Len() == 0 {
+				empty++
+				rec := httptest.NewRecorder()
+				writeJSON(rec, http.StatusOK, selectBody(sel))
+				if !strings.Contains(rec.Body.String(), `"sample_ids":null`) {
+					t.Errorf("%s: an empty set renders %s", name, rec.Body)
+				}
+			}
+		}
+	}
+	return empty
+}
+
 // knownValues lists what a server's column of sc knows: record → the bits of
 // its exact score.
 func knownValues(t *testing.T, srv *server, sc tasti.Scorer) map[int]uint64 {
@@ -143,6 +213,10 @@ func TestServedColumnEquivalence(t *testing.T) {
 		{"select", `{"class":"car","count":1,"budget":80,"recall":0.9}`, "w:match/car/1"},
 		{"select", `{"class":"car","count":2,"budget":120,"recall":0.8}`, "w:match/car/2"},
 		{"select", `{"class":"car","count":1,"budget":150,"recall":0.95}`, "w:match/car/1"},
+		// No record carries 30 cars: no sampled positive, the −Inf fallback.
+		{"select", `{"class":"car","count":30,"budget":60,"recall":0.9}`, "w:match/car/30"},
+		// 600 draws over 800 records: many records are drawn more than once.
+		{"select", `{"class":"bus","count":1,"budget":600,"recall":0.9}`, "w:match/bus/1"},
 		{"limit", `{"class":"car","count":1,"k":5}`, "n:count/car"},
 		{"limit", `{"class":"bus","count":1,"k":4}`, "n:count/bus"},
 		{"limit", `{"class":"car","count":2,"k":8}`, "n:count/car"},
@@ -157,7 +231,7 @@ func TestServedColumnEquivalence(t *testing.T) {
 			s.reg.Counter(`tasti_proxy_column_requests_total{result="miss"}`).Value()
 	}
 
-	built := map[string]bool{}
+	built, answers := map[string]bool{}, map[string][]byte{}
 	for _, sh := range schedule {
 		first := postQuery(t, a.URL, sh.route, sh.body, "")
 		wantCache := "miss"
@@ -191,12 +265,25 @@ func TestServedColumnEquivalence(t *testing.T) {
 				t.Errorf("%s %s:\n served     %s in process %s", sh.route, sh.body, first, inProcess)
 			}
 		}
+		answers[sh.body] = first
+	}
+	if fallback := schedule[6].body; !bytes.Contains(answers[fallback], []byte(`"threshold":null`)) {
+		t.Errorf("%s: no −Inf fallback threshold in %s", fallback, answers[fallback])
 	}
 	if hits, misses := counts(srvA); misses != int64(len(built)) || hits != int64(2*len(schedule)-len(built)) {
 		t.Errorf("server A: %d hits %d misses over %d requests on %d columns", hits, misses, 2*len(schedule), len(built))
 	}
 	if _, misses := counts(srvB); misses != int64(len(built)) {
 		t.Errorf("server B: %d misses on %d columns", misses, len(built))
+	}
+	empty := 0
+	for _, sh := range schedule {
+		if sh.route == "select" {
+			empty += checkSelectionReaders(t, srvA, sh.body)
+		}
+	}
+	if empty == 0 {
+		t.Error("no select settled on an empty set")
 	}
 	// Both servers answered the same draws, so their columns have learnt the
 	// same exact scores, whichever way each draw's label came; a limit's
@@ -338,7 +425,7 @@ func TestCanceledQueryStopsDrawingValues(t *testing.T) {
 	// An error target this tight needs every record; the sampler is nowhere
 	// near done at draw 150.
 	_, err = tasti.EstimateAggregateValues(tasti.AggregateOptions{ErrTarget: 1e-9, Delta: 0.05, MinSamples: 100, Seed: 5},
-		v.NumRecords(), col.Scores, func(id int) (float64, error) {
+		v.NumRecords(), col.Scores, col.Mean, func(id int) (float64, error) {
 			v, err := source(id)
 			if drawn++; drawn == cancelAt {
 				cancel()

@@ -1250,7 +1250,7 @@ func (s *server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	res, err := tasti.EstimateAggregateValues(tasti.AggregateOptions{
 		ErrTarget: req.Err, Delta: 0.05, MinSamples: 100, Seed: s.seed + 1,
 		Telemetry: s.reg,
-	}, v.NumRecords(), col.Scores, lab.values(col, score))
+	}, v.NumRecords(), col.Scores, col.Mean, lab.values(col, score))
 	lab.publish()
 	esp.SetAttr("label_calls", res.LabelerCalls)
 	esp.End()
@@ -1288,34 +1288,38 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	sc.setCost(int64(len(col.Scores)), int64(v.NumShards()))
 	// The sample span keeps the design's two O(records) passes on the first
-	// select over a column, and only the draws and the threshold search
-	// after it.
+	// select over a column; after it, the draws, the threshold search and one
+	// read-only pass that counts the returned set. Only its first 20 IDs are
+	// listed.
 	lab := s.queryLabeler(ctx, r, v, sc)
 	ssp := sc.child("sample")
-	res, err := col.Design().RecallTargetMatches(tasti.SelectOptions{
+	sel, err := col.Design().RecallTargetSelection(tasti.SelectOptions{
 		Budget: req.Budget, Target: req.Recall, Delta: 0.05, Seed: s.seed + 2,
 		Telemetry: s.reg,
 	}, lab.matches(col, q.match))
 	lab.publish()
-	ssp.SetAttr("label_calls", res.OracleCalls)
+	body := selectBody(sel)
+	ssp.SetAttr("label_calls", sel.OracleCalls)
 	ssp.End()
 	if err != nil {
 		s.queryError(w, r, err)
 		return
 	}
-	sample := res.Returned
-	if len(sample) > 20 {
-		sample = sample[:20]
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"returned": len(res.Returned),
+	writeJSON(w, http.StatusOK, body)
+}
+
+// selectBody renders a settled select: the returned set's size and its first
+// 20 IDs — null when the set is empty — never the set itself.
+func selectBody(sel tasti.Selection) map[string]interface{} {
+	return map[string]interface{}{
+		"returned": sel.Len(),
 		// Non-finite when no sampled record was positive: the query then
 		// returns everything and there is no cutoff to report.
-		"threshold":   finiteOrNil(res.Threshold),
-		"label_calls": res.OracleCalls,
-		"sample_ids":  sample,
-		"degraded":    res.Degraded,
-	})
+		"threshold":   finiteOrNil(sel.Threshold),
+		"label_calls": sel.OracleCalls,
+		"sample_ids":  sel.IDs(20),
+		"degraded":    sel.Degraded,
+	}
 }
 
 func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
@@ -1342,8 +1346,9 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 	// Per-shard heaps merged head by head under limitq's comparator: the
 	// scan order is bitwise identical to the unsharded order over the full
 	// vectors. The order span is the O(records) heapify on the column's
-	// first limit and a copy of the heaps' IDs after it; each ID the scan
-	// takes is an O(log records) pop billed to the scan span.
+	// first limit and nothing after it. The scan reads the column's shared
+	// scan prefix; an ID no earlier request reached is an O(log records) pop
+	// billed to the scan span.
 	osp := sc.child("order")
 	cursor, ordered := col.Cursor(osp)
 	osp.SetAttr("cache", cacheAttr(ordered))

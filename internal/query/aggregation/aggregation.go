@@ -76,9 +76,21 @@ type ValueSource func(id int) (float64, error)
 // Estimate runs the EBS sampler over a dataset of n records. proxy supplies
 // per-record proxy scores used as a control variate; pass nil to run without
 // a proxy (uniform sampling). score maps labeler output to the aggregated
-// quantity. It is EstimateValues over "label the record, then score it".
+// quantity. It is EstimateValues over "label the record, then score it", with
+// the proxy mean folded here.
+//
+// The control variate has known mean: the proxy average over the whole
+// dataset is free to compute. The mean is a serial left fold over the full
+// gathered vector — floating-point addition is not associative, so combining
+// per-shard partial means would change bits. Sharded serving therefore
+// scatters the propagation and gathers the proxy vector before this estimator
+// runs (see internal/shard and docs/SHARDING.md).
 func Estimate(opts Options, n int, proxy []float64, score ScoreFunc, lab labeler.Labeler) (Result, error) {
-	return EstimateValues(opts, n, proxy, func(id int) (float64, error) {
+	proxyMean := 0.0
+	if proxy != nil {
+		proxyMean = stats.Mean(proxy)
+	}
+	return EstimateValues(opts, n, proxy, proxyMean, func(id int) (float64, error) {
 		ann, err := lab.Label(id)
 		if err != nil {
 			return 0, err
@@ -97,9 +109,11 @@ var sampleBufs = sync.Pool{New: func() any { return new(sampleBuf) }}
 // EstimateValues is the sampler itself: Estimate with the labeler and the
 // score function folded into one per-record value source, for a caller that
 // can answer some records' values without materialising an annotation (a
-// served request reading a proxy column's exact scores). Draw order, stopping
-// and the result are those of Estimate over the same values.
-func EstimateValues(opts Options, n int, proxy []float64, value ValueSource) (Result, error) {
+// served request reading a proxy column's exact scores). proxyMean must be
+// stats.Mean(proxy), 0 when proxy is nil — a constant of the vector, which a
+// caller that keeps the vector keeps beside it. Draw order, stopping and the
+// result are those of Estimate over the same values.
+func EstimateValues(opts Options, n int, proxy []float64, proxyMean float64, value ValueSource) (Result, error) {
 	if n <= 0 {
 		return Result{}, errors.New("aggregation: empty dataset")
 	}
@@ -119,17 +133,6 @@ func EstimateValues(opts Options, n int, proxy []float64, value ValueSource) (Re
 	}
 	if minSamples > maxSamples {
 		minSamples = maxSamples
-	}
-
-	// The control variate has known mean: the proxy average over the whole
-	// dataset is free to compute. The mean is a serial left fold over the
-	// full gathered vector — floating-point addition is not associative, so
-	// combining per-shard partial means would change bits. Sharded serving
-	// therefore scatters the propagation and gathers the proxy vector before
-	// this estimator runs (see internal/shard and docs/SHARDING.md).
-	proxyMean := 0.0
-	if proxy != nil {
-		proxyMean = stats.Mean(proxy)
 	}
 
 	opts.Telemetry.Counter(`tasti_query_runs_total{type="aggregate"}`).Inc()

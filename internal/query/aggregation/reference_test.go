@@ -125,7 +125,8 @@ func sameBits(a, b Result) bool {
 // estimateBoth runs one query through both entries of the sampler — Estimate
 // over (score, labeler), and EstimateValues over a table of the records'
 // values computed up front, which touches its labeler only to be charged the
-// draw, the way a served request reads an exact-score column — each on its
+// draw, the way a served request reads an exact-score column, with the proxy
+// mean folded once beside the vector the way a column keeps it — each on its
 // own newLab(). It fails the test unless the two agree on the Result bit for
 // bit, on failing at all, and on the sequence of records drawn; it returns
 // the one answer.
@@ -138,8 +139,12 @@ func estimateBoth(t *testing.T, ds *dataset.Dataset, opts Options, proxy []float
 	for id, ann := range ds.Truth {
 		table[id] = score(ann)
 	}
+	proxyMean := 0.0
+	if proxy != nil {
+		proxyMean = stats.Mean(proxy)
+	}
 	viaValues := &drawLog{Labeler: newLab()}
-	got, gotErr := EstimateValues(opts, ds.Len(), proxy, func(id int) (float64, error) {
+	got, gotErr := EstimateValues(opts, ds.Len(), proxy, proxyMean, func(id int) (float64, error) {
 		if _, err := viaValues.Label(id); err != nil {
 			return 0, err
 		}

@@ -146,18 +146,6 @@ type Cursor struct {
 // tieDist vectors.
 func NewCursor(heaps ...*Heap) *Cursor { return &Cursor{heaps: heaps} }
 
-// Clone returns an independent cursor at c's position: each heap's ID slice
-// is copied — an O(n) memmove instead of NewHeap's O(n) comparisons — and the
-// proxy and tieDist vectors stay shared. Advancing the clone leaves c
-// untouched, so a cursor that is never advanced is a reusable scan order.
-func (c *Cursor) Clone() *Cursor {
-	heaps := make([]*Heap, len(c.heaps))
-	for i, h := range c.heaps {
-		heaps[i] = &Heap{proxy: h.proxy, tieDist: h.tieDist, ids: append([]int(nil), h.ids...)}
-	}
-	return &Cursor{heaps: heaps}
-}
-
 // Next returns the next record ID in scan order; ok is false once every ID
 // has been yielded.
 func (c *Cursor) Next() (id int, ok bool) {

@@ -343,3 +343,185 @@ func BenchmarkDrawSample(b *testing.B) {
 		})
 	}
 }
+
+// referenceAssemble is the returned-set builder as it stood before Selection:
+// an n-bool membership vector written in full, the sample overrides applied
+// in draw order, and the members collected. Kept verbatim (its pooled vector
+// made local) as the reference for Len and IDs.
+func referenceAssemble(proxy []float64, threshold float64, s *sample) []int {
+	include := make([]bool, len(proxy))
+	count := 0
+	for i, p := range proxy {
+		in := p >= threshold
+		include[i] = in
+		if in {
+			count++
+		}
+	}
+	for i, id := range s.ids {
+		// Sampled negatives are known non-matches; excluding them is free
+		// precision. A record drawn twice is settled by its last draw.
+		if include[id] != s.labels[i] {
+			include[id] = s.labels[i]
+			if s.labels[i] {
+				count++
+			} else {
+				count--
+			}
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]int, 0, count)
+	for i, ok := range include {
+		if ok {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestSelectionMatchesReferenceAssemble settles each case through both
+// targets' Selection entries and requires Len, the first 20 IDs and the full
+// listing to be what the old membership vector gives over the same sample
+// and threshold — and the Result entries to list the same set. The cases
+// cover each way the rule can go wrong: the fallback thresholds (no sampled
+// positive: −Inf for recall, +Inf and an empty set for precision), records drawn more than once with both labels, a
+// degraded sample cut short by the label budget, an empty set, and proxy
+// scores tied exactly at the threshold.
+func TestSelectionMatchesReferenceAssemble(t *testing.T) {
+	_, _, _, truth := selectionEnv(t, 1200)
+	good := goodProxy(truth, 0.15, 2)
+	// Ties: scores on a coarse grid, so every threshold is shared by many
+	// records.
+	tied := make([]float64, len(good))
+	for i, p := range good {
+		tied[i] = math.Round(p*4) / 4
+	}
+	none := func(int) (bool, error) { return false, nil }
+	type tcase struct {
+		name   string
+		proxy  []float64
+		opts   Options
+		source func() MatchSource
+		check  func(sel Selection, s *sample) string
+	}
+	truthSource := func(labelBudget int64) func() MatchSource {
+		return func() MatchSource {
+			var calls int64
+			return func(id int) (bool, error) {
+				if labelBudget > 0 && calls == labelBudget {
+					return false, labeler.ErrBudgetExhausted
+				}
+				calls++
+				return truth[id], nil
+			}
+		}
+	}
+	cases := []tcase{
+		{"plain", good, Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 1}, truthSource(0), nil},
+		{"no sampled positive", good, Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 2},
+			func() MatchSource { return none },
+			func(sel Selection, _ *sample) string {
+				// Recall falls back to −Inf (everything but the sampled
+				// negatives), precision to +Inf (the sampled positives: none).
+				if !math.IsInf(sel.Threshold, 0) {
+					return fmt.Sprintf("threshold %v with no sampled positive", sel.Threshold)
+				}
+				return ""
+			}},
+		{"drawn twice", good, Options{Budget: 900, Target: 0.8, Delta: 0.05, Seed: 3},
+			// Every record is a match on its first draw and a non-match on
+			// every later one, so a record drawn twice has first and last
+			// draws that disagree.
+			func() MatchSource {
+				draws := map[int]int{}
+				return func(id int) (bool, error) {
+					draws[id]++
+					return draws[id] == 1, nil
+				}
+			},
+			func(_ Selection, s *sample) string {
+				seen := map[int]map[bool]bool{}
+				for i, id := range s.ids {
+					if seen[id] == nil {
+						seen[id] = map[bool]bool{}
+					}
+					seen[id][s.labels[i]] = true
+				}
+				for _, labels := range seen {
+					if len(labels) == 2 {
+						return ""
+					}
+				}
+				return "no record drawn twice with both labels"
+			}},
+		{"degraded", good, Options{Budget: 300, Target: 0.9, Delta: 0.05, Seed: 4}, truthSource(70),
+			func(sel Selection, _ *sample) string {
+				if !sel.Degraded || sel.OracleCalls != 70 {
+					return fmt.Sprintf("degraded=%v after %d calls", sel.Degraded, sel.OracleCalls)
+				}
+				return ""
+			}},
+		{"ties at threshold", tied, Options{Budget: 200, Target: 0.9, Delta: 0.05, Seed: 5}, truthSource(0),
+			func(sel Selection, _ *sample) string {
+				at := 0
+				for _, p := range tied {
+					if p == sel.Threshold {
+						at++
+					}
+				}
+				if at < 2 {
+					return fmt.Sprintf("%d records at the threshold %v", at, sel.Threshold)
+				}
+				return ""
+			}},
+	}
+	selections := []func(*Design, Options, MatchSource) (Selection, error){
+		(*Design).RecallTargetSelection, (*Design).PrecisionTargetSelection,
+	}
+	empty := 0
+	for _, c := range cases {
+		d := NewDesign(c.proxy)
+		for target, tg := range targets {
+			name := c.name + " " + tg.name
+			sel, err := selections[target](d, c.opts, c.source())
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			s, err := d.drawSample(c.opts, c.source())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceAssemble(c.proxy, sel.Threshold, s)
+			if c.check != nil {
+				if msg := c.check(sel, s); msg != "" {
+					t.Errorf("%s: the case does not arise: %s", name, msg)
+				}
+			}
+			s.release()
+			if sel.Len() != len(want) {
+				t.Errorf("%s: Len %d, reference %d", name, sel.Len(), len(want))
+			}
+			// An empty reference is nil, and so must IDs be: the served body
+			// encodes it as null.
+			if got, head := sel.IDs(20), want[:min(20, len(want))]; !reflect.DeepEqual(got, head) {
+				t.Errorf("%s: IDs(20) = %v, reference head %v", name, got, head)
+			}
+			if got := sel.Result().Returned; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: listed %d records, reference %d, or others", name, len(got), len(want))
+			}
+			res, err := tg.matches(d, c.opts, c.source())
+			if err != nil || !sameResult(res, sel.Result()) {
+				t.Errorf("%s: the Result entry disagrees with its Selection (%v)", name, err)
+			}
+			if len(want) == 0 {
+				empty++
+			}
+		}
+	}
+	if empty == 0 {
+		t.Error("no case settled on an empty set")
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -56,9 +57,9 @@ type Options struct {
 	// spend (tasti_query_runs_total / tasti_query_label_calls_total with
 	// type="select"). Record-only: the sampling design is unaffected.
 	Telemetry *telemetry.Registry
-	// Parallelism is unused: the returned set is assembled in one serial
-	// pass, which measured faster than any worker grid at the corpus sizes
-	// served. The field remains for the callers that still set it.
+	// Parallelism is unused: the returned set is counted and listed in
+	// serial passes, which measured faster than any worker grid at the corpus
+	// sizes served. The field remains for the callers that still set it.
 	Parallelism int
 }
 
@@ -177,13 +178,24 @@ func (d *Design) RecallTarget(opts Options, pred Predicate, lab labeler.Labeler)
 
 // RecallTargetMatches is RecallTarget over a per-record match source.
 func (d *Design) RecallTargetMatches(opts Options, match MatchSource) (Result, error) {
-	if err := opts.validate(); err != nil {
+	sel, err := d.RecallTargetSelection(opts, match)
+	if err != nil {
 		return Result{}, err
+	}
+	return sel.Result(), nil
+}
+
+// RecallTargetSelection is RecallTargetMatches with the returned set left as
+// its membership rule: a caller that reports the set's size and a few of its
+// IDs reads them through Len and IDs without listing the set.
+func (d *Design) RecallTargetSelection(opts Options, match MatchSource) (Selection, error) {
+	if err := opts.validate(); err != nil {
+		return Selection{}, err
 	}
 	proxy := d.proxy
 	s, err := d.drawSample(opts, match)
 	if err != nil {
-		return Result{}, err
+		return Selection{}, err
 	}
 	defer s.release()
 
@@ -243,7 +255,7 @@ func (d *Design) RecallTargetMatches(opts Options, match MatchSource) (Result, e
 		}
 	}
 
-	return d.result(opts, threshold, s), nil
+	return d.selection(opts, threshold, s), nil
 }
 
 // PrecisionTarget runs the precision-target SUPG variant: the returned set
@@ -265,13 +277,23 @@ func (d *Design) PrecisionTarget(opts Options, pred Predicate, lab labeler.Label
 
 // PrecisionTargetMatches is PrecisionTarget over a per-record match source.
 func (d *Design) PrecisionTargetMatches(opts Options, match MatchSource) (Result, error) {
-	if err := opts.validate(); err != nil {
+	sel, err := d.PrecisionTargetSelection(opts, match)
+	if err != nil {
 		return Result{}, err
+	}
+	return sel.Result(), nil
+}
+
+// PrecisionTargetSelection is PrecisionTargetMatches with the returned set
+// left as its membership rule, as RecallTargetSelection.
+func (d *Design) PrecisionTargetSelection(opts Options, match MatchSource) (Selection, error) {
+	if err := opts.validate(); err != nil {
+		return Selection{}, err
 	}
 	proxy := d.proxy
 	s, err := d.drawSample(opts, match)
 	if err != nil {
-		return Result{}, err
+		return Selection{}, err
 	}
 	defer s.release()
 
@@ -319,7 +341,7 @@ func (d *Design) PrecisionTargetMatches(opts Options, match MatchSource) (Result
 		}
 	}
 
-	return d.result(opts, threshold, s), nil
+	return d.selection(opts, threshold, s), nil
 }
 
 // sample is the labeled importance sample shared by both targets, and the
@@ -339,7 +361,7 @@ type sample struct {
 	qs        []float64   // draw probabilities, until the weights are final
 	positives []posSample // RecallTarget's threshold candidates
 	order     []int       // PrecisionTarget's sample order by descending proxy
-	include   []bool      // assemble's per-record membership
+	keys      []uint64    // selection's draws keyed by record, then draw
 }
 
 // posSample is one sampled positive: its proxy score and importance weight.
@@ -423,54 +445,109 @@ func (d *Design) drawSample(opts Options, match MatchSource) (*sample, error) {
 	return s, nil
 }
 
-// result assembles the returned set for the threshold a target settled on and
-// books a degraded query.
-func (d *Design) result(opts Options, threshold float64, s *sample) Result {
+// Selection is a settled query: its accounting, and the returned set as its
+// membership rule rather than its members. A record is in the set when its
+// proxy score is at or above Threshold, except a sampled record, which takes
+// the label of its last draw — sampled positives are known matches and free to
+// include, sampled negatives known non-matches and free to exclude. Len and
+// IDs read the rule; neither writes or allocates anything the size of the
+// corpus, so a caller that wants the size and a few IDs pays one read-only
+// pass for them. The Design's proxy vector must not change while a Selection
+// over it is read.
+type Selection struct {
+	// OracleCalls, Threshold and Degraded are the Result fields of the same
+	// names.
+	OracleCalls int64
+	Threshold   float64
+	Degraded    bool
+
+	proxy     []float64
+	overrides []override // sampled records by ascending ID, each once
+}
+
+// override is one sampled record and the label of its last draw.
+type override struct {
+	id       int
+	positive bool
+}
+
+// selection settles a query at threshold over its sample and books a
+// degraded one: O(budget log budget), whatever the corpus size. Each draw
+// becomes one integer key — record ID in the high 32 bits, draw index in the
+// low — so a plain sort orders the draws by record and, within a record, by
+// draw, and the last key of each record is its last draw.
+func (d *Design) selection(opts Options, threshold float64, s *sample) Selection {
 	if s.degraded {
 		opts.Telemetry.Counter(`tasti_query_degraded_total{type="select"}`).Inc()
 	}
-	return Result{Returned: assemble(d.proxy, threshold, s), OracleCalls: int64(len(s.ids)), Threshold: threshold, Degraded: s.degraded}
+	keys := sized(s.keys, len(s.ids))
+	for i, id := range s.ids {
+		keys = append(keys, uint64(id)<<32|uint64(i))
+	}
+	slices.Sort(keys)
+	s.keys = keys
+	ov := make([]override, 0, len(keys))
+	for j, k := range keys {
+		if j+1 < len(keys) && keys[j+1]>>32 == k>>32 {
+			continue
+		}
+		ov = append(ov, override{id: int(k >> 32), positive: s.labels[uint32(k)]})
+	}
+	return Selection{
+		OracleCalls: int64(len(s.ids)), Threshold: threshold, Degraded: s.degraded,
+		proxy: d.proxy, overrides: ov,
+	}
 }
 
-// assemble builds the returned set: every record at or above the threshold
-// plus all sampled positives (which are known matches and free to include),
-// minus the sampled negatives. One serial pass writes every record's
-// membership — so the reused vector needs no clearing — and counts the
-// members, the sample overrides adjust the count, and the ascending-ID
-// collect fills one allocation of exactly that size.
-func assemble(proxy []float64, threshold float64, s *sample) []int {
-	include := sized(s.include, len(proxy))[:len(proxy)]
-	s.include = include
+// Len returns the number of records in the set: one branch-free, read-only
+// pass over the proxy scores counts those at or above the threshold, and each
+// sampled record then moves the count by its label's disagreement with its
+// score.
+func (s Selection) Len() int {
+	t := s.Threshold
 	count := 0
-	for i, p := range proxy {
-		in := p >= threshold
-		include[i] = in
+	for _, p := range s.proxy {
+		count += b2i(p >= t)
+	}
+	for _, o := range s.overrides {
+		count += b2i(o.positive) - b2i(s.proxy[o.id] >= t)
+	}
+	return count
+}
+
+// IDs returns the set's first n members in ascending ID order — nil when
+// there are none — reading the corpus only as far as the last one returned.
+func (s Selection) IDs(n int) []int {
+	var out []int
+	ov := s.overrides
+	for id := 0; id < len(s.proxy) && len(out) < n; id++ {
+		in := s.proxy[id] >= s.Threshold
+		if len(ov) > 0 && ov[0].id == id {
+			in, ov = ov[0].positive, ov[1:]
+		}
 		if in {
-			count++
-		}
-	}
-	for i, id := range s.ids {
-		// Sampled negatives are known non-matches; excluding them is free
-		// precision. A record drawn twice is settled by its last draw.
-		if include[id] != s.labels[i] {
-			include[id] = s.labels[i]
-			if s.labels[i] {
-				count++
-			} else {
-				count--
+			if out == nil {
+				out = make([]int, 0, n)
 			}
-		}
-	}
-	if count == 0 {
-		return nil
-	}
-	out := make([]int, 0, count)
-	for i, ok := range include {
-		if ok {
-			out = append(out, i)
+			out = append(out, id)
 		}
 	}
 	return out
+}
+
+// Result lists the whole set into a Result: IDs run to the end, into one
+// allocation of exactly Len entries.
+func (s Selection) Result() Result {
+	return Result{Returned: s.IDs(s.Len()), OracleCalls: s.OracleCalls, Threshold: s.Threshold, Degraded: s.Degraded}
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a flag read,
+// not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // normalQuantile returns the standard normal quantile via the

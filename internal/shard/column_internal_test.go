@@ -3,9 +3,14 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/labeler"
+	"repro/internal/query/limitq"
 	"repro/internal/telemetry"
 )
 
@@ -167,5 +172,117 @@ func TestColumnExactValuesConcurrent(t *testing.T) {
 		if v, known := col.Value(id); !known || v != exact(id) {
 			t.Fatalf("after every goroutine set it: Value(%d) = %v, %v", id, v, known)
 		}
+	}
+}
+
+// TestColumnScanPrefixShared has readers of one nearest column scan it at
+// once, each to its own depth — one of them to the end — and requires every
+// sequence to be limitq.Order's: the readers share one prefix, popped from the
+// column's heaps under its mutex and read lock-free. Half way through the
+// exhausting scan a CrackAll publishes a new version; the readers hold the
+// pin taken before it and must keep its order to the end, while the new
+// version's column has its own. The finished prefix holds every record's ID,
+// inside the bytes the store charges the column. Run under -race.
+func TestColumnScanPrefixShared(t *testing.T) {
+	const n, reps = 1500, 60
+	ds, err := dataset.Generate("night-street", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.Build(core.PretrainedConfig(reps, 2), ds, labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := Split(ix, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scorer{Name: "count/car", Score: core.CountScore("car")}
+	col, _, err := x.Pin().Column(sc, ColumnNearest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := limitq.Order(col.Scores, col.Dists)
+
+	// read takes depth IDs from a fresh cursor, calling pause, when non-nil,
+	// half way.
+	read := func(depth int, pause func()) error {
+		cur, _ := col.Cursor(nil)
+		for i := 0; i < depth; i++ {
+			if i == depth/2 && pause != nil {
+				pause()
+			}
+			if id, ok := cur.Next(); !ok || id != want[i] {
+				return fmt.Errorf("depth %d: ID %d is %d (ok=%v), want %d", depth, i, id, ok, want[i])
+			}
+		}
+		if id, ok := cur.Next(); depth == n && ok {
+			return fmt.Errorf("exhausted cursor yielded %d", id)
+		}
+		return nil
+	}
+	// The exhausting reader signals half (once, or on failing before it) and
+	// waits for the crack to be published before reading on.
+	half, cracked := make(chan struct{}), make(chan struct{})
+	var halfOnce sync.Once
+	reachedHalf := func() { halfOnce.Do(func() { close(half) }) }
+	depths := []int{1, 24, 63, 64, 65, 130, 700, n}
+	errs := make(chan error, len(depths))
+	var wg sync.WaitGroup
+	for _, depth := range depths {
+		wg.Add(1)
+		go func(depth int) {
+			defer wg.Done()
+			if depth == n {
+				defer reachedHalf()
+				errs <- read(depth, func() { reachedHalf(); <-cracked })
+			} else {
+				errs <- read(depth, nil)
+			}
+		}(depth)
+	}
+	<-half
+	promote := map[int]dataset.Annotation{}
+	for id := 0; len(promote) < 5; id++ {
+		if !x.Annotated(id) {
+			promote[id] = ds.Truth[id]
+		}
+	}
+	if x.CrackAll(promote) == 0 {
+		t.Fatal("the crack promoted nothing")
+	}
+	close(cracked)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+
+	next, hit, err := x.Pin().Column(sc, ColumnNearest, nil)
+	if err != nil || hit || next == col {
+		t.Fatalf("column after the crack: hit=%v same=%v err=%v", hit, next == col, err)
+	}
+	cur, _ := next.Cursor(nil)
+	var got []int
+	for id, ok := cur.Next(); ok; id, ok = cur.Next() {
+		got = append(got, id)
+	}
+	if !slices.Equal(got, limitq.Order(next.Scores, next.Dists)) {
+		t.Error("the new version's column does not scan in its own order")
+	}
+	if err := read(n, nil); err != nil {
+		t.Errorf("the old pin after the crack: %v", err)
+	}
+
+	prefix := *col.prefix.Load()
+	if !slices.Equal(prefix, want) {
+		t.Fatalf("exhausted prefix holds %d IDs, not the scan order", len(prefix))
+	}
+	// Scores, distances, heap IDs, prefix capacity and exact scores.
+	held := 8 * int64(len(col.Scores)+len(col.Dists)+n+cap(prefix)+n)
+	if col.bytes() < held {
+		t.Errorf("column charged %d bytes, holds up to %d", col.bytes(), held)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,6 +41,15 @@ func extraRecords(t *testing.T, n int, seed int64) ([][]float64, []dataset.Annot
 		t.Fatal(err)
 	}
 	return extraFeatures(t, n, seed), extra.Truth
+}
+
+// drain reads a column cursor to the end of the scan order.
+func drain(cur *shard.ScanCursor) []int {
+	var out []int
+	for id, ok := cur.Next(); ok; id, ok = cur.Next() {
+		out = append(out, id)
+	}
+	return out
 }
 
 // checkExactValues holds a column's exact-score cells to its lifetime: a
@@ -121,7 +131,7 @@ func checkColumnsFresh(t *testing.T, step string, x *shard.Index, wantHit bool) 
 			if wantOrdered := wantHit || pass > 0; ordered != wantOrdered {
 				t.Fatalf("%s: %s cursor pass %d: heaps already built = %v, want %v", step, sc.Name, pass, ordered, wantOrdered)
 			}
-			sameInts(t, fmt.Sprintf("%s drain %d %s", step, pass, sc.Name), cur.Drain(), order)
+			sameInts(t, fmt.Sprintf("%s drain %d %s", step, pass, sc.Name), drain(cur), order)
 		}
 	}
 }
@@ -403,7 +413,7 @@ func TestColumnsAreReadOnly(t *testing.T) {
 	}
 	drain := func() []int {
 		cur, _ := lim.Cursor(nil)
-		return cur.Drain()
+		return drain(cur)
 	}
 	fingerprint := func() []uint64 {
 		return []uint64{hashFloats(agg.Scores), hashFloats(sel.Scores), hashFloats(lim.Scores), hashFloats(lim.Dists)}
@@ -433,4 +443,94 @@ func TestColumnsAreReadOnly(t *testing.T) {
 	}
 	sameInts(t, "design draws after queries", draws(), wantDraws)
 	sameInts(t, "cursor order after queries", drain(), wantOrder)
+}
+
+// hitCost is what one call of f allocates once warm — AllocsPerRun's count
+// and the TotalAlloc delta per call — with the collector off, so the pooled
+// buffers a call reuses stay in their pools.
+func hitCost(f func()) (allocs float64, bytes uint64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 64
+	allocs = testing.AllocsPerRun(runs, f)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestServedHitCostFollowsSample runs what cmd/tastiserve's select and limit
+// handlers run on a column hit — the fetch, the SUPG draws and threshold
+// search, the returned set's size and first 20 IDs; the fetch, a cursor and a
+// 24-record scan — over a 2 000- and a 20 000-record corpus, and requires each
+// to allocate the same count and the same bytes at both sizes: a request pays
+// for its sample, not for the corpus (no membership vector, no returned-set
+// list, no copy of the scan order).
+func TestServedHitCostFollowsSample(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	count, match := columnScorers()[0], columnScorers()[1]
+	type cost struct {
+		allocs float64
+		bytes  uint64
+	}
+	measure := func(n int) (sel, lim cost) {
+		ix, ds := buildIndex(t, n, 100)
+		x, err := shard.Split(ix, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := make([]bool, n)
+		for id, ann := range ds.Truth {
+			truth[id] = match.Score(ann) == 1
+		}
+		lab := labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
+		every := func(dataset.Annotation) bool { return true } // the scan labels exactly k records
+		v := x.Pin()
+		selectHit := func() {
+			col, hit, err := v.Column(match, shard.ColumnWeighted, nil)
+			if err != nil || !hit {
+				t.Fatalf("n=%d: select column hit=%v err=%v", n, hit, err)
+			}
+			sel, err := col.Design().RecallTargetSelection(supg.Options{Budget: 200, Target: 0.9, Delta: 0.05, Seed: 3},
+				func(id int) (bool, error) { return truth[id], nil })
+			if err != nil || sel.Len() == 0 || len(sel.IDs(20)) != 20 {
+				t.Fatalf("n=%d: select returned %d records (%v)", n, sel.Len(), err)
+			}
+		}
+		limitHit := func() {
+			col, hit, err := v.Column(count, shard.ColumnNearest, nil)
+			if err != nil || !hit {
+				t.Fatalf("n=%d: limit column hit=%v err=%v", n, hit, err)
+			}
+			cur, _ := col.Cursor(nil)
+			if res, err := limitq.RunNext(limitq.Options{}, 24, cur.Next, every, lab); err != nil || len(res.Found) != 24 {
+				t.Fatalf("n=%d: limit found %d (%v)", n, len(res.Found), err)
+			}
+		}
+		// The misses: propagation, the design, the heaps and the first prefix.
+		if _, _, err := v.Column(match, shard.ColumnWeighted, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := v.Column(count, shard.ColumnNearest, nil); err != nil {
+			t.Fatal(err)
+		}
+		selectHit()
+		limitHit()
+		sel.allocs, sel.bytes = hitCost(selectHit)
+		lim.allocs, lim.bytes = hitCost(limitHit)
+		return sel, lim
+	}
+	smallSel, smallLim := measure(2000)
+	bigSel, bigLim := measure(20000)
+	if smallSel != bigSel {
+		t.Errorf("a select on a hit allocates %v at 2 000 records and %v at 20 000", smallSel, bigSel)
+	}
+	if smallLim != bigLim {
+		t.Errorf("a limit on a hit allocates %v at 2 000 records and %v at 20 000", smallLim, bigLim)
+	}
+	t.Logf("per request: select %+v, limit %+v", smallSel, smallLim)
 }

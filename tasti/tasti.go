@@ -428,6 +428,12 @@ type (
 	SelectOptions = supg.Options
 	// SelectResult is the SUPG output.
 	SelectResult = supg.Result
+	// Selection is a settled SUPG query whose returned set is kept as its
+	// membership rule — proxy at or above the threshold, a sampled record
+	// by its last draw's label — from SelectDesign's RecallTargetSelection
+	// and PrecisionTargetSelection: Len counts the set and IDs lists its
+	// head without materialising it; Result lists it whole.
+	Selection = supg.Selection
 	// SelectDesign is SUPG's sampling design over one proxy vector, reusable
 	// across queries: SelectWithRecall(opts, n, proxy, ...) is
 	// supg.NewDesign(proxy).RecallTarget(opts, ...). ProxyColumn.Design
@@ -457,8 +463,10 @@ func EstimateAggregate(opts AggregateOptions, n int, proxy []float64, score func
 // function folded into one per-record value source — the sampler itself, which
 // EstimateAggregate adapts (label, then score) onto. A caller that already
 // knows some records' values answers those draws without an annotation.
-func EstimateAggregateValues(opts AggregateOptions, n int, proxy []float64, value ValueSource) (AggregateResult, error) {
-	return aggregation.EstimateValues(opts, n, proxy, value)
+// proxyMean is the mean of proxy, which EstimateAggregate folds itself: a
+// ProxyColumn keeps it as Mean.
+func EstimateAggregateValues(opts AggregateOptions, n int, proxy []float64, proxyMean float64, value ValueSource) (AggregateResult, error) {
+	return aggregation.EstimateValues(opts, n, proxy, proxyMean, value)
 }
 
 // SelectWithRecall returns a record set containing at least a target
