@@ -29,7 +29,7 @@ import (
 
 // The benchmark suite mirrors the shapes of internal/core's
 // BenchmarkBuildParallel and BenchmarkPropagateParallel at workers=1, so a
-// committed baseline (BENCH_28.json) stays comparable with `go test -bench`
+// committed baseline (BENCH_29.json) stays comparable with `go test -bench`
 // output while being runnable from the built binary, and adds the streaming
 // write path (WAL append with fsync, the served index's AppendRecords) and
 // the three query processors over a propagated proxy. cmd/benchgate compares
@@ -199,12 +199,14 @@ func runBenchSuite(path string) error {
 	// What a served request pays for its proxy column, over the same sharded
 	// corpus. A miss is the once-per-generation cost: one weighted column
 	// with its SUPG design plus one nearest column with its limit heaps —
-	// the propagation, sqrt-weight, prefix-sum and heapify passes every
-	// request ran before columns existed. A fresh scorer name per iteration
-	// keeps every fetch a miss (and exercises LRU eviction once the 64 MiB
-	// budget fills). A hit is what every later request pays instead: two
-	// store lookups and one small cursor allocation — the scan prefix the
-	// column shares copies nothing per request.
+	// the propagation, sqrt-weight, prefix-sum, guide-table and heapify
+	// passes every request ran before columns existed. The design's sorted
+	// copy of the scores is not in it: the first select's count builds that,
+	// once per column, and no row here counts a select. A fresh scorer name
+	// per iteration keeps every fetch a miss (and exercises LRU eviction once
+	// the 64 MiB budget fills). A hit is what every later request pays
+	// instead: two store lookups and one small cursor allocation — the scan
+	// prefix the column shares copies nothing per request.
 	fetchColumns := func(b *testing.B, sc shard.Scorer) {
 		w, _, err := sharded.Column(sc, shard.ColumnWeighted, nil)
 		if err != nil {

@@ -117,7 +117,8 @@ func TestBudgetStoreAmortizesRepeatQueries(t *testing.T) {
 // TestBudgetExhaustionDegradesServedQuery serves with a small global budget
 // and requires mid-query exhaustion to surface as a 200 partial answer
 // flagged degraded (or, if not even a minimal sample fit, a 429) — never a
-// 500 — with the degradation counted in /metrics.
+// 500 — with the degradation counted in /metrics: for an aggregate, and for
+// a select that finds the budget already spent.
 func TestBudgetExhaustionDegradesServedQuery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -132,26 +133,32 @@ func TestBudgetExhaustionDegradesServedQuery(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/query/aggregate", "application/json",
-		strings.NewReader(`{"class":"car","err":0.001}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := decodeBody(t, resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if body["degraded"] != true {
-			t.Fatalf("exhausted budget served an undegraded answer: %v", body)
+	// The aggregate spends the budget mid-query; the select after it finds
+	// the budget spent before its first draw, so it has no sample at all.
+	for _, q := range []struct{ route, body, kind string }{
+		{"/query/aggregate", `{"class":"car","err":0.001}`, "aggregate"},
+		{"/query/select", `{"class":"bus","count":1,"budget":200,"recall":0.9}`, "select"},
+	} {
+		resp, err := http.Post(ts.URL+q.route, "application/json", strings.NewReader(q.body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if srv.reg.Counter(`tasti_query_degraded_total{type="aggregate"}`).Value() == 0 {
-			t.Error("degradation not counted")
+		body := decodeBody(t, resp)
+		switch resp.StatusCode {
+		case http.StatusOK:
+			if body["degraded"] != true {
+				t.Fatalf("%s: exhausted budget served an undegraded answer: %v", q.route, body)
+			}
+			if srv.reg.Counter(`tasti_query_degraded_total{type="`+q.kind+`"}`).Value() == 0 {
+				t.Errorf("%s: degradation not counted", q.route)
+			}
+		case http.StatusTooManyRequests:
+			if resp.Header.Get("Retry-After") == "" {
+				t.Errorf("%s: 429 without Retry-After", q.route)
+			}
+		default:
+			t.Fatalf("%s: status %d: %v", q.route, resp.StatusCode, body)
 		}
-	case http.StatusTooManyRequests:
-		if resp.Header.Get("Retry-After") == "" {
-			t.Error("429 without Retry-After")
-		}
-	default:
-		t.Fatalf("status %d: %v", resp.StatusCode, body)
 	}
 	if srv.reg.Counter(`tasti_budget_exhausted_total{scope="global"}`).Value() == 0 {
 		t.Error("exhaustion not counted")

@@ -78,8 +78,8 @@ func annotationAnswer(t *testing.T, srv *server, route, body string) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		writeJSON(rec, http.StatusOK, map[string]interface{}{
-			"estimate": res.Estimate, "half_width": res.HalfWidth, "label_calls": res.LabelerCalls, "degraded": res.Degraded,
+		writeJSON(rec, http.StatusOK, aggregateBody{
+			Degraded: res.Degraded, Estimate: res.Estimate, HalfWidth: res.HalfWidth, LabelCalls: res.LabelerCalls,
 		})
 	case "select":
 		proxy, err := v.Propagate(q.match.Score)
@@ -92,9 +92,9 @@ func annotationAnswer(t *testing.T, srv *server, route, body string) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		writeJSON(rec, http.StatusOK, map[string]interface{}{
-			"returned": len(res.Returned), "threshold": finiteOrNil(res.Threshold), "label_calls": res.OracleCalls,
-			"sample_ids": res.Returned[:min(20, len(res.Returned))], "degraded": res.Degraded,
+		writeJSON(rec, http.StatusOK, selectBody{
+			Degraded: res.Degraded, LabelCalls: res.OracleCalls, Returned: len(res.Returned),
+			SampleIDs: res.Returned[:min(20, len(res.Returned))], Threshold: finite(res.Threshold),
 		})
 	default:
 		t.Fatalf("no annotation-path answer for /query/%s", route)
@@ -160,7 +160,7 @@ func checkSelectionReaders(t *testing.T, srv *server, body string) (empty int) {
 			if sel.Len() == 0 {
 				empty++
 				rec := httptest.NewRecorder()
-				writeJSON(rec, http.StatusOK, selectBody(sel))
+				writeJSON(rec, http.StatusOK, renderSelect(sel))
 				if !strings.Contains(rec.Body.String(), `"sample_ids":null`) {
 					t.Errorf("%s: an empty set renders %s", name, rec.Body)
 				}
@@ -168,6 +168,84 @@ func checkSelectionReaders(t *testing.T, srv *server, body string) (empty int) {
 		}
 	}
 	return empty
+}
+
+// TestQueryBodiesEncodeAsMaps holds each query route's typed body to the
+// map[string]interface{} the handler used to encode, value for value: the
+// same status and the same bytes through writeJSON — a non-finite threshold
+// as null, an empty select's and an empty limit's ID lists as null (and an
+// empty non-nil list as []), and a NaN estimate or an infinite half-width as
+// the same 500.
+func TestQueryBodiesEncodeAsMaps(t *testing.T) {
+	// threshold is finiteOrNil, the select map's rendering of its cutoff.
+	threshold := func(v float64) interface{} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return nil
+		}
+		return v
+	}
+	aggregates := []aggregateBody{
+		{Estimate: 1.4375, HalfWidth: 0.0625, LabelCalls: 212},
+		{Degraded: true, Estimate: -3e-9, HalfWidth: 1e21, LabelCalls: 1},
+		{Estimate: math.NaN(), HalfWidth: 0.1, LabelCalls: 100},
+		{Estimate: 2, HalfWidth: math.Inf(1), LabelCalls: 0},
+	}
+	selects := []struct {
+		body selectBody
+		tau  float64
+	}{
+		{selectBody{LabelCalls: 200, Returned: 3, SampleIDs: []int{4, 9, 11}}, 0.8125},
+		{selectBody{LabelCalls: 60, Returned: 790}, math.Inf(-1)},
+		{selectBody{Degraded: true, LabelCalls: 7}, math.Inf(1)},
+		{selectBody{LabelCalls: 9, Returned: 2, SampleIDs: []int{0, 1}}, math.NaN()},
+		{selectBody{LabelCalls: 120, SampleIDs: []int{}}, 0},
+	}
+	limits := []limitBody{
+		{Found: []int{7, 3, 12}, LabelCalls: 14, Cracked: 2},
+		{Exhausted: true, LabelCalls: 800},
+		{Found: []int{}, Degraded: true, LabelCalls: 3},
+	}
+	type pair struct {
+		name       string
+		typed, old interface{}
+	}
+	var pairs []pair
+	for i, b := range aggregates {
+		pairs = append(pairs, pair{fmt.Sprint("aggregate ", i), b, map[string]interface{}{
+			"estimate": b.Estimate, "half_width": b.HalfWidth, "label_calls": b.LabelCalls, "degraded": b.Degraded,
+		}})
+	}
+	for i, c := range selects {
+		b := c.body
+		b.Threshold = finite(c.tau)
+		pairs = append(pairs, pair{fmt.Sprint("select ", i), b, map[string]interface{}{
+			"returned": b.Returned, "threshold": threshold(c.tau), "label_calls": b.LabelCalls,
+			"sample_ids": b.SampleIDs, "degraded": b.Degraded,
+		}})
+	}
+	for i, b := range limits {
+		pairs = append(pairs, pair{fmt.Sprint("limit ", i), b, map[string]interface{}{
+			"found": b.Found, "label_calls": b.LabelCalls, "exhausted": b.Exhausted, "cracked": b.Cracked, "degraded": b.Degraded,
+		}})
+	}
+	var nulls, errors500 int
+	for _, p := range pairs {
+		typed, old := httptest.NewRecorder(), httptest.NewRecorder()
+		writeJSON(typed, http.StatusOK, p.typed)
+		writeJSON(old, http.StatusOK, p.old)
+		if typed.Code != old.Code || !bytes.Equal(typed.Body.Bytes(), old.Body.Bytes()) {
+			t.Errorf("%s:\n typed %d %s map   %d %s", p.name, typed.Code, typed.Body, old.Code, old.Body)
+		}
+		nulls += bytes.Count(typed.Body.Bytes(), []byte("null"))
+		if typed.Code == http.StatusInternalServerError {
+			errors500++
+		}
+	}
+	// Three non-finite thresholds, two empty selects and an empty limit; the
+	// NaN estimate and the infinite half-width are the two 500s.
+	if nulls != 6 || errors500 != 2 {
+		t.Errorf("%d nulls and %d error bodies across the cases, want 6 and 2", nulls, errors500)
+	}
 }
 
 // knownValues lists what a server's column of sc knows: record → the bits of

@@ -1258,13 +1258,39 @@ func (s *server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		s.queryError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"estimate":    res.Estimate,
-		"half_width":  res.HalfWidth,
-		"label_calls": res.LabelerCalls,
-		"degraded":    res.Degraded,
+	writeJSON(w, http.StatusOK, aggregateBody{
+		Degraded: res.Degraded, Estimate: res.Estimate, HalfWidth: res.HalfWidth, LabelCalls: res.LabelerCalls,
 	})
 }
+
+// The query routes' response bodies. Each declares its fields in sorted key
+// order — the order encoding/json writes a map's keys in — so a body encodes
+// to the bytes of the map[string]interface{} it replaced. A nil slice still
+// encodes as null.
+type (
+	aggregateBody struct {
+		Degraded   bool    `json:"degraded"`
+		Estimate   float64 `json:"estimate"`
+		HalfWidth  float64 `json:"half_width"`
+		LabelCalls int64   `json:"label_calls"`
+	}
+	selectBody struct {
+		Degraded   bool  `json:"degraded"`
+		LabelCalls int64 `json:"label_calls"`
+		Returned   int   `json:"returned"`
+		SampleIDs  []int `json:"sample_ids"`
+		// Threshold is nil when no sampled record was positive: the query
+		// then returns everything and there is no cutoff to report.
+		Threshold *float64 `json:"threshold"`
+	}
+	limitBody struct {
+		Cracked    int   `json:"cracked"`
+		Degraded   bool  `json:"degraded"`
+		Exhausted  bool  `json:"exhausted"`
+		Found      []int `json:"found"`
+		LabelCalls int64 `json:"label_calls"`
+	}
+)
 
 func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {
@@ -1287,10 +1313,10 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc.setCost(int64(len(col.Scores)), int64(v.NumShards()))
-	// The sample span keeps the design's two O(records) passes on the first
-	// select over a column; after it, the draws, the threshold search and one
-	// read-only pass that counts the returned set. Only its first 20 IDs are
-	// listed.
+	// The sample span keeps the design's O(records) passes on the first
+	// select over a column, and the sort of its scores on the first count;
+	// after them, the draws, the threshold search and a binary search that
+	// counts the returned set. Only its first 20 IDs are listed.
 	lab := s.queryLabeler(ctx, r, v, sc)
 	ssp := sc.child("sample")
 	sel, err := col.Design().RecallTargetSelection(tasti.SelectOptions{
@@ -1298,7 +1324,11 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		Telemetry: s.reg,
 	}, lab.matches(col, q.match))
 	lab.publish()
-	body := selectBody(sel)
+	// A failed query's Selection is the zero value, with no set to read.
+	var body selectBody
+	if err == nil {
+		body = renderSelect(sel)
+	}
 	ssp.SetAttr("label_calls", sel.OracleCalls)
 	ssp.End()
 	if err != nil {
@@ -1308,17 +1338,12 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// selectBody renders a settled select: the returned set's size and its first
-// 20 IDs — null when the set is empty — never the set itself.
-func selectBody(sel tasti.Selection) map[string]interface{} {
-	return map[string]interface{}{
-		"returned": sel.Len(),
-		// Non-finite when no sampled record was positive: the query then
-		// returns everything and there is no cutoff to report.
-		"threshold":   finiteOrNil(sel.Threshold),
-		"label_calls": sel.OracleCalls,
-		"sample_ids":  sel.IDs(20),
-		"degraded":    sel.Degraded,
+// renderSelect renders a settled select: the returned set's size and its
+// first 20 IDs — null when the set is empty — never the set itself.
+func renderSelect(sel tasti.Selection) selectBody {
+	return selectBody{
+		Degraded: sel.Degraded, LabelCalls: sel.OracleCalls, Returned: sel.Len(),
+		SampleIDs: sel.IDs(20), Threshold: finite(sel.Threshold),
 	}
 }
 
@@ -1379,12 +1404,8 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 		}
 		cracked = s.index.CrackAll(toCrack)
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"found":       res.Found,
-		"label_calls": res.OracleCalls,
-		"exhausted":   res.Exhausted,
-		"cracked":     cracked,
-		"degraded":    res.Degraded,
+	writeJSON(w, http.StatusOK, limitBody{
+		Cracked: cracked, Degraded: res.Degraded, Exhausted: res.Exhausted, Found: res.Found, LabelCalls: res.OracleCalls,
 	})
 }
 
@@ -1403,13 +1424,13 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Write(buf.Bytes()) //nolint:errcheck // best-effort response write
 }
 
-// finiteOrNil returns v, or nil — JSON null — when v is ±Inf or NaN, which
-// JSON cannot carry.
-func finiteOrNil(v float64) interface{} {
+// finite returns &v, or nil — JSON null — when v is ±Inf or NaN, which JSON
+// cannot carry.
+func finite(v float64) *float64 {
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		return nil
 	}
-	return v
+	return &v
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -524,4 +526,141 @@ func TestSelectionMatchesReferenceAssemble(t *testing.T) {
 	if empty == 0 {
 		t.Error("no case settled on an empty set")
 	}
+	t.Run("count", testCountMatchesLinearCount)
+}
+
+// referenceLen is Selection.Len as it stood before the sorted copy: one
+// branch-free, read-only pass over the proxy scores, then the overrides'
+// corrections. Kept verbatim as the reference the binary search must equal.
+func referenceLen(proxy []float64, t float64, overrides []override) int {
+	count := 0
+	for _, p := range proxy {
+		count += b2i(p >= t)
+	}
+	for _, o := range overrides {
+		count += b2i(o.positive) - b2i(proxy[o.id] >= t)
+	}
+	return count
+}
+
+// testCountMatchesLinearCount settles hand-built samples at chosen
+// thresholds — the values a binary search over sorted floats is easiest to
+// get wrong on — and requires Len to equal the linear count, the length of
+// the full listing and the old membership vector's count.
+func testCountMatchesLinearCount(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan, inf := math.NaN(), math.Inf(1)
+	grid := make([]float64, 400)
+	for i := range grid {
+		grid[i] = float64(i%9) / 8 // every score shared by ~44 records
+	}
+	signed := make([]float64, 400)
+	for i := range signed {
+		signed[i] = []float64{-1, negZero, 0, 0.5, -0.25, negZero}[i%6]
+	}
+	withNaN := make([]float64, 400)
+	for i := range withNaN {
+		withNaN[i] = float64(i%7) / 6
+		if i%5 == 0 {
+			withNaN[i] = nan
+		}
+	}
+	equal := make([]float64, 400)
+	for i := range equal {
+		equal[i] = 0.5
+	}
+	cases := []struct {
+		name       string
+		proxy      []float64
+		thresholds []float64
+		ids        []int
+		labels     []bool
+		degraded   bool
+	}{
+		{"−Inf fallback", grid, []float64{-inf}, []int{3, 40, 41, 399}, []bool{false, false, true, false}, false},
+		{"ties at τ", grid, []float64{0, 0.25, 0.5, 1}, []int{0, 9, 18, 4, 13}, []bool{true, false, true, false, true}, false},
+		{"all equal", equal, []float64{0.5, math.Nextafter(0.5, 1), math.Nextafter(0.5, 0), -inf, inf},
+			[]int{7, 8, 300}, []bool{false, true, false}, false},
+		{"negative and ±0", signed, []float64{0, negZero, -0.25, -1, math.Nextafter(0, 1), math.Nextafter(0, -1)},
+			[]int{0, 1, 2, 3, 5}, []bool{true, true, false, false, true}, false},
+		{"NaN scores", withNaN, []float64{0, 0.5, 1, -inf, inf, nan},
+			[]int{0, 5, 6, 10, 12}, []bool{true, true, false, false, true}, false},
+		{"one record", []float64{0.7}, []float64{0.7, 0.8, -inf}, []int{0}, []bool{false}, false},
+		{"drawn twice", grid, []float64{0.5}, []int{4, 13, 4, 13, 22, 4}, []bool{true, false, false, true, true, true}, false},
+		{"degraded", grid, []float64{0.375}, []int{2, 11}, []bool{true, false}, true},
+	}
+	for _, c := range cases {
+		d := NewDesign(c.proxy)
+		for _, th := range c.thresholds {
+			name := fmt.Sprintf("%s τ=%v", c.name, th)
+			s := &sample{ids: c.ids, labels: c.labels, degraded: c.degraded}
+			sel := d.selection(Options{}, th, s)
+			want := referenceLen(c.proxy, th, sel.overrides)
+			if got := sel.Len(); got != want {
+				t.Errorf("%s: Len %d, linear count %d", name, got, want)
+			}
+			if got := len(sel.Result().Returned); got != want {
+				t.Errorf("%s: listed %d records, linear count %d", name, got, want)
+			}
+			if got := len(referenceAssemble(c.proxy, th, s)); got != want {
+				t.Errorf("%s: membership vector holds %d records, linear count %d", name, got, want)
+			}
+			if sel.Degraded != c.degraded {
+				t.Errorf("%s: degraded %v", name, sel.Degraded)
+			}
+		}
+	}
+
+	// The first counts over a fresh design race to build its sorted copy;
+	// each must read the whole of it (run under -race).
+	sel := NewDesign(grid).selection(Options{}, 0.5, &sample{ids: []int{1}, labels: []bool{true}})
+	want := referenceLen(grid, 0.5, sel.overrides)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := sel.Len(); got != want {
+				t.Errorf("concurrent first count: Len %d, linear count %d", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestOneShotSelectNeverSorts: a one-shot RecallTarget lists its set without
+// counting it first, so it never builds the design's sorted copy — 8 bytes a
+// record. Beyond the design it builds and the set it returns (append's growth
+// included), it must allocate less than that.
+func TestOneShotSelectNeverSorts(t *testing.T) {
+	const n = 20000
+	ds, lab, pred, truth := selectionEnv(t, n)
+	proxy := goodProxy(truth, 0.15, 2)
+	opts := Options{Budget: 300, Target: 0.9, Delta: 0.05, Seed: 1}
+	allocated := func(f func()) uint64 {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var res Result
+	run := func() {
+		var err error
+		if res, err = RecallTarget(opts, ds.Len(), proxy, pred, lab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the sample pool
+	total := allocated(run)
+	design := allocated(func() { NewDesign(proxy) })
+	// The listing doubles its room as it fills: less than twice the final
+	// room in all.
+	set := uint64(2 * 8 * cap(res.Returned))
+	if len(res.Returned) == 0 || total >= design+set+8*n {
+		t.Fatalf("one-shot RecallTarget allocated %d bytes: %d for its design, %d listing %d records",
+			total, design, set, len(res.Returned))
+	}
+	t.Logf("allocated %d bytes beyond the design and the listing of %d records", total-design-set, len(res.Returned))
 }

@@ -57,9 +57,10 @@ type Options struct {
 	// spend (tasti_query_runs_total / tasti_query_label_calls_total with
 	// type="select"). Record-only: the sampling design is unaffected.
 	Telemetry *telemetry.Registry
-	// Parallelism is unused: the returned set is counted and listed in
-	// serial passes, which measured faster than any worker grid at the corpus
-	// sizes served. The field remains for the callers that still set it.
+	// Parallelism is unused: the returned set is counted by binary search and
+	// listed in a serial pass, which measured faster than any worker grid at
+	// the corpus sizes served. The field remains for the callers that still
+	// set it.
 	Parallelism int
 }
 
@@ -112,11 +113,12 @@ func (o Options) validate() error {
 // Design is SUPG's sampling design over one proxy vector: the total of the
 // defensive sqrt-proxy weights and the prefix sums each draw searches (a
 // record's own weight is recomputed from its proxy score when a draw needs
-// its probability, the same float either way). It depends on nothing but the
-// proxy scores, so one Design serves every query over that vector — any
-// budget, target, or seed — and is read-only once built: concurrent queries
-// may share it. The proxy slice is retained, not copied, and must not change
-// while the Design is in use.
+// its probability, the same float either way), plus — built by the first
+// Selection.Len — a sorted copy of the scores that counts a returned set by
+// binary search. It depends on nothing but the proxy scores, so one Design
+// serves every query over that vector — any budget, target, or seed — and is
+// read-only once built: concurrent queries may share it. The proxy slice is
+// retained, not copied, and must not change while the Design is in use.
 //
 // Each target has two entries over one body: RecallTarget / PrecisionTarget
 // take a predicate and a labeler, RecallTargetMatches /
@@ -127,6 +129,9 @@ type Design struct {
 	proxy []float64
 	total float64
 	cdf   *xrand.CDF
+	// sorted is proxy in ascending order, NaNs first; nil until sortOnce ran.
+	sortOnce sync.Once
+	sorted   []float64
 }
 
 // weight is one record's sampling weight. Defensive importance sampling: the
@@ -140,9 +145,10 @@ func weight(proxy float64) float64 {
 	return math.Sqrt(proxy) + 0.05
 }
 
-// NewDesign builds the design in two O(n) passes — the weights and their
-// prefix sums, in one vector. It panics on an empty proxy vector;
-// RecallTarget and PrecisionTarget reject that case as an error first.
+// NewDesign builds the design in three O(n) passes — the weights, their
+// prefix sums in the same vector, and the CDF's guide table. It panics on an
+// empty proxy vector; RecallTarget and PrecisionTarget reject that case as an
+// error first.
 func NewDesign(proxy []float64) *Design {
 	weights := make([]float64, len(proxy))
 	total := 0.0
@@ -154,7 +160,8 @@ func NewDesign(proxy []float64) *Design {
 }
 
 // Draw returns one record ID with probability Prob(id), consuming exactly
-// one r.Float64(): O(log n), whatever the corpus size.
+// one r.Float64(): a guide-table lookup and a search of the few prefix sums
+// it leaves, O(log n) at worst, whatever the corpus size.
 func (d *Design) Draw(r *rand.Rand) int { return d.cdf.Draw(r) }
 
 // Prob returns the probability that one Draw yields record id.
@@ -450,10 +457,12 @@ func (d *Design) drawSample(opts Options, match MatchSource) (*sample, error) {
 // proxy score is at or above Threshold, except a sampled record, which takes
 // the label of its last draw — sampled positives are known matches and free to
 // include, sampled negatives known non-matches and free to exclude. Len and
-// IDs read the rule; neither writes or allocates anything the size of the
-// corpus, so a caller that wants the size and a few IDs pays one read-only
-// pass for them. The Design's proxy vector must not change while a Selection
-// over it is read.
+// IDs read the rule; past the Design's one sorted copy, neither writes or
+// allocates anything the size of the corpus, so a caller that wants the size
+// and a few IDs pays a binary search and a short scan for them. The Design's
+// proxy vector must not change while a Selection over it is read. The zero
+// Selection, which a failed query returns, has no set: Len, IDs and Result
+// panic on it.
 type Selection struct {
 	// OracleCalls, Threshold and Degraded are the Result fields of the same
 	// names.
@@ -461,7 +470,7 @@ type Selection struct {
 	Threshold   float64
 	Degraded    bool
 
-	proxy     []float64
+	d         *Design
 	overrides []override // sampled records by ascending ID, each once
 }
 
@@ -495,22 +504,31 @@ func (d *Design) selection(opts Options, threshold float64, s *sample) Selection
 	}
 	return Selection{
 		OracleCalls: int64(len(s.ids)), Threshold: threshold, Degraded: s.degraded,
-		proxy: d.proxy, overrides: ov,
+		d: d, overrides: ov,
 	}
 }
 
-// Len returns the number of records in the set: one branch-free, read-only
-// pass over the proxy scores counts those at or above the threshold, and each
-// sampled record then moves the count by its label's disagreement with its
-// score.
+// sortedProxy returns the proxy scores in ascending order, NaNs first, sorting
+// a copy on the first call: O(n log n) and 8 bytes per record, once per
+// Design.
+func (d *Design) sortedProxy() []float64 {
+	d.sortOnce.Do(func() {
+		d.sorted = slices.Clone(d.proxy)
+		slices.Sort(d.sorted)
+	})
+	return d.sorted
+}
+
+// Len returns the number of records in the set: a binary search of the sorted
+// scores counts those at or above the threshold — a NaN sorts first and is
+// below every threshold, as p >= t says — and each sampled record then moves
+// the count by its label's disagreement with its score.
 func (s Selection) Len() int {
-	t := s.Threshold
-	count := 0
-	for _, p := range s.proxy {
-		count += b2i(p >= t)
-	}
+	t, proxy := s.Threshold, s.d.proxy
+	sorted := s.d.sortedProxy()
+	count := len(sorted) - sort.SearchFloat64s(sorted, t)
 	for _, o := range s.overrides {
-		count += b2i(o.positive) - b2i(s.proxy[o.id] >= t)
+		count += b2i(o.positive) - b2i(proxy[o.id] >= t)
 	}
 	return count
 }
@@ -519,15 +537,15 @@ func (s Selection) Len() int {
 // there are none — reading the corpus only as far as the last one returned.
 func (s Selection) IDs(n int) []int {
 	var out []int
-	ov := s.overrides
-	for id := 0; id < len(s.proxy) && len(out) < n; id++ {
-		in := s.proxy[id] >= s.Threshold
+	proxy, ov := s.d.proxy, s.overrides
+	for id := 0; id < len(proxy) && len(out) < n; id++ {
+		in := proxy[id] >= s.Threshold
 		if len(ov) > 0 && ov[0].id == id {
 			in, ov = ov[0].positive, ov[1:]
 		}
 		if in {
-			if out == nil {
-				out = make([]int, 0, n)
+			if len(out) == cap(out) {
+				out = append(make([]int, 0, min(n, max(2*cap(out), idsRoom))), out...)
 			}
 			out = append(out, id)
 		}
@@ -535,10 +553,16 @@ func (s Selection) IDs(n int) []int {
 	return out
 }
 
-// Result lists the whole set into a Result: IDs run to the end, into one
-// allocation of exactly Len entries.
+// idsRoom is the most room IDs reserves up front; a longer listing doubles
+// its room as it fills, so listing a large set allocates about twice the set
+// where append's gentler growth past 256 entries would allocate about five
+// times it.
+const idsRoom = 64
+
+// Result lists the whole set into a Result: IDs run to the end. It never
+// calls Len, so a one-shot query never sorts its scores.
 func (s Selection) Result() Result {
-	return Result{Returned: s.IDs(s.Len()), OracleCalls: s.OracleCalls, Threshold: s.Threshold, Degraded: s.Degraded}
+	return Result{Returned: s.IDs(len(s.d.proxy)), OracleCalls: s.OracleCalls, Threshold: s.Threshold, Degraded: s.Degraded}
 }
 
 // b2i is 1 for true and 0 for false; the compiler turns it into a flag read,

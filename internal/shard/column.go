@@ -64,8 +64,8 @@ type Scorer struct {
 
 // columnBudgetBytes bounds the column payload the store retains. Scorer
 // names come from clients, so the bound is a safety property rather than a
-// tunable: at 60k records a weighted column is 1.9 MB and a nearest one
-// 2.4 MB, and the budget holds 34 or 27 of them.
+// tunable: at 60k records a weighted column is charged 2.2 MB and a nearest
+// one 2.4 MB, and the budget holds 31 or 27 of them.
 const columnBudgetBytes = 64 << 20
 
 // unknownValue is the one float64 bit pattern — a NaN payload no arithmetic
@@ -111,18 +111,20 @@ type Column struct {
 	exact atomic.Pointer[[]atomic.Uint64]
 }
 
-// bytes is the payload the store charges a column, 8 bytes per record per
-// vector: five for a nearest one — scores, distances, heap IDs, the scan
-// prefix (every record's ID after an exhausted scan) and exact scores — and
-// four for a weighted one, whose scores, design prefix sums and exact scores
-// fit inside them. The derived vectors are charged before they are built, so
-// the bound holds whenever a request first asks for them.
+// bytes is the payload the store charges a column. A nearest one holds five
+// vectors of 8 bytes per record: scores, distances, heap IDs, the scan prefix
+// (every record's ID after an exhausted scan) and exact scores. A weighted one
+// holds four — scores, the design's prefix sums, exact scores and the sorted
+// copy of the scores the first select's count builds — plus the design's
+// guide table, 4 bytes per record and two more. The derived vectors are
+// charged before they are built, so the bound holds whenever a request first
+// asks for them.
 func (c *Column) bytes() int64 {
-	vectors := int64(4)
+	n := int64(len(c.Scores))
 	if c.Kind == ColumnNearest {
-		vectors = 5
+		return 5 * 8 * n
 	}
-	return vectors * 8 * int64(len(c.Scores))
+	return 4*8*n + 4*(n+2)
 }
 
 // Value returns the scoring function's exact score of record id — its score

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/labeler"
 	"repro/internal/query/limitq"
+	"repro/internal/query/supg"
 	"repro/internal/telemetry"
 )
 
@@ -31,7 +33,7 @@ func put(cs *columnStore, name string, n int) (col *Column, hit bool) {
 // exceeds the budget, the least recently used column goes first, and a column
 // larger than the whole budget is served to its caller but never retained.
 func TestColumnStoreBudget(t *testing.T) {
-	const n = 100 // a 100-record column is charged 3200 bytes
+	const n = 100 // a 100-record weighted column is charged 3608 bytes
 	one := (&Column{Scores: make([]float64, n)}).bytes()
 	reg := telemetry.NewRegistry()
 	cs := newColumnStore(3*one, wiring{tel: reg}.resolved(1))
@@ -96,6 +98,46 @@ func TestColumnStoreBudget(t *testing.T) {
 		t.Fatalf("empty successor: %d invalidations, generation %d",
 			reg.Counter("tasti_proxy_column_invalidations_total").Value(), after.gen)
 	}
+}
+
+// TestWeightedColumnCharge: the store charges a weighted column, before any of
+// it exists, for everything a request can make it build — the design's prefix
+// sums and guide table, the sorted copy of the scores the first select's
+// count makes, and the exact scores. Once all of it is built, the live heap
+// it takes fits inside the charge less the scores, up to the page rounding of
+// the large allocations and a few headers.
+func TestWeightedColumnCharge(t *testing.T) {
+	const n, slack = 1 << 17, 32 << 10
+	scores := make([]float64, n)
+	for i := range scores {
+		scores[i] = float64(i%1000) / 1000
+	}
+	col := &Column{Kind: ColumnWeighted, Scores: scores}
+	if got, want := col.bytes(), int64(4*8*n+4*(n+2)); got != want {
+		t.Fatalf("weighted column of %d records charged %d bytes, want %d", n, got, want)
+	}
+	if got, want := (&Column{Kind: ColumnNearest, Scores: scores}).bytes(), int64(5*8*n); got != want {
+		t.Fatalf("nearest column of %d records charged %d bytes, want %d", n, got, want)
+	}
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties sync.Pool's victim cache
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := live()
+	sel, err := col.Design().RecallTargetSelection(supg.Options{Budget: 100, Target: 0.9, Delta: 0.05, Seed: 1},
+		func(id int) (bool, error) { return scores[id] > 0.9, nil })
+	if err != nil || sel.Len() == 0 {
+		t.Fatalf("select over the column: %d records (%v)", sel.Len(), err)
+	}
+	col.SetValue(0, 1)
+	built := live() - before
+	if charged := col.bytes() - 8*n; built > charged+slack {
+		t.Errorf("a weighted column's derived vectors hold %d bytes, charged %d beside its scores", built, charged)
+	}
+	runtime.KeepAlive(col)
 }
 
 // TestColumnExactValues pins the exact-score cells: unknown until set, every

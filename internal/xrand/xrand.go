@@ -8,13 +8,74 @@ package xrand
 
 import (
 	"hash/fnv"
+	"math"
 	"math/rand"
-	"sort"
+	"reflect"
+	"sync"
+	"sync/atomic"
 )
 
-// New returns a deterministic source for the given seed.
+// New returns a deterministic source for the given seed: the generator
+// rand.New(rand.NewSource(seed)) returns, bit for bit. Seeding math/rand's
+// source costs ~10 µs, and a server seeds every request from one of a few
+// constants, so the first memoSeeds seeds New sees keep a seeded template and
+// later calls for them copy it (~1 µs). Any other seed is seeded fresh.
 func New(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	for _, t := range *seeded.Load() {
+		if t.seed == seed {
+			return rand.New(cloneSource(t.src))
+		}
+	}
+	src := rand.NewSource(seed)
+	memoize(seed, src)
+	return rand.New(src)
+}
+
+// memoSeeds bounds the seeds New keeps a template for: 16 sources of 5 KB.
+const memoSeeds = 16
+
+// template is one memoized seed and its freshly seeded source, which nothing
+// draws from.
+type template struct {
+	seed int64
+	src  rand.Source
+}
+
+var (
+	// seeded is the memo, read lock-free; a published slice is never
+	// written, memoize publishes a longer one.
+	seeded   atomic.Pointer[[]template]
+	memoizeM sync.Mutex
+)
+
+func init() { seeded.Store(new([]template)) }
+
+// memoize keeps a template of src, which must be freshly seeded with seed and
+// not yet drawn from, while the memo has room.
+func memoize(seed int64, src rand.Source) {
+	memoizeM.Lock()
+	defer memoizeM.Unlock()
+	ts := *seeded.Load()
+	if len(ts) == memoSeeds {
+		return
+	}
+	for _, t := range ts {
+		if t.seed == seed {
+			return
+		}
+	}
+	grown := append(append(make([]template, 0, len(ts)+1), ts...), template{seed, cloneSource(src)})
+	seeded.Store(&grown)
+}
+
+// cloneSource returns an independent copy of src in its current state.
+// math/rand's lagged-Fibonacci source is a flat value struct behind a
+// pointer, so copying the struct copies the whole generator.
+func cloneSource(src rand.Source) rand.Source {
+	v := reflect.ValueOf(src).Elem()
+	c := reflect.New(v.Type())
+	c.Elem().Set(v)
+	return c.Interface().(rand.Source)
 }
 
 // Split derives an independent deterministic source from a parent seed and a
@@ -82,12 +143,21 @@ func Normal(r *rand.Rand, mean, stddev float64) float64 {
 }
 
 // CDF is a categorical distribution prepared for repeated draws: the running
-// left-fold of the positive weights, built once in O(n), binary-searched per
-// draw in O(log n). The partial sums are the very floats a linear scan would
-// accumulate and compare against, so Draw returns the index that scan would
-// for the same *rand.Rand state — bit for bit, not just in distribution.
+// left-fold of the positive weights and a guide table over it, built once in
+// O(n). The partial sums are the very floats a linear scan would accumulate
+// and compare against, so Draw returns the index that scan would for the same
+// *rand.Rand state — bit for bit, not just in distribution.
+//
+// The guide cuts [0, total] into n equal buckets, bucket(x) = ⌊x·n/total⌋
+// clamped to n, and guide[j] is the first index whose partial sum falls in
+// bucket j or later. bucket is monotone, so every partial sum before guide[j]
+// is below any u in bucket j and every one from guide[j+1] on is above it: a
+// draw searches only cum[guide[j]:guide[j+1]], about one entry when no weight
+// dominates, and never more than the whole vector.
 type CDF struct {
-	cum []float64 // cum[i] = sum of the positive weights[0..i], folded left to right
+	cum   []float64 // cum[i] = sum of the positive weights[0..i], folded left to right
+	scale float64   // n / total
+	guide []int32   // n+2 entries: guide[j] = first i with bucket(cum[i]) >= j, else n
 }
 
 // NewCDF prepares the distribution with probability proportional to
@@ -98,7 +168,8 @@ func NewCDF(weights []float64) *CDF {
 }
 
 // NewCDFInPlace is NewCDF for a caller done with its weights: it overwrites
-// the slice with the partial sums and keeps it, allocating nothing.
+// the slice with the partial sums and keeps it, allocating only the guide
+// (4 bytes per weight). It panics on more than math.MaxInt32-1 weights.
 func NewCDFInPlace(weights []float64) *CDF {
 	acc := 0.0
 	for i, w := range weights {
@@ -110,7 +181,36 @@ func NewCDFInPlace(weights []float64) *CDF {
 	if acc <= 0 {
 		panic("xrand: categorical distribution has no mass")
 	}
-	return &CDF{cum: weights}
+	n := len(weights)
+	if n >= math.MaxInt32 {
+		panic("xrand: categorical distribution too large for its guide")
+	}
+	// The partial sums' buckets ascend with their index, so the first index
+	// in bucket j or later is one past the last index in an earlier bucket:
+	// each index stamps itself, plus one, one slot past its bucket, and a
+	// running maximum carries the stamps over the empty buckets — two
+	// branch-free passes.
+	scale, guide := float64(n)/acc, make([]int32, n+2)
+	for i, x := range weights {
+		guide[bucket(x, scale, n)+1] = int32(i + 1)
+	}
+	var last int32
+	for j, g := range guide {
+		last = max(last, g)
+		guide[j] = last
+	}
+	return &CDF{cum: weights, scale: scale, guide: guide}
+}
+
+// bucket is the guide bucket of x ≥ 0 among n, in [0, n]. A product at or
+// past n — NaN included, from an infinite total or an underflowed one — is
+// bucket n, which keeps the map monotone at the extremes of the float range.
+func bucket(x, scale float64, n int) int {
+	b := x * scale
+	if !(b < float64(n)) {
+		return n
+	}
+	return int(b)
 }
 
 // Total returns the sum of the positive weights.
@@ -122,11 +222,20 @@ func (c *CDF) Total() float64 { return c.cum[len(c.cum)-1] }
 // predecessor's sum, so the search cannot land on it.
 func (c *CDF) Draw(r *rand.Rand) int {
 	u := r.Float64() * c.Total()
-	i := sort.Search(len(c.cum), func(i int) bool { return u < c.cum[i] })
-	if i == len(c.cum) {
+	j := bucket(u, c.scale, len(c.cum))
+	lo, hi := int(c.guide[j]), int(c.guide[j+1])
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if u < c.cum[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == len(c.cum) {
 		return len(c.cum) - 1 // u rounded up to the total
 	}
-	return i
+	return lo
 }
 
 // Categorical draws an index in [0, len(weights)) with probability

@@ -1,9 +1,12 @@
 package xrand
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -218,6 +221,185 @@ func TestCategoricalMatchesLinearScan(t *testing.T) {
 		}
 		if want.Int63() != got.Int63() {
 			t.Fatalf("trial %d: generator states diverged", trial)
+		}
+	}
+
+	// The guide table's edge cases: buckets that hold long runs of equal
+	// partial sums, a single bucket holding all the mass, partial sums across
+	// the float range, and totals so small that u·n/total overflows.
+	zeroRun := make([]float64, 2000)
+	zeroRun[0], zeroRun[1500] = 1, 1
+	spread := make([]float64, 0, 61)
+	for e := -300; e <= 300; e += 10 {
+		spread = append(spread, math.Pow(10, float64(e)))
+	}
+	tiny := math.SmallestNonzeroFloat64
+	cases := map[string][]float64{
+		"zero runs":           {0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0},
+		"long zero run":       zeroRun,
+		"single positive":     {0, 0, 0, 5, 0, 0},
+		"only weight":         {3},
+		"1e-300 to 1e300":     spread,
+		"1e300 to 1e-300":     reversed(spread),
+		"subnormal total":     {0, tiny, 0, 0},
+		"subnormal weights":   {tiny, 2 * tiny, 0, 3 * tiny},
+		"infinite total":      {1, math.Inf(1), 2},
+		"overflowing total":   {math.MaxFloat64, math.MaxFloat64, 1},
+		"NaN weight is zero":  {math.NaN(), 1, math.NaN(), 2},
+		"absorbed after mass": {1, 1e-17, 1e-17, 1e-17},
+	}
+	for name, weights := range cases {
+		cdf := NewCDF(weights)
+		sources := map[string]func() *rand.Rand{
+			// Float64 at its least, and at its greatest, 1-2⁻⁵³: on a
+			// subnormal total u rounds up to the total, and the linear scan
+			// then answers the last index.
+			"Float64=0":       func() *rand.Rand { return rand.New(fixedSource(0)) },
+			"Float64=1-2^-53": func() *rand.Rand { return rand.New(fixedSource(1<<63 - 1024)) },
+		}
+		for seed := int64(0); seed < 4; seed++ {
+			sources[fmt.Sprint("seed ", seed)] = func() *rand.Rand { return New(seed) }
+		}
+		for src, r := range sources {
+			want, drawn := r(), r()
+			for d := 0; d < 200; d++ {
+				if g, w := cdf.Draw(drawn), referenceCategorical(want, zeroNaNs(weights)); g != w {
+					t.Fatalf("%s, %s, draw %d: CDF.Draw = %d, linear scan = %d", name, src, d, g, w)
+				}
+			}
+		}
+	}
+	if u := rand.New(fixedSource(1<<63-1024)).Float64() * tiny; u != tiny {
+		t.Fatalf("u = %v on a total of %v: the round-up case does not arise", u, tiny)
+	}
+}
+
+// fixedSource is a generator stuck on one Int63 value.
+type fixedSource int64
+
+func (s fixedSource) Int63() int64 { return int64(s) }
+func (fixedSource) Seed(int64)     {}
+
+func reversed(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[len(xs)-1-i] = x
+	}
+	return out
+}
+
+// zeroNaNs returns ws with each NaN replaced by 0. NewCDF treats a NaN
+// weight as the zero it is documented to be (it is not positive); the linear
+// scan predates NaNs, skips them in its total and adds them to its running
+// sum, so it is asked about the zeroed weights.
+func zeroNaNs(ws []float64) []float64 {
+	out := slices.Clone(ws)
+	for i, w := range out {
+		if math.IsNaN(w) {
+			out[i] = 0
+		}
+	}
+	return out
+}
+
+// FuzzCDFMatchesLinearScan decodes the input as float64 weights, bit
+// pattern by bit pattern — zeros, negatives, NaNs, infinities and subnormals
+// included — and requires CDF.Draw to return the linear scan's index on every
+// draw of a seeded stream.
+func FuzzCDFMatchesLinearScan(f *testing.F) {
+	encode := func(ws ...float64) []byte {
+		out := make([]byte, 0, 8*len(ws))
+		for _, w := range ws {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(w))
+		}
+		return out
+	}
+	f.Add(int64(1), encode(1, 0, 3))
+	f.Add(int64(2), encode(0, 0, math.SmallestNonzeroFloat64, 0))
+	f.Add(int64(3), encode(1e-300, 1e300, 1, 1e-300))
+	f.Add(int64(4), encode(math.Inf(1), -1, math.NaN(), 2))
+	f.Add(int64(5), encode(math.MaxFloat64, math.MaxFloat64))
+	f.Add(int64(6), encode(0.5, 1e-17, 1e-17, 0, 0, 0, 0.5))
+	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
+		if len(raw) < 8 || len(raw) > 8*512 {
+			return
+		}
+		weights := make([]float64, len(raw)/8)
+		mass := false
+		for i := range weights {
+			weights[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			mass = mass || weights[i] > 0
+		}
+		if !mass {
+			return
+		}
+		cdf, linear := NewCDF(weights), zeroNaNs(weights)
+		want, drawn := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for d := 0; d < 64; d++ {
+			if g, w := cdf.Draw(drawn), referenceCategorical(want, linear); g != w {
+				t.Fatalf("draw %d: CDF.Draw = %d, linear scan = %d over %v", d, g, w, weights)
+			}
+		}
+	})
+}
+
+// TestNewMatchesFreshSource: whether New copies a memoized template or seeds
+// fresh, its stream is rand.New(rand.NewSource(seed))'s — for more seeds than
+// the memo keeps, each asked for twice, so both paths run.
+func TestNewMatchesFreshSource(t *testing.T) {
+	const draws = 10000
+	for seed := int64(1000); seed < 1000+3*memoSeeds; seed++ {
+		for pass := 0; pass < 2; pass++ {
+			got, want := New(seed), rand.New(rand.NewSource(seed))
+			for d := 0; d < draws; d++ {
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("seed %d pass %d: draw %d is %d, want %d", seed, pass, d, g, w)
+				}
+			}
+		}
+	}
+	if memo := *seeded.Load(); len(memo) != memoSeeds {
+		t.Fatalf("the memo keeps %d seeds after %d were asked for, want %d", len(memo), 3*memoSeeds, memoSeeds)
+	}
+}
+
+// TestNewConcurrentCopies has two goroutines copy one memoized template at
+// once and drain their copies, each also asking for seeds of its own that the
+// memo may take (run under -race); then a third copy must still read the
+// stream from its start: a copy never shares state with the template or with
+// another copy.
+func TestNewConcurrentCopies(t *testing.T) {
+	const draws = 10000
+	New(1) // memoizes seed 1 unless the memo is already full
+	seed := (*seeded.Load())[0].seed
+	stream := func() []int64 {
+		r := New(seed)
+		out := make([]int64, draws)
+		for i := range out {
+			out[i] = r.Int63()
+		}
+		return out
+	}
+	var wg sync.WaitGroup
+	streams := make([][]int64, 2)
+	for g := range streams {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for s := int64(0); s < 4; s++ {
+				New(5000 + 10*int64(g) + s)
+			}
+			streams[g] = stream()
+		}(g)
+	}
+	wg.Wait()
+	want := rand.New(rand.NewSource(seed))
+	after := stream()
+	for i := 0; i < draws; i++ {
+		w := want.Int63()
+		if streams[0][i] != w || streams[1][i] != w || after[i] != w {
+			t.Fatalf("draw %d of seed %d: copies read %d, %d and (after both drained) %d, want %d",
+				i, seed, streams[0][i], streams[1][i], after[i], w)
 		}
 	}
 }
