@@ -73,14 +73,12 @@ func (sc *reqScope) traceID() string {
 	return sc.id
 }
 
-func (sc *reqScope) addLabel(hit bool) {
+// addLabel books one label the system did not already own.
+func (sc *reqScope) addLabel() {
 	if sc == nil {
 		return
 	}
 	sc.labels.Add(1)
-	if hit {
-		sc.hits.Add(1)
-	}
 }
 
 // addHits books n labels answered from records the system had already
@@ -102,12 +100,12 @@ func (sc *reqScope) setCost(records, shards int64) {
 	sc.shards.Store(shards)
 }
 
-// requestLabeler is one request's sampling labeler (see queryLabeler). It
-// does one lookup per label: a label the store already holds is returned
-// straight from the store's lock-free read index — no mutex, no second
-// lookup further down — and everything else goes through chain, which ends
-// in the same store's miss path (index-annotation promotion, singleflight,
-// budget, oracle).
+// requestLabeler is one request's sampling labeler (see queryLabeler). Each
+// label is one call into the label store's bound labeler, which reports
+// where the label came from: the store's lock-free pages, the pinned
+// version's annotations (promoted into the store for free), another
+// request's in-flight call, or the oracle (singleflight, budget). Beside that
+// call it keeps only the per-draw cancellation check and the metering.
 //
 // Aggregates and selects do not need the label, only a scoring function's
 // number for it, and sample through values / matches instead: a draw on a
@@ -127,16 +125,14 @@ func (sc *reqScope) setCost(records, shards int64) {
 type requestLabeler struct {
 	ctx   context.Context
 	done  <-chan struct{} // ctx.Done(): a canceled request stops drawing hits too
-	st    *tasti.LabelStore
-	v     *tasti.IndexVersion
-	chain tasti.Labeler
+	bound *tasti.BoundLabeler
 	sc    *reqScope
 
-	// fast counts the labels answered from the read index or an exact-score
-	// column — one add per draw, on memory no other request touches. publish
-	// books them, once: into the request's ledger entry, and into
-	// tasti_labelstore_hits_total (they are the store's hits as much as the
-	// ones its bound labeler counts).
+	// fast counts the hits — labels the store or the pinned version held, and
+	// exact-score column reads — one add per draw, on memory no other request
+	// touches. publish books them, once: into the request's ledger entry, and
+	// into tasti_labelstore_hits_total (the bound labeler leaves its hits to
+	// its caller to count).
 	fast  atomic.Int64
 	mHits *tasti.MetricCounter
 }
@@ -147,18 +143,15 @@ func (l *requestLabeler) Label(id int) (tasti.Annotation, error) {
 		return nil, l.ctx.Err()
 	default:
 	}
-	if ann, ok := l.st.Get(id); ok {
-		l.fast.Add(1)
-		return ann, nil
-	}
-	// Not in the store: an annotation the pinned version owns is still a hit
-	// (chain promotes it into the store for free); anything else is bought.
-	hit := l.v.Annotated(id)
-	ann, err := l.chain.Label(id)
+	ann, src, err := l.bound.Resolve(l.ctx, id)
 	if err != nil {
 		return nil, err
 	}
-	l.sc.addLabel(hit)
+	if src.Hit() {
+		l.fast.Add(1)
+	} else {
+		l.sc.addLabel()
+	}
 	return ann, nil
 }
 
@@ -195,16 +188,16 @@ func (l *requestLabeler) matches(col *tasti.ProxyColumn, sc tasti.Scorer) tasti.
 	}
 }
 
-// publish books the request's read-index and exact-score hits. Call it when
-// the query processor has returned, before the response is written.
+// publish books the request's hits. Call it when the query processor has
+// returned, before the response is written.
 func (l *requestLabeler) publish() {
 	n := l.fast.Swap(0)
 	l.sc.addHits(n)
 	l.mHits.Add(n)
 }
 
-func (l *requestLabeler) Name() string          { return l.chain.Name() }
-func (l *requestLabeler) Cost() tasti.CostModel { return l.chain.Cost() }
+func (l *requestLabeler) Name() string          { return l.bound.Name() }
+func (l *requestLabeler) Cost() tasti.CostModel { return l.bound.Cost() }
 
 // costKind maps a route to its ledger entry kind; other routes are free and
 // get no entry.

@@ -35,7 +35,8 @@ func (s *server) ingestDatasetPath() string {
 }
 
 // tenantLimiter caps how many records each tenant may have pending in the
-// ingest pipeline, so one firehose cannot starve the shared queue.
+// ingest pipeline, so one firehose cannot starve the shared queue. A batch
+// larger than the cap is never offered to it: no wait would admit it.
 type tenantLimiter struct {
 	mu      sync.Mutex
 	cap     int
@@ -291,14 +292,12 @@ func (s *server) persistIngestState() error {
 	return nil
 }
 
-// labelForRefresh supplies annotations to the refresher's crack phase. Base
-// records go through the serve-path labeler chain (billed, breaker-guarded);
-// appended records use the ground truth that arrived with their ingest
-// request, from the published corpus view.
-func (s *server) labelForRefresh(ctx context.Context, id int) (tasti.Annotation, error) {
-	if id < s.opts.size {
-		return tasti.LabelerWithContext(ctx, s.target).Label(id)
-	}
+// labelForRefresh supplies annotations to the refresher's crack phase: the
+// ground truth that arrived with each appended record's ingest request, from
+// the published corpus view. The refresher only offers appended records
+// (RefreshConfig.Since is -size, and every snapshot covers the base corpus),
+// so a refresh never buys a label.
+func (s *server) labelForRefresh(_ context.Context, id int) (tasti.Annotation, error) {
 	ds := s.corpus.Load()
 	if id >= ds.Len() {
 		return nil, fmt.Errorf("refresh: record %d past corpus end %d", id, ds.Len())
@@ -382,7 +381,8 @@ func (s *server) decodeIngest(w http.ResponseWriter, r *http.Request, sc *reqSco
 //
 //	501  ingest disabled (no -wal-dir)
 //	503  index building or WAL replaying (readiness), or pipeline closed
-//	413  body over -ingest-max-body
+//	413  body over -ingest-max-body, or a batch over -ingest-tenant-pending
+//	     (split the batch; no retry would admit it)
 //	400  malformed body, wrong feature dimension, or wrong annotation schema
 //	429  ingest queue saturated, or the tenant's pending cap hit
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -406,6 +406,12 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	tenant := r.Header.Get("X-Tasti-Tenant")
 	if tenant == "" {
 		tenant = "default"
+	}
+	if len(features) > s.tenants.cap {
+		s.reg.Counter("tasti_ingest_tenant_rejections_total").Inc()
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch of %d records exceeds the per-tenant pending cap %d; split the batch", len(features), s.tenants.cap))
+		return
 	}
 	if !s.tenants.reserve(tenant, len(features)) {
 		s.reg.Counter("tasti_ingest_tenant_rejections_total").Inc()

@@ -173,19 +173,21 @@ func TestIngestRejections(t *testing.T) {
 		t.Errorf("oversize body: status %d, want 413", resp.StatusCode)
 	}
 
-	// A single batch over the per-tenant pending cap answers 429 with a
-	// Retry-After hint; a small batch from the same tenant still lands.
+	// A single batch over the per-tenant pending cap could never be
+	// admitted, so it answers 413 (split the batch), not a 429 whose
+	// Retry-After would have the client retry forever; a small batch from
+	// the same tenant still lands.
 	over := ingestPayload(t, extra, 0, 5)
 	if len(over) > 8192 {
 		t.Fatalf("tenant-cap payload tripped the body limit first (%d bytes)", len(over))
 	}
 	resp = postIngest(t, ts.URL, over)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("over tenant cap: status %d, want 429", resp.StatusCode)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("batch over tenant cap: status %d, want 413", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+	if resp.Header.Get("Retry-After") != "" {
+		t.Error("413 with a Retry-After hint")
 	}
 	resp = postIngest(t, ts.URL, ingestPayload(t, extra, 0, 2))
 	ok := decodeBody(t, resp)
@@ -196,6 +198,29 @@ func TestIngestRejections(t *testing.T) {
 		t.Errorf("ack = %v, want base %d count 2", ok, srv.opts.size)
 	}
 	waitForRecords(t, ts.URL, srv.opts.size+2)
+}
+
+// TestTenantLimiter is the 429 side of the per-tenant cap: a batch that
+// fits the cap but not beside what the tenant already has pending is
+// refused until that drains, while other tenants keep writing.
+func TestTenantLimiter(t *testing.T) {
+	l := tenantLimiter{cap: 4}
+	if !l.reserve("a", 3) {
+		t.Fatal("first batch under the cap refused")
+	}
+	if l.reserve("a", 2) {
+		t.Fatal("3 pending + 2 admitted past a cap of 4")
+	}
+	if !l.reserve("b", 4) {
+		t.Fatal("another tenant's batch refused")
+	}
+	if !l.reserve("a", 1) {
+		t.Fatal("3 pending + 1 refused under a cap of 4")
+	}
+	l.release("a", 4)
+	if !l.reserve("a", 2) {
+		t.Fatal("batch refused after the tenant drained")
+	}
 }
 
 // TestIngestSurvivesRestart is the durability acceptance test: every acked

@@ -102,7 +102,7 @@ func main() {
 		walDir          = flag.String("wal-dir", "", "write-ahead-log directory: enables POST /ingest with fsync-before-ack durability and crash replay (empty disables)")
 		ingestBatch     = flag.Int("ingest-batch", 0, "max records coalesced into one WAL frame and fsync (<= 0 uses the default)")
 		ingestMaxBody   = flag.Int64("ingest-max-body", 0, "largest accepted /ingest body in bytes (<= 0 uses 8 MiB)")
-		ingestTenantCap = flag.Int("ingest-tenant-pending", 0, "per-tenant in-flight record cap, keyed by X-Tasti-Tenant (<= 0 uses 4096)")
+		ingestTenantCap = flag.Int("ingest-tenant-pending", 0, "per-tenant in-flight record cap, keyed by X-Tasti-Tenant; a larger batch answers 413 (<= 0 uses 4096)")
 		refreshBudget   = flag.Int("refresh-budget", 0, "worst-covered appended records re-cracked per refresh (<= 0 uses the default)")
 		refreshAuto     = flag.Bool("refresh-auto", false, "start a background refresh automatically when drift trips")
 

@@ -21,6 +21,26 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	ts := testServer(t)
 
+	// The build labels through a label store of its own, with no telemetry:
+	// right after it, every tasti_labelstore_* series — the serving store's —
+	// still reads 0.
+	fams := scrapeMetrics(t, ts.URL)
+	for _, name := range []string{"tasti_labelstore_hits_total", "tasti_labelstore_misses_total", "tasti_labelstore_entries"} {
+		if fams[name] == nil {
+			t.Errorf("/metrics has no %s after the build", name)
+		}
+	}
+	for name, fam := range fams {
+		if !strings.HasPrefix(name, "tasti_labelstore_") {
+			continue
+		}
+		for _, smp := range fam.Samples {
+			if smp.Value != 0 {
+				t.Errorf("%s reads %v right after the build, want 0", smp.Name, smp.Value)
+			}
+		}
+	}
+
 	// Generate traffic so request counters and latency histograms have
 	// observations beyond the scrape itself.
 	for _, path := range []string{"/healthz", "/index"} {

@@ -79,7 +79,8 @@ type serverOptions struct {
 	ingestMaxBody int64
 	// ingestTenantPending caps records a single tenant (X-Tasti-Tenant) may
 	// have in flight through the ingest pipeline; beyond it the tenant gets
-	// 429 while others keep writing (<= 0: 4096).
+	// 429 while others keep writing, and a batch larger than the cap alone
+	// gets 413 (<= 0: 4096).
 	ingestTenantPending int
 	// refreshBudget bounds representatives added per refresh (<= 0 uses the
 	// library default).
@@ -168,7 +169,7 @@ func (o serverOptions) shardCount() int {
 // atomic load) and reads only it — proxy columns, annotations, record and
 // representative counts — so its answer is the serial answer for that
 // version whatever is published meanwhile, and a label the system already
-// owns comes back through the label store's lock-free read index. Writers —
+// owns comes back through one lock-free read of the label store. Writers —
 // cracking limits, the ingest apply loop, refreshes, reloads — go through the
 // index's one write path, serialized among themselves only
 // (tasti_index_writer_wait_seconds is all the waiting there is); each
@@ -472,20 +473,18 @@ func (s *server) buildIndex() error {
 		}
 	}
 	index.SetTelemetry(s.reg)
-	// Seed the cross-query label store from its snapshot: annotations bought
-	// by yesterday's queries are free today. Corruption is contained by the
-	// typed snapshot errors — the store starts empty and refills. Index-owned
-	// annotations need no seeding: the store's lookup path reads them on
-	// demand and promotes hits.
+	// Restore the label store from its snapshot, in place: annotations
+	// bought by yesterday's queries are free today. Corruption is contained
+	// by the typed snapshot errors — a rejected file changes nothing, and the
+	// store starts empty and refills. Index-owned annotations need no
+	// seeding: the store's lookup path reads them on demand and promotes
+	// hits.
 	if opts.labelStorePath != "" {
 		if _, err := os.Stat(opts.labelStorePath); err == nil {
-			prev, lerr := tasti.LoadLabelStoreFile(opts.labelStorePath, tasti.LabelStoreOptions{})
-			if lerr != nil {
+			if lerr := tasti.ReadSnapshotFile(opts.labelStorePath, s.labels.Restore); lerr != nil {
 				s.log.Warn("label store unusable; starting empty",
 					"path", opts.labelStorePath, "err", lerr.Error())
 			} else {
-				s.labels.Warm(prev.Annotations())
-				s.labels.MarkClean()
 				s.log.Info("label store loaded",
 					"path", opts.labelStorePath, "labels", s.labels.Len())
 			}
@@ -789,22 +788,20 @@ func (s *server) publishBudgetMetrics() {
 	}
 }
 
-// flushLabels persists the cross-query label store to its snapshot path,
-// skipping the write when nothing changed since the last flush. Safe to call
-// concurrently with serving: the store serializes Save internally and the
-// write is atomic (temp + fsync + rename), so a kill -9 mid-flush leaves the
-// previous snapshot intact.
+// flushLabels persists the label store to its snapshot path, skipping the
+// write when nothing changed since the last flush. Safe to call concurrently
+// with serving: the store takes a point-in-time copy and the write is atomic
+// (temp + fsync + rename), so a kill -9 mid-flush leaves the previous
+// snapshot intact. The store counts tasti_labelstore_flush_total itself.
 func (s *server) flushLabels() {
 	if s.opts.labelStorePath == "" || s.labels.Dirty() == 0 {
 		return
 	}
 	if err := s.labels.Flush(s.opts.labelStorePath); err != nil {
-		s.reg.Counter(`tasti_labelstore_flush_total{outcome="error"}`).Inc()
 		s.log.Warn("label-store flush failed; annotations stay in memory",
 			"path", s.opts.labelStorePath, "err", err.Error())
 		return
 	}
-	s.reg.Counter(`tasti_labelstore_flush_total{outcome="ok"}`).Inc()
 	s.log.Info("label store flushed",
 		"path", s.opts.labelStorePath, "labels", s.labels.Len())
 }
@@ -1172,19 +1169,17 @@ func cacheAttr(hit bool) string {
 }
 
 // queryLabeler assembles one request's sampling labeler over the version the
-// request pinned: a label the store already holds is one lock-free lookup;
-// anything else takes the full chain, innermost first — the serve chain
-// (retry/breaker/deadline), the cross-query label store with budget admission
-// keyed by X-Tasti-Tenant and a free lookup into the version's own
-// annotations, and context binding so a disconnected client cancels in-flight
-// calls. Either way the label is metered into the request's ledger entry. The
-// handler calls publish once the query processor is done with it.
+// request pinned: the label store bound to the serve chain
+// (retry/breaker/deadline), with budget admission keyed by X-Tasti-Tenant and
+// a free lookup into the version's own annotations, called with the request's
+// context so a disconnected client cancels in-flight calls. Every label is
+// metered into the request's ledger entry. The handler calls publish once the
+// query processor is done with it.
 func (s *server) queryLabeler(ctx context.Context, r *http.Request, v *tasti.IndexVersion, sc *reqScope) *requestLabeler {
-	bound := s.labels.Bind(s.target, s.budget, r.Header.Get("X-Tasti-Tenant"), v.AnnotationOf)
 	return &requestLabeler{
 		ctx: ctx, done: ctx.Done(),
-		st: s.labels, v: v, chain: tasti.LabelerWithContext(ctx, bound),
-		sc: sc, mHits: s.labelHits,
+		bound: s.labels.Bind(s.target, s.budget, r.Header.Get("X-Tasti-Tenant"), v.AnnotationOf),
+		sc:    sc, mHits: s.labelHits,
 	}
 }
 
@@ -1224,33 +1219,52 @@ func (s *server) rejectOverBudget(w http.ResponseWriter, r *http.Request, err er
 	httpError(w, http.StatusTooManyRequests, "label budget exhausted or label store saturated: "+err.Error())
 }
 
-func (s *server) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	if s.notReady(w) {
-		return
+// queryPrelude is a /query/* request past its prelude: the decoded body, its
+// scoring functions, the version it pinned, its scope and the proxy column
+// its query processor reads.
+type queryPrelude struct {
+	req queryRequest
+	q   querySpec
+	v   *tasti.IndexVersion
+	sc  *reqScope
+	col *tasti.ProxyColumn
+}
+
+// prelude does what every /query/* handler does before its query processor
+// runs: readiness, decode, Pin and spec, then the traced fetch of the kind
+// column of the scorer pick names, which books the request's propagation
+// footprint. ok is false once it has written the response.
+func (s *server) prelude(w http.ResponseWriter, r *http.Request, kind tasti.ColumnKind, pick func(querySpec) tasti.Scorer) (p queryPrelude, ok bool) {
+	if s.notReady(w) || !s.decode(w, r, &p.req) {
+		return p, false
 	}
-	var req queryRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	ctx := r.Context()
-	v := s.index.Pin()
-	sc := scopeFrom(ctx)
-	score := s.spec(req).score
-	psp := sc.child("propagate")
-	col, hit, err := v.Column(score, tasti.ColumnWeighted, psp)
+	p.v = s.index.Pin()
+	p.sc = scopeFrom(r.Context())
+	p.q = s.spec(p.req)
+	psp := p.sc.child("propagate")
+	col, hit, err := p.v.Column(pick(p.q), kind, psp)
 	psp.SetAttr("cache", cacheAttr(hit))
 	psp.End()
 	if err != nil {
 		s.queryError(w, r, err)
+		return p, false
+	}
+	p.col = col
+	p.sc.setCost(int64(len(col.Scores)), int64(p.v.NumShards()))
+	return p, true
+}
+
+func (s *server) handleAggregate(w http.ResponseWriter, r *http.Request) {
+	p, ok := s.prelude(w, r, tasti.ColumnWeighted, func(q querySpec) tasti.Scorer { return q.score })
+	if !ok {
 		return
 	}
-	sc.setCost(int64(len(col.Scores)), int64(v.NumShards()))
-	lab := s.queryLabeler(ctx, r, v, sc)
-	esp := sc.child("estimate")
+	lab := s.queryLabeler(r.Context(), r, p.v, p.sc)
+	esp := p.sc.child("estimate")
 	res, err := tasti.EstimateAggregateValues(tasti.AggregateOptions{
-		ErrTarget: req.Err, Delta: 0.05, MinSamples: 100, Seed: s.seed + 1,
+		ErrTarget: p.req.Err, Delta: 0.05, MinSamples: 100, Seed: s.seed + 1,
 		Telemetry: s.reg,
-	}, v.NumRecords(), col.Scores, col.Mean, lab.values(col, score))
+	}, p.v.NumRecords(), p.col.Scores, p.col.Mean, lab.values(p.col, p.q.score))
 	lab.publish()
 	esp.SetAttr("label_calls", res.LabelerCalls)
 	esp.End()
@@ -1293,36 +1307,20 @@ type (
 )
 
 func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	if s.notReady(w) {
+	p, ok := s.prelude(w, r, tasti.ColumnWeighted, func(q querySpec) tasti.Scorer { return q.match })
+	if !ok {
 		return
 	}
-	var req queryRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	ctx := r.Context()
-	v := s.index.Pin()
-	sc := scopeFrom(ctx)
-	q := s.spec(req)
-	psp := sc.child("propagate")
-	col, hit, err := v.Column(q.match, tasti.ColumnWeighted, psp)
-	psp.SetAttr("cache", cacheAttr(hit))
-	psp.End()
-	if err != nil {
-		s.queryError(w, r, err)
-		return
-	}
-	sc.setCost(int64(len(col.Scores)), int64(v.NumShards()))
 	// The sample span keeps the design's O(records) passes on the first
 	// select over a column, and the sort of its scores on the first count;
 	// after them, the draws, the threshold search and a binary search that
 	// counts the returned set. Only its first 20 IDs are listed.
-	lab := s.queryLabeler(ctx, r, v, sc)
-	ssp := sc.child("sample")
-	sel, err := col.Design().RecallTargetSelection(tasti.SelectOptions{
-		Budget: req.Budget, Target: req.Recall, Delta: 0.05, Seed: s.seed + 2,
+	lab := s.queryLabeler(r.Context(), r, p.v, p.sc)
+	ssp := p.sc.child("sample")
+	sel, err := p.col.Design().RecallTargetSelection(tasti.SelectOptions{
+		Budget: p.req.Budget, Target: p.req.Recall, Delta: 0.05, Seed: s.seed + 2,
 		Telemetry: s.reg,
-	}, lab.matches(col, q.match))
+	}, lab.matches(p.col, p.q.match))
 	lab.publish()
 	// A failed query's Selection is the zero value, with no set to read.
 	var body selectBody
@@ -1348,40 +1346,24 @@ func renderSelect(sel tasti.Selection) selectBody {
 }
 
 func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
-	if s.notReady(w) {
+	p, ok := s.prelude(w, r, tasti.ColumnNearest, func(q querySpec) tasti.Scorer { return q.score })
+	if !ok {
 		return
 	}
-	var req queryRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	ctx := r.Context()
-	v := s.index.Pin()
-	sc := scopeFrom(ctx)
-	q := s.spec(req)
-	psp := sc.child("propagate")
-	col, hit, err := v.Column(q.score, tasti.ColumnNearest, psp)
-	psp.SetAttr("cache", cacheAttr(hit))
-	psp.End()
-	if err != nil {
-		s.queryError(w, r, err)
-		return
-	}
-	sc.setCost(int64(len(col.Scores)), int64(v.NumShards()))
 	// Per-shard heaps merged head by head under limitq's comparator: the
 	// scan order is bitwise identical to the unsharded order over the full
 	// vectors. The order span is the O(records) heapify on the column's
 	// first limit and nothing after it. The scan reads the column's shared
 	// scan prefix; an ID no earlier request reached is an O(log records) pop
 	// billed to the scan span.
-	osp := sc.child("order")
-	cursor, ordered := col.Cursor(osp)
+	osp := p.sc.child("order")
+	cursor, ordered := p.col.Cursor(osp)
 	osp.SetAttr("cache", cacheAttr(ordered))
 	osp.End()
-	lab := s.queryLabeler(ctx, r, v, sc)
-	scan := sc.child("scan")
+	lab := s.queryLabeler(r.Context(), r, p.v, p.sc)
+	scan := p.sc.child("scan")
 	res, err := tasti.FindLimitNext(tasti.LimitOptions{Telemetry: s.reg},
-		req.K, cursor.Next, q.pred, lab)
+		p.req.K, cursor.Next, p.q.pred, lab)
 	lab.publish()
 	scan.SetAttr("label_calls", res.OracleCalls)
 	scan.End()
@@ -1390,7 +1372,7 @@ func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cracked := 0
-	if req.Crack {
+	if p.req.Crack {
 		// An exhausted scan labeled the whole corpus; promoting all of it
 		// would make every record a representative (and hold the index's
 		// write path for seconds). Only the matches it found are worth

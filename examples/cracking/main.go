@@ -45,16 +45,16 @@ func main() {
 	}
 
 	// First query: estimate the average car count. Routing the labeler
-	// through a cache collects every annotation the query pays for.
+	// through a label store collects every annotation the query pays for.
 	carCount := tasti.CountScore("car")
 	aggScores, err := index.Propagate(carCount)
 	if err != nil {
 		log.Fatal(err)
 	}
-	caching := tasti.NewCachingLabeler(oracle)
+	labels := tasti.NewLabelStore(tasti.LabelStoreOptions{})
 	aggRes, err := tasti.EstimateAggregate(tasti.AggregateOptions{
 		ErrTarget: 0.08, Delta: 0.05, MinSamples: 100, Seed: seed + 3,
-	}, ds.Len(), aggScores, carCount, caching)
+	}, ds.Len(), aggScores, carCount, labels.Bind(oracle, nil, "", nil))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,14 +62,7 @@ func main() {
 		aggRes.Estimate, aggRes.LabelerCalls)
 
 	// Crack: insert the paid-for labels as new representatives.
-	paid := make(map[int]tasti.Annotation)
-	for _, id := range caching.CachedIDs() {
-		ann, err := caching.Label(id) // cache hit, free
-		if err != nil {
-			log.Fatal(err)
-		}
-		paid[id] = ann
-	}
+	paid := labels.Annotations()
 	index.CrackAll(paid)
 	fmt.Printf("cracked %d labels into the index (%d representatives now)\n",
 		len(paid), index.RepCount())

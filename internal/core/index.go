@@ -26,6 +26,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/labeler"
+	"repro/internal/labeler/store"
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
 	"repro/internal/triplet"
@@ -283,9 +284,12 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 
 	// Assemble the reliability chain inside-out: per-call deadline closest
 	// to the labeler, retries above it (so a timed-out attempt is retried),
-	// then invocation counting, then the cache — counting below the cache
-	// keeps cache hits (training/representative overlaps and
-	// checkpoint-restored labels) free, matching the BuildStats field docs.
+	// then invocation counting, then a label store of the build's own —
+	// counting below the store keeps its hits (training/representative
+	// overlaps and checkpoint-restored labels) free, matching the BuildStats
+	// field docs. The store has no telemetry, so a server's tasti_labelstore_*
+	// series count queries only, and room for one call per rep-labeling
+	// worker, so it never answers ErrSaturated.
 	base := lab
 	var deadline *labeler.Deadline
 	if cfg.LabelTimeout > 0 {
@@ -300,8 +304,9 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		base = retry
 	}
 	counting := labeler.NewCounting(base)
-	cached := labeler.NewCached(counting)
-	cached.Warm(ckpt.Labeled)
+	labels := store.New(store.Options{MaxInflight: parallel.Workers(cfg.Parallelism)})
+	labels.Warm(ckpt.Labeled)
+	cached := labels.Bind(counting, nil, "", nil)
 
 	var stats BuildStats
 	stats.ResumedLabels = len(ckpt.Labeled)
@@ -447,7 +452,7 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 	stats.RepSelectWall = time.Since(clusterStart)
 
 	// Annotate the representatives concurrently: reps are distinct, the
-	// counting/caching wrappers are mutex-guarded, and each rep's annotation
+	// counting wrapper and the label store are safe for concurrent use, and each rep's annotation
 	// (or error) lands in its own slot, so the outcome is the same at every
 	// worker count. ckpt.Failed is read-only during the loop; ckpt.Labeled
 	// writes go through the flusher mutex (fl.record), which also gives

@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"repro/internal/dataset"
-	"repro/internal/labeler"
+	"repro/internal/labeler/store"
 	"repro/internal/metrics"
 	"repro/internal/query/aggregation"
 	"repro/internal/query/supg"
@@ -47,23 +47,18 @@ func table3Setting(rep *Report, env *Env) error {
 
 	// runAgg executes the aggregation query against the version of ix it
 	// pins and returns the labeler calls plus everything the query labeled
-	// (for cracking).
+	// (for cracking): what its label store holds afterwards.
 	runAgg := func(ix *shard.Index) (int64, map[int]dataset.Annotation, error) {
 		scores, err := ix.Pin().PropagateK(s.AggScore, 5)
 		if err != nil {
 			return 0, nil, err
 		}
-		cached := labeler.NewCached(env.Oracle)
-		counting := labeler.NewCounting(cached)
-		res, err := aggregation.Estimate(aggOpts, env.DS.Len(), scores, s.AggScore, counting)
+		labels := store.New(store.Options{})
+		res, err := aggregation.Estimate(aggOpts, env.DS.Len(), scores, s.AggScore, labels.Bind(env.Oracle, nil, "", nil))
 		if err != nil {
 			return 0, nil, err
 		}
-		labeled, err := collectLabels(cached)
-		if err != nil {
-			return 0, nil, err
-		}
-		return res.LabelerCalls, labeled, nil
+		return res.LabelerCalls, labels.Annotations(), nil
 	}
 
 	// runSUPG executes the selection query against ix and returns its FPR
@@ -73,17 +68,13 @@ func table3Setting(rep *Report, env *Env) error {
 		if err != nil {
 			return 0, nil, err
 		}
-		cached := labeler.NewCached(env.Oracle)
-		res, err := supg.RecallTarget(supgOpts, env.DS.Len(), scores, s.SelPred, cached)
-		if err != nil {
-			return 0, nil, err
-		}
-		labeled, err := collectLabels(cached)
+		labels := store.New(store.Options{})
+		res, err := supg.RecallTarget(supgOpts, env.DS.Len(), scores, s.SelPred, labels.Bind(env.Oracle, nil, "", nil))
 		if err != nil {
 			return 0, nil, err
 		}
 		c := metrics.NewConfusion(selTruth, res.Returned)
-		return c.FalsePositiveRate() * 100, labeled, nil
+		return c.FalsePositiveRate() * 100, labels.Annotations(), nil
 	}
 
 	// Agg first, then SUPG on the cracked index.
@@ -129,18 +120,4 @@ func table3Setting(rep *Report, env *Env) error {
 	rep.Add(s.Key, "SUPG then agg", "target calls after crack", float64(callsAfter),
 		fmt.Sprintf("before=%d cracked=%d labels", callsBefore, len(supgLabels)))
 	return nil
-}
-
-// collectLabels extracts everything a query labeled through its cache; the
-// re-reads hit the cache, so they are free.
-func collectLabels(cached *labeler.Cached) (map[int]dataset.Annotation, error) {
-	out := make(map[int]dataset.Annotation)
-	for _, id := range cached.CachedIDs() {
-		ann, err := cached.Label(id)
-		if err != nil {
-			return nil, err
-		}
-		out[id] = ann
-	}
-	return out, nil
 }

@@ -380,27 +380,6 @@ func TestWithContextCancelsSampling(t *testing.T) {
 	}
 }
 
-func TestCachedWarmServesForFree(t *testing.T) {
-	ds := videoDataset(t, 10)
-	counting := NewCounting(NewOracle(ds, "oracle", MaskRCNNCost))
-	cached := NewCached(counting)
-	cached.Warm(map[int]dataset.Annotation{3: ds.Truth[3], 4: ds.Truth[4]})
-	for _, id := range []int{3, 4} {
-		if _, err := cached.Label(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if counting.Calls() != 0 {
-		t.Fatalf("warmed entries hit the oracle: %d calls", counting.Calls())
-	}
-	if _, err := cached.Label(5); err != nil {
-		t.Fatal(err)
-	}
-	if counting.Calls() != 1 {
-		t.Fatalf("calls = %d", counting.Calls())
-	}
-}
-
 // TestChaosMiddlewareComposition drives the full canonical chain —
 // Retry(Breaker(Deadline(Flaky(oracle)))) — at a high fault rate and checks
 // every record still labels correctly with bounded attempts.

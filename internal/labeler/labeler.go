@@ -156,73 +156,6 @@ func (c *Counting) Reset() {
 	c.calls = 0
 }
 
-// Cached wraps a labeler with a result cache so repeated requests for the
-// same record are answered for free, the way the paper caches target-labeler
-// results during index construction and cracking. It is safe for concurrent
-// use.
-type Cached struct {
-	inner Labeler
-
-	mu    sync.Mutex
-	cache map[int]dataset.Annotation
-}
-
-// NewCached wraps inner with a cache.
-func NewCached(inner Labeler) *Cached {
-	return &Cached{inner: inner, cache: make(map[int]dataset.Annotation)}
-}
-
-// Label implements Labeler.
-func (c *Cached) Label(id int) (dataset.Annotation, error) {
-	return c.LabelContext(context.Background(), id)
-}
-
-// LabelContext implements ContextLabeler.
-func (c *Cached) LabelContext(ctx context.Context, id int) (dataset.Annotation, error) {
-	c.mu.Lock()
-	if ann, ok := c.cache[id]; ok {
-		c.mu.Unlock()
-		return ann, nil
-	}
-	c.mu.Unlock()
-	ann, err := labelWithContext(ctx, c.inner, id)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.cache[id] = ann
-	c.mu.Unlock()
-	return ann, nil
-}
-
-// Warm seeds the cache with already-known annotations — the resume path of
-// index construction feeds a build checkpoint through it so re-labeling a
-// checkpointed record costs nothing.
-func (c *Cached) Warm(anns map[int]dataset.Annotation) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, ann := range anns {
-		c.cache[id] = ann
-	}
-}
-
-// Name implements Labeler.
-func (c *Cached) Name() string { return c.inner.Name() }
-
-// Cost implements Labeler.
-func (c *Cached) Cost() CostModel { return c.inner.Cost() }
-
-// CachedIDs returns the IDs currently cached, in unspecified order.
-func (c *Cached) CachedIDs() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := make([]int, 0, len(c.cache))
-	for id := range c.cache {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // Budgeted wraps a labeler with a hard invocation budget; once spent, Label
 // returns ErrBudgetExhausted. It is safe for concurrent use.
 type Budgeted struct {

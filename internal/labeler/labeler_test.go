@@ -84,24 +84,6 @@ func TestCountingConcurrent(t *testing.T) {
 	}
 }
 
-func TestCachedAvoidsRepeatCalls(t *testing.T) {
-	ds := videoDataset(t, 20)
-	counting := NewCounting(NewOracle(ds, "o", MaskRCNNCost))
-	cached := NewCached(counting)
-	for i := 0; i < 10; i++ {
-		if _, err := cached.Label(5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if counting.Calls() != 1 {
-		t.Errorf("inner calls = %d, want 1", counting.Calls())
-	}
-	ids := cached.CachedIDs()
-	if len(ids) != 1 || ids[0] != 5 {
-		t.Errorf("CachedIDs = %v", ids)
-	}
-}
-
 func TestBudgeted(t *testing.T) {
 	ds := videoDataset(t, 20)
 	b := NewBudgeted(NewOracle(ds, "o", MaskRCNNCost), 3)

@@ -2,15 +2,16 @@ package store
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // FuzzLoadLabelStore feeds arbitrary bytes to the label-store loader and
 // requires termination with a store or an error — no panic, no hang, no
 // unbounded allocation (the snapshot layer caps declared frame lengths
-// before allocating). An accepted store must be internally consistent: its
-// entry count must match the meta frame it was decoded against, which Load
-// enforces, so here acceptance only needs to produce a usable store.
+// before allocating). An accepted store must be clean and consistent: Len
+// counts exactly what Annotations lists, and a re-save reloads to the same
+// annotations.
 func FuzzLoadLabelStore(f *testing.F) {
 	var valid bytes.Buffer
 	if err := sampleStore().Save(&valid); err != nil {
@@ -35,9 +36,20 @@ func FuzzLoadLabelStore(f *testing.F) {
 		if s.Dirty() != 0 {
 			t.Fatal("freshly loaded store reports dirty entries")
 		}
+		anns := s.Annotations()
+		if s.Len() != len(anns) {
+			t.Fatalf("Len() = %d, Annotations() holds %d", s.Len(), len(anns))
+		}
 		var out bytes.Buffer
 		if err := s.Save(&out); err != nil {
 			t.Fatalf("accepted store failed to re-save: %v", err)
+		}
+		again, err := Load(&out, Options{})
+		if err != nil {
+			t.Fatalf("re-saved store failed to reload: %v", err)
+		}
+		if got := again.Annotations(); !reflect.DeepEqual(got, anns) {
+			t.Fatalf("re-save changed the annotations: %v, want %v", got, anns)
 		}
 	})
 }

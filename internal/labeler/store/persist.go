@@ -34,68 +34,74 @@ type storeMeta struct {
 	Count int
 }
 
-// Save writes the store as a framed snapshot of kind Kind. The store lock is
-// held for the duration, so the written set is a consistent point-in-time
-// view.
+// Save writes the store as a framed snapshot of kind Kind: one
+// point-in-time view of its annotations.
 func (s *Store) Save(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.saveLocked(w)
+	return save(w, s.Annotations())
 }
 
-func (s *Store) saveLocked(w io.Writer) error {
+func save(w io.Writer, anns map[int]dataset.Annotation) error {
 	sw, err := snapshot.NewWriter(w, Kind)
 	if err != nil {
 		return err
 	}
-	if err := sw.Encode(metaFrame, storeMeta{Count: len(s.anns)}); err != nil {
+	if err := sw.Encode(metaFrame, storeMeta{Count: len(anns)}); err != nil {
 		return err
 	}
-	if err := sw.Encode(labelsFrame, s.anns); err != nil {
+	if err := sw.Encode(labelsFrame, anns); err != nil {
 		return err
 	}
 	return sw.Close()
 }
 
-// Load reads a label store written by Save, verifying every CRC before any
-// annotation is trusted. Unknown trailing frames are skipped for forward
-// compatibility.
+// Load reads a label store written by Save into a new store: Restore.
 func Load(r io.Reader, opts Options) (*Store, error) {
+	s := New(opts)
+	if err := s.Restore(r); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Restore reads a label store written by Save into s. Every CRC and every
+// record ID is verified before any annotation is stored, so a damaged or
+// malformed snapshot leaves s as it was; unknown trailing frames are skipped
+// for forward compatibility. The annotations it adds are already on disk,
+// so they do not count as dirty.
+func (s *Store) Restore(r io.Reader) error {
 	sr, err := snapshot.NewReader(r, Kind)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var meta storeMeta
 	if err := sr.Decode(metaFrame, &meta); err != nil {
-		return nil, err
+		return err
 	}
 	anns := make(map[int]dataset.Annotation)
 	if err := sr.Decode(labelsFrame, &anns); err != nil {
-		return nil, err
+		return err
 	}
 	// Drain trailing frames so the whole-file CRC is verified — a spliced or
 	// truncated tail fails here, not at some later query.
 	if err := sr.Drain(); err != nil {
-		return nil, err
+		return err
 	}
 	if len(anns) != meta.Count {
-		return nil, fmt.Errorf("label store: meta declares %d entries, labels frame carries %d", meta.Count, len(anns))
+		return fmt.Errorf("label store: meta declares %d entries, labels frame carries %d", meta.Count, len(anns))
 	}
-	s := New(opts)
-	s.Warm(anns)
-	s.MarkClean()
-	return s, nil
-}
-
-// LoadFile loads a persisted store from path.
-func LoadFile(path string, opts Options) (*Store, error) {
-	var s *Store
-	err := snapshot.ReadFile(path, func(r io.Reader) error {
-		var lerr error
-		s, lerr = Load(r, opts)
-		return lerr
-	})
-	return s, err
+	for id := range anns {
+		if uint(id) >= denseLimit {
+			return fmt.Errorf("label store: record %d outside [0,%d)", id, denseLimit)
+		}
+	}
+	s.mu.Lock()
+	dirty := s.dirty
+	for id, ann := range anns {
+		s.put(id, ann)
+	}
+	s.dirty = dirty
+	s.mu.Unlock()
+	return nil
 }
 
 // Flush persists the store to path atomically (temp file, fsync, rename,
@@ -104,20 +110,18 @@ func LoadFile(path string, opts Options) (*Store, error) {
 // the dirty counter is decremented by the flushed delta; labels stored while
 // the write was in flight stay dirty for the next flush.
 func (s *Store) Flush(path string) error {
-	var flushed int64
-	err := snapshot.WriteFile(path, func(w io.Writer) error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		flushed = s.dirty
-		return s.saveLocked(w)
-	})
-	if err != nil {
-		s.met.Load().reg.Counter(`tasti_labelstore_flush_total{outcome="error"}`).Inc()
+	s.mu.Lock()
+	flushed := s.dirty
+	anns := s.annotationsLocked()
+	s.mu.Unlock()
+	met := s.met.Load()
+	if err := snapshot.WriteFile(path, func(w io.Writer) error { return save(w, anns) }); err != nil {
+		met.reg.Counter(`tasti_labelstore_flush_total{outcome="error"}`).Inc()
 		return err
 	}
 	s.mu.Lock()
 	s.dirty -= flushed
 	s.mu.Unlock()
-	s.met.Load().reg.Counter(`tasti_labelstore_flush_total{outcome="ok"}`).Inc()
+	met.reg.Counter(`tasti_labelstore_flush_total{outcome="ok"}`).Inc()
 	return nil
 }

@@ -64,6 +64,47 @@ func loadTyped(t *testing.T, data []byte, what string) {
 	t.Fatalf("%s: untyped error %v", what, err)
 }
 
+// loadFile restores a flushed store file into a new store.
+func loadFile(path string) (*Store, error) {
+	s := New(Options{})
+	return s, snapshot.ReadFile(path, s.Restore)
+}
+
+// writeRaw frames anns as a label-store snapshot without going through a
+// Store, which would refuse to hold some of them.
+func writeRaw(t *testing.T, anns map[int]dataset.Annotation) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := save(&buf, anns); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLabelStoreLoadRejectsOutOfRangeID: a snapshot whose CRCs all verify
+// but which holds a record ID the store never caches is malformed input.
+// Load refuses it, and Restore leaves the store it was reading into as it
+// was.
+func TestLabelStoreLoadRejectsOutOfRangeID(t *testing.T) {
+	for _, id := range []int{-1, denseLimit} {
+		data := writeRaw(t, map[int]dataset.Annotation{
+			2:  dataset.TextAnnotation{Operator: "SUM"},
+			id: dataset.TextAnnotation{Operator: "AVG"},
+		})
+		if _, err := Load(bytes.NewReader(data), Options{}); err == nil {
+			t.Fatalf("a snapshot holding record %d loaded", id)
+		}
+		s := sampleStore()
+		want := s.Annotations()
+		if err := s.Restore(bytes.NewReader(data)); err == nil {
+			t.Fatalf("a snapshot holding record %d restored", id)
+		}
+		if got := s.Annotations(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("a rejected restore changed the store: %v, want %v", got, want)
+		}
+	}
+}
+
 // TestCorruptLabelStoreTruncationMatrix truncates a saved store at every
 // byte offset — the file is small enough to afford the full matrix — and
 // requires a typed error each time.
@@ -154,7 +195,7 @@ func TestLabelStoreFlushAndLoadFile(t *testing.T) {
 	if s.Dirty() != 0 {
 		t.Fatalf("dirty after flush = %d, want 0", s.Dirty())
 	}
-	got, err := LoadFile(path, Options{})
+	got, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +241,7 @@ func TestChaosLabelStoreFlushKillLosesNoAckedLabels(t *testing.T) {
 
 	// The acked file is untouched: every label from the completed flush
 	// loads; the interrupted flush's extra label is simply not there yet.
-	got, err := LoadFile(path, Options{})
+	got, err := loadFile(path)
 	if err != nil {
 		t.Fatalf("acked flush unreadable after interrupted successor: %v", err)
 	}
@@ -218,7 +259,7 @@ func TestChaosLabelStoreFlushKillLosesNoAckedLabels(t *testing.T) {
 	if err == nil || !wrote {
 		t.Fatalf("simulated failure did not propagate (err=%v wrote=%v)", err, wrote)
 	}
-	got, err = LoadFile(path, Options{})
+	got, err = loadFile(path)
 	if err != nil {
 		t.Fatalf("acked flush unreadable after failed write: %v", err)
 	}

@@ -41,8 +41,8 @@ func withMutexHeld(t *testing.T, s *Store, what string, fn func()) {
 // TestReadIndexFirstWriterWins races Put, Warm and the bound labeler's leader
 // publish over the same IDs, each writer offering its own annotation, with
 // readers polling the lock-free index throughout. An ID's annotation, once
-// visible, never changes; and when the dust settles the read index, Get and
-// the map agree on every ID — the first writer won everywhere at once.
+// visible, never changes; and when the dust settles Get and Annotations
+// agree on every ID — the first writer won everywhere at once.
 func TestReadIndexFirstWriterWins(t *testing.T) {
 	const ids = 3*pageSize + 17 // several pages, the last partly filled
 	s := New(Options{})
@@ -108,11 +108,12 @@ func TestReadIndexFirstWriterWins(t *testing.T) {
 		t.Fatalf("%d entries, want %d", s.Len(), ids)
 	}
 	held := s.Annotations()
+	if len(held) != ids {
+		t.Fatalf("Annotations holds %d entries, want %d", len(held), ids)
+	}
 	for id := 0; id < ids; id++ {
-		fast, ok := s.known(id)
-		got, ok2 := s.Get(id)
-		if !ok || !ok2 || fast != held[id] || got != held[id] {
-			t.Fatalf("record %d: read index %v (%v), Get %v (%v), map %v", id, fast, ok, got, ok2, held[id])
+		if got, ok := s.Get(id); !ok || got != held[id] {
+			t.Fatalf("record %d: Get %v (%v), Annotations %v", id, got, ok, held[id])
 		}
 	}
 }
@@ -160,19 +161,49 @@ func TestReadIndexServesLoadedSnapshot(t *testing.T) {
 	}
 }
 
-// TestReadIndexSparseIDs: IDs the read index does not cover — negative, or at
-// and past its limit — live in the map alone and still round-trip through
-// Put, Get, the bound labeler and a snapshot.
+// TestReadIndexSparseIDs: IDs outside [0, denseLimit) — negative, or at and
+// past the limit — are never cached. Put and Warm drop them, a bound labeler
+// sends every request for one to the oracle, and a snapshot never holds one;
+// the last ID inside the range is cached like any other.
 func TestReadIndexSparseIDs(t *testing.T) {
 	sparse := []int{-1, math.MinInt64, denseLimit, denseLimit + 5, math.MaxInt64}
 	s := New(Options{})
 	for i, id := range sparse {
 		s.Put(id, tagged(9, i))
+		s.Warm(map[int]dataset.Annotation{id: tagged(9, i)})
 	}
-	s.Put(denseLimit-1, tagged(9, 99)) // the last slot the index does cover
-	if _, ok := s.known(denseLimit - 1); !ok {
-		t.Fatalf("record %d is inside the dense range but not in the read index", denseLimit-1)
+	last := denseLimit - 1
+	s.Put(last, tagged(9, 99))
+	if ann, ok := s.Get(last); !ok || ann != tagged(9, 99) {
+		t.Fatalf("Get(%d) = %v, %v: the last ID inside the range is not cached", last, ann, ok)
 	}
+	for _, id := range sparse {
+		if ann, ok := s.Get(id); ok {
+			t.Errorf("Get(%d) = %v: an ID outside the range was cached", id, ann)
+		}
+	}
+	if s.Len() != 1 || s.Dirty() != 1 {
+		t.Fatalf("Len=%d Dirty=%d, want 1/1", s.Len(), s.Dirty())
+	}
+
+	inner := &oracleN{n: math.MaxInt}
+	lab := s.Bind(inner, nil, "", func(int) (dataset.Annotation, bool) {
+		return tagged(9, 0), true // a lookup never caches them either
+	})
+	for _, id := range []int{denseLimit, denseLimit + 5} {
+		for range 2 {
+			if _, err := lab.Label(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if inner.Calls() != 4 {
+		t.Fatalf("%d oracle calls for two uncached records labeled twice, want 4", inner.Calls())
+	}
+	if _, err := lab.Label(-1); err == nil {
+		t.Fatal("a negative ID labeled")
+	}
+
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -181,23 +212,8 @@ func TestReadIndexSparseIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []*Store{s, loaded} {
-		inner := &oracleN{n: 0} // every call would fail: these must be hits
-		lab := st.Bind(inner, nil, "", nil)
-		for i, id := range sparse {
-			if _, ok := st.known(id); ok {
-				t.Errorf("record %d is outside the dense range but in the read index", id)
-			}
-			if ann, ok := st.Get(id); !ok || ann != tagged(9, i) {
-				t.Errorf("Get(%d) = %v, %v", id, ann, ok)
-			}
-			if ann, err := lab.Label(id); err != nil || ann != tagged(9, i) {
-				t.Errorf("Label(%d) = %v, %v", id, ann, err)
-			}
-		}
-		if st.Len() != len(sparse)+1 {
-			t.Errorf("%d entries, want %d", st.Len(), len(sparse)+1)
-		}
+	if got := loaded.Annotations(); len(got) != 1 || got[last] != tagged(9, 99) {
+		t.Fatalf("snapshot round trip holds %v", got)
 	}
 }
 

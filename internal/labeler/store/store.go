@@ -1,8 +1,8 @@
-// Package store implements the cross-query label store: a concurrency-safe
-// record→annotation cache that every query processor consults before
-// spending a target-labeler invocation, with singleflight coalescing so
-// concurrent requests for the same record issue exactly one oracle call, and
-// a global budget manager that admits those calls per tenant.
+// Package store implements the label store: the repository's one
+// record→annotation cache. Index construction labels through it, query
+// processors consult it before spending a target-labeler invocation, and
+// concurrent requests for the same record are coalesced into exactly one
+// oracle call; a global budget manager admits those calls per tenant.
 //
 // The economics motivating the package are the paper's: the target labeler
 // is the dominant cost of every query, and without a shared store N
@@ -60,28 +60,28 @@ type call struct {
 	err  error
 }
 
-// Store is the shared label store. All methods are safe for concurrent use.
+// Store is the label store. All methods are safe for concurrent use.
 //
-// The store is append-only and first-writer-wins, and record IDs are dense,
-// so beside the map it keeps a lock-free read index: a known label — the
-// overwhelmingly common request — is answered by Get with two atomic loads
-// and no mutex. The mutex serializes writers (and the in-flight table), which
-// publish each new annotation into the read index as they add it to the map.
+// It holds each annotation once, in a paged array indexed by record ID: an
+// immutable directory of pages of slots. The store is append-only and
+// first-writer-wins, so a slot is stored once, under mu, and never changes
+// after — which lets Get, and every known label a bound labeler answers, read
+// it with two atomic loads and no mutex. The mutex serializes writers (and
+// guards the in-flight table and the dirty count). Record IDs are dense; an
+// ID outside [0, denseLimit) is never cached.
 type Store struct {
 	maxInflight int
 
 	mu       sync.Mutex
-	anns     map[int]dataset.Annotation
 	inflight map[int]*call
 	// dirty counts annotations added since the last successful Flush, so
 	// periodic flushers can skip writes when nothing changed.
 	dirty int64
 
-	// pages is the read index over IDs in [0, denseLimit): an immutable
-	// directory of pages of slots. A slot is stored once, under mu, when its
-	// ID enters anns, and never changes after — so whatever a lock-free read
-	// finds is what the map holds. Growing the directory republishes it.
+	// pages is the directory; growing it republishes it. n counts the
+	// annotations held: written under mu, read without it.
 	pages atomic.Pointer[[]*page]
+	n     atomic.Int64
 
 	met atomic.Pointer[metrics]
 }
@@ -89,9 +89,9 @@ type Store struct {
 const (
 	pageBits = 9
 	pageSize = 1 << pageBits
-	// denseLimit bounds the read index; IDs outside [0, denseLimit) — no
-	// record ID the index hands out, but the snapshot format allows them —
-	// live in the map alone and are read under the mutex.
+	// denseLimit bounds the record IDs the store caches: every ID an index
+	// hands out is far below it. Load rejects a snapshot holding one past it,
+	// and a bound labeler sends one to the oracle uncached.
 	denseLimit = 1 << 22
 )
 
@@ -114,7 +114,6 @@ func New(opts Options) *Store {
 	}
 	s := &Store{
 		maxInflight: maxIn,
-		anns:        make(map[int]dataset.Annotation),
 		inflight:    make(map[int]*call),
 	}
 	s.SetTelemetry(opts.Telemetry)
@@ -132,22 +131,9 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry) {
 	})
 }
 
-// Get returns the stored annotation for id, if present. For a record ID the
-// read index covers — every ID an index hands out — that is one lock-free
-// lookup, hit or miss; only an out-of-range ID goes to the map.
+// Get returns the stored annotation for id, if present: one lock-free
+// lookup, hit or miss. It finds every annotation whose put has returned.
 func (s *Store) Get(id int) (dataset.Annotation, bool) {
-	if uint(id) < denseLimit {
-		return s.known(id)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ann, ok := s.anns[id]
-	return ann, ok
-}
-
-// known is the lock-free lookup: it finds every annotation whose put has
-// returned, for IDs in [0, denseLimit), and nothing outside that range.
-func (s *Store) known(id int) (dataset.Annotation, bool) {
 	dir := s.pages.Load()
 	if dir == nil || uint(id)>>pageBits >= uint(len(*dir)) {
 		return nil, false
@@ -163,23 +149,17 @@ func (s *Store) known(id int) (dataset.Annotation, bool) {
 	return *ann, true
 }
 
-// put adds ann under id unless the ID already has one — the first annotation
-// bought for a record is the one every later query sees — and publishes it
-// to the read index. Caller holds mu.
-func (s *Store) put(id int, ann dataset.Annotation) {
-	if _, dup := s.anns[id]; dup {
-		return
-	}
-	s.anns[id] = ann
-	s.dirty++
-	s.index(id, ann)
-}
-
-// index publishes one annotation to the read index. Caller holds mu, which
-// makes it the only writer of the directory and of unset slots.
-func (s *Store) index(id int, ann dataset.Annotation) {
+// put stores ann under id unless the ID already has one — the first
+// annotation bought for a record is the one every later query sees — and
+// returns the annotation id holds afterwards. An ID outside [0, denseLimit)
+// is not stored. Caller holds mu, which makes it the only writer of the
+// directory and of unset slots.
+func (s *Store) put(id int, ann dataset.Annotation) dataset.Annotation {
 	if uint(id) >= denseLimit {
-		return
+		return ann
+	}
+	if held, ok := s.Get(id); ok {
+		return held
 	}
 	var dir []*page
 	if d := s.pages.Load(); d != nil {
@@ -195,6 +175,9 @@ func (s *Store) index(id int, ann dataset.Annotation) {
 		dir = grown
 	}
 	dir[p][id&(pageSize-1)].Store(&ann)
+	s.dirty++
+	s.met.Load().entries.Set(float64(s.n.Add(1)))
+	return ann
 }
 
 // Put stores an annotation bought elsewhere (index construction, cracking).
@@ -202,72 +185,92 @@ func (s *Store) index(id int, ann dataset.Annotation) {
 func (s *Store) Put(id int, ann dataset.Annotation) {
 	s.mu.Lock()
 	s.put(id, ann)
-	s.met.Load().entries.Set(float64(len(s.anns)))
 	s.mu.Unlock()
 }
 
-// Warm seeds the store with already-known annotations — typically the
-// serving index's representative annotations, which were bought at build
-// time and would otherwise be re-bought by the first queries.
+// Warm seeds the store with already-known annotations — a build checkpoint's
+// labels, or another store's.
 func (s *Store) Warm(anns map[int]dataset.Annotation) {
 	s.mu.Lock()
 	for id, ann := range anns {
 		s.put(id, ann)
 	}
-	s.met.Load().entries.Set(float64(len(s.anns)))
 	s.mu.Unlock()
 }
 
 // Len returns the resident annotation count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.anns)
-}
+func (s *Store) Len() int { return int(s.n.Load()) }
 
 // Dirty returns how many annotations were added since the last successful
-// Flush (or MarkClean).
+// Flush.
 func (s *Store) Dirty() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dirty
 }
 
-// MarkClean zeroes the dirty counter — used after seeding a store from a
-// snapshot that is already on disk, so the next periodic flush is not forced
-// to rewrite identical content.
-func (s *Store) MarkClean() {
-	s.mu.Lock()
-	s.dirty = 0
-	s.mu.Unlock()
-}
-
 // Annotations returns a copy of the stored annotations.
 func (s *Store) Annotations() map[int]dataset.Annotation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[int]dataset.Annotation, len(s.anns))
-	for id, ann := range s.anns {
-		out[id] = ann
+	return s.annotationsLocked()
+}
+
+// annotationsLocked walks the pages. Caller holds mu, so the copy is one
+// point-in-time view.
+func (s *Store) annotationsLocked() map[int]dataset.Annotation {
+	out := make(map[int]dataset.Annotation, s.Len())
+	dir := s.pages.Load()
+	if dir == nil {
+		return out
+	}
+	for p, pg := range *dir {
+		if pg == nil {
+			continue
+		}
+		for j := range pg {
+			if ann := pg[j].Load(); ann != nil {
+				out[p<<pageBits|j] = *ann
+			}
+		}
 	}
 	return out
 }
 
-// Bind wraps inner as a labeler that consults the store first, coalesces
-// concurrent misses for the same record into one oracle call, and — when
-// budget is non-nil — reserves one invocation from tenant's budget before
-// each oracle call, refunding it if the call fails.
+// Source says where a bound labeler found an annotation.
+type Source uint8
+
+const (
+	// FromStore: the store already held it.
+	FromStore Source = iota
+	// FromIndex: the bound lookup — the serving index's own annotations —
+	// held it; it is now in the store too.
+	FromIndex
+	// FromInflight: another caller was buying it; this one shared the call.
+	FromInflight
+	// FromOracle: this caller bought it with an admitted oracle call.
+	FromOracle
+)
+
+// Hit reports whether the annotation was one the system already owned, so
+// labeling it spent nothing.
+func (src Source) Hit() bool { return src == FromStore || src == FromIndex }
+
+// Bind returns a labeler that consults the store first, coalesces
+// concurrent misses for the same record into one oracle call to inner, and —
+// when budget is non-nil — reserves one invocation from tenant's budget
+// before each oracle call, refunding it if the call fails.
 //
 // lookup, when non-nil, is a secondary read-only source consulted on a store
-// miss before any budget or oracle spend — the serving index's annotation
-// map, so records annotated by construction or cracking are free. A lookup
-// hit is promoted into the store.
-func (s *Store) Bind(inner labeler.Labeler, budget *Budget, tenant string, lookup func(int) (dataset.Annotation, bool)) labeler.Labeler {
-	return &boundLabeler{store: s, inner: inner, budget: budget, tenant: tenant, lookup: lookup}
+// miss before any budget or oracle spend — the serving index's annotations,
+// so records annotated by construction or cracking are free. A lookup hit is
+// promoted into the store.
+func (s *Store) Bind(inner labeler.Labeler, budget *Budget, tenant string, lookup func(int) (dataset.Annotation, bool)) *Bound {
+	return &Bound{store: s, inner: inner, budget: budget, tenant: tenant, lookup: lookup}
 }
 
-// boundLabeler is one (tenant, inner) binding of the store.
-type boundLabeler struct {
+// Bound is one (tenant, inner, lookup) binding of the store: a labeler.
+type Bound struct {
 	store  *Store
 	inner  labeler.Labeler
 	budget *Budget
@@ -275,25 +278,53 @@ type boundLabeler struct {
 	lookup func(int) (dataset.Annotation, bool)
 }
 
-func (b *boundLabeler) Label(id int) (dataset.Annotation, error) {
+// Label implements labeler.Labeler.
+func (b *Bound) Label(id int) (dataset.Annotation, error) {
 	return b.LabelContext(context.Background(), id)
 }
 
-// LabelContext implements labeler.ContextLabeler. The fast path is the
-// lock-free read index; everything else takes the mutex, and the miss path
-// runs the oracle outside it.
-func (b *boundLabeler) LabelContext(ctx context.Context, id int) (dataset.Annotation, error) {
+// LabelContext implements labeler.ContextLabeler: Resolve, counting a hit.
+func (b *Bound) LabelContext(ctx context.Context, id int) (dataset.Annotation, error) {
+	ann, src, err := b.Resolve(ctx, id)
+	if err == nil && src.Hit() {
+		b.store.met.Load().hits.Inc()
+	}
+	return ann, err
+}
+
+// Resolve labels id and reports where the annotation came from. A known
+// label is one lock-free read; then the lookup; then, under the mutex, an
+// in-flight call to join or a new one to lead, run outside it. Resolve
+// counts misses, coalesced waiters and saturation; a hit (Source.Hit) is the
+// caller's to count, so a caller answering many hits can count them at once.
+// A canceled ctx ends a wait for another caller's call and is forwarded to
+// inner, but a known label is returned without looking at it.
+func (b *Bound) Resolve(ctx context.Context, id int) (dataset.Annotation, Source, error) {
 	s := b.store
+	if ann, ok := s.Get(id); ok {
+		return ann, FromStore, nil
+	}
 	met := s.met.Load()
-	if ann, ok := s.known(id); ok {
-		met.hits.Inc()
-		return ann, nil
+	if uint(id) >= denseLimit {
+		// Never cached, so there is nothing to find or coalesce onto.
+		met.misses.Inc()
+		ann, err := b.buy(ctx, id)
+		return ann, FromOracle, err
+	}
+	// Annotations the index already owns (representatives, cracked records)
+	// are free — no budget, no oracle.
+	if b.lookup != nil {
+		if ann, ok := b.lookup(id); ok {
+			s.mu.Lock()
+			ann = s.put(id, ann)
+			s.mu.Unlock()
+			return ann, FromIndex, nil
+		}
 	}
 	s.mu.Lock()
-	if ann, ok := s.anns[id]; ok {
+	if ann, ok := s.Get(id); ok { // stored since the lock-free read
 		s.mu.Unlock()
-		met.hits.Inc()
-		return ann, nil
+		return ann, FromStore, nil
 	}
 	if c, ok := s.inflight[id]; ok {
 		// Another goroutine is already buying this annotation; wait for it
@@ -303,26 +334,15 @@ func (b *boundLabeler) LabelContext(ctx context.Context, id int) (dataset.Annota
 		met.reg.Counter("tasti_labelstore_coalesced_total").Inc()
 		select {
 		case <-c.done:
-			return c.ann, c.err
+			return c.ann, FromInflight, c.err
 		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	// Secondary source: annotations the index already owns (representatives,
-	// cracked records) are free — no budget, no oracle.
-	if b.lookup != nil {
-		if ann, ok := b.lookup(id); ok {
-			s.put(id, ann)
-			met.entries.Set(float64(len(s.anns)))
-			s.mu.Unlock()
-			met.hits.Inc()
-			return ann, nil
+			return nil, FromInflight, ctx.Err()
 		}
 	}
 	if len(s.inflight) >= s.maxInflight {
 		s.mu.Unlock()
 		met.reg.Counter("tasti_labelstore_saturated_total").Inc()
-		return nil, fmt.Errorf("labeler store: %d oracle calls in flight: %w", s.maxInflight, ErrSaturated)
+		return nil, FromOracle, fmt.Errorf("labeler store: %d oracle calls in flight: %w", s.maxInflight, ErrSaturated)
 	}
 	c := &call{done: make(chan struct{})}
 	s.inflight[id] = c
@@ -335,17 +355,16 @@ func (b *boundLabeler) LabelContext(ctx context.Context, id int) (dataset.Annota
 	c.ann, c.err = b.buy(ctx, id)
 	s.mu.Lock()
 	if c.err == nil {
-		s.put(id, c.ann)
-		met.entries.Set(float64(len(s.anns)))
+		c.ann = s.put(id, c.ann)
 	}
 	delete(s.inflight, id)
 	s.mu.Unlock()
 	close(c.done)
-	return c.ann, c.err
+	return c.ann, FromOracle, c.err
 }
 
 // buy performs one admitted oracle call.
-func (b *boundLabeler) buy(ctx context.Context, id int) (dataset.Annotation, error) {
+func (b *Bound) buy(ctx context.Context, id int) (dataset.Annotation, error) {
 	if b.budget != nil {
 		if err := b.budget.Reserve(b.tenant); err != nil {
 			return nil, err
@@ -361,8 +380,11 @@ func (b *boundLabeler) buy(ctx context.Context, id int) (dataset.Annotation, err
 	return ann, nil
 }
 
-func (b *boundLabeler) Name() string            { return b.inner.Name() }
-func (b *boundLabeler) Cost() labeler.CostModel { return b.inner.Cost() }
+// Name implements labeler.Labeler.
+func (b *Bound) Name() string { return b.inner.Name() }
+
+// Cost implements labeler.Labeler.
+func (b *Bound) Cost() labeler.CostModel { return b.inner.Cost() }
 
 // labelWithContext mirrors the labeler package's context bridging: forward
 // ctx to context-aware labelers, otherwise check it before the plain call.

@@ -18,7 +18,7 @@ import (
 type Predicate func(ann dataset.Annotation) bool
 
 // Options configures a limit query beyond its required arguments. The zero
-// value reproduces Run.
+// value is what Run uses.
 type Options struct {
 	// Telemetry, when non-nil, counts query runs and per-record labeler
 	// spend (tasti_query_runs_total / tasti_query_label_calls_total with
@@ -49,13 +49,8 @@ type Result struct {
 // Run scans records in descending proxy-score order — ties broken by
 // ascending tieDist (the distance to the nearest cluster representative, per
 // the paper's Section 6.3 custom scoring), then by ID — labeling each until
-// limit matches are found. tieDist may be nil.
+// limit matches are found. tieDist may be nil. It is RunNext over one Heap.
 func Run(limit int, proxy, tieDist []float64, pred Predicate, lab labeler.Labeler) (Result, error) {
-	return RunOpts(Options{}, limit, proxy, tieDist, pred, lab)
-}
-
-// RunOpts is Run with instrumentation options.
-func RunOpts(opts Options, limit int, proxy, tieDist []float64, pred Predicate, lab labeler.Labeler) (Result, error) {
 	n := len(proxy)
 	if n == 0 {
 		return Result{}, errors.New("limitq: empty dataset")
@@ -63,7 +58,7 @@ func RunOpts(opts Options, limit int, proxy, tieDist []float64, pred Predicate, 
 	if tieDist != nil && len(tieDist) != n {
 		return Result{}, fmt.Errorf("limitq: %d tie distances for %d records", len(tieDist), n)
 	}
-	return RunNext(opts, limit, NewCursor(NewHeap(proxy, tieDist, 0, n)).Next, pred, lab)
+	return RunNext(Options{}, limit, NewCursor(NewHeap(proxy, tieDist, 0, n)).Next, pred, lab)
 }
 
 // Order returns every record ID in scan order: descending proxy score, ties
@@ -200,9 +195,8 @@ func RunScan(opts Options, limit int, order []int, pred Predicate, lab labeler.L
 }
 
 // RunNext labels the records next yields, in that order, until limit matches
-// are found or next reports the order exhausted. It is the labeling half of
-// RunOpts, split out so callers that build the order themselves — a sharded
-// index merging per-shard heaps — reuse the identical scan loop, and pay for
+// are found or next reports the order exhausted: the one scan loop behind
+// Run, RunScan and a sharded index merging per-shard heaps, which pays for
 // only as much of the order as the scan consumes.
 func RunNext(opts Options, limit int, next func() (id int, ok bool), pred Predicate, lab labeler.Labeler) (Result, error) {
 	if limit <= 0 {

@@ -132,15 +132,30 @@ var entries = []struct {
 	{"values", func(_ Predicate, truth []bool, lab labeler.Labeler) MatchSource { return tabled(truth, lab) }},
 }
 
-// targets are the two queries, each by its annotation entry and by the
-// match-source body that entry adapts onto.
-var targets = []struct {
-	name    string
-	ann     func(*Design, Options, Predicate, labeler.Labeler) (Result, error)
-	matches func(*Design, Options, MatchSource) (Result, error)
-}{
-	{"recall", (*Design).RecallTarget, (*Design).RecallTargetMatches},
-	{"precision", (*Design).PrecisionTarget, (*Design).PrecisionTargetMatches},
+// target is one of the two queries over a design.
+type target struct {
+	name string
+	run  func(*Design, Options, MatchSource) (Selection, error)
+}
+
+var targets = []target{
+	{"recall", (*Design).RecallTargetSelection},
+	{"precision", (*Design).PrecisionTargetSelection},
+}
+
+// matches runs the query over a match source and lists the returned set.
+func (tg target) matches(d *Design, opts Options, match MatchSource) (Result, error) {
+	sel, err := tg.run(d, opts, match)
+	if err != nil {
+		return Result{}, err
+	}
+	return sel.Result(), nil
+}
+
+// ann is matches through the annotation adapter the one-shot RecallTarget
+// and PrecisionTarget use.
+func (tg target) ann(d *Design, opts Options, pred Predicate, lab labeler.Labeler) (Result, error) {
+	return tg.matches(d, opts, labeled(pred, lab))
 }
 
 // sameResult reports whether two results are equal, the threshold by its

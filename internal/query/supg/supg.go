@@ -120,11 +120,11 @@ func (o Options) validate() error {
 // read-only once built: concurrent queries may share it. The proxy slice is
 // retained, not copied, and must not change while the Design is in use.
 //
-// Each target has two entries over one body: RecallTarget / PrecisionTarget
-// take a predicate and a labeler, RecallTargetMatches /
-// PrecisionTargetMatches the per-record MatchSource the former are adapters
-// onto — for a caller that can answer some records without materialising an
-// annotation. Draws, threshold and returned set are the same through either.
+// Its queries, RecallTargetSelection and PrecisionTargetSelection, read a
+// per-record MatchSource — for a caller that can answer some records without
+// materialising an annotation. The one-shot RecallTarget and PrecisionTarget
+// adapt a predicate and a labeler onto one and list the returned set whole;
+// draws, threshold and returned set are the same either way.
 type Design struct {
 	proxy []float64
 	total float64
@@ -170,31 +170,22 @@ func (d *Design) Prob(id int) float64 { return weight(d.proxy[id]) / d.total }
 // RecallTarget runs the recall-target SUPG query: it returns a set that
 // contains at least a Target fraction of all matching records with
 // probability 1-Delta, spending exactly the labeler budget. It is the
-// one-shot form of NewDesign(proxy).RecallTarget.
+// one-shot form of NewDesign(proxy).RecallTargetSelection.
 func RecallTarget(opts Options, n int, proxy []float64, pred Predicate, lab labeler.Labeler) (Result, error) {
 	if err := checkCorpus(n, proxy); err != nil {
 		return Result{}, err
 	}
-	return NewDesign(proxy).RecallTarget(opts, pred, lab)
-}
-
-// RecallTarget runs the recall-target query over the design's proxy vector.
-func (d *Design) RecallTarget(opts Options, pred Predicate, lab labeler.Labeler) (Result, error) {
-	return d.RecallTargetMatches(opts, labeled(pred, lab))
-}
-
-// RecallTargetMatches is RecallTarget over a per-record match source.
-func (d *Design) RecallTargetMatches(opts Options, match MatchSource) (Result, error) {
-	sel, err := d.RecallTargetSelection(opts, match)
+	sel, err := NewDesign(proxy).RecallTargetSelection(opts, labeled(pred, lab))
 	if err != nil {
 		return Result{}, err
 	}
 	return sel.Result(), nil
 }
 
-// RecallTargetSelection is RecallTargetMatches with the returned set left as
-// its membership rule: a caller that reports the set's size and a few of its
-// IDs reads them through Len and IDs without listing the set.
+// RecallTargetSelection runs the recall-target query over the design's proxy
+// vector, with the returned set left as its membership rule: a caller that
+// reports the set's size and a few of its IDs reads them through Len and IDs
+// without listing the set.
 func (d *Design) RecallTargetSelection(opts Options, match MatchSource) (Selection, error) {
 	if err := opts.validate(); err != nil {
 		return Selection{}, err
@@ -268,31 +259,21 @@ func (d *Design) RecallTargetSelection(opts Options, match MatchSource) (Selecti
 // PrecisionTarget runs the precision-target SUPG variant: the returned set
 // contains at least a Target fraction of true matches, maximizing set size
 // subject to that, with probability 1-Delta. It is the one-shot form of
-// NewDesign(proxy).PrecisionTarget.
+// NewDesign(proxy).PrecisionTargetSelection.
 func PrecisionTarget(opts Options, n int, proxy []float64, pred Predicate, lab labeler.Labeler) (Result, error) {
 	if err := checkCorpus(n, proxy); err != nil {
 		return Result{}, err
 	}
-	return NewDesign(proxy).PrecisionTarget(opts, pred, lab)
-}
-
-// PrecisionTarget runs the precision-target query over the design's proxy
-// vector.
-func (d *Design) PrecisionTarget(opts Options, pred Predicate, lab labeler.Labeler) (Result, error) {
-	return d.PrecisionTargetMatches(opts, labeled(pred, lab))
-}
-
-// PrecisionTargetMatches is PrecisionTarget over a per-record match source.
-func (d *Design) PrecisionTargetMatches(opts Options, match MatchSource) (Result, error) {
-	sel, err := d.PrecisionTargetSelection(opts, match)
+	sel, err := NewDesign(proxy).PrecisionTargetSelection(opts, labeled(pred, lab))
 	if err != nil {
 		return Result{}, err
 	}
 	return sel.Result(), nil
 }
 
-// PrecisionTargetSelection is PrecisionTargetMatches with the returned set
-// left as its membership rule, as RecallTargetSelection.
+// PrecisionTargetSelection runs the precision-target query over the design's
+// proxy vector, with the returned set left as its membership rule, as
+// RecallTargetSelection.
 func (d *Design) PrecisionTargetSelection(opts Options, match MatchSource) (Selection, error) {
 	if err := opts.validate(); err != nil {
 		return Selection{}, err

@@ -425,10 +425,14 @@ func TestColumnsAreReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	selOpts := supg.Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 5, Parallelism: 2}
-	if _, err := sel.Design().RecallTarget(selOpts, pred, lab); err != nil {
+	labeled := func(id int) (bool, error) {
+		ann, err := lab.Label(id)
+		return err == nil && pred(ann), err
+	}
+	if _, err := sel.Design().RecallTargetSelection(selOpts, labeled); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sel.Design().PrecisionTarget(selOpts, pred, lab); err != nil {
+	if _, err := sel.Design().PrecisionTargetSelection(selOpts, labeled); err != nil {
 		t.Fatal(err)
 	}
 	cur, _ := lim.Cursor(nil)

@@ -27,7 +27,8 @@
 // The same index serves selection queries with recall guarantees
 // (SelectWithRecall), limit queries over rare events (FindLimit), and
 // guarantee-free threshold selection (SelectByThreshold). Labels paid for
-// during query execution are folded back into it with
+// during query execution — label through NewLabelStore(...).Bind(...) and
+// read them back with LabelStore.Annotations — are folded back into it with
 // ShardedIndex.CrackAll, and new records arrive with
 // ShardedIndex.AppendRecords. Build's Index is the builder's output: it
 // saves, loads and splits, and the ShardedIndex it splits into is the one
@@ -35,7 +36,6 @@
 package tasti
 
 import (
-	"context"
 	"io"
 	"time"
 
@@ -127,13 +127,6 @@ func NewCountingLabeler(inner Labeler) *labeler.Counting {
 	return labeler.NewCounting(inner)
 }
 
-// NewCachingLabeler wraps a labeler with a result cache. Run a query
-// through it, then read CachedIDs/Label to collect every annotation the
-// query paid for — the input to ShardedIndex.CrackAll.
-func NewCachingLabeler(inner Labeler) *labeler.Cached {
-	return labeler.NewCached(inner)
-}
-
 // NewBudgetedLabeler wraps a labeler with a hard invocation budget; once
 // spent, calls fail with ErrBudgetExhausted (terminal but resumable — see
 // BuildResumable).
@@ -218,13 +211,6 @@ func NewDeadlineLabeler(inner Labeler, timeout time.Duration) *labeler.Deadline 
 // while the tier is unhealthy.
 func NewBreakerLabeler(inner Labeler, pol BreakerPolicy) *Breaker {
 	return labeler.NewBreaker(inner, pol)
-}
-
-// LabelerWithContext binds a labeler to a context, so a canceled caller —
-// e.g. a disconnected HTTP client — stops the labeling loops inside query
-// processors that know nothing about contexts.
-func LabelerWithContext(ctx context.Context, inner Labeler) Labeler {
-	return labeler.WithContext(ctx, inner)
 }
 
 // NewCheckpoint returns an empty build checkpoint bound to a configuration;
@@ -319,6 +305,8 @@ type (
 	ProxyColumn = shard.Column
 	// ProxyColumnStats is ShardedIndex.ColumnStats's residency report.
 	ProxyColumnStats = shard.ColumnStats
+	// ColumnKind names the propagation a proxy column holds.
+	ColumnKind = shard.ColumnKind
 )
 
 // The propagation a proxy column holds.
@@ -435,16 +423,16 @@ type (
 	// head without materialising it; Result lists it whole.
 	Selection = supg.Selection
 	// SelectDesign is SUPG's sampling design over one proxy vector, reusable
-	// across queries: SelectWithRecall(opts, n, proxy, ...) is
-	// supg.NewDesign(proxy).RecallTarget(opts, ...). ProxyColumn.Design
-	// returns the one a column keeps. RecallTargetMatches and
-	// PrecisionTargetMatches run the same queries over a MatchSource.
+	// across queries: SelectWithRecall is one RecallTargetSelection over a
+	// fresh design, listed whole with Selection.Result. ProxyColumn.Design
+	// returns the one a column keeps; RecallTargetSelection and
+	// PrecisionTargetSelection run the queries over a MatchSource.
 	SelectDesign = supg.Design
 	// ValueSource answers one record's aggregated quantity — the score of
 	// its label — for EstimateAggregateValues.
 	ValueSource = aggregation.ValueSource
 	// MatchSource answers whether one record matches a selection — the
-	// predicate over its label — for SelectDesign's ...Matches queries.
+	// predicate over its label — for SelectDesign's queries.
 	MatchSource = supg.MatchSource
 	// LimitResult is FindLimit's output.
 	LimitResult = limitq.Result
@@ -488,11 +476,6 @@ func FindLimit(limit int, proxy, tieDist []float64, pred func(Annotation) bool, 
 	return limitq.Run(limit, proxy, tieDist, pred, lab)
 }
 
-// FindLimitOpts is FindLimit with instrumentation options.
-func FindLimitOpts(opts LimitOptions, limit int, proxy, tieDist []float64, pred func(Annotation) bool, lab Labeler) (LimitResult, error) {
-	return limitq.RunOpts(opts, limit, proxy, tieDist, pred, lab)
-}
-
 // FindLimitScan is FindLimit over a caller-supplied, fully materialized scan
 // order such as ShardedIndex.LimitOrder's. A scan that stops after a few
 // matches is cheaper through FindLimitNext.
@@ -524,7 +507,7 @@ type (
 	// Span is one named, timed node of a Trace; Config.TraceSpan parents
 	// the build's per-phase spans.
 	Span = telemetry.Span
-	// LimitOptions carries FindLimitOpts instrumentation.
+	// LimitOptions carries FindLimitScan and FindLimitNext instrumentation.
 	LimitOptions = limitq.Options
 	// MetricCounter is a monotonically-increasing atomic counter.
 	MetricCounter = telemetry.Counter
@@ -607,17 +590,23 @@ func SelectByThreshold(n int, proxy []float64, validationSize int, pred func(Ann
 	return selection.Threshold(n, proxy, validationSize, pred, lab, seed)
 }
 
-// Cross-query label amortization: a concurrency-safe record→annotation store
-// shared by every query processor, with singleflight coalescing (concurrent
-// requests for the same record issue exactly one oracle call) and a global
-// budget manager with per-tenant admission. Exhaustion mid-query is a
+// Label amortization: the one record→annotation store, shared by every
+// query processor, with singleflight coalescing (concurrent requests for the
+// same record issue exactly one oracle call) and a global budget manager
+// with per-tenant admission. A query labeled through
+// NewLabelStore(...).Bind(...) leaves what it paid for in
+// LabelStore.Annotations, ready for ShardedIndex.CrackAll. Exhaustion mid-query is a
 // graceful outcome — aggregation and selection return partial estimates
 // flagged Degraded, limit queries return the verified prefix — and the store
 // persists as its own snapshot container so labels bought today are free
 // tomorrow. See docs/RELIABILITY.md "Label budgets and degraded answers".
 type (
-	// LabelStore is the cross-query record→annotation store.
+	// LabelStore is the record→annotation store.
 	LabelStore = store.Store
+	// BoundLabeler is LabelStore.Bind's labeler. Its Resolve also reports
+	// where each label came from — the store, the index, another caller's
+	// in-flight call, or the oracle — and whether that spent nothing (Hit).
+	BoundLabeler = store.Bound
 	// LabelStoreOptions configures NewLabelStore and LoadLabelStore.
 	LabelStoreOptions = store.Options
 	// BudgetManager admits oracle spend against global and per-tenant caps,
@@ -632,10 +621,9 @@ var (
 	// NewLabelStore returns an empty label store.
 	NewLabelStore = store.New
 	// LoadLabelStore deserializes a store saved with LabelStore.Save,
-	// verifying frame and whole-file checksums.
+	// verifying frame and whole-file checksums; LabelStore.Restore reads one
+	// into an existing store.
 	LoadLabelStore = store.Load
-	// LoadLabelStoreFile is LoadLabelStore over a snapshot file on disk.
-	LoadLabelStoreFile = store.LoadFile
 	// NewBudgetManager returns a budget manager over cfg.
 	NewBudgetManager = store.NewBudget
 	// ErrLabelStoreSaturated marks a label request rejected because the

@@ -124,21 +124,14 @@ func TestEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Cracking through the caching labeler.
-	caching := tasti.NewCachingLabeler(oracle)
+	// Cracking with what a label store collected.
+	labels := tasti.NewLabelStore(tasti.LabelStoreOptions{})
 	if _, err := tasti.EstimateAggregate(tasti.AggregateOptions{
 		ErrTarget: 0.2, Delta: 0.05, MinSamples: 50, Seed: 8,
-	}, ds.Len(), scores, carCount, caching); err != nil {
+	}, ds.Len(), scores, carCount, labels.Bind(oracle, nil, "", nil)); err != nil {
 		t.Fatal(err)
 	}
-	paid := map[int]tasti.Annotation{}
-	for _, id := range caching.CachedIDs() {
-		ann, err := caching.Label(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paid[id] = ann
-	}
+	paid := labels.Annotations()
 	before := index.RepCount()
 	if added := index.CrackAll(paid); added == 0 || index.RepCount() != before+added {
 		t.Errorf("cracking added %d representatives: %d -> %d", added, before, index.RepCount())
