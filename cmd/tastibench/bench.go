@@ -181,7 +181,7 @@ func runBenchSuite(path string) error {
 			}
 		}
 	})
-	nearScores, nearDists, err := sharded.Pin().PropagateNearest(score)
+	nearScores, nearDists, err := sharded.Pin().PropagateNearest(score, nil)
 	if err != nil {
 		return fmt.Errorf("propagating nearest scores: %w", err)
 	}

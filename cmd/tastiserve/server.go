@@ -693,9 +693,10 @@ func (s *server) reloadShard(i int) error {
 
 // handleReload is POST /admin/reload: re-read the snapshot file and swap it
 // in — the whole index, or a single shard with ?shard=i (zero downtime for
-// its peers). SIGHUP triggers the whole-index path. 409 marks a reload
-// already running, 502 a snapshot that failed to load or validate (the old
-// index or shard keeps serving).
+// its peers). SIGHUP triggers the whole-index path. 400 marks a shard number
+// that is not one of the index's, 409 a reload already running, 502 a
+// snapshot that failed to load or validate (the old index or shard keeps
+// serving).
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
@@ -710,6 +711,13 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		var i int
 		if i, err = strconv.Atoi(arg); err != nil {
 			httpError(w, http.StatusBadRequest, "bad shard number: "+arg)
+			return
+		}
+		// A shard the index does not have is the caller's mistake, not a
+		// snapshot failure: answer before reading the snapshot or counting a
+		// reload.
+		if n := s.index.NumShards(); i < 0 || i >= n {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("shard %d out of range [0,%d)", i, n))
 			return
 		}
 		err = s.reloadShard(i)
@@ -1079,11 +1087,11 @@ type queryRequest struct {
 const maxQueryBody = 64 << 10
 
 // decode parses a query body into req and fills the defaults. On failure it
-// has written the response — 413 for a body over maxQueryBody, 400 for
-// anything else — and returns false.
+// has written the response — 405 for a method other than POST, 413 for a body
+// over maxQueryBody, 400 for anything else — and returns false.
 func (s *server) decode(w http.ResponseWriter, r *http.Request, req *queryRequest) bool {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusBadRequest, "use POST")
+		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return false
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(req); err != nil {

@@ -130,7 +130,7 @@ func TestServerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
+	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET aggregate status = %d", resp.StatusCode)
 	}
 	resp, err = http.Post(ts.URL+"/index", "application/json", strings.NewReader("{}"))

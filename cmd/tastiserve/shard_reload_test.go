@@ -103,13 +103,14 @@ func TestChaosShardReloadUnderLoad(t *testing.T) {
 }
 
 // TestServeShardedEndpoints pins the sharded serving surface: /index reports
-// the shard count, /metrics exports the per-shard series, a bad shard number
-// answers 400, and a restart from the sharded snapshot restores the layout.
+// the shard count, /metrics exports the per-shard series, a bad or
+// out-of-range shard number answers 400 without counting a reload failure,
+// and a restart from the sharded snapshot restores the layout.
 func TestServeShardedEndpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	_, ts, snap := shardedServer(t)
+	srv, ts, snap := shardedServer(t)
 
 	resp, err := http.Get(ts.URL + "/index")
 	if err != nil {
@@ -148,13 +149,31 @@ func TestServeShardedEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("reload with a garbage shard number: status %d, want 400", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/admin/reload?shard=7", "application/json", nil)
+	failures := srv.reg.Counter("tasti_snapshot_reload_failures_total").Value()
+	for _, bad := range []string{"7", "-1"} {
+		resp, err = http.Post(ts.URL+"/admin/reload?shard="+bad, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("reload of out-of-range shard %s: status %d, want 400", bad, resp.StatusCode)
+		}
+	}
+	if got := srv.reg.Counter("tasti_snapshot_reload_failures_total").Value(); got != failures {
+		t.Errorf("out-of-range reloads moved tasti_snapshot_reload_failures_total from %d to %d", failures, got)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
+	metrics, err = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Error("reload of an out-of-range shard answered 200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(metrics), `tasti_shard_reload_total{shard="7"`) {
+		t.Error("an out-of-range reload minted a per-shard reload series")
 	}
 
 	// A restart pointed at the sharded snapshot restores the same layout —

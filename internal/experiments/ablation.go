@@ -56,7 +56,7 @@ func ablationMeasure(rep *Report, env *Env, name string, cfg core.Config) error 
 	if s.CountBasedLimit {
 		limitRank = s.AggScore
 	}
-	limScores, limDists, err := ix.Pin().PropagateNearest(limitRank)
+	limScores, limDists, err := ix.Pin().PropagateNearest(limitRank, nil)
 	if err != nil {
 		return err
 	}

@@ -48,7 +48,7 @@ func RunExtraK(sc Scale, w io.Writer) (*Report, error) {
 
 	v := ix.Pin()
 	for _, k := range []int{1, 2, 3, 5, 8} {
-		scores, err := v.PropagateK(s.AggScore, k)
+		scores, err := v.PropagateK(s.AggScore, k, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +60,7 @@ func RunExtraK(sc Scale, w io.Writer) (*Report, error) {
 		rep.Add(s.Key, fmt.Sprintf("k=%d", k), "agg target calls", float64(aggRes.LabelerCalls),
 			fmt.Sprintf("rho2=%.3f", stats.RSquared(scores, truth)))
 
-		selScores, err := v.PropagateK(BoolScore(s.SelPred), k)
+		selScores, err := v.PropagateK(BoolScore(s.SelPred), k, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -49,7 +49,7 @@ func table3Setting(rep *Report, env *Env) error {
 	// pins and returns the labeler calls plus everything the query labeled
 	// (for cracking): what its label store holds afterwards.
 	runAgg := func(ix *shard.Index) (int64, map[int]dataset.Annotation, error) {
-		scores, err := ix.Pin().PropagateK(s.AggScore, 5)
+		scores, err := ix.Pin().PropagateK(s.AggScore, 5, nil)
 		if err != nil {
 			return 0, nil, err
 		}

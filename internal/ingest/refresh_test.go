@@ -382,11 +382,11 @@ func TestRefreshMatchesCloneSwapReference(t *testing.T) {
 					}
 				}
 			}
-			gs, gd, err := got.PropagateNearest(core.CountScore("car"))
+			gs, gd, err := got.PropagateNearest(core.CountScore("car"), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws, wd, err := want.PropagateNearest(core.CountScore("car"))
+			ws, wd, err := want.PropagateNearest(core.CountScore("car"), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

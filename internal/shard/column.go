@@ -238,8 +238,8 @@ func (r *ScanCursor) Next() (id int, ok bool) {
 }
 
 // Column returns the proxy column of sc under kind for this version,
-// building it on a miss with the code the uncached calls run (PropagateKSpan
-// at the table's K, or PropagateNearestSpan; one child span per shard under
+// building it on a miss with the code the uncached calls run (PropagateK at
+// the table's K, or PropagateNearest; one child span per shard under
 // sp) — so a column is bitwise the slice those calls return. hit reports that
 // no propagation ran for this call. Concurrent fetches of one key share one
 // build.
@@ -261,12 +261,12 @@ func (v *Version) buildColumn(score core.ScoreFunc, kind ColumnKind, sp *telemet
 	var err error
 	switch kind {
 	case ColumnWeighted:
-		col.Scores, err = v.PropagateKSpan(score, v.K(), sp)
+		col.Scores, err = v.PropagateK(score, v.K(), sp)
 		if err == nil {
 			col.Mean = stats.Mean(col.Scores)
 		}
 	case ColumnNearest:
-		col.Scores, col.Dists, err = v.PropagateNearestSpan(score, sp)
+		col.Scores, col.Dists, err = v.PropagateNearest(score, sp)
 	default:
 		err = fmt.Errorf("shard: unknown column kind %d", kind)
 	}

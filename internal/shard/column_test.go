@@ -282,7 +282,7 @@ func TestColumnConcurrentFetch(t *testing.T) {
 		if kind == shard.ColumnWeighted {
 			fresh, err = x.Propagate(sc.Score)
 		} else {
-			fresh, _, err = x.PropagateNearest(sc.Score)
+			fresh, _, err = x.PropagateNearest(sc.Score, nil)
 			cur, _ := col.Cursor(nil)
 			if first, ok := cur.Next(); !ok || first != x.LimitOrder(col.Scores, col.Dists)[0] {
 				return fmt.Errorf("%s cursor head %d disagrees with LimitOrder", sc.Name, first)

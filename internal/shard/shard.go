@@ -301,7 +301,7 @@ func (x *Index) Propagate(score core.ScoreFunc) ([]float64, error) {
 	return x.Pin().Propagate(score)
 }
 func (x *Index) PropagateNearest(score core.ScoreFunc) (scores, dists []float64, err error) {
-	return x.Pin().PropagateNearest(score)
+	return x.Pin().PropagateNearest(score, nil)
 }
 func (x *Index) Column(sc Scorer, kind ColumnKind, sp *telemetry.Span) (*Column, bool, error) {
 	return x.Pin().Column(sc, kind, sp)
@@ -504,23 +504,17 @@ func (v *Version) observePropagate(metric string, start time.Time) {
 // slice — bitwise identical to one min-k table over the whole corpus, and to
 // core.Index.Propagate on the unsharded index.
 func (v *Version) Propagate(score core.ScoreFunc) ([]float64, error) {
-	return v.PropagateKSpan(score, v.K(), nil)
+	return v.PropagateK(score, v.K(), nil)
 }
 
-// PropagateK is Propagate with an explicit neighbor count k <= K. Each shard
-// evaluates its own representative annotations (shards agree on the
-// representative set in steady state, and a rolling reload only ever scores
-// a shard with its own table's generation) and runs the shared
-// core.PropagateKRange kernel over its local rows into its disjoint slice of
-// the output.
-func (v *Version) PropagateK(score core.ScoreFunc, k int) ([]float64, error) {
-	return v.PropagateKSpan(score, k, nil)
-}
-
-// PropagateKSpan is PropagateK threading a request span: the scatter opens
-// one child span per shard under sp. A nil sp runs identically with no
-// tracing.
-func (v *Version) PropagateKSpan(score core.ScoreFunc, k int, sp *telemetry.Span) ([]float64, error) {
+// PropagateK is Propagate with an explicit neighbor count k <= K, threading a
+// request span: the scatter opens one child span per shard under sp, and a
+// nil sp runs identically with no tracing. Each shard evaluates its own
+// representative annotations (shards agree on the representative set in
+// steady state, and a rolling reload only ever scores a shard with its own
+// table's generation) and runs the shared core.PropagateKRange kernel over
+// its local rows into its disjoint slice of the output.
+func (v *Version) PropagateK(score core.ScoreFunc, k int, sp *telemetry.Span) ([]float64, error) {
 	if kMax := v.K(); k <= 0 || k > kMax {
 		return nil, fmt.Errorf("shard: propagation k=%d outside [1,%d]", k, kMax)
 	}
@@ -552,14 +546,9 @@ func (v *Version) PropagateKSpan(score core.ScoreFunc, k int, sp *telemetry.Span
 
 // PropagateNearest gathers each record's nearest representative's exact
 // score and the distance to it — the k=1 scoring with distance tie-breaking
-// that limit queries use — bitwise identical at every shard count.
-func (v *Version) PropagateNearest(score core.ScoreFunc) (scores, dists []float64, err error) {
-	return v.PropagateNearestSpan(score, nil)
-}
-
-// PropagateNearestSpan is PropagateNearest threading a request span (see
-// PropagateKSpan).
-func (v *Version) PropagateNearestSpan(score core.ScoreFunc, sp *telemetry.Span) (scores, dists []float64, err error) {
+// that limit queries use — bitwise identical at every shard count. sp traces
+// the scatter as PropagateK's does; nil runs untraced.
+func (v *Version) PropagateNearest(score core.ScoreFunc, sp *telemetry.Span) (scores, dists []float64, err error) {
 	defer v.observePropagate(metricPropagateNearest, time.Now())
 	scores = make([]float64, v.total)
 	dists = make([]float64, v.total)

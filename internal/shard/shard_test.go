@@ -374,10 +374,10 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	score := core.CountScore("car")
-	if _, err := x.Pin().PropagateK(score, 0); err == nil {
+	if _, err := x.Pin().PropagateK(score, 0, nil); err == nil {
 		t.Error("PropagateK accepted k=0")
 	}
-	if _, err := x.Pin().PropagateK(score, x.K()+1); err == nil {
+	if _, err := x.Pin().PropagateK(score, x.K()+1, nil); err == nil {
 		t.Errorf("PropagateK accepted k=%d > K=%d", x.K()+1, x.K())
 	}
 

@@ -26,7 +26,7 @@ func TestScatterSpanLinkage(t *testing.T) {
 	tr := telemetry.NewTrace("query/aggregate")
 	tr.SetID(telemetry.NewTraceID())
 	sp := tr.Root().Child("propagate")
-	got, err := x.Pin().PropagateKSpan(score, x.K(), sp)
+	got, err := x.Pin().PropagateK(score, x.K(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestScatterSpanLinkage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, "PropagateKSpan", got, want)
+	sameBits(t, "PropagateK", got, want)
 
 	// The other two scatter paths trace the same way.
 	sp2 := tr.Root().Child("nearest")
-	scores, dists, err := x.Pin().PropagateNearestSpan(score, sp2)
+	scores, dists, err := x.Pin().PropagateNearest(score, sp2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestScatterSpanLinkage(t *testing.T) {
 	}
 
 	// And a nil span is the untraced path.
-	if _, err := x.Pin().PropagateKSpan(score, x.K(), nil); err != nil {
+	if _, err := x.Pin().PropagateK(score, x.K(), nil); err != nil {
 		t.Fatal(err)
 	}
 }

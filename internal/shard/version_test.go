@@ -132,7 +132,7 @@ func pinVersion(t *testing.T, step string, v *shard.Version) pinnedVersion {
 	if err != nil {
 		t.Fatalf("%s: %v", step, err)
 	}
-	sc, di, err := v.PropagateNearest(score)
+	sc, di, err := v.PropagateNearest(score, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", step, err)
 	}
@@ -162,7 +162,7 @@ func (p pinnedVersion) check(t *testing.T, after string) {
 	if err != nil {
 		t.Fatalf("version pinned before %s, after %s: %v", p.step, after, err)
 	}
-	sc, di, err := p.v.PropagateNearest(score)
+	sc, di, err := p.v.PropagateNearest(score, nil)
 	if err != nil {
 		t.Fatalf("version pinned before %s, after %s: %v", p.step, after, err)
 	}

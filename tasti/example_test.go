@@ -55,7 +55,7 @@ func ExampleIndexVersion_PropagateNearest() {
 		log.Fatal(err)
 	}
 
-	scores, dists, err := index.Pin().PropagateNearest(tasti.CountScore("car"))
+	scores, dists, err := index.Pin().PropagateNearest(tasti.CountScore("car"), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

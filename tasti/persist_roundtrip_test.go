@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/tasti"
 )
 
@@ -59,7 +60,7 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refNear, refDist, err := ref.PropagateNearest(carCount)
+	refNear, refDist, err := ref.PropagateNearest(carCount, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 				t.Fatalf("p=%d: selected [%d] = %d, want %d", p, i, sel.Returned[i], id)
 			}
 		}
-		near, dist, err := loaded.PropagateNearest(carCount)
+		near, dist, err := loaded.PropagateNearest(carCount, nil)
 		if err != nil {
 			t.Fatalf("p=%d: propagate-nearest: %v", p, err)
 		}
@@ -162,7 +163,7 @@ func TestSnapshotErrorTaxonomyExported(t *testing.T) {
 	}
 
 	var ckpt bytes.Buffer
-	if err := tasti.NewCheckpoint(tasti.PretrainedConfig(20, 1), ds).Save(&ckpt); err != nil {
+	if err := core.NewCheckpoint(tasti.PretrainedConfig(20, 1), ds).Save(&ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tasti.LoadIndex(bytes.NewReader(ckpt.Bytes())); !errors.Is(err, tasti.ErrSnapshotKind) {

@@ -213,12 +213,6 @@ func NewBreakerLabeler(inner Labeler, pol BreakerPolicy) *Breaker {
 	return labeler.NewBreaker(inner, pol)
 }
 
-// NewCheckpoint returns an empty build checkpoint bound to a configuration;
-// BuildResumable fills it as labeling progresses.
-func NewCheckpoint(cfg Config, ds *Dataset) *Checkpoint {
-	return core.NewCheckpoint(cfg, ds)
-}
-
 // LoadCheckpoint deserializes a checkpoint saved with Checkpoint.Save.
 var LoadCheckpoint = core.LoadCheckpoint
 
@@ -333,10 +327,6 @@ var LoadShardedIndex = shard.Load
 // LoadShard lifts one shard out of a sharded snapshot without decoding its
 // peers — the input to ShardedIndex.ReplaceShard for per-shard hot reload.
 var LoadShard = shard.LoadShard
-
-// ShardSnapshotKind is the framed-container artifact type of sharded
-// snapshots.
-const ShardSnapshotKind = shard.IndexKind
 
 // KernelName reports which vector-distance kernel implementation this
 // process dispatches to (e.g. "avx2+fma" or "scalar"). Observability only:
@@ -631,28 +621,8 @@ var (
 	ErrLabelStoreSaturated = store.ErrSaturated
 )
 
-// LabelStoreKind is the framed-container artifact type of label-store
-// snapshots.
-const LabelStoreKind = store.Kind
-
 // BudgetUnlimited disables a budget cap when assigned to BudgetConfig.
 const BudgetUnlimited = store.Unlimited
-
-// Grouped aggregation.
-type (
-	// GroupByOptions configures EstimateGroupedAggregate.
-	GroupByOptions = aggregation.GroupByOptions
-	// GroupByResult maps group keys to their estimates.
-	GroupByResult = aggregation.GroupByResult
-)
-
-// EstimateGroupedAggregate estimates the mean of score within each group at
-// a fixed labeler budget, stratifying the sample by predicted groups —
-// typically a distance-weighted vote of each record's nearest
-// representatives' labels — to sharpen rare groups.
-func EstimateGroupedAggregate(opts GroupByOptions, n int, proxyGroups []string, groupOf func(Annotation) string, score func(Annotation) float64, lab Labeler) (GroupByResult, error) {
-	return aggregation.EstimateGroups(opts, n, proxyGroups, groupOf, score, lab)
-}
 
 // Predicate-aggregation queries (the extension the paper's Section 2.2
 // points to): estimate the mean of a score over only the records matching a

@@ -89,7 +89,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Limit query.
-	limScores, limDists, err := v.PropagateNearest(carCount)
+	limScores, limDists, err := v.PropagateNearest(carCount, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
