@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/vecmath"
@@ -46,5 +47,39 @@ func BenchmarkAddRepresentative(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Cycle through non-representative IDs.
 		table.AddRepresentativePar(emb, 300+i%4000, 0)
+	}
+}
+
+// BenchmarkAddRepresentativeAtScale prices one crack — the one-to-many
+// add-representative sweep — at one worker over 200k and 1M 64-dim records
+// against an 800-representative table, on the float and the quantized
+// plane: the measurement that decides whether the plane pays for cracks.
+//
+//	go test -bench BenchmarkAddRepresentativeAtScale -run '^$' -timeout 30m ./internal/cluster
+func BenchmarkAddRepresentativeAtScale(b *testing.B) {
+	for _, n := range []int{200_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			emb := benchEmbeddings(n, 64)
+			quant, err := vecmath.QuantizeMatrix(emb, vecmath.TrainQuantParams(emb))
+			if err != nil {
+				b.Fatal(err)
+			}
+			base := BuildTablePar(emb, RandomReps(xrand.New(2), n, 800), 5, 0)
+			for _, plane := range []struct {
+				name  string
+				quant vecmath.QuantMatrix
+			}{{"float", vecmath.QuantMatrix{}}, {"quant", quant}} {
+				b.Run("plane="+plane.name, func(b *testing.B) {
+					table := *base
+					table.Reps = append([]int(nil), base.Reps...)
+					table.Neighbors = append([][]Neighbor(nil), base.Neighbors...)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						rep := (i * 7919) % n // distinct for b.N < n, since 7919 is prime
+						table.AddRepresentativeEmb(emb, plane.quant, rep, emb.Row(rep), 1)
+					}
+				})
+			}
+		})
 	}
 }

@@ -149,8 +149,11 @@ func TestFPFMixed(t *testing.T) {
 	r := xrand.New(3)
 	emb := randomEmbeddings(r, 200, 3)
 	mixed := func(k int, frac float64) []int {
-		reps, _ := FPFMixedPar(r, emb, vecmath.QuantMatrix{}, k, frac, 0)
-		return reps
+		sel := SelectPar(r, emb, vecmath.QuantMatrix{}, k, frac, 0, 0)
+		if sel.Table() != nil {
+			t.Error("a selection without lists returned a table")
+		}
+		return sel.Reps
 	}
 	reps := mixed(40, 0.25)
 	if len(reps) != 40 {
@@ -181,7 +184,7 @@ func TestFPFMixedPanicsOnBadFrac(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	FPFMixedPar(xrand.New(1), randomEmbeddings(xrand.New(1), 10, 2), vecmath.QuantMatrix{}, 5, 1.5, 0)
+	SelectPar(xrand.New(1), randomEmbeddings(xrand.New(1), 10, 2), vecmath.QuantMatrix{}, 5, 1.5, 3, 0)
 }
 
 func TestRandomReps(t *testing.T) {
@@ -385,7 +388,8 @@ func sequentialFPF(embeddings vecmath.Matrix, k, start int) []int {
 
 // TestFPFMatchesSequential checks the one FPF sweep against the sequential
 // reference through the mixed selector (randomFrac 0 is pure FPF from the
-// start record r draws), on either plane at every worker count.
+// start record r draws), with and without lists, on either plane at every
+// worker count.
 func TestFPFMatchesSequential(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -395,10 +399,12 @@ func TestFPFMatchesSequential(t *testing.T) {
 		start := rand.New(rand.NewSource(seed)).Intn(n)
 		want := sequentialFPF(emb, k, start)
 		eachPlane(t, emb, func(at string, quant vecmath.QuantMatrix, p int) {
-			got, st := FPFMixedPar(rand.New(rand.NewSource(seed)), emb, quant, k, 0, p)
-			checkStats(t, at, quant, st)
-			if !slices.Equal(got, want) {
-				t.Errorf("%s: FPFMixedPar = %v, sequential %v", at, got, want)
+			for _, tableK := range []int{0, 3} {
+				sel := SelectPar(rand.New(rand.NewSource(seed)), emb, quant, k, 0, tableK, p)
+				checkStats(t, at, quant, sel.Stats)
+				if !slices.Equal(sel.Reps, want) {
+					t.Errorf("%s, tableK %d: SelectPar = %v, sequential %v", at, tableK, sel.Reps, want)
+				}
 			}
 			if got := FPFPar(emb, k, start, p); !slices.Equal(got, want) {
 				t.Errorf("%s: FPFPar = %v, sequential %v", at, got, want)
@@ -445,17 +451,84 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestFPFMixedWorkerCountInvariance checks that the random mix-in consumes
-// the RNG identically at every parallelism level.
+// TestFPFMixedWorkerCountInvariance checks that SelectPar's random mix-in
+// consumes the RNG identically at every parallelism level.
 func TestFPFMixedWorkerCountInvariance(t *testing.T) {
 	emb := randomEmbeddings(rand.New(rand.NewSource(7)), 300, 4)
-	want, _ := FPFMixedPar(rand.New(rand.NewSource(11)), emb, vecmath.QuantMatrix{}, 50, 0.2, 1)
+	want := SelectPar(rand.New(rand.NewSource(11)), emb, vecmath.QuantMatrix{}, 50, 0.2, 4, 1).Reps
 	for _, p := range []int{2, 5} {
-		got, _ := FPFMixedPar(rand.New(rand.NewSource(11)), emb, vecmath.QuantMatrix{}, 50, 0.2, p)
+		got := SelectPar(rand.New(rand.NewSource(11)), emb, vecmath.QuantMatrix{}, 50, 0.2, 4, p).Reps
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("p=%d: rep[%d] = %d, want %d", p, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// selectReference is the selection SelectPar must reproduce, built from the
+// sequential FPF and the random fill drawing from the same rand stream.
+func selectReference(r *rand.Rand, emb vecmath.Matrix, k int, randomFrac float64) []int {
+	n := emb.Rows()
+	k = min(k, n)
+	if k <= 0 {
+		return nil
+	}
+	numFPF := k - int(math.Round(randomFrac*float64(k)))
+	var reps []int
+	if numFPF > 0 {
+		reps = sequentialFPF(emb, numFPF, r.Intn(n))
+	}
+	for len(reps) < k {
+		if id := r.Intn(n); !slices.Contains(reps, id) {
+			reps = append(reps, id)
+		}
+	}
+	return reps
+}
+
+// TestSelectTableMatchesBuildTable is the fused sweep's contract: from the
+// same rand stream it selects the reference representatives, and its table
+// is bitwise BuildTablePar over them, on either plane at every worker count.
+// The corpora cover all-FPF, mixed and all-random selections, more table
+// slots than representatives, more representatives than records, duplicate
+// rows that stop FPF early (farDist == 0), and tied distances (rows on a
+// small integer grid).
+func TestSelectTableMatchesBuildTable(t *testing.T) {
+	f := func(seed int64, nRaw, kRaw, tableKRaw uint8, grid bool) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := int(nRaw)%50 + 2
+		k := int(kRaw)%(n+6) + 1           // up to n+6: k > n clamps
+		tableK := int(tableKRaw)%(k+3) + 1 // up to k+3: tableK > reps
+		emb := randomEmbeddings(r, n, 3)
+		if grid {
+			for i := 0; i < n; i++ {
+				for j, v := range emb.Row(i) {
+					emb.Row(i)[j] = math.Round(v)
+				}
+			}
+		}
+		for _, frac := range []float64{0, 0.1, 1} {
+			reps := selectReference(rand.New(rand.NewSource(seed)), emb, k, frac)
+			want := BuildTablePar(emb, reps, min(tableK, len(reps)), 1)
+			eachPlane(t, emb, func(at string, quant vecmath.QuantMatrix, p int) {
+				at = fmt.Sprintf("%s, n %d k %d tableK %d frac %v grid %v", at, n, k, tableK, frac, grid)
+				sel := SelectPar(rand.New(rand.NewSource(seed)), emb, quant, k, frac, tableK, p)
+				if frac < 1 { // an all-random selection scans no code plane
+					checkStats(t, at, quant, sel.Stats)
+				}
+				if !slices.Equal(sel.Reps, reps) {
+					t.Fatalf("%s: reps %v, reference %v", at, sel.Reps, reps)
+				}
+				sameTable(t, sel.Table(), want)
+				if sel.Table() != nil {
+					t.Fatalf("%s: a second Table call returned a table", at)
+				}
+			})
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
 	}
 }

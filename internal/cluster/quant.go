@@ -16,8 +16,8 @@ import (
 //     TopK admission threshold (Offer is guaranteed to reject strictly
 //     greater values; equal values still go through for the index
 //     tie-break),
-//   - FPF sweeps skip a record when bound² >= its current nearest-rep
-//     distance (the min update needs a strict improvement),
+//   - FPF sweeps skip a record when bound² >= its k-th distance (or, with
+//     no lists kept, its nearest): list and min updates need a strict drop,
 //   - cracking skips a record when its neighbor list is full and bound >=
 //     the current k-th distance (the exact path discards such rows).
 //

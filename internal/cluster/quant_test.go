@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func sameTable(t *testing.T, got, want *Table) {
 			t.Fatalf("record %d: %d vs %d neighbors", i, len(g), len(w))
 		}
 		for j := range g {
-			if g[j] != w[j] {
+			if g[j].Rep != w[j].Rep || math.Float64bits(g[j].Dist) != math.Float64bits(w[j].Dist) {
 				t.Fatalf("record %d neighbor %d: %+v vs %+v (bitwise mismatch)", i, j, g[j], w[j])
 			}
 		}
@@ -73,27 +74,31 @@ func TestBuildTableQuantBitwise(t *testing.T) {
 	}
 }
 
-// TestFPFMixedQuantBitwise: quantized FPF selection must pick the exact
-// same representatives from the same rand stream at every worker count.
+// TestFPFMixedQuantBitwise: quantized mixed selection (SelectPar) must pick
+// the exact same representatives from the same rand stream, and keep the
+// exact same table, at every worker count.
 func TestFPFMixedQuantBitwise(t *testing.T) {
 	m, q := quantTestMatrix(t, rand.New(rand.NewSource(3)), 300, 12)
-	want, floatStats := FPFMixedPar(rand.New(rand.NewSource(5)), m, vecmath.QuantMatrix{}, 30, 0.1, 1)
-	if floatStats != (QuantScanStats{}) {
-		t.Fatalf("float sweep counted %+v", floatStats)
+	float := SelectPar(rand.New(rand.NewSource(5)), m, vecmath.QuantMatrix{}, 30, 0.1, 3, 1)
+	if float.Stats != (QuantScanStats{}) {
+		t.Fatalf("float sweep counted %+v", float.Stats)
 	}
+	want := float.Table()
+	sameTable(t, want, BuildTablePar(m, float.Reps, 3, 1))
 	for _, p := range testWorkers {
-		got, stats := FPFMixedPar(rand.New(rand.NewSource(5)), m, q, 30, 0.1, p)
-		if len(got) != len(want) {
-			t.Fatalf("p=%d: %d reps vs %d", p, len(got), len(want))
+		got := SelectPar(rand.New(rand.NewSource(5)), m, q, 30, 0.1, 3, p)
+		if len(got.Reps) != len(float.Reps) {
+			t.Fatalf("p=%d: %d reps vs %d", p, len(got.Reps), len(float.Reps))
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("p=%d: rep %d is %d, want %d", p, i, got[i], want[i])
+		for i := range got.Reps {
+			if got.Reps[i] != float.Reps[i] {
+				t.Fatalf("p=%d: rep %d is %d, want %d", p, i, got.Reps[i], float.Reps[i])
 			}
 		}
-		if stats.Candidates == 0 {
-			t.Fatalf("p=%d: no candidates counted", p)
+		if got.Stats.Candidates == 0 || got.Stats.Reranked >= got.Stats.Candidates {
+			t.Fatalf("p=%d: implausible stats %+v", p, got.Stats)
 		}
+		sameTable(t, got.Table(), want)
 	}
 }
 

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/labeler"
 	"repro/internal/triplet"
@@ -180,6 +183,55 @@ func TestChaosDegradedBuild(t *testing.T) {
 		}
 		if !errors.Is(err, labeler.ErrPermanent) {
 			t.Fatalf("strict build error %v does not unwrap to ErrPermanent", err)
+		}
+	}
+}
+
+// TestDegradedBuildTableMatchesRescan: a build that drops representatives
+// cannot use the selection sweep's lists, which cover every selected
+// representative; its table must still be bitwise BuildTablePar over the
+// surviving ones, in selection order, on either plane at any worker count.
+func TestDegradedBuildTableMatchesRescan(t *testing.T) {
+	ds := chaosDataset(t)
+	base := PretrainedConfig(40, 7)
+	reps := buildAt(t, base, ds, 1).Table.Reps
+	failed := map[int]bool{reps[0]: true, reps[9]: true, reps[len(reps)-1]: true}
+	var live, permanent []int
+	for _, rep := range reps {
+		if failed[rep] {
+			permanent = append(permanent, rep)
+		} else {
+			live = append(live, rep)
+		}
+	}
+	for _, quantize := range []bool{false, true} {
+		for _, p := range []int{1, 4} {
+			cfg := base
+			cfg.AllowDegraded, cfg.Quantize, cfg.Parallelism = true, quantize, p
+			flaky := labeler.NewFlaky(
+				labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost),
+				labeler.FlakyConfig{Seed: 1, PermanentIDs: permanent},
+			)
+			ix, err := Build(cfg, ds, flaky)
+			if err != nil {
+				t.Fatalf("quantize %v, p=%d: degraded build: %v", quantize, p, err)
+			}
+			want := cluster.BuildTablePar(ix.Embeddings, live, base.K, 1)
+			if !slices.Equal(ix.Table.Reps, want.Reps) || ix.Table.K != want.K {
+				t.Fatalf("quantize %v, p=%d: table reps %v (K %d), want %v (K %d)",
+					quantize, p, ix.Table.Reps, ix.Table.K, want.Reps, want.K)
+			}
+			for i, nbrs := range want.Neighbors {
+				got := ix.Table.Neighbors[i]
+				if len(got) != len(nbrs) {
+					t.Fatalf("quantize %v, p=%d: record %d has %d neighbors, want %d", quantize, p, i, len(got), len(nbrs))
+				}
+				for j, nb := range nbrs {
+					if got[j].Rep != nb.Rep || math.Float64bits(got[j].Dist) != math.Float64bits(nb.Dist) {
+						t.Fatalf("quantize %v, p=%d: record %d neighbor %d = %+v, want %+v", quantize, p, i, j, got[j], nb)
+					}
+				}
+			}
 		}
 	}
 }

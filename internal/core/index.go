@@ -1,10 +1,11 @@
 // Package core builds the TASTI index: Algorithm 1's construction pipeline
-// (pre-trained embeddings → FPF training-data mining → triplet training → FPF
-// cluster-representative selection → min-k distance table), its checkpoint,
-// and its snapshot format. A built Index is the input to package shard, whose
-// Index is the one type that answers queries and takes writes — cracks and
-// appends — as copy-on-write versions; core keeps the propagation kernel both
-// share (PropagateKRange) and the unsharded Propagate the benchmark prices.
+// (pre-trained embeddings → FPF training-data mining → triplet training → one
+// FPF sweep selecting the cluster representatives and their min-k distance
+// table), its checkpoint, and its snapshot format. A built Index is the input
+// to package shard, whose Index is the one type that answers queries and
+// takes writes — cracks and appends — as copy-on-write versions; core keeps
+// the propagation kernel both share (PropagateKRange) and the unsharded
+// Propagate the benchmark prices.
 //
 // # Concurrency contract
 //
@@ -171,8 +172,8 @@ type BuildStats struct {
 	// the pipeline phases.
 	TrainWall, EmbedWall, ClusterWall time.Duration
 	// RepSelectWall, RepLabelWall, TableWall break ClusterWall down into
-	// its parallel sub-phases: FPF representative selection, representative
-	// annotation, and min-k distance-table construction.
+	// its parallel sub-phases: representative selection (FPF's min-k lists
+	// included), annotation, and the table's finish (layout, or a scan).
 	RepSelectWall, RepLabelWall, TableWall time.Duration
 	// TripletSteps is the number of optimizer steps taken (0 for TASTI-PT).
 	TripletSteps int
@@ -437,13 +438,19 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 	}
 
 	// Phase 4: representative selection and annotation, then the distance
-	// table.
+	// table, which an exact FPF build keeps from the selection sweep.
 	clusterStart := time.Now()
 	sp = cfg.TraceSpan.Child("cluster/select")
 	repRand := xrand.Split(cfg.Seed, "reps")
 	var reps []int
+	var sel *cluster.Selection
 	if cfg.FPFCluster {
-		reps, quantStats = cluster.FPFMixedPar(repRand, embeddings, quant, cfg.NumReps, cfg.RandomRepFraction, cfg.Parallelism)
+		tableK := cfg.K
+		if cfg.ApproxTable {
+			tableK = 0
+		}
+		sel = cluster.SelectPar(repRand, embeddings, quant, cfg.NumReps, cfg.RandomRepFraction, tableK, cfg.Parallelism)
+		reps, quantStats = sel.Reps, sel.Stats
 	} else {
 		reps = cluster.RandomReps(repRand, ds.Len(), cfg.NumReps)
 	}
@@ -542,10 +549,7 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 
 	tableStart := time.Now()
 	sp = cfg.TraceSpan.Child("cluster/table")
-	tableK := cfg.K
-	if tableK > len(liveReps) {
-		tableK = len(liveReps)
-	}
+	tableK := min(cfg.K, len(liveReps))
 	var table *cluster.Table
 	if cfg.ApproxTable {
 		nprobe := cfg.ANNProbe
@@ -563,9 +567,13 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		table = approx
 		sp.SetAttr("mode", "ivf")
 	} else {
-		var st cluster.QuantScanStats
-		table, st = cluster.BuildTableQuantPar(embeddings, quant, liveReps, tableK, cfg.Parallelism)
-		quantStats.Add(st)
+		if sel != nil && len(liveReps) == len(reps) {
+			table = sel.Table()
+		} else {
+			var st cluster.QuantScanStats
+			table, st = cluster.BuildTableQuantPar(embeddings, quant, liveReps, tableK, cfg.Parallelism)
+			quantStats.Add(st)
+		}
 		if cfg.Quantize {
 			sp.SetAttr("mode", "exact-quant")
 		} else {

@@ -58,11 +58,11 @@ func PublishQuantStats(reg *telemetry.Registry, st cluster.QuantScanStats) {
 // one formatting of BuildStats, shared by cmd/tastiquery, cmd/tastiserve,
 // and trace summaries instead of each hand-assembling its own lines.
 // Reliability rows (retries, timeouts, resumed, degraded) only appear when
-// non-zero, so a clean build prints compactly.
+// non-zero, so a clean build prints compactly (table-finish: see RepSelectWall).
 func (s BuildStats) String() string {
 	var b strings.Builder
 	row := func(name string, d time.Duration) {
-		fmt.Fprintf(&b, "  %-12s %12s\n", name, d.Round(time.Microsecond))
+		fmt.Fprintf(&b, "  %-14s %12s\n", name, d.Round(time.Microsecond))
 	}
 	b.WriteString("build phases:\n")
 	row("embed", s.EmbedWall)
@@ -72,7 +72,7 @@ func (s BuildStats) String() string {
 	row("cluster", s.ClusterWall)
 	row("  rep-select", s.RepSelectWall)
 	row("  rep-label", s.RepLabelWall)
-	row("  table", s.TableWall)
+	row("  table-finish", s.TableWall)
 	fmt.Fprintf(&b, "label calls: %d (%d train + %d rep)",
 		s.TotalLabelCalls(), s.TrainLabelCalls, s.RepLabelCalls)
 	if s.TripletSteps > 0 {

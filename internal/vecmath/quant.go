@@ -350,8 +350,9 @@ func (q *QuantMatrix) AppendRow(row []float64) {
 // LowerBound converts a code distance against this plane's rows into a
 // conservative lower bound on the true Euclidean distance, given the query
 // row's own decode error (from QuantizeRowInto). See the bound derivation in
-// the file comment.
-func (q QuantMatrix) LowerBound(codeDist int64, queryErr float64) float64 {
+// the file comment. The pointer receiver keeps the per-row call in a scan
+// loop from copying the plane's header.
+func (q *QuantMatrix) LowerBound(codeDist int64, queryErr float64) float64 {
 	lb := q.sMin*math.Sqrt(float64(codeDist)) - (q.maxErr+queryErr)*math.Sqrt(float64(q.dim))
 	if lb <= 0 {
 		return 0
