@@ -23,13 +23,14 @@ import (
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/triplet"
+	"repro/internal/vecmath"
 	"repro/internal/xrand"
 	"repro/tasti"
 )
 
 // The benchmark suite mirrors the shapes of internal/core's
 // BenchmarkBuildParallel and BenchmarkPropagateParallel at workers=1, so a
-// committed baseline (BENCH_33.json) stays comparable with `go test -bench`
+// committed baseline (BENCH_34.json) stays comparable with `go test -bench`
 // output while being runnable from the built binary, and adds the streaming
 // write path (WAL append with fsync, the served index's AppendRecords) and
 // the three query processors over a propagated proxy. cmd/benchgate compares
@@ -51,7 +52,7 @@ type BenchReport struct {
 	GOARCH    string `json:"goarch"`
 	NumCPU    int    `json:"num_cpu"`
 	Kernel    string `json:"kernel"`
-	// QuantBytesPerRecord is the quantized scan plane's resident bytes per
+	// QuantBytesPerRecord is the quantized plane's resident bytes per
 	// record (the embedding dim — 1 code byte per element), against the
 	// 8x-larger float64 rows. Informational like Kernel; benchgate ignores it.
 	QuantBytesPerRecord float64                `json:"quant_bytes_per_record"`
@@ -134,38 +135,19 @@ func runBenchSuite(path string) error {
 		}
 	})
 
-	// The candidate-generation scan itself, exact vs quantized, over the
-	// same corpus and representative set: rebuild the min-k table at
-	// workers=1. exact_scan_w1 streams the float64 rows through the batch
-	// kernels; quant_scan_w1 streams the uint8 code plane and reranks bound
-	// survivors exactly — identical output, 8x less memory traffic.
-	reps8 := ix.Table.Reps
-	k8 := ix.Table.K
+	// The min-k row scan itself over the same corpus and representative
+	// set: rebuild the table at workers=1, streaming the float64 rows
+	// through the batch kernels.
 	rep.Benchmarks["exact_scan_w1"] = runBench(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cluster.BuildTablePar(ix.Embeddings, reps8, k8, 1)
+			cluster.BuildTablePar(ix.Embeddings, ix.Table.Reps, ix.Table.K, 1)
 		}
 	})
-	qcfg := core.PretrainedConfig(800, 2)
-	qcfg.Quantize = true
-	qix, err := core.Build(qcfg, propDS, propLab)
+	quant, err := vecmath.QuantizeMatrix(ix.Embeddings, vecmath.TrainQuantParams(ix.Embeddings))
 	if err != nil {
-		return fmt.Errorf("building quantized propagation index: %w", err)
+		return fmt.Errorf("quantizing propagation embeddings: %w", err)
 	}
-	qix.SetParallelism(1)
-	rep.QuantBytesPerRecord = float64(qix.Quant.Bytes()) / float64(qix.Quant.Rows())
-	rep.Benchmarks["quant_scan_w1"] = runBench(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cluster.BuildTableQuantPar(qix.Embeddings, qix.Quant, reps8, k8, 1)
-		}
-	})
-	rep.Benchmarks["propagate_quant_w1"] = runBench(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := qix.Propagate(score); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	rep.QuantBytesPerRecord = float64(quant.Bytes()) / float64(quant.Rows())
 
 	// The scatter-gather overhead of sharded serving at the same worker
 	// count: 4 shards over the same corpus, bitwise-identical output.

@@ -78,7 +78,7 @@ func main() {
 	flag.Float64Var(&o.errTgt, "err", 0.05, "aggregation error target")
 	flag.Float64Var(&o.recall, "recall", 0.9, "selection recall target")
 	flag.BoolVar(&o.useANN, "ann", false, "build the distance table with the IVF approximate-NN index")
-	flag.BoolVar(&o.quantize, "quantize", false, "build the int8 quantized scan plane: 8x smaller candidate scans with exact rerank, bitwise-identical results")
+	flag.BoolVar(&o.quantize, "quantize", false, "build the uint8 quantized plane: FPF selection and cracks prune through 8x smaller codes with exact rerank, bitwise-identical results")
 	flag.IntVar(&o.par, "parallelism", 0, "worker count for index construction and propagation (<= 0 uses all CPUs; results are identical at every value)")
 	flag.IntVar(&o.shards, "shards", 1, "scatter-gather shard count for query processing; results are bitwise identical at every value (<= 1 serves one shard)")
 	flag.IntVar(&o.retries, "retries", 1, "labeler attempts per call, including the first (<= 1 disables retrying)")

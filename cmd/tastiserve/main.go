@@ -89,7 +89,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		par      = flag.Int("parallelism", 0, "worker count for index construction, propagation, and cracking (<= 0 uses all CPUs)")
 		shards   = flag.Int("shards", 1, "scatter-gather shard count; results are bitwise identical at every value (<= 1 serves one shard)")
-		quantize = flag.Bool("quantize", false, "build the int8 quantized scan plane: 8x smaller candidate scans with exact rerank, bitwise-identical results")
+		quantize = flag.Bool("quantize", false, "build the uint8 quantized plane: FPF selection and cracks prune through 8x smaller codes with exact rerank, bitwise-identical results")
 
 		queryTimeout  = flag.Duration("query-timeout", 60*time.Second, "per-request budget for /query/ endpoints (0 disables)")
 		labelTimeout  = flag.Duration("label-timeout", 0, "per-call target-labeler deadline (0 disables)")

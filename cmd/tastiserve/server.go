@@ -34,11 +34,11 @@ type serverOptions struct {
 	// Results are bitwise identical at every shard count; the knob trades
 	// per-shard build, snapshot, and reload granularity. See docs/SHARDING.md.
 	shards int
-	// quantize builds the uint8 quantized scan plane: candidate-generation
-	// scans stream 1-byte codes instead of float64 rows and rerank bound
-	// survivors exactly, so results stay bitwise identical while the scanned
-	// plane shrinks 8x. Persisted in the snapshot; /admin/status reports the
-	// resident bytes and live rerank rate.
+	// quantize builds the uint8 quantized plane: FPF selection and cracks
+	// stream its 1-byte codes instead of float64 rows to prune, and rerank
+	// bound survivors exactly, so results stay bitwise identical. Persisted
+	// in the snapshot; /admin/status reports the resident bytes and live
+	// rerank rate.
 	quantize bool
 
 	// queryTimeout bounds each /query/ request end to end (0 = unbounded).

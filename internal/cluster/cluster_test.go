@@ -25,7 +25,7 @@ func randomEmbeddings(r *rand.Rand, n, d int) vecmath.Matrix {
 
 // eachPlane runs fn once per scan plane ∈ {float, quant} × worker count ∈
 // {1, 2, 4, 7}: the float plane is the zero QuantMatrix, the quant plane is
-// m's trained code plane. Every scan in the package takes the plane as an
+// m's trained code plane. Both one-to-many sweeps take the plane as an
 // argument, so one reference test covers both through the same entry point.
 // at names the combination for failure messages.
 func eachPlane(t *testing.T, m vecmath.Matrix, fn func(at string, quant vecmath.QuantMatrix, p int)) {
@@ -226,8 +226,7 @@ func TestFPFBeatsRandomCoverage(t *testing.T) {
 }
 
 // TestBuildTableMatchesBruteForce checks the one table body against a scalar
-// brute-force nearest-representative search, on either plane at every worker
-// count.
+// brute-force nearest-representative search at every worker count.
 func TestBuildTableMatchesBruteForce(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -236,9 +235,9 @@ func TestBuildTableMatchesBruteForce(t *testing.T) {
 		emb := randomEmbeddings(r, n, 3)
 		numReps := n/2 + 1
 		reps := RandomReps(r, n, numReps)
-		eachPlane(t, emb, func(at string, quant vecmath.QuantMatrix, p int) {
-			table, st := BuildTableQuantPar(emb, quant, reps, k, p)
-			checkStats(t, at, quant, st)
+		for _, p := range testWorkers {
+			at := fmt.Sprintf("%d workers", p)
+			table := BuildTablePar(emb, reps, k, p)
 			if err := table.Validate(); err != nil {
 				t.Errorf("%s: %v", at, err)
 			}
@@ -252,7 +251,7 @@ func TestBuildTableMatchesBruteForce(t *testing.T) {
 					t.Errorf("%s: record %d: nearest %v, brute force %v", at, i, got.Dist, bestD)
 				}
 			}
-		})
+		}
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -9,10 +9,11 @@
 //
 // Each of the three operations — the FPF sweep (which can keep the min-k
 // lists too), the min-k row scan and the add-representative sweep — exists
-// once and takes the quantized code plane as an optional argument: the zero
-// vecmath.QuantMatrix scans the float64 rows, an enabled plane prunes with
-// code-distance bounds and reranks the survivors exactly (see quant.go). The
-// results are the same bits either way.
+// once. The two one-to-many sweeps take the quantized code plane as an
+// optional argument: the zero vecmath.QuantMatrix scans the float64 rows, an
+// enabled plane prunes with code-distance bounds and reranks the survivors
+// exactly (see quant.go). The results are the same bits either way. The
+// many-to-many row scan reads the float rows only.
 //
 // # Concurrency contract
 //

@@ -54,26 +54,6 @@ func sameTable(t *testing.T, got, want *Table) {
 	}
 }
 
-// TestBuildTableQuantBitwise: the quantized table build must be bitwise
-// identical to the exact build at every worker count, and must actually
-// prune exact work.
-func TestBuildTableQuantBitwise(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	m, q := quantTestMatrix(t, r, 400, 16)
-	reps := RandomReps(rand.New(rand.NewSource(7)), 400, 40)
-	want := BuildTablePar(m, reps, 3, 1)
-	for _, p := range testWorkers {
-		got, stats := BuildTableQuantPar(m, q, reps, 3, p)
-		sameTable(t, got, want)
-		if stats.Candidates == 0 || stats.Reranked > stats.Candidates {
-			t.Fatalf("p=%d: implausible stats %+v", p, stats)
-		}
-		if stats.Reranked == stats.Candidates {
-			t.Logf("p=%d: plane pruned nothing (%+v) — correct but toothless", p, stats)
-		}
-	}
-}
-
 // TestFPFMixedQuantBitwise: quantized mixed selection (SelectPar) must pick
 // the exact same representatives from the same rand stream, and keep the
 // exact same table, at every worker count.
@@ -123,41 +103,5 @@ func TestAddRepresentativeQuantBitwise(t *testing.T) {
 		if stats := quant.AddRepresentativeEmb(m, q, cracks[0], m.Row(cracks[0]), p); stats.Candidates != 0 {
 			t.Fatalf("p=%d: re-add scanned %d candidates", p, stats.Candidates)
 		}
-	}
-}
-
-// TestQuantScannerMatchesScanner: the per-record min-k scan must return the
-// same rows with the code plane as without, and a warm quantized scan must
-// not allocate.
-func TestQuantScannerMatchesScanner(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	m, q := quantTestMatrix(t, r, 120, 10)
-	reps := RandomReps(rand.New(rand.NewSource(9)), 120, 25)
-	repMat := vecmath.GatherRows(m, reps)
-	repQ := gatherQuantRows(q, reps)
-	var sc, qc Scanner
-	for i := 0; i < 50; i++ {
-		query := make([]float64, 10)
-		for d := range query {
-			query[d] = -3 + r.Float64()*6
-		}
-		exact := sc.ScanInto(nil, query, repMat, reps, 4)
-		quant := qc.scan(nil, query, repMat, repQ, reps, 4)
-		if len(exact) != len(quant) {
-			t.Fatalf("query %d: %d vs %d neighbors", i, len(exact), len(quant))
-		}
-		for j := range exact {
-			if exact[j] != quant[j] {
-				t.Fatalf("query %d neighbor %d: %+v vs %+v", i, j, quant[j], exact[j])
-			}
-		}
-	}
-	query := make([]float64, 10)
-	dst := make([]Neighbor, 0, 4)
-	allocs := testing.AllocsPerRun(20, func() {
-		dst = qc.scan(dst[:0], query, repMat, repQ, reps, 4)
-	})
-	if allocs > 0 {
-		t.Fatalf("warm quantized scan allocates %v times per scan", allocs)
 	}
 }

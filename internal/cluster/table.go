@@ -44,19 +44,15 @@ type Table struct {
 }
 
 // Scanner is reusable scratch for min-k scans of one embedding against a
-// gathered representative matrix: the batch-kernel distance buffers, a
+// gathered representative matrix: the batch-kernel distance buffer, a
 // bounded TopK selector, and its output buffer. A warm Scanner performs
 // zero allocations per scan, which is what keeps the table build, record
 // appends, and serve-path lookups allocation-free in steady state. A Scanner
 // is not safe for concurrent use; parallel callers hold one per chunk.
 type Scanner struct {
-	dists     []float64
-	codeDists []int64
-	qrow      []uint8
-	tk        *vecmath.TopK
-	ivs       []vecmath.IndexedValue
-	// Stats accumulates over every quantized scan through this scanner.
-	Stats QuantScanStats
+	dists []float64
+	tk    *vecmath.TopK
+	ivs   []vecmath.IndexedValue
 }
 
 // ScanInto appends emb's min(k, len(reps)) nearest representatives to dst,
@@ -66,35 +62,21 @@ type Scanner struct {
 // Distances go through the same SquaredL2 kernel as every other path, then a
 // final sqrt — bitwise identical to a scalar scan.
 func (sc *Scanner) ScanInto(dst []Neighbor, emb []float64, repMat vecmath.Matrix, reps []int, k int) []Neighbor {
-	return sc.scan(dst, emb, repMat, vecmath.QuantMatrix{}, reps, k)
-}
-
-// scan is ScanInto with the optional code plane: an enabled repQ must hold
-// the representatives' code rows aligned with reps (under the plane's
-// trained params), and then only representatives whose code-distance bound
-// clears the current TopK threshold are reranked through the exact kernel —
-// identical results.
-func (sc *Scanner) scan(dst []Neighbor, emb []float64, repMat vecmath.Matrix, repQ vecmath.QuantMatrix, reps []int, k int) []Neighbor {
-	if repMat.Rows() != len(reps) || (repQ.Enabled() && repQ.Rows() != len(reps)) {
-		panic(fmt.Sprintf("cluster: rep matrices have %d float / %d quant rows for %d reps",
-			repMat.Rows(), repQ.Rows(), len(reps)))
+	if repMat.Rows() != len(reps) {
+		panic(fmt.Sprintf("cluster: rep matrix has %d rows for %d reps", repMat.Rows(), len(reps)))
 	}
 	if sc.tk == nil {
 		sc.tk = vecmath.NewTopK(k)
 	} else {
 		sc.tk.Reset(k)
 	}
-	if repQ.Enabled() {
-		sc.offerQuant(emb, repMat, repQ)
-	} else {
-		if cap(sc.dists) < len(reps) {
-			sc.dists = make([]float64, len(reps))
-		}
-		dists := sc.dists[:len(reps)]
-		vecmath.SquaredL2Batch(emb, repMat, dists)
-		for j, d := range dists {
-			sc.tk.Offer(j, d)
-		}
+	if cap(sc.dists) < len(reps) {
+		sc.dists = make([]float64, len(reps))
+	}
+	dists := sc.dists[:len(reps)]
+	vecmath.SquaredL2Batch(emb, repMat, dists)
+	for j, d := range dists {
+		sc.tk.Offer(j, d)
 	}
 	sc.ivs = sc.tk.Sorted(sc.ivs[:0])
 	for _, iv := range sc.ivs {
@@ -104,34 +86,32 @@ func (sc *Scanner) scan(dst []Neighbor, emb []float64, repMat vecmath.Matrix, re
 }
 
 // ScanRows computes, for every row of queries, its min(k, len(reps)) nearest
-// representatives — the one min-k row scan behind the table build and record
+// representatives — the one min-k row scan behind table rescans and record
 // appends — in parallel across rows at parallelism level p (p <= 0 uses all
-// CPUs). repMat holds the representatives' embeddings row-aligned with reps;
-// repQ is their optional code rows (the zero value scans the float rows).
+// CPUs). repMat holds the representatives' embeddings row-aligned with reps.
 // Each row is an independent computation through the shared kernels, so the
-// lists are identical at every p and on either plane.
+// lists are identical at every p.
+//
+// The scan is many-to-many against a few hundred cache-resident
+// representatives, so it is compute-bound and reads the float rows only: the
+// quantized plane does not pay here (see quant.go).
 //
 // The lists are full-capacity subslices of one contiguous block, so the scan
 // is a handful of allocations rather than one per row, and a later append on
 // one list cannot spill into the next.
-func ScanRows(queries, repMat vecmath.Matrix, repQ vecmath.QuantMatrix, reps []int, k, p int) ([][]Neighbor, QuantScanStats) {
+func ScanRows(queries, repMat vecmath.Matrix, reps []int, k, p int) [][]Neighbor {
 	n := queries.Rows()
 	want := min(k, len(reps))
 	lists := make([][]Neighbor, n)
 	block := make([]Neighbor, n*want)
-	parts := parallel.Map(p, n, func(_ int, s parallel.Span) QuantScanStats {
+	parallel.ForChunks(p, n, func(_ int, s parallel.Span) {
 		var sc Scanner // per-chunk scratch, reused across the chunk's rows
 		for i := s.Lo; i < s.Hi; i++ {
 			row := block[i*want : i*want : (i+1)*want]
-			lists[i] = sc.scan(row, queries.Row(i), repMat, repQ, reps, k)
+			lists[i] = sc.ScanInto(row, queries.Row(i), repMat, reps, k)
 		}
-		return sc.Stats
 	})
-	var stats QuantScanStats
-	for _, part := range parts {
-		stats.Add(part)
-	}
-	return lists, stats
+	return lists
 }
 
 // BuildTablePar computes the min-k distance table from each embedding to the
@@ -139,15 +119,6 @@ func ScanRows(queries, repMat vecmath.Matrix, repQ vecmath.QuantMatrix, reps []i
 // uses all CPUs). Each record's neighbor list is an independent computation
 // through the shared batch kernel, so the table is identical at every p.
 func BuildTablePar(embeddings vecmath.Matrix, reps []int, k, p int) *Table {
-	t, _ := BuildTableQuantPar(embeddings, vecmath.QuantMatrix{}, reps, k, p)
-	return t
-}
-
-// BuildTableQuantPar is BuildTablePar scanning the quantized plane: the
-// returned table is bitwise identical, and the stats report how much exact
-// work the plane pruned. quant must be the code plane of embeddings, or the
-// zero value to scan the float rows.
-func BuildTableQuantPar(embeddings vecmath.Matrix, quant vecmath.QuantMatrix, reps []int, k, p int) (*Table, QuantScanStats) {
 	if k <= 0 {
 		panic(fmt.Sprintf("cluster: table needs k > 0, got %d", k))
 	}
@@ -160,15 +131,16 @@ func BuildTableQuantPar(embeddings vecmath.Matrix, quant vecmath.QuantMatrix, re
 			panic(fmt.Sprintf("cluster: representative %d out of range [0,%d)", rep, n))
 		}
 	}
-	var repQ vecmath.QuantMatrix
-	if quant.Enabled() {
-		if quant.Rows() != n {
-			panic(fmt.Sprintf("cluster: quant plane has %d rows for %d records", quant.Rows(), n))
-		}
-		repQ = gatherQuantRows(quant, reps)
-	}
-	lists, stats := ScanRows(embeddings, vecmath.GatherRows(embeddings, reps), repQ, reps, k, p)
-	return &Table{K: k, Reps: append([]int(nil), reps...), Neighbors: lists}, stats
+	lists := ScanRows(embeddings, vecmath.GatherRows(embeddings, reps), reps, k, p)
+	return &Table{K: k, Reps: append([]int(nil), reps...), Neighbors: lists}
+}
+
+// BuildTableQuantPar is BuildTablePar under its former quantized name: quant
+// is ignored and the stats are always zero.
+//
+// Deprecated: the min-k rescan reads the float rows only; call BuildTablePar.
+func BuildTableQuantPar(embeddings vecmath.Matrix, _ vecmath.QuantMatrix, reps []int, k, p int) (*Table, QuantScanStats) {
+	return BuildTablePar(embeddings, reps, k, p), QuantScanStats{}
 }
 
 // AddRepresentativePar inserts a new representative (cracking) at

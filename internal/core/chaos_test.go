@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/labeler"
+	"repro/internal/telemetry"
 	"repro/internal/triplet"
 )
 
@@ -208,6 +209,8 @@ func TestDegradedBuildTableMatchesRescan(t *testing.T) {
 		for _, p := range []int{1, 4} {
 			cfg := base
 			cfg.AllowDegraded, cfg.Quantize, cfg.Parallelism = true, quantize, p
+			tr := telemetry.NewTrace("degraded-build")
+			cfg.TraceSpan = tr.Root()
 			flaky := labeler.NewFlaky(
 				labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost),
 				labeler.FlakyConfig{Seed: 1, PermanentIDs: permanent},
@@ -215,6 +218,9 @@ func TestDegradedBuildTableMatchesRescan(t *testing.T) {
 			ix, err := Build(cfg, ds, flaky)
 			if err != nil {
 				t.Fatalf("quantize %v, p=%d: degraded build: %v", quantize, p, err)
+			}
+			if got := tableMode(tr); got != "rescan" {
+				t.Errorf("quantize %v, p=%d: cluster/table mode = %q, want rescan", quantize, p, got)
 			}
 			want := cluster.BuildTablePar(ix.Embeddings, live, base.K, 1)
 			if !slices.Equal(ix.Table.Reps, want.Reps) || ix.Table.K != want.K {

@@ -178,7 +178,7 @@ type BuildStats struct {
 	// TripletSteps is the number of optimizer steps taken (0 for TASTI-PT).
 	TripletSteps int
 	// QuantCandidates and QuantReranked account the quantized plane's
-	// pruning during construction (zero when Config.Quantize is off):
+	// pruning in the FPF selection sweep (zero when Config.Quantize is off):
 	// code-plane rows examined, and the subset that survived the bound and
 	// was reranked through the exact kernels.
 	QuantCandidates, QuantReranked int64
@@ -422,11 +422,11 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 	stats.EmbedWall += time.Since(embedStart)
 
 	// Quantized plane: trained over the final embeddings, then streamed by
-	// every candidate-generation sweep below in place of the float64 rows.
-	// Pure pruning — every admission decision reranks through the exact
-	// kernels — so everything downstream is bitwise identical either way.
+	// the FPF selection sweep below (and later by cracks) in place of the
+	// float64 rows. Pure pruning — every admission decision reranks through
+	// the exact kernels — so everything downstream is bitwise identical
+	// either way. A table rescan reads the float rows only.
 	var quant vecmath.QuantMatrix
-	var quantStats cluster.QuantScanStats
 	if cfg.Quantize {
 		sp = cfg.TraceSpan.Child("embed/quantize")
 		var err error
@@ -450,7 +450,8 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 			tableK = 0
 		}
 		sel = cluster.SelectPar(repRand, embeddings, quant, cfg.NumReps, cfg.RandomRepFraction, tableK, cfg.Parallelism)
-		reps, quantStats = sel.Reps, sel.Stats
+		reps = sel.Reps
+		stats.QuantCandidates, stats.QuantReranked = sel.Stats.Candidates, sel.Stats.Reranked
 	} else {
 		reps = cluster.RandomReps(repRand, ds.Len(), cfg.NumReps)
 	}
@@ -566,25 +567,16 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		}
 		table = approx
 		sp.SetAttr("mode", "ivf")
+	} else if sel != nil && len(liveReps) == len(reps) {
+		table = sel.Table()
+		sp.SetAttr("mode", "sweep")
 	} else {
-		if sel != nil && len(liveReps) == len(reps) {
-			table = sel.Table()
-		} else {
-			var st cluster.QuantScanStats
-			table, st = cluster.BuildTableQuantPar(embeddings, quant, liveReps, tableK, cfg.Parallelism)
-			quantStats.Add(st)
-		}
-		if cfg.Quantize {
-			sp.SetAttr("mode", "exact-quant")
-		} else {
-			sp.SetAttr("mode", "exact")
-		}
+		table = cluster.BuildTablePar(embeddings, liveReps, tableK, cfg.Parallelism)
+		sp.SetAttr("mode", "rescan")
 	}
 	sp.End()
 	stats.TableWall = time.Since(tableStart)
 	stats.ClusterWall = time.Since(clusterStart)
-	stats.QuantCandidates = quantStats.Candidates
-	stats.QuantReranked = quantStats.Reranked
 	finishStats()
 	publishBuildMetrics(cfg.Telemetry, stats)
 

@@ -101,10 +101,8 @@ func TestQuantSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("code byte %d differs", i)
 		}
 	}
-	// The restored plane is functional: a table scanned through it matches
-	// the original's.
-	table, _ := cluster.BuildTableQuantPar(got.Embeddings, got.Quant, got.Table.Reps, got.Table.K, 1)
-	got.Table = table
+	// The restored rows rescan to the original's table.
+	got.Table = cluster.BuildTablePar(got.Embeddings, got.Table.Reps, got.Table.K, 1)
 	assertIndexesIdentical(t, ix, got, 1)
 }
 

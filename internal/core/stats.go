@@ -44,7 +44,7 @@ func publishBuildMetrics(reg *telemetry.Registry, s BuildStats) {
 // PublishQuantStats pushes one quantized scan's pruning accounting into the
 // registry (no-op when reg is nil): candidates examined on the code plane
 // and the subset reranked through the exact kernels. The shard layer's
-// cracks and appends call it per operation; the live rerank rate is
+// cracks call it per operation; the live rerank rate is
 // tasti_quant_rerank_total / tasti_quant_candidates_total.
 func PublishQuantStats(reg *telemetry.Registry, st cluster.QuantScanStats) {
 	if reg == nil || st.Candidates == 0 {

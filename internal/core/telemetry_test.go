@@ -59,6 +59,31 @@ func TestBuildTelemetryInvariant(t *testing.T) {
 			t.Errorf("trace missing span %q (have %v)", want, names)
 		}
 	}
+	if got := tableMode(tr); got != "sweep" {
+		t.Errorf("cluster/table mode = %q, want sweep", got)
+	}
+}
+
+// tableMode returns the mode attribute of tr's cluster/table span: where the
+// build's min-k table came from.
+func tableMode(tr *telemetry.Trace) string {
+	var find func(s telemetry.SpanSnapshot) string
+	find = func(s telemetry.SpanSnapshot) string {
+		if s.Name == "cluster/table" {
+			for _, a := range s.Attrs {
+				if a.Key == "mode" {
+					return a.Value
+				}
+			}
+		}
+		for _, c := range s.Children {
+			if m := find(c); m != "" {
+				return m
+			}
+		}
+		return ""
+	}
+	return find(tr.SnapshotTree())
 }
 
 // TestBuildPropagateQueryMetrics covers the propagation instruments end to

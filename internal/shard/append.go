@@ -76,21 +76,8 @@ func (v *Version) appended(embs vecmath.Matrix) (*Version, []int) {
 	par := v.w.par
 	reps := last.Table.Reps
 	repMat := v.gatherRepEmbeddings(reps, embs.Dim())
-	// With the quantized plane enabled, re-code the gathered representative
-	// rows under the trained params (the code map is deterministic, so these
-	// equal the stored plane rows) and scan codes first, reranking bound
-	// survivors exactly — neighbor lists stay bitwise identical either way.
-	quantized := last.Quant.Enabled()
-	var repQ vecmath.QuantMatrix
-	if quantized {
-		var err error
-		if repQ, err = vecmath.QuantizeMatrix(repMat, last.Quant.Params()); err != nil {
-			// A live shard's plane always has params valid for its dim.
-			panic(fmt.Sprintf("shard: appending records: %v", err))
-		}
-	}
 	n := embs.Rows()
-	nbrLists, qstats := cluster.ScanRows(embs, repMat, repQ, reps, last.Table.K, par)
+	nbrLists := cluster.ScanRows(embs, repMat, reps, last.Table.K, par)
 
 	// The matrix and neighbor slice grow with append semantics: the first
 	// append past the split-time capacity reallocates, after which growth is
@@ -105,10 +92,11 @@ func (v *Version) appended(embs vecmath.Matrix) (*Version, []int) {
 	for i := 0; i < n; i++ {
 		ids[i] = v.total + i
 		m.AppendRow(embs.Row(i))
-		if quantized {
-			// Appends under the trained params: rows outside the trained
-			// range widen the plane's decode-error bound, keeping every
-			// future scan bound valid.
+		if q.Enabled() {
+			// The scan above reads float rows, but later cracks prune
+			// through the plane: append under the trained params, where
+			// rows outside the trained range widen the decode-error bound
+			// and keep every future crack bound valid.
 			q.AppendRow(embs.Row(i))
 		}
 		nbrs = append(nbrs, nbrLists[i])
@@ -127,7 +115,6 @@ func (v *Version) appended(embs vecmath.Matrix) (*Version, []int) {
 	}
 	shards := slices.Clone(v.shards)
 	shards[len(shards)-1] = next
-	core.PublishQuantStats(v.w.tel, qstats)
 	return v.successor(shards, v.total+n, 1), ids
 }
 

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/core"
@@ -32,22 +33,39 @@ func buildQuantIndex(t *testing.T, n, reps int) (*core.Index, *dataset.Dataset) 
 
 // TestShardQuantInvariance extends the headline shard property to the
 // quantized plane: every scatter-gather path of a quantized sharded index —
-// including cracks and appends that scan the code plane — is bitwise what a
-// float-only, from-scratch table over the final corpus and representatives
-// computes, at every shard count and every worker count.
+// including cracks that prune through the code plane, before and after an
+// append grew it — is bitwise what a float-only, from-scratch table over the
+// final corpus and representatives computes, at every shard count and every
+// worker count.
 func TestShardQuantInvariance(t *testing.T) {
-	const n, reps = 500, 60
+	const n, reps, extra = 500, 60, 60
 	base, ds := buildIndex(t, n, reps)
+	more, err := dataset.Generate("night-street", extra, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	score := core.CountScore("car")
 
-	// The writes: crack a spread of records, then append a batch.
-	anns := map[int]dataset.Annotation{}
+	// The writes: crack a spread of records, append a batch, then crack a
+	// second spread that reaches into the appended rows — its cracks prune
+	// through the code rows the append added to the last shard's plane.
+	before, after := map[int]dataset.Annotation{}, map[int]dataset.Annotation{}
 	var ids []int
 	for id := 3; id < n; id += 41 {
-		anns[id] = ds.Truth[id]
+		before[id] = ds.Truth[id]
 		ids = append(ids, id)
 	}
-	features := extraFeatures(t, 60, 8)
+	for id := 17; id < n+extra; id += 29 {
+		if id < n {
+			after[id] = ds.Truth[id]
+		} else {
+			after[id] = more.Truth[id-n]
+		}
+		ids = append(ids, id)
+	}
+	features := extraFeatures(t, extra, 8)
+	anns := maps.Clone(before)
+	maps.Copy(anns, after)
 	ref := newReference(base, features, ids, anns)
 	wantProxy := ref.propagate(score, base.Table.K)
 	wantScores, wantDists := ref.nearest(score)
@@ -61,10 +79,11 @@ func TestShardQuantInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			x.SetParallelism(par)
-			x.CrackAll(anns)
+			x.CrackAll(before)
 			if _, err := x.AppendRecords(features); err != nil {
 				t.Fatal(err)
 			}
+			x.CrackAll(after)
 			sameTable(t, fmt.Sprintf("shards=%d par=%d", shards, par), x.Pin(), ref)
 			for s := 0; s < x.NumShards(); s++ {
 				if err := x.Shard(s).Validate(); err != nil {

@@ -66,7 +66,10 @@ type reference struct {
 
 // newReference is built index ix with the records of appended embedded by its
 // model and appended, then every record of cracked that is not yet a
-// representative added as one, in order.
+// representative added as one, in order. A from-scratch table depends only on
+// the final corpus and representative order, so cracked may list cracks made
+// before and after the append, appended records included, in the order the
+// index took them.
 func newReference(ix *core.Index, appended [][]float64, cracked []int, anns map[int]dataset.Annotation) reference {
 	n := ix.NumRecords()
 	emb := vecmath.NewMatrix(n+len(appended), ix.Embeddings.Dim())
