@@ -9,7 +9,7 @@
 // Usage:
 //
 //	tastibench -bench-json current.json
-//	benchgate -baseline BENCH_34.json -current current.json
+//	benchgate -baseline BENCH_36.json -current current.json
 package main
 
 import (

@@ -30,7 +30,7 @@ import (
 
 // The benchmark suite mirrors the shapes of internal/core's
 // BenchmarkBuildParallel and BenchmarkPropagateParallel at workers=1, so a
-// committed baseline (BENCH_34.json) stays comparable with `go test -bench`
+// committed baseline (BENCH_36.json) stays comparable with `go test -bench`
 // output while being runnable from the built binary, and adds the streaming
 // write path (WAL append with fsync, the served index's AppendRecords) and
 // the three query processors over a propagated proxy. cmd/benchgate compares

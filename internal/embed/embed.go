@@ -70,9 +70,7 @@ func (p *Pretrained) EmbedInto(dst, features []float64) {
 		panic(fmt.Sprintf("embed: feature dim %d, want %d", len(features), p.w.Dim()))
 	}
 	vecmath.DotBatch(features, p.w, dst)
-	for i, v := range dst {
-		dst[i] = math.Tanh(v)
-	}
+	vecmath.Tanh(dst, dst)
 }
 
 // Dim implements Embedder.
@@ -128,14 +126,27 @@ func Into(e Embedder, dst, features []float64) {
 }
 
 // AllPar embeds every record of ds on p workers (p <= 0 uses all CPUs) and
-// returns the embeddings in record order as one contiguous matrix. Records
-// embed independently, so the output is identical at every p. The
-// embedder must be safe for concurrent Embed calls; both implementations
-// here are (their forward passes only read model weights).
+// returns the embeddings in record order as one contiguous matrix. Work
+// goes out in chunks of records; a Trained embedder runs each chunk through
+// its network's batched forward pass, any other embeds record by record.
+// Records embed independently, so the output is identical at every p. The
+// embedder must be safe for concurrent use; both implementations here are
+// (their forward passes only read model weights).
 func AllPar(e Embedder, ds *dataset.Dataset, p int) vecmath.Matrix {
 	out := vecmath.NewMatrix(ds.Len(), e.Dim())
-	parallel.For(p, ds.Len(), func(i int) {
-		Into(e, out.Row(i), ds.Records[i].Features)
+	tr, batched := e.(*Trained)
+	parallel.ForChunks(p, ds.Len(), func(_ int, s parallel.Span) {
+		if !batched {
+			for i := s.Lo; i < s.Hi; i++ {
+				Into(e, out.Row(i), ds.Records[i].Features)
+			}
+			return
+		}
+		xs := make([][]float64, s.Hi-s.Lo)
+		for i := range xs {
+			xs[i] = ds.Records[s.Lo+i].Features
+		}
+		tr.fw.ForwardRows(out.RowRange(s.Lo, s.Hi), xs)
 	})
 	return out
 }

@@ -2,7 +2,7 @@ package nn
 
 import (
 	"fmt"
-	"math"
+	"sync"
 
 	"repro/internal/vecmath"
 )
@@ -37,11 +37,30 @@ func forwardLayer(wt, b, x, out []float64, hidden bool) {
 	copy(out, b)
 	vecmath.AXPYRows(out, x, wt)
 	if hidden {
-		for i, v := range out {
-			out[i] = math.Tanh(v)
+		vecmath.Tanh(out, out)
+	}
+}
+
+// forwardRows runs the network over a batch of rows: acts[0] holds the
+// inputs and acts[l+1] receives layer l's outputs, one row per input. Each
+// layer is one row-tiled DenseRows over the batch, so its weights are read
+// once per tile of rows rather than once per row; every output is bitwise
+// forwardLayer's for that row.
+func forwardRows(wt, b [][]float64, acts []vecmath.Matrix) {
+	last := len(wt) - 1
+	for l := range wt {
+		vecmath.DenseRows(acts[l+1], acts[l], wt[l], b[l])
+		if l < last {
+			h := acts[l+1].Data()
+			vecmath.Tanh(h, h)
 		}
 	}
 }
+
+// tileRows is how many rows one work item of a batched forward pass runs
+// through the whole network: a multiple of DenseRows' four-row tile, and
+// few enough that the tile's hidden activations stay in L1.
+const tileRows = 8
 
 // stackWidth is the hidden-layer width up to which ForwardInto keeps its
 // activations on the goroutine stack (every network in this repository; the
@@ -56,7 +75,15 @@ type Forwarder struct {
 	sizes []int
 	wt    [][]float64
 	b     [][]float64
-	width int // widest hidden layer
+	width int       // widest hidden layer
+	tiles sync.Pool // *tileScratch for ForwardRows, so a corpus pass allocates none per call
+}
+
+// tileScratch is one ForwardRows call's working set: buf holds a tile's
+// inputs and hidden activations (tileRows rows each), acts the views of the
+// current tile that forwardRows reads and writes.
+type tileScratch struct {
+	buf, acts []vecmath.Matrix
 }
 
 // NewForwarder snapshots m's current weights for inference.
@@ -98,6 +125,37 @@ func (f *Forwarder) ForwardInto(dst, x []float64) {
 		}
 		forwardLayer(f.wt[l], f.b[l], cur, out, l < last)
 		cur = out
+	}
+}
+
+// ForwardRows computes the network output for each input row xs[r] into
+// out.Row(r) (len(xs) rows of OutputDim), tileRows rows at a time, each
+// bitwise ForwardInto's for that row.
+func (f *Forwarder) ForwardRows(out vecmath.Matrix, xs [][]float64) {
+	if out.Rows() != len(xs) || out.Dim() != f.sizes[len(f.sizes)-1] {
+		panic(fmt.Sprintf("nn: %d inputs into %dx%d outputs, want width %d",
+			len(xs), out.Rows(), out.Dim(), f.sizes[len(f.sizes)-1]))
+	}
+	sc, _ := f.tiles.Get().(*tileScratch)
+	if sc == nil {
+		sc = &tileScratch{acts: make([]vecmath.Matrix, len(f.sizes))}
+		for _, width := range f.sizes[:len(f.sizes)-1] {
+			sc.buf = append(sc.buf, vecmath.NewMatrix(tileRows, width))
+		}
+	}
+	defer f.tiles.Put(sc)
+	acts := sc.acts
+	for lo := 0; lo < len(xs); lo += tileRows {
+		hi := min(lo+tileRows, len(xs))
+		for l, b := range sc.buf {
+			acts[l] = b.RowRange(0, hi-lo)
+		}
+		for r, x := range xs[lo:hi] {
+			checkInput(x, f.sizes[0])
+			copy(acts[0].Row(r), x)
+		}
+		acts[len(acts)-1] = out.RowRange(lo, hi)
+		forwardRows(f.wt, f.b, acts)
 	}
 }
 

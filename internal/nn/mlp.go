@@ -6,10 +6,15 @@
 // inference we do not have.
 //
 // Every inner loop — forward, gradient accumulation, back-propagated deltas
-// — is the vecmath.AXPY operation, whose product is rounded before its add
-// on both the assembly and the portable path, and no loop combines floats
-// across work items, so a network's outputs and trained weights do not
-// depend on the kernel dispatched to or on the worker count.
+// — is the vecmath.AXPY operation (a forward layer over a batch of rows is
+// vecmath.DenseRows, per row the same operations), whose product is rounded
+// before its add on both the assembly and the portable path, and no loop
+// combines floats across work items, so a network's outputs and trained
+// weights do not depend on which AXPY kernel is dispatched to or on the
+// worker count. They do depend on the host through tanh: math.Exp, and so
+// math.Tanh, takes a fused multiply-add path where the CPU has FMA and
+// GODEBUG does not turn it off, and rounds some values differently there.
+// vecmath.Tanh is bitwise whichever math.Tanh the process has.
 package nn
 
 import (

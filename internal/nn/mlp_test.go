@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/vecmath"
 )
 
 func TestNewMLPShapes(t *testing.T) {
@@ -96,6 +98,55 @@ func TestForwarderMatchesDotProductBitwise(t *testing.T) {
 	}
 }
 
+// TestForwardRowsMatchesForwardInto: the batched forward pass gives every
+// row ForwardInto's bits, across the tile seam and for a batch of none.
+func TestForwardRowsMatchesForwardInto(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, sizes := range [][]int{{3, 2}, {52, 160, 64}, {6, 9, 5, 7, 4}} {
+		m := NewMLP(r, sizes...)
+		f := NewForwarder(m)
+		for _, rows := range []int{0, 1, tileRows - 1, tileRows, 2*tileRows + 3} {
+			xs := make([][]float64, rows)
+			for i := range xs {
+				xs[i] = make([]float64, sizes[0])
+				for j := range xs[i] {
+					xs[i][j] = 2 * r.NormFloat64()
+				}
+			}
+			out := vecmath.NewMatrix(rows, m.OutputDim())
+			f.ForwardRows(out, xs)
+			want := make([]float64, m.OutputDim())
+			for i := 0; i < rows; i++ {
+				f.ForwardInto(want, xs[i])
+				for j, v := range want {
+					if math.Float64bits(out.Row(i)[j]) != math.Float64bits(v) {
+						t.Fatalf("sizes %v rows %d: row %d output %d = %v, ForwardInto %v", sizes, rows, i, j, out.Row(i)[j], v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestForwardRowsReusesItsTiles: after the first call, a batched pass over
+// a chunk of records allocates nothing but what the caller passes in (the
+// scratch returns to the forwarder's pool).
+func TestForwardRowsReusesItsTiles(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under -race")
+	}
+	f := NewForwarder(NewMLP(rand.New(rand.NewSource(4)), 52, 160, 64))
+	xs := make([][]float64, 3*tileRows+1)
+	for i := range xs {
+		xs[i] = make([]float64, 52)
+	}
+	out := vecmath.NewMatrix(len(xs), 64)
+	f.ForwardRows(out, xs)
+	if allocs := testing.AllocsPerRun(20, func() { f.ForwardRows(out, xs) }); allocs > 0.5 {
+		t.Errorf("ForwardRows allocates %v times per call", allocs)
+	}
+}
+
 func TestForwarderIsASnapshot(t *testing.T) {
 	m := NewMLP(rand.New(rand.NewSource(4)), 2, 3, 1)
 	f := NewForwarder(m)
@@ -121,9 +172,10 @@ func TestForwardIntoDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// gradients runs a step's first region over the examples and returns the
+// gradients runs a step's forward and example regions and returns the
 // summed (unscaled) parameter gradients the update region would fold.
-func gradients(tr *Trainer, n int, example func(e int, ex *Example)) (gw [][][]float64, gb [][]float64) {
+func gradients(tr *Trainer, inputs [][]float64, n int, example func(e int, ex *Example)) (gw [][][]float64, gb [][]float64) {
+	tr.forward(inputs)
 	tr.backprop(n, example)
 	gw, gb = zerosLike(tr.net)
 	for _, blk := range tr.blocks {
@@ -162,9 +214,8 @@ func TestGradientCheck(t *testing.T) {
 
 	tr := NewTrainer(m, NewAdam(1e-3), 1, 1, 1)
 	defer tr.Close()
-	gw, gb := gradients(tr, 1, func(_ int, ex *Example) {
-		ex.Forward(0, x)
-		copy(ex.Grad(0), gradOut)
+	gw, gb := gradients(tr, [][]float64{x}, 1, func(_ int, ex *Example) {
+		copy(ex.Grad(0, 0), gradOut)
 		ex.Backward(0)
 	})
 
@@ -203,28 +254,28 @@ func TestBackwardAccumulates(t *testing.T) {
 	g := []float64{1, 2}
 	tr := NewTrainer(m, NewAdam(1e-3), 3, 2, 2)
 	defer tr.Close()
+	inputs := [][]float64{x}
 	pass := func(ex *Example, slot int) {
-		ex.Forward(slot, x)
-		copy(ex.Grad(slot), g)
+		copy(ex.Grad(slot, 0), g)
 		ex.Backward(slot)
 	}
 
-	once, _ := gradients(tr, 1, func(_ int, ex *Example) { pass(ex, 0) })
+	once, _ := gradients(tr, inputs, 1, func(_ int, ex *Example) { pass(ex, 0) })
 	if once[0][0][0] == 0 {
 		t.Fatal("zero gradient makes the test vacuous")
 	}
-	twice, _ := gradients(tr, 2, func(_ int, ex *Example) { pass(ex, 0) })
+	twice, _ := gradients(tr, inputs, 2, func(_ int, ex *Example) { pass(ex, 0) })
 	if got, want := twice[0][0][0], 2*once[0][0][0]; math.Abs(got-want) > 1e-12 {
 		t.Errorf("two examples: %v vs %v", got, want)
 	}
-	slots, _ := gradients(tr, 1, func(_ int, ex *Example) { pass(ex, 0); pass(ex, 1) })
+	slots, _ := gradients(tr, inputs, 1, func(_ int, ex *Example) { pass(ex, 0); pass(ex, 1) })
 	if got, want := slots[0][0][0], 2*once[0][0][0]; math.Abs(got-want) > 1e-12 {
 		t.Errorf("two slots: %v vs %v", got, want)
 	}
-	// A forward pass alone (a rejected candidate, a zero-loss example)
+	// Reading an output alone (a rejected candidate, a zero-loss example)
 	// leaves the gradient untouched, and the flags reset between steps.
-	mixed, _ := gradients(tr, 3, func(e int, ex *Example) {
-		ex.Forward(1, x)
+	mixed, _ := gradients(tr, inputs, 3, func(e int, ex *Example) {
+		ex.Output(0)
 		if e == 1 {
 			pass(ex, 0)
 		}
@@ -243,8 +294,8 @@ func TestStepWithoutActiveExamplesIsANoOp(t *testing.T) {
 	opt := NewAdam(1e-2)
 	tr := NewTrainer(m, opt, 4, 1, 2)
 	defer tr.Close()
-	x := []float64{1, 2, 3}
-	if active := tr.Step(4, func(_ int, ex *Example) { ex.Forward(0, x) }); active != 0 {
+	inputs := [][]float64{{1, 2, 3}}
+	if active := tr.Step(inputs, 4, func(_ int, ex *Example) { ex.Output(0) }); active != 0 {
 		t.Fatalf("active = %d, want 0", active)
 	}
 	if opt.t != 0 {
@@ -259,10 +310,9 @@ func TestStepWithoutActiveExamplesIsANoOp(t *testing.T) {
 			}
 		}
 	}
-	if active := tr.Step(3, func(e int, ex *Example) {
+	if active := tr.Step(inputs, 3, func(e int, ex *Example) {
 		if e != 1 {
-			ex.Forward(0, x)
-			ex.Grad(0)[0] = 1
+			ex.Grad(0, 0)[0] = 1
 			ex.Backward(0)
 		}
 	}); active != 2 {
@@ -300,11 +350,11 @@ func trainRegression(workers int) (*MLP, float64) {
 		for b := range xs {
 			xs[b] = []float64{r.NormFloat64(), r.NormFloat64()}
 		}
-		tr.Step(len(xs), func(e int, ex *Example) {
+		tr.Step(xs, len(xs), func(e int, ex *Example) {
 			x := xs[e]
-			diff := ex.Forward(0, x)[0] - (2*x[0] - x[1])
+			diff := ex.Output(e)[0] - (2*x[0] - x[1])
 			sq[e] = diff * diff
-			ex.Grad(0)[0] = diff
+			ex.Grad(0, e)[0] = diff
 			ex.Backward(0)
 		})
 		mse = 0

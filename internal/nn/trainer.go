@@ -62,53 +62,52 @@ const blockRows = 8
 // rowBlock is units [lo, hi) of layer l.
 type rowBlock struct{ l, lo, hi int }
 
-// pass is one forward pass kept for back-propagation: acts[0] aliases the
-// input and acts[l+1] is layer l's output; delta[l] is the loss gradient at
-// layer l's pre-activation, filled by Backward.
+// pass is one example's use of a step input row for back-propagation: row
+// is the input whose activations (shared by every pass of the step that
+// reads the same row) it differentiates through, and delta[l] is the loss
+// gradient at layer l's pre-activation, the pass's own, filled by Backward.
 type pass struct {
-	acts  [][]float64
+	row   int
 	delta [][]float64
 	live  bool
 }
 
 // Example is one training example's scratch inside a Step: a fixed number
-// of pass slots, each holding a forward pass and, once Backward is called
-// on it, that pass's contribution to the batch gradient. An Example is
-// handed to the step's callback and must not be retained.
+// of pass slots, each of which Grad binds to a step input row and which,
+// once Backward is called on it, holds that pass's contribution to the
+// batch gradient. An Example is handed to the step's callback and must not
+// be retained.
 type Example struct {
 	t      *Trainer
 	passes []pass
 }
 
-// Forward runs the network on x, keeps the activations in slot, and returns
-// the output — valid until the slot's next Forward. x is retained (not
-// copied) until the step ends.
-func (ex *Example) Forward(slot int, x []float64) []float64 {
-	t := ex.t
-	checkInput(x, t.net.Sizes[0])
-	p := &ex.passes[slot]
-	p.acts[0] = x
-	last := len(t.wt) - 1
-	for l := range t.wt {
-		forwardLayer(t.wt[l], t.net.B[l], p.acts[l], p.acts[l+1], l < last)
-	}
-	return p.acts[last+1]
+// Output returns the network output for the step's input row (valid until
+// the step ends; do not modify it). The step forwarded every input row once
+// before the first callback ran, so reading a row costs nothing and
+// several examples may read the same one.
+func (ex *Example) Output(row int) []float64 {
+	ex.t.checkRow(row)
+	return ex.t.acts[len(ex.t.acts)-1].Row(row)
 }
 
-// Grad returns slot's output-gradient buffer (len OutputDim), zeroed, for
-// the caller to fill with dLoss/dOutput before calling Backward.
-func (ex *Example) Grad(slot int) []float64 {
-	d := ex.passes[slot].delta
-	g := d[len(d)-1]
+// Grad binds slot to the step's input row and returns the slot's
+// output-gradient buffer (len OutputDim), zeroed, for the caller to fill
+// with dLoss/dOutput at that row before calling Backward.
+func (ex *Example) Grad(slot, row int) []float64 {
+	ex.t.checkRow(row)
+	p := &ex.passes[slot]
+	p.row = row
+	g := p.delta[len(p.delta)-1]
 	clear(g)
 	return g
 }
 
 // Backward back-propagates the gradient in slot's Grad buffer through the
-// slot's last Forward and marks the pass as part of the batch gradient.
-// Passes join the gradient in example order, and within an example in slot
-// order; an example with no Backward call is inactive and does not count
-// towards the batch mean.
+// network at the slot's row and marks the pass as part of the batch
+// gradient. Passes join the gradient in example order, and within an
+// example in slot order; an example with no Backward call is inactive and
+// does not count towards the batch mean.
 func (ex *Example) Backward(slot int) {
 	p := &ex.passes[slot]
 	p.live = true
@@ -121,7 +120,7 @@ func (ex *Example) Backward(slot int) {
 		for i, row := range w[l] {
 			vecmath.AXPY(prev, p.delta[l][i], row)
 		}
-		a := p.acts[l]
+		a := ex.t.acts[l].Row(p.row)
 		for j := range prev {
 			prev[j] *= 1 - a[j]*a[j]
 		}
@@ -129,13 +128,16 @@ func (ex *Example) Backward(slot int) {
 }
 
 // Trainer runs minibatch Adam steps on one MLP with a team of workers, and
-// produces the same weights bit for bit at every team size. A step has two
-// parallel regions, and no float is ever combined across work items in
-// either:
+// produces the same weights bit for bit at every team size. A step has
+// three parallel regions, and no float is ever combined across work items
+// in any of them:
 //
-//   - over examples: forward passes, the caller's loss, and the deltas of
-//     back-propagation only read the weights, and each example writes only
-//     its own slots;
+//   - over tiles of input rows: each of the step's distinct inputs goes
+//     through the network once (forwardRows), and a tile writes only its
+//     own rows' activations;
+//   - over examples: the caller's loss reads the outputs, and the deltas of
+//     back-propagation read the weights and the shared activations; each
+//     example writes only its own slots;
 //   - over blocks of parameter rows (layer, unit): gradient accumulation,
 //     the batch mean, weight decay and the Adam update are elementwise per
 //     parameter, so each row folds the batch's live passes in batch order —
@@ -155,13 +157,16 @@ type Trainer struct {
 	wt      [][]float64 // transposed weights, kept equal to net.W by every update
 	team    *parallel.Team
 	ex      []Example
-	live    []*pass     // the current step's live passes, in batch order
-	blocks  []rowBlock  // every parameter row, the items of the update region
-	scratch [][]float64 // per worker: blockRows gradient rows, then blockRows bias gradients
+	store   []vecmath.Matrix   // per layer, activation rows for the largest step so far
+	acts    []vecmath.Matrix   // the current step's rows of store: inputs, then each layer's outputs
+	tiles   [][]vecmath.Matrix // per worker, one tile's views of acts
+	live    []*pass            // the current step's live passes, in batch order
+	blocks  []rowBlock         // every parameter row, the items of the update region
+	scratch [][]float64        // per worker: blockRows gradient rows, then blockRows bias gradients
 }
 
 // NewTrainer prepares to train net with opt on batches of up to examples
-// examples, each making up to passes retained forward passes, at
+// examples, each making up to passes back-propagated passes, at
 // parallelism p (p <= 0 uses all CPUs; never more workers than examples).
 func NewTrainer(net *MLP, opt *Adam, examples, passes, p int) *Trainer {
 	if opt.mW == nil {
@@ -175,13 +180,17 @@ func NewTrainer(net *MLP, opt *Adam, examples, passes, p int) *Trainer {
 		t.ex[e] = Example{t: t, passes: make([]pass, passes)}
 		for s := range t.ex[e].passes {
 			ps := &t.ex[e].passes[s]
-			ps.acts = make([][]float64, len(net.Sizes))
 			ps.delta = make([][]float64, len(net.W))
 			for l := range net.W {
-				ps.acts[l+1] = make([]float64, net.Sizes[l+1])
 				ps.delta[l] = make([]float64, net.Sizes[l+1])
 			}
 		}
+	}
+	t.store = make([]vecmath.Matrix, len(net.Sizes))
+	t.acts = make([]vecmath.Matrix, len(net.Sizes))
+	t.tiles = make([][]vecmath.Matrix, t.team.Workers())
+	for w := range t.tiles {
+		t.tiles[w] = make([]vecmath.Matrix, len(net.Sizes))
 	}
 	widest := 0
 	for l, w := range net.W {
@@ -201,12 +210,17 @@ func NewTrainer(net *MLP, opt *Adam, examples, passes, p int) *Trainer {
 func (t *Trainer) Close() { t.team.Close() }
 
 // Step runs one minibatch step over n examples and returns how many were
-// active. example(e, ex) is called once per e in [0, n), concurrently for
-// distinct e: it runs Forward passes on ex, computes its loss, and calls
-// Backward on the slots the loss depends on (none, for an example with zero
-// loss). The weights then move by Adam on the mean gradient over active
-// examples; with none active nothing changes, Adam's step count included.
-func (t *Trainer) Step(n int, example func(e int, ex *Example)) int {
+// active. inputs are the step's input rows, each forwarded through the
+// network once, in parallel over tiles of rows, before any example runs;
+// list a row once however many examples read it. example(e, ex) is then
+// called once per e in [0, n), concurrently for distinct e: it reads
+// outputs (ex.Output), computes its loss, and for each pass the loss
+// depends on fills ex.Grad and calls Backward (none, for an example with
+// zero loss). The weights then move by Adam on the mean gradient over
+// active examples; with none active nothing changes, Adam's step count
+// included.
+func (t *Trainer) Step(inputs [][]float64, n int, example func(e int, ex *Example)) int {
+	t.forward(inputs)
 	active := t.backprop(n, example)
 	if active == 0 {
 		return 0
@@ -223,7 +237,41 @@ func (t *Trainer) Step(n int, example func(e int, ex *Example)) int {
 	return active
 }
 
-// backprop is a step's first region: it runs the examples, collects their
+// forward is a step's first region: it copies the inputs into the first
+// activation matrix and runs them through the network a tile at a time.
+func (t *Trainer) forward(inputs [][]float64) {
+	rows := len(inputs)
+	if rows > t.store[0].Rows() {
+		for l, width := range t.net.Sizes {
+			t.store[l] = vecmath.NewMatrix(rows, width)
+		}
+	}
+	for l := range t.acts {
+		t.acts[l] = t.store[l].RowRange(0, rows)
+	}
+	for r, x := range inputs {
+		checkInput(x, t.net.Sizes[0])
+		copy(t.acts[0].Row(r), x)
+	}
+	t.team.Run((rows+tileRows-1)/tileRows, func(w, i int) {
+		lo, hi := i*tileRows, min((i+1)*tileRows, rows)
+		tile := t.tiles[w]
+		for l, a := range t.acts {
+			tile[l] = a.RowRange(lo, hi)
+		}
+		forwardRows(t.wt, t.net.B, tile)
+	})
+}
+
+// checkRow panics unless row is one of the current step's input rows (a
+// row past them would read the activations of an earlier, larger step).
+func (t *Trainer) checkRow(row int) {
+	if row < 0 || row >= t.acts[0].Rows() {
+		panic(fmt.Sprintf("nn: row %d of a step with %d input rows", row, t.acts[0].Rows()))
+	}
+}
+
+// backprop is a step's second region: it runs the examples, collects their
 // live passes in batch order, and returns the active-example count.
 func (t *Trainer) backprop(n int, example func(e int, ex *Example)) int {
 	if n > len(t.ex) {
@@ -263,7 +311,7 @@ func (t *Trainer) fold(w int, blk rowBlock) (gw, gb []float64) {
 	clear(gw)
 	clear(gb)
 	for _, p := range t.live {
-		x, d := p.acts[blk.l], p.delta[blk.l][blk.lo:blk.hi]
+		x, d := t.acts[blk.l].Row(p.row), p.delta[blk.l][blk.lo:blk.hi]
 		for r, di := range d {
 			gb[r] += di
 			vecmath.AXPY(gw[r*in:r*in+in], di, x)

@@ -65,14 +65,43 @@ func TestExamplePanicSurfacesOnCaller(t *testing.T) {
 	m := NewMLP(rand.New(rand.NewSource(1)), 3, 4, 2)
 	tr := NewTrainer(m, NewAdam(1e-2), 8, 1, 4)
 	defer tr.Close()
+	inputs := [][]float64{make([]float64, 3)}
 	defer func() {
 		if recover() == nil {
-			t.Error("a wrong-width input inside a step did not panic on the caller")
+			t.Error("a row out of range inside a step did not panic on the caller")
 		}
 	}()
-	tr.Step(8, func(e int, ex *Example) {
-		ex.Forward(0, make([]float64, 3+e%2)) // odd examples have the wrong width
+	tr.Step(inputs, 8, func(e int, ex *Example) {
+		ex.Grad(0, e%2) // odd examples ask for a row the step does not have
 	})
+}
+
+// TestOutputRejectsRowsOfAnEarlierStep: a step smaller than an earlier one
+// keeps the earlier step's activations past its own rows; reading them is
+// a bug the trainer reports rather than serves.
+func TestOutputRejectsRowsOfAnEarlierStep(t *testing.T) {
+	m := NewMLP(rand.New(rand.NewSource(1)), 3, 2)
+	tr := NewTrainer(m, NewAdam(1e-2), 2, 1, 1)
+	defer tr.Close()
+	tr.Step([][]float64{{1, 2, 3}, {4, 5, 6}}, 2, func(e int, ex *Example) { ex.Output(e) })
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic reading row 1 of a one-row step")
+		}
+	}()
+	tr.Step([][]float64{{1, 2, 3}}, 1, func(_ int, ex *Example) { ex.Output(1) })
+}
+
+func TestStepRejectsWrongWidthInput(t *testing.T) {
+	m := NewMLP(rand.New(rand.NewSource(1)), 3, 2)
+	tr := NewTrainer(m, NewAdam(1e-2), 2, 1, 2)
+	defer tr.Close()
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic for an input row of the wrong width")
+		}
+	}()
+	tr.Step([][]float64{make([]float64, 3), make([]float64, 4)}, 2, func(int, *Example) {})
 }
 
 func TestStepRejectsOversizedBatch(t *testing.T) {
@@ -84,5 +113,5 @@ func TestStepRejectsOversizedBatch(t *testing.T) {
 			t.Error("no panic for a batch larger than the trainer was sized for")
 		}
 	}()
-	tr.Step(3, func(int, *Example) {})
+	tr.Step(nil, 3, func(int, *Example) {})
 }

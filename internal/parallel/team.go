@@ -10,19 +10,19 @@ import (
 
 // teamSpin is how long a team member polls before it parks: a helper for
 // the next region, the caller for the last item of the current one. A
-// training step is two regions of tens to hundreds of microseconds with a
+// training step is three regions of tens to hundreds of microseconds with a
 // few microseconds of serial work between them, and waking a parked thread
 // costs about as much as a whole region, so a helper must still be polling
 // when the next region is published. The bound is what keeps a team from
 // burning a core it is not using: past it a member sleeps on a condition
 // variable (or the region's done channel) and costs nothing until woken.
-// Measured on a 2-vCPU VM, the 4000-step triplet train at two workers
-// (2.6 s at one): 2.0 s with no polling or 10 µs of it, 1.5 s at 100 µs,
-// 1.5 s at 1 ms.
+// Measured on a 2-vCPU VM when a step was two regions, the 4000-step
+// triplet train at two workers (2.6 s at one): 2.0 s with no polling or
+// 10 µs of it, 1.5 s at 100 µs, 1.5 s at 1 ms.
 const teamSpin = 100 * time.Microsecond
 
 // Team is a fixed set of workers for a caller that runs thousands of short
-// parallel regions back to back (one minibatch step of internal/nn is two).
+// parallel regions back to back (one minibatch step of internal/nn is three).
 // forGrid starts its goroutines per region, which is right for regions of
 // milliseconds and up; at sub-millisecond regions the start-and-join cost
 // dominates, so a Team keeps its goroutines for its whole lifetime and

@@ -96,17 +96,25 @@ func fit(cfg Config, ds *dataset.Dataset, ids []int, targets []float64, p int) (
 	for i := range order {
 		order[i] = i
 	}
+	inputs := make([][]float64, 0, cfg.BatchSize)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		xrand.Shuffle(r, order)
 		for start := 0; start < len(order); start += cfg.BatchSize {
 			batch := order[start:min(start+cfg.BatchSize, len(order))]
-			trainer.Step(len(batch), func(e int, ex *nn.Example) {
+			inputs = inputs[:0]
+			for _, j := range batch {
+				inputs = append(inputs, ds.Records[ids[j]].Features)
+			}
+			// One input row per example, in batch order: a batch's records
+			// are distinct unless ids repeats one, and a repeat is simply
+			// forwarded twice.
+			trainer.Step(inputs, len(batch), func(e int, ex *nn.Example) {
 				j := batch[e]
-				out := ex.Forward(0, ds.Records[ids[j]].Features)[0]
+				out := ex.Output(e)[0]
 				if cfg.Kind == Classification {
 					out = sigmoid(out) // d/dlogit BCE = sigmoid(logit) - y
 				}
-				ex.Grad(0)[0] = out - targets[j] // Regression: d/dout 0.5*(out-y)^2
+				ex.Grad(0, e)[0] = out - targets[j] // Regression: d/dout 0.5*(out-y)^2
 				ex.Backward(0)
 			})
 		}

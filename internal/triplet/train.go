@@ -83,6 +83,9 @@ func Train(cfg Config, ds *dataset.Dataset, trainIDs []int, anns []dataset.Annot
 	if cfg.EmbedDim <= 0 {
 		return nil, fmt.Errorf("triplet: invalid embed dim %d", cfg.EmbedDim)
 	}
+	if cfg.BatchSize <= 0 || cfg.Steps < 0 {
+		return nil, fmt.Errorf("triplet: invalid batch size %d or step count %d", cfg.BatchSize, cfg.Steps)
+	}
 	for _, h := range cfg.Hidden {
 		if h <= 0 {
 			return nil, fmt.Errorf("triplet: invalid hidden widths %v", cfg.Hidden)
@@ -100,38 +103,73 @@ func Train(cfg Config, ds *dataset.Dataset, trainIDs []int, anns []dataset.Annot
 	sizes := append([]int{ds.FeatureDim()}, cfg.Hidden...)
 	sizes = append(sizes, cfg.EmbedDim)
 	net := nn.NewMLP(xrand.Split(cfg.Seed, "init"), sizes...)
-	// Slots per example: anchor, positive, negative, and with mining a
-	// spare the candidate negatives are tried in.
-	slots := 3
-	if cfg.HardNegatives > 1 {
-		slots = 4
-	}
-	batch := make([]draw, max(cfg.BatchSize, 0))
-	trainer := nn.NewTrainer(net, nn.NewAdam(cfg.LR), len(batch), slots, p)
+	batch := make([]draw, cfg.BatchSize)
+	// One slot per back-propagated pass: anchor, positive, negative.
+	trainer := nn.NewTrainer(net, nn.NewAdam(cfg.LR), len(batch), 3, p)
 	defer trainer.Close()
 	trainer.WeightDecay = cfg.WeightDecay
 	sampleRand := xrand.Split(cfg.Seed, "sample")
+	rows := &stepRows{ds: ds, row: make(map[int]int)}
 
 	for step := 0; step < cfg.Steps; step++ {
-		// Drawing never reads the network, so the whole batch is drawn
-		// before any of it is evaluated.
+		// Drawing never reads the network, so the whole batch is drawn —
+		// and its distinct records listed — before any of it is evaluated.
+		rows.reset()
 		for b := range batch {
 			if !batch[b].sample(buckets, sampleRand, cfg.HardNegatives) {
 				return nil, ErrNoTriplets
 			}
+			batch[b].listRows(rows)
 		}
-		trainer.Step(len(batch), func(e int, ex *nn.Example) {
-			backwardTriplet(ex, ds, &batch[e], cfg.Margin)
+		trainer.Step(rows.inputs, len(batch), func(e int, ex *nn.Example) {
+			backwardTriplet(ex, batch[e].rows, cfg.Margin)
 		})
 	}
 	return embed.NewTrained(net), nil
 }
 
-// draw is one batch element as sampled: the triplet, and under semi-hard
-// mining the candidate negatives that may replace its negative.
+// draw is one batch element as sampled: the triplet, under semi-hard
+// mining the candidate negatives that may replace its negative, and the
+// step input rows of all of these.
 type draw struct {
 	Triplet
 	candidates []int
+	rows       []int // anchor, positive, negative, then the candidates
+}
+
+// listRows fills d.rows from the step's row list, adding the records it
+// has not seen yet this step.
+func (d *draw) listRows(s *stepRows) {
+	d.rows = append(d.rows[:0], s.of(d.Anchor), s.of(d.Positive), s.of(d.Negative))
+	for _, id := range d.candidates {
+		d.rows = append(d.rows, s.of(id))
+	}
+}
+
+// stepRows lists one step's distinct training records as the trainer's
+// input rows: a record drawn by several triplets, or twice by one, is
+// forwarded once.
+type stepRows struct {
+	ds     *dataset.Dataset
+	row    map[int]int // record ID -> input row
+	inputs [][]float64
+}
+
+// reset starts a new step with no rows.
+func (s *stepRows) reset() {
+	clear(s.row)
+	s.inputs = s.inputs[:0]
+}
+
+// of returns record id's input row, adding it on first sight this step.
+func (s *stepRows) of(id int) int {
+	r, ok := s.row[id]
+	if !ok {
+		r = len(s.inputs)
+		s.row[id] = r
+		s.inputs = append(s.inputs, s.ds.Records[id].Features)
+	}
+	return r
 }
 
 // sample draws the triplet and, for hardNegatives > 1, hardNegatives-1
@@ -156,22 +194,23 @@ func (d *draw) sample(buckets *Buckets, r *rand.Rand, hardNegatives int) bool {
 	return true
 }
 
-// backwardTriplet evaluates one drawn triplet under the current network and,
-// when its loss is positive, back-propagates it. With candidates (semi-hard
-// mining) the negative is first replaced by the candidate with the highest
-// triplet loss; the anchor and positive stay fixed.
-func backwardTriplet(ex *nn.Example, ds *dataset.Dataset, d *draw, margin float64) {
-	a := ex.Forward(0, ds.Records[d.Anchor].Features)
-	p := ex.Forward(1, ds.Records[d.Positive].Features)
-	n := ex.Forward(2, ds.Records[d.Negative].Features)
-	neg, spare := 2, 3
-	if len(d.candidates) > 0 {
+// backwardTriplet evaluates one drawn triplet — rows are its anchor,
+// positive and negative input rows, then any candidate negatives' — under
+// the current network and, when its loss is positive, back-propagates it.
+// With candidates (semi-hard mining) the negative is first replaced by the
+// candidate with the highest triplet loss; the anchor and positive stay
+// fixed.
+func backwardTriplet(ex *nn.Example, rows []int, margin float64) {
+	a := ex.Output(rows[0])
+	p := ex.Output(rows[1])
+	neg := rows[2]
+	n := ex.Output(neg)
+	if len(rows) > 3 {
 		bestLoss := Loss(a, p, n, margin)
-		for _, id := range d.candidates {
-			c := ex.Forward(spare, ds.Records[id].Features)
+		for _, r := range rows[3:] {
+			c := ex.Output(r)
 			if loss := Loss(a, p, c, margin); loss > bestLoss {
-				bestLoss, n = loss, c
-				neg, spare = spare, neg
+				bestLoss, n, neg = loss, c, r
 			}
 		}
 	}
@@ -186,7 +225,7 @@ func backwardTriplet(ex *nn.Example, ds *dataset.Dataset, d *draw, margin float6
 	//   dL/dp = -(a-p)/|a-p|
 	//   dL/dn =  (a-n)/|a-n|
 	// with zero-distance guards.
-	ga, gp, gn := ex.Grad(0), ex.Grad(1), ex.Grad(neg)
+	ga, gp, gn := ex.Grad(0, rows[0]), ex.Grad(1, rows[1]), ex.Grad(2, neg)
 	for i := range a {
 		if dp > 1e-12 {
 			u := (a[i] - p[i]) / dp
@@ -201,7 +240,7 @@ func backwardTriplet(ex *nn.Example, ds *dataset.Dataset, d *draw, margin float6
 	}
 	ex.Backward(0)
 	ex.Backward(1)
-	ex.Backward(neg)
+	ex.Backward(2)
 }
 
 // EmpiricalLoss estimates the population triplet loss L(φ; ·, m) of an

@@ -109,6 +109,23 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train(cfg, ds, ids, anns, SpeechBucketKey(), 2); err == nil {
 		t.Error("negative hidden width should error")
 	}
+	// A zero batch size (a TrainConfig that sets Steps and leaves BatchSize
+	// unset) would run empty steps and return the random-init network.
+	cfg = DefaultConfig(8, 1)
+	cfg.BatchSize = 0
+	if _, err := Train(cfg, ds, ids, anns, SpeechBucketKey(), 2); err == nil {
+		t.Error("BatchSize=0 should error")
+	}
+	cfg = DefaultConfig(8, 1)
+	cfg.BatchSize = -1
+	if _, err := Train(cfg, ds, ids, anns, SpeechBucketKey(), 2); err == nil {
+		t.Error("negative BatchSize should error")
+	}
+	cfg = DefaultConfig(8, 1)
+	cfg.Steps = -1
+	if _, err := Train(cfg, ds, ids, anns, SpeechBucketKey(), 2); err == nil {
+		t.Error("negative Steps should error")
+	}
 	cfg = DefaultConfig(8, 1)
 	if _, err := Train(cfg, ds, ids[:3], anns, SpeechBucketKey(), 2); err == nil {
 		t.Error("id/annotation mismatch should error")

@@ -2,6 +2,8 @@
 
 package vecmath
 
+import "math"
+
 // useAVX is decided once at process start: true when the CPU exposes
 // AVX2+FMA and the OS saves YMM state. A single per-process choice is what
 // keeps the determinism contract intact — every kernel call (scalar or
@@ -9,11 +11,21 @@ package vecmath
 // identical bits for the lifetime of the process.
 var useAVX = detectAVX()
 
+// useTanhAVX is decided once, after useAVX: true when tanhAVX gives
+// math.Tanh's bits on every input of tanhProbes. tanhAVX mirrors math.Exp's
+// fused (avxfma) path, which math.Exp takes only when the runtime's own CPU
+// feature test allows it — GODEBUG=cpu.fma=off turns that off without
+// changing what CPUID reports to detectAVX — so the probe asks math.Tanh
+// itself rather than the hardware.
+var useTanhAVX = useAVX && tanhMatchesProbes()
+
 // KernelName reports which distance-kernel implementation this process
 // dispatches to: "avx2+fma" when the vectorized path is active, "scalar"
-// otherwise. Observability only — both paths are bitwise identical — so
-// cmd/tastiserve exposes it as the tasti_vecmath_kernel gauge and
-// cmd/tastibench stamps it into -bench-json reports, making perf numbers
+// otherwise. The two distance paths differ in their last bits (the
+// assembly fuses multiply-adds and sums in another order), each the same
+// bits on every call of its process, so cmd/tastiserve exposes the name as
+// the tasti_vecmath_kernel gauge and cmd/tastibench stamps it into
+// -bench-json reports, making perf numbers — and distance bits —
 // attributable to the kernel that produced them.
 func KernelName() string {
 	if useAVX {
@@ -79,6 +91,54 @@ func axpyRowsKernel(s, m, dst []float64) {
 	axpyRowsGeneric(s, m, dst)
 }
 
+// denseRowsKernel dispatches DenseRows: on the AVX path the whole tiles of
+// four rows go through denseTilesAVX in one call and the rest row by row
+// through the AXPYRows kernel, each row starting from a copy of b.
+func denseRowsKernel(x, w, b, out []float64, rows, k int) {
+	n, r := len(b), 0
+	if useAVX && k > 0 {
+		r = rows &^ 3
+		if r > 0 {
+			denseTilesAVX(x[:r*k], w[:k*n], b, out[:r*n], k)
+		}
+	}
+	for ; r < rows; r++ {
+		dst := out[r*n : r*n+n]
+		copy(dst, b)
+		axpyRowsKernel(x[r*k:r*k+k], w, dst)
+	}
+}
+
+// tanhKernel dispatches Tanh: blocks of four through tanhAVX where it is
+// math.Tanh's twin, every other element through math.Tanh itself.
+func tanhKernel(x, dst []float64) {
+	i := 0
+	if useTanhAVX {
+		i = len(x) &^ 3
+		tanhAVX(x[:i], dst[:i])
+	}
+	for ; i < len(x); i++ {
+		dst[i] = math.Tanh(x[i])
+	}
+}
+
+// tanhProbes are inputs on which tanhAVX and math.Tanh agree only if
+// math.Exp takes its fused path (the first: Exp(2*0.9185070494009824)
+// rounds differently unfused), plus one lane from each other branch of
+// math.tanh. Four of them, so one tanhAVX block covers them all.
+var tanhProbes = [4]float64{0.9185070494009824, -0.3, 7.5, -45}
+
+func tanhMatchesProbes() bool {
+	var got [4]float64
+	tanhAVX(tanhProbes[:], got[:])
+	for i, x := range tanhProbes {
+		if math.Float64bits(got[i]) != math.Float64bits(math.Tanh(x)) {
+			return false
+		}
+	}
+	return true
+}
+
 // maxAVXCodeDim caps the row width the AVX2 code-distance kernel accepts.
 // Each 32-bit lane accumulates one VPMADDWD result (at most 2*255² =
 // 130050) per 16-byte block, so a lane stays below 2³¹ while dim/16 *
@@ -142,6 +202,20 @@ func axpyAVX(s float64, a, dst []float64)
 //
 //go:noescape
 func axpyRowsAVX(s, m, dst []float64)
+
+// denseTilesAVX is DenseRows over a multiple of four rows: x holds the
+// k-wide input rows (k >= 1), out as many len(b)-wide output rows, w the k
+// weight rows of len(b). Per element it is the axpyRowsAVX column started
+// from b, so the result is bitwise that kernel's.
+//
+//go:noescape
+func denseTilesAVX(x, w, b, out []float64, k int)
+
+// tanhAVX is math.Tanh over len(x)/4 blocks of four lanes, following
+// math.tanh and math.Exp's fused path instruction for instruction.
+//
+//go:noescape
+func tanhAVX(x, dst []float64)
 
 // cpuidex executes CPUID with the given leaf and subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -172,3 +172,121 @@ func TestAxpyRowsAVXMatchesRowLoopBitwise(t *testing.T) {
 		}
 	}
 }
+
+// tanhMirror is math.tanh on amd64 in Go: math.Exp's fused (avxfma) or
+// unfused path from exp_amd64.s, one math.FMA per fused instruction, and
+// every other operation rounded where the compiled math.tanh rounds it.
+func tanhMirror(x float64, fused bool) float64 {
+	const (
+		maxlog = 8.8029691931113054295988e+01
+		log2e  = 1.4426950408889634073599246810018920
+		ln2u   = 0.69314718055966295651160180568695068359375
+		ln2l   = 0.28235290563031577122588448175013436025525412068e-12
+	)
+	z := math.Abs(x)
+	switch {
+	case z > 0.5*maxlog:
+		return math.Copysign(1, x)
+	case z >= 0.625:
+		// Exp(2z): 2z <= 88.03 keeps k in [2, 127], so no special case.
+		t := 2 * z
+		k := math.RoundToEven(float64(log2e * t))
+		c := []float64{2.4801587301587301587e-5, 1.9841269841269841270e-4, 1.3888888888888888889e-3,
+			8.3333333333333333333e-3, 4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1.0}
+		p := c[0]
+		if fused {
+			t = math.FMA(-k, ln2u, t)
+			t = math.FMA(-k, ln2l, t)
+			t *= 0.0625
+			for _, ci := range c[1:] {
+				p = math.FMA(p, t, ci)
+			}
+		} else {
+			t -= float64(k * ln2u)
+			t -= float64(k * ln2l)
+			t *= 0.0625
+			for _, ci := range c[1:] {
+				p = float64(p*t) + ci
+			}
+		}
+		t *= p
+		for i := 0; i < 3; i++ {
+			t *= t + 2
+		}
+		if fused {
+			t = math.FMA(t+2, t, 1)
+		} else {
+			t = float64(t*(t+2)) + 1
+		}
+		s := math.Ldexp(t, int(k))
+		z = 1 - 2/(s+1)
+		if x < 0 {
+			z = -z
+		}
+		return z
+	case x == 0:
+		return x
+	}
+	s := x * x
+	num := float64(float64(float64(-9.64399179425052238628e-1*s)+-9.92877231001918586564e1)*s) + -1.61468768441708447952e3
+	den := float64(float64(float64(float64(s+1.12811678491632931402e2)*s)+2.23548839060100448583e3)*s) + 4.84406305325125486048e3
+	return x + float64(float64(x*s)*num)/den
+}
+
+// TestTanhDispatch: the probe's first input separates math.Exp's fused and
+// unfused paths; math.Tanh is one of the two mirrors; and the vector
+// kernel is dispatched exactly when math.Tanh is the fused one — so a
+// kernel that stops matching shows up here as a lost dispatch rather than
+// as a silent fallback.
+func TestTanhDispatch(t *testing.T) {
+	x := tanhProbes[0]
+	if math.Float64bits(tanhMirror(x, true)) == math.Float64bits(tanhMirror(x, false)) {
+		t.Fatalf("probe %v: the fused and unfused mirrors agree, so it cannot tell them apart", x)
+	}
+	fused := math.Float64bits(math.Tanh(x)) == math.Float64bits(tanhMirror(x, true))
+	r := xrand.New(38)
+	for i := 0; i < 1<<16; i++ {
+		x := 60*r.Float64() - 30
+		if got, want := math.Tanh(x), tanhMirror(x, fused); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("math.Tanh(%v) = %#x, mirror (fused=%v) %#x", x, math.Float64bits(got), fused, math.Float64bits(want))
+		}
+	}
+	if useTanhAVX != (useAVX && fused) {
+		t.Errorf("vector tanh dispatched = %v, want %v (AVX2+FMA %v, math.Exp fused %v)", useTanhAVX, useAVX && fused, useAVX, fused)
+	}
+	t.Logf("math.Exp fused: %v, vector tanh dispatched: %v", fused, useTanhAVX)
+}
+
+// TestTanhAVXMatchesFusedMirror checks the assembly tanh against the fused
+// mirror on every branch and special value, whether or not this process
+// dispatches to it (under GODEBUG=cpu.fma=off it does not, and the bitwise
+// test against math.Tanh then exercises the fallback only).
+func TestTanhAVXMatchesFusedMirror(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX2+FMA on this machine")
+	}
+	r := xrand.New(37)
+	xs := make([]float64, 1<<18)
+	for i := range xs {
+		switch i % 4 {
+		case 0:
+			xs[i] = 100*r.Float64() - 50
+		case 1:
+			xs[i] = 1.4*r.Float64() - 0.7
+		case 2:
+			xs[i] = math.Float64frombits(r.Uint64())
+		default:
+			xs[i] = r.NormFloat64()
+		}
+	}
+	xs = append(xs, tanhProbes[:]...)
+	xs = append(xs, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 0.625, -0.625,
+		math.Float64frombits(1), math.Float64frombits(0x7ff0000000000001), 0, 0, 0)
+	got := make([]float64, len(xs))
+	tanhAVX(xs, got)
+	for i, x := range xs[:len(xs)&^3] {
+		if want := tanhMirror(x, true); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("tanhAVX(%v = %#x) = %#x, fused mirror %#x", x, math.Float64bits(x), math.Float64bits(got[i]), math.Float64bits(want))
+		}
+	}
+}

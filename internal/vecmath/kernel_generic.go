@@ -2,6 +2,8 @@
 
 package vecmath
 
+import "math"
+
 // Without a vectorized implementation for the platform, the shared kernels
 // are the portable unrolled loops.
 
@@ -28,5 +30,20 @@ func sqCodeDistBatchKernel(q, data []uint8, dst []int64) {
 	d := len(q)
 	for r := range dst {
 		dst[r] = sqCodeDistGeneric(q, data[r*d:r*d+d])
+	}
+}
+
+func denseRowsKernel(x, w, b, out []float64, rows, k int) {
+	n := len(b)
+	for r := 0; r < rows; r++ {
+		dst := out[r*n : r*n+n]
+		copy(dst, b)
+		axpyRowsGeneric(x[r*k:r*k+k], w, dst)
+	}
+}
+
+func tanhKernel(x, dst []float64) {
+	for i, v := range x {
+		dst[i] = math.Tanh(v)
 	}
 }

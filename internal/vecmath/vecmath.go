@@ -13,7 +13,10 @@
 // parallel chunking of a batch reproduces the same bits. Each kernel
 // combines its partial sums in one fixed order — accumulators first, lanes
 // low-to-high, tail last — which is the repo-wide determinism contract; see
-// docs/ARCHITECTURE.md, "Memory layout & kernels".
+// docs/ARCHITECTURE.md, "Memory layout & kernels". The kernels under
+// internal/nn — AXPY, AXPYRows, the row-tiled DenseRows and Tanh — go
+// further: their assembly and portable paths give the same bits as each
+// other (Tanh those of math.Tanh in the running process).
 package vecmath
 
 import (
@@ -186,6 +189,33 @@ func axpyRowsGeneric(s, m, dst []float64) {
 	for j, v := range s {
 		axpyGeneric(v, m[j*n:j*n+n], dst)
 	}
+}
+
+// DenseRows is a dense layer over a batch of rows: for every row r of x,
+//
+//	out.Row(r) = b + x.Row(r)[0]*w[0:n] + x.Row(r)[1]*w[n:2n] + ...
+//
+// for n = len(b), the terms added in order — per row bitwise
+// copy(out.Row(r), b) followed by AXPYRows(out.Row(r), x.Row(r), w). The
+// assembly path runs the rows four at a time, so each weight row is read
+// once per four rows rather than once per row. It panics unless out has
+// x.Rows() rows of len(b) and len(w) == x.Dim()*len(b).
+func DenseRows(out, x Matrix, w, b []float64) {
+	if out.rows != x.rows || out.dim != len(b) || len(w) != x.dim*len(b) {
+		panic(fmt.Sprintf("vecmath: DenseRows of %dx%d inputs into %dx%d outputs over %d weights and %d biases",
+			x.rows, x.dim, out.rows, out.dim, len(w), len(b)))
+	}
+	denseRowsKernel(x.data[:x.rows*x.dim], w, b, out.data[:out.rows*out.dim], x.rows, x.dim)
+}
+
+// Tanh writes math.Tanh(x[i]) into dst[i] for every i, bit for bit: the
+// assembly path evaluates four lanes at once with math.tanh's own
+// algorithm, and this process uses it only if it reproduces math.Tanh on a
+// probe set at start-up (see useTanhAVX). dst may be x. It panics on length
+// mismatch.
+func Tanh(dst, x []float64) {
+	checkLen(dst, x)
+	tanhKernel(x, dst)
 }
 
 func checkLen(a, b []float64) {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 func almostEqual(a, b float64) bool {
@@ -96,4 +98,77 @@ func TestAXPYRows(t *testing.T) {
 		}
 	}()
 	AXPYRows(dst, []float64{1, 2}, []float64{1, 2, 3, 4, 5})
+}
+
+// TestDenseRowsMatchesAXPYRowsBitwise: the row-tiled dense layer is, per
+// row, a copy of the bias then AXPYRows — over every row count across the
+// four-row tile seam, inner widths 0–60 and widths 0–70 across the 8/4/1
+// column-block seams, with a special value planted in one input, weight or
+// bias per shape.
+func TestDenseRowsMatchesAXPYRowsBitwise(t *testing.T) {
+	r := xrand.New(35)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		math.Float64frombits(3), math.MaxFloat64, 1 + 0x1p-52}
+	for rows := 0; rows <= 9; rows++ {
+		for k := 0; k <= 60; k++ {
+			for n := 0; n <= 70; n++ {
+				x := NewMatrix(rows, k)
+				w := make([]float64, k*n+1)[1:] // off the 32-byte grid
+				b := make([]float64, n)
+				for _, s := range [][]float64{x.Data(), w, b} {
+					for i := range s {
+						s[i] = r.NormFloat64()
+					}
+				}
+				sp := specials[(rows+k+n)%len(specials)]
+				switch (rows + k + n) % 3 {
+				case 0:
+					if rows > 0 && k > 0 {
+						x.Row(rows / 2)[k/2] = sp
+					}
+				case 1:
+					if k > 0 && n > 0 {
+						w[(k/2)*n+n/2] = sp
+					}
+				default:
+					if n > 0 {
+						b[n/2] = sp
+					}
+				}
+				out := NewMatrix(rows, n)
+				DenseRows(out, x, w, b)
+				for i := 0; i < rows; i++ {
+					want := append([]float64(nil), b...)
+					AXPYRows(want, x.Row(i), w)
+					for j, v := range want {
+						if math.Float64bits(out.Row(i)[j]) != math.Float64bits(v) {
+							t.Fatalf("rows=%d k=%d n=%d: out[%d][%d] = %#x, AXPYRows %#x",
+								rows, k, n, i, j, math.Float64bits(out.Row(i)[j]), math.Float64bits(v))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestDenseRowsPanicsOnShapeMismatch(t *testing.T) {
+	for _, c := range []struct {
+		out, x Matrix
+		w, b   []float64
+	}{
+		{NewMatrix(2, 3), NewMatrix(3, 2), make([]float64, 6), make([]float64, 3)},
+		{NewMatrix(2, 3), NewMatrix(2, 2), make([]float64, 5), make([]float64, 3)},
+		{NewMatrix(2, 3), NewMatrix(2, 2), make([]float64, 6), make([]float64, 2)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic for %dx%d inputs, %dx%d outputs, %d weights, %d biases",
+						c.x.Rows(), c.x.Dim(), c.out.Rows(), c.out.Dim(), len(c.w), len(c.b))
+				}
+			}()
+			DenseRows(c.out, c.x, c.w, c.b)
+		}()
+	}
 }
