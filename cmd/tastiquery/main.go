@@ -15,13 +15,15 @@
 // With -checkpoint set, -checkpoint-interval flushes progress to disk every N
 // paid-for labels, so even a hard kill (power loss, OOM killer) loses at most
 // N labels. All files are written atomically: a crash mid-write leaves the
-// previous file intact. See docs/RELIABILITY.md.
+// previous file intact; -load keeps the shard layout -save wrote. See
+// docs/RELIABILITY.md.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -74,7 +76,7 @@ func main() {
 	flag.IntVar(&o.reps, "reps", 900, "cluster representatives to annotate")
 	flag.IntVar(&o.budget, "budget", 300, "labeler budget for selection queries")
 	flag.StringVar(&o.save, "save", "", "path to persist the index to")
-	flag.StringVar(&o.load, "load", "", "path to load a previously saved index from")
+	flag.StringVar(&o.load, "load", "", "path to load a previously saved index from (its shard layout wins over -shards)")
 	flag.Float64Var(&o.errTgt, "err", 0.05, "aggregation error target")
 	flag.Float64Var(&o.recall, "recall", 0.9, "selection recall target")
 	flag.BoolVar(&o.useANN, "ann", false, "build the distance table with the IVF approximate-NN index")
@@ -123,43 +125,37 @@ func run(o runOptions) error {
 		})
 	}
 
-	var index *tasti.Index
+	// Queries always run through the scatter-gather layer; -shards 1 (the
+	// default) is the identity sharding, and every shard count produces
+	// bitwise-identical answers (see docs/SHARDING.md). A loaded index keeps
+	// the shard layout it was saved at.
+	var sharded *tasti.ShardedIndex
 	if o.load != "" {
-		f, err := os.Open(o.load)
+		err := tasti.ReadSnapshotFile(o.load, func(r io.Reader) error {
+			var lerr error
+			sharded, lerr = tasti.LoadShardedIndex(r)
+			return lerr
+		})
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		index, err = tasti.LoadIndex(f)
-		if err != nil {
-			return err
-		}
-		index.SetParallelism(o.par)
-		fmt.Printf("loaded index: %d records, %d representatives\n", index.NumRecords(), len(index.Table.Reps))
+		sharded.SetParallelism(o.par)
+		fmt.Printf("loaded index: %d records, %d representatives, %d shards\n", sharded.NumRecords(), sharded.RepCount(), sharded.NumShards())
 	} else {
-		index, err = buildIndex(o, ds, target, tr.Root())
+		index, err := buildIndex(o, ds, target, tr.Root())
 		if err != nil {
 			return err
 		}
 		fmt.Println(index.Stats.String())
+		if sharded, err = tasti.SplitIndex(index, max(o.shards, 1)); err != nil {
+			return err
+		}
 	}
 	if o.save != "" {
-		if err := tasti.WriteFileAtomic(o.save, index.Save); err != nil {
+		if err := tasti.WriteFileAtomic(o.save, sharded.Save); err != nil {
 			return err
 		}
 		fmt.Printf("saved index to %s\n", o.save)
-	}
-
-	// Queries always run through the scatter-gather layer; -shards 1 (the
-	// default) is the identity sharding, and every shard count produces
-	// bitwise-identical answers (see docs/SHARDING.md).
-	nShards := o.shards
-	if nShards < 1 {
-		nShards = 1
-	}
-	sharded, err := tasti.SplitIndex(index, nShards)
-	if err != nil {
-		return err
 	}
 
 	score, pred := querySpec(o.dsName, o.class, o.count)

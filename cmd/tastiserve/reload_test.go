@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -172,9 +174,9 @@ func TestServeReloadCorruptSnapshotKeepsServing(t *testing.T) {
 // TestServeStartupLoadsSnapshot pins the crash-recovery path: a second
 // server pointed at the first one's snapshot serves without re-spending any
 // labeling budget, and its index matches the snapshot. The file a one-shard
-// server writes is the sharded container — the one a refresh rewrites it as,
-// and the one /admin/reload?shard=0 reads — while a single-index container an
-// older binary left still boots.
+// server writes is the one index container — the one a refresh rewrites it
+// as, and the one /admin/reload?shard=0 reads — while an index snapshot from
+// before the v4 layout is reported unusable, rebuilt and re-saved.
 func TestServeStartupLoadsSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -197,27 +199,42 @@ func TestServeStartupLoadsSnapshot(t *testing.T) {
 		t.Fatalf("one-shard reload of shard 0: status %d, body %v", resp.StatusCode, body)
 	}
 
-	ds, err := tasti.GenerateDataset("night-street", 1500, 1)
+	old := filepath.Join(t.TempDir(), "v3.snap")
+	data, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := tasti.Build(tasti.PretrainedConfig(40, 1), ds, tasti.NewOracle(ds, "target", tasti.MaskRCNNCost))
-	if err != nil {
+	if err := os.WriteFile(old, atVersion(data, 3), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old := filepath.Join(t.TempDir(), "single.snap")
-	if err := tasti.WriteFileAtomic(old, single.Save); err != nil {
-		t.Fatal(err)
-	}
+	var logs syncBuffer
 	fromOld, err := newServer(serverOptions{
 		dataset: "night-street", size: 1500, train: 250, reps: 200, seed: 1,
-		snapshotPath: old,
+		snapshotPath: old, logger: newJSONLogger(&logs),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fromOld.index.RepCount(); got != 40 {
-		t.Fatalf("server booted on a single-index snapshot has %d reps, want the file's 40 (a rebuild has 200)", got)
+	if !strings.Contains(logs.String(), "snapshot unusable; building fresh") || !strings.Contains(logs.String(), "unsupported format version") {
+		t.Fatalf("a v3 index snapshot did not log a version rebuild:\n%s", logs.String())
+	}
+	if got := fromOld.index.RepCount(); got != 200 {
+		t.Fatalf("server rebuilt over a v3 snapshot has %d reps, want 200", got)
+	}
+	if err := tasti.ReadSnapshotFile(old, func(r io.Reader) error {
+		_, lerr := tasti.LoadShardedIndex(r)
+		return lerr
+	}); err != nil {
+		t.Fatalf("the rebuild did not re-save the snapshot at the current version: %v", err)
+	}
+	oldTS := httptest.NewServer(fromOld.handler())
+	defer oldTS.Close()
+	resp, err = http.Post(oldTS.URL+"/query/aggregate", "application/json", strings.NewReader(`{"class":"car","err":0.5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := decodeBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query on the rebuilt index: status %d, body %v", resp.StatusCode, body)
 	}
 
 	restarted, err := newServer(serverOptions{
@@ -240,6 +257,19 @@ func TestServeStartupLoadsSnapshot(t *testing.T) {
 			t.Fatalf("restored rep[%d] = %d, want %d", i, gotReps[i], rep)
 		}
 	}
+}
+
+// atVersion returns a copy of a snapshot file whose header declares format
+// version v, with the header and whole-file CRCs resealed — what an older
+// build wrote, frame for frame.
+func atVersion(data []byte, v uint32) []byte {
+	b := bytes.Clone(data)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	binary.BigEndian.PutUint32(b[8:], v)
+	kindEnd := 13 + int(b[12])
+	binary.BigEndian.PutUint32(b[kindEnd:], crc32.Checksum(b[8:kindEnd], castagnoli))
+	binary.BigEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], castagnoli))
+	return b
 }
 
 // TestServeReloadRejectsWrongSnapshot: a snapshot of a different corpus must

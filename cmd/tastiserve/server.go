@@ -422,11 +422,12 @@ func (s *server) buildIndex() error {
 	}
 	// Prefer a durable snapshot over re-spending the whole labeling budget:
 	// when -snapshot names an existing file, load and validate it; any
-	// corruption is contained by the typed snapshot errors and the server
-	// falls back to building fresh. A fresh build is saved back to the same
-	// path (atomically), so the next start — and every hot reload — has it:
-	// the sharded container (manifest + one nested container per shard) at
-	// every shard count, the one the refresh path writes too.
+	// corruption — or a snapshot from before the flat v4 layout — is
+	// contained by the typed snapshot errors and the server falls back to
+	// building fresh. A fresh build is saved back to the same path
+	// (atomically), so the next start — and every hot reload — has it: the
+	// one index container (manifest + each shard's frames) at every shard
+	// count, the one the refresh path writes too.
 	// With ingest enabled a snapshot may cover any prefix from the base
 	// corpus through the full extended dataset — WAL replay fills the rest.
 	minRecords := ds.Len()
@@ -436,7 +437,7 @@ func (s *server) buildIndex() error {
 	var index *tasti.ShardedIndex
 	if opts.snapshotPath != "" {
 		if _, err := os.Stat(opts.snapshotPath); err == nil {
-			index, err = loadServingSnapshot(opts.snapshotPath, ds, opts.parallelism, opts.shardCount(), minRecords)
+			index, err = loadServingSnapshot(opts.snapshotPath, ds, opts.parallelism, minRecords)
 			if err != nil {
 				s.log.Warn("snapshot unusable; building fresh",
 					"path", opts.snapshotPath, "err", err.Error())
@@ -532,38 +533,16 @@ func (s *server) buildIndex() error {
 	return nil
 }
 
-// loadIndexSnapshot reads, checksum-verifies, and validates an index
-// snapshot, and checks it actually describes the server's corpus — a
-// snapshot of the wrong dataset propagates garbage scores, so it is rejected
-// like any other corruption. Without ingest, minRecords equals the corpus
-// size and the check is exact; with ingest, a snapshot may cover any prefix
-// from the base corpus (minRecords) through the full extended dataset, and
-// WAL replay supplies the remainder.
-func loadIndexSnapshot(path string, ds *tasti.Dataset, parallelism, minRecords int) (*tasti.Index, error) {
-	var ix *tasti.Index
-	err := tasti.ReadSnapshotFile(path, func(r io.Reader) error {
-		var lerr error
-		ix, lerr = tasti.LoadIndex(r)
-		return lerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ix.NumRecords() < minRecords || ix.NumRecords() > ds.Len() {
-		return nil, fmt.Errorf("snapshot indexes %d records, the serving corpus covers [%d,%d]",
-			ix.NumRecords(), minRecords, ds.Len())
-	}
-	// The persisted snapshot does not carry the build configuration.
-	ix.SetParallelism(parallelism)
-	return ix, nil
-}
-
-// loadServingSnapshot restores the sharded serving index from a snapshot of
-// either container: a sharded one is loaded as saved (the snapshot's shard
-// layout wins over the -shards flag, since per-shard reload must agree with
-// the file's frames), while a single-index container is loaded through the
-// single-index path and re-sharded to the configured count.
-func loadServingSnapshot(path string, ds *tasti.Dataset, parallelism, shards, minRecords int) (*tasti.ShardedIndex, error) {
+// loadServingSnapshot reads, checksum-verifies, and validates an index
+// snapshot at the shard layout it was saved at (the file's layout wins over
+// the -shards flag, since per-shard reload must agree with its frames), and
+// checks it actually describes the server's corpus — a snapshot of the wrong
+// dataset propagates garbage scores, so it is rejected like any other
+// corruption. Without ingest, minRecords equals the corpus size and the check
+// is exact; with ingest, a snapshot may cover any prefix from the base corpus
+// (minRecords) through the full extended dataset, and WAL replay supplies the
+// remainder.
+func loadServingSnapshot(path string, ds *tasti.Dataset, parallelism, minRecords int) (*tasti.ShardedIndex, error) {
 	var sx *tasti.ShardedIndex
 	err := tasti.ReadSnapshotFile(path, func(r io.Reader) error {
 		var lerr error
@@ -571,14 +550,7 @@ func loadServingSnapshot(path string, ds *tasti.Dataset, parallelism, shards, mi
 		return lerr
 	})
 	if err != nil {
-		if !errors.Is(err, tasti.ErrSnapshotKind) {
-			return nil, err
-		}
-		ix, lerr := loadIndexSnapshot(path, ds, parallelism, minRecords)
-		if lerr != nil {
-			return nil, lerr
-		}
-		return tasti.SplitIndex(ix, shards)
+		return nil, err
 	}
 	if sx.NumRecords() < minRecords || sx.NumRecords() > ds.Len() {
 		return nil, fmt.Errorf("snapshot indexes %d records, the serving corpus covers [%d,%d]",
@@ -618,7 +590,7 @@ func (s *server) reload() error {
 
 	start := time.Now()
 	ds := s.corpus.Load()
-	next, err := loadServingSnapshot(s.opts.snapshotPath, ds, s.opts.parallelism, s.opts.shardCount(), ds.Len())
+	next, err := loadServingSnapshot(s.opts.snapshotPath, ds, s.opts.parallelism, ds.Len())
 	if err != nil {
 		s.reg.Counter(`tasti_snapshot_reload_total{outcome="error"}`).Inc()
 		s.reg.Counter("tasti_snapshot_reload_failures_total").Inc()
@@ -644,9 +616,9 @@ func (s *server) reload() error {
 // reloadShard replaces the single shard i from the snapshot file, leaving
 // its peers serving untouched — the rolling-upgrade primitive. Like reload,
 // the shard is read and validated entirely off the request path and
-// published as one index write. Requires a sharded snapshot: a single-index
-// container fails with the snapshot-kind error and the old shard keeps
-// serving.
+// published as one index write. A shard that disagrees with its serving
+// peers (record range, embedding width, K) is refused and the old shard
+// keeps serving.
 func (s *server) reloadShard(i int) error {
 	if s.opts.snapshotPath == "" {
 		return errors.New("no -snapshot path configured")

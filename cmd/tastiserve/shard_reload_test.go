@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/tasti"
 )
 
 // shardedServer builds a 2-shard server whose sharded snapshot lives in a
@@ -187,5 +189,57 @@ func TestServeShardedEndpoints(t *testing.T) {
 	}
 	if got := restarted.index.NumShards(); got != 2 {
 		t.Errorf("restart from a 2-shard snapshot serves %d shards, want 2", got)
+	}
+}
+
+// TestServeShardReloadRejectsMismatchedShard: a per-shard reload from a
+// snapshot built at another embedding width is refused with 502 — the shard
+// would otherwise install beside 64-dim peers and take the process down at
+// the next crack — and the old shard keeps serving.
+func TestServeShardReloadRejectsMismatchedShard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	srv, ts, snap := shardedServer(t)
+	ds, err := tasti.GenerateDataset("night-street", 1500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tasti.PretrainedConfig(40, 1)
+	cfg.EmbedDim = 32
+	built, err := tasti.Build(cfg, ds, tasti.NewOracle(ds, "target", tasti.MaskRCNNCost))
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := tasti.SplitIndex(built, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tasti.WriteFileAtomic(snap, narrow.Save); err != nil {
+		t.Fatal(err)
+	}
+
+	before := srv.index.Shard(1)
+	failures := srv.reg.Counter("tasti_snapshot_reload_failures_total").Value()
+	resp, err := http.Post(ts.URL+"/admin/reload?shard=1", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := decodeBody(t, resp); resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("reload of a 32-dim shard: status %d, body %v", resp.StatusCode, body)
+	}
+	if srv.index.Shard(1) != before {
+		t.Fatal("the refused shard replaced the serving one")
+	}
+	if got := srv.reg.Counter("tasti_snapshot_reload_failures_total").Value(); got != failures+1 {
+		t.Errorf("tasti_snapshot_reload_failures_total went %d -> %d, want one more", failures, got)
+	}
+	resp, err = http.Post(ts.URL+"/query/limit", "application/json",
+		strings.NewReader(`{"class":"car","count":2,"k":20,"crack":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := decodeBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cracking limit after the refused reload: status %d, body %v", resp.StatusCode, body)
 	}
 }

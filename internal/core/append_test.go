@@ -25,15 +25,19 @@ func TestAppendRecordsAfterReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := core.Load(&buf)
+	x, err := shard.Split(ix, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Embedder == nil {
+	var buf bytes.Buffer
+	if err := x.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := shard.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Embedder() == nil {
 		t.Fatal("snapshot round trip lost the embedder")
 	}
 	extra, err := dataset.Generate("night-street", 250, 9)
@@ -45,11 +49,7 @@ func TestAppendRecordsAfterReload(t *testing.T) {
 		features = append(features, r.Features)
 	}
 	var served [2]*shard.Shard
-	for i, built := range []*core.Index{ix, loaded} {
-		x, err := shard.Split(built, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, x := range []*shard.Index{x, loaded} {
 		ids, err := x.AppendRecords(features)
 		if err != nil {
 			t.Fatal(err)

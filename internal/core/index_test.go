@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -170,44 +169,6 @@ func TestPropagateMissingAnnotation(t *testing.T) {
 	delete(ix.Annotations, ix.Table.Reps[0])
 	if _, err := ix.Propagate(CountScore("car")); err == nil {
 		t.Error("missing annotation should error")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	ix, _, _ := buildTestIndex(t, fastConfig(80, 50), "night-street", 500)
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	score := CountScore("car")
-	want, err := ix.Propagate(score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.Propagate(score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("record %d: loaded index propagates %v, want %v", i, got[i], want[i])
-		}
-	}
-	if err := loaded.Table.Validate(); err != nil {
-		t.Error(err)
-	}
-	if loaded.Stats.TotalLabelCalls() != ix.Stats.TotalLabelCalls() {
-		t.Error("stats not persisted")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not a gob")); err == nil {
-		t.Error("garbage should fail to load")
 	}
 }
 

@@ -9,6 +9,11 @@ import (
 	"repro/internal/snapshot"
 )
 
+// checkpointKind is the artifact-type string in a checkpoint's framed
+// container header, so loading an index snapshot as a checkpoint fails with
+// snapshot.ErrKind.
+const checkpointKind = "tasti-checkpoint"
+
 // Checkpoint captures the labeling progress of an index build: every
 // annotation the target labeler has produced so far, plus the records known
 // to be permanently unlabelable. Label invocations are the scarce resource —

@@ -10,10 +10,10 @@ import (
 
 // GobAnnotationsRegistered marks this init as the repository's single gob
 // registration point for annotation types. Every decoder of annotation
-// interface values — index snapshots and build checkpoints in package core,
-// dataset files here — imports this package, so a new annotation schema is
-// added to this one list or to none of them; the two-decoders-drift failure
-// mode is structurally impossible. Packages that rely on the registration
+// interface values — index snapshots in package shard, build checkpoints in
+// package core, dataset files here — imports this package, so a new
+// annotation schema is added to this one list or to none of them; the
+// two-decoders-drift failure mode is structurally impossible. Packages that rely on the registration
 // without otherwise referencing this package assert the dependency with
 // `var _ = dataset.GobAnnotationsRegistered`.
 const GobAnnotationsRegistered = true

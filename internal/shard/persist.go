@@ -2,113 +2,177 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
+	"slices"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/snapshot"
+	"repro/internal/vecmath"
 )
 
-// IndexKind is the framed-container artifact type of a sharded index
-// snapshot. Loading a single-index snapshot through Load (or vice versa)
-// fails with snapshot.ErrKind, so cmd/tastiserve can fall back to the
-// single-index container on a typed error instead of a decode mystery.
+// IndexKind is the framed-container artifact type of an index snapshot —
+// the only one: a single index is saved as one shard.
 const IndexKind = "tasti-shard-index"
 
-// manifestFrame precedes the shard payloads so a reader can learn the
-// layout — and reject a mismatched file — before decoding any bulk data.
-const manifestFrame = "manifest"
+// flatVersion is the first container version whose shards are flat frames;
+// an older index snapshot is rebuilt, not converted.
+const flatVersion = 4
 
-// shardFrame names the s-th shard's payload frame.
-func shardFrame(s int) string { return fmt.Sprintf("shard.%d", s) }
+// The container holds the manifest, then each shard s's frames
+// "shard.<s>.<part>" in the order below, then the optional embedder (an
+// embed.Snapshot, shared by every shard). Bulk parts are little-endian
+// fixed-width arrays whose lengths the manifest and the shard's meta fix.
+const (
+	manifestFrame  = "manifest"
+	embedderFrame  = "embedder"
+	metaPart       = "meta"       // gob shardMeta
+	embeddingsPart = "embeddings" // rows×dim float64
+	repsPart       = "reps"       // rows×k int64 representative IDs
+	distsPart      = "dists"      // rows×k float64 distances
+	quantPart      = "quant"      // rows×dim uint8 codes, only with meta.Quant
+)
 
-// embedderFrame is the optional trailing frame carrying the shared embedding
-// model (embed.Snapshot), mirroring the single-index container's frame of the
-// same name: it is written once at the outer level rather than per shard,
-// since every shard uses the identical model. Older sharded snapshots load
-// with no embedder; older readers skip the frame in Drain.
-const embedderFrame = "embedder"
+// shardFrame names part of the s-th shard.
+func shardFrame(s int, part string) string { return fmt.Sprintf("shard.%d.%s", s, part) }
 
-// manifest is the first frame of a sharded snapshot: the corpus size, every
-// shard's record range, and the build stats.
+// manifest is the first frame: the corpus size, every shard's record range,
+// and the build stats.
 type manifest struct {
 	Total  int
 	Shards []shardRange
 	Stats  core.BuildStats
 }
 
-type shardRange struct {
-	Lo, Hi int
+type shardRange struct{ Lo, Hi int }
+
+// shardMeta is a shard's small state. Every neighbor row holds exactly
+// k = min(K, len(Reps)) entries (cluster.Table.Validate).
+type shardMeta struct {
+	K           int
+	Reps        []int
+	Dim         int
+	Annotations map[int]dataset.Annotation
+	// Quant holds the quantized plane's parameters; nil without a plane.
+	Quant *quantMeta
+}
+
+type quantMeta struct {
+	Scale, Offset []float64
+	MaxErr        float64
+}
+
+// malformed wraps a content error of an intact file in the taxonomy.
+func malformed(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", snapshot.ErrMalformed, fmt.Sprintf(format, args...))
 }
 
 // validate checks the manifest describes a legal contiguous partition.
 func (m manifest) validate() error {
 	if m.Total < 0 || len(m.Shards) == 0 {
-		return fmt.Errorf("shard: manifest with %d records in %d shards", m.Total, len(m.Shards))
+		return malformed("manifest with %d records in %d shards", m.Total, len(m.Shards))
 	}
 	next := 0
 	for s, r := range m.Shards {
 		if r.Lo != next || r.Hi < r.Lo {
-			return fmt.Errorf("shard: manifest shard %d covers [%d,%d), want lo %d", s, r.Lo, r.Hi, next)
+			return malformed("manifest shard %d covers [%d,%d), want lo %d", s, r.Lo, r.Hi, next)
 		}
 		next = r.Hi
 	}
 	if next != m.Total {
-		return fmt.Errorf("shard: manifest shards cover [0,%d) of %d records", next, m.Total)
+		return malformed("manifest shards cover [0,%d) of %d records", next, m.Total)
 	}
 	return nil
 }
 
-// repsInRange rejects representative IDs outside the corpus — the one
-// invariant cluster.Table.Validate cannot check for a shard-local table,
-// whose neighbor rows legitimately name IDs beyond its own row count.
-func repsInRange(sh *Shard, total int) error {
-	for _, rep := range sh.Table.Reps {
-		if rep < 0 || rep >= total {
-			return fmt.Errorf("shard: representative %d out of corpus range [0,%d)", rep, total)
+// consistent checks that shards can serve a corpus of total records
+// together: one embedding width, one table K, representatives inside the
+// corpus, and an embedder (when there is one) that outputs that width. A
+// disagreement would otherwise surface as a panic inside a propagation,
+// append or crack worker.
+func consistent(shards []*Shard, emb embed.Embedder, total int) error {
+	dim, k := shards[0].Embeddings.Dim(), shards[0].Table.K
+	for s, sh := range shards {
+		if sh.Embeddings.Dim() != dim || sh.Table.K != k {
+			return fmt.Errorf("shard: shard %d has %d-dim embeddings and K=%d, shard 0 has %d-dim and K=%d",
+				s, sh.Embeddings.Dim(), sh.Table.K, dim, k)
+		}
+		for _, rep := range sh.Table.Reps {
+			if rep < 0 || rep >= total {
+				return fmt.Errorf("shard: shard %d has representative %d outside the corpus [0,%d)", s, rep, total)
+			}
 		}
 	}
+	if emb != nil && emb.Dim() != dim {
+		return fmt.Errorf("shard: embedder outputs dim %d, shards hold %d-dim embeddings", emb.Dim(), dim)
+	}
 	return nil
 }
 
-// Save serializes the sharded index: one framed container of kind
-// "tasti-shard-index" holding a manifest frame followed by one frame per
-// shard, each payload a complete single-index container in the existing core
-// snapshot format. Nesting whole containers buys per-shard CRCs, the typed
-// error taxonomy, and a LoadShard that can lift one shard without decoding
-// its peers — while reusing core's codec for every byte of bulk data. The
+// Save serializes the index as one framed container (layout above). Each
+// bulk array is encoded into one buffer reused across frames and shards. The
 // version is immutable, so the written state is consistent however long the
 // write takes and whatever is published meanwhile.
 func (v *Version) Save(w io.Writer) error {
+	if err := v.save(w); err != nil {
+		return fmt.Errorf("shard: saving index: %w", err)
+	}
+	return nil
+}
+
+func (v *Version) save(w io.Writer) error {
 	sw, err := snapshot.NewWriter(w, IndexKind)
 	if err != nil {
-		return fmt.Errorf("shard: saving index: %w", err)
+		return err
 	}
 	man := manifest{Total: v.total, Stats: v.Stats}
 	for _, sh := range v.shards {
 		man.Shards = append(man.Shards, shardRange{Lo: sh.Lo, Hi: sh.Hi})
 	}
 	if err := sw.Encode(manifestFrame, man); err != nil {
-		return fmt.Errorf("shard: saving index: %w", err)
+		return err
 	}
-	var buf bytes.Buffer
+	var buf []byte
+	// words frames n 8-byte little-endian words, the i-th at(i).
+	words := func(name string, n int, at func(i int) uint64) error {
+		buf = slices.Grow(buf[:0], 8*n)
+		for i := 0; i < n; i++ {
+			buf = binary.LittleEndian.AppendUint64(buf, at(i))
+		}
+		return sw.Frame(name, buf)
+	}
 	for s, sh := range v.shards {
-		buf.Reset()
-		inner := &core.Index{
-			Embeddings:  sh.Embeddings,
-			Quant:       sh.Quant,
-			Table:       sh.Table,
-			Annotations: sh.Annotations,
-			Stats:       v.Stats,
+		t, emb := sh.Table, sh.Embeddings.Data()
+		k := min(t.K, len(t.Reps))
+		meta := shardMeta{K: t.K, Reps: t.Reps, Dim: sh.Embeddings.Dim(), Annotations: sh.Annotations}
+		if sh.Quant.Enabled() {
+			p := sh.Quant.Params()
+			meta.Quant = &quantMeta{Scale: p.Scale, Offset: p.Offset, MaxErr: sh.Quant.MaxErr()}
 		}
-		if err := inner.Save(&buf); err != nil {
-			return fmt.Errorf("shard: saving shard %d: %w", s, err)
+		nb := func(i int) cluster.Neighbor { return t.Neighbors[i/k][i%k] }
+		if err := sw.Encode(shardFrame(s, metaPart), meta); err != nil {
+			return err
 		}
-		if err := sw.Frame(shardFrame(s), buf.Bytes()); err != nil {
-			return fmt.Errorf("shard: saving shard %d: %w", s, err)
+		if err := words(shardFrame(s, embeddingsPart), len(emb), func(i int) uint64 { return math.Float64bits(emb[i]) }); err != nil {
+			return err
+		}
+		if err := words(shardFrame(s, repsPart), len(t.Neighbors)*k, func(i int) uint64 { return uint64(nb(i).Rep) }); err != nil {
+			return err
+		}
+		if err := words(shardFrame(s, distsPart), len(t.Neighbors)*k, func(i int) uint64 { return math.Float64bits(nb(i).Dist) }); err != nil {
+			return err
+		}
+		if meta.Quant != nil {
+			if err := sw.Frame(shardFrame(s, quantPart), sh.Quant.Codes()); err != nil {
+				return err
+			}
 		}
 	}
 	if v.w.emb != nil {
@@ -118,140 +182,187 @@ func (v *Version) Save(w io.Writer) error {
 			// no appends after a restart) instead of failing the save.
 			slog.Warn("shard: index snapshot omits the embedding model; appends will be unavailable after a restore", "err", err.Error())
 		} else if err := sw.Encode(embedderFrame, es); err != nil {
-			return fmt.Errorf("shard: saving index: %w", err)
+			return err
 		}
 	}
-	if err := sw.Close(); err != nil {
-		return fmt.Errorf("shard: saving index: %w", err)
-	}
-	return nil
+	return sw.Close()
 }
 
-// Load deserializes a sharded index saved with Save, verifying the outer and
-// every inner container's checksums and validating each shard against the
-// manifest before any of it is trusted. The restored index has default
-// parallelism and no telemetry; callers wire both afterwards.
+// Load deserializes an index saved with Save, verifying every frame and the
+// whole-file checksum and validating each shard against the manifest and its
+// peers before any of it is trusted; every failure carries the snapshot
+// error taxonomy. The restored index has default parallelism and no
+// telemetry; callers wire both afterwards.
 func Load(r io.Reader) (*Index, error) {
-	sr, err := snapshot.NewReader(r, IndexKind)
+	man, shards, emb, err := load(r, -1)
 	if err != nil {
 		return nil, fmt.Errorf("shard: loading index: %w", err)
-	}
-	var man manifest
-	if err := sr.Decode(manifestFrame, &man); err != nil {
-		return nil, fmt.Errorf("shard: loading index: %w", err)
-	}
-	if err := man.validate(); err != nil {
-		return nil, err
-	}
-	shards := make([]*Shard, len(man.Shards))
-	var emb embed.Embedder
-	for s := range man.Shards {
-		name, payload, err := sr.Next()
-		if err == io.EOF {
-			return nil, fmt.Errorf("%w: missing frame %q", snapshot.ErrTruncated, shardFrame(s))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard: loading index: %w", err)
-		}
-		if name != shardFrame(s) {
-			return nil, fmt.Errorf("shard: unexpected frame %q, want %q", name, shardFrame(s))
-		}
-		sh, err := decodeShard(payload, man.Shards[s], man.Total)
-		if err != nil {
-			return nil, fmt.Errorf("shard: loading shard %d: %w", s, err)
-		}
-		shards[s] = sh
-	}
-	// Walk the remaining frames through the trailer so the whole-file CRC is
-	// verified, decoding the optional embedder frame and skipping unknown
-	// trailing frames for forward compatibility.
-	for {
-		name, payload, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard: loading index: %w", err)
-		}
-		if name != embedderFrame {
-			continue
-		}
-		var es embed.Snapshot
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&es); err != nil {
-			return nil, fmt.Errorf("shard: loading index: decoding frame %q: %w", name, err)
-		}
-		if emb, err = es.Embedder(); err != nil {
-			return nil, fmt.Errorf("shard: loading index: %w", err)
-		}
 	}
 	return newIndex(wiring{emb: emb}, man.Stats, shards, man.Total), nil
 }
 
-// LoadShard lifts the single shard i out of a sharded snapshot without
-// decoding its peers' payloads — the cheap path behind cmd/tastiserve's
-// per-shard reload. The outer container's framing walks (and CRC-checks)
-// every frame header up to shard i, then the whole-file trailer, so a
-// corrupt earlier frame still surfaces as a typed error naming that frame.
+// LoadShard lifts the single shard i out of a snapshot, skipping its peers'
+// frames undecoded — the cheap path behind cmd/tastiserve's per-shard
+// reload. Every frame and the whole-file trailer are still CRC-checked.
+// ReplaceShard checks the result against the serving index.
 func LoadShard(r io.Reader, i int) (*Shard, error) {
-	sr, err := snapshot.NewReader(r, IndexKind)
+	if i < 0 {
+		return nil, fmt.Errorf("shard: shard %d out of range", i)
+	}
+	_, shards, _, err := load(r, i)
 	if err != nil {
 		return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
 	}
-	var man manifest
-	if err := sr.Decode(manifestFrame, &man); err != nil {
-		return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
-	}
-	if err := man.validate(); err != nil {
-		return nil, err
-	}
-	if i < 0 || i >= len(man.Shards) {
-		return nil, fmt.Errorf("shard: shard %d out of range [0,%d)", i, len(man.Shards))
-	}
-	want := shardFrame(i)
-	var sh *Shard
-	for {
-		name, payload, err := sr.Next()
-		if err == io.EOF {
-			return nil, fmt.Errorf("%w: missing frame %q", snapshot.ErrTruncated, want)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
-		}
-		if name != want {
-			continue
-		}
-		if sh, err = decodeShard(payload, man.Shards[i], man.Total); err != nil {
-			return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
-		}
-		break
-	}
-	if err := sr.Drain(); err != nil {
-		return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
-	}
-	return sh, nil
+	return shards[i], nil
 }
 
-// decodeShard decodes one nested single-index container into a Shard with
-// the manifest's record range, validating shape, table invariants, and
-// representative-ID bounds.
-func decodeShard(payload []byte, r shardRange, total int) (*Shard, error) {
-	inner, err := core.Load(bytes.NewReader(payload))
+// load walks a snapshot through its trailer and decodes shard only, or every
+// shard and the embedder when only is negative.
+func load(r io.Reader, only int) (man manifest, shards []*Shard, emb embed.Embedder, err error) {
+	sr, err := snapshot.NewReader(r, IndexKind)
+	if err != nil {
+		return man, nil, nil, err
+	}
+	if v := sr.Version(); v < flatVersion {
+		return man, nil, nil, fmt.Errorf("%w: index snapshot v%d predates the v%d shard frames; rebuild it",
+			snapshot.ErrVersion, v, flatVersion)
+	}
+	if err := sr.Decode(manifestFrame, &man); err != nil {
+		return man, nil, nil, err
+	}
+	if err := man.validate(); err != nil {
+		return man, nil, nil, err
+	}
+	if only >= len(man.Shards) {
+		return man, nil, nil, fmt.Errorf("shard %d out of range [0,%d)", only, len(man.Shards))
+	}
+	shards = make([]*Shard, len(man.Shards))
+	s := 0 // the next shard whose meta frame is due
+	for {
+		name, p, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return man, nil, nil, err
+		}
+		switch {
+		case s < len(shards) && name == shardFrame(s, metaPart):
+			if only < 0 || only == s {
+				if shards[s], err = readShard(sr, s, p, man.Shards[s]); err != nil {
+					return man, nil, nil, fmt.Errorf("shard %d: %w", s, err)
+				}
+			}
+			s++
+		case only < 0 && s < len(shards):
+			return man, nil, nil, malformed("unexpected frame %q, want %q", name, shardFrame(s, metaPart))
+		case only < 0 && name == embedderFrame:
+			var es embed.Snapshot
+			if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&es); err != nil {
+				return man, nil, nil, malformed("decoding frame %q: %v", name, err)
+			}
+			if emb, err = es.Embedder(); err != nil {
+				return man, nil, nil, malformed("%v", err)
+			}
+		}
+		// Anything else is a peer's frame LoadShard skips, or an unknown
+		// trailing frame skipped for forward compatibility.
+	}
+	if s < len(shards) {
+		return man, nil, nil, fmt.Errorf("%w: missing frame %q", snapshot.ErrTruncated, shardFrame(s, metaPart))
+	}
+	if only < 0 {
+		if err := consistent(shards, emb, man.Total); err != nil {
+			return man, nil, nil, malformed("%v", err)
+		}
+	}
+	return man, shards, emb, nil
+}
+
+// fixedFrame reads the next frame, which must be named name and hold n
+// elements of width bytes. The payload is the reader's buffer: decode it
+// before the next read.
+func fixedFrame(sr *snapshot.Reader, name string, n, width int) ([]byte, error) {
+	got, p, err := sr.Next()
+	switch {
+	case err == io.EOF:
+		return nil, fmt.Errorf("%w: missing frame %q", snapshot.ErrTruncated, name)
+	case err != nil:
+		return nil, err
+	case got != name:
+		return nil, malformed("unexpected frame %q, want %q", got, name)
+	case len(p)%width != 0:
+		return nil, malformed("frame %q holds %d bytes, not a multiple of %d", name, len(p), width)
+	case len(p)/width != n:
+		return nil, malformed("frame %q holds %d elements, the meta declares %d", name, len(p)/width, n)
+	}
+	return p, nil
+}
+
+// word returns the i-th little-endian 8-byte word of p.
+func word(p []byte, i int) uint64 { return binary.LittleEndian.Uint64(p[8*i:]) }
+
+// readShard decodes shard s from its meta payload and the bulk frames that
+// follow it in sr, over the manifest's record range r, and validates its
+// shapes and table invariants. Load and ReplaceShard bound its
+// representative IDs (every neighbor names one) by the corpus.
+func readShard(sr *snapshot.Reader, s int, metaPayload []byte, r shardRange) (*Shard, error) {
+	var meta shardMeta
+	if err := gob.NewDecoder(bytes.NewReader(metaPayload)).Decode(&meta); err != nil {
+		return nil, malformed("decoding frame %q: %v", shardFrame(s, metaPart), err)
+	}
+	// A positive width makes the embeddings frame bound the row count, so
+	// nothing below allocates for rows the file does not hold.
+	rows, k := r.Hi-r.Lo, min(meta.K, len(meta.Reps))
+	if meta.Dim <= 0 || meta.K < 0 || rows > math.MaxInt/8/meta.Dim || (k > 0 && rows > math.MaxInt/8/k) {
+		return nil, malformed("%d rows of dim %d and K %d", rows, meta.Dim, meta.K)
+	}
+	p, err := fixedFrame(sr, shardFrame(s, embeddingsPart), rows*meta.Dim, 8)
 	if err != nil {
 		return nil, err
 	}
-	sh := &Shard{
-		Lo:          r.Lo,
-		Hi:          r.Hi,
-		Embeddings:  inner.Embeddings,
-		Quant:       inner.Quant,
-		Table:       inner.Table,
-		Annotations: inner.Annotations,
+	embeddings := vecmath.NewMatrix(rows, meta.Dim)
+	data := embeddings.Data()
+	for i := range data {
+		data[i] = math.Float64frombits(word(p, i))
 	}
+	// Every row slices one rows×k block, as a freshly built table's do.
+	block := make([]cluster.Neighbor, rows*k)
+	if p, err = fixedFrame(sr, shardFrame(s, repsPart), len(block), 8); err != nil {
+		return nil, err
+	}
+	for i := range block {
+		block[i].Rep = int(int64(word(p, i)))
+	}
+	if p, err = fixedFrame(sr, shardFrame(s, distsPart), len(block), 8); err != nil {
+		return nil, err
+	}
+	for i := range block {
+		block[i].Dist = math.Float64frombits(word(p, i))
+	}
+	neighbors := make([][]cluster.Neighbor, rows)
+	for i := range neighbors {
+		neighbors[i] = block[i*k : (i+1)*k : (i+1)*k]
+	}
+	var quant vecmath.QuantMatrix
+	if q := meta.Quant; q != nil {
+		if p, err = fixedFrame(sr, shardFrame(s, quantPart), rows*meta.Dim, 1); err != nil {
+			return nil, err
+		}
+		quant, err = vecmath.QuantMatrixFromParts(bytes.Clone(p), rows, meta.Dim,
+			vecmath.QuantParams{Scale: q.Scale, Offset: q.Offset}, q.MaxErr)
+		if err != nil || !quant.Enabled() {
+			return nil, malformed("frame %q: %v (enabled %t)", shardFrame(s, quantPart), err, quant.Enabled())
+		}
+	}
+	if meta.Annotations == nil {
+		meta.Annotations = map[int]dataset.Annotation{}
+	}
+	sh := &Shard{Lo: r.Lo, Hi: r.Hi, Embeddings: embeddings, Quant: quant,
+		Table:       &cluster.Table{K: meta.K, Reps: meta.Reps, Neighbors: neighbors},
+		Annotations: meta.Annotations}
 	if err := sh.Validate(); err != nil {
-		return nil, err
-	}
-	if err := repsInRange(sh, total); err != nil {
-		return nil, err
+		return nil, malformed("%v", err)
 	}
 	return sh, nil
 }

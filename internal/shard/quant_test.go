@@ -145,7 +145,7 @@ func TestShardQuantMemoryStats(t *testing.T) {
 	}
 }
 
-// TestShardQuantPersistRoundTrip: the nested per-shard containers carry the
+// TestShardQuantPersistRoundTrip: the per-shard frames carry the
 // plane through Save/Load and LoadShard, and the restored index still scans
 // (and cracks) through it with identical results.
 func TestShardQuantPersistRoundTrip(t *testing.T) {

@@ -399,9 +399,11 @@ func (v *Version) publishMetrics() {
 }
 
 // ReplaceShard publishes a version with shard i replaced, after checking the
-// replacement covers the identical record range — the one shard-shape
-// invariant a hot reload must not bend — and advances the generation.
-// Requests that pinned the previous version finish on the old shard.
+// replacement covers the identical record range, names representatives
+// inside the corpus, and agrees with the serving peers and embedder on
+// embedding width and K — the shard-shape invariants a hot reload must not
+// bend — and advances the generation. Requests that
+// pinned the previous version finish on the old shard.
 func (x *Index) ReplaceShard(i int, sh *Shard) error {
 	return x.write(func(cur *Version) (*Version, error) {
 		if i < 0 || i >= len(cur.shards) {
@@ -416,6 +418,9 @@ func (x *Index) ReplaceShard(i int, sh *Shard) error {
 		}
 		shards := slices.Clone(cur.shards)
 		shards[i] = sh
+		if err := consistent(shards, cur.w.emb, cur.total); err != nil {
+			return nil, err
+		}
 		return cur.successor(shards, cur.total, 1), nil
 	})
 }

@@ -335,19 +335,22 @@ func TestLoadShardAndReplace(t *testing.T) {
 	}
 }
 
-// TestSnapshotKindMismatch pins the typed-error contract cmd/tastiserve's
-// format fallback depends on: each container kind rejects the other with
+// TestSnapshotKindMismatch pins the typed-error contract: an index snapshot
+// and a build checkpoint each reject the other's loader with
 // snapshot.ErrKind, never a decode mystery.
 func TestSnapshotKindMismatch(t *testing.T) {
-	ix, _ := buildIndex(t, 200, 20)
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := (&core.Checkpoint{Seed: 1, DatasetLen: 200}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := shard.Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrKind) {
-		t.Errorf("shard.Load of a single-index snapshot: %v, want ErrKind", err)
+		t.Errorf("shard.Load of a checkpoint: %v, want ErrKind", err)
+	}
+	if _, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 0); !errors.Is(err, snapshot.ErrKind) {
+		t.Errorf("shard.LoadShard of a checkpoint: %v, want ErrKind", err)
 	}
 
+	ix, _ := buildIndex(t, 200, 20)
 	x, err := shard.Split(ix, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -356,8 +359,8 @@ func TestSnapshotKindMismatch(t *testing.T) {
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrKind) {
-		t.Errorf("core.Load of a sharded snapshot: %v, want ErrKind", err)
+	if _, err := core.LoadCheckpoint(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrKind) {
+		t.Errorf("core.LoadCheckpoint of a sharded snapshot: %v, want ErrKind", err)
 	}
 }
 

@@ -24,8 +24,9 @@ func writeLog(t *testing.T, kind string, frames [][]byte) []byte {
 	return buf.Bytes()
 }
 
-// readLog decodes every frame of a log, returning the payloads and the error
-// that ended the walk (io.EOF for a clean end).
+// readLog decodes every frame of a log, returning copies of the payloads
+// (Next reuses its buffer) and the error that ended the walk (io.EOF for a
+// clean end).
 func readLog(b []byte, kind string) (payloads [][]byte, end error) {
 	sr, err := NewLogReader(bytes.NewReader(b), kind)
 	if err != nil {
@@ -36,7 +37,7 @@ func readLog(b []byte, kind string) (payloads [][]byte, end error) {
 		if err != nil {
 			return payloads, err
 		}
-		payloads = append(payloads, p)
+		payloads = append(payloads, bytes.Clone(p))
 	}
 }
 

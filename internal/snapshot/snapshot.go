@@ -32,9 +32,11 @@
 // # Bounded allocation
 //
 // Declared frame lengths are validated against a sanity cap (default 1 GiB,
-// DefaultMaxFrameBytes) before any allocation, and payloads are read in
-// 1 MiB steps, so a corrupted length field costs at most one step of memory
-// before the truncation is detected — never an OOM.
+// DefaultMaxFrameBytes) before any allocation, and a Reader reads every
+// payload into one buffer it grows only as bytes arrive (to 1 MiB, then
+// doubling) and reuses for the next frame, so a corrupted length field costs
+// at most 1 MiB or twice the bytes actually present before the truncation
+// is detected — never an OOM.
 package snapshot
 
 import (
@@ -58,20 +60,16 @@ var Magic = [8]byte{'T', 'A', 'S', 'T', 'I', 'S', 'N', 'P'}
 //
 // Version history:
 //
-//	v1 — initial framed format (PR 4); index embeddings as one gob
-//	     [][]float64 frame named "embeddings".
-//	v2 — flat embedding layout: index embeddings as one contiguous
-//	     row-major frame named "embeddings.flat" (rows, dim, backing
-//	     array). The container still opens at v1, but core.Load reads only
-//	     the flat frame: a v1 index snapshot fails on its "embeddings"
-//	     frame name and is rebuilt, not converted.
-//	v3 — quantized scan plane: index snapshots may carry an optional
-//	     trailing frame named "embeddings.quant" (per-dimension scale and
-//	     offset, decode-error bound, uint8 code matrix). v2 files remain
-//	     readable — the frame is simply absent; v2 readers would skip it as
-//	     an unknown trailing frame, but the version is bumped so operators
-//	     can tell which builds materialize the plane on load.
-const Version uint32 = 3
+//	v1 — initial framed format; index embeddings as one gob [][]float64.
+//	v2 — index embeddings as one flat row-major "embeddings.flat" frame.
+//	v3 — an optional "embeddings.quant" frame: the quantized scan plane.
+//	v4 — one index container: each shard's frames ("shard.<s>.meta",
+//	     ".embeddings", ".reps", ".dists", ".quant") written straight into
+//	     it, bulk arrays as little-endian fixed-width payloads; the nested
+//	     "tasti-index" container is gone. The index loader rejects older
+//	     headers with ErrVersion (rebuilt, not converted); every other kind
+//	     still reads v1 on.
+const Version uint32 = 4
 
 // MinVersion is the oldest container-format version this build still reads.
 const MinVersion uint32 = 1
@@ -81,13 +79,16 @@ const MinVersion uint32 = 1
 // before any allocation.
 const DefaultMaxFrameBytes = 1 << 30
 
-// readStep bounds each payload-read allocation, so a declared length far
-// beyond the actual file size truncates after at most one step of memory.
+// readStep is the first size of a Reader's payload buffer, which then
+// doubles, so a declared length far beyond the actual file size truncates
+// after at most max(readStep, 2 × the bytes present) of memory.
 const readStep = 1 << 20
 
 // The decode-failure taxonomy. ErrBadMagic, ErrKind, and ErrVersion mean the
 // caller has the wrong file; ErrChecksum, ErrTruncated, and ErrFrameTooLarge
-// mean the right file was damaged.
+// mean the right file was damaged; ErrMalformed means frames that verified
+// intact describe an impossible artifact (crafted, or written by a broken
+// build).
 var (
 	// ErrBadMagic marks input that is not a framed snapshot at all.
 	ErrBadMagic = errors.New("snapshot: bad magic (not a snapshot file)")
@@ -101,6 +102,9 @@ var (
 	ErrTruncated = errors.New("snapshot: truncated file")
 	// ErrFrameTooLarge marks a declared frame length beyond the sanity cap.
 	ErrFrameTooLarge = errors.New("snapshot: frame length exceeds sanity cap")
+	// ErrMalformed marks intact frames whose contents are inconsistent: a
+	// payload that does not decode, or shapes that disagree with each other.
+	ErrMalformed = errors.New("snapshot: malformed contents")
 )
 
 // castagnoli is the CRC-32C table shared by writers and readers.
@@ -244,6 +248,8 @@ type Reader struct {
 	streaming bool
 	done      bool
 	err       error
+	// buf holds the last frame's payload; the next frame reuses it.
+	buf []byte
 }
 
 // NewReader opens a framed snapshot, validating magic, header checksum,
@@ -324,6 +330,7 @@ func (sr *Reader) readFull(b []byte, onEOF error) error {
 
 // Next returns the next frame. After the last frame it verifies the trailer
 // CRC and returns io.EOF; any failure before that returns a taxonomy error.
+// The payload is the reader's buffer: it is valid until the next call.
 func (sr *Reader) Next() (name string, payload []byte, err error) {
 	if sr.err != nil {
 		return "", nil, sr.err
@@ -391,18 +398,21 @@ func (sr *Reader) next() (string, []byte, error) {
 		return "", nil, fmt.Errorf("%w: frame %q declares %d bytes, cap %d",
 			ErrFrameTooLarge, nameBuf, plen, sr.maxFrame)
 	}
-	// Read the payload in bounded steps: a declared length far beyond the
-	// actual data truncates after at most readStep bytes of allocation.
-	payload := make([]byte, 0, min(plen, readStep))
-	for remaining := plen; remaining > 0; {
-		step := min(remaining, readStep)
-		chunk := make([]byte, step)
-		if err := sr.readFull(chunk, ErrTruncated); err != nil {
+	// Read the payload into the one buffer every frame shares, growing it
+	// only as bytes arrive: a declared length far beyond the actual data
+	// truncates before the buffer outgrows max(readStep, 2 × the data).
+	payload := sr.buf[:0]
+	for uint64(len(payload)) < plen {
+		if len(payload) == cap(payload) {
+			payload = append(make([]byte, 0, min(plen, max(2*uint64(cap(payload)), readStep))), payload...)
+		}
+		n := min(int(plen), cap(payload))
+		if err := sr.readFull(payload[len(payload):n], ErrTruncated); err != nil {
 			return "", nil, err
 		}
-		payload = append(payload, chunk...)
-		remaining -= step
+		payload = payload[:n]
 	}
+	sr.buf = payload
 	frameCRC.Write(payload) //nolint:errcheck // hash.Write never fails
 	var c4 [4]byte
 	if err := sr.readFull(c4[:], ErrTruncated); err != nil {
@@ -425,10 +435,10 @@ func (sr *Reader) Decode(name string, v any) error {
 		return err
 	}
 	if got != name {
-		return fmt.Errorf("snapshot: unexpected frame %q, want %q", got, name)
+		return fmt.Errorf("%w: unexpected frame %q, want %q", ErrMalformed, got, name)
 	}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("snapshot: decoding frame %q: %w", name, err)
+		return fmt.Errorf("%w: decoding frame %q: %v", ErrMalformed, name, err)
 	}
 	return nil
 }

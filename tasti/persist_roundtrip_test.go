@@ -9,11 +9,11 @@ import (
 	"repro/tasti"
 )
 
-// TestSaveLoadQueryEquivalence is the persistence property test: an index
-// restored from its snapshot and served must answer aggregation, SUPG
+// TestSaveLoadQueryEquivalence is the persistence property test: a served
+// two-shard index restored from its snapshot must answer aggregation, SUPG
 // selection, and limit queries bitwise-identically to the in-memory original
-// served — at every worker count, since the repository guarantees
-// parallelism never changes results. Any divergence means Save/Load dropped
+// — at every worker count, since the repository guarantees parallelism
+// never changes results. Any divergence means Save/Load dropped
 // or reordered state that queries observe.
 func TestSaveLoadQueryEquivalence(t *testing.T) {
 	if testing.Short() {
@@ -28,12 +28,12 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := built.Save(&buf); err != nil {
+	index, err := tasti.SplitIndex(built, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	index, err := tasti.SplitIndex(built, 1)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := index.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	ref := index.Pin()
@@ -70,13 +70,9 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 	}
 
 	for _, p := range []int{1, 4} {
-		restored, err := tasti.LoadIndex(bytes.NewReader(buf.Bytes()))
+		served, err := tasti.LoadShardedIndex(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("p=%d: load: %v", p, err)
-		}
-		served, err := tasti.SplitIndex(restored, 1)
-		if err != nil {
-			t.Fatalf("p=%d: split: %v", p, err)
 		}
 		served.SetParallelism(p)
 		loaded := served.Pin()
@@ -146,7 +142,11 @@ func TestSnapshotErrorTaxonomyExported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	index, err := tasti.Build(tasti.PretrainedConfig(20, 1), ds, tasti.NewOracle(ds, "o", tasti.MaskRCNNCost))
+	built, err := tasti.Build(tasti.PretrainedConfig(20, 1), ds, tasti.NewOracle(ds, "o", tasti.MaskRCNNCost))
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, err := tasti.SplitIndex(built, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSnapshotErrorTaxonomyExported(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	if _, err := tasti.LoadIndex(bytes.NewReader(data[:len(data)-3])); err == nil {
+	if _, err := tasti.LoadShardedIndex(bytes.NewReader(data[:len(data)-3])); err == nil {
 		t.Fatal("truncated snapshot loaded")
 	} else if !errors.Is(err, tasti.ErrSnapshotChecksum) && !errors.Is(err, tasti.ErrSnapshotTruncated) {
 		t.Fatalf("truncated snapshot error %v is not in the exported taxonomy", err)
@@ -166,7 +166,7 @@ func TestSnapshotErrorTaxonomyExported(t *testing.T) {
 	if err := core.NewCheckpoint(tasti.PretrainedConfig(20, 1), ds).Save(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tasti.LoadIndex(bytes.NewReader(ckpt.Bytes())); !errors.Is(err, tasti.ErrSnapshotKind) {
+	if _, err := tasti.LoadShardedIndex(bytes.NewReader(ckpt.Bytes())); !errors.Is(err, tasti.ErrSnapshotKind) {
 		t.Fatalf("checkpoint-as-index error = %v, want ErrSnapshotKind", err)
 	}
 }

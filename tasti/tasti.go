@@ -63,8 +63,10 @@ import (
 const Version = "0.9.0"
 
 // SnapshotFormatVersion is the framed snapshot container's current format
-// version (the write-side version; the container opens back to
-// snapshot.MinVersion, the index loader reads the flat embedding layout only).
+// version, the one every artifact is written at. Checkpoints, datasets, WAL
+// segments and label-store snapshots still open back to snapshot.MinVersion;
+// an index snapshot must be v4 or later (flat shard frames) — an older one
+// fails with ErrSnapshotVersion and is rebuilt.
 const SnapshotFormatVersion = snapshot.Version
 
 // Data model.
@@ -234,8 +236,8 @@ type (
 	// so the knob only trades wall-clock time for CPU. See
 	// docs/ARCHITECTURE.md for the pipeline's concurrency design.
 	Config = core.Config
-	// Index is a built TASTI index: Save it, load it, and SplitIndex it into
-	// the ShardedIndex that serves queries and takes cracks and appends.
+	// Index is a built TASTI index: SplitIndex it into the ShardedIndex that
+	// serves queries, takes cracks and appends, and saves and loads.
 	Index = core.Index
 	// ScoreFunc turns an annotation into a numeric query-specific score.
 	ScoreFunc = core.ScoreFunc
@@ -264,9 +266,6 @@ func PretrainedConfig(numReps int, seed int64) Config {
 func Build(cfg Config, ds *Dataset, lab Labeler) (*Index, error) {
 	return core.Build(cfg, ds, lab)
 }
-
-// LoadIndex deserializes an index saved with Index.Save.
-var LoadIndex = core.Load
 
 // Sharded serving. A built index can be partitioned into contiguous
 // record-range shards that answer every query through a scatter-gather layer
@@ -318,10 +317,8 @@ const (
 // is the identity sharding.
 func SplitIndex(ix *Index, n int) (*ShardedIndex, error) { return shard.Split(ix, n) }
 
-// LoadShardedIndex deserializes a sharded index saved with
-// ShardedIndex.Save ("tasti-shard-index" containers). Single-index snapshots
-// fail with ErrSnapshotKind; load those with LoadIndex and re-shard with
-// SplitIndex.
+// LoadShardedIndex deserializes an index saved with ShardedIndex.Save —
+// the one index snapshot format — with the shard layout it was saved at.
 var LoadShardedIndex = shard.Load
 
 // LoadShard lifts one shard out of a sharded snapshot without decoding its
@@ -333,16 +330,16 @@ var LoadShard = shard.LoadShard
 // every implementation is bitwise identical.
 func KernelName() string { return vecmath.KernelName() }
 
-// Durable persistence. Index.Save, Checkpoint.Save, and Dataset.Save write a
-// framed, checksummed container (magic, format version, per-section and
-// whole-file CRC-32C); the Load functions verify it end to end and classify
-// every corruption with the typed errors below. See docs/RELIABILITY.md
+// Durable persistence. ShardedIndex.Save, Checkpoint.Save, and Dataset.Save
+// write a framed, checksummed container (magic, format version, per-section
+// and whole-file CRC-32C); the Load functions verify it end to end and
+// classify every corruption with the typed errors below. See docs/RELIABILITY.md
 // "Persistence format" for the layout, version policy, and error taxonomy.
 var (
 	// ErrSnapshotBadMagic marks a file that is not a framed snapshot at all.
 	ErrSnapshotBadMagic = snapshot.ErrBadMagic
 	// ErrSnapshotKind marks a framed snapshot of the wrong artifact type,
-	// e.g. a checkpoint file passed to LoadIndex.
+	// e.g. a checkpoint file passed to LoadShardedIndex.
 	ErrSnapshotKind = snapshot.ErrKind
 	// ErrSnapshotVersion marks a format version this build cannot read.
 	ErrSnapshotVersion = snapshot.ErrVersion
@@ -353,6 +350,9 @@ var (
 	// ErrSnapshotFrameTooLarge marks a section length beyond the decoder's
 	// sanity cap — corrupt or hostile, either way not worth allocating for.
 	ErrSnapshotFrameTooLarge = snapshot.ErrFrameTooLarge
+	// ErrSnapshotMalformed marks intact frames whose contents disagree — a
+	// shape that does not match its data, shards that cannot serve together.
+	ErrSnapshotMalformed = snapshot.ErrMalformed
 )
 
 // WriteFileAtomic writes a file through write and atomically replaces path
@@ -365,7 +365,7 @@ func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 }
 
 // ReadSnapshotFile opens path and passes it to read, recording load
-// telemetry. Pair with LoadIndex/LoadCheckpoint/LoadDataset.
+// telemetry. Pair with LoadShardedIndex/LoadCheckpoint/LoadDataset.
 func ReadSnapshotFile(path string, read func(r io.Reader) error) error {
 	return snapshot.ReadFile(path, read)
 }

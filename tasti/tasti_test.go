@@ -28,12 +28,12 @@ func TestEndToEnd(t *testing.T) {
 	if built.Stats.TotalLabelCalls() > 750 {
 		t.Errorf("index spent %d labels, budgeted 750", built.Stats.TotalLabelCalls())
 	}
-	var buf bytes.Buffer
-	if err := built.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	index, err := tasti.SplitIndex(built, 1)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := index.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	v := index.Pin()
@@ -110,7 +110,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Persistence round trip: the restored index propagates the served bits.
-	loaded, err := tasti.LoadIndex(&buf)
+	loaded, err := tasti.LoadShardedIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
