@@ -10,13 +10,13 @@
 // Builds are fault tolerant: -retries and -label-timeout wrap the target
 // labeler with reliability middleware, -fault-rate injects chaos for
 // demonstration, -allow-degraded completes the index around permanently
-// unlabelable records, and -checkpoint makes an interrupted build resumable
-// without re-spending labeler budget (run the same command again to resume).
-// With -checkpoint set, -checkpoint-interval flushes progress to disk every N
-// paid-for labels, so even a hard kill (power loss, OOM killer) loses at most
-// N labels. All files are written atomically: a crash mid-write leaves the
-// previous file intact; -load keeps the shard layout -save wrote. See
-// docs/RELIABILITY.md.
+// unlabelable records, and -label-store keeps every label the build buys in
+// a file, so an interrupted build resumes without re-spending labeler budget
+// (run the same command again to resume). The file is flushed every
+// -label-flush and when the build ends, so even a hard kill (power loss, OOM
+// killer) loses at most one period of labels. All files are written
+// atomically: a crash mid-write leaves the previous file intact; -load keeps
+// the shard layout -save wrote. See docs/RELIABILITY.md.
 package main
 
 import (
@@ -53,12 +53,12 @@ type runOptions struct {
 	par      int
 	shards   int
 
-	retries        int
-	labelTimeout   time.Duration
-	faultRate      float64
-	checkpoint     string
-	checkpointIval int
-	allowDegraded  bool
+	retries       int
+	labelTimeout  time.Duration
+	faultRate     float64
+	labelStore    string
+	labelFlush    time.Duration
+	allowDegraded bool
 
 	traceOut string
 }
@@ -86,8 +86,8 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 1, "labeler attempts per call, including the first (<= 1 disables retrying)")
 	flag.DurationVar(&o.labelTimeout, "label-timeout", 0, "per-call target-labeler deadline (0 disables)")
 	flag.Float64Var(&o.faultRate, "fault-rate", 0, "inject transient labeler faults at this per-attempt probability")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "path to save build progress to on interruption, and resume from if present")
-	flag.IntVar(&o.checkpointIval, "checkpoint-interval", 100, "with -checkpoint, also flush progress after every N paid-for labels, so a hard kill loses at most N labels (0 saves only on interruption)")
+	flag.StringVar(&o.labelStore, "label-store", "", "label-store snapshot file the build labels through: loaded at startup if present, flushed on -label-flush and when the build ends, so re-running an interrupted build resumes it (empty keeps labels in memory only)")
+	flag.DurationVar(&o.labelFlush, "label-flush", 30*time.Second, "background label-store flush period (0 disables the loop; the end of the build still flushes)")
 	flag.BoolVar(&o.allowDegraded, "allow-degraded", false, "complete the index around permanently unlabelable records")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a span-tree JSON trace of the run here and print a phase-timing summary")
 	flag.Parse()
@@ -235,9 +235,10 @@ func writeTrace(tr *tasti.Trace, path string) error {
 }
 
 // buildIndex constructs the index with the configured reliability policy,
-// resuming from -checkpoint when the file exists and saving a checkpoint
-// there when the build is interrupted. Per-phase build spans nest under a
-// "build" child of parent (nil disables tracing).
+// labeling through the -label-store file when one is named: restored before
+// the build, flushed while it runs and once more when it ends, interrupted or
+// not, so running the same command again resumes it. Per-phase build spans
+// nest under a "build" child of parent (nil disables tracing).
 func buildIndex(o runOptions, ds *tasti.Dataset, target tasti.Labeler, parent *tasti.Span) (*tasti.Index, error) {
 	cfg := indexConfig(o.dsName, o.train, o.reps, o.seed)
 	cfg.ApproxTable = o.useANN
@@ -252,47 +253,32 @@ func buildIndex(o runOptions, ds *tasti.Dataset, target tasti.Labeler, parent *t
 		cfg.Retry = tasti.DefaultRetryPolicy(o.seed)
 		cfg.Retry.MaxAttempts = o.retries
 	}
-	if o.checkpoint != "" && o.checkpointIval > 0 {
-		cfg.CheckpointEvery = o.checkpointIval
-		cfg.CheckpointSink = func(c *tasti.Checkpoint) error {
-			return saveCheckpoint(o.checkpoint, c)
-		}
+	if o.labelStore == "" {
+		return tasti.Build(cfg, ds, target)
 	}
 
-	var ckpt *tasti.Checkpoint
-	if o.checkpoint != "" {
-		f, err := os.Open(o.checkpoint)
-		switch {
-		case err == nil:
-			ckpt, err = tasti.LoadCheckpoint(f)
-			f.Close()
-			if err != nil {
-				return nil, err
-			}
-			fmt.Printf("resuming from %s: %d labels already paid for\n", o.checkpoint, len(ckpt.Labeled))
-		case !os.IsNotExist(err):
-			return nil, err
+	cfg.Labels = tasti.NewLabelStore(tasti.LabelStoreOptions{
+		Corpus: tasti.LabelStoreCorpus{Dataset: o.dsName, Size: o.size, Seed: o.seed},
+	})
+	if _, err := os.Stat(o.labelStore); err == nil {
+		if err := tasti.ReadSnapshotFile(o.labelStore, cfg.Labels.Restore); err != nil {
+			fmt.Fprintf(os.Stderr, "tastiquery: label store %s unusable, starting empty: %v\n", o.labelStore, err)
+		} else {
+			fmt.Printf("resuming from %s: %d labels already paid for\n", o.labelStore, cfg.Labels.Len())
 		}
 	}
-
-	index, err := tasti.BuildResumable(cfg, ds, target, ckpt)
-	if err != nil {
-		var bie *tasti.BuildInterruptedError
-		if errors.As(err, &bie) && o.checkpoint != "" {
-			if serr := saveCheckpoint(o.checkpoint, bie.Checkpoint); serr != nil {
-				return nil, fmt.Errorf("%w (and saving checkpoint failed: %v)", err, serr)
-			}
-			return nil, fmt.Errorf("%w\ncheckpoint saved to %s; re-run the same command to resume", err, o.checkpoint)
+	stop := cfg.Labels.FlushEvery(o.labelStore, o.labelFlush, func(err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tastiquery: label-store flush failed: %v\n", err)
 		}
-		return nil, err
+	})
+	index, err := tasti.Build(cfg, ds, target)
+	stop()
+	var bie *tasti.BuildInterruptedError
+	if errors.As(err, &bie) {
+		return nil, fmt.Errorf("%w\nre-run the same command to resume from the labels flushed to %s", err, o.labelStore)
 	}
-	return index, nil
-}
-
-// saveCheckpoint atomically replaces the checkpoint file — a checkpoint
-// exists to survive crashes, so a torn checkpoint write would defeat it.
-func saveCheckpoint(path string, ckpt *tasti.Checkpoint) error {
-	return tasti.WriteFileAtomic(path, ckpt.Save)
+	return index, err
 }
 
 // indexConfig picks the bucket key for the corpus and assembles the build

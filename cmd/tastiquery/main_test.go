@@ -1,8 +1,11 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/tasti"
@@ -102,16 +105,28 @@ func TestRunChaosBuild(t *testing.T) {
 	}
 }
 
-// TestBuildIndexCheckpointResume exercises the CLI checkpoint flow: an
-// interrupted build writes the checkpoint to -checkpoint, and re-running
-// resumes from it without re-spending labeler budget.
+// recordingLabeler notes every record the target labeler is asked for.
+type recordingLabeler struct {
+	tasti.Labeler
+	ids []int
+}
+
+func (r *recordingLabeler) Label(id int) (tasti.Annotation, error) {
+	r.ids = append(r.ids, id)
+	return r.Labeler.Label(id)
+}
+
+// TestBuildIndexCheckpointResume exercises the CLI's resume flow: a build
+// interrupted mid-representatives leaves every label it bought in its
+// -label-store file, and re-running resumes from that file — no labeler
+// call on a record the file holds — to an index bit for bit the
+// uninterrupted build's.
 func TestBuildIndexCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	o := testOptions()
 	o.size, o.train, o.reps = 800, 0, 80 // TASTI-PT: labels go to reps only
-	o.checkpoint = filepath.Join(t.TempDir(), "build.ckpt")
 	o.par = 1
 
 	ds, err := tasti.GenerateDataset(o.dsName, o.size, o.seed)
@@ -119,24 +134,61 @@ func TestBuildIndexCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := tasti.NewOracle(ds, "target", tasti.MaskRCNNCost)
+	clean, err := buildIndex(o, ds, oracle, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// First run hits a spent budget mid-representative-labeling.
+	o.labelStore = filepath.Join(t.TempDir(), "labels.snap")
 	if _, err := buildIndex(o, ds, tasti.NewBudgetedLabeler(oracle, 30), nil); err == nil {
 		t.Fatal("budgeted build succeeded, want interruption")
 	}
-	if _, err := os.Stat(o.checkpoint); err != nil {
-		t.Fatalf("checkpoint not saved: %v", err)
+	held := tasti.NewLabelStore(tasti.LabelStoreOptions{
+		Corpus: tasti.LabelStoreCorpus{Dataset: o.dsName, Size: o.size, Seed: o.seed},
+	})
+	if err := tasti.ReadSnapshotFile(o.labelStore, held.Restore); err != nil {
+		t.Fatalf("label store not saved: %v", err)
+	}
+	if held.Len() != 30 {
+		t.Fatalf("the label store holds %d labels, want 30", held.Len())
 	}
 
 	// Second run resumes; the remaining budget is exactly enough.
-	ix, err := buildIndex(o, ds, tasti.NewBudgetedLabeler(oracle, 50), nil)
+	rec := &recordingLabeler{Labeler: tasti.NewBudgetedLabeler(oracle, 50)}
+	ix, err := buildIndex(o, ds, rec, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, id := range rec.ids {
+		if _, ok := held.Get(id); ok {
+			t.Fatalf("the resumed build paid again for record %d, which the file holds", id)
+		}
 	}
 	if ix.Stats.ResumedLabels != 30 {
 		t.Errorf("ResumedLabels = %d, want 30", ix.Stats.ResumedLabels)
 	}
 	if ix.Stats.RepLabelCalls != 50 {
 		t.Errorf("resumed RepLabelCalls = %d, want 50", ix.Stats.RepLabelCalls)
+	}
+	if !slices.Equal(ix.Table.Reps, clean.Table.Reps) {
+		t.Fatalf("resumed reps %v, want %v", ix.Table.Reps, clean.Table.Reps)
+	}
+	for i, nbrs := range clean.Table.Neighbors {
+		for j, nb := range nbrs {
+			if got := ix.Table.Neighbors[i][j]; got.Rep != nb.Rep || math.Float64bits(got.Dist) != math.Float64bits(nb.Dist) {
+				t.Fatalf("record %d neighbor %d = %+v, want %+v", i, j, got, nb)
+			}
+		}
+	}
+	for i := range clean.Embeddings.Rows() {
+		for j, v := range clean.Embeddings.Row(i) {
+			if math.Float64bits(ix.Embeddings.Row(i)[j]) != math.Float64bits(v) {
+				t.Fatalf("embedding[%d][%d] differs", i, j)
+			}
+		}
+	}
+	if !reflect.DeepEqual(ix.Annotations, clean.Annotations) {
+		t.Fatal("the resumed index's annotations differ")
 	}
 }

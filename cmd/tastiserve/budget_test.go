@@ -286,7 +286,9 @@ func TestChaosBudgetMixedTenantStorm(t *testing.T) {
 	if err := srv.labels.Save(&buf); err != nil {
 		t.Fatalf("store unsaveable after storm: %v", err)
 	}
-	reloaded, err := tasti.LoadLabelStore(bytes.NewReader(buf.Bytes()), tasti.LabelStoreOptions{})
+	reloaded, err := tasti.LoadLabelStore(bytes.NewReader(buf.Bytes()), tasti.LabelStoreOptions{
+		Corpus: tasti.LabelStoreCorpus{Dataset: "night-street", Size: srv.opts.size, Seed: srv.opts.seed},
+	})
 	if err != nil {
 		t.Fatalf("store snapshot corrupt after storm: %v", err)
 	}

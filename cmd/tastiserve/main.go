@@ -48,9 +48,11 @@
 // docs/RELIABILITY.md for the durability contract and runbook.
 //
 // -label-store, -label-budget, and -tenant-budget are the cost-control
-// plane: a cross-query label store consulted before any target-labeler call
-// (hits and coalesced concurrent requests spend nothing), persisted as its
-// own snapshot container, plus global and per-tenant oracle-call budgets.
+// plane: one label store the index build labels through and every query
+// consults before any target-labeler call (hits and coalesced concurrent
+// requests spend nothing), persisted as its own snapshot container and
+// restored before the build, so a rebuild pays nothing for a label on disk;
+// plus global and per-tenant oracle-call budgets.
 // A budget exhausted mid-query degrades the answer (partial estimate with a
 // widened confidence interval, or the verified prefix of a limit scan)
 // instead of failing it; a request that cannot even start answers 429 with
@@ -106,7 +108,7 @@ func main() {
 		refreshBudget   = flag.Int("refresh-budget", 0, "worst-covered appended records re-cracked per refresh (<= 0 uses the default)")
 		refreshAuto     = flag.Bool("refresh-auto", false, "start a background refresh automatically when drift trips")
 
-		labelStorePath = flag.String("label-store", "", "cross-query label-store snapshot file: loaded at startup if present, flushed on -label-flush and at drain (empty keeps labels in memory only)")
+		labelStorePath = flag.String("label-store", "", "label-store snapshot file the build and every query label through: loaded at startup, before the build, if present; flushed on -label-flush and at drain (empty keeps labels in memory only)")
 		labelBudget    = flag.Int64("label-budget", 0, "global serve-path oracle-call budget across all tenants; exhaustion degrades queries and answers 429 (<= 0 = unlimited)")
 		tenantBudget   = flag.Int64("tenant-budget", 0, "per-tenant serve-path oracle-call budget, keyed by X-Tasti-Tenant (<= 0 = unlimited)")
 		labelFlush     = flag.Duration("label-flush", 30*time.Second, "background label-store flush period (0 disables the loop; the drain path still flushes)")
@@ -180,7 +182,7 @@ func main() {
 	logger.Info("building index in the background", "dataset", *dsName, "records", *size)
 	srv.buildAsync()
 	srv.startHealthLoop()
-	srv.startLabelFlushLoop()
+	stopLabelFlush := srv.startLabelFlushLoop()
 
 	// SIGHUP hot-reloads the snapshot, the conventional re-read-your-config
 	// signal. Failures are contained: the serving index stays.
@@ -242,6 +244,6 @@ func main() {
 	srv.closeIngest()
 	// Persist labels bought since the last periodic flush — the next boot
 	// starts with every annotation this process paid for.
-	srv.flushLabels()
+	stopLabelFlush()
 	logger.Info("bye")
 }

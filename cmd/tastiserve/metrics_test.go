@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
@@ -19,24 +20,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	ts := testServer(t)
+	srv, err := newServer(testServerOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
 
-	// The build labels through a label store of its own, with no telemetry:
-	// right after it, every tasti_labelstore_* series — the serving store's —
-	// still reads 0.
+	// The build labels through the serving store, outside its query counts:
+	// right after it, every tasti_labelstore_* series but the entry gauge
+	// still reads 0, and the gauge holds every label the build bought.
 	fams := scrapeMetrics(t, ts.URL)
 	for _, name := range []string{"tasti_labelstore_hits_total", "tasti_labelstore_misses_total", "tasti_labelstore_entries"} {
 		if fams[name] == nil {
 			t.Errorf("/metrics has no %s after the build", name)
 		}
 	}
+	built := float64(srv.index.Pin().Stats.TotalLabelCalls())
 	for name, fam := range fams {
 		if !strings.HasPrefix(name, "tasti_labelstore_") {
 			continue
 		}
+		want := 0.0
+		if name == "tasti_labelstore_entries" {
+			want = built
+		}
 		for _, smp := range fam.Samples {
-			if smp.Value != 0 {
-				t.Errorf("%s reads %v right after the build, want 0", smp.Name, smp.Value)
+			if smp.Value != want {
+				t.Errorf("%s reads %v right after the build, want %v", smp.Name, smp.Value, want)
 			}
 		}
 	}

@@ -89,10 +89,9 @@ type serverOptions struct {
 	// /admin/refresh works either way.
 	refreshAuto bool
 
-	// labelStorePath is the durable home of the cross-query label store:
-	// loaded at startup when the file exists, flushed on the labelFlush
-	// ticker and at drain. Empty keeps the store in memory only — labels
-	// still amortize across queries within the process lifetime.
+	// labelStorePath is the durable home of the label store: loaded before
+	// the build when the file exists, flushed on the labelFlush ticker and
+	// at drain. Empty keeps the store in memory only.
 	labelStorePath string
 	// labelBudget caps total serve-path oracle calls across all tenants
 	// (<= 0 = unlimited). Exhaustion degrades queries instead of failing
@@ -236,12 +235,12 @@ type server struct {
 	ledger  *tasti.CostLedger
 	health  atomic.Pointer[healthSnapshot]
 
-	// Cross-query cost control: labels is the shared record→annotation
-	// store every query handler binds its sampling labeler through (hits
-	// and coalesced calls spend nothing); budget admits each real oracle
-	// call against the global and per-tenant caps. Unlike the index, both
-	// are internally synchronized and outlive index swaps; a label the store
-	// already holds is read without any lock (labelHits counts those).
+	// Cost control: labels is the one record→annotation store the build
+	// labels through and every query handler binds its sampling labeler to
+	// (hits and coalesced calls spend nothing); budget admits each real
+	// oracle call against the global and per-tenant caps. Unlike the index,
+	// both are internally synchronized and outlive index swaps; a label the
+	// store already holds is read without any lock (labelHits counts those).
 	labels    *tasti.LabelStore
 	budget    *tasti.BudgetManager
 	labelHits *tasti.MetricCounter // tasti_labelstore_hits_total
@@ -309,7 +308,7 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_labelstore_misses_total", "Label requests that led an oracle call (singleflight leaders).")
 	reg.Help("tasti_labelstore_coalesced_total", "Label requests that joined an in-flight oracle call for the same record instead of issuing their own.")
 	reg.Help("tasti_labelstore_saturated_total", "Label requests rejected because the store's in-flight table was full (HTTP 429).")
-	reg.Help("tasti_labelstore_entries", "Annotations held by the cross-query label store.")
+	reg.Help("tasti_labelstore_entries", "Annotations held by the label store, the index build's included.")
 	reg.Help("tasti_labelstore_flush_total", "Label-store snapshot flushes, by outcome.")
 	reg.Help("tasti_budget_reservations_total", "Oracle-call reservations admitted by the budget manager.")
 	reg.Help("tasti_budget_refunds_total", "Reservations refunded because the admitted oracle call failed.")
@@ -322,7 +321,11 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_proxy_column_bytes", "Payload charged to the retained proxy columns, in bytes.")
 	reg.Help("tasti_index_generation", "State-changing mutations (representatives added, appends, shard swaps) applied to the serving index object; restarts from 0 when the whole index is swapped.")
 	reg.Help("tasti_index_writer_wait_seconds", "Time an index write (crack, append, shard or whole-index swap) waited for the write ahead of it; reads never wait.")
-	labels := tasti.NewLabelStore(tasti.LabelStoreOptions{MaxInflight: opts.labelInflight, Telemetry: reg})
+	labels := tasti.NewLabelStore(tasti.LabelStoreOptions{
+		MaxInflight: opts.labelInflight,
+		Telemetry:   reg,
+		Corpus:      tasti.LabelStoreCorpus{Dataset: opts.dataset, Size: opts.size, Seed: opts.seed},
+	})
 	budget := tasti.NewBudgetManager(tasti.BudgetConfig{
 		Global:    opts.labelBudget,
 		PerTenant: opts.tenantBudget,
@@ -394,6 +397,20 @@ func (s *server) buildIndex() error {
 		ds = s.restoreIngestDataset(ds)
 	}
 	s.corpus.Store(ds)
+	// Restore the label store before anything labels: a rebuild pays nothing
+	// for a label on disk, and no flush writes fewer labels than the file
+	// held. A damaged file, or another corpus's, changes nothing.
+	if opts.labelStorePath != "" {
+		if _, err := os.Stat(opts.labelStorePath); err == nil {
+			if lerr := tasti.ReadSnapshotFile(opts.labelStorePath, s.labels.Restore); lerr != nil {
+				s.log.Warn("label store unusable; starting empty",
+					"path", opts.labelStorePath, "err", lerr.Error())
+			} else {
+				s.log.Info("label store loaded",
+					"path", opts.labelStorePath, "labels", s.labels.Len())
+			}
+		}
+	}
 	cost := tasti.MaskRCNNCost
 	if opts.dataset == "wikisql" || opts.dataset == "common-voice" {
 		cost = tasti.HumanCost
@@ -457,6 +474,7 @@ func (s *server) buildIndex() error {
 		cfg.AllowDegraded = opts.allowDegraded
 		cfg.Quantize = opts.quantize
 		cfg.Telemetry = s.reg
+		cfg.Labels = s.labels
 		built, err := tasti.Build(cfg, ds, base)
 		if err != nil {
 			return err
@@ -474,23 +492,6 @@ func (s *server) buildIndex() error {
 		}
 	}
 	index.SetTelemetry(s.reg)
-	// Restore the label store from its snapshot, in place: annotations
-	// bought by yesterday's queries are free today. Corruption is contained
-	// by the typed snapshot errors — a rejected file changes nothing, and the
-	// store starts empty and refills. Index-owned annotations need no
-	// seeding: the store's lookup path reads them on demand and promotes
-	// hits.
-	if opts.labelStorePath != "" {
-		if _, err := os.Stat(opts.labelStorePath); err == nil {
-			if lerr := tasti.ReadSnapshotFile(opts.labelStorePath, s.labels.Restore); lerr != nil {
-				s.log.Warn("label store unusable; starting empty",
-					"path", opts.labelStorePath, "err", lerr.Error())
-			} else {
-				s.log.Info("label store loaded",
-					"path", opts.labelStorePath, "labels", s.labels.Len())
-			}
-		}
-	}
 	// Replay the WAL into the index and start the ingest pipeline before the
 	// server flips ready: POST /ingest answers 503 for the whole replay.
 	if opts.walDir != "" {
@@ -768,38 +769,23 @@ func (s *server) publishBudgetMetrics() {
 	}
 }
 
-// flushLabels persists the label store to its snapshot path, skipping the
-// write when nothing changed since the last flush. Safe to call concurrently
-// with serving: the store takes a point-in-time copy and the write is atomic
-// (temp + fsync + rename), so a kill -9 mid-flush leaves the previous
-// snapshot intact. The store counts tasti_labelstore_flush_total itself.
-func (s *server) flushLabels() {
-	if s.opts.labelStorePath == "" || s.labels.Dirty() == 0 {
-		return
+// startLabelFlushLoop flushes the label store to -label-store every
+// -label-flush while it holds labels the file lacks, the build's included,
+// and returns the drain path's stop, which flushes once more. Each write is
+// atomic, so a kill -9 mid-flush leaves the previous file intact.
+func (s *server) startLabelFlushLoop() (stop func()) {
+	if s.opts.labelStorePath == "" {
+		return func() {}
 	}
-	if err := s.labels.Flush(s.opts.labelStorePath); err != nil {
-		s.log.Warn("label-store flush failed; annotations stay in memory",
-			"path", s.opts.labelStorePath, "err", err.Error())
-		return
-	}
-	s.log.Info("label store flushed",
-		"path", s.opts.labelStorePath, "labels", s.labels.Len())
-}
-
-// startLabelFlushLoop launches the periodic store flusher when a path and a
-// positive -label-flush period are configured. The drain path flushes once
-// more either way, so the loop only bounds how much a crash can lose.
-func (s *server) startLabelFlushLoop() {
-	if s.opts.labelStorePath == "" || s.opts.labelFlush <= 0 {
-		return
-	}
-	go func() {
-		t := time.NewTicker(s.opts.labelFlush)
-		defer t.Stop()
-		for range t.C {
-			s.flushLabels()
+	return s.labels.FlushEvery(s.opts.labelStorePath, s.opts.labelFlush, func(err error) {
+		if err != nil {
+			s.log.Warn("label-store flush failed; annotations stay in memory",
+				"path", s.opts.labelStorePath, "err", err.Error())
+			return
 		}
-	}()
+		s.log.Info("label store flushed",
+			"path", s.opts.labelStorePath, "labels", s.labels.Len())
+	})
 }
 
 // statusRecorder captures the response status code for metrics and logs.

@@ -9,11 +9,14 @@ import (
 	"testing"
 )
 
+// testServerOptions configure testServer's server.
+var testServerOptions = serverOptions{
+	dataset: "night-street", size: 1500, train: 250, reps: 200, seed: 1,
+}
+
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, err := newServer(serverOptions{
-		dataset: "night-street", size: 1500, train: 250, reps: 200, seed: 1,
-	})
+	srv, err := newServer(testServerOptions)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,21 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"math"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/labeler"
+	"repro/internal/labeler/store"
+	"repro/internal/snapshot"
 	"repro/internal/telemetry"
 	"repro/internal/triplet"
 )
@@ -27,8 +32,9 @@ func chaosDataset(t *testing.T) *dataset.Dataset {
 }
 
 // assertSameIndex compares everything queries can observe — representatives,
-// neighbor lists, embeddings, and annotations — but not label-call
-// accounting, which legitimately differs between a fresh and a resumed build.
+// neighbor lists, embeddings (floats by their bits), and annotations — but
+// not label-call accounting, which legitimately differs between a fresh and
+// a resumed build.
 func assertSameIndex(t *testing.T, want, got *Index) {
 	t.Helper()
 	if len(got.Table.Reps) != len(want.Table.Reps) {
@@ -45,7 +51,7 @@ func assertSameIndex(t *testing.T, want, got *Index) {
 			t.Fatalf("record %d has %d neighbors, want %d", i, len(g), len(nbrs))
 		}
 		for j, nb := range nbrs {
-			if g[j] != nb {
+			if g[j].Rep != nb.Rep || math.Float64bits(g[j].Dist) != math.Float64bits(nb.Dist) {
 				t.Fatalf("record %d neighbor %d = %+v, want %+v", i, j, g[j], nb)
 			}
 		}
@@ -56,7 +62,7 @@ func assertSameIndex(t *testing.T, want, got *Index) {
 	}
 	for i := 0; i < want.Embeddings.Rows(); i++ {
 		for j, v := range want.Embeddings.Row(i) {
-			if got.Embeddings.Row(i)[j] != v {
+			if math.Float64bits(got.Embeddings.Row(i)[j]) != math.Float64bits(v) {
 				t.Fatalf("embedding[%d][%d] = %v, want %v", i, j, got.Embeddings.Row(i)[j], v)
 			}
 		}
@@ -64,9 +70,9 @@ func assertSameIndex(t *testing.T, want, got *Index) {
 	if len(got.Annotations) != len(want.Annotations) {
 		t.Fatalf("got %d annotations, want %d", len(got.Annotations), len(want.Annotations))
 	}
-	for id := range want.Annotations {
-		if _, ok := got.Annotations[id]; !ok {
-			t.Fatalf("annotation for record %d missing", id)
+	for id, ann := range want.Annotations {
+		if g, ok := got.Annotations[id]; !ok || !reflect.DeepEqual(g, ann) {
+			t.Fatalf("annotation for record %d = %v, want %v", id, g, ann)
 		}
 	}
 }
@@ -132,6 +138,7 @@ func TestChaosDegradedBuild(t *testing.T) {
 	cfg := base
 	cfg.AllowDegraded = true
 	cfg.Parallelism = 4
+	cfg.Labels = store.New(store.Options{})
 	mkFlaky := func() *labeler.Flaky {
 		return labeler.NewFlaky(
 			labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost),
@@ -171,6 +178,20 @@ func TestChaosDegradedBuild(t *testing.T) {
 	if len(scores) != ds.Len() {
 		t.Fatalf("got %d scores, want %d", len(scores), ds.Len())
 	}
+
+	// Building again over the same store resumes the degraded build: the
+	// permanent failures are not remembered, so it asks each failed record
+	// exactly once more and nothing else.
+	rec := &recordingLabeler{inner: mkFlaky()}
+	again, err := Build(cfg, ds, rec)
+	if err != nil {
+		t.Fatalf("resumed degraded build: %v", err)
+	}
+	slices.Sort(rec.ids)
+	if !slices.Equal(rec.ids, wantFailed) || !slices.Equal(again.Stats.DegradedReps, wantFailed) {
+		t.Fatalf("resumed degraded build asked for %v and degraded %v, want %v both", rec.ids, again.Stats.DegradedReps, wantFailed)
+	}
+	assertSameIndex(t, ix, again)
 
 	// The same faults without AllowDegraded must interrupt, not degrade.
 	strict := base
@@ -270,11 +291,44 @@ func TestChaosDegradedBuildClampsK(t *testing.T) {
 	}
 }
 
+// chaosCorpus is the corpus chaosDataset generates, which the label stores
+// of the resume tests are bound to.
+var chaosCorpus = store.Corpus{Dataset: "night-street", Size: 400, Seed: 7}
+
+// restoreFile reads a flushed label-store file into a new store, as a
+// restarted process does.
+func restoreFile(t *testing.T, path string) *store.Store {
+	t.Helper()
+	labels := store.New(store.Options{Corpus: chaosCorpus})
+	if err := snapshot.ReadFile(path, labels.Restore); err != nil {
+		t.Fatalf("restoring %s: %v", path, err)
+	}
+	return labels
+}
+
+// recordingLabeler notes every record ID the target labeler is actually
+// asked for — the ground truth for "zero re-spent labels" assertions.
+type recordingLabeler struct {
+	inner labeler.Labeler
+	mu    sync.Mutex
+	ids   []int
+}
+
+func (r *recordingLabeler) Label(id int) (dataset.Annotation, error) {
+	r.mu.Lock()
+	r.ids = append(r.ids, id)
+	r.mu.Unlock()
+	return r.inner.Label(id)
+}
+
+func (r *recordingLabeler) Name() string            { return r.inner.Name() }
+func (r *recordingLabeler) Cost() labeler.CostModel { return r.inner.Cost() }
+
 // TestChaosBuildInterruptedAndResumed kills a build mid-representative-
-// labeling with a budget, round-trips the checkpoint through gob, and
-// resumes with exactly the remaining budget: already-labeled reps must cost
-// zero additional invocations, and the finished index must match an
-// uninterrupted build.
+// labeling with a budget, carries its label store through a snapshot file
+// into a new store, and resumes over it with exactly the remaining budget:
+// already-labeled reps must cost zero additional invocations, and the
+// finished index must match an uninterrupted build bit for bit.
 func TestChaosBuildInterruptedAndResumed(t *testing.T) {
 	ds := chaosDataset(t)
 	base := PretrainedConfig(60, 7)
@@ -283,7 +337,9 @@ func TestChaosBuildInterruptedAndResumed(t *testing.T) {
 	clean := buildAt(t, base, ds, 1)
 
 	oracle := labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
-	_, err := Build(base, ds, labeler.NewBudgeted(oracle, 25))
+	cfg := base
+	cfg.Labels = store.New(store.Options{Corpus: chaosCorpus})
+	_, err := Build(cfg, ds, labeler.NewBudgeted(oracle, 25))
 	if err == nil {
 		t.Fatal("budgeted build succeeded, want interruption")
 	}
@@ -297,29 +353,36 @@ func TestChaosBuildInterruptedAndResumed(t *testing.T) {
 	if bie.Phase != "representatives" {
 		t.Fatalf("Phase = %q, want representatives", bie.Phase)
 	}
-	if len(bie.Labeled) != 25 {
-		t.Fatalf("%d reps labeled before interruption, want 25", len(bie.Labeled))
+	if cfg.Labels.Len() != 25 {
+		t.Fatalf("the store holds %d labels after the interruption, want 25", cfg.Labels.Len())
 	}
 	if bie.LabelCalls != 25 {
 		t.Fatalf("LabelCalls = %d, want 25", bie.LabelCalls)
 	}
-	if got := len(bie.Labeled) + len(bie.Pending); got != base.NumReps {
+	if got := cfg.Labels.Len() + len(bie.Pending); got != base.NumReps {
 		t.Fatalf("labeled+pending = %d, want %d", got, base.NumReps)
 	}
 
-	// Persist and restore the checkpoint, as a killed process would.
-	var buf bytes.Buffer
-	if err := bie.Checkpoint.Save(&buf); err != nil {
-		t.Fatalf("saving checkpoint: %v", err)
+	// Persist the store and restore it, as a killed process would. A label
+	// the build does not need is no resumed label.
+	path := filepath.Join(t.TempDir(), "labels.snap")
+	if err := cfg.Labels.Flush(path); err != nil {
+		t.Fatal(err)
 	}
-	ckpt, err := LoadCheckpoint(&buf)
-	if err != nil {
-		t.Fatalf("loading checkpoint: %v", err)
+	cfg.Labels = restoreFile(t, path)
+	isRep := make(map[int]bool, len(clean.Table.Reps))
+	for _, rep := range clean.Table.Reps {
+		isRep[rep] = true
 	}
+	unneeded := 0
+	for isRep[unneeded] {
+		unneeded++
+	}
+	cfg.Labels.Put(unneeded, ds.Truth[unneeded])
 
-	// Resume with exactly the remaining budget: if any checkpointed rep were
+	// Resume with exactly the remaining budget: if any stored rep were
 	// re-labeled, the budget would run out and the build would fail.
-	ix, err := BuildResumable(base, ds, labeler.NewBudgeted(oracle, 35), ckpt)
+	ix, err := Build(cfg, ds, labeler.NewBudgeted(oracle, 35))
 	if err != nil {
 		t.Fatalf("resumed build: %v", err)
 	}
@@ -333,7 +396,8 @@ func TestChaosBuildInterruptedAndResumed(t *testing.T) {
 }
 
 // TestChaosBuildTrainingInterrupted interrupts during training-set labeling
-// and resumes, checking the budget math across both labeling phases.
+// and resumes over the same store, checking the budget math across both
+// labeling phases.
 func TestChaosBuildTrainingInterrupted(t *testing.T) {
 	ds := chaosDataset(t)
 	base := DefaultConfig(30, 40, triplet.VideoBucketKey(0.5), 13)
@@ -344,7 +408,9 @@ func TestChaosBuildTrainingInterrupted(t *testing.T) {
 	clean := buildAt(t, base, ds, 1)
 
 	oracle := labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
-	_, err := Build(base, ds, labeler.NewBudgeted(oracle, 12))
+	cfg := base
+	cfg.Labels = store.New(store.Options{})
+	_, err := Build(cfg, ds, labeler.NewBudgeted(oracle, 12))
 	var bie *BuildInterruptedError
 	if !errors.As(err, &bie) {
 		t.Fatalf("error = %v, want BuildInterruptedError", err)
@@ -352,11 +418,12 @@ func TestChaosBuildTrainingInterrupted(t *testing.T) {
 	if bie.Phase != "training" {
 		t.Fatalf("Phase = %q, want training", bie.Phase)
 	}
-	if len(bie.Labeled) != 12 {
-		t.Fatalf("%d records labeled before interruption, want 12", len(bie.Labeled))
+	if cfg.Labels.Len() != 12 || len(bie.Pending) != base.TrainingBudget-12 {
+		t.Fatalf("%d records labeled and %d pending at the interruption, want 12 and %d",
+			cfg.Labels.Len(), len(bie.Pending), base.TrainingBudget-12)
 	}
 
-	ix, err := BuildResumable(base, ds, oracle, bie.Checkpoint)
+	ix, err := Build(cfg, ds, oracle)
 	if err != nil {
 		t.Fatalf("resumed build: %v", err)
 	}
@@ -372,25 +439,119 @@ func TestChaosBuildTrainingInterrupted(t *testing.T) {
 	assertSameIndex(t, clean, ix)
 }
 
-// TestChaosCheckpointCompatibility: a checkpoint from one build
-// configuration must not silently resume a different one.
-func TestChaosCheckpointCompatibility(t *testing.T) {
+// flushingLabeler flushes the build's label store to path before its
+// calls number after, one of them — the flush loop's ticks, pinned to
+// label counts so the test is deterministic.
+type flushingLabeler struct {
+	inner  labeler.Labeler
+	labels *store.Store
+	path   string
+	after  map[int]bool
+	calls  int
+	err    error
+}
+
+func (f *flushingLabeler) Label(id int) (dataset.Annotation, error) {
+	if f.after[f.calls] && f.err == nil {
+		f.err = f.labels.Flush(f.path)
+	}
+	f.calls++
+	return f.inner.Label(id)
+}
+
+func (f *flushingLabeler) Name() string            { return f.inner.Name() }
+func (f *flushingLabeler) Cost() labeler.CostModel { return f.inner.Cost() }
+
+// TestChaosAutoFlushKillAndResume: a build that dies hard between flushes
+// of its label store — simulated by discarding ALL in-memory state, the
+// store included — resumes from the last flushed file, loses only the labels
+// bought since that flush, and re-spends zero invocations on any record the
+// file holds.
+func TestChaosAutoFlushKillAndResume(t *testing.T) {
 	ds := chaosDataset(t)
-	cfg := PretrainedConfig(40, 7)
-	ckpt := NewCheckpoint(cfg, ds)
+	base := PretrainedConfig(60, 7)
+	base.Parallelism = 1
+	clean := buildAt(t, base, ds, 1)
 
-	other := cfg
-	other.Seed = 8
-	lab := labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
-	if _, err := BuildResumable(other, ds, lab, ckpt); err == nil {
-		t.Fatal("resume accepted a checkpoint from a different seed")
+	// Budget 25 of the 60 rep labels: the build dies with 20 labels flushed
+	// (after the 10th and the 20th) and 5 more paid for but not yet durable.
+	path := filepath.Join(t.TempDir(), "labels.snap")
+	oracle := labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
+	cfg := base
+	cfg.Labels = store.New(store.Options{Corpus: chaosCorpus})
+	fl := &flushingLabeler{inner: labeler.NewBudgeted(oracle, 25), labels: cfg.Labels, path: path, after: map[int]bool{10: true, 20: true}}
+	_, err := Build(cfg, ds, fl)
+	var bie *BuildInterruptedError
+	if !errors.As(err, &bie) {
+		t.Fatalf("error = %v, want BuildInterruptedError", err)
 	}
+	if fl.err != nil {
+		t.Fatal(fl.err)
+	}
+	// kill -9: the store is gone. Only the flushed file survives.
+	cfg.Labels = restoreFile(t, path)
+	if cfg.Labels.Len() != 20 {
+		t.Fatalf("the flushed file holds %d labels, want 20", cfg.Labels.Len())
+	}
+	flushed := cfg.Labels.Annotations()
 
-	smaller, err := dataset.Generate("night-street", 300, 7)
+	// Resume from the flushed file, recording every target-labeler call: none
+	// may hit a record the file already paid for.
+	rec := &recordingLabeler{inner: oracle}
+	ix, err := Build(cfg, ds, rec)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resumed build: %v", err)
 	}
-	if _, err := BuildResumable(cfg, smaller, labeler.NewOracle(smaller, "oracle", labeler.MaskRCNNCost), ckpt); err == nil {
-		t.Fatal("resume accepted a checkpoint from a different dataset")
+	for _, id := range rec.ids {
+		if _, ok := flushed[id]; ok {
+			t.Fatalf("resume re-spent a labeler invocation on flushed record %d", id)
+		}
+	}
+	if ix.Stats.ResumedLabels != 20 {
+		t.Fatalf("ResumedLabels = %d, want 20", ix.Stats.ResumedLabels)
+	}
+	if ix.Stats.RepLabelCalls != 40 {
+		t.Fatalf("resumed RepLabelCalls = %d, want 40", ix.Stats.RepLabelCalls)
+	}
+	assertSameIndex(t, clean, ix)
+}
+
+// TestChaosAutoFlushRecordOnly pins that flushing the label store never
+// feeds back into the pipeline: with training and rep phases both active
+// and the store's flush loop ticking through the build, the built index is
+// identical to the unflushed build at every worker count, and the final
+// flush holds every annotation the build paid for, training labels included.
+func TestChaosAutoFlushRecordOnly(t *testing.T) {
+	ds := chaosDataset(t)
+	base := DefaultConfig(30, 40, triplet.VideoBucketKey(0.5), 13)
+	base.Train = triplet.DefaultConfig(base.EmbedDim, 13)
+	base.Train.Steps = 100
+	clean := buildAt(t, base, ds, 1)
+
+	for _, p := range []int{1, 4} {
+		path := filepath.Join(t.TempDir(), "labels.snap")
+		cfg := base
+		cfg.Parallelism = p
+		cfg.Labels = store.New(store.Options{Corpus: chaosCorpus})
+		stop := cfg.Labels.FlushEvery(path, time.Millisecond, func(err error) {
+			if err != nil {
+				t.Errorf("p=%d: flush: %v", p, err)
+			}
+		})
+		ix, err := Build(cfg, ds, labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost))
+		stop()
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		assertSameIndex(t, clean, ix)
+		final := restoreFile(t, path).Annotations()
+		for id := range ix.Annotations {
+			if _, ok := final[id]; !ok {
+				t.Fatalf("p=%d: final flush missing annotation for record %d", p, id)
+			}
+		}
+		if got, want := int64(len(final)), ix.Stats.TotalLabelCalls(); got != want {
+			t.Fatalf("p=%d: final flush holds %d labels, the build bought %d", p, got, want)
+		}
 	}
 }

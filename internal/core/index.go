@@ -1,11 +1,11 @@
 // Package core builds the TASTI index: Algorithm 1's construction pipeline
 // (pre-trained embeddings → FPF training-data mining → triplet training → one
 // FPF sweep selecting the cluster representatives and their min-k distance
-// table), its checkpoint, and its snapshot format. A built Index is the input
-// to package shard, whose Index is the one type that answers queries and
-// takes writes — cracks and appends — as copy-on-write versions; core keeps
-// the propagation kernel both share (PropagateKRange) and the unsharded
-// Propagate the benchmark prices.
+// table), labeling through a label store that makes an interrupted build
+// resumable. A built Index is the input to package shard, whose Index is the
+// one type that answers queries and takes writes — cracks and appends — as
+// copy-on-write versions; core keeps the propagation kernel both share
+// (PropagateKRange) and the unsharded Propagate the benchmark prices.
 //
 // # Concurrency contract
 //
@@ -17,6 +17,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -116,21 +117,16 @@ type Config struct {
 	// representatives only. The degraded sets are reported in
 	// BuildStats.DegradedReps/DegradedTrain.
 	AllowDegraded bool
-	// CheckpointEvery, when positive, flushes the build checkpoint through
-	// CheckpointSink after every CheckpointEvery newly paid-for labels, so a
-	// hard kill (power loss, OOM, kill -9) loses at most one interval of
-	// labeler spend instead of the whole build. Checkpoint-restored and
-	// cache-hit labels are free and do not count toward the interval.
-	// Flushing is record-only and never feeds back into the pipeline, so the
-	// built index is bitwise identical with it on or off.
-	CheckpointEvery int
-	// CheckpointSink receives a consistent point-in-time clone of the
-	// checkpoint at each periodic flush; cmd/tastiquery wires it to an
-	// atomic, fsynced file replacement (snapshot.WriteFile). Sink calls are
-	// serialized. A sink failure stops further flushing and fails the build —
-	// a checkpoint that silently stopped persisting would be false safety.
-	// Required when CheckpointEvery > 0.
-	CheckpointSink func(*Checkpoint) error
+	// Labels, when non-nil, is the label store the build labels through:
+	// a record it already holds costs no invocation, and every label the
+	// build buys — training and representatives alike — lands in it. So
+	// building again over the store an interrupted build labeled through
+	// (restored from its snapshot file after a kill) resumes that build, and
+	// a server that builds through its serving store answers queries on
+	// training records from it. The build's requests never count as the
+	// store's hits or misses and are never refused as saturated (see
+	// store.BindBuild). Nil labels through a private store. Not persisted.
+	Labels *store.Store
 	// Seed makes construction deterministic.
 	Seed int64
 }
@@ -194,13 +190,11 @@ type BuildStats struct {
 	// LabelTimeouts is the number of invocations cut off by
 	// Config.LabelTimeout.
 	LabelTimeouts int64
-	// ResumedLabels is the number of annotations restored from a build
-	// checkpoint instead of being paid for again.
+	// ResumedLabels is the number of records the build needed whose labels
+	// Config.Labels already held when it asked, so nothing was paid for them
+	// again. A representative the build itself labeled for training is not
+	// one.
 	ResumedLabels int
-	// CheckpointFlushes is the number of periodic checkpoint flushes the
-	// Config.CheckpointEvery policy pushed through the sink (including the
-	// catch-up flush at each labeling phase end).
-	CheckpointFlushes int64
 	// DegradedReps lists representatives dropped as permanently
 	// unlabelable (ascending); the min-k table re-weights over the
 	// remaining representatives.
@@ -219,6 +213,35 @@ func (s BuildStats) Degraded() bool {
 // TotalLabelCalls returns all target-labeler invocations spent building the
 // index.
 func (s BuildStats) TotalLabelCalls() int64 { return s.TrainLabelCalls + s.RepLabelCalls }
+
+// BuildInterruptedError reports a Build stopped by a labeler failure it
+// could neither retry nor degrade around. Every label bought before it is in
+// the build's label store (Config.Labels), so building again over that
+// store — or over one restored from its snapshot file — finishes the index
+// without paying for them again.
+type BuildInterruptedError struct {
+	// Phase is the labeling phase that failed: "training" or
+	// "representatives".
+	Phase string
+	// Pending lists the record IDs of the failed phase still awaiting
+	// labels, in ascending order.
+	Pending []int
+	// LabelCalls is the number of labeler invocations this build spent
+	// before stopping (labels the store already held are free and excluded).
+	LabelCalls int64
+	// Err is the failure that stopped the build.
+	Err error
+}
+
+// Error implements error.
+func (e *BuildInterruptedError) Error() string {
+	return fmt.Sprintf("core: build interrupted labeling %s (%d pending, %d invocations spent; the labels bought are in the label store): %v",
+		e.Phase, len(e.Pending), e.LabelCalls, e.Err)
+}
+
+// Unwrap exposes the underlying failure to errors.Is/As, so callers can
+// still detect labeler.ErrBudgetExhausted and friends.
+func (e *BuildInterruptedError) Unwrap() error { return e.Err }
 
 // Index is a built TASTI index.
 type Index struct {
@@ -256,41 +279,23 @@ var ErrNoAnnotation = errors.New("core: representative missing annotation")
 var ErrNoEmbedder = errors.New("core: index has no embedder; rebuild or keep the original in memory")
 
 // Build constructs a TASTI index over ds using lab as the target labeler.
-// Labeler invocations are cached and counted; the counts land in
+// Every label goes through Config.Labels (or a private store), so a record
+// the store already holds costs no invocation. A failure that survives the
+// configured retry and degradation policy returns a *BuildInterruptedError;
+// building again over the same store resumes the build, spending nothing on
+// the labels it holds — everything else in the pipeline is cheap and
+// deterministic, so it is simply recomputed. Invocations are counted into
 // Index.Stats.
 func Build(cfg Config, ds *dataset.Dataset, lab labeler.Labeler) (*Index, error) {
-	return BuildResumable(cfg, ds, lab, nil)
-}
-
-// BuildResumable is Build with checkpointed labeling: successful labels are
-// recorded into ckpt as the build progresses, and a failure that survives
-// the configured retry/degradation policy returns a *BuildInterruptedError
-// carrying the checkpoint. Re-invoking with that checkpoint (or one restored
-// with LoadCheckpoint) resumes the build, spending zero labeler invocations
-// on already-labeled records — everything else in the pipeline is cheap and
-// deterministic, so it is simply recomputed. A nil ckpt starts fresh.
-func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *Checkpoint) (*Index, error) {
 	if err := checkConfig(cfg, ds); err != nil {
 		return nil, err
 	}
-	if ckpt == nil {
-		ckpt = NewCheckpoint(cfg, ds)
-	} else if err := ckpt.compatible(cfg, ds); err != nil {
-		return nil, err
-	}
-	// All checkpoint label writes — serial training loop and parallel rep
-	// workers alike — go through the flusher, whose mutex both makes them
-	// race-free and serializes the periodic durability flushes.
-	fl := newCkptFlusher(cfg, ckpt)
 
 	// Assemble the reliability chain inside-out: per-call deadline closest
 	// to the labeler, retries above it (so a timed-out attempt is retried),
-	// then invocation counting, then a label store of the build's own —
-	// counting below the store keeps its hits (training/representative
-	// overlaps and checkpoint-restored labels) free, matching the BuildStats
-	// field docs. The store has no telemetry, so a server's tasti_labelstore_*
-	// series count queries only, and room for one call per rep-labeling
-	// worker, so it never answers ErrSaturated.
+	// then invocation counting, then the label store — counting below the
+	// store keeps its hits (labels it held, training/representative
+	// overlaps) free, matching the BuildStats field docs.
 	base := lab
 	var deadline *labeler.Deadline
 	if cfg.LabelTimeout > 0 {
@@ -305,12 +310,14 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		base = retry
 	}
 	counting := labeler.NewCounting(base)
-	labels := store.New(store.Options{MaxInflight: parallel.Workers(cfg.Parallelism)})
-	labels.Warm(ckpt.Labeled)
-	cached := labels.Bind(counting, nil, "", nil)
+	labels := cfg.Labels
+	if labels == nil {
+		labels = store.New(store.Options{})
+	}
+	cached := labels.BindBuild(counting)
+	ctx := context.Background()
 
 	var stats BuildStats
-	stats.ResumedLabels = len(ckpt.Labeled)
 	// finishStats folds the middleware counters in on every return path
 	// that carries stats (including the interrupted one, via the error).
 	finishStats := func() {
@@ -321,7 +328,6 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		if deadline != nil {
 			stats.LabelTimeouts = deadline.Timeouts()
 		}
-		stats.CheckpointFlushes = fl.Flushes()
 	}
 
 	// Phase 1: pre-trained embeddings over all records.
@@ -333,6 +339,13 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 	stats.EmbedWall += time.Since(embedStart)
 
 	// Phase 2: optional triplet training on a mined, labeled training set.
+	// failed holds the training records found permanently unlabelable, so a
+	// degraded build does not ask for one again as a representative; trained
+	// holds the ones labeled, which are no resumed labels as representatives.
+	// Both live for this build only: a resumed degraded build asks each
+	// failed record once more.
+	failed := make(map[int]error)
+	trained := make(map[int]bool)
 	var embedder embed.Embedder = pre
 	if cfg.DoTrain {
 		trainStart := time.Now()
@@ -350,41 +363,29 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		keptIDs := make([]int, 0, len(trainIDs))
 		keptAnns := make([]dataset.Annotation, 0, len(trainIDs))
 		for i, id := range trainIDs {
-			if _, failed := ckpt.Failed[id]; failed && cfg.AllowDegraded {
-				stats.DegradedTrain = append(stats.DegradedTrain, id)
-				continue
-			}
-			ann, err := cached.Label(id)
+			ann, src, err := cached.Resolve(ctx, id)
 			if err != nil {
-				if errors.Is(err, labeler.ErrPermanent) {
-					if _, known := ckpt.Failed[id]; !known {
-						ckpt.Failed[id] = err.Error()
-					}
-					if cfg.AllowDegraded {
-						stats.DegradedTrain = append(stats.DegradedTrain, id)
-						continue
-					}
+				if cfg.AllowDegraded && errors.Is(err, labeler.ErrPermanent) {
+					failed[id] = err
+					stats.DegradedTrain = append(stats.DegradedTrain, id)
+					continue
 				}
 				finishStats()
 				pending := append([]int(nil), trainIDs[i:]...)
 				sort.Ints(pending)
 				return nil, &BuildInterruptedError{
 					Phase:      "training",
-					Labeled:    ckpt.LabeledIDs(),
 					Pending:    pending,
 					LabelCalls: counting.Calls(),
-					Checkpoint: ckpt,
 					Err:        fmt.Errorf("core: labeling training record %d: %w", id, err),
 				}
 			}
-			fl.record(id, ann)
+			if src == store.FromStore {
+				stats.ResumedLabels++
+			}
+			trained[id] = true
 			keptIDs = append(keptIDs, id)
 			keptAnns = append(keptAnns, ann)
-		}
-		fl.finish()
-		if err := fl.Err(); err != nil {
-			finishStats()
-			return nil, err
 		}
 		sort.Ints(stats.DegradedTrain)
 		stats.TrainLabelCalls = counting.Calls()
@@ -460,51 +461,46 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 	stats.RepSelectWall = time.Since(clusterStart)
 
 	// Annotate the representatives concurrently: reps are distinct, the
-	// counting wrapper and the label store are safe for concurrent use, and each rep's annotation
-	// (or error) lands in its own slot, so the outcome is the same at every
-	// worker count. ckpt.Failed is read-only during the loop; ckpt.Labeled
-	// writes go through the flusher mutex (fl.record), which also gives
-	// periodic durability while this — the expensive phase — is in flight.
+	// counting wrapper and the label store are safe for concurrent use, and
+	// each rep's annotation (or error) lands in its own slot, so the outcome
+	// is the same at every worker count. failed and trained are read-only
+	// here.
 	labelStart := time.Now()
 	sp = cfg.TraceSpan.Child("cluster/label")
 	before := counting.Calls()
 	repAnns := make([]dataset.Annotation, len(reps))
 	repErrs := make([]error, len(reps))
+	repHeld := make([]bool, len(reps))
 	parallel.For(cfg.Parallelism, len(reps), func(i int) {
 		id := reps[i]
-		if msg, failed := ckpt.Failed[id]; failed && cfg.AllowDegraded {
-			repErrs[i] = fmt.Errorf("core: representative %d failed in a previous run (%s): %w", id, msg, labeler.ErrPermanent)
+		if err, ok := failed[id]; ok {
+			repErrs[i] = fmt.Errorf("core: representative %d failed as a training record: %w", id, err)
 			return
 		}
-		a, err := cached.Label(id)
+		a, src, err := cached.Resolve(ctx, id)
 		if err != nil {
 			repErrs[i] = fmt.Errorf("core: labeling representative %d: %w", id, err)
 			return
 		}
-		repAnns[i] = a
-		fl.record(id, a)
+		repAnns[i], repHeld[i] = a, src == store.FromStore && !trained[id]
 	})
-	// Resolve outcomes serially in selection order: record every success in
-	// the checkpoint first, then either degrade around permanent failures or
-	// return a resumable interruption.
+	// Resolve outcomes serially in selection order: degrade around permanent
+	// failures, or return a resumable interruption.
 	annotations := make(map[int]dataset.Annotation, len(reps))
 	var pending []int
 	var firstErr error
 	for i, rep := range reps {
 		if repErrs[i] == nil {
-			// The worker already recorded the label through fl.record.
 			annotations[rep] = repAnns[i]
+			if repHeld[i] {
+				stats.ResumedLabels++
+			}
 			continue
 		}
 		err := repErrs[i]
-		if errors.Is(err, labeler.ErrPermanent) {
-			if _, known := ckpt.Failed[rep]; !known {
-				ckpt.Failed[rep] = err.Error()
-			}
-			if cfg.AllowDegraded {
-				stats.DegradedReps = append(stats.DegradedReps, rep)
-				continue
-			}
+		if cfg.AllowDegraded && errors.Is(err, labeler.ErrPermanent) {
+			stats.DegradedReps = append(stats.DegradedReps, rep)
+			continue
 		}
 		pending = append(pending, rep)
 		if firstErr == nil {
@@ -516,10 +512,8 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		sort.Ints(pending)
 		return nil, &BuildInterruptedError{
 			Phase:      "representatives",
-			Labeled:    ckpt.LabeledIDs(),
 			Pending:    pending,
 			LabelCalls: counting.Calls(),
-			Checkpoint: ckpt,
 			Err:        firstErr,
 		}
 	}
@@ -537,11 +531,6 @@ func BuildResumable(cfg Config, ds *dataset.Dataset, lab labeler.Labeler, ckpt *
 		if len(liveReps) == 0 {
 			return nil, fmt.Errorf("core: degraded build has no labelable representatives: %w", labeler.ErrPermanent)
 		}
-	}
-	fl.finish()
-	if err := fl.Err(); err != nil {
-		finishStats()
-		return nil, err
 	}
 	stats.RepLabelCalls = counting.Calls() - before
 	stats.RepLabelWall = time.Since(labelStart)
@@ -611,9 +600,6 @@ func checkConfig(cfg Config, ds *dataset.Dataset) error {
 		if cfg.BucketKey == nil {
 			return errors.New("core: DoTrain needs a BucketKey")
 		}
-	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointSink == nil {
-		return errors.New("core: CheckpointEvery needs a CheckpointSink")
 	}
 	return nil
 }

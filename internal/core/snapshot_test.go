@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/labeler"
+	"repro/internal/labeler/store"
 	"repro/internal/shard"
 	"repro/internal/snapshot"
 	"repro/internal/triplet"
@@ -152,24 +153,24 @@ func TestQuantFrameAbsentLoadsDisabled(t *testing.T) {
 	}
 }
 
-// TestLoadWrongKindRejected pins that a checkpoint file cannot be loaded as
-// an index, nor an index as a checkpoint: the kind check fires before any
+// TestLoadWrongKindRejected pins that a label-store file cannot be loaded as
+// an index, nor an index as a label store: the kind check fires before any
 // decoding.
 func TestLoadWrongKindRejected(t *testing.T) {
-	var ckpt bytes.Buffer
-	if err := (&core.Checkpoint{Seed: 1, DatasetLen: 10}).Save(&ckpt); err != nil {
+	var labels bytes.Buffer
+	if err := store.New(store.Options{}).Save(&labels); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shard.Load(bytes.NewReader(ckpt.Bytes())); !errors.Is(err, snapshot.ErrKind) {
-		t.Fatalf("checkpoint as index: err = %v, want ErrKind", err)
+	if _, err := shard.Load(bytes.NewReader(labels.Bytes())); !errors.Is(err, snapshot.ErrKind) {
+		t.Fatalf("label store as index: err = %v, want ErrKind", err)
 	}
 	saved, _ := roundTrip(t, build(t, core.PretrainedConfig(10, 1), 100))
 	var ix bytes.Buffer
 	if err := saved.Save(&ix); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.LoadCheckpoint(bytes.NewReader(ix.Bytes())); !errors.Is(err, snapshot.ErrKind) {
-		t.Fatalf("index as checkpoint: err = %v, want ErrKind", err)
+	if _, err := store.Load(bytes.NewReader(ix.Bytes()), store.Options{}); !errors.Is(err, snapshot.ErrKind) {
+		t.Fatalf("index as label store: err = %v, want ErrKind", err)
 	}
 }
 
@@ -180,7 +181,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestSaveIsFramed pins the writer side: index snapshots and checkpoints
+// TestSaveIsFramed pins the writer side: index snapshots and label stores
 // start with the snapshot magic, so old readers fail loudly instead of
 // misparsing, and a format-stability diff can key on the prefix.
 func TestSaveIsFramed(t *testing.T) {
@@ -192,11 +193,11 @@ func TestSaveIsFramed(t *testing.T) {
 	if !bytes.HasPrefix(ix.Bytes(), snapshot.Magic[:]) {
 		t.Fatal("index Save did not write the snapshot magic")
 	}
-	var ckpt bytes.Buffer
-	if err := (&core.Checkpoint{Seed: 1, DatasetLen: 1}).Save(&ckpt); err != nil {
+	var labels bytes.Buffer
+	if err := store.New(store.Options{}).Save(&labels); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(ckpt.Bytes(), snapshot.Magic[:]) {
-		t.Fatal("Checkpoint.Save did not write the snapshot magic")
+	if !bytes.HasPrefix(labels.Bytes(), snapshot.Magic[:]) {
+		t.Fatal("the label store's Save did not write the snapshot magic")
 	}
 }

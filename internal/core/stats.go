@@ -33,7 +33,6 @@ func publishBuildMetrics(reg *telemetry.Registry, s BuildStats) {
 	reg.Counter("tasti_build_label_retries_total").Add(s.LabelRetries)
 	reg.Counter("tasti_build_label_timeouts_total").Add(s.LabelTimeouts)
 	reg.Gauge("tasti_build_retry_wait_seconds").Set(s.RetryWait.Seconds())
-	reg.Counter("tasti_build_checkpoint_flushes_total").Add(s.CheckpointFlushes)
 	reg.Gauge("tasti_build_resumed_labels").Set(float64(s.ResumedLabels))
 	reg.Gauge(`tasti_build_degraded_records{kind="reps"}`).Set(float64(len(s.DegradedReps)))
 	reg.Gauge(`tasti_build_degraded_records{kind="train"}`).Set(float64(len(s.DegradedTrain)))
@@ -84,11 +83,8 @@ func (s BuildStats) String() string {
 			s.LabelRetries, s.RetryWait.Round(time.Millisecond), s.LabelTimeouts)
 	}
 	if s.ResumedLabels > 0 {
-		fmt.Fprintf(&b, "resumed: %d labels restored from checkpoint, spent nothing re-labeling them\n",
+		fmt.Fprintf(&b, "resumed: %d labels already in the label store, spent nothing re-labeling them\n",
 			s.ResumedLabels)
-	}
-	if s.CheckpointFlushes > 0 {
-		fmt.Fprintf(&b, "durability: %d periodic checkpoint flushes\n", s.CheckpointFlushes)
 	}
 	if s.Degraded() {
 		fmt.Fprintf(&b, "degraded: built without %d representatives and %d training records (permanently unlabelable)\n",

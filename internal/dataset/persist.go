@@ -10,8 +10,8 @@ import (
 
 // GobAnnotationsRegistered marks this init as the repository's single gob
 // registration point for annotation types. Every decoder of annotation
-// interface values — index snapshots in package shard, build checkpoints in
-// package core, dataset files here — imports this package, so a new
+// interface values — index snapshots in package shard, label stores in
+// package store, dataset files here — imports this package, so a new
 // annotation schema is added to this one list or to none of them; the
 // two-decoders-drift failure mode is structurally impossible. Packages that rely on the registration
 // without otherwise referencing this package assert the dependency with
@@ -19,7 +19,7 @@ import (
 const GobAnnotationsRegistered = true
 
 func init() {
-	// Dataset.Truth, index annotation caches, and checkpoint label maps all
+	// Dataset.Truth, index annotation caches, and label-store maps all
 	// hold Annotation interface values; gob needs the concrete types.
 	gob.Register(VideoAnnotation{})
 	gob.Register(TextAnnotation{})

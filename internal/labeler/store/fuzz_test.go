@@ -11,24 +11,31 @@ import (
 // unbounded allocation (the snapshot layer caps declared frame lengths
 // before allocating). An accepted store must be clean and consistent: Len
 // counts exactly what Annotations lists, and a re-save reloads to the same
-// annotations.
+// annotations. The seeds carry the loader's corpus, another corpus and none,
+// so mutations reach both sides of the corpus check.
 func FuzzLoadLabelStore(f *testing.F) {
-	var valid bytes.Buffer
+	anns := sampleStore().Annotations()
+	for _, corpus := range []Corpus{testCorpus, {Dataset: "night-street", Size: 120, Seed: 2}, {}} {
+		var buf bytes.Buffer
+		if err := save(&buf, corpus, anns); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	var valid, empty bytes.Buffer
 	if err := sampleStore().Save(&valid); err != nil {
 		f.Fatal(err)
 	}
-	var empty bytes.Buffer
-	if err := New(Options{}).Save(&empty); err != nil {
+	if err := New(Options{Corpus: testCorpus}).Save(&empty); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid.Bytes())
 	f.Add(empty.Bytes())
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
 	f.Add([]byte{})
 	f.Add([]byte("TASTISNP"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Load(bytes.NewReader(data), Options{})
+		s, err := Load(bytes.NewReader(data), Options{Corpus: testCorpus})
 		if err != nil {
 			return
 		}
@@ -44,7 +51,7 @@ func FuzzLoadLabelStore(f *testing.F) {
 		if err := s.Save(&out); err != nil {
 			t.Fatalf("accepted store failed to re-save: %v", err)
 		}
-		again, err := Load(&out, Options{})
+		again, err := Load(&out, Options{Corpus: testCorpus})
 		if err != nil {
 			t.Fatalf("re-saved store failed to reload: %v", err)
 		}

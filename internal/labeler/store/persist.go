@@ -1,8 +1,11 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/snapshot"
@@ -28,24 +31,39 @@ const (
 	labelsFrame = "labels"
 )
 
-// storeMeta is the "meta" frame: the entry count, validated against the
-// decoded map so a spliced file cannot smuggle a short map past the CRCs.
+// Corpus identifies a corpus by the arguments that generate it. A label is
+// an annotation of one record ID, so a snapshot is only meaningful over the
+// corpus it was bought from.
+type Corpus struct {
+	Dataset string
+	Size    int
+	Seed    int64
+}
+
+// ErrCorpus marks a label-store snapshot that names another corpus than the
+// store reading it, or none: its labels may describe other records.
+var ErrCorpus = errors.New("label store: snapshot of another corpus")
+
+// storeMeta is the "meta" frame: the corpus the labels belong to, and the
+// entry count, validated against the decoded map so a spliced file cannot
+// smuggle a short map past the CRCs.
 type storeMeta struct {
-	Count int
+	Count  int
+	Corpus Corpus
 }
 
 // Save writes the store as a framed snapshot of kind Kind: one
-// point-in-time view of its annotations.
+// point-in-time view of its annotations, under its corpus.
 func (s *Store) Save(w io.Writer) error {
-	return save(w, s.Annotations())
+	return save(w, s.corpus, s.Annotations())
 }
 
-func save(w io.Writer, anns map[int]dataset.Annotation) error {
+func save(w io.Writer, corpus Corpus, anns map[int]dataset.Annotation) error {
 	sw, err := snapshot.NewWriter(w, Kind)
 	if err != nil {
 		return err
 	}
-	if err := sw.Encode(metaFrame, storeMeta{Count: len(anns)}); err != nil {
+	if err := sw.Encode(metaFrame, storeMeta{Count: len(anns), Corpus: corpus}); err != nil {
 		return err
 	}
 	if err := sw.Encode(labelsFrame, anns); err != nil {
@@ -63,11 +81,12 @@ func Load(r io.Reader, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Restore reads a label store written by Save into s. Every CRC and every
-// record ID is verified before any annotation is stored, so a damaged or
-// malformed snapshot leaves s as it was; unknown trailing frames are skipped
-// for forward compatibility. The annotations it adds are already on disk,
-// so they do not count as dirty.
+// Restore reads a label store written by Save into s. A snapshot that names
+// another corpus than s, or none, fails with ErrCorpus. Every CRC and every
+// record ID is verified before any annotation is stored, so a rejected
+// snapshot leaves s as it was; unknown trailing frames are skipped for
+// forward compatibility. The annotations it adds are already on disk, so
+// they do not count as dirty.
 func (s *Store) Restore(r io.Reader) error {
 	sr, err := snapshot.NewReader(r, Kind)
 	if err != nil {
@@ -76,6 +95,9 @@ func (s *Store) Restore(r io.Reader) error {
 	var meta storeMeta
 	if err := sr.Decode(metaFrame, &meta); err != nil {
 		return err
+	}
+	if meta.Corpus == (Corpus{}) || meta.Corpus != s.corpus {
+		return fmt.Errorf("%w: the file names %+v, the store serves %+v", ErrCorpus, meta.Corpus, s.corpus)
 	}
 	anns := make(map[int]dataset.Annotation)
 	if err := sr.Decode(labelsFrame, &anns); err != nil {
@@ -115,7 +137,7 @@ func (s *Store) Flush(path string) error {
 	anns := s.annotationsLocked()
 	s.mu.Unlock()
 	met := s.met.Load()
-	if err := snapshot.WriteFile(path, func(w io.Writer) error { return save(w, anns) }); err != nil {
+	if err := snapshot.WriteFile(path, func(w io.Writer) error { return save(w, s.corpus, anns) }); err != nil {
 		met.reg.Counter(`tasti_labelstore_flush_total{outcome="error"}`).Inc()
 		return err
 	}
@@ -124,4 +146,43 @@ func (s *Store) Flush(path string) error {
 	s.mu.Unlock()
 	met.reg.Counter(`tasti_labelstore_flush_total{outcome="ok"}`).Inc()
 	return nil
+}
+
+// FlushEvery flushes the store to path every period while it holds labels
+// the file lacks (Dirty), and once more when the returned stop is called, so
+// the file ends up holding every label the store bought; stop waits for that
+// last flush. report, when non-nil, receives each write's outcome (nil on
+// success). A period <= 0 flushes only at stop.
+func (s *Store) FlushEvery(path string, period time.Duration, report func(error)) (stop func()) {
+	flush := func() {
+		if s.Dirty() == 0 {
+			return
+		}
+		if err := s.Flush(path); report != nil {
+			report(err)
+		}
+	}
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		var tick <-chan time.Time // nil: never fires
+		if period > 0 {
+			t := time.NewTicker(period)
+			defer t.Stop()
+			tick = t.C
+		}
+		for {
+			select {
+			case <-tick:
+				flush()
+			case <-quit:
+				return
+			}
+		}
+	}()
+	return sync.OnceFunc(func() {
+		close(quit)
+		<-exited
+		flush()
+	})
 }

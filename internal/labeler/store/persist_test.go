@@ -7,16 +7,21 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/snapshot"
 )
 
+// testCorpus is the corpus the test stores' labels belong to.
+var testCorpus = Corpus{Dataset: "night-street", Size: 120, Seed: 1}
+
 // sampleStore returns a store holding one annotation of every schema the
 // repository knows, so the round trip exercises the full gob registry.
 func sampleStore() *Store {
-	s := New(Options{})
+	s := New(Options{Corpus: testCorpus})
 	s.Put(3, dataset.VideoAnnotation{Boxes: []dataset.Box{
 		{Class: "car", X: 0.2, Y: 0.4, W: 0.1, H: 0.05},
 		{Class: "bus", X: 0.7, Y: 0.1, W: 0.2, H: 0.12},
@@ -32,7 +37,7 @@ func TestLabelStoreSnapshotRoundTrip(t *testing.T) {
 	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(bytes.NewReader(buf.Bytes()), Options{})
+	got, err := Load(bytes.NewReader(buf.Bytes()), Options{Corpus: testCorpus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +54,7 @@ func TestLabelStoreSnapshotRoundTrip(t *testing.T) {
 // bytes — never a panic, untyped error, or silent acceptance.
 func loadTyped(t *testing.T, data []byte, what string) {
 	t.Helper()
-	_, err := Load(bytes.NewReader(data), Options{})
+	_, err := Load(bytes.NewReader(data), Options{Corpus: testCorpus})
 	if err == nil {
 		t.Fatalf("%s: damaged store loaded successfully", what)
 	}
@@ -66,7 +71,7 @@ func loadTyped(t *testing.T, data []byte, what string) {
 
 // loadFile restores a flushed store file into a new store.
 func loadFile(path string) (*Store, error) {
-	s := New(Options{})
+	s := New(Options{Corpus: testCorpus})
 	return s, snapshot.ReadFile(path, s.Restore)
 }
 
@@ -75,7 +80,7 @@ func loadFile(path string) (*Store, error) {
 func writeRaw(t *testing.T, anns map[int]dataset.Annotation) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := save(&buf, anns); err != nil {
+	if err := save(&buf, testCorpus, anns); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -91,7 +96,7 @@ func TestLabelStoreLoadRejectsOutOfRangeID(t *testing.T) {
 			2:  dataset.TextAnnotation{Operator: "SUM"},
 			id: dataset.TextAnnotation{Operator: "AVG"},
 		})
-		if _, err := Load(bytes.NewReader(data), Options{}); err == nil {
+		if _, err := Load(bytes.NewReader(data), Options{Corpus: testCorpus}); err == nil {
 			t.Fatalf("a snapshot holding record %d loaded", id)
 		}
 		s := sampleStore()
@@ -102,6 +107,44 @@ func TestLabelStoreLoadRejectsOutOfRangeID(t *testing.T) {
 		if got := s.Annotations(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("a rejected restore changed the store: %v, want %v", got, want)
 		}
+	}
+}
+
+// TestLabelStoreRestoreRejectsOtherCorpus: a snapshot's labels are
+// annotations of its corpus's records. One that names another corpus — a
+// different generator argument — or none, as every file from before the
+// corpus was recorded, fails with ErrCorpus, and the store stays as it was.
+func TestLabelStoreRestoreRejectsOtherCorpus(t *testing.T) {
+	anns := map[int]dataset.Annotation{5: dataset.TextAnnotation{Operator: "SUM"}}
+	for _, corpus := range []Corpus{
+		{},
+		{Dataset: "taipei", Size: testCorpus.Size, Seed: testCorpus.Seed},
+		{Dataset: testCorpus.Dataset, Size: 121, Seed: testCorpus.Seed},
+		{Dataset: testCorpus.Dataset, Size: testCorpus.Size, Seed: 2},
+	} {
+		var buf bytes.Buffer
+		if err := save(&buf, corpus, anns); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(buf.Bytes()), Options{Corpus: testCorpus}); !errors.Is(err, ErrCorpus) {
+			t.Fatalf("%+v: Load err = %v, want ErrCorpus", corpus, err)
+		}
+		s := sampleStore()
+		want := s.Annotations()
+		if err := s.Restore(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorpus) {
+			t.Fatalf("%+v: Restore err = %v, want ErrCorpus", corpus, err)
+		}
+		if got := s.Annotations(); !reflect.DeepEqual(got, want) || s.Dirty() != int64(len(want)) {
+			t.Fatalf("%+v: a rejected restore changed the store: %v (dirty %d), want %v", corpus, got, s.Dirty(), want)
+		}
+	}
+	// A store with no corpus reads nothing, not even its own snapshot.
+	var buf bytes.Buffer
+	if err := New(Options{}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes()), Options{}); !errors.Is(err, ErrCorpus) {
+		t.Fatalf("a corpus-less snapshot: err = %v, want ErrCorpus", err)
 	}
 }
 
@@ -117,7 +160,7 @@ func TestCorruptLabelStoreTruncationMatrix(t *testing.T) {
 	for cut := 0; cut < len(data); cut++ {
 		loadTyped(t, data[:cut], "truncation")
 	}
-	if _, err := Load(bytes.NewReader(data), Options{}); err != nil {
+	if _, err := Load(bytes.NewReader(data), Options{Corpus: testCorpus}); err != nil {
 		t.Fatalf("intact store: %v", err)
 	}
 }
@@ -149,7 +192,7 @@ func TestLabelStoreWrongKindRejected(t *testing.T) {
 	if err := snapshot.EncodeGob(&buf, "tasti-index", storeMeta{Count: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bytes.NewReader(buf.Bytes()), Options{}); !errors.Is(err, snapshot.ErrKind) {
+	if _, err := Load(bytes.NewReader(buf.Bytes()), Options{Corpus: testCorpus}); !errors.Is(err, snapshot.ErrKind) {
 		t.Fatalf("err = %v, want ErrKind", err)
 	}
 }
@@ -164,7 +207,7 @@ func TestLabelStoreSkipsUnknownTrailingFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Encode(metaFrame, storeMeta{Count: src.Len()}); err != nil {
+	if err := sw.Encode(metaFrame, storeMeta{Count: src.Len(), Corpus: testCorpus}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Encode(labelsFrame, src.Annotations()); err != nil {
@@ -176,7 +219,7 @@ func TestLabelStoreSkipsUnknownTrailingFrames(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(bytes.NewReader(buf.Bytes()), Options{})
+	got, err := Load(bytes.NewReader(buf.Bytes()), Options{Corpus: testCorpus})
 	if err != nil {
 		t.Fatalf("unknown trailing frame broke the load: %v", err)
 	}
@@ -206,6 +249,65 @@ func TestLabelStoreFlushAndLoadFile(t *testing.T) {
 	s.Put(99, dataset.TextAnnotation{Operator: "AVG"})
 	if s.Dirty() != 1 {
 		t.Fatalf("dirty after post-flush put = %d, want 1", s.Dirty())
+	}
+}
+
+// TestLabelStoreFlushEvery: the periodic flusher writes only a store that
+// holds labels the file lacks, and stop flushes what the last tick missed,
+// waits for it, and is idempotent.
+func TestLabelStoreFlushEvery(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "labels.snap")
+	s := New(Options{Corpus: testCorpus})
+	var mu sync.Mutex
+	var outcomes []error
+	stop := s.FlushEvery(path, time.Millisecond, func(err error) {
+		mu.Lock()
+		outcomes = append(outcomes, err)
+		mu.Unlock()
+	})
+	time.Sleep(20 * time.Millisecond)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a clean store was flushed: %v", err)
+	}
+	s.Put(1, dataset.TextAnnotation{Operator: "SUM"})
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Dirty() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the periodic flusher never wrote a dirty store")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	s.Put(2, dataset.TextAnnotation{Operator: "AVG"}) // after stop: stays dirty
+	stop()
+	if s.Dirty() != 1 {
+		t.Fatalf("dirty = %d after stop, want 1: stop flushed twice or the loop outlived it", s.Dirty())
+	}
+	got, err := loadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 1 {
+		t.Fatalf("the file holds %d labels, want 1", got.Len())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, err := range outcomes {
+		if err != nil {
+			t.Fatalf("flush reported %v", err)
+		}
+	}
+
+	// With no period only stop writes, and it writes everything.
+	path = filepath.Join(t.TempDir(), "labels.snap")
+	s = sampleStore()
+	stop = s.FlushEvery(path, 0, nil)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a zero period flushed before stop: %v", err)
+	}
+	stop()
+	if got, err := loadFile(path); err != nil || got.Len() != s.Len() {
+		t.Fatalf("stop flushed %v labels (%v), want %d", got, err, s.Len())
 	}
 }
 

@@ -122,7 +122,7 @@ func TestReadIndexFirstWriterWins(t *testing.T) {
 // known labels — through Get and through a bound labeler — without its mutex,
 // exactly like one that bought them itself.
 func TestReadIndexServesLoadedSnapshot(t *testing.T) {
-	src := New(Options{})
+	src := New(Options{Corpus: testCorpus})
 	for id := 0; id < 2*pageSize; id += 3 {
 		src.Put(id, tagged(1, id))
 	}
@@ -131,7 +131,7 @@ func TestReadIndexServesLoadedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	s, err := Load(&buf, Options{Telemetry: reg})
+	s, err := Load(&buf, Options{Telemetry: reg, Corpus: testCorpus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestReadIndexServesLoadedSnapshot(t *testing.T) {
 // the last ID inside the range is cached like any other.
 func TestReadIndexSparseIDs(t *testing.T) {
 	sparse := []int{-1, math.MinInt64, denseLimit, denseLimit + 5, math.MaxInt64}
-	s := New(Options{})
+	s := New(Options{Corpus: testCorpus})
 	for i, id := range sparse {
 		s.Put(id, tagged(9, i))
 		s.Warm(map[int]dataset.Annotation{id: tagged(9, i)})
@@ -208,7 +208,7 @@ func TestReadIndexSparseIDs(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, Options{})
+	loaded, err := Load(&buf, Options{Corpus: testCorpus})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,6 +50,9 @@ type Options struct {
 	// saturation rejections, and gauges the resident entry count.
 	// Record-only: results are bitwise identical with or without it.
 	Telemetry *telemetry.Registry
+	// Corpus names the corpus the store's record IDs index. Save records
+	// it, and Restore reads only a snapshot that names the same one.
+	Corpus Corpus
 }
 
 // call is one in-flight oracle invocation. The leader closes done exactly
@@ -71,6 +74,7 @@ type call struct {
 // ID outside [0, denseLimit) is never cached.
 type Store struct {
 	maxInflight int
+	corpus      Corpus
 
 	mu       sync.Mutex
 	inflight map[int]*call
@@ -114,6 +118,7 @@ func New(opts Options) *Store {
 	}
 	s := &Store{
 		maxInflight: maxIn,
+		corpus:      opts.Corpus,
 		inflight:    make(map[int]*call),
 	}
 	s.SetTelemetry(opts.Telemetry)
@@ -188,8 +193,8 @@ func (s *Store) Put(id int, ann dataset.Annotation) {
 	s.mu.Unlock()
 }
 
-// Warm seeds the store with already-known annotations — a build checkpoint's
-// labels, or another store's.
+// Warm seeds the store with already-known annotations, such as another
+// store's.
 func (s *Store) Warm(anns map[int]dataset.Annotation) {
 	s.mu.Lock()
 	for id, ann := range anns {
@@ -269,6 +274,16 @@ func (s *Store) Bind(inner labeler.Labeler, budget *Budget, tenant string, looku
 	return &Bound{store: s, inner: inner, budget: budget, tenant: tenant, lookup: lookup}
 }
 
+// BindBuild returns the labeler an index build labels through: Bind with no
+// budget, tenant or lookup, outside the in-flight cap — a build bounds its
+// own concurrency, and backpressure meant for queries must never fail it —
+// and outside the hit, miss, coalesced and saturated counts, which stay
+// query-only. What it buys lands in the store like any other label, and in
+// its entry gauge.
+func (s *Store) BindBuild(inner labeler.Labeler) *Bound {
+	return &Bound{store: s, inner: inner, build: true}
+}
+
 // Bound is one (tenant, inner, lookup) binding of the store: a labeler.
 type Bound struct {
 	store  *Store
@@ -276,6 +291,18 @@ type Bound struct {
 	budget *Budget
 	tenant string
 	lookup func(int) (dataset.Annotation, bool)
+	build  bool
+}
+
+// untracked is the metrics a build binding counts into: none.
+var untracked = &metrics{}
+
+// metrics returns the instruments b counts its requests into.
+func (b *Bound) metrics() *metrics {
+	if b.build {
+		return untracked
+	}
+	return b.store.met.Load()
 }
 
 // Label implements labeler.Labeler.
@@ -287,7 +314,7 @@ func (b *Bound) Label(id int) (dataset.Annotation, error) {
 func (b *Bound) LabelContext(ctx context.Context, id int) (dataset.Annotation, error) {
 	ann, src, err := b.Resolve(ctx, id)
 	if err == nil && src.Hit() {
-		b.store.met.Load().hits.Inc()
+		b.metrics().hits.Inc()
 	}
 	return ann, err
 }
@@ -304,7 +331,7 @@ func (b *Bound) Resolve(ctx context.Context, id int) (dataset.Annotation, Source
 	if ann, ok := s.Get(id); ok {
 		return ann, FromStore, nil
 	}
-	met := s.met.Load()
+	met := b.metrics()
 	if uint(id) >= denseLimit {
 		// Never cached, so there is nothing to find or coalesce onto.
 		met.misses.Inc()
@@ -339,7 +366,7 @@ func (b *Bound) Resolve(ctx context.Context, id int) (dataset.Annotation, Source
 			return nil, FromInflight, ctx.Err()
 		}
 	}
-	if len(s.inflight) >= s.maxInflight {
+	if !b.build && len(s.inflight) >= s.maxInflight {
 		s.mu.Unlock()
 		met.reg.Counter("tasti_labelstore_saturated_total").Inc()
 		return nil, FromOracle, fmt.Errorf("labeler store: %d oracle calls in flight: %w", s.maxInflight, ErrSaturated)

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/labeler"
@@ -120,8 +121,8 @@ func TestStoreAvoidsRepeatCalls(t *testing.T) {
 	}
 }
 
-// TestStoreWarmServesForFree: warmed annotations — a build checkpoint's —
-// are hits, and only a record outside them reaches the oracle.
+// TestStoreWarmServesForFree: warmed annotations — another store's — are
+// hits, and only a record outside them reaches the oracle.
 func TestStoreWarmServesForFree(t *testing.T) {
 	s := New(Options{})
 	inner := &oracleN{n: 10}
@@ -316,6 +317,61 @@ func TestStoreSaturationTypedError(t *testing.T) {
 	// With the table drained the same record labels fine.
 	if _, err := lab.Label(2); err != nil {
 		t.Fatalf("after drain: %v", err)
+	}
+}
+
+// TestStoreBuildBindingSkipsBackpressureAndQueryCounts: a build binding is
+// never answered ErrSaturated, even with more records in flight than the
+// store's cap, and counts no hits, misses, coalesced waiters or saturation —
+// those series are the queries'. Its labels land in the store and its entry
+// gauge, and a query binding finds them as hits.
+func TestStoreBuildBindingSkipsBackpressureAndQueryCounts(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := New(Options{MaxInflight: 1, Telemetry: reg})
+	inner := &blockingLabeler{release: make(chan struct{})}
+	build := s.BindBuild(inner)
+
+	const n = 4
+	var wg sync.WaitGroup
+	for id := range n {
+		wg.Add(2)
+		for range 2 { // two workers per record: one leads, one coalesces
+			go func() {
+				defer wg.Done()
+				if _, err := build.Label(id); err != nil {
+					t.Errorf("build label %d: %v", id, err)
+				}
+			}()
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); inner.Calls() < n; {
+		if time.Now().After(deadline) {
+			close(inner.release)
+			wg.Wait()
+			t.Fatalf("%d of %d records reached the labeler: the build binding was refused", inner.Calls(), n)
+		}
+	}
+	close(inner.release)
+	wg.Wait()
+	if _, err := build.Label(0); err != nil { // a hit
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"tasti_labelstore_hits_total", "tasti_labelstore_misses_total",
+		"tasti_labelstore_coalesced_total", "tasti_labelstore_saturated_total",
+	} {
+		if got := reg.Counter(name).Value(); got != 0 {
+			t.Errorf("%s = %d after a build, want 0", name, got)
+		}
+	}
+	if got := reg.Gauge("tasti_labelstore_entries").Value(); got != n {
+		t.Errorf("entries = %v, want %d", got, n)
+	}
+	if _, err := s.Bind(inner, nil, "", nil).Label(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("tasti_labelstore_hits_total").Value(); got != 1 {
+		t.Errorf("a query on a build label counted %d hits, want 1", got)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/labeler"
+	"repro/internal/labeler/store"
 	"repro/internal/query/limitq"
 	"repro/internal/shard"
 	"repro/internal/snapshot"
@@ -336,18 +337,18 @@ func TestLoadShardAndReplace(t *testing.T) {
 }
 
 // TestSnapshotKindMismatch pins the typed-error contract: an index snapshot
-// and a build checkpoint each reject the other's loader with
+// and a label-store snapshot each reject the other's loader with
 // snapshot.ErrKind, never a decode mystery.
 func TestSnapshotKindMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	if err := (&core.Checkpoint{Seed: 1, DatasetLen: 200}).Save(&buf); err != nil {
+	if err := store.New(store.Options{}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := shard.Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrKind) {
-		t.Errorf("shard.Load of a checkpoint: %v, want ErrKind", err)
+		t.Errorf("shard.Load of a label store: %v, want ErrKind", err)
 	}
 	if _, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 0); !errors.Is(err, snapshot.ErrKind) {
-		t.Errorf("shard.LoadShard of a checkpoint: %v, want ErrKind", err)
+		t.Errorf("shard.LoadShard of a label store: %v, want ErrKind", err)
 	}
 
 	ix, _ := buildIndex(t, 200, 20)
@@ -359,8 +360,8 @@ func TestSnapshotKindMismatch(t *testing.T) {
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.LoadCheckpoint(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrKind) {
-		t.Errorf("core.LoadCheckpoint of a sharded snapshot: %v, want ErrKind", err)
+	if _, err := store.Load(bytes.NewReader(buf.Bytes()), store.Options{}); !errors.Is(err, snapshot.ErrKind) {
+		t.Errorf("store.Load of a sharded snapshot: %v, want ErrKind", err)
 	}
 }
 

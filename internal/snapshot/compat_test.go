@@ -56,8 +56,8 @@ func reframe(t *testing.T, data []byte, kind string, v uint32, log bool) []byte 
 
 // TestV3ArtifactsAfterV4 pins the v4 compatibility line: an index snapshot
 // written at v3 fails with ErrVersion (it is rebuilt, not misread), while a
-// checkpoint, a dataset, a label-store snapshot and a WAL segment written at
-// v3 still load — MinVersion stays 1 for every kind but the index.
+// dataset, a label-store snapshot and a WAL segment written at v3 still load
+// — MinVersion stays 1 for every kind but the index.
 func TestV3ArtifactsAfterV4(t *testing.T) {
 	ds, err := dataset.Generate("night-street", 150, 1)
 	if err != nil {
@@ -82,17 +82,6 @@ func TestV3ArtifactsAfterV4(t *testing.T) {
 	}
 
 	buf.Reset()
-	ckpt := core.NewCheckpoint(core.PretrainedConfig(15, 1), ds)
-	ckpt.Failed[3] = "dead sensor"
-	if err := ckpt.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got *core.Checkpoint
-	if got, err = core.LoadCheckpoint(bytes.NewReader(reframe(t, buf.Bytes(), "tasti-checkpoint", 3, false))); err != nil || got.Failed[3] != "dead sensor" {
-		t.Errorf("v3 checkpoint: %+v, %v", got, err)
-	}
-
-	buf.Reset()
 	if err := ds.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +90,13 @@ func TestV3ArtifactsAfterV4(t *testing.T) {
 	}
 
 	buf.Reset()
-	labels := store.New(store.Options{})
+	corpus := store.Corpus{Dataset: "night-street", Size: 150, Seed: 1}
+	labels := store.New(store.Options{Corpus: corpus})
 	labels.Put(7, dataset.VideoAnnotation{Boxes: []dataset.Box{{Class: "car"}}})
 	if err := labels.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := store.New(store.Options{})
+	restored := store.New(store.Options{Corpus: corpus})
 	if err := restored.Restore(bytes.NewReader(reframe(t, buf.Bytes(), store.Kind, 3, false))); err != nil || restored.Len() != 1 {
 		t.Errorf("v3 label store: %d labels, %v", restored.Len(), err)
 	}

@@ -1,7 +1,7 @@
 // Package snapshot is the durable-artifact layer of the repository: a framed,
 // versioned, corruption-resistant container format plus atomic file
-// replacement. Every artifact the pipeline persists — index snapshots, build
-// checkpoints, generated corpora, trace dumps — goes through this package, so
+// replacement. Every artifact the pipeline persists — index snapshots, label
+// stores, generated corpora, trace dumps — goes through this package, so
 // a torn write, a bit-flipped disk block, or a kill -9 mid-write can never be
 // mistaken for a valid artifact.
 //
@@ -16,9 +16,9 @@
 //	                                                     (crc over nameLen..payload)
 //	trailer = 0x00 fileCRC:u32                           (crc over every prior byte)
 //
-// The kind string ("index", "checkpoint", "dataset", ...) distinguishes
-// artifact types sharing the container format, so loading a checkpoint as an
-// index fails with ErrKind instead of a confusing decode error. Each frame is
+// The kind string ("tasti-shard-index", "tasti-labels", "tasti-dataset", ...)
+// distinguishes artifact types sharing the container format, so loading a
+// label store as an index fails with ErrKind instead of a confusing decode error. Each frame is
 // an independently checksummed, length-prefixed section; the trailer's
 // whole-file CRC catches frame-boundary splices that per-frame CRCs cannot.
 //

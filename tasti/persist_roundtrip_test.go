@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/core"
 	"repro/tasti"
 )
 
@@ -162,11 +161,11 @@ func TestSnapshotErrorTaxonomyExported(t *testing.T) {
 		t.Fatalf("truncated snapshot error %v is not in the exported taxonomy", err)
 	}
 
-	var ckpt bytes.Buffer
-	if err := core.NewCheckpoint(tasti.PretrainedConfig(20, 1), ds).Save(&ckpt); err != nil {
+	var labels bytes.Buffer
+	if err := tasti.NewLabelStore(tasti.LabelStoreOptions{}).Save(&labels); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tasti.LoadShardedIndex(bytes.NewReader(ckpt.Bytes())); !errors.Is(err, tasti.ErrSnapshotKind) {
-		t.Fatalf("checkpoint-as-index error = %v, want ErrSnapshotKind", err)
+	if _, err := tasti.LoadShardedIndex(bytes.NewReader(labels.Bytes())); !errors.Is(err, tasti.ErrSnapshotKind) {
+		t.Fatalf("label-store-as-index error = %v, want ErrSnapshotKind", err)
 	}
 }

@@ -63,8 +63,8 @@ import (
 const Version = "0.9.0"
 
 // SnapshotFormatVersion is the framed snapshot container's current format
-// version, the one every artifact is written at. Checkpoints, datasets, WAL
-// segments and label-store snapshots still open back to snapshot.MinVersion;
+// version, the one every artifact is written at. Datasets, WAL segments and
+// label-store snapshots still open back to snapshot.MinVersion;
 // an index snapshot must be v4 or later (flat shard frames) — an older one
 // fails with ErrSnapshotVersion and is rebuilt.
 const SnapshotFormatVersion = snapshot.Version
@@ -130,8 +130,8 @@ func NewCountingLabeler(inner Labeler) *labeler.Counting {
 }
 
 // NewBudgetedLabeler wraps a labeler with a hard invocation budget; once
-// spent, calls fail with ErrBudgetExhausted (terminal but resumable — see
-// BuildResumable).
+// spent, calls fail with ErrBudgetExhausted (terminal, but a build resumes
+// over its label store — see Config.Labels).
 func NewBudgetedLabeler(inner Labeler, n int64) *labeler.Budgeted {
 	return labeler.NewBudgeted(inner, n)
 }
@@ -143,7 +143,8 @@ func GenerateDataset(name string, size int, seed int64) (*Dataset, error) {
 }
 
 // Reliability: fault injection, retry/backoff, per-call deadlines, and
-// circuit breaking for labeler tiers, plus resumable builds. See
+// circuit breaking for labeler tiers; a build resumes over its label store
+// (Config.Labels). See
 // docs/RELIABILITY.md for the failure model and composition order.
 type (
 	// RetryPolicy parameterizes retry middleware: exponential backoff with
@@ -163,10 +164,8 @@ type (
 	FlakyConfig = labeler.FlakyConfig
 	// FaultStats counts the faults a flaky labeler injected.
 	FaultStats = labeler.FaultStats
-	// Checkpoint captures a build's labeling progress for resumption.
-	Checkpoint = core.Checkpoint
 	// BuildInterruptedError reports a build stopped by an unrecoverable
-	// labeler failure; it carries the checkpoint that resumes it.
+	// labeler failure; building again over the same label store resumes it.
 	BuildInterruptedError = core.BuildInterruptedError
 )
 
@@ -182,8 +181,8 @@ var (
 	ErrLabelTimeout = labeler.ErrLabelTimeout
 	// ErrBreakerOpen marks a call rejected by an open circuit breaker.
 	ErrBreakerOpen = labeler.ErrBreakerOpen
-	// ErrBudgetExhausted marks a spent invocation budget (terminal but
-	// resumable: see BuildResumable).
+	// ErrBudgetExhausted marks a spent invocation budget (terminal, but a
+	// build resumes over its label store: see Config.Labels).
 	ErrBudgetExhausted = labeler.ErrBudgetExhausted
 	// IsRetryable classifies a labeler error as worth retrying.
 	IsRetryable = labeler.IsRetryable
@@ -213,18 +212,6 @@ func NewDeadlineLabeler(inner Labeler, timeout time.Duration) *labeler.Deadline 
 // while the tier is unhealthy.
 func NewBreakerLabeler(inner Labeler, pol BreakerPolicy) *Breaker {
 	return labeler.NewBreaker(inner, pol)
-}
-
-// LoadCheckpoint deserializes a checkpoint saved with Checkpoint.Save.
-var LoadCheckpoint = core.LoadCheckpoint
-
-// BuildResumable is Build with checkpointed labeling: a failure that
-// survives the configured retry/degradation policy returns a
-// *BuildInterruptedError carrying a checkpoint, and re-invoking with that
-// checkpoint resumes the build, spending zero labeler invocations on
-// already-labeled records. A nil checkpoint starts fresh.
-func BuildResumable(cfg Config, ds *Dataset, lab Labeler, ckpt *Checkpoint) (*Index, error) {
-	return core.BuildResumable(cfg, ds, lab, ckpt)
 }
 
 // Index construction.
@@ -262,7 +249,10 @@ func PretrainedConfig(numReps int, seed int64) Config {
 }
 
 // Build constructs an index over ds, spending target-labeler invocations
-// through lab.
+// through lab and the label store Config.Labels: a failure it can neither
+// retry nor degrade around returns a *BuildInterruptedError, and building
+// again over the same store — restored from its snapshot file after a kill —
+// spends nothing on the labels it holds.
 func Build(cfg Config, ds *Dataset, lab Labeler) (*Index, error) {
 	return core.Build(cfg, ds, lab)
 }
@@ -330,7 +320,7 @@ var LoadShard = shard.LoadShard
 // every implementation is bitwise identical.
 func KernelName() string { return vecmath.KernelName() }
 
-// Durable persistence. ShardedIndex.Save, Checkpoint.Save, and Dataset.Save
+// Durable persistence. ShardedIndex.Save, LabelStore.Save, and Dataset.Save
 // write a framed, checksummed container (magic, format version, per-section
 // and whole-file CRC-32C); the Load functions verify it end to end and
 // classify every corruption with the typed errors below. See docs/RELIABILITY.md
@@ -339,7 +329,7 @@ var (
 	// ErrSnapshotBadMagic marks a file that is not a framed snapshot at all.
 	ErrSnapshotBadMagic = snapshot.ErrBadMagic
 	// ErrSnapshotKind marks a framed snapshot of the wrong artifact type,
-	// e.g. a checkpoint file passed to LoadShardedIndex.
+	// e.g. a label-store file passed to LoadShardedIndex.
 	ErrSnapshotKind = snapshot.ErrKind
 	// ErrSnapshotVersion marks a format version this build cannot read.
 	ErrSnapshotVersion = snapshot.ErrVersion
@@ -359,13 +349,13 @@ var (
 // with the result: temp file in the same directory, fsync, rename, directory
 // fsync. A crash mid-write leaves the previous file intact; readers never
 // observe a partial file. All the repository's durable artifacts (index
-// snapshots, build checkpoints, generated corpora, traces) go through it.
+// snapshots, label stores, generated corpora, traces) go through it.
 func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 	return snapshot.WriteFile(path, write)
 }
 
 // ReadSnapshotFile opens path and passes it to read, recording load
-// telemetry. Pair with LoadShardedIndex/LoadCheckpoint/LoadDataset.
+// telemetry. Pair with LoadShardedIndex/LoadDataset, or LabelStore.Restore.
 func ReadSnapshotFile(path string, read func(r io.Reader) error) error {
 	return snapshot.ReadFile(path, read)
 }
@@ -599,6 +589,10 @@ type (
 	BoundLabeler = store.Bound
 	// LabelStoreOptions configures NewLabelStore and LoadLabelStore.
 	LabelStoreOptions = store.Options
+	// LabelStoreCorpus names the corpus a label store's record IDs index
+	// (LabelStoreOptions.Corpus); a snapshot restores only into a store of
+	// the same corpus.
+	LabelStoreCorpus = store.Corpus
 	// BudgetManager admits oracle spend against global and per-tenant caps,
 	// debiting at call time and refunding failed calls.
 	BudgetManager = store.Budget
