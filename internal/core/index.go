@@ -399,10 +399,12 @@ func Build(cfg Config, ds *dataset.Dataset, lab labeler.Labeler) (*Index, error)
 		tcfg.EmbedDim = cfg.EmbedDim
 		fitSpan := trainSpan.Child("train/fit")
 		fitSpan.SetAttr("steps", tcfg.Steps)
-		trained, err := triplet.Train(tcfg, ds, keptIDs, keptAnns, cfg.BucketKey, cfg.Parallelism)
+		trained, fit, err := triplet.Fit(tcfg, ds, keptIDs, keptAnns, cfg.BucketKey, cfg.Parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("core: triplet training: %w", err)
 		}
+		fitSpan.SetAttr("active_steps", fit.ActiveSteps)
+		fitSpan.SetAttr("forwarded_rows", fit.ForwardedRows)
 		fitSpan.End()
 		embedder = trained
 		stats.TripletSteps = tcfg.Steps

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -66,12 +67,16 @@ func TestBuildTelemetryInvariant(t *testing.T) {
 
 // tableMode returns the mode attribute of tr's cluster/table span: where the
 // build's min-k table came from.
-func tableMode(tr *telemetry.Trace) string {
+func tableMode(tr *telemetry.Trace) string { return spanAttr(tr, "cluster/table", "mode") }
+
+// spanAttr returns attribute key of tr's first span named name ("" when
+// there is none).
+func spanAttr(tr *telemetry.Trace, name, key string) string {
 	var find func(s telemetry.SpanSnapshot) string
 	find = func(s telemetry.SpanSnapshot) string {
-		if s.Name == "cluster/table" {
+		if s.Name == name {
 			for _, a := range s.Attrs {
-				if a.Key == "mode" {
+				if a.Key == key {
 					return a.Value
 				}
 			}
@@ -84,6 +89,46 @@ func tableMode(tr *telemetry.Trace) string {
 		return ""
 	}
 	return find(tr.SnapshotTree())
+}
+
+// TestFitSpanCountsWorkerInvariant: the train/fit span reports how many of
+// its steps moved the weights and how many rows they forwarded. Both are
+// deterministic, so they read the same at -parallelism 1 and 2; and since
+// most triplets meet the margin, most steps are idle and the fit forwards
+// fewer rows than its steps read.
+func TestFitSpanCountsWorkerInvariant(t *testing.T) {
+	ds, err := dataset.Generate("night-street", 1200, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := DefaultConfig(150, 120, triplet.VideoBucketKey(0.5), 7)
+	var counts [2][3]string
+	for i, p := range []int{1, 2} {
+		cfg := base
+		cfg.Parallelism = p
+		tr := telemetry.NewTrace("fit")
+		cfg.TraceSpan = tr.Root()
+		if _, err := Build(cfg, ds, labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)); err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		for k, key := range []string{"steps", "active_steps", "forwarded_rows"} {
+			counts[i][k] = spanAttr(tr, "train/fit", key)
+		}
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("train/fit steps, active_steps, forwarded_rows = %v at -parallelism 1, %v at 2", counts[0], counts[1])
+	}
+	var steps, active, forwarded int
+	if _, err := fmt.Sscan(strings.Join(counts[0][:], " "), &steps, &active, &forwarded); err != nil {
+		t.Fatalf("train/fit attrs %v: %v", counts[0], err)
+	}
+	// The build trains at the default config: three records a triplet.
+	read := steps * triplet.DefaultConfig(base.EmbedDim, base.Seed).BatchSize * 3
+	t.Logf("train/fit: %d of %d steps active, %d rows forwarded of %d read", active, steps, forwarded, read)
+	if active <= 0 || active >= steps || forwarded <= 0 || forwarded >= read {
+		t.Errorf("train/fit: %d of %d steps active, %d rows forwarded of %d read", active, steps, forwarded, read)
+	}
 }
 
 // TestBuildPropagateQueryMetrics covers the propagation instruments end to

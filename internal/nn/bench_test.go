@@ -22,12 +22,19 @@ func BenchmarkForward(b *testing.B) {
 
 // BenchmarkStep is one minibatch step of the triplet trainer's shape at an
 // index build's defaults: a 52-160-64 network, 300 training records, 32
-// examples of three passes each. Passes draw their records uniformly, so a
-// step forwards about 82 distinct rows for its 96 passes (the triplet
-// sampler, drawing within buckets, repeats a little more), and a quarter
-// of the examples back-propagate (most triplets have zero loss).
+// examples of three passes each, whose records are drawn uniformly (a step
+// lists about 82 distinct rows for its 96 passes).
+//
+//   - w1, w2: every step is active, a quarter of its examples
+//     back-propagating, so every step's rows are stale and forwarded — the
+//     cost of a step when training moves the weights each time;
+//   - fit_w1, fit_w2: the activity of a real fit at the benchmark's
+//     config (taipei 20k, 300 FPF-mined labels), where most triplets meet
+//     the margin: 3165 of 4000 steps idle, 558 with one active example,
+//     the rest with a quarter of them. An idle step after an idle step
+//     forwards nothing; the bookkeeping that tells is in every step.
 func BenchmarkStep(b *testing.B) {
-	const records, examples, passes, steps = 300, 32, 3, 64
+	const records, examples, passes, steps = 300, 32, 3, 4000
 	r := rand.New(rand.NewSource(1))
 	feats := make([][]float64, records)
 	for i := range feats {
@@ -36,34 +43,40 @@ func BenchmarkStep(b *testing.B) {
 			feats[i][j] = r.NormFloat64()
 		}
 	}
-	// Each step's distinct input rows and, per pass, the row it reads.
+	// Per step, the training row each pass reads, and how many examples
+	// of the fit's activity back-propagate (0: idle; 1; or every fourth).
 	type step struct {
-		inputs [][]float64
 		rows   [examples * passes]int
+		active int
 	}
 	draws := make([]step, steps)
 	for s := range draws {
-		rowOf := map[int]int{}
 		for i := range draws[s].rows {
-			id := r.Intn(records)
-			if _, ok := rowOf[id]; !ok {
-				rowOf[id] = len(draws[s].inputs)
-				draws[s].inputs = append(draws[s].inputs, feats[id])
-			}
-			draws[s].rows[i] = rowOf[id]
+			draws[s].rows[i] = r.Intn(records)
+		}
+		switch u := r.Intn(4000); {
+		case u < 3165:
+		case u < 3165+558:
+			draws[s].active = 1
+		default:
+			draws[s].active = examples / 4
 		}
 	}
-	for _, workers := range []int{1, 2} {
-		b.Run(map[int]string{1: "w1", 2: "w2"}[workers], func(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		workers int
+		fit     bool
+	}{{"w1", 1, false}, {"w2", 2, false}, {"fit_w1", 1, true}, {"fit_w2", 2, true}} {
+		b.Run(c.name, func(b *testing.B) {
 			m := NewMLP(rand.New(rand.NewSource(1)), 52, 160, 64)
-			tr := NewTrainer(m, NewAdam(1e-3), examples, passes, workers)
+			tr := NewTrainer(m, NewAdam(1e-3), feats, examples, passes, c.workers)
 			defer tr.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := &draws[i%steps]
-				tr.Step(d.inputs, examples, func(e int, ex *Example) {
-					if e%4 != 0 {
+				tr.Step(d.rows[:], examples, func(e int, ex *Example) {
+					if c.fit && e >= d.active || !c.fit && e%4 != 0 {
 						return
 					}
 					for s := 0; s < passes; s++ {
@@ -73,6 +86,7 @@ func BenchmarkStep(b *testing.B) {
 					}
 				})
 			}
+			b.ReportMetric(float64(tr.ForwardedRows())/float64(b.N), "rows/op")
 		})
 	}
 }

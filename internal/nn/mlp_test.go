@@ -172,10 +172,10 @@ func TestForwardIntoDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// gradients runs a step's forward and example regions and returns the
-// summed (unscaled) parameter gradients the update region would fold.
-func gradients(tr *Trainer, inputs [][]float64, n int, example func(e int, ex *Example)) (gw [][][]float64, gb [][]float64) {
-	tr.forward(inputs)
+// gradients runs a step's forward and example regions over rows and returns
+// the summed (unscaled) parameter gradients the update region would fold.
+func gradients(tr *Trainer, rows []int, n int, example func(e int, ex *Example)) (gw [][][]float64, gb [][]float64) {
+	tr.forward(rows)
 	tr.backprop(n, example)
 	gw, gb = zerosLike(tr.net)
 	for _, blk := range tr.blocks {
@@ -212,9 +212,9 @@ func TestGradientCheck(t *testing.T) {
 		return s
 	}
 
-	tr := NewTrainer(m, NewAdam(1e-3), 1, 1, 1)
+	tr := NewTrainer(m, NewAdam(1e-3), [][]float64{x}, 1, 1, 1)
 	defer tr.Close()
-	gw, gb := gradients(tr, [][]float64{x}, 1, func(_ int, ex *Example) {
+	gw, gb := gradients(tr, []int{0}, 1, func(_ int, ex *Example) {
 		copy(ex.Grad(0, 0), gradOut)
 		ex.Backward(0)
 	})
@@ -252,29 +252,29 @@ func TestBackwardAccumulates(t *testing.T) {
 	m := NewMLP(r, 3, 4, 2)
 	x := []float64{1, -1, 0.5}
 	g := []float64{1, 2}
-	tr := NewTrainer(m, NewAdam(1e-3), 3, 2, 2)
+	tr := NewTrainer(m, NewAdam(1e-3), [][]float64{x}, 3, 2, 2)
 	defer tr.Close()
-	inputs := [][]float64{x}
+	rows := []int{0}
 	pass := func(ex *Example, slot int) {
 		copy(ex.Grad(slot, 0), g)
 		ex.Backward(slot)
 	}
 
-	once, _ := gradients(tr, inputs, 1, func(_ int, ex *Example) { pass(ex, 0) })
+	once, _ := gradients(tr, rows, 1, func(_ int, ex *Example) { pass(ex, 0) })
 	if once[0][0][0] == 0 {
 		t.Fatal("zero gradient makes the test vacuous")
 	}
-	twice, _ := gradients(tr, inputs, 2, func(_ int, ex *Example) { pass(ex, 0) })
+	twice, _ := gradients(tr, rows, 2, func(_ int, ex *Example) { pass(ex, 0) })
 	if got, want := twice[0][0][0], 2*once[0][0][0]; math.Abs(got-want) > 1e-12 {
 		t.Errorf("two examples: %v vs %v", got, want)
 	}
-	slots, _ := gradients(tr, inputs, 1, func(_ int, ex *Example) { pass(ex, 0); pass(ex, 1) })
+	slots, _ := gradients(tr, rows, 1, func(_ int, ex *Example) { pass(ex, 0); pass(ex, 1) })
 	if got, want := slots[0][0][0], 2*once[0][0][0]; math.Abs(got-want) > 1e-12 {
 		t.Errorf("two slots: %v vs %v", got, want)
 	}
 	// Reading an output alone (a rejected candidate, a zero-loss example)
 	// leaves the gradient untouched, and the flags reset between steps.
-	mixed, _ := gradients(tr, inputs, 3, func(e int, ex *Example) {
+	mixed, _ := gradients(tr, rows, 3, func(e int, ex *Example) {
 		ex.Output(0)
 		if e == 1 {
 			pass(ex, 0)
@@ -292,10 +292,10 @@ func TestStepWithoutActiveExamplesIsANoOp(t *testing.T) {
 	m := NewMLP(rand.New(rand.NewSource(8)), 3, 4, 2)
 	before := m.Clone()
 	opt := NewAdam(1e-2)
-	tr := NewTrainer(m, opt, 4, 1, 2)
+	tr := NewTrainer(m, opt, [][]float64{{1, 2, 3}}, 4, 1, 2)
 	defer tr.Close()
-	inputs := [][]float64{{1, 2, 3}}
-	if active := tr.Step(inputs, 4, func(_ int, ex *Example) { ex.Output(0) }); active != 0 {
+	rows := []int{0}
+	if active := tr.Step(rows, 4, func(_ int, ex *Example) { ex.Output(0) }); active != 0 {
 		t.Fatalf("active = %d, want 0", active)
 	}
 	if opt.t != 0 {
@@ -310,7 +310,7 @@ func TestStepWithoutActiveExamplesIsANoOp(t *testing.T) {
 			}
 		}
 	}
-	if active := tr.Step(inputs, 3, func(e int, ex *Example) {
+	if active := tr.Step(rows, 3, func(e int, ex *Example) {
 		if e != 1 {
 			ex.Grad(0, 0)[0] = 1
 			ex.Backward(0)
@@ -341,20 +341,25 @@ func TestCloneIndependence(t *testing.T) {
 func trainRegression(workers int) (*MLP, float64) {
 	r := rand.New(rand.NewSource(5))
 	m := NewMLP(r, 2, 8, 1)
-	tr := NewTrainer(m, NewAdam(1e-2), 16, 1, workers)
+	const iters, batch = 2000, 16
+	xs := make([][]float64, iters*batch)
+	for i := range xs {
+		xs[i] = []float64{r.NormFloat64(), r.NormFloat64()}
+	}
+	tr := NewTrainer(m, NewAdam(1e-2), xs, batch, 1, workers)
 	defer tr.Close()
-	xs := make([][]float64, 16)
-	sq := make([]float64, 16)
+	rows := make([]int, batch)
+	sq := make([]float64, batch)
 	var mse float64
-	for iter := 0; iter < 2000; iter++ {
-		for b := range xs {
-			xs[b] = []float64{r.NormFloat64(), r.NormFloat64()}
+	for iter := 0; iter < iters; iter++ {
+		for b := range rows {
+			rows[b] = iter*batch + b
 		}
-		tr.Step(xs, len(xs), func(e int, ex *Example) {
-			x := xs[e]
-			diff := ex.Output(e)[0] - (2*x[0] - x[1])
+		tr.Step(rows, batch, func(e int, ex *Example) {
+			x := xs[rows[e]]
+			diff := ex.Output(rows[e])[0] - (2*x[0] - x[1])
 			sq[e] = diff * diff
-			ex.Grad(0, e)[0] = diff
+			ex.Grad(0, rows[e])[0] = diff
 			ex.Backward(0)
 		})
 		mse = 0

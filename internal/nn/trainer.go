@@ -31,10 +31,12 @@ func NewAdam(lr float64) *Adam {
 
 // update applies one Adam update to the parameters w given their gradients
 // g and moment estimates m and v; c1 and c2 are the step's bias corrections.
+// Every product is rounded before its add (float64(x*y)), so no compiler may
+// fuse it into a multiply-add and the update is the same bits on every host.
 func (a *Adam) update(w, g, m, v []float64, c1, c2 float64) {
 	for j := range w {
-		m[j] = a.Beta1*m[j] + (1-a.Beta1)*g[j]
-		v[j] = a.Beta2*v[j] + (1-a.Beta2)*g[j]*g[j]
+		m[j] = float64(a.Beta1*m[j]) + float64((1-a.Beta1)*g[j])
+		v[j] = float64(a.Beta2*v[j]) + float64((1-a.Beta2)*g[j]*g[j])
 		mHat := m[j] / c1
 		vHat := v[j] / c2
 		w[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
@@ -62,10 +64,10 @@ const blockRows = 8
 // rowBlock is units [lo, hi) of layer l.
 type rowBlock struct{ l, lo, hi int }
 
-// pass is one example's use of a step input row for back-propagation: row
-// is the input whose activations (shared by every pass of the step that
-// reads the same row) it differentiates through, and delta[l] is the loss
-// gradient at layer l's pre-activation, the pass's own, filled by Backward.
+// pass is one example's use of a training row for back-propagation: row is
+// the input whose stored activations (shared by every pass that reads the
+// same row) it differentiates through, and delta[l] is the loss gradient at
+// layer l's pre-activation, the pass's own, filled by Backward.
 type pass struct {
 	row   int
 	delta [][]float64
@@ -73,27 +75,27 @@ type pass struct {
 }
 
 // Example is one training example's scratch inside a Step: a fixed number
-// of pass slots, each of which Grad binds to a step input row and which,
-// once Backward is called on it, holds that pass's contribution to the
-// batch gradient. An Example is handed to the step's callback and must not
-// be retained.
+// of pass slots, each of which Grad binds to one of the step's rows and
+// which, once Backward is called on it, holds that pass's contribution to
+// the batch gradient. An Example is handed to the step's callback and must
+// not be retained.
 type Example struct {
 	t      *Trainer
 	passes []pass
 }
 
-// Output returns the network output for the step's input row (valid until
-// the step ends; do not modify it). The step forwarded every input row once
-// before the first callback ran, so reading a row costs nothing and
-// several examples may read the same one.
+// Output returns the network output for training row row, one the step
+// lists (valid until the step ends; do not modify it). Its activations are
+// current before the first callback runs, so reading a row costs nothing
+// and several examples may read the same one.
 func (ex *Example) Output(row int) []float64 {
 	ex.t.checkRow(row)
 	return ex.t.acts[len(ex.t.acts)-1].Row(row)
 }
 
-// Grad binds slot to the step's input row and returns the slot's
-// output-gradient buffer (len OutputDim), zeroed, for the caller to fill
-// with dLoss/dOutput at that row before calling Backward.
+// Grad binds slot to training row row, one the step lists, and returns the
+// slot's output-gradient buffer (len OutputDim), zeroed, for the caller to
+// fill with dLoss/dOutput at that row before calling Backward.
 func (ex *Example) Grad(slot, row int) []float64 {
 	ex.t.checkRow(row)
 	p := &ex.passes[slot]
@@ -122,28 +124,39 @@ func (ex *Example) Backward(slot int) {
 		}
 		a := ex.t.acts[l].Row(p.row)
 		for j := range prev {
-			prev[j] *= 1 - a[j]*a[j]
+			prev[j] *= 1 - float64(a[j]*a[j])
 		}
 	}
 }
 
-// Trainer runs minibatch Adam steps on one MLP with a team of workers, and
-// produces the same weights bit for bit at every team size. A step has
-// three parallel regions, and no float is ever combined across work items
-// in any of them:
+// Trainer runs minibatch Adam steps on one MLP over a fixed set of training
+// rows, with a team of workers, and produces the same weights bit for bit
+// at every team size.
 //
-//   - over tiles of input rows: each of the step's distinct inputs goes
-//     through the network once (forwardRows), and a tile writes only its
-//     own rows' activations;
+// It keeps every layer's activations for each training row, stamped with
+// the weight version they were computed under; the version moves exactly
+// when an update moves the weights. A row's activations depend only on its
+// input and the weights, so a stored row whose stamp is current is the bits
+// a forward pass would compute again, and a step forwards only its stale
+// rows. (A step with no active example leaves the weights, and so every
+// stamp, as they were.)
+//
+// A step has up to three parallel regions, and no float is ever combined
+// across work items in any of them:
+//
+//   - over tiles of stale rows, skipped when the step lists none: a tile
+//     gathers its rows' inputs, goes through the network (forwardRows) and
+//     writes each row's activations back to that row alone;
 //   - over examples: the caller's loss reads the outputs, and the deltas of
-//     back-propagation read the weights and the shared activations; each
+//     back-propagation read the weights and the stored activations; each
 //     example writes only its own slots;
-//   - over blocks of parameter rows (layer, unit): gradient accumulation,
-//     the batch mean, weight decay and the Adam update are elementwise per
-//     parameter, so each row folds the batch's live passes in batch order —
-//     the addition sequence a one-example-at-a-time loop performs on that
-//     element — and then updates itself and its column of the transposed
-//     copy the forward pass reads.
+//   - over blocks of parameter rows (layer, unit), only on an active step:
+//     gradient accumulation, the batch mean, weight decay and the Adam
+//     update are elementwise per parameter, so each row folds the batch's
+//     live passes in batch order — the addition sequence a
+//     one-example-at-a-time loop performs on that element — and then
+//     updates itself and its column of the transposed copy the forward
+//     pass reads.
 //
 // A Trainer is for one goroutine; distinct Trainers share nothing. Close
 // releases the team.
@@ -157,23 +170,35 @@ type Trainer struct {
 	wt      [][]float64 // transposed weights, kept equal to net.W by every update
 	team    *parallel.Team
 	ex      []Example
-	store   []vecmath.Matrix   // per layer, activation rows for the largest step so far
-	acts    []vecmath.Matrix   // the current step's rows of store: inputs, then each layer's outputs
-	tiles   [][]vecmath.Matrix // per worker, one tile's views of acts
+	inputs  [][]float64        // the training rows
+	acts    []vecmath.Matrix   // per layer l >= 1, each training row's outputs of layer l-1 (acts[0] is unused: inputs)
+	version int                // the weights' version, moved by every update
+	stamp   []int              // per row, the version its activations were computed under (0: never)
+	step    int                // the current step's number
+	listed  []int              // per row, the last step that listed it
+	stale   []int              // the current step's rows to forward
+	tiles   [][]vecmath.Matrix // per worker, one tile's gathered rows, per layer
+	views   [][]vecmath.Matrix // per worker, the views of tiles a partial tile runs through
 	live    []*pass            // the current step's live passes, in batch order
 	blocks  []rowBlock         // every parameter row, the items of the update region
 	scratch [][]float64        // per worker: blockRows gradient rows, then blockRows bias gradients
+	fwd     int                // rows forwarded so far
 }
 
-// NewTrainer prepares to train net with opt on batches of up to examples
-// examples, each making up to passes back-propagated passes, at
-// parallelism p (p <= 0 uses all CPUs; never more workers than examples).
-func NewTrainer(net *MLP, opt *Adam, examples, passes, p int) *Trainer {
+// NewTrainer prepares to train net with opt on the training rows inputs
+// (len Sizes[0] each; the Trainer keeps them, do not modify them) in
+// batches of up to examples examples, each making up to passes
+// back-propagated passes, at parallelism p (p <= 0 uses all CPUs; never
+// more workers than examples).
+func NewTrainer(net *MLP, opt *Adam, inputs [][]float64, examples, passes, p int) *Trainer {
+	for _, x := range inputs {
+		checkInput(x, net.Sizes[0])
+	}
 	if opt.mW == nil {
 		opt.mW, opt.mB = zerosLike(net)
 		opt.vW, opt.vB = zerosLike(net)
 	}
-	t := &Trainer{net: net, opt: opt, wt: transpose(net)}
+	t := &Trainer{net: net, opt: opt, wt: transpose(net), inputs: inputs, version: 1}
 	t.team = parallel.NewTeam(min(parallel.Workers(p), examples))
 	t.ex = make([]Example, examples)
 	for e := range t.ex {
@@ -186,11 +211,19 @@ func NewTrainer(net *MLP, opt *Adam, examples, passes, p int) *Trainer {
 			}
 		}
 	}
-	t.store = make([]vecmath.Matrix, len(net.Sizes))
 	t.acts = make([]vecmath.Matrix, len(net.Sizes))
+	for l := 1; l < len(net.Sizes); l++ {
+		t.acts[l] = vecmath.NewMatrix(len(inputs), net.Sizes[l])
+	}
+	t.stamp = make([]int, len(inputs))
+	t.listed = make([]int, len(inputs))
 	t.tiles = make([][]vecmath.Matrix, t.team.Workers())
+	t.views = make([][]vecmath.Matrix, t.team.Workers())
 	for w := range t.tiles {
-		t.tiles[w] = make([]vecmath.Matrix, len(net.Sizes))
+		for _, width := range net.Sizes {
+			t.tiles[w] = append(t.tiles[w], vecmath.NewMatrix(tileRows, width))
+		}
+		t.views[w] = make([]vecmath.Matrix, len(net.Sizes))
 	}
 	widest := 0
 	for l, w := range net.W {
@@ -209,18 +242,23 @@ func NewTrainer(net *MLP, opt *Adam, examples, passes, p int) *Trainer {
 // Close stops the trainer's workers; the trained weights are in the MLP.
 func (t *Trainer) Close() { t.team.Close() }
 
+// ForwardedRows returns how many rows the trainer's steps have run through
+// the network so far: each step's rows whose activations the last update
+// made stale (or that no step had forwarded yet).
+func (t *Trainer) ForwardedRows() int { return t.fwd }
+
 // Step runs one minibatch step over n examples and returns how many were
-// active. inputs are the step's input rows, each forwarded through the
-// network once, in parallel over tiles of rows, before any example runs;
-// list a row once however many examples read it. example(e, ex) is then
-// called once per e in [0, n), concurrently for distinct e: it reads
-// outputs (ex.Output), computes its loss, and for each pass the loss
-// depends on fills ex.Grad and calls Backward (none, for an example with
-// zero loss). The weights then move by Adam on the mean gradient over
-// active examples; with none active nothing changes, Adam's step count
-// included.
-func (t *Trainer) Step(inputs [][]float64, n int, example func(e int, ex *Example)) int {
-	t.forward(inputs)
+// active. rows are the training rows the step's examples read; a row
+// listed twice counts once. The rows whose stored activations predate the
+// current weights are forwarded, in parallel over tiles of rows, before
+// any example runs. example(e, ex) is then called once per e in [0, n),
+// concurrently for distinct e: it reads outputs (ex.Output), computes its
+// loss, and for each pass the loss depends on fills ex.Grad and calls
+// Backward (none, for an example with zero loss). The weights then move by
+// Adam on the mean gradient over active examples; with none active nothing
+// changes, Adam's step count and the stored activations included.
+func (t *Trainer) Step(rows []int, n int, example func(e int, ex *Example)) int {
+	t.forward(rows)
 	active := t.backprop(n, example)
 	if active == 0 {
 		return 0
@@ -234,40 +272,58 @@ func (t *Trainer) Step(inputs [][]float64, n int, example func(e int, ex *Exampl
 		gw, gb := t.fold(w, blk)
 		t.apply(blk, gw, gb, scale, c1, c2)
 	})
+	t.version++
 	return active
 }
 
-// forward is a step's first region: it copies the inputs into the first
-// activation matrix and runs them through the network a tile at a time.
-func (t *Trainer) forward(inputs [][]float64) {
-	rows := len(inputs)
-	if rows > t.store[0].Rows() {
-		for l, width := range t.net.Sizes {
-			t.store[l] = vecmath.NewMatrix(rows, width)
+// forward is a step's first region: it lists the step's rows, and runs
+// the stale ones through the network a tile at a time, each tile gathered
+// into a worker's own matrices and its activations written back per row.
+// DenseRows gives every row the same bits whichever tile, and whichever
+// position in it, the row has.
+func (t *Trainer) forward(rows []int) {
+	t.step++
+	t.stale = t.stale[:0]
+	for _, r := range rows {
+		if r < 0 || r >= len(t.inputs) {
+			panic(fmt.Sprintf("nn: row %d of %d training rows", r, len(t.inputs)))
+		}
+		if t.listed[r] == t.step {
+			continue
+		}
+		t.listed[r] = t.step
+		if t.stamp[r] != t.version {
+			t.stamp[r] = t.version
+			t.stale = append(t.stale, r)
 		}
 	}
-	for l := range t.acts {
-		t.acts[l] = t.store[l].RowRange(0, rows)
+	if len(t.stale) == 0 {
+		return
 	}
-	for r, x := range inputs {
-		checkInput(x, t.net.Sizes[0])
-		copy(t.acts[0].Row(r), x)
-	}
-	t.team.Run((rows+tileRows-1)/tileRows, func(w, i int) {
-		lo, hi := i*tileRows, min((i+1)*tileRows, rows)
-		tile := t.tiles[w]
-		for l, a := range t.acts {
-			tile[l] = a.RowRange(lo, hi)
+	t.fwd += len(t.stale)
+	t.team.Run((len(t.stale)+tileRows-1)/tileRows, func(w, i int) {
+		rs := t.stale[i*tileRows : min((i+1)*tileRows, len(t.stale))]
+		tile := t.views[w]
+		for l, m := range t.tiles[w] {
+			tile[l] = m.RowRange(0, len(rs))
+		}
+		for k, r := range rs {
+			copy(tile[0].Row(k), t.inputs[r])
 		}
 		forwardRows(t.wt, t.net.B, tile)
+		for l := 1; l < len(tile); l++ {
+			for k, r := range rs {
+				copy(t.acts[l].Row(r), tile[l].Row(k))
+			}
+		}
 	})
 }
 
-// checkRow panics unless row is one of the current step's input rows (a
-// row past them would read the activations of an earlier, larger step).
+// checkRow panics unless row is one the current step lists (any other
+// row's activations, current or not, are no input of this step).
 func (t *Trainer) checkRow(row int) {
-	if row < 0 || row >= t.acts[0].Rows() {
-		panic(fmt.Sprintf("nn: row %d of a step with %d input rows", row, t.acts[0].Rows()))
+	if row < 0 || row >= len(t.inputs) || t.listed[row] != t.step {
+		panic(fmt.Sprintf("nn: row %d is not listed by the step (%d training rows)", row, len(t.inputs)))
 	}
 }
 
@@ -300,6 +356,15 @@ func (t *Trainer) backprop(n int, example func(e int, ex *Example)) int {
 	return active
 }
 
+// input returns layer l's input at training row row: the row itself for
+// the first layer, the stored activations of layer l-1 after it.
+func (t *Trainer) input(l, row int) []float64 {
+	if l == 0 {
+		return t.inputs[row]
+	}
+	return t.acts[l].Row(row)
+}
+
 // fold sums the live passes' gradients for one block of rows into worker
 // w's scratch: gw holds the block's weight-gradient rows back to back, gb
 // its bias gradients. Passes are the outer loop so one pass's activations
@@ -311,7 +376,7 @@ func (t *Trainer) fold(w int, blk rowBlock) (gw, gb []float64) {
 	clear(gw)
 	clear(gb)
 	for _, p := range t.live {
-		x, d := t.acts[blk.l].Row(p.row), p.delta[blk.l][blk.lo:blk.hi]
+		x, d := t.input(blk.l, p.row), p.delta[blk.l][blk.lo:blk.hi]
 		for r, di := range d {
 			gb[r] += di
 			vecmath.AXPY(gw[r*in:r*in+in], di, x)

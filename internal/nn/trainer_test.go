@@ -63,50 +63,60 @@ func TestTrainerCloseReleasesGoroutines(t *testing.T) {
 
 func TestExamplePanicSurfacesOnCaller(t *testing.T) {
 	m := NewMLP(rand.New(rand.NewSource(1)), 3, 4, 2)
-	tr := NewTrainer(m, NewAdam(1e-2), 8, 1, 4)
+	tr := NewTrainer(m, NewAdam(1e-2), [][]float64{make([]float64, 3), make([]float64, 3)}, 8, 1, 4)
 	defer tr.Close()
-	inputs := [][]float64{make([]float64, 3)}
 	defer func() {
 		if recover() == nil {
-			t.Error("a row out of range inside a step did not panic on the caller")
+			t.Error("a row the step does not list did not panic on the caller")
 		}
 	}()
-	tr.Step(inputs, 8, func(e int, ex *Example) {
-		ex.Grad(0, e%2) // odd examples ask for a row the step does not have
+	tr.Step([]int{0}, 8, func(e int, ex *Example) {
+		ex.Grad(0, e%2) // odd examples ask for a row the step does not list
 	})
 }
 
-// TestOutputRejectsRowsOfAnEarlierStep: a step smaller than an earlier one
-// keeps the earlier step's activations past its own rows; reading them is
-// a bug the trainer reports rather than serves.
+// TestOutputRejectsRowsOfAnEarlierStep: a row an earlier step listed keeps
+// its activations, current ones while no update comes between; reading
+// them in a step that does not list the row is a bug the trainer reports
+// rather than serves.
 func TestOutputRejectsRowsOfAnEarlierStep(t *testing.T) {
 	m := NewMLP(rand.New(rand.NewSource(1)), 3, 2)
-	tr := NewTrainer(m, NewAdam(1e-2), 2, 1, 1)
+	tr := NewTrainer(m, NewAdam(1e-2), [][]float64{{1, 2, 3}, {4, 5, 6}}, 2, 1, 1)
 	defer tr.Close()
-	tr.Step([][]float64{{1, 2, 3}, {4, 5, 6}}, 2, func(e int, ex *Example) { ex.Output(e) })
+	tr.Step([]int{0, 1}, 2, func(e int, ex *Example) { ex.Output(e) })
 	defer func() {
 		if recover() == nil {
-			t.Error("no panic reading row 1 of a one-row step")
+			t.Error("no panic reading row 1 in a step that lists only row 0")
 		}
 	}()
-	tr.Step([][]float64{{1, 2, 3}}, 1, func(_ int, ex *Example) { ex.Output(1) })
+	tr.Step([]int{0}, 1, func(_ int, ex *Example) { ex.Output(1) })
 }
 
-func TestStepRejectsWrongWidthInput(t *testing.T) {
+func TestNewTrainerRejectsWrongWidthInput(t *testing.T) {
 	m := NewMLP(rand.New(rand.NewSource(1)), 3, 2)
-	tr := NewTrainer(m, NewAdam(1e-2), 2, 1, 2)
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic for a training row of the wrong width")
+		}
+	}()
+	NewTrainer(m, NewAdam(1e-2), [][]float64{make([]float64, 3), make([]float64, 4)}, 2, 1, 2).Close()
+}
+
+func TestStepRejectsRowOutOfRange(t *testing.T) {
+	m := NewMLP(rand.New(rand.NewSource(1)), 3, 2)
+	tr := NewTrainer(m, NewAdam(1e-2), [][]float64{make([]float64, 3)}, 2, 1, 1)
 	defer tr.Close()
 	defer func() {
 		if recover() == nil {
-			t.Error("no panic for an input row of the wrong width")
+			t.Error("no panic listing a row past the training rows")
 		}
 	}()
-	tr.Step([][]float64{make([]float64, 3), make([]float64, 4)}, 2, func(int, *Example) {})
+	tr.Step([]int{0, 1}, 2, func(int, *Example) {})
 }
 
 func TestStepRejectsOversizedBatch(t *testing.T) {
 	m := NewMLP(rand.New(rand.NewSource(1)), 3, 2)
-	tr := NewTrainer(m, NewAdam(1e-2), 2, 1, 1)
+	tr := NewTrainer(m, NewAdam(1e-2), nil, 2, 1, 1)
 	defer tr.Close()
 	defer func() {
 		if recover() == nil {
@@ -114,4 +124,111 @@ func TestStepRejectsOversizedBatch(t *testing.T) {
 		}
 	}()
 	tr.Step(nil, 3, func(int, *Example) {})
+}
+
+// TestStoredActivationsMatchAFreshForward drives a seeded run of idle and
+// active steps over rows that steps share and repeat. In every step, each
+// output the examples read is a fresh Forwarder's at the step's weights;
+// after every step, each row stamped current holds, layer by layer, what a
+// forward pass at the new weights computes; and the trainer forwarded
+// exactly the rows that a model of "an update makes every row stale"
+// expects — no row twice under the same weights, none left stale.
+func TestStoredActivationsMatchAFreshForward(t *testing.T) {
+	const records, examples, steps = 24, 6, 80
+	r := rand.New(rand.NewSource(11))
+	xs := make([][]float64, records)
+	for i := range xs {
+		xs[i] = make([]float64, 5)
+		for j := range xs[i] {
+			xs[i][j] = r.NormFloat64()
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		r := rand.New(rand.NewSource(12))
+		m := NewMLP(r, 5, 12, 7, 3)
+		tr := NewTrainer(m, NewAdam(1e-2), xs, examples, 2, workers)
+		fresh := make([]bool, records) // the model: rows forwarded since the last update
+		idle, active, skipped := 0, 0, 0
+		for s := 0; s < steps; s++ {
+			// Each example reads two rows; the step lists them all,
+			// repeats included, and goes active with probability 0.3.
+			pairs := make([][2]int, examples)
+			var rows []int
+			for e := range pairs {
+				pairs[e] = [2]int{r.Intn(records), r.Intn(records)}
+				rows = append(rows, pairs[e][0], pairs[e][1])
+			}
+			update := r.Float64() < 0.3
+			want := 0
+			for _, row := range rows {
+				if !fresh[row] {
+					fresh[row] = true
+					want++
+				}
+			}
+			fw := NewForwarder(m)
+			before := tr.ForwardedRows()
+			got := tr.Step(rows, examples, func(e int, ex *Example) {
+				for slot, row := range pairs[e] {
+					out := ex.Output(row)
+					ref := fw.Forward(xs[row])
+					for i := range ref {
+						if math.Float64bits(out[i]) != math.Float64bits(ref[i]) {
+							t.Errorf("workers=%d step %d row %d: output[%d] = %v, fresh forward %v", workers, s, row, i, out[i], ref[i])
+							return
+						}
+					}
+					if update && e%2 == 0 {
+						copy(ex.Grad(slot, row), out)
+						ex.Backward(slot)
+					}
+				}
+			})
+			if forwarded := tr.ForwardedRows() - before; forwarded != want {
+				t.Fatalf("workers=%d step %d forwarded %d rows, want %d", workers, s, forwarded, want)
+			}
+			if want == 0 {
+				skipped++
+			}
+			if got > 0 {
+				active++
+				clear(fresh)
+			} else {
+				idle++
+			}
+			checkStored(t, tr, m, fresh)
+		}
+		tr.Close()
+		if idle == 0 || active == 0 || skipped == 0 {
+			t.Fatalf("workers=%d: %d idle, %d active steps, %d with nothing to forward: a case is not exercised", workers, idle, active, skipped)
+		}
+	}
+}
+
+// checkStored fails unless every row the trainer holds current — exactly
+// the rows fresh marks — stores, per layer, forwardLayer's outputs at the
+// network's present weights.
+func checkStored(t *testing.T, tr *Trainer, m *MLP, fresh []bool) {
+	t.Helper()
+	wt := transpose(m)
+	last := len(wt) - 1
+	for row, x := range tr.inputs {
+		if current := tr.stamp[row] == tr.version; current != fresh[row] {
+			t.Fatalf("row %d current = %v, want %v", row, current, fresh[row])
+		}
+		if !fresh[row] {
+			continue
+		}
+		in := x
+		for l := range wt {
+			out := make([]float64, m.Sizes[l+1])
+			forwardLayer(wt[l], m.B[l], in, out, l < last)
+			for i, v := range tr.acts[l+1].Row(row) {
+				if math.Float64bits(v) != math.Float64bits(out[i]) {
+					t.Fatalf("row %d layer %d unit %d stores %v, a forward pass computes %v", row, l, i, v, out[i])
+				}
+			}
+			in = out
+		}
+	}
 }

@@ -88,7 +88,13 @@ func fit(cfg Config, ds *dataset.Dataset, ids []int, targets []float64, p int) (
 		return nil, fmt.Errorf("proxy: unknown kind %d", cfg.Kind)
 	}
 	net := nn.NewMLP(xrand.Split(cfg.Seed, "proxy-init"), ds.FeatureDim(), cfg.Hidden, 1)
-	trainer := nn.NewTrainer(net, nn.NewAdam(cfg.LR), min(cfg.BatchSize, len(ids)), 1, p)
+	// The trainer's row j is training position j, so a batch lists its
+	// positions: distinct, even where ids repeats a record.
+	inputs := make([][]float64, len(ids))
+	for j, id := range ids {
+		inputs[j] = ds.Records[id].Features
+	}
+	trainer := nn.NewTrainer(net, nn.NewAdam(cfg.LR), inputs, min(cfg.BatchSize, len(ids)), 1, p)
 	defer trainer.Close()
 	r := xrand.Split(cfg.Seed, "proxy-shuffle")
 
@@ -96,25 +102,17 @@ func fit(cfg Config, ds *dataset.Dataset, ids []int, targets []float64, p int) (
 	for i := range order {
 		order[i] = i
 	}
-	inputs := make([][]float64, 0, cfg.BatchSize)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		xrand.Shuffle(r, order)
 		for start := 0; start < len(order); start += cfg.BatchSize {
 			batch := order[start:min(start+cfg.BatchSize, len(order))]
-			inputs = inputs[:0]
-			for _, j := range batch {
-				inputs = append(inputs, ds.Records[ids[j]].Features)
-			}
-			// One input row per example, in batch order: a batch's records
-			// are distinct unless ids repeats one, and a repeat is simply
-			// forwarded twice.
-			trainer.Step(inputs, len(batch), func(e int, ex *nn.Example) {
+			trainer.Step(batch, len(batch), func(e int, ex *nn.Example) {
 				j := batch[e]
-				out := ex.Output(e)[0]
+				out := ex.Output(j)[0]
 				if cfg.Kind == Classification {
 					out = sigmoid(out) // d/dlogit BCE = sigmoid(logit) - y
 				}
-				ex.Grad(0, e)[0] = out - targets[j] // Regression: d/dout 0.5*(out-y)^2
+				ex.Grad(0, j)[0] = out - targets[j] // Regression: d/dout 0.5*(out-y)^2
 				ex.Backward(0)
 			})
 		}

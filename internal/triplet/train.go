@@ -68,7 +68,7 @@ func l2(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d) // rounded: no host fuses it into a multiply-add
 	}
 	return math.Sqrt(s)
 }
@@ -80,96 +80,102 @@ func l2(a, b []float64) float64 {
 // the parallelism level (p <= 0 uses all CPUs); the trained weights are
 // bitwise identical at every p.
 func Train(cfg Config, ds *dataset.Dataset, trainIDs []int, anns []dataset.Annotation, key BucketKey, p int) (*embed.Trained, error) {
+	trained, _, err := Fit(cfg, ds, trainIDs, anns, key, p)
+	return trained, err
+}
+
+// FitStats counts what one training run did. Both counts are the same at
+// every parallelism.
+type FitStats struct {
+	// ActiveSteps is how many steps had a triplet inside the margin, and so
+	// moved the weights; the rest left them as they were.
+	ActiveSteps int
+	// ForwardedRows is how many training records the steps ran through the
+	// network: a step forwards only the records it draws whose activations
+	// the last active step made stale.
+	ForwardedRows int
+}
+
+// Fit is Train that also reports what the run did.
+func Fit(cfg Config, ds *dataset.Dataset, trainIDs []int, anns []dataset.Annotation, key BucketKey, p int) (*embed.Trained, FitStats, error) {
+	var stats FitStats
 	if cfg.EmbedDim <= 0 {
-		return nil, fmt.Errorf("triplet: invalid embed dim %d", cfg.EmbedDim)
+		return nil, stats, fmt.Errorf("triplet: invalid embed dim %d", cfg.EmbedDim)
 	}
 	if cfg.BatchSize <= 0 || cfg.Steps < 0 {
-		return nil, fmt.Errorf("triplet: invalid batch size %d or step count %d", cfg.BatchSize, cfg.Steps)
+		return nil, stats, fmt.Errorf("triplet: invalid batch size %d or step count %d", cfg.BatchSize, cfg.Steps)
 	}
 	for _, h := range cfg.Hidden {
 		if h <= 0 {
-			return nil, fmt.Errorf("triplet: invalid hidden widths %v", cfg.Hidden)
+			return nil, stats, fmt.Errorf("triplet: invalid hidden widths %v", cfg.Hidden)
 		}
 	}
 	if len(trainIDs) != len(anns) {
-		return nil, fmt.Errorf("triplet: %d train ids but %d annotations", len(trainIDs), len(anns))
+		return nil, stats, fmt.Errorf("triplet: %d train ids but %d annotations", len(trainIDs), len(anns))
 	}
 	buckets := BucketRecords(trainIDs, anns, key)
 	r := xrand.New(cfg.Seed)
 	if _, ok := buckets.SampleTriplet(r); !ok {
-		return nil, ErrNoTriplets
+		return nil, stats, ErrNoTriplets
 	}
 
 	sizes := append([]int{ds.FeatureDim()}, cfg.Hidden...)
 	sizes = append(sizes, cfg.EmbedDim)
 	net := nn.NewMLP(xrand.Split(cfg.Seed, "init"), sizes...)
+	// The trainer's rows are the training records, each mapped to its row
+	// once; a record listed twice in trainIDs is drawn under its first row.
+	inputs := make([][]float64, len(trainIDs))
+	rowOf := make(map[int]int, len(trainIDs))
+	for i, id := range trainIDs {
+		inputs[i] = ds.Records[id].Features
+		if _, ok := rowOf[id]; !ok {
+			rowOf[id] = i
+		}
+	}
 	batch := make([]draw, cfg.BatchSize)
 	// One slot per back-propagated pass: anchor, positive, negative.
-	trainer := nn.NewTrainer(net, nn.NewAdam(cfg.LR), len(batch), 3, p)
+	trainer := nn.NewTrainer(net, nn.NewAdam(cfg.LR), inputs, len(batch), 3, p)
 	defer trainer.Close()
 	trainer.WeightDecay = cfg.WeightDecay
 	sampleRand := xrand.Split(cfg.Seed, "sample")
-	rows := &stepRows{ds: ds, row: make(map[int]int)}
+	var rows []int
 
 	for step := 0; step < cfg.Steps; step++ {
 		// Drawing never reads the network, so the whole batch is drawn —
-		// and its distinct records listed — before any of it is evaluated.
-		rows.reset()
+		// and the rows it reads listed — before any of it is evaluated.
+		rows = rows[:0]
 		for b := range batch {
 			if !batch[b].sample(buckets, sampleRand, cfg.HardNegatives) {
-				return nil, ErrNoTriplets
+				return nil, stats, ErrNoTriplets
 			}
-			batch[b].listRows(rows)
+			batch[b].listRows(rowOf)
+			rows = append(rows, batch[b].rows...)
 		}
-		trainer.Step(rows.inputs, len(batch), func(e int, ex *nn.Example) {
+		if trainer.Step(rows, len(batch), func(e int, ex *nn.Example) {
 			backwardTriplet(ex, batch[e].rows, cfg.Margin)
-		})
+		}) > 0 {
+			stats.ActiveSteps++
+		}
 	}
-	return embed.NewTrained(net), nil
+	stats.ForwardedRows = trainer.ForwardedRows()
+	return embed.NewTrained(net), stats, nil
 }
 
 // draw is one batch element as sampled: the triplet, under semi-hard
 // mining the candidate negatives that may replace its negative, and the
-// step input rows of all of these.
+// trainer rows of all of these.
 type draw struct {
 	Triplet
 	candidates []int
 	rows       []int // anchor, positive, negative, then the candidates
 }
 
-// listRows fills d.rows from the step's row list, adding the records it
-// has not seen yet this step.
-func (d *draw) listRows(s *stepRows) {
-	d.rows = append(d.rows[:0], s.of(d.Anchor), s.of(d.Positive), s.of(d.Negative))
+// listRows fills d.rows with the trainer rows of the draw's records.
+func (d *draw) listRows(rowOf map[int]int) {
+	d.rows = append(d.rows[:0], rowOf[d.Anchor], rowOf[d.Positive], rowOf[d.Negative])
 	for _, id := range d.candidates {
-		d.rows = append(d.rows, s.of(id))
+		d.rows = append(d.rows, rowOf[id])
 	}
-}
-
-// stepRows lists one step's distinct training records as the trainer's
-// input rows: a record drawn by several triplets, or twice by one, is
-// forwarded once.
-type stepRows struct {
-	ds     *dataset.Dataset
-	row    map[int]int // record ID -> input row
-	inputs [][]float64
-}
-
-// reset starts a new step with no rows.
-func (s *stepRows) reset() {
-	clear(s.row)
-	s.inputs = s.inputs[:0]
-}
-
-// of returns record id's input row, adding it on first sight this step.
-func (s *stepRows) of(id int) int {
-	r, ok := s.row[id]
-	if !ok {
-		r = len(s.inputs)
-		s.row[id] = r
-		s.inputs = append(s.inputs, s.ds.Records[id].Features)
-	}
-	return r
 }
 
 // sample draws the triplet and, for hardNegatives > 1, hardNegatives-1
@@ -247,6 +253,9 @@ func backwardTriplet(ex *nn.Example, rows []int, margin float64) {
 // embedder by sampling numSamples triplets from the bucketed annotations.
 // It is the quantity the paper's Theorems 1 and 2 bound query error by.
 func EmpiricalLoss(r *rand.Rand, e embed.Embedder, ds *dataset.Dataset, trainIDs []int, anns []dataset.Annotation, key BucketKey, margin float64, numSamples int) (float64, error) {
+	if numSamples <= 0 {
+		return 0, fmt.Errorf("triplet: empirical loss over %d samples", numSamples)
+	}
 	buckets := BucketRecords(trainIDs, anns, key)
 	total := 0.0
 	for i := 0; i < numSamples; i++ {

@@ -145,3 +145,15 @@ func TestEmpiricalLossNoTriplets(t *testing.T) {
 		t.Errorf("err = %v, want ErrNoTriplets", err)
 	}
 }
+
+// TestEmpiricalLossNoSamples: a mean over no samples is 0/0; it must be an
+// error, not a NaN with a nil one.
+func TestEmpiricalLossNoSamples(t *testing.T) {
+	ds, ids, anns := trainSetup(t, 600)
+	pre := embed.NewPretrained(ds.FeatureDim(), 8, 1)
+	for _, n := range []int{0, -1} {
+		if loss, err := EmpiricalLoss(xrand.New(1), pre, ds, ids, anns, VideoBucketKey(0.5), 1, n); err == nil {
+			t.Errorf("numSamples=%d: loss %v, nil error", n, loss)
+		}
+	}
+}
