@@ -14,12 +14,15 @@
 // a file, so an interrupted build resumes without re-spending labeler budget
 // (run the same command again to resume). The file is flushed every
 // -label-flush and when the build ends, so even a hard kill (power loss, OOM
-// killer) loses at most one period of labels. All files are written
-// atomically: a crash mid-write leaves the previous file intact; -load keeps
-// the shard layout -save wrote. See docs/RELIABILITY.md.
+// killer) loses at most one period of labels. The query labels through the
+// same store, as tastiserve's do: a label the build or the file holds costs
+// it nothing. All files are written atomically: a crash mid-write leaves the
+// previous file intact; -load keeps the shard layout -save wrote and refuses
+// an index of another corpus. See docs/RELIABILITY.md.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,7 +51,6 @@ type runOptions struct {
 	load     string
 	errTgt   float64
 	recall   float64
-	useANN   bool
 	quantize bool
 	par      int
 	shards   int
@@ -79,14 +81,13 @@ func main() {
 	flag.StringVar(&o.load, "load", "", "path to load a previously saved index from (its shard layout wins over -shards)")
 	flag.Float64Var(&o.errTgt, "err", 0.05, "aggregation error target")
 	flag.Float64Var(&o.recall, "recall", 0.9, "selection recall target")
-	flag.BoolVar(&o.useANN, "ann", false, "build the distance table with the IVF approximate-NN index")
 	flag.BoolVar(&o.quantize, "quantize", false, "build the uint8 quantized plane: FPF selection and cracks prune through 8x smaller codes with exact rerank, bitwise-identical results")
 	flag.IntVar(&o.par, "parallelism", 0, "worker count for index construction and propagation (<= 0 uses all CPUs; results are identical at every value)")
 	flag.IntVar(&o.shards, "shards", 1, "scatter-gather shard count for query processing; results are bitwise identical at every value (<= 1 serves one shard)")
 	flag.IntVar(&o.retries, "retries", 1, "labeler attempts per call, including the first (<= 1 disables retrying)")
 	flag.DurationVar(&o.labelTimeout, "label-timeout", 0, "per-call target-labeler deadline (0 disables)")
 	flag.Float64Var(&o.faultRate, "fault-rate", 0, "inject transient labeler faults at this per-attempt probability")
-	flag.StringVar(&o.labelStore, "label-store", "", "label-store snapshot file the build labels through: loaded at startup if present, flushed on -label-flush and when the build ends, so re-running an interrupted build resumes it (empty keeps labels in memory only)")
+	flag.StringVar(&o.labelStore, "label-store", "", "label-store snapshot file the build and the query label through: loaded at startup if present, flushed on -label-flush and when the build ends, so re-running an interrupted build resumes it (empty keeps labels in memory only)")
 	flag.DurationVar(&o.labelFlush, "label-flush", 30*time.Second, "background label-store flush period (0 disables the loop; the end of the build still flushes)")
 	flag.BoolVar(&o.allowDegraded, "allow-degraded", false, "complete the index around permanently unlabelable records")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a span-tree JSON trace of the run here and print a phase-timing summary")
@@ -125,16 +126,36 @@ func run(o runOptions) error {
 		})
 	}
 
+	score, pred := querySpec(o.dsName, o.class, o.count)
+	var q tasti.Query
+	switch o.query {
+	case "agg":
+		q.Aggregate = &tasti.AggregateQuery{Score: tasti.Scorer{Name: "score", Score: score}, ErrTarget: o.errTgt, Seed: o.seed + 1}
+	case "select":
+		q.Select = &tasti.SelectQuery{Match: tasti.Scorer{Name: "match", Score: tasti.MatchScore(pred)}, Budget: o.budget, Recall: o.recall, Seed: o.seed + 2}
+	case "limit":
+		q.Limit = &tasti.LimitQuery{Score: tasti.Scorer{Name: "score", Score: score}, Pred: pred, K: o.k}
+	default:
+		return fmt.Errorf("unknown query %q (want agg, select, or limit)", o.query)
+	}
+
+	// The build labels through this store, and the query after it: labels
+	// the build bought — and, with -label-store, every label in the file —
+	// cost the query nothing.
+	labels := openLabels(o, ds)
+
 	// Queries always run through the scatter-gather layer; -shards 1 (the
 	// default) is the identity sharding, and every shard count produces
 	// bitwise-identical answers (see docs/SHARDING.md). A loaded index keeps
-	// the shard layout it was saved at.
+	// the shard layout it was saved at, and must index this very corpus.
 	var sharded *tasti.ShardedIndex
 	if o.load != "" {
 		err := tasti.ReadSnapshotFile(o.load, func(r io.Reader) error {
 			var lerr error
-			sharded, lerr = tasti.LoadShardedIndex(r)
-			return lerr
+			if sharded, lerr = tasti.LoadShardedIndex(r); lerr != nil {
+				return lerr
+			}
+			return sharded.Pin().CheckCorpus(ds.Corpus)
 		})
 		if err != nil {
 			return err
@@ -142,7 +163,7 @@ func run(o runOptions) error {
 		sharded.SetParallelism(o.par)
 		fmt.Printf("loaded index: %d records, %d representatives, %d shards\n", sharded.NumRecords(), sharded.RepCount(), sharded.NumShards())
 	} else {
-		index, err := buildIndex(o, ds, target, tr.Root())
+		index, err := buildIndex(o, ds, target, labels, tr.Root())
 		if err != nil {
 			return err
 		}
@@ -158,65 +179,25 @@ func run(o runOptions) error {
 		fmt.Printf("saved index to %s\n", o.save)
 	}
 
-	score, pred := querySpec(o.dsName, o.class, o.count)
-	counting := tasti.NewCountingLabeler(oracle)
-
 	qs := tr.Root().Child("query/" + o.query)
-	switch o.query {
-	case "agg":
-		ps := qs.Child("propagate")
-		scores, err := sharded.Propagate(score)
-		ps.End()
-		if err != nil {
-			return err
-		}
-		ss := qs.Child("sample")
-		res, err := tasti.EstimateAggregate(tasti.AggregateOptions{
-			ErrTarget: o.errTgt, Delta: 0.05, MinSamples: 100, Seed: o.seed + 1,
-		}, ds.Len(), scores, score, counting)
-		ss.End()
-		if err != nil {
-			return err
-		}
-		qs.SetAttr("label_calls", res.LabelerCalls)
-		fmt.Printf("aggregate = %.4f ± %.4f (%d target calls)\n", res.Estimate, res.HalfWidth, res.LabelerCalls)
-	case "select":
-		ps := qs.Child("propagate")
-		scores, err := sharded.Propagate(tasti.MatchScore(pred))
-		ps.End()
-		if err != nil {
-			return err
-		}
-		ss := qs.Child("sample")
-		res, err := tasti.SelectWithRecall(tasti.SelectOptions{
-			Budget: o.budget, Target: o.recall, Delta: 0.05, Seed: o.seed + 2,
-		}, ds.Len(), scores, pred, counting)
-		ss.End()
-		if err != nil {
-			return err
-		}
-		qs.SetAttr("label_calls", res.OracleCalls)
-		fmt.Printf("selected %d records at threshold %.3f (%d target calls)\n",
-			len(res.Returned), res.Threshold, res.OracleCalls)
-	case "limit":
-		ps := qs.Child("propagate")
-		scores, dists, err := sharded.PropagateNearest(score)
-		ps.End()
-		if err != nil {
-			return err
-		}
-		ss := qs.Child("scan")
-		res, err := tasti.FindLimitNext(tasti.LimitOptions{}, o.k, sharded.Pin().LimitCursor(scores, dists, nil).Next, pred, counting)
-		ss.End()
-		if err != nil {
-			return err
-		}
-		qs.SetAttr("label_calls", res.OracleCalls)
-		fmt.Printf("found %d matches in %d target calls: %v\n", len(res.Found), res.OracleCalls, res.Found)
-	default:
-		return fmt.Errorf("unknown query %q (want agg, select, or limit)", o.query)
-	}
+	v := sharded.Pin()
+	ans, err := v.Run(context.Background(), q, labels.Bind(oracle, nil, "", v.AnnotationOf), qs)
+	qs.SetAttr("label_calls", ans.Hits+ans.Misses)
 	qs.End()
+	if err != nil {
+		return err
+	}
+	switch {
+	case q.Aggregate != nil:
+		res := ans.Aggregate
+		fmt.Printf("aggregate = %.4f ± %.4f (%d target calls)\n", res.Estimate, res.HalfWidth, res.LabelerCalls)
+	case q.Select != nil:
+		fmt.Printf("selected %d records at threshold %.3f (%d target calls)\n",
+			ans.Returned, ans.Selection.Threshold, ans.Selection.OracleCalls)
+	default:
+		res := ans.Limit
+		fmt.Printf("found %d matches in %d target calls: %v\n", len(res.Found), res.OracleCalls, res.Found)
+	}
 	return writeTrace(tr, o.traceOut)
 }
 
@@ -234,15 +215,32 @@ func writeTrace(tr *tasti.Trace, path string) error {
 	return nil
 }
 
+// openLabels returns the label store of ds's corpus, holding what the
+// -label-store file holds when one is named and usable.
+func openLabels(o runOptions, ds *tasti.Dataset) *tasti.LabelStore {
+	labels := tasti.NewLabelStore(tasti.LabelStoreOptions{Corpus: ds.Corpus})
+	if o.labelStore == "" {
+		return labels
+	}
+	if _, err := os.Stat(o.labelStore); err == nil {
+		if err := tasti.ReadSnapshotFile(o.labelStore, labels.Restore); err != nil {
+			fmt.Fprintf(os.Stderr, "tastiquery: label store %s unusable, starting empty: %v\n", o.labelStore, err)
+		} else {
+			fmt.Printf("resuming from %s: %d labels already paid for\n", o.labelStore, labels.Len())
+		}
+	}
+	return labels
+}
+
 // buildIndex constructs the index with the configured reliability policy,
-// labeling through the -label-store file when one is named: restored before
-// the build, flushed while it runs and once more when it ends, interrupted or
+// labeling through labels (openLabels). With -label-store the file is
+// flushed while the build runs and once more when it ends, interrupted or
 // not, so running the same command again resumes it. Per-phase build spans
 // nest under a "build" child of parent (nil disables tracing).
-func buildIndex(o runOptions, ds *tasti.Dataset, target tasti.Labeler, parent *tasti.Span) (*tasti.Index, error) {
+func buildIndex(o runOptions, ds *tasti.Dataset, target tasti.Labeler, labels *tasti.LabelStore, parent *tasti.Span) (*tasti.Index, error) {
 	cfg := indexConfig(o.dsName, o.train, o.reps, o.seed)
-	cfg.ApproxTable = o.useANN
 	cfg.Quantize = o.quantize
+	cfg.Labels = labels
 	cfg.Parallelism = o.par
 	cfg.LabelTimeout = o.labelTimeout
 	cfg.AllowDegraded = o.allowDegraded
@@ -255,17 +253,6 @@ func buildIndex(o runOptions, ds *tasti.Dataset, target tasti.Labeler, parent *t
 	}
 	if o.labelStore == "" {
 		return tasti.Build(cfg, ds, target)
-	}
-
-	cfg.Labels = tasti.NewLabelStore(tasti.LabelStoreOptions{
-		Corpus: tasti.LabelStoreCorpus{Dataset: o.dsName, Size: o.size, Seed: o.seed},
-	})
-	if _, err := os.Stat(o.labelStore); err == nil {
-		if err := tasti.ReadSnapshotFile(o.labelStore, cfg.Labels.Restore); err != nil {
-			fmt.Fprintf(os.Stderr, "tastiquery: label store %s unusable, starting empty: %v\n", o.labelStore, err)
-		} else {
-			fmt.Printf("resuming from %s: %d labels already paid for\n", o.labelStore, cfg.Labels.Len())
-		}
 	}
 	stop := cfg.Labels.FlushEvery(o.labelStore, o.labelFlush, func(err error) {
 		if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -134,18 +135,18 @@ func TestBuildIndexCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := tasti.NewOracle(ds, "target", tasti.MaskRCNNCost)
-	clean, err := buildIndex(o, ds, oracle, nil)
+	clean, err := buildIndex(o, ds, oracle, openLabels(o, ds), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// First run hits a spent budget mid-representative-labeling.
 	o.labelStore = filepath.Join(t.TempDir(), "labels.snap")
-	if _, err := buildIndex(o, ds, tasti.NewBudgetedLabeler(oracle, 30), nil); err == nil {
+	if _, err := buildIndex(o, ds, tasti.NewBudgetedLabeler(oracle, 30), openLabels(o, ds), nil); err == nil {
 		t.Fatal("budgeted build succeeded, want interruption")
 	}
 	held := tasti.NewLabelStore(tasti.LabelStoreOptions{
-		Corpus: tasti.LabelStoreCorpus{Dataset: o.dsName, Size: o.size, Seed: o.seed},
+		Corpus: tasti.Corpus{Dataset: o.dsName, Size: o.size, Seed: o.seed},
 	})
 	if err := tasti.ReadSnapshotFile(o.labelStore, held.Restore); err != nil {
 		t.Fatalf("label store not saved: %v", err)
@@ -156,7 +157,7 @@ func TestBuildIndexCheckpointResume(t *testing.T) {
 
 	// Second run resumes; the remaining budget is exactly enough.
 	rec := &recordingLabeler{Labeler: tasti.NewBudgetedLabeler(oracle, 50)}
-	ix, err := buildIndex(o, ds, rec, nil)
+	ix, err := buildIndex(o, ds, rec, openLabels(o, ds), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,5 +191,37 @@ func TestBuildIndexCheckpointResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ix.Annotations, clean.Annotations) {
 		t.Fatal("the resumed index's annotations differ")
+	}
+}
+
+// TestRunLoadRefusesAnotherCorpus: -load of an index built over another
+// seed, size or dataset fails before any query runs — its tables and
+// annotations describe other records.
+func TestRunLoadRefusesAnotherCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	path := filepath.Join(t.TempDir(), "idx.snap")
+	o := testOptions()
+	o.size, o.train, o.reps, o.save = 600, 0, 60, path
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	for name, change := range map[string]func(*runOptions){
+		"seed":    func(o *runOptions) { o.seed = 2 },
+		"size":    func(o *runOptions) { o.size = 500 },
+		"dataset": func(o *runOptions) { o.dsName = "taipei" },
+	} {
+		o := testOptions()
+		o.size, o.train, o.reps, o.load = 600, 0, 60, path
+		change(&o)
+		if err := run(o); !errors.Is(err, tasti.ErrSnapshotCorpus) {
+			t.Errorf("-load under another %s: %v, want ErrSnapshotCorpus", name, err)
+		}
+	}
+	o = testOptions()
+	o.size, o.train, o.reps, o.load = 600, 0, 60, path
+	if err := run(o); err != nil {
+		t.Errorf("-load under the same corpus: %v", err)
 	}
 }

@@ -73,25 +73,24 @@ func (sc *reqScope) traceID() string {
 	return sc.id
 }
 
-// addLabel books one label the system did not already own.
-func (sc *reqScope) addLabel() {
+// book records what a query read and spent: its propagation footprint, and
+// its labels — the hits among them being labels the system had already
+// annotated (cracked, or labeled by an earlier query), spend an admission
+// controller could avoid, which is what the ledger exists to expose. A
+// query's labels are exactly the successful label calls its processor counts
+// into tasti_query_label_calls_total, so per-tenant ledger totals reconcile
+// with the global counters.
+func (sc *reqScope) book(ans tasti.Answer) {
 	if sc == nil {
 		return
 	}
-	sc.labels.Add(1)
+	sc.setCost(int64(ans.Records), int64(ans.Shards))
+	sc.labels.Add(ans.Hits + ans.Misses)
+	sc.hits.Add(ans.Hits)
 }
 
-// addHits books n labels answered from records the system had already
-// annotated: n labels, all of them hits.
-func (sc *reqScope) addHits(n int64) {
-	if sc == nil {
-		return
-	}
-	sc.labels.Add(n)
-	sc.hits.Add(n)
-}
-
-// setCost records the request's propagation footprint.
+// setCost records the request's footprint: records propagated (queries) or
+// appended (ingest), and the shards touched.
 func (sc *reqScope) setCost(records, shards int64) {
 	if sc == nil {
 		return
@@ -99,105 +98,6 @@ func (sc *reqScope) setCost(records, shards int64) {
 	sc.records.Store(records)
 	sc.shards.Store(shards)
 }
-
-// requestLabeler is one request's sampling labeler (see queryLabeler). Each
-// label is one call into the label store's bound labeler, which reports
-// where the label came from: the store's lock-free pages, the pinned
-// version's annotations (promoted into the store for free), another
-// request's in-flight call, or the oracle (singleflight, budget). Beside that
-// call it keeps only the per-draw cancellation check and the metering.
-//
-// Aggregates and selects do not need the label, only a scoring function's
-// number for it, and sample through values / matches instead: a draw on a
-// record whose exact score the request's proxy column already holds is that
-// one read, and any other draw is Label, scored once and recorded in the
-// column. A column knows a record's score only after the store holds its
-// label, so such a draw is metered as the store hit Label would have made it.
-//
-// It is also the request's meter, so each ledger entry carries its own
-// label spend: it counts exactly the successful Label calls — the same events
-// every query processor counts into tasti_query_label_calls_total — so
-// per-tenant ledger totals reconcile exactly with the global counters: a
-// failed call increments neither. A hit is a label spent on a record the
-// system had already annotated (cracked, or labeled by an earlier query) —
-// spend an admission controller could avoid, which is what the ledger exists
-// to expose.
-type requestLabeler struct {
-	ctx   context.Context
-	done  <-chan struct{} // ctx.Done(): a canceled request stops drawing hits too
-	bound *tasti.BoundLabeler
-	sc    *reqScope
-
-	// fast counts the hits — labels the store or the pinned version held, and
-	// exact-score column reads — one add per draw, on memory no other request
-	// touches. publish books them, once: into the request's ledger entry, and
-	// into tasti_labelstore_hits_total (the bound labeler leaves its hits to
-	// its caller to count).
-	fast  atomic.Int64
-	mHits *tasti.MetricCounter
-}
-
-func (l *requestLabeler) Label(id int) (tasti.Annotation, error) {
-	select {
-	case <-l.done:
-		return nil, l.ctx.Err()
-	default:
-	}
-	ann, src, err := l.bound.Resolve(l.ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	if src.Hit() {
-		l.fast.Add(1)
-	} else {
-		l.sc.addLabel()
-	}
-	return ann, nil
-}
-
-// values is the request's per-record value source for the scoring function
-// sc, whose column of the pinned version col must be.
-func (l *requestLabeler) values(col *tasti.ProxyColumn, sc tasti.Scorer) tasti.ValueSource {
-	return func(id int) (float64, error) {
-		if v, ok := col.Value(id); ok {
-			select {
-			case <-l.done:
-				return 0, l.ctx.Err()
-			default:
-			}
-			l.fast.Add(1)
-			return v, nil
-		}
-		ann, err := l.Label(id)
-		if err != nil {
-			return 0, err
-		}
-		v := sc.Score(ann)
-		col.SetValue(id, v)
-		return v, nil
-	}
-}
-
-// matches is values for a predicate's 0/1 scoring function (tasti.MatchScore):
-// a record matches when its score is not 0.
-func (l *requestLabeler) matches(col *tasti.ProxyColumn, sc tasti.Scorer) tasti.MatchSource {
-	value := l.values(col, sc)
-	return func(id int) (bool, error) {
-		v, err := value(id)
-		return v != 0, err
-	}
-}
-
-// publish books the request's hits. Call it when the query processor has
-// returned, before the response is written.
-func (l *requestLabeler) publish() {
-	n := l.fast.Swap(0)
-	l.sc.addHits(n)
-	l.mHits.Add(n)
-}
-
-func (l *requestLabeler) Name() string          { return l.bound.Name() }
-func (l *requestLabeler) Cost() tasti.CostModel { return l.bound.Cost() }
 
 // costKind maps a route to its ledger entry kind; other routes are free and
 // get no entry.

@@ -287,7 +287,7 @@ func TestChaosBudgetMixedTenantStorm(t *testing.T) {
 		t.Fatalf("store unsaveable after storm: %v", err)
 	}
 	reloaded, err := tasti.LoadLabelStore(bytes.NewReader(buf.Bytes()), tasti.LabelStoreOptions{
-		Corpus: tasti.LabelStoreCorpus{Dataset: "night-street", Size: srv.opts.size, Seed: srv.opts.seed},
+		Corpus: tasti.Corpus{Dataset: "night-street", Size: srv.opts.size, Seed: srv.opts.seed},
 	})
 	if err != nil {
 		t.Fatalf("store snapshot corrupt after storm: %v", err)

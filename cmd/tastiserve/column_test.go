@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -14,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/query/supg"
+	"repro/internal/shard"
 	"repro/tasti"
 )
 
@@ -106,7 +106,7 @@ func annotationAnswer(t *testing.T, srv *server, route, body string) []byte {
 // set to the set itself: over srv's column of the request's match scorer,
 // Len and IDs(20) of each target's Selection must be len(Returned) and
 // Returned[:min(20, len)] of the one-shot SelectWithRecall /
-// SelectWithPrecision over the same scores — with an ample labeler, and with
+// supg.PrecisionTarget over the same scores — with an ample labeler, and with
 // one whose budget runs out a third of the way into the sample. It returns
 // how many of those sets were empty; each must render "sample_ids":null.
 func checkSelectionReaders(t *testing.T, srv *server, body string) (empty int) {
@@ -117,18 +117,21 @@ func checkSelectionReaders(t *testing.T, srv *server, body string) (empty int) {
 		t.Fatalf("decoding %s: %s", body, rec.Body)
 	}
 	q, v := srv.spec(req), srv.index.Pin()
-	col, _, err := v.Column(q.match, tasti.ColumnWeighted, nil)
+	col, _, err := v.Column(q.match, shard.ColumnWeighted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := tasti.SelectOptions{Budget: req.Budget, Target: req.Recall, Delta: 0.05, Seed: srv.seed + 2}
+	precisionTarget := func(opts supg.Options, n int, proxy []float64, pred func(tasti.Annotation) bool, lab tasti.Labeler) (supg.Result, error) {
+		return supg.PrecisionTarget(opts, n, proxy, pred, lab)
+	}
 	targets := []struct {
 		name      string
-		selection func(tasti.SelectOptions, tasti.MatchSource) (tasti.Selection, error)
+		selection func(tasti.SelectOptions, supg.MatchSource) (tasti.Selection, error)
 		oneShot   func(tasti.SelectOptions, int, []float64, func(tasti.Annotation) bool, tasti.Labeler) (tasti.SelectResult, error)
 	}{
 		{"recall", col.Design().RecallTargetSelection, tasti.SelectWithRecall},
-		{"precision", col.Design().PrecisionTargetSelection, tasti.SelectWithPrecision},
+		{"precision", col.Design().PrecisionTargetSelection, precisionTarget},
 	}
 	for _, labelBudget := range []int64{0, int64(req.Budget / 3)} {
 		newLab := func() tasti.Labeler {
@@ -160,7 +163,7 @@ func checkSelectionReaders(t *testing.T, srv *server, body string) (empty int) {
 			if sel.Len() == 0 {
 				empty++
 				rec := httptest.NewRecorder()
-				writeJSON(rec, http.StatusOK, renderSelect(sel))
+				writeJSON(rec, http.StatusOK, renderSelect(sel, sel.Len()))
 				if !strings.Contains(rec.Body.String(), `"sample_ids":null`) {
 					t.Errorf("%s: an empty set renders %s", name, rec.Body)
 				}
@@ -252,7 +255,7 @@ func TestQueryBodiesEncodeAsMaps(t *testing.T) {
 // its exact score.
 func knownValues(t *testing.T, srv *server, sc tasti.Scorer) map[int]uint64 {
 	t.Helper()
-	col, hit, err := srv.index.Pin().Column(sc, tasti.ColumnWeighted, nil)
+	col, hit, err := srv.index.Pin().Column(sc, shard.ColumnWeighted, nil)
 	if err != nil || !hit {
 		t.Fatalf("column %s: hit=%v err=%v", sc.Name, hit, err)
 	}
@@ -469,62 +472,6 @@ func TestServedColumnEquivalence(t *testing.T) {
 		if fam := fams[name]; fam == nil || len(fam.Samples) != 1 || fam.Samples[0].Value != want {
 			t.Errorf("/metrics %s = %+v, want %v", name, fam, want)
 		}
-	}
-}
-
-// TestCanceledQueryStopsDrawingValues: a request whose every draw is answered
-// from the column's exact scores never reaches a labeler, a store or anything
-// else that looks at its context — so the value source checks it on each such
-// draw, and a canceled request stops at its next one instead of sampling on to
-// its error target. (The store-level twin is TestCanceledQueryStopsDrawingHits
-// in internal/labeler/store.)
-func TestCanceledQueryStopsDrawingValues(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	const cancelAt = 150
-	srv, _ := columnServer(t)
-	v := srv.index.Pin()
-	score := srv.spec(queryRequest{Class: "car", Count: 1}).score
-	col, _, err := v.Column(score, tasti.ColumnWeighted, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := srv.corpus.Load()
-	for id := range col.Scores {
-		srv.labels.Put(id, corpus.Truth[id])
-		col.SetValue(id, score.Score(corpus.Truth[id]))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	lab := srv.queryLabeler(ctx, httptest.NewRequest(http.MethodPost, "/query/aggregate", nil), v, nil)
-	source, drawn := lab.values(col, score), 0
-	hitsBefore := srv.labelHits.Value()
-	// An error target this tight needs every record; the sampler is nowhere
-	// near done at draw 150.
-	_, err = tasti.EstimateAggregateValues(tasti.AggregateOptions{ErrTarget: 1e-9, Delta: 0.05, MinSamples: 100, Seed: 5},
-		v.NumRecords(), col.Scores, col.Mean, func(id int) (float64, error) {
-			v, err := source(id)
-			if drawn++; drawn == cancelAt {
-				cancel()
-			}
-			return v, err
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("estimate over a canceled context returned %v, want context.Canceled", err)
-	}
-	// The context was canceled as draw cancelAt returned; the very next draw
-	// is refused, and the draws answered are booked as the store hits they
-	// stand for.
-	if drawn != cancelAt+1 {
-		t.Fatalf("%d draws, want the sampler stopped at draw %d", drawn, cancelAt+1)
-	}
-	lab.publish()
-	if got := srv.labelHits.Value() - hitsBefore; got != cancelAt {
-		t.Errorf("%d store hits booked for %d draws answered from exact scores", got, cancelAt)
-	}
-	if misses := srv.reg.Counter("tasti_labelstore_misses_total").Value(); misses != 0 {
-		t.Errorf("%d labels bought by a request whose every draw was a known value", misses)
 	}
 }
 

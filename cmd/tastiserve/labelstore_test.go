@@ -37,7 +37,7 @@ func labelStoreOptions(path string) serverOptions {
 func restoreLabels(t *testing.T, opts serverOptions) *tasti.LabelStore {
 	t.Helper()
 	labels := tasti.NewLabelStore(tasti.LabelStoreOptions{
-		Corpus: tasti.LabelStoreCorpus{Dataset: opts.dataset, Size: opts.size, Seed: opts.seed},
+		Corpus: tasti.Corpus{Dataset: opts.dataset, Size: opts.size, Seed: opts.seed},
 	})
 	if err := tasti.ReadSnapshotFile(opts.labelStorePath, labels.Restore); err != nil {
 		t.Fatalf("reading %s: %v", opts.labelStorePath, err)

@@ -324,7 +324,7 @@ func newServerShell(opts serverOptions) *server {
 	labels := tasti.NewLabelStore(tasti.LabelStoreOptions{
 		MaxInflight: opts.labelInflight,
 		Telemetry:   reg,
-		Corpus:      tasti.LabelStoreCorpus{Dataset: opts.dataset, Size: opts.size, Seed: opts.seed},
+		Corpus:      tasti.Corpus{Dataset: opts.dataset, Size: opts.size, Seed: opts.seed},
 	})
 	budget := tasti.NewBudgetManager(tasti.BudgetConfig{
 		Global:    opts.labelBudget,
@@ -389,6 +389,7 @@ func (s *server) buildIndex() error {
 	if err != nil {
 		return err
 	}
+	corpus := ds.Corpus
 	// With ingest enabled, the corpus may have grown past the generated base:
 	// the refresh path saves the extended dataset next to the WAL, and it is
 	// the ground truth for every appended record. Restore it before snapshot
@@ -454,7 +455,7 @@ func (s *server) buildIndex() error {
 	var index *tasti.ShardedIndex
 	if opts.snapshotPath != "" {
 		if _, err := os.Stat(opts.snapshotPath); err == nil {
-			index, err = loadServingSnapshot(opts.snapshotPath, ds, opts.parallelism, minRecords)
+			index, err = loadServingSnapshot(opts.snapshotPath, ds, corpus, opts.parallelism, minRecords)
 			if err != nil {
 				s.log.Warn("snapshot unusable; building fresh",
 					"path", opts.snapshotPath, "err", err.Error())
@@ -537,13 +538,14 @@ func (s *server) buildIndex() error {
 // loadServingSnapshot reads, checksum-verifies, and validates an index
 // snapshot at the shard layout it was saved at (the file's layout wins over
 // the -shards flag, since per-shard reload must agree with its frames), and
-// checks it actually describes the server's corpus — a snapshot of the wrong
-// dataset propagates garbage scores, so it is rejected like any other
-// corruption. Without ingest, minRecords equals the corpus size and the check
-// is exact; with ingest, a snapshot may cover any prefix from the base corpus
-// (minRecords) through the full extended dataset, and WAL replay supplies the
-// remainder.
-func loadServingSnapshot(path string, ds *tasti.Dataset, parallelism, minRecords int) (*tasti.ShardedIndex, error) {
+// checks it actually describes the server's corpus — a snapshot of another
+// dataset, size or seed serves its own representatives' annotations as
+// labels of other records, so it is rejected like any other corruption, as
+// is one that names no corpus. Without ingest, minRecords equals the corpus
+// size and the count check is exact; with ingest, a snapshot may cover any
+// prefix from the base corpus (minRecords) through the full extended dataset,
+// and WAL replay supplies the remainder.
+func loadServingSnapshot(path string, ds *tasti.Dataset, corpus tasti.Corpus, parallelism, minRecords int) (*tasti.ShardedIndex, error) {
 	var sx *tasti.ShardedIndex
 	err := tasti.ReadSnapshotFile(path, func(r io.Reader) error {
 		var lerr error
@@ -551,6 +553,9 @@ func loadServingSnapshot(path string, ds *tasti.Dataset, parallelism, minRecords
 		return lerr
 	})
 	if err != nil {
+		return nil, err
+	}
+	if err := sx.Pin().CheckCorpus(corpus); err != nil {
 		return nil, err
 	}
 	if sx.NumRecords() < minRecords || sx.NumRecords() > ds.Len() {
@@ -591,7 +596,7 @@ func (s *server) reload() error {
 
 	start := time.Now()
 	ds := s.corpus.Load()
-	next, err := loadServingSnapshot(s.opts.snapshotPath, ds, s.opts.parallelism, ds.Len())
+	next, err := loadServingSnapshot(s.opts.snapshotPath, ds, ds.Corpus, s.opts.parallelism, ds.Len())
 	if err != nil {
 		s.reg.Counter(`tasti_snapshot_reload_total{outcome="error"}`).Inc()
 		s.reg.Counter("tasti_snapshot_reload_failures_total").Inc()
@@ -643,7 +648,7 @@ func (s *server) reloadShard(i int) error {
 	var sh *tasti.Shard
 	err := tasti.ReadSnapshotFile(s.opts.snapshotPath, func(r io.Reader) error {
 		var lerr error
-		sh, lerr = tasti.LoadShard(r, i)
+		sh, lerr = tasti.LoadShard(r, i, s.corpus.Load().Corpus)
 		return lerr
 	})
 	if err != nil {
@@ -1126,29 +1131,6 @@ func (s *server) spec(req queryRequest) querySpec {
 	}
 }
 
-// cacheAttr is the value of a span's cache attribute.
-func cacheAttr(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
-}
-
-// queryLabeler assembles one request's sampling labeler over the version the
-// request pinned: the label store bound to the serve chain
-// (retry/breaker/deadline), with budget admission keyed by X-Tasti-Tenant and
-// a free lookup into the version's own annotations, called with the request's
-// context so a disconnected client cancels in-flight calls. Every label is
-// metered into the request's ledger entry. The handler calls publish once the
-// query processor is done with it.
-func (s *server) queryLabeler(ctx context.Context, r *http.Request, v *tasti.IndexVersion, sc *reqScope) *requestLabeler {
-	return &requestLabeler{
-		ctx: ctx, done: ctx.Done(),
-		bound: s.labels.Bind(s.target, s.budget, r.Header.Get("X-Tasti-Tenant"), v.AnnotationOf),
-		sc:    sc, mHits: s.labelHits,
-	}
-}
-
 // queryError maps a failed query to a response: cancellations and breaker
 // rejections are the caller's problem or a temporary outage (503); an
 // exhausted label budget or a saturated label store is backpressure (429 with
@@ -1185,59 +1167,42 @@ func (s *server) rejectOverBudget(w http.ResponseWriter, r *http.Request, err er
 	httpError(w, http.StatusTooManyRequests, "label budget exhausted or label store saturated: "+err.Error())
 }
 
-// queryPrelude is a /query/* request past its prelude: the decoded body, its
-// scoring functions, the version it pinned, its scope and the proxy column
-// its query processor reads.
-type queryPrelude struct {
-	req queryRequest
-	q   querySpec
-	v   *tasti.IndexVersion
-	sc  *reqScope
-	col *tasti.ProxyColumn
-}
-
-// prelude does what every /query/* handler does before its query processor
-// runs: readiness, decode, Pin and spec, then the traced fetch of the kind
-// column of the scorer pick names, which books the request's propagation
-// footprint. ok is false once it has written the response.
-func (s *server) prelude(w http.ResponseWriter, r *http.Request, kind tasti.ColumnKind, pick func(querySpec) tasti.Scorer) (p queryPrelude, ok bool) {
-	if s.notReady(w) || !s.decode(w, r, &p.req) {
-		return p, false
+// query runs a /query/* request: readiness, decode, spec, then one Run of
+// the query build returns over the version the request pins, labeling
+// through the label store bound to the serve chain
+// (retry/breaker/deadline), with budget admission keyed by X-Tasti-Tenant and
+// a free lookup into the version's own annotations, called with the request's
+// context so a disconnected client cancels in-flight calls. It books what the
+// query read and spent — into the request's ledger entry and
+// tasti_labelstore_hits_total (the bound labeler leaves its hits to its
+// caller to count), on failure as well — and ok is false once it has written
+// the response.
+func (s *server) query(w http.ResponseWriter, r *http.Request, build func(queryRequest, querySpec) tasti.Query) (ans tasti.Answer, ok bool) {
+	var req queryRequest
+	if s.notReady(w) || !s.decode(w, r, &req) {
+		return ans, false
 	}
-	p.v = s.index.Pin()
-	p.sc = scopeFrom(r.Context())
-	p.q = s.spec(p.req)
-	psp := p.sc.child("propagate")
-	col, hit, err := p.v.Column(pick(p.q), kind, psp)
-	psp.SetAttr("cache", cacheAttr(hit))
-	psp.End()
+	v := s.index.Pin()
+	sc := scopeFrom(r.Context())
+	labels := s.labels.Bind(s.target, s.budget, r.Header.Get("X-Tasti-Tenant"), v.AnnotationOf)
+	ans, err := v.Run(r.Context(), build(req, s.spec(req)), labels, sc.rootSpan())
+	sc.book(ans)
+	s.labelHits.Add(ans.Hits)
 	if err != nil {
 		s.queryError(w, r, err)
-		return p, false
+		return ans, false
 	}
-	p.col = col
-	p.sc.setCost(int64(len(col.Scores)), int64(p.v.NumShards()))
-	return p, true
+	return ans, true
 }
 
 func (s *server) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.prelude(w, r, tasti.ColumnWeighted, func(q querySpec) tasti.Scorer { return q.score })
+	ans, ok := s.query(w, r, func(req queryRequest, q querySpec) tasti.Query {
+		return tasti.Query{Aggregate: &tasti.AggregateQuery{Score: q.score, ErrTarget: req.Err, Seed: s.seed + 1}}
+	})
 	if !ok {
 		return
 	}
-	lab := s.queryLabeler(r.Context(), r, p.v, p.sc)
-	esp := p.sc.child("estimate")
-	res, err := tasti.EstimateAggregateValues(tasti.AggregateOptions{
-		ErrTarget: p.req.Err, Delta: 0.05, MinSamples: 100, Seed: s.seed + 1,
-		Telemetry: s.reg,
-	}, p.v.NumRecords(), p.col.Scores, p.col.Mean, lab.values(p.col, p.q.score))
-	lab.publish()
-	esp.SetAttr("label_calls", res.LabelerCalls)
-	esp.End()
-	if err != nil {
-		s.queryError(w, r, err)
-		return
-	}
+	res := ans.Aggregate
 	writeJSON(w, http.StatusOK, aggregateBody{
 		Degraded: res.Degraded, Estimate: res.Estimate, HalfWidth: res.HalfWidth, LabelCalls: res.LabelerCalls,
 	})
@@ -1273,85 +1238,36 @@ type (
 )
 
 func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.prelude(w, r, tasti.ColumnWeighted, func(q querySpec) tasti.Scorer { return q.match })
+	ans, ok := s.query(w, r, func(req queryRequest, q querySpec) tasti.Query {
+		return tasti.Query{Select: &tasti.SelectQuery{Match: q.match, Budget: req.Budget, Recall: req.Recall, Seed: s.seed + 2}}
+	})
 	if !ok {
 		return
 	}
-	// The sample span keeps the design's O(records) passes on the first
-	// select over a column, and the sort of its scores on the first count;
-	// after them, the draws, the threshold search and a binary search that
-	// counts the returned set. Only its first 20 IDs are listed.
-	lab := s.queryLabeler(r.Context(), r, p.v, p.sc)
-	ssp := p.sc.child("sample")
-	sel, err := p.col.Design().RecallTargetSelection(tasti.SelectOptions{
-		Budget: p.req.Budget, Target: p.req.Recall, Delta: 0.05, Seed: s.seed + 2,
-		Telemetry: s.reg,
-	}, lab.matches(p.col, p.q.match))
-	lab.publish()
-	// A failed query's Selection is the zero value, with no set to read.
-	var body selectBody
-	if err == nil {
-		body = renderSelect(sel)
-	}
-	ssp.SetAttr("label_calls", sel.OracleCalls)
-	ssp.End()
-	if err != nil {
-		s.queryError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, renderSelect(ans.Selection, ans.Returned))
 }
 
-// renderSelect renders a settled select: the returned set's size and its
-// first 20 IDs — null when the set is empty — never the set itself.
-func renderSelect(sel tasti.Selection) selectBody {
+// renderSelect renders a settled select of returned records: the set's size
+// and its first 20 IDs — null when the set is empty — never the set itself.
+func renderSelect(sel tasti.Selection, returned int) selectBody {
 	return selectBody{
-		Degraded: sel.Degraded, LabelCalls: sel.OracleCalls, Returned: sel.Len(),
+		Degraded: sel.Degraded, LabelCalls: sel.OracleCalls, Returned: returned,
 		SampleIDs: sel.IDs(20), Threshold: finite(sel.Threshold),
 	}
 }
 
 func (s *server) handleLimit(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.prelude(w, r, tasti.ColumnNearest, func(q querySpec) tasti.Scorer { return q.score })
+	ans, ok := s.query(w, r, func(req queryRequest, q querySpec) tasti.Query {
+		return tasti.Query{Limit: &tasti.LimitQuery{Score: q.score, Pred: q.pred, K: req.K, Crack: req.Crack}}
+	})
 	if !ok {
 		return
 	}
-	// Per-shard heaps merged head by head under limitq's comparator: the
-	// scan order is bitwise identical to the unsharded order over the full
-	// vectors. The order span is the O(records) heapify on the column's
-	// first limit and nothing after it. The scan reads the column's shared
-	// scan prefix; an ID no earlier request reached is an O(log records) pop
-	// billed to the scan span.
-	osp := p.sc.child("order")
-	cursor, ordered := p.col.Cursor(osp)
-	osp.SetAttr("cache", cacheAttr(ordered))
-	osp.End()
-	lab := s.queryLabeler(r.Context(), r, p.v, p.sc)
-	scan := p.sc.child("scan")
-	res, err := tasti.FindLimitNext(tasti.LimitOptions{Telemetry: s.reg},
-		p.req.K, cursor.Next, p.q.pred, lab)
-	lab.publish()
-	scan.SetAttr("label_calls", res.OracleCalls)
-	scan.End()
-	if err != nil {
-		s.queryError(w, r, err)
-		return
-	}
 	cracked := 0
-	if p.req.Crack {
-		// An exhausted scan labeled the whole corpus; promoting all of it
-		// would make every record a representative (and hold the index's
-		// write path for seconds). Only the matches it found are worth
-		// keeping then.
-		toCrack := res.Labeled
-		if res.Exhausted {
-			toCrack = make(map[int]tasti.Annotation, len(res.Found))
-			for _, id := range res.Found {
-				toCrack[id] = res.Labeled[id]
-			}
-		}
-		cracked = s.index.CrackAll(toCrack)
+	if ans.Crack != nil {
+		cracked = s.index.CrackAll(ans.Crack)
 	}
+	res := ans.Limit
 	writeJSON(w, http.StatusOK, limitBody{
 		Cracked: cracked, Degraded: res.Degraded, Exhausted: res.Exhausted, Found: res.Found, LabelCalls: res.OracleCalls,
 	})

@@ -36,11 +36,6 @@ type Config struct {
 	Parallelism int
 	// Seed makes construction deterministic.
 	Seed int64
-	// Quantize trains a uint8 code plane over the vectors and uses it to
-	// prune both the Lloyd assignment sweep and query-time probing, reranking
-	// survivors through the exact kernels. Results are bitwise identical with
-	// the plane on or off; only the amount of exact distance work changes.
-	Quantize bool
 	// Telemetry, when non-nil, receives probe accounting from every Search:
 	// searches run, cells probed, and candidate vectors scanned. Disabled
 	// telemetry costs one branch per Search.
@@ -68,20 +63,11 @@ type IVF struct {
 	// sweep over sequential memory.
 	cellVecs []vecmath.Matrix
 
-	// Quantized probing planes (zero values when Config.Quantize is off):
-	// code rows for the centroids and for each cell's member block, sharing
-	// one parameter set trained over the vectors. Searcher streams these
-	// first and reranks survivors exactly — see quant.go.
-	centQ vecmath.QuantMatrix
-	cellQ []vecmath.QuantMatrix
-
 	// Probe accounting (nil-safe counters; see Config.Telemetry). Search is
 	// called from parallel hot loops, so these are atomic.
 	searches *telemetry.Counter
 	probed   *telemetry.Counter
 	scanned  *telemetry.Counter
-	qcands   *telemetry.Counter
-	qrerank  *telemetry.Counter
 }
 
 // Build constructs the index with k-means coarse quantization (FPF
@@ -104,29 +90,8 @@ func Build(cfg Config, vectors vecmath.Matrix) (*IVF, error) {
 	seeds := cluster.FPFPar(vectors, cells, r.Intn(n), cfg.Parallelism)
 	centroids := vecmath.GatherRows(vectors, seeds)
 
-	// With Quantize on, the vectors' code plane is trained once up front
-	// (vectors never move); the centroids are re-coded each iteration since
-	// Lloyd moves them. See quant.go for why the pruned assignment is
-	// bitwise identical to the exact sweep.
-	var params vecmath.QuantParams
-	var vq vecmath.QuantMatrix
-	var vnorms []float64
-	var buildStats cluster.QuantScanStats
-	if cfg.Quantize {
-		params = vecmath.TrainQuantParams(vectors)
-		var err error
-		if vq, err = vecmath.QuantizeMatrix(vectors, params); err != nil {
-			return nil, fmt.Errorf("ann: quantizing vectors: %w", err)
-		}
-		vnorms = vecmath.NormsSquared(vectors, make([]float64, n))
-	}
-
 	assign := make([]int, n)
 	centNorms := make([]float64, centroids.Rows())
-	type sweepResult struct {
-		changed bool
-		stats   cluster.QuantScanStats
-	}
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		// The assignment sweep is the O(N·cells·D) hot loop; per-vector
 		// assignments are independent, so it shards cleanly. The nearest
@@ -135,56 +100,27 @@ func Build(cfg Config, vectors vecmath.Matrix) (*IVF, error) {
 		// distance here is a transient comparison key, never persisted, which
 		// is exactly where the kernel contract admits the decomposed form.
 		vecmath.NormsSquared(centroids, centNorms)
-		var iterCentQ vecmath.QuantMatrix
-		maxCentNorm := 0.0
-		if cfg.Quantize {
-			var err error
-			if iterCentQ, err = vecmath.QuantizeMatrix(centroids, params); err != nil {
-				return nil, fmt.Errorf("ann: quantizing centroids: %w", err)
-			}
-			for _, cn := range centNorms {
-				if cn > maxCentNorm {
-					maxCentNorm = cn
-				}
-			}
-		}
-		res := parallel.Reduce(cfg.Parallelism, n, sweepResult{},
-			func(_ int, s parallel.Span) sweepResult {
+		changed := parallel.Reduce(cfg.Parallelism, n, false,
+			func(_ int, s parallel.Span) bool {
 				dots := make([]float64, centroids.Rows()) // per-chunk scratch
-				var cds []int64
-				if cfg.Quantize {
-					cds = make([]int64, centroids.Rows())
-				}
-				var chunk sweepResult
+				changed := false
 				for i := s.Lo; i < s.Hi; i++ {
-					var best int
-					if cfg.Quantize {
-						best = assignNearestQuant(vectors.Row(i), vq.Row(i), vnorms[i],
-							vq.MaxErr(), maxCentNorm, centroids, centNorms, iterCentQ,
-							cds, &chunk.stats)
-					} else {
-						vecmath.DotBatch(vectors.Row(i), centroids, dots)
-						bestD := math.Inf(1)
-						for c, dot := range dots {
-							if d := centNorms[c] - 2*dot; d < bestD {
-								best, bestD = c, d
-							}
+					vecmath.DotBatch(vectors.Row(i), centroids, dots)
+					best, bestD := 0, math.Inf(1)
+					for c, dot := range dots {
+						if d := centNorms[c] - 2*dot; d < bestD {
+							best, bestD = c, d
 						}
 					}
 					if assign[i] != best {
 						assign[i] = best
-						chunk.changed = true
+						changed = true
 					}
 				}
-				return chunk
+				return changed
 			},
-			func(a, b sweepResult) sweepResult {
-				a.changed = a.changed || b.changed
-				a.stats.Add(b.stats)
-				return a
-			})
-		buildStats.Add(res.stats)
-		if !res.changed && iter > 0 {
+			func(a, b bool) bool { return a || b })
+		if !changed && iter > 0 {
 			break
 		}
 		// Recompute centroids; empty cells keep their previous position.
@@ -224,16 +160,6 @@ func Build(cfg Config, vectors vecmath.Matrix) (*IVF, error) {
 		searches:  cfg.Telemetry.Counter("tasti_ann_searches_total"),
 		probed:    cfg.Telemetry.Counter("tasti_ann_probed_cells_total"),
 		scanned:   cfg.Telemetry.Counter("tasti_ann_scanned_candidates_total"),
-		qcands:    cfg.Telemetry.Counter("tasti_quant_candidates_total"),
-		qrerank:   cfg.Telemetry.Counter("tasti_quant_rerank_total"),
-	}
-	if cfg.Quantize {
-		var err error
-		if ix.centQ, ix.cellQ, err = quantizeCells(centroids, cellVecs, params); err != nil {
-			return nil, fmt.Errorf("ann: quantizing cells: %w", err)
-		}
-		ix.qcands.Add(buildStats.Candidates)
-		ix.qrerank.Add(buildStats.Reranked)
 	}
 	return ix, nil
 }
@@ -248,8 +174,6 @@ func (ix *IVF) NumCells() int { return ix.centroids.Rows() }
 type Searcher struct {
 	centDists []float64
 	candDists []float64
-	codeDists []int64
-	qrow      []uint8
 	cellTK    *vecmath.TopK
 	candTK    *vecmath.TopK
 	cells     []vecmath.IndexedValue
@@ -272,49 +196,18 @@ func (s *Searcher) Search(ix *IVF, q []float64, k, nprobe int) []vecmath.Indexed
 	if nprobe > ncent {
 		nprobe = ncent
 	}
-	quant := ix.centQ.Enabled()
-	var qErr float64
-	var qrow []uint8
-	var qstats cluster.QuantScanStats
-	if quant {
-		if cap(s.qrow) < len(q) {
-			s.qrow = make([]uint8, len(q))
-		}
-		qrow = s.qrow[:len(q)]
-		qErr = vecmath.QuantizeRowInto(qrow, q, ix.centQ.Params())
-	}
 	if s.cellTK == nil {
 		s.cellTK = vecmath.NewTopK(nprobe)
 	} else {
 		s.cellTK.Reset(nprobe)
 	}
-	if quant {
-		// Stream the centroid code plane, rerank survivors exactly: a bound
-		// strictly above the TopK threshold is guaranteed rejection, so the
-		// probed cell set is identical to the exact sweep's.
-		if cap(s.codeDists) < ncent {
-			s.codeDists = make([]int64, ncent)
-		}
-		ccd := s.codeDists[:ncent]
-		vecmath.CodeDistBatch(qrow, ix.centQ, ccd)
-		qstats.Candidates += int64(ncent)
-		for c, cd := range ccd {
-			lb := ix.centQ.LowerBound(cd, qErr)
-			if lb*lb > s.cellTK.Threshold() {
-				continue
-			}
-			qstats.Reranked++
-			s.cellTK.Offer(c, vecmath.SquaredL2(q, ix.centroids.Row(c)))
-		}
-	} else {
-		if cap(s.centDists) < ncent {
-			s.centDists = make([]float64, ncent)
-		}
-		centDists := s.centDists[:ncent]
-		vecmath.SquaredL2Batch(q, ix.centroids, centDists)
-		for c, d := range centDists {
-			s.cellTK.Offer(c, d)
-		}
+	if cap(s.centDists) < ncent {
+		s.centDists = make([]float64, ncent)
+	}
+	centDists := s.centDists[:ncent]
+	vecmath.SquaredL2Batch(q, ix.centroids, centDists)
+	for c, d := range centDists {
+		s.cellTK.Offer(c, d)
 	}
 	s.cells = s.cellTK.Sorted(s.cells[:0])
 
@@ -329,42 +222,19 @@ func (s *Searcher) Search(ix *IVF, q []float64, k, nprobe int) []vecmath.Indexed
 		if len(ids) == 0 {
 			continue
 		}
-		if quant {
-			cq := ix.cellQ[cell.Index]
-			if cap(s.codeDists) < len(ids) {
-				s.codeDists = make([]int64, len(ids))
-			}
-			ccd := s.codeDists[:len(ids)]
-			vecmath.CodeDistBatch(qrow, cq, ccd)
-			qstats.Candidates += int64(len(ids))
-			vecs := ix.cellVecs[cell.Index]
-			for j, cd := range ccd {
-				lb := cq.LowerBound(cd, qErr)
-				if lb*lb > s.candTK.Threshold() {
-					continue
-				}
-				qstats.Reranked++
-				s.candTK.Offer(ids[j], vecmath.SquaredL2(q, vecs.Row(j)))
-			}
-		} else {
-			if cap(s.candDists) < len(ids) {
-				s.candDists = make([]float64, len(ids))
-			}
-			cd := s.candDists[:len(ids)]
-			vecmath.SquaredL2Batch(q, ix.cellVecs[cell.Index], cd)
-			for j, d := range cd {
-				s.candTK.Offer(ids[j], d)
-			}
+		if cap(s.candDists) < len(ids) {
+			s.candDists = make([]float64, len(ids))
+		}
+		cd := s.candDists[:len(ids)]
+		vecmath.SquaredL2Batch(q, ix.cellVecs[cell.Index], cd)
+		for j, d := range cd {
+			s.candTK.Offer(ids[j], d)
 		}
 		scanned += len(ids)
 	}
 	ix.searches.Inc()
 	ix.probed.Add(int64(len(s.cells)))
 	ix.scanned.Add(int64(scanned))
-	if quant {
-		ix.qcands.Add(qstats.Candidates)
-		ix.qrerank.Add(qstats.Reranked)
-	}
 	s.out = s.candTK.Sorted(s.out[:0])
 	for i := range s.out {
 		s.out[i].Value = math.Sqrt(s.out[i].Value)

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/embed"
@@ -67,17 +66,9 @@ type Config struct {
 	// Train overrides the triplet-training hyperparameters; when zero,
 	// triplet.DefaultConfig is used.
 	Train triplet.Config
-	// ApproxTable computes the min-k distance table with an IVF
-	// approximate-nearest-neighbor index instead of exact scans — a
-	// scalability extension beyond the paper. Neighbor lists may miss true
-	// nearest representatives with small probability.
-	ApproxTable bool
-	// ANNProbe is the number of IVF cells probed per record when
-	// ApproxTable is set (default 4).
-	ANNProbe int
 	// Quantize trains a uint8 code plane over the final embeddings and
 	// scans it — instead of the float64 rows — in every candidate-generation
-	// sweep (FPF selection, table build, cracking, appends, IVF probing),
+	// sweep (FPF selection, table build, cracking, appends),
 	// reranking bound survivors through the exact kernels. The built index,
 	// cracked tables, and all query answers are bitwise identical with the
 	// plane on or off; the plane trades ~1/8 the scan bandwidth and resident
@@ -202,6 +193,11 @@ type BuildStats struct {
 	// DegradedTrain lists training records dropped as permanently
 	// unlabelable (ascending).
 	DegradedTrain []int
+
+	// Corpus names the corpus the index was built over (the dataset's
+	// Corpus): a snapshot is served only for that corpus, whose record IDs
+	// its tables and annotations describe.
+	Corpus dataset.Corpus
 }
 
 // Degraded reports whether the index was built without some of its planned
@@ -317,7 +313,7 @@ func Build(cfg Config, ds *dataset.Dataset, lab labeler.Labeler) (*Index, error)
 	cached := labels.BindBuild(counting)
 	ctx := context.Background()
 
-	var stats BuildStats
+	stats := BuildStats{Corpus: ds.Corpus}
 	// finishStats folds the middleware counters in on every return path
 	// that carries stats (including the interrupted one, via the error).
 	finishStats := func() {
@@ -448,11 +444,7 @@ func Build(cfg Config, ds *dataset.Dataset, lab labeler.Labeler) (*Index, error)
 	var reps []int
 	var sel *cluster.Selection
 	if cfg.FPFCluster {
-		tableK := cfg.K
-		if cfg.ApproxTable {
-			tableK = 0
-		}
-		sel = cluster.SelectPar(repRand, embeddings, quant, cfg.NumReps, cfg.RandomRepFraction, tableK, cfg.Parallelism)
+		sel = cluster.SelectPar(repRand, embeddings, quant, cfg.NumReps, cfg.RandomRepFraction, cfg.K, cfg.Parallelism)
 		reps = sel.Reps
 		stats.QuantCandidates, stats.QuantReranked = sel.Stats.Candidates, sel.Stats.Reranked
 	} else {
@@ -543,22 +535,7 @@ func Build(cfg Config, ds *dataset.Dataset, lab labeler.Labeler) (*Index, error)
 	sp = cfg.TraceSpan.Child("cluster/table")
 	tableK := min(cfg.K, len(liveReps))
 	var table *cluster.Table
-	if cfg.ApproxTable {
-		nprobe := cfg.ANNProbe
-		if nprobe <= 0 {
-			nprobe = 4
-		}
-		annCfg := ann.DefaultConfig(len(liveReps), cfg.Seed)
-		annCfg.Parallelism = cfg.Parallelism
-		annCfg.Telemetry = cfg.Telemetry
-		annCfg.Quantize = cfg.Quantize
-		approx, err := ann.BuildTableApprox(embeddings, liveReps, tableK, nprobe, annCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: approximate distance table: %w", err)
-		}
-		table = approx
-		sp.SetAttr("mode", "ivf")
-	} else if sel != nil && len(liveReps) == len(reps) {
+	if sel != nil && len(liveReps) == len(reps) {
 		table = sel.Table()
 		sp.SetAttr("mode", "sweep")
 	} else {

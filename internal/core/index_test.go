@@ -196,33 +196,3 @@ func TestBuiltinScores(t *testing.T) {
 		t.Errorf("AvgXScore neutral = %v", got)
 	}
 }
-
-func TestBuildApproxTable(t *testing.T) {
-	cfg := PretrainedConfig(80, 2)
-	cfg.ApproxTable = true
-	cfg.ANNProbe = 4
-	ix, ds, _ := buildTestIndex(t, cfg, "night-street", 800)
-	if err := ix.Table.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	scores, err := ix.Propagate(CountScore("car"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The approximate table's propagation should closely track the exact
-	// one.
-	exactIx, _, _ := buildTestIndex(t, PretrainedConfig(80, 2), "night-street", 800)
-	exact, err := exactIx.Propagate(CountScore("car"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	agree := 0
-	for i := range scores {
-		if math.Abs(scores[i]-exact[i]) < 0.5 {
-			agree++
-		}
-	}
-	if frac := float64(agree) / float64(ds.Len()); frac < 0.9 {
-		t.Errorf("approximate propagation agrees on only %.2f of records", frac)
-	}
-}

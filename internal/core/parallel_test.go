@@ -76,9 +76,6 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 		"trained":    trained,
 		"pretrained": PretrainedConfig(80, 5),
 	}
-	approx := PretrainedConfig(120, 5)
-	approx.ApproxTable = true
-	configs["approx-table"] = approx
 
 	for name, base := range configs {
 		t.Run(name, func(t *testing.T) {

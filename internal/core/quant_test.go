@@ -17,8 +17,7 @@ func TestBuildQuantBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	configs := map[string]Config{
-		"exact-table":  PretrainedConfig(70, 5),
-		"approx-table": func() Config { c := PretrainedConfig(70, 5); c.ApproxTable = true; return c }(),
+		"exact-table": PretrainedConfig(70, 5),
 	}
 	for name, base := range configs {
 		t.Run(name, func(t *testing.T) {

@@ -5,6 +5,15 @@ import "fmt"
 // Generate builds one of the named evaluation corpora at the given size and
 // seed: "night-street", "taipei", "amsterdam", "wikisql", or "common-voice".
 func Generate(name string, size int, seed int64) (*Dataset, error) {
+	ds, err := generate(name, size, seed)
+	if err != nil {
+		return nil, err
+	}
+	ds.Corpus = Corpus{Dataset: name, Size: size, Seed: seed}
+	return ds, nil
+}
+
+func generate(name string, size int, seed int64) (*Dataset, error) {
 	switch name {
 	case "night-street":
 		return GenerateVideo(NightStreetConfig(size, seed))

@@ -110,6 +110,20 @@ type Dataset struct {
 	// evaluation code may read it; query processing must go through a
 	// labeler.Labeler.
 	Truth []Annotation
+	// Corpus is the Generate call that made the dataset; the zero value for
+	// one built any other way. Appending records keeps it: the generated
+	// records keep their IDs.
+	Corpus Corpus
+}
+
+// Corpus identifies a generated corpus by the arguments of its Generate
+// call. Record IDs only mean something within one corpus, so an artifact
+// keyed by them — an index snapshot, a label store — names the corpus it
+// describes and is read back only into the same one.
+type Corpus struct {
+	Dataset string
+	Size    int
+	Seed    int64
 }
 
 // Len returns the number of records.

@@ -34,11 +34,7 @@ const (
 // Corpus identifies a corpus by the arguments that generate it. A label is
 // an annotation of one record ID, so a snapshot is only meaningful over the
 // corpus it was bought from.
-type Corpus struct {
-	Dataset string
-	Size    int
-	Seed    int64
-}
+type Corpus = dataset.Corpus
 
 // ErrCorpus marks a label-store snapshot that names another corpus than the
 // store reading it, or none: its labels may describe other records.

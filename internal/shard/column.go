@@ -78,7 +78,7 @@ const unknownValue = 0x7ff8_7a57_1c01_0001
 // generation, plus the query structures derived from the scores alone and the
 // exact scores requests have learnt so far. The slices are read-only —
 // requests share them and must not write them — and the exact scores are
-// written only through SetValue.
+// written only through setValue.
 type Column struct {
 	// Kind is the propagation Scores came from.
 	Kind ColumnKind
@@ -107,7 +107,7 @@ type Column struct {
 	heaps     *limitq.Cursor
 	prefix    atomic.Pointer[[]int]
 
-	// exact holds one cell per record, allocated by the first SetValue.
+	// exact holds one cell per record, allocated by the first setValue.
 	exact atomic.Pointer[[]atomic.Uint64]
 }
 
@@ -129,7 +129,7 @@ func (c *Column) bytes() int64 {
 
 // Value returns the scoring function's exact score of record id — its score
 // of the record's annotation, not the propagated estimate in Scores — when
-// some request has recorded it with SetValue. It takes no lock.
+// some request has recorded it with setValue. It takes no lock.
 func (c *Column) Value(id int) (v float64, known bool) {
 	cells := c.exact.Load()
 	if cells == nil {
@@ -139,12 +139,12 @@ func (c *Column) Value(id int) (v float64, known bool) {
 	return math.Float64frombits(stored ^ unknownValue), stored != 0
 }
 
-// SetValue records v as the exact score of record id. The caller must have
+// setValue records v as the exact score of record id. The caller must have
 // obtained the record's label through the label store and scored it with this
 // column's Scorer: a known value is then worth exactly a store hit, and every
 // writer of one cell writes the same bits. Values live and die with the
 // column — a successor version's column starts with none.
-func (c *Column) SetValue(id int, v float64) {
+func (c *Column) setValue(id int, v float64) {
 	cells := c.exact.Load()
 	if cells == nil {
 		fresh := make([]atomic.Uint64, len(c.Scores))

@@ -132,7 +132,7 @@ func TestWeightedColumnCharge(t *testing.T) {
 	if err != nil || sel.Len() == 0 {
 		t.Fatalf("select over the column: %d records (%v)", sel.Len(), err)
 	}
-	col.SetValue(0, 1)
+	col.setValue(0, 1)
 	built := live() - before
 	if charged := col.bytes() - 8*n; built > charged+slack {
 		t.Errorf("a weighted column's derived vectors hold %d bytes, charged %d beside its scores", built, charged)
@@ -155,10 +155,10 @@ func TestColumnExactValues(t *testing.T) {
 	values := []float64{0, math.Copysign(0, -1), 1, -2.5, math.Inf(1), math.Inf(-1), math.NaN(), otherNaN,
 		math.SmallestNonzeroFloat64, math.MaxFloat64}
 	for id, want := range values {
-		col.SetValue(id, want)
+		col.setValue(id, want)
 		got, known := col.Value(id)
 		if !known || math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("SetValue(%d, %v [%#x]) reads back %v [%#x], known=%v", id, want, math.Float64bits(want), got, math.Float64bits(got), known)
+			t.Errorf("setValue(%d, %v [%#x]) reads back %v [%#x], known=%v", id, want, math.Float64bits(want), got, math.Float64bits(got), known)
 		}
 	}
 	if v, known := col.Value(len(values)); known {
@@ -171,7 +171,7 @@ func TestColumnExactValues(t *testing.T) {
 		t.Fatalf("the reserved pattern %#x is the number %v", uint64(unknownValue), reserved)
 	}
 	for _, id := range []int{0, len(values)} {
-		col.SetValue(id, reserved)
+		col.setValue(id, reserved)
 		if v, known := col.Value(id); known {
 			t.Errorf("the reserved pattern set on cell %d reads back as the known value %v", id, v)
 		}
@@ -200,7 +200,7 @@ func TestColumnExactValuesConcurrent(t *testing.T) {
 						errs <- fmt.Errorf("goroutine %d: Value(%d) = %v, want %v", g, id, v, exact(id))
 						return
 					}
-					col.SetValue(id, exact(id))
+					col.setValue(id, exact(id))
 				}
 			}
 		}(g)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -44,7 +45,7 @@ const (
 func shardFrame(s int, part string) string { return fmt.Sprintf("shard.%d.%s", s, part) }
 
 // manifest is the first frame: the corpus size, every shard's record range,
-// and the build stats.
+// and the build stats, which name the corpus the index was built over.
 type manifest struct {
 	Total  int
 	Shards []shardRange
@@ -67,6 +68,26 @@ type shardMeta struct {
 type quantMeta struct {
 	Scale, Offset []float64
 	MaxErr        float64
+}
+
+// ErrCorpus marks an index snapshot that names another corpus than the one
+// it is read to serve, or none: its tables and annotations describe other
+// records, whatever their count.
+var ErrCorpus = errors.New("shard: index snapshot of another corpus")
+
+// checkCorpus refuses an index built over got for the corpus want, and any
+// index that names no corpus.
+func checkCorpus(got, want dataset.Corpus) error {
+	if got == (dataset.Corpus{}) || got != want {
+		return fmt.Errorf("%w: the index names %+v, the corpus is %+v", ErrCorpus, got, want)
+	}
+	return nil
+}
+
+// CheckCorpus reports whether v was built over corpus: nil, or an error
+// wrapping ErrCorpus. A loaded snapshot should pass it before it serves.
+func (v *Version) CheckCorpus(corpus dataset.Corpus) error {
+	return checkCorpus(v.Stats.Corpus, corpus)
 }
 
 // malformed wraps a content error of an intact file in the taxonomy.
@@ -201,15 +222,19 @@ func Load(r io.Reader) (*Index, error) {
 	return newIndex(wiring{emb: emb}, man.Stats, shards, man.Total), nil
 }
 
-// LoadShard lifts the single shard i out of a snapshot, skipping its peers'
-// frames undecoded — the cheap path behind cmd/tastiserve's per-shard
-// reload. Every frame and the whole-file trailer are still CRC-checked.
-// ReplaceShard checks the result against the serving index.
-func LoadShard(r io.Reader, i int) (*Shard, error) {
+// LoadShard lifts the single shard i out of a snapshot of corpus, skipping
+// its peers' frames undecoded — the cheap path behind cmd/tastiserve's
+// per-shard reload. Every frame and the whole-file trailer are still
+// CRC-checked, and a snapshot of another corpus, or of none, fails with
+// ErrCorpus. ReplaceShard checks the result against the serving index.
+func LoadShard(r io.Reader, i int, corpus dataset.Corpus) (*Shard, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("shard: shard %d out of range", i)
 	}
-	_, shards, _, err := load(r, i)
+	man, shards, _, err := load(r, i)
+	if err == nil {
+		err = checkCorpus(man.Stats.Corpus, corpus)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
 	}

@@ -36,6 +36,11 @@ func buildSplit(n, dim, shards int) (*Index, error) {
 	return Split(ix, shards)
 }
 
+// splitCorpus is the corpus buildSplit(n, …) indexes.
+func splitCorpus(n int) dataset.Corpus {
+	return dataset.Corpus{Dataset: "night-street", Size: n, Seed: 3}
+}
+
 // savedSplit returns the snapshot bytes of buildSplit(n, dim, shards).
 func savedSplit(t testing.TB, n, dim, shards int) []byte {
 	t.Helper()
@@ -345,7 +350,7 @@ func TestFlatFrameShapeMismatchRejected(t *testing.T) {
 		data := craft(t, tc.edit)
 		loadTyped(t, data, tc.name)
 		for i := 0; i < 2; i++ {
-			if _, err := LoadShard(bytes.NewReader(data), i); err != nil {
+			if _, err := LoadShard(bytes.NewReader(data), i, splitCorpus(120)); err != nil {
 				requireTyped(t, err, tc.name)
 			}
 		}
@@ -400,7 +405,7 @@ func TestReplaceShardRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := LoadShard(bytes.NewReader(savedSplit(t, 120, 5, 2)), 1)
+	other, err := LoadShard(bytes.NewReader(savedSplit(t, 120, 5, 2)), 1, splitCorpus(120))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +421,7 @@ func TestReplaceShardRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := LoadShard(bytes.NewReader(savedSplit(t, 120, 5, 1)), 0)
+	narrow, err := LoadShard(bytes.NewReader(savedSplit(t, 120, 5, 1)), 0, splitCorpus(120))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +430,7 @@ func TestReplaceShardRejectsMismatch(t *testing.T) {
 	}
 	// The same record range cut from a larger corpus names representatives
 	// this index does not have.
-	larger, err := LoadShard(bytes.NewReader(savedSplit(t, 180, 8, 3)), 1)
+	larger, err := LoadShard(bytes.NewReader(savedSplit(t, 180, 8, 3)), 1, splitCorpus(180))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +447,7 @@ func TestIndexSnapshotBeforeV4Rejected(t *testing.T) {
 	if _, err := Load(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersion) {
 		t.Errorf("Load of a v3 index: err = %v, want ErrVersion", err)
 	}
-	if _, err := LoadShard(bytes.NewReader(old), 0); !errors.Is(err, snapshot.ErrVersion) {
+	if _, err := LoadShard(bytes.NewReader(old), 0, splitCorpus(120)); !errors.Is(err, snapshot.ErrVersion) {
 		t.Errorf("LoadShard of a v3 index: err = %v, want ErrVersion", err)
 	}
 }
@@ -527,10 +532,70 @@ func FuzzLoadIndex(f *testing.F) {
 		if !bytes.HasPrefix(data, snapshot.Magic[:]) && !errors.Is(err, snapshot.ErrBadMagic) {
 			t.Fatalf("input without the snapshot magic: err = %v, want ErrBadMagic", err)
 		}
-		if sh, err := LoadShard(bytes.NewReader(data), 1); err == nil {
+		if sh, err := LoadShard(bytes.NewReader(data), 1, splitCorpus(120)); err == nil {
 			if err := sh.Validate(); err != nil {
 				t.Fatalf("LoadShard accepted a shard its own validation rejects: %v", err)
 			}
 		}
 	})
+}
+
+// TestSnapshotNamesItsCorpus: an index names the corpus it was built over
+// through appends, cracks, saves and loads, and a snapshot serves only that
+// corpus — whole (CheckCorpus) or shard by shard (LoadShard). An index that
+// names none serves none.
+func TestSnapshotNamesItsCorpus(t *testing.T) {
+	x, err := buildSplit(120, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := splitCorpus(120)
+	extra, err := dataset.Generate("night-street", 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.AppendRecords([][]float64{extra.Records[0].Features, extra.Records[1].Features, extra.Records[2].Features}); err != nil {
+		t.Fatal(err)
+	}
+	x.Crack(121, dataset.VideoAnnotation{})
+	var buf bytes.Buffer
+	if err := x.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Pin().CheckCorpus(own); err != nil {
+		t.Fatalf("the appended, cracked and reloaded index: %v", err)
+	}
+	if _, err := LoadShard(bytes.NewReader(buf.Bytes()), 1, own); err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []dataset.Corpus{
+		{Dataset: "night-street", Size: 120, Seed: 4},
+		{Dataset: "night-street", Size: 121, Seed: 3},
+		{Dataset: "wikisql", Size: 120, Seed: 3},
+		{},
+	} {
+		if err := loaded.Pin().CheckCorpus(other); !errors.Is(err, ErrCorpus) {
+			t.Errorf("CheckCorpus(%+v): %v, want ErrCorpus", other, err)
+		}
+		if _, err := LoadShard(bytes.NewReader(buf.Bytes()), 1, other); !errors.Is(err, ErrCorpus) {
+			t.Errorf("LoadShard for %+v: %v, want ErrCorpus", other, err)
+		}
+	}
+
+	// A snapshot that names no corpus serves none.
+	anonymous := craft(t, editGob("manifest", func(m *manifest) { m.Stats.Corpus = dataset.Corpus{} }))
+	unnamed, err := Load(bytes.NewReader(anonymous))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := unnamed.Pin().CheckCorpus(own); !errors.Is(err, ErrCorpus) {
+		t.Errorf("an index naming no corpus: %v, want ErrCorpus", err)
+	}
+	if _, err := LoadShard(bytes.NewReader(anonymous), 0, own); !errors.Is(err, ErrCorpus) {
+		t.Errorf("a shard of an index naming no corpus: %v, want ErrCorpus", err)
+	}
 }

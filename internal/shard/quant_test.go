@@ -170,7 +170,7 @@ func TestShardQuantPersistRoundTrip(t *testing.T) {
 	if r := got.Pin().MemoryStats().CompressionRatio(); r != 8 {
 		t.Fatalf("restored CompressionRatio = %v, want 8", r)
 	}
-	sh, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 1)
+	sh, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 1, x.Pin().Stats.Corpus)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,7 +306,7 @@ func TestLoadShardAndReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 1)
+	sh, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 1, x.Pin().Stats.Corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestLoadShardAndReplace(t *testing.T) {
 	if err := x.ReplaceShard(5, sh); err == nil {
 		t.Error("ReplaceShard accepted an out-of-range position")
 	}
-	if _, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 9); err == nil {
+	if _, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 9, x.Pin().Stats.Corpus); err == nil {
 		t.Error("LoadShard accepted an out-of-range shard number")
 	}
 }
@@ -347,7 +347,7 @@ func TestSnapshotKindMismatch(t *testing.T) {
 	if _, err := shard.Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrKind) {
 		t.Errorf("shard.Load of a label store: %v, want ErrKind", err)
 	}
-	if _, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 0); !errors.Is(err, snapshot.ErrKind) {
+	if _, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 0, dataset.Corpus{}); !errors.Is(err, snapshot.ErrKind) {
 		t.Errorf("shard.LoadShard of a label store: %v, want ErrKind", err)
 	}
 

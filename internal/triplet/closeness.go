@@ -6,67 +6,22 @@ package triplet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
 	"repro/internal/dataset"
 )
 
-// Closeness reports whether two target-labeler outputs should be considered
-// semantically close — the user-provided heuristic of the paper's Section 2.
-type Closeness func(a, b dataset.Annotation) bool
-
 // BucketKey maps an annotation to a discrete bucket label so that records in
-// the same bucket are close. Bucketing is how the trainer turns the pairwise
-// closeness heuristic into triplet sampling ("TASTI will first bucket
-// records by the closeness function").
+// the same bucket are close — the user-provided closeness heuristic of the
+// paper's Section 2, in the form the trainer samples triplets by ("TASTI will
+// first bucket records by the closeness function").
 type BucketKey func(a dataset.Annotation) string
 
-// VideoCloseness returns the paper's video heuristic: frames are close when
-// they have the same number of objects per class and each box in one frame
-// has a matching box of the same class in the other within posTol (L∞ on
-// centers).
-func VideoCloseness(posTol float64) Closeness {
-	return func(a, b dataset.Annotation) bool {
-		va, ok1 := a.(dataset.VideoAnnotation)
-		vb, ok2 := b.(dataset.VideoAnnotation)
-		if !ok1 || !ok2 {
-			return false
-		}
-		if len(va.Boxes) != len(vb.Boxes) {
-			return false
-		}
-		return allBoxesClose(va.Boxes, vb.Boxes, posTol)
-	}
-}
-
-// allBoxesClose greedily matches each box in a to an unused same-class box
-// in b within tol.
-func allBoxesClose(a, b []dataset.Box, tol float64) bool {
-	used := make([]bool, len(b))
-	for _, ba := range a {
-		found := false
-		for j, bb := range b {
-			if used[j] || ba.Class != bb.Class {
-				continue
-			}
-			if math.Abs(ba.X-bb.X) <= tol && math.Abs(ba.Y-bb.Y) <= tol {
-				used[j] = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// VideoBucketKey discretizes a frame annotation into per-class counts plus a
-// coarse position grid with the given cell size, so frames in one bucket
-// satisfy VideoCloseness with tolerance ~cell.
+// VideoBucketKey is the paper's video heuristic: frames are close when they
+// have the same number of objects per class and the boxes of one pair up with
+// same-class boxes of the other in the same cell of a position grid with the
+// given cell size.
 func VideoBucketKey(cell float64) BucketKey {
 	if cell <= 0 {
 		panic(fmt.Sprintf("triplet: video bucket cell must be positive, got %v", cell))
@@ -85,20 +40,8 @@ func VideoBucketKey(cell float64) BucketKey {
 	}
 }
 
-// TextCloseness returns the paper's text heuristic: questions are close when
+// TextBucketKey is the paper's text heuristic: questions are close when
 // they share the SQL operator and predicate count.
-func TextCloseness() Closeness {
-	return func(a, b dataset.Annotation) bool {
-		ta, ok1 := a.(dataset.TextAnnotation)
-		tb, ok2 := b.(dataset.TextAnnotation)
-		if !ok1 || !ok2 {
-			return false
-		}
-		return ta.Operator == tb.Operator && ta.NumPredicates == tb.NumPredicates
-	}
-}
-
-// TextBucketKey buckets by SQL operator and predicate count.
 func TextBucketKey() BucketKey {
 	return func(a dataset.Annotation) string {
 		ta, ok := a.(dataset.TextAnnotation)
@@ -109,20 +52,8 @@ func TextBucketKey() BucketKey {
 	}
 }
 
-// SpeechCloseness returns the paper's speech heuristic: snippets are close
-// when the speakers share gender and discretized age bucket.
-func SpeechCloseness() Closeness {
-	return func(a, b dataset.Annotation) bool {
-		sa, ok1 := a.(dataset.SpeechAnnotation)
-		sb, ok2 := b.(dataset.SpeechAnnotation)
-		if !ok1 || !ok2 {
-			return false
-		}
-		return sa.Gender == sb.Gender && sa.AgeBucket() == sb.AgeBucket()
-	}
-}
-
-// SpeechBucketKey buckets by gender and age decade.
+// SpeechBucketKey is the paper's speech heuristic: snippets are close when
+// the speakers share gender and age decade.
 func SpeechBucketKey() BucketKey {
 	return func(a dataset.Annotation) string {
 		sa, ok := a.(dataset.SpeechAnnotation)
@@ -131,10 +62,4 @@ func SpeechBucketKey() BucketKey {
 		}
 		return fmt.Sprintf("%s/%d", sa.Gender, sa.AgeBucket())
 	}
-}
-
-// FromBucketKey derives a Boolean closeness function from a bucket key:
-// close iff same bucket. Useful when only the key is specified.
-func FromBucketKey(key BucketKey) Closeness {
-	return func(a, b dataset.Annotation) bool { return key(a) == key(b) }
 }

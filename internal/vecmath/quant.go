@@ -267,7 +267,7 @@ func QuantizeRowInto(dst []uint8, row []float64, p QuantParams) float64 {
 			}
 		}
 		dst[d] = uint8(c)
-		if e := math.Abs(v - (off + s*c)); e > maxErr {
+		if e := math.Abs(v - (off + float64(s*c))); e > maxErr {
 			maxErr = e
 		}
 	}
@@ -353,7 +353,7 @@ func (q *QuantMatrix) AppendRow(row []float64) {
 // the file comment. The pointer receiver keeps the per-row call in a scan
 // loop from copying the plane's header.
 func (q *QuantMatrix) LowerBound(codeDist int64, queryErr float64) float64 {
-	lb := q.sMin*math.Sqrt(float64(codeDist)) - (q.maxErr+queryErr)*math.Sqrt(float64(q.dim))
+	lb := float64(q.sMin*math.Sqrt(float64(codeDist))) - float64((q.maxErr+queryErr)*math.Sqrt(float64(q.dim)))
 	if lb <= 0 {
 		return 0
 	}

@@ -34,20 +34,22 @@ func Dot(a, b []float64) float64 {
 
 // dotGeneric is the portable inner-product loop, the fallback when no
 // vectorized kernel is available (see kernel_amd64.go for the dispatch).
-// b is re-sliced to len(a) to let the compiler drop bounds checks.
+// b is re-sliced to len(a) to let the compiler drop bounds checks. Every
+// product is rounded before its add (float64(x*y)), so no compiler may fuse
+// it into a multiply-add: the loop is the same bits on every host.
 func dotGeneric(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
 	s := (s0 + s1) + (s2 + s3)
 	for ; i < len(a); i++ {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -68,7 +70,8 @@ func SquaredL2(a, b []float64) float64 {
 
 // sqL2Generic is the portable squared-distance loop, the fallback when no
 // vectorized kernel is available. Four accumulators break the loop-carried
-// add chain (~3 cycles/element down to ~1 on current x86/arm cores).
+// add chain (~3 cycles/element down to ~1 on current x86/arm cores); each
+// product is rounded before its add, as in dotGeneric.
 func sqL2Generic(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
@@ -78,15 +81,15 @@ func sqL2Generic(a, b []float64) float64 {
 		d1 := a[i+1] - b[i+1]
 		d2 := a[i+2] - b[i+2]
 		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	s := (s0 + s1) + (s2 + s3)
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

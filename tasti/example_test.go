@@ -55,18 +55,26 @@ func ExampleIndexVersion_PropagateNearest() {
 		log.Fatal(err)
 	}
 
-	scores, dists, err := index.Pin().PropagateNearest(tasti.CountScore("car"), nil)
+	v := index.Pin()
+	scores, dists, err := v.PropagateNearest(tasti.CountScore("car"), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	manyCars := func(ann tasti.Annotation) bool {
-		return ann.(tasti.VideoAnnotation).Count("car") >= 4
+	// Label frames in descending score order, ties by the distance to the
+	// nearest representative, until three have four cars or more.
+	found := 0
+	for _, id := range v.LimitOrder(scores, dists) {
+		ann, err := oracle.Label(id)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if ann.(tasti.VideoAnnotation).Count("car") >= 4 {
+			if found++; found == 3 {
+				break
+			}
+		}
 	}
-	res, err := tasti.FindLimit(3, scores, dists, manyCars, oracle)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("found %d matching frames\n", len(res.Found))
+	fmt.Printf("found %d matching frames\n", found)
 	// Output: found 3 matching frames
 }
 

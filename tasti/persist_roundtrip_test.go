@@ -2,6 +2,7 @@ package tasti_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -63,7 +64,15 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refLim, err := tasti.FindLimit(10, refNear, refDist, hasCar, oracle)
+	// limit answers the limit query as a server does: one Run, labeling
+	// through a fresh label store bound to v's annotations.
+	limit := func(v *tasti.IndexVersion) (tasti.LimitResult, error) {
+		ans, err := v.Run(context.Background(), tasti.Query{Limit: &tasti.LimitQuery{
+			Score: tasti.Scorer{Name: "count/car", Score: carCount}, Pred: hasCar, K: 10,
+		}}, tasti.NewLabelStore(tasti.LabelStoreOptions{}).Bind(oracle, nil, "", v.AnnotationOf), nil)
+		return ans.Limit, err
+	}
+	refLim, err := limit(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +127,7 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 				t.Fatalf("p=%d: nearest propagation diverged at record %d", p, i)
 			}
 		}
-		lim, err := tasti.FindLimit(10, near, dist, hasCar, oracle)
+		lim, err := limit(loaded)
 		if err != nil {
 			t.Fatalf("p=%d: limit: %v", p, err)
 		}

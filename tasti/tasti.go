@@ -25,10 +25,12 @@
 //	    ds.Len(), scores, tasti.CountScore("car"), oracle)
 //
 // The same index serves selection queries with recall guarantees
-// (SelectWithRecall), limit queries over rare events (FindLimit), and
-// guarantee-free threshold selection (SelectByThreshold). Labels paid for
-// during query execution — label through NewLabelStore(...).Bind(...) and
-// read them back with LabelStore.Annotations — are folded back into it with
+// (SelectWithRecall) and limit queries over rare events. A served query is
+// one IndexVersion.Run: it reads the version's cached proxy column, labels
+// through a LabelStore binding and answers an aggregate, a select or a limit
+// (Query). Labels paid for during query execution — label through
+// NewLabelStore(...).Bind(...) and read them back with
+// LabelStore.Annotations — are folded back into it with
 // ShardedIndex.CrackAll, and new records arrive with
 // ShardedIndex.AppendRecords. Build's Index is the builder's output: it
 // saves, loads and splits, and the ShardedIndex it splits into is the one
@@ -48,7 +50,6 @@ import (
 	"repro/internal/query/aggregation"
 	"repro/internal/query/limitq"
 	"repro/internal/query/predagg"
-	"repro/internal/query/selection"
 	"repro/internal/query/supg"
 	"repro/internal/shard"
 	"repro/internal/snapshot"
@@ -75,6 +76,11 @@ type (
 	Record = dataset.Record
 	// Dataset is a corpus of records with hidden ground truth.
 	Dataset = dataset.Dataset
+	// Corpus names a generated corpus by its GenerateDataset arguments
+	// (Dataset.Corpus): the corpus an index snapshot or a label store
+	// describes (LabelStoreOptions.Corpus); a snapshot of either is read
+	// back only for the same corpus.
+	Corpus = dataset.Corpus
 	// Annotation is a target labeler's structured output.
 	Annotation = dataset.Annotation
 	// Box is one detected object in a video annotation.
@@ -277,29 +283,27 @@ type (
 	// Shard is one contiguous record-range slice of a sharded index.
 	Shard = shard.Shard
 	// Scorer is a scoring function together with the name that identifies
-	// it across requests — the key of IndexVersion.Column.
+	// it across requests — the key of the proxy column a Query reads. A
+	// column is one Scorer's propagated scores for one index generation,
+	// computed by the first query that needs it and shared by every later
+	// one until a crack, append or shard swap starts a new generation.
 	Scorer = shard.Scorer
-	// ProxyColumn is one Scorer's propagated scores for one index
-	// generation, with the SUPG design or limit heaps derived from them:
-	// computed once by IndexVersion.Column, then shared read-only by every
-	// request until a crack, append or shard swap starts a new generation.
-	// Beside them it memoizes the Scorer's exact score of every record a
-	// request obtained the label of (Value / SetValue).
-	ProxyColumn = shard.Column
 	// ProxyColumnStats is ShardedIndex.ColumnStats's residency report.
 	ProxyColumnStats = shard.ColumnStats
-	// ColumnKind names the propagation a proxy column holds.
-	ColumnKind = shard.ColumnKind
-)
-
-// The propagation a proxy column holds.
-const (
-	// ColumnWeighted columns hold ShardedIndex.Propagate's output and serve
-	// EstimateAggregate and ProxyColumn.Design.
-	ColumnWeighted = shard.ColumnWeighted
-	// ColumnNearest columns hold ShardedIndex.PropagateNearest's output and
-	// serve FindLimitNext through ProxyColumn.Cursor.
-	ColumnNearest = shard.ColumnNearest
+	// Query is one query for IndexVersion.Run: exactly one of Aggregate,
+	// Select and Limit is set.
+	Query = shard.Query
+	// AggregateQuery estimates a Scorer's mean over the corpus (EBS).
+	AggregateQuery = shard.Aggregate
+	// SelectQuery selects the records a 0/1 Scorer matches at a recall
+	// target (SUPG).
+	SelectQuery = shard.Select
+	// LimitQuery finds K records a predicate accepts, cracking what it
+	// labeled when asked.
+	LimitQuery = shard.Limit
+	// Answer is IndexVersion.Run's result, with the records and shards it
+	// read and its label hits and misses.
+	Answer = shard.Answer
 )
 
 // SplitIndex partitions a built index into n contiguous record-range shards,
@@ -309,10 +313,12 @@ func SplitIndex(ix *Index, n int) (*ShardedIndex, error) { return shard.Split(ix
 
 // LoadShardedIndex deserializes an index saved with ShardedIndex.Save —
 // the one index snapshot format — with the shard layout it was saved at.
+// Check IndexVersion.CheckCorpus before serving it.
 var LoadShardedIndex = shard.Load
 
-// LoadShard lifts one shard out of a sharded snapshot without decoding its
-// peers — the input to ShardedIndex.ReplaceShard for per-shard hot reload.
+// LoadShard lifts one shard out of a sharded snapshot of a corpus without
+// decoding its peers — the input to ShardedIndex.ReplaceShard for per-shard
+// hot reload.
 var LoadShard = shard.LoadShard
 
 // KernelName reports which vector-distance kernel implementation this
@@ -343,6 +349,10 @@ var (
 	// ErrSnapshotMalformed marks intact frames whose contents disagree — a
 	// shape that does not match its data, shards that cannot serve together.
 	ErrSnapshotMalformed = snapshot.ErrMalformed
+	// ErrSnapshotCorpus marks an index snapshot of another corpus than the
+	// one it is read to serve (IndexVersion.CheckCorpus, LoadShard), or of
+	// none.
+	ErrSnapshotCorpus = shard.ErrCorpus
 )
 
 // WriteFileAtomic writes a file through write and atomically replaces path
@@ -392,32 +402,18 @@ type (
 	AggregateOptions = aggregation.Options
 	// AggregateResult is EstimateAggregate's output.
 	AggregateResult = aggregation.Result
-	// SelectOptions configures SelectWithRecall and SelectWithPrecision.
+	// SelectOptions configures SelectWithRecall.
 	SelectOptions = supg.Options
 	// SelectResult is the SUPG output.
 	SelectResult = supg.Result
 	// Selection is a settled SUPG query whose returned set is kept as its
 	// membership rule — proxy at or above the threshold, a sampled record
-	// by its last draw's label — from SelectDesign's RecallTargetSelection
-	// and PrecisionTargetSelection: Len counts the set and IDs lists its
-	// head without materialising it; Result lists it whole.
+	// by its last draw's label — as Answer.Selection carries it: Len counts
+	// the set and IDs lists its head without materialising it; Result lists
+	// it whole.
 	Selection = supg.Selection
-	// SelectDesign is SUPG's sampling design over one proxy vector, reusable
-	// across queries: SelectWithRecall is one RecallTargetSelection over a
-	// fresh design, listed whole with Selection.Result. ProxyColumn.Design
-	// returns the one a column keeps; RecallTargetSelection and
-	// PrecisionTargetSelection run the queries over a MatchSource.
-	SelectDesign = supg.Design
-	// ValueSource answers one record's aggregated quantity — the score of
-	// its label — for EstimateAggregateValues.
-	ValueSource = aggregation.ValueSource
-	// MatchSource answers whether one record matches a selection — the
-	// predicate over its label — for SelectDesign's queries.
-	MatchSource = supg.MatchSource
-	// LimitResult is FindLimit's output.
+	// LimitResult is a limit query's output.
 	LimitResult = limitq.Result
-	// ThresholdResult is SelectByThreshold's output.
-	ThresholdResult = selection.Result
 )
 
 // EstimateAggregate estimates the mean of score over n records with an
@@ -427,16 +423,6 @@ func EstimateAggregate(opts AggregateOptions, n int, proxy []float64, score func
 	return aggregation.Estimate(opts, n, proxy, score, lab)
 }
 
-// EstimateAggregateValues is EstimateAggregate with the labeler and the score
-// function folded into one per-record value source — the sampler itself, which
-// EstimateAggregate adapts (label, then score) onto. A caller that already
-// knows some records' values answers those draws without an annotation.
-// proxyMean is the mean of proxy, which EstimateAggregate folds itself: a
-// ProxyColumn keeps it as Mean.
-func EstimateAggregateValues(opts AggregateOptions, n int, proxy []float64, proxyMean float64, value ValueSource) (AggregateResult, error) {
-	return aggregation.EstimateValues(opts, n, proxy, proxyMean, value)
-}
-
 // SelectWithRecall returns a record set containing at least a target
 // fraction of all records matching pred, with probability 1-Delta, spending
 // a fixed labeler budget (SUPG recall-target).
@@ -444,31 +430,11 @@ func SelectWithRecall(opts SelectOptions, n int, proxy []float64, pred func(Anno
 	return supg.RecallTarget(opts, n, proxy, pred, lab)
 }
 
-// SelectWithPrecision returns the largest record set whose precision clears
-// the target with probability 1-Delta (SUPG precision-target).
-func SelectWithPrecision(opts SelectOptions, n int, proxy []float64, pred func(Annotation) bool, lab Labeler) (SelectResult, error) {
-	return supg.PrecisionTarget(opts, n, proxy, pred, lab)
-}
-
-// FindLimit scans records in descending proxy-score order (ties broken by
-// tieDist, then ID) until limit records matching pred are found.
-func FindLimit(limit int, proxy, tieDist []float64, pred func(Annotation) bool, lab Labeler) (LimitResult, error) {
-	return limitq.Run(limit, proxy, tieDist, pred, lab)
-}
-
-// FindLimitScan is FindLimit over a caller-supplied, fully materialized scan
-// order such as ShardedIndex.LimitOrder's. A scan that stops after a few
-// matches is cheaper through FindLimitNext.
+// FindLimitScan scans records in a caller-supplied, fully materialized scan
+// order such as ShardedIndex.LimitOrder's, labeling each until limit records
+// matching pred are found.
 func FindLimitScan(opts LimitOptions, limit int, order []int, pred func(Annotation) bool, lab Labeler) (LimitResult, error) {
 	return limitq.RunScan(opts, limit, order, pred, lab)
-}
-
-// FindLimitNext is FindLimit over a lazily produced scan order — typically
-// the Next of ProxyColumn.Cursor or ShardedIndex.LimitCursor, the
-// head-by-head merge of per-shard heaps, which yields the order FindLimit
-// computes itself and charges only for the IDs the scan takes.
-func FindLimitNext(opts LimitOptions, limit int, next func() (id int, ok bool), pred func(Annotation) bool, lab Labeler) (LimitResult, error) {
-	return limitq.RunNext(opts, limit, next, pred, lab)
 }
 
 // Observability: a dependency-free metrics registry and span tracer that
@@ -487,7 +453,7 @@ type (
 	// Span is one named, timed node of a Trace; Config.TraceSpan parents
 	// the build's per-phase spans.
 	Span = telemetry.Span
-	// LimitOptions carries FindLimitScan and FindLimitNext instrumentation.
+	// LimitOptions carries FindLimitScan's instrumentation.
 	LimitOptions = limitq.Options
 	// MetricCounter is a monotonically-increasing atomic counter.
 	MetricCounter = telemetry.Counter
@@ -563,13 +529,6 @@ var (
 // reg (nil disables them). The pool is process-wide, so this is too.
 func SetPoolTelemetry(reg *MetricsRegistry) { parallel.SetTelemetry(reg) }
 
-// SelectByThreshold answers a selection query without guarantees: it labels
-// a validation sample, picks the proxy threshold maximizing F1, and returns
-// every record above it.
-func SelectByThreshold(n int, proxy []float64, validationSize int, pred func(Annotation) bool, lab Labeler, seed int64) (ThresholdResult, error) {
-	return selection.Threshold(n, proxy, validationSize, pred, lab, seed)
-}
-
 // Label amortization: the one record→annotation store, shared by every
 // query processor, with singleflight coalescing (concurrent requests for the
 // same record issue exactly one oracle call) and a global budget manager
@@ -589,10 +548,6 @@ type (
 	BoundLabeler = store.Bound
 	// LabelStoreOptions configures NewLabelStore and LoadLabelStore.
 	LabelStoreOptions = store.Options
-	// LabelStoreCorpus names the corpus a label store's record IDs index
-	// (LabelStoreOptions.Corpus); a snapshot restores only into a store of
-	// the same corpus.
-	LabelStoreCorpus = store.Corpus
 	// BudgetManager admits oracle spend against global and per-tenant caps,
 	// debiting at call time and refunding failed calls.
 	BudgetManager = store.Budget

@@ -2,14 +2,15 @@ package tasti_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/tasti"
 )
 
 // TestEndToEnd drives the public API the way the README's quickstart does:
-// generate a corpus, build an index, persist it, serve it, and run all four
-// query types plus cracking on the served index.
+// generate a corpus, build an index, persist it, serve it, and run its query
+// types plus cracking on the served index.
 func TestEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -81,32 +82,26 @@ func TestEndToEnd(t *testing.T) {
 		t.Error("selection returned nothing")
 	}
 
-	// Precision-target variant.
-	if _, err := tasti.SelectWithPrecision(tasti.SelectOptions{
-		Budget: 150, Target: 0.8, Delta: 0.05, Seed: 6,
-	}, ds.Len(), selScores, hasCar, oracle); err != nil {
-		t.Fatal(err)
-	}
-
-	// Limit query.
-	limScores, limDists, err := v.PropagateNearest(carCount, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Limit query, served: one Run over the pinned version's cached
+	// nearest column, labeling through a label store bound to the version's
+	// annotations, cracking what it labeled.
 	manyCars := func(ann tasti.Annotation) bool {
 		return ann.(tasti.VideoAnnotation).Count("car") >= 4
 	}
-	lim, err := tasti.FindLimit(3, limScores, limDists, manyCars, oracle)
+	served := tasti.NewLabelStore(tasti.LabelStoreOptions{})
+	ans, err := v.Run(context.Background(), tasti.Query{Limit: &tasti.LimitQuery{
+		Score: tasti.Scorer{Name: "count/car", Score: carCount}, Pred: manyCars, K: 3, Crack: true,
+	}}, served.Bind(oracle, nil, "", v.AnnotationOf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lim := ans.Limit
 	if !lim.Exhausted && len(lim.Found) != 3 {
 		t.Errorf("limit found %d", len(lim.Found))
 	}
-
-	// Threshold selection without guarantees.
-	if _, err := tasti.SelectByThreshold(ds.Len(), selScores, 100, hasCar, oracle, 7); err != nil {
-		t.Fatal(err)
+	if ans.Hits+ans.Misses != lim.OracleCalls || len(ans.Crack) != len(lim.Labeled) {
+		t.Errorf("limit booked %d hits + %d misses for %d label calls, left %d of %d labels to crack",
+			ans.Hits, ans.Misses, lim.OracleCalls, len(ans.Crack), len(lim.Labeled))
 	}
 
 	// Persistence round trip: the restored index propagates the served bits.
