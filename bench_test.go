@@ -1,8 +1,9 @@
 package repro_test
 
-// One benchmark per table and figure of the paper's evaluation (Section 6).
-// Each benchmark runs the corresponding experiment end to end at TinyScale
-// so `go test -bench=.` regenerates every result series quickly; pass
+// One benchmark per registered experiment: the paper's tables and figures
+// (Section 6) and this reproduction's extensions. Each runs its experiment
+// end to end at TinyScale, so `go test -bench=Experiments` regenerates every
+// result series quickly and `-bench 'Experiments/<id>'` picks one; pass
 // `-scale default` to cmd/tastibench for the full-size runs recorded in
 // EXPERIMENTS.md. Use -benchtime=1x to run each experiment exactly once.
 
@@ -13,42 +14,20 @@ import (
 	"repro/internal/experiments"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
+func BenchmarkExperiments(b *testing.B) {
 	sc := experiments.TinyScale()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Run(id, sc, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatalf("%s produced no rows", id)
-		}
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := experiments.Run(id, sc, io.Discard)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.Rows) == 0 {
+					b.Fatalf("%s produced no rows", id)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFig2IndexConstruction(b *testing.B) { benchExperiment(b, "fig2") }
-func BenchmarkFig3CostVsPerf(b *testing.B)        { benchExperiment(b, "fig3") }
-func BenchmarkFig4Aggregation(b *testing.B)       { benchExperiment(b, "fig4") }
-func BenchmarkFig5SUPG(b *testing.B)              { benchExperiment(b, "fig5") }
-func BenchmarkFig6Limit(b *testing.B)             { benchExperiment(b, "fig6") }
-func BenchmarkTable1Costs(b *testing.B)           { benchExperiment(b, "table1") }
-func BenchmarkFig7PositionSelect(b *testing.B)    { benchExperiment(b, "fig7") }
-func BenchmarkFig8AvgPosition(b *testing.B)       { benchExperiment(b, "fig8") }
-func BenchmarkTable2NoGuarantee(b *testing.B)     { benchExperiment(b, "table2") }
-func BenchmarkTable3Cracking(b *testing.B)        { benchExperiment(b, "table3") }
-func BenchmarkFig9Factor(b *testing.B)            { benchExperiment(b, "fig9") }
-func BenchmarkFig10Lesion(b *testing.B)           { benchExperiment(b, "fig10") }
-func BenchmarkFig11Buckets(b *testing.B)          { benchExperiment(b, "fig11") }
-func BenchmarkFig12TrainExamples(b *testing.B)    { benchExperiment(b, "fig12") }
-func BenchmarkFig13EmbedDim(b *testing.B)         { benchExperiment(b, "fig13") }
-
-// Ablation benches for this reproduction's own design choices (not paper
-// figures): propagation k, FPF random mix, and the IVF distance table.
-func BenchmarkExtraPropagationK(b *testing.B) { benchExperiment(b, "extra-k") }
-func BenchmarkExtraRandomMix(b *testing.B)    { benchExperiment(b, "extra-mix") }
-func BenchmarkExtraANNTable(b *testing.B)     { benchExperiment(b, "extra-ann") }
-func BenchmarkExtraPredAgg(b *testing.B)      { benchExperiment(b, "extra-predagg") }
-func BenchmarkExtraPrecision(b *testing.B)    { benchExperiment(b, "extra-prec") }
-func BenchmarkExtraGroupBy(b *testing.B)      { benchExperiment(b, "extra-groupby") }

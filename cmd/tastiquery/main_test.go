@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/labeler"
 	"repro/tasti"
 )
 
@@ -142,7 +143,7 @@ func TestBuildIndexCheckpointResume(t *testing.T) {
 
 	// First run hits a spent budget mid-representative-labeling.
 	o.labelStore = filepath.Join(t.TempDir(), "labels.snap")
-	if _, err := buildIndex(o, ds, tasti.NewBudgetedLabeler(oracle, 30), openLabels(o, ds), nil); err == nil {
+	if _, err := buildIndex(o, ds, labeler.NewBudgeted(oracle, 30), openLabels(o, ds), nil); err == nil {
 		t.Fatal("budgeted build succeeded, want interruption")
 	}
 	held := tasti.NewLabelStore(tasti.LabelStoreOptions{
@@ -156,7 +157,7 @@ func TestBuildIndexCheckpointResume(t *testing.T) {
 	}
 
 	// Second run resumes; the remaining budget is exactly enough.
-	rec := &recordingLabeler{Labeler: tasti.NewBudgetedLabeler(oracle, 50)}
+	rec := &recordingLabeler{Labeler: labeler.NewBudgeted(oracle, 50)}
 	ix, err := buildIndex(o, ds, rec, openLabels(o, ds), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -55,11 +55,8 @@ type Config struct {
 	// rather than uniformly at random.
 	FPFMining bool
 	// FPFCluster selects cluster representatives by FPF rather than
-	// uniformly at random.
+	// uniformly at random, mixing in randomRepFraction of random ones.
 	FPFCluster bool
-	// RandomRepFraction is the fraction of representatives chosen at random
-	// when FPFCluster is set ("we mix a small fraction of random clusters").
-	RandomRepFraction float64
 	// BucketKey discretizes annotations for triplet sampling; required when
 	// DoTrain is set.
 	BucketKey triplet.BucketKey
@@ -122,20 +119,24 @@ type Config struct {
 	Seed int64
 }
 
+// randomRepFraction is the fraction of representatives an FPF build chooses
+// at random: the paper mixes "a small fraction of random clusters" into FPF
+// for average-case queries.
+const randomRepFraction = 0.1
+
 // DefaultConfig returns the full TASTI-T configuration used across the
 // evaluation.
 func DefaultConfig(trainingBudget, numReps int, key triplet.BucketKey, seed int64) Config {
 	return Config{
-		TrainingBudget:    trainingBudget,
-		NumReps:           numReps,
-		K:                 5,
-		EmbedDim:          64,
-		DoTrain:           true,
-		FPFMining:         true,
-		FPFCluster:        true,
-		RandomRepFraction: 0.1,
-		BucketKey:         key,
-		Seed:              seed,
+		TrainingBudget: trainingBudget,
+		NumReps:        numReps,
+		K:              5,
+		EmbedDim:       64,
+		DoTrain:        true,
+		FPFMining:      true,
+		FPFCluster:     true,
+		BucketKey:      key,
+		Seed:           seed,
 	}
 }
 
@@ -444,7 +445,7 @@ func Build(cfg Config, ds *dataset.Dataset, lab labeler.Labeler) (*Index, error)
 	var reps []int
 	var sel *cluster.Selection
 	if cfg.FPFCluster {
-		sel = cluster.SelectPar(repRand, embeddings, quant, cfg.NumReps, cfg.RandomRepFraction, cfg.K, cfg.Parallelism)
+		sel = cluster.SelectPar(repRand, embeddings, quant, cfg.NumReps, randomRepFraction, cfg.K, cfg.Parallelism)
 		reps = sel.Reps
 		stats.QuantCandidates, stats.QuantReranked = sel.Stats.Candidates, sel.Stats.Reranked
 	} else {

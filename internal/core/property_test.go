@@ -29,12 +29,11 @@ func TestBuildPropertyInvariants(t *testing.T) {
 
 	f := func(seedRaw int64, repsRaw, kRaw, dimRaw uint8) bool {
 		cfg := Config{
-			NumReps:           int(repsRaw)%60 + 2,
-			K:                 int(kRaw)%6 + 1,
-			EmbedDim:          int(dimRaw)%30 + 2,
-			FPFCluster:        seedRaw%2 == 0,
-			RandomRepFraction: 0.2,
-			Seed:              seedRaw,
+			NumReps:    int(repsRaw)%60 + 2,
+			K:          int(kRaw)%6 + 1,
+			EmbedDim:   int(dimRaw)%30 + 2,
+			FPFCluster: seedRaw%2 == 0,
+			Seed:       seedRaw,
 		}
 		ix, err := Build(cfg, ds, lab)
 		if err != nil {

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/labeler"
 )
 
@@ -134,7 +134,7 @@ func TestReport(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 24 {
+	if len(ids) != 20 {
 		t.Fatalf("got %d experiments", len(ids))
 	}
 	desc := Describe()
@@ -145,6 +145,36 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := Run("nope", TinyScale(), nil); err == nil {
 		t.Error("unknown experiment should error")
+	}
+}
+
+// TestDesignIndexListsEveryExperiment: DESIGN.md's "Per-experiment index"
+// table has one row per registered experiment, in the registry's order, and
+// no row for an experiment the registry does not have.
+func TestDesignIndexListsEveryExperiment(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Per-experiment index\n")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "## Per-experiment index" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		id := strings.TrimSpace(cells[1])
+		if id == "Id" || strings.Trim(id, "-") == "" {
+			continue // header and separator
+		}
+		rows = append(rows, id)
+	}
+	if !slices.Equal(rows, IDs()) {
+		t.Errorf("DESIGN.md's per-experiment index lists\n %v\nthe registry has\n %v", rows, IDs())
 	}
 }
 
@@ -182,41 +212,6 @@ func TestIndexConfigPanicsForNonIndexVariant(t *testing.T) {
 		}
 	}()
 	env.IndexConfig(NoProxy)
-}
-
-// TestPropagateVote: every representative votes its own label and every
-// record gets one of the labels the representatives carry.
-func TestPropagateVote(t *testing.T) {
-	s, _ := SettingByKey("night-street")
-	env, err := NewEnv(s, TinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := env.BuildIndexWith(core.PretrainedConfig(60, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	label := func(ann dataset.Annotation) string {
-		if ann.(dataset.VideoAnnotation).Count("car") > 0 {
-			return "busy"
-		}
-		return "empty"
-	}
-	sh := ix.Shard(0)
-	votes := propagateVote(sh, label)
-	if len(votes) != env.DS.Len() {
-		t.Fatalf("got %d votes", len(votes))
-	}
-	for _, rep := range sh.Table.Reps {
-		if votes[rep] != label(env.DS.Truth[rep]) {
-			t.Errorf("rep %d vote %q, want exact label", rep, votes[rep])
-		}
-	}
-	for _, v := range votes {
-		if v != "busy" && v != "empty" {
-			t.Fatalf("unexpected vote %q", v)
-		}
-	}
 }
 
 // TestRunFig2Tiny exercises one cheap runner end to end.

@@ -30,12 +30,8 @@ var registry = []struct {
 	{"fig11", "sensitivity to cluster representatives", RunFig11},
 	{"fig12", "sensitivity to training examples", RunFig12},
 	{"fig13", "sensitivity to embedding dimension", RunFig13},
-	{"extra-k", "ablation (not in paper): propagation neighbor count", RunExtraK},
-	{"extra-mix", "ablation (not in paper): random fraction in FPF reps", RunExtraMix},
 	{"extra-ann", "ablation (not in paper): exact vs IVF distance table", RunExtraANN},
 	{"extra-predagg", "extension (not in paper): aggregation with expensive predicates", RunExtraPredAgg},
-	{"extra-prec", "extension (not in paper): precision-target SUPG selection", RunExtraPrecision},
-	{"extra-groupby", "extension (not in paper): grouped aggregation via vote propagation", RunExtraGroupBy},
 	{"faults", "robustness (not in paper): construction cost inflation under labeler faults", RunFaults},
 	{"ingest", "robustness (not in paper): streaming append throughput and ack latency under a query storm", RunIngest},
 	{"multiquery", "robustness (not in paper): concurrent mixed queries amortized by the shared label store", RunMultiQuery},

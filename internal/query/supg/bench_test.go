@@ -15,17 +15,3 @@ func BenchmarkRecallTarget(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkPrecisionTarget(b *testing.B) {
-	ds, lab, pred, truth := selectionEnv(b, 4000)
-	scores := goodProxy(truth, 0.15, 2)
-	opts := Options{Budget: 300, Target: 0.85, Delta: 0.05}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts.Seed = int64(i)
-		if _, err := PrecisionTarget(opts, ds.Len(), scores, pred, lab); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

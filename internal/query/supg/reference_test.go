@@ -132,30 +132,13 @@ var entries = []struct {
 	{"values", func(_ Predicate, truth []bool, lab labeler.Labeler) MatchSource { return tabled(truth, lab) }},
 }
 
-// target is one of the two queries over a design.
-type target struct {
-	name string
-	run  func(*Design, Options, MatchSource) (Selection, error)
-}
-
-var targets = []target{
-	{"recall", (*Design).RecallTargetSelection},
-	{"precision", (*Design).PrecisionTargetSelection},
-}
-
 // matches runs the query over a match source and lists the returned set.
-func (tg target) matches(d *Design, opts Options, match MatchSource) (Result, error) {
-	sel, err := tg.run(d, opts, match)
+func matches(d *Design, opts Options, match MatchSource) (Result, error) {
+	sel, err := d.RecallTargetSelection(opts, match)
 	if err != nil {
 		return Result{}, err
 	}
 	return sel.Result(), nil
-}
-
-// ann is matches through the annotation adapter the one-shot RecallTarget
-// and PrecisionTarget use.
-func (tg target) ann(d *Design, opts Options, pred Predicate, lab labeler.Labeler) (Result, error) {
-	return tg.matches(d, opts, labeled(pred, lab))
 }
 
 // sameResult reports whether two results are equal, the threshold by its
@@ -165,26 +148,25 @@ func sameResult(a, b Result) bool {
 		a.OracleCalls == b.OracleCalls && a.Degraded == b.Degraded && reflect.DeepEqual(a.Returned, b.Returned)
 }
 
-// selectBoth runs one query through both entries of a target — predicate and
-// labeler, and a table of the records' answers that only charges its labeler
-// — each on its own newLab(). It fails the test unless the two agree on the
-// Result, on failing at all, and on the sequence of records drawn; it returns
-// the one answer.
-func selectBoth(t *testing.T, target int, d *Design, opts Options, pred Predicate, truth []bool, newLab func() labeler.Labeler) (Result, error) {
+// selectBoth runs one query through both entries — predicate and labeler,
+// and a table of the records' answers that only charges its labeler — each on
+// its own newLab(). It fails the test unless the two agree on the Result, on
+// failing at all, and on the sequence of records drawn; it returns the one
+// answer.
+func selectBoth(t *testing.T, d *Design, opts Options, pred Predicate, truth []bool, newLab func() labeler.Labeler) (Result, error) {
 	t.Helper()
-	tg := targets[target]
 	viaAnn := &drawLog{Labeler: newLab()}
-	want, wantErr := tg.ann(d, opts, pred, viaAnn)
+	want, wantErr := matches(d, opts, labeled(pred, viaAnn))
 	viaValues := &drawLog{Labeler: newLab()}
-	got, gotErr := tg.matches(d, opts, tabled(truth, viaValues))
+	got, gotErr := matches(d, opts, tabled(truth, viaValues))
 	if (wantErr == nil) != (gotErr == nil) || errors.Is(wantErr, labeler.ErrBudgetExhausted) != errors.Is(gotErr, labeler.ErrBudgetExhausted) {
-		t.Fatalf("%s: match source failed with %v, annotation entry with %v", tg.name, gotErr, wantErr)
+		t.Fatalf("match source failed with %v, annotation entry with %v", gotErr, wantErr)
 	}
 	if !sameResult(got, want) {
-		t.Fatalf("%s: match source and annotation entry disagree:\n got %+v\nwant %+v", tg.name, got, want)
+		t.Fatalf("match source and annotation entry disagree:\n got %+v\nwant %+v", got, want)
 	}
 	if !reflect.DeepEqual(viaValues.ids, viaAnn.ids) {
-		t.Fatalf("%s: match source drew %d records, annotation entry %d, or in another order", tg.name, len(viaValues.ids), len(viaAnn.ids))
+		t.Fatalf("match source drew %d records, annotation entry %d, or in another order", len(viaValues.ids), len(viaAnn.ids))
 	}
 	return want, wantErr
 }
@@ -264,8 +246,8 @@ func TestDrawSampleMatchesReference(t *testing.T) {
 
 // TestSampleReuse: the vectors a query leaves in the pool must not reach the
 // next query's answer. A large and a small query over different corpora, back
-// to back and then from two goroutines at once (under -race), answer — under
-// both targets — exactly what each answers on an empty pool.
+// to back and then from two goroutines at once (under -race), answer exactly
+// what each answers on an empty pool.
 func TestSampleReuse(t *testing.T) {
 	_, lab, pred, truth := selectionEnv(t, 2500)
 	type query struct {
@@ -276,29 +258,25 @@ func TestSampleReuse(t *testing.T) {
 		{NewDesign(goodProxy(truth, 0.15, 2)), Options{Budget: 600, Target: 0.9, Delta: 0.05, Seed: 1}},
 		{NewDesign(goodProxy(truth[:700], 0.4, 3)), Options{Budget: 90, Target: 0.8, Delta: 0.05, Seed: 2}},
 	}
-	fresh := make([][]Result, len(queries))
+	fresh := make([]Result, len(queries))
 	for i, q := range queries {
-		for _, tg := range targets {
-			samplePool = sync.Pool{New: func() any { return new(sample) }}
-			res, err := tg.ann(q.d, q.opts, pred, lab)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh[i] = append(fresh[i], res)
+		samplePool = sync.Pool{New: func() any { return new(sample) }}
+		res, err := matches(q.d, q.opts, labeled(pred, lab))
+		if err != nil {
+			t.Fatal(err)
 		}
+		fresh[i] = res
 	}
 	run := func(rounds int) error {
 		for r := 0; r < rounds; r++ {
 			for i, q := range queries {
-				for j, tg := range targets {
-					got, err := tg.ann(q.d, q.opts, pred, lab)
-					if err != nil {
-						return err
-					}
-					if !sameResult(got, fresh[i][j]) {
-						return fmt.Errorf("round %d query %d %s on a reused sample: threshold %v with %d returned, want %v with %d",
-							r, i, tg.name, got.Threshold, len(got.Returned), fresh[i][j].Threshold, len(fresh[i][j].Returned))
-					}
+				got, err := matches(q.d, q.opts, labeled(pred, lab))
+				if err != nil {
+					return err
+				}
+				if !sameResult(got, fresh[i]) {
+					return fmt.Errorf("round %d query %d on a reused sample: threshold %v with %d returned, want %v with %d",
+						r, i, got.Threshold, len(got.Returned), fresh[i].Threshold, len(fresh[i].Returned))
 				}
 			}
 		}
@@ -399,14 +377,14 @@ func referenceAssemble(proxy []float64, threshold float64, s *sample) []int {
 	return out
 }
 
-// TestSelectionMatchesReferenceAssemble settles each case through both
-// targets' Selection entries and requires Len, the first 20 IDs and the full
-// listing to be what the old membership vector gives over the same sample
-// and threshold — and the Result entries to list the same set. The cases
-// cover each way the rule can go wrong: the fallback thresholds (no sampled
-// positive: −Inf for recall, +Inf and an empty set for precision), records drawn more than once with both labels, a
-// degraded sample cut short by the label budget, an empty set, and proxy
-// scores tied exactly at the threshold.
+// TestSelectionMatchesReferenceAssemble settles each case through the
+// Selection entry and requires Len, the first 20 IDs and the full listing to
+// be what the old membership vector gives over the same sample and threshold
+// — and the Result entry to list the same set. The cases cover each way the
+// rule can go wrong: the fallback threshold (no sampled positive: −Inf),
+// records drawn more than once with both labels, a degraded sample cut short
+// by the label budget, an empty set, and proxy scores tied exactly at the
+// threshold.
 func TestSelectionMatchesReferenceAssemble(t *testing.T) {
 	_, _, _, truth := selectionEnv(t, 1200)
 	good := goodProxy(truth, 0.15, 2)
@@ -441,10 +419,18 @@ func TestSelectionMatchesReferenceAssemble(t *testing.T) {
 		{"no sampled positive", good, Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 2},
 			func() MatchSource { return none },
 			func(sel Selection, _ *sample) string {
-				// Recall falls back to −Inf (everything but the sampled
-				// negatives), precision to +Inf (the sampled positives: none).
-				if !math.IsInf(sel.Threshold, 0) {
+				// Recall falls back to −Inf: everything but the sampled
+				// negatives.
+				if !math.IsInf(sel.Threshold, -1) {
 					return fmt.Sprintf("threshold %v with no sampled positive", sel.Threshold)
+				}
+				return ""
+			}},
+		{"every record a sampled negative", []float64{0.3}, Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 6},
+			func() MatchSource { return none },
+			func(sel Selection, s *sample) string {
+				if len(s.ids) != 1 || !math.IsInf(sel.Threshold, -1) {
+					return fmt.Sprintf("%d draws at threshold %v", len(s.ids), sel.Threshold)
 				}
 				return ""
 			}},
@@ -495,47 +481,41 @@ func TestSelectionMatchesReferenceAssemble(t *testing.T) {
 				return ""
 			}},
 	}
-	selections := []func(*Design, Options, MatchSource) (Selection, error){
-		(*Design).RecallTargetSelection, (*Design).PrecisionTargetSelection,
-	}
 	empty := 0
 	for _, c := range cases {
 		d := NewDesign(c.proxy)
-		for target, tg := range targets {
-			name := c.name + " " + tg.name
-			sel, err := selections[target](d, c.opts, c.source())
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+		sel, err := d.RecallTargetSelection(c.opts, c.source())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		s, err := d.drawSample(c.opts, c.source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceAssemble(c.proxy, sel.Threshold, s)
+		if c.check != nil {
+			if msg := c.check(sel, s); msg != "" {
+				t.Errorf("%s: the case does not arise: %s", c.name, msg)
 			}
-			s, err := d.drawSample(c.opts, c.source())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := referenceAssemble(c.proxy, sel.Threshold, s)
-			if c.check != nil {
-				if msg := c.check(sel, s); msg != "" {
-					t.Errorf("%s: the case does not arise: %s", name, msg)
-				}
-			}
-			s.release()
-			if sel.Len() != len(want) {
-				t.Errorf("%s: Len %d, reference %d", name, sel.Len(), len(want))
-			}
-			// An empty reference is nil, and so must IDs be: the served body
-			// encodes it as null.
-			if got, head := sel.IDs(20), want[:min(20, len(want))]; !reflect.DeepEqual(got, head) {
-				t.Errorf("%s: IDs(20) = %v, reference head %v", name, got, head)
-			}
-			if got := sel.Result().Returned; !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: listed %d records, reference %d, or others", name, len(got), len(want))
-			}
-			res, err := tg.matches(d, c.opts, c.source())
-			if err != nil || !sameResult(res, sel.Result()) {
-				t.Errorf("%s: the Result entry disagrees with its Selection (%v)", name, err)
-			}
-			if len(want) == 0 {
-				empty++
-			}
+		}
+		s.release()
+		if sel.Len() != len(want) {
+			t.Errorf("%s: Len %d, reference %d", c.name, sel.Len(), len(want))
+		}
+		// An empty reference is nil, and so must IDs be: the served body
+		// encodes it as null.
+		if got, head := sel.IDs(20), want[:min(20, len(want))]; !reflect.DeepEqual(got, head) {
+			t.Errorf("%s: IDs(20) = %v, reference head %v", c.name, got, head)
+		}
+		if got := sel.Result().Returned; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: listed %d records, reference %d, or others", c.name, len(got), len(want))
+		}
+		res, err := matches(d, c.opts, c.source())
+		if err != nil || !sameResult(res, sel.Result()) {
+			t.Errorf("%s: the Result entry disagrees with its Selection (%v)", c.name, err)
+		}
+		if len(want) == 0 {
+			empty++
 		}
 	}
 	if empty == 0 {

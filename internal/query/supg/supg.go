@@ -1,7 +1,7 @@
 // Package supg implements SUPG-style approximate selection with statistical
 // guarantees (Kang et al., PVLDB 2020): given proxy scores and a fixed
-// target-labeler budget, it returns a record set meeting a recall (or
-// precision) target with high probability. Importance sampling is driven by
+// target-labeler budget, it returns a record set meeting a recall target
+// with high probability. Importance sampling is driven by
 // the proxy scores, so better scores concentrate the labeler budget near the
 // decision boundary and shrink the false positive rate — the mechanism
 // behind the paper's Figure 5.
@@ -47,7 +47,7 @@ func labeled(pred Predicate, lab labeler.Labeler) MatchSource {
 type Options struct {
 	// Budget is the fixed number of target-labeler invocations.
 	Budget int
-	// Target is the recall (or precision) target in (0,1).
+	// Target is the recall target in (0,1).
 	Target float64
 	// Delta is the failure probability (paper: 0.05).
 	Delta float64
@@ -120,11 +120,11 @@ func (o Options) validate() error {
 // read-only once built: concurrent queries may share it. The proxy slice is
 // retained, not copied, and must not change while the Design is in use.
 //
-// Its queries, RecallTargetSelection and PrecisionTargetSelection, read a
-// per-record MatchSource — for a caller that can answer some records without
-// materialising an annotation. The one-shot RecallTarget and PrecisionTarget
-// adapt a predicate and a labeler onto one and list the returned set whole;
-// draws, threshold and returned set are the same either way.
+// Its query, RecallTargetSelection, reads a per-record MatchSource — for a
+// caller that can answer some records without materialising an annotation.
+// The one-shot RecallTarget adapts a predicate and a labeler onto one and
+// lists the returned set whole; draws, threshold and returned set are the
+// same either way.
 type Design struct {
 	proxy []float64
 	total float64
@@ -147,8 +147,7 @@ func weight(proxy float64) float64 {
 
 // NewDesign builds the design in three O(n) passes — the weights, their
 // prefix sums in the same vector, and the CDF's guide table. It panics on an
-// empty proxy vector; RecallTarget and PrecisionTarget reject that case as an
-// error first.
+// empty proxy vector; RecallTarget rejects that case as an error first.
 func NewDesign(proxy []float64) *Design {
 	weights := make([]float64, len(proxy))
 	total := 0.0
@@ -256,84 +255,8 @@ func (d *Design) RecallTargetSelection(opts Options, match MatchSource) (Selecti
 	return d.selection(opts, threshold, s), nil
 }
 
-// PrecisionTarget runs the precision-target SUPG variant: the returned set
-// contains at least a Target fraction of true matches, maximizing set size
-// subject to that, with probability 1-Delta. It is the one-shot form of
-// NewDesign(proxy).PrecisionTargetSelection.
-func PrecisionTarget(opts Options, n int, proxy []float64, pred Predicate, lab labeler.Labeler) (Result, error) {
-	if err := checkCorpus(n, proxy); err != nil {
-		return Result{}, err
-	}
-	sel, err := NewDesign(proxy).PrecisionTargetSelection(opts, labeled(pred, lab))
-	if err != nil {
-		return Result{}, err
-	}
-	return sel.Result(), nil
-}
-
-// PrecisionTargetSelection runs the precision-target query over the design's
-// proxy vector, with the returned set left as its membership rule, as
-// RecallTargetSelection.
-func (d *Design) PrecisionTargetSelection(opts Options, match MatchSource) (Selection, error) {
-	if err := opts.validate(); err != nil {
-		return Selection{}, err
-	}
-	proxy := d.proxy
-	s, err := d.drawSample(opts, match)
-	if err != nil {
-		return Selection{}, err
-	}
-	defer s.release()
-
-	// Scan candidate thresholds from high to low; the precision of
-	// {proxy >= tau} is estimated by the importance-weighted positive
-	// fraction among sampled records above tau, with a delta-method
-	// standard error (mirroring the recall side). Keep the lowest threshold
-	// whose lower confidence bound still clears the target, maximizing the
-	// returned set under the guarantee.
-	order := s.order // empty, with room for every draw
-	for i := range s.ids {
-		order = append(order, i)
-	}
-	sort.Slice(order, func(a, b int) bool { return proxy[s.ids[order[a]]] > proxy[s.ids[order[b]]] })
-
-	threshold := math.Inf(1) // fallback: return only sampled positives
-	z := normalQuantile(1 - opts.Delta)
-	posW, allW := 0.0, 0.0
-	for idx, i := range order {
-		allW += s.weights[i]
-		if s.labels[i] {
-			posW += s.weights[i]
-		}
-		// Candidate thresholds sit at distinct score boundaries.
-		if idx+1 < len(order) && proxy[s.ids[order[idx+1]]] == proxy[s.ids[i]] {
-			continue
-		}
-		if allW == 0 {
-			continue
-		}
-		precision := posW / allW
-		varSum := 0.0
-		for _, j := range order[:idx+1] {
-			ind := 0.0
-			if s.labels[j] {
-				ind = 1
-			}
-			d := ind - precision
-			varSum += s.weights[j] * s.weights[j] * d * d
-		}
-		se := math.Sqrt(varSum) / allW
-		correction := 0.5 / float64(idx+1)
-		if precision-z*se-correction >= opts.Target {
-			threshold = proxy[s.ids[i]]
-		}
-	}
-
-	return d.selection(opts, threshold, s), nil
-}
-
-// sample is the labeled importance sample shared by both targets, and the
-// scratch the rest of one query works in. Queries reuse one another's samples
+// sample is the labeled importance sample, and the scratch the rest of one
+// query works in. Queries reuse one another's samples
 // through samplePool — a query sizes every vector once, to its budget or the
 // corpus, and a sample that already has the room allocates nothing — so
 // nothing in a Result may alias one: release hands it to the next query.
@@ -348,7 +271,6 @@ type sample struct {
 
 	qs        []float64   // draw probabilities, until the weights are final
 	positives []posSample // RecallTarget's threshold candidates
-	order     []int       // PrecisionTarget's sample order by descending proxy
 	keys      []uint64    // selection's draws keyed by record, then draw
 }
 
@@ -387,7 +309,7 @@ func (d *Design) drawSample(opts Options, match MatchSource) (*sample, error) {
 	s.degraded = false
 	s.ids, s.labels = sized(s.ids, budget), sized(s.labels, budget)
 	s.weights, s.qs = sized(s.weights, budget), sized(s.qs, budget)
-	s.positives, s.order = sized(s.positives, budget), sized(s.order, budget)
+	s.positives = sized(s.positives, budget)
 	opts.Telemetry.Counter(`tasti_query_runs_total{type="select"}`).Inc()
 	mCalls := opts.Telemetry.Counter(`tasti_query_label_calls_total{type="select"}`)
 	for len(s.ids) < budget {

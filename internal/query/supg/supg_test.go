@@ -88,30 +88,6 @@ func TestBetterProxyLowersFPR(t *testing.T) {
 	}
 }
 
-func TestPrecisionTarget(t *testing.T) {
-	ds, lab, pred, truth := selectionEnv(t, 3000)
-	scores := goodProxy(truth, 0.1, 5)
-	misses := 0
-	const trials = 30
-	for trial := 0; trial < trials; trial++ {
-		opts := Options{Budget: 150, Target: 0.85, Delta: 0.05, Seed: int64(100 + trial)}
-		res, err := PrecisionTarget(opts, ds.Len(), scores, pred, lab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Returned) == 0 {
-			continue
-		}
-		c := metrics.NewConfusion(truth, res.Returned)
-		if c.Precision() < 0.85 {
-			misses++
-		}
-	}
-	if float64(misses)/trials > 0.1 {
-		t.Errorf("precision target missed in %d/%d trials", misses, trials)
-	}
-}
-
 func TestSampledNegativesExcluded(t *testing.T) {
 	// Records the sample labeled negative must never be returned: they are
 	// known non-matches.
@@ -226,24 +202,22 @@ func TestBudgetExhaustionDegradesSelection(t *testing.T) {
 		return labeler.NewBudgeted(labeler.NewOracle(ds, "o", labeler.MaskRCNNCost), 40)
 	}
 	opts := Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 4}
-	for target, tg := range targets {
-		res, err := selectBoth(t, target, d, opts, pred, truth, budgeted)
-		if err != nil {
-			t.Fatalf("%s: exhaustion mid-sample should degrade, not fail: %v", tg.name, err)
-		}
-		if !res.Degraded {
-			t.Errorf("%s: truncated sample not flagged Degraded", tg.name)
-		}
-		if res.OracleCalls != 40 {
-			t.Errorf("%s: calls = %d, want the full budget of 40", tg.name, res.OracleCalls)
-		}
-		if len(res.Returned) == 0 {
-			t.Errorf("%s: degraded selection returned an empty set", tg.name)
-		}
-		for _, id := range res.Returned {
-			if id < 0 || id >= ds.Len() {
-				t.Fatalf("%s: returned ID %d out of range", tg.name, id)
-			}
+	res, err := selectBoth(t, d, opts, pred, truth, budgeted)
+	if err != nil {
+		t.Fatalf("exhaustion mid-sample should degrade, not fail: %v", err)
+	}
+	if !res.Degraded {
+		t.Error("truncated sample not flagged Degraded")
+	}
+	if res.OracleCalls != 40 {
+		t.Errorf("calls = %d, want the full budget of 40", res.OracleCalls)
+	}
+	if len(res.Returned) == 0 {
+		t.Error("degraded selection returned an empty set")
+	}
+	for _, id := range res.Returned {
+		if id < 0 || id >= ds.Len() {
+			t.Fatalf("returned ID %d out of range", id)
 		}
 	}
 }
@@ -268,19 +242,17 @@ func TestBudgetAmpleIsBitwiseIdentical(t *testing.T) {
 	ds, lab, pred, truth := selectionEnv(t, 2000)
 	d := NewDesign(goodProxy(truth, 0.15, 6))
 	opts := Options{Budget: 120, Target: 0.9, Delta: 0.05, Seed: 6}
-	for target, tg := range targets {
-		plain, err := selectBoth(t, target, d, opts, pred, truth, func() labeler.Labeler { return lab })
-		if err != nil {
-			t.Fatal(err)
-		}
-		budgeted, err := selectBoth(t, target, d, opts, pred, truth, func() labeler.Labeler {
-			return labeler.NewBudgeted(labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost), 1<<30)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameResult(plain, budgeted) {
-			t.Errorf("%s: ample budget changed the result:\n got %+v\nwant %+v", tg.name, budgeted, plain)
-		}
+	plain, err := selectBoth(t, d, opts, pred, truth, func() labeler.Labeler { return lab })
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgeted, err := selectBoth(t, d, opts, pred, truth, func() labeler.Labeler {
+		return labeler.NewBudgeted(labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost), 1<<30)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameResult(plain, budgeted) {
+		t.Errorf("ample budget changed the result:\n got %+v\nwant %+v", budgeted, plain)
 	}
 }

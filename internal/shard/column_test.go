@@ -432,9 +432,6 @@ func TestColumnsAreReadOnly(t *testing.T) {
 	if _, err := sel.Design().RecallTargetSelection(selOpts, labeled); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sel.Design().PrecisionTargetSelection(selOpts, labeled); err != nil {
-		t.Fatal(err)
-	}
 	cur, _ := lim.Cursor(nil)
 	if _, err := limitq.RunNext(limitq.Options{}, 5, cur.Next, pred, lab); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,9 @@
 package shard
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Health introspection: cheap shape statistics the index-health monitor
 // publishes as gauges and /admin/status reports. All of these are reads of
@@ -99,20 +102,20 @@ func (v *Version) RadiusQuantiles(qs []float64) []float64 {
 	}
 	sort.Float64s(dists)
 	for i, q := range qs {
-		if q < 0 {
-			q = 0
-		}
-		if q > 1 {
-			q = 1
-		}
-		idx := int(q*float64(len(dists))+0.5) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(dists) {
-			idx = len(dists) - 1
-		}
-		out[i] = dists[idx]
+		out[i] = dists[nearestRank(q, len(dists))-1]
 	}
 	return out
+}
+
+// nearestRank is the nearest-rank method's 1-based rank of quantile q among n
+// sorted values, ⌈q·n⌉ clamped to [1, n]. A product within rounding of a whole
+// number counts as that number: 0.07·100 is rank 7, although its float
+// product lands a hair above 7.
+func nearestRank(q float64, n int) int {
+	p := q * float64(n)
+	rank := math.Ceil(p)
+	if r := math.Round(p); math.Abs(p-r) <= 1e-9*math.Max(1, p) {
+		rank = r
+	}
+	return int(min(max(rank, 1), float64(n)))
 }

@@ -135,13 +135,6 @@ func NewCountingLabeler(inner Labeler) *labeler.Counting {
 	return labeler.NewCounting(inner)
 }
 
-// NewBudgetedLabeler wraps a labeler with a hard invocation budget; once
-// spent, calls fail with ErrBudgetExhausted (terminal, but a build resumes
-// over its label store — see Config.Labels).
-func NewBudgetedLabeler(inner Labeler, n int64) *labeler.Budgeted {
-	return labeler.NewBudgeted(inner, n)
-}
-
 // GenerateDataset builds one of the synthetic evaluation corpora:
 // "night-street", "taipei", "amsterdam", "wikisql", or "common-voice".
 func GenerateDataset(name string, size int, seed int64) (*Dataset, error) {
