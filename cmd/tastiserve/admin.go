@@ -220,7 +220,6 @@ type healthSnapshot struct {
 	Reps       int          `json:"representatives"`
 	Shards     int          `json:"shards"`
 	RecordSkew float64      `json:"record_skew"`
-	RepSkew    float64      `json:"rep_skew"`
 	RadiusP50  float64      `json:"radius_p50"`
 	RadiusP90  float64      `json:"radius_p90"`
 	RadiusP99  float64      `json:"radius_p99"`
@@ -274,7 +273,6 @@ func (s *server) collectHealth() *healthSnapshot {
 		Reps:       ix.RepCount(),
 		Shards:     ix.NumShards(),
 		RecordSkew: ix.RecordSkew(),
-		RepSkew:    ix.RepSkew(),
 		RadiusP50:  qs[0],
 		RadiusP90:  qs[1],
 		RadiusP99:  qs[2],
@@ -314,7 +312,6 @@ func (s *server) collectHealth() *healthSnapshot {
 	}
 
 	s.reg.Gauge("tasti_shard_record_skew").Set(h.RecordSkew)
-	s.reg.Gauge("tasti_shard_rep_skew").Set(h.RepSkew)
 	s.reg.Gauge(`tasti_scan_plane_bytes{plane="float"}`).Set(float64(h.Memory.FloatBytes))
 	s.reg.Gauge(`tasti_scan_plane_bytes{plane="quant"}`).Set(float64(h.Memory.QuantBytes))
 	s.reg.Gauge(`tasti_index_radius{quantile="p50"}`).Set(h.RadiusP50)

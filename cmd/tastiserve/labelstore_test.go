@@ -80,7 +80,9 @@ func assertSameIndex(t *testing.T, want, got *tasti.ShardedIndex) {
 
 // TestLabelStoreRestartRebuildsForFree: a restart that lost its index
 // snapshot but kept -label-store rebuilds the same index bit for bit without
-// a single labeler call — the training labels are on disk too.
+// a single labeler call — the training labels are on disk too. The snapshot
+// is lost twice: rewritten under the v4 header, which the index loader
+// refuses (the server logs the rebuild), and deleted.
 func TestLabelStoreRestartRebuildsForFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -98,21 +100,36 @@ func TestLabelStoreRestartRebuildsForFree(t *testing.T) {
 		t.Fatalf("the label store holds %d labels, the build bought %d", got, want)
 	}
 
-	if err := os.Remove(opts.snapshotPath); err != nil {
-		t.Fatal(err)
+	for _, lost := range []string{"v4", "deleted"} {
+		if lost == "v4" {
+			data, err := os.ReadFile(opts.snapshotPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(opts.snapshotPath, atVersion(data, 4), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.Remove(opts.snapshotPath); err != nil {
+			t.Fatal(err)
+		}
+		var logs syncBuffer
+		opts.logger = newJSONLogger(&logs)
+		restarted, err := newServer(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rebuilt := strings.Contains(logs.String(), "snapshot unusable; building fresh"); rebuilt != (lost == "v4") {
+			t.Fatalf("snapshot %s: logged a rebuild of an unusable snapshot = %v:\n%s", lost, rebuilt, logs.String())
+		}
+		stats := restarted.index.Pin().Stats
+		if stats.TotalLabelCalls() != 0 {
+			t.Fatalf("snapshot %s: the rebuild spent %d labeler calls, want 0", lost, stats.TotalLabelCalls())
+		}
+		if int64(stats.ResumedLabels) != built.TotalLabelCalls() {
+			t.Fatalf("snapshot %s: ResumedLabels = %d, want the %d labels on disk", lost, stats.ResumedLabels, built.TotalLabelCalls())
+		}
+		assertSameIndex(t, first.index, restarted.index)
 	}
-	restarted, err := newServer(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := restarted.index.Pin().Stats
-	if stats.TotalLabelCalls() != 0 {
-		t.Fatalf("the rebuild spent %d labeler calls, want 0", stats.TotalLabelCalls())
-	}
-	if int64(stats.ResumedLabels) != built.TotalLabelCalls() {
-		t.Fatalf("ResumedLabels = %d, want the %d labels on disk", stats.ResumedLabels, built.TotalLabelCalls())
-	}
-	assertSameIndex(t, first.index, restarted.index)
 }
 
 // TestLabelStoreFlushDuringBuildKeepsFileLabels: with the flush loop ticking

@@ -18,7 +18,6 @@
 //	POST /query/limit      {"class":"car","count":5,"k":10,"crack":true}
 //	POST /ingest           append records durably (needs -wal-dir)
 //	POST /admin/reload     swap in the -snapshot file with zero downtime
-//	POST /admin/reload?shard=i  swap in one shard, peers untouched
 //	POST /admin/refresh    re-crack drifted appends, snapshot, truncate WAL
 //	GET  /admin/traces     retained sampled request traces (?route=, ?min_ms=)
 //	GET  /admin/ledger     per-tenant query cost ledger + conservation check
@@ -31,9 +30,10 @@
 //
 // -shards partitions the corpus into N contiguous record-range shards served
 // through a scatter-gather layer: query results are bitwise identical at
-// every shard count, while snapshots gain a per-shard layout, /metrics gains
-// per-shard series, and /admin/reload?shard=i swaps one shard at a time. See
-// docs/SHARDING.md for the lifecycle and runbook.
+// every shard count, while snapshots gain a per-shard layout and /metrics
+// gains per-shard series. Every shard shares the index's one representative
+// set, so a reload always swaps the whole index. See docs/SHARDING.md for the
+// lifecycle and runbook.
 //
 // -wal-dir turns on streaming ingest: POST /ingest bodies are fsynced into a
 // write-ahead log before the 200 is written, so an acknowledged record

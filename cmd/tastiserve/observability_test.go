@@ -482,7 +482,7 @@ func TestStatusHealthAndIngestTrace(t *testing.T) {
 	if h == nil {
 		t.Fatal("status has no health snapshot")
 	}
-	if h.Records != 916 || h.Shards != 1 || h.RecordSkew < 1 || h.RepSkew < 1 {
+	if h.Records != 916 || h.Shards != 1 || h.RecordSkew < 1 {
 		t.Errorf("health shape = %+v", h)
 	}
 	if h.RadiusP50 > h.RadiusP90 || h.RadiusP90 > h.RadiusP99 {
@@ -528,7 +528,7 @@ func TestStatusHealthAndIngestTrace(t *testing.T) {
 	if fam := fams["tasti_wal_lag_records"]; fam == nil || fam.Samples[0].Value != 16 {
 		t.Errorf("tasti_wal_lag_records = %+v", fam)
 	}
-	for _, name := range []string{"tasti_shard_record_skew", "tasti_shard_rep_skew", "tasti_index_radius", "tasti_traces_retained_total"} {
+	for _, name := range []string{"tasti_shard_record_skew", "tasti_index_radius", "tasti_traces_retained_total"} {
 		if fams[name] == nil {
 			t.Errorf("/metrics missing %s", name)
 		}

@@ -165,7 +165,8 @@ func crackingLimit(i int) []byte {
 // serving concurrency contract: reads take no lock, writers publish immutable
 // versions. Four readers run flat out beside every kind of writer the server
 // has — cracking limits, and /ingest with /admin/refresh (WAL on) or
-// /admin/reload with /admin/reload?shard=i (WAL off, where reload is allowed).
+// /admin/reload, plain and naming a shard, which reloads the whole index too
+// (WAL off, where reload is allowed).
 //
 // Phase one issues the writes one at a time (readers still overlap them), so
 // the test can log every version published; every read-only response must

@@ -175,8 +175,8 @@ func TestServeReloadCorruptSnapshotKeepsServing(t *testing.T) {
 // server pointed at the first one's snapshot serves without re-spending any
 // labeling budget, and its index matches the snapshot. The file a one-shard
 // server writes is the one index container — the one a refresh rewrites it
-// as, and the one /admin/reload?shard=0 reads — while an index snapshot from
-// before the v4 layout is reported unusable, rebuilt and re-saved.
+// as, and the one /admin/reload reads — while an index snapshot from before
+// the v5 layout is reported unusable, rebuilt and re-saved.
 func TestServeStartupLoadsSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -191,20 +191,20 @@ func TestServeStartupLoadsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a -shards 1 boot did not write the sharded container: %v", err)
 	}
-	resp, err := http.Post(ts.URL+"/admin/reload?shard=0", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/admin/reload", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if body := decodeBody(t, resp); resp.StatusCode != http.StatusOK {
-		t.Fatalf("one-shard reload of shard 0: status %d, body %v", resp.StatusCode, body)
+		t.Fatalf("reload of the one-shard snapshot: status %d, body %v", resp.StatusCode, body)
 	}
 
-	old := filepath.Join(t.TempDir(), "v3.snap")
+	old := filepath.Join(t.TempDir(), "v4.snap")
 	data, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(old, atVersion(data, 3), 0o644); err != nil {
+	if err := os.WriteFile(old, atVersion(data, 4), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var logs syncBuffer
@@ -216,10 +216,10 @@ func TestServeStartupLoadsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(logs.String(), "snapshot unusable; building fresh") || !strings.Contains(logs.String(), "unsupported format version") {
-		t.Fatalf("a v3 index snapshot did not log a version rebuild:\n%s", logs.String())
+		t.Fatalf("a v4 index snapshot did not log a version rebuild:\n%s", logs.String())
 	}
 	if got := fromOld.index.RepCount(); got != 200 {
-		t.Fatalf("server rebuilt over a v3 snapshot has %d reps, want 200", got)
+		t.Fatalf("server rebuilt over a v4 snapshot has %d reps, want 200", got)
 	}
 	if err := tasti.ReadSnapshotFile(old, func(r io.Reader) error {
 		_, lerr := tasti.LoadShardedIndex(r)

@@ -267,7 +267,6 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_shard_records", "Records owned by each shard, by shard.")
 	reg.Help("tasti_shard_reps", "Cluster representatives carried by each shard's table, by shard.")
 	reg.Help("tasti_shard_propagate_total", "Per-shard propagation passes served, by shard.")
-	reg.Help("tasti_shard_reload_total", "Single-shard hot-reload attempts, by shard and outcome.")
 	reg.Help("tasti_wal_frames_total", "WAL frames appended and fsynced.")
 	reg.Help("tasti_wal_bytes_total", "Bytes appended to WAL segments.")
 	reg.Help("tasti_wal_segments_total", "WAL segments created, including rotations.")
@@ -302,7 +301,6 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_wal_lag_segments", "Live WAL segments on disk.")
 	reg.Help("tasti_wal_lag_bytes", "Bytes across live WAL segments on disk.")
 	reg.Help("tasti_shard_record_skew", "Max-over-mean per-shard record count; 1.0 is perfectly balanced, ingest grows it between refreshes.")
-	reg.Help("tasti_shard_rep_skew", "Max-over-mean per-shard representative count; 1.0 is perfectly balanced.")
 	reg.Help("tasti_index_radius", "Nearest-representative distance quantiles across all records, by quantile; rising radii mean propagated scores extrapolate further.")
 	reg.Help("tasti_labelstore_hits_total", "Label requests answered from the cross-query store or the index — zero oracle spend.")
 	reg.Help("tasti_labelstore_misses_total", "Label requests that led an oracle call (singleflight leaders).")
@@ -316,10 +314,10 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_budget_remaining", "Oracle calls still admissible, by scope; absent when that scope is unlimited.")
 	reg.Help("tasti_query_degraded_total", "Queries that returned a partial (Degraded) answer after mid-query budget exhaustion, by type.")
 	reg.Help("tasti_proxy_column_requests_total", "Proxy-column fetches by the query handlers, by result: a hit propagated nothing, a miss ran the propagation.")
-	reg.Help("tasti_proxy_column_invalidations_total", "Times a crack, append or shard swap dropped the retained proxy columns.")
+	reg.Help("tasti_proxy_column_invalidations_total", "Times a crack or append dropped the retained proxy columns.")
 	reg.Help("tasti_proxy_column_evictions_total", "Proxy columns evicted least-recently-used-first to stay inside the 64 MiB budget.")
 	reg.Help("tasti_proxy_column_bytes", "Payload charged to the retained proxy columns, in bytes.")
-	reg.Help("tasti_index_generation", "State-changing mutations (representatives added, appends, shard swaps) applied to the serving index object; restarts from 0 when the whole index is swapped.")
+	reg.Help("tasti_index_generation", "State-changing mutations (representatives added, appends) applied to the serving index object; restarts from 0 when a reload swaps the index.")
 	reg.Help("tasti_index_writer_wait_seconds", "Time an index write (crack, append, shard or whole-index swap) waited for the write ahead of it; reads never wait.")
 	labels := tasti.NewLabelStore(tasti.LabelStoreOptions{
 		MaxInflight: opts.labelInflight,
@@ -440,7 +438,7 @@ func (s *server) buildIndex() error {
 	}
 	// Prefer a durable snapshot over re-spending the whole labeling budget:
 	// when -snapshot names an existing file, load and validate it; any
-	// corruption — or a snapshot from before the flat v4 layout — is
+	// corruption — or a snapshot from before the v5 layout — is
 	// contained by the typed snapshot errors and the server falls back to
 	// building fresh. A fresh build is saved back to the same path
 	// (atomically), so the next start — and every hot reload — has it: the
@@ -537,7 +535,7 @@ func (s *server) buildIndex() error {
 
 // loadServingSnapshot reads, checksum-verifies, and validates an index
 // snapshot at the shard layout it was saved at (the file's layout wins over
-// the -shards flag, since per-shard reload must agree with its frames), and
+// the -shards flag), and
 // checks it actually describes the server's corpus — a snapshot of another
 // dataset, size or seed serves its own representatives' annotations as
 // labels of other records, so it is rejected like any other corruption, as
@@ -619,62 +617,11 @@ func (s *server) reload() error {
 	return nil
 }
 
-// reloadShard replaces the single shard i from the snapshot file, leaving
-// its peers serving untouched — the rolling-upgrade primitive. Like reload,
-// the shard is read and validated entirely off the request path and
-// published as one index write. A shard that disagrees with its serving
-// peers (record range, embedding width, K) is refused and the old shard
-// keeps serving.
-func (s *server) reloadShard(i int) error {
-	if s.opts.snapshotPath == "" {
-		return errors.New("no -snapshot path configured")
-	}
-	if s.opts.walDir != "" {
-		return errors.New("hot reload is disabled while streaming ingest is on; POST /admin/refresh re-cracks and snapshots instead")
-	}
-	if !s.reloading.CompareAndSwap(false, true) {
-		return errReloadInProgress
-	}
-	defer s.reloading.Store(false)
-
-	fail := func(err error) error {
-		s.reg.Counter(fmt.Sprintf(`tasti_shard_reload_total{shard="%d",outcome="error"}`, i)).Inc()
-		s.reg.Counter("tasti_snapshot_reload_failures_total").Inc()
-		s.log.Error("shard reload failed; previous shard keeps serving",
-			"path", s.opts.snapshotPath, "shard", i, "err", err.Error())
-		return err
-	}
-	start := time.Now()
-	var sh *tasti.Shard
-	err := tasti.ReadSnapshotFile(s.opts.snapshotPath, func(r io.Reader) error {
-		var lerr error
-		sh, lerr = tasti.LoadShard(r, i, s.corpus.Load().Corpus)
-		return lerr
-	})
-	if err != nil {
-		return fail(err)
-	}
-	if err := s.index.ReplaceShard(i, sh); err != nil {
-		return fail(err)
-	}
-	elapsed := time.Since(start)
-	s.reg.Counter(fmt.Sprintf(`tasti_shard_reload_total{shard="%d",outcome="ok"}`, i)).Inc()
-	s.reg.Histogram("tasti_snapshot_reload_seconds", tasti.DefLatencyBuckets).Observe(elapsed.Seconds())
-	s.log.Info("shard reloaded",
-		"path", s.opts.snapshotPath,
-		"shard", i,
-		"records", sh.NumRecords(),
-		"representatives", len(sh.Table.Reps),
-		"elapsed_ms", float64(elapsed.Microseconds())/1000)
-	return nil
-}
-
-// handleReload is POST /admin/reload: re-read the snapshot file and swap it
-// in — the whole index, or a single shard with ?shard=i (zero downtime for
-// its peers). SIGHUP triggers the whole-index path. 400 marks a shard number
-// that is not one of the index's, 409 a reload already running, 502 a
-// snapshot that failed to load or validate (the old index or shard keeps
-// serving).
+// handleReload is POST /admin/reload: re-read the snapshot file and swap in
+// the whole index, as SIGHUP does. Query parameters are ignored, so a
+// ?shard=i request reloads the whole index too. 409 marks a reload already
+// running, 502 a snapshot that failed to load or validate (the old index
+// keeps serving).
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
@@ -683,27 +630,7 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {
 		return
 	}
-	body := map[string]interface{}{"status": "reloaded"}
-	var err error
-	if arg := r.URL.Query().Get("shard"); arg != "" {
-		var i int
-		if i, err = strconv.Atoi(arg); err != nil {
-			httpError(w, http.StatusBadRequest, "bad shard number: "+arg)
-			return
-		}
-		// A shard the index does not have is the caller's mistake, not a
-		// snapshot failure: answer before reading the snapshot or counting a
-		// reload.
-		if n := s.index.NumShards(); i < 0 || i >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("shard %d out of range [0,%d)", i, n))
-			return
-		}
-		err = s.reloadShard(i)
-		body["shard"] = i
-	} else {
-		err = s.reload()
-	}
-	if err != nil {
+	if err := s.reload(); err != nil {
 		switch {
 		case errors.Is(err, errReloadInProgress):
 			httpError(w, http.StatusConflict, err.Error())
@@ -712,8 +639,7 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	body["records"] = s.index.NumRecords()
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, map[string]interface{}{"status": "reloaded", "records": s.index.NumRecords()})
 }
 
 // handler wires the routes behind the hardening middleware: panic recovery
@@ -747,7 +673,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.ready.Load() {
 		s.reg.Gauge("tasti_breaker_state").Set(float64(s.breaker.State()))
 		// Per-shard record/representative gauges refresh at scrape time, so
-		// cracks and rolling reloads between scrapes still read correctly.
+		// cracks and reloads between scrapes still read correctly.
 		s.index.PublishMetrics()
 	}
 	s.publishBudgetMetrics()

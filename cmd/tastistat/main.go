@@ -74,7 +74,6 @@ type healthDoc struct {
 	Reps       int        `json:"representatives"`
 	Shards     int        `json:"shards"`
 	RecordSkew float64    `json:"record_skew"`
-	RepSkew    float64    `json:"rep_skew"`
 	RadiusP50  float64    `json:"radius_p50"`
 	RadiusP90  float64    `json:"radius_p90"`
 	RadiusP99  float64    `json:"radius_p99"`
@@ -164,8 +163,8 @@ func render(st *statusDoc, fams map[string]*tasti.PromFamily) string {
 		fmt.Fprintf(&b, "error   %s\n", st.Error)
 	}
 	if h := st.Health; h != nil {
-		fmt.Fprintf(&b, "index   %d records · %d reps · %d shard(s) · skew rec %.2f rep %.2f · radius p50/p90/p99 %.3g/%.3g/%.3g\n",
-			h.Records, h.Reps, h.Shards, h.RecordSkew, h.RepSkew, h.RadiusP50, h.RadiusP90, h.RadiusP99)
+		fmt.Fprintf(&b, "index   %d records · %d reps · %d shard(s) · skew rec %.2f · radius p50/p90/p99 %.3g/%.3g/%.3g\n",
+			h.Records, h.Reps, h.Shards, h.RecordSkew, h.RadiusP50, h.RadiusP90, h.RadiusP99)
 		if m := h.Memory; m != nil {
 			fmt.Fprintf(&b, "memory  embeddings %s float", sizeOf(m.FloatBytes))
 			if m.Quantized {

@@ -10,9 +10,9 @@ package cluster
 //   - FPF sweeps (SelectPar, FPFPar) skip a record when bound² >= its k-th
 //     distance (or, with no lists kept, its nearest): list and min updates
 //     need a strict drop,
-//   - cracking (AddRepresentativeEmb) skips a record when its neighbor list
-//     is full and bound >= the current k-th distance (the exact path discards
-//     such rows).
+//   - cracking (AddRepresentativeEmb, AddRepresentativeRows) skips a record
+//     when its neighbor list is full and bound >= the current k-th distance
+//     (the exact path discards such rows).
 //
 // A skipped row is one the exact path provably rejects, and every surviving
 // row is reranked through the same exact kernels — so each sweep is bitwise

@@ -169,17 +169,25 @@ func (t *Table) AddRepresentativePar(embeddings vecmath.Matrix, rep, p int) {
 // bound already reaches the k-th distance skip the exact kernel, the mutation
 // is the same bits, and the stats report the pruning.
 func (t *Table) AddRepresentativeEmb(embeddings vecmath.Matrix, quant vecmath.QuantMatrix, rep int, repEmb []float64, p int) QuantScanStats {
-	n := embeddings.Rows()
-	quantized := quant.Enabled()
-	if quantized && quant.Rows() != n {
-		panic(fmt.Sprintf("cluster: quant plane has %d rows for %d records", quant.Rows(), n))
-	}
 	for _, existing := range t.Reps {
 		if existing == rep {
 			return QuantScanStats{}
 		}
 	}
 	t.Reps = append(t.Reps, rep)
+	return t.AddRepresentativeRows(embeddings, quant, rep, repEmb, p)
+}
+
+// AddRepresentativeRows is the neighbor-row half of AddRepresentativeEmb: it
+// updates every record's list for the new representative rep and leaves
+// t.Reps alone, for tables that share one representative list their owner
+// extends once (package shard). rep must not be in any row already.
+func (t *Table) AddRepresentativeRows(embeddings vecmath.Matrix, quant vecmath.QuantMatrix, rep int, repEmb []float64, p int) QuantScanStats {
+	n := embeddings.Rows()
+	quantized := quant.Enabled()
+	if quantized && quant.Rows() != n {
+		panic(fmt.Sprintf("cluster: quant plane has %d rows for %d records", quant.Rows(), n))
+	}
 	var stats QuantScanStats
 	var reranked atomic.Int64
 	var qrow []uint8

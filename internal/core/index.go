@@ -64,13 +64,14 @@ type Config struct {
 	// triplet.DefaultConfig is used.
 	Train triplet.Config
 	// Quantize trains a uint8 code plane over the final embeddings and
-	// scans it — instead of the float64 rows — in every candidate-generation
-	// sweep (FPF selection, table build, cracking, appends),
-	// reranking bound survivors through the exact kernels. The built index,
+	// scans it — instead of the float64 rows — in the two one-to-many sweeps,
+	// FPF selection and cracking, reranking bound survivors through the
+	// exact kernels; the min-k row scan behind table builds and appends reads
+	// the float rows only (see internal/cluster/quant.go). The built index,
 	// cracked tables, and all query answers are bitwise identical with the
-	// plane on or off; the plane trades ~1/8 the scan bandwidth and resident
-	// scan memory for a small rerank overhead. Persisted as the v3
-	// embeddings.quant snapshot frame.
+	// plane on or off; the plane cuts those sweeps' bandwidth to ~1/8 at the
+	// cost of resident code memory and a small rerank overhead. Persisted as
+	// each shard's "shard.<s>.quant" snapshot frame.
 	Quantize bool
 	// Parallelism bounds the worker count for construction and propagation
 	// (<= 0 uses all CPUs). Results are bitwise identical at every value;

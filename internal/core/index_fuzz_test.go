@@ -56,17 +56,17 @@ var fuzzSeed = sync.OnceValue(func() (s struct {
 // indexManifest and shardMeta mirror the gob frames "manifest" and
 // "shard.<s>.meta" of an index snapshot (gob matches fields by name).
 type indexManifest struct {
-	Total  int
-	Shards []struct{ Lo, Hi int }
-	Stats  core.BuildStats
+	Total       int
+	Shards      []struct{ Lo, Hi int }
+	Stats       core.BuildStats
+	K           int
+	Reps        []int
+	Annotations map[int]dataset.Annotation
 }
 
 type shardMeta struct {
-	K           int
-	Reps        []int
-	Dim         int
-	Annotations map[int]dataset.Annotation
-	Quant       *struct {
+	Dim   int
+	Quant *struct {
 		Scale, Offset []float64
 		MaxErr        float64
 	}
@@ -183,7 +183,7 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add(mut)
 	ix := fuzzSeed().ix
 	var bare bytes.Buffer
-	if err := gob.NewEncoder(&bare).Encode(shardMeta{K: ix.Table.K, Reps: ix.Table.Reps}); err != nil {
+	if err := gob.NewEncoder(&bare).Encode(indexManifest{Total: ix.NumRecords(), K: ix.Table.K, Reps: ix.Table.Reps}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bare.Bytes())

@@ -42,7 +42,7 @@ func (x *Index) AppendRecords(features [][]float64) ([]int, error) {
 	})
 	var ids []int
 	err := x.write(func(cur *Version) (*Version, error) {
-		if len(cur.lastShard().Table.Reps) == 0 {
+		if cur.RepCount() == 0 {
 			return nil, errors.New("shard: appending records: no representatives")
 		}
 		var next *Version
@@ -74,7 +74,7 @@ func (v *Version) gatherRepEmbeddings(reps []int, dim int) vecmath.Matrix {
 func (v *Version) appended(embs vecmath.Matrix) (*Version, []int) {
 	last := v.lastShard()
 	par := v.w.par
-	reps := last.Table.Reps
+	reps := v.reps()
 	repMat := v.gatherRepEmbeddings(reps, embs.Dim())
 	n := embs.Rows()
 	nbrLists := cluster.ScanRows(embs, repMat, reps, last.Table.K, par)
@@ -108,10 +108,10 @@ func (v *Version) appended(embs vecmath.Matrix) (*Version, []int) {
 		Quant:      q,
 		Table: &cluster.Table{
 			K:         last.Table.K,
-			Reps:      last.Table.Reps,
+			Reps:      reps,
 			Neighbors: nbrs,
 		},
-		Annotations: last.Annotations,
+		Annotations: v.anns(),
 	}
 	shards := slices.Clone(v.shards)
 	shards[len(shards)-1] = next

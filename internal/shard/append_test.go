@@ -121,11 +121,11 @@ func TestShardAppendThenCrack(t *testing.T) {
 // TestShardAppendNoEmbedder pins the typed error for a model-less index.
 func TestShardAppendNoEmbedder(t *testing.T) {
 	ix, _ := buildIndex(t, 200, 20)
+	ix.Embedder = nil
 	x, err := shard.Split(ix, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.SetEmbedder(nil)
 	if _, err := x.AppendRecords(extraFeatures(t, 1, 3)); !errors.Is(err, core.ErrNoEmbedder) {
 		t.Fatalf("err = %v, want core.ErrNoEmbedder", err)
 	}
@@ -228,7 +228,11 @@ func TestShardPersistEmbedder(t *testing.T) {
 		sameBits(t, "reloaded append row", embeddingRow(loaded.Pin(), id), embeddingRow(x.Pin(), id))
 	}
 
-	x.SetEmbedder(nil)
+	ix, _ = buildIndex(t, 200, 25)
+	ix.Embedder = nil
+	if x, err = shard.Split(ix, 2); err != nil {
+		t.Fatal(err)
+	}
 	buf.Reset()
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)

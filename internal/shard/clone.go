@@ -3,22 +3,25 @@ package shard
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/vecmath"
 )
 
 // Clone returns a deep copy of the version as an index of its own: every
-// shard's embedding matrix, neighbor rows, representative list, and
-// annotation map are freshly allocated, so cracking or appending to the clone
-// shares no memory with the original (and vice versa). The embedding model is
-// shared — it is immutable — while the clone starts at generation 0 with an
-// empty proxy-column store and telemetry wiring is NOT carried over. The
-// benchmarks reset their index state with it between rounds.
+// shard's embedding matrix and neighbor rows, and the one representative list
+// and annotation map its shards share, are freshly allocated, so cracking or
+// appending to the clone shares no memory with the original (and vice
+// versa). The embedding model is shared — it is immutable — while the clone
+// starts at generation 0 with an empty proxy-column store and telemetry
+// wiring is NOT carried over. The benchmarks reset their index state with it
+// between rounds.
 //
 // Clone reads one immutable version, so it needs no serialization against
 // anything.
 func (v *Version) Clone() *Index {
+	reps, anns := slices.Clone(v.reps()), maps.Clone(v.anns())
 	shards := make([]*Shard, len(v.shards))
 	for s, sh := range v.shards {
 		data := append([]float64(nil), sh.Embeddings.Data()...)
@@ -38,10 +41,10 @@ func (v *Version) Clone() *Index {
 			Quant:      sh.Quant.Clone(),
 			Table: &cluster.Table{
 				K:         sh.Table.K,
-				Reps:      append([]int(nil), sh.Table.Reps...),
+				Reps:      reps,
 				Neighbors: nbrs,
 			},
-			Annotations: maps.Clone(sh.Annotations),
+			Annotations: anns,
 		}
 	}
 	return newIndex(wiring{par: v.w.par, emb: v.w.emb}, v.Stats, shards, v.total)

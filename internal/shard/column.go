@@ -30,8 +30,8 @@ import (
 //
 // A generation is one state of the index as queries see it. Every mutator
 // that changes a propagated score publishes a Version of a later generation,
-// whose store starts empty: CrackAll for each representative it adds,
-// AppendRecords, and ReplaceShard. A Crack of an already-annotated record
+// whose store starts empty: CrackAll for each representative it adds, and
+// AppendRecords. A Crack of an already-annotated record
 // changes nothing and keeps the version; Requantize, which re-codes the scan
 // plane without moving any result, publishes a version sharing its
 // predecessor's generation and store. Clone, Load and Split start at

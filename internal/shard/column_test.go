@@ -203,16 +203,13 @@ func TestColumnInvalidationModel(t *testing.T) {
 				}
 				truth = append(truth, anns...)
 			case "replace":
-				// The replacement is a deep copy of the live shard carrying one
-				// more representative than its peers — a rolling reload caught
-				// half way.
+				// A reload: the whole state swapped for a deep copy one
+				// representative ahead, which brings its own generation.
 				c := x.Clone()
 				id := unannotated()
 				c.Crack(id, truth[id])
-				s := r.Intn(shards)
-				if err := x.ReplaceShard(s, c.Shard(s)); err != nil {
-					t.Fatalf("%s: %v", step, err)
-				}
+				x.Replace(c)
+				wantGen = 1
 			case "requantize":
 				x.Requantize()
 				wantGen = before

@@ -65,24 +65,6 @@ func (v *Version) RecordSkew() float64 {
 	return float64(max) * float64(len(v.shards)) / float64(total)
 }
 
-// RepSkew returns max/mean of per-shard representative counts. Shards agree
-// on the representative set in steady state (skew 1.0); a rolling per-shard
-// reload across table generations shows up here.
-func (v *Version) RepSkew() float64 {
-	max, total := 0, 0
-	for _, sh := range v.shards {
-		n := len(sh.Table.Reps)
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(max) * float64(len(v.shards)) / float64(total)
-}
-
 // RadiusQuantiles returns the requested quantiles (each in [0,1]) of the
 // min-k table's nearest-representative distances across every record — the
 // "radius" each record's proxy score travels. Rising radii mean the

@@ -23,9 +23,10 @@ import (
 // the only one: a single index is saved as one shard.
 const IndexKind = "tasti-shard-index"
 
-// flatVersion is the first container version whose shards are flat frames;
-// an older index snapshot is rebuilt, not converted.
-const flatVersion = 4
+// layoutVersion is the first container version with this layout, whose
+// manifest holds the one representative list and annotation map; an older
+// index snapshot is rebuilt, not converted.
+const layoutVersion = 5
 
 // The container holds the manifest, then each shard s's frames
 // "shard.<s>.<part>" in the order below, then the optional embedder (an
@@ -45,22 +46,25 @@ const (
 func shardFrame(s int, part string) string { return fmt.Sprintf("shard.%d.%s", s, part) }
 
 // manifest is the first frame: the corpus size, every shard's record range,
-// and the build stats, which name the corpus the index was built over.
+// the build stats, which name the corpus the index was built over, and the
+// state every shard shares — the table depth K, the representative list and
+// their annotations. Every neighbor row holds exactly k = min(K, len(Reps))
+// entries (cluster.Table.Validate).
 type manifest struct {
-	Total  int
-	Shards []shardRange
-	Stats  core.BuildStats
+	Total       int
+	Shards      []shardRange
+	Stats       core.BuildStats
+	K           int
+	Reps        []int
+	Annotations map[int]dataset.Annotation
 }
 
 type shardRange struct{ Lo, Hi int }
 
-// shardMeta is a shard's small state. Every neighbor row holds exactly
-// k = min(K, len(Reps)) entries (cluster.Table.Validate).
+// shardMeta is a shard's own small state: its embedding width and, with a
+// plane, the plane's parameters (appends widen the last shard's error bound).
 type shardMeta struct {
-	K           int
-	Reps        []int
-	Dim         int
-	Annotations map[int]dataset.Annotation
+	Dim int
 	// Quant holds the quantized plane's parameters; nil without a plane.
 	Quant *quantMeta
 }
@@ -95,10 +99,11 @@ func malformed(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", snapshot.ErrMalformed, fmt.Sprintf(format, args...))
 }
 
-// validate checks the manifest describes a legal contiguous partition.
+// validate checks the manifest describes a legal contiguous partition, a
+// table depth, and representatives inside the corpus.
 func (m manifest) validate() error {
-	if m.Total < 0 || len(m.Shards) == 0 {
-		return malformed("manifest with %d records in %d shards", m.Total, len(m.Shards))
+	if m.Total < 0 || len(m.Shards) == 0 || m.K < 0 {
+		return malformed("manifest with %d records in %d shards at K %d", m.Total, len(m.Shards), m.K)
 	}
 	next := 0
 	for s, r := range m.Shards {
@@ -110,25 +115,23 @@ func (m manifest) validate() error {
 	if next != m.Total {
 		return malformed("manifest shards cover [0,%d) of %d records", next, m.Total)
 	}
+	for _, rep := range m.Reps {
+		if rep < 0 || rep >= m.Total {
+			return malformed("representative %d outside the corpus [0,%d)", rep, m.Total)
+		}
+	}
 	return nil
 }
 
-// consistent checks that shards can serve a corpus of total records
-// together: one embedding width, one table K, representatives inside the
-// corpus, and an embedder (when there is one) that outputs that width. A
-// disagreement would otherwise surface as a panic inside a propagation,
-// append or crack worker.
-func consistent(shards []*Shard, emb embed.Embedder, total int) error {
-	dim, k := shards[0].Embeddings.Dim(), shards[0].Table.K
+// consistent checks that shards can serve together: one embedding width, and
+// an embedder (when there is one) that outputs that width. A disagreement
+// would otherwise surface as a panic inside a propagation, append or crack
+// worker.
+func consistent(shards []*Shard, emb embed.Embedder) error {
+	dim := shards[0].Embeddings.Dim()
 	for s, sh := range shards {
-		if sh.Embeddings.Dim() != dim || sh.Table.K != k {
-			return fmt.Errorf("shard: shard %d has %d-dim embeddings and K=%d, shard 0 has %d-dim and K=%d",
-				s, sh.Embeddings.Dim(), sh.Table.K, dim, k)
-		}
-		for _, rep := range sh.Table.Reps {
-			if rep < 0 || rep >= total {
-				return fmt.Errorf("shard: shard %d has representative %d outside the corpus [0,%d)", s, rep, total)
-			}
+		if sh.Embeddings.Dim() != dim {
+			return fmt.Errorf("shard: shard %d has %d-dim embeddings, shard 0 has %d-dim", s, sh.Embeddings.Dim(), dim)
 		}
 	}
 	if emb != nil && emb.Dim() != dim {
@@ -137,8 +140,9 @@ func consistent(shards []*Shard, emb embed.Embedder, total int) error {
 	return nil
 }
 
-// Save serializes the index as one framed container (layout above). Each
-// bulk array is encoded into one buffer reused across frames and shards. The
+// Save serializes the index as one framed container (layout above): the
+// representatives and their annotations once, in the manifest. Each bulk
+// array is encoded into one buffer reused across frames and shards. The
 // version is immutable, so the written state is consistent however long the
 // write takes and whatever is published meanwhile.
 func (v *Version) Save(w io.Writer) error {
@@ -153,7 +157,7 @@ func (v *Version) save(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	man := manifest{Total: v.total, Stats: v.Stats}
+	man := manifest{Total: v.total, Stats: v.Stats, K: v.K(), Reps: v.reps(), Annotations: v.anns()}
 	for _, sh := range v.shards {
 		man.Shards = append(man.Shards, shardRange{Lo: sh.Lo, Hi: sh.Hi})
 	}
@@ -172,7 +176,7 @@ func (v *Version) save(w io.Writer) error {
 	for s, sh := range v.shards {
 		t, emb := sh.Table, sh.Embeddings.Data()
 		k := min(t.K, len(t.Reps))
-		meta := shardMeta{K: t.K, Reps: t.Reps, Dim: sh.Embeddings.Dim(), Annotations: sh.Annotations}
+		meta := shardMeta{Dim: sh.Embeddings.Dim()}
 		if sh.Quant.Enabled() {
 			p := sh.Quant.Params()
 			meta.Quant = &quantMeta{Scale: p.Scale, Offset: p.Offset, MaxErr: sh.Quant.MaxErr()}
@@ -215,42 +219,23 @@ func (v *Version) save(w io.Writer) error {
 // error taxonomy. The restored index has default parallelism and no
 // telemetry; callers wire both afterwards.
 func Load(r io.Reader) (*Index, error) {
-	man, shards, emb, err := load(r, -1)
+	man, shards, emb, err := load(r)
 	if err != nil {
 		return nil, fmt.Errorf("shard: loading index: %w", err)
 	}
 	return newIndex(wiring{emb: emb}, man.Stats, shards, man.Total), nil
 }
 
-// LoadShard lifts the single shard i out of a snapshot of corpus, skipping
-// its peers' frames undecoded — the cheap path behind cmd/tastiserve's
-// per-shard reload. Every frame and the whole-file trailer are still
-// CRC-checked, and a snapshot of another corpus, or of none, fails with
-// ErrCorpus. ReplaceShard checks the result against the serving index.
-func LoadShard(r io.Reader, i int, corpus dataset.Corpus) (*Shard, error) {
-	if i < 0 {
-		return nil, fmt.Errorf("shard: shard %d out of range", i)
-	}
-	man, shards, _, err := load(r, i)
-	if err == nil {
-		err = checkCorpus(man.Stats.Corpus, corpus)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
-	}
-	return shards[i], nil
-}
-
-// load walks a snapshot through its trailer and decodes shard only, or every
-// shard and the embedder when only is negative.
-func load(r io.Reader, only int) (man manifest, shards []*Shard, emb embed.Embedder, err error) {
+// load walks a snapshot through its trailer, decoding every shard and the
+// embedder.
+func load(r io.Reader) (man manifest, shards []*Shard, emb embed.Embedder, err error) {
 	sr, err := snapshot.NewReader(r, IndexKind)
 	if err != nil {
 		return man, nil, nil, err
 	}
-	if v := sr.Version(); v < flatVersion {
-		return man, nil, nil, fmt.Errorf("%w: index snapshot v%d predates the v%d shard frames; rebuild it",
-			snapshot.ErrVersion, v, flatVersion)
+	if v := sr.Version(); v < layoutVersion {
+		return man, nil, nil, fmt.Errorf("%w: index snapshot v%d predates the v%d layout; rebuild it",
+			snapshot.ErrVersion, v, layoutVersion)
 	}
 	if err := sr.Decode(manifestFrame, &man); err != nil {
 		return man, nil, nil, err
@@ -258,8 +243,8 @@ func load(r io.Reader, only int) (man manifest, shards []*Shard, emb embed.Embed
 	if err := man.validate(); err != nil {
 		return man, nil, nil, err
 	}
-	if only >= len(man.Shards) {
-		return man, nil, nil, fmt.Errorf("shard %d out of range [0,%d)", only, len(man.Shards))
+	if man.Annotations == nil {
+		man.Annotations = map[int]dataset.Annotation{}
 	}
 	shards = make([]*Shard, len(man.Shards))
 	s := 0 // the next shard whose meta frame is due
@@ -272,16 +257,15 @@ func load(r io.Reader, only int) (man manifest, shards []*Shard, emb embed.Embed
 			return man, nil, nil, err
 		}
 		switch {
-		case s < len(shards) && name == shardFrame(s, metaPart):
-			if only < 0 || only == s {
-				if shards[s], err = readShard(sr, s, p, man.Shards[s]); err != nil {
-					return man, nil, nil, fmt.Errorf("shard %d: %w", s, err)
-				}
+		case s < len(shards):
+			if name != shardFrame(s, metaPart) {
+				return man, nil, nil, malformed("unexpected frame %q, want %q", name, shardFrame(s, metaPart))
+			}
+			if shards[s], err = readShard(sr, s, p, man); err != nil {
+				return man, nil, nil, fmt.Errorf("shard %d: %w", s, err)
 			}
 			s++
-		case only < 0 && s < len(shards):
-			return man, nil, nil, malformed("unexpected frame %q, want %q", name, shardFrame(s, metaPart))
-		case only < 0 && name == embedderFrame:
+		case name == embedderFrame:
 			var es embed.Snapshot
 			if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&es); err != nil {
 				return man, nil, nil, malformed("decoding frame %q: %v", name, err)
@@ -290,16 +274,14 @@ func load(r io.Reader, only int) (man manifest, shards []*Shard, emb embed.Embed
 				return man, nil, nil, malformed("%v", err)
 			}
 		}
-		// Anything else is a peer's frame LoadShard skips, or an unknown
-		// trailing frame skipped for forward compatibility.
+		// Anything else is an unknown trailing frame, skipped for forward
+		// compatibility.
 	}
 	if s < len(shards) {
 		return man, nil, nil, fmt.Errorf("%w: missing frame %q", snapshot.ErrTruncated, shardFrame(s, metaPart))
 	}
-	if only < 0 {
-		if err := consistent(shards, emb, man.Total); err != nil {
-			return man, nil, nil, malformed("%v", err)
-		}
+	if err := consistent(shards, emb); err != nil {
+		return man, nil, nil, malformed("%v", err)
 	}
 	return man, shards, emb, nil
 }
@@ -328,19 +310,20 @@ func fixedFrame(sr *snapshot.Reader, name string, n, width int) ([]byte, error) 
 func word(p []byte, i int) uint64 { return binary.LittleEndian.Uint64(p[8*i:]) }
 
 // readShard decodes shard s from its meta payload and the bulk frames that
-// follow it in sr, over the manifest's record range r, and validates its
-// shapes and table invariants. Load and ReplaceShard bound its
-// representative IDs (every neighbor names one) by the corpus.
-func readShard(sr *snapshot.Reader, s int, metaPayload []byte, r shardRange) (*Shard, error) {
+// follow it in sr, over the validated manifest's record range, and validates
+// its shapes and table invariants. The shard aliases the manifest's
+// representative list and annotation map, as every peer does.
+func readShard(sr *snapshot.Reader, s int, metaPayload []byte, man manifest) (*Shard, error) {
 	var meta shardMeta
 	if err := gob.NewDecoder(bytes.NewReader(metaPayload)).Decode(&meta); err != nil {
 		return nil, malformed("decoding frame %q: %v", shardFrame(s, metaPart), err)
 	}
 	// A positive width makes the embeddings frame bound the row count, so
 	// nothing below allocates for rows the file does not hold.
-	rows, k := r.Hi-r.Lo, min(meta.K, len(meta.Reps))
-	if meta.Dim <= 0 || meta.K < 0 || rows > math.MaxInt/8/meta.Dim || (k > 0 && rows > math.MaxInt/8/k) {
-		return nil, malformed("%d rows of dim %d and K %d", rows, meta.Dim, meta.K)
+	r := man.Shards[s]
+	rows, k := r.Hi-r.Lo, min(man.K, len(man.Reps))
+	if meta.Dim <= 0 || rows > math.MaxInt/8/meta.Dim || (k > 0 && rows > math.MaxInt/8/k) {
+		return nil, malformed("%d rows of dim %d and K %d", rows, meta.Dim, man.K)
 	}
 	p, err := fixedFrame(sr, shardFrame(s, embeddingsPart), rows*meta.Dim, 8)
 	if err != nil {
@@ -380,12 +363,9 @@ func readShard(sr *snapshot.Reader, s int, metaPayload []byte, r shardRange) (*S
 			return nil, malformed("frame %q: %v (enabled %t)", shardFrame(s, quantPart), err, quant.Enabled())
 		}
 	}
-	if meta.Annotations == nil {
-		meta.Annotations = map[int]dataset.Annotation{}
-	}
 	sh := &Shard{Lo: r.Lo, Hi: r.Hi, Embeddings: embeddings, Quant: quant,
-		Table:       &cluster.Table{K: meta.K, Reps: meta.Reps, Neighbors: neighbors},
-		Annotations: meta.Annotations}
+		Table:       &cluster.Table{K: man.K, Reps: man.Reps, Neighbors: neighbors},
+		Annotations: man.Annotations}
 	if err := sh.Validate(); err != nil {
 		return nil, malformed("%v", err)
 	}

@@ -167,7 +167,7 @@ var crafted = []struct {
 }{
 	{"meta dim lies", editGob("shard.0.meta", func(m *shardMeta) { m.Dim++ })},
 	{"meta dim zero", editGob("shard.0.meta", func(m *shardMeta) { m.Dim = 0 })},
-	{"meta K lies", editGob("shard.1.meta", func(m *shardMeta) { m.K++ })},
+	{"manifest K lies", editGob("manifest", func(m *manifest) { m.K++ })},
 	{"manifest rows lie", editGob("manifest", func(m *manifest) { m.Shards[0].Hi--; m.Shards[1].Lo-- })},
 	{"manifest total lies", editGob("manifest", func(m *manifest) { m.Total = 1 << 40; m.Shards[1].Hi = 1 << 40 })},
 	{"embeddings short a row", editPayload("shard.0.embeddings", func(p []byte) []byte { return p[:len(p)-64] })},
@@ -175,7 +175,7 @@ var crafted = []struct {
 	{"dists not a multiple", editPayload("shard.0.dists", func(p []byte) []byte { return p[:len(p)-3] })},
 	{"reps short", editPayload("shard.1.reps", func(p []byte) []byte { return p[:len(p)-8] })},
 	{"rep out of range", setRep("shard.0.reps", 1<<40)},
-	{"representative out of range", editGob("shard.1.meta", func(m *shardMeta) { m.Reps = append(m.Reps, 1<<40) })},
+	{"representative out of range", editGob("manifest", func(m *manifest) { m.Reps = append(m.Reps, 1<<40) })},
 	{"rep negative", setRep("shard.1.reps", -1)},
 	{"quant codes short", editPayload("shard.1.quant", func(p []byte) []byte { return p[:len(p)-1] })},
 	{"quant params short", editGob("shard.0.meta", func(m *shardMeta) { m.Quant.Scale = m.Quant.Scale[1:] })},
@@ -343,17 +343,10 @@ func TestCorruptIndexBitFlipSweep(t *testing.T) {
 // snapshot whose frames all verify but whose shapes disagree — a lying
 // rows×dim or n×k declaration, a frame length that is not a multiple of its
 // element width, an out-of-range representative — fails with a typed error
-// from Load, never loads or panics; LoadShard, which skips its peers'
-// frames, fails typed whenever it fails.
+// from Load, never loads or panics.
 func TestFlatFrameShapeMismatchRejected(t *testing.T) {
 	for _, tc := range crafted {
-		data := craft(t, tc.edit)
-		loadTyped(t, data, tc.name)
-		for i := 0; i < 2; i++ {
-			if _, err := LoadShard(bytes.NewReader(data), i, splitCorpus(120)); err != nil {
-				requireTyped(t, err, tc.name)
-			}
-		}
+		loadTyped(t, craft(t, tc.edit), tc.name)
 	}
 	if _, err := Load(bytes.NewReader(craft(t, func(_ testing.TB, fs []frame) []frame { return fs }))); err != nil {
 		t.Fatalf("re-assembled intact snapshot: %v", err)
@@ -397,58 +390,15 @@ func TestLoadRejectsMismatchedShards(t *testing.T) {
 	}
 }
 
-// TestReplaceShardRejectsMismatch: a shard from a build of another width, or
-// from a larger corpus, is refused against the serving index, and the old
-// shard keeps serving.
-func TestReplaceShardRejectsMismatch(t *testing.T) {
-	x, err := Load(bytes.NewReader(seedSnapshot()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := LoadShard(bytes.NewReader(savedSplit(t, 120, 5, 2)), 1, splitCorpus(120))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := x.Shard(1)
-	if err := x.ReplaceShard(1, other); err == nil {
-		t.Fatal("ReplaceShard installed a 5-dim shard beside an 8-dim peer")
-	}
-	if x.Shard(1) != old {
-		t.Fatal("the refused replacement changed the serving shard")
-	}
-	// One shard alone has no peers; the embedder still disagrees.
-	solo, err := Load(bytes.NewReader(savedSplit(t, 120, 8, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrow, err := LoadShard(bytes.NewReader(savedSplit(t, 120, 5, 1)), 0, splitCorpus(120))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := solo.ReplaceShard(0, narrow); err == nil {
-		t.Fatal("ReplaceShard installed a 5-dim shard under an 8-dim embedder")
-	}
-	// The same record range cut from a larger corpus names representatives
-	// this index does not have.
-	larger, err := LoadShard(bytes.NewReader(savedSplit(t, 180, 8, 3)), 1, splitCorpus(180))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := x.ReplaceShard(1, larger); err == nil {
-		t.Fatal("ReplaceShard installed a shard naming representatives past the corpus")
-	}
-}
-
-// TestIndexSnapshotBeforeV4Rejected: an index written under an older header
-// is refused with ErrVersion, whole or shard by shard — it is rebuilt, not
-// misread.
-func TestIndexSnapshotBeforeV4Rejected(t *testing.T) {
-	old := assemble(t, 3, framesOf(t, seedSnapshot()))
-	if _, err := Load(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersion) {
-		t.Errorf("Load of a v3 index: err = %v, want ErrVersion", err)
-	}
-	if _, err := LoadShard(bytes.NewReader(old), 0, splitCorpus(120)); !errors.Is(err, snapshot.ErrVersion) {
-		t.Errorf("LoadShard of a v3 index: err = %v, want ErrVersion", err)
+// TestIndexSnapshotBeforeV5Rejected: an index written under an older header
+// — v4 kept a representative list and annotation map in every shard's meta —
+// is refused with ErrVersion: it is rebuilt, not misread.
+func TestIndexSnapshotBeforeV5Rejected(t *testing.T) {
+	for _, v := range []uint32{3, 4} {
+		old := assemble(t, v, framesOf(t, seedSnapshot()))
+		if _, err := Load(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersion) {
+			t.Errorf("Load of a v%d index: err = %v, want ErrVersion", v, err)
+		}
 	}
 }
 
@@ -484,9 +434,9 @@ func TestLoadedNeighborsShareOneBlock(t *testing.T) {
 	}
 }
 
-// FuzzLoadIndex feeds arbitrary bytes to Load and LoadShard and requires
-// them to terminate with a consistent index or a typed error: no panic, no
-// hang, no unbounded allocation. With resealed set, every CRC is recomputed
+// FuzzLoadIndex feeds arbitrary bytes to Load and requires it to terminate
+// with a consistent index or a typed error: no panic, no hang, no unbounded
+// allocation. With resealed set, every CRC is recomputed
 // first, so mutations reach the frame decoders behind the checksums. The
 // seeds are a quantized two-shard snapshot with an embedder, its
 // truncations and flips, non-snapshots, and the crafted shape lies above.
@@ -502,7 +452,7 @@ func FuzzLoadIndex(f *testing.F) {
 	mut[len(mut)/3] ^= 0x10
 	f.Add(mut, false)
 	var bare bytes.Buffer // what builds before the framed format wrote
-	if err := gob.NewEncoder(&bare).Encode(shardMeta{K: 3, Reps: []int{1, 2}}); err != nil {
+	if err := gob.NewEncoder(&bare).Encode(manifest{Total: 3, K: 3, Reps: []int{1, 2}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bare.Bytes(), false)
@@ -525,25 +475,19 @@ func FuzzLoadIndex(f *testing.F) {
 					t.Fatalf("Load accepted a shard its own validation rejects: %v", err)
 				}
 			}
-			if err := consistent(v.shards, v.w.emb, v.total); err != nil {
+			if err := consistent(v.shards, v.w.emb); err != nil {
 				t.Fatalf("Load accepted inconsistent shards: %v", err)
 			}
 		}
 		if !bytes.HasPrefix(data, snapshot.Magic[:]) && !errors.Is(err, snapshot.ErrBadMagic) {
 			t.Fatalf("input without the snapshot magic: err = %v, want ErrBadMagic", err)
 		}
-		if sh, err := LoadShard(bytes.NewReader(data), 1, splitCorpus(120)); err == nil {
-			if err := sh.Validate(); err != nil {
-				t.Fatalf("LoadShard accepted a shard its own validation rejects: %v", err)
-			}
-		}
 	})
 }
 
 // TestSnapshotNamesItsCorpus: an index names the corpus it was built over
 // through appends, cracks, saves and loads, and a snapshot serves only that
-// corpus — whole (CheckCorpus) or shard by shard (LoadShard). An index that
-// names none serves none.
+// corpus (CheckCorpus). An index that names none serves none.
 func TestSnapshotNamesItsCorpus(t *testing.T) {
 	x, err := buildSplit(120, 8, 2)
 	if err != nil {
@@ -569,9 +513,6 @@ func TestSnapshotNamesItsCorpus(t *testing.T) {
 	if err := loaded.Pin().CheckCorpus(own); err != nil {
 		t.Fatalf("the appended, cracked and reloaded index: %v", err)
 	}
-	if _, err := LoadShard(bytes.NewReader(buf.Bytes()), 1, own); err != nil {
-		t.Fatal(err)
-	}
 	for _, other := range []dataset.Corpus{
 		{Dataset: "night-street", Size: 120, Seed: 4},
 		{Dataset: "night-street", Size: 121, Seed: 3},
@@ -580,9 +521,6 @@ func TestSnapshotNamesItsCorpus(t *testing.T) {
 	} {
 		if err := loaded.Pin().CheckCorpus(other); !errors.Is(err, ErrCorpus) {
 			t.Errorf("CheckCorpus(%+v): %v, want ErrCorpus", other, err)
-		}
-		if _, err := LoadShard(bytes.NewReader(buf.Bytes()), 1, other); !errors.Is(err, ErrCorpus) {
-			t.Errorf("LoadShard for %+v: %v, want ErrCorpus", other, err)
 		}
 	}
 
@@ -594,8 +532,5 @@ func TestSnapshotNamesItsCorpus(t *testing.T) {
 	}
 	if err := unnamed.Pin().CheckCorpus(own); !errors.Is(err, ErrCorpus) {
 		t.Errorf("an index naming no corpus: %v, want ErrCorpus", err)
-	}
-	if _, err := LoadShard(bytes.NewReader(anonymous), 0, own); !errors.Is(err, ErrCorpus) {
-		t.Errorf("a shard of an index naming no corpus: %v, want ErrCorpus", err)
 	}
 }

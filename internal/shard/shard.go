@@ -7,12 +7,11 @@
 // # Partitioning
 //
 // Split carves a *core.Index into n shards by contiguous record-ID range:
-// shard s owns [s*total/n, (s+1)*total/n). Each shard is self-contained — it
-// holds a zero-copy row-range view of the embedding matrix, its own min-k
-// table (shard-local neighbor rows naming corpus-global representative IDs),
-// and its own annotation cache — so a shard can be snapshotted, validated,
-// and hot-swapped independently of its peers (see persist.go and
-// cmd/tastiserve's per-shard reload).
+// shard s owns [s*total/n, (s+1)*total/n). Sharding partitions the records
+// only: each shard holds a zero-copy row-range view of the embedding matrix
+// and its shard-local neighbor rows, naming corpus-global representative IDs,
+// while the representative list and the annotation map exist once per
+// Version and every shard's Table.Reps and Annotations alias them.
 //
 // # Determinism contract
 //
@@ -50,13 +49,13 @@
 // conveniences that pin per call; a request that makes several reads pins
 // once and reads the Version, so they all describe one state.
 //
-// Writers — Crack/CrackAll, AppendRecords, ReplaceShard, Requantize, Replace
-// and the Set* wiring calls — are serialized among themselves only, by one
-// mutex readers never touch. Each builds the next version copy-on-write from
-// the published one and publishes it: nothing reachable from a published
-// Version is written again. Cracking clones each shard's Neighbors outer
-// slice, representative list and Annotations map and gives every neighbor
-// list it changes a fresh row (cluster.Table); appending
+// Writers — Crack/CrackAll, AppendRecords, Requantize, Replace and the Set*
+// wiring calls — are serialized among themselves only, by one mutex readers
+// never touch. Each builds the next version copy-on-write from the published
+// one and publishes it: nothing reachable from a published Version is written
+// again. A crack batch clones the representative list and the annotation map
+// once and each shard's Neighbors outer slice, and gives every neighbor list
+// it changes a fresh row (cluster.Table); appending
 // extends the last shard's matrix and table past the lengths older versions
 // hold, where their readers never look. A superseded version is garbage once
 // the last request that pinned it returns.
@@ -95,7 +94,9 @@ const (
 // and embedding matrix are indexed locally (record id - Lo) while
 // Table.Reps, the neighbor entries' Rep fields, and the Annotations keys
 // stay corpus-global — the invariant that lets shard-local propagation reuse
-// the exact core kernels.
+// the exact core kernels. Table.Reps and Annotations are read-only aliases of
+// the version's one representative list and annotation map, shared by every
+// shard.
 type Shard struct {
 	// Lo and Hi bound the owned record IDs: [Lo, Hi).
 	Lo, Hi int
@@ -110,8 +111,7 @@ type Shard struct {
 	// Lo+i, naming corpus-global representative IDs.
 	Table *cluster.Table
 	// Annotations caches target-labeler outputs for every representative,
-	// keyed by corpus-global record ID. Each shard owns its map so a shard
-	// snapshot is self-contained.
+	// keyed by corpus-global record ID: the version's one map, read-only.
 	Annotations map[int]dataset.Annotation
 }
 
@@ -136,21 +136,7 @@ func (sh *Shard) Validate() error {
 	return sh.Table.Validate()
 }
 
-// fillRepScores evaluates score on this shard's representative annotations
-// into rs, a dense slice indexed by corpus-global record ID (len >= total).
-// Entries for non-representatives are stale garbage no read path touches.
-func (sh *Shard) fillRepScores(rs []float64, score core.ScoreFunc) error {
-	for _, rep := range sh.Table.Reps {
-		ann, ok := sh.Annotations[rep]
-		if !ok {
-			return fmt.Errorf("%w: representative %d", core.ErrNoAnnotation, rep)
-		}
-		rs[rep] = score(ann)
-	}
-	return nil
-}
-
-// Index is a sharded TASTI index: N self-contained shards behind one
+// Index is a sharded TASTI index: N record-range shards behind one
 // scatter-gather query surface. It is a handle on a sequence of immutable
 // Versions (see the package comment's concurrency section): reads pin the
 // published one, writers publish its successor.
@@ -161,10 +147,11 @@ type Index struct {
 }
 
 // Version is one immutable state of a sharded index: what every query that
-// pinned it sees, end to end. Its shards, their tables and annotation maps
-// are never written after publication; the proxy-column store is the one
-// part that still changes (it memoizes reads of this very state) and locks
-// itself.
+// pinned it sees, end to end. It holds one representative list and one
+// annotation map, which every shard's Table.Reps and Annotations alias. Its
+// shards, their tables and that list and map are never written after
+// publication; the proxy-column store is the one part that still changes (it
+// memoizes reads of this very state) and locks itself.
 type Version struct {
 	// Stats carries the build metadata of the source index (labeler spend,
 	// phase timings, degraded representatives) for /readyz and /index.
@@ -236,10 +223,9 @@ func newIndex(w wiring, stats core.BuildStats, shards []*Shard, total int) *Inde
 
 // Split partitions a built index into n contiguous-range shards, taking
 // ownership of ix: the shards alias its embedding matrix and neighbor rows
-// (zero-copy views), so the source index must not be used afterwards.
-// Parallelism and telemetry carry over from ix's config; each shard receives
-// its own copy of the representative list and annotation map so later
-// per-shard snapshots and reloads stay self-contained.
+// (zero-copy views), and all of them its one representative list and
+// annotation map, so the source index must not be used afterwards.
+// Parallelism and telemetry carry over from ix's config.
 //
 // Split(ix, 1) is the identity sharding: one shard holding the whole index,
 // with every query path byte-for-byte equivalent to ix's own.
@@ -258,10 +244,10 @@ func Split(ix *core.Index, n int) (*Index, error) {
 			Embeddings: ix.Embeddings.RowRange(lo, hi),
 			Table: &cluster.Table{
 				K:         ix.Table.K,
-				Reps:      append([]int(nil), ix.Table.Reps...),
+				Reps:      ix.Table.Reps,
 				Neighbors: ix.Table.Neighbors[lo:hi:hi],
 			},
-			Annotations: maps.Clone(ix.Annotations),
+			Annotations: ix.Annotations,
 		}
 		if ix.Quant.Enabled() {
 			// Zero-copy view of the corpus code plane, same range as the
@@ -316,6 +302,14 @@ func (v *Version) NumRecords() int { return v.total }
 // K returns the min-k table depth (identical across shards).
 func (v *Version) K() int { return v.shards[0].Table.K }
 
+// reps returns the version's one representative list, which every shard's
+// Table.Reps aliases.
+func (v *Version) reps() []int { return v.shards[0].Table.Reps }
+
+// anns returns the version's one annotation map, which every shard's
+// Annotations aliases.
+func (v *Version) anns() map[int]dataset.Annotation { return v.shards[0].Annotations }
+
 // Shard returns the shard at position i. It is shared with every reader of
 // the version: read-only.
 func (v *Version) Shard(i int) *Shard { return v.shards[i] }
@@ -365,9 +359,6 @@ func (x *Index) rewire(set func(w *wiring)) {
 	})
 }
 
-// SetEmbedder installs the embedding model AppendRecords uses.
-func (x *Index) SetEmbedder(e embed.Embedder) { x.rewire(func(w *wiring) { w.emb = e }) }
-
 // SetParallelism bounds the per-shard worker count used inside each shard's
 // propagation and cracking scatter (p <= 0 uses all CPUs). Output is
 // identical at every p.
@@ -398,33 +389,6 @@ func (v *Version) publishMetrics() {
 	v.w.gGen.Set(float64(cs.Generation))
 }
 
-// ReplaceShard publishes a version with shard i replaced, after checking the
-// replacement covers the identical record range, names representatives
-// inside the corpus, and agrees with the serving peers and embedder on
-// embedding width and K — the shard-shape invariants a hot reload must not
-// bend — and advances the generation. Requests that
-// pinned the previous version finish on the old shard.
-func (x *Index) ReplaceShard(i int, sh *Shard) error {
-	return x.write(func(cur *Version) (*Version, error) {
-		if i < 0 || i >= len(cur.shards) {
-			return nil, fmt.Errorf("shard: shard %d out of range [0,%d)", i, len(cur.shards))
-		}
-		if old := cur.shards[i]; sh.Lo != old.Lo || sh.Hi != old.Hi {
-			return nil, fmt.Errorf("shard: replacement covers [%d,%d), serving shard %d covers [%d,%d)",
-				sh.Lo, sh.Hi, i, old.Lo, old.Hi)
-		}
-		if err := sh.Validate(); err != nil {
-			return nil, err
-		}
-		shards := slices.Clone(cur.shards)
-		shards[i] = sh
-		if err := consistent(shards, cur.w.emb, cur.total); err != nil {
-			return nil, err
-		}
-		return cur.successor(shards, cur.total, 1), nil
-	})
-}
-
 // Replace replaces the whole index state with another index's — a snapshot
 // loaded for a hot reload — as one more write: next's published version goes
 // out under this index's wiring with its own generation count and an empty
@@ -441,17 +405,23 @@ func (x *Index) Replace(next *Index) {
 	})
 }
 
-// RepCount returns the number of distinct representatives across shards. In
-// steady state every shard carries the identical list; after a rolling
-// per-shard reload the union reports honestly across generations.
-func (v *Version) RepCount() int {
-	seen := make(map[int]struct{})
-	for _, sh := range v.shards {
-		for _, rep := range sh.Table.Reps {
-			seen[rep] = struct{}{}
+// RepCount returns the number of representatives.
+func (v *Version) RepCount() int { return len(v.reps()) }
+
+// repScores evaluates score on every representative's annotation into a
+// dense slice indexed by corpus-global record ID, once for all shards.
+// Entries for non-representatives are zeros no read path touches.
+func (v *Version) repScores(score core.ScoreFunc) ([]float64, error) {
+	rs := make([]float64, v.total)
+	anns := v.anns()
+	for _, rep := range v.reps() {
+		ann, ok := anns[rep]
+		if !ok {
+			return nil, fmt.Errorf("%w: representative %d", core.ErrNoAnnotation, rep)
 		}
+		rs[rep] = score(ann)
 	}
-	return len(seen)
+	return rs, nil
 }
 
 // scatter runs fn concurrently over the shards — one goroutine per shard,
@@ -514,23 +484,21 @@ func (v *Version) Propagate(score core.ScoreFunc) ([]float64, error) {
 
 // PropagateK is Propagate with an explicit neighbor count k <= K, threading a
 // request span: the scatter opens one child span per shard under sp, and a
-// nil sp runs identically with no tracing. Each shard evaluates its own
-// representative annotations (shards agree on the representative set in
-// steady state, and a rolling reload only ever scores a shard with its own
-// table's generation) and runs the shared core.PropagateKRange kernel over
-// its local rows into its disjoint slice of the output.
+// nil sp runs identically with no tracing. The representatives are scored
+// once into one vector, and each shard runs the shared core.PropagateKRange
+// kernel over its local rows into its disjoint slice of the output.
 func (v *Version) PropagateK(score core.ScoreFunc, k int, sp *telemetry.Span) ([]float64, error) {
 	if kMax := v.K(); k <= 0 || k > kMax {
 		return nil, fmt.Errorf("shard: propagation k=%d outside [1,%d]", k, kMax)
 	}
 	defer v.observePropagate(metricPropagateWeighted, time.Now())
+	rs, err := v.repScores(score)
+	if err != nil {
+		return nil, err
+	}
 	par := v.w.par
 	out := make([]float64, v.total)
-	err := v.scatter(sp, func(s int, sh *Shard) error {
-		rs := make([]float64, v.total)
-		if err := sh.fillRepScores(rs, score); err != nil {
-			return err
-		}
+	_ = v.scatter(sp, func(s int, sh *Shard) error {
 		v.w.mProp[s].Inc()
 		localN := sh.NumRecords()
 		local := out[sh.Lo:sh.Hi]
@@ -543,9 +511,6 @@ func (v *Version) PropagateK(score core.ScoreFunc, k int, sp *telemetry.Span) ([
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -555,13 +520,13 @@ func (v *Version) PropagateK(score core.ScoreFunc, k int, sp *telemetry.Span) ([
 // the scatter as PropagateK's does; nil runs untraced.
 func (v *Version) PropagateNearest(score core.ScoreFunc, sp *telemetry.Span) (scores, dists []float64, err error) {
 	defer v.observePropagate(metricPropagateNearest, time.Now())
+	rs, err := v.repScores(score)
+	if err != nil {
+		return nil, nil, err
+	}
 	scores = make([]float64, v.total)
 	dists = make([]float64, v.total)
-	err = v.scatter(sp, func(s int, sh *Shard) error {
-		rs := make([]float64, v.total)
-		if err := sh.fillRepScores(rs, score); err != nil {
-			return err
-		}
+	_ = v.scatter(sp, func(s int, sh *Shard) error {
 		v.w.mProp[s].Inc()
 		localScores, localDists := scores[sh.Lo:sh.Hi], dists[sh.Lo:sh.Hi]
 		parallel.ForChunks(v.w.par, sh.NumRecords(), func(_ int, sp parallel.Span) {
@@ -573,9 +538,6 @@ func (v *Version) PropagateNearest(score core.ScoreFunc, sp *telemetry.Span) (sc
 		})
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
 	return scores, dists, nil
 }
 
@@ -613,15 +575,16 @@ func (x *Index) Crack(id int, ann dataset.Annotation) {
 }
 
 // CrackAll adds a batch of target-labeler observations as new
-// representatives on every shard, in ascending ID order — the fixed order
-// that makes batch cracking deterministic regardless of map iteration — and
-// publishes the result as one version. For each record the owning shard
-// supplies the embedding row, then each shard records the annotation and
-// updates its own table rows — the same per-record computation the unsharded
-// Table.AddRepresentativeEmb runs, so the sharded tables stay bitwise identical
-// to the global one. Records that are already annotated are skipped; a batch
-// of nothing else keeps the published version, its generation and its proxy
-// columns. Each representative added advances the generation by one.
+// representatives, in ascending ID order — the fixed order that makes batch
+// cracking deterministic regardless of map iteration — and publishes the
+// result as one version. For each record the owning shard supplies the
+// embedding row, the record joins the one representative list and annotation
+// map, and each shard updates its own table rows — the same per-record
+// computation the unsharded Table.AddRepresentativeEmb runs, so the sharded
+// tables stay bitwise identical to the global one. Records that are already
+// annotated are skipped; a batch of nothing else keeps the published version,
+// its generation and its proxy columns. Each representative added advances
+// the generation by one.
 // CrackAll returns how many representatives the batch added to the index:
 // what RepCount grew by, with no other write in between.
 func (x *Index) CrackAll(anns map[int]dataset.Annotation) (added int) {
@@ -648,53 +611,48 @@ func (x *Index) CrackInOrder(ids []int, anns map[int]dataset.Annotation) (added 
 
 // cracked builds v's successor with the not-yet-annotated records of ids
 // added as representatives in that order, or returns nil when there are none;
-// added counts the records no shard's table had as a representative before —
-// what the union RepCount reports grows by. Copy-on-write: each shard gets
-// its own Table header, Neighbors outer slice, representative list and
-// Annotations map, and AddRepresentativeEmb replaces — never rewrites — the
-// rows it changes, so v keeps propagating the bits it always did.
+// added counts them. Copy-on-write: the successor gets one fresh
+// representative list and annotation map, which all its shards share, and
+// each shard its own Table header and Neighbors outer slice;
+// AddRepresentativeRows replaces — never rewrites — the rows it changes, so v
+// keeps propagating the bits it always did.
 func (v *Version) cracked(ids []int, anns map[int]dataset.Annotation) (next *Version, added int) {
-	var fresh []int
 	for _, id := range ids {
 		if id < 0 || id >= v.total {
 			panic(fmt.Sprintf("shard: crack id %d out of range [0,%d)", id, v.total))
 		}
-		if _, ok := v.owner(id).Annotations[id]; ok {
-			continue
-		}
-		fresh = append(fresh, id)
-		// Mid rolling reload a peer shard may already carry the record.
-		if !slices.ContainsFunc(v.shards, func(sh *Shard) bool { return slices.Contains(sh.Table.Reps, id) }) {
-			added++
-		}
 	}
-	if len(fresh) == 0 {
+	if !slices.ContainsFunc(ids, func(id int) bool { return !v.Annotated(id) }) {
 		return nil, 0
 	}
-	// The copies are the batch's fixed cost: O(records) slice headers and
-	// O(annotations) map entries per shard, whatever the batch size.
+	// The copies are the batch's fixed cost, whatever its size: one list of
+	// representatives, one map of annotations, and O(records) row headers.
+	reps, repAnns := slices.Clone(v.reps()), maps.Clone(v.anns())
 	shards := make([]*Shard, len(v.shards))
 	for s, sh := range v.shards {
 		next := *sh
-		next.Table = &cluster.Table{
-			K:         sh.Table.K,
-			Reps:      slices.Clone(sh.Table.Reps),
-			Neighbors: slices.Clone(sh.Table.Neighbors),
-		}
-		next.Annotations = maps.Clone(sh.Annotations)
+		next.Table = &cluster.Table{K: sh.Table.K, Neighbors: slices.Clone(sh.Table.Neighbors)}
 		shards[s] = &next
 	}
 	var qstats cluster.QuantScanStats
-	for _, id := range fresh {
+	for _, id := range ids {
+		if _, ok := repAnns[id]; ok {
+			continue
+		}
+		reps = append(reps, id)
+		repAnns[id] = anns[id]
 		owner := v.owner(id) // embeddings are shared with the successor
 		repEmb := owner.Embeddings.Row(id - owner.Lo)
 		for _, sh := range shards {
-			sh.Annotations[id] = anns[id]
-			qstats.Add(sh.Table.AddRepresentativeEmb(sh.Embeddings, sh.Quant, id, repEmb, v.w.par))
+			qstats.Add(sh.Table.AddRepresentativeRows(sh.Embeddings, sh.Quant, id, repEmb, v.w.par))
 		}
 	}
+	for _, sh := range shards {
+		sh.Table.Reps, sh.Annotations = reps, repAnns
+	}
 	core.PublishQuantStats(v.w.tel, qstats)
-	return v.successor(shards, v.total, uint64(len(fresh))), added
+	added = len(reps) - v.RepCount()
+	return v.successor(shards, v.total, uint64(added)), added
 }
 
 // Annotated reports whether record id is already a representative (has a
@@ -708,10 +666,7 @@ func (v *Version) Annotated(id int) bool {
 // representative (cracked, or annotated at build). The label store consults
 // this before spending budget: an annotation the index already owns is free.
 func (v *Version) AnnotationOf(id int) (dataset.Annotation, bool) {
-	if id < 0 || id >= v.total {
-		return nil, false
-	}
-	ann, ok := v.owner(id).Annotations[id]
+	ann, ok := v.anns()[id]
 	return ann, ok
 }
 

@@ -288,54 +288,6 @@ func TestPersistRoundTrip(t *testing.T) {
 	sameBits(t, "loaded Propagate", got, want)
 }
 
-// TestLoadShardAndReplace: a single shard lifts out of the snapshot without
-// its peers and hot-swaps into a serving index without changing any bits.
-func TestLoadShardAndReplace(t *testing.T) {
-	ix, _ := buildIndex(t, 300, 30)
-	x, err := shard.Split(ix, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	score := core.CountScore("car")
-	want, err := x.Propagate(score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	sh, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 1, x.Pin().Stats.Corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live := x.Shard(1); sh.Lo != live.Lo || sh.Hi != live.Hi {
-		t.Fatalf("loaded shard covers [%d,%d), serving shard covers [%d,%d)",
-			sh.Lo, sh.Hi, live.Lo, live.Hi)
-	}
-	if err := x.ReplaceShard(1, sh); err != nil {
-		t.Fatal(err)
-	}
-	got, err := x.Propagate(score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, "post-replace Propagate", got, want)
-
-	// A replacement covering the wrong range, or a nonsense position, is
-	// rejected and leaves the serving set untouched.
-	if err := x.ReplaceShard(0, sh); err == nil {
-		t.Error("ReplaceShard accepted a shard covering the wrong range")
-	}
-	if err := x.ReplaceShard(5, sh); err == nil {
-		t.Error("ReplaceShard accepted an out-of-range position")
-	}
-	if _, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 9, x.Pin().Stats.Corpus); err == nil {
-		t.Error("LoadShard accepted an out-of-range shard number")
-	}
-}
-
 // TestSnapshotKindMismatch pins the typed-error contract: an index snapshot
 // and a label-store snapshot each reject the other's loader with
 // snapshot.ErrKind, never a decode mystery.
@@ -346,9 +298,6 @@ func TestSnapshotKindMismatch(t *testing.T) {
 	}
 	if _, err := shard.Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrKind) {
 		t.Errorf("shard.Load of a label store: %v, want ErrKind", err)
-	}
-	if _, err := shard.LoadShard(bytes.NewReader(buf.Bytes()), 0, dataset.Corpus{}); !errors.Is(err, snapshot.ErrKind) {
-		t.Errorf("shard.LoadShard of a label store: %v, want ErrKind", err)
 	}
 
 	ix, _ := buildIndex(t, 200, 20)

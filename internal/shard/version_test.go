@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -18,60 +19,38 @@ import (
 )
 
 // model is what the published version must hold after each write, kept from
-// scratch: every record's embedding, and per shard the range, representative
-// list and annotations its writes left — a rolling reload leaves one shard a
-// representative ahead of its peers. Each shard's neighbor rows are then
-// cluster's one-pass table over the whole matrix and that shard's list.
+// scratch: every record's embedding, each shard's range, and the one
+// representative list and annotation map every shard shares. Each shard's
+// neighbor rows are then cluster's one-pass table over the whole matrix and
+// that list.
 type model struct {
 	emb    vecmath.Matrix
 	lo, hi []int
-	reps   [][]int
-	anns   []map[int]dataset.Annotation
+	reps   []int
+	anns   map[int]dataset.Annotation
 }
 
 func newModel(ix *core.Index, v *shard.Version) *model {
-	m := &model{emb: vecmath.NewMatrix(ix.NumRecords(), ix.Embeddings.Dim())}
+	m := &model{emb: vecmath.NewMatrix(ix.NumRecords(), ix.Embeddings.Dim()),
+		reps: slices.Clone(ix.Table.Reps), anns: maps.Clone(ix.Annotations)}
 	copy(m.emb.Data(), ix.Embeddings.Data())
 	for s := 0; s < v.NumShards(); s++ {
 		m.lo = append(m.lo, v.Shard(s).Lo)
 		m.hi = append(m.hi, v.Shard(s).Hi)
-		m.reps = append(m.reps, slices.Clone(ix.Table.Reps))
-		m.anns = append(m.anns, maps.Clone(ix.Annotations))
 	}
 	return m
 }
 
-// owner is the shard whose range holds id.
-func (m *model) owner(id int) int {
-	return sort.Search(len(m.hi), func(s int) bool { return m.hi[s] > id })
-}
-
-// crack adds, in order, the records of ids its owner has not annotated as
-// representatives of the shards in only (every shard when only is nil), and
-// returns how many no shard had before.
-func (m *model) crack(ids []int, anns map[int]dataset.Annotation, only []int) (added int) {
-	var fresh []int
+// crack adds, in order, the records of ids not yet annotated as
+// representatives and returns how many it added.
+func (m *model) crack(ids []int, anns map[int]dataset.Annotation) (added int) {
 	for _, id := range ids {
-		if _, ok := m.anns[m.owner(id)][id]; ok {
+		if _, ok := m.anns[id]; ok {
 			continue
 		}
-		fresh = append(fresh, id)
-		if !slices.ContainsFunc(m.reps, func(reps []int) bool { return slices.Contains(reps, id) }) {
-			added++
-		}
-	}
-	if only == nil {
-		for s := range m.reps {
-			only = append(only, s)
-		}
-	}
-	for _, id := range fresh {
-		for _, s := range only {
-			m.anns[s][id] = anns[id]
-			if !slices.Contains(m.reps[s], id) {
-				m.reps[s] = append(m.reps[s], id)
-			}
-		}
+		m.anns[id] = anns[id]
+		m.reps = append(m.reps, id)
+		added++
 	}
 	return added
 }
@@ -87,29 +66,29 @@ func (m *model) append(e embed.Embedder, features [][]float64) {
 }
 
 // sameState fails unless got's shards hold the model's ranges, representative
-// lists and annotations, and the embedding and neighbor rows cluster computes
+// list and annotations, and the embedding and neighbor rows cluster computes
 // from scratch over them, bit for bit.
 func sameState(t *testing.T, step string, got *shard.Version, m *model, k int) {
 	t.Helper()
-	if got.NumRecords() != m.emb.Rows() || got.NumShards() != len(m.reps) {
+	if got.NumRecords() != m.emb.Rows() || got.NumShards() != len(m.lo) {
 		t.Fatalf("%s: %d records in %d shards, model %d in %d", step,
-			got.NumRecords(), got.NumShards(), m.emb.Rows(), len(m.reps))
+			got.NumRecords(), got.NumShards(), m.emb.Rows(), len(m.lo))
 	}
+	table := cluster.BuildTablePar(m.emb, m.reps, k, 1)
 	for s := 0; s < got.NumShards(); s++ {
 		g := got.Shard(s)
 		if g.Lo != m.lo[s] || g.Hi != m.hi[s] {
 			t.Fatalf("%s: shard %d covers [%d,%d), model [%d,%d)", step, s, g.Lo, g.Hi, m.lo[s], m.hi[s])
 		}
-		sameInts(t, fmt.Sprintf("%s: shard %d reps", step, s), g.Table.Reps, m.reps[s])
-		table := cluster.BuildTablePar(m.emb, m.reps[s], k, 1)
+		sameInts(t, fmt.Sprintf("%s: shard %d reps", step, s), g.Table.Reps, m.reps)
 		for i := range g.Table.Neighbors {
 			id := g.Lo + i
 			sameBits(t, fmt.Sprintf("%s: record %d embedding", step, id), g.Embeddings.Row(i), m.emb.Row(id))
 			sameNeighbors(t, fmt.Sprintf("%s: record %d", step, id), g.Table.Neighbors[i], table.Neighbors[id])
 		}
-		if !reflect.DeepEqual(g.Annotations, m.anns[s]) {
+		if !reflect.DeepEqual(g.Annotations, m.anns) {
 			t.Fatalf("%s: shard %d annotations differ from the model (%d vs %d entries)",
-				step, s, len(g.Annotations), len(m.anns[s]))
+				step, s, len(g.Annotations), len(m.anns))
 		}
 	}
 }
@@ -185,8 +164,8 @@ func (p pinnedVersion) check(t *testing.T, after string) {
 }
 
 // TestVersionsMatchFromScratchReference drives a seeded sequence of crack
-// batches (in ID order and in the caller's), appends and shard replacements
-// through the copy-on-write writers — at shards 1/2/4, workers 1/2/4,
+// batches (in ID order and in the caller's), appends and whole-index
+// replacements through the copy-on-write writers — at shards 1/2/4, workers 1/2/4,
 // quantized off and on — and beside it through a model of what each write
 // leaves. After every write the published version's tables equal cluster's
 // from-scratch build over the model's representative lists, and every
@@ -232,7 +211,7 @@ func TestVersionsMatchFromScratchReference(t *testing.T) {
 							ids = append(ids, id)
 						}
 						sort.Ints(ids)
-						if added, want := x.CrackAll(batch), m.crack(ids, batch, nil); added != want {
+						if added, want := x.CrackAll(batch), m.crack(ids, batch); added != want {
 							t.Fatalf("%s: CrackAll reports %d representatives added, model %d", step, added, want)
 						}
 					case "crack-in-order":
@@ -246,7 +225,7 @@ func TestVersionsMatchFromScratchReference(t *testing.T) {
 								ids = append(ids, id)
 							}
 						}
-						if added, want := x.CrackInOrder(ids, batch), m.crack(ids, batch, nil); added != want {
+						if added, want := x.CrackInOrder(ids, batch), m.crack(ids, batch); added != want {
 							t.Fatalf("%s: CrackInOrder reports %d representatives added, model %d", step, added, want)
 						}
 					case "append":
@@ -257,16 +236,13 @@ func TestVersionsMatchFromScratchReference(t *testing.T) {
 						}
 						m.append(twin.Embedder, feats)
 					case "replace":
-						// A rolling reload caught half way: the replacement
-						// carries one more representative than its peers.
+						// A reload: the whole state swapped for a deep copy
+						// that may be one representative ahead.
 						c := x.Clone()
 						id := r.Intn(x.NumRecords())
 						c.Crack(id, truth[id])
-						s := r.Intn(shards)
-						if err := x.ReplaceShard(s, c.Shard(s)); err != nil {
-							t.Fatalf("%s: %v", step, err)
-						}
-						m.crack([]int{id}, map[int]dataset.Annotation{id: truth[id]}, []int{s})
+						x.Replace(c)
+						m.crack([]int{id}, map[int]dataset.Annotation{id: truth[id]})
 					}
 					sameState(t, step, x.Pin(), m, twin.Table.K)
 					for _, p := range pinned {
@@ -275,5 +251,91 @@ func TestVersionsMatchFromScratchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sharesOneSet fails unless every shard of v aliases one representative
+// backing array and one annotation map.
+func sharesOneSet(t *testing.T, step string, v *shard.Version) {
+	t.Helper()
+	first := v.Shard(0)
+	for s := 1; s < v.NumShards(); s++ {
+		sh := v.Shard(s)
+		if len(sh.Table.Reps) != len(first.Table.Reps) || &sh.Table.Reps[0] != &first.Table.Reps[0] {
+			t.Fatalf("%s: shard %d holds its own representative list", step, s)
+		}
+		if reflect.ValueOf(sh.Annotations).UnsafePointer() != reflect.ValueOf(first.Annotations).UnsafePointer() {
+			t.Fatalf("%s: shard %d holds its own annotation map", step, s)
+		}
+	}
+}
+
+// TestVersionSharesOneRepresentativeSet: every shard of a published version
+// aliases the version's one representative list and one annotation map —
+// after Split, CrackAll, AppendRecords, Clone and Load — and a version pinned
+// before a crack batch still propagates its own bits and sees none of the
+// batch's representatives.
+func TestVersionSharesOneRepresentativeSet(t *testing.T) {
+	score := core.CountScore("car")
+	for _, shards := range []int{1, 2, 3} {
+		cfg := fmt.Sprintf("shards=%d", shards)
+		ix, ds := buildIndex(t, 300, 30)
+		x, err := shard.Split(ix, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharesOneSet(t, cfg+" split", x.Pin())
+
+		pinned := x.Pin()
+		want, err := pinned.Propagate(score)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantReps := slices.Clone(pinned.Shard(0).Table.Reps)
+		batch := map[int]dataset.Annotation{}
+		for id := 0; len(batch) < 5; id += 7 {
+			if !pinned.Annotated(id) {
+				batch[id] = ds.Truth[id]
+			}
+		}
+		if added := x.CrackAll(batch); added != len(batch) || x.RepCount() != len(wantReps)+len(batch) {
+			t.Fatalf("%s: crack added %d of %d, %d representatives", cfg, added, len(batch), x.RepCount())
+		}
+		sharesOneSet(t, cfg+" crack", x.Pin())
+		got, err := pinned.Propagate(score)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, cfg+" pinned before the crack", got, want)
+		if pinned.RepCount() != len(wantReps) {
+			t.Fatalf("%s: the pinned version counts %d representatives, had %d", cfg, pinned.RepCount(), len(wantReps))
+		}
+		for s := 0; s < pinned.NumShards(); s++ {
+			sameInts(t, fmt.Sprintf("%s pinned shard %d reps", cfg, s), pinned.Shard(s).Table.Reps, wantReps)
+		}
+		for id := range batch {
+			if pinned.Annotated(id) {
+				t.Fatalf("%s: the pinned version sees record %d, cracked after it", cfg, id)
+			}
+		}
+
+		if _, err := x.AppendRecords(extraFeatures(t, 4, 5)); err != nil {
+			t.Fatal(err)
+		}
+		sharesOneSet(t, cfg+" append", x.Pin())
+		c := x.Clone()
+		sharesOneSet(t, cfg+" clone", c.Pin())
+		if &c.Shard(0).Table.Reps[0] == &x.Shard(0).Table.Reps[0] {
+			t.Fatalf("%s: the clone shares the original's representative list", cfg)
+		}
+		var buf bytes.Buffer
+		if err := x.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := shard.Load(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharesOneSet(t, cfg+" load", loaded.Pin())
 	}
 }

@@ -54,10 +54,10 @@ func reframe(t *testing.T, data []byte, kind string, v uint32, log bool) []byte 
 	return buf.Bytes()
 }
 
-// TestV3ArtifactsAfterV4 pins the v4 compatibility line: an index snapshot
-// written at v3 fails with ErrVersion (it is rebuilt, not misread), while a
-// dataset, a label-store snapshot and a WAL segment written at v3 still load
-// — MinVersion stays 1 for every kind but the index.
+// TestV3ArtifactsAfterV4 pins the compatibility line: an index snapshot
+// written at v3 or v4 fails with ErrVersion (it is rebuilt, not misread),
+// while a dataset, a label-store snapshot and a WAL segment written at v3
+// still load — MinVersion stays 1 for every kind but the index.
 func TestV3ArtifactsAfterV4(t *testing.T) {
 	ds, err := dataset.Generate("night-street", 150, 1)
 	if err != nil {
@@ -77,8 +77,10 @@ func TestV3ArtifactsAfterV4(t *testing.T) {
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shard.Load(bytes.NewReader(reframe(t, buf.Bytes(), shard.IndexKind, 3, false))); !errors.Is(err, snapshot.ErrVersion) {
-		t.Errorf("v3 index snapshot: err = %v, want ErrVersion", err)
+	for _, v := range []uint32{3, 4} {
+		if _, err := shard.Load(bytes.NewReader(reframe(t, buf.Bytes(), shard.IndexKind, v, false))); !errors.Is(err, snapshot.ErrVersion) {
+			t.Errorf("v%d index snapshot: err = %v, want ErrVersion", v, err)
+		}
 	}
 
 	buf.Reset()

@@ -69,7 +69,12 @@ var Magic = [8]byte{'T', 'A', 'S', 'T', 'I', 'S', 'N', 'P'}
 //	     "tasti-index" container is gone. The index loader rejects older
 //	     headers with ErrVersion (rebuilt, not converted); every other kind
 //	     still reads v1 on.
-const Version uint32 = 4
+//	v5 — one representative set per index: the manifest carries K, the
+//	     representative list and their annotations, written once; each
+//	     "shard.<s>.meta" keeps its embedding width and plane parameters.
+//	     The index loader rejects older headers with ErrVersion; every
+//	     other kind still reads v1 on.
+const Version uint32 = 5
 
 // MinVersion is the oldest container-format version this build still reads.
 const MinVersion uint32 = 1

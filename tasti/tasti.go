@@ -66,8 +66,8 @@ const Version = "0.9.0"
 // SnapshotFormatVersion is the framed snapshot container's current format
 // version, the one every artifact is written at. Datasets, WAL segments and
 // label-store snapshots still open back to snapshot.MinVersion;
-// an index snapshot must be v4 or later (flat shard frames) — an older one
-// fails with ErrSnapshotVersion and is rebuilt.
+// an index snapshot must be v5 or later (one representative set in the
+// manifest) — an older one fails with ErrSnapshotVersion and is rebuilt.
 const SnapshotFormatVersion = snapshot.Version
 
 // Data model.
@@ -258,15 +258,14 @@ func Build(cfg Config, ds *Dataset, lab Labeler) (*Index, error) {
 
 // Sharded serving. A built index can be partitioned into contiguous
 // record-range shards that answer every query through a scatter-gather layer
-// bitwise identical to the unsharded index — the unit of parallel building,
-// snapshotting, and zero-downtime per-shard reload in cmd/tastiserve. See
-// docs/SHARDING.md for the assignment function, determinism contract, and
-// reload runbook.
+// bitwise identical to the unsharded index, every shard sharing the index's
+// one representative set. See docs/SHARDING.md for the assignment function,
+// determinism contract, and reload runbook.
 type (
-	// ShardedIndex is a sharded TASTI index: N self-contained shards behind
-	// one scatter-gather query surface with per-shard hot swap. It publishes
-	// immutable IndexVersions: reads take no lock, writers (crack, append,
-	// shard and whole-index swap) are serialized among themselves only.
+	// ShardedIndex is a sharded TASTI index: N record-range shards over one
+	// representative set, behind one scatter-gather query surface. It
+	// publishes immutable IndexVersions: reads take no lock, writers (crack,
+	// append, whole-index swap) are serialized among themselves only.
 	ShardedIndex = shard.Index
 	// IndexVersion is one immutable state of a ShardedIndex, from
 	// ShardedIndex.Pin: everything a request reads from it — columns,
@@ -279,7 +278,7 @@ type (
 	// it across requests — the key of the proxy column a Query reads. A
 	// column is one Scorer's propagated scores for one index generation,
 	// computed by the first query that needs it and shared by every later
-	// one until a crack, append or shard swap starts a new generation.
+	// one until a crack, append or reload starts a new generation.
 	Scorer = shard.Scorer
 	// ProxyColumnStats is ShardedIndex.ColumnStats's residency report.
 	ProxyColumnStats = shard.ColumnStats
@@ -308,11 +307,6 @@ func SplitIndex(ix *Index, n int) (*ShardedIndex, error) { return shard.Split(ix
 // the one index snapshot format — with the shard layout it was saved at.
 // Check IndexVersion.CheckCorpus before serving it.
 var LoadShardedIndex = shard.Load
-
-// LoadShard lifts one shard out of a sharded snapshot of a corpus without
-// decoding its peers — the input to ShardedIndex.ReplaceShard for per-shard
-// hot reload.
-var LoadShard = shard.LoadShard
 
 // KernelName reports which vector-distance kernel implementation this
 // process dispatches to (e.g. "avx2+fma" or "scalar"). Observability only:
@@ -343,8 +337,7 @@ var (
 	// shape that does not match its data, shards that cannot serve together.
 	ErrSnapshotMalformed = snapshot.ErrMalformed
 	// ErrSnapshotCorpus marks an index snapshot of another corpus than the
-	// one it is read to serve (IndexVersion.CheckCorpus, LoadShard), or of
-	// none.
+	// one it is read to serve (IndexVersion.CheckCorpus), or of none.
 	ErrSnapshotCorpus = shard.ErrCorpus
 )
 
