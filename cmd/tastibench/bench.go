@@ -23,7 +23,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/triplet"
-	"repro/internal/vecmath"
 	"repro/internal/xrand"
 	"repro/tasti"
 )
@@ -143,11 +142,7 @@ func runBenchSuite(path string) error {
 			cluster.BuildTablePar(ix.Embeddings, ix.Table.Reps, ix.Table.K, 1)
 		}
 	})
-	quant, err := vecmath.QuantizeMatrix(ix.Embeddings, vecmath.TrainQuantParams(ix.Embeddings))
-	if err != nil {
-		return fmt.Errorf("quantizing propagation embeddings: %w", err)
-	}
-	rep.QuantBytesPerRecord = float64(quant.Bytes()) / float64(quant.Rows())
+	rep.QuantBytesPerRecord = float64(ix.Quant.Bytes()) / float64(ix.Quant.Rows())
 
 	// The scatter-gather overhead of sharded serving at the same worker
 	// count: 4 shards over the same corpus, bitwise-identical output.

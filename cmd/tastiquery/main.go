@@ -37,23 +37,22 @@ import (
 // runOptions collects the flag values; one struct instead of a 20-parameter
 // run signature.
 type runOptions struct {
-	dsName   string
-	size     int
-	seed     int64
-	query    string
-	class    string
-	count    int
-	k        int
-	train    int
-	reps     int
-	budget   int
-	save     string
-	load     string
-	errTgt   float64
-	recall   float64
-	quantize bool
-	par      int
-	shards   int
+	dsName string
+	size   int
+	seed   int64
+	query  string
+	class  string
+	count  int
+	k      int
+	train  int
+	reps   int
+	budget int
+	save   string
+	load   string
+	errTgt float64
+	recall float64
+	par    int
+	shards int
 
 	retries       int
 	labelTimeout  time.Duration
@@ -81,7 +80,6 @@ func main() {
 	flag.StringVar(&o.load, "load", "", "path to load a previously saved index from (its shard layout wins over -shards)")
 	flag.Float64Var(&o.errTgt, "err", 0.05, "aggregation error target")
 	flag.Float64Var(&o.recall, "recall", 0.9, "selection recall target")
-	flag.BoolVar(&o.quantize, "quantize", false, "build the uint8 quantized plane: FPF selection and cracks prune through 8x smaller codes with exact rerank, bitwise-identical results")
 	flag.IntVar(&o.par, "parallelism", 0, "worker count for index construction and propagation (<= 0 uses all CPUs; results are identical at every value)")
 	flag.IntVar(&o.shards, "shards", 1, "scatter-gather shard count for query processing; results are bitwise identical at every value (<= 1 serves one shard)")
 	flag.IntVar(&o.retries, "retries", 1, "labeler attempts per call, including the first (<= 1 disables retrying)")
@@ -239,7 +237,6 @@ func openLabels(o runOptions, ds *tasti.Dataset) *tasti.LabelStore {
 // nest under a "build" child of parent (nil disables tracing).
 func buildIndex(o runOptions, ds *tasti.Dataset, target tasti.Labeler, labels *tasti.LabelStore, parent *tasti.Span) (*tasti.Index, error) {
 	cfg := indexConfig(o.dsName, o.train, o.reps, o.seed)
-	cfg.Quantize = o.quantize
 	cfg.Labels = labels
 	cfg.Parallelism = o.par
 	cfg.LabelTimeout = o.labelTimeout

@@ -229,16 +229,14 @@ type healthSnapshot struct {
 }
 
 // memoryHealth reports the resident scan-plane memory: the float64 embedding
-// matrix, the uint8 quantized code plane (zero without -quantize), how much
-// smaller the plane the candidate scans stream is, and the live rerank rate —
-// the fraction of code-plane candidates whose pruning bound could not exclude
-// them, so they were recomputed exactly against the float rows.
+// matrix, the uint8 quantized code plane (an eighth of it), and the live
+// rerank rate — the fraction of code-plane candidates whose pruning bound
+// could not exclude them, so they were recomputed exactly against the float
+// rows.
 type memoryHealth struct {
-	Quantized        bool    `json:"quantized"`
-	FloatBytes       int64   `json:"embedding_float_bytes"`
-	QuantBytes       int64   `json:"embedding_quant_bytes"`
-	CompressionRatio float64 `json:"compression_ratio,omitempty"`
-	RerankRate       float64 `json:"quant_rerank_rate,omitempty"`
+	FloatBytes int64   `json:"embedding_float_bytes"`
+	QuantBytes int64   `json:"embedding_quant_bytes"`
+	RerankRate float64 `json:"quant_rerank_rate,omitempty"`
 }
 
 type driftHealth struct {
@@ -278,12 +276,7 @@ func (s *server) collectHealth() *healthSnapshot {
 		RadiusP99:  qs[2],
 	}
 	mem := ix.MemoryStats()
-	h.Memory = memoryHealth{
-		Quantized:        mem.Quantized(),
-		FloatBytes:       mem.FloatBytes,
-		QuantBytes:       mem.QuantBytes,
-		CompressionRatio: mem.CompressionRatio(),
-	}
+	h.Memory = memoryHealth{FloatBytes: mem.FloatBytes, QuantBytes: mem.QuantBytes}
 	if cands := s.reg.Counter("tasti_quant_candidates_total").Value(); cands > 0 {
 		h.Memory.RerankRate = float64(s.reg.Counter("tasti_quant_rerank_total").Value()) / float64(cands)
 	}

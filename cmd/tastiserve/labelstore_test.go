@@ -81,8 +81,8 @@ func assertSameIndex(t *testing.T, want, got *tasti.ShardedIndex) {
 // TestLabelStoreRestartRebuildsForFree: a restart that lost its index
 // snapshot but kept -label-store rebuilds the same index bit for bit without
 // a single labeler call — the training labels are on disk too. The snapshot
-// is lost twice: rewritten under the v4 header, which the index loader
-// refuses (the server logs the rebuild), and deleted.
+// is lost three times: rewritten under the v4 and the v5 header, which the
+// index loader refuses (the server logs the rebuild), and deleted.
 func TestLabelStoreRestartRebuildsForFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -100,13 +100,13 @@ func TestLabelStoreRestartRebuildsForFree(t *testing.T) {
 		t.Fatalf("the label store holds %d labels, the build bought %d", got, want)
 	}
 
-	for _, lost := range []string{"v4", "deleted"} {
-		if lost == "v4" {
+	for _, lost := range []string{"v4", "v5", "deleted"} {
+		if v := map[string]uint32{"v4": 4, "v5": 5}[lost]; v != 0 {
 			data, err := os.ReadFile(opts.snapshotPath)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(opts.snapshotPath, atVersion(data, 4), 0o644); err != nil {
+			if err := os.WriteFile(opts.snapshotPath, atVersion(data, v), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		} else if err := os.Remove(opts.snapshotPath); err != nil {
@@ -118,7 +118,7 @@ func TestLabelStoreRestartRebuildsForFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rebuilt := strings.Contains(logs.String(), "snapshot unusable; building fresh"); rebuilt != (lost == "v4") {
+		if rebuilt := strings.Contains(logs.String(), "snapshot unusable; building fresh"); rebuilt != (lost != "deleted") {
 			t.Fatalf("snapshot %s: logged a rebuild of an unusable snapshot = %v:\n%s", lost, rebuilt, logs.String())
 		}
 		stats := restarted.index.Pin().Stats

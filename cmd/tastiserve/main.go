@@ -83,15 +83,14 @@ import (
 
 func main() {
 	var (
-		dsName   = flag.String("dataset", "night-street", "corpus: night-street, taipei, amsterdam, wikisql, common-voice")
-		size     = flag.Int("size", 10000, "corpus size")
-		seed     = flag.Int64("seed", 1, "generation and algorithm seed")
-		train    = flag.Int("train", 600, "triplet-training label budget")
-		reps     = flag.Int("reps", 900, "cluster representatives to annotate")
-		addr     = flag.String("addr", ":8080", "listen address")
-		par      = flag.Int("parallelism", 0, "worker count for index construction, propagation, and cracking (<= 0 uses all CPUs)")
-		shards   = flag.Int("shards", 1, "scatter-gather shard count; results are bitwise identical at every value (<= 1 serves one shard)")
-		quantize = flag.Bool("quantize", false, "build the uint8 quantized plane: FPF selection and cracks prune through 8x smaller codes with exact rerank, bitwise-identical results")
+		dsName = flag.String("dataset", "night-street", "corpus: night-street, taipei, amsterdam, wikisql, common-voice")
+		size   = flag.Int("size", 10000, "corpus size")
+		seed   = flag.Int64("seed", 1, "generation and algorithm seed")
+		train  = flag.Int("train", 600, "triplet-training label budget")
+		reps   = flag.Int("reps", 900, "cluster representatives to annotate")
+		addr   = flag.String("addr", ":8080", "listen address")
+		par    = flag.Int("parallelism", 0, "worker count for index construction, propagation, and cracking (<= 0 uses all CPUs)")
+		shards = flag.Int("shards", 1, "scatter-gather shard count; results are bitwise identical at every value (<= 1 serves one shard)")
 
 		queryTimeout  = flag.Duration("query-timeout", 60*time.Second, "per-request budget for /query/ endpoints (0 disables)")
 		labelTimeout  = flag.Duration("label-timeout", 0, "per-call target-labeler deadline (0 disables)")
@@ -144,7 +143,6 @@ func main() {
 		seed:          *seed,
 		parallelism:   *par,
 		shards:        *shards,
-		quantize:      *quantize,
 		queryTimeout:  *queryTimeout,
 		labelTimeout:  *labelTimeout,
 		allowDegraded: *allowDegraded,

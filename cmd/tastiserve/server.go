@@ -34,12 +34,6 @@ type serverOptions struct {
 	// Results are bitwise identical at every shard count; the knob trades
 	// per-shard build, snapshot, and reload granularity. See docs/SHARDING.md.
 	shards int
-	// quantize builds the uint8 quantized plane: FPF selection and cracks
-	// stream its 1-byte codes instead of float64 rows to prune, and rerank
-	// bound survivors exactly, so results stay bitwise identical. Persisted
-	// in the snapshot; /admin/status reports the resident bytes and live
-	// rerank rate.
-	quantize bool
 
 	// queryTimeout bounds each /query/ request end to end (0 = unbounded).
 	queryTimeout time.Duration
@@ -265,7 +259,7 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_snapshot_reload_failures_total", "Hot reloads that failed validation and left the previous index serving.")
 	reg.Help("tasti_snapshot_reload_seconds", "Hot-reload latency in seconds: snapshot load, validation, and swap.")
 	reg.Help("tasti_shard_records", "Records owned by each shard, by shard.")
-	reg.Help("tasti_shard_reps", "Cluster representatives carried by each shard's table, by shard.")
+	reg.Help("tasti_index_reps", "Cluster representatives of the index, which every shard's table shares.")
 	reg.Help("tasti_shard_propagate_total", "Per-shard propagation passes served, by shard.")
 	reg.Help("tasti_wal_frames_total", "WAL frames appended and fsynced.")
 	reg.Help("tasti_wal_bytes_total", "Bytes appended to WAL segments.")
@@ -438,7 +432,7 @@ func (s *server) buildIndex() error {
 	}
 	// Prefer a durable snapshot over re-spending the whole labeling budget:
 	// when -snapshot names an existing file, load and validate it; any
-	// corruption — or a snapshot from before the v5 layout — is
+	// corruption — or a snapshot from before the v6 layout — is
 	// contained by the typed snapshot errors and the server falls back to
 	// building fresh. A fresh build is saved back to the same path
 	// (atomically), so the next start — and every hot reload — has it: the
@@ -471,7 +465,6 @@ func (s *server) buildIndex() error {
 		cfg.Retry = opts.retry
 		cfg.LabelTimeout = opts.labelTimeout
 		cfg.AllowDegraded = opts.allowDegraded
-		cfg.Quantize = opts.quantize
 		cfg.Telemetry = s.reg
 		cfg.Labels = s.labels
 		built, err := tasti.Build(cfg, ds, base)

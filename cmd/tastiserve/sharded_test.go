@@ -61,7 +61,7 @@ func TestServeShardedEndpoints(t *testing.T) {
 	for _, series := range []string{
 		`tasti_shard_records{shard="0"}`,
 		`tasti_shard_records{shard="1"}`,
-		`tasti_shard_reps{shard="0"}`,
+		`tasti_index_reps `,
 		`tasti_vecmath_kernel{kernel=`,
 	} {
 		if !strings.Contains(string(metrics), series) {

@@ -83,11 +83,9 @@ type healthDoc struct {
 }
 
 type memoryDoc struct {
-	Quantized        bool    `json:"quantized"`
-	FloatBytes       int64   `json:"embedding_float_bytes"`
-	QuantBytes       int64   `json:"embedding_quant_bytes"`
-	CompressionRatio float64 `json:"compression_ratio"`
-	RerankRate       float64 `json:"quant_rerank_rate"`
+	FloatBytes int64   `json:"embedding_float_bytes"`
+	QuantBytes int64   `json:"embedding_quant_bytes"`
+	RerankRate float64 `json:"quant_rerank_rate"`
 }
 
 type driftDoc struct {
@@ -166,14 +164,8 @@ func render(st *statusDoc, fams map[string]*tasti.PromFamily) string {
 		fmt.Fprintf(&b, "index   %d records · %d reps · %d shard(s) · skew rec %.2f · radius p50/p90/p99 %.3g/%.3g/%.3g\n",
 			h.Records, h.Reps, h.Shards, h.RecordSkew, h.RadiusP50, h.RadiusP90, h.RadiusP99)
 		if m := h.Memory; m != nil {
-			fmt.Fprintf(&b, "memory  embeddings %s float", sizeOf(m.FloatBytes))
-			if m.Quantized {
-				fmt.Fprintf(&b, " + %s quant codes (%.1fx smaller scans) · rerank rate %.1f%%",
-					sizeOf(m.QuantBytes), m.CompressionRatio, m.RerankRate*100)
-			} else {
-				b.WriteString(" · no quantized plane (-quantize builds one)")
-			}
-			b.WriteByte('\n')
+			fmt.Fprintf(&b, "memory  embeddings %s float + %s quant codes · rerank rate %.1f%%\n",
+				sizeOf(m.FloatBytes), sizeOf(m.QuantBytes), m.RerankRate*100)
 		}
 	}
 	if st.Status == "ready" {

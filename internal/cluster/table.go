@@ -178,6 +178,10 @@ func (t *Table) AddRepresentativeEmb(embeddings vecmath.Matrix, quant vecmath.Qu
 	return t.AddRepresentativeRows(embeddings, quant, rep, repEmb, p)
 }
 
+// crackBlock is how many records' code distances a crack sweep computes per
+// batch kernel call.
+const crackBlock = 512
+
 // AddRepresentativeRows is the neighbor-row half of AddRepresentativeEmb: it
 // updates every record's list for the new representative rep and leaves
 // t.Reps alone, for tables that share one representative list their owner
@@ -192,35 +196,39 @@ func (t *Table) AddRepresentativeRows(embeddings vecmath.Matrix, quant vecmath.Q
 	var reranked atomic.Int64
 	var qrow []uint8
 	var qErr float64
-	var codeDists []int64 // chunk-disjoint writes
 	if quantized {
 		qrow = make([]uint8, quant.Dim())
 		qErr = vecmath.QuantizeRowInto(qrow, repEmb, quant.Params())
-		codeDists = make([]int64, n)
 		stats.Candidates = int64(n)
 	}
 	parallel.ForChunks(p, n, func(_ int, s parallel.Span) {
-		if quantized {
-			vecmath.CodeDistBatch(qrow, quant.RowRange(s.Lo, s.Hi), codeDists[s.Lo:s.Hi])
-		}
+		// Code distances go block by block through one buffer per chunk, so
+		// a crack allocates nothing that grows with the record count.
+		var codeDists [crackBlock]int64
 		var exact int64
-		for i := s.Lo; i < s.Hi; i++ {
-			nbrs := t.Neighbors[i]
-			full := len(nbrs) >= t.K
+		for lo := s.Lo; lo < s.Hi; lo += crackBlock {
+			hi := min(lo+crackBlock, s.Hi)
 			if quantized {
-				// The exact test below discards the update when d >= the
-				// current k-th distance, so a bound at or past it proves the
-				// skip.
-				if full && quant.LowerBound(codeDists[i], qErr) >= nbrs[len(nbrs)-1].Dist {
+				vecmath.CodeDistBatch(qrow, quant.RowRange(lo, hi), codeDists[:hi-lo])
+			}
+			for i := lo; i < hi; i++ {
+				nbrs := t.Neighbors[i]
+				full := len(nbrs) >= t.K
+				if quantized {
+					// The exact test below discards the update when d >= the
+					// current k-th distance, so a bound at or past it proves
+					// the skip.
+					if full && quant.LowerBound(codeDists[i-lo], qErr) >= nbrs[len(nbrs)-1].Dist {
+						continue
+					}
+					exact++
+				}
+				d := math.Sqrt(vecmath.SquaredL2(embeddings.Row(i), repEmb))
+				if full && d >= nbrs[len(nbrs)-1].Dist {
 					continue
 				}
-				exact++
+				t.Neighbors[i] = insertNeighbor(nbrs, Neighbor{Rep: rep, Dist: d}, t.K)
 			}
-			d := math.Sqrt(vecmath.SquaredL2(embeddings.Row(i), repEmb))
-			if full && d >= nbrs[len(nbrs)-1].Dist {
-				continue
-			}
-			t.Neighbors[i] = insertNeighbor(nbrs, Neighbor{Rep: rep, Dist: d}, t.K)
 		}
 		reranked.Add(exact)
 	})

@@ -114,10 +114,9 @@ func BenchmarkPropagateParallel(b *testing.B) {
 }
 
 // BenchmarkBuildAtScale prices a TASTI-PT build (800 representatives, one
-// worker) at corpus sizes past the served benchmark's 60k records, on the
-// float and the quantized plane, and reports the representative-selection,
-// table-finish and whole-build walls per build. The 1M corpus holds ~1.7 GB
-// at peak, so run it alone:
+// worker) at corpus sizes past the served benchmark's 60k records, and
+// reports the representative-selection, table-finish and whole-build walls
+// per build. The 1M corpus holds ~1.7 GB at peak, so run it alone:
 //
 //	go test -bench BenchmarkBuildAtScale -benchtime 1x -run '^$' -timeout 60m ./internal/core
 func BenchmarkBuildAtScale(b *testing.B) {
@@ -128,27 +127,23 @@ func BenchmarkBuildAtScale(b *testing.B) {
 				b.Fatal(err)
 			}
 			lab := labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
-			for _, quantize := range []bool{false, true} {
-				b.Run(fmt.Sprintf("quant=%v", quantize), func(b *testing.B) {
-					cfg := PretrainedConfig(800, 2)
-					cfg.Parallelism, cfg.Quantize = 1, quantize
-					var selectWall, tableWall, buildWall time.Duration
-					for i := 0; i < b.N; i++ {
-						start := time.Now()
-						ix, err := Build(cfg, ds, lab)
-						if err != nil {
-							b.Fatal(err)
-						}
-						buildWall += time.Since(start)
-						selectWall += ix.Stats.RepSelectWall
-						tableWall += ix.Stats.TableWall
-					}
-					perBuild := func(d time.Duration) float64 { return float64(d.Milliseconds()) / float64(b.N) }
-					b.ReportMetric(perBuild(selectWall), "select_ms")
-					b.ReportMetric(perBuild(tableWall), "table_ms")
-					b.ReportMetric(perBuild(buildWall), "build_ms")
-				})
+			cfg := PretrainedConfig(800, 2)
+			cfg.Parallelism = 1
+			var selectWall, tableWall, buildWall time.Duration
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				ix, err := Build(cfg, ds, lab)
+				if err != nil {
+					b.Fatal(err)
+				}
+				buildWall += time.Since(start)
+				selectWall += ix.Stats.RepSelectWall
+				tableWall += ix.Stats.TableWall
 			}
+			perBuild := func(d time.Duration) float64 { return float64(d.Milliseconds()) / float64(b.N) }
+			b.ReportMetric(perBuild(selectWall), "select_ms")
+			b.ReportMetric(perBuild(tableWall), "table_ms")
+			b.ReportMetric(perBuild(buildWall), "build_ms")
 		})
 	}
 }

@@ -212,7 +212,7 @@ func TestChaosDegradedBuild(t *testing.T) {
 // TestDegradedBuildTableMatchesRescan: a build that drops representatives
 // cannot use the selection sweep's lists, which cover every selected
 // representative; its table must still be bitwise BuildTablePar over the
-// surviving ones, in selection order, on either plane at any worker count.
+// surviving ones, in selection order, at any worker count.
 func TestDegradedBuildTableMatchesRescan(t *testing.T) {
 	ds := chaosDataset(t)
 	base := PretrainedConfig(40, 7)
@@ -226,37 +226,35 @@ func TestDegradedBuildTableMatchesRescan(t *testing.T) {
 			live = append(live, rep)
 		}
 	}
-	for _, quantize := range []bool{false, true} {
-		for _, p := range []int{1, 4} {
-			cfg := base
-			cfg.AllowDegraded, cfg.Quantize, cfg.Parallelism = true, quantize, p
-			tr := telemetry.NewTrace("degraded-build")
-			cfg.TraceSpan = tr.Root()
-			flaky := labeler.NewFlaky(
-				labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost),
-				labeler.FlakyConfig{Seed: 1, PermanentIDs: permanent},
-			)
-			ix, err := Build(cfg, ds, flaky)
-			if err != nil {
-				t.Fatalf("quantize %v, p=%d: degraded build: %v", quantize, p, err)
+	for _, p := range []int{1, 4} {
+		cfg := base
+		cfg.AllowDegraded, cfg.Parallelism = true, p
+		tr := telemetry.NewTrace("degraded-build")
+		cfg.TraceSpan = tr.Root()
+		flaky := labeler.NewFlaky(
+			labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost),
+			labeler.FlakyConfig{Seed: 1, PermanentIDs: permanent},
+		)
+		ix, err := Build(cfg, ds, flaky)
+		if err != nil {
+			t.Fatalf("p=%d: degraded build: %v", p, err)
+		}
+		if got := tableMode(tr); got != "rescan" {
+			t.Errorf("p=%d: cluster/table mode = %q, want rescan", p, got)
+		}
+		want := cluster.BuildTablePar(ix.Embeddings, live, base.K, 1)
+		if !slices.Equal(ix.Table.Reps, want.Reps) || ix.Table.K != want.K {
+			t.Fatalf("p=%d: table reps %v (K %d), want %v (K %d)",
+				p, ix.Table.Reps, ix.Table.K, want.Reps, want.K)
+		}
+		for i, nbrs := range want.Neighbors {
+			got := ix.Table.Neighbors[i]
+			if len(got) != len(nbrs) {
+				t.Fatalf("p=%d: record %d has %d neighbors, want %d", p, i, len(got), len(nbrs))
 			}
-			if got := tableMode(tr); got != "rescan" {
-				t.Errorf("quantize %v, p=%d: cluster/table mode = %q, want rescan", quantize, p, got)
-			}
-			want := cluster.BuildTablePar(ix.Embeddings, live, base.K, 1)
-			if !slices.Equal(ix.Table.Reps, want.Reps) || ix.Table.K != want.K {
-				t.Fatalf("quantize %v, p=%d: table reps %v (K %d), want %v (K %d)",
-					quantize, p, ix.Table.Reps, ix.Table.K, want.Reps, want.K)
-			}
-			for i, nbrs := range want.Neighbors {
-				got := ix.Table.Neighbors[i]
-				if len(got) != len(nbrs) {
-					t.Fatalf("quantize %v, p=%d: record %d has %d neighbors, want %d", quantize, p, i, len(got), len(nbrs))
-				}
-				for j, nb := range nbrs {
-					if got[j].Rep != nb.Rep || math.Float64bits(got[j].Dist) != math.Float64bits(nb.Dist) {
-						t.Fatalf("quantize %v, p=%d: record %d neighbor %d = %+v, want %+v", quantize, p, i, j, got[j], nb)
-					}
+			for j, nb := range nbrs {
+				if got[j].Rep != nb.Rep || math.Float64bits(got[j].Dist) != math.Float64bits(nb.Dist) {
+					t.Fatalf("p=%d: record %d neighbor %d = %+v, want %+v", p, i, j, got[j], nb)
 				}
 			}
 		}

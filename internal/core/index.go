@@ -63,16 +63,6 @@ type Config struct {
 	// Train overrides the triplet-training hyperparameters; when zero,
 	// triplet.DefaultConfig is used.
 	Train triplet.Config
-	// Quantize trains a uint8 code plane over the final embeddings and
-	// scans it — instead of the float64 rows — in the two one-to-many sweeps,
-	// FPF selection and cracking, reranking bound survivors through the
-	// exact kernels; the min-k row scan behind table builds and appends reads
-	// the float rows only (see internal/cluster/quant.go). The built index,
-	// cracked tables, and all query answers are bitwise identical with the
-	// plane on or off; the plane cuts those sweeps' bandwidth to ~1/8 at the
-	// cost of resident code memory and a small rerank overhead. Persisted as
-	// each shard's "shard.<s>.quant" snapshot frame.
-	Quantize bool
 	// Parallelism bounds the worker count for construction and propagation
 	// (<= 0 uses all CPUs). Results are bitwise identical at every value;
 	// the knob only trades wall-clock time for CPU.
@@ -166,12 +156,6 @@ type BuildStats struct {
 	RepSelectWall, RepLabelWall, TableWall time.Duration
 	// TripletSteps is the number of optimizer steps taken (0 for TASTI-PT).
 	TripletSteps int
-	// QuantCandidates and QuantReranked account the quantized plane's
-	// pruning in the FPF selection sweep (zero when Config.Quantize is off):
-	// code-plane rows examined, and the subset that survived the bound and
-	// was reranked through the exact kernels.
-	QuantCandidates, QuantReranked int64
-
 	// Reliability accounting (zero for a fault-free, un-resumed build):
 
 	// LabelRetries is the extra labeler attempts the Config.Retry
@@ -249,10 +233,9 @@ type Index struct {
 	// (record = row), needed for cracking and appends. It flows by reference
 	// through build, query, snapshot, and serve layers.
 	Embeddings vecmath.Matrix
-	// Quant is the uint8 code plane of Embeddings (zero value when
-	// Config.Quantize was off): same rows, 1 byte per element, plus the
-	// trained scale/offset and decode-error bound. Scans stream it for
-	// candidate generation and rerank through Embeddings — see
+	// Quant is the uint8 code plane of Embeddings: same rows, 1 byte per
+	// element, plus the trained scale/offset and decode-error bound. Scans
+	// stream it for candidate generation and rerank through Embeddings — see
 	// internal/cluster/quant.go. It follows Embeddings through snapshot,
 	// shard views, cloning, and appends.
 	Quant vecmath.QuantMatrix
@@ -425,18 +408,14 @@ func Build(cfg Config, ds *dataset.Dataset, lab labeler.Labeler) (*Index, error)
 	// Quantized plane: trained over the final embeddings, then streamed by
 	// the FPF selection sweep below (and later by cracks) in place of the
 	// float64 rows. Pure pruning — every admission decision reranks through
-	// the exact kernels — so everything downstream is bitwise identical
-	// either way. A table rescan reads the float rows only.
-	var quant vecmath.QuantMatrix
-	if cfg.Quantize {
-		sp = cfg.TraceSpan.Child("embed/quantize")
-		var err error
-		quant, err = vecmath.QuantizeMatrix(embeddings, vecmath.TrainQuantParams(embeddings))
-		if err != nil {
-			return nil, fmt.Errorf("core: quantizing embeddings: %w", err)
-		}
-		sp.End()
+	// the exact kernels — so everything downstream is bitwise what the float
+	// sweep computes. A table rescan reads the float rows only.
+	sp = cfg.TraceSpan.Child("embed/quantize")
+	quant, err := vecmath.QuantizeMatrix(embeddings, vecmath.TrainQuantParams(embeddings))
+	if err != nil {
+		return nil, fmt.Errorf("core: quantizing embeddings: %w", err)
 	}
+	sp.End()
 
 	// Phase 4: representative selection and annotation, then the distance
 	// table, which an exact FPF build keeps from the selection sweep.
@@ -448,7 +427,6 @@ func Build(cfg Config, ds *dataset.Dataset, lab labeler.Labeler) (*Index, error)
 	if cfg.FPFCluster {
 		sel = cluster.SelectPar(repRand, embeddings, quant, cfg.NumReps, randomRepFraction, cfg.K, cfg.Parallelism)
 		reps = sel.Reps
-		stats.QuantCandidates, stats.QuantReranked = sel.Stats.Candidates, sel.Stats.Reranked
 	} else {
 		reps = cluster.RandomReps(repRand, ds.Len(), cfg.NumReps)
 	}
@@ -549,6 +527,9 @@ func Build(cfg Config, ds *dataset.Dataset, lab labeler.Labeler) (*Index, error)
 	stats.ClusterWall = time.Since(clusterStart)
 	finishStats()
 	publishBuildMetrics(cfg.Telemetry, stats)
+	if sel != nil {
+		PublishQuantStats(cfg.Telemetry, sel.Stats)
+	}
 
 	return &Index{
 		Embedder:    embedder,

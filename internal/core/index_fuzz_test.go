@@ -24,7 +24,7 @@ import (
 // panic. internal/shard's FuzzLoadIndex does the same over a two-shard
 // snapshot, resealing its checksums.
 
-// fuzzSeed is a tiny quantized index with its embedder and its snapshot,
+// fuzzSeed is a tiny index with its embedder and its snapshot,
 // memoized because fuzz workers re-run the seed setup.
 var fuzzSeed = sync.OnceValue(func() (s struct {
 	ix   *core.Index
@@ -37,7 +37,6 @@ var fuzzSeed = sync.OnceValue(func() (s struct {
 	cfg := core.PretrainedConfig(10, 3)
 	cfg.EmbedDim = 4
 	cfg.K = 2
-	cfg.Quantize = true
 	if s.ix, err = core.Build(cfg, ds, labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)); err != nil {
 		panic(err)
 	}
@@ -65,11 +64,9 @@ type indexManifest struct {
 }
 
 type shardMeta struct {
-	Dim   int
-	Quant *struct {
-		Scale, Offset []float64
-		MaxErr        float64
-	}
+	Dim    int
+	Quant  struct{ Scale, Offset []float64 }
+	MaxErr float64
 }
 
 // indexFrame is one frame of an index snapshot.
@@ -245,7 +242,8 @@ func FuzzLoadIndexFlat(f *testing.F) {
 		}
 		// The only accepted shape is one consistent with the neighbor table.
 		got := x.Shard(0).Embeddings
-		if got.Rows() != len(ix.Table.Neighbors) || got.Rows() != rows || got.Dim() != dim || rows*dim != dataLen {
+		if got.Rows() != len(ix.Table.Neighbors) || got.Rows() != rows || got.Dim() != dim || rows*dim != dataLen ||
+			x.Shard(0).Quant.Rows() != rows || x.Shard(0).Quant.Dim() != dim {
 			t.Fatalf("accepted inconsistent shape %dx%d over %d entries as %dx%d",
 				rows, dim, dataLen, got.Rows(), got.Dim())
 		}
@@ -255,7 +253,8 @@ func FuzzLoadIndexFlat(f *testing.F) {
 // FuzzLoadIndexQuant targets the quantized plane: it re-frames the seed
 // snapshot with fuzz-controlled parameter-array lengths, code-array length
 // and decode-error bound (the seed's values first) and requires Load to
-// return a plane that mirrors the embeddings or a typed error. The seed's
+// return a plane that mirrors the embeddings or a typed error — ErrMalformed
+// for a shard with no plane at all, which no index lacks. The seed's
 // own parameters must load.
 func FuzzLoadIndexQuant(f *testing.F) {
 	ix := fuzzSeed().ix
@@ -265,7 +264,7 @@ func FuzzLoadIndexQuant(f *testing.F) {
 	f.Add(dim, dim+1, rows*dim, maxErr)       // long offset array
 	f.Add(dim, dim, rows*dim-1, maxErr)       // truncated codes
 	f.Add(dim, dim, (rows+1)*dim, maxErr)     // a row more codes than embeddings
-	f.Add(0, 0, 0, maxErr)                    // no plane at all
+	f.Add(0, 0, 0, maxErr)                    // no plane at all: malformed
 	f.Add(dim+1, dim+1, rows*(dim+1), maxErr) // a plane one column wider
 	f.Add(dim, dim, rows*dim, -1.0)           // negative error bound
 	f.Add(dim, dim, rows*dim, math.Inf(1))    // non-finite error bound
@@ -287,12 +286,15 @@ func FuzzLoadIndexQuant(f *testing.F) {
 		copy(codes, ix.Quant.Codes())
 		data := reframe(t, func(fs []indexFrame) {
 			editGob(t, fs, "shard.0.meta", func(m *shardMeta) {
-				m.Quant.Scale, m.Quant.Offset, m.Quant.MaxErr = scale, offset, qmaxErr
+				m.Quant.Scale, m.Quant.Offset, m.MaxErr = scale, offset, qmaxErr
 			})
 			setPayload(t, fs, "shard.0.quant", codes)
 		})
 		x, err := loadIndex(t, data)
 		seedPlane := scaleLen == dim && offsetLen == dim && codesLen == rows*dim && qmaxErr == maxErr
+		if scaleLen == 0 && codesLen == 0 && !errors.Is(err, snapshot.ErrMalformed) {
+			t.Fatalf("a shard without a plane: err = %v, want ErrMalformed", err)
+		}
 		if err != nil {
 			if seedPlane {
 				t.Fatalf("the seed's own plane was rejected: %v", err)

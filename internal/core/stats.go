@@ -36,15 +36,13 @@ func publishBuildMetrics(reg *telemetry.Registry, s BuildStats) {
 	reg.Gauge("tasti_build_resumed_labels").Set(float64(s.ResumedLabels))
 	reg.Gauge(`tasti_build_degraded_records{kind="reps"}`).Set(float64(len(s.DegradedReps)))
 	reg.Gauge(`tasti_build_degraded_records{kind="train"}`).Set(float64(len(s.DegradedTrain)))
-	reg.Counter("tasti_quant_candidates_total").Add(s.QuantCandidates)
-	reg.Counter("tasti_quant_rerank_total").Add(s.QuantReranked)
 }
 
 // PublishQuantStats pushes one quantized scan's pruning accounting into the
 // registry (no-op when reg is nil): candidates examined on the code plane
-// and the subset reranked through the exact kernels. The shard layer's
-// cracks call it per operation; the live rerank rate is
-// tasti_quant_rerank_total / tasti_quant_candidates_total.
+// and the subset reranked through the exact kernels. A build calls it once
+// for its selection sweep, the shard layer once per crack batch; the live
+// rerank rate is tasti_quant_rerank_total / tasti_quant_candidates_total.
 func PublishQuantStats(reg *telemetry.Registry, st cluster.QuantScanStats) {
 	if reg == nil || st.Candidates == 0 {
 		return

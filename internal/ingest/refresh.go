@@ -62,8 +62,9 @@ type RefreshStats struct {
 //     takes no lock.
 //  2. Label the worst-covered candidates, up to the budget. Queries, cracks
 //     and appends keep landing on the live index the whole time.
-//  3. Crack them into the live index, worst-covered first, as one
-//     copy-on-write batch (shard.Index.CrackInOrder). Appends and query-time
+//  3. Crack them into the live index, worst-covered first, and refit the
+//     quantized plane, as one copy-on-write batch
+//     (shard.Index.CrackAndRequantize). Appends and query-time
 //     cracks queue behind that write like behind any other, so nothing that
 //     landed during step 2 is lost; a candidate some query cracked meanwhile
 //     is skipped like any already-annotated record.
@@ -170,12 +171,11 @@ func (r *Refresher) refresh(ctx context.Context) (RefreshStats, error) {
 		}
 		ids[i], anns[c.id] = c.id, ann
 	}
-	st.Cracked = ix.CrackInOrder(ids, anns)
-	// Refit the quantized scan plane (no-op when the index runs float-only).
-	// Drifted appends quantized under stale build params widen the plane's
-	// pruning bound; retraining over the current rows restores a tight grid
-	// without changing any result.
-	ix.Requantize()
+	// Refit the quantized scan plane in the same write: drifted appends
+	// quantized under stale build params widen the plane's pruning bound, and
+	// retraining over the current rows restores a tight grid without
+	// changing any result.
+	st.Cracked = ix.CrackAndRequantize(ids, anns)
 
 	st.Baseline = ix.Pin().MeanNearestDistance()
 	if r.cfg.Drift != nil {

@@ -26,19 +26,17 @@ type refreshRig struct {
 }
 
 func newRefreshRig(t *testing.T, built, extra, shards int) *refreshRig {
-	return buildRefreshRig(t, built, extra, shards, 30, false)
+	return buildRefreshRig(t, built, extra, shards, 30)
 }
 
-func buildRefreshRig(t *testing.T, built, extra, shards, reps int, quantize bool) *refreshRig {
+func buildRefreshRig(t *testing.T, built, extra, shards, reps int) *refreshRig {
 	t.Helper()
 	ds, err := dataset.Generate("night-street", built, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lab := labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
-	cfg := core.PretrainedConfig(reps, 2)
-	cfg.Quantize = quantize
-	core0, err := core.Build(cfg, ds, lab)
+	core0, err := core.Build(core.PretrainedConfig(reps, 2), ds, lab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,78 +319,75 @@ func referenceRefresh(ctx context.Context, rig *refreshRig, cfg RefreshConfig) (
 // TestRefreshMatchesCloneSwapReference checks Refresh leaves the index the
 // clone / crack / catch-up / swap refresh left — representative order,
 // neighbour rows, embedding rows and nearest-representative propagation bit
-// for bit — with 15 records appended mid-refresh, at every shard count, with
-// and without the quantized plane.
+// for bit — with 15 records appended mid-refresh, at every shard count.
 func TestRefreshMatchesCloneSwapReference(t *testing.T) {
-	for _, quantize := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 3} {
-			run := func(refresh func(*refreshRig, RefreshConfig) (RefreshStats, error)) (*shard.Version, RefreshStats) {
-				rig := buildRefreshRig(t, 250, 40, shards, 30, quantize)
-				rig.appendExt(t, 0, 25)
-				appended := false
-				cfg := rig.config(nil, 6)
-				inner := cfg.Label
-				cfg.Label = func(ctx context.Context, id int) (dataset.Annotation, error) {
-					if !appended {
-						appended = true
-						rig.appendExt(t, 25, 40)
-					}
-					return inner(ctx, id)
+	for _, shards := range []int{1, 2, 3} {
+		run := func(refresh func(*refreshRig, RefreshConfig) (RefreshStats, error)) (*shard.Version, RefreshStats) {
+			rig := buildRefreshRig(t, 250, 40, shards, 30)
+			rig.appendExt(t, 0, 25)
+			appended := false
+			cfg := rig.config(nil, 6)
+			inner := cfg.Label
+			cfg.Label = func(ctx context.Context, id int) (dataset.Annotation, error) {
+				if !appended {
+					appended = true
+					rig.appendExt(t, 25, 40)
 				}
-				st, err := refresh(rig, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rig.ix.Pin(), st
+				return inner(ctx, id)
 			}
-			got, gotSt := run(func(_ *refreshRig, cfg RefreshConfig) (RefreshStats, error) {
-				r, err := NewRefresher(cfg)
-				if err != nil {
-					return RefreshStats{}, err
-				}
-				return r.Refresh(context.Background())
-			})
-			want, wantSt := run(func(rig *refreshRig, cfg RefreshConfig) (RefreshStats, error) {
-				return referenceRefresh(context.Background(), rig, cfg)
-			})
-
-			name := fmt.Sprintf("shards=%d quantize=%v", shards, quantize)
-			if gotSt.Cracked != wantSt.Cracked || math.Float64bits(gotSt.Baseline) != math.Float64bits(wantSt.Baseline) {
-				t.Fatalf("%s: stats %+v, reference %+v", name, gotSt, wantSt)
-			}
-			if got.NumRecords() != want.NumRecords() || got.NumRecords() != 290 {
-				t.Fatalf("%s: %d records, reference %d, want 290", name, got.NumRecords(), want.NumRecords())
-			}
-			for s := 0; s < shards; s++ {
-				g, w := got.Shard(s), want.Shard(s)
-				if g.Lo != w.Lo || g.Hi != w.Hi || !slices.Equal(g.Table.Reps, w.Table.Reps) {
-					t.Fatalf("%s shard %d: [%d,%d) reps %v, reference [%d,%d) reps %v",
-						name, s, g.Lo, g.Hi, g.Table.Reps, w.Lo, w.Hi, w.Table.Reps)
-				}
-				sameBits(t, name+" embeddings", g.Embeddings.Data(), w.Embeddings.Data())
-				for i := range w.Table.Neighbors {
-					gn, wn := g.Table.Neighbors[i], w.Table.Neighbors[i]
-					if len(gn) != len(wn) {
-						t.Fatalf("%s record %d: %d neighbours, reference %d", name, g.Lo+i, len(gn), len(wn))
-					}
-					for j := range wn {
-						if gn[j].Rep != wn[j].Rep || math.Float64bits(gn[j].Dist) != math.Float64bits(wn[j].Dist) {
-							t.Fatalf("%s record %d neighbour %d: %+v, reference %+v", name, g.Lo+i, j, gn[j], wn[j])
-						}
-					}
-				}
-			}
-			gs, gd, err := got.PropagateNearest(core.CountScore("car"), nil)
+			st, err := refresh(rig, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws, wd, err := want.PropagateNearest(core.CountScore("car"), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameBits(t, name+" nearest scores", gs, ws)
-			sameBits(t, name+" nearest dists", gd, wd)
+			return rig.ix.Pin(), st
 		}
+		got, gotSt := run(func(_ *refreshRig, cfg RefreshConfig) (RefreshStats, error) {
+			r, err := NewRefresher(cfg)
+			if err != nil {
+				return RefreshStats{}, err
+			}
+			return r.Refresh(context.Background())
+		})
+		want, wantSt := run(func(rig *refreshRig, cfg RefreshConfig) (RefreshStats, error) {
+			return referenceRefresh(context.Background(), rig, cfg)
+		})
+
+		name := fmt.Sprintf("shards=%d", shards)
+		if gotSt.Cracked != wantSt.Cracked || math.Float64bits(gotSt.Baseline) != math.Float64bits(wantSt.Baseline) {
+			t.Fatalf("%s: stats %+v, reference %+v", name, gotSt, wantSt)
+		}
+		if got.NumRecords() != want.NumRecords() || got.NumRecords() != 290 {
+			t.Fatalf("%s: %d records, reference %d, want 290", name, got.NumRecords(), want.NumRecords())
+		}
+		for s := 0; s < shards; s++ {
+			g, w := got.Shard(s), want.Shard(s)
+			if g.Lo != w.Lo || g.Hi != w.Hi || !slices.Equal(g.Table.Reps, w.Table.Reps) {
+				t.Fatalf("%s shard %d: [%d,%d) reps %v, reference [%d,%d) reps %v",
+					name, s, g.Lo, g.Hi, g.Table.Reps, w.Lo, w.Hi, w.Table.Reps)
+			}
+			sameBits(t, name+" embeddings", g.Embeddings.Data(), w.Embeddings.Data())
+			for i := range w.Table.Neighbors {
+				gn, wn := g.Table.Neighbors[i], w.Table.Neighbors[i]
+				if len(gn) != len(wn) {
+					t.Fatalf("%s record %d: %d neighbours, reference %d", name, g.Lo+i, len(gn), len(wn))
+				}
+				for j := range wn {
+					if gn[j].Rep != wn[j].Rep || math.Float64bits(gn[j].Dist) != math.Float64bits(wn[j].Dist) {
+						t.Fatalf("%s record %d neighbour %d: %+v, reference %+v", name, g.Lo+i, j, gn[j], wn[j])
+					}
+				}
+			}
+		}
+		gs, gd, err := got.PropagateNearest(core.CountScore("car"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, wd, err := want.PropagateNearest(core.CountScore("car"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, name+" nearest scores", gs, ws)
+		sameBits(t, name+" nearest dists", gd, wd)
 	}
 }
 
@@ -400,7 +395,7 @@ func TestRefreshMatchesCloneSwapReference(t *testing.T) {
 // copy-on-write headers, far under the embedding matrix a whole-index copy
 // would start with.
 func TestRefreshCopiesNoIndex(t *testing.T) {
-	rig := buildRefreshRig(t, 20000, 64, 1, 200, false)
+	rig := buildRefreshRig(t, 20000, 64, 1, 200)
 	rig.appendExt(t, 0, 64)
 	r, err := NewRefresher(rig.config(nil, 32))
 	if err != nil {

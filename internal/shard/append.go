@@ -92,13 +92,11 @@ func (v *Version) appended(embs vecmath.Matrix) (*Version, []int) {
 	for i := 0; i < n; i++ {
 		ids[i] = v.total + i
 		m.AppendRow(embs.Row(i))
-		if q.Enabled() {
-			// The scan above reads float rows, but later cracks prune
-			// through the plane: append under the trained params, where
-			// rows outside the trained range widen the decode-error bound
-			// and keep every future crack bound valid.
-			q.AppendRow(embs.Row(i))
-		}
+		// The scan above reads float rows, but later cracks prune through
+		// the plane: append under the trained params, where rows outside
+		// the trained range widen the decode-error bound and keep every
+		// future crack bound valid.
+		q.AppendRow(embs.Row(i))
 		nbrs = append(nbrs, nbrLists[i])
 	}
 	next := &Shard{

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/cluster"
+	"repro/internal/dataset"
 	"repro/internal/vecmath"
 )
 
@@ -51,31 +52,37 @@ func (v *Version) Clone() *Index {
 }
 
 // Requantize retrains the quantized scan plane's parameters over the index's
-// current embedding rows and re-codes every shard under them. A no-op when
-// the index was built without quantization.
+// current embedding rows and re-codes every shard under them.
 //
 // Appends after build quantize under the build-time parameters; rows outside
 // the trained range widen the plane's decode-error bound, which keeps scans
-// correct but prunes less. The drift refresher calls Requantize after its
-// crack batch so a drifted corpus gets a freshly fitted grid — a pure pruning
-// improvement with zero effect on any result, since every scan reranks bound
-// survivors against the unchanged float rows.
+// correct but prunes less. The drift refresher refits after its crack batch
+// (CrackAndRequantize) so a drifted corpus gets a freshly fitted grid — a
+// pure pruning improvement with zero effect on any result, since every scan
+// reranks bound survivors against the unchanged float rows.
 //
 // A write like any other, except that no result moves: the version it
 // publishes keeps its predecessor's generation and proxy columns.
-func (x *Index) Requantize() {
+func (x *Index) Requantize() { x.CrackAndRequantize(nil, nil) }
+
+// CrackAndRequantize is CrackInOrder followed by Requantize, published as
+// one version: the drift refresher's batch, which a reader sees whole or not
+// at all.
+func (x *Index) CrackAndRequantize(ids []int, anns map[int]dataset.Annotation) (added int) {
 	_ = x.write(func(cur *Version) (*Version, error) {
-		if !cur.shards[0].Quant.Enabled() {
-			return nil, nil
+		next, n := cur.cracked(ids, anns)
+		if next == nil {
+			next = cur
 		}
-		mats := make([]vecmath.Matrix, len(cur.shards))
-		for s, sh := range cur.shards {
+		added = n
+		mats := make([]vecmath.Matrix, len(next.shards))
+		for s, sh := range next.shards {
 			mats[s] = sh.Embeddings
 		}
 		params := vecmath.TrainQuantParamsOver(mats)
-		next := *cur
-		next.shards = make([]*Shard, len(cur.shards))
-		for s, sh := range cur.shards {
+		refit := *next
+		refit.shards = make([]*Shard, len(next.shards))
+		for s, sh := range next.shards {
 			q, err := vecmath.QuantizeMatrix(sh.Embeddings, params)
 			if err != nil {
 				// A live shard's matrix and freshly trained params always agree.
@@ -83,8 +90,9 @@ func (x *Index) Requantize() {
 			}
 			resh := *sh
 			resh.Quant = q
-			next.shards[s] = &resh
+			refit.shards[s] = &resh
 		}
-		return &next, nil
+		return &refit, nil
 	})
+	return added
 }

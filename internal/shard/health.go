@@ -11,28 +11,13 @@ import (
 // into query execution.
 
 // MemoryStats describes the resident scan-plane memory across all shards:
-// the float64 embedding matrix every path can fall back to, and the uint8
-// code plane the candidate-generation scans actually stream when
-// quantization is enabled.
+// the float64 embedding matrix the table scans and reranks read, and the
+// uint8 code plane the crack sweeps stream.
 type MemoryStats struct {
 	// FloatBytes is the resident float64 embedding plane, 8 bytes/element.
 	FloatBytes int64
-	// QuantBytes is the resident uint8 code plane, 1 byte/element; zero when
-	// the index was built without quantization.
+	// QuantBytes is the resident uint8 code plane, 1 byte/element.
 	QuantBytes int64
-}
-
-// Quantized reports whether a code plane is resident.
-func (m MemoryStats) Quantized() bool { return m.QuantBytes > 0 }
-
-// CompressionRatio returns FloatBytes/QuantBytes — how much smaller the
-// plane the scans stream is than the float rows (8.0 for uint8 codes) — or 0
-// when no plane is resident.
-func (m MemoryStats) CompressionRatio() float64 {
-	if m.QuantBytes == 0 {
-		return 0
-	}
-	return float64(m.FloatBytes) / float64(m.QuantBytes)
 }
 
 // MemoryStats sums the scan-plane bytes across every live shard.

@@ -24,9 +24,10 @@ import (
 const IndexKind = "tasti-shard-index"
 
 // layoutVersion is the first container version with this layout, whose
-// manifest holds the one representative list and annotation map; an older
-// index snapshot is rebuilt, not converted.
-const layoutVersion = 5
+// manifest holds the one representative list and annotation map and whose
+// every shard carries its quantized plane; an older index snapshot is
+// rebuilt, not converted.
+const layoutVersion = 6
 
 // The container holds the manifest, then each shard s's frames
 // "shard.<s>.<part>" in the order below, then the optional embedder (an
@@ -39,7 +40,7 @@ const (
 	embeddingsPart = "embeddings" // rows×dim float64
 	repsPart       = "reps"       // rows×k int64 representative IDs
 	distsPart      = "dists"      // rows×k float64 distances
-	quantPart      = "quant"      // rows×dim uint8 codes, only with meta.Quant
+	quantPart      = "quant"      // rows×dim uint8 codes
 )
 
 // shardFrame names part of the s-th shard.
@@ -61,17 +62,12 @@ type manifest struct {
 
 type shardRange struct{ Lo, Hi int }
 
-// shardMeta is a shard's own small state: its embedding width and, with a
-// plane, the plane's parameters (appends widen the last shard's error bound).
+// shardMeta is a shard's own small state: its embedding width and its
+// plane's parameters and decode-error bound (appends widen the last shard's).
 type shardMeta struct {
-	Dim int
-	// Quant holds the quantized plane's parameters; nil without a plane.
-	Quant *quantMeta
-}
-
-type quantMeta struct {
-	Scale, Offset []float64
-	MaxErr        float64
+	Dim    int
+	Quant  vecmath.QuantParams
+	MaxErr float64
 }
 
 // ErrCorpus marks an index snapshot that names another corpus than the one
@@ -176,11 +172,7 @@ func (v *Version) save(w io.Writer) error {
 	for s, sh := range v.shards {
 		t, emb := sh.Table, sh.Embeddings.Data()
 		k := min(t.K, len(t.Reps))
-		meta := shardMeta{Dim: sh.Embeddings.Dim()}
-		if sh.Quant.Enabled() {
-			p := sh.Quant.Params()
-			meta.Quant = &quantMeta{Scale: p.Scale, Offset: p.Offset, MaxErr: sh.Quant.MaxErr()}
-		}
+		meta := shardMeta{Dim: sh.Embeddings.Dim(), Quant: sh.Quant.Params(), MaxErr: sh.Quant.MaxErr()}
 		nb := func(i int) cluster.Neighbor { return t.Neighbors[i/k][i%k] }
 		if err := sw.Encode(shardFrame(s, metaPart), meta); err != nil {
 			return err
@@ -194,10 +186,8 @@ func (v *Version) save(w io.Writer) error {
 		if err := words(shardFrame(s, distsPart), len(t.Neighbors)*k, func(i int) uint64 { return math.Float64bits(nb(i).Dist) }); err != nil {
 			return err
 		}
-		if meta.Quant != nil {
-			if err := sw.Frame(shardFrame(s, quantPart), sh.Quant.Codes()); err != nil {
-				return err
-			}
+		if err := sw.Frame(shardFrame(s, quantPart), sh.Quant.Codes()); err != nil {
+			return err
 		}
 	}
 	if v.w.emb != nil {
@@ -352,16 +342,12 @@ func readShard(sr *snapshot.Reader, s int, metaPayload []byte, man manifest) (*S
 	for i := range neighbors {
 		neighbors[i] = block[i*k : (i+1)*k : (i+1)*k]
 	}
-	var quant vecmath.QuantMatrix
-	if q := meta.Quant; q != nil {
-		if p, err = fixedFrame(sr, shardFrame(s, quantPart), rows*meta.Dim, 1); err != nil {
-			return nil, err
-		}
-		quant, err = vecmath.QuantMatrixFromParts(bytes.Clone(p), rows, meta.Dim,
-			vecmath.QuantParams{Scale: q.Scale, Offset: q.Offset}, q.MaxErr)
-		if err != nil || !quant.Enabled() {
-			return nil, malformed("frame %q: %v (enabled %t)", shardFrame(s, quantPart), err, quant.Enabled())
-		}
+	if p, err = fixedFrame(sr, shardFrame(s, quantPart), rows*meta.Dim, 1); err != nil {
+		return nil, err
+	}
+	quant, err := vecmath.QuantMatrixFromParts(bytes.Clone(p), rows, meta.Dim, meta.Quant, meta.MaxErr)
+	if err != nil {
+		return nil, malformed("frame %q: %v", shardFrame(s, quantPart), err)
 	}
 	sh := &Shard{Lo: r.Lo, Hi: r.Hi, Embeddings: embeddings, Quant: quant,
 		Table:       &cluster.Table{K: man.K, Reps: man.Reps, Neighbors: neighbors},

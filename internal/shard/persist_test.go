@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,9 +16,10 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/labeler"
 	"repro/internal/snapshot"
+	"repro/internal/vecmath"
 )
 
-// buildSplit builds a quantized TASTI-PT index (with its embedding model)
+// buildSplit builds a TASTI-PT index (with its embedding model)
 // over n night-street records at the given embedding width and splits it
 // into shards.
 func buildSplit(n, dim, shards int) (*Index, error) {
@@ -28,7 +30,6 @@ func buildSplit(n, dim, shards int) (*Index, error) {
 	cfg := core.PretrainedConfig(n/10, 3)
 	cfg.EmbedDim = dim
 	cfg.K = 3
-	cfg.Quantize = true
 	ix, err := core.Build(cfg, ds, labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost))
 	if err != nil {
 		return nil, err
@@ -56,7 +57,7 @@ func savedSplit(t testing.TB, n, dim, shards int) []byte {
 }
 
 // seedSnapshot is the shared test and fuzz-seed snapshot: 2 shards, 8-dim,
-// quantized, with an embedder. Memoized because fuzz workers re-run setup.
+// with an embedder. Memoized because fuzz workers re-run setup.
 var seedSnapshot = sync.OnceValue(func() []byte {
 	x, err := buildSplit(120, 8, 2)
 	if err != nil {
@@ -151,6 +152,13 @@ func editPayload(name string, change func([]byte) []byte) edit {
 	}
 }
 
+// dropFrame removes frame name.
+func dropFrame(name string) edit {
+	return func(_ testing.TB, fs []frame) []frame {
+		return slices.DeleteFunc(fs, func(f frame) bool { return f.name == name })
+	}
+}
+
 // setRep writes rep as the first neighbor ID of frame name.
 func setRep(name string, rep int64) edit {
 	return editPayload(name, func(p []byte) []byte {
@@ -179,8 +187,9 @@ var crafted = []struct {
 	{"rep negative", setRep("shard.1.reps", -1)},
 	{"quant codes short", editPayload("shard.1.quant", func(p []byte) []byte { return p[:len(p)-1] })},
 	{"quant params short", editGob("shard.0.meta", func(m *shardMeta) { m.Quant.Scale = m.Quant.Scale[1:] })},
-	{"quant error bound negative", editGob("shard.0.meta", func(m *shardMeta) { m.Quant.MaxErr = -1 })},
-	{"quant frame missing", editGob("shard.0.meta", func(m *shardMeta) { m.Quant = nil })},
+	{"quant error bound negative", editGob("shard.0.meta", func(m *shardMeta) { m.MaxErr = -1 })},
+	{"quant params missing", editGob("shard.0.meta", func(m *shardMeta) { m.Quant = vecmath.QuantParams{} })},
+	{"quant frame missing", dropFrame("shard.0.quant")},
 	{"frames out of order", func(_ testing.TB, fs []frame) []frame {
 		for i := range fs {
 			if fs[i].name == "shard.0.reps" {
@@ -390,14 +399,31 @@ func TestLoadRejectsMismatchedShards(t *testing.T) {
 	}
 }
 
-// TestIndexSnapshotBeforeV5Rejected: an index written under an older header
-// — v4 kept a representative list and annotation map in every shard's meta —
-// is refused with ErrVersion: it is rebuilt, not misread.
-func TestIndexSnapshotBeforeV5Rejected(t *testing.T) {
-	for _, v := range []uint32{3, 4} {
+// TestIndexSnapshotBeforeV6Rejected: an index written under an older header
+// — v4 kept a representative list and annotation map in every shard's meta,
+// v5 could leave a shard without its quantized plane — is refused with
+// ErrVersion: it is rebuilt, not misread.
+func TestIndexSnapshotBeforeV6Rejected(t *testing.T) {
+	for _, v := range []uint32{3, 4, 5} {
 		old := assemble(t, v, framesOf(t, seedSnapshot()))
 		if _, err := Load(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersion) {
 			t.Errorf("Load of a v%d index: err = %v, want ErrVersion", v, err)
+		}
+	}
+}
+
+// TestIndexSnapshotWithoutPlaneMalformed: a v6 shard without its quantized
+// plane — a meta with no plane parameters, or no "shard.<s>.quant" frame — is
+// malformed, whichever shard it is.
+func TestIndexSnapshotWithoutPlaneMalformed(t *testing.T) {
+	for what, e := range map[string]edit{
+		"shard 0 params": editGob("shard.0.meta", func(m *shardMeta) { m.Quant = vecmath.QuantParams{} }),
+		"shard 1 params": editGob("shard.1.meta", func(m *shardMeta) { m.Quant = vecmath.QuantParams{} }),
+		"shard 0 frame":  dropFrame("shard.0.quant"),
+		"shard 1 frame":  dropFrame("shard.1.quant"),
+	} {
+		if _, err := Load(bytes.NewReader(craft(t, e))); !errors.Is(err, snapshot.ErrMalformed) {
+			t.Errorf("no plane in %s: err = %v, want ErrMalformed", what, err)
 		}
 	}
 }
@@ -438,7 +464,7 @@ func TestLoadedNeighborsShareOneBlock(t *testing.T) {
 // with a consistent index or a typed error: no panic, no hang, no unbounded
 // allocation. With resealed set, every CRC is recomputed
 // first, so mutations reach the frame decoders behind the checksums. The
-// seeds are a quantized two-shard snapshot with an embedder, its
+// seeds are a two-shard snapshot with an embedder, its
 // truncations and flips, non-snapshots, and the crafted shape lies above.
 func FuzzLoadIndex(f *testing.F) {
 	valid := seedSnapshot()

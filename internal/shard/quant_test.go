@@ -8,35 +8,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/labeler"
 	"repro/internal/query/limitq"
 	"repro/internal/shard"
 )
 
-// buildQuantIndex builds the deterministic test index with the quantized
-// scan plane enabled.
-func buildQuantIndex(t *testing.T, n, reps int) (*core.Index, *dataset.Dataset) {
-	t.Helper()
-	ds, err := dataset.Generate("night-street", n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab := labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
-	cfg := core.PretrainedConfig(reps, 2)
-	cfg.Quantize = true
-	ix, err := core.Build(cfg, ds, lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix, ds
-}
-
 // TestShardQuantInvariance extends the headline shard property to the
-// quantized plane: every scatter-gather path of a quantized sharded index —
-// including cracks that prune through the code plane, before and after an
-// append grew it — is bitwise what a float-only, from-scratch table over the
-// final corpus and representatives computes, at every shard count and every
-// worker count.
+// quantized plane: every scatter-gather path of a sharded index — including
+// cracks that prune through the code plane, before and after an append grew
+// it — is bitwise what the unsharded float table evolved through cluster's
+// float API computes, at every shard count and every worker count.
 func TestShardQuantInvariance(t *testing.T) {
 	const n, reps, extra = 500, 60, 60
 	base, ds := buildIndex(t, n, reps)
@@ -73,7 +53,7 @@ func TestShardQuantInvariance(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, par := range []int{1, 4} {
-			ix, _ := buildQuantIndex(t, n, reps)
+			ix, _ := buildIndex(t, n, reps)
 			x, err := shard.Split(ix, shards)
 			if err != nil {
 				t.Fatal(err)
@@ -85,14 +65,7 @@ func TestShardQuantInvariance(t *testing.T) {
 			}
 			x.CrackAll(after)
 			sameTable(t, fmt.Sprintf("shards=%d par=%d", shards, par), x.Pin(), ref)
-			for s := 0; s < x.NumShards(); s++ {
-				if err := x.Shard(s).Validate(); err != nil {
-					t.Fatalf("shards=%d par=%d: shard %d invalid: %v", shards, par, s, err)
-				}
-				if !x.Shard(s).Quant.Enabled() {
-					t.Fatalf("shards=%d par=%d: shard %d lost its plane", shards, par, s)
-				}
-			}
+			carriesPlanes(t, fmt.Sprintf("shards=%d par=%d", shards, par), x.Pin())
 
 			got, err := x.Propagate(score)
 			if err != nil {
@@ -106,42 +79,26 @@ func TestShardQuantInvariance(t *testing.T) {
 			sameBits(t, "PropagateNearest scores", gotScores, wantScores)
 			sameBits(t, "PropagateNearest dists", gotDists, wantDists)
 			sameInts(t, "LimitOrder", x.LimitOrder(gotScores, gotDists), wantOrder)
-			t.Logf("shards=%d par=%d: quantized paths bitwise identical to float-only", shards, par)
+			t.Logf("shards=%d par=%d: quantized paths bitwise identical to the float table", shards, par)
 		}
 	}
 }
 
-// TestShardQuantMemoryStats: the sharded index reports the plane's resident
-// bytes and the 8x float-to-code compression ratio.
+// TestShardQuantMemoryStats: the sharded index reports the float rows' and
+// the plane's resident bytes, one code byte per float64.
 func TestShardQuantMemoryStats(t *testing.T) {
-	ix, _ := buildQuantIndex(t, 300, 30)
+	ix, _ := buildIndex(t, 300, 30)
 	dim := ix.Embeddings.Dim()
 	x, err := shard.Split(ix, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := x.Pin().MemoryStats()
-	if !m.Quantized() {
-		t.Fatal("quantized index reports no plane bytes")
-	}
 	if want := int64(8 * 300 * dim); m.FloatBytes != want {
 		t.Fatalf("FloatBytes = %d, want %d", m.FloatBytes, want)
 	}
 	if want := int64(300 * dim); m.QuantBytes != want {
 		t.Fatalf("QuantBytes = %d, want %d", m.QuantBytes, want)
-	}
-	if r := m.CompressionRatio(); r != 8 {
-		t.Fatalf("CompressionRatio = %v, want 8", r)
-	}
-
-	fx, _ := buildIndex(t, 300, 30)
-	fs, err := shard.Split(fx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm := fs.Pin().MemoryStats()
-	if fm.Quantized() || fm.CompressionRatio() != 0 {
-		t.Fatalf("float-only index reports a plane: %+v", fm)
 	}
 }
 
@@ -149,7 +106,7 @@ func TestShardQuantMemoryStats(t *testing.T) {
 // plane through Save/Load, and the restored index still scans (and cracks)
 // through it with identical results.
 func TestShardQuantPersistRoundTrip(t *testing.T) {
-	ix, ds := buildQuantIndex(t, 300, 30)
+	ix, ds := buildIndex(t, 300, 30)
 	x, err := shard.Split(ix, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +119,8 @@ func TestShardQuantPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < got.NumShards(); s++ {
-		if !got.Shard(s).Quant.Enabled() {
-			t.Fatalf("restored shard %d has no plane", s)
-		}
-	}
-	if r := got.Pin().MemoryStats().CompressionRatio(); r != 8 {
-		t.Fatalf("restored CompressionRatio = %v, want 8", r)
+	if got.Pin().MemoryStats() != x.Pin().MemoryStats() {
+		t.Fatalf("restored %+v, saved %+v", got.Pin().MemoryStats(), x.Pin().MemoryStats())
 	}
 
 	// The restored plane is live: cracking through it matches the original.
@@ -187,11 +139,11 @@ func TestShardQuantPersistRoundTrip(t *testing.T) {
 }
 
 // TestShardQuantRequantize: refitting the plane after drifted appends is a
-// pure pruning improvement — results stay bitwise identical, the grid
-// tightens, and a float-only index treats it as a no-op.
+// pure pruning improvement — results stay bitwise identical and the grid
+// tightens.
 func TestShardQuantRequantize(t *testing.T) {
 	const n, reps = 400, 40
-	ix, _ := buildQuantIndex(t, n, reps)
+	ix, _ := buildIndex(t, n, reps)
 	x, err := shard.Split(ix, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -220,11 +172,7 @@ func TestShardQuantRequantize(t *testing.T) {
 	}
 
 	x.Requantize()
-	for s := 0; s < x.NumShards(); s++ {
-		if err := x.Shard(s).Validate(); err != nil {
-			t.Fatalf("shard %d invalid after requantize: %v", s, err)
-		}
-	}
+	carriesPlanes(t, "requantize", x.Pin())
 	if refit := x.Shard(x.NumShards() - 1).Quant.MaxErr(); refit >= widened {
 		t.Fatalf("requantize did not tighten the decode-error bound: %v -> %v", widened, refit)
 	}
@@ -233,14 +181,64 @@ func TestShardQuantRequantize(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "post-requantize Propagate", got, want)
+}
 
-	fx, _ := buildIndex(t, 200, 20)
-	fs, err := shard.Split(fx, 2)
-	if err != nil {
-		t.Fatal(err)
+// carriesPlanes fails unless every shard of v is valid and holds a quantized
+// plane over exactly its records.
+func carriesPlanes(t *testing.T, step string, v *shard.Version) {
+	t.Helper()
+	for s := 0; s < v.NumShards(); s++ {
+		sh := v.Shard(s)
+		if err := sh.Validate(); err != nil {
+			t.Fatalf("%s: shard %d invalid: %v", step, s, err)
+		}
+		if !sh.Quant.Enabled() || sh.Quant.Rows() != sh.NumRecords() {
+			t.Fatalf("%s: shard %d holds a %d-row plane (enabled %t) over %d records",
+				step, s, sh.Quant.Rows(), sh.Quant.Enabled(), sh.NumRecords())
+		}
 	}
-	fs.Requantize() // must be a no-op, not a panic
-	if fs.Pin().MemoryStats().Quantized() {
-		t.Fatal("Requantize grew a plane on a float-only index")
+}
+
+// TestEveryShardCarriesAPlane: every shard of every version holds a quantized
+// plane over exactly its records — after Split of a built index and of a
+// hand-built one with no plane, and after Load, CrackAll, AppendRecords,
+// Clone and Requantize.
+func TestEveryShardCarriesAPlane(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		cfg := fmt.Sprintf("shards=%d", shards)
+		ix, ds := buildIndex(t, 300, 30)
+		x, err := shard.Split(ix, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carriesPlanes(t, cfg+" split", x.Pin())
+
+		bare, _ := buildIndex(t, 300, 30)
+		literal := &core.Index{Embeddings: bare.Embeddings, Table: bare.Table, Annotations: bare.Annotations}
+		lx, err := shard.Split(literal, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carriesPlanes(t, cfg+" split of a plane-less index", lx.Pin())
+
+		var buf bytes.Buffer
+		if err := x.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := shard.Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carriesPlanes(t, cfg+" load", loaded.Pin())
+
+		x.CrackAll(map[int]dataset.Annotation{7: ds.Truth[7], 211: ds.Truth[211]})
+		carriesPlanes(t, cfg+" crack", x.Pin())
+		if _, err := x.AppendRecords(extraFeatures(t, 9, 4)); err != nil {
+			t.Fatal(err)
+		}
+		carriesPlanes(t, cfg+" append", x.Pin())
+		carriesPlanes(t, cfg+" clone", x.Clone().Pin())
+		x.Requantize()
+		carriesPlanes(t, cfg+" requantize", x.Pin())
 	}
 }

@@ -104,8 +104,8 @@ type Shard struct {
 	Embeddings vecmath.Matrix
 	// Quant is the shard's view of the quantized scan plane — the same row
 	// range as Embeddings, sharing the corpus plane's codes and trained
-	// params. The zero value (source index built without Config.Quantize)
-	// disables quantized scans and the shard cracks the float rows directly.
+	// params. Cracks prune through it and rerank on the float rows. Every
+	// shard has one (Split makes it when the source index has none).
 	Quant vecmath.QuantMatrix
 	// Table is the shard-local min-k table: Neighbors[i] describes record
 	// Lo+i, naming corpus-global representative IDs.
@@ -119,7 +119,8 @@ type Shard struct {
 func (sh *Shard) NumRecords() int { return sh.Hi - sh.Lo }
 
 // Validate checks the shard's internal invariants: range shape, matrix/table
-// row agreement, and the table's own invariants.
+// row agreement, a quantized plane over exactly the embedding rows, and the
+// table's own invariants.
 func (sh *Shard) Validate() error {
 	if sh.Lo < 0 || sh.Hi < sh.Lo {
 		return fmt.Errorf("shard: invalid range [%d,%d)", sh.Lo, sh.Hi)
@@ -128,8 +129,7 @@ func (sh *Shard) Validate() error {
 		return fmt.Errorf("shard: range [%d,%d) has %d embedding rows and %d neighbor lists",
 			sh.Lo, sh.Hi, sh.Embeddings.Rows(), len(sh.Table.Neighbors))
 	}
-	if sh.Quant.Enabled() &&
-		(sh.Quant.Rows() != sh.NumRecords() || sh.Quant.Dim() != sh.Embeddings.Dim()) {
+	if !sh.Quant.Enabled() || sh.Quant.Rows() != sh.NumRecords() || sh.Quant.Dim() != sh.Embeddings.Dim() {
 		return fmt.Errorf("shard: range [%d,%d) has a %dx%d quantized plane over %dx%d embeddings",
 			sh.Lo, sh.Hi, sh.Quant.Rows(), sh.Quant.Dim(), sh.Embeddings.Rows(), sh.Embeddings.Dim())
 	}
@@ -183,7 +183,7 @@ type wiring struct {
 	tel         *telemetry.Registry
 	mProp       []*telemetry.Counter // tasti_shard_propagate_total{shard="s"}
 	gRecords    []*telemetry.Gauge   // tasti_shard_records{shard="s"}
-	gReps       []*telemetry.Gauge   // tasti_shard_reps{shard="s"}
+	gReps       *telemetry.Gauge     // tasti_index_reps
 	gColBytes   *telemetry.Gauge     // tasti_proxy_column_bytes
 	gGen        *telemetry.Gauge     // tasti_index_generation
 	hWriterWait *telemetry.Histogram // tasti_index_writer_wait_seconds
@@ -197,12 +197,11 @@ func (w wiring) resolved(n int) *wiring {
 	reg := w.tel
 	w.mProp = make([]*telemetry.Counter, n)
 	w.gRecords = make([]*telemetry.Gauge, n)
-	w.gReps = make([]*telemetry.Gauge, n)
 	for s := 0; s < n; s++ {
 		w.mProp[s] = reg.Counter(fmt.Sprintf(`tasti_shard_propagate_total{shard="%d"}`, s))
 		w.gRecords[s] = reg.Gauge(fmt.Sprintf(`tasti_shard_records{shard="%d"}`, s))
-		w.gReps[s] = reg.Gauge(fmt.Sprintf(`tasti_shard_reps{shard="%d"}`, s))
 	}
+	w.gReps = reg.Gauge("tasti_index_reps")
 	w.gColBytes = reg.Gauge("tasti_proxy_column_bytes")
 	w.gGen = reg.Gauge("tasti_index_generation")
 	w.hWriterWait = reg.Histogram("tasti_index_writer_wait_seconds", nil)
@@ -222,9 +221,11 @@ func newIndex(w wiring, stats core.BuildStats, shards []*Shard, total int) *Inde
 }
 
 // Split partitions a built index into n contiguous-range shards, taking
-// ownership of ix: the shards alias its embedding matrix and neighbor rows
-// (zero-copy views), and all of them its one representative list and
-// annotation map, so the source index must not be used afterwards.
+// ownership of ix: the shards alias its embedding matrix, quantized plane and
+// neighbor rows (zero-copy views), and all of them its one representative
+// list and annotation map, so the source index must not be used afterwards.
+// A source without a plane (a hand-built core.Index) gets one trained over
+// its embeddings here, so every shard of every version carries one.
 // Parallelism and telemetry carry over from ix's config.
 //
 // Split(ix, 1) is the identity sharding: one shard holding the whole index,
@@ -234,14 +235,22 @@ func Split(ix *core.Index, n int) (*Index, error) {
 	if n < 1 || n > total {
 		return nil, fmt.Errorf("shard: cannot split %d records into %d shards", total, n)
 	}
+	quant := ix.Quant
+	if !quant.Enabled() {
+		var err error
+		if quant, err = vecmath.QuantizeMatrix(ix.Embeddings, vecmath.TrainQuantParams(ix.Embeddings)); err != nil {
+			return nil, fmt.Errorf("shard: quantizing embeddings: %w", err)
+		}
+	}
 	cfg := ix.Config()
 	shards := make([]*Shard, n)
 	for s := 0; s < n; s++ {
 		lo, hi := s*total/n, (s+1)*total/n
-		sh := &Shard{
+		shards[s] = &Shard{
 			Lo:         lo,
 			Hi:         hi,
 			Embeddings: ix.Embeddings.RowRange(lo, hi),
+			Quant:      quant.RowRange(lo, hi),
 			Table: &cluster.Table{
 				K:         ix.Table.K,
 				Reps:      ix.Table.Reps,
@@ -249,12 +258,6 @@ func Split(ix *core.Index, n int) (*Index, error) {
 			},
 			Annotations: ix.Annotations,
 		}
-		if ix.Quant.Enabled() {
-			// Zero-copy view of the corpus code plane, same range as the
-			// float view above.
-			sh.Quant = ix.Quant.RowRange(lo, hi)
-		}
-		shards[s] = sh
 	}
 	x := newIndex(wiring{par: cfg.Parallelism, emb: ix.Embedder, tel: cfg.Telemetry}, ix.Stats, shards, total)
 	x.PublishMetrics()
@@ -369,8 +372,8 @@ func (x *Index) SetParallelism(p int) { x.rewire(func(w *wiring) { w.par = p }) 
 // metric name.
 func (x *Index) SetTelemetry(reg *telemetry.Registry) { x.rewire(func(w *wiring) { w.tel = reg }) }
 
-// PublishMetrics refreshes the per-shard gauges (record and representative
-// counts), the proxy-column residency and the index generation from the
+// PublishMetrics refreshes the per-shard record gauges, the representative
+// count, the proxy-column residency and the index generation from the
 // published version. Every writer does so as it publishes; cmd/tastiserve
 // also calls it on /metrics scrapes, which catches the residency changes
 // reads make.
@@ -382,8 +385,8 @@ func (v *Version) publishMetrics() {
 	}
 	for s, sh := range v.shards {
 		v.w.gRecords[s].Set(float64(sh.NumRecords()))
-		v.w.gReps[s].Set(float64(len(sh.Table.Reps)))
 	}
+	v.w.gReps.Set(float64(v.RepCount()))
 	cs := v.ColumnStats()
 	v.w.gColBytes.Set(float64(cs.Bytes))
 	v.w.gGen.Set(float64(cs.Generation))

@@ -56,37 +56,42 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 }
 
 // reference is the state a sequence of cracks and appends on a served index
-// must reach bit for bit, computed from scratch: cluster's min-k table over
-// the whole embedding matrix and the final representative list, built in one
-// pass, and propagated with the shared kernel.
+// must reach bit for bit, computed without shards or the quantized plane:
+// cluster's float table over the whole embedding matrix, evolved through the
+// float API, and propagated with the shared kernel.
 type reference struct {
 	emb   vecmath.Matrix
 	table *cluster.Table
 	anns  map[int]dataset.Annotation
 }
 
-// newReference is built index ix with the records of appended embedded by its
-// model and appended, then every record of cracked that is not yet a
-// representative added as one, in order. A from-scratch table depends only on
+// newReference is built index ix's float table over its representatives,
+// the records of appended embedded by its model and scanned onto it, then
+// every record of cracked that is not yet a representative added as one, in
+// order, by the float sweep (AddRepresentativePar). The table depends only on
 // the final corpus and representative order, so cracked may list cracks made
 // before and after the append, appended records included, in the order the
 // index took them.
 func newReference(ix *core.Index, appended [][]float64, cracked []int, anns map[int]dataset.Annotation) reference {
-	n := ix.NumRecords()
+	n, k := ix.NumRecords(), ix.Table.K
 	emb := vecmath.NewMatrix(n+len(appended), ix.Embeddings.Dim())
 	copy(emb.Data(), ix.Embeddings.Data())
 	for i, f := range appended {
 		embed.Into(ix.Embedder, emb.Row(n+i), f)
 	}
-	reps := slices.Clone(ix.Table.Reps)
+	table := cluster.BuildTablePar(emb.RowRange(0, n), slices.Clone(ix.Table.Reps), k, 1)
+	if len(appended) > 0 {
+		table.Neighbors = append(table.Neighbors, cluster.ScanRows(emb.RowRange(n, emb.Rows()),
+			vecmath.GatherRows(emb, table.Reps), table.Reps, k, 1)...)
+	}
 	all := maps.Clone(ix.Annotations)
 	for _, id := range cracked {
 		if _, ok := all[id]; !ok {
-			reps = append(reps, id)
+			table.AddRepresentativePar(emb, id, 1)
 			all[id] = anns[id]
 		}
 	}
-	return reference{emb: emb, table: cluster.BuildTablePar(emb, reps, ix.Table.K, 1), anns: all}
+	return reference{emb: emb, table: table, anns: all}
 }
 
 // propagate is the reference's weighted propagation over k neighbors.
@@ -200,8 +205,8 @@ func TestShardCountInvariance(t *testing.T) {
 
 // TestCrackInvariance: cracking through the sharded surface, in ascending ID
 // order, evolves every shard's table into the one a from-scratch build over
-// the final representative list computes — at shard counts 1 and 3, with the
-// quantized plane off and on — and propagates its bits afterwards.
+// the final representative list computes — at shard counts 1 and 3, pruning
+// through the quantized plane — and propagates its bits afterwards.
 func TestCrackInvariance(t *testing.T) {
 	const n, reps = 400, 40
 	base, ds := buildIndex(t, n, reps)
@@ -216,38 +221,32 @@ func TestCrackInvariance(t *testing.T) {
 	wantProxy := ref.propagate(score, base.Table.K)
 
 	for _, shards := range []int{1, 3} {
-		for _, quantized := range []bool{false, true} {
-			name := fmt.Sprintf("shards=%d quantized=%v", shards, quantized)
-			build := buildIndex
-			if quantized {
-				build = buildQuantIndex
+		name := fmt.Sprintf("shards=%d", shards)
+		ix, _ := buildIndex(t, n, reps)
+		x, err := shard.Split(ix, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if added := x.CrackAll(anns); added != len(ref.table.Reps)-reps {
+			t.Fatalf("%s: CrackAll added %d reps, reference %d", name, added, len(ref.table.Reps)-reps)
+		}
+		sameTable(t, name, x.Pin(), ref)
+		got, err := x.Propagate(score)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, name+": post-crack Propagate", got, wantProxy)
+		for s := 0; s < x.NumShards(); s++ {
+			if err := x.Shard(s).Validate(); err != nil {
+				t.Errorf("%s: shard %d invalid after cracking: %v", name, s, err)
 			}
-			ix, _ := build(t, n, reps)
-			x, err := shard.Split(ix, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if added := x.CrackAll(anns); added != len(ref.table.Reps)-reps {
-				t.Fatalf("%s: CrackAll added %d reps, reference %d", name, added, len(ref.table.Reps)-reps)
-			}
-			sameTable(t, name, x.Pin(), ref)
-			got, err := x.Propagate(score)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameBits(t, name+": post-crack Propagate", got, wantProxy)
-			for s := 0; s < x.NumShards(); s++ {
-				if err := x.Shard(s).Validate(); err != nil {
-					t.Errorf("%s: shard %d invalid after cracking: %v", name, s, err)
-				}
-			}
+		}
 
-			// Cracking an already-annotated record is a no-op.
-			before := x.RepCount()
-			x.Crack(ids[0], anns[ids[0]])
-			if x.RepCount() != before {
-				t.Errorf("%s: re-cracking a representative changed RepCount %d -> %d", name, before, x.RepCount())
-			}
+		// Cracking an already-annotated record is a no-op.
+		before := x.RepCount()
+		x.Crack(ids[0], anns[ids[0]])
+		if x.RepCount() != before {
+			t.Errorf("%s: re-cracking a representative changed RepCount %d -> %d", name, before, x.RepCount())
 		}
 	}
 }
@@ -345,7 +344,8 @@ func TestValidation(t *testing.T) {
 }
 
 // TestPerShardTelemetry: the pre-resolved per-shard series count scatters and
-// publish per-shard sizes under the documented names.
+// publish per-shard record counts, and the index its representative count,
+// under the documented names.
 func TestPerShardTelemetry(t *testing.T) {
 	ix, _ := buildIndex(t, 200, 20)
 	x, err := shard.Split(ix, 2)
@@ -364,9 +364,9 @@ func TestPerShardTelemetry(t *testing.T) {
 		if got := reg.Gauge(`tasti_shard_records{shard="` + string(rune('0'+s)) + `"}`).Value(); got != 100 {
 			t.Errorf("shard %d records gauge = %v, want 100", s, got)
 		}
-		if got := reg.Gauge(`tasti_shard_reps{shard="` + string(rune('0'+s)) + `"}`).Value(); got != 20 {
-			t.Errorf("shard %d reps gauge = %v, want 20", s, got)
-		}
+	}
+	if got := reg.Gauge("tasti_index_reps").Value(); got != 20 {
+		t.Errorf("index reps gauge = %v, want 20", got)
 	}
 	if got := reg.Counter(`tasti_propagate_total{kind="weighted"}`).Value(); got != 1 {
 		t.Errorf("gather-level propagate counter = %d, want 1", got)

@@ -165,89 +165,83 @@ func (p pinnedVersion) check(t *testing.T, after string) {
 
 // TestVersionsMatchFromScratchReference drives a seeded sequence of crack
 // batches (in ID order and in the caller's), appends and whole-index
-// replacements through the copy-on-write writers — at shards 1/2/4, workers 1/2/4,
-// quantized off and on — and beside it through a model of what each write
-// leaves. After every write the published version's tables equal cluster's
+// replacements through the copy-on-write writers — at shards 1/2/4 and
+// workers 1/2/4, cracks pruning through the quantized plane — and beside it
+// through a model of what each write leaves. After every write the published version's tables equal cluster's
 // from-scratch build over the model's representative lists, and every
 // version pinned before any earlier write still propagates the bits it did
 // then: no writer reaches memory a published version can read.
 func TestVersionsMatchFromScratchReference(t *testing.T) {
 	const n, reps, steps = 300, 30, 9
-	for _, quantized := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 2, 4} {
-				build := buildIndex
-				if quantized {
-					build = buildQuantIndex
-				}
-				ix, ds := build(t, n, reps)
-				twin, _ := build(t, n, reps)
-				x, err := shard.Split(ix, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				x.SetParallelism(workers)
-				m := newModel(twin, x.Pin())
-				truth := append([]dataset.Annotation(nil), ds.Truth...)
-				r := rand.New(rand.NewSource(int64(100*shards + workers)))
-				cfg := fmt.Sprintf("quantized=%v shards=%d workers=%d", quantized, shards, workers)
-				var pinned []pinnedVersion
-				for i := 0; i < steps; i++ {
-					op := []string{"crack", "crack-in-order", "append", "replace"}[r.Intn(4)]
-					step := fmt.Sprintf("%s step %d %s", cfg, i, op)
-					pinned = append(pinned, pinVersion(t, step, x.Pin()))
-					switch op {
-					case "crack":
-						// A batch of fresh records with, now and then, one
-						// that is already a representative (a no-op inside
-						// the batch).
-						batch := map[int]dataset.Annotation{}
-						for len(batch) < 1+r.Intn(5) {
-							id := r.Intn(x.NumRecords())
+	for _, shards := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 2, 4} {
+			ix, ds := buildIndex(t, n, reps)
+			twin, _ := buildIndex(t, n, reps)
+			x, err := shard.Split(ix, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x.SetParallelism(workers)
+			m := newModel(twin, x.Pin())
+			truth := append([]dataset.Annotation(nil), ds.Truth...)
+			r := rand.New(rand.NewSource(int64(100*shards + workers)))
+			cfg := fmt.Sprintf("shards=%d workers=%d", shards, workers)
+			var pinned []pinnedVersion
+			for i := 0; i < steps; i++ {
+				op := []string{"crack", "crack-in-order", "append", "replace"}[r.Intn(4)]
+				step := fmt.Sprintf("%s step %d %s", cfg, i, op)
+				pinned = append(pinned, pinVersion(t, step, x.Pin()))
+				switch op {
+				case "crack":
+					// A batch of fresh records with, now and then, one
+					// that is already a representative (a no-op inside
+					// the batch).
+					batch := map[int]dataset.Annotation{}
+					for len(batch) < 1+r.Intn(5) {
+						id := r.Intn(x.NumRecords())
+						batch[id] = truth[id]
+					}
+					var ids []int
+					for id := range batch {
+						ids = append(ids, id)
+					}
+					sort.Ints(ids)
+					if added, want := x.CrackAll(batch), m.crack(ids, batch); added != want {
+						t.Fatalf("%s: CrackAll reports %d representatives added, model %d", step, added, want)
+					}
+				case "crack-in-order":
+					// The refresher's batch: a caller-chosen order, which
+					// must leave what that sequence of single cracks did.
+					batch := map[int]dataset.Annotation{}
+					var ids []int
+					for len(ids) < 2+r.Intn(4) {
+						if id := r.Intn(x.NumRecords()); batch[id] == nil {
 							batch[id] = truth[id]
-						}
-						var ids []int
-						for id := range batch {
 							ids = append(ids, id)
 						}
-						sort.Ints(ids)
-						if added, want := x.CrackAll(batch), m.crack(ids, batch); added != want {
-							t.Fatalf("%s: CrackAll reports %d representatives added, model %d", step, added, want)
-						}
-					case "crack-in-order":
-						// The refresher's batch: a caller-chosen order, which
-						// must leave what that sequence of single cracks did.
-						batch := map[int]dataset.Annotation{}
-						var ids []int
-						for len(ids) < 2+r.Intn(4) {
-							if id := r.Intn(x.NumRecords()); batch[id] == nil {
-								batch[id] = truth[id]
-								ids = append(ids, id)
-							}
-						}
-						if added, want := x.CrackInOrder(ids, batch), m.crack(ids, batch); added != want {
-							t.Fatalf("%s: CrackInOrder reports %d representatives added, model %d", step, added, want)
-						}
-					case "append":
-						feats, anns := extraRecords(t, 3+r.Intn(4), int64(1000+i))
-						truth = append(truth, anns...)
-						if _, err := x.AppendRecords(feats); err != nil {
-							t.Fatalf("%s: %v", step, err)
-						}
-						m.append(twin.Embedder, feats)
-					case "replace":
-						// A reload: the whole state swapped for a deep copy
-						// that may be one representative ahead.
-						c := x.Clone()
-						id := r.Intn(x.NumRecords())
-						c.Crack(id, truth[id])
-						x.Replace(c)
-						m.crack([]int{id}, map[int]dataset.Annotation{id: truth[id]})
 					}
-					sameState(t, step, x.Pin(), m, twin.Table.K)
-					for _, p := range pinned {
-						p.check(t, step)
+					if added, want := x.CrackInOrder(ids, batch), m.crack(ids, batch); added != want {
+						t.Fatalf("%s: CrackInOrder reports %d representatives added, model %d", step, added, want)
 					}
+				case "append":
+					feats, anns := extraRecords(t, 3+r.Intn(4), int64(1000+i))
+					truth = append(truth, anns...)
+					if _, err := x.AppendRecords(feats); err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+					m.append(twin.Embedder, feats)
+				case "replace":
+					// A reload: the whole state swapped for a deep copy
+					// that may be one representative ahead.
+					c := x.Clone()
+					id := r.Intn(x.NumRecords())
+					c.Crack(id, truth[id])
+					x.Replace(c)
+					m.crack([]int{id}, map[int]dataset.Annotation{id: truth[id]})
+				}
+				sameState(t, step, x.Pin(), m, twin.Table.K)
+				for _, p := range pinned {
+					p.check(t, step)
 				}
 			}
 		}

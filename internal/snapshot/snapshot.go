@@ -74,7 +74,11 @@ var Magic = [8]byte{'T', 'A', 'S', 'T', 'I', 'S', 'N', 'P'}
 //	     "shard.<s>.meta" keeps its embedding width and plane parameters.
 //	     The index loader rejects older headers with ErrVersion; every
 //	     other kind still reads v1 on.
-const Version uint32 = 5
+//	v6 — one scan plane: every "shard.<s>.meta" carries the quantized
+//	     plane's parameters and every shard's ".quant" frame is required.
+//	     The index loader rejects older headers with ErrVersion; every
+//	     other kind still reads v1 on.
+const Version uint32 = 6
 
 // MinVersion is the oldest container-format version this build still reads.
 const MinVersion uint32 = 1

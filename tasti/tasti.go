@@ -66,8 +66,9 @@ const Version = "0.9.0"
 // SnapshotFormatVersion is the framed snapshot container's current format
 // version, the one every artifact is written at. Datasets, WAL segments and
 // label-store snapshots still open back to snapshot.MinVersion;
-// an index snapshot must be v5 or later (one representative set in the
-// manifest) — an older one fails with ErrSnapshotVersion and is rebuilt.
+// an index snapshot must be v6 or later (one representative set in the
+// manifest, a quantized plane in every shard) — an older one fails with
+// ErrSnapshotVersion and is rebuilt.
 const SnapshotFormatVersion = snapshot.Version
 
 // Data model.
