@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/labeler"
+	"repro/internal/query/supg"
 	"repro/internal/shard"
 	"repro/tasti"
 )
@@ -131,10 +132,10 @@ func checkSelectionReaders(t *testing.T, srv *server, body string) {
 		}
 		name := fmt.Sprintf("%s label budget %d", body, labelBudget)
 		lab := newLab()
-		sel, err := col.Design().RecallTargetSelection(opts, func(id int) (bool, error) {
+		sel, err := col.Design().RecallTargetSelection(opts, supg.MatchFunc(func(id int) (bool, error) {
 			ann, err := lab.Label(id)
 			return err == nil && q.pred(ann), err
-		})
+		}))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

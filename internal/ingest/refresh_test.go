@@ -417,6 +417,69 @@ func TestRefreshCopiesNoIndex(t *testing.T) {
 	}
 }
 
+// TestRefreshRefitsOnlyAWidenedPlane: a refresh refits the scan plane only
+// when a row appended since the plane was coded widened its decode-error
+// bound. Over appends inside the fitted grid (copies of built rows) it keeps
+// the parent's params; after an append far outside the grid it refits, and
+// the refit plane is unwidened again. No answer depends on which: every scan
+// reranks exactly.
+func TestRefreshRefitsOnlyAWidenedPlane(t *testing.T) {
+	const built, copies, stride = 20000, 64, 97
+	rig := buildRefreshRig(t, built, 1, 1, 200)
+	features := make([][]float64, copies)
+	for i := range features {
+		features[i] = rig.base.Records[i*stride].Features
+	}
+	drifted := slices.Clone(rig.base.Records[0].Features)
+	for d := range drifted {
+		drifted[d] = drifted[d]*3 + 5
+	}
+	if _, err := rig.ix.AppendRecords(features); err != nil {
+		t.Fatal(err)
+	}
+	cfg := rig.config(nil, 32)
+	cfg.Label = func(_ context.Context, id int) (dataset.Annotation, error) {
+		if id >= built {
+			id = (id - built) * stride // a copy, or the drifted row, labeled as its source
+		}
+		return rig.base.Truth[id], nil
+	}
+	r, err := NewRefresher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitted := rig.ix.Shard(0).Quant
+	if fitted.Widened() {
+		t.Fatal("copies of built rows widened the plane's decode-error bound")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := r.Refresh(context.Background())
+	runtime.ReadMemStats(&after)
+	if err != nil || st.Cracked != 32 {
+		t.Fatalf("in-range refresh cracked %d (%v), want 32", st.Cracked, err)
+	}
+	kept := rig.ix.Shard(0).Quant
+	if &kept.Params().Scale[0] != &fitted.Params().Scale[0] || kept.MaxErr() != fitted.MaxErr() {
+		t.Fatal("a refresh over in-range appends refit the plane")
+	}
+	t.Logf("in-range refresh allocated %d bytes", after.TotalAlloc-before.TotalAlloc)
+
+	if _, err := rig.ix.AppendRecords([][]float64{drifted}); err != nil {
+		t.Fatal(err)
+	}
+	if !rig.ix.Shard(0).Quant.Widened() {
+		t.Fatal("a row far outside the grid did not widen the plane's decode-error bound")
+	}
+	if st, err := r.Refresh(context.Background()); err != nil || st.Cracked == 0 {
+		t.Fatalf("drifted refresh cracked %d (%v)", st.Cracked, err)
+	}
+	refit := rig.ix.Shard(0).Quant
+	if &refit.Params().Scale[0] == &fitted.Params().Scale[0] || refit.Widened() {
+		t.Fatalf("a refresh after an out-of-range append kept the plane (widened %v)", refit.Widened())
+	}
+}
+
 // sameBits fails unless got and want are float64-bitwise identical.
 func sameBits(t *testing.T, name string, got, want []float64) {
 	t.Helper()

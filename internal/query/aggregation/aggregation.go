@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 
 	"repro/internal/dataset"
@@ -36,10 +37,10 @@ type Options struct {
 	MaxSamples int
 	// Seed makes sampling deterministic.
 	Seed int64
-	// Telemetry, when non-nil, counts query runs and per-sample labeler
-	// spend (tasti_query_runs_total / tasti_query_label_calls_total with
-	// type="aggregate") and observes the final sample size. Record-only:
-	// sampling order and stopping are unaffected.
+	// Telemetry, when non-nil, counts query runs and their labeler spend
+	// (tasti_query_runs_total / tasti_query_label_calls_total with
+	// type="aggregate"; the spend is added once, when the run ends).
+	// Record-only: sampling order and stopping are unaffected.
 	Telemetry *telemetry.Registry
 }
 
@@ -67,11 +68,32 @@ type Result struct {
 	Degraded bool
 }
 
-// ValueSource returns the aggregated quantity of one record — the score of
-// its target-labeler output — or the error that kept the label from being
-// obtained. The sampler calls it once per draw, in draw order, and spends one
-// labeler invocation per successful call.
-type ValueSource func(id int) (float64, error)
+// ValueSource answers the sampler's draws: each drawn record's aggregated
+// quantity — the score of its target-labeler output — or the error that kept
+// the label from being obtained.
+type ValueSource interface {
+	// Peek reads ahead of the draws: for each i it sets known[i] to whether
+	// record ids[i]'s value can be had without a label and, when it can,
+	// vals[i] to it. It must have no other effect — the sampler peeks at a
+	// block of draws before its stopping rule has seen them, and a stop
+	// throws the rest of the block away.
+	Peek(ids []int, vals []float64, known []bool)
+	// Value consumes the next draw, record id, once per draw and in draw
+	// order, spending one labeler invocation when it succeeds. v and known
+	// are what Peek found for the draw; a value another draw learnt since is
+	// the source's to find.
+	Value(id int, v float64, known bool) (float64, error)
+}
+
+// ValueFunc is a ValueSource that knows nothing ahead: every draw is one call
+// of the function.
+type ValueFunc func(id int) (float64, error)
+
+// Peek knows no value.
+func (f ValueFunc) Peek(_ []int, _ []float64, known []bool) { clear(known) }
+
+// Value calls f.
+func (f ValueFunc) Value(id int, _ float64, _ bool) (float64, error) { return f(id) }
 
 // Estimate runs the EBS sampler over a dataset of n records. proxy supplies
 // per-record proxy scores used as a control variate; pass nil to run without
@@ -90,21 +112,54 @@ func Estimate(opts Options, n int, proxy []float64, score ScoreFunc, lab labeler
 	if proxy != nil {
 		proxyMean = stats.Mean(proxy)
 	}
-	return EstimateValues(opts, n, proxy, proxyMean, func(id int) (float64, error) {
+	return EstimateValues(opts, n, proxy, proxyMean, ValueFunc(func(id int) (float64, error) {
 		ann, err := lab.Label(id)
 		if err != nil {
 			return 0, err
 		}
 		return score(ann), nil
-	})
+	}))
 }
 
 // sampleBuf holds one run's sample vectors between runs, so a run appends
 // into the capacity the previous one grew instead of doubling its way up
-// again. Result carries scalars only; nothing outlives the run that filled it.
-type sampleBuf struct{ fs, ps []float64 }
+// again, and the block of draws the run reads ahead. Result carries scalars
+// only; nothing outlives the run that filled it.
+type sampleBuf struct {
+	fs, ps []float64
+	ahead  drawBlock
+}
 
 var sampleBufs = sync.Pool{New: func() any { return new(sampleBuf) }}
+
+// drawBlock is the next xrand.Block draws of a run, consumed in order from
+// next on: their record IDs, their proxy scores (0 without a proxy) and what
+// the value source's Peek found for them.
+type drawBlock struct {
+	ids   [xrand.Block]int
+	ps    [xrand.Block]float64
+	vals  [xrand.Block]float64
+	known [xrand.Block]bool
+	next  int
+}
+
+// fill draws the next block of record IDs from r (r.Intn's draws), then
+// gathers their proxy scores and known values in passes of independent reads,
+// so the cache misses of a whole block overlap instead of each stalling its
+// own draw. The generator is the run's own, so the draws a stop leaves
+// unconsumed are simply never read.
+func (b *drawBlock) fill(r *rand.Rand, n int, proxy []float64, value ValueSource) {
+	xrand.IntnBlock(r, n, b.ids[:])
+	if proxy != nil {
+		for i, id := range b.ids {
+			b.ps[i] = proxy[id]
+		}
+	} else {
+		clear(b.ps[:])
+	}
+	value.Peek(b.ids[:], b.vals[:], b.known[:])
+	b.next = 0
+}
 
 // EstimateValues is the sampler itself: Estimate with the labeler and the
 // score function folded into one per-record value source, for a caller that
@@ -113,6 +168,11 @@ var sampleBufs = sync.Pool{New: func() any { return new(sampleBuf) }}
 // stats.Mean(proxy), 0 when proxy is nil — a constant of the vector, which a
 // caller that keeps the vector keeps beside it. Draw order, stopping and the
 // result are those of Estimate over the same values.
+//
+// The record IDs are drawn a block ahead of the stopping rule (drawBlock) but
+// consumed one at a time, in the generator's order: every Value call, and so
+// every label, error and stop, falls on the draw it falls on when each ID is
+// drawn as it is consumed.
 func EstimateValues(opts Options, n int, proxy []float64, proxyMean float64, value ValueSource) (Result, error) {
 	if n <= 0 {
 		return Result{}, errors.New("aggregation: empty dataset")
@@ -137,6 +197,10 @@ func EstimateValues(opts Options, n int, proxy []float64, proxyMean float64, val
 
 	opts.Telemetry.Counter(`tasti_query_runs_total{type="aggregate"}`).Inc()
 	mCalls := opts.Telemetry.Counter(`tasti_query_label_calls_total{type="aggregate"}`)
+	var calls int64
+	// Booked once, on whatever path the run ends: one shared atomic add per
+	// query instead of one per draw.
+	defer func() { mCalls.Add(calls) }()
 
 	r := xrand.New(opts.Seed)
 	buf := sampleBufs.Get().(*sampleBuf)
@@ -146,20 +210,22 @@ func EstimateValues(opts Options, n int, proxy []float64, proxyMean float64, val
 		buf.fs, buf.ps = fs, ps
 		sampleBufs.Put(buf)
 	}()
-	var calls int64
-	scr := stopScreen{target: opts.ErrTarget, delta: opts.Delta, proxyMean: proxyMean}
+	ahead := &buf.ahead
+	ahead.next = len(ahead.ids)
+	scr := newStopScreen(opts.ErrTarget, opts.Delta, proxyMean)
 	sample := func() error {
-		id := r.Intn(n)
-		f, err := value(id)
+		if ahead.next == len(ahead.ids) {
+			ahead.fill(r, n, proxy, value)
+		}
+		i := ahead.next
+		ahead.next++
+		id := ahead.ids[i]
+		f, err := value.Value(id, ahead.vals[i], ahead.known[i])
 		if err != nil {
 			return fmt.Errorf("aggregation: labeling record %d: %w", id, err)
 		}
 		calls++
-		mCalls.Inc()
-		p := 0.0
-		if proxy != nil {
-			p = proxy[id]
-		}
+		p := ahead.ps[i]
 		fs, ps = append(fs, f), append(ps, p)
 		scr.add(f, p)
 		return nil
@@ -224,7 +290,7 @@ func EstimateValues(opts Options, n int, proxy []float64, proxyMean float64, val
 				}
 				break
 			}
-			scr.hi, scr.lo = point{fs[hi], ps[hi]}, point{fs[lo], ps[lo]}
+			scr.track(c, point{fs[hi], ps[hi]}, point{fs[lo], ps[lo]})
 		}
 		if err := sample(); err != nil {
 			if errors.Is(err, labeler.ErrBudgetExhausted) && len(fs) >= 2 {

@@ -1,6 +1,7 @@
 package aggregation
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -122,14 +123,64 @@ func sameBits(a, b Result) bool {
 		a.LabelerCalls == b.LabelerCalls && a.Degraded == b.Degraded
 }
 
-// estimateBoth runs one query through both entries of the sampler — Estimate
+// tabled is the value source of a caller that knows every record's value
+// without its annotation, and reports the values of the records known accepts
+// ahead of their draws — the way a served request peeks at an exact-score
+// column. Every draw, known or not, is charged to lab, which is the only
+// effect a draw has; a peeked draw answers with what Peek found.
+type tabled struct {
+	table []float64
+	known func(id int) bool
+	lab   labeler.Labeler
+}
+
+func (s tabled) Peek(ids []int, vals []float64, known []bool) {
+	for i, id := range ids {
+		// An unknown draw gets a NaN, which a sampler that used it would
+		// carry into its result.
+		vals[i], known[i] = math.NaN(), s.known(id)
+		if known[i] {
+			vals[i] = s.table[id]
+		}
+	}
+}
+
+func (s tabled) Value(id int, v float64, known bool) (float64, error) {
+	if _, err := s.lab.Label(id); err != nil {
+		return 0, err
+	}
+	if known {
+		return v, nil
+	}
+	return s.table[id], nil
+}
+
+// knowsNone and knowsHalf say which records a tabled source peeks.
+func knowsNone(int) bool    { return false }
+func knowsHalf(id int) bool { return id%2 == 0 }
+
+// failAt is a labeler whose call number at fails with context.Canceled, the
+// way a request canceled mid-query fails its next draw.
+type failAt struct {
+	labeler.Labeler
+	at, calls int64
+}
+
+func (f *failAt) Label(id int) (dataset.Annotation, error) {
+	if f.calls++; f.calls == f.at {
+		return nil, context.Canceled
+	}
+	return f.Labeler.Label(id)
+}
+
+// estimateBoth runs one query through every entry of the sampler — Estimate
 // over (score, labeler), and EstimateValues over a table of the records'
 // values computed up front, which touches its labeler only to be charged the
-// draw, the way a served request reads an exact-score column, with the proxy
-// mean folded once beside the vector the way a column keeps it — each on its
-// own newLab(). It fails the test unless the two agree on the Result bit for
-// bit, on failing at all, and on the sequence of records drawn; it returns
-// the one answer.
+// draw, the way a served request reads an exact-score column, peeking at no
+// record's value and at half of them, with the proxy mean folded once beside
+// the vector the way a column keeps it — each on its own newLab(). It fails
+// the test unless they agree on the Result bit for bit, on failing at all,
+// and on the sequence of records drawn; it returns the one answer.
 func estimateBoth(t *testing.T, ds *dataset.Dataset, opts Options, proxy []float64, score ScoreFunc, newLab func() labeler.Labeler) (Result, error) {
 	t.Helper()
 	viaAnn := &drawLog{Labeler: newLab()}
@@ -143,21 +194,18 @@ func estimateBoth(t *testing.T, ds *dataset.Dataset, opts Options, proxy []float
 	if proxy != nil {
 		proxyMean = stats.Mean(proxy)
 	}
-	viaValues := &drawLog{Labeler: newLab()}
-	got, gotErr := EstimateValues(opts, ds.Len(), proxy, proxyMean, func(id int) (float64, error) {
-		if _, err := viaValues.Label(id); err != nil {
-			return 0, err
+	for _, known := range []func(int) bool{knowsNone, knowsHalf} {
+		viaValues := &drawLog{Labeler: newLab()}
+		got, gotErr := EstimateValues(opts, ds.Len(), proxy, proxyMean, tabled{table, known, viaValues})
+		if (wantErr == nil) != (gotErr == nil) || errors.Is(wantErr, labeler.ErrBudgetExhausted) != errors.Is(gotErr, labeler.ErrBudgetExhausted) {
+			t.Fatalf("value source failed with %v, annotation entry with %v", gotErr, wantErr)
 		}
-		return table[id], nil
-	})
-	if (wantErr == nil) != (gotErr == nil) || errors.Is(wantErr, labeler.ErrBudgetExhausted) != errors.Is(gotErr, labeler.ErrBudgetExhausted) {
-		t.Fatalf("value source failed with %v, annotation entry with %v", gotErr, wantErr)
-	}
-	if !sameBits(got, want) {
-		t.Fatalf("value source and annotation entry disagree:\n got %+v\nwant %+v", got, want)
-	}
-	if !reflect.DeepEqual(viaValues.ids, viaAnn.ids) {
-		t.Fatalf("value source drew %d records, annotation entry %d, or in another order", len(viaValues.ids), len(viaAnn.ids))
+		if !sameBits(got, want) {
+			t.Fatalf("value source and annotation entry disagree:\n got %+v\nwant %+v", got, want)
+		}
+		if !reflect.DeepEqual(viaValues.ids, viaAnn.ids) {
+			t.Fatalf("value source drew %d records, annotation entry %d, or in another order", len(viaValues.ids), len(viaAnn.ids))
+		}
 	}
 	return want, wantErr
 }
@@ -185,12 +233,14 @@ func referenceProxies(truth []float64) map[string][]float64 {
 	}
 }
 
-// TestEstimateMatchesReference requires the sampler's Result, through either
+// TestEstimateMatchesReference requires the sampler's Result, through every
 // entry, to equal the every-draw reference bit for bit — same stopping draw,
 // same estimate, same half-width, same coefficient — across seeds, error
-// targets, proxies, a MaxSamples cap that binds, and a labeler whose budget
-// runs out during the warm-up and during the adaptive loop (the degraded
-// paths).
+// targets, proxies, a MaxSamples cap that binds, a labeler whose budget runs
+// out during the warm-up and during the adaptive loop (the degraded paths),
+// and one that fails a draw the way a canceled request does. The capped stop,
+// the exhausting draw and the failing draw each also fall on either side of a
+// block boundary and on one.
 func TestEstimateMatchesReference(t *testing.T) {
 	ds, _, truth := testEnv(t, 3000)
 	// Scores with a large common offset exercise the conditioning of the
@@ -200,14 +250,22 @@ func TestEstimateMatchesReference(t *testing.T) {
 		name       string
 		maxSamples int
 		budget     int64 // 0 = unlimited
+		failAt     int64 // 0 = never
 	}
 	variants := []variant{
-		{"plain", 0, 0},
-		{"capped", 400, 0},
-		{"exhaust-warmup", 0, 37},
-		{"exhaust-loop", 0, 180},
+		{"plain", 0, 0, 0},
+		{"capped", 400, 0, 0},
+		{"exhaust-warmup", 0, 37, 0},
+		{"exhaust-loop", 0, 180, 0},
+		{"canceled", 0, 0, 150},
 	}
-	cases, degraded := 0, map[string]int{}
+	for _, k := range []int{xrand.Block - 1, xrand.Block, xrand.Block + 1, 2 * xrand.Block} {
+		variants = append(variants,
+			variant{fmt.Sprintf("capped at draw %d", k), k, 0, 0},
+			variant{fmt.Sprintf("exhausted at draw %d", k), 0, int64(k - 1), 0},
+			variant{fmt.Sprintf("canceled at draw %d", k), 0, 0, int64(k)})
+	}
+	cases, degraded, canceled := 0, map[string]int{}, 0
 	for name, proxy := range referenceProxies(truth) {
 		for _, errTarget := range []float64{0.2, 0.08, 0.04} {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -218,6 +276,9 @@ func TestEstimateMatchesReference(t *testing.T) {
 							var lab labeler.Labeler = labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
 							if v.budget > 0 {
 								lab = labeler.NewBudgeted(lab, v.budget)
+							}
+							if v.failAt > 0 {
+								lab = &failAt{Labeler: lab, at: v.failAt}
 							}
 							return lab
 						}
@@ -232,13 +293,16 @@ func TestEstimateMatchesReference(t *testing.T) {
 						if got.Degraded {
 							degraded[v.name]++
 						}
+						if errors.Is(gotErr, context.Canceled) {
+							canceled++
+						}
 						cases++
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d cases equal to the reference, degraded: %v", cases, degraded)
+	t.Logf("%d cases equal to the reference, degraded: %v, canceled: %d", cases, degraded, canceled)
 	if degraded["exhaust-warmup"] == 0 || degraded["exhaust-loop"] == 0 || degraded["plain"] != 0 {
 		t.Errorf("degraded runs per variant = %v: the matrix does not cover both exhaustion paths", degraded)
 	}
@@ -309,7 +373,7 @@ func TestScreenIsALowerBound(t *testing.T) {
 		}
 		proxyMean := stats.Mean(proxy)
 		r := xrand.New(5)
-		scr := stopScreen{target: math.Inf(-1), delta: 0.05, proxyMean: proxyMean}
+		scr := newStopScreen(math.Inf(-1), 0.05, proxyMean)
 		var fs, ps []float64
 		loosest := 1.0
 		for s := 1; s <= 1500; s++ {
@@ -328,10 +392,11 @@ func TestScreenIsALowerBound(t *testing.T) {
 				w.Add(f - c*(ps[i]-proxyMean))
 			}
 			exact := stats.EmpiricalBernsteinRadius(w.StdDev(), w.Range(), w.N(), 0.05)
-			bound, trusted := scr.bound()
+			sd2, rng, _, trusted := scr.terms()
 			if !trusted {
 				continue
 			}
+			bound := math.Sqrt(sd2) + rng
 			if bound > exact*(1+screenMargin/1000) {
 				t.Fatalf("%s s=%d: screen bound %v above the exact half-width %v", name, s, bound, exact)
 			}

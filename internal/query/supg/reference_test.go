@@ -1,6 +1,7 @@
 package supg
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -111,25 +112,65 @@ func (d *drawLog) Label(id int) (dataset.Annotation, error) {
 }
 
 // tabled is the match source of a caller that knows every record's answer
-// without its annotation — the way a served request reads an exact-score
-// column — and touches lab only to be charged the draw.
-func tabled(truth []bool, lab labeler.Labeler) MatchSource {
-	return func(id int) (bool, error) {
-		if _, err := lab.Label(id); err != nil {
-			return false, err
-		}
-		return truth[id], nil
+// without its annotation, and reports the answers of the records known
+// accepts ahead of their draws — the way a served request peeks at an
+// exact-score column. Every draw, known or not, is charged to lab, which is
+// the only effect a draw has; a peeked draw answers with what Peek found.
+type tabled struct {
+	truth []bool
+	known func(id int) bool
+	lab   labeler.Labeler
+}
+
+func (s tabled) Peek(ids []int, match, known []bool) {
+	for i, id := range ids {
+		known[i] = s.known(id)
+		// An unknown draw gets the wrong answer, which a sampler that used
+		// it would carry into its sample.
+		match[i] = s.truth[id] == known[i]
 	}
 }
 
-// entries are the two ways into every sampler body: the annotation adapter
-// and a match source that never looks at an annotation.
+func (s tabled) Match(id int, match, known bool) (bool, error) {
+	if _, err := s.lab.Label(id); err != nil {
+		return false, err
+	}
+	if known {
+		return match, nil
+	}
+	return s.truth[id], nil
+}
+
+// knowsNone, knowsHalf and knowsAll say which records a tabled source peeks.
+func knowsNone(int) bool    { return false }
+func knowsHalf(id int) bool { return id%2 == 0 }
+func knowsAll(int) bool     { return true }
+
+// entries are the ways into every sampler body: the annotation adapter and
+// match sources that never look at an annotation, peeking at no record, at
+// half of them and at every one.
 var entries = []struct {
 	name   string
 	source func(pred Predicate, truth []bool, lab labeler.Labeler) MatchSource
 }{
 	{"annotations", func(pred Predicate, _ []bool, lab labeler.Labeler) MatchSource { return labeled(pred, lab) }},
-	{"values", func(_ Predicate, truth []bool, lab labeler.Labeler) MatchSource { return tabled(truth, lab) }},
+	{"values", func(_ Predicate, truth []bool, lab labeler.Labeler) MatchSource { return tabled{truth, knowsNone, lab} }},
+	{"half known", func(_ Predicate, truth []bool, lab labeler.Labeler) MatchSource { return tabled{truth, knowsHalf, lab} }},
+	{"all known", func(_ Predicate, truth []bool, lab labeler.Labeler) MatchSource { return tabled{truth, knowsAll, lab} }},
+}
+
+// failAt is a labeler whose call number at fails with context.Canceled, the
+// way a request canceled mid-query fails its next draw.
+type failAt struct {
+	labeler.Labeler
+	at, calls int64
+}
+
+func (f *failAt) Label(id int) (dataset.Annotation, error) {
+	if f.calls++; f.calls == f.at {
+		return nil, context.Canceled
+	}
+	return f.Labeler.Label(id)
 }
 
 // matches runs the query over a match source and lists the returned set.
@@ -158,7 +199,7 @@ func selectBoth(t *testing.T, d *Design, opts Options, pred Predicate, truth []b
 	viaAnn := &drawLog{Labeler: newLab()}
 	want, wantErr := matches(d, opts, labeled(pred, viaAnn))
 	viaValues := &drawLog{Labeler: newLab()}
-	got, gotErr := matches(d, opts, tabled(truth, viaValues))
+	got, gotErr := matches(d, opts, tabled{truth, knowsHalf, viaValues})
 	if (wantErr == nil) != (gotErr == nil) || errors.Is(wantErr, labeler.ErrBudgetExhausted) != errors.Is(gotErr, labeler.ErrBudgetExhausted) {
 		t.Fatalf("match source failed with %v, annotation entry with %v", gotErr, wantErr)
 	}
@@ -171,11 +212,13 @@ func selectBoth(t *testing.T, d *Design, opts Options, pred Predicate, truth []b
 	return want, wantErr
 }
 
-// TestDrawSampleMatchesReference requires the CDF-search draw, through either
+// TestDrawSampleMatchesReference requires the CDF-search draw, through every
 // entry, to produce the same record IDs, labels and importance weights as the
 // per-draw linear scan, and to ask its labeler for the same records — with
 // zero and negative proxy scores in the corpus, a budget larger than the
-// corpus, and a label budget that runs out mid-draw.
+// corpus, a label budget that runs out mid-draw, and a cancellation that fails
+// a draw; the sample's end, the exhausting draw and the failing draw each also
+// fall on either side of a block boundary and on one.
 func TestDrawSampleMatchesReference(t *testing.T) {
 	ds, _, pred, truth := selectionEnv(t, 2500)
 	good := goodProxy(truth, 0.15, 2)
@@ -195,11 +238,19 @@ func TestDrawSampleMatchesReference(t *testing.T) {
 		name        string
 		budget      int
 		labelBudget int64 // 0 = unlimited
+		failAt      int64 // 0 = never
 	}
 	variants := []variant{
-		{"plain", 300, 0},
-		{"budget>n", 4000, 0},
-		{"exhausted", 300, 120},
+		{"plain", 300, 0, 0},
+		{"budget>n", 4000, 0, 0},
+		{"exhausted", 300, 120, 0},
+		{"canceled", 300, 0, 150},
+	}
+	for _, k := range []int{xrand.Block - 1, xrand.Block, xrand.Block + 1, 2 * xrand.Block} {
+		variants = append(variants,
+			variant{fmt.Sprintf("ends at draw %d", k), k, 0, 0},
+			variant{fmt.Sprintf("exhausted at draw %d", k), 300, int64(k - 1), 0},
+			variant{fmt.Sprintf("canceled at draw %d", k), 300, 0, int64(k)})
 	}
 	for name, proxy := range proxies {
 		for _, v := range variants {
@@ -209,19 +260,28 @@ func TestDrawSampleMatchesReference(t *testing.T) {
 					if v.labelBudget > 0 {
 						lab = labeler.NewBudgeted(lab, v.labelBudget)
 					}
+					if v.failAt > 0 {
+						lab = &failAt{Labeler: lab, at: v.failAt}
+					}
 					return lab
 				}
 				opts := Options{Budget: v.budget, Target: 0.9, Delta: 0.05, Seed: seed}
 				refLab := &drawLog{Labeler: newLab()}
-				want, err := referenceDrawSample(opts, ds.Len(), proxy, pred, refLab)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want, refErr := referenceDrawSample(opts, ds.Len(), proxy, pred, refLab)
 				for _, e := range entries {
 					lab := &drawLog{Labeler: newLab()}
 					got, err := NewDesign(proxy).drawSample(opts, e.source(pred, truth, lab))
-					if err != nil {
-						t.Fatal(err)
+					if v.failAt > 0 {
+						if !errors.Is(refErr, context.Canceled) || !errors.Is(err, context.Canceled) {
+							t.Fatalf("%s %s seed=%d %s: failed with %v, reference with %v", name, v.name, seed, e.name, err, refErr)
+						}
+						if !reflect.DeepEqual(lab.ids, refLab.ids) || int64(len(lab.ids)) != v.failAt {
+							t.Fatalf("%s %s seed=%d %s: %d labeler calls, reference %d, or for other records", name, v.name, seed, e.name, len(lab.ids), len(refLab.ids))
+						}
+						continue
+					}
+					if refErr != nil || err != nil {
+						t.Fatalf("%s %s seed=%d %s: failed with %v, reference with %v", name, v.name, seed, e.name, err, refErr)
 					}
 					if !reflect.DeepEqual(got.ids, want.ids) || !reflect.DeepEqual(got.labels, want.labels) ||
 						!reflect.DeepEqual(got.weights, want.weights) || got.degraded != want.degraded {
@@ -394,7 +454,7 @@ func TestSelectionMatchesReferenceAssemble(t *testing.T) {
 	for i, p := range good {
 		tied[i] = math.Round(p*4) / 4
 	}
-	none := func(int) (bool, error) { return false, nil }
+	none := MatchFunc(func(int) (bool, error) { return false, nil })
 	type tcase struct {
 		name   string
 		proxy  []float64
@@ -405,13 +465,13 @@ func TestSelectionMatchesReferenceAssemble(t *testing.T) {
 	truthSource := func(labelBudget int64) func() MatchSource {
 		return func() MatchSource {
 			var calls int64
-			return func(id int) (bool, error) {
+			return MatchFunc(func(id int) (bool, error) {
 				if labelBudget > 0 && calls == labelBudget {
 					return false, labeler.ErrBudgetExhausted
 				}
 				calls++
 				return truth[id], nil
-			}
+			})
 		}
 	}
 	cases := []tcase{
@@ -440,10 +500,10 @@ func TestSelectionMatchesReferenceAssemble(t *testing.T) {
 			// draws that disagree.
 			func() MatchSource {
 				draws := map[int]int{}
-				return func(id int) (bool, error) {
+				return MatchFunc(func(id int) (bool, error) {
 					draws[id]++
 					return draws[id] == 1, nil
-				}
+				})
 			},
 			func(_ Selection, s *sample) string {
 				seen := map[int]map[bool]bool{}

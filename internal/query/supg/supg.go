@@ -25,22 +25,43 @@ import (
 // Predicate reports whether a target-labeler output matches the selection.
 type Predicate func(ann dataset.Annotation) bool
 
-// MatchSource reports whether one record matches the selection — the
-// predicate over its target-labeler output — or the error that kept the label
-// from being obtained. A query calls it once per draw, in draw order, and
-// spends one labeler invocation per successful call.
-type MatchSource func(id int) (bool, error)
+// MatchSource answers a query's draws: whether each drawn record matches the
+// selection — the predicate over its target-labeler output — or the error
+// that kept the label from being obtained.
+type MatchSource interface {
+	// Peek reads ahead of the draws: for each i it sets known[i] to whether
+	// record ids[i]'s match can be had without a label and, when it can,
+	// match[i] to it. It must have no other effect — a query peeks at a
+	// block of draws before consuming them, and an error throws the rest of
+	// the block away.
+	Peek(ids []int, match, known []bool)
+	// Match consumes the next draw, record id, once per draw and in draw
+	// order, spending one labeler invocation when it succeeds. match and
+	// known are what Peek found for the draw; a match another draw learnt
+	// since is the source's to find.
+	Match(id int, match, known bool) (bool, error)
+}
+
+// MatchFunc is a MatchSource that knows nothing ahead: every draw is one call
+// of the function.
+type MatchFunc func(id int) (bool, error)
+
+// Peek knows no match.
+func (f MatchFunc) Peek(_ []int, _, known []bool) { clear(known) }
+
+// Match calls f.
+func (f MatchFunc) Match(id int, _, _ bool) (bool, error) { return f(id) }
 
 // labeled is the MatchSource of "label the record, then test it": what the
 // annotation-taking entry points run their queries over.
 func labeled(pred Predicate, lab labeler.Labeler) MatchSource {
-	return func(id int) (bool, error) {
+	return MatchFunc(func(id int) (bool, error) {
 		ann, err := lab.Label(id)
 		if err != nil {
 			return false, err
 		}
 		return pred(ann), nil
-	}
+	})
 }
 
 // Options configures a SUPG query.
@@ -53,9 +74,10 @@ type Options struct {
 	Delta float64
 	// Seed makes sampling deterministic.
 	Seed int64
-	// Telemetry, when non-nil, counts query runs and per-sample labeler
-	// spend (tasti_query_runs_total / tasti_query_label_calls_total with
-	// type="select"). Record-only: the sampling design is unaffected.
+	// Telemetry, when non-nil, counts query runs and their labeler spend
+	// (tasti_query_runs_total / tasti_query_label_calls_total with
+	// type="select"; the spend is added once, when the run ends).
+	// Record-only: the sampling design is unaffected.
 	Telemetry *telemetry.Registry
 	// Parallelism is unused: the returned set is counted by binary search and
 	// listed in a serial pass, which measured faster than any worker grid at
@@ -272,6 +294,17 @@ type sample struct {
 	qs        []float64   // draw probabilities, until the weights are final
 	positives []posSample // RecallTarget's threshold candidates
 	keys      []uint64    // selection's draws keyed by record, then draw
+	ahead     drawBlock
+}
+
+// drawBlock is the next block of draws, taken ahead of consuming them: their
+// record IDs, their draw probabilities and what the match source's Peek found
+// for them.
+type drawBlock struct {
+	ids   [xrand.Block]int
+	qs    [xrand.Block]float64
+	match [xrand.Block]bool
+	known [xrand.Block]bool
 }
 
 // posSample is one sampled positive: its proxy score and importance weight.
@@ -299,6 +332,12 @@ func sized[T any](v []T, n int) []T {
 // actually made, so the downstream guarantee machinery runs unchanged, just
 // with wider error bars. The caller releases the sample when its Result is
 // built.
+//
+// The draws come a block at a time (xrand.CDF.DrawBlock, the generator's
+// order), their probabilities and peeked matches gathered in passes of
+// independent reads; they are consumed one at a time in that order, so every
+// Match call, error and truncation falls on the draw it falls on when each
+// record is drawn as it is consumed.
 func (d *Design) drawSample(opts Options, match MatchSource) (*sample, error) {
 	r := xrand.New(opts.Seed)
 	budget := opts.Budget
@@ -312,21 +351,34 @@ func (d *Design) drawSample(opts Options, match MatchSource) (*sample, error) {
 	s.positives = sized(s.positives, budget)
 	opts.Telemetry.Counter(`tasti_query_runs_total{type="select"}`).Inc()
 	mCalls := opts.Telemetry.Counter(`tasti_query_label_calls_total{type="select"}`)
+	var calls int64
+	// Booked once, on whatever path the run ends: one shared atomic add per
+	// query instead of one per draw.
+	defer func() { mCalls.Add(calls) }()
+	b := &s.ahead
+draws:
 	for len(s.ids) < budget {
-		id := d.Draw(r)
-		positive, err := match(id)
-		if err != nil {
-			if errors.Is(err, labeler.ErrBudgetExhausted) && len(s.ids) > 0 {
-				s.degraded = true
-				break
-			}
-			s.release()
-			return nil, fmt.Errorf("supg: labeling record %d: %w", id, err)
+		k := min(budget-len(s.ids), len(b.ids))
+		d.cdf.DrawBlock(r, b.ids[:k])
+		for i, id := range b.ids[:k] {
+			b.qs[i] = d.Prob(id)
 		}
-		mCalls.Inc()
-		s.ids = append(s.ids, id)
-		s.labels = append(s.labels, positive)
-		s.qs = append(s.qs, d.Prob(id))
+		match.Peek(b.ids[:k], b.match[:k], b.known[:k])
+		for i, id := range b.ids[:k] {
+			positive, err := match.Match(id, b.match[i], b.known[i])
+			if err != nil {
+				if errors.Is(err, labeler.ErrBudgetExhausted) && len(s.ids) > 0 {
+					s.degraded = true
+					break draws
+				}
+				s.release()
+				return nil, fmt.Errorf("supg: labeling record %d: %w", id, err)
+			}
+			calls++
+			s.ids = append(s.ids, id)
+			s.labels = append(s.labels, positive)
+			s.qs = append(s.qs, b.qs[i])
+		}
 	}
 	// Importance weights 1/(B*q_i), with B the draws actually made: equal to
 	// the configured budget on the undegraded path (bitwise identical to

@@ -62,7 +62,9 @@ func (v *Version) Clone() *Index {
 // reranks bound survivors against the unchanged float rows.
 //
 // A write like any other, except that no result moves: the version it
-// publishes keeps its predecessor's generation and proxy columns.
+// publishes keeps its predecessor's generation and proxy columns. When no
+// shard's plane has widened its decode-error bound since it was coded, the
+// refit would buy no pruning, and Requantize publishes nothing.
 func (x *Index) Requantize() { x.CrackAndRequantize(nil, nil) }
 
 // CrackAndRequantize is CrackInOrder followed by Requantize, published as
@@ -71,10 +73,16 @@ func (x *Index) Requantize() { x.CrackAndRequantize(nil, nil) }
 func (x *Index) CrackAndRequantize(ids []int, anns map[int]dataset.Annotation) (added int) {
 	_ = x.write(func(cur *Version) (*Version, error) {
 		next, n := cur.cracked(ids, anns)
+		added = n
 		if next == nil {
 			next = cur
 		}
-		added = n
+		if !slices.ContainsFunc(next.shards, func(sh *Shard) bool { return sh.Quant.Widened() }) {
+			if next == cur {
+				return nil, nil
+			}
+			return next, nil
+		}
 		mats := make([]vecmath.Matrix, len(next.shards))
 		for s, sh := range next.shards {
 			mats[s] = sh.Embeddings

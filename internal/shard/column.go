@@ -139,6 +139,21 @@ func (c *Column) Value(id int) (v float64, known bool) {
 	return math.Float64frombits(stored ^ unknownValue), stored != 0
 }
 
+// peek is Value over a block of records: vals[i] and known[i] are what
+// Value(ids[i]) returns, read in one pass so the block's cache misses overlap.
+func (c *Column) peek(ids []int, vals []float64, known []bool) {
+	cells := c.exact.Load()
+	if cells == nil {
+		clear(known)
+		return
+	}
+	exact := *cells
+	for i, id := range ids {
+		stored := exact[id].Load()
+		vals[i], known[i] = math.Float64frombits(stored^unknownValue), stored != 0
+	}
+}
+
 // setValue records v as the exact score of record id. The caller must have
 // obtained the record's label through the label store and scored it with this
 // column's Scorer: a known value is then worth exactly a store hit, and every

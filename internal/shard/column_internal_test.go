@@ -128,7 +128,7 @@ func TestWeightedColumnCharge(t *testing.T) {
 	}
 	before := live()
 	sel, err := col.Design().RecallTargetSelection(supg.Options{Budget: 100, Target: 0.9, Delta: 0.05, Seed: 1},
-		func(id int) (bool, error) { return scores[id] > 0.9, nil })
+		supg.MatchFunc(func(id int) (bool, error) { return scores[id] > 0.9, nil }))
 	if err != nil || sel.Len() == 0 {
 		t.Fatalf("select over the column: %d records (%v)", sel.Len(), err)
 	}

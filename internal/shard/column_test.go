@@ -420,10 +420,10 @@ func TestColumnsAreReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	selOpts := supg.Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 5, Parallelism: 2}
-	labeled := func(id int) (bool, error) {
+	labeled := supg.MatchFunc(func(id int) (bool, error) {
 		ann, err := lab.Label(id)
 		return err == nil && pred(ann), err
-	}
+	})
 	if _, err := sel.Design().RecallTargetSelection(selOpts, labeled); err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestServedHitCostFollowsSample(t *testing.T) {
 				t.Fatalf("n=%d: select column hit=%v err=%v", n, hit, err)
 			}
 			sel, err := col.Design().RecallTargetSelection(supg.Options{Budget: 200, Target: 0.9, Delta: 0.05, Seed: 3},
-				func(id int) (bool, error) { return truth[id], nil })
+				supg.MatchFunc(func(id int) (bool, error) { return truth[id], nil }))
 			if err != nil || sel.Len() == 0 || len(sel.IDs(20)) != 20 {
 				t.Fatalf("n=%d: select returned %d records (%v)", n, sel.Len(), err)
 			}

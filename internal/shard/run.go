@@ -12,6 +12,7 @@ import (
 	"repro/internal/query/limitq"
 	"repro/internal/query/supg"
 	"repro/internal/telemetry"
+	"repro/internal/xrand"
 )
 
 // Query is one query for Version.Run: exactly one of its fields is set.
@@ -122,7 +123,7 @@ func (v *Version) Run(ctx context.Context, q Query, labels *store.Bound, sp *tel
 		esp := sp.Child("estimate")
 		ans.Aggregate, err = aggregation.EstimateValues(aggregation.Options{
 			ErrTarget: a.ErrTarget, Delta: 0.05, MinSamples: 100, Seed: a.Seed, Telemetry: v.w.tel,
-		}, len(col.Scores), col.Scores, col.Mean, r.values(col, a.Score.Score))
+		}, len(col.Scores), col.Scores, col.Mean, values{r: r, col: col, score: a.Score.Score})
 		esp.SetAttr("label_calls", ans.Aggregate.LabelerCalls)
 		esp.End()
 	case q.Select != nil:
@@ -133,7 +134,7 @@ func (v *Version) Run(ctx context.Context, q Query, labels *store.Bound, sp *tel
 		ssp := sp.Child("sample")
 		ans.Selection, err = col.Design().RecallTargetSelection(supg.Options{
 			Budget: s.Budget, Target: s.Recall, Delta: 0.05, Seed: s.Seed, Telemetry: v.w.tel,
-		}, r.matches(col, s.Match.Score))
+		}, matches{values{r: r, col: col, score: s.Match.Score}})
 		if err == nil {
 			ans.Returned = ans.Selection.Len()
 		}
@@ -210,35 +211,69 @@ func (r *request) Label(id int) (dataset.Annotation, error) {
 func (r *request) Name() string            { return r.labels.Name() }
 func (r *request) Cost() labeler.CostModel { return r.labels.Cost() }
 
-// values is the request's value source for score, the scoring function of
-// col.
-func (r *request) values(col *Column, score core.ScoreFunc) aggregation.ValueSource {
-	return func(id int) (float64, error) {
-		if v, ok := col.Value(id); ok {
-			select {
-			case <-r.done:
-				return 0, r.ctx.Err()
-			default:
-			}
-			r.hits++
-			return v, nil
+// values is request r's value source for score, the scoring function of col:
+// it answers a draw from col's exact scores where it knows them, and otherwise
+// labels the record through r and memoizes its score.
+type values struct {
+	r     *request
+	col   *Column
+	score core.ScoreFunc
+}
+
+// Peek reads the block's known scores from the column in one pass.
+func (s values) Peek(ids []int, vals []float64, known []bool) { s.col.peek(ids, vals, known) }
+
+// Value consumes one draw. A draw Peek found known is the store hit it stands
+// for: the context is checked, the hit booked, nothing else read. Any other
+// draw looks at the column again first — an earlier draw of the same block,
+// or another request, may have learnt the score since the peek — and only
+// then labels.
+func (s values) Value(id int, v float64, known bool) (float64, error) {
+	if !known {
+		v, known = s.col.Value(id)
+	}
+	if known {
+		select {
+		case <-s.r.done:
+			return 0, s.r.ctx.Err()
+		default:
 		}
-		ann, err := r.Label(id)
-		if err != nil {
-			return 0, err
-		}
-		v := score(ann)
-		col.setValue(id, v)
+		s.r.hits++
 		return v, nil
+	}
+	ann, err := s.r.Label(id)
+	if err != nil {
+		return 0, err
+	}
+	v = s.score(ann)
+	s.col.setValue(id, v)
+	return v, nil
+}
+
+// matches is values for a predicate's 0/1 scoring function (core.MatchScore),
+// read as supg's match source: a record matches when its score is not 0.
+type matches struct{ values }
+
+// Peek reads the block's known matches, a chunk of scores at a time.
+func (m matches) Peek(ids []int, match, known []bool) {
+	var vals [xrand.Block]float64
+	for len(ids) > 0 {
+		k := min(len(ids), len(vals))
+		m.col.peek(ids[:k], vals[:k], known[:k])
+		for i, v := range vals[:k] {
+			match[i] = v != 0
+		}
+		ids, match, known = ids[k:], match[k:], known[k:]
 	}
 }
 
-// matches is values for a predicate's 0/1 scoring function (core.MatchScore):
-// a record matches when its score is not 0.
-func (r *request) matches(col *Column, score core.ScoreFunc) supg.MatchSource {
-	value := r.values(col, score)
-	return func(id int) (bool, error) {
-		v, err := value(id)
-		return v != 0, err
+// Match consumes one draw, as Value; a peeked match stands for a score of 1
+// or 0, which is all Value reads of it.
+func (m matches) Match(id int, match, known bool) (bool, error) {
+	v := 0.0
+	if match {
+		v = 1
 	}
+	v, err := m.Value(id, v, known)
+	return v != 0, err
 }

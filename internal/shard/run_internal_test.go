@@ -11,16 +11,18 @@ import (
 	"repro/internal/labeler/store"
 	"repro/internal/query/aggregation"
 	"repro/internal/telemetry"
+	"repro/internal/xrand"
 )
 
 // TestCanceledQueryStopsDrawingValues: a query whose every draw is answered
 // from the column's exact scores never reaches a labeler, a store or anything
 // else that looks at its context — so the value source checks it on each such
 // draw, and a canceled query stops at its next one instead of sampling on to
-// its error target. (The store-level twin is TestCanceledQueryStopsDrawingHits
-// in internal/labeler/store.)
+// its error target. The draws are peeked a block ahead, so the cancellation
+// also falls on the last draw of a block and of the block after it. (The
+// store-level twin is TestCanceledQueryStopsDrawingHits in
+// internal/labeler/store.)
 func TestCanceledQueryStopsDrawingValues(t *testing.T) {
-	const cancelAt = 150
 	ds, err := dataset.Generate("taipei", 800, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -46,33 +48,45 @@ func TestCanceledQueryStopsDrawingValues(t *testing.T) {
 		labels.Put(id, ds.Truth[id])
 		col.setValue(id, score.Score(ds.Truth[id]))
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	r := &request{ctx: ctx, done: ctx.Done(), labels: labels.Bind(oracle, nil, "", v.AnnotationOf)}
-	source, drawn := r.values(col, score.Score), 0
-	// An error target this tight needs every record; the sampler is nowhere
-	// near done at draw 150.
-	_, err = aggregation.EstimateValues(aggregation.Options{ErrTarget: 1e-9, Delta: 0.05, MinSamples: 100, Seed: 5},
-		v.NumRecords(), col.Scores, col.Mean, func(id int) (float64, error) {
-			v, err := source(id)
-			if drawn++; drawn == cancelAt {
-				cancel()
-			}
-			return v, err
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("estimate over a canceled context returned %v, want context.Canceled", err)
-	}
-	// The context was canceled as draw cancelAt returned; the very next draw
-	// is refused, and the draws answered are booked as the store hits they
-	// stand for.
-	if drawn != cancelAt+1 {
-		t.Fatalf("%d draws, want the sampler stopped at draw %d", drawn, cancelAt+1)
-	}
-	if r.hits != cancelAt || r.misses != 0 {
-		t.Errorf("%d hits and %d misses booked for %d draws answered from exact scores", r.hits, r.misses, cancelAt)
+	for _, cancelAt := range []int{150, xrand.Block, 2 * xrand.Block} {
+		ctx, cancel := context.WithCancel(context.Background())
+		r := &request{ctx: ctx, done: ctx.Done(), labels: labels.Bind(oracle, nil, "", v.AnnotationOf)}
+		source := &cancelAfter{values: values{r: r, col: col, score: score.Score}, at: cancelAt, cancel: cancel}
+		// An error target this tight needs every record; the sampler is
+		// nowhere near done at any cancelAt.
+		_, err = aggregation.EstimateValues(aggregation.Options{ErrTarget: 1e-9, Delta: 0.05, MinSamples: 100, Seed: 5},
+			v.NumRecords(), col.Scores, col.Mean, source)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelAt=%d: estimate over a canceled context returned %v, want context.Canceled", cancelAt, err)
+		}
+		// The context was canceled as draw cancelAt returned; the very next
+		// draw is refused, and the draws answered are booked as the store
+		// hits they stand for.
+		if source.drawn != cancelAt+1 {
+			t.Fatalf("cancelAt=%d: %d draws, want the sampler stopped at draw %d", cancelAt, source.drawn, cancelAt+1)
+		}
+		if r.hits != int64(cancelAt) || r.misses != 0 {
+			t.Errorf("cancelAt=%d: %d hits and %d misses booked for %d draws answered from exact scores", cancelAt, r.hits, r.misses, cancelAt)
+		}
 	}
 	if misses := reg.Counter("tasti_labelstore_misses_total").Value(); misses != 0 {
 		t.Errorf("%d labels bought by a query whose every draw was a known value", misses)
 	}
+}
+
+// cancelAfter is a request's value source that counts the draws it consumes
+// and cancels the request as draw at returns.
+type cancelAfter struct {
+	values
+	drawn, at int
+	cancel    func()
+}
+
+func (c *cancelAfter) Value(id int, v float64, known bool) (float64, error) {
+	v, err := c.values.Value(id, v, known)
+	if c.drawn++; c.drawn == c.at {
+		c.cancel()
+	}
+	return v, err
 }

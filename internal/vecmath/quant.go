@@ -179,6 +179,10 @@ type QuantMatrix struct {
 	// quantized into the plane. It only ever grows (appends under stale
 	// params widen it), which keeps old bounds valid as the plane evolves.
 	maxErr float64
+	// fitErr is maxErr as QuantizeMatrix left it, over the rows the params
+	// were fitted to; 0 for a plane reassembled from parts, whose fit is not
+	// known.
+	fitErr float64
 }
 
 // QuantizeMatrix codes every row of m under p into a fresh plane.
@@ -200,6 +204,7 @@ func QuantizeMatrix(m Matrix, p QuantParams) (QuantMatrix, error) {
 			q.maxErr = e
 		}
 	}
+	q.fitErr = q.maxErr
 	return q, nil
 }
 
@@ -289,6 +294,12 @@ func (q QuantMatrix) Params() QuantParams { return q.params }
 
 // MaxErr returns the tracked per-coordinate decode-error bound.
 func (q QuantMatrix) MaxErr() float64 { return q.maxErr }
+
+// Widened reports whether a row appended since the plane was coded widened
+// its decode-error bound: the one way a refit of the params could make the
+// plane prune better. A plane reassembled from parts reports true unless its
+// bound is 0, since its fit is not known.
+func (q QuantMatrix) Widened() bool { return q.maxErr > q.fitErr }
 
 // Codes returns the flat code array, len Rows()*Dim(). Live storage, not a
 // copy — snapshot encoding reads it directly.

@@ -9,6 +9,7 @@ package xrand
 import (
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -132,6 +133,33 @@ func SampleWithoutReplacement(r *rand.Rand, n, k int) []int {
 	return idx[:k]
 }
 
+// IntnBlock fills dst with what len(dst) successive r.Intn(n) calls return,
+// consuming the generator exactly as they would. It works out what Intn
+// derives from n alone once, and reduces each accepted draw modulo n by
+// multiplication (Lemire's exact 32-bit fastmod) instead of a division. It
+// panics if n <= 0.
+func IntnBlock(r *rand.Rand, n int, dst []int) {
+	if n <= 0 || n > math.MaxInt32 || n&(n-1) == 0 {
+		for i := range dst {
+			dst[i] = r.Intn(n)
+		}
+		return
+	}
+	// Int31n's rejection limit, and ⌈2⁶⁴/n⌉: for v < 2³², v mod n is the
+	// high word of (m·v mod 2⁶⁴)·n.
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	d := uint64(n)
+	m := ^uint64(0)/d + 1
+	for i := range dst {
+		v := r.Int31()
+		for v > limit {
+			v = r.Int31()
+		}
+		hi, _ := bits.Mul64(m*uint64(v), d)
+		dst[i] = int(hi)
+	}
+}
+
 // Shuffle shuffles ints in place.
 func Shuffle(r *rand.Rand, xs []int) {
 	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
@@ -224,6 +252,22 @@ func (c *CDF) Draw(r *rand.Rand) int {
 	u := r.Float64() * c.Total()
 	j := bucket(u, c.scale, len(c.cum))
 	lo, hi := int(c.guide[j]), int(c.guide[j+1])
+	return c.searchFrom(u, lo, hi, c.cum[min(int(uint(lo+hi)>>1), len(c.cum)-1)])
+}
+
+// searchFrom returns the first index in the guide's range [lo, hi) of u's
+// bucket whose partial sum exceeds u — hi when none does, the last index when
+// that is past the end — given cum at the range's midpoint (clamped to the
+// last index), which the first step of the binary search compares u against.
+func (c *CDF) searchFrom(u float64, lo, hi int, probe float64) int {
+	if lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if u < probe {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		if u < c.cum[m] {
@@ -236,6 +280,45 @@ func (c *CDF) Draw(r *rand.Rand) int {
 		return len(c.cum) - 1 // u rounded up to the total
 	}
 	return lo
+}
+
+// Block is the number of draws the samplers take from their generator ahead
+// of consuming them: enough independent draws that the cache misses of
+// gathering their scores overlap, few enough that the draws a stop throws
+// away cost nothing measurable.
+const Block = 64
+
+// DrawBlock fills dst with len(dst) draws, consuming one r.Float64() per draw
+// in order: dst[i] is what the i-th of len(dst) successive Draw calls would
+// return. It runs Draw's steps a block at a time — the generator, then every
+// draw's guide entries, then every draw's first probe of the partial sums,
+// then the rest of each search — so the reads of one step, which depend on
+// nothing but the step before, overlap across the block instead of each
+// draw's misses waiting behind the last draw's.
+func (c *CDF) DrawBlock(r *rand.Rand, dst []int) {
+	var (
+		us     [Block]float64
+		lo, hi [Block]int32
+		probe  [Block]float64
+	)
+	n, total := len(c.cum), c.Total()
+	for len(dst) > 0 {
+		k := min(len(dst), Block)
+		for i := range k {
+			us[i] = r.Float64() * total
+		}
+		for i, u := range us[:k] {
+			j := bucket(u, c.scale, n)
+			lo[i], hi[i] = c.guide[j], c.guide[j+1]
+		}
+		for i := range k {
+			probe[i] = c.cum[min(int(uint32(lo[i]+hi[i])>>1), n-1)]
+		}
+		for i, u := range us[:k] {
+			dst[i] = c.searchFrom(u, int(lo[i]), int(hi[i]), probe[i])
+		}
+		dst = dst[k:]
+	}
 }
 
 // Categorical draws an index in [0, len(weights)) with probability

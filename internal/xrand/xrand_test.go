@@ -304,8 +304,8 @@ func zeroNaNs(ws []float64) []float64 {
 
 // FuzzCDFMatchesLinearScan decodes the input as float64 weights, bit
 // pattern by bit pattern — zeros, negatives, NaNs, infinities and subnormals
-// included — and requires CDF.Draw to return the linear scan's index on every
-// draw of a seeded stream.
+// included — and requires CDF.Draw, and CDF.DrawBlock over the same stream,
+// to return the linear scan's index on every draw of a seeded stream.
 func FuzzCDFMatchesLinearScan(f *testing.F) {
 	encode := func(ws ...float64) []byte {
 		out := make([]byte, 0, 8*len(ws))
@@ -334,10 +334,19 @@ func FuzzCDFMatchesLinearScan(f *testing.F) {
 			return
 		}
 		cdf, linear := NewCDF(weights), zeroNaNs(weights)
-		want, drawn := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		for d := 0; d < 64; d++ {
-			if g, w := cdf.Draw(drawn), referenceCategorical(want, linear); g != w {
+		want, drawn, blocked := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		// DrawBlock's draws come in a block of one, then one that spans
+		// two of its internal chunks.
+		block := make([]int, 2*Block+2)
+		cdf.DrawBlock(blocked, block[:1])
+		cdf.DrawBlock(blocked, block[1:])
+		for d, b := range block {
+			w := referenceCategorical(want, linear)
+			if g := cdf.Draw(drawn); g != w {
 				t.Fatalf("draw %d: CDF.Draw = %d, linear scan = %d over %v", d, g, w, weights)
+			}
+			if b != w {
+				t.Fatalf("draw %d: CDF.DrawBlock = %d, linear scan = %d over %v", d, b, w, weights)
 			}
 		}
 	})
@@ -426,3 +435,30 @@ func BenchmarkCDFDraw(b *testing.B) {
 }
 
 var sink int
+
+// TestIntnBlockMatchesIntn: IntnBlock returns what successive Intn calls do
+// and leaves the generator where they leave it — for powers of two, the
+// corpus sizes served, the largest Int31n bound, a bound past it, 2³⁰+1 (whose
+// draws Int31n rejects about half the time) and bounds drawn at random.
+func TestIntnBlockMatchesIntn(t *testing.T) {
+	ns := []int{1, 2, 3, 7, 64, 1000, 20000, 20064, 60000, 1 << 20, 999999937, 1<<30 + 1, math.MaxInt32 - 1, math.MaxInt32, math.MaxInt32 + 5}
+	pick := rand.New(rand.NewSource(9))
+	for i := 0; i < 50; i++ {
+		ns = append(ns, 1+pick.Intn(math.MaxInt32))
+	}
+	for _, n := range ns {
+		for _, size := range []int{1, Block, 3*Block + 5} {
+			got, want := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+			block := make([]int, size)
+			IntnBlock(got, n, block)
+			for i, b := range block {
+				if w := want.Intn(n); b != w {
+					t.Fatalf("n=%d draw %d: IntnBlock = %d, Intn = %d", n, i, b, w)
+				}
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("n=%d: the generator is at %d after IntnBlock, %d after Intn", n, g, w)
+			}
+		}
+	}
+}
