@@ -246,8 +246,8 @@ func runBenchSuite(path string) error {
 	}
 
 	// What a cracking limit query adds to its request: one CrackAll of 32
-	// records into the 4-shard, 20k-record index — the per-shard scan for each
-	// new representative plus the copy-on-write that keeps the published
+	// records into the 4-shard, 20k-record index — one scan of the record
+	// range for each new representative plus the copy-on-write that keeps the published
 	// version intact for the requests reading it. Each iteration cracks a
 	// fresh deep copy (cloned off the clock).
 	crackBatch := make(map[int]dataset.Annotation, 32)

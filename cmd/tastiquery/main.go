@@ -77,11 +77,11 @@ func main() {
 	flag.IntVar(&o.reps, "reps", 900, "cluster representatives to annotate")
 	flag.IntVar(&o.budget, "budget", 300, "labeler budget for selection queries")
 	flag.StringVar(&o.save, "save", "", "path to persist the index to")
-	flag.StringVar(&o.load, "load", "", "path to load a previously saved index from (its shard layout wins over -shards)")
+	flag.StringVar(&o.load, "load", "", "path to load a previously saved index from (its saved shard count wins over -shards)")
 	flag.Float64Var(&o.errTgt, "err", 0.05, "aggregation error target")
 	flag.Float64Var(&o.recall, "recall", 0.9, "selection recall target")
 	flag.IntVar(&o.par, "parallelism", 0, "worker count for index construction and propagation (<= 0 uses all CPUs; results are identical at every value)")
-	flag.IntVar(&o.shards, "shards", 1, "scatter-gather shard count for query processing; results are bitwise identical at every value (<= 1 serves one shard)")
+	flag.IntVar(&o.shards, "shards", 1, "scatter-gather width for query processing: shard views of the one record range; results are bitwise identical at every value (<= 1 serves one shard)")
 	flag.IntVar(&o.retries, "retries", 1, "labeler attempts per call, including the first (<= 1 disables retrying)")
 	flag.DurationVar(&o.labelTimeout, "label-timeout", 0, "per-call target-labeler deadline (0 disables)")
 	flag.Float64Var(&o.faultRate, "fault-rate", 0, "inject transient labeler faults at this per-attempt probability")
@@ -143,9 +143,9 @@ func run(o runOptions) error {
 	labels := openLabels(o, ds)
 
 	// Queries always run through the scatter-gather layer; -shards 1 (the
-	// default) is the identity sharding, and every shard count produces
+	// default) serves one shard, and every shard count produces
 	// bitwise-identical answers (see docs/SHARDING.md). A loaded index keeps
-	// the shard layout it was saved at, and must index this very corpus.
+	// the shard count it was saved at, and must index this very corpus.
 	var sharded *tasti.ShardedIndex
 	if o.load != "" {
 		err := tasti.ReadSnapshotFile(o.load, func(r io.Reader) error {

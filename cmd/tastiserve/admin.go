@@ -211,21 +211,20 @@ func (s *server) handleLedger(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.ledger.Snapshot())
 }
 
-// healthSnapshot is one index-health collection: shard balance, proxy-score
+// healthSnapshot is one index-health collection: index shape, proxy-score
 // radius quantiles, drift, and WAL replay debt. Published as gauges by the
 // collector loop and inlined into /admin/status and /readyz.
 type healthSnapshot struct {
-	At         time.Time    `json:"collected_at"`
-	Records    int          `json:"records"`
-	Reps       int          `json:"representatives"`
-	Shards     int          `json:"shards"`
-	RecordSkew float64      `json:"record_skew"`
-	RadiusP50  float64      `json:"radius_p50"`
-	RadiusP90  float64      `json:"radius_p90"`
-	RadiusP99  float64      `json:"radius_p99"`
-	Memory     memoryHealth `json:"memory"`
-	Drift      *driftHealth `json:"drift,omitempty"`
-	WAL        *walHealth   `json:"wal,omitempty"`
+	At        time.Time    `json:"collected_at"`
+	Records   int          `json:"records"`
+	Reps      int          `json:"representatives"`
+	Shards    int          `json:"shards"`
+	RadiusP50 float64      `json:"radius_p50"`
+	RadiusP90 float64      `json:"radius_p90"`
+	RadiusP99 float64      `json:"radius_p99"`
+	Memory    memoryHealth `json:"memory"`
+	Drift     *driftHealth `json:"drift,omitempty"`
+	WAL       *walHealth   `json:"wal,omitempty"`
 }
 
 // memoryHealth reports the resident scan-plane memory: the float64 embedding
@@ -259,21 +258,20 @@ type walHealth struct {
 }
 
 // collectHealth takes one health snapshot: index shape from the published
-// version (skew and radius walk its shard tables, which no writer touches),
+// version (the radius walks its neighbor table, which no writer touches),
 // drift and WAL from their own synchronized state. The snapshot is stored for
 // /readyz and its numbers published as gauges.
 func (s *server) collectHealth() *healthSnapshot {
 	ix := s.index.Pin()
 	qs := ix.RadiusQuantiles([]float64{0.5, 0.9, 0.99})
 	h := &healthSnapshot{
-		At:         time.Now(),
-		Records:    ix.NumRecords(),
-		Reps:       ix.RepCount(),
-		Shards:     ix.NumShards(),
-		RecordSkew: ix.RecordSkew(),
-		RadiusP50:  qs[0],
-		RadiusP90:  qs[1],
-		RadiusP99:  qs[2],
+		At:        time.Now(),
+		Records:   ix.NumRecords(),
+		Reps:      ix.RepCount(),
+		Shards:    ix.NumShards(),
+		RadiusP50: qs[0],
+		RadiusP90: qs[1],
+		RadiusP99: qs[2],
 	}
 	mem := ix.MemoryStats()
 	h.Memory = memoryHealth{FloatBytes: mem.FloatBytes, QuantBytes: mem.QuantBytes}
@@ -304,7 +302,6 @@ func (s *server) collectHealth() *healthSnapshot {
 		}
 	}
 
-	s.reg.Gauge("tasti_shard_record_skew").Set(h.RecordSkew)
 	s.reg.Gauge(`tasti_scan_plane_bytes{plane="float"}`).Set(float64(h.Memory.FloatBytes))
 	s.reg.Gauge(`tasti_scan_plane_bytes{plane="quant"}`).Set(float64(h.Memory.QuantBytes))
 	s.reg.Gauge(`tasti_index_radius{quantile="p50"}`).Set(h.RadiusP50)

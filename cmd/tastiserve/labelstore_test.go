@@ -81,7 +81,7 @@ func assertSameIndex(t *testing.T, want, got *tasti.ShardedIndex) {
 // TestLabelStoreRestartRebuildsForFree: a restart that lost its index
 // snapshot but kept -label-store rebuilds the same index bit for bit without
 // a single labeler call — the training labels are on disk too. The snapshot
-// is lost three times: rewritten under the v4 and the v5 header, which the
+// is lost three times: rewritten under the v5 and the v6 header, which the
 // index loader refuses (the server logs the rebuild), and deleted.
 func TestLabelStoreRestartRebuildsForFree(t *testing.T) {
 	if testing.Short() {
@@ -100,8 +100,8 @@ func TestLabelStoreRestartRebuildsForFree(t *testing.T) {
 		t.Fatalf("the label store holds %d labels, the build bought %d", got, want)
 	}
 
-	for _, lost := range []string{"v4", "v5", "deleted"} {
-		if v := map[string]uint32{"v4": 4, "v5": 5}[lost]; v != 0 {
+	for _, lost := range []string{"v5", "v6", "deleted"} {
+		if v := map[string]uint32{"v5": 5, "v6": 6}[lost]; v != 0 {
 			data, err := os.ReadFile(opts.snapshotPath)
 			if err != nil {
 				t.Fatal(err)

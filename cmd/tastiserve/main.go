@@ -28,12 +28,11 @@
 // and hot-reloaded — with checksum verification and validation, falling back
 // to the serving index on any failure — via POST /admin/reload or SIGHUP.
 //
-// -shards partitions the corpus into N contiguous record-range shards served
-// through a scatter-gather layer: query results are bitwise identical at
-// every shard count, while snapshots gain a per-shard layout and /metrics
-// gains per-shard series. Every shard shares the index's one representative
-// set, so a reload always swaps the whole index. See docs/SHARDING.md for the
-// lifecycle and runbook.
+// -shards sets the width of the scatter-gather layer: shard s is a view of
+// records [s·total/N, (s+1)·total/N) of the one record range, propagated and
+// heaped for limit queries on its own goroutine with its own trace span.
+// Query results are bitwise identical at every shard count, and the
+// snapshot is the same file at every count. See docs/SHARDING.md.
 //
 // -wal-dir turns on streaming ingest: POST /ingest bodies are fsynced into a
 // write-ahead log before the 200 is written, so an acknowledged record
@@ -90,7 +89,7 @@ func main() {
 		reps   = flag.Int("reps", 900, "cluster representatives to annotate")
 		addr   = flag.String("addr", ":8080", "listen address")
 		par    = flag.Int("parallelism", 0, "worker count for index construction, propagation, and cracking (<= 0 uses all CPUs)")
-		shards = flag.Int("shards", 1, "scatter-gather shard count; results are bitwise identical at every value (<= 1 serves one shard)")
+		shards = flag.Int("shards", 1, "scatter-gather width: shard views of the one record range, each propagated and heaped on its own goroutine; results are bitwise identical at every value (<= 1 serves one shard; a loaded -snapshot keeps its own count)")
 
 		queryTimeout  = flag.Duration("query-timeout", 60*time.Second, "per-request budget for /query/ endpoints (0 disables)")
 		labelTimeout  = flag.Duration("label-timeout", 0, "per-call target-labeler deadline (0 disables)")
@@ -115,7 +114,7 @@ func main() {
 
 		traceSample    = flag.Float64("trace-sample", 0.01, "fraction of /query and /ingest requests whose full span tree is retained for GET /admin/traces (0 disables, 1 traces everything; never changes results)")
 		traceRing      = flag.Int("trace-ring", 256, "sampled traces retained before the oldest is overwritten (<= 0 uses 256)")
-		healthInterval = flag.Duration("health-interval", 15*time.Second, "index-health collector period feeding the shard-skew, radius, and WAL-lag gauges (0 disables the loop; GET /admin/status still collects on demand)")
+		healthInterval = flag.Duration("health-interval", 15*time.Second, "index-health collector period feeding the radius and WAL-lag gauges (0 disables the loop; GET /admin/status still collects on demand)")
 
 		logFormat = flag.String("log-format", "text", "structured log format: text or json")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables)")

@@ -482,7 +482,7 @@ func TestStatusHealthAndIngestTrace(t *testing.T) {
 	if h == nil {
 		t.Fatal("status has no health snapshot")
 	}
-	if h.Records != 916 || h.Shards != 1 || h.RecordSkew < 1 {
+	if h.Records != 916 || h.Shards != 1 {
 		t.Errorf("health shape = %+v", h)
 	}
 	if h.RadiusP50 > h.RadiusP90 || h.RadiusP90 > h.RadiusP99 {
@@ -504,8 +504,8 @@ func TestStatusHealthAndIngestTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	ready := decodeBody(t, resp)
-	if _, ok := ready["record_skew"]; !ok {
-		t.Errorf("/readyz missing record_skew: %v", ready)
+	if _, ok := ready["health_age_seconds"]; !ok {
+		t.Errorf("/readyz missing health_age_seconds: %v", ready)
 	}
 	if lag, ok := ready["wal_lag_records"]; !ok || lag.(float64) != 16 {
 		t.Errorf("/readyz wal_lag_records = %v, want 16", ready["wal_lag_records"])
@@ -528,7 +528,7 @@ func TestStatusHealthAndIngestTrace(t *testing.T) {
 	if fam := fams["tasti_wal_lag_records"]; fam == nil || fam.Samples[0].Value != 16 {
 		t.Errorf("tasti_wal_lag_records = %+v", fam)
 	}
-	for _, name := range []string{"tasti_shard_record_skew", "tasti_index_radius", "tasti_traces_retained_total"} {
+	for _, name := range []string{"tasti_index_radius", "tasti_traces_retained_total"} {
 		if fams[name] == nil {
 			t.Errorf("/metrics missing %s", name)
 		}

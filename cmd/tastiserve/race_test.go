@@ -316,7 +316,7 @@ func TestServeQueriesConcurrentWithCracking(t *testing.T) {
 			// and every record that was acked must be there.
 			v := srv.index.Pin()
 			for i := 0; i < v.NumShards(); i++ {
-				if err := v.Shard(i).Validate(); err != nil {
+				if err := v.Shard(i).Table.Validate(); err != nil {
 					t.Errorf("shard %d invariants violated after concurrent serve+write: %v", i, err)
 				}
 			}

@@ -176,7 +176,7 @@ func TestServeReloadCorruptSnapshotKeepsServing(t *testing.T) {
 // labeling budget, and its index matches the snapshot. The file a one-shard
 // server writes is the one index container — the one a refresh rewrites it
 // as, and the one /admin/reload reads — while an index snapshot from before
-// the v6 layout is reported unusable, rebuilt and re-saved.
+// the v7 layout is reported unusable, rebuilt and re-saved.
 func TestServeStartupLoadsSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -199,12 +199,12 @@ func TestServeStartupLoadsSnapshot(t *testing.T) {
 		t.Fatalf("reload of the one-shard snapshot: status %d, body %v", resp.StatusCode, body)
 	}
 
-	old := filepath.Join(t.TempDir(), "v5.snap")
+	old := filepath.Join(t.TempDir(), "v6.snap")
 	data, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(old, atVersion(data, 5), 0o644); err != nil {
+	if err := os.WriteFile(old, atVersion(data, 6), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var logs syncBuffer
@@ -216,10 +216,10 @@ func TestServeStartupLoadsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(logs.String(), "snapshot unusable; building fresh") || !strings.Contains(logs.String(), "unsupported format version") {
-		t.Fatalf("a v5 index snapshot did not log a version rebuild:\n%s", logs.String())
+		t.Fatalf("a v6 index snapshot did not log a version rebuild:\n%s", logs.String())
 	}
 	if got := fromOld.index.RepCount(); got != 200 {
-		t.Fatalf("server rebuilt over a v5 snapshot has %d reps, want 200", got)
+		t.Fatalf("server rebuilt over a v6 snapshot has %d reps, want 200", got)
 	}
 	if err := tasti.ReadSnapshotFile(old, func(r io.Reader) error {
 		_, lerr := tasti.LoadShardedIndex(r)

@@ -30,9 +30,10 @@ type serverOptions struct {
 	reps        int
 	seed        int64
 	parallelism int
-	// shards is the scatter-gather shard count (<= 1 serves one shard).
-	// Results are bitwise identical at every shard count; the knob trades
-	// per-shard build, snapshot, and reload granularity. See docs/SHARDING.md.
+	// shards is the scatter-gather width (<= 1 serves one shard): views of
+	// the one record range, each propagated and heaped on its own goroutine.
+	// Results are bitwise identical at every shard count. See
+	// docs/SHARDING.md.
 	shards int
 
 	// queryTimeout bounds each /query/ request end to end (0 = unbounded).
@@ -111,7 +112,7 @@ type serverOptions struct {
 	// (<= 0: 256).
 	traceRing int
 	// healthInterval is the index-health collector period feeding the
-	// skew/radius/WAL-lag gauges (0 disables the background loop;
+	// radius/WAL-lag gauges (0 disables the background loop;
 	// GET /admin/status still collects on demand).
 	healthInterval time.Duration
 }
@@ -258,9 +259,7 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_snapshot_reload_total", "Index hot-reload attempts, by outcome.")
 	reg.Help("tasti_snapshot_reload_failures_total", "Hot reloads that failed validation and left the previous index serving.")
 	reg.Help("tasti_snapshot_reload_seconds", "Hot-reload latency in seconds: snapshot load, validation, and swap.")
-	reg.Help("tasti_shard_records", "Records owned by each shard, by shard.")
 	reg.Help("tasti_index_reps", "Cluster representatives of the index, which every shard's table shares.")
-	reg.Help("tasti_shard_propagate_total", "Per-shard propagation passes served, by shard.")
 	reg.Help("tasti_wal_frames_total", "WAL frames appended and fsynced.")
 	reg.Help("tasti_wal_bytes_total", "Bytes appended to WAL segments.")
 	reg.Help("tasti_wal_segments_total", "WAL segments created, including rotations.")
@@ -294,7 +293,6 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_wal_lag_records", "Records retained in live WAL segments — the next boot's replay debt; refreshes truncate it.")
 	reg.Help("tasti_wal_lag_segments", "Live WAL segments on disk.")
 	reg.Help("tasti_wal_lag_bytes", "Bytes across live WAL segments on disk.")
-	reg.Help("tasti_shard_record_skew", "Max-over-mean per-shard record count; 1.0 is perfectly balanced, ingest grows it between refreshes.")
 	reg.Help("tasti_index_radius", "Nearest-representative distance quantiles across all records, by quantile; rising radii mean propagated scores extrapolate further.")
 	reg.Help("tasti_labelstore_hits_total", "Label requests answered from the cross-query store or the index — zero oracle spend.")
 	reg.Help("tasti_labelstore_misses_total", "Label requests that led an oracle call (singleflight leaders).")
@@ -432,11 +430,11 @@ func (s *server) buildIndex() error {
 	}
 	// Prefer a durable snapshot over re-spending the whole labeling budget:
 	// when -snapshot names an existing file, load and validate it; any
-	// corruption — or a snapshot from before the v6 layout — is
+	// corruption — or a snapshot from before the v7 layout — is
 	// contained by the typed snapshot errors and the server falls back to
 	// building fresh. A fresh build is saved back to the same path
 	// (atomically), so the next start — and every hot reload — has it: the
-	// one index container (manifest + each shard's frames) at every shard
+	// one index container (manifest + one frame per array) at every shard
 	// count, the one the refresh path writes too.
 	// With ingest enabled a snapshot may cover any prefix from the base
 	// corpus through the full extended dataset — WAL replay fills the rest.
@@ -895,10 +893,9 @@ func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 		"breaker_rejected": s.breaker.Rejected(),
 	}
 	// The health collector's last snapshot rides along so a readiness probe
-	// (or an operator curling it) sees shard balance and replay debt without
+	// (or an operator curling it) sees drift and replay debt without
 	// a fresh collection's pass over every record's radius.
 	if h := s.health.Load(); h != nil {
-		body["record_skew"] = h.RecordSkew
 		body["health_age_seconds"] = time.Since(h.At).Seconds()
 		if h.Drift != nil {
 			body["drift_ratio"] = h.Drift.Ratio

@@ -70,16 +70,15 @@ type tenantBudget struct {
 }
 
 type healthDoc struct {
-	Records    int        `json:"records"`
-	Reps       int        `json:"representatives"`
-	Shards     int        `json:"shards"`
-	RecordSkew float64    `json:"record_skew"`
-	RadiusP50  float64    `json:"radius_p50"`
-	RadiusP90  float64    `json:"radius_p90"`
-	RadiusP99  float64    `json:"radius_p99"`
-	Memory     *memoryDoc `json:"memory"`
-	Drift      *driftDoc  `json:"drift"`
-	WAL        *walLagDoc `json:"wal"`
+	Records   int        `json:"records"`
+	Reps      int        `json:"representatives"`
+	Shards    int        `json:"shards"`
+	RadiusP50 float64    `json:"radius_p50"`
+	RadiusP90 float64    `json:"radius_p90"`
+	RadiusP99 float64    `json:"radius_p99"`
+	Memory    *memoryDoc `json:"memory"`
+	Drift     *driftDoc  `json:"drift"`
+	WAL       *walLagDoc `json:"wal"`
 }
 
 type memoryDoc struct {
@@ -161,8 +160,8 @@ func render(st *statusDoc, fams map[string]*tasti.PromFamily) string {
 		fmt.Fprintf(&b, "error   %s\n", st.Error)
 	}
 	if h := st.Health; h != nil {
-		fmt.Fprintf(&b, "index   %d records · %d reps · %d shard(s) · skew rec %.2f · radius p50/p90/p99 %.3g/%.3g/%.3g\n",
-			h.Records, h.Reps, h.Shards, h.RecordSkew, h.RadiusP50, h.RadiusP90, h.RadiusP99)
+		fmt.Fprintf(&b, "index   %d records · %d reps · %d shard(s) · radius p50/p90/p99 %.3g/%.3g/%.3g\n",
+			h.Records, h.Reps, h.Shards, h.RadiusP50, h.RadiusP90, h.RadiusP99)
 		if m := h.Memory; m != nil {
 			fmt.Fprintf(&b, "memory  embeddings %s float + %s quant codes · rerank rate %.1f%%\n",
 				sizeOf(m.FloatBytes), sizeOf(m.QuantBytes), m.RerankRate*100)

@@ -45,7 +45,6 @@ const fakeStatus = `{
     "records": 916,
     "representatives": 150,
     "shards": 2,
-    "record_skew": 1.01,
     "radius_p50": 0.031,
     "radius_p90": 0.084,
     "radius_p99": 0.141,
@@ -104,7 +103,7 @@ func TestSnapshotReadyView(t *testing.T) {
 	}
 	wantIn := map[int][]string{
 		0: {"night-street", "ready", "v0.8.0 go1.22.0", "kernel avx2", "up 2m8s"},
-		1: {"916 records", "150 reps", "2 shard(s)", "skew rec 1.01 ·", "0.031/0.084/0.141"},
+		1: {"916 records", "150 reps", "2 shard(s) · radius", "0.031/0.084/0.141"},
 		2: {"agg 5 sel 3 lim 1", "labels 412 (hits 37)", "5xx 2", "in-flight 1", "breaker closed"},
 		3: {"ledger  9 requests", "5400 records touched", "wall 2.5ms"},
 		4: {"labels  680 stored (14 dirty)", "hit rate 78.8% (1530/1942)", "coalesced 24", "budget 588/1000 left", "tenants acme 20/200 beta 0/200"},

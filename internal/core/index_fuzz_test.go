@@ -52,21 +52,22 @@ var fuzzSeed = sync.OnceValue(func() (s struct {
 	return s
 })
 
-// indexManifest and shardMeta mirror the gob frames "manifest" and
-// "shard.<s>.meta" of an index snapshot (gob matches fields by name).
+// indexManifest and planeMeta mirror the gob frames "manifest" and "meta"
+// of an index snapshot (gob matches fields by name).
 type indexManifest struct {
 	Total       int
-	Shards      []struct{ Lo, Hi int }
+	Shards      int
 	Stats       core.BuildStats
 	K           int
 	Reps        []int
 	Annotations map[int]dataset.Annotation
 }
 
-type shardMeta struct {
+type planeMeta struct {
 	Dim    int
 	Quant  struct{ Scale, Offset []float64 }
 	MaxErr float64
+	FitErr float64
 }
 
 // indexFrame is one frame of an index snapshot.
@@ -189,8 +190,9 @@ func FuzzLoadIndex(f *testing.F) {
 		x, err := loadIndex(t, data)
 		if err == nil {
 			for s := 0; s < x.NumShards(); s++ {
-				if err := x.Shard(s).Validate(); err != nil {
-					t.Fatalf("Load accepted a shard its own validation rejects: %v", err)
+				if sh := x.Shard(s); sh.Table.Validate() != nil || sh.Embeddings.Rows() != sh.NumRecords() ||
+					sh.Quant.Rows() != sh.NumRecords() || sh.Quant.Dim() != sh.Embeddings.Dim() {
+					t.Fatalf("Load accepted shard %d over an inconsistent range", s)
 				}
 			}
 		}
@@ -225,12 +227,9 @@ func FuzzLoadIndexFlat(f *testing.F) {
 			binary.LittleEndian.PutUint64(emb[8*i:], math.Float64bits(v))
 		}
 		data := reframe(t, func(fs []indexFrame) {
-			editGob(t, fs, "manifest", func(m *indexManifest) {
-				m.Total = rows
-				m.Shards[0].Hi = rows
-			})
-			editGob(t, fs, "shard.0.meta", func(m *shardMeta) { m.Dim = dim })
-			setPayload(t, fs, "shard.0.embeddings", emb)
+			editGob(t, fs, "manifest", func(m *indexManifest) { m.Total = rows })
+			editGob(t, fs, "meta", func(m *planeMeta) { m.Dim = dim })
+			setPayload(t, fs, "embeddings", emb)
 		})
 		x, err := loadIndex(t, data)
 		seedShape := rows == ix.Embeddings.Rows() && dim == ix.Embeddings.Dim() && dataLen == rows*dim
@@ -285,10 +284,10 @@ func FuzzLoadIndexQuant(f *testing.F) {
 		codes := make([]byte, codesLen)
 		copy(codes, ix.Quant.Codes())
 		data := reframe(t, func(fs []indexFrame) {
-			editGob(t, fs, "shard.0.meta", func(m *shardMeta) {
+			editGob(t, fs, "meta", func(m *planeMeta) {
 				m.Quant.Scale, m.Quant.Offset, m.MaxErr = scale, offset, qmaxErr
 			})
-			setPayload(t, fs, "shard.0.quant", codes)
+			setPayload(t, fs, "quant", codes)
 		})
 		x, err := loadIndex(t, data)
 		seedPlane := scaleLen == dim && offsetLen == dim && codesLen == rows*dim && qmaxErr == maxErr

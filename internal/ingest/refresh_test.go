@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -421,8 +422,9 @@ func TestRefreshCopiesNoIndex(t *testing.T) {
 // when a row appended since the plane was coded widened its decode-error
 // bound. Over appends inside the fitted grid (copies of built rows) it keeps
 // the parent's params; after an append far outside the grid it refits, and
-// the refit plane is unwidened again. No answer depends on which: every scan
-// reranks exactly.
+// the refit plane is unwidened again. A save and load in between keeps the
+// fit: the restored plane is not widened, and its refresh keeps it too. No
+// answer depends on which: every scan reranks exactly.
 func TestRefreshRefitsOnlyAWidenedPlane(t *testing.T) {
 	const built, copies, stride = 20000, 64, 97
 	rig := buildRefreshRig(t, built, 1, 1, 200)
@@ -464,6 +466,34 @@ func TestRefreshRefitsOnlyAWidenedPlane(t *testing.T) {
 		t.Fatal("a refresh over in-range appends refit the plane")
 	}
 	t.Logf("in-range refresh allocated %d bytes", after.TotalAlloc-before.TotalAlloc)
+
+	// A restart keeps the plane's fit: the snapshot carries the fit-time
+	// bound, so a refresh of the restored index over the same in-range
+	// appends refits nothing either.
+	var snap bytes.Buffer
+	if err := rig.ix.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := shard.Load(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := restored.Shard(0).Quant
+	if loaded.Widened() || loaded.FitErr() != fitted.FitErr() {
+		t.Fatalf("the restored plane reports widened %v, fit bound %v; saved %v", loaded.Widened(), loaded.FitErr(), fitted.FitErr())
+	}
+	rcfg := cfg
+	rcfg.Index = restored
+	rr, err := NewRefresher(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := rr.Refresh(context.Background()); err != nil || st.Cracked == 0 {
+		t.Fatalf("refresh after the restart cracked %d (%v)", st.Cracked, err)
+	}
+	if kept := restored.Shard(0).Quant; &kept.Params().Scale[0] != &loaded.Params().Scale[0] {
+		t.Fatal("a refresh after a restart refit a plane no append widened")
+	}
 
 	if _, err := rig.ix.AppendRecords([][]float64{drifted}); err != nil {
 		t.Fatal(err)

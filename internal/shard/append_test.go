@@ -27,7 +27,8 @@ func extraFeatures(t *testing.T, n int, seed int64) [][]float64 {
 	return features
 }
 
-// embeddingRow returns record id's embedding row from the shard that owns it.
+// embeddingRow returns record id's embedding row from the shard that holds
+// it.
 func embeddingRow(v *shard.Version, id int) []float64 {
 	for s := 0; s < v.NumShards(); s++ {
 		if sh := v.Shard(s); id >= sh.Lo && id < sh.Hi {
@@ -78,18 +79,16 @@ func TestShardAppendInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameBits(t, "proxy after append", got, wantProxy)
-			for s := 0; s < x.NumShards(); s++ {
-				if err := x.Shard(s).Validate(); err != nil {
-					t.Fatalf("%s: shard %d after append: %v", name, s, err)
-				}
+			if err := x.Pin().Validate(); err != nil {
+				t.Fatalf("%s: after append: %v", name, err)
 			}
 		}
 	}
 }
 
 // TestShardAppendThenCrack checks appended records are crackable like any
-// built record: the new representative lands in every shard's table and the
-// tables stay valid. An empty batch appends nothing.
+// built record: the new representative lands in the table and the table
+// stays valid. An empty batch appends nothing.
 func TestShardAppendThenCrack(t *testing.T) {
 	ix, _ := buildIndex(t, 300, 40)
 	x, err := shard.Split(ix, 3)
@@ -108,10 +107,8 @@ func TestShardAppendThenCrack(t *testing.T) {
 	if got := x.RepCount(); got != before+1 {
 		t.Fatalf("RepCount = %d after crack, want %d", got, before+1)
 	}
-	for s := 0; s < x.NumShards(); s++ {
-		if err := x.Shard(s).Validate(); err != nil {
-			t.Fatalf("shard %d after crack: %v", s, err)
-		}
+	if err := x.Pin().Validate(); err != nil {
+		t.Fatalf("after crack: %v", err)
 	}
 	if _, err := x.Propagate(core.CountScore("car")); err != nil {
 		t.Fatal(err)

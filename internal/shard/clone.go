@@ -10,11 +10,10 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Clone returns a deep copy of the version as an index of its own: every
-// shard's embedding matrix and neighbor rows, and the one representative list
-// and annotation map its shards share, are freshly allocated, so cracking or
-// appending to the clone shares no memory with the original (and vice
-// versa). The embedding model is shared — it is immutable — while the clone
+// Clone returns a deep copy of the version as an index of its own: the
+// embedding matrix, plane, neighbor rows, representative list and annotation
+// map are freshly allocated, so cracking or appending to the clone shares no
+// memory with the original (and vice versa). The embedding model is shared — it is immutable — while the clone
 // starts at generation 0 with an empty proxy-column store and telemetry
 // wiring is NOT carried over. The benchmarks reset their index state with it
 // between rounds.
@@ -22,37 +21,22 @@ import (
 // Clone reads one immutable version, so it needs no serialization against
 // anything.
 func (v *Version) Clone() *Index {
-	reps, anns := slices.Clone(v.reps()), maps.Clone(v.anns())
-	shards := make([]*Shard, len(v.shards))
-	for s, sh := range v.shards {
-		data := append([]float64(nil), sh.Embeddings.Data()...)
-		m, err := vecmath.MatrixFromFlat(data, sh.Embeddings.Rows(), sh.Embeddings.Dim())
-		if err != nil {
-			// A live shard's matrix always has a consistent shape.
-			panic(fmt.Sprintf("shard: cloning shard %d: %v", s, err))
-		}
-		nbrs := make([][]cluster.Neighbor, len(sh.Table.Neighbors))
-		for i := range nbrs {
-			nbrs[i] = append([]cluster.Neighbor(nil), sh.Table.Neighbors[i]...)
-		}
-		shards[s] = &Shard{
-			Lo:         sh.Lo,
-			Hi:         sh.Hi,
-			Embeddings: m,
-			Quant:      sh.Quant.Clone(),
-			Table: &cluster.Table{
-				K:         sh.Table.K,
-				Reps:      reps,
-				Neighbors: nbrs,
-			},
-			Annotations: anns,
-		}
+	emb, err := vecmath.MatrixFromFlat(slices.Clone(v.emb.Data()), v.emb.Rows(), v.emb.Dim())
+	if err != nil {
+		// A live version's matrix always has a consistent shape.
+		panic(fmt.Sprintf("shard: cloning the embeddings: %v", err))
 	}
-	return newIndex(wiring{par: v.w.par, emb: v.w.emb}, v.Stats, shards, v.total)
+	nbrs := make([][]cluster.Neighbor, len(v.table.Neighbors))
+	for i, row := range v.table.Neighbors {
+		nbrs[i] = slices.Clone(row)
+	}
+	return newIndex(wiring{par: v.w.par, emb: v.w.emb}, &Version{Stats: v.Stats, emb: emb, quant: v.quant.Clone(),
+		table: &cluster.Table{K: v.table.K, Reps: slices.Clone(v.table.Reps), Neighbors: nbrs},
+		anns:  maps.Clone(v.anns), n: v.n})
 }
 
 // Requantize retrains the quantized scan plane's parameters over the index's
-// current embedding rows and re-codes every shard under them.
+// current embedding rows and re-codes the plane under them.
 //
 // Appends after build quantize under the build-time parameters; rows outside
 // the trained range widen the plane's decode-error bound, which keeps scans
@@ -62,9 +46,9 @@ func (v *Version) Clone() *Index {
 // reranks bound survivors against the unchanged float rows.
 //
 // A write like any other, except that no result moves: the version it
-// publishes keeps its predecessor's generation and proxy columns. When no
-// shard's plane has widened its decode-error bound since it was coded, the
-// refit would buy no pruning, and Requantize publishes nothing.
+// publishes keeps its predecessor's generation and proxy columns. When the
+// plane's decode-error bound has not widened since it was coded, the refit
+// would buy no pruning, and Requantize publishes nothing.
 func (x *Index) Requantize() { x.CrackAndRequantize(nil, nil) }
 
 // CrackAndRequantize is CrackInOrder followed by Requantize, published as
@@ -75,32 +59,21 @@ func (x *Index) CrackAndRequantize(ids []int, anns map[int]dataset.Annotation) (
 		next, n := cur.cracked(ids, anns)
 		added = n
 		if next == nil {
-			next = cur
-		}
-		if !slices.ContainsFunc(next.shards, func(sh *Shard) bool { return sh.Quant.Widened() }) {
-			if next == cur {
+			if !cur.quant.Widened() {
 				return nil, nil
 			}
-			return next, nil
+			refit := *cur
+			next = &refit
 		}
-		mats := make([]vecmath.Matrix, len(next.shards))
-		for s, sh := range next.shards {
-			mats[s] = sh.Embeddings
-		}
-		params := vecmath.TrainQuantParamsOver(mats)
-		refit := *next
-		refit.shards = make([]*Shard, len(next.shards))
-		for s, sh := range next.shards {
-			q, err := vecmath.QuantizeMatrix(sh.Embeddings, params)
+		if next.quant.Widened() {
+			q, err := vecmath.QuantizeMatrix(next.emb, vecmath.TrainQuantParams(next.emb))
 			if err != nil {
-				// A live shard's matrix and freshly trained params always agree.
-				panic(fmt.Sprintf("shard: requantizing shard %d: %v", s, err))
+				// A live matrix and freshly trained params always agree.
+				panic(fmt.Sprintf("shard: requantizing: %v", err))
 			}
-			resh := *sh
-			resh.Quant = q
-			refit.shards[s] = &resh
+			next.quant = q
 		}
-		return &refit, nil
+		return next, nil
 	})
 	return added
 }

@@ -36,7 +36,7 @@ func TestColumnStoreBudget(t *testing.T) {
 	const n = 100 // a 100-record weighted column is charged 3608 bytes
 	one := (&Column{Scores: make([]float64, n)}).bytes()
 	reg := telemetry.NewRegistry()
-	cs := newColumnStore(3*one, wiring{tel: reg}.resolved(1))
+	cs := newColumnStore(3*one, wiring{tel: reg}.resolved())
 	evictions := reg.Counter("tasti_proxy_column_evictions_total")
 
 	retained := func(name string) bool {
@@ -87,14 +87,14 @@ func TestColumnStoreBudget(t *testing.T) {
 	// A successor starts a new generation with nothing retained; dropping a
 	// non-empty store is one counted invalidation, dropping an empty one none.
 	v := &Version{w: cs.w, cols: cs}
-	next := v.successor(nil, 0, 1)
+	next := v.successor(1)
 	if st := next.ColumnStats(); st.Bytes != 0 || st.Entries != 0 || next.cols.len() != 0 || st.Generation != 1 {
 		t.Fatalf("successor: %+v with %d entries", st, next.cols.len())
 	}
 	if got := reg.Counter("tasti_proxy_column_invalidations_total").Value(); got != 1 {
 		t.Fatalf("%d invalidations counted, want 1", got)
 	}
-	if after := next.successor(nil, 0, 1); reg.Counter("tasti_proxy_column_invalidations_total").Value() != 1 || after.gen != 2 {
+	if after := next.successor(1); reg.Counter("tasti_proxy_column_invalidations_total").Value() != 1 || after.gen != 2 {
 		t.Fatalf("empty successor: %d invalidations, generation %d",
 			reg.Counter("tasti_proxy_column_invalidations_total").Value(), after.gen)
 	}

@@ -10,7 +10,7 @@ import (
 // one pinned Version, lock-free like every other read; none of them feed back
 // into query execution.
 
-// MemoryStats describes the resident scan-plane memory across all shards:
+// MemoryStats describes the resident scan-plane memory:
 // the float64 embedding matrix the table scans and reranks read, and the
 // uint8 code plane the crack sweeps stream.
 type MemoryStats struct {
@@ -20,34 +20,9 @@ type MemoryStats struct {
 	QuantBytes int64
 }
 
-// MemoryStats sums the scan-plane bytes across every live shard.
+// MemoryStats reports the version's scan-plane bytes.
 func (v *Version) MemoryStats() MemoryStats {
-	var m MemoryStats
-	for _, sh := range v.shards {
-		m.FloatBytes += 8 * int64(sh.Embeddings.Rows()) * int64(sh.Embeddings.Dim())
-		m.QuantBytes += sh.Quant.Bytes()
-	}
-	return m
-}
-
-// RecordSkew returns max/mean of per-shard record counts — 1.0 means
-// perfectly balanced ranges, 2.0 means the fattest shard holds twice the
-// mean and bounds the scatter's critical path accordingly. Contiguous-range
-// splitting keeps this near 1, but streaming ingest appends only to the last
-// shard, so skew grows between refreshes; the monitor makes that visible.
-func (v *Version) RecordSkew() float64 {
-	max, total := 0, 0
-	for _, sh := range v.shards {
-		n := sh.NumRecords()
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(max) * float64(len(v.shards)) / float64(total)
+	return MemoryStats{FloatBytes: 8 * int64(len(v.emb.Data())), QuantBytes: v.quant.Bytes()}
 }
 
 // RadiusQuantiles returns the requested quantiles (each in [0,1]) of the
@@ -57,11 +32,9 @@ func (v *Version) RecordSkew() float64 {
 // outpacing cracking) and propagated scores are extrapolating further.
 // Quantiles use the nearest-rank method on the sorted distances.
 func (v *Version) RadiusQuantiles(qs []float64) []float64 {
-	dists := make([]float64, 0, v.total)
-	for _, sh := range v.shards {
-		for _, row := range sh.Table.Neighbors {
-			dists = append(dists, row[0].Dist)
-		}
+	dists := make([]float64, len(v.table.Neighbors))
+	for i, row := range v.table.Neighbors {
+		dists[i] = row[0].Dist
 	}
 	out := make([]float64, len(qs))
 	if len(dists) == 0 {

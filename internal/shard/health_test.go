@@ -8,10 +8,10 @@ import (
 )
 
 // TestRadiusQuantilesNearestRank: quantile q of n radii is the ⌈q·n⌉-th
-// smallest, whichever shard holds the record, and a whole product stays at
-// its rank: 0.9·10 is rank 9, and 0.07·100, whose float product is a hair
-// above 7, is rank 7. Each corpus below lists its radii out of order, and the
-// radius of rank r is r itself, so the wanted quantile is the wanted rank.
+// smallest, and a whole product stays at its rank: 0.9·10 is rank 9, and
+// 0.07·100, whose float product is a hair above 7, is rank 7. Each corpus
+// below lists its radii out of order, and the radius of rank r is r itself,
+// so the wanted quantile is the wanted rank.
 func TestRadiusQuantilesNearestRank(t *testing.T) {
 	qs := []float64{0.07, 0.44, 0.5, 0.9, 0.99}
 	permuted := func(n int) []float64 {
@@ -36,17 +36,11 @@ func TestRadiusQuantilesNearestRank(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("n=%d", len(c.radii)), func(t *testing.T) {
-			// Two shards, split unevenly, so the radii are gathered across
-			// shards before they are ranked.
-			cut := len(c.radii) / 3
-			v := &Version{total: len(c.radii)}
-			for _, part := range [][]float64{c.radii[:cut], c.radii[cut:]} {
-				rows := make([][]cluster.Neighbor, len(part))
-				for i, r := range part {
-					rows[i] = []cluster.Neighbor{{Dist: r}}
-				}
-				v.shards = append(v.shards, &Shard{Table: &cluster.Table{K: 1, Neighbors: rows}})
+			rows := make([][]cluster.Neighbor, len(c.radii))
+			for i, r := range c.radii {
+				rows[i] = []cluster.Neighbor{{Dist: r}}
 			}
+			v := &Version{table: &cluster.Table{K: 1, Neighbors: rows}}
 			got := v.RadiusQuantiles(qs)
 			for i, q := range qs {
 				if got[i] != c.ranks[i] {

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -20,54 +19,48 @@ import (
 )
 
 // IndexKind is the framed-container artifact type of an index snapshot —
-// the only one: a single index is saved as one shard.
+// the only one.
 const IndexKind = "tasti-shard-index"
 
-// layoutVersion is the first container version with this layout, whose
-// manifest holds the one representative list and annotation map and whose
-// every shard carries its quantized plane; an older index snapshot is
-// rebuilt, not converted.
-const layoutVersion = 6
+// layoutVersion is the first container version with this layout: one record
+// range, written as one frame per array; an older index snapshot is rebuilt,
+// not converted.
+const layoutVersion = 7
 
-// The container holds the manifest, then each shard s's frames
-// "shard.<s>.<part>" in the order below, then the optional embedder (an
-// embed.Snapshot, shared by every shard). Bulk parts are little-endian
-// fixed-width arrays whose lengths the manifest and the shard's meta fix.
+// The container holds these frames in this order, then the optional
+// embedder (an embed.Snapshot). Bulk frames are little-endian fixed-width
+// arrays whose lengths the manifest and the meta fix.
 const (
-	manifestFrame  = "manifest"
-	embedderFrame  = "embedder"
-	metaPart       = "meta"       // gob shardMeta
-	embeddingsPart = "embeddings" // rows×dim float64
-	repsPart       = "reps"       // rows×k int64 representative IDs
-	distsPart      = "dists"      // rows×k float64 distances
-	quantPart      = "quant"      // rows×dim uint8 codes
+	manifestFrame   = "manifest"
+	metaFrame       = "meta"       // gob planeMeta
+	embeddingsFrame = "embeddings" // total×dim float64
+	repsFrame       = "reps"       // total×k int64 representative IDs
+	distsFrame      = "dists"      // total×k float64 distances
+	quantFrame      = "quant"      // total×dim uint8 codes
+	embedderFrame   = "embedder"
 )
 
-// shardFrame names part of the s-th shard.
-func shardFrame(s int, part string) string { return fmt.Sprintf("shard.%d.%s", s, part) }
-
-// manifest is the first frame: the corpus size, every shard's record range,
-// the build stats, which name the corpus the index was built over, and the
-// state every shard shares — the table depth K, the representative list and
-// their annotations. Every neighbor row holds exactly k = min(K, len(Reps))
-// entries (cluster.Table.Validate).
+// manifest is the first frame: the corpus size, the shard count, the build
+// stats, which name the corpus the index was built over, the table depth K,
+// the representative list and their annotations. Every neighbor row holds
+// exactly k = min(K, len(Reps)) entries (cluster.Table.Validate).
 type manifest struct {
 	Total       int
-	Shards      []shardRange
+	Shards      int
 	Stats       core.BuildStats
 	K           int
 	Reps        []int
 	Annotations map[int]dataset.Annotation
 }
 
-type shardRange struct{ Lo, Hi int }
-
-// shardMeta is a shard's own small state: its embedding width and its
-// plane's parameters and decode-error bound (appends widen the last shard's).
-type shardMeta struct {
+// planeMeta is the embedding width and the quantized plane's parameters, its
+// decode-error bound (appends widen it) and that bound as the fit left it,
+// so a loaded plane knows whether it has widened (QuantMatrix.Widened).
+type planeMeta struct {
 	Dim    int
 	Quant  vecmath.QuantParams
 	MaxErr float64
+	FitErr float64
 }
 
 // ErrCorpus marks an index snapshot that names another corpus than the one
@@ -95,21 +88,11 @@ func malformed(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", snapshot.ErrMalformed, fmt.Sprintf(format, args...))
 }
 
-// validate checks the manifest describes a legal contiguous partition, a
-// table depth, and representatives inside the corpus.
+// validate checks the manifest describes a shard count the records can
+// fill, a table depth, and representatives inside the corpus.
 func (m manifest) validate() error {
-	if m.Total < 0 || len(m.Shards) == 0 || m.K < 0 {
-		return malformed("manifest with %d records in %d shards at K %d", m.Total, len(m.Shards), m.K)
-	}
-	next := 0
-	for s, r := range m.Shards {
-		if r.Lo != next || r.Hi < r.Lo {
-			return malformed("manifest shard %d covers [%d,%d), want lo %d", s, r.Lo, r.Hi, next)
-		}
-		next = r.Hi
-	}
-	if next != m.Total {
-		return malformed("manifest shards cover [0,%d) of %d records", next, m.Total)
+	if m.Shards < 1 || m.Shards > m.Total || m.K < 0 {
+		return malformed("manifest with %d records in %d shards at K %d", m.Total, m.Shards, m.K)
 	}
 	for _, rep := range m.Reps {
 		if rep < 0 || rep >= m.Total {
@@ -119,26 +102,12 @@ func (m manifest) validate() error {
 	return nil
 }
 
-// consistent checks that shards can serve together: one embedding width, and
-// an embedder (when there is one) that outputs that width. A disagreement
-// would otherwise surface as a panic inside a propagation, append or crack
-// worker.
-func consistent(shards []*Shard, emb embed.Embedder) error {
-	dim := shards[0].Embeddings.Dim()
-	for s, sh := range shards {
-		if sh.Embeddings.Dim() != dim {
-			return fmt.Errorf("shard: shard %d has %d-dim embeddings, shard 0 has %d-dim", s, sh.Embeddings.Dim(), dim)
-		}
-	}
-	if emb != nil && emb.Dim() != dim {
-		return fmt.Errorf("shard: embedder outputs dim %d, shards hold %d-dim embeddings", emb.Dim(), dim)
-	}
-	return nil
-}
+// saveChunkWords is how many 8-byte words a save encodes at a time: a bulk
+// frame streams through one 64 KiB buffer, whatever the record count.
+const saveChunkWords = 8 << 10
 
-// Save serializes the index as one framed container (layout above): the
-// representatives and their annotations once, in the manifest. Each bulk
-// array is encoded into one buffer reused across frames and shards. The
+// Save serializes the index as one framed container (layout above). Each
+// bulk array streams through one small buffer reused across frames. The
 // version is immutable, so the written state is consistent however long the
 // write takes and whatever is published meanwhile.
 func (v *Version) Save(w io.Writer) error {
@@ -153,42 +122,55 @@ func (v *Version) save(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	man := manifest{Total: v.total, Stats: v.Stats, K: v.K(), Reps: v.reps(), Annotations: v.anns()}
-	for _, sh := range v.shards {
-		man.Shards = append(man.Shards, shardRange{Lo: sh.Lo, Hi: sh.Hi})
-	}
+	t, emb := v.table, v.emb.Data()
+	man := manifest{Total: v.NumRecords(), Shards: v.n, Stats: v.Stats, K: t.K, Reps: t.Reps, Annotations: v.anns}
 	if err := sw.Encode(manifestFrame, man); err != nil {
 		return err
 	}
-	var buf []byte
-	// words frames n 8-byte little-endian words, the i-th at(i).
-	words := func(name string, n int, at func(i int) uint64) error {
-		buf = slices.Grow(buf[:0], 8*n)
-		for i := 0; i < n; i++ {
-			buf = binary.LittleEndian.AppendUint64(buf, at(i))
-		}
-		return sw.Frame(name, buf)
+	meta := planeMeta{Dim: v.emb.Dim(), Quant: v.quant.Params(), MaxErr: v.quant.MaxErr(), FitErr: v.quant.FitErr()}
+	if err := sw.Encode(metaFrame, meta); err != nil {
+		return err
 	}
-	for s, sh := range v.shards {
-		t, emb := sh.Table, sh.Embeddings.Data()
-		k := min(t.K, len(t.Reps))
-		meta := shardMeta{Dim: sh.Embeddings.Dim(), Quant: sh.Quant.Params(), MaxErr: sh.Quant.MaxErr()}
-		nb := func(i int) cluster.Neighbor { return t.Neighbors[i/k][i%k] }
-		if err := sw.Encode(shardFrame(s, metaPart), meta); err != nil {
-			return err
+	chunk := make([]byte, 8*saveChunkWords)
+	// words frames n 8-byte little-endian words, saveChunkWords at a time:
+	// put(dst, lo) encodes words lo, lo+1, ... into dst. A call per chunk,
+	// not per word, keeps the encoding loops free of indirect calls.
+	words := func(name string, n int, put func(dst []byte, lo int)) error {
+		return sw.FrameFrom(name, 8*n, func(emit func([]byte) error) error {
+			for lo := 0; lo < n; lo += saveChunkWords {
+				b := chunk[:8*(min(lo+saveChunkWords, n)-lo)]
+				put(b, lo)
+				if err := emit(b); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	k := min(t.K, len(t.Reps))
+	// neighbors encodes entries lo, lo+1, ... of the rows laid end to end.
+	neighbors := func(word func(cluster.Neighbor) uint64) func(dst []byte, lo int) {
+		return func(dst []byte, lo int) {
+			for j := 0; j < len(dst)/8; j++ {
+				binary.LittleEndian.PutUint64(dst[8*j:], word(t.Neighbors[(lo+j)/k][(lo+j)%k]))
+			}
 		}
-		if err := words(shardFrame(s, embeddingsPart), len(emb), func(i int) uint64 { return math.Float64bits(emb[i]) }); err != nil {
-			return err
+	}
+	if err := words(embeddingsFrame, len(emb), func(dst []byte, lo int) {
+		for j, x := range emb[lo : lo+len(dst)/8] {
+			binary.LittleEndian.PutUint64(dst[8*j:], math.Float64bits(x))
 		}
-		if err := words(shardFrame(s, repsPart), len(t.Neighbors)*k, func(i int) uint64 { return uint64(nb(i).Rep) }); err != nil {
-			return err
-		}
-		if err := words(shardFrame(s, distsPart), len(t.Neighbors)*k, func(i int) uint64 { return math.Float64bits(nb(i).Dist) }); err != nil {
-			return err
-		}
-		if err := sw.Frame(shardFrame(s, quantPart), sh.Quant.Codes()); err != nil {
-			return err
-		}
+	}); err != nil {
+		return err
+	}
+	if err := words(repsFrame, len(t.Neighbors)*k, neighbors(func(nb cluster.Neighbor) uint64 { return uint64(nb.Rep) })); err != nil {
+		return err
+	}
+	if err := words(distsFrame, len(t.Neighbors)*k, neighbors(func(nb cluster.Neighbor) uint64 { return math.Float64bits(nb.Dist) })); err != nil {
+		return err
+	}
+	if err := sw.Frame(quantFrame, v.quant.Codes()); err != nil {
+		return err
 	}
 	if v.w.emb != nil {
 		es, err := embed.NewSnapshot(v.w.emb)
@@ -204,76 +186,66 @@ func (v *Version) save(w io.Writer) error {
 }
 
 // Load deserializes an index saved with Save, verifying every frame and the
-// whole-file checksum and validating each shard against the manifest and its
-// peers before any of it is trusted; every failure carries the snapshot
+// whole-file checksum and validating the arrays against the manifest and
+// each other before any of it is trusted; every failure carries the snapshot
 // error taxonomy. The restored index has default parallelism and no
 // telemetry; callers wire both afterwards.
 func Load(r io.Reader) (*Index, error) {
-	man, shards, emb, err := load(r)
+	v, emb, err := load(r)
 	if err != nil {
 		return nil, fmt.Errorf("shard: loading index: %w", err)
 	}
-	return newIndex(wiring{emb: emb}, man.Stats, shards, man.Total), nil
+	return newIndex(wiring{emb: emb}, v), nil
 }
 
-// load walks a snapshot through its trailer, decoding every shard and the
-// embedder.
-func load(r io.Reader) (man manifest, shards []*Shard, emb embed.Embedder, err error) {
+// load walks a snapshot through its trailer, decoding the record range and
+// the embedder.
+func load(r io.Reader) (v *Version, emb embed.Embedder, err error) {
 	sr, err := snapshot.NewReader(r, IndexKind)
 	if err != nil {
-		return man, nil, nil, err
+		return nil, nil, err
 	}
-	if v := sr.Version(); v < layoutVersion {
-		return man, nil, nil, fmt.Errorf("%w: index snapshot v%d predates the v%d layout; rebuild it",
-			snapshot.ErrVersion, v, layoutVersion)
+	if ver := sr.Version(); ver < layoutVersion {
+		return nil, nil, fmt.Errorf("%w: index snapshot v%d predates the v%d layout; rebuild it",
+			snapshot.ErrVersion, ver, layoutVersion)
 	}
+	var man manifest
 	if err := sr.Decode(manifestFrame, &man); err != nil {
-		return man, nil, nil, err
+		return nil, nil, err
 	}
 	if err := man.validate(); err != nil {
-		return man, nil, nil, err
+		return nil, nil, err
 	}
 	if man.Annotations == nil {
 		man.Annotations = map[int]dataset.Annotation{}
 	}
-	shards = make([]*Shard, len(man.Shards))
-	s := 0 // the next shard whose meta frame is due
+	if v, err = readRange(sr, man); err != nil {
+		return nil, nil, err
+	}
 	for {
 		name, p, err := sr.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return man, nil, nil, err
+			return nil, nil, err
 		}
-		switch {
-		case s < len(shards):
-			if name != shardFrame(s, metaPart) {
-				return man, nil, nil, malformed("unexpected frame %q, want %q", name, shardFrame(s, metaPart))
-			}
-			if shards[s], err = readShard(sr, s, p, man); err != nil {
-				return man, nil, nil, fmt.Errorf("shard %d: %w", s, err)
-			}
-			s++
-		case name == embedderFrame:
+		// Any frame but the embedder is an unknown trailing frame, skipped
+		// for forward compatibility.
+		if name == embedderFrame {
 			var es embed.Snapshot
 			if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&es); err != nil {
-				return man, nil, nil, malformed("decoding frame %q: %v", name, err)
+				return nil, nil, malformed("decoding frame %q: %v", name, err)
 			}
 			if emb, err = es.Embedder(); err != nil {
-				return man, nil, nil, malformed("%v", err)
+				return nil, nil, malformed("%v", err)
 			}
 		}
-		// Anything else is an unknown trailing frame, skipped for forward
-		// compatibility.
 	}
-	if s < len(shards) {
-		return man, nil, nil, fmt.Errorf("%w: missing frame %q", snapshot.ErrTruncated, shardFrame(s, metaPart))
+	if emb != nil && emb.Dim() != v.emb.Dim() {
+		return nil, nil, malformed("embedder outputs dim %d, the index holds %d-dim embeddings", emb.Dim(), v.emb.Dim())
 	}
-	if err := consistent(shards, emb); err != nil {
-		return man, nil, nil, malformed("%v", err)
-	}
-	return man, shards, emb, nil
+	return v, emb, nil
 }
 
 // fixedFrame reads the next frame, which must be named name and hold n
@@ -299,23 +271,20 @@ func fixedFrame(sr *snapshot.Reader, name string, n, width int) ([]byte, error) 
 // word returns the i-th little-endian 8-byte word of p.
 func word(p []byte, i int) uint64 { return binary.LittleEndian.Uint64(p[8*i:]) }
 
-// readShard decodes shard s from its meta payload and the bulk frames that
-// follow it in sr, over the validated manifest's record range, and validates
-// its shapes and table invariants. The shard aliases the manifest's
-// representative list and annotation map, as every peer does.
-func readShard(sr *snapshot.Reader, s int, metaPayload []byte, man manifest) (*Shard, error) {
-	var meta shardMeta
-	if err := gob.NewDecoder(bytes.NewReader(metaPayload)).Decode(&meta); err != nil {
-		return nil, malformed("decoding frame %q: %v", shardFrame(s, metaPart), err)
+// readRange decodes the meta and the bulk frames that follow the validated
+// manifest in sr into a version, and validates it.
+func readRange(sr *snapshot.Reader, man manifest) (*Version, error) {
+	var meta planeMeta
+	if err := sr.Decode(metaFrame, &meta); err != nil {
+		return nil, err
 	}
 	// A positive width makes the embeddings frame bound the row count, so
 	// nothing below allocates for rows the file does not hold.
-	r := man.Shards[s]
-	rows, k := r.Hi-r.Lo, min(man.K, len(man.Reps))
+	rows, k := man.Total, min(man.K, len(man.Reps))
 	if meta.Dim <= 0 || rows > math.MaxInt/8/meta.Dim || (k > 0 && rows > math.MaxInt/8/k) {
 		return nil, malformed("%d rows of dim %d and K %d", rows, meta.Dim, man.K)
 	}
-	p, err := fixedFrame(sr, shardFrame(s, embeddingsPart), rows*meta.Dim, 8)
+	p, err := fixedFrame(sr, embeddingsFrame, rows*meta.Dim, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -326,13 +295,13 @@ func readShard(sr *snapshot.Reader, s int, metaPayload []byte, man manifest) (*S
 	}
 	// Every row slices one rows×k block, as a freshly built table's do.
 	block := make([]cluster.Neighbor, rows*k)
-	if p, err = fixedFrame(sr, shardFrame(s, repsPart), len(block), 8); err != nil {
+	if p, err = fixedFrame(sr, repsFrame, len(block), 8); err != nil {
 		return nil, err
 	}
 	for i := range block {
 		block[i].Rep = int(int64(word(p, i)))
 	}
-	if p, err = fixedFrame(sr, shardFrame(s, distsPart), len(block), 8); err != nil {
+	if p, err = fixedFrame(sr, distsFrame, len(block), 8); err != nil {
 		return nil, err
 	}
 	for i := range block {
@@ -342,18 +311,29 @@ func readShard(sr *snapshot.Reader, s int, metaPayload []byte, man manifest) (*S
 	for i := range neighbors {
 		neighbors[i] = block[i*k : (i+1)*k : (i+1)*k]
 	}
-	if p, err = fixedFrame(sr, shardFrame(s, quantPart), rows*meta.Dim, 1); err != nil {
+	if p, err = fixedFrame(sr, quantFrame, rows*meta.Dim, 1); err != nil {
 		return nil, err
 	}
-	quant, err := vecmath.QuantMatrixFromParts(bytes.Clone(p), rows, meta.Dim, meta.Quant, meta.MaxErr)
+	quant, err := vecmath.QuantMatrixFromParts(bytes.Clone(p), rows, meta.Dim, meta.Quant, meta.MaxErr, meta.FitErr)
 	if err != nil {
-		return nil, malformed("frame %q: %v", shardFrame(s, quantPart), err)
+		return nil, malformed("frame %q: %v", quantFrame, err)
 	}
-	sh := &Shard{Lo: r.Lo, Hi: r.Hi, Embeddings: embeddings, Quant: quant,
-		Table:       &cluster.Table{K: man.K, Reps: man.Reps, Neighbors: neighbors},
-		Annotations: man.Annotations}
-	if err := sh.Validate(); err != nil {
+	v := &Version{Stats: man.Stats, emb: embeddings, quant: quant, n: man.Shards,
+		table: &cluster.Table{K: man.K, Reps: man.Reps, Neighbors: neighbors}, anns: man.Annotations}
+	if err := v.validate(); err != nil {
 		return nil, malformed("%v", err)
 	}
-	return sh, nil
+	return v, nil
+}
+
+// validate checks what a version needs to serve: one embedding row, one code
+// row and one neighbor row per record, one width, and the table's own
+// invariants.
+func (v *Version) validate() error {
+	n := v.NumRecords()
+	if v.emb.Rows() != n || v.quant.Rows() != n || v.quant.Dim() != v.emb.Dim() || !v.quant.Enabled() {
+		return fmt.Errorf("shard: %d neighbor rows over %dx%d embeddings and a %dx%d plane",
+			n, v.emb.Rows(), v.emb.Dim(), v.quant.Rows(), v.quant.Dim())
+	}
+	return v.table.Validate()
 }

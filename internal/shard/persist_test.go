@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -19,9 +18,9 @@ import (
 	"repro/internal/vecmath"
 )
 
-// buildSplit builds a TASTI-PT index (with its embedding model)
-// over n night-street records at the given embedding width and splits it
-// into shards.
+// buildSplit builds a TASTI-PT index (with its embedding model) over n
+// night-street records at the given embedding width and serves it over
+// shards.
 func buildSplit(n, dim, shards int) (*Index, error) {
 	ds, err := dataset.Generate("night-street", n, 3)
 	if err != nil {
@@ -40,20 +39,6 @@ func buildSplit(n, dim, shards int) (*Index, error) {
 // splitCorpus is the corpus buildSplit(n, …) indexes.
 func splitCorpus(n int) dataset.Corpus {
 	return dataset.Corpus{Dataset: "night-street", Size: n, Seed: 3}
-}
-
-// savedSplit returns the snapshot bytes of buildSplit(n, dim, shards).
-func savedSplit(t testing.TB, n, dim, shards int) []byte {
-	t.Helper()
-	x, err := buildSplit(n, dim, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // seedSnapshot is the shared test and fuzz-seed snapshot: 2 shards, 8-dim,
@@ -167,49 +152,67 @@ func setRep(name string, rep int64) edit {
 	})
 }
 
-// malformed lists crafted snapshots whose every frame verifies but whose
+// narrowSnapshot is seedSnapshot's build at embedding width 5, whose
+// embedder outputs another width than the seed's embeddings.
+var narrowSnapshot = sync.OnceValue(func() []byte {
+	x, err := buildSplit(120, 5, 2)
+	if err != nil {
+		panic(err)
+	}
+	var buf bytes.Buffer
+	if err := x.Save(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+})
+
+// crafted lists crafted snapshots whose every frame verifies but whose
 // contents disagree — each must fail typed, never load or panic.
 var crafted = []struct {
 	name string
 	edit edit
 }{
-	{"meta dim lies", editGob("shard.0.meta", func(m *shardMeta) { m.Dim++ })},
-	{"meta dim zero", editGob("shard.0.meta", func(m *shardMeta) { m.Dim = 0 })},
-	{"manifest K lies", editGob("manifest", func(m *manifest) { m.K++ })},
-	{"manifest rows lie", editGob("manifest", func(m *manifest) { m.Shards[0].Hi--; m.Shards[1].Lo-- })},
-	{"manifest total lies", editGob("manifest", func(m *manifest) { m.Total = 1 << 40; m.Shards[1].Hi = 1 << 40 })},
-	{"embeddings short a row", editPayload("shard.0.embeddings", func(p []byte) []byte { return p[:len(p)-64] })},
-	{"embeddings not a multiple", editPayload("shard.1.embeddings", func(p []byte) []byte { return append(p, 0, 0, 0) })},
-	{"dists not a multiple", editPayload("shard.0.dists", func(p []byte) []byte { return p[:len(p)-3] })},
-	{"reps short", editPayload("shard.1.reps", func(p []byte) []byte { return p[:len(p)-8] })},
-	{"rep out of range", setRep("shard.0.reps", 1<<40)},
-	{"representative out of range", editGob("manifest", func(m *manifest) { m.Reps = append(m.Reps, 1<<40) })},
-	{"rep negative", setRep("shard.1.reps", -1)},
-	{"quant codes short", editPayload("shard.1.quant", func(p []byte) []byte { return p[:len(p)-1] })},
-	{"quant params short", editGob("shard.0.meta", func(m *shardMeta) { m.Quant.Scale = m.Quant.Scale[1:] })},
-	{"quant error bound negative", editGob("shard.0.meta", func(m *shardMeta) { m.MaxErr = -1 })},
-	{"quant params missing", editGob("shard.0.meta", func(m *shardMeta) { m.Quant = vecmath.QuantParams{} })},
-	{"quant frame missing", dropFrame("shard.0.quant")},
+	{"meta dim lies", editGob(metaFrame, func(m *planeMeta) { m.Dim++ })},
+	{"meta dim zero", editGob(metaFrame, func(m *planeMeta) { m.Dim = 0 })},
+	{"manifest K lies", editGob(manifestFrame, func(m *manifest) { m.K++ })},
+	{"manifest rows lie", editGob(manifestFrame, func(m *manifest) { m.Total-- })},
+	{"manifest total lies", editGob(manifestFrame, func(m *manifest) { m.Total = 1 << 40 })},
+	{"embeddings short a row", editPayload(embeddingsFrame, func(p []byte) []byte { return p[:len(p)-64] })},
+	{"embeddings not a multiple", editPayload(embeddingsFrame, func(p []byte) []byte { return append(p, 0, 0, 0) })},
+	{"dists not a multiple", editPayload(distsFrame, func(p []byte) []byte { return p[:len(p)-3] })},
+	{"reps short", editPayload(repsFrame, func(p []byte) []byte { return p[:len(p)-8] })},
+	{"rep out of range", setRep(repsFrame, 1<<40)},
+	{"representative out of range", editGob(manifestFrame, func(m *manifest) { m.Reps = append(m.Reps, 1<<40) })},
+	{"rep negative", setRep(repsFrame, -1)},
+	{"quant codes short", editPayload(quantFrame, func(p []byte) []byte { return p[:len(p)-1] })},
+	{"quant params short", editGob(metaFrame, func(m *planeMeta) { m.Quant.Scale = m.Quant.Scale[1:] })},
+	{"quant error bound negative", editGob(metaFrame, func(m *planeMeta) { m.MaxErr = -1 })},
+	{"quant params missing", editGob(metaFrame, func(m *planeMeta) { m.Quant = vecmath.QuantParams{} })},
+	{"quant frame missing", dropFrame(quantFrame)},
 	{"frames out of order", func(_ testing.TB, fs []frame) []frame {
 		for i := range fs {
-			if fs[i].name == "shard.0.reps" {
+			if fs[i].name == repsFrame {
 				fs[i], fs[i+1] = fs[i+1], fs[i]
 				break
 			}
 		}
 		return fs
 	}},
-	{"shard frames missing", func(_ testing.TB, fs []frame) []frame {
-		out := fs[:0]
-		for _, f := range fs {
-			if !strings.HasPrefix(f.name, "shard.1.") {
-				out = append(out, f)
+	{"meta frame missing", dropFrame(metaFrame)},
+	{"meta not gob", editPayload(metaFrame, func(p []byte) []byte { return p[:len(p)/2] })},
+	{"embedder not gob", editPayload(embedderFrame, func(p []byte) []byte { return p[:len(p)/2] })},
+	{"quant fit bound past the error bound", editGob(metaFrame, func(m *planeMeta) { m.FitErr = 2*m.MaxErr + 1 })},
+	{"manifest shards zero", editGob(manifestFrame, func(m *manifest) { m.Shards = 0 })},
+	{"manifest shards past the records", editGob(manifestFrame, func(m *manifest) { m.Shards = m.Total + 1 })},
+	{"embedder of another width", func(t testing.TB, fs []frame) []frame {
+		for _, f := range framesOf(t, narrowSnapshot()) {
+			if f.name == embedderFrame {
+				return editPayload(embedderFrame, func([]byte) []byte { return f.payload })(t, fs)
 			}
 		}
-		return out
+		t.Fatal("the narrow snapshot has no embedder")
+		return nil
 	}},
-	{"meta not gob", editPayload("shard.0.meta", func(p []byte) []byte { return p[:len(p)/2] })},
-	{"embedder not gob", editPayload(embedderFrame, func(p []byte) []byte { return p[:len(p)/2] })},
 }
 
 // craft applies e to a copy of the seed snapshot's frames.
@@ -362,49 +365,13 @@ func TestFlatFrameShapeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMismatchedShards: shards that cannot serve together are
-// refused at load — an embedder whose width differs from the embeddings, and
-// a file spliced from two builds of different widths. Each used to load and
-// panic at the next append or crack.
-func TestLoadRejectsMismatchedShards(t *testing.T) {
-	wide := framesOf(t, seedSnapshot())
-	narrow := framesOf(t, savedSplit(t, 120, 5, 2))
-	payload := func(fs []frame, name string) []byte {
-		for _, f := range fs {
-			if f.name == name {
-				return f.payload
-			}
-		}
-		t.Fatalf("no frame %q", name)
-		return nil
-	}
-	var embedder, spliced []frame
-	for _, f := range wide {
-		switch {
-		case f.name == embedderFrame:
-			embedder = append(embedder, frame{f.name, payload(narrow, f.name)})
-		case strings.HasPrefix(f.name, "shard.1."):
-			spliced = append(spliced, frame{f.name, payload(narrow, f.name)})
-			embedder = append(embedder, f)
-		default:
-			spliced = append(spliced, f)
-			embedder = append(embedder, f)
-		}
-	}
-	for what, fs := range map[string][]frame{"5-dim embedder over 8-dim shards": embedder, "8-dim and 5-dim shards": spliced} {
-		_, err := Load(bytes.NewReader(assemble(t, snapshot.Version, fs)))
-		if !errors.Is(err, snapshot.ErrMalformed) {
-			t.Errorf("%s: err = %v, want ErrMalformed", what, err)
-		}
-	}
-}
-
-// TestIndexSnapshotBeforeV6Rejected: an index written under an older header
-// — v4 kept a representative list and annotation map in every shard's meta,
-// v5 could leave a shard without its quantized plane — is refused with
-// ErrVersion: it is rebuilt, not misread.
-func TestIndexSnapshotBeforeV6Rejected(t *testing.T) {
-	for _, v := range []uint32{3, 4, 5} {
+// TestIndexSnapshotBeforeV7Rejected: an index written under an older header
+// — v6 wrote every shard's arrays as frames of their own, v5 could leave a
+// shard without its quantized plane, v4 kept a representative list and
+// annotation map in every shard's meta — is refused with ErrVersion: it is
+// rebuilt, not misread.
+func TestIndexSnapshotBeforeV7Rejected(t *testing.T) {
+	for _, v := range []uint32{3, 4, 5, 6} {
 		old := assemble(t, v, framesOf(t, seedSnapshot()))
 		if _, err := Load(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersion) {
 			t.Errorf("Load of a v%d index: err = %v, want ErrVersion", v, err)
@@ -412,24 +379,22 @@ func TestIndexSnapshotBeforeV6Rejected(t *testing.T) {
 	}
 }
 
-// TestIndexSnapshotWithoutPlaneMalformed: a v6 shard without its quantized
-// plane — a meta with no plane parameters, or no "shard.<s>.quant" frame — is
-// malformed, whichever shard it is.
+// TestIndexSnapshotWithoutPlaneMalformed: an index without its quantized
+// plane — a meta with no plane parameters, or no "quant" frame — is
+// malformed.
 func TestIndexSnapshotWithoutPlaneMalformed(t *testing.T) {
 	for what, e := range map[string]edit{
-		"shard 0 params": editGob("shard.0.meta", func(m *shardMeta) { m.Quant = vecmath.QuantParams{} }),
-		"shard 1 params": editGob("shard.1.meta", func(m *shardMeta) { m.Quant = vecmath.QuantParams{} }),
-		"shard 0 frame":  dropFrame("shard.0.quant"),
-		"shard 1 frame":  dropFrame("shard.1.quant"),
+		"params": editGob(metaFrame, func(m *planeMeta) { m.Quant = vecmath.QuantParams{} }),
+		"frame":  dropFrame(quantFrame),
 	} {
 		if _, err := Load(bytes.NewReader(craft(t, e))); !errors.Is(err, snapshot.ErrMalformed) {
-			t.Errorf("no plane in %s: err = %v, want ErrMalformed", what, err)
+			t.Errorf("no plane %s: err = %v, want ErrMalformed", what, err)
 		}
 	}
 }
 
-// TestLoadedNeighborsShareOneBlock: a loaded shard's neighbor rows slice one
-// rows×k array, as a freshly built table's do, so the objects a load
+// TestLoadedNeighborsShareOneBlock: a loaded index's neighbor rows slice one
+// total×k array, as a freshly built table's do, so the objects a load
 // allocates do not grow with the record count.
 func TestLoadedNeighborsShareOneBlock(t *testing.T) {
 	allocs := func(n int) float64 {
@@ -462,10 +427,10 @@ func TestLoadedNeighborsShareOneBlock(t *testing.T) {
 
 // FuzzLoadIndex feeds arbitrary bytes to Load and requires it to terminate
 // with a consistent index or a typed error: no panic, no hang, no unbounded
-// allocation. With resealed set, every CRC is recomputed
-// first, so mutations reach the frame decoders behind the checksums. The
-// seeds are a two-shard snapshot with an embedder, its
-// truncations and flips, non-snapshots, and the crafted shape lies above.
+// allocation. With resealed set, every CRC is recomputed first, so mutations
+// reach the frame decoders behind the checksums. The seeds are a two-shard v7
+// snapshot with an embedder, its truncations and flips, non-snapshots, and
+// the crafted shape lies above.
 func FuzzLoadIndex(f *testing.F) {
 	valid := seedSnapshot()
 	f.Add(valid, false)
@@ -478,7 +443,7 @@ func FuzzLoadIndex(f *testing.F) {
 	mut[len(mut)/3] ^= 0x10
 	f.Add(mut, false)
 	var bare bytes.Buffer // what builds before the framed format wrote
-	if err := gob.NewEncoder(&bare).Encode(manifest{Total: 3, K: 3, Reps: []int{1, 2}}); err != nil {
+	if err := gob.NewEncoder(&bare).Encode(manifest{Total: 3, Shards: 1, K: 3, Reps: []int{1, 2}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bare.Bytes(), false)
@@ -496,13 +461,11 @@ func FuzzLoadIndex(f *testing.F) {
 			requireTyped(t, err, "fuzzed snapshot")
 		} else {
 			v := x.Pin()
-			for _, sh := range v.shards {
-				if err := sh.Validate(); err != nil {
-					t.Fatalf("Load accepted a shard its own validation rejects: %v", err)
-				}
+			if err := v.validate(); err != nil {
+				t.Fatalf("Load accepted an index its own validation rejects: %v", err)
 			}
-			if err := consistent(v.shards, v.w.emb); err != nil {
-				t.Fatalf("Load accepted inconsistent shards: %v", err)
+			if emb := v.w.emb; emb != nil && emb.Dim() != v.emb.Dim() {
+				t.Fatalf("Load accepted a %d-dim embedder over %d-dim embeddings", emb.Dim(), v.emb.Dim())
 			}
 		}
 		if !bytes.HasPrefix(data, snapshot.Magic[:]) && !errors.Is(err, snapshot.ErrBadMagic) {

@@ -15,8 +15,9 @@ import (
 // TestShardQuantInvariance extends the headline shard property to the
 // quantized plane: every scatter-gather path of a sharded index — including
 // cracks that prune through the code plane, before and after an append grew
-// it — is bitwise what the unsharded float table evolved through cluster's
-// float API computes, at every shard count and every worker count.
+// it and widened its decode-error bound — is bitwise what the unsharded float
+// table evolved through cluster's float API computes, at every shard count
+// and every worker count.
 func TestShardQuantInvariance(t *testing.T) {
 	const n, reps, extra = 500, 60, 60
 	base, ds := buildIndex(t, n, reps)
@@ -43,7 +44,14 @@ func TestShardQuantInvariance(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	// The second half of the batch lies far outside the trained range, so the
+	// append widens the plane's decode-error bound for every record.
 	features := extraFeatures(t, extra, 8)
+	for _, row := range features[extra/2:] {
+		for d := range row {
+			row[d] = row[d]*3 + 5
+		}
+	}
 	anns := maps.Clone(before)
 	maps.Copy(anns, after)
 	ref := newReference(base, features, ids, anns)
@@ -62,6 +70,9 @@ func TestShardQuantInvariance(t *testing.T) {
 			x.CrackAll(before)
 			if _, err := x.AppendRecords(features); err != nil {
 				t.Fatal(err)
+			}
+			if !x.Shard(0).Quant.Widened() {
+				t.Fatal("the drifted append did not widen the plane's decode-error bound")
 			}
 			x.CrackAll(after)
 			sameTable(t, fmt.Sprintf("shards=%d par=%d", shards, par), x.Pin(), ref)
@@ -102,7 +113,7 @@ func TestShardQuantMemoryStats(t *testing.T) {
 	}
 }
 
-// TestShardQuantPersistRoundTrip: the per-shard frames carry the
+// TestShardQuantPersistRoundTrip: the snapshot frames carry the
 // plane through Save/Load, and the restored index still scans (and cracks)
 // through it with identical results.
 func TestShardQuantPersistRoundTrip(t *testing.T) {
@@ -183,19 +194,12 @@ func TestShardQuantRequantize(t *testing.T) {
 	sameBits(t, "post-requantize Propagate", got, want)
 }
 
-// carriesPlanes fails unless every shard of v is valid and holds a quantized
-// plane over exactly its records.
+// carriesPlanes fails unless v is valid, which includes a quantized plane
+// over exactly its records.
 func carriesPlanes(t *testing.T, step string, v *shard.Version) {
 	t.Helper()
-	for s := 0; s < v.NumShards(); s++ {
-		sh := v.Shard(s)
-		if err := sh.Validate(); err != nil {
-			t.Fatalf("%s: shard %d invalid: %v", step, s, err)
-		}
-		if !sh.Quant.Enabled() || sh.Quant.Rows() != sh.NumRecords() {
-			t.Fatalf("%s: shard %d holds a %d-row plane (enabled %t) over %d records",
-				step, s, sh.Quant.Rows(), sh.Quant.Enabled(), sh.NumRecords())
-		}
+	if err := v.Validate(); err != nil {
+		t.Fatalf("%s: invalid: %v", step, err)
 	}
 }
 

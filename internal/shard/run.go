@@ -113,7 +113,7 @@ func (v *Version) Run(ctx context.Context, q Query, labels *store.Bound, sp *tel
 	if err != nil {
 		return ans, err
 	}
-	ans.Records, ans.Shards = len(col.Scores), len(v.shards)
+	ans.Records, ans.Shards = len(col.Scores), v.n
 	r := &request{ctx: ctx, done: ctx.Done(), labels: labels}
 	defer func() { ans.Hits, ans.Misses = r.hits, r.misses }()
 

@@ -1,17 +1,16 @@
 // Package shard serves a built TASTI index: its Index is the one type that
-// answers queries and takes writes — cracks, appends, reloads. Split
-// partitions a core.Index into record-range shards, and every query runs
-// through a scatter-gather layer that is bitwise indistinguishable from one
-// shard holding the whole corpus.
+// answers queries and takes writes — cracks, appends, reloads. Every query
+// runs through a scatter-gather layer over n record-range shards that is
+// bitwise indistinguishable from one shard holding the whole corpus.
 //
-// # Partitioning
+// # Shards are views
 //
-// Split carves a *core.Index into n shards by contiguous record-ID range:
-// shard s owns [s*total/n, (s+1)*total/n). Sharding partitions the records
-// only: each shard holds a zero-copy row-range view of the embedding matrix
-// and its shard-local neighbor rows, naming corpus-global representative IDs,
-// while the representative list and the annotation map exist once per
-// Version and every shard's Table.Reps and Annotations alias them.
+// A Version holds one record range: one embedding matrix, its one quantized
+// plane, one min-k table (the representative list and every record's
+// neighbor row) and one annotation map. Split(ix, n) only fixes the shard
+// count: shard s is the view [s*total/n, (s+1)*total/n) of that range, which
+// Shard, the scatter and LimitCursor's heaps compute on demand. Appends
+// extend the one range, so the views stay balanced as it grows.
 //
 // # Determinism contract
 //
@@ -28,9 +27,8 @@
 //     permutation, so the merge equals the global order.
 //   - Cracking (Crack, CrackAll) updates each record's neighbor row from only
 //     that row, the record's own embedding, and the new representative's
-//     embedding — supplied by the owning shard — so per-shard tables evolve
-//     exactly as one global table would, and equal the table a one-pass
-//     build over the final representative list computes.
+//     embedding, so the table equals the one a one-pass build over the final
+//     representative list computes, whatever the shard count.
 //
 // What deliberately does NOT scatter: estimator-side reductions. Floating-
 // point addition is not associative, so combining per-shard partial sums
@@ -40,7 +38,7 @@
 //
 // # Concurrency
 //
-// An Index publishes one immutable Version — shard list, record count,
+// An Index publishes one immutable Version — record range, shard count,
 // generation, and that generation's proxy-column store — through one atomic
 // pointer. Readers take no lock: Pin loads the published version, and every
 // read on it (Propagate*, Column, LimitCursor, AnnotationOf, RepCount, Save,
@@ -53,12 +51,12 @@
 // wiring calls — are serialized among themselves only, by one mutex readers
 // never touch. Each builds the next version copy-on-write from the published
 // one and publishes it: nothing reachable from a published Version is written
-// again. A crack batch clones the representative list and the annotation map
-// once and each shard's Neighbors outer slice, and gives every neighbor list
-// it changes a fresh row (cluster.Table); appending
-// extends the last shard's matrix and table past the lengths older versions
-// hold, where their readers never look. A superseded version is garbage once
-// the last request that pinned it returns.
+// again. A crack batch clones the representative list, the annotation map and
+// the Neighbors outer slice once, and gives every neighbor list it changes a
+// fresh row (cluster.Table); appending extends the matrix, plane and table
+// past the lengths older versions hold, where their readers never look. A
+// superseded version is garbage once the last request that pinned it
+// returns.
 package shard
 
 import (
@@ -81,85 +79,64 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Pre-built metric names shared with core's propagation observers, plus the
-// per-shard families documented in docs/OBSERVABILITY.md. Per-shard handles
-// are resolved once in SetTelemetry so the query path never formats a name.
+// Pre-built metric names shared with core's propagation observers.
 const (
 	metricPropagateWeighted = `tasti_propagate_total{kind="weighted"}`
 	metricPropagateNearest  = `tasti_propagate_total{kind="nearest"}`
 	metricPropagateSeconds  = "tasti_propagate_seconds"
 )
 
-// Shard is one contiguous record-range slice of the index. Its Table rows
-// and embedding matrix are indexed locally (record id - Lo) while
+// Shard is a read-only view of records [Lo, Hi) of one version. Its Table
+// rows and embedding matrix are indexed locally (record id - Lo) while
 // Table.Reps, the neighbor entries' Rep fields, and the Annotations keys
-// stay corpus-global — the invariant that lets shard-local propagation reuse
-// the exact core kernels. Table.Reps and Annotations are read-only aliases of
-// the version's one representative list and annotation map, shared by every
-// shard.
+// stay corpus-global. Every field aliases the version's one range, one
+// representative list and one annotation map.
 type Shard struct {
-	// Lo and Hi bound the owned record IDs: [Lo, Hi).
+	// Lo and Hi bound the viewed record IDs: [Lo, Hi).
 	Lo, Hi int
 	// Embeddings holds rows Lo..Hi-1 of the corpus matrix, locally indexed.
 	Embeddings vecmath.Matrix
-	// Quant is the shard's view of the quantized scan plane — the same row
-	// range as Embeddings, sharing the corpus plane's codes and trained
-	// params. Cracks prune through it and rerank on the float rows. Every
-	// shard has one (Split makes it when the source index has none).
+	// Quant is the same row range of the version's quantized scan plane.
 	Quant vecmath.QuantMatrix
-	// Table is the shard-local min-k table: Neighbors[i] describes record
-	// Lo+i, naming corpus-global representative IDs.
+	// Table is the min-k table over the viewed rows: Neighbors[i] describes
+	// record Lo+i, naming corpus-global representative IDs.
 	Table *cluster.Table
 	// Annotations caches target-labeler outputs for every representative,
 	// keyed by corpus-global record ID: the version's one map, read-only.
 	Annotations map[int]dataset.Annotation
 }
 
-// NumRecords returns the number of records the shard owns.
+// NumRecords returns the number of records the shard views.
 func (sh *Shard) NumRecords() int { return sh.Hi - sh.Lo }
 
-// Validate checks the shard's internal invariants: range shape, matrix/table
-// row agreement, a quantized plane over exactly the embedding rows, and the
-// table's own invariants.
-func (sh *Shard) Validate() error {
-	if sh.Lo < 0 || sh.Hi < sh.Lo {
-		return fmt.Errorf("shard: invalid range [%d,%d)", sh.Lo, sh.Hi)
-	}
-	if n := sh.NumRecords(); sh.Embeddings.Rows() != n || len(sh.Table.Neighbors) != n {
-		return fmt.Errorf("shard: range [%d,%d) has %d embedding rows and %d neighbor lists",
-			sh.Lo, sh.Hi, sh.Embeddings.Rows(), len(sh.Table.Neighbors))
-	}
-	if !sh.Quant.Enabled() || sh.Quant.Rows() != sh.NumRecords() || sh.Quant.Dim() != sh.Embeddings.Dim() {
-		return fmt.Errorf("shard: range [%d,%d) has a %dx%d quantized plane over %dx%d embeddings",
-			sh.Lo, sh.Hi, sh.Quant.Rows(), sh.Quant.Dim(), sh.Embeddings.Rows(), sh.Embeddings.Dim())
-	}
-	return sh.Table.Validate()
-}
-
-// Index is a sharded TASTI index: N record-range shards behind one
-// scatter-gather query surface. It is a handle on a sequence of immutable
-// Versions (see the package comment's concurrency section): reads pin the
-// published one, writers publish its successor.
+// Index is a served TASTI index behind one scatter-gather query surface. It
+// is a handle on a sequence of immutable Versions (see the package comment's
+// concurrency section): reads pin the published one, writers publish its
+// successor.
 type Index struct {
 	cur atomic.Pointer[Version]
 	// writer serializes mutators among themselves; readers never take it.
 	writer sync.Mutex
 }
 
-// Version is one immutable state of a sharded index: what every query that
-// pinned it sees, end to end. It holds one representative list and one
-// annotation map, which every shard's Table.Reps and Annotations alias. Its
-// shards, their tables and that list and map are never written after
-// publication; the proxy-column store is the one part that still changes (it
-// memoizes reads of this very state) and locks itself.
+// Version is one immutable state of an index: what every query that pinned
+// it sees, end to end. Its matrix, plane, table and annotation map are never
+// written after publication; the proxy-column store is the one part that
+// still changes (it memoizes reads of this very state) and locks itself.
 type Version struct {
 	// Stats carries the build metadata of the source index (labeler spend,
 	// phase timings, degraded representatives) for /readyz and /index.
 	Stats core.BuildStats
 
-	w      *wiring
-	shards []*Shard
-	total  int
+	w *wiring
+	// emb, quant and table cover every record, one row each; table.Reps is
+	// the representative list and anns their annotations.
+	emb   vecmath.Matrix
+	quant vecmath.QuantMatrix
+	table *cluster.Table
+	anns  map[int]dataset.Annotation
+	// n is the shard count: the width of the scatter.
+	n int
 	// gen counts the state-changing mutations applied since the index was
 	// split, loaded or cloned (ColumnStats.Generation).
 	gen uint64
@@ -174,15 +151,12 @@ type Version struct {
 // immutable; the Set* calls publish a version carrying a new one.
 type wiring struct {
 	par int
-	// emb is the embedding model shared by every shard, carried over from the
-	// source index (or restored from a snapshot's embedder frame) so the
-	// sharded index can ingest new records (AppendRecords). Nil when the
-	// source had none.
+	// emb is the embedding model, carried over from the source index (or
+	// restored from a snapshot's embedder frame) so the index can ingest new
+	// records (AppendRecords). Nil when the source had none.
 	emb embed.Embedder
 
 	tel         *telemetry.Registry
-	mProp       []*telemetry.Counter // tasti_shard_propagate_total{shard="s"}
-	gRecords    []*telemetry.Gauge   // tasti_shard_records{shard="s"}
 	gReps       *telemetry.Gauge     // tasti_index_reps
 	gColBytes   *telemetry.Gauge     // tasti_proxy_column_bytes
 	gGen        *telemetry.Gauge     // tasti_index_generation
@@ -191,16 +165,10 @@ type wiring struct {
 	mColHit, mColMiss, mColInvalidate, mColEvict *telemetry.Counter
 }
 
-// resolved returns a copy of w with its handles resolved against w.tel for n
-// shards (nil-safe handles on a nil registry).
-func (w wiring) resolved(n int) *wiring {
+// resolved returns a copy of w with its handles resolved against w.tel
+// (nil-safe handles on a nil registry).
+func (w wiring) resolved() *wiring {
 	reg := w.tel
-	w.mProp = make([]*telemetry.Counter, n)
-	w.gRecords = make([]*telemetry.Gauge, n)
-	for s := 0; s < n; s++ {
-		w.mProp[s] = reg.Counter(fmt.Sprintf(`tasti_shard_propagate_total{shard="%d"}`, s))
-		w.gRecords[s] = reg.Gauge(fmt.Sprintf(`tasti_shard_records{shard="%d"}`, s))
-	}
 	w.gReps = reg.Gauge("tasti_index_reps")
 	w.gColBytes = reg.Gauge("tasti_proxy_column_bytes")
 	w.gGen = reg.Gauge("tasti_index_generation")
@@ -212,24 +180,25 @@ func (w wiring) resolved(n int) *wiring {
 	return &w
 }
 
-// newIndex returns an index whose first version is generation 0 of shards.
-func newIndex(w wiring, stats core.BuildStats, shards []*Shard, total int) *Index {
+// newIndex returns an index whose first version is v at generation 0, under
+// w with nothing retained.
+func newIndex(w wiring, v *Version) *Index {
 	x := &Index{}
-	rw := w.resolved(len(shards))
-	x.cur.Store(&Version{Stats: stats, w: rw, shards: shards, total: total, cols: newColumnStore(columnBudgetBytes, rw)})
+	v.w = w.resolved()
+	v.cols = newColumnStore(columnBudgetBytes, v.w)
+	x.cur.Store(v)
 	return x
 }
 
-// Split partitions a built index into n contiguous-range shards, taking
-// ownership of ix: the shards alias its embedding matrix, quantized plane and
-// neighbor rows (zero-copy views), and all of them its one representative
-// list and annotation map, so the source index must not be used afterwards.
-// A source without a plane (a hand-built core.Index) gets one trained over
-// its embeddings here, so every shard of every version carries one.
+// Split hands a built index to the serving layer with a scatter over n
+// shards, taking ownership of ix: the index aliases its embedding matrix,
+// quantized plane, table and annotation map, so the source index must not be
+// used afterwards. A source without a plane (a hand-built core.Index) gets
+// one trained over its embeddings here, so every version carries one.
 // Parallelism and telemetry carry over from ix's config.
 //
-// Split(ix, 1) is the identity sharding: one shard holding the whole index,
-// with every query path byte-for-byte equivalent to ix's own.
+// Split(ix, 1) serves one shard, with every query path byte-for-byte
+// equivalent to ix's own.
 func Split(ix *core.Index, n int) (*Index, error) {
 	total := ix.NumRecords()
 	if n < 1 || n > total {
@@ -243,23 +212,8 @@ func Split(ix *core.Index, n int) (*Index, error) {
 		}
 	}
 	cfg := ix.Config()
-	shards := make([]*Shard, n)
-	for s := 0; s < n; s++ {
-		lo, hi := s*total/n, (s+1)*total/n
-		shards[s] = &Shard{
-			Lo:         lo,
-			Hi:         hi,
-			Embeddings: ix.Embeddings.RowRange(lo, hi),
-			Quant:      quant.RowRange(lo, hi),
-			Table: &cluster.Table{
-				K:         ix.Table.K,
-				Reps:      ix.Table.Reps,
-				Neighbors: ix.Table.Neighbors[lo:hi:hi],
-			},
-			Annotations: ix.Annotations,
-		}
-	}
-	x := newIndex(wiring{par: cfg.Parallelism, emb: ix.Embedder, tel: cfg.Telemetry}, ix.Stats, shards, total)
+	x := newIndex(wiring{par: cfg.Parallelism, emb: ix.Embedder, tel: cfg.Telemetry}, &Version{
+		Stats: ix.Stats, emb: ix.Embeddings, quant: quant, table: ix.Table, anns: ix.Annotations, n: n})
 	x.PublishMetrics()
 	return x, nil
 }
@@ -297,25 +251,37 @@ func (x *Index) Column(sc Scorer, kind ColumnKind, sp *telemetry.Span) (*Column,
 }
 
 // NumShards returns the shard count.
-func (v *Version) NumShards() int { return len(v.shards) }
+func (v *Version) NumShards() int { return v.n }
 
-// NumRecords returns the number of records across all shards.
-func (v *Version) NumRecords() int { return v.total }
+// NumRecords returns the number of records.
+func (v *Version) NumRecords() int { return len(v.table.Neighbors) }
 
-// K returns the min-k table depth (identical across shards).
-func (v *Version) K() int { return v.shards[0].Table.K }
+// K returns the min-k table depth.
+func (v *Version) K() int { return v.table.K }
 
-// reps returns the version's one representative list, which every shard's
-// Table.Reps aliases.
-func (v *Version) reps() []int { return v.shards[0].Table.Reps }
+// span returns the record range [lo, hi) of shard s.
+func (v *Version) span(s int) (lo, hi int) {
+	total := v.NumRecords()
+	return s * total / v.n, (s + 1) * total / v.n
+}
 
-// anns returns the version's one annotation map, which every shard's
-// Annotations aliases.
-func (v *Version) anns() map[int]dataset.Annotation { return v.shards[0].Annotations }
-
-// Shard returns the shard at position i. It is shared with every reader of
-// the version: read-only.
-func (v *Version) Shard(i int) *Shard { return v.shards[i] }
+// Shard returns the view of shard i's records. It aliases the version's
+// state, which every reader shares: read-only.
+func (v *Version) Shard(i int) *Shard {
+	lo, hi := v.span(i)
+	return &Shard{
+		Lo:         lo,
+		Hi:         hi,
+		Embeddings: v.emb.RowRange(lo, hi),
+		Quant:      v.quant.RowRange(lo, hi),
+		Table: &cluster.Table{
+			K:         v.table.K,
+			Reps:      v.table.Reps,
+			Neighbors: v.table.Neighbors[lo:hi:hi],
+		},
+		Annotations: v.anns,
+	}
+}
 
 // write runs one mutation: it waits for the writer lock — the only wait a
 // writer has, observed into tasti_index_writer_wait_seconds — builds the
@@ -337,16 +303,17 @@ func (x *Index) write(fn func(cur *Version) (*Version, error)) error {
 	return nil
 }
 
-// successor returns the version that follows v after gens state-changing
-// mutations left it with shards covering total records: a new generation
-// with nothing retained. Dropping a non-empty column store counts as one
-// invalidation.
-func (v *Version) successor(shards []*Shard, total int, gens uint64) *Version {
+// successor returns a copy of v for the caller to apply gens state-changing
+// mutations to: a new generation with nothing retained. Dropping a non-empty
+// column store counts as one invalidation.
+func (v *Version) successor(gens uint64) *Version {
 	if v.cols.len() > 0 {
 		v.w.mColInvalidate.Inc()
 	}
-	return &Version{Stats: v.Stats, w: v.w, shards: shards, total: total,
-		gen: v.gen + gens, cols: newColumnStore(columnBudgetBytes, v.w)}
+	next := *v
+	next.gen += gens
+	next.cols = newColumnStore(columnBudgetBytes, v.w)
+	return &next
 }
 
 // rewire publishes the current state under changed wiring. The retained
@@ -356,7 +323,7 @@ func (x *Index) rewire(set func(w *wiring)) {
 		w := *cur.w
 		set(&w)
 		next := *cur
-		next.w = w.resolved(len(cur.shards))
+		next.w = w.resolved()
 		next.cols = newColumnStore(columnBudgetBytes, next.w)
 		return &next, nil
 	})
@@ -368,23 +335,18 @@ func (x *Index) rewire(set func(w *wiring)) {
 func (x *Index) SetParallelism(p int) { x.rewire(func(w *wiring) { w.par = p }) }
 
 // SetTelemetry points the index at a metrics registry (nil disables) and
-// pre-resolves the per-shard handles so the query path never formats a
-// metric name.
+// pre-resolves its handles so the query path never formats a metric name.
 func (x *Index) SetTelemetry(reg *telemetry.Registry) { x.rewire(func(w *wiring) { w.tel = reg }) }
 
-// PublishMetrics refreshes the per-shard record gauges, the representative
-// count, the proxy-column residency and the index generation from the
-// published version. Every writer does so as it publishes; cmd/tastiserve
-// also calls it on /metrics scrapes, which catches the residency changes
-// reads make.
+// PublishMetrics refreshes the representative count, the proxy-column
+// residency and the index generation from the published version. Every
+// writer does so as it publishes; cmd/tastiserve also calls it on /metrics
+// scrapes, which catches the residency changes reads make.
 func (x *Index) PublishMetrics() { x.Pin().publishMetrics() }
 
 func (v *Version) publishMetrics() {
 	if v.w.tel == nil {
 		return
-	}
-	for s, sh := range v.shards {
-		v.w.gRecords[s].Set(float64(sh.NumRecords()))
 	}
 	v.w.gReps.Set(float64(v.RepCount()))
 	cs := v.ColumnStats()
@@ -395,30 +357,26 @@ func (v *Version) publishMetrics() {
 // Replace replaces the whole index state with another index's — a snapshot
 // loaded for a hot reload — as one more write: next's published version goes
 // out under this index's wiring with its own generation count and an empty
-// column store. Replace takes ownership of next's shards.
+// column store. Replace takes ownership of next's state.
 func (x *Index) Replace(next *Index) {
 	_ = x.write(func(cur *Version) (*Version, error) {
-		nv := next.Pin()
-		w := cur.w
-		if len(nv.shards) != len(cur.shards) {
-			w = w.resolved(len(nv.shards))
-		}
-		return &Version{Stats: nv.Stats, w: w, shards: nv.shards, total: nv.total,
-			gen: nv.gen, cols: newColumnStore(columnBudgetBytes, w)}, nil
+		nv := *next.Pin()
+		nv.w = cur.w
+		nv.cols = newColumnStore(columnBudgetBytes, cur.w)
+		return &nv, nil
 	})
 }
 
 // RepCount returns the number of representatives.
-func (v *Version) RepCount() int { return len(v.reps()) }
+func (v *Version) RepCount() int { return len(v.table.Reps) }
 
 // repScores evaluates score on every representative's annotation into a
 // dense slice indexed by corpus-global record ID, once for all shards.
 // Entries for non-representatives are zeros no read path touches.
 func (v *Version) repScores(score core.ScoreFunc) ([]float64, error) {
-	rs := make([]float64, v.total)
-	anns := v.anns()
-	for _, rep := range v.reps() {
-		ann, ok := anns[rep]
+	rs := make([]float64, v.NumRecords())
+	for _, rep := range v.table.Reps {
+		ann, ok := v.anns[rep]
 		if !ok {
 			return nil, fmt.Errorf("%w: representative %d", core.ErrNoAnnotation, rep)
 		}
@@ -428,46 +386,38 @@ func (v *Version) repScores(score core.ScoreFunc) ([]float64, error) {
 }
 
 // scatter runs fn concurrently over the shards — one goroutine per shard,
-// each writing only its [Lo, Hi) slice of any gathered output — and returns
-// the lowest-numbered shard's error, so the reported failure is deterministic
-// even when several shards fail. When sp is non-nil, each shard's work runs
-// inside a child span named shard/<s> carrying the shard's record count. Span
-// bookkeeping happens outside fn's hot loops and no-ops entirely on a nil
-// span, so unsampled requests pay one nil check per shard.
-func (v *Version) scatter(sp *telemetry.Span, fn func(s int, sh *Shard) error) error {
-	run := func(s int, sh *Shard) error {
-		c := sp.Child(fmt.Sprintf("shard/%d", s))
-		c.SetAttr("records", sh.NumRecords())
-		defer c.End()
-		return fn(s, sh)
+// each given its record range [lo, hi) and writing only that slice of any
+// gathered output. When sp is non-nil, each shard's work runs inside a child
+// span named shard/<s> carrying the shard's record count. Span bookkeeping
+// happens outside fn's hot loops and no-ops entirely on a nil span, so
+// unsampled requests pay one nil check per shard.
+func (v *Version) scatter(sp *telemetry.Span, fn func(s, lo, hi int)) {
+	run := func(s int) {
+		lo, hi := v.span(s)
+		if sp != nil {
+			c := sp.Child(fmt.Sprintf("shard/%d", s))
+			c.SetAttr("records", hi-lo)
+			defer c.End()
+		}
+		fn(s, lo, hi)
 	}
-	if sp == nil {
-		run = fn
+	if v.n == 1 {
+		run(0)
+		return
 	}
-	if len(v.shards) == 1 {
-		return run(0, v.shards[0])
-	}
-	errs := make([]error, len(v.shards))
 	var wg sync.WaitGroup
-	for s := range v.shards {
+	for s := 0; s < v.n; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = run(s, v.shards[s])
+			run(s)
 		}(s)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // observePropagate mirrors core's propagation observability: one count and
-// one latency observation per gather, nothing per record or per shard beyond
-// the pre-resolved per-shard counters.
+// one latency observation per gather, nothing per record or per shard.
 func (v *Version) observePropagate(metric string, start time.Time) {
 	tel := v.w.tel
 	if tel == nil {
@@ -479,8 +429,7 @@ func (v *Version) observePropagate(metric string, start time.Time) {
 
 // Propagate computes the corpus-global proxy-score vector over each record's
 // K nearest representatives, scattering across shards and gathering into one
-// slice — bitwise identical to one min-k table over the whole corpus, and to
-// core.Index.Propagate on the unsharded index.
+// slice — bitwise identical to core.Index.Propagate over the same table.
 func (v *Version) Propagate(score core.ScoreFunc) ([]float64, error) {
 	return v.PropagateK(score, v.K(), nil)
 }
@@ -489,7 +438,7 @@ func (v *Version) Propagate(score core.ScoreFunc) ([]float64, error) {
 // request span: the scatter opens one child span per shard under sp, and a
 // nil sp runs identically with no tracing. The representatives are scored
 // once into one vector, and each shard runs the shared core.PropagateKRange
-// kernel over its local rows into its disjoint slice of the output.
+// kernel over its rows into its disjoint slice of the output.
 func (v *Version) PropagateK(score core.ScoreFunc, k int, sp *telemetry.Span) ([]float64, error) {
 	if kMax := v.K(); k <= 0 || k > kMax {
 		return nil, fmt.Errorf("shard: propagation k=%d outside [1,%d]", k, kMax)
@@ -499,20 +448,16 @@ func (v *Version) PropagateK(score core.ScoreFunc, k int, sp *telemetry.Span) ([
 	if err != nil {
 		return nil, err
 	}
-	par := v.w.par
-	out := make([]float64, v.total)
-	_ = v.scatter(sp, func(s int, sh *Shard) error {
-		v.w.mProp[s].Inc()
-		localN := sh.NumRecords()
-		local := out[sh.Lo:sh.Hi]
+	par, nbrs := v.w.par, v.table.Neighbors
+	out := make([]float64, len(nbrs))
+	v.scatter(sp, func(_, lo, hi int) {
 		if parallel.Workers(par) == 1 {
-			core.PropagateKRange(local, sh.Table.Neighbors, rs, k, 0, localN)
-		} else {
-			parallel.ForChunks(par, localN, func(_ int, sp parallel.Span) {
-				core.PropagateKRange(local, sh.Table.Neighbors, rs, k, sp.Lo, sp.Hi)
-			})
+			core.PropagateKRange(out, nbrs, rs, k, lo, hi)
+			return
 		}
-		return nil
+		parallel.ForChunks(par, hi-lo, func(_ int, c parallel.Span) {
+			core.PropagateKRange(out, nbrs, rs, k, lo+c.Lo, lo+c.Hi)
+		})
 	})
 	return out, nil
 }
@@ -527,19 +472,17 @@ func (v *Version) PropagateNearest(score core.ScoreFunc, sp *telemetry.Span) (sc
 	if err != nil {
 		return nil, nil, err
 	}
-	scores = make([]float64, v.total)
-	dists = make([]float64, v.total)
-	_ = v.scatter(sp, func(s int, sh *Shard) error {
-		v.w.mProp[s].Inc()
-		localScores, localDists := scores[sh.Lo:sh.Hi], dists[sh.Lo:sh.Hi]
-		parallel.ForChunks(v.w.par, sh.NumRecords(), func(_ int, sp parallel.Span) {
-			for i := sp.Lo; i < sp.Hi; i++ {
-				nb := sh.Table.Neighbors[i][0]
-				localScores[i] = rs[nb.Rep]
-				localDists[i] = nb.Dist
+	nbrs := v.table.Neighbors
+	scores = make([]float64, len(nbrs))
+	dists = make([]float64, len(nbrs))
+	v.scatter(sp, func(_, lo, hi int) {
+		parallel.ForChunks(v.w.par, hi-lo, func(_ int, c parallel.Span) {
+			for i := lo + c.Lo; i < lo+c.Hi; i++ {
+				nb := nbrs[i][0]
+				scores[i] = rs[nb.Rep]
+				dists[i] = nb.Dist
 			}
 		})
-		return nil
 	})
 	return scores, dists, nil
 }
@@ -560,13 +503,12 @@ func (v *Version) LimitOrder(proxy, tieDist []float64) []int {
 // total order, so the cursor yields limitq.Order's permutation at any shard
 // count. proxy (and tieDist, when non-nil) must have NumRecords entries.
 func (v *Version) LimitCursor(proxy, tieDist []float64, sp *telemetry.Span) *limitq.Cursor {
-	if len(proxy) != v.total {
-		panic(fmt.Sprintf("shard: %d proxy scores for %d records", len(proxy), v.total))
+	if total := v.NumRecords(); len(proxy) != total {
+		panic(fmt.Sprintf("shard: %d proxy scores for %d records", len(proxy), total))
 	}
-	heaps := make([]*limitq.Heap, len(v.shards))
-	_ = v.scatter(sp, func(s int, sh *Shard) error {
-		heaps[s] = limitq.NewHeap(proxy, tieDist, sh.Lo, sh.Hi)
-		return nil
+	heaps := make([]*limitq.Heap, v.n)
+	v.scatter(sp, func(s, lo, hi int) {
+		heaps[s] = limitq.NewHeap(proxy, tieDist, lo, hi)
 	})
 	return limitq.NewCursor(heaps...)
 }
@@ -580,14 +522,14 @@ func (x *Index) Crack(id int, ann dataset.Annotation) {
 // CrackAll adds a batch of target-labeler observations as new
 // representatives, in ascending ID order — the fixed order that makes batch
 // cracking deterministic regardless of map iteration — and publishes the
-// result as one version. For each record the owning shard supplies the
-// embedding row, the record joins the one representative list and annotation
-// map, and each shard updates its own table rows — the same per-record
-// computation the unsharded Table.AddRepresentativeEmb runs, so the sharded
-// tables stay bitwise identical to the global one. Records that are already
-// annotated are skipped; a batch of nothing else keeps the published version,
-// its generation and its proxy columns. Each representative added advances
-// the generation by one.
+// result as one version. Each record joins the representative list and the
+// annotation map, and every record's neighbor row is updated from its own
+// embedding and the new representative's — the per-record computation
+// Table.AddRepresentativeEmb runs, so the table stays bitwise identical to
+// a one-pass build over the final list. Records that are already annotated
+// are skipped; a batch of nothing else keeps the published version, its
+// generation and its proxy columns. Each representative added advances the
+// generation by one.
 // CrackAll returns how many representatives the batch added to the index:
 // what RepCount grew by, with no other write in between.
 func (x *Index) CrackAll(anns map[int]dataset.Annotation) (added int) {
@@ -615,14 +557,14 @@ func (x *Index) CrackInOrder(ids []int, anns map[int]dataset.Annotation) (added 
 // cracked builds v's successor with the not-yet-annotated records of ids
 // added as representatives in that order, or returns nil when there are none;
 // added counts them. Copy-on-write: the successor gets one fresh
-// representative list and annotation map, which all its shards share, and
-// each shard its own Table header and Neighbors outer slice;
+// representative list, annotation map and Neighbors outer slice;
 // AddRepresentativeRows replaces — never rewrites — the rows it changes, so v
 // keeps propagating the bits it always did.
 func (v *Version) cracked(ids []int, anns map[int]dataset.Annotation) (next *Version, added int) {
+	total := v.NumRecords()
 	for _, id := range ids {
-		if id < 0 || id >= v.total {
-			panic(fmt.Sprintf("shard: crack id %d out of range [0,%d)", id, v.total))
+		if id < 0 || id >= total {
+			panic(fmt.Sprintf("shard: crack id %d out of range [0,%d)", id, total))
 		}
 	}
 	if !slices.ContainsFunc(ids, func(id int) bool { return !v.Annotated(id) }) {
@@ -630,38 +572,28 @@ func (v *Version) cracked(ids []int, anns map[int]dataset.Annotation) (next *Ver
 	}
 	// The copies are the batch's fixed cost, whatever its size: one list of
 	// representatives, one map of annotations, and O(records) row headers.
-	reps, repAnns := slices.Clone(v.reps()), maps.Clone(v.anns())
-	shards := make([]*Shard, len(v.shards))
-	for s, sh := range v.shards {
-		next := *sh
-		next.Table = &cluster.Table{K: sh.Table.K, Neighbors: slices.Clone(sh.Table.Neighbors)}
-		shards[s] = &next
-	}
+	table := &cluster.Table{K: v.table.K, Reps: slices.Clone(v.table.Reps), Neighbors: slices.Clone(v.table.Neighbors)}
+	repAnns := maps.Clone(v.anns)
 	var qstats cluster.QuantScanStats
 	for _, id := range ids {
 		if _, ok := repAnns[id]; ok {
 			continue
 		}
-		reps = append(reps, id)
+		table.Reps = append(table.Reps, id)
 		repAnns[id] = anns[id]
-		owner := v.owner(id) // embeddings are shared with the successor
-		repEmb := owner.Embeddings.Row(id - owner.Lo)
-		for _, sh := range shards {
-			qstats.Add(sh.Table.AddRepresentativeRows(sh.Embeddings, sh.Quant, id, repEmb, v.w.par))
-		}
-	}
-	for _, sh := range shards {
-		sh.Table.Reps, sh.Annotations = reps, repAnns
+		qstats.Add(table.AddRepresentativeRows(v.emb, v.quant, id, v.emb.Row(id), v.w.par))
 	}
 	core.PublishQuantStats(v.w.tel, qstats)
-	added = len(reps) - v.RepCount()
-	return v.successor(shards, v.total, uint64(added)), added
+	added = len(table.Reps) - v.RepCount()
+	next = v.successor(uint64(added))
+	next.table, next.anns = table, repAnns
+	return next, added
 }
 
 // Annotated reports whether record id is already a representative (has a
 // cached annotation).
 func (v *Version) Annotated(id int) bool {
-	_, ok := v.AnnotationOf(id)
+	_, ok := v.anns[id]
 	return ok
 }
 
@@ -669,11 +601,6 @@ func (v *Version) Annotated(id int) bool {
 // representative (cracked, or annotated at build). The label store consults
 // this before spending budget: an annotation the index already owns is free.
 func (v *Version) AnnotationOf(id int) (dataset.Annotation, bool) {
-	ann, ok := v.anns()[id]
+	ann, ok := v.anns[id]
 	return ann, ok
-}
-
-// owner returns the shard whose range contains id.
-func (v *Version) owner(id int) *Shard {
-	return v.shards[sort.Search(len(v.shards), func(s int) bool { return v.shards[s].Hi > id })]
 }

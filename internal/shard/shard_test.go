@@ -116,7 +116,7 @@ func (r reference) nearest(score core.ScoreFunc) (scores, dists []float64) {
 	return scores, dists
 }
 
-// sameTable fails unless every shard of v holds the reference's
+// sameTable fails unless every shard view of v holds the reference's
 // representative list, and its embedding and neighbor rows, bit for bit.
 func sameTable(t *testing.T, name string, v *shard.Version, ref reference) {
 	t.Helper()
@@ -204,8 +204,8 @@ func TestShardCountInvariance(t *testing.T) {
 }
 
 // TestCrackInvariance: cracking through the sharded surface, in ascending ID
-// order, evolves every shard's table into the one a from-scratch build over
-// the final representative list computes — at shard counts 1 and 3, pruning
+// order, evolves the table into the one a from-scratch build over the final
+// representative list computes — at shard counts 1 and 3, pruning
 // through the quantized plane — and propagates its bits afterwards.
 func TestCrackInvariance(t *testing.T) {
 	const n, reps = 400, 40
@@ -236,10 +236,8 @@ func TestCrackInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBits(t, name+": post-crack Propagate", got, wantProxy)
-		for s := 0; s < x.NumShards(); s++ {
-			if err := x.Shard(s).Validate(); err != nil {
-				t.Errorf("%s: shard %d invalid after cracking: %v", name, s, err)
-			}
+		if err := x.Pin().Validate(); err != nil {
+			t.Errorf("%s: invalid after cracking: %v", name, err)
 		}
 
 		// Cracking an already-annotated record is a no-op.
@@ -343,10 +341,9 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestPerShardTelemetry: the pre-resolved per-shard series count scatters and
-// publish per-shard record counts, and the index its representative count,
-// under the documented names.
-func TestPerShardTelemetry(t *testing.T) {
+// TestIndexTelemetry: a sharded propagation counts once at the gather, and
+// the index publishes its representative count, under the documented names.
+func TestIndexTelemetry(t *testing.T) {
 	ix, _ := buildIndex(t, 200, 20)
 	x, err := shard.Split(ix, 2)
 	if err != nil {
@@ -356,14 +353,6 @@ func TestPerShardTelemetry(t *testing.T) {
 	x.SetTelemetry(reg)
 	if _, err := x.Propagate(core.CountScore("car")); err != nil {
 		t.Fatal(err)
-	}
-	for s := 0; s < 2; s++ {
-		if got := reg.Counter(`tasti_shard_propagate_total{shard="` + string(rune('0'+s)) + `"}`).Value(); got != 1 {
-			t.Errorf("shard %d propagate counter = %d, want 1", s, got)
-		}
-		if got := reg.Gauge(`tasti_shard_records{shard="` + string(rune('0'+s)) + `"}`).Value(); got != 100 {
-			t.Errorf("shard %d records gauge = %v, want 100", s, got)
-		}
 	}
 	if got := reg.Gauge("tasti_index_reps").Value(); got != 20 {
 		t.Errorf("index reps gauge = %v, want 20", got)

@@ -102,9 +102,6 @@ func TestHealthStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skew := x.Pin().RecordSkew(); skew < 1 || skew > 1.01 {
-		t.Errorf("contiguous split record skew = %v, want ~1", skew)
-	}
 	qs := x.Pin().RadiusQuantiles([]float64{0.5, 0.9, 0.99})
 	for i := range qs {
 		if math.IsNaN(qs[i]) || qs[i] < 0 {

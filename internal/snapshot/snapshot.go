@@ -78,7 +78,13 @@ var Magic = [8]byte{'T', 'A', 'S', 'T', 'I', 'S', 'N', 'P'}
 //	     plane's parameters and every shard's ".quant" frame is required.
 //	     The index loader rejects older headers with ErrVersion; every
 //	     other kind still reads v1 on.
-const Version uint32 = 6
+//	v7 — one record range: the manifest carries the shard count instead of
+//	     per-shard ranges, one "meta" frame the embedding width and the
+//	     plane's parameters, decode-error bound and fit-time bound, then one
+//	     "embeddings", "reps", "dists" and "quant" frame each. The index
+//	     loader rejects older headers with ErrVersion; every other kind
+//	     still reads v1 on.
+const Version uint32 = 7
 
 // MinVersion is the oldest container-format version this build still reads.
 const MinVersion uint32 = 1
@@ -120,8 +126,8 @@ var (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Writer emits a framed snapshot: NewWriter writes the magic and header,
-// Frame/Encode append sections, Close seals the file with the whole-file
-// CRC trailer. It does not close the underlying writer.
+// Frame/FrameFrom/Encode append sections, Close seals the file with the
+// whole-file CRC trailer. It does not close the underlying writer.
 type Writer struct {
 	w       io.Writer
 	fileCRC hash.Hash32
@@ -182,6 +188,14 @@ func (sw *Writer) write(b []byte) error {
 
 // Frame appends one named, checksummed section.
 func (sw *Writer) Frame(name string, payload []byte) error {
+	return sw.FrameFrom(name, len(payload), func(emit func([]byte) error) error { return emit(payload) })
+}
+
+// FrameFrom appends one named, checksummed section of n payload bytes that
+// fill passes to emit piece by piece, in order, so a bulk array streams
+// through a small buffer instead of being encoded whole. emit must not be
+// called after fill returns, and the pieces must add up to exactly n bytes.
+func (sw *Writer) FrameFrom(name string, n int, fill func(emit func([]byte) error) error) error {
 	if sw.err != nil {
 		return sw.err
 	}
@@ -192,17 +206,28 @@ func (sw *Writer) Frame(name string, payload []byte) error {
 	hdr.WriteByte(byte(len(name)))
 	hdr.WriteString(name)
 	var l8 [8]byte
-	binary.BigEndian.PutUint64(l8[:], uint64(len(payload)))
+	binary.BigEndian.PutUint64(l8[:], uint64(n))
 	hdr.Write(l8[:])
 
 	crc := crc32.New(castagnoli)
 	crc.Write(hdr.Bytes()) //nolint:errcheck // hash.Write never fails
-	crc.Write(payload)     //nolint:errcheck // hash.Write never fails
-
 	if err := sw.write(hdr.Bytes()); err != nil {
 		return err
 	}
-	if err := sw.write(payload); err != nil {
+	written := 0
+	err := fill(func(p []byte) error {
+		written += len(p)
+		crc.Write(p) //nolint:errcheck // hash.Write never fails
+		return sw.write(p)
+	})
+	if err == nil && written != n {
+		err = fmt.Errorf("snapshot: frame %q declared %d bytes and wrote %d", name, n, written)
+	}
+	if err != nil {
+		// The frame is torn: latch the failure so Close never seals it.
+		if sw.err == nil {
+			sw.err = err
+		}
 		return err
 	}
 	var c4 [4]byte

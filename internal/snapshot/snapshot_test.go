@@ -34,6 +34,44 @@ func buildSample(t *testing.T, kind string) []byte {
 	return buf.Bytes()
 }
 
+// TestFrameFromStreamsPieces: a frame streamed in pieces is byte for byte
+// the frame written whole, and a stream that misses its declared length
+// fails and leaves the writer unable to seal the file.
+func TestFrameFromStreamsPieces(t *testing.T) {
+	// write frames "abcdefgh" declared as n bytes, whole or in pieces, and
+	// returns the sealed file and the frame's and the seal's errors.
+	write := func(n int, whole bool) (data []byte, frameErr, closeErr error) {
+		var buf bytes.Buffer
+		sw, err := NewWriter(&buf, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if whole {
+			frameErr = sw.Frame("bulk", []byte("abcdefgh"))
+		} else {
+			frameErr = sw.FrameFrom("bulk", n, func(emit func([]byte) error) error {
+				for _, p := range []string{"abc", "", "defgh"} {
+					if err := emit([]byte(p)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+		closeErr = sw.Close()
+		return buf.Bytes(), frameErr, closeErr
+	}
+	want, _, _ := write(8, true)
+	if got, ferr, cerr := write(8, false); ferr != nil || cerr != nil || !bytes.Equal(got, want) {
+		t.Fatalf("streamed frame differs from the whole one (errors %v, %v)", ferr, cerr)
+	}
+	for _, n := range []int{7, 9} {
+		if _, ferr, cerr := write(n, false); ferr == nil || cerr == nil {
+			t.Errorf("8 bytes streamed into a frame declaring %d: frame error %v, seal error %v", n, ferr, cerr)
+		}
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	data := buildSample(t, "test")
 	sr, err := NewReader(bytes.NewReader(data), "test")

@@ -112,56 +112,6 @@ func TrainQuantParams(m Matrix) QuantParams {
 	return p
 }
 
-// TrainQuantParamsOver fits the same min/max parameters as TrainQuantParams,
-// but over the rows of several same-width matrices at once — the sharded
-// corpus, without concatenating it. Equivalent to training on the
-// concatenation: min/max are order-independent reductions.
-func TrainQuantParamsOver(ms []Matrix) QuantParams {
-	dim := 0
-	for _, m := range ms {
-		if m.Rows() > 0 {
-			dim = m.Dim()
-			break
-		}
-	}
-	p := QuantParams{Scale: make([]float64, dim), Offset: make([]float64, dim)}
-	if dim == 0 {
-		return p
-	}
-	maxs := make([]float64, dim)
-	first := true
-	for _, m := range ms {
-		for i := 0; i < m.Rows(); i++ {
-			row := m.Row(i)
-			if first {
-				copy(p.Offset, row)
-				copy(maxs, row)
-				first = false
-				continue
-			}
-			for d, v := range row {
-				if v < p.Offset[d] {
-					p.Offset[d] = v
-				}
-				if v > maxs[d] {
-					maxs[d] = v
-				}
-			}
-		}
-	}
-	step := 0.0
-	for d := 0; d < dim; d++ {
-		if r := maxs[d] - p.Offset[d]; r > step {
-			step = r
-		}
-	}
-	step /= 255
-	for d := range p.Scale {
-		p.Scale[d] = step
-	}
-	return p
-}
-
 // QuantMatrix is the quantized plane of a Matrix: the same row-major layout
 // over one contiguous []uint8 backing array (1 byte per element instead of
 // 8), plus the trained parameters and the tracked decode-error bound. Like
@@ -180,8 +130,7 @@ type QuantMatrix struct {
 	// params widen it), which keeps old bounds valid as the plane evolves.
 	maxErr float64
 	// fitErr is maxErr as QuantizeMatrix left it, over the rows the params
-	// were fitted to; 0 for a plane reassembled from parts, whose fit is not
-	// known.
+	// were fitted to (snapshots persist it beside maxErr).
 	fitErr float64
 }
 
@@ -210,9 +159,9 @@ func QuantizeMatrix(m Matrix, p QuantParams) (QuantMatrix, error) {
 
 // QuantMatrixFromParts reassembles a persisted plane, validating shape and
 // parameters before anything is trusted; decoders turn the error into their
-// typed taxonomy. maxErr must be a valid decode-error bound for the codes
-// (snapshots persist the tracked value).
-func QuantMatrixFromParts(codes []uint8, rows, dim int, p QuantParams, maxErr float64) (QuantMatrix, error) {
+// typed taxonomy. maxErr must be a valid decode-error bound for the codes and
+// fitErr the bound the fit left, at most maxErr (snapshots persist both).
+func QuantMatrixFromParts(codes []uint8, rows, dim int, p QuantParams, maxErr, fitErr float64) (QuantMatrix, error) {
 	if rows < 0 || dim < 0 {
 		return QuantMatrix{}, fmt.Errorf("vecmath: invalid quant shape %dx%d", rows, dim)
 	}
@@ -229,8 +178,11 @@ func QuantMatrixFromParts(codes []uint8, rows, dim int, p QuantParams, maxErr fl
 	if !(maxErr >= 0) || math.IsInf(maxErr, 0) {
 		return QuantMatrix{}, fmt.Errorf("vecmath: quant decode-error bound %v not a finite non-negative value", maxErr)
 	}
+	if !(fitErr >= 0 && fitErr <= maxErr) {
+		return QuantMatrix{}, fmt.Errorf("vecmath: quant fit bound %v outside [0, %v]", fitErr, maxErr)
+	}
 	sMin, sMax := scaleBounds(p.Scale)
-	return QuantMatrix{codes: codes, rows: rows, dim: dim, params: p, sMin: sMin, sMax: sMax, maxErr: maxErr}, nil
+	return QuantMatrix{codes: codes, rows: rows, dim: dim, params: p, sMin: sMin, sMax: sMax, maxErr: maxErr, fitErr: fitErr}, nil
 }
 
 // scaleBounds returns min and max over the scales (0, 0 for an empty dim).
@@ -295,10 +247,12 @@ func (q QuantMatrix) Params() QuantParams { return q.params }
 // MaxErr returns the tracked per-coordinate decode-error bound.
 func (q QuantMatrix) MaxErr() float64 { return q.maxErr }
 
+// FitErr returns the decode-error bound as the fit left it, before appends.
+func (q QuantMatrix) FitErr() float64 { return q.fitErr }
+
 // Widened reports whether a row appended since the plane was coded widened
 // its decode-error bound: the one way a refit of the params could make the
-// plane prune better. A plane reassembled from parts reports true unless its
-// bound is 0, since its fit is not known.
+// plane prune better.
 func (q QuantMatrix) Widened() bool { return q.maxErr > q.fitErr }
 
 // Codes returns the flat code array, len Rows()*Dim(). Live storage, not a
@@ -318,8 +272,7 @@ func (q QuantMatrix) Row(i int) []uint8 {
 
 // RowRange returns the view [lo, hi) of the rows, sharing codes, params, and
 // the (conservative, plane-wide) decode-error bound. Like Matrix.RowRange the
-// final view's capacity is not clipped, so a shard split's last view extends
-// with the same append semantics as its float twin.
+// final view's capacity is not clipped.
 func (q QuantMatrix) RowRange(lo, hi int) QuantMatrix {
 	if lo < 0 || hi < lo || hi > q.rows {
 		panic(fmt.Sprintf("vecmath: quant row range [%d,%d) out of [0,%d)", lo, hi, q.rows))
@@ -331,7 +284,7 @@ func (q QuantMatrix) RowRange(lo, hi int) QuantMatrix {
 }
 
 // Clone returns a deep copy with freshly allocated codes and parameter
-// arrays, for the shard-layer deep clone.
+// arrays, for the index's deep clone.
 func (q QuantMatrix) Clone() QuantMatrix {
 	out := q
 	out.codes = append([]uint8(nil), q.codes...)

@@ -45,7 +45,7 @@ func TestCodeDistBatchMatchesScalar(t *testing.T) {
 			q[i] = uint8(r.Intn(256))
 		}
 		qm, err := QuantMatrixFromParts(codes, rows, dim,
-			QuantParams{Scale: make([]float64, dim), Offset: make([]float64, dim)}, 0)
+			QuantParams{Scale: make([]float64, dim), Offset: make([]float64, dim)}, 0, 0)
 		if err != nil {
 			t.Fatalf("dim %d: %v", dim, err)
 		}
@@ -69,7 +69,7 @@ func TestCodeDistExtremes(t *testing.T) {
 			a[i] = 255
 		}
 		qm, err := QuantMatrixFromParts(b, 1, dim,
-			QuantParams{Scale: make([]float64, dim), Offset: make([]float64, dim)}, 0)
+			QuantParams{Scale: make([]float64, dim), Offset: make([]float64, dim)}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,26 +198,34 @@ func TestQuantMatrixFromPartsRejects(t *testing.T) {
 		dim    int
 		params QuantParams
 		maxErr float64
+		fitErr float64
 	}{
-		{"negative rows", nil, -1, 2, good, 0},
-		{"negative dim", nil, 1, -2, good, 0},
-		{"short codes", []uint8{1, 2}, 2, 2, good, 0},
-		{"long codes", []uint8{1, 2, 3, 4, 5}, 2, 2, good, 0},
-		{"scale len", []uint8{1, 2}, 1, 2, QuantParams{Scale: []float64{1}, Offset: []float64{0, 0}}, 0},
-		{"offset len", []uint8{1, 2}, 1, 2, QuantParams{Scale: []float64{1, 1}, Offset: []float64{0}}, 0},
-		{"negative scale", []uint8{1, 2}, 1, 2, QuantParams{Scale: []float64{-1, 1}, Offset: []float64{0, 0}}, 0},
-		{"nan scale", []uint8{1, 2}, 1, 2, QuantParams{Scale: []float64{math.NaN(), 1}, Offset: []float64{0, 0}}, 0},
-		{"inf offset", []uint8{1, 2}, 1, 2, QuantParams{Scale: []float64{1, 1}, Offset: []float64{math.Inf(1), 0}}, 0},
-		{"negative maxerr", []uint8{1, 2}, 1, 2, good, -1},
-		{"nan maxerr", []uint8{1, 2}, 1, 2, good, math.NaN()},
+		{"negative rows", nil, -1, 2, good, 0, 0},
+		{"negative dim", nil, 1, -2, good, 0, 0},
+		{"short codes", []uint8{1, 2}, 2, 2, good, 0, 0},
+		{"long codes", []uint8{1, 2, 3, 4, 5}, 2, 2, good, 0, 0},
+		{"scale len", []uint8{1, 2}, 1, 2, QuantParams{Scale: []float64{1}, Offset: []float64{0, 0}}, 0, 0},
+		{"offset len", []uint8{1, 2}, 1, 2, QuantParams{Scale: []float64{1, 1}, Offset: []float64{0}}, 0, 0},
+		{"negative scale", []uint8{1, 2}, 1, 2, QuantParams{Scale: []float64{-1, 1}, Offset: []float64{0, 0}}, 0, 0},
+		{"nan scale", []uint8{1, 2}, 1, 2, QuantParams{Scale: []float64{math.NaN(), 1}, Offset: []float64{0, 0}}, 0, 0},
+		{"inf offset", []uint8{1, 2}, 1, 2, QuantParams{Scale: []float64{1, 1}, Offset: []float64{math.Inf(1), 0}}, 0, 0},
+		{"negative maxerr", []uint8{1, 2}, 1, 2, good, -1, 0},
+		{"nan maxerr", []uint8{1, 2}, 1, 2, good, math.NaN(), 0},
+		{"negative fiterr", []uint8{1, 2}, 1, 2, good, 0.5, -1},
+		{"fiterr past maxerr", []uint8{1, 2}, 1, 2, good, 0.5, 0.75},
+		{"nan fiterr", []uint8{1, 2}, 1, 2, good, 0.5, math.NaN()},
 	}
 	for _, tc := range cases {
-		if _, err := QuantMatrixFromParts(tc.codes, tc.rows, tc.dim, tc.params, tc.maxErr); err == nil {
+		if _, err := QuantMatrixFromParts(tc.codes, tc.rows, tc.dim, tc.params, tc.maxErr, tc.fitErr); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
 	}
-	if _, err := QuantMatrixFromParts([]uint8{1, 2, 3, 4}, 2, 2, good, 0.5); err != nil {
-		t.Errorf("valid parts rejected: %v", err)
+	q, err := QuantMatrixFromParts([]uint8{1, 2, 3, 4}, 2, 2, good, 0.5, 0.25)
+	if err != nil {
+		t.Fatalf("valid parts rejected: %v", err)
+	}
+	if q.FitErr() != 0.25 || !q.Widened() {
+		t.Errorf("fit bound %v (widened %t), want 0.25 under a 0.5 bound", q.FitErr(), q.Widened())
 	}
 }
 
@@ -246,7 +254,7 @@ func TestQuantRoundTripDeterminism(t *testing.T) {
 	m := randMatrix(t, r, 30, 7, -4, 4)
 	q := mustQuantize(t, m)
 	var inc QuantMatrix
-	incPtr, err := QuantMatrixFromParts(nil, 0, 7, q.Params(), 0)
+	incPtr, err := QuantMatrixFromParts(nil, 0, 7, q.Params(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +283,7 @@ func BenchmarkCodeDistBatch(b *testing.B) {
 		codes[i] = uint8(r.Intn(256))
 	}
 	qm, err := QuantMatrixFromParts(codes, rows, dim,
-		QuantParams{Scale: make([]float64, dim), Offset: make([]float64, dim)}, 0)
+		QuantParams{Scale: make([]float64, dim), Offset: make([]float64, dim)}, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -66,8 +66,8 @@ const Version = "0.9.0"
 // SnapshotFormatVersion is the framed snapshot container's current format
 // version, the one every artifact is written at. Datasets, WAL segments and
 // label-store snapshots still open back to snapshot.MinVersion;
-// an index snapshot must be v6 or later (one representative set in the
-// manifest, a quantized plane in every shard) — an older one fails with
+// an index snapshot must be v7 or later (one record range, one frame per
+// array, the plane's fit-time bound in its meta) — an older one fails with
 // ErrSnapshotVersion and is rebuilt.
 const SnapshotFormatVersion = snapshot.Version
 
@@ -257,13 +257,12 @@ func Build(cfg Config, ds *Dataset, lab Labeler) (*Index, error) {
 	return core.Build(cfg, ds, lab)
 }
 
-// Sharded serving. A built index can be partitioned into contiguous
-// record-range shards that answer every query through a scatter-gather layer
-// bitwise identical to the unsharded index, every shard sharing the index's
-// one representative set. See docs/SHARDING.md for the assignment function,
-// determinism contract, and reload runbook.
+// Sharded serving. A built index is served as one record range that every
+// query reads through a scatter-gather layer over contiguous shard views,
+// bitwise identical to the unsharded index at every shard count. See
+// docs/SHARDING.md for what the shard count still does.
 type (
-	// ShardedIndex is a sharded TASTI index: N record-range shards over one
+	// ShardedIndex is a served TASTI index: one record range and one
 	// representative set, behind one scatter-gather query surface. It
 	// publishes immutable IndexVersions: reads take no lock, writers (crack,
 	// append, whole-index swap) are serialized among themselves only.
@@ -273,7 +272,8 @@ type (
 	// annotations, record and representative counts — describes that one
 	// state, whatever is published meanwhile.
 	IndexVersion = shard.Version
-	// Shard is one contiguous record-range slice of a sharded index.
+	// Shard is a read-only view of one contiguous record range of an
+	// IndexVersion.
 	Shard = shard.Shard
 	// Scorer is a scoring function together with the name that identifies
 	// it across requests — the key of the proxy column a Query reads. A
@@ -299,13 +299,13 @@ type (
 	Answer = shard.Answer
 )
 
-// SplitIndex partitions a built index into n contiguous record-range shards,
-// taking ownership of ix (it must not be used afterwards). SplitIndex(ix, 1)
-// is the identity sharding.
+// SplitIndex serves a built index over a scatter of n contiguous shard
+// views, taking ownership of ix (it must not be used afterwards).
+// SplitIndex(ix, 1) serves one shard.
 func SplitIndex(ix *Index, n int) (*ShardedIndex, error) { return shard.Split(ix, n) }
 
 // LoadShardedIndex deserializes an index saved with ShardedIndex.Save —
-// the one index snapshot format — with the shard layout it was saved at.
+// the one index snapshot format — with the shard count it was saved at.
 // Check IndexVersion.CheckCorpus before serving it.
 var LoadShardedIndex = shard.Load
 
