@@ -425,17 +425,13 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// The submit span covers enqueue through the durability ack; the writer
 	// loop hangs wal/fsync and apply children directly off the request root,
 	// the apply one landing after the ack by design (visibility follows
-	// durability). The server-side ack histogram starts here, past request
-	// parsing, so it isolates the queue + fsync cost the client-side
-	// tasti_ingest_ack_seconds cannot.
+	// durability). The ingester's tasti_ingest_ack_seconds times the same
+	// submit-to-ack window.
 	ssp := sc.child("submit")
 	ssp.SetAttr("records", len(features))
-	ackStart := time.Now()
 	ids, err := s.ingester.SubmitTraced(r.Context(), features, anns, sc.rootSpan())
 	ssp.End()
 	if err == nil {
-		s.reg.Histogram("tasti_ingest_server_ack_seconds", tasti.DefLatencyBuckets).
-			Observe(time.Since(ackStart).Seconds())
 		sc.setCost(int64(len(ids)), 0)
 	}
 	if err != nil {

@@ -172,9 +172,8 @@ func main() {
 	}
 
 	srv := newServerShell(opts)
-	// Worker-pool utilization and snapshot save/load accounting flow into the
-	// same registry /metrics renders.
-	tasti.SetPoolTelemetry(srv.reg)
+	// Snapshot save/load accounting flows into the same registry /metrics
+	// renders.
 	tasti.SetSnapshotTelemetry(srv.reg)
 	logger.Info("building index in the background", "dataset", *dsName, "records", *size)
 	srv.buildAsync()

@@ -110,9 +110,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		// Query-layer spend.
 		`tasti_query_runs_total{type="aggregate"} 1`,
 		`tasti_query_label_calls_total{type="aggregate"}`,
-		// Worker-pool utilization (SetPoolTelemetry is wired in main, not
-		// the test server, so only the HELP-free families above are
-		// mandatory here).
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -533,9 +533,9 @@ func TestStatusHealthAndIngestTrace(t *testing.T) {
 			t.Errorf("/metrics missing %s", name)
 		}
 	}
-	ack := fams["tasti_ingest_server_ack_seconds"]
+	ack := fams["tasti_ingest_ack_seconds"]
 	if ack == nil {
-		t.Fatal("tasti_ingest_server_ack_seconds missing")
+		t.Fatal("tasti_ingest_ack_seconds missing")
 	}
 	var ackCount float64
 	for _, sm := range ack.Samples {
@@ -544,7 +544,7 @@ func TestStatusHealthAndIngestTrace(t *testing.T) {
 		}
 	}
 	if ackCount != 1 {
-		t.Errorf("server ack histogram count = %v, want 1", ackCount)
+		t.Errorf("ack histogram count = %v, want 1", ackCount)
 	}
 
 	// The ingest trace shows the durability pipeline. The apply span lands

@@ -91,7 +91,7 @@ func TestChaosServeHotReloadUnderLoad(t *testing.T) {
 	if srv.reg.Counter(`tasti_snapshot_reload_total{outcome="ok"}`).Value() == 0 {
 		t.Error("no successful reload recorded")
 	}
-	if srv.reg.Counter("tasti_snapshot_reload_failures_total").Value() != 0 {
+	if srv.reg.Counter(`tasti_snapshot_reload_total{outcome="error"}`).Value() != 0 {
 		t.Error("reload failures recorded under healthy snapshot")
 	}
 }
@@ -135,9 +135,8 @@ func TestServeReloadCorruptSnapshotKeepsServing(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("reload of corrupt snapshot: status %d, body %v", resp.StatusCode, body)
 	}
-	if srv.reg.Counter("tasti_snapshot_reload_failures_total").Value() != 1 {
-		t.Errorf("reload failures = %d, want 1",
-			srv.reg.Counter("tasti_snapshot_reload_failures_total").Value())
+	if got := srv.reg.Counter(`tasti_snapshot_reload_total{outcome="error"}`).Value(); got != 1 {
+		t.Errorf("reload failures = %d, want 1", got)
 	}
 	// The cracked index must still be serving, untouched.
 	if got := srv.index.RepCount(); got != repsNow {

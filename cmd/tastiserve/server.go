@@ -257,7 +257,6 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_http_errors_total", "HTTP 5xx responses, by route.")
 	reg.Help("tasti_http_request_seconds", "End-to-end request latency in seconds, by route.")
 	reg.Help("tasti_snapshot_reload_total", "Index hot-reload attempts, by outcome.")
-	reg.Help("tasti_snapshot_reload_failures_total", "Hot reloads that failed validation and left the previous index serving.")
 	reg.Help("tasti_snapshot_reload_seconds", "Hot-reload latency in seconds: snapshot load, validation, and swap.")
 	reg.Help("tasti_index_reps", "Cluster representatives of the index, which every shard's table shares.")
 	reg.Help("tasti_wal_frames_total", "WAL frames appended and fsynced.")
@@ -268,10 +267,8 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_wal_replay_skipped", "WAL records below the snapshot floor at the last boot.")
 	reg.Help("tasti_wal_replay_segments", "WAL segments walked by the last boot's replay.")
 	reg.Help("tasti_wal_replay_truncations_total", "Boot replays that dropped a torn or corrupt WAL tail.")
-	reg.Help("tasti_ingest_records_total", "Records written into durable WAL frames.")
 	reg.Help("tasti_ingest_acked_total", "Records acknowledged to submitters after their WAL fsync.")
 	reg.Help("tasti_ingest_rejected_total", "Records rejected by ingest queue saturation.")
-	reg.Help("tasti_ingest_batches_total", "Coalesced WAL frames written by the ingest writer loop.")
 	reg.Help("tasti_ingest_queue_depth", "Requests waiting for the ingest writer loop.")
 	reg.Help("tasti_ingest_ack_seconds", "Submit-to-ack latency in seconds, including the WAL fsync.")
 	reg.Help("tasti_ingest_batch_records", "Records per coalesced WAL frame.")
@@ -283,13 +280,10 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_refresh_cracked_total", "Appended records cracked into representatives by refreshes.")
 	reg.Help("tasti_refresh_running", "1 while a background refresh is running.")
 	reg.Help("tasti_refresh_seconds", "Refresh latency in seconds: clone, crack, catch-up, swap.")
-	reg.Help("tasti_vecmath_kernel", "Active vector-distance kernel implementation (value is always 1; the label carries the name).")
-	reg.Gauge(fmt.Sprintf("tasti_vecmath_kernel{kernel=%q}", tasti.KernelName())).Set(1)
 	reg.Help("tasti_build_info", "Build identity (value is always 1; labels carry the version, Go runtime, vecmath kernel, shard count, and snapshot format version).")
 	reg.Gauge(fmt.Sprintf(`tasti_build_info{version=%q,go=%q,kernel=%q,shards="%d",snapshot="v%d"}`,
 		tasti.Version, runtime.Version(), tasti.KernelName(), opts.shardCount(), tasti.SnapshotFormatVersion)).Set(1)
 	reg.Help("tasti_traces_retained_total", "Sampled request traces pushed into the /admin/traces ring.")
-	reg.Help("tasti_ingest_server_ack_seconds", "Server-side /ingest latency in seconds from decoded request to durability ack.")
 	reg.Help("tasti_wal_lag_records", "Records retained in live WAL segments — the next boot's replay debt; refreshes truncate it.")
 	reg.Help("tasti_wal_lag_segments", "Live WAL segments on disk.")
 	reg.Help("tasti_wal_lag_bytes", "Bytes across live WAL segments on disk.")
@@ -588,7 +582,6 @@ func (s *server) reload() error {
 	next, err := loadServingSnapshot(s.opts.snapshotPath, ds, ds.Corpus, s.opts.parallelism, ds.Len())
 	if err != nil {
 		s.reg.Counter(`tasti_snapshot_reload_total{outcome="error"}`).Inc()
-		s.reg.Counter("tasti_snapshot_reload_failures_total").Inc()
 		s.log.Error("index reload failed; previous index keeps serving",
 			"path", s.opts.snapshotPath, "err", err.Error())
 		return err

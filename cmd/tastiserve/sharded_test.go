@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/tasti"
 )
 
 // shardedServer builds a 2-shard server whose sharded snapshot lives in a
@@ -58,7 +61,8 @@ func TestServeShardedEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, series := range []string{`tasti_index_reps `, `tasti_vecmath_kernel{kernel=`} {
+	// The dispatched kernel rides on tasti_build_info as a label.
+	for _, series := range []string{`tasti_index_reps `, `tasti_build_info{`, fmt.Sprintf(`,kernel=%q,`, tasti.KernelName())} {
 		if !strings.Contains(string(metrics), series) {
 			t.Errorf("/metrics missing %s", series)
 		}

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/parallel"
-	"repro/internal/telemetry"
 	"repro/internal/vecmath"
 	"repro/internal/xrand"
 )
@@ -36,10 +35,6 @@ type Config struct {
 	Parallelism int
 	// Seed makes construction deterministic.
 	Seed int64
-	// Telemetry, when non-nil, receives probe accounting from every Search:
-	// searches run, cells probed, and candidate vectors scanned. Disabled
-	// telemetry costs one branch per Search.
-	Telemetry *telemetry.Registry
 }
 
 // DefaultConfig sizes the cell count to the square root of the vector count.
@@ -62,12 +57,6 @@ type IVF struct {
 	// block, row-aligned with lists[c], so probing a cell is one batch-kernel
 	// sweep over sequential memory.
 	cellVecs []vecmath.Matrix
-
-	// Probe accounting (nil-safe counters; see Config.Telemetry). Search is
-	// called from parallel hot loops, so these are atomic.
-	searches *telemetry.Counter
-	probed   *telemetry.Counter
-	scanned  *telemetry.Counter
 }
 
 // Build constructs the index with k-means coarse quantization (FPF
@@ -157,9 +146,6 @@ func Build(cfg Config, vectors vecmath.Matrix) (*IVF, error) {
 		centroids: centroids,
 		lists:     lists,
 		cellVecs:  cellVecs,
-		searches:  cfg.Telemetry.Counter("tasti_ann_searches_total"),
-		probed:    cfg.Telemetry.Counter("tasti_ann_probed_cells_total"),
-		scanned:   cfg.Telemetry.Counter("tasti_ann_scanned_candidates_total"),
 	}
 	return ix, nil
 }
@@ -216,7 +202,6 @@ func (s *Searcher) Search(ix *IVF, q []float64, k, nprobe int) []vecmath.Indexed
 	} else {
 		s.candTK.Reset(k)
 	}
-	scanned := 0
 	for _, cell := range s.cells {
 		ids := ix.lists[cell.Index]
 		if len(ids) == 0 {
@@ -230,11 +215,7 @@ func (s *Searcher) Search(ix *IVF, q []float64, k, nprobe int) []vecmath.Indexed
 		for j, d := range cd {
 			s.candTK.Offer(ids[j], d)
 		}
-		scanned += len(ids)
 	}
-	ix.searches.Inc()
-	ix.probed.Add(int64(len(s.cells)))
-	ix.scanned.Add(int64(scanned))
 	s.out = s.candTK.Sorted(s.out[:0])
 	for i := range s.out {
 		s.out[i].Value = math.Sqrt(s.out[i].Value)

@@ -78,11 +78,11 @@ type Config struct {
 	LabelTimeout time.Duration
 	// Telemetry, when non-nil, receives build metrics: phase walls, label
 	// calls per phase, per-attempt retry/timeout outcomes from the
-	// reliability middleware, ANN probe counts, and degraded/resumed
-	// accounting (metric catalogue in docs/OBSERVABILITY.md). Instruments
-	// only record — they never feed back into the pipeline — so a build is
-	// bitwise identical with telemetry on or off; disabled telemetry costs
-	// one branch per instrumentation point. Not persisted by Save.
+	// reliability middleware, and degraded/resumed accounting (metric
+	// catalogue in docs/OBSERVABILITY.md). Instruments only record — they
+	// never feed back into the pipeline — so a build is bitwise identical
+	// with telemetry on or off; disabled telemetry costs one branch per
+	// instrumentation point. Not persisted by Save.
 	Telemetry *telemetry.Registry
 	// TraceSpan, when non-nil, becomes the parent of the build's per-phase
 	// spans (embed, train/mine, train/label, train/fit, cluster/select,

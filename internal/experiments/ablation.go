@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/labeler"
 	"repro/internal/query/aggregation"
 	"repro/internal/query/limitq"
 )
@@ -45,8 +44,7 @@ func ablationMeasure(rep *Report, env *Env, name string, cfg core.Config) error 
 	}
 	opts := aggregation.DefaultOptions(env.Scale.Seed + 900)
 	opts.ErrTarget = env.Scale.AggErrTarget(s)
-	counting := labeler.NewCounting(env.Oracle)
-	aggRes, err := aggregation.Estimate(opts, env.DS.Len(), aggScores, s.AggScore, counting)
+	aggRes, err := aggregation.Estimate(opts, env.DS.Len(), aggScores, s.AggScore, env.Oracle)
 	if err != nil {
 		return err
 	}
@@ -60,8 +58,7 @@ func ablationMeasure(rep *Report, env *Env, name string, cfg core.Config) error 
 	if err != nil {
 		return err
 	}
-	limCounting := labeler.NewCounting(env.Oracle)
-	limRes, err := limitq.Run(s.LimitK, limScores, limDists, s.LimitPred, limCounting)
+	limRes, err := limitq.Run(s.LimitK, limScores, limDists, s.LimitPred, env.Oracle)
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/ann"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/labeler"
 	"repro/internal/query/aggregation"
 	"repro/internal/stats"
 )
@@ -43,8 +42,7 @@ func RunExtraANN(sc Scale, w io.Writer) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		counting := labeler.NewCounting(env.Oracle)
-		res, err := aggregation.Estimate(aggOpts, env.DS.Len(), scores, s.AggScore, counting)
+		res, err := aggregation.Estimate(aggOpts, env.DS.Len(), scores, s.AggScore, env.Oracle)
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/dataset"
-	"repro/internal/labeler"
 	"repro/internal/proxy"
 	"repro/internal/query/aggregation"
 	"repro/internal/xrand"
@@ -30,8 +29,7 @@ func RunFig3(sc Scale, w io.Writer) (*Report, error) {
 	opts.ErrTarget = sc.AggErrTarget(s)
 
 	queryCalls := func(scores []float64) (int64, error) {
-		counting := labeler.NewCounting(env.Oracle)
-		res, err := aggregation.Estimate(opts, env.DS.Len(), scores, s.AggScore, counting)
+		res, err := aggregation.Estimate(opts, env.DS.Len(), scores, s.AggScore, env.Oracle)
 		if err != nil {
 			return 0, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/labeler"
 	"repro/internal/proxy"
 	"repro/internal/query/aggregation"
 	"repro/internal/stats"
@@ -41,8 +40,7 @@ func fig4Setting(rep *Report, env *Env) error {
 	opts.ErrTarget = env.Scale.AggErrTarget(s)
 
 	run := func(method Variant, proxyScores []float64) error {
-		counting := labeler.NewCounting(env.Oracle)
-		res, err := aggregation.Estimate(opts, env.DS.Len(), proxyScores, s.AggScore, counting)
+		res, err := aggregation.Estimate(opts, env.DS.Len(), proxyScores, s.AggScore, env.Oracle)
 		if err != nil {
 			return err
 		}

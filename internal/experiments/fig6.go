@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/labeler"
 	"repro/internal/proxy"
 	"repro/internal/query/limitq"
 )
@@ -36,8 +35,7 @@ func fig6Setting(rep *Report, env *Env) error {
 	s := env.Setting
 
 	run := func(method Variant, scores, tieDist []float64) error {
-		counting := labeler.NewCounting(env.Oracle)
-		res, err := limitq.Run(s.LimitK, scores, tieDist, s.LimitPred, counting)
+		res, err := limitq.Run(s.LimitK, scores, tieDist, s.LimitPred, env.Oracle)
 		if err != nil {
 			return err
 		}

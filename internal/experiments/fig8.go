@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/labeler"
 	"repro/internal/query/aggregation"
 	"repro/internal/stats"
 )
@@ -47,8 +46,7 @@ func fig8Setting(rep *Report, env *Env) error {
 	opts.ErrTarget = env.Scale.AggErrFrac * 0.15
 
 	run := func(method Variant, scores []float64) error {
-		counting := labeler.NewCounting(env.Oracle)
-		res, err := aggregation.Estimate(opts, env.DS.Len(), scores, score, counting)
+		res, err := aggregation.Estimate(opts, env.DS.Len(), scores, score, env.Oracle)
 		if err != nil {
 			return err
 		}

@@ -18,8 +18,8 @@ type Env struct {
 	Setting Setting
 	Scale   Scale
 	DS      *dataset.Dataset
-	// Oracle is the exact target labeler (uncounted); wrap it per query to
-	// meter invocations.
+	// Oracle is the exact target labeler, uncounted: the estimators report
+	// their own label calls.
 	Oracle labeler.Labeler
 }
 

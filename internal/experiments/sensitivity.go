@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/labeler"
 	"repro/internal/proxy"
 	"repro/internal/query/aggregation"
 	"repro/internal/query/limitq"
@@ -29,8 +28,7 @@ func perQueryBaseline(rep *Report, env *Env) error {
 	}
 	opts := aggregation.DefaultOptions(env.Scale.Seed + 900)
 	opts.ErrTarget = env.Scale.AggErrTarget(s)
-	counting := labeler.NewCounting(env.Oracle)
-	aggRes, err := aggregation.Estimate(opts, env.DS.Len(), aggScores, s.AggScore, counting)
+	aggRes, err := aggregation.Estimate(opts, env.DS.Len(), aggScores, s.AggScore, env.Oracle)
 	if err != nil {
 		return err
 	}
@@ -44,8 +42,7 @@ func perQueryBaseline(rep *Report, env *Env) error {
 	if err != nil {
 		return err
 	}
-	limCounting := labeler.NewCounting(env.Oracle)
-	limRes, err := limitq.Run(s.LimitK, limScores, nil, s.LimitPred, limCounting)
+	limRes, err := limitq.Run(s.LimitK, limScores, nil, s.LimitPred, env.Oracle)
 	if err != nil {
 		return err
 	}

@@ -42,13 +42,11 @@ func RunTable1(sc Scale, w io.Writer) (*Report, error) {
 	opts := aggregation.DefaultOptions(sc.Seed + 400)
 	opts.ErrTarget = sc.AggErrTarget(s)
 
-	withProxy := labeler.NewCounting(env.Oracle)
-	resProxy, err := aggregation.Estimate(opts, env.DS.Len(), scores, s.AggScore, withProxy)
+	resProxy, err := aggregation.Estimate(opts, env.DS.Len(), scores, s.AggScore, env.Oracle)
 	if err != nil {
 		return nil, err
 	}
-	noProxy := labeler.NewCounting(env.Oracle)
-	resUniform, err := aggregation.Estimate(opts, env.DS.Len(), nil, s.AggScore, noProxy)
+	resUniform, err := aggregation.Estimate(opts, env.DS.Len(), nil, s.AggScore, env.Oracle)
 	if err != nil {
 		return nil, err
 	}

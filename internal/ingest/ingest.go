@@ -82,10 +82,8 @@ type Ingester struct {
 
 	wg sync.WaitGroup
 
-	mAccepted  *telemetry.Counter
 	mAcked     *telemetry.Counter
 	mRejected  *telemetry.Counter
-	mBatches   *telemetry.Counter
 	gQueue     *telemetry.Gauge
 	hAckSecs   *telemetry.Histogram
 	hBatchSize *telemetry.Histogram
@@ -110,10 +108,8 @@ func New(cfg Config) (*Ingester, error) {
 		queue: make(chan *request, cfg.QueueDepth),
 	}
 	if reg := cfg.Telemetry; reg != nil {
-		g.mAccepted = reg.Counter("tasti_ingest_records_total")
 		g.mAcked = reg.Counter("tasti_ingest_acked_total")
 		g.mRejected = reg.Counter("tasti_ingest_rejected_total")
-		g.mBatches = reg.Counter("tasti_ingest_batches_total")
 		g.gQueue = reg.Gauge("tasti_ingest_queue_depth")
 		g.hAckSecs = reg.Histogram("tasti_ingest_ack_seconds", telemetry.DefLatencyBuckets)
 		g.hBatchSize = reg.Histogram("tasti_ingest_batch_records",
@@ -273,8 +269,6 @@ func (g *Ingester) run() {
 			next += len(r.features)
 			r.done <- result{ids: ids}
 		}
-		g.mAccepted.Add(int64(records))
-		g.mBatches.Inc()
 		g.hBatchSize.Observe(float64(records))
 		apply := childSpans(reqs, "apply", records)
 		if err := g.cfg.Apply(b); err != nil {

@@ -71,20 +71,22 @@ func BenchmarkStep(b *testing.B) {
 			m := NewMLP(rand.New(rand.NewSource(1)), 52, 160, 64)
 			tr := NewTrainer(m, NewAdam(1e-3), feats, examples, passes, c.workers)
 			defer tr.Close()
+			var d *step
+			example := func(e int, ex *Example) {
+				if c.fit && e >= d.active || !c.fit && e%4 != 0 {
+					return
+				}
+				for s := 0; s < passes; s++ {
+					row := d.rows[passes*e+s]
+					copy(ex.Grad(s, row), ex.Output(row))
+					ex.Backward(s)
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d := &draws[i%steps]
-				tr.Step(d.rows[:], examples, func(e int, ex *Example) {
-					if c.fit && e >= d.active || !c.fit && e%4 != 0 {
-						return
-					}
-					for s := 0; s < passes; s++ {
-						row := d.rows[passes*e+s]
-						copy(ex.Grad(s, row), ex.Output(row))
-						ex.Backward(s)
-					}
-				})
+				d = &draws[i%steps]
+				tr.Step(d.rows[:], examples, example)
 			}
 			b.ReportMetric(float64(tr.ForwardedRows())/float64(b.N), "rows/op")
 		})

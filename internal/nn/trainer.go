@@ -183,6 +183,12 @@ type Trainer struct {
 	blocks  []rowBlock         // every parameter row, the items of the update region
 	scratch [][]float64        // per worker: blockRows gradient rows, then blockRows bias gradients
 	fwd     int                // rows forwarded so far
+
+	// The three regions' item functions, built once so a step hands the
+	// team no new closure, and the per-step values they read.
+	forwardItem, exampleItem, updateItem func(w, i int)
+	example                              func(e int, ex *Example)
+	scale, c1, c2                        float64
 }
 
 // NewTrainer prepares to train net with opt on the training rows inputs
@@ -199,6 +205,7 @@ func NewTrainer(net *MLP, opt *Adam, inputs [][]float64, examples, passes, p int
 		opt.vW, opt.vB = zerosLike(net)
 	}
 	t := &Trainer{net: net, opt: opt, wt: transpose(net), inputs: inputs, version: 1}
+	t.forwardItem, t.exampleItem, t.updateItem = t.forwardTile, t.runExample, t.updateBlock
 	t.team = parallel.NewTeam(min(parallel.Workers(p), examples))
 	t.ex = make([]Example, examples)
 	for e := range t.ex {
@@ -264,16 +271,20 @@ func (t *Trainer) Step(rows []int, n int, example func(e int, ex *Example)) int 
 		return 0
 	}
 	t.opt.t++
-	c1 := 1 - math.Pow(t.opt.Beta1, float64(t.opt.t))
-	c2 := 1 - math.Pow(t.opt.Beta2, float64(t.opt.t))
-	scale := 1 / float64(active)
-	t.team.Run(len(t.blocks), func(w, b int) {
-		blk := t.blocks[b]
-		gw, gb := t.fold(w, blk)
-		t.apply(blk, gw, gb, scale, c1, c2)
-	})
+	t.c1 = 1 - math.Pow(t.opt.Beta1, float64(t.opt.t))
+	t.c2 = 1 - math.Pow(t.opt.Beta2, float64(t.opt.t))
+	t.scale = 1 / float64(active)
+	t.team.Run(len(t.blocks), t.updateItem)
 	t.version++
 	return active
+}
+
+// updateBlock is the third region's item: fold block b's gradient and move
+// its parameters.
+func (t *Trainer) updateBlock(w, b int) {
+	blk := t.blocks[b]
+	gw, gb := t.fold(w, blk)
+	t.apply(blk, gw, gb)
 }
 
 // forward is a step's first region: it lists the step's rows, and runs
@@ -301,22 +312,25 @@ func (t *Trainer) forward(rows []int) {
 		return
 	}
 	t.fwd += len(t.stale)
-	t.team.Run((len(t.stale)+tileRows-1)/tileRows, func(w, i int) {
-		rs := t.stale[i*tileRows : min((i+1)*tileRows, len(t.stale))]
-		tile := t.views[w]
-		for l, m := range t.tiles[w] {
-			tile[l] = m.RowRange(0, len(rs))
-		}
+	t.team.Run((len(t.stale)+tileRows-1)/tileRows, t.forwardItem)
+}
+
+// forwardTile is the first region's item: tile i of the stale rows.
+func (t *Trainer) forwardTile(w, i int) {
+	rs := t.stale[i*tileRows : min((i+1)*tileRows, len(t.stale))]
+	tile := t.views[w]
+	for l, m := range t.tiles[w] {
+		tile[l] = m.RowRange(0, len(rs))
+	}
+	for k, r := range rs {
+		copy(tile[0].Row(k), t.inputs[r])
+	}
+	forwardRows(t.wt, t.net.B, tile)
+	for l := 1; l < len(tile); l++ {
 		for k, r := range rs {
-			copy(tile[0].Row(k), t.inputs[r])
+			copy(t.acts[l].Row(r), tile[l].Row(k))
 		}
-		forwardRows(t.wt, t.net.B, tile)
-		for l := 1; l < len(tile); l++ {
-			for k, r := range rs {
-				copy(t.acts[l].Row(r), tile[l].Row(k))
-			}
-		}
-	})
+	}
 }
 
 // checkRow panics unless row is one the current step lists (any other
@@ -333,13 +347,8 @@ func (t *Trainer) backprop(n int, example func(e int, ex *Example)) int {
 	if n > len(t.ex) {
 		panic(fmt.Sprintf("nn: step of %d examples on a trainer sized for %d", n, len(t.ex)))
 	}
-	t.team.Run(n, func(_, e int) {
-		ex := &t.ex[e]
-		for s := range ex.passes {
-			ex.passes[s].live = false
-		}
-		example(e, ex)
-	})
+	t.example = example
+	t.team.Run(n, t.exampleItem)
 	t.live = t.live[:0]
 	active := 0
 	for e := range t.ex[:n] {
@@ -354,6 +363,15 @@ func (t *Trainer) backprop(n int, example func(e int, ex *Example)) int {
 		}
 	}
 	return active
+}
+
+// runExample is the second region's item: example e of the step.
+func (t *Trainer) runExample(_, e int) {
+	ex := &t.ex[e]
+	for s := range ex.passes {
+		ex.passes[s].live = false
+	}
+	t.example(e, ex)
 }
 
 // input returns layer l's input at training row row: the row itself for
@@ -388,8 +406,9 @@ func (t *Trainer) fold(w int, blk rowBlock) (gw, gb []float64) {
 // apply turns a block's gradient sums into the batch mean (plus weight
 // decay), moves the block's parameters by Adam, and refreshes their column
 // of the transposed copy.
-func (t *Trainer) apply(blk rowBlock, gw, gb []float64, scale, c1, c2 float64) {
+func (t *Trainer) apply(blk rowBlock, gw, gb []float64) {
 	l, in, out := blk.l, t.net.Sizes[blk.l], t.net.Sizes[blk.l+1]
+	scale, c1, c2 := t.scale, t.c1, t.c2
 	for j := range gw {
 		gw[j] *= scale
 	}

@@ -232,3 +232,41 @@ func checkStored(t *testing.T, tr *Trainer, m *MLP, fresh []bool) {
 		}
 	}
 }
+
+// TestStepDoesNotAllocate pins a step's allocation-free path: the regions'
+// item functions are built once per trainer and the team reuses one
+// region, so a step (active or idle) allocates nothing at one worker or
+// two.
+func TestStepDoesNotAllocate(t *testing.T) {
+	const records, examples = 40, 8
+	r := rand.New(rand.NewSource(5))
+	inputs := make([][]float64, records)
+	for i := range inputs {
+		inputs[i] = make([]float64, 6)
+		for j := range inputs[i] {
+			inputs[i][j] = r.NormFloat64()
+		}
+	}
+	rows := make([]int, examples)
+	for _, workers := range []int{1, 2} {
+		tr := NewTrainer(NewMLP(rand.New(rand.NewSource(1)), 6, 10, 3), NewAdam(1e-3), inputs, examples, 1, workers)
+		step := 0
+		example := func(e int, ex *Example) {
+			if (step+e)%3 == 0 {
+				copy(ex.Grad(0, rows[e]), ex.Output(rows[e]))
+				ex.Backward(0)
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			step++
+			for e := range rows {
+				rows[e] = (step*examples + e*7) % records
+			}
+			tr.Step(rows, examples, example)
+		})
+		tr.Close()
+		if allocs != 0 {
+			t.Errorf("workers=%d: a step allocates %v times", workers, allocs)
+		}
+	}
+}

@@ -31,8 +31,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/telemetry"
 )
 
 // maxChunks caps the chunk grid so per-chunk scratch allocations stay
@@ -43,38 +41,6 @@ const (
 	maxChunks = 256
 	minChunk  = 64
 )
-
-// poolMetrics holds the package's worker-pool instrumentation. The pool is
-// a package-wide facility threaded through every hot loop by an int knob,
-// so the telemetry hook is package-level too: one process, one registry.
-type poolMetrics struct {
-	// batches counts parallel regions launched (one per forGrid call).
-	batches *telemetry.Counter
-	// chunks counts grid chunks dispatched across all regions.
-	chunks *telemetry.Counter
-	// busy tracks workers currently executing a chunk — scraped as a
-	// utilization gauge.
-	busy *telemetry.Gauge
-}
-
-var metrics atomic.Pointer[poolMetrics]
-
-// SetTelemetry points the worker pool's instrumentation at reg (nil
-// disables it again). Chunk grids and reduction order never depend on the
-// registry, so enabling telemetry cannot perturb the determinism contract;
-// the cost is two atomic adds per chunk. Safe to call concurrently with
-// running pools.
-func SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		metrics.Store(nil)
-		return
-	}
-	metrics.Store(&poolMetrics{
-		batches: reg.Counter("tasti_parallel_batches_total"),
-		chunks:  reg.Counter("tasti_parallel_chunks_total"),
-		busy:    reg.Gauge("tasti_parallel_workers_busy"),
-	})
-}
 
 // Workers resolves a parallelism knob value: p > 0 selects p workers, and
 // p <= 0 selects runtime.GOMAXPROCS(0).
@@ -120,26 +86,13 @@ func forGrid(p, numChunks int, fn func(c int)) {
 	if numChunks <= 0 {
 		return
 	}
-	m := metrics.Load()
-	if m != nil {
-		m.batches.Inc()
-		m.chunks.Add(int64(numChunks))
-	}
 	workers := Workers(p)
 	if workers > numChunks {
 		workers = numChunks
 	}
-	run := fn
-	if m != nil {
-		run = func(c int) {
-			m.busy.Inc()
-			fn(c)
-			m.busy.Dec()
-		}
-	}
 	if workers <= 1 {
 		for c := 0; c < numChunks; c++ {
-			run(c)
+			fn(c)
 		}
 		return
 	}
@@ -154,7 +107,7 @@ func forGrid(p, numChunks int, fn func(c int)) {
 				if c >= numChunks {
 					return
 				}
-				run(c)
+				fn(c)
 			}
 		}()
 	}

@@ -1,11 +1,10 @@
 package parallel
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // teamSpin is how long a team member polls before it parks: a helper for
@@ -26,7 +25,8 @@ const teamSpin = 100 * time.Microsecond
 // forGrid starts its goroutines per region, which is right for regions of
 // milliseconds and up; at sub-millisecond regions the start-and-join cost
 // dominates, so a Team keeps its goroutines for its whole lifetime and
-// hands them one region at a time.
+// hands them one region at a time. A region allocates nothing: the Team
+// reuses one set of region fields.
 //
 // The caller is worker 0 and works every region itself; NewTeam(w) starts
 // w-1 helpers. Items are claimed through an atomic counter, so which worker
@@ -36,31 +36,38 @@ const teamSpin = 100 * time.Microsecond
 // independent. Close must be called to release the helpers.
 type Team struct {
 	helpers  int
-	cur      atomic.Pointer[region]
 	closed   atomic.Bool
 	mu       sync.Mutex
-	wake     *sync.Cond // signalled, under mu, when cur or closed changes
+	wake     *sync.Cond // signalled, under mu, when gen or closed changes
 	sleepers atomic.Int32
 	wg       sync.WaitGroup
-}
 
-// region is one Run: n items claimed through next, left counting down to
-// the close of done.
-type region struct {
+	// gen is odd while a region is open to helpers and even between
+	// regions. A helper joins by raising inside and then seeing gen still
+	// at the odd value it read; Run writes the region fields only once gen
+	// is even and inside is zero, so no helper reads them then.
+	gen atomic.Uint64
+
+	// The current region: n items claimed through next, left counting
+	// down to the token on done. The counters every item writes sit on
+	// cache lines of their own, away from gen, which idle helpers poll.
 	fn       func(worker, i int)
 	n        int64
+	done     chan struct{} // one token per region, from whoever ends its last item
+	_        [64]byte
 	next     atomic.Int64
 	left     atomic.Int64
-	done     chan struct{}
 	panicked atomic.Pointer[any]
-	busy     *telemetry.Gauge // nil (a no-op) when telemetry is off
+	_        [64]byte
+	inside   atomic.Int32
+	_        [60]byte
 }
 
 // NewTeam starts a team of the given total worker count (the caller
 // included; counts below 2 start no goroutines and Run degenerates to a
 // plain loop).
 func NewTeam(workers int) *Team {
-	t := &Team{helpers: max(workers, 1) - 1}
+	t := &Team{helpers: max(workers, 1) - 1, done: make(chan struct{}, 1)}
 	t.wake = sync.NewCond(&t.mu)
 	t.wg.Add(t.helpers)
 	for w := 1; w <= t.helpers; w++ {
@@ -76,29 +83,28 @@ func (t *Team) Workers() int { return t.helpers + 1 }
 // Run calls fn(worker, i) once for every i in [0, n) and returns when all
 // calls have. A panic in any call — on whichever goroutine — is re-raised
 // here once the region has drained; the remaining items of that region are
-// skipped.
+// skipped. The Team holds fn until the next Run.
 func (t *Team) Run(n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	var busy *telemetry.Gauge
-	if m := metrics.Load(); m != nil {
-		m.batches.Inc()
-		m.chunks.Add(int64(n))
-		busy = m.busy
-	}
 	if t.helpers == 0 || n == 1 {
-		busy.Inc()
-		defer busy.Dec()
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
 		return
 	}
-	r := &region{fn: fn, n: int64(n), done: make(chan struct{}), busy: busy}
-	r.left.Store(int64(n))
-	t.cur.Store(r)
-	// A helper raises sleepers before its last look at cur, and this load
+	// The last region closed when its Run returned; a helper that joined
+	// it may still be on its way out.
+	for t.inside.Load() != 0 {
+		runtime.Gosched()
+	}
+	t.fn, t.n = fn, int64(n)
+	t.next.Store(0)
+	t.left.Store(int64(n))
+	t.panicked.Store(nil)
+	t.gen.Add(1) // open
+	// A helper raises sleepers before its last look at gen, and this load
 	// follows the store above, so either it sees the new region or we see
 	// it asleep (or about to be: Broadcast then waits for mu, which the
 	// helper holds until it is inside Wait).
@@ -107,11 +113,11 @@ func (t *Team) Run(n int, fn func(worker, i int)) {
 		t.wake.Broadcast()
 		t.mu.Unlock()
 	}
-	r.work(0)
-	if !spinUntil(func() bool { return r.left.Load() == 0 }) {
-		<-r.done
-	}
-	if p := r.panicked.Load(); p != nil {
+	t.work(0)
+	spinUntil(func() bool { return len(t.done) > 0 })
+	<-t.done
+	t.gen.Add(1) // closed
+	if p := t.panicked.Load(); p != nil {
 		panic(*p)
 	}
 }
@@ -128,9 +134,12 @@ func (t *Team) Close() {
 
 func (t *Team) help(w int) {
 	defer t.wg.Done()
-	var last *region
+	var last uint64
 	for {
-		changed := func() bool { return t.cur.Load() != last || t.closed.Load() }
+		changed := func() bool {
+			g := t.gen.Load()
+			return g&1 == 1 && g != last || t.closed.Load()
+		}
 		if !spinUntil(changed) {
 			t.mu.Lock()
 			t.sleepers.Add(1)
@@ -143,40 +152,39 @@ func (t *Team) help(w int) {
 		if t.closed.Load() {
 			return
 		}
-		last = t.cur.Load()
-		last.work(w)
+		last = t.gen.Load()
+		t.inside.Add(1)
+		if last&1 == 1 && t.gen.Load() == last {
+			t.work(w)
+		}
+		t.inside.Add(-1)
 	}
 }
 
 // work claims and runs items until none are left. A helper arriving after
 // the region has drained claims nothing.
-func (r *region) work(w int) {
-	if r.next.Load() >= r.n {
-		return
-	}
-	r.busy.Inc()
-	defer r.busy.Dec()
+func (t *Team) work(w int) {
 	for {
-		i := r.next.Add(1) - 1
-		if i >= r.n {
+		i := t.next.Add(1) - 1
+		if i >= t.n {
 			return
 		}
-		r.item(w, int(i))
+		t.item(w, int(i))
 	}
 }
 
-func (r *region) item(w, i int) {
+func (t *Team) item(w, i int) {
 	defer func() {
 		if p := recover(); p != nil {
 			first := p // a copy, so only a panicking item pays for the escape
-			r.panicked.CompareAndSwap(nil, &first)
+			t.panicked.CompareAndSwap(nil, &first)
 		}
-		if r.left.Add(-1) == 0 {
-			close(r.done)
+		if t.left.Add(-1) == 0 {
+			t.done <- struct{}{}
 		}
 	}()
-	if r.panicked.Load() == nil {
-		r.fn(w, i)
+	if t.panicked.Load() == nil {
+		t.fn(w, i)
 	}
 }
 

@@ -12,8 +12,8 @@
 // instruments. Instrumented code therefore never checks whether telemetry
 // is enabled: it unconditionally calls c.Inc() or sp.End(), and a disabled
 // registry costs exactly one branch per call. This is what lets the hot
-// paths (FPF sweeps, IVF probes, worker-pool dispatch) stay instrumented
-// without a build-tag or a config fork.
+// paths (the build's FPF sweep, label-store draws, query execution) stay
+// instrumented without a build-tag or a config fork.
 //
 // # Determinism
 //

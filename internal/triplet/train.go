@@ -139,6 +139,10 @@ func Fit(cfg Config, ds *dataset.Dataset, trainIDs []int, anns []dataset.Annotat
 	trainer.WeightDecay = cfg.WeightDecay
 	sampleRand := xrand.Split(cfg.Seed, "sample")
 	var rows []int
+	// One callback for the whole fit, so a step allocates nothing.
+	example := func(e int, ex *nn.Example) {
+		backwardTriplet(ex, batch[e].rows, cfg.Margin)
+	}
 
 	for step := 0; step < cfg.Steps; step++ {
 		// Drawing never reads the network, so the whole batch is drawn —
@@ -151,9 +155,7 @@ func Fit(cfg Config, ds *dataset.Dataset, trainIDs []int, anns []dataset.Annotat
 			batch[b].listRows(rowOf)
 			rows = append(rows, batch[b].rows...)
 		}
-		if trainer.Step(rows, len(batch), func(e int, ex *nn.Example) {
-			backwardTriplet(ex, batch[e].rows, cfg.Margin)
-		}) > 0 {
+		if trainer.Step(rows, len(batch), example) > 0 {
 			stats.ActiveSteps++
 		}
 	}

@@ -24,7 +24,7 @@ var useTanhAVX = useAVX && tanhMatchesProbes()
 // otherwise. The two distance paths differ in their last bits (the
 // assembly fuses multiply-adds and sums in another order), each the same
 // bits on every call of its process, so cmd/tastiserve exposes the name as
-// the tasti_vecmath_kernel gauge and cmd/tastibench stamps it into
+// the kernel label of its build-info gauge and cmd/tastibench stamps it into
 // -bench-json reports, making perf numbers — and distance bits —
 // attributable to the kernel that produced them.
 func KernelName() string {

@@ -46,7 +46,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/labeler"
 	"repro/internal/labeler/store"
-	"repro/internal/parallel"
 	"repro/internal/query/aggregation"
 	"repro/internal/query/limitq"
 	"repro/internal/query/predagg"
@@ -358,8 +357,8 @@ func ReadSnapshotFile(path string, read func(r io.Reader) error) error {
 }
 
 // SetSnapshotTelemetry points the persistence layer's save/load counters and
-// latency histograms at reg (nil disables them). Process-wide, like
-// SetPoolTelemetry.
+// latency histograms at reg (nil disables them). The persistence layer is
+// process-wide, so this is too.
 func SetSnapshotTelemetry(reg *MetricsRegistry) { snapshot.SetTelemetry(reg) }
 
 // Closeness heuristics for the built-in schemas.
@@ -426,7 +425,7 @@ func FindLimitScan(opts LimitOptions, limit int, order []int, pred func(Annotati
 
 // Observability: a dependency-free metrics registry and span tracer that
 // every layer is instrumented against — build phases, reliability
-// middleware, ANN probes, the worker pool, and query execution. All
+// middleware, the label store, query execution, and ingest. All
 // instruments are nil-safe (a disabled registry costs one branch) and
 // record-only (telemetry-on builds are bitwise identical to telemetry-off).
 // See docs/OBSERVABILITY.md for the metric catalogue and span taxonomy.
@@ -511,10 +510,6 @@ var (
 	// PromFamilyNames returns the sorted family names of a parsed scrape.
 	PromFamilyNames = telemetry.FamilyNames
 )
-
-// SetPoolTelemetry points the shared worker pool's utilization metrics at
-// reg (nil disables them). The pool is process-wide, so this is too.
-func SetPoolTelemetry(reg *MetricsRegistry) { parallel.SetTelemetry(reg) }
 
 // Label amortization: the one record→annotation store, shared by every
 // query processor, with singleflight coalescing (concurrent requests for the
