@@ -144,8 +144,10 @@ func runBenchSuite(path string) error {
 	})
 	rep.QuantBytesPerRecord = float64(ix.Quant.Bytes()) / float64(ix.Quant.Rows())
 
-	// The scatter-gather overhead of sharded serving at the same worker
-	// count: 4 shards over the same corpus, bitwise-identical output.
+	// The served index over the same corpus, split into 4 views at one
+	// worker. The views no longer split propagation, so this row runs
+	// core.PropagateK exactly as propagate_parallel_w1 does; it stays
+	// because the BENCH_36.json gate names it.
 	sharded, err := shard.Split(ix, 4)
 	if err != nil {
 		return fmt.Errorf("sharding propagation index: %w", err)
@@ -158,13 +160,13 @@ func runBenchSuite(path string) error {
 			}
 		}
 	})
-	nearScores, nearDists, err := sharded.Pin().PropagateNearest(score, nil)
+	nearScores, nearDists, err := sharded.Pin().PropagateNearest(score)
 	if err != nil {
 		return fmt.Errorf("propagating nearest scores: %w", err)
 	}
 	rep.Benchmarks["limit_first24_w1"] = runBench(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c := limitq.NewCursor(limitq.NewHeap(nearScores, nearDists, 0, len(nearScores)))
+			c := limitq.NewCursor(nearScores, nearDists, 1)
 			for k := 0; k < 24; k++ {
 				if _, ok := c.Next(); !ok {
 					b.Fatal("scan order ended early")
@@ -185,16 +187,16 @@ func runBenchSuite(path string) error {
 	// instead: two store lookups and one small cursor allocation — the scan
 	// prefix the column shares copies nothing per request.
 	fetchColumns := func(b *testing.B, sc shard.Scorer) {
-		w, _, err := sharded.Column(sc, shard.ColumnWeighted, nil)
+		w, _, err := sharded.Column(sc, shard.ColumnWeighted)
 		if err != nil {
 			b.Fatal(err)
 		}
 		w.Design()
-		nr, _, err := sharded.Column(sc, shard.ColumnNearest, nil)
+		nr, _, err := sharded.Column(sc, shard.ColumnNearest)
 		if err != nil {
 			b.Fatal(err)
 		}
-		nr.Cursor(nil)
+		nr.Cursor()
 	}
 	misses := 0
 	rep.Benchmarks["column_miss_w1"] = runBench(func(b *testing.B) {

@@ -17,8 +17,8 @@
 // killer) loses at most one period of labels. The query labels through the
 // same store, as tastiserve's do: a label the build or the file holds costs
 // it nothing. All files are written atomically: a crash mid-write leaves the
-// previous file intact; -load keeps the shard layout -save wrote and refuses
-// an index of another corpus. See docs/RELIABILITY.md.
+// previous file intact; -load refuses an index of another corpus. See
+// docs/RELIABILITY.md.
 package main
 
 import (
@@ -52,7 +52,6 @@ type runOptions struct {
 	errTgt float64
 	recall float64
 	par    int
-	shards int
 
 	retries       int
 	labelTimeout  time.Duration
@@ -77,11 +76,10 @@ func main() {
 	flag.IntVar(&o.reps, "reps", 900, "cluster representatives to annotate")
 	flag.IntVar(&o.budget, "budget", 300, "labeler budget for selection queries")
 	flag.StringVar(&o.save, "save", "", "path to persist the index to")
-	flag.StringVar(&o.load, "load", "", "path to load a previously saved index from (its saved shard count wins over -shards)")
+	flag.StringVar(&o.load, "load", "", "path to load a previously saved index from")
 	flag.Float64Var(&o.errTgt, "err", 0.05, "aggregation error target")
 	flag.Float64Var(&o.recall, "recall", 0.9, "selection recall target")
 	flag.IntVar(&o.par, "parallelism", 0, "worker count for index construction and propagation (<= 0 uses all CPUs; results are identical at every value)")
-	flag.IntVar(&o.shards, "shards", 1, "scatter-gather width for query processing: shard views of the one record range; results are bitwise identical at every value (<= 1 serves one shard)")
 	flag.IntVar(&o.retries, "retries", 1, "labeler attempts per call, including the first (<= 1 disables retrying)")
 	flag.DurationVar(&o.labelTimeout, "label-timeout", 0, "per-call target-labeler deadline (0 disables)")
 	flag.Float64Var(&o.faultRate, "fault-rate", 0, "inject transient labeler faults at this per-attempt probability")
@@ -142,43 +140,41 @@ func run(o runOptions) error {
 	// cost the query nothing.
 	labels := openLabels(o, ds)
 
-	// Queries always run through the scatter-gather layer; -shards 1 (the
-	// default) serves one shard, and every shard count produces
-	// bitwise-identical answers (see docs/SHARDING.md). A loaded index keeps
-	// the shard count it was saved at, and must index this very corpus.
-	var sharded *tasti.ShardedIndex
+	// Queries run on the served index (tasti.SplitIndex); a loaded one must
+	// index this very corpus.
+	var served *tasti.ShardedIndex
 	if o.load != "" {
 		err := tasti.ReadSnapshotFile(o.load, func(r io.Reader) error {
 			var lerr error
-			if sharded, lerr = tasti.LoadShardedIndex(r); lerr != nil {
+			if served, lerr = tasti.LoadShardedIndex(r); lerr != nil {
 				return lerr
 			}
-			return sharded.Pin().CheckCorpus(ds.Corpus)
+			return served.Pin().CheckCorpus(ds.Corpus)
 		})
 		if err != nil {
 			return err
 		}
-		sharded.SetParallelism(o.par)
-		fmt.Printf("loaded index: %d records, %d representatives, %d shards\n", sharded.NumRecords(), sharded.RepCount(), sharded.NumShards())
+		served.SetParallelism(o.par)
+		fmt.Printf("loaded index: %d records, %d representatives\n", served.NumRecords(), served.RepCount())
 	} else {
 		index, err := buildIndex(o, ds, target, labels, tr.Root())
 		if err != nil {
 			return err
 		}
 		fmt.Println(index.Stats.String())
-		if sharded, err = tasti.SplitIndex(index, max(o.shards, 1)); err != nil {
+		if served, err = tasti.SplitIndex(index, 1); err != nil {
 			return err
 		}
 	}
 	if o.save != "" {
-		if err := tasti.WriteFileAtomic(o.save, sharded.Save); err != nil {
+		if err := tasti.WriteFileAtomic(o.save, served.Save); err != nil {
 			return err
 		}
 		fmt.Printf("saved index to %s\n", o.save)
 	}
 
 	qs := tr.Root().Child("query/" + o.query)
-	v := sharded.Pin()
+	v := served.Pin()
 	ans, err := v.Run(context.Background(), q, labels.Bind(oracle, nil, "", v.AnnotationOf), qs)
 	qs.SetAttr("label_calls", ans.Hits+ans.Misses)
 	qs.End()

@@ -30,7 +30,6 @@ type reqScope struct {
 	labels  atomic.Int64 // successful target-labeler calls
 	hits    atomic.Int64 // labels spent on already-annotated records
 	records atomic.Int64 // records propagated (queries) or appended (ingest)
-	shards  atomic.Int64 // shards touched by the scatter
 }
 
 type scopeKeyType struct{}
@@ -84,19 +83,18 @@ func (sc *reqScope) book(ans tasti.Answer) {
 	if sc == nil {
 		return
 	}
-	sc.setCost(int64(ans.Records), int64(ans.Shards))
+	sc.setRecords(int64(ans.Records))
 	sc.labels.Add(ans.Hits + ans.Misses)
 	sc.hits.Add(ans.Hits)
 }
 
-// setCost records the request's footprint: records propagated (queries) or
-// appended (ingest), and the shards touched.
-func (sc *reqScope) setCost(records, shards int64) {
+// setRecords records the request's footprint: records propagated (queries)
+// or appended (ingest).
+func (sc *reqScope) setRecords(records int64) {
 	if sc == nil {
 		return
 	}
 	sc.records.Store(records)
-	sc.shards.Store(shards)
 }
 
 // costKind maps a route to its ledger entry kind; other routes are free and
@@ -151,12 +149,18 @@ func (s *server) labelStoreStatus() map[string]interface{} {
 // swaps).
 func (s *server) proxyColumnStatus() map[string]interface{} {
 	cs := s.index.ColumnStats()
+	requests := func(result string) (n int64) {
+		for _, kind := range []string{"weighted", "nearest"} {
+			n += s.reg.Counter(`tasti_proxy_column_requests_total{result="` + result + `",kind="` + kind + `"}`).Value()
+		}
+		return n
+	}
 	return map[string]interface{}{
 		"entries":    cs.Entries,
 		"bytes":      cs.Bytes,
 		"generation": cs.Generation,
-		"hits":       s.reg.Counter(`tasti_proxy_column_requests_total{result="hit"}`).Value(),
-		"misses":     s.reg.Counter(`tasti_proxy_column_requests_total{result="miss"}`).Value(),
+		"hits":       requests("hit"),
+		"misses":     requests("miss"),
 	}
 }
 

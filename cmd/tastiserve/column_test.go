@@ -118,7 +118,7 @@ func checkSelectionReaders(t *testing.T, srv *server, body string) {
 		t.Fatalf("decoding %s: %s", body, rec.Body)
 	}
 	q, v := srv.spec(req), srv.index.Pin()
-	col, _, err := v.Column(q.match, shard.ColumnWeighted, nil)
+	col, _, err := v.Column(q.match, shard.ColumnWeighted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestQueryBodiesEncodeAsMaps(t *testing.T) {
 // its exact score.
 func knownValues(t *testing.T, srv *server, sc tasti.Scorer) map[int]uint64 {
 	t.Helper()
-	col, hit, err := srv.index.Pin().Column(sc, shard.ColumnWeighted, nil)
+	col, hit, err := srv.index.Pin().Column(sc, shard.ColumnWeighted)
 	if err != nil || !hit {
 		t.Fatalf("column %s: hit=%v err=%v", sc.Name, hit, err)
 	}
@@ -287,8 +287,11 @@ func TestServedColumnEquivalence(t *testing.T) {
 	srvA, a := columnServer(t)
 	srvB, b := columnServer(t)
 	counts := func(s *server) (hits, misses int64) {
-		return s.reg.Counter(`tasti_proxy_column_requests_total{result="hit"}`).Value(),
-			s.reg.Counter(`tasti_proxy_column_requests_total{result="miss"}`).Value()
+		for _, kind := range []string{"weighted", "nearest"} {
+			hits += s.reg.Counter(`tasti_proxy_column_requests_total{result="hit",kind="` + kind + `"}`).Value()
+			misses += s.reg.Counter(`tasti_proxy_column_requests_total{result="miss",kind="` + kind + `"}`).Value()
+		}
+		return hits, misses
 	}
 
 	built, answers := map[string]bool{}, map[string][]byte{}

@@ -432,7 +432,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ids, err := s.ingester.SubmitTraced(r.Context(), features, anns, sc.rootSpan())
 	ssp.End()
 	if err == nil {
-		sc.setCost(int64(len(ids)), 0)
+		sc.setRecords(int64(len(ids)))
 	}
 	if err != nil {
 		switch {

@@ -28,11 +28,11 @@
 // and hot-reloaded — with checksum verification and validation, falling back
 // to the serving index on any failure — via POST /admin/reload or SIGHUP.
 //
-// -shards sets the width of the scatter-gather layer: shard s is a view of
-// records [s·total/N, (s+1)·total/N) of the one record range, propagated and
-// heaped for limit queries on its own goroutine with its own trace span.
-// Query results are bitwise identical at every shard count, and the
-// snapshot is the same file at every count. See docs/SHARDING.md.
+// The index is one record range that propagation and the limit heaps split
+// by worker (-parallelism). -shards sets only the view count that /index and
+// /admin/status report and the snapshot records; it stays because the
+// repository benchmark's child passes it. See docs/ARCHITECTURE.md, "Served
+// index".
 //
 // -wal-dir turns on streaming ingest: POST /ingest bodies are fsynced into a
 // write-ahead log before the 200 is written, so an acknowledged record
@@ -89,7 +89,7 @@ func main() {
 		reps   = flag.Int("reps", 900, "cluster representatives to annotate")
 		addr   = flag.String("addr", ":8080", "listen address")
 		par    = flag.Int("parallelism", 0, "worker count for index construction, propagation, and cracking (<= 0 uses all CPUs)")
-		shards = flag.Int("shards", 1, "scatter-gather width: shard views of the one record range, each propagated and heaped on its own goroutine; results are bitwise identical at every value (<= 1 serves one shard; a loaded -snapshot keeps its own count)")
+		shards = flag.Int("shards", 1, "view count that /index and /admin/status report and the snapshot records; no query reads it (kept for the repository benchmark's child; a loaded -snapshot keeps its own count)")
 
 		queryTimeout  = flag.Duration("query-timeout", 60*time.Second, "per-request budget for /query/ endpoints (0 disables)")
 		labelTimeout  = flag.Duration("label-timeout", 0, "per-call target-labeler deadline (0 disables)")

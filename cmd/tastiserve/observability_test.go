@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -81,9 +80,8 @@ func postQuery(t *testing.T, url, kind, body, tenant string) []byte {
 
 // TestTracesAndLogCorrelation drives one query of each type through a
 // trace-everything server and checks the full observability contract: the
-// span tree shape per query type, one shard child per shard under the
-// scatter spans, the ring filters, and the trace ID correlated into the
-// structured request log.
+// span tree shape per query type — two shard views add no span — the ring
+// filters, and the trace ID correlated into the structured request log.
 func TestTracesAndLogCorrelation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -103,6 +101,15 @@ func TestTracesAndLogCorrelation(t *testing.T) {
 	postQuery(t, ts.URL, "aggregate", `{"class":"car","err":0.2}`, "")
 	postQuery(t, ts.URL, "select", `{"class":"car","count":1,"budget":80,"recall":0.9}`, "")
 	postQuery(t, ts.URL, "limit", `{"class":"car","count":3,"k":5}`, "")
+
+	// /index reports the view count the server was started with.
+	resp, err := http.Get(ts.URL + "/index")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := decodeBody(t, resp); body["shards"] != float64(2) {
+		t.Errorf("/index shards = %v, want 2", body["shards"])
+	}
 
 	all := getTraces(t, ts.URL, "")
 	if all.SampleRate != 1 || all.Count != 3 {
@@ -133,24 +140,10 @@ func TestTracesAndLogCorrelation(t *testing.T) {
 				t.Errorf("%s trace missing %q span (have %v)", e.Route, stage, spanNames(e.Root))
 			}
 		}
-		// The scatter stages carry one child per shard.
-		for _, scattered := range []string{"propagate", "order"} {
-			sp := childSpan(e.Root, scattered)
-			if sp == nil {
-				continue
-			}
-			if len(sp.Children) != 2 {
-				t.Errorf("%s %s span has %d children, want one per shard (2)", e.Route, scattered, len(sp.Children))
-			}
-			// Children land in completion order; check the set, not positions.
-			have := map[string]bool{}
-			for _, c := range sp.Children {
-				have[c.Name] = true
-			}
-			for i := 0; i < 2; i++ {
-				if want := fmt.Sprintf("shard/%d", i); !have[want] {
-					t.Errorf("%s %s span missing child %q (have %v)", e.Route, scattered, want, spanNames(*sp))
-				}
+		// Propagation and the heapify run on the worker grid, not per view.
+		for _, stage := range []string{"propagate", "order"} {
+			if sp := childSpan(e.Root, stage); sp != nil && len(sp.Children) != 0 {
+				t.Errorf("%s %s span has children %v, want none", e.Route, stage, spanNames(*sp))
 			}
 		}
 	}
@@ -308,7 +301,6 @@ func TestLedgerReconciliation(t *testing.T) {
 		sum.Requests += tt.Requests
 		sum.Labels += tt.Labels
 		sum.Records += tt.Records
-		sum.Shards += tt.Shards
 		sum.Hits += tt.Hits
 		sum.WallNS += tt.WallNS
 	}
@@ -321,7 +313,7 @@ func TestLedgerReconciliation(t *testing.T) {
 		}
 	}
 	for _, e := range snap.Recent {
-		if e.Status != http.StatusOK || e.Shards != 2 || e.Records != 600 || e.WallNS <= 0 {
+		if e.Status != http.StatusOK || e.Records != 600 || e.WallNS <= 0 {
 			t.Errorf("bad recent entry %+v", e)
 		}
 		if !traceIDPattern.MatchString(e.TraceID) {
@@ -525,6 +517,17 @@ func TestStatusHealthAndIngestTrace(t *testing.T) {
 	if info.Samples[0].Labels["version"] != tasti.Version {
 		t.Errorf("build_info version = %q, want %q", info.Samples[0].Labels["version"], tasti.Version)
 	}
+	if info.Samples[0].Labels["kernel"] != tasti.KernelName() {
+		t.Errorf("build_info kernel = %q, want %q", info.Samples[0].Labels["kernel"], tasti.KernelName())
+	}
+	if fams["tasti_index_reps"] == nil {
+		t.Error("/metrics is missing tasti_index_reps")
+	}
+	for name := range fams {
+		if strings.HasPrefix(name, "tasti_shard_") {
+			t.Errorf("/metrics carries the per-shard series %s", name)
+		}
+	}
 	if fam := fams["tasti_wal_lag_records"]; fam == nil || fam.Samples[0].Value != 16 {
 		t.Errorf("tasti_wal_lag_records = %+v", fam)
 	}
@@ -595,8 +598,8 @@ func TestStatusHealthAndIngestTrace(t *testing.T) {
 
 // TestTelemetryOnOffBitwise pins the observability plane's core invariant:
 // tracing every request versus tracing none changes no result bit, at every
-// shard and worker count. All sixteen servers (4 configs x on/off, three
-// query types) must produce byte-identical response bodies.
+// worker count. All four servers (2 worker counts x on/off, three query
+// types each) must produce byte-identical response bodies.
 func TestTelemetryOnOffBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -608,28 +611,26 @@ func TestTelemetryOnOffBitwise(t *testing.T) {
 	}
 	// canonical[kind] is the first-seen body; every other server must match.
 	canonical := map[string][]byte{}
-	for _, shards := range []int{1, 4} {
-		for _, par := range []int{1, 4} {
-			for _, sample := range []float64{1, 0} {
-				srv, err := newServer(serverOptions{
-					dataset: "night-street", size: 400, train: 80, reps: 64, seed: 3,
-					shards: shards, parallelism: par, traceSample: sample,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ts := httptest.NewServer(srv.handler())
-				for _, q := range queries {
-					got := postQuery(t, ts.URL, q.kind, q.body, "")
-					if want, ok := canonical[q.kind]; !ok {
-						canonical[q.kind] = got
-					} else if !bytes.Equal(got, want) {
-						t.Errorf("shards=%d par=%d sample=%v: %s response diverges:\n got %s\nwant %s",
-							shards, par, sample, q.kind, got, want)
-					}
-				}
-				ts.Close()
+	for _, par := range []int{1, 4} {
+		for _, sample := range []float64{1, 0} {
+			srv, err := newServer(serverOptions{
+				dataset: "night-street", size: 400, train: 80, reps: 64, seed: 3,
+				parallelism: par, traceSample: sample,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
+			ts := httptest.NewServer(srv.handler())
+			for _, q := range queries {
+				got := postQuery(t, ts.URL, q.kind, q.body, "")
+				if want, ok := canonical[q.kind]; !ok {
+					canonical[q.kind] = got
+				} else if !bytes.Equal(got, want) {
+					t.Errorf("par=%d sample=%v: %s response diverges:\n got %s\nwant %s",
+						par, sample, q.kind, got, want)
+				}
+			}
+			ts.Close()
 		}
 	}
 }

@@ -153,11 +153,12 @@ func TestServeReloadCorruptSnapshotKeepsServing(t *testing.T) {
 	}
 
 	// Repair the snapshot; the reload must now succeed and roll back the
-	// cracked representatives to the snapshot's 200.
+	// cracked representatives to the snapshot's 200. A reload that names a
+	// shard reloads the whole index all the same.
 	if err := os.WriteFile(snap, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post(ts.URL+"/admin/reload", "application/json", nil)
+	resp, err = http.Post(ts.URL+"/admin/reload?shard=1", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,16 +237,18 @@ func TestServeStartupLoadsSnapshot(t *testing.T) {
 		t.Fatalf("query on the rebuilt index: status %d, body %v", resp.StatusCode, body)
 	}
 
+	// The snapshot's view count wins over a -shards flag that disagrees.
 	restarted, err := newServer(serverOptions{
 		dataset: "night-street", size: 1500, train: 250, reps: 200, seed: 1,
-		snapshotPath: snap,
+		snapshotPath: snap, shards: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := restarted.index
-	if got.NumRecords() != want.NumRecords() {
-		t.Fatalf("restored index has %d records, want %d", got.NumRecords(), want.NumRecords())
+	if got.NumRecords() != want.NumRecords() || got.NumShards() != want.NumShards() {
+		t.Fatalf("restored index has %d records in %d views, want %d in %d",
+			got.NumRecords(), got.NumShards(), want.NumRecords(), want.NumShards())
 	}
 	gotReps, wantReps := got.Shard(0).Table.Reps, want.Shard(0).Table.Reps
 	if len(gotReps) != len(wantReps) {

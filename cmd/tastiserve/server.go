@@ -30,10 +30,8 @@ type serverOptions struct {
 	reps        int
 	seed        int64
 	parallelism int
-	// shards is the scatter-gather width (<= 1 serves one shard): views of
-	// the one record range, each propagated and heaped on its own goroutine.
-	// Results are bitwise identical at every shard count. See
-	// docs/SHARDING.md.
+	// shards is the view count (< 1 means 1) that /index and /admin/status
+	// report and the snapshot records; no query reads it.
 	shards int
 
 	// queryTimeout bounds each /query/ request end to end (0 = unbounded).
@@ -254,11 +252,10 @@ func newServerShell(opts serverOptions) *server {
 	reg := tasti.NewMetricsRegistry()
 	reg.Help("tasti_http_in_flight", "Requests currently being served, across all routes.")
 	reg.Help("tasti_http_requests_total", "HTTP requests served, by route and status code.")
-	reg.Help("tasti_http_errors_total", "HTTP 5xx responses, by route.")
 	reg.Help("tasti_http_request_seconds", "End-to-end request latency in seconds, by route.")
 	reg.Help("tasti_snapshot_reload_total", "Index hot-reload attempts, by outcome.")
 	reg.Help("tasti_snapshot_reload_seconds", "Hot-reload latency in seconds: snapshot load, validation, and swap.")
-	reg.Help("tasti_index_reps", "Cluster representatives of the index, which every shard's table shares.")
+	reg.Help("tasti_index_reps", "Cluster representatives of the index.")
 	reg.Help("tasti_wal_frames_total", "WAL frames appended and fsynced.")
 	reg.Help("tasti_wal_bytes_total", "Bytes appended to WAL segments.")
 	reg.Help("tasti_wal_segments_total", "WAL segments created, including rotations.")
@@ -280,7 +277,7 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_refresh_cracked_total", "Appended records cracked into representatives by refreshes.")
 	reg.Help("tasti_refresh_running", "1 while a background refresh is running.")
 	reg.Help("tasti_refresh_seconds", "Refresh latency in seconds: clone, crack, catch-up, swap.")
-	reg.Help("tasti_build_info", "Build identity (value is always 1; labels carry the version, Go runtime, vecmath kernel, shard count, and snapshot format version).")
+	reg.Help("tasti_build_info", "Build identity (value is always 1; labels carry the version, Go runtime, vecmath kernel, view count, and snapshot format version).")
 	reg.Gauge(fmt.Sprintf(`tasti_build_info{version=%q,go=%q,kernel=%q,shards="%d",snapshot="v%d"}`,
 		tasti.Version, runtime.Version(), tasti.KernelName(), opts.shardCount(), tasti.SnapshotFormatVersion)).Set(1)
 	reg.Help("tasti_traces_retained_total", "Sampled request traces pushed into the /admin/traces ring.")
@@ -299,12 +296,12 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_budget_exhausted_total", "Label admissions rejected by an exhausted budget, by scope (global or tenant).")
 	reg.Help("tasti_budget_remaining", "Oracle calls still admissible, by scope; absent when that scope is unlimited.")
 	reg.Help("tasti_query_degraded_total", "Queries that returned a partial (Degraded) answer after mid-query budget exhaustion, by type.")
-	reg.Help("tasti_proxy_column_requests_total", "Proxy-column fetches by the query handlers, by result: a hit propagated nothing, a miss ran the propagation.")
+	reg.Help("tasti_proxy_column_requests_total", "Proxy-column fetches by the query handlers, by result and propagation kind: a hit propagated nothing, a miss ran one propagation.")
 	reg.Help("tasti_proxy_column_invalidations_total", "Times a crack or append dropped the retained proxy columns.")
 	reg.Help("tasti_proxy_column_evictions_total", "Proxy columns evicted least-recently-used-first to stay inside the 64 MiB budget.")
 	reg.Help("tasti_proxy_column_bytes", "Payload charged to the retained proxy columns, in bytes.")
 	reg.Help("tasti_index_generation", "State-changing mutations (representatives added, appends) applied to the serving index object; restarts from 0 when a reload swaps the index.")
-	reg.Help("tasti_index_writer_wait_seconds", "Time an index write (crack, append, shard or whole-index swap) waited for the write ahead of it; reads never wait.")
+	reg.Help("tasti_index_writer_wait_seconds", "Time an index write (crack, append, refresh or reload) waited for the write ahead of it; reads never wait.")
 	labels := tasti.NewLabelStore(tasti.LabelStoreOptions{
 		MaxInflight: opts.labelInflight,
 		Telemetry:   reg,
@@ -656,7 +653,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.ready.Load() {
 		s.reg.Gauge("tasti_breaker_state").Set(float64(s.breaker.State()))
-		// Per-shard record/representative gauges refresh at scrape time, so
+		// The representative and column gauges refresh at scrape time, so
 		// cracks and reloads between scrapes still read correctly.
 		s.index.PublishMetrics()
 	}
@@ -730,7 +727,6 @@ var routeLabels = []string{
 type routeMetrics struct {
 	route   string
 	seconds atomic.Pointer[tasti.MetricHistogram] // tasti_http_request_seconds{route}
-	errors  atomic.Pointer[tasti.MetricCounter]   // tasti_http_errors_total{route}
 	byCode  sync.Map                              // status code -> *tasti.MetricCounter, tasti_http_requests_total{route,code}
 }
 
@@ -741,14 +737,6 @@ func (m *routeMetrics) observe(reg *tasti.MetricsRegistry, code int, elapsed tim
 		c, _ = m.byCode.LoadOrStore(code, reg.Counter(fmt.Sprintf(`tasti_http_requests_total{route=%q,code="%d"}`, m.route, code)))
 	}
 	c.(*tasti.MetricCounter).Inc()
-	if code >= 500 {
-		e := m.errors.Load()
-		if e == nil {
-			e = reg.Counter(fmt.Sprintf(`tasti_http_errors_total{route=%q}`, m.route))
-			m.errors.Store(e)
-		}
-		e.Inc()
-	}
 	h := m.seconds.Load()
 	if h == nil {
 		h = reg.Histogram(fmt.Sprintf(`tasti_http_request_seconds{route=%q}`, m.route), tasti.DefLatencyBuckets)
@@ -757,9 +745,10 @@ func (m *routeMetrics) observe(reg *tasti.MetricsRegistry, code int, elapsed tim
 	h.Observe(elapsed.Seconds())
 }
 
-// instrument wraps every request with metrics — request/error counters by
-// route, a latency histogram, the in-flight gauge — and one structured log
-// line carrying route, method, status, latency, trace ID, and query type.
+// instrument wraps every request with metrics — request counters by route
+// and status code, a latency histogram, the in-flight gauge — and one
+// structured log line carrying route, method, status, latency, trace ID, and
+// query type.
 // Probe routes log at debug so scrapes don't drown the query log. It also
 // owns the request's observability scope: every request gets a trace ID,
 // sampled query/ingest requests get a span tree retained in the trace ring,
@@ -797,7 +786,6 @@ func (s *server) instrument(next http.Handler) http.Handler {
 				TraceID: sc.id,
 				Labels:  sc.labels.Load(),
 				Records: sc.records.Load(),
-				Shards:  sc.shards.Load(),
 				Hits:    sc.hits.Load(),
 				WallNS:  elapsed.Nanoseconds(),
 				Status:  rec.code,

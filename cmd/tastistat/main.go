@@ -172,7 +172,7 @@ func render(st *statusDoc, fams map[string]*tasti.PromFamily) string {
 		fmt.Fprintf(&b, "queries agg %.0f sel %.0f lim %.0f · labels %d (hits %d) · 5xx %.0f · in-flight %.0f · breaker %s\n",
 			runs["aggregate"], runs["select"], runs["limit"],
 			st.Ledger.Labels, st.Ledger.Hits,
-			sumFamily(fams, "tasti_http_errors_total"),
+			serverErrors(fams),
 			sumFamily(fams, "tasti_http_in_flight"),
 			st.BreakerState)
 		fmt.Fprintf(&b, "ledger  %d requests · %d records touched · wall %s\n",
@@ -264,6 +264,17 @@ func sumFamily(fams map[string]*tasti.PromFamily, name string) float64 {
 			continue
 		}
 		total += s.Value
+	}
+	return total
+}
+
+// serverErrors sums tasti_http_requests_total over its 5xx status codes.
+func serverErrors(fams map[string]*tasti.PromFamily) float64 {
+	total := 0.0
+	for code, v := range seriesByLabel(fams, "tasti_http_requests_total", "code") {
+		if strings.HasPrefix(code, "5") {
+			total += v
+		}
 	}
 	return total
 }

@@ -58,8 +58,11 @@ const fakeMetrics = `# HELP tasti_query_runs_total Queries served, by type.
 tasti_query_runs_total{type="aggregate"} 5
 tasti_query_runs_total{type="select"} 3
 tasti_query_runs_total{type="limit"} 1
-# TYPE tasti_http_errors_total counter
-tasti_http_errors_total{route="/query/limit"} 2
+# TYPE tasti_http_requests_total counter
+tasti_http_requests_total{route="/query/limit",code="200"} 7
+tasti_http_requests_total{route="/query/limit",code="500"} 1
+tasti_http_requests_total{route="/admin/reload",code="502"} 1
+tasti_http_requests_total{route="/query/select",code="429"} 3
 # TYPE tasti_http_in_flight gauge
 tasti_http_in_flight 1
 # TYPE tasti_ingest_acked_total counter

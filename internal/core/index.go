@@ -4,8 +4,8 @@
 // table), labeling through a label store that makes an interrupted build
 // resumable. A built Index is the input to package shard, whose Index is the
 // one type that answers queries and takes writes — cracks and appends — as
-// copy-on-write versions; core keeps the propagation kernel both share
-// (PropagateKRange) and the unsharded Propagate the benchmark prices.
+// copy-on-write versions; core keeps the one propagation both run
+// (PropagateK, PropagateNearest).
 //
 // # Concurrency contract
 //

@@ -2,18 +2,10 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
-)
-
-// Pre-built metric names: propagation runs per query, so the counter names
-// must not be rebuilt (allocated) per call.
-const (
-	metricPropagateWeighted = `tasti_propagate_total{kind="weighted"}`
-	metricPropagateSeconds  = "tasti_propagate_seconds"
 )
 
 // ScoreFunc turns a target-labeler output into a numeric query-specific
@@ -25,16 +17,12 @@ type ScoreFunc func(ann dataset.Annotation) float64
 // divide by zero.
 const invDistEps = 1e-9
 
-// PropagateKRange scores records [lo, hi): the exact score for zero-distance
+// propagateRange scores records [lo, hi): the exact score for zero-distance
 // records (representatives), the inverse-distance-weighted mean of the k
-// nearest representatives elsewhere. out and neighbors share the same index
-// base; repScores is indexed by the representative IDs the neighbor lists
-// name, which need not be bounded by len(out) — internal/shard runs this
-// kernel over shard-local rows whose neighbor lists carry corpus-global
-// representative IDs. Each record's value depends only on its own neighbor
-// list and the representative scores, so any partition of [0, n) into ranges
-// produces bitwise-identical output.
-func PropagateKRange(out []float64, neighbors [][]cluster.Neighbor, repScores []float64, k, lo, hi int) {
+// nearest representatives elsewhere. Each record's value depends only on its
+// own neighbor list and the representative scores, so any partition of the
+// records into ranges produces bitwise-identical output.
+func propagateRange(out []float64, neighbors [][]cluster.Neighbor, repScores []float64, k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		nbrs := neighbors[i]
 		if len(nbrs) > k {
@@ -56,40 +44,78 @@ func PropagateKRange(out []float64, neighbors [][]cluster.Neighbor, repScores []
 	}
 }
 
-// Propagate computes a proxy score for every record: the exact score on
-// representatives and the inverse-distance-weighted mean of the Table.K
-// nearest representatives' scores elsewhere (Section 4.3). The per-record
-// loop runs across Config.Parallelism workers; each record reads only the
-// table and the representative scores, so the output is identical at every
-// worker count. Queries run on the served index (package shard), which
-// computes the same bits; this is the unsharded baseline the benchmark
-// prices.
-func (ix *Index) Propagate(score ScoreFunc) ([]float64, error) {
-	start := time.Now()
-	n := ix.NumRecords()
-	repScores := make([]float64, n)
-	for _, rep := range ix.Table.Reps {
-		ann, ok := ix.Annotations[rep]
+// repScores evaluates score on every representative's annotation into a
+// dense slice indexed by record ID. Entries for non-representatives are
+// zeros no read path touches.
+func repScores(t *cluster.Table, anns map[int]dataset.Annotation, score ScoreFunc) ([]float64, error) {
+	rs := make([]float64, len(t.Neighbors))
+	for _, rep := range t.Reps {
+		ann, ok := anns[rep]
 		if !ok {
 			return nil, fmt.Errorf("%w: representative %d", ErrNoAnnotation, rep)
 		}
-		repScores[rep] = score(ann)
+		rs[rep] = score(ann)
 	}
-	out := make([]float64, n)
+	return rs, nil
+}
+
+// PropagateK computes a proxy score for every record of table t (Section
+// 4.3): the exact score on representatives and the inverse-distance-weighted
+// mean of the k <= t.K nearest representatives' scores elsewhere, with anns
+// holding every representative's annotation. The per-record loop runs on
+// the fixed chunk grid across par workers; each record reads only its own
+// neighbor row and the representative scores, so the output is identical at
+// every worker count. It is the one propagation: core.Index.Propagate and
+// the served index's PropagateK both run it.
+func PropagateK(t *cluster.Table, anns map[int]dataset.Annotation, score ScoreFunc, k, par int) ([]float64, error) {
+	if k <= 0 || k > t.K {
+		return nil, fmt.Errorf("core: propagation k=%d outside [1,%d]", k, t.K)
+	}
+	rs, err := repScores(t, anns, score)
+	if err != nil {
+		return nil, err
+	}
+	nbrs := t.Neighbors
+	out := make([]float64, len(nbrs))
 	// One worker is a plain call: the closure parallel.ForChunks takes would
 	// escape to the heap.
-	if parallel.Workers(ix.cfg.Parallelism) == 1 {
-		PropagateKRange(out, ix.Table.Neighbors, repScores, ix.Table.K, 0, n)
-	} else {
-		parallel.ForChunks(ix.cfg.Parallelism, n, func(_ int, s parallel.Span) {
-			PropagateKRange(out, ix.Table.Neighbors, repScores, ix.Table.K, s.Lo, s.Hi)
-		})
+	if parallel.Workers(par) == 1 {
+		propagateRange(out, nbrs, rs, k, 0, len(nbrs))
+		return out, nil
 	}
-	if reg := ix.cfg.Telemetry; reg != nil {
-		reg.Counter(metricPropagateWeighted).Inc()
-		reg.Histogram(metricPropagateSeconds, nil).Observe(time.Since(start).Seconds())
-	}
+	parallel.ForChunks(par, len(nbrs), func(_ int, c parallel.Span) {
+		propagateRange(out, nbrs, rs, k, c.Lo, c.Hi)
+	})
 	return out, nil
+}
+
+// PropagateNearest gives every record of table t its nearest
+// representative's exact score and the distance to it — the k=1 scoring
+// with distance tie-breaking that limit queries use — on the same worker
+// grid as PropagateK.
+func PropagateNearest(t *cluster.Table, anns map[int]dataset.Annotation, score ScoreFunc, par int) (scores, dists []float64, err error) {
+	rs, err := repScores(t, anns, score)
+	if err != nil {
+		return nil, nil, err
+	}
+	nbrs := t.Neighbors
+	scores = make([]float64, len(nbrs))
+	dists = make([]float64, len(nbrs))
+	parallel.ForChunks(par, len(nbrs), func(_ int, c parallel.Span) {
+		for i := c.Lo; i < c.Hi; i++ {
+			nb := nbrs[i][0]
+			scores[i] = rs[nb.Rep]
+			dists[i] = nb.Dist
+		}
+	})
+	return scores, dists, nil
+}
+
+// Propagate is PropagateK over the index's table at its full depth, on
+// Config.Parallelism workers. It publishes no metric: the served index
+// observes its propagations per proxy-column miss.
+func (ix *Index) Propagate(score ScoreFunc) ([]float64, error) {
+	return PropagateK(ix.Table, ix.Annotations, score, ix.Table.K, ix.cfg.Parallelism)
 }
 
 // Built-in scoring functions for the common query families.

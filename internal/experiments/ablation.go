@@ -54,7 +54,7 @@ func ablationMeasure(rep *Report, env *Env, name string, cfg core.Config) error 
 	if s.CountBasedLimit {
 		limitRank = s.AggScore
 	}
-	limScores, limDists, err := ix.Pin().PropagateNearest(limitRank, nil)
+	limScores, limDists, err := ix.Pin().PropagateNearest(limitRank)
 	if err != nil {
 		return err
 	}

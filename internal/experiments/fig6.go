@@ -70,7 +70,7 @@ func fig6Setting(rep *Report, env *Env) error {
 		if err != nil {
 			return err
 		}
-		scores, dists, err := ix.Pin().PropagateNearest(rankScore, nil)
+		scores, dists, err := ix.Pin().PropagateNearest(rankScore)
 		if err != nil {
 			return err
 		}

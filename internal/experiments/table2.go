@@ -34,7 +34,7 @@ func RunTable2(sc Scale, w io.Writer) (*Report, error) {
 
 	// Aggregation: direct estimate from proxy scores at the paper's k=5.
 	aggTruth := stats.Mean(env.Truth(s.AggScore))
-	tastiAgg, err := ix.Pin().PropagateK(s.AggScore, 5, nil)
+	tastiAgg, err := ix.Pin().PropagateK(s.AggScore, 5)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -26,11 +25,11 @@ type refreshRig struct {
 	ext  *dataset.Dataset // appended records (IDs offset by base.Len())
 }
 
-func newRefreshRig(t *testing.T, built, extra, shards int) *refreshRig {
-	return buildRefreshRig(t, built, extra, shards, 30)
+func newRefreshRig(t *testing.T, built, extra int) *refreshRig {
+	return buildRefreshRig(t, built, extra, 30)
 }
 
-func buildRefreshRig(t *testing.T, built, extra, shards, reps int) *refreshRig {
+func buildRefreshRig(t *testing.T, built, extra, reps int) *refreshRig {
 	t.Helper()
 	ds, err := dataset.Generate("night-street", built, 1)
 	if err != nil {
@@ -41,7 +40,7 @@ func buildRefreshRig(t *testing.T, built, extra, shards, reps int) *refreshRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := shard.Split(core0, shards)
+	x, err := shard.Split(core0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +86,7 @@ func (rig *refreshRig) appendExt(t *testing.T, lo, hi int) {
 // index without losing any records — and without touching the version that
 // was published before it.
 func TestRefreshCracksWorstCovered(t *testing.T) {
-	rig := newRefreshRig(t, 250, 40, 2)
+	rig := newRefreshRig(t, 250, 40)
 	rig.appendExt(t, 0, 40)
 	old := rig.ix.Pin()
 	n := old.NumRecords()
@@ -160,7 +159,7 @@ func TestRefreshCracksWorstCovered(t *testing.T) {
 // the refreshed representatives, and the version pinned before the refresh
 // still propagates its old bits.
 func TestRefreshCatchUp(t *testing.T) {
-	rig := newRefreshRig(t, 250, 40, 2)
+	rig := newRefreshRig(t, 250, 40)
 	rig.appendExt(t, 0, 25)
 	old := rig.ix.Pin()
 	oldProxy, err := old.Propagate(core.CountScore("car"))
@@ -207,10 +206,10 @@ func TestRefreshCatchUp(t *testing.T) {
 
 // TestRefreshKeepsConcurrentCrack pins that a refresh is one more write on the
 // live index, not a replacement of it: a representative a query cracks in
-// while the refresh is labeling is still there afterwards. (The clone / swap
-// refresh published its clone's shards and dropped it.)
+// while the refresh is labeling is still there afterwards. (A refresh that
+// cracked a copy of its pinned version and published the copy dropped it.)
 func TestRefreshKeepsConcurrentCrack(t *testing.T) {
-	rig := newRefreshRig(t, 250, 40, 2)
+	rig := newRefreshRig(t, 250, 40)
 	rig.appendExt(t, 0, 40)
 	base := rig.ix.RepCount()
 	const cracked, budget = 5, 8 // record 5 is a built record: never a refresh candidate
@@ -248,155 +247,11 @@ func TestRefreshKeepsConcurrentCrack(t *testing.T) {
 	}
 }
 
-// referenceRefresh is the refresh this package ran before a refresh became a
-// crack batch on the live index — deep-copy the pinned version, crack the
-// copy, re-append the records that arrived meanwhile, swap — kept as the
-// reference TestRefreshMatchesCloneSwapReference compares against. It is the
-// old body verbatim except for the two calls whose API went with it: the
-// catch-up re-embeds the records' features with AppendRecords (the old code
-// copied their rows out through Version.EmbeddingRow into AppendEmbedded; the
-// embedding is deterministic and the test compares the rows bit for bit), and
-// the publish is Index.Replace rather than a Swap whose build ran under the
-// writer lock, which a single-goroutine test does not need.
-func referenceRefresh(ctx context.Context, rig *refreshRig, cfg RefreshConfig) (RefreshStats, error) {
-	var st RefreshStats
-
-	// Phase 1: clone the pinned version and pick candidates from it.
-	pinned := cfg.Index.Pin()
-	clone := pinned.Clone()
-	n0 := pinned.NumRecords()
-	var cands []candidate
-	for id := cfg.Since; id < n0; id++ {
-		if !pinned.Annotated(id) {
-			cands = append(cands, candidate{id: id, dist: pinned.NearestDistance(id)})
-		}
-	}
-
-	// Worst-covered first; ties by ID for determinism.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist != cands[j].dist {
-			return cands[i].dist > cands[j].dist
-		}
-		return cands[i].id < cands[j].id
-	})
-	if len(cands) > cfg.Budget {
-		cands = cands[:cfg.Budget]
-	}
-
-	// Phase 2: label the candidates, then crack them into the clone
-	// worst-covered first, as one batch.
-	ids := make([]int, len(cands))
-	anns := make(map[int]dataset.Annotation, len(cands))
-	for i, c := range cands {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		ann, err := cfg.Label(ctx, c.id)
-		if err != nil {
-			return st, fmt.Errorf("ingest: refresh labeling record %d: %w", c.id, err)
-		}
-		ids[i], anns[c.id] = c.id, ann
-	}
-	clone.CrackInOrder(ids, anns)
-	st.Cracked = len(ids)
-	clone.Requantize()
-
-	// Phase 3: catch up on records appended meanwhile and publish.
-	live := cfg.Index.Pin()
-	if n := live.NumRecords(); n > n0 {
-		features := make([][]float64, 0, n-n0)
-		for id := n0; id < n; id++ {
-			features = append(features, rig.ext.Records[id-rig.base.Len()].Features)
-		}
-		if _, err := clone.AppendRecords(features); err != nil {
-			return st, fmt.Errorf("ingest: refresh catch-up: %w", err)
-		}
-	}
-	st.Baseline = clone.Pin().MeanNearestDistance()
-	cfg.Index.Replace(clone)
-	return st, nil
-}
-
-// TestRefreshMatchesCloneSwapReference checks Refresh leaves the index the
-// clone / crack / catch-up / swap refresh left — representative order,
-// neighbour rows, embedding rows and nearest-representative propagation bit
-// for bit — with 15 records appended mid-refresh, at every shard count.
-func TestRefreshMatchesCloneSwapReference(t *testing.T) {
-	for _, shards := range []int{1, 2, 3} {
-		run := func(refresh func(*refreshRig, RefreshConfig) (RefreshStats, error)) (*shard.Version, RefreshStats) {
-			rig := buildRefreshRig(t, 250, 40, shards, 30)
-			rig.appendExt(t, 0, 25)
-			appended := false
-			cfg := rig.config(nil, 6)
-			inner := cfg.Label
-			cfg.Label = func(ctx context.Context, id int) (dataset.Annotation, error) {
-				if !appended {
-					appended = true
-					rig.appendExt(t, 25, 40)
-				}
-				return inner(ctx, id)
-			}
-			st, err := refresh(rig, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rig.ix.Pin(), st
-		}
-		got, gotSt := run(func(_ *refreshRig, cfg RefreshConfig) (RefreshStats, error) {
-			r, err := NewRefresher(cfg)
-			if err != nil {
-				return RefreshStats{}, err
-			}
-			return r.Refresh(context.Background())
-		})
-		want, wantSt := run(func(rig *refreshRig, cfg RefreshConfig) (RefreshStats, error) {
-			return referenceRefresh(context.Background(), rig, cfg)
-		})
-
-		name := fmt.Sprintf("shards=%d", shards)
-		if gotSt.Cracked != wantSt.Cracked || math.Float64bits(gotSt.Baseline) != math.Float64bits(wantSt.Baseline) {
-			t.Fatalf("%s: stats %+v, reference %+v", name, gotSt, wantSt)
-		}
-		if got.NumRecords() != want.NumRecords() || got.NumRecords() != 290 {
-			t.Fatalf("%s: %d records, reference %d, want 290", name, got.NumRecords(), want.NumRecords())
-		}
-		for s := 0; s < shards; s++ {
-			g, w := got.Shard(s), want.Shard(s)
-			if g.Lo != w.Lo || g.Hi != w.Hi || !slices.Equal(g.Table.Reps, w.Table.Reps) {
-				t.Fatalf("%s shard %d: [%d,%d) reps %v, reference [%d,%d) reps %v",
-					name, s, g.Lo, g.Hi, g.Table.Reps, w.Lo, w.Hi, w.Table.Reps)
-			}
-			sameBits(t, name+" embeddings", g.Embeddings.Data(), w.Embeddings.Data())
-			for i := range w.Table.Neighbors {
-				gn, wn := g.Table.Neighbors[i], w.Table.Neighbors[i]
-				if len(gn) != len(wn) {
-					t.Fatalf("%s record %d: %d neighbours, reference %d", name, g.Lo+i, len(gn), len(wn))
-				}
-				for j := range wn {
-					if gn[j].Rep != wn[j].Rep || math.Float64bits(gn[j].Dist) != math.Float64bits(wn[j].Dist) {
-						t.Fatalf("%s record %d neighbour %d: %+v, reference %+v", name, g.Lo+i, j, gn[j], wn[j])
-					}
-				}
-			}
-		}
-		gs, gd, err := got.PropagateNearest(core.CountScore("car"), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, wd, err := want.PropagateNearest(core.CountScore("car"), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, name+" nearest scores", gs, ws)
-		sameBits(t, name+" nearest dists", gd, wd)
-	}
-}
-
 // TestRefreshCopiesNoIndex bounds what a refresh allocates: a crack batch's
 // copy-on-write headers, far under the embedding matrix a whole-index copy
 // would start with.
 func TestRefreshCopiesNoIndex(t *testing.T) {
-	rig := buildRefreshRig(t, 20000, 64, 1, 200)
+	rig := buildRefreshRig(t, 20000, 64, 200)
 	rig.appendExt(t, 0, 64)
 	r, err := NewRefresher(rig.config(nil, 32))
 	if err != nil {
@@ -427,7 +282,7 @@ func TestRefreshCopiesNoIndex(t *testing.T) {
 // answer depends on which: every scan reranks exactly.
 func TestRefreshRefitsOnlyAWidenedPlane(t *testing.T) {
 	const built, copies, stride = 20000, 64, 97
-	rig := buildRefreshRig(t, built, 1, 1, 200)
+	rig := buildRefreshRig(t, built, 1, 200)
 	features := make([][]float64, copies)
 	for i := range features {
 		features[i] = rig.base.Records[i*stride].Features
@@ -525,7 +380,7 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 
 // TestRefreshSingleFlight pins ErrRefreshInProgress.
 func TestRefreshSingleFlight(t *testing.T) {
-	rig := newRefreshRig(t, 200, 10, 1)
+	rig := newRefreshRig(t, 200, 10)
 	rig.appendExt(t, 0, 10)
 
 	gate := make(chan struct{})

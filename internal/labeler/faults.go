@@ -162,7 +162,7 @@ func (f *Flaky) LabelContext(ctx context.Context, id int) (dataset.Annotation, e
 	if fault {
 		return nil, fmt.Errorf("labeler %s: record %d attempt %d: %w", f.inner.Name(), id, attempt, ErrTransient)
 	}
-	return labelWithContext(ctx, f.inner, id)
+	return LabelWithContext(ctx, f.inner, id)
 }
 
 // Name implements Labeler.

@@ -126,7 +126,7 @@ func (c *Counting) Label(id int) (dataset.Annotation, error) {
 // LabelContext implements ContextLabeler, forwarding ctx to context-aware
 // inner labelers so cancellation passes through the accounting layer.
 func (c *Counting) LabelContext(ctx context.Context, id int) (dataset.Annotation, error) {
-	ann, err := labelWithContext(ctx, c.inner, id)
+	ann, err := LabelWithContext(ctx, c.inner, id)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func (b *Budgeted) LabelContext(ctx context.Context, id int) (dataset.Annotation
 	}
 	b.remaining--
 	b.mu.Unlock()
-	return labelWithContext(ctx, b.inner, id)
+	return LabelWithContext(ctx, b.inner, id)
 }
 
 // Name implements Labeler.

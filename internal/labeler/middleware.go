@@ -22,10 +22,10 @@ type ContextLabeler interface {
 	LabelContext(ctx context.Context, id int) (dataset.Annotation, error)
 }
 
-// labelWithContext invokes lab with ctx when it supports it, and otherwise
+// LabelWithContext invokes lab with ctx when it supports it, and otherwise
 // checks ctx before the plain call — the call itself then runs to completion,
 // but a canceled caller at least never starts new work.
-func labelWithContext(ctx context.Context, lab Labeler, id int) (dataset.Annotation, error) {
+func LabelWithContext(ctx context.Context, lab Labeler, id int) (dataset.Annotation, error) {
 	if cl, ok := lab.(ContextLabeler); ok {
 		return cl.LabelContext(ctx, id)
 	}
@@ -66,7 +66,7 @@ func (c *ctxBound) Label(id int) (dataset.Annotation, error) {
 func (c *ctxBound) LabelContext(ctx context.Context, id int) (dataset.Annotation, error) {
 	// Prefer the per-call context; it is derived from (or equal to) the
 	// bound one on every current call path.
-	return labelWithContext(ctx, c.inner, id)
+	return LabelWithContext(ctx, c.inner, id)
 }
 
 func (c *ctxBound) Name() string    { return c.inner.Name() }
@@ -187,7 +187,7 @@ func (rt *Retry) LabelContext(ctx context.Context, id int) (dataset.Annotation, 
 			rt.retries.Add(1)
 			rt.mRetries.Inc()
 		}
-		ann, err := labelWithContext(ctx, rt.inner, id)
+		ann, err := LabelWithContext(ctx, rt.inner, id)
 		if err == nil {
 			rt.mOK.Inc()
 			return ann, nil
@@ -401,7 +401,7 @@ func (b *Breaker) LabelContext(ctx context.Context, id int) (dataset.Annotation,
 	if err != nil {
 		return nil, fmt.Errorf("labeler %s: record %d: %w", b.inner.Name(), id, err)
 	}
-	ann, err := labelWithContext(ctx, b.inner, id)
+	ann, err := LabelWithContext(ctx, b.inner, id)
 	b.record(probe, err)
 	return ann, err
 }

@@ -397,7 +397,7 @@ func (b *Bound) buy(ctx context.Context, id int) (dataset.Annotation, error) {
 			return nil, err
 		}
 	}
-	ann, err := labelWithContext(ctx, b.inner, id)
+	ann, err := labeler.LabelWithContext(ctx, b.inner, id)
 	if err != nil {
 		if b.budget != nil {
 			b.budget.Refund(b.tenant)
@@ -412,15 +412,3 @@ func (b *Bound) Name() string { return b.inner.Name() }
 
 // Cost implements labeler.Labeler.
 func (b *Bound) Cost() labeler.CostModel { return b.inner.Cost() }
-
-// labelWithContext mirrors the labeler package's context bridging: forward
-// ctx to context-aware labelers, otherwise check it before the plain call.
-func labelWithContext(ctx context.Context, lab labeler.Labeler, id int) (dataset.Annotation, error) {
-	if cl, ok := lab.(labeler.ContextLabeler); ok {
-		return cl.LabelContext(ctx, id)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return lab.Label(id)
-}

@@ -102,11 +102,11 @@ func (f ValueFunc) Value(id int, _ float64, _ bool) (float64, error) { return f(
 // the proxy mean folded here.
 //
 // The control variate has known mean: the proxy average over the whole
-// dataset is free to compute. The mean is a serial left fold over the full
-// gathered vector — floating-point addition is not associative, so combining
-// per-shard partial means would change bits. Sharded serving therefore
-// scatters the propagation and gathers the proxy vector before this estimator
-// runs (see internal/shard and docs/SHARDING.md).
+// dataset is free to compute. The mean is a serial left fold over the whole
+// vector — floating-point addition is not associative, so combining
+// per-worker partial means would change bits. The served index therefore
+// splits only the propagation across workers and hands this estimator the
+// whole proxy vector (see internal/shard).
 func Estimate(opts Options, n int, proxy []float64, score ScoreFunc, lab labeler.Labeler) (Result, error) {
 	proxyMean := 0.0
 	if proxy != nil {

@@ -8,6 +8,7 @@ package limitq
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/labeler"
@@ -49,7 +50,7 @@ type Result struct {
 // Run scans records in descending proxy-score order — ties broken by
 // ascending tieDist (the distance to the nearest cluster representative, per
 // the paper's Section 6.3 custom scoring), then by ID — labeling each until
-// limit matches are found. tieDist may be nil. It is RunNext over one Heap.
+// limit matches are found. tieDist may be nil. It is RunNext over one heap.
 func Run(limit int, proxy, tieDist []float64, pred Predicate, lab labeler.Labeler) (Result, error) {
 	n := len(proxy)
 	if n == 0 {
@@ -58,33 +59,33 @@ func Run(limit int, proxy, tieDist []float64, pred Predicate, lab labeler.Labele
 	if tieDist != nil && len(tieDist) != n {
 		return Result{}, fmt.Errorf("limitq: %d tie distances for %d records", len(tieDist), n)
 	}
-	return RunNext(Options{}, limit, NewCursor(NewHeap(proxy, tieDist, 0, n)).Next, pred, lab)
+	return RunNext(Options{}, limit, NewCursor(proxy, tieDist, 1).Next, pred, lab)
 }
 
 // Order returns every record ID in scan order: descending proxy score, ties
 // broken by ascending tieDist (nil disables the tie distance), then by
 // ascending ID. The comparator is a strict total order, so the permutation is
-// unique — which is what lets a sharded index heap each shard's range apart
-// and merge them head by head into the identical global order. Order is the
+// unique — which is what lets a cursor heap ranges of the records apart and
+// merge them head by head into the identical global order. Order is the
 // full drain of the same Cursor a scan pops lazily; a limit query that labels
 // a few dozen records should take those from the Cursor instead of paying
 // O(n log n) for a permutation it reads the front of.
 func Order(proxy, tieDist []float64) []int {
-	return NewCursor(NewHeap(proxy, tieDist, 0, len(proxy))).Drain()
+	return NewCursor(proxy, tieDist, 1).Drain()
 }
 
-// Heap is a binary min-heap of the record IDs [lo, hi) under Less: building
+// heap is a binary min-heap of the record IDs [lo, hi) under Less: building
 // it is O(hi-lo), and a Cursor takes each next ID off it in O(log(hi-lo)).
 // It reads proxy (and tieDist, when non-nil) at the global IDs and copies
 // neither.
-type Heap struct {
+type heap struct {
 	proxy, tieDist []float64
 	ids            []int
 }
 
-// NewHeap heapifies the record IDs [lo, hi).
-func NewHeap(proxy, tieDist []float64, lo, hi int) *Heap {
-	h := &Heap{proxy: proxy, tieDist: tieDist, ids: make([]int, hi-lo)}
+// newHeap heapifies the record IDs [lo, hi).
+func newHeap(proxy, tieDist []float64, lo, hi int) *heap {
+	h := &heap{proxy: proxy, tieDist: tieDist, ids: make([]int, hi-lo)}
 	for j := range h.ids {
 		h.ids[j] = lo + j
 	}
@@ -96,7 +97,7 @@ func NewHeap(proxy, tieDist []float64, lo, hi int) *Heap {
 
 // pop removes and returns the ID that scans before every other ID left. The
 // heap must be non-empty.
-func (h *Heap) pop() int {
+func (h *heap) pop() int {
 	top := h.ids[0]
 	last := len(h.ids) - 1
 	h.ids[0] = h.ids[last]
@@ -109,7 +110,7 @@ func (h *Heap) pop() int {
 
 // down sifts the ID at position i toward the leaves until neither child
 // scans before it.
-func (h *Heap) down(i int) {
+func (h *heap) down(i int) {
 	ids := h.ids
 	id := ids[i]
 	for {
@@ -129,22 +130,43 @@ func (h *Heap) down(i int) {
 	ids[i] = id
 }
 
-// Cursor yields record IDs in scan order lazily, merging one Heap per
-// disjoint ID range head by head. Less is a strict total order over distinct
-// IDs, so the sequence is the one permutation Order returns however the
-// ranges were cut.
+// Cursor yields record IDs in scan order lazily, merging one heap per
+// contiguous ID range head by head. Less is a strict total order over
+// distinct IDs, so the sequence is the one permutation Order returns however
+// the ranges were cut.
 type Cursor struct {
-	heaps []*Heap
+	heaps []*heap
 }
 
-// NewCursor merges heaps built over disjoint ID ranges of the same proxy and
-// tieDist vectors.
-func NewCursor(heaps ...*Heap) *Cursor { return &Cursor{heaps: heaps} }
+// NewCursor heaps the record IDs [0, len(proxy)) as parts contiguous ranges
+// — range i is [i·n/parts, (i+1)·n/parts), at most one per record — each
+// heapified on its own goroutine, O(n) in total, and returns the cursor that
+// merges them, O(parts + log n) per ID taken. Splitting the O(n) heapify is
+// what spreads a limit column's build over the workers.
+func NewCursor(proxy, tieDist []float64, parts int) *Cursor {
+	n := len(proxy)
+	parts = max(1, min(parts, n))
+	heaps := make([]*heap, parts)
+	if parts == 1 {
+		heaps[0] = newHeap(proxy, tieDist, 0, n)
+		return &Cursor{heaps: heaps}
+	}
+	var wg sync.WaitGroup
+	for i := range heaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			heaps[i] = newHeap(proxy, tieDist, i*n/parts, (i+1)*n/parts)
+		}()
+	}
+	wg.Wait()
+	return &Cursor{heaps: heaps}
+}
 
 // Next returns the next record ID in scan order; ok is false once every ID
 // has been yielded.
 func (c *Cursor) Next() (id int, ok bool) {
-	var best *Heap
+	var best *heap
 	for _, h := range c.heaps {
 		if len(h.ids) > 0 && (best == nil || Less(h.proxy, h.tieDist, h.ids[0], best.ids[0])) {
 			best = h
@@ -170,7 +192,7 @@ func (c *Cursor) Drain() []int {
 }
 
 // Less reports whether record i scans before record j: the one comparator
-// every Heap and Cursor orders by.
+// every Cursor orders by.
 func Less(proxy, tieDist []float64, i, j int) bool {
 	if proxy[i] != proxy[j] {
 		return proxy[i] > proxy[j]
@@ -196,8 +218,8 @@ func RunScan(opts Options, limit int, order []int, pred Predicate, lab labeler.L
 
 // RunNext labels the records next yields, in that order, until limit matches
 // are found or next reports the order exhausted: the one scan loop behind
-// Run, RunScan and a sharded index merging per-shard heaps, which pays for
-// only as much of the order as the scan consumes.
+// Run, RunScan and the served index's column cursor, which pays for only as
+// much of the order as the scan consumes.
 func RunNext(opts Options, limit int, next func() (id int, ok bool), pred Predicate, lab labeler.Labeler) (Result, error) {
 	if limit <= 0 {
 		return Result{}, fmt.Errorf("limitq: limit must be positive, got %d", limit)

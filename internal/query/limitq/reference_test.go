@@ -2,7 +2,7 @@ package limitq
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -55,47 +55,42 @@ func orderInputs(n int) map[string][2][]float64 {
 	}
 }
 
-// cutCursor builds the cursor a sharded index would: one heap per contiguous
-// range, cut the way shard.Split cuts.
-func cutCursor(proxy, tieDist []float64, shards int) *Cursor {
-	n := len(proxy)
-	heaps := make([]*Heap, shards)
-	for s := range heaps {
-		heaps[s] = NewHeap(proxy, tieDist, s*n/shards, (s+1)*n/shards)
-	}
-	return NewCursor(heaps...)
-}
-
 // TestCursorMatchesSortedReference requires the heap-merge order to equal the
 // sorted reference both as a short prefix (what a scan takes) and as a full
 // drain (what Order and LimitOrder return), under heavy ties, without tie
-// distances, and at 1, 2, 4 and 7 ranges.
+// distances, over 0, 1, 2 and 3001 records, cut into 1, 2, 3 and 7 worker
+// ranges.
 func TestCursorMatchesSortedReference(t *testing.T) {
-	const n = 3001
-	for name, in := range orderInputs(n) {
-		proxy, tieDist := in[0], in[1]
-		want := referenceOrderRange(proxy, tieDist, 0, n)
-		if got := Order(proxy, tieDist); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Order differs from the sorted reference", name)
-		}
-		for _, shards := range []int{1, 2, 4, 7} {
-			c := cutCursor(proxy, tieDist, shards)
-			var prefix []int
-			for len(prefix) < 50 {
-				id, ok := c.Next()
-				if !ok {
-					t.Fatalf("%s shards=%d: cursor ended after %d ids", name, shards, len(prefix))
+	for _, n := range []int{0, 1, 2, 3001} {
+		for name, in := range orderInputs(n) {
+			proxy, tieDist := in[0], in[1]
+			want := referenceOrderRange(proxy, tieDist, 0, n)
+			if got := Order(proxy, tieDist); !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d: Order differs from the sorted reference", name, n)
+			}
+			for _, workers := range []int{1, 2, 3, 7} {
+				at := fmt.Sprintf("%s n=%d workers=%d", name, n, workers)
+				c := NewCursor(proxy, tieDist, workers)
+				if len(c.heaps) != max(1, min(workers, n)) {
+					t.Fatalf("%s: %d heaps", at, len(c.heaps))
 				}
-				prefix = append(prefix, id)
-			}
-			if !reflect.DeepEqual(prefix, want[:50]) {
-				t.Fatalf("%s shards=%d: 50-id prefix\n got %v\nwant %v", name, shards, prefix, want[:50])
-			}
-			if rest := c.Drain(); !reflect.DeepEqual(rest, want[50:]) {
-				t.Fatalf("%s shards=%d: drain after the prefix differs from the sorted reference", name, shards)
-			}
-			if _, ok := c.Next(); ok {
-				t.Fatalf("%s shards=%d: drained cursor still yields", name, shards)
+				var prefix []int
+				for len(prefix) < min(50, n) {
+					id, ok := c.Next()
+					if !ok {
+						t.Fatalf("%s: cursor ended after %d ids", at, len(prefix))
+					}
+					prefix = append(prefix, id)
+				}
+				if !slices.Equal(prefix, want[:len(prefix)]) {
+					t.Fatalf("%s: %d-id prefix\n got %v\nwant %v", at, len(prefix), prefix, want[:len(prefix)])
+				}
+				if rest := c.Drain(); !slices.Equal(rest, want[len(prefix):]) {
+					t.Fatalf("%s: drain after the prefix differs from the sorted reference", at)
+				}
+				if _, ok := c.Next(); ok {
+					t.Fatalf("%s: drained cursor still yields", at)
+				}
 			}
 		}
 	}
@@ -105,10 +100,8 @@ func TestCursorMatchesSortedReference(t *testing.T) {
 // range's IDs, in the reference order.
 func TestHeapSubrange(t *testing.T) {
 	in := orderInputs(500)["tied"]
-	h := NewHeap(in[0], in[1], 120, 377)
-	want := referenceOrderRange(in[0], in[1], 120, 377)
-	got := NewCursor(h).Drain()
-	if !reflect.DeepEqual(got, want) {
+	got := (&Cursor{heaps: []*heap{newHeap(in[0], in[1], 120, 377)}}).Drain()
+	if want := referenceOrderRange(in[0], in[1], 120, 377); !slices.Equal(got, want) {
 		t.Fatal("subrange heap order differs from the sorted reference")
 	}
 }
@@ -121,7 +114,7 @@ func BenchmarkOrderFirst24(b *testing.B) {
 		b.Run(fmt.Sprintf("first24/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c := NewCursor(NewHeap(in[0], in[1], 0, n))
+				c := NewCursor(in[0], in[1], 1)
 				for k := 0; k < 24; k++ {
 					c.Next()
 				}

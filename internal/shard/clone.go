@@ -32,7 +32,7 @@ func (v *Version) Clone() *Index {
 	}
 	return newIndex(wiring{par: v.w.par, emb: v.w.emb}, &Version{Stats: v.Stats, emb: emb, quant: v.quant.Clone(),
 		table: &cluster.Table{K: v.table.K, Reps: slices.Clone(v.table.Reps), Neighbors: nbrs},
-		anns:  maps.Clone(v.anns), n: v.n})
+		anns:  maps.Clone(v.anns), n: v.NumShards()})
 }
 
 // Requantize retrains the quantized scan plane's parameters over the index's

@@ -7,12 +7,12 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/query/limitq"
 	"repro/internal/query/supg"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // Proxy columns: the O(records) part of a query that depends on nothing but
@@ -185,19 +185,18 @@ const minScanPrefix = 64
 
 // Cursor returns a reader of a ColumnNearest column's limit-scan order:
 // descending score, ties by ascending distance, then ID. The first call heaps
-// each shard's range through LimitCursor (one child span per shard under sp,
-// nil disables tracing); every later call costs one small allocation, and the
-// reader's IDs come from the column's shared scan prefix. hit reports that
-// the heaps were already built. The heaps cover the shard ranges of the
-// version c was fetched from.
-func (c *Column) Cursor(sp *telemetry.Span) (cur *ScanCursor, hit bool) {
+// the version's records through LimitCursor, one range per worker; every
+// later call costs one small allocation, and the reader's IDs come from the
+// column's shared scan prefix. hit reports that the heaps were already
+// built.
+func (c *Column) Cursor() (cur *ScanCursor, hit bool) {
 	if c.Kind != ColumnNearest {
 		panic("shard: Cursor on a column that is not ColumnNearest")
 	}
 	hit = true
 	c.orderOnce.Do(func() {
 		hit = false
-		c.heaps = c.v.LimitCursor(c.Scores, c.Dists, sp)
+		c.heaps = c.v.LimitCursor(c.Scores, c.Dists)
 		c.prefix.Store(new([]int))
 	})
 	return &ScanCursor{col: c}, hit
@@ -254,11 +253,16 @@ func (r *ScanCursor) Next() (id int, ok bool) {
 
 // Column returns the proxy column of sc under kind for this version,
 // building it on a miss with the code the uncached calls run (PropagateK at
-// the table's K, or PropagateNearest; one child span per shard under
-// sp) — so a column is bitwise the slice those calls return. hit reports that
-// no propagation ran for this call. Concurrent fetches of one key share one
-// build.
-func (v *Version) Column(sc Scorer, kind ColumnKind, sp *telemetry.Span) (col *Column, hit bool, err error) {
+// the table's K, or PropagateNearest) — so a column is bitwise the slice
+// those calls return. hit reports that no propagation ran for this call.
+// Concurrent fetches of one key share one build. Each fetch counts into
+// tasti_proxy_column_requests_total by result and kind, and each miss's
+// propagation into tasti_propagate_seconds: every propagation the server
+// runs is one miss.
+func (v *Version) Column(sc Scorer, kind ColumnKind) (col *Column, hit bool, err error) {
+	if kind > ColumnNearest {
+		return nil, false, fmt.Errorf("shard: unknown column kind %d", kind)
+	}
 	e, hit := v.cols.acquire(columnKey{sc.Name, kind})
 	if hit {
 		<-e.ready
@@ -267,27 +271,26 @@ func (v *Version) Column(sc Scorer, kind ColumnKind, sp *telemetry.Span) (col *C
 	// Deferred so that a panicking score function still releases the
 	// fetches waiting on this build.
 	defer v.cols.finish(e)
-	e.col, e.err = v.buildColumn(sc.Score, kind, sp)
+	e.col, e.err = v.buildColumn(sc.Score, kind)
 	return e.col, false, e.err
 }
 
-func (v *Version) buildColumn(score core.ScoreFunc, kind ColumnKind, sp *telemetry.Span) (*Column, error) {
+func (v *Version) buildColumn(score core.ScoreFunc, kind ColumnKind) (*Column, error) {
 	col := &Column{Kind: kind, Generation: v.gen, v: v}
+	start := time.Now()
 	var err error
-	switch kind {
-	case ColumnWeighted:
-		col.Scores, err = v.PropagateK(score, v.K(), sp)
+	if kind == ColumnWeighted {
+		col.Scores, err = v.Propagate(score)
 		if err == nil {
 			col.Mean = stats.Mean(col.Scores)
 		}
-	case ColumnNearest:
-		col.Scores, col.Dists, err = v.PropagateNearest(score, sp)
-	default:
-		err = fmt.Errorf("shard: unknown column kind %d", kind)
+	} else {
+		col.Scores, col.Dists, err = v.PropagateNearest(score)
 	}
 	if err != nil {
 		return nil, err
 	}
+	v.w.hPropagate.Observe(time.Since(start).Seconds())
 	return col, nil
 }
 
@@ -364,12 +367,12 @@ func (cs *columnStore) acquire(key columnKey) (e *columnEntry, hit bool) {
 		if e.elem != nil {
 			cs.lru.MoveToFront(e.elem)
 		}
-		cs.w.mColHit.Inc()
+		cs.w.mColHit[key.kind].Inc()
 		return e, true
 	}
 	e = &columnEntry{key: key, ready: make(chan struct{})}
 	cs.entries[key] = e
-	cs.w.mColMiss.Inc()
+	cs.w.mColMiss[key.kind].Inc()
 	return e, false
 }
 

@@ -240,7 +240,7 @@ func TestColumnScanPrefixShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := Scorer{Name: "count/car", Score: core.CountScore("car")}
-	col, _, err := x.Pin().Column(sc, ColumnNearest, nil)
+	col, _, err := x.Pin().Column(sc, ColumnNearest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestColumnScanPrefixShared(t *testing.T) {
 	// read takes depth IDs from a fresh cursor, calling pause, when non-nil,
 	// half way.
 	read := func(depth int, pause func()) error {
-		cur, _ := col.Cursor(nil)
+		cur, _ := col.Cursor()
 		for i := 0; i < depth; i++ {
 			if i == depth/2 && pause != nil {
 				pause()
@@ -302,11 +302,11 @@ func TestColumnScanPrefixShared(t *testing.T) {
 		}
 	}
 
-	next, hit, err := x.Pin().Column(sc, ColumnNearest, nil)
+	next, hit, err := x.Pin().Column(sc, ColumnNearest)
 	if err != nil || hit || next == col {
 		t.Fatalf("column after the crack: hit=%v same=%v err=%v", hit, next == col, err)
 	}
-	cur, _ := next.Cursor(nil)
+	cur, _ := next.Cursor()
 	var got []int
 	for id, ok := cur.Next(); ok; id, ok = cur.Next() {
 		got = append(got, id)

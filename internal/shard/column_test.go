@@ -19,7 +19,6 @@ import (
 	"repro/internal/query/supg"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
-	"repro/internal/xrand"
 )
 
 // columnScorers are the scoring functions the column tests fetch under both
@@ -50,182 +49,6 @@ func drain(cur *shard.ScanCursor) []int {
 		out = append(out, id)
 	}
 	return out
-}
-
-// checkExactValues holds a column's exact-score cells to its lifetime: a
-// column built by this fetch knows no value, a retained one knows exactly the
-// values the check of its first fetch recorded — every third record's, a
-// number that names the record — and nothing else.
-func checkExactValues(t *testing.T, step string, col *shard.Column, retained bool) {
-	t.Helper()
-	for id := range col.Scores {
-		v, known := col.Value(id)
-		if wantKnown := retained && id%3 == 0; known != wantKnown || (known && v != float64(id)+0.25) {
-			t.Fatalf("%s: Value(%d) = %v, %v on a column that was retained=%v", step, id, v, known, retained)
-		}
-		if id%3 == 0 {
-			col.SetValue(id, float64(id)+0.25)
-		}
-	}
-}
-
-// checkColumnsFresh fetches every scorer × kind column and requires each to
-// be bitwise what the uncached calls compute on the same index right now:
-// scores and distances against Propagate / PropagateNearest, the design's
-// draws against a fresh CDF over the SUPG weights of the fresh scores, and
-// two full cursor drains against LimitOrder (two, so a drain that consumed
-// the column's own heaps would show) — and to hold the exact scores of its
-// own lifetime only. wantHit is what every fetch must report.
-func checkColumnsFresh(t *testing.T, step string, x *shard.Index, wantHit bool) {
-	t.Helper()
-	gen := x.ColumnStats().Generation
-	for _, sc := range columnScorers() {
-		w, hit, err := x.Column(sc, shard.ColumnWeighted, nil)
-		if err != nil {
-			t.Fatalf("%s: weighted column %s: %v", step, sc.Name, err)
-		}
-		if hit != wantHit || w.Generation != gen {
-			t.Fatalf("%s: weighted column %s: hit=%v generation=%d, want hit=%v generation=%d",
-				step, sc.Name, hit, w.Generation, wantHit, gen)
-		}
-		fresh, err := x.Propagate(sc.Score)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, step+" weighted "+sc.Name, w.Scores, fresh)
-		checkExactValues(t, step+" weighted "+sc.Name, w, wantHit)
-		weights := make([]float64, len(fresh))
-		for i, p := range fresh {
-			weights[i] = math.Sqrt(math.Max(p, 0)) + 0.05
-		}
-		cdf := xrand.NewCDF(weights)
-		r1, r2 := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
-		for d := 0; d < 64; d++ {
-			got, want := w.Design().Draw(r1), cdf.Draw(r2)
-			if got != want {
-				t.Fatalf("%s: %s design draw %d = %d, fresh CDF draws %d", step, sc.Name, d, got, want)
-			}
-			if gp, wp := w.Design().Prob(got), weights[want]/cdf.Total(); math.Float64bits(gp) != math.Float64bits(wp) {
-				t.Fatalf("%s: %s design Prob(%d) = %v, want %v", step, sc.Name, got, gp, wp)
-			}
-		}
-
-		nr, hit, err := x.Column(sc, shard.ColumnNearest, nil)
-		if err != nil {
-			t.Fatalf("%s: nearest column %s: %v", step, sc.Name, err)
-		}
-		if hit != wantHit || nr.Generation != gen {
-			t.Fatalf("%s: nearest column %s: hit=%v generation=%d, want hit=%v generation=%d",
-				step, sc.Name, hit, nr.Generation, wantHit, gen)
-		}
-		fs, fd, err := x.PropagateNearest(sc.Score)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, step+" nearest scores "+sc.Name, nr.Scores, fs)
-		sameBits(t, step+" nearest dists "+sc.Name, nr.Dists, fd)
-		checkExactValues(t, step+" nearest "+sc.Name, nr, wantHit)
-		order := x.LimitOrder(fs, fd)
-		for pass := 0; pass < 2; pass++ {
-			cur, ordered := nr.Cursor(nil)
-			if wantOrdered := wantHit || pass > 0; ordered != wantOrdered {
-				t.Fatalf("%s: %s cursor pass %d: heaps already built = %v, want %v", step, sc.Name, pass, ordered, wantOrdered)
-			}
-			sameInts(t, fmt.Sprintf("%s drain %d %s", step, pass, sc.Name), drain(cur), order)
-		}
-	}
-}
-
-// TestColumnInvalidationModel drives a seeded random sequence of every index
-// mutator (and the two operations that must NOT invalidate) over 1, 2 and 4
-// shards. After every step each cached column must equal a fresh computation
-// on the same index; a state-changing step must have advanced the generation
-// and turned the next fetch into a miss — of a column that knows no exact
-// score — a no-op crack and a Requantize must have kept the generation, the
-// retained columns and the exact scores recorded in them.
-func TestColumnInvalidationModel(t *testing.T) {
-	const n, reps, steps = 360, 40, 36
-	for _, shards := range []int{1, 2, 4} {
-		ds, err := dataset.Generate("night-street", n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := core.Build(core.PretrainedConfig(reps, 2), ds, labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost))
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := shard.Split(ix, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth := append([]dataset.Annotation(nil), ds.Truth...)
-		r := rand.New(rand.NewSource(int64(100 + shards)))
-
-		if x.ColumnStats().Generation != 0 {
-			t.Fatalf("shards=%d: fresh split at generation %d", shards, x.ColumnStats().Generation)
-		}
-		checkColumnsFresh(t, "initial", x, false)
-		checkColumnsFresh(t, "initial again", x, true)
-
-		unannotated := func() int {
-			for {
-				if id := r.Intn(x.NumRecords()); !x.Annotated(id) {
-					return id
-				}
-			}
-		}
-		annotated := func() int {
-			for {
-				if id := r.Intn(x.NumRecords()); x.Annotated(id) {
-					return id
-				}
-			}
-		}
-		for i := 0; i < steps; i++ {
-			before := x.ColumnStats().Generation
-			wantGen := before + 1
-			op := []string{"crack", "noop-crack", "append", "replace", "requantize", "clone"}[r.Intn(6)]
-			step := fmt.Sprintf("shards=%d step %d %s", shards, i, op)
-			switch op {
-			case "crack":
-				id := unannotated()
-				x.Crack(id, truth[id])
-			case "noop-crack":
-				id := annotated()
-				x.Crack(id, truth[id])
-				wantGen = before
-			case "append":
-				feats, anns := extraRecords(t, 6, int64(1000+i))
-				if _, err := x.AppendRecords(feats); err != nil {
-					t.Fatalf("%s: %v", step, err)
-				}
-				truth = append(truth, anns...)
-			case "replace":
-				// A reload: the whole state swapped for a deep copy one
-				// representative ahead, which brings its own generation.
-				c := x.Clone()
-				id := unannotated()
-				c.Crack(id, truth[id])
-				x.Replace(c)
-				wantGen = 1
-			case "requantize":
-				x.Requantize()
-				wantGen = before
-			case "clone":
-				x = x.Clone()
-				wantGen = 0
-				if cs := x.ColumnStats(); cs.Entries != 0 || cs.Bytes != 0 {
-					t.Fatalf("%s: clone starts with %d columns (%d bytes)", step, cs.Entries, cs.Bytes)
-				}
-			}
-			if got := x.ColumnStats().Generation; got != wantGen {
-				t.Fatalf("%s: generation %d -> %d, want %d", step, before, got, wantGen)
-			}
-			kept := op == "noop-crack" || op == "requantize"
-			checkColumnsFresh(t, step, x, kept)
-			checkColumnsFresh(t, step+" refetch", x, true)
-		}
-	}
 }
 
 // TestColumnConcurrentFetch runs 8 readers fetching the same and different
@@ -269,7 +92,7 @@ func TestColumnConcurrentFetch(t *testing.T) {
 		gen := x.ColumnStats().Generation
 		sc := scorers[r.Intn(len(scorers))]
 		kind := shard.ColumnKind(r.Intn(2))
-		col, _, err := x.Column(sc, kind, nil)
+		col, _, err := x.Column(sc, kind)
 		if err != nil {
 			return err
 		}
@@ -277,8 +100,8 @@ func TestColumnConcurrentFetch(t *testing.T) {
 		if kind == shard.ColumnWeighted {
 			fresh, err = x.Propagate(sc.Score)
 		} else {
-			fresh, _, err = x.PropagateNearest(sc.Score, nil)
-			cur, _ := col.Cursor(nil)
+			fresh, _, err = x.PropagateNearest(sc.Score)
+			cur, _ := col.Cursor()
 			if first, ok := cur.Next(); !ok || first != x.LimitOrder(col.Scores, col.Dists)[0] {
 				return fmt.Errorf("%s cursor head %d disagrees with LimitOrder", sc.Name, first)
 			}
@@ -349,11 +172,15 @@ func TestColumnConcurrentFetch(t *testing.T) {
 	}
 	stop()
 
-	misses := reg.Counter(`tasti_proxy_column_requests_total{result="miss"}`).Value()
+	var misses, hits int64
+	for _, kind := range []string{"weighted", "nearest"} {
+		misses += reg.Counter(`tasti_proxy_column_requests_total{result="miss",kind="` + kind + `"}`).Value()
+		hits += reg.Counter(`tasti_proxy_column_requests_total{result="hit",kind="` + kind + `"}`).Value()
+	}
 	if int(misses) != len(seen) {
 		t.Errorf("%d column builds for %d distinct (generation, key) pairs", misses, len(seen))
 	}
-	if hits := reg.Counter(`tasti_proxy_column_requests_total{result="hit"}`).Value(); hits == 0 {
+	if hits == 0 {
 		t.Error("no fetch ever hit")
 	}
 }
@@ -386,15 +213,15 @@ func TestColumnsAreReadOnly(t *testing.T) {
 	count, match := columnScorers()[0], columnScorers()[1]
 	pred := func(ann dataset.Annotation) bool { return match.Score(ann) == 1 }
 
-	agg, _, err := x.Column(count, shard.ColumnWeighted, nil)
+	agg, _, err := x.Column(count, shard.ColumnWeighted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, _, err := x.Column(match, shard.ColumnWeighted, nil)
+	sel, _, err := x.Column(match, shard.ColumnWeighted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lim, _, err := x.Column(count, shard.ColumnNearest, nil)
+	lim, _, err := x.Column(count, shard.ColumnNearest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +234,7 @@ func TestColumnsAreReadOnly(t *testing.T) {
 		return out
 	}
 	drain := func() []int {
-		cur, _ := lim.Cursor(nil)
+		cur, _ := lim.Cursor()
 		return drain(cur)
 	}
 	fingerprint := func() []uint64 {
@@ -427,7 +254,7 @@ func TestColumnsAreReadOnly(t *testing.T) {
 	if _, err := sel.Design().RecallTargetSelection(selOpts, labeled); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := lim.Cursor(nil)
+	cur, _ := lim.Cursor()
 	if _, err := limitq.RunNext(limitq.Options{}, 5, cur.Next, pred, lab); err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +320,7 @@ func TestServedHitCostFollowsSample(t *testing.T) {
 		every := func(dataset.Annotation) bool { return true } // the scan labels exactly k records
 		v := x.Pin()
 		selectHit := func() {
-			col, hit, err := v.Column(match, shard.ColumnWeighted, nil)
+			col, hit, err := v.Column(match, shard.ColumnWeighted)
 			if err != nil || !hit {
 				t.Fatalf("n=%d: select column hit=%v err=%v", n, hit, err)
 			}
@@ -504,20 +331,20 @@ func TestServedHitCostFollowsSample(t *testing.T) {
 			}
 		}
 		limitHit := func() {
-			col, hit, err := v.Column(count, shard.ColumnNearest, nil)
+			col, hit, err := v.Column(count, shard.ColumnNearest)
 			if err != nil || !hit {
 				t.Fatalf("n=%d: limit column hit=%v err=%v", n, hit, err)
 			}
-			cur, _ := col.Cursor(nil)
+			cur, _ := col.Cursor()
 			if res, err := limitq.RunNext(limitq.Options{}, 24, cur.Next, every, lab); err != nil || len(res.Found) != 24 {
 				t.Fatalf("n=%d: limit found %d (%v)", n, len(res.Found), err)
 			}
 		}
 		// The misses: propagation, the design, the heaps and the first prefix.
-		if _, _, err := v.Column(match, shard.ColumnWeighted, nil); err != nil {
+		if _, _, err := v.Column(match, shard.ColumnWeighted); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := v.Column(count, shard.ColumnNearest, nil); err != nil {
+		if _, _, err := v.Column(count, shard.ColumnNearest); err != nil {
 			t.Fatal(err)
 		}
 		selectHit()

@@ -9,9 +9,8 @@ import (
 	"repro/internal/shard"
 )
 
-// Example splits a built index into four shards and demonstrates the
-// scatter-gather contract: the sharded propagation is bitwise identical to
-// the unsharded one it replaces, at any shard count.
+// Example serves a built index with four shard views and shows the served
+// propagation is bitwise the built index's own: the views split no query.
 func Example() {
 	ds, err := dataset.Generate("night-street", 400, 1)
 	if err != nil {
@@ -23,8 +22,8 @@ func Example() {
 		panic(err)
 	}
 
-	// Score once unsharded, then hand the index to the shard layer — Split
-	// takes ownership — and score again through scatter-gather.
+	// Score once on the built index, then hand it to the serving layer —
+	// Split takes ownership — and score again.
 	before, err := index.Propagate(core.CountScore("car"))
 	if err != nil {
 		panic(err)

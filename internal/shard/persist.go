@@ -40,7 +40,7 @@ const (
 	embedderFrame   = "embedder"
 )
 
-// manifest is the first frame: the corpus size, the shard count, the build
+// manifest is the first frame: the corpus size, the view count, the build
 // stats, which name the corpus the index was built over, the table depth K,
 // the representative list and their annotations. Every neighbor row holds
 // exactly k = min(K, len(Reps)) entries (cluster.Table.Validate).
@@ -88,7 +88,7 @@ func malformed(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", snapshot.ErrMalformed, fmt.Sprintf(format, args...))
 }
 
-// validate checks the manifest describes a shard count the records can
+// validate checks the manifest describes a view count the records can
 // fill, a table depth, and representatives inside the corpus.
 func (m manifest) validate() error {
 	if m.Shards < 1 || m.Shards > m.Total || m.K < 0 {

@@ -70,9 +70,9 @@ type Answer struct {
 	// representative. Nil for every other query.
 	Crack map[int]dataset.Annotation
 
-	// Records and Shards are the propagation the query read: 0 when the
-	// proxy column could not be had.
-	Records, Shards int
+	// Records is the propagation the query read: 0 when the proxy column
+	// could not be had.
+	Records int
 	// Hits counts the labels the system already owned — a store or index
 	// annotation, or an exact score the column had memoized — and Misses the
 	// rest: labels bought from the oracle or shared with another caller's
@@ -107,13 +107,13 @@ func (v *Version) Run(ctx context.Context, q Query, labels *store.Bound, sp *tel
 		return ans, errNoQuery
 	}
 	psp := sp.Child("propagate")
-	col, hit, err := v.Column(sc, kind, psp)
+	col, hit, err := v.Column(sc, kind)
 	psp.SetAttr("cache", cacheAttr(hit))
 	psp.End()
 	if err != nil {
 		return ans, err
 	}
-	ans.Records, ans.Shards = len(col.Scores), v.n
+	ans.Records = len(col.Scores)
 	r := &request{ctx: ctx, done: ctx.Done(), labels: labels}
 	defer func() { ans.Hits, ans.Misses = r.hits, r.misses }()
 
@@ -142,11 +142,11 @@ func (v *Version) Run(ctx context.Context, q Query, labels *store.Bound, sp *tel
 		ssp.End()
 	default:
 		l := q.Limit
-		// The order span is the per-shard heapify on the column's first
-		// limit and nothing after it; the scan reads the column's shared scan
+		// The order span is the heapify, one range per worker, on the
+		// column's first limit and nothing after it; the scan reads the column's shared scan
 		// prefix, so an ID no earlier request reached is a pop billed to it.
 		osp := sp.Child("order")
-		cur, ordered := col.Cursor(osp)
+		cur, ordered := col.Cursor()
 		osp.SetAttr("cache", cacheAttr(ordered))
 		osp.End()
 		scan := sp.Child("scan")

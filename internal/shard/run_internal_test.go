@@ -38,7 +38,7 @@ func TestCanceledQueryStopsDrawingValues(t *testing.T) {
 	}
 	v := x.Pin()
 	score := Scorer{Name: "count/car", Score: core.CountScore("car")}
-	col, _, err := v.Column(score, ColumnWeighted, nil)
+	col, _, err := v.Column(score, ColumnWeighted)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func runCases() map[string]shard.Query {
 	cars := func(n int) func(dataset.Annotation) bool {
 		return func(ann dataset.Annotation) bool { return ann.(dataset.VideoAnnotation).Count("car") >= n }
 	}
-	count := shard.Scorer{Name: "count/car", Score: core.CountScore("car")}
+	count := shard.Scorer{Name: "run/count/car", Score: core.CountScore("car")}
 	return map[string]shard.Query{
 		"aggregate": {Aggregate: &shard.Aggregate{Score: count, ErrTarget: 0.15, Seed: 2}},
 		"select":    {Select: &shard.Select{Match: shard.Scorer{Name: "match/car/1", Score: core.MatchScore(cars(1))}, Budget: 150, Recall: 0.9, Seed: 3}},
@@ -34,10 +34,18 @@ func runCases() map[string]shard.Query {
 	}
 }
 
+// propagator is what referenceKey propagates over: a served version, or the
+// reference model.
+type propagator interface {
+	NumRecords() int
+	Propagate(core.ScoreFunc) ([]float64, error)
+	PropagateNearest(core.ScoreFunc) (scores, dists []float64, err error)
+}
+
 // referenceKey answers q the way everything without a proxy column does —
 // the scores-in estimator over an uncached propagation of v, labeling
 // through lab — and renders the answer as answerKey does.
-func referenceKey(t *testing.T, v *shard.Version, q shard.Query, lab labeler.Labeler) string {
+func referenceKey(t *testing.T, v propagator, q shard.Query, lab labeler.Labeler) string {
 	t.Helper()
 	var ans shard.Answer
 	var selected []int
@@ -64,7 +72,7 @@ func referenceKey(t *testing.T, v *shard.Version, q shard.Query, lab labeler.Lab
 		ans.Selection.OracleCalls, ans.Selection.Threshold, ans.Selection.Degraded = res.OracleCalls, res.Threshold, res.Degraded
 	default:
 		l := q.Limit
-		scores, dists, perr := v.PropagateNearest(l.Score.Score, nil)
+		scores, dists, perr := v.PropagateNearest(l.Score.Score)
 		if perr != nil {
 			t.Fatal(perr)
 		}
@@ -118,9 +126,9 @@ func labelCalls(q shard.Query, ans shard.Answer) int64 {
 
 // TestRunMatchesScoresInEstimators: Run's answer to each query type is
 // bitwise the scores-in estimator's over an uncached propagation with the
-// same labels — at 1 and 3 shards, at parallelism 1 and 2, whether the proxy
-// column is built by the query or read from the store, and whether the label
-// store holds nothing yet or every label the query needs. Hits and misses
+// same labels — at parallelism 1 and 2, whether the proxy column is built by
+// the query or read from the store, and whether the label store holds
+// nothing yet or every label the query needs. Hits and misses
 // add up to the label calls, and a store holding every label buys none.
 func TestRunMatchesScoresInEstimators(t *testing.T) {
 	const n, reps = 600, 60
@@ -139,49 +147,47 @@ func TestRunMatchesScoresInEstimators(t *testing.T) {
 		truth[id] = ann
 	}
 
-	for _, shards := range []int{1, 3} {
-		for _, par := range []int{1, 2} {
-			// Index a takes the cold store first, index b the warm one, so
-			// each store state meets a cold and a warm column.
-			for _, order := range [][]bool{{false, true}, {true, false}} {
-				built, _ := buildIndex(t, n, reps)
-				x, err := shard.Split(built, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				x.SetParallelism(par)
-				warm := store.New(store.Options{})
-				warm.Warm(truth)
-				for pass, warmStore := range order {
-					for name, q := range runCases() {
-						st := store.New(store.Options{})
-						if warmStore {
-							st = warm
-						}
-						v := x.Pin()
-						reg := telemetry.NewRegistry()
-						st.SetTelemetry(reg)
-						ans, err := v.Run(context.Background(), q, st.Bind(oracle, nil, "", v.AnnotationOf), nil)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						var selected []int
-						if q.Select != nil {
-							selected = ans.Selection.IDs(n)
-						}
-						at := fmt.Sprintf("%s at %d shards, parallelism %d, pass %d, warm store %t", name, shards, par, pass, warmStore)
-						if got := answerKey(ans, selected); got != want[name] {
-							t.Errorf("%s:\n got  %s\n want %s", at, got, want[name])
-						}
-						if ans.Records != n || ans.Shards != shards {
-							t.Errorf("%s: read %d records in %d shards", at, ans.Records, ans.Shards)
-						}
-						if calls := labelCalls(q, ans); ans.Hits+ans.Misses != calls {
-							t.Errorf("%s: %d hits + %d misses, %d label calls", at, ans.Hits, ans.Misses, calls)
-						}
-						if bought := reg.Counter("tasti_labelstore_misses_total").Value(); bought != ans.Misses || (warmStore && bought != 0) {
-							t.Errorf("%s: the store bought %d labels, the answer books %d misses", at, bought, ans.Misses)
-						}
+	for _, par := range []int{1, 2} {
+		// Index a takes the cold store first, index b the warm one, so
+		// each store state meets a cold and a warm column.
+		for _, order := range [][]bool{{false, true}, {true, false}} {
+			built, _ := buildIndex(t, n, reps)
+			x, err := shard.Split(built, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x.SetParallelism(par)
+			warm := store.New(store.Options{})
+			warm.Warm(truth)
+			for pass, warmStore := range order {
+				for name, q := range runCases() {
+					st := store.New(store.Options{})
+					if warmStore {
+						st = warm
+					}
+					v := x.Pin()
+					reg := telemetry.NewRegistry()
+					st.SetTelemetry(reg)
+					ans, err := v.Run(context.Background(), q, st.Bind(oracle, nil, "", v.AnnotationOf), nil)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					var selected []int
+					if q.Select != nil {
+						selected = ans.Selection.IDs(n)
+					}
+					at := fmt.Sprintf("%s at parallelism %d, pass %d, warm store %t", name, par, pass, warmStore)
+					if got := answerKey(ans, selected); got != want[name] {
+						t.Errorf("%s:\n got  %s\n want %s", at, got, want[name])
+					}
+					if ans.Records != n {
+						t.Errorf("%s: read %d records", at, ans.Records)
+					}
+					if calls := labelCalls(q, ans); ans.Hits+ans.Misses != calls {
+						t.Errorf("%s: %d hits + %d misses, %d label calls", at, ans.Hits, ans.Misses, calls)
+					}
+					if bought := reg.Counter("tasti_labelstore_misses_total").Value(); bought != ans.Misses || (warmStore && bought != 0) {
+						t.Errorf("%s: the store bought %d labels, the answer books %d misses", at, bought, ans.Misses)
 					}
 				}
 			}
@@ -242,8 +248,8 @@ func TestRunCanceledBooksItsLabels(t *testing.T) {
 		if got := calls.Value() - before; ans.Hits+ans.Misses != got || ans.Misses != bought {
 			t.Errorf("%s: %d hits + %d misses booked, %d label calls counted, %d bought", name, ans.Hits, ans.Misses, got, bought)
 		}
-		if ans.Records != n || ans.Shards != 2 {
-			t.Errorf("%s: read %d records in %d shards", name, ans.Records, ans.Shards)
+		if ans.Records != n {
+			t.Errorf("%s: read %d records", name, ans.Records)
 		}
 	}
 	if _, err := x.Pin().Run(context.Background(), shard.Query{}, nil, nil); err == nil {

@@ -1,49 +1,47 @@
 // Package shard serves a built TASTI index: its Index is the one type that
-// answers queries and takes writes — cracks, appends, reloads. Every query
-// runs through a scatter-gather layer over n record-range shards that is
-// bitwise indistinguishable from one shard holding the whole corpus.
+// answers queries and takes writes — cracks, appends, reloads.
 //
-// # Shards are views
+// # One record range
 //
 // A Version holds one record range: one embedding matrix, its one quantized
 // plane, one min-k table (the representative list and every record's
-// neighbor row) and one annotation map. Split(ix, n) only fixes the shard
-// count: shard s is the view [s*total/n, (s+1)*total/n) of that range, which
-// Shard, the scatter and LimitCursor's heaps compute on demand. Appends
-// extend the one range, so the views stay balanced as it grows.
+// neighbor row) and one annotation map. Every query reads that range on the
+// worker grid (Config.Parallelism, SetParallelism). Split(ix, n) also
+// records a view count n, which /index and /admin/status report and the
+// snapshot stores: Shard(s) is the view [s*total/n, (s+1)*total/n), computed
+// on demand. No query path reads it.
 //
 // # Determinism contract
 //
-// Every scatter-gather path produces output bitwise identical to one shard
-// holding the whole corpus, for any shard count and any worker count:
+// Every query path produces the same bits at every worker count:
 //
 //   - Propagation (PropagateK, PropagateNearest) writes each record's score
 //     from only that record's neighbor row and the shared representative
-//     scores, so any partition of the record space — across shards or across
-//     workers within a shard — computes the same bits (core.PropagateKRange).
-//   - Limit-query ordering (LimitCursor, LimitOrder) heaps each shard's range
-//     and merges the heaps head by head under the one strict total order
-//     limitq scans by; a strict total order has exactly one sorted
-//     permutation, so the merge equals the global order.
+//     scores, so any partition of the records across workers computes the
+//     same bits (core.PropagateK).
+//   - Limit-query ordering (LimitCursor, LimitOrder) heaps one contiguous
+//     range per worker and merges the heaps head by head under the one
+//     strict total order limitq scans by; a strict total order has exactly
+//     one sorted permutation, so the merge equals the global order.
 //   - Cracking (Crack, CrackAll) updates each record's neighbor row from only
 //     that row, the record's own embedding, and the new representative's
 //     embedding, so the table equals the one a one-pass build over the final
-//     representative list computes, whatever the shard count.
+//     representative list computes.
 //
-// What deliberately does NOT scatter: estimator-side reductions. Floating-
-// point addition is not associative, so combining per-shard partial sums
+// What deliberately does NOT split: estimator-side reductions. Floating-
+// point addition is not associative, so combining per-worker partial sums
 // (e.g. the EBS control-variate proxy mean) would change bits. Query
-// processors therefore consume the gathered, corpus-global proxy vector; the
-// parallelism lives below them, in the propagation scatter.
+// processors therefore consume the whole proxy vector; the parallelism lives
+// below them, in propagation.
 //
 // # Concurrency
 //
-// An Index publishes one immutable Version — record range, shard count,
-// generation, and that generation's proxy-column store — through one atomic
-// pointer. Readers take no lock: Pin loads the published version, and every
-// read on it (Propagate*, Column, LimitCursor, AnnotationOf, RepCount, Save,
-// Clone) sees exactly that state for as long as the caller holds it, whatever
-// is published meanwhile. The Index's own read methods are one-shot
+// An Index publishes one immutable Version — record range, generation, and
+// that generation's proxy-column store — through one atomic pointer.
+// Readers take no lock: Pin loads the published version, and every read on
+// it (Propagate*, Column, LimitCursor, AnnotationOf, RepCount, Save, Clone)
+// sees exactly that state for as long as the caller holds it, whatever is
+// published meanwhile. The Index's own read methods are one-shot
 // conveniences that pin per call; a request that makes several reads pins
 // once and reads the Version, so they all describe one state.
 //
@@ -79,13 +77,6 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Pre-built metric names shared with core's propagation observers.
-const (
-	metricPropagateWeighted = `tasti_propagate_total{kind="weighted"}`
-	metricPropagateNearest  = `tasti_propagate_total{kind="nearest"}`
-	metricPropagateSeconds  = "tasti_propagate_seconds"
-)
-
 // Shard is a read-only view of records [Lo, Hi) of one version. Its Table
 // rows and embedding matrix are indexed locally (record id - Lo) while
 // Table.Reps, the neighbor entries' Rep fields, and the Annotations keys
@@ -109,10 +100,9 @@ type Shard struct {
 // NumRecords returns the number of records the shard views.
 func (sh *Shard) NumRecords() int { return sh.Hi - sh.Lo }
 
-// Index is a served TASTI index behind one scatter-gather query surface. It
-// is a handle on a sequence of immutable Versions (see the package comment's
-// concurrency section): reads pin the published one, writers publish its
-// successor.
+// Index is a served TASTI index. It is a handle on a sequence of immutable
+// Versions (see the package comment's concurrency section): reads pin the
+// published one, writers publish its successor.
 type Index struct {
 	cur atomic.Pointer[Version]
 	// writer serializes mutators among themselves; readers never take it.
@@ -135,7 +125,7 @@ type Version struct {
 	quant vecmath.QuantMatrix
 	table *cluster.Table
 	anns  map[int]dataset.Annotation
-	// n is the shard count: the width of the scatter.
+	// n is the view count Shard cuts the range by; no query reads it.
 	n int
 	// gen counts the state-changing mutations applied since the index was
 	// split, loaded or cloned (ColumnStats.Generation).
@@ -161,8 +151,11 @@ type wiring struct {
 	gColBytes   *telemetry.Gauge     // tasti_proxy_column_bytes
 	gGen        *telemetry.Gauge     // tasti_index_generation
 	hWriterWait *telemetry.Histogram // tasti_index_writer_wait_seconds
+	hPropagate  *telemetry.Histogram // tasti_propagate_seconds
 
-	mColHit, mColMiss, mColInvalidate, mColEvict *telemetry.Counter
+	// mColHit and mColMiss are indexed by ColumnKind.
+	mColHit, mColMiss         [2]*telemetry.Counter
+	mColInvalidate, mColEvict *telemetry.Counter
 }
 
 // resolved returns a copy of w with its handles resolved against w.tel
@@ -173,8 +166,11 @@ func (w wiring) resolved() *wiring {
 	w.gColBytes = reg.Gauge("tasti_proxy_column_bytes")
 	w.gGen = reg.Gauge("tasti_index_generation")
 	w.hWriterWait = reg.Histogram("tasti_index_writer_wait_seconds", nil)
-	w.mColHit = reg.Counter(`tasti_proxy_column_requests_total{result="hit"}`)
-	w.mColMiss = reg.Counter(`tasti_proxy_column_requests_total{result="miss"}`)
+	w.hPropagate = reg.Histogram("tasti_propagate_seconds", nil)
+	for kind, name := range [2]string{ColumnWeighted: "weighted", ColumnNearest: "nearest"} {
+		w.mColHit[kind] = reg.Counter(`tasti_proxy_column_requests_total{result="hit",kind="` + name + `"}`)
+		w.mColMiss[kind] = reg.Counter(`tasti_proxy_column_requests_total{result="miss",kind="` + name + `"}`)
+	}
 	w.mColInvalidate = reg.Counter("tasti_proxy_column_invalidations_total")
 	w.mColEvict = reg.Counter("tasti_proxy_column_evictions_total")
 	return &w
@@ -190,15 +186,15 @@ func newIndex(w wiring, v *Version) *Index {
 	return x
 }
 
-// Split hands a built index to the serving layer with a scatter over n
-// shards, taking ownership of ix: the index aliases its embedding matrix,
+// Split hands a built index to the serving layer with n shard views,
+// taking ownership of ix: the index aliases its embedding matrix,
 // quantized plane, table and annotation map, so the source index must not be
 // used afterwards. A source without a plane (a hand-built core.Index) gets
 // one trained over its embeddings here, so every version carries one.
 // Parallelism and telemetry carry over from ix's config.
 //
-// Split(ix, 1) serves one shard, with every query path byte-for-byte
-// equivalent to ix's own.
+// The view count changes no query path: every n serves the bits ix's own
+// propagation computes.
 func Split(ix *core.Index, n int) (*Index, error) {
 	total := ix.NumRecords()
 	if n < 1 || n > total {
@@ -244,13 +240,13 @@ func (x *Index) Propagate(score core.ScoreFunc) ([]float64, error) {
 	return x.Pin().Propagate(score)
 }
 func (x *Index) PropagateNearest(score core.ScoreFunc) (scores, dists []float64, err error) {
-	return x.Pin().PropagateNearest(score, nil)
+	return x.Pin().PropagateNearest(score)
 }
-func (x *Index) Column(sc Scorer, kind ColumnKind, sp *telemetry.Span) (*Column, bool, error) {
-	return x.Pin().Column(sc, kind, sp)
+func (x *Index) Column(sc Scorer, kind ColumnKind) (*Column, bool, error) {
+	return x.Pin().Column(sc, kind)
 }
 
-// NumShards returns the shard count.
+// NumShards returns the view count.
 func (v *Version) NumShards() int { return v.n }
 
 // NumRecords returns the number of records.
@@ -329,9 +325,9 @@ func (x *Index) rewire(set func(w *wiring)) {
 	})
 }
 
-// SetParallelism bounds the per-shard worker count used inside each shard's
-// propagation and cracking scatter (p <= 0 uses all CPUs). Output is
-// identical at every p.
+// SetParallelism bounds the worker count of propagation, limit-heap builds,
+// appends and cracking (p <= 0 uses all CPUs). Output is identical at every
+// p.
 func (x *Index) SetParallelism(p int) { x.rewire(func(w *wiring) { w.par = p }) }
 
 // SetTelemetry points the index at a metrics registry (nil disables) and
@@ -370,121 +366,24 @@ func (x *Index) Replace(next *Index) {
 // RepCount returns the number of representatives.
 func (v *Version) RepCount() int { return len(v.table.Reps) }
 
-// repScores evaluates score on every representative's annotation into a
-// dense slice indexed by corpus-global record ID, once for all shards.
-// Entries for non-representatives are zeros no read path touches.
-func (v *Version) repScores(score core.ScoreFunc) ([]float64, error) {
-	rs := make([]float64, v.NumRecords())
-	for _, rep := range v.table.Reps {
-		ann, ok := v.anns[rep]
-		if !ok {
-			return nil, fmt.Errorf("%w: representative %d", core.ErrNoAnnotation, rep)
-		}
-		rs[rep] = score(ann)
-	}
-	return rs, nil
-}
-
-// scatter runs fn concurrently over the shards — one goroutine per shard,
-// each given its record range [lo, hi) and writing only that slice of any
-// gathered output. When sp is non-nil, each shard's work runs inside a child
-// span named shard/<s> carrying the shard's record count. Span bookkeeping
-// happens outside fn's hot loops and no-ops entirely on a nil span, so
-// unsampled requests pay one nil check per shard.
-func (v *Version) scatter(sp *telemetry.Span, fn func(s, lo, hi int)) {
-	run := func(s int) {
-		lo, hi := v.span(s)
-		if sp != nil {
-			c := sp.Child(fmt.Sprintf("shard/%d", s))
-			c.SetAttr("records", hi-lo)
-			defer c.End()
-		}
-		fn(s, lo, hi)
-	}
-	if v.n == 1 {
-		run(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < v.n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			run(s)
-		}(s)
-	}
-	wg.Wait()
-}
-
-// observePropagate mirrors core's propagation observability: one count and
-// one latency observation per gather, nothing per record or per shard.
-func (v *Version) observePropagate(metric string, start time.Time) {
-	tel := v.w.tel
-	if tel == nil {
-		return
-	}
-	tel.Counter(metric).Inc()
-	tel.Histogram(metricPropagateSeconds, nil).Observe(time.Since(start).Seconds())
-}
-
-// Propagate computes the corpus-global proxy-score vector over each record's
-// K nearest representatives, scattering across shards and gathering into one
-// slice — bitwise identical to core.Index.Propagate over the same table.
+// Propagate computes the proxy-score vector over each record's K nearest
+// representatives — bitwise what core.Index.Propagate computes over the same
+// table.
 func (v *Version) Propagate(score core.ScoreFunc) ([]float64, error) {
-	return v.PropagateK(score, v.K(), nil)
+	return v.PropagateK(score, v.K())
 }
 
-// PropagateK is Propagate with an explicit neighbor count k <= K, threading a
-// request span: the scatter opens one child span per shard under sp, and a
-// nil sp runs identically with no tracing. The representatives are scored
-// once into one vector, and each shard runs the shared core.PropagateKRange
-// kernel over its rows into its disjoint slice of the output.
-func (v *Version) PropagateK(score core.ScoreFunc, k int, sp *telemetry.Span) ([]float64, error) {
-	if kMax := v.K(); k <= 0 || k > kMax {
-		return nil, fmt.Errorf("shard: propagation k=%d outside [1,%d]", k, kMax)
-	}
-	defer v.observePropagate(metricPropagateWeighted, time.Now())
-	rs, err := v.repScores(score)
-	if err != nil {
-		return nil, err
-	}
-	par, nbrs := v.w.par, v.table.Neighbors
-	out := make([]float64, len(nbrs))
-	v.scatter(sp, func(_, lo, hi int) {
-		if parallel.Workers(par) == 1 {
-			core.PropagateKRange(out, nbrs, rs, k, lo, hi)
-			return
-		}
-		parallel.ForChunks(par, hi-lo, func(_ int, c parallel.Span) {
-			core.PropagateKRange(out, nbrs, rs, k, lo+c.Lo, lo+c.Hi)
-		})
-	})
-	return out, nil
+// PropagateK is Propagate over k <= K neighbors: core.PropagateK on the
+// version's table, on the index's workers.
+func (v *Version) PropagateK(score core.ScoreFunc, k int) ([]float64, error) {
+	return core.PropagateK(v.table, v.anns, score, k, v.w.par)
 }
 
-// PropagateNearest gathers each record's nearest representative's exact
+// PropagateNearest gives each record its nearest representative's exact
 // score and the distance to it — the k=1 scoring with distance tie-breaking
-// that limit queries use — bitwise identical at every shard count. sp traces
-// the scatter as PropagateK's does; nil runs untraced.
-func (v *Version) PropagateNearest(score core.ScoreFunc, sp *telemetry.Span) (scores, dists []float64, err error) {
-	defer v.observePropagate(metricPropagateNearest, time.Now())
-	rs, err := v.repScores(score)
-	if err != nil {
-		return nil, nil, err
-	}
-	nbrs := v.table.Neighbors
-	scores = make([]float64, len(nbrs))
-	dists = make([]float64, len(nbrs))
-	v.scatter(sp, func(_, lo, hi int) {
-		parallel.ForChunks(v.w.par, hi-lo, func(_ int, c parallel.Span) {
-			for i := lo + c.Lo; i < lo+c.Hi; i++ {
-				nb := nbrs[i][0]
-				scores[i] = rs[nb.Rep]
-				dists[i] = nb.Dist
-			}
-		})
-	})
-	return scores, dists, nil
+// that limit queries use (core.PropagateNearest).
+func (v *Version) PropagateNearest(score core.ScoreFunc) (scores, dists []float64, err error) {
+	return core.PropagateNearest(v.table, v.anns, score, v.w.par)
 }
 
 // LimitOrder returns every record ID in the limit-query scan order —
@@ -493,24 +392,19 @@ func (v *Version) PropagateNearest(score core.ScoreFunc, sp *telemetry.Span) (sc
 // the full vectors. A scan that stops after a few matches should pop the
 // cursor instead of draining it.
 func (v *Version) LimitOrder(proxy, tieDist []float64) []int {
-	return v.LimitCursor(proxy, tieDist, nil).Drain()
+	return v.LimitCursor(proxy, tieDist).Drain()
 }
 
-// LimitCursor heaps each shard's record range under limitq's comparator —
-// concurrently, O(records) in total, one child span per shard under sp (nil
-// disables tracing) — and returns the cursor that merges the heaps head by
-// head, O(shards + log records) per ID taken. The comparator is a strict
-// total order, so the cursor yields limitq.Order's permutation at any shard
+// LimitCursor heaps one contiguous record range per worker under limitq's
+// comparator, concurrently and O(records) in total, and returns the cursor
+// that merges the heaps head by head. The comparator is a strict total
+// order, so the cursor yields limitq.Order's permutation at any worker
 // count. proxy (and tieDist, when non-nil) must have NumRecords entries.
-func (v *Version) LimitCursor(proxy, tieDist []float64, sp *telemetry.Span) *limitq.Cursor {
+func (v *Version) LimitCursor(proxy, tieDist []float64) *limitq.Cursor {
 	if total := v.NumRecords(); len(proxy) != total {
 		panic(fmt.Sprintf("shard: %d proxy scores for %d records", len(proxy), total))
 	}
-	heaps := make([]*limitq.Heap, v.n)
-	v.scatter(sp, func(s, lo, hi int) {
-		heaps[s] = limitq.NewHeap(proxy, tieDist, lo, hi)
-	})
-	return limitq.NewCursor(heaps...)
+	return limitq.NewCursor(proxy, tieDist, parallel.Workers(v.w.par))
 }
 
 // Crack adds a target-labeler observation as a new representative: CrackAll

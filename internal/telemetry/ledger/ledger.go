@@ -30,7 +30,6 @@ type Entry struct {
 	TraceID string        `json:"trace_id,omitempty"`
 	Labels  int64         `json:"labels"`  // oracle labels spent
 	Records int64         `json:"records"` // records propagated (queries) or appended (ingest)
-	Shards  int64         `json:"shards"`  // shards touched
 	Hits    int64         `json:"hits"`    // label calls answerable from already-annotated records
 	WallNS  int64         `json:"wall_ns"` // request wall time
 	Status  int           `json:"status"`  // HTTP status of the response
@@ -43,7 +42,6 @@ type Totals struct {
 	Requests int64 `json:"requests"`
 	Labels   int64 `json:"labels"`
 	Records  int64 `json:"records"`
-	Shards   int64 `json:"shards"`
 	Hits     int64 `json:"hits"`
 	WallNS   int64 `json:"wall_ns"`
 }
@@ -52,7 +50,6 @@ func (t *Totals) add(e Entry) {
 	t.Requests++
 	t.Labels += e.Labels
 	t.Records += e.Records
-	t.Shards += e.Shards
 	t.Hits += e.Hits
 	t.WallNS += e.WallNS
 }
@@ -171,7 +168,6 @@ func (l *Ledger) checkLocked() error {
 		sum.Requests += t.Requests
 		sum.Labels += t.Labels
 		sum.Records += t.Records
-		sum.Shards += t.Shards
 		sum.Hits += t.Hits
 		sum.WallNS += t.WallNS
 	}

@@ -9,11 +9,11 @@ import (
 
 func TestLedgerBooksBothSides(t *testing.T) {
 	l := New(8)
-	l.Record(Entry{Tenant: "a", Kind: "query/aggregate", Labels: 100, Records: 1000, Shards: 4, Wall: time.Millisecond})
-	l.Record(Entry{Tenant: "a", Kind: "query/select", Labels: 50, Records: 1000, Shards: 4})
+	l.Record(Entry{Tenant: "a", Kind: "query/aggregate", Labels: 100, Records: 1000, Wall: time.Millisecond})
+	l.Record(Entry{Tenant: "a", Kind: "query/select", Labels: 50, Records: 1000})
 	l.Record(Entry{Tenant: "b", Kind: "ingest", Records: 16, Hits: 2})
 
-	if got := l.Tenant("a"); got.Requests != 2 || got.Labels != 150 || got.Records != 2000 || got.Shards != 8 {
+	if got := l.Tenant("a"); got.Requests != 2 || got.Labels != 150 || got.Records != 2000 {
 		t.Errorf("tenant a totals = %+v", got)
 	}
 	if got := l.Tenant("b"); got.Requests != 1 || got.Records != 16 || got.Hits != 2 {
@@ -91,7 +91,6 @@ func TestLedgerConcurrentConservation(t *testing.T) {
 					Kind:    "query/aggregate",
 					Labels:  int64(i % 11),
 					Records: int64(i),
-					Shards:  4,
 				})
 				if i%37 == 0 {
 					if err := l.CheckConservation(); err != nil {

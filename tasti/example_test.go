@@ -56,7 +56,7 @@ func ExampleIndexVersion_PropagateNearest() {
 	}
 
 	v := index.Pin()
-	scores, dists, err := v.PropagateNearest(tasti.CountScore("car"), nil)
+	scores, dists, err := v.PropagateNearest(tasti.CountScore("car"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refNear, refDist, err := ref.PropagateNearest(carCount, nil)
+	refNear, refDist, err := ref.PropagateNearest(carCount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSaveLoadQueryEquivalence(t *testing.T) {
 				t.Fatalf("p=%d: selected [%d] = %d, want %d", p, i, sel.Returned[i], id)
 			}
 		}
-		near, dist, err := loaded.PropagateNearest(carCount, nil)
+		near, dist, err := loaded.PropagateNearest(carCount)
 		if err != nil {
 			t.Fatalf("p=%d: propagate-nearest: %v", p, err)
 		}

@@ -256,15 +256,14 @@ func Build(cfg Config, ds *Dataset, lab Labeler) (*Index, error) {
 	return core.Build(cfg, ds, lab)
 }
 
-// Sharded serving. A built index is served as one record range that every
-// query reads through a scatter-gather layer over contiguous shard views,
-// bitwise identical to the unsharded index at every shard count. See
-// docs/SHARDING.md for what the shard count still does.
+// Serving. A built index is served as one record range that every query
+// reads on the worker grid, with the bits the built index's own propagation
+// computes at every worker count. See docs/ARCHITECTURE.md, "Served index".
 type (
 	// ShardedIndex is a served TASTI index: one record range and one
-	// representative set, behind one scatter-gather query surface. It
-	// publishes immutable IndexVersions: reads take no lock, writers (crack,
-	// append, whole-index swap) are serialized among themselves only.
+	// representative set. It publishes immutable IndexVersions: reads take
+	// no lock, writers (crack, append, whole-index swap) are serialized
+	// among themselves only.
 	ShardedIndex = shard.Index
 	// IndexVersion is one immutable state of a ShardedIndex, from
 	// ShardedIndex.Pin: everything a request reads from it — columns,
@@ -272,7 +271,7 @@ type (
 	// state, whatever is published meanwhile.
 	IndexVersion = shard.Version
 	// Shard is a read-only view of one contiguous record range of an
-	// IndexVersion.
+	// IndexVersion. No query reads it.
 	Shard = shard.Shard
 	// Scorer is a scoring function together with the name that identifies
 	// it across requests — the key of the proxy column a Query reads. A
@@ -293,18 +292,18 @@ type (
 	// LimitQuery finds K records a predicate accepts, cracking what it
 	// labeled when asked.
 	LimitQuery = shard.Limit
-	// Answer is IndexVersion.Run's result, with the records and shards it
-	// read and its label hits and misses.
+	// Answer is IndexVersion.Run's result, with the records it read and
+	// its label hits and misses.
 	Answer = shard.Answer
 )
 
-// SplitIndex serves a built index over a scatter of n contiguous shard
-// views, taking ownership of ix (it must not be used afterwards).
-// SplitIndex(ix, 1) serves one shard.
+// SplitIndex serves a built index, taking ownership of ix (it must not be
+// used afterwards). n is the view count the index reports and its snapshot
+// records; it changes no query.
 func SplitIndex(ix *Index, n int) (*ShardedIndex, error) { return shard.Split(ix, n) }
 
 // LoadShardedIndex deserializes an index saved with ShardedIndex.Save —
-// the one index snapshot format — with the shard count it was saved at.
+// the one index snapshot format — with the view count it was saved at.
 // Check IndexVersion.CheckCorpus before serving it.
 var LoadShardedIndex = shard.Load
 
