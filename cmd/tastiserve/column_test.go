@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -18,17 +19,19 @@ import (
 	"repro/tasti"
 )
 
-// columnServer is a small two-shard server that traces every request, so the
-// column tests can read the cache attribute off the spans.
+// columnServer is a small two-shard server with streaming ingest that traces
+// every request, so the column tests can read the cache attribute off the
+// spans.
 func columnServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
 	srv, err := newServer(serverOptions{
 		dataset: "taipei", size: 800, train: 120, reps: 100, seed: 1,
-		shards: 2, traceSample: 1, traceRing: 64,
+		shards: 2, traceSample: 1, traceRing: 64, walDir: filepath.Join(t.TempDir(), "wal"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(srv.closeIngest)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -260,7 +263,10 @@ func knownValues(t *testing.T, srv *server, sc tasti.Scorer) map[int]uint64 {
 // exact score the very number the score function returns, so none of it can
 // move an answer. The schedule ends with a crack:true limit, which must drop
 // the columns, and the aggregate it was preceded by, which must therefore
-// propagate again.
+// propagate again. Last, an /ingest batch: server A answers the schedule
+// again over columns derived from the ones it built just before the write,
+// server C — A's state and label store, no column ever built — over fresh
+// ones, and every body, the store hits and the ledger totals must agree.
 func TestServedColumnEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -450,6 +456,67 @@ func TestServedColumnEquivalence(t *testing.T) {
 		if fam := fams[name]; fam == nil || len(fam.Samples) != 1 || fam.Samples[0].Value != want {
 			t.Errorf("/metrics %s = %+v, want %v", name, fam, want)
 		}
+	}
+
+	// Across a write. A builds every column of the schedule at its current
+	// generation; C gets a deep copy of A's index, which brings no column,
+	// and everything A's label store holds. Both take the same batch.
+	for _, sh := range schedule {
+		postQuery(t, a.URL, sh.route, sh.body, "")
+	}
+	srvC, c := columnServer(t)
+	srvC.index.Replace(srvA.index.Clone())
+	srvC.labels.Warm(srvA.labels.Annotations())
+	extra, err := tasti.GenerateDataset("taipei", 16, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, grown := ingestPayload(t, extra, 0, 16), srvA.index.NumRecords()+16
+	for _, url := range []string{a.URL, c.URL} {
+		resp := postIngest(t, url, batch)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest: status %d", resp.StatusCode)
+		}
+		waitForRecords(t, url, grown)
+	}
+	hitsA, hitsC := srvA.labelHits.Value(), srvC.labelHits.Value()
+	ledgerA, ledgerC := srvA.ledger.Global(), srvC.ledger.Global()
+	derived := map[string]bool{}
+	for _, sh := range schedule {
+		body := postQuery(t, a.URL, sh.route, sh.body, "")
+		wantCache := "miss"
+		if derived[sh.column] {
+			wantCache = "hit"
+		}
+		derived[sh.column] = true
+		if got := newestSpanAttr(t, a.URL, "propagate", "cache"); got != wantCache {
+			t.Errorf("after the ingest, %s %s: propagate span cache=%q, want %q", sh.route, sh.body, got, wantCache)
+		}
+		if fresh := postQuery(t, c.URL, sh.route, sh.body, ""); !bytes.Equal(body, fresh) {
+			t.Errorf("after the ingest, %s %s:\n derived %s fresh   %s", sh.route, sh.body, body, fresh)
+		}
+	}
+	if a, c := srvA.labelHits.Value()-hitsA, srvC.labelHits.Value()-hitsC; a != c || a == 0 {
+		t.Errorf("after the ingest: %d store hits over derived columns, %d over fresh ones", a, c)
+	}
+	// A's columns carried the exact scores their predecessors had learnt; C's
+	// know only what the schedule just drew, and the same numbers for it.
+	for _, sc := range []tasti.Scorer{srvA.spec(queryRequest{Class: "car", Count: 1}).score, srvA.spec(queryRequest{Class: "car", Count: 1}).match} {
+		knownA, knownC := knownValues(t, srvA, sc), knownValues(t, srvC, sc)
+		inherited := len(knownA) > len(knownC)
+		for id, bits := range knownC {
+			inherited = inherited && knownA[id] == bits
+		}
+		if !inherited {
+			t.Errorf("column %s knows %d exact scores after the ingest on server A, %d on server C, or different ones", sc.Name, len(knownA), len(knownC))
+		}
+	}
+	booked := func(now, before tasti.LedgerTotals) [3]int64 {
+		return [3]int64{now.Labels - before.Labels, now.Hits - before.Hits, now.Records - before.Records}
+	}
+	if a, c := booked(srvA.ledger.Global(), ledgerA), booked(srvC.ledger.Global(), ledgerC); a != c {
+		t.Errorf("after the ingest the ledgers book labels, hits and records %v over derived columns, %v over fresh ones", a, c)
 	}
 }
 

@@ -17,12 +17,13 @@ type ScoreFunc func(ann dataset.Annotation) float64
 // divide by zero.
 const invDistEps = 1e-9
 
-// propagateRange scores records [lo, hi): the exact score for zero-distance
-// records (representatives), the inverse-distance-weighted mean of the k
-// nearest representatives elsewhere. Each record's value depends only on its
-// own neighbor list and the representative scores, so any partition of the
-// records into ranges produces bitwise-identical output.
-func propagateRange(out []float64, neighbors [][]cluster.Neighbor, repScores []float64, k, lo, hi int) {
+// PropagateRange scores records [lo, hi) into out from repScores, the
+// representatives' scores indexed by record ID: the exact score for
+// zero-distance records (representatives), the inverse-distance-weighted mean
+// of the k nearest representatives elsewhere. Each record's value depends
+// only on its own neighbor list and the representative scores, so any
+// partition of the records into ranges produces bitwise-identical output.
+func PropagateRange(out []float64, neighbors [][]cluster.Neighbor, repScores []float64, k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		nbrs := neighbors[i]
 		if len(nbrs) > k {
@@ -80,11 +81,11 @@ func PropagateK(t *cluster.Table, anns map[int]dataset.Annotation, score ScoreFu
 	// One worker is a plain call: the closure parallel.ForChunks takes would
 	// escape to the heap.
 	if parallel.Workers(par) == 1 {
-		propagateRange(out, nbrs, rs, k, 0, len(nbrs))
+		PropagateRange(out, nbrs, rs, k, 0, len(nbrs))
 		return out, nil
 	}
 	parallel.ForChunks(par, len(nbrs), func(_ int, c parallel.Span) {
-		propagateRange(out, nbrs, rs, k, c.Lo, c.Hi)
+		PropagateRange(out, nbrs, rs, k, c.Lo, c.Hi)
 	})
 	return out, nil
 }
@@ -102,13 +103,20 @@ func PropagateNearest(t *cluster.Table, anns map[int]dataset.Annotation, score S
 	scores = make([]float64, len(nbrs))
 	dists = make([]float64, len(nbrs))
 	parallel.ForChunks(par, len(nbrs), func(_ int, c parallel.Span) {
-		for i := c.Lo; i < c.Hi; i++ {
-			nb := nbrs[i][0]
-			scores[i] = rs[nb.Rep]
-			dists[i] = nb.Dist
-		}
+		PropagateNearestRange(scores, dists, nbrs, rs, c.Lo, c.Hi)
 	})
 	return scores, dists, nil
+}
+
+// PropagateNearestRange gives records [lo, hi) their nearest
+// representative's score from repScores, indexed by record ID, and the
+// distance to it.
+func PropagateNearestRange(scores, dists []float64, neighbors [][]cluster.Neighbor, repScores []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		nb := neighbors[i][0]
+		scores[i] = repScores[nb.Rep]
+		dists[i] = nb.Dist
+	}
 }
 
 // Propagate is PropagateK over the index's table at its full depth, on

@@ -8,6 +8,7 @@
 package supg
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/labeler"
@@ -136,8 +138,8 @@ func (o Options) validate() error {
 // defensive sqrt-proxy weights and the prefix sums each draw searches (a
 // record's own weight is recomputed from its proxy score when a draw needs
 // its probability, the same float either way), plus — built by the first
-// Selection.Len — a sorted copy of the scores that counts a returned set by
-// binary search. It depends on nothing but the proxy scores, so one Design
+// Selection.Len, or merged forward from a predecessor's by Successor — a
+// sorted copy of the scores that counts a returned set by binary search. It depends on nothing but the proxy scores, so one Design
 // serves every query over that vector — any budget, target, or seed — and is
 // read-only once built: concurrent queries may share it. The proxy slice is
 // retained, not copied, and must not change while the Design is in use.
@@ -151,9 +153,10 @@ type Design struct {
 	proxy []float64
 	total float64
 	cdf   *xrand.CDF
-	// sorted is proxy in ascending order, NaNs first; nil until sortOnce ran.
+	// sorted is proxy in ascending order, NaNs first: published by Successor
+	// or by the first sortedProxy, nil until then.
 	sortOnce sync.Once
-	sorted   []float64
+	sorted   atomic.Pointer[[]float64]
 }
 
 // weight is one record's sampling weight. Defensive importance sampling: the
@@ -170,14 +173,85 @@ func weight(proxy float64) float64 {
 // NewDesign builds the design in three O(n) passes — the weights, their
 // prefix sums in the same vector, and the CDF's guide table. It panics on an
 // empty proxy vector; RecallTarget rejects that case as an error first.
-func NewDesign(proxy []float64) *Design {
+func NewDesign(proxy []float64) *Design { return (*Design)(nil).Successor(proxy, nil) }
+
+// Successor returns NewDesign(proxy) for a proxy vector that equals d's
+// except at the ascending indices changed lists and past d's length, where
+// it may differ or be new; a nil d has no indices in common with it. It
+// keeps d's prefix sums up to the first index that may differ and folds the
+// rest, builds a new guide table, and — when d's sorted copy exists — merges
+// the old scores of the changed indices out of it and their new scores and
+// the appended ones in, instead of sorting the whole vector. The result
+// draws, weighs and counts bit for bit as NewDesign(proxy) does. d is only
+// read, and may be in use meanwhile.
+func (d *Design) Successor(proxy []float64, changed []int) *Design {
+	// The total folds every weight and the prefix sums only the positive
+	// ones. Weights are at least 0.05 except a NaN proxy's, so over a prefix
+	// without one — which a total that is not NaN proves — both are the same
+	// additions in the same order.
+	from := 0
+	if d != nil && !math.IsNaN(d.total) {
+		from = len(d.proxy)
+		if len(changed) > 0 {
+			from = changed[0]
+		}
+	}
 	weights := make([]float64, len(proxy))
 	total := 0.0
-	for i, p := range proxy {
-		weights[i] = weight(p)
+	var prev *xrand.CDF
+	if from > 0 {
+		prev, total = d.cdf, d.cdf.PartialSum(from-1)
+	}
+	for i := from; i < len(proxy); i++ {
+		weights[i] = weight(proxy[i])
 		total += weights[i]
 	}
-	return &Design{proxy: proxy, total: total, cdf: xrand.NewCDFInPlace(weights)}
+	next := &Design{proxy: proxy, total: total, cdf: xrand.ExtendCDF(prev, weights, from)}
+	if d == nil {
+		return next
+	}
+	if sorted := d.sorted.Load(); sorted != nil {
+		out := make([]float64, len(changed))
+		in := make([]float64, 0, len(changed)+len(proxy)-len(d.proxy))
+		for i, id := range changed {
+			out[i] = d.proxy[id]
+			in = append(in, proxy[id])
+		}
+		in = append(in, proxy[len(d.proxy):]...)
+		slices.Sort(out)
+		slices.Sort(in)
+		merged := mergeSorted(*sorted, out, in)
+		next.sorted.Store(&merged)
+	}
+	return next
+}
+
+// mergeSorted returns old, sorted as slices.Sort sorts, without the values of
+// out and with the values of in, both sorted the same way and out a
+// sub-multiset of old. It copies old a run at a time between the few places
+// a binary search finds for out's and in's values. Values are matched and
+// ordered by cmp.Compare, so the result is slices.Sort of the new multiset
+// up to the order of the values it calls equal — a -0 beside a 0, NaN
+// payloads — which no count by sort.SearchFloat64s can tell apart.
+func mergeSorted(old, out, in []float64) []float64 {
+	merged := make([]float64, 0, len(old)-len(out)+len(in))
+	for len(out) > 0 || len(in) > 0 {
+		// The first of old at or past out[0] is an equal one to drop; in[0]
+		// goes before the first of old above it.
+		drop, put := len(old), len(old)
+		if len(out) > 0 {
+			drop = sort.Search(len(old), func(j int) bool { return cmp.Compare(old[j], out[0]) >= 0 })
+		}
+		if len(in) > 0 {
+			put = sort.Search(len(old), func(j int) bool { return cmp.Less(in[0], old[j]) })
+		}
+		if drop < put {
+			merged, old, out = append(merged, old[:drop]...), old[drop+1:], out[1:]
+		} else {
+			merged, old, in = append(append(merged, old[:put]...), in[0]), old[put:], in[1:]
+		}
+	}
+	return append(merged, old...)
 }
 
 // Draw returns one record ID with probability Prob(id), consuming exactly
@@ -463,15 +537,19 @@ func (d *Design) selection(opts Options, threshold float64, s *sample) Selection
 	}
 }
 
-// sortedProxy returns the proxy scores in ascending order, NaNs first, sorting
-// a copy on the first call: O(n log n) and 8 bytes per record, once per
-// Design.
+// sortedProxy returns the proxy scores in ascending order, NaNs first: the
+// copy Successor merged, or else one sorted on the first call — O(n log n)
+// and 8 bytes per record, once per Design.
 func (d *Design) sortedProxy() []float64 {
+	if sorted := d.sorted.Load(); sorted != nil {
+		return *sorted
+	}
 	d.sortOnce.Do(func() {
-		d.sorted = slices.Clone(d.proxy)
-		slices.Sort(d.sorted)
+		sorted := slices.Clone(d.proxy)
+		slices.Sort(sorted)
+		d.sorted.Store(&sorted)
 	})
-	return d.sorted
+	return *d.sorted.Load()
 }
 
 // Len returns the number of records in the set: a binary search of the sorted

@@ -1,7 +1,11 @@
 package supg
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -255,4 +259,67 @@ func TestBudgetAmpleIsBitwiseIdentical(t *testing.T) {
 	if !sameResult(plain, budgeted) {
 		t.Errorf("ample budget changed the result:\n got %+v\nwant %+v", budgeted, plain)
 	}
+}
+
+// TestSuccessorMatchesNewDesign derives designs down a chain of writes — each
+// rewriting a few scores, some to -0 or values already present, and
+// appending a few — and requires each to weigh, draw and count bit for bit
+// as NewDesign over the same scores does: the same total, probabilities and
+// prefix sums, the same draws, and the same sorted copy up to the order of
+// values cmp.Compare calls equal. Every other link of the chain has its
+// sorted copy built, so both the merge and a fresh sort are exercised. Last,
+// a NaN score before the first changed index, which the total folds and the
+// prefix sums skip.
+func TestSuccessorMatchesNewDesign(t *testing.T) {
+	same := func(step string, got, want *Design) {
+		t.Helper()
+		if math.Float64bits(got.total) != math.Float64bits(want.total) {
+			t.Fatalf("%s: total %v, a fresh design's %v", step, got.total, want.total)
+		}
+		for i := range want.proxy {
+			if a, b := got.cdf.PartialSum(i), want.cdf.PartialSum(i); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: prefix sum %d is %v, a fresh design's %v", step, i, a, b)
+			}
+		}
+		r1, r2 := rand.New(rand.NewSource(int64(len(step)))), rand.New(rand.NewSource(int64(len(step))))
+		for k := 0; k < 64; k++ {
+			if a, b := got.Draw(r1), want.Draw(r2); a != b || math.Float64bits(got.Prob(a)) != math.Float64bits(want.Prob(b)) {
+				t.Fatalf("%s: draw %d is %d, a fresh design's %d", step, k, a, b)
+			}
+		}
+		if sorted := got.sortedProxy(); !slices.EqualFunc(sorted, want.sortedProxy(), func(a, b float64) bool { return cmp.Compare(a, b) == 0 }) {
+			t.Fatalf("%s: sorted copy %v, a fresh sort %v", step, sorted, want.sortedProxy())
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	proxy := make([]float64, 300)
+	for i := range proxy {
+		proxy[i] = float64(r.Intn(5)) / 4
+	}
+	d := NewDesign(proxy)
+	for step := 0; step < 40; step++ {
+		if step%2 == 0 {
+			d.sortedProxy()
+		}
+		next := slices.Clone(proxy)
+		var changed []int
+		for i := range next {
+			if r.Intn(40) == 0 {
+				changed = append(changed, i)
+				next[i] = []float64{math.Copysign(0, -1), 0, 0.75, r.Float64() * 2}[r.Intn(4)]
+			}
+		}
+		for range r.Intn(6) {
+			next = append(next, float64(r.Intn(9))/8)
+		}
+		got := d.Successor(next, changed)
+		same(fmt.Sprint("step ", step), got, NewDesign(next))
+		proxy, d = next, got
+	}
+	proxy[3] = math.NaN()
+	d = NewDesign(proxy)
+	d.sortedProxy()
+	next := append(slices.Clone(proxy), 0.5)
+	next[200] = 1.5
+	same("after a NaN", d.Successor(next, []int{200}), NewDesign(next))
 }

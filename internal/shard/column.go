@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/query/limitq"
 	"repro/internal/query/supg"
 	"repro/internal/stats"
@@ -29,15 +32,31 @@ import (
 // score, exact score) instead of a label lookup and a walk of the annotation.
 //
 // A generation is one state of the index as queries see it. Every mutator
-// that changes a propagated score publishes a Version of a later generation,
-// whose store starts empty: CrackAll for each representative it adds, and
-// AppendRecords. A Crack of an already-annotated record
-// changes nothing and keeps the version; Requantize, which re-codes the scan
-// plane without moving any result, publishes a version sharing its
-// predecessor's generation and store. Clone, Load and Split start at
-// generation 0 with an empty store, and Replace adopts the incoming index's
-// generation. A store therefore only ever describes the one state its version
-// pins, and needs no invalidation: it becomes garbage with the version.
+// that changes a propagated score publishes a Version of a later generation
+// with a store of its own: CrackAll for each representative it adds, and
+// AppendRecords. A Crack of an already-annotated record changes nothing and
+// keeps the version; Requantize, which re-codes the scan plane without moving
+// any result, publishes a version sharing its predecessor's generation and
+// store. A store only ever holds columns of the one state its versions pin,
+// and needs no invalidation: it becomes garbage with them.
+//
+// A write's successor store links to its predecessor's, and every column is
+// derived from the predecessor's retained column of the same key: a record
+// whose neighbor row is the predecessor's very slice keeps its score and
+// distance — appends only extend the table, and a crack replaces the rows it
+// changes and never rewrites one (cluster.Table.AddRepresentativeRows) —
+// while the rows the write replaced or appended are propagated, and only the
+// representatives the write added are scored. The exact scores are copied
+// whole, being constants of the key; the mean is folded again; a design the
+// predecessor built is carried over by supg.Design.Successor. With no
+// predecessor column every row is new and every representative unscored, so
+// a fresh build is the same code. Either way the column is bitwise what the
+// uncached propagation of its version computes. A store drops its own link
+// when its successor is made, so at most two generations' stores are
+// reachable from the published version. Clone, Load and Split start at
+// generation 0 with an unlinked store, Replace adopts the incoming index's
+// generation, and a rewire keeps the generation: each of those starts an
+// unlinked store too.
 
 // ColumnKind selects the propagation a column holds.
 type ColumnKind uint8
@@ -64,8 +83,9 @@ type Scorer struct {
 
 // columnBudgetBytes bounds the column payload the store retains. Scorer
 // names come from clients, so the bound is a safety property rather than a
-// tunable: at 60k records a weighted column is charged 2.2 MB and a nearest
-// one 2.4 MB, and the budget holds 31 or 27 of them.
+// tunable: at 60k records and 1200 representatives a weighted column is
+// charged 2.2 MB and a nearest one 2.4 MB, and the budget holds 30 or 27 of
+// them.
 const columnBudgetBytes = 64 << 20
 
 // unknownValue is the one float64 bit pattern — a NaN payload no arithmetic
@@ -94,9 +114,14 @@ type Column struct {
 	// it — and 0 for ColumnNearest.
 	Mean float64
 
-	v          *Version
+	v *Version
+	// repScores is the scoring function's exact score of each representative,
+	// in the order of v's representative list.
+	repScores []float64
+	// design is published by the column's build when it derives one from its
+	// predecessor's, or else by the first Design.
 	designOnce sync.Once
-	design     *supg.Design
+	design     atomic.Pointer[supg.Design]
 
 	// The limit scan order, shared by every request: heaps holds the part no
 	// request has reached yet and is advanced only under orderMu; prefix is
@@ -107,24 +132,26 @@ type Column struct {
 	heaps     *limitq.Cursor
 	prefix    atomic.Pointer[[]int]
 
-	// exact holds one cell per record, allocated by the first setValue.
-	exact atomic.Pointer[[]atomic.Uint64]
+	// exact holds one cell per record, read and written with sync/atomic:
+	// copied from the predecessor's by the build, or allocated by the first
+	// setValue.
+	exact atomic.Pointer[[]uint64]
 }
 
-// bytes is the payload the store charges a column. A nearest one holds five
-// vectors of 8 bytes per record: scores, distances, heap IDs, the scan prefix
-// (every record's ID after an exhausted scan) and exact scores. A weighted one
-// holds four — scores, the design's prefix sums, exact scores and the sorted
-// copy of the scores the first select's count builds — plus the design's
-// guide table, 4 bytes per record and two more. The derived vectors are
-// charged before they are built, so the bound holds whenever a request first
-// asks for them.
+// bytes is the payload the store charges a column, 8 bytes per
+// representative score and per record: a nearest one holds five vectors of
+// those — scores, distances, heap IDs, the scan prefix (every record's ID
+// after an exhausted scan) and exact scores. A weighted one holds four —
+// scores, the design's prefix sums, exact scores and the sorted copy of the
+// scores the first select's count builds — plus the design's guide table, 4
+// bytes per record and two more. The derived vectors are charged before they
+// are built, so the bound holds whenever a request first asks for them.
 func (c *Column) bytes() int64 {
-	n := int64(len(c.Scores))
+	n, reps := int64(len(c.Scores)), int64(len(c.repScores))
 	if c.Kind == ColumnNearest {
-		return 5 * 8 * n
+		return 8*reps + 5*8*n
 	}
-	return 4*8*n + 4*(n+2)
+	return 8*reps + 4*8*n + 4*(n+2)
 }
 
 // Value returns the scoring function's exact score of record id — its score
@@ -135,7 +162,7 @@ func (c *Column) Value(id int) (v float64, known bool) {
 	if cells == nil {
 		return 0, false
 	}
-	stored := (*cells)[id].Load()
+	stored := atomic.LoadUint64(&(*cells)[id])
 	return math.Float64frombits(stored ^ unknownValue), stored != 0
 }
 
@@ -149,7 +176,7 @@ func (c *Column) peek(ids []int, vals []float64, known []bool) {
 	}
 	exact := *cells
 	for i, id := range ids {
-		stored := exact[id].Load()
+		stored := atomic.LoadUint64(&exact[id])
 		vals[i], known[i] = math.Float64frombits(stored^unknownValue), stored != 0
 	}
 }
@@ -157,26 +184,32 @@ func (c *Column) peek(ids []int, vals []float64, known []bool) {
 // setValue records v as the exact score of record id. The caller must have
 // obtained the record's label through the label store and scored it with this
 // column's Scorer: a known value is then worth exactly a store hit, and every
-// writer of one cell writes the same bits. Values live and die with the
-// column — a successor version's column starts with none.
+// writer of one cell writes the same bits. Values pass down the column's
+// lineage: the successor version's column of the same key starts with every
+// value its predecessor held when it was derived. A value recorded here after
+// that is this column's alone.
 func (c *Column) setValue(id int, v float64) {
 	cells := c.exact.Load()
 	if cells == nil {
-		fresh := make([]atomic.Uint64, len(c.Scores))
+		fresh := make([]uint64, len(c.Scores))
 		c.exact.CompareAndSwap(nil, &fresh)
 		cells = c.exact.Load()
 	}
-	(*cells)[id].Store(math.Float64bits(v) ^ unknownValue)
+	atomic.StoreUint64(&(*cells)[id], math.Float64bits(v)^unknownValue)
 }
 
 // Design returns SUPG's sampling design over a ColumnWeighted column's
-// scores, built by the first request that selects over the column.
+// scores: derived by the column's build when its predecessor had one, and
+// otherwise built by the first request that selects over the column.
 func (c *Column) Design() *supg.Design {
 	if c.Kind != ColumnWeighted {
 		panic("shard: Design on a column that is not ColumnWeighted")
 	}
-	c.designOnce.Do(func() { c.design = supg.NewDesign(c.Scores) })
-	return c.design
+	if d := c.design.Load(); d != nil {
+		return d
+	}
+	c.designOnce.Do(func() { c.design.Store(supg.NewDesign(c.Scores)) })
+	return c.design.Load()
 }
 
 // minScanPrefix is the length of the first scan prefix a column pops; each
@@ -251,14 +284,15 @@ func (r *ScanCursor) Next() (id int, ok bool) {
 	return id, true
 }
 
-// Column returns the proxy column of sc under kind for this version,
-// building it on a miss with the code the uncached calls run (PropagateK at
-// the table's K, or PropagateNearest) — so a column is bitwise the slice
-// those calls return. hit reports that no propagation ran for this call.
-// Concurrent fetches of one key share one build. Each fetch counts into
-// tasti_proxy_column_requests_total by result and kind, and each miss's
-// propagation into tasti_propagate_seconds: every propagation the server
-// runs is one miss.
+// Column returns the proxy column of sc under kind for this version, built
+// on a miss from the predecessor version's column of the same key when its
+// store links one, and from nothing otherwise (see the package comment on
+// proxy columns) — bitwise, either way, the slices the uncached calls
+// (PropagateK at the table's K, or PropagateNearest) return. hit reports
+// that no propagation ran for this call. Concurrent fetches of one key share
+// one build. Each fetch counts into tasti_proxy_column_requests_total by
+// result and kind, and each miss's build into tasti_propagate_seconds: every
+// propagation the server runs is one miss.
 func (v *Version) Column(sc Scorer, kind ColumnKind) (col *Column, hit bool, err error) {
 	if kind > ColumnNearest {
 		return nil, false, fmt.Errorf("shard: unknown column kind %d", kind)
@@ -271,24 +305,85 @@ func (v *Version) Column(sc Scorer, kind ColumnKind) (col *Column, hit bool, err
 	// Deferred so that a panicking score function still releases the
 	// fetches waiting on this build.
 	defer v.cols.finish(e)
-	e.col, e.err = v.buildColumn(sc.Score, kind)
+	e.col, e.err = v.buildColumn(sc.Score, kind, v.cols.predecessor(e.key))
 	return e.col, false, e.err
 }
 
-func (v *Version) buildColumn(score core.ScoreFunc, kind ColumnKind) (*Column, error) {
-	col := &Column{Kind: kind, Generation: v.gen, v: v}
+// repScorePool recycles the vectors of representative scores indexed by
+// record ID that builds propagate from. Propagation reads only the entries
+// of representatives, and a build writes all of those first.
+var repScorePool sync.Pool
+
+// buildColumn derives the column of score under kind from prev, the
+// predecessor version's column of the same key, or builds it whole when prev
+// is nil: every record whose neighbor row is not prev's own slice, and every
+// record past prev's, is propagated, and every representative past prev's is
+// scored.
+func (v *Version) buildColumn(score core.ScoreFunc, kind ColumnKind, prev *Column) (*Column, error) {
 	start := time.Now()
-	var err error
-	if kind == ColumnWeighted {
-		col.Scores, err = v.Propagate(score)
-		if err == nil {
-			col.Mean = stats.Mean(col.Scores)
-		}
-	} else {
-		col.Scores, col.Dists, err = v.PropagateNearest(score)
+	nbrs, reps := v.table.Neighbors, v.table.Reps
+	col := &Column{Kind: kind, Generation: v.gen, v: v, Scores: make([]float64, len(nbrs))}
+	if kind == ColumnNearest {
+		col.Dists = make([]float64, len(nbrs))
 	}
-	if err != nil {
-		return nil, err
+	// The rows to propagate: changed, ascending, then every row from from on.
+	var changed []int
+	from := 0
+	if prev != nil {
+		changed, from = v.cols.replaced(prev.v.table.Neighbors, nbrs), len(prev.Scores)
+		copy(col.Scores, prev.Scores)
+		copy(col.Dists, prev.Dists)
+		col.repScores = slices.Clip(prev.repScores)
+	}
+	for _, rep := range reps[len(col.repScores):] {
+		ann, ok := v.anns[rep]
+		if !ok {
+			return nil, fmt.Errorf("%w: representative %d", core.ErrNoAnnotation, rep)
+		}
+		col.repScores = append(col.repScores, score(ann))
+	}
+	buf, _ := repScorePool.Get().(*[]float64)
+	if buf == nil || cap(*buf) < len(nbrs) {
+		buf = new([]float64)
+		*buf = make([]float64, len(nbrs))
+	}
+	defer repScorePool.Put(buf)
+	rs := (*buf)[:len(nbrs)]
+	for i, rep := range reps {
+		rs[rep] = col.repScores[i]
+	}
+	fill := func(lo, hi int) {
+		if kind == ColumnWeighted {
+			core.PropagateRange(col.Scores, nbrs, rs, v.K(), lo, hi)
+		} else {
+			core.PropagateNearestRange(col.Scores, col.Dists, nbrs, rs, lo, hi)
+		}
+	}
+	// One grid over the changed rows and the new ones after them.
+	parallel.ForChunks(v.w.par, len(changed)+len(nbrs)-from, func(_ int, s parallel.Span) {
+		for _, i := range changed[min(s.Lo, len(changed)):min(s.Hi, len(changed))] {
+			fill(i, i+1)
+		}
+		if s.Hi > len(changed) {
+			fill(from+max(s.Lo-len(changed), 0), from+s.Hi-len(changed))
+		}
+	})
+	if kind == ColumnWeighted {
+		col.Mean = stats.Mean(col.Scores)
+		if prev != nil {
+			if d := prev.design.Load(); d != nil {
+				col.design.Store(d.Successor(col.Scores, changed))
+			}
+		}
+	}
+	if prev != nil {
+		if cells := prev.exact.Load(); cells != nil {
+			exact := make([]uint64, len(col.Scores))
+			for i := range *cells {
+				exact[i] = atomic.LoadUint64(&(*cells)[i])
+			}
+			col.exact.Store(&exact)
+		}
 	}
 	v.w.hPropagate.Observe(time.Since(start).Seconds())
 	return col, nil
@@ -344,10 +439,65 @@ type columnStore struct {
 	bytes   int64
 	budget  int64
 	w       *wiring
+	// prev is the predecessor version's store, whose columns this one's
+	// derive from; nil once this store's own successor is made, and for a
+	// store no write made.
+	prev *columnStore
+	// changed lists the rows the write that made the store replaced, found
+	// once for all the columns derived in it.
+	changedOnce sync.Once
+	changed     []int
 }
 
 func newColumnStore(budget int64, w *wiring) *columnStore {
 	return &columnStore{entries: make(map[columnKey]*columnEntry), budget: budget, w: w}
+}
+
+// successor returns the empty store of cs's successor version, linked to cs,
+// and unlinks cs from its own predecessor.
+func (cs *columnStore) successor() *columnStore {
+	next := newColumnStore(cs.budget, cs.w)
+	next.prev = cs
+	cs.mu.Lock()
+	cs.prev = nil
+	cs.mu.Unlock()
+	return next
+}
+
+// predecessor returns the column of key that the store cs links to holds,
+// once its build is done — nil when cs links no store, that store has no
+// such entry, or its build failed.
+func (cs *columnStore) predecessor(key columnKey) *Column {
+	cs.mu.Lock()
+	prev := cs.prev
+	cs.mu.Unlock()
+	if prev == nil {
+		return nil
+	}
+	prev.mu.Lock()
+	e := prev.entries[key]
+	prev.mu.Unlock()
+	if e == nil {
+		return nil
+	}
+	<-e.ready
+	return e.col
+}
+
+// replaced returns, ascending, the records below len(old) whose row in rows
+// is not old's very slice: what the write from old's table to rows replaced.
+// The versions that share a store share one table, and so do those sharing
+// the one it links, so the first column derived in the store finds the list
+// for all of them.
+func (cs *columnStore) replaced(old, rows [][]cluster.Neighbor) []int {
+	cs.changedOnce.Do(func() {
+		for i, row := range old {
+			if len(row) != len(rows[i]) || &row[0] != &rows[i][0] {
+				cs.changed = append(cs.changed, i)
+			}
+		}
+	})
+	return cs.changed
 }
 
 // len counts the store's entries, retained and in flight.

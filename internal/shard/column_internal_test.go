@@ -84,12 +84,14 @@ func TestColumnStoreBudget(t *testing.T) {
 		t.Fatal("over-budget column was retained")
 	}
 
-	// A successor starts a new generation with nothing retained; dropping a
-	// non-empty store is one counted invalidation, dropping an empty one none.
+	// A successor starts a new generation with nothing retained, its store
+	// linked to its predecessor's; leaving a non-empty store behind is one
+	// counted invalidation, an empty one none. The next successor unlinks
+	// it, so no chain of stores stays reachable.
 	v := &Version{w: cs.w, cols: cs}
 	next := v.successor(1)
-	if st := next.ColumnStats(); st.Bytes != 0 || st.Entries != 0 || next.cols.len() != 0 || st.Generation != 1 {
-		t.Fatalf("successor: %+v with %d entries", st, next.cols.len())
+	if st := next.ColumnStats(); st.Bytes != 0 || st.Entries != 0 || next.cols.len() != 0 || st.Generation != 1 || next.cols.prev != cs {
+		t.Fatalf("successor: %+v with %d entries, linked to its predecessor's store: %v", st, next.cols.len(), next.cols.prev == cs)
 	}
 	if got := reg.Counter("tasti_proxy_column_invalidations_total").Value(); got != 1 {
 		t.Fatalf("%d invalidations counted, want 1", got)
@@ -97,6 +99,8 @@ func TestColumnStoreBudget(t *testing.T) {
 	if after := next.successor(1); reg.Counter("tasti_proxy_column_invalidations_total").Value() != 1 || after.gen != 2 {
 		t.Fatalf("empty successor: %d invalidations, generation %d",
 			reg.Counter("tasti_proxy_column_invalidations_total").Value(), after.gen)
+	} else if after.cols.prev != next.cols || next.cols.prev != nil {
+		t.Fatal("the second successor left its predecessor's store linked to the first")
 	}
 }
 
@@ -118,6 +122,9 @@ func TestWeightedColumnCharge(t *testing.T) {
 	}
 	if got, want := (&Column{Kind: ColumnNearest, Scores: scores}).bytes(), int64(5*8*n); got != want {
 		t.Fatalf("nearest column of %d records charged %d bytes, want %d", n, got, want)
+	}
+	if got, want := (&Column{Kind: ColumnWeighted, Scores: scores, repScores: make([]float64, 100)}).bytes(), col.bytes()+8*100; got != want {
+		t.Fatalf("weighted column with 100 representative scores charged %d bytes, want %d", got, want)
 	}
 	live := func() int64 {
 		runtime.GC()

@@ -363,3 +363,153 @@ func TestServedHitCostFollowsSample(t *testing.T) {
 	}
 	t.Logf("per request: select %+v, limit %+v", smallSel, smallLim)
 }
+
+// countingScorer is count/car with a tally of its calls: how many
+// representatives a column build scored.
+func countingScorer() (shard.Scorer, *atomic.Int64) {
+	calls, count := new(atomic.Int64), core.CountScore("car")
+	return shard.Scorer{Name: "counted/count/car", Score: func(ann dataset.Annotation) float64 {
+		calls.Add(1)
+		return count(ann)
+	}}, calls
+}
+
+// TestWriteDerivesColumns pins what a column costs after a write. A fresh
+// fetch scores every representative; the first fetch after a 16-record
+// append, derived from the predecessor's column, scores at most 16·K of
+// them, and after a crack only the representatives the rows it changed
+// name — and either way it is a miss whose scores are a fresh propagation's.
+// Two writes with no fetch between end the lineage: the store a write makes
+// links only its predecessor's, so the next fetch is fresh again.
+func TestWriteDerivesColumns(t *testing.T) {
+	const n, reps = 400, 40
+	x, _, truth := modelIndex(t, n, reps, 1)
+	sc, calls := countingScorer()
+	fetch := func(step string, v *shard.Version) (scored int64) {
+		t.Helper()
+		for _, kind := range []shard.ColumnKind{shard.ColumnWeighted, shard.ColumnNearest} {
+			before := calls.Load()
+			col, hit, err := v.Column(sc, kind)
+			scored += calls.Load() - before
+			if err != nil || hit {
+				t.Fatalf("%s: kind %d hit=%v err=%v", step, kind, hit, err)
+			}
+			want, dists, _ := v.PropagateNearest(sc.Score)
+			if kind == shard.ColumnWeighted {
+				want, _ = v.Propagate(sc.Score)
+			}
+			sameBits(t, fmt.Sprintf("%s: kind %d", step, kind), col.Scores, want)
+			if kind == shard.ColumnNearest {
+				sameBits(t, step+": dists", col.Dists, dists)
+			}
+		}
+		return scored
+	}
+	if got := fetch("fresh", x.Pin()); got != 2*int64(x.RepCount()) {
+		t.Fatalf("a fresh fetch of both kinds scored %d representatives, want %d", got, 2*x.RepCount())
+	}
+
+	if _, err := x.AppendRecords(extraFeatures(t, 16, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if got := fetch("after an append", x.Pin()); got > 2*16*int64(x.K()) {
+		t.Errorf("the fetches after a 16-record append scored %d representatives, over 2·16·K = %d", got, 2*16*x.K())
+	}
+
+	before := x.Pin()
+	id := 0
+	for x.Annotated(id) {
+		id++
+	}
+	x.Crack(id, truth[id])
+	after := x.Pin()
+	named := map[int]bool{}
+	for i, row := range after.Shard(0).Table.Neighbors[:before.NumRecords()] {
+		if old := before.Shard(0).Table.Neighbors[i]; len(old) != len(row) || &old[0] != &row[0] {
+			for _, nb := range row {
+				named[nb.Rep] = true
+			}
+		}
+	}
+	if got := fetch("after a crack", after); got < 2 || got > 2*int64(len(named)) {
+		t.Errorf("the fetches after a crack scored %d representatives; its changed rows name %d", got, len(named))
+	}
+
+	if _, err := x.AppendRecords(extraFeatures(t, 4, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.AppendRecords(extraFeatures(t, 4, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if got := fetch("after two writes", x.Pin()); got != 2*int64(x.RepCount()) {
+		t.Errorf("the fetches two writes on scored %d representatives, want a fresh build's %d", got, 2*x.RepCount())
+	}
+}
+
+// TestColumnDerivationRace has readers pinned to one generation build its
+// column's design and sorted copy lazily, select over it and record exact
+// scores, while a writer appends and readers of the next generation derive
+// their column from that very one — round after round. Under -race this
+// checks that a derivation reads its predecessor's design and sorted copy
+// only through their publication and its exact scores only atomically. Every
+// derived column must equal a fresh propagation, draw and count like a fresh
+// design, and know no exact score but the ones recorded.
+func TestColumnDerivationRace(t *testing.T) {
+	const n, reps, rounds, readers = 400, 40, 6, 4
+	x, _, _ := modelIndex(t, n, reps, 1)
+	sc := columnScorers()[0]
+	exact := func(id int) float64 { return float64(id) + 0.5 }
+	opts := supg.Options{Budget: 60, Target: 0.9, Delta: 0.05, Seed: 1}
+	for round := 0; round < rounds; round++ {
+		v := x.Pin()
+		col, _, err := v.Column(sc, shard.ColumnWeighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		match := supg.MatchFunc(func(id int) (bool, error) { return col.Scores[id] >= 1, nil })
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				sel, err := col.Design().RecallTargetSelection(opts, match)
+				if err != nil {
+					t.Errorf("round %d reader %d: %v", round, g, err)
+					return
+				}
+				sel.Len() // builds the sorted copy
+
+				for id := g; id < len(col.Scores); id += readers {
+					col.SetValue(id, exact(id))
+				}
+			}(g)
+		}
+		if _, err := x.AppendRecords(extraFeatures(t, 8, int64(round))); err != nil {
+			t.Fatal(err)
+		}
+		next := x.Pin()
+		derived := make([]*shard.Column, readers)
+		for g := range derived {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				derived[g], _, _ = next.Column(sc, shard.ColumnWeighted)
+			}(g)
+		}
+		wg.Wait()
+		want, _ := next.Propagate(sc.Score)
+		d := derived[0]
+		sameBits(t, fmt.Sprintf("round %d", round), d.Scores, want)
+		fresh := supg.NewDesign(want)
+		got, err := d.Design().RecallTargetSelection(opts, match)
+		exp, _ := fresh.RecallTargetSelection(opts, match)
+		if err != nil || got.Len() != exp.Len() || got.Threshold != exp.Threshold {
+			t.Fatalf("round %d: derived design selects %d at %v, a fresh one %d at %v (%v)", round, got.Len(), got.Threshold, exp.Len(), exp.Threshold, err)
+		}
+		for id := range d.Scores {
+			if v, known := d.Value(id); known && (v != exact(id) || id >= len(col.Scores)) {
+				t.Fatalf("round %d: derived column knows Value(%d) = %v", round, id, v)
+			}
+		}
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/query/limitq"
 	"repro/internal/query/supg"
 	"repro/internal/shard"
+	"repro/internal/stats"
 	"repro/internal/vecmath"
 )
 
@@ -30,7 +31,8 @@ import (
 // annotations. Its table is cluster's one-pass table over those, and its
 // propagations are plain loops over that table. Beside the state it keeps
 // what the served index must report about it: the view count, the
-// generation, and which proxy columns this generation has already built.
+// generation, which proxy columns this generation has already built, and
+// which exact scores each column's lineage has recorded.
 type refModel struct {
 	emb   vecmath.Matrix
 	reps  []int
@@ -40,13 +42,20 @@ type refModel struct {
 	since int // records at build: the refresher's candidates are past it
 	gen   uint64
 	built map[string]bool // column keys fetched at this generation
+	// lineage maps a column key to the record count of the last fetch in
+	// its lineage, each of which records the exact score of every third
+	// record it has. A lineage runs through consecutive generations, each
+	// deriving its column from the one before, since the last split, load,
+	// clone, Replace or rewire.
+	lineage map[string]int
 
 	tab *cluster.Table // the one-pass table, nil until asked for
 }
 
 func newRefModel(ix *core.Index, views int) *refModel {
 	m := &refModel{reps: slices.Clone(ix.Table.Reps), anns: maps.Clone(ix.Annotations), k: ix.Table.K,
-		views: views, since: ix.NumRecords(), built: map[string]bool{}}
+		views: views, since: ix.NumRecords()}
+	m.unlinked()
 	m.emb = vecmath.NewMatrix(0, ix.Embeddings.Dim())
 	m.appendRows(ix.Embeddings)
 	return m
@@ -62,15 +71,25 @@ func (m *refModel) clone() *refModel {
 	c := *m
 	c.emb = vecmath.NewMatrix(0, m.emb.Dim())
 	c.appendRows(m.emb)
-	c.reps, c.anns, c.built = slices.Clone(m.reps), maps.Clone(m.anns), map[string]bool{}
+	c.reps, c.anns = slices.Clone(m.reps), maps.Clone(m.anns)
+	c.unlinked()
 	return &c
 }
 
-// changed records a state change of gens generations: the columns go.
+// unlinked records a store with no predecessor: no column built, no lineage.
+func (m *refModel) unlinked() { m.built, m.lineage = map[string]bool{}, map[string]int{} }
+
+// changed records a state change of gens generations: the columns go, and
+// the next generation's columns derive from them — the lineage of a key this
+// generation did not build ends.
 func (m *refModel) changed(gens int) {
 	if gens > 0 {
 		m.gen += uint64(gens)
-		m.built = map[string]bool{}
+		lineage := map[string]int{}
+		for key := range m.built {
+			lineage[key] = m.lineage[key]
+		}
+		m.built, m.lineage = map[string]bool{}, lineage
 		m.tab = nil
 	}
 }
@@ -201,10 +220,12 @@ func matchesModel(t *testing.T, step string, v *shard.Version, m *refModel, r *r
 
 // checkColumns fetches every scorer × kind column of v and holds it to the
 // model: hit exactly when this generation already built it, the model's
-// scores, a design that draws what a fresh design over them draws,
-// two cursor drains in the model's scan order, and the exact scores of its
-// own lifetime only.
-func checkColumns(t *testing.T, step string, v *shard.Version, m *refModel) {
+// scores and mean, a design that draws, thresholds and counts what a fresh
+// design over them does, two cursor drains in the model's scan order, and
+// exactly the exact scores its lineage recorded. derived reports that some
+// fetch missed on a key whose lineage had recorded scores: a column derived
+// from its predecessor's.
+func checkColumns(t *testing.T, step string, v *shard.Version, m *refModel) (derived bool) {
 	t.Helper()
 	for _, sc := range columnScorers() {
 		for _, kind := range []shard.ColumnKind{shard.ColumnWeighted, shard.ColumnNearest} {
@@ -218,23 +239,45 @@ func checkColumns(t *testing.T, step string, v *shard.Version, m *refModel) {
 				t.Fatalf("%s: hit=%v at generation %d, model %v at %d", at, hit, col.Generation, m.built[key], m.gen)
 			}
 			m.built[key] = true
+			recorded := m.lineage[key]
+			derived = derived || !hit && recorded > 0
 			for id := range col.Scores {
-				// A retained column knows exactly the exact scores its first
-				// fetch recorded: every third record's, a number naming it.
-				if v, known := col.Value(id); known != (hit && id%3 == 0) || known && v != float64(id)+0.25 {
-					t.Fatalf("%s: Value(%d) = %v, %v", at, id, v, known)
+				// A column knows exactly the exact scores its lineage
+				// recorded: every third record's, a number naming it.
+				if v, known := col.Value(id); known != (id%3 == 0 && id < recorded) || known && v != float64(id)+0.25 {
+					t.Fatalf("%s: Value(%d) = %v, %v with %d records recorded", at, id, v, known, recorded)
 				}
 				if id%3 == 0 {
 					col.SetValue(id, float64(id)+0.25)
 				}
 			}
+			m.lineage[key] = len(col.Scores)
 			if kind == shard.ColumnWeighted {
 				want, _ := m.Propagate(sc.Score)
 				sameBits(t, at, col.Scores, want)
+				if math.Float64bits(col.Mean) != math.Float64bits(stats.Mean(want)) {
+					t.Fatalf("%s: mean %v, model %v", at, col.Mean, stats.Mean(want))
+				}
 				fresh, r1, r2 := supg.NewDesign(want), rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
 				for d := 0; d < 32; d++ {
 					if got, want := col.Design().Draw(r1), fresh.Draw(r2); got != want || col.Design().Prob(got) != fresh.Prob(want) {
 						t.Fatalf("%s: design draw %d = %d, a fresh design's %d", at, d, got, want)
+					}
+				}
+				// Selections at several thresholds count the same set over
+				// the column's sorted copy — a predecessor's merged forward,
+				// or one sorted here — as over a fresh sort.
+				match := supg.MatchFunc(func(id int) (bool, error) { return want[id] >= 0.5, nil })
+				for i, target := range []float64{0.5, 0.8, 0.95} {
+					opts := supg.Options{Budget: 40, Target: target, Delta: 0.05, Seed: int64(i)}
+					got, err := col.Design().RecallTargetSelection(opts, match)
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					exp, _ := fresh.RecallTargetSelection(opts, match)
+					if math.Float64bits(got.Threshold) != math.Float64bits(exp.Threshold) || got.Len() != exp.Len() {
+						t.Fatalf("%s: target %v selects %d at %v, a fresh design %d at %v",
+							at, target, got.Len(), got.Threshold, exp.Len(), exp.Threshold)
 					}
 				}
 				continue
@@ -251,6 +294,7 @@ func checkColumns(t *testing.T, step string, v *shard.Version, m *refModel) {
 			}
 		}
 	}
+	return derived
 }
 
 // pin is a version held across later writes with what it read when pinned,
@@ -381,7 +425,7 @@ func TestIndexMatchesReferenceModel(t *testing.T) {
 				// A rewire publishes the state under new wiring, without
 				// the columns.
 				x.SetParallelism([]int{1, 2, 3, 7}[r.Intn(4)])
-				m.built = map[string]bool{}
+				m.unlinked()
 			}
 			pins = append(pins, pinVersion(t, step, x.Pin()))
 			seen[op] = true
@@ -441,7 +485,8 @@ func TestIndexMatchesReferenceModel(t *testing.T) {
 				}
 				x = loaded
 				x.SetParallelism([]int{1, 2, 3, 7}[r.Intn(4)])
-				m.gen, m.built = 0, map[string]bool{}
+				m.gen = 0
+				m.unlinked()
 			case "crack-requantize":
 				var ids []int
 				for len(ids) < r.Intn(4) {
@@ -518,11 +563,13 @@ func TestIndexMatchesReferenceModel(t *testing.T) {
 				id := r.Intn(x.NumRecords())
 				c.Crack(id, truth[id])
 				x.Replace(c)
-				m.built = map[string]bool{}
+				m.unlinked()
 				m.gen = uint64(m.crack([]int{id}, annsOf(truth, id)))
 			case "query":
 				v := x.Pin()
-				checkColumns(t, step, v, m)
+				if checkColumns(t, step, v, m) {
+					seen["columns derived"] = true
+				}
 				name := []string{"aggregate", "select", "limit", "exhausted"}[r.Intn(4)]
 				q := runCases()[name]
 				ans, err := v.Run(context.Background(), q, labels.Bind(lab, nil, "", v.AnnotationOf), nil)
@@ -541,12 +588,17 @@ func TestIndexMatchesReferenceModel(t *testing.T) {
 						step, name, ans.Records, ans.Hits, ans.Misses, labelCalls(q, ans))
 				}
 			}
+			// Half the other steps fetch the columns too, so a lineage
+			// runs across every kind of write.
+			if op != "query" && r.Intn(2) == 0 && checkColumns(t, step, x.Pin(), m) {
+				seen["columns derived"] = true
+			}
 			matchesModel(t, step, x.Pin(), m, r)
 			for _, p := range pins {
 				p.check(t, step)
 			}
 		}
-		for _, op := range append(modelOps, "crack through a widened plane") {
+		for _, op := range append(modelOps, "crack through a widened plane", "columns derived") {
 			if !seen[op] {
 				t.Errorf("seed %d never ran %s", seed, op)
 			}

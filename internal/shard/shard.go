@@ -131,7 +131,8 @@ type Version struct {
 	// split, loaded or cloned (ColumnStats.Generation).
 	gen uint64
 	// cols memoizes proxy columns of this generation (column.go). A successor
-	// that changes what a query can observe starts with an empty store.
+	// that changes what a query can observe starts with an empty store linked
+	// to this one.
 	cols *columnStore
 }
 
@@ -300,15 +301,16 @@ func (x *Index) write(fn func(cur *Version) (*Version, error)) error {
 }
 
 // successor returns a copy of v for the caller to apply gens state-changing
-// mutations to: a new generation with nothing retained. Dropping a non-empty
-// column store counts as one invalidation.
+// mutations to: a new generation whose empty column store derives its
+// columns from v's (column.go). Leaving a non-empty column store behind
+// counts as one invalidation.
 func (v *Version) successor(gens uint64) *Version {
 	if v.cols.len() > 0 {
 		v.w.mColInvalidate.Inc()
 	}
 	next := *v
 	next.gen += gens
-	next.cols = newColumnStore(columnBudgetBytes, v.w)
+	next.cols = v.cols.successor()
 	return &next
 }
 

@@ -198,10 +198,21 @@ func NewCDF(weights []float64) *CDF {
 // NewCDFInPlace is NewCDF for a caller done with its weights: it overwrites
 // the slice with the partial sums and keeps it, allocating only the guide
 // (4 bytes per weight). It panics on more than math.MaxInt32-1 weights.
-func NewCDFInPlace(weights []float64) *CDF {
+func NewCDFInPlace(weights []float64) *CDF { return ExtendCDF(nil, weights, 0) }
+
+// ExtendCDF is NewCDFInPlace over weights whose first from entries are
+// prev's: it copies prev's partial sums over them instead of folding them
+// again — the very floats the fold computes, since it runs left to right —
+// and folds only weights[from:]. weights[:from] are overwritten unread; the
+// guide is built over the whole vector. A nil prev takes from = 0.
+func ExtendCDF(prev *CDF, weights []float64, from int) *CDF {
 	acc := 0.0
-	for i, w := range weights {
-		if w > 0 {
+	if from > 0 {
+		copy(weights[:from], prev.cum[:from])
+		acc = weights[from-1]
+	}
+	for i := from; i < len(weights); i++ {
+		if w := weights[i]; w > 0 {
 			acc += w
 		}
 		weights[i] = acc
@@ -243,6 +254,10 @@ func bucket(x, scale float64, n int) int {
 
 // Total returns the sum of the positive weights.
 func (c *CDF) Total() float64 { return c.cum[len(c.cum)-1] }
+
+// PartialSum returns the sum of the positive weights[0..i], folded left to
+// right.
+func (c *CDF) PartialSum(i int) float64 { return c.cum[i] }
 
 // Draw returns an index in [0, len(weights)), consuming exactly one
 // r.Float64(). The first index whose partial sum exceeds u always carries a
