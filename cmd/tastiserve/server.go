@@ -276,7 +276,7 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_refresh_failed_total", "Background index refreshes that failed; the previous index keeps serving.")
 	reg.Help("tasti_refresh_cracked_total", "Appended records cracked into representatives by refreshes.")
 	reg.Help("tasti_refresh_running", "1 while a background refresh is running.")
-	reg.Help("tasti_refresh_seconds", "Refresh latency in seconds: clone, crack, catch-up, swap.")
+	reg.Help("tasti_refresh_seconds", "Refresh latency in seconds: rank candidates, label, crack batch, requantize.")
 	reg.Help("tasti_build_info", "Build identity (value is always 1; labels carry the version, Go runtime, vecmath kernel, view count, and snapshot format version).")
 	reg.Gauge(fmt.Sprintf(`tasti_build_info{version=%q,go=%q,kernel=%q,shards="%d",snapshot="v%d"}`,
 		tasti.Version, runtime.Version(), tasti.KernelName(), opts.shardCount(), tasti.SnapshotFormatVersion)).Set(1)
@@ -297,7 +297,7 @@ func newServerShell(opts serverOptions) *server {
 	reg.Help("tasti_budget_remaining", "Oracle calls still admissible, by scope; absent when that scope is unlimited.")
 	reg.Help("tasti_query_degraded_total", "Queries that returned a partial (Degraded) answer after mid-query budget exhaustion, by type.")
 	reg.Help("tasti_proxy_column_requests_total", "Proxy-column fetches by the query handlers, by result and propagation kind: a hit propagated nothing, a miss ran one propagation.")
-	reg.Help("tasti_proxy_column_invalidations_total", "Times a crack or append dropped the retained proxy columns.")
+	reg.Help("tasti_proxy_column_invalidations_total", "Times a crack or append left the retained proxy columns in its predecessor's store, for the next request per scoring function to derive its column from.")
 	reg.Help("tasti_proxy_column_evictions_total", "Proxy columns evicted least-recently-used-first to stay inside the 64 MiB budget.")
 	reg.Help("tasti_proxy_column_bytes", "Payload charged to the retained proxy columns, in bytes.")
 	reg.Help("tasti_index_generation", "State-changing mutations (representatives added, appends) applied to the serving index object; restarts from 0 when a reload swaps the index.")

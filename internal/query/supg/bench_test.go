@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -67,28 +68,68 @@ func evictL2() {
 
 var evictBuf = make([]uint64, 8<<20/8)
 
-// BenchmarkSelectServed is a served select's draws: a 20 000-record corpus
-// (taipei, car ≥ 1) whose every exact score the column knows, so no draw
-// reaches a labeler, over a design built once, at budget 1000. The cold case
-// evicts L2 between queries, off the timer. ns/draw is drawSample's time per
-// draw: the threshold search after it is quadratic in the sampled positives
-// and would drown the draws' cost (at this shape it is three quarters of the
-// query).
-func BenchmarkSelectServed(b *testing.B) {
-	ds, err := dataset.Generate("taipei", 20000, 1)
+// selectShape is one select request of the served benchmark's mixed round:
+// the predicate count(class) >= count, the budget and the recall target.
+type selectShape struct {
+	class  string
+	count  int
+	budget int
+	recall float64
+}
+
+func (s selectShape) String() string {
+	return fmt.Sprintf("%s%d_b%d_r%v", s.class, s.count, s.budget, s.recall)
+}
+
+// selectShapes are the seven selects of a mixed round.
+var selectShapes = []selectShape{
+	{"car", 1, 300, 0.8}, {"car", 2, 500, 0.9}, {"car", 1, 600, 0.9}, {"car", 3, 700, 0.95},
+	{"bus", 1, 400, 0.9}, {"bus", 1, 1000, 0.95}, {"bus", 2, 850, 0.8},
+}
+
+// taipei is the served corpus: 20 000 taipei records, generated once.
+var taipei = sync.OnceValues(func() (*dataset.Dataset, error) { return dataset.Generate("taipei", 20000, 1) })
+
+// taipeiTruth reports which records of the served corpus hold at least count
+// objects of class.
+func taipeiTruth(tb testing.TB, class string, count int) []bool {
+	tb.Helper()
+	ds, err := taipei()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	truth := make([]bool, ds.Len())
-	cells := make([]atomic.Uint64, ds.Len())
 	for i, ann := range ds.Truth {
-		truth[i] = ann.(dataset.VideoAnnotation).Count("car") >= 1
+		truth[i] = ann.(dataset.VideoAnnotation).Count(class) >= count
+	}
+	return truth
+}
+
+// knownMatches is a column's exact scores when it knows every record's: the
+// match as 1 or 0.
+func knownMatches(truth []bool) []atomic.Uint64 {
+	cells := make([]atomic.Uint64, len(truth))
+	for i, m := range truth {
 		v := 0.0
-		if truth[i] {
+		if m {
 			v = 1
 		}
 		cells[i].Store(math.Float64bits(v) ^ unknownBits)
 	}
+	return cells
+}
+
+// BenchmarkSelectServed is a served select over a 20 000-record corpus
+// (taipei) whose every exact score the column knows, so no draw reaches a
+// labeler, over a design built once. warm and cold time the draws alone
+// (car ≥ 1, budget 1000) in ns/draw; cold evicts L2 between queries, off the
+// timer. select/<shape> times the whole select at each of the mixed round's
+// seven shapes: the draws, the threshold search, the settled selection and
+// its Len, over a design whose sorted copy exists, as a served column's does
+// after its first select.
+func BenchmarkSelectServed(b *testing.B) {
+	truth := taipeiTruth(b, "car", 1)
+	cells := knownMatches(truth)
 	d := NewDesign(goodProxy(truth, 0.15, 2))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -120,4 +161,27 @@ func BenchmarkSelectServed(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(draws), "ns/draw")
 		})
 	}
+	for _, sh := range selectShapes {
+		truth := taipeiTruth(b, sh.class, sh.count)
+		cells := knownMatches(truth)
+		d := NewDesign(goodProxy(truth, 0.15, 2))
+		d.sortedProxy()
+		b.Run("select/"+sh.String(), func(b *testing.B) {
+			src := &servedMatches{cells: cells, done: ctx.Done()}
+			opts := Options{Budget: sh.budget, Target: sh.recall, Delta: 0.05}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opts.Seed = int64(i % 8)
+				sel, err := d.RecallTargetSelection(opts, src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				selectedLen = sel.Len()
+			}
+		})
+	}
 }
+
+// selectedLen keeps the benchmarked count live.
+var selectedLen int

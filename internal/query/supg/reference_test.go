@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -718,4 +720,260 @@ func TestOneShotSelectNeverSorts(t *testing.T) {
 			total, design, set, len(res.Returned))
 	}
 	t.Logf("allocated %d bytes beyond the design and the listing of %d records", total-design-set, len(res.Returned))
+}
+
+// referenceThreshold is RecallTargetSelection's threshold search as it stood
+// before it skipped candidates and sorted with slices.SortFunc: the O(P)
+// variance pass at every candidate. Kept verbatim (its pooled positives made
+// local) as the reference the search must equal bit for bit.
+func referenceThreshold(opts Options, proxy []float64, s *sample) float64 {
+	totalW := 0.0
+	var positives []posSample
+	for i := range s.ids {
+		if s.labels[i] {
+			totalW += s.weights[i]
+			positives = append(positives, posSample{score: proxy[s.ids[i]], weight: s.weights[i]})
+		}
+	}
+
+	threshold := math.Inf(-1) // fallback: return everything
+	if totalW > 0 {
+		sort.Slice(positives, func(i, j int) bool { return positives[i].score > positives[j].score })
+		z := normalQuantile(1 - opts.Delta)
+		acc := 0.0
+		for i, p := range positives {
+			acc += p.weight
+			// Candidate thresholds sit at distinct score boundaries.
+			if i+1 < len(positives) && positives[i+1].score == p.score {
+				continue
+			}
+			recall := acc / totalW
+			// Var(A/B) ~ sum_j w_j^2 (1[above] - R)^2 / B^2 over the
+			// positive sample (delta method for a ratio of weighted sums).
+			varSum := 0.0
+			for j, q := range positives {
+				ind := 0.0
+				if j <= i {
+					ind = 1
+				}
+				d := ind - recall
+				varSum += q.weight * q.weight * d * d
+			}
+			se := math.Sqrt(varSum) / totalW
+			// The continuity correction guards the discrete positive sample
+			// against the normal approximation's undercoverage at small
+			// budgets.
+			correction := 0.5 / float64(len(positives))
+			if recall-z*se-correction >= opts.Target {
+				threshold = p.score
+				break
+			}
+		}
+		if math.IsInf(threshold, -1) {
+			// No candidate cleared the bound; return everything at or above
+			// the weakest sampled positive, the conservative fallback.
+			threshold = positives[len(positives)-1].score
+		}
+	}
+	return threshold
+}
+
+// candidateBounds returns recall less the continuity correction at each of
+// the sample's candidate thresholds, in the order the search visits them:
+// the bound it tests when z is 0 (Delta 0.5). A target equal to one of them
+// is met with equality, the case a skip that tests <= instead of < gets
+// wrong.
+func candidateBounds(proxy []float64, s *sample) []float64 {
+	totalW := 0.0
+	var positives []posSample
+	for i := range s.ids {
+		if s.labels[i] {
+			totalW += s.weights[i]
+			positives = append(positives, posSample{score: proxy[s.ids[i]], weight: s.weights[i]})
+		}
+	}
+	sort.Slice(positives, func(i, j int) bool { return positives[i].score > positives[j].score })
+	var bounds []float64
+	acc := 0.0
+	for i, p := range positives {
+		acc += p.weight
+		if i+1 < len(positives) && positives[i+1].score == p.score {
+			continue
+		}
+		bounds = append(bounds, acc/totalW-0.5/float64(len(positives)))
+	}
+	return bounds
+}
+
+// TestThresholdMatchesReference settles each case through
+// RecallTargetSelection and requires the threshold's bits, Len and the
+// first 20 IDs to be what the verbatim search and the old membership vector
+// give over the same sample. The cases: the served benchmark's seven select
+// shapes at three seeds and two proxies; tie-heavy proxies with ±0 and a NaN;
+// Delta above 0.5, where z is negative and no candidate may be skipped;
+// samples cut short by the label budget; and, at Delta 0.5, targets equal to
+// a candidate's bound.
+func TestThresholdMatchesReference(t *testing.T) {
+	type tcase struct {
+		name   string
+		proxy  []float64
+		truth  []bool
+		opts   Options
+		labels int // label budget, 0 = unlimited
+	}
+	var cases []tcase
+	for _, sh := range selectShapes {
+		truth := taipeiTruth(t, sh.class, sh.count)
+		for _, noise := range []float64{0.15, 0.4} {
+			proxy := goodProxy(truth, noise, 2)
+			for seed := int64(1); seed <= 3; seed++ {
+				for _, delta := range []float64{0.05, 0.3, 0.7} {
+					cases = append(cases, tcase{
+						fmt.Sprintf("%s noise=%v seed=%d delta=%v", sh, noise, seed, delta), proxy, truth,
+						Options{Budget: sh.budget, Target: sh.recall, Delta: delta, Seed: seed}, 0})
+				}
+			}
+		}
+	}
+
+	_, _, _, truth := selectionEnv(t, 3000)
+	negZero := math.Copysign(0, -1)
+	// Four distinct scores, the lowest of them a mix of 0 and -0, so every
+	// candidate is shared by hundreds of records and most sampled positives
+	// tie.
+	tied := make([]float64, len(truth))
+	for i, p := range goodProxy(truth, 0.3, 4) {
+		tied[i] = math.Round(p * 3)
+		if tied[i] == 0 && i%2 == 0 {
+			tied[i] = negZero
+		}
+	}
+	withNaN := slices.Clone(tied)
+	withNaN[17] = math.NaN()
+	good := goodProxy(truth, 0.15, 2)
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, target := range []float64{0.5, 0.8, 0.95, 0.99} {
+			for _, delta := range []float64{0.05, 0.3, 0.7, 0.95} {
+				for _, p := range []struct {
+					name  string
+					proxy []float64
+				}{{"tied", tied}, {"NaN", withNaN}, {"good", good}} {
+					for _, budget := range []int{20, 150, 600} {
+						opts := Options{Budget: budget, Target: target, Delta: delta, Seed: seed}
+						name := fmt.Sprintf("%s b%d r%v delta=%v seed=%d", p.name, budget, target, delta, seed)
+						cases = append(cases, tcase{name, p.proxy, truth, opts, 0},
+							tcase{name + " degraded", p.proxy, truth, opts, budget / 3})
+					}
+				}
+			}
+		}
+	}
+
+	run := func(c tcase) {
+		t.Helper()
+		source := func() MatchSource {
+			calls := 0
+			return MatchFunc(func(id int) (bool, error) {
+				if c.labels > 0 && calls == c.labels {
+					return false, labeler.ErrBudgetExhausted
+				}
+				calls++
+				return c.truth[id], nil
+			})
+		}
+		d := NewDesign(c.proxy)
+		sel, err := d.RecallTargetSelection(c.opts, source())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		s, err := d.drawSample(c.opts, source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.release()
+		want := referenceThreshold(c.opts, c.proxy, s)
+		if math.Float64bits(sel.Threshold) != math.Float64bits(want) {
+			t.Fatalf("%s: threshold %v (%#x), reference %v (%#x)", c.name,
+				sel.Threshold, math.Float64bits(sel.Threshold), want, math.Float64bits(want))
+		}
+		set := referenceAssemble(c.proxy, want, s)
+		if sel.Len() != len(set) {
+			t.Fatalf("%s: Len %d, reference %d", c.name, sel.Len(), len(set))
+		}
+		if got, head := sel.IDs(20), set[:min(20, len(set))]; !reflect.DeepEqual(got, head) {
+			t.Fatalf("%s: IDs(20) = %v, reference head %v", c.name, got, head)
+		}
+		if sel.Degraded != (c.labels > 0) {
+			t.Fatalf("%s: degraded %v", c.name, sel.Degraded)
+		}
+	}
+	for _, c := range cases {
+		run(c)
+	}
+
+	// Targets a candidate meets with equality, at Delta 0.5 (z = 0, so the
+	// search tests recall - correction itself).
+	met := 0
+	for _, budget := range []int{40, 300} {
+		for seed := int64(1); seed <= 3; seed++ {
+			opts := Options{Budget: budget, Delta: 0.5, Seed: seed}
+			s, err := NewDesign(good).drawSample(opts, MatchFunc(func(id int) (bool, error) { return truth[id], nil }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounds := candidateBounds(good, s)
+			s.release()
+			for _, b := range bounds {
+				if b <= 0 || b >= 1 {
+					continue
+				}
+				opts.Target = b
+				run(tcase{fmt.Sprintf("b%d seed=%d target=bound %v", budget, seed, b), good, truth, opts, 0})
+				met++
+			}
+		}
+	}
+	if met < 10 {
+		t.Fatalf("only %d targets on a candidate's bound", met)
+	}
+}
+
+// TestDrawKeySortMatchesSort requires the radix sort of draw keys to order
+// them as slices.Sort does: records drawn many times, IDs 0, 255 and 256
+// (either side of a byte), and IDs up to 2³¹−1, which take all four passes.
+func TestDrawKeySortMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	random := func(n, below int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = r.Intn(below)
+		}
+		return ids
+	}
+	cases := map[string][]int{
+		"empty":          nil,
+		"one":            {7},
+		"zero only":      {0, 0, 0},
+		"byte edges":     {256, 255, 0, 256, 1, 255, 0, 257, 511, 512, 65535, 65536, 255},
+		"duplicates":     random(1000, 40),
+		"two bytes":      random(1000, 20000),
+		"shared top":     random(1000, 1<<17),
+		"largest":        {1<<31 - 1, 0, 1<<31 - 1, 1 << 24, 1<<24 - 1, 255, 1<<31 - 1},
+		"up to 2^31 - 1": append(random(1000, 1<<31), random(200, 300)...),
+	}
+	for name, ids := range cases {
+		keys := make([]uint64, len(ids))
+		for i, id := range ids {
+			keys[i] = uint64(id)<<32 | uint64(i)
+		}
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		got, other := sortDrawKeys(keys, make([]uint64, len(keys)))
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: radix order differs from slices.Sort", name)
+		}
+		if len(other) != len(keys) {
+			t.Errorf("%s: spare buffer of %d keys, want %d", name, len(other), len(keys))
+		}
+	}
 }

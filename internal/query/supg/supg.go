@@ -310,8 +310,11 @@ func (d *Design) RecallTargetSelection(opts Options, match MatchSource) (Selecti
 
 	threshold := math.Inf(-1) // fallback: return everything
 	if totalW > 0 {
-		sort.Slice(positives, func(i, j int) bool { return positives[i].score > positives[j].score })
+		slices.SortFunc(positives, byScoreDescending)
 		z := normalQuantile(1 - opts.Delta)
+		// The continuity correction guards the discrete positive sample
+		// against the normal approximation's undercoverage at small budgets.
+		correction := 0.5 / float64(len(positives))
 		acc := 0.0
 		for i, p := range positives {
 			acc += p.weight
@@ -320,6 +323,14 @@ func (d *Design) RecallTargetSelection(opts Options, match MatchSource) (Selecti
 				continue
 			}
 			recall := acc / totalW
+			// With z >= 0 (Delta <= 0.5), z*se is not negative, so the
+			// rounded bound below is at most recall - correction: a
+			// candidate that falls short of the target without its standard
+			// error cannot clear it with one, and skips the O(P) variance
+			// pass. Every other candidate is tested exactly as before.
+			if z >= 0 && recall-correction < opts.Target {
+				continue
+			}
 			// Var(A/B) ~ sum_j w_j^2 (1[above] - R)^2 / B^2 over the
 			// positive sample (delta method for a ratio of weighted sums).
 			varSum := 0.0
@@ -332,10 +343,6 @@ func (d *Design) RecallTargetSelection(opts Options, match MatchSource) (Selecti
 				varSum += q.weight * q.weight * d * d
 			}
 			se := math.Sqrt(varSum) / totalW
-			// The continuity correction guards the discrete positive sample
-			// against the normal approximation's undercoverage at small
-			// budgets.
-			correction := 0.5 / float64(len(positives))
 			if recall-z*se-correction >= opts.Target {
 				threshold = p.score
 				break
@@ -349,6 +356,20 @@ func (d *Design) RecallTargetSelection(opts Options, match MatchSource) (Selecti
 	}
 
 	return d.selection(opts, threshold, s), nil
+}
+
+// byScoreDescending orders sampled positives by descending score. It is
+// sort.Slice's comparator in slices.SortFunc's form: the two run one pdqsort
+// with the same comparisons, so tied scores — and the sums the threshold
+// search folds over them — fall in the same order either way.
+func byScoreDescending(a, b posSample) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case a.score < b.score:
+		return 1
+	}
+	return 0
 }
 
 // sample is the labeled importance sample, and the scratch the rest of one
@@ -368,6 +389,7 @@ type sample struct {
 	qs        []float64   // draw probabilities, until the weights are final
 	positives []posSample // RecallTarget's threshold candidates
 	keys      []uint64    // selection's draws keyed by record, then draw
+	radix     []uint64    // the other buffer of the keys' radix sort
 	ahead     drawBlock
 }
 
@@ -503,17 +525,18 @@ type Selection struct {
 	overrides []override // sampled records by ascending ID, each once
 }
 
-// override is one sampled record and the label of its last draw.
+// override is one sampled record and the label of its last draw. The ID
+// is the draw key's high 32 bits, which hold every record ID.
 type override struct {
-	id       int
+	id       uint32
 	positive bool
 }
 
 // selection settles a query at threshold over its sample and books a
-// degraded one: O(budget log budget), whatever the corpus size. Each draw
-// becomes one integer key — record ID in the high 32 bits, draw index in the
-// low — so a plain sort orders the draws by record and, within a record, by
-// draw, and the last key of each record is its last draw.
+// degraded one: O(budget), whatever the corpus size. Each draw becomes one
+// integer key — record ID in the high 32 bits, draw index in the low — so
+// sorting the keys orders the draws by record and, within a record, by draw,
+// and the last key of each record is its last draw.
 func (d *Design) selection(opts Options, threshold float64, s *sample) Selection {
 	if s.degraded {
 		opts.Telemetry.Counter(`tasti_query_degraded_total{type="select"}`).Inc()
@@ -522,19 +545,50 @@ func (d *Design) selection(opts Options, threshold float64, s *sample) Selection
 	for i, id := range s.ids {
 		keys = append(keys, uint64(id)<<32|uint64(i))
 	}
-	slices.Sort(keys)
+	keys, s.radix = sortDrawKeys(keys, sized(s.radix, len(keys))[:len(keys)])
 	s.keys = keys
 	ov := make([]override, 0, len(keys))
 	for j, k := range keys {
 		if j+1 < len(keys) && keys[j+1]>>32 == k>>32 {
 			continue
 		}
-		ov = append(ov, override{id: int(k >> 32), positive: s.labels[uint32(k)]})
+		ov = append(ov, override{id: uint32(k >> 32), positive: s.labels[uint32(k)]})
 	}
 	return Selection{
 		OracleCalls: int64(len(s.ids)), Threshold: threshold, Degraded: s.degraded,
 		d: d, overrides: ov,
 	}
+}
+
+// sortDrawKeys sorts draw keys that come in draw order — ascending in their
+// low 32 bits — into ascending order: a stable LSD radix sort on the record
+// ID's bytes, one pass per byte up to the largest ID's highest, each from
+// keys into spare (as long as keys) and back. A stable sort by ID of keys
+// already in draw order sorts them whole, so the result is slices.Sort's.
+// It returns the sorted keys and the other buffer, each one of the two it
+// was given.
+func sortDrawKeys(keys, spare []uint64) (sorted, other []uint64) {
+	var ids uint64
+	for _, k := range keys {
+		ids |= k >> 32
+	}
+	for shift := 32; ids != 0; shift, ids = shift+8, ids>>8 {
+		var at [256]int
+		for _, k := range keys {
+			at[byte(k>>shift)]++
+		}
+		next := 0
+		for b, n := range at {
+			at[b], next = next, next+n
+		}
+		for _, k := range keys {
+			b := byte(k >> shift)
+			spare[at[b]] = k
+			at[b]++
+		}
+		keys, spare = spare, keys
+	}
+	return keys, spare
 }
 
 // sortedProxy returns the proxy scores in ascending order, NaNs first: the
@@ -573,7 +627,7 @@ func (s Selection) IDs(n int) []int {
 	proxy, ov := s.d.proxy, s.overrides
 	for id := 0; id < len(proxy) && len(out) < n; id++ {
 		in := proxy[id] >= s.Threshold
-		if len(ov) > 0 && ov[0].id == id {
+		if len(ov) > 0 && int(ov[0].id) == id {
 			in, ov = ov[0].positive, ov[1:]
 		}
 		if in {
