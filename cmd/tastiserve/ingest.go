@@ -111,12 +111,7 @@ func (s *server) initIngest(index *tasti.ShardedIndex, ds *tasti.Dataset) error 
 	from := index.NumRecords()
 	start := time.Now()
 	st, err := tasti.ReplayWAL(opts.walDir, from, func(b tasti.IngestBatch) error {
-		for i := range b.Features {
-			if id := b.Base + i; id == ds.Len() {
-				ds.Records = append(ds.Records, tasti.Record{ID: id, Features: slices.Clone(b.Features[i])})
-				ds.Truth = append(ds.Truth, b.Anns[i])
-			}
-		}
+		extendCorpus(ds, b)
 		_, aerr := index.AppendRecords(b.Features)
 		return aerr
 	})
@@ -199,6 +194,16 @@ func (s *server) closeIngest() {
 	}
 }
 
+// extendCorpus appends to ds b's records past its end, features and truth.
+func extendCorpus(ds *tasti.Dataset, b tasti.IngestBatch) {
+	for i := range b.Features {
+		if id := b.Base + i; id == ds.Len() {
+			ds.Records = append(ds.Records, tasti.Record{ID: id, Features: slices.Clone(b.Features[i])})
+			ds.Truth = append(ds.Truth, b.Anns[i])
+		}
+	}
+}
+
 // applyIngest is the Ingester's visibility callback: the batch is already
 // durable (fsynced and acked), this makes it queryable. It runs on the
 // ingester's one apply goroutine — the only appender, so the record count it
@@ -215,12 +220,7 @@ func (s *server) applyIngest(b tasti.IngestBatch) error {
 	// Copy-on-write: append through a copy of the published header. Writes
 	// land past the length every published view holds.
 	ds := *s.corpus.Load()
-	for i := range b.Features {
-		if id := b.Base + i; id == ds.Len() {
-			ds.Records = append(ds.Records, tasti.Record{ID: id, Features: slices.Clone(b.Features[i])})
-			ds.Truth = append(ds.Truth, b.Anns[i])
-		}
-	}
+	extendCorpus(&ds, b)
 	s.corpus.Store(&ds)
 	if lo := n - b.Base; lo < len(b.Features) {
 		ids, err := s.index.AppendRecords(b.Features[lo:])

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -240,7 +241,9 @@ func referenceProxies(truth []float64) map[string][]float64 {
 // out during the warm-up and during the adaptive loop (the degraded paths),
 // and one that fails a draw the way a canceled request does. The capped stop,
 // the exhausting draw and the failing draw each also fall on either side of a
-// block boundary and on one.
+// block boundary and on one — those twelve variants at one proxy, error
+// target and seed, since where a block boundary falls depends on the draw
+// count alone.
 func TestEstimateMatchesReference(t *testing.T) {
 	ds, _, truth := testEnv(t, 3000)
 	// Scores with a large common offset exercise the conditioning of the
@@ -259,8 +262,9 @@ func TestEstimateMatchesReference(t *testing.T) {
 		{"exhaust-loop", 0, 180, 0},
 		{"canceled", 0, 0, 150},
 	}
+	var boundary []variant
 	for _, k := range []int{xrand.Block - 1, xrand.Block, xrand.Block + 1, 2 * xrand.Block} {
-		variants = append(variants,
+		boundary = append(boundary,
 			variant{fmt.Sprintf("capped at draw %d", k), k, 0, 0},
 			variant{fmt.Sprintf("exhausted at draw %d", k), 0, int64(k - 1), 0},
 			variant{fmt.Sprintf("canceled at draw %d", k), 0, 0, int64(k)})
@@ -269,7 +273,11 @@ func TestEstimateMatchesReference(t *testing.T) {
 	for name, proxy := range referenceProxies(truth) {
 		for _, errTarget := range []float64{0.2, 0.08, 0.04} {
 			for seed := int64(1); seed <= 3; seed++ {
-				for _, v := range variants {
+				vs := variants
+				if name == "noisy" && errTarget == 0.04 && seed == 1 {
+					vs = slices.Concat(variants, boundary)
+				}
+				for _, v := range vs {
 					for _, score := range []ScoreFunc{carCount, bigScore} {
 						opts := Options{ErrTarget: errTarget, Delta: 0.05, MinSamples: 100, MaxSamples: v.maxSamples, Seed: seed}
 						newLab := func() labeler.Labeler {

@@ -20,86 +20,471 @@ import (
 	"repro/internal/xrand"
 )
 
-// referenceCategorical is xrand.Categorical as it stood when drawSample
-// called it once per draw: two linear passes over the corpus weights.
-func referenceCategorical(r *rand.Rand, weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		panic("xrand: categorical distribution has no mass")
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
+// naive is what the naive reference computes for one recall-target query.
+type naive struct {
+	drawn     []int  // the records drawn, in draw order
+	labels    []bool // each draw's match
+	degraded  bool
+	threshold float64
+	bounds    []float64 // recall less the continuity correction at each candidate, in search order
+	set       []int     // the returned set, ascending; nil when empty
 }
 
-// referenceDrawSample is drawSample as it stood before the CDF: an O(n)
-// categorical draw per labeled record. Kept verbatim as the reference.
-func referenceDrawSample(opts Options, n int, proxy []float64, pred Predicate, lab labeler.Labeler) (*sample, error) {
-	weights := make([]float64, n)
-	total := 0.0
+// naiveRecallTarget is the recall-target query written out plainly, the
+// reference the sampler must equal bit for bit: weighted draws, then the
+// delta-method threshold search, then the set proxy ≥ τ with every sampled
+// record taking its last draw's label. Each draw searches the running sums of
+// the positive weights; every candidate threshold gets the full variance
+// pass. match answers each draw, and its error ends the draws: a label budget
+// run out after the first draw degrades the sample, any other error fails.
+func naiveRecallTarget(opts Options, proxy []float64, match func(id int) (bool, error)) (naive, error) {
+	var res naive
+	// Draws with probability ∝ √max(proxy, 0) + 0.05.
+	weights, sums := make([]float64, len(proxy)), make([]float64, len(proxy))
+	total, positive := 0.0, 0.0
 	for i, p := range proxy {
 		if p < 0 {
 			p = 0
 		}
 		weights[i] = math.Sqrt(p) + 0.05
 		total += weights[i]
+		if weights[i] > 0 {
+			positive += weights[i]
+		}
+		sums[i] = positive
 	}
-
 	r := xrand.New(opts.Seed)
-	budget := opts.Budget
-	if budget > n {
-		budget = n
-	}
-	s := &sample{
-		ids:     make([]int, 0, budget),
-		labels:  make([]bool, 0, budget),
-		weights: make([]float64, 0, budget),
-	}
-	qs := make([]float64, 0, budget)
-	for len(s.ids) < budget {
-		id := referenceCategorical(r, weights)
-		ann, err := lab.Label(id)
+	var qs []float64
+	for len(res.drawn) < min(opts.Budget, len(proxy)) {
+		u := r.Float64() * positive
+		id := min(sort.Search(len(sums), func(i int) bool { return u < sums[i] }), len(sums)-1)
+		ok, err := match(id)
 		if err != nil {
-			if errors.Is(err, labeler.ErrBudgetExhausted) && len(s.ids) > 0 {
-				s.degraded = true
+			if errors.Is(err, labeler.ErrBudgetExhausted) && len(res.drawn) > 0 {
+				res.degraded = true
 				break
 			}
-			return nil, fmt.Errorf("supg: labeling record %d: %w", id, err)
+			return res, err
 		}
-		s.ids = append(s.ids, id)
-		s.labels = append(s.labels, pred(ann))
-		qs = append(qs, weights[id]/total)
+		res.drawn, res.labels, qs = append(res.drawn, id), append(res.labels, ok), append(qs, weights[id]/total)
 	}
-	actual := len(s.ids)
-	for _, q := range qs {
-		s.weights = append(s.weights, 1/(float64(actual)*q))
+	// Importance weights 1/(B·q) over the B draws made, clipped at 8× their
+	// mean.
+	w, mean := make([]float64, len(qs)), 0.0
+	for i, q := range qs {
+		w[i] = 1 / (float64(len(qs)) * q)
+		mean += w[i]
 	}
-	meanW := 0.0
-	for _, w := range s.weights {
-		meanW += w
-	}
-	meanW /= float64(len(s.weights))
-	clip := 8 * meanW
-	for i, w := range s.weights {
-		if w > clip {
-			s.weights[i] = clip
+	mean /= float64(len(w))
+	for i := range w {
+		if w[i] > 8*mean {
+			w[i] = 8 * mean
 		}
 	}
-	return s, nil
+	// The highest distinct score of a sampled positive whose recall's lower
+	// confidence bound clears the target; else the weakest positive's score;
+	// with no positive, −Inf.
+	type positiveDraw struct{ score, weight float64 }
+	var pos []positiveDraw
+	totalW := 0.0
+	for i, id := range res.drawn {
+		if res.labels[i] {
+			totalW += w[i]
+			pos = append(pos, positiveDraw{proxy[id], w[i]})
+		}
+	}
+	res.threshold = math.Inf(-1)
+	if totalW > 0 {
+		sort.Slice(pos, func(i, j int) bool { return pos[i].score > pos[j].score })
+		res.threshold = pos[len(pos)-1].score
+		z, correction, acc := normalQuantile(1-opts.Delta), 0.5/float64(len(pos)), 0.0
+		for i, p := range pos {
+			acc += p.weight
+			if i+1 < len(pos) && pos[i+1].score == p.score {
+				continue
+			}
+			recall, varSum := acc/totalW, 0.0
+			for j, q := range pos {
+				ind := 0.0
+				if j <= i {
+					ind = 1
+				}
+				d := ind - recall
+				varSum += q.weight * q.weight * d * d
+			}
+			res.bounds = append(res.bounds, recall-correction)
+			if recall-z*(math.Sqrt(varSum)/totalW)-correction >= opts.Target {
+				res.threshold = p.score
+				break
+			}
+		}
+	}
+	res.set = naiveSet(proxy, res.threshold, res.drawn, res.labels)
+	return res, nil
+}
+
+// naiveSet lists {id : proxy[id] ≥ threshold}, every drawn record taking the
+// label of its last draw instead, in ascending order; nil when empty.
+func naiveSet(proxy []float64, threshold float64, drawn []int, labels []bool) []int {
+	in := make([]bool, len(proxy))
+	for i, p := range proxy {
+		in[i] = p >= threshold
+	}
+	for i, id := range drawn {
+		in[id] = labels[i]
+	}
+	var set []int
+	for id, ok := range in {
+		if ok {
+			set = append(set, id)
+		}
+	}
+	return set
+}
+
+// free is a labeler that charges a draw nothing and answers nothing: the
+// answer comes from the case, the limits from the wrappers around it.
+type free struct{}
+
+func (free) Label(int) (dataset.Annotation, error) { return nil, nil }
+func (free) Name() string                          { return "free" }
+func (free) Cost() labeler.CostModel               { return labeler.CostModel{} }
+
+// refCase is one query the sampler must answer as the naive reference does.
+type refCase struct {
+	name  string
+	d     *Design
+	opts  Options
+	truth []bool // each record's match
+	// labels and failAt limit the draws: a label budget (0 = none), and the
+	// labeler call that fails as a canceled request's does (0 = none).
+	labels, failAt int64
+	// answer, when set, answers the draws in place of truth: a fresh,
+	// stateful answerer per run, which only the function entry can take.
+	answer func() func(id int) bool
+}
+
+// run answers c through the naive reference and through each entry — a
+// plain match function, as the one-shot RecallTarget's labeled predicate
+// answers draws, and a table of the answers peeked at half of the records
+// and at every one, as a served request peeks at an exact-score column —
+// each charging its own labeler. Every entry must fail as the reference
+// does, ask its labeler for the same records in the same order, and settle
+// on the reference's threshold bits, accounting, Len, IDs(20) and listing.
+func (c refCase) run(t *testing.T) (naive, error) {
+	t.Helper()
+	newLab := func() *drawLog {
+		var lab labeler.Labeler = free{}
+		if c.labels > 0 {
+			lab = labeler.NewBudgeted(lab, c.labels)
+		}
+		if c.failAt > 0 {
+			lab = &failAt{Labeler: lab, at: c.failAt}
+		}
+		return &drawLog{Labeler: lab}
+	}
+	answerer := func() func(int) bool {
+		if c.answer != nil {
+			return c.answer()
+		}
+		return func(id int) bool { return c.truth[id] }
+	}
+	function := func(lab labeler.Labeler) MatchFunc {
+		answer := answerer()
+		return func(id int) (bool, error) {
+			if _, err := lab.Label(id); err != nil {
+				return false, err
+			}
+			return answer(id), nil
+		}
+	}
+	refLab := newLab()
+	want, wantErr := naiveRecallTarget(c.opts, c.d.proxy, function(refLab))
+	for _, e := range []struct {
+		name  string
+		known func(int) bool // nil: the plain function
+	}{{"function", nil}, {"half known", knowsHalf}, {"all known", knowsAll}} {
+		if e.known != nil && c.answer != nil {
+			continue
+		}
+		at := c.name + " via " + e.name
+		lab := newLab()
+		var source MatchSource = function(lab)
+		if e.known != nil {
+			source = tabled{c.truth, e.known, lab}
+		}
+		sel, err := c.d.RecallTargetSelection(c.opts, source)
+		if (err == nil) != (wantErr == nil) || errors.Is(err, context.Canceled) != errors.Is(wantErr, context.Canceled) ||
+			errors.Is(err, labeler.ErrBudgetExhausted) != errors.Is(wantErr, labeler.ErrBudgetExhausted) {
+			t.Fatalf("%s: failed with %v, reference with %v", at, err, wantErr)
+		}
+		if !slices.Equal(lab.ids, refLab.ids) {
+			t.Fatalf("%s: %d labeler calls, reference %d, or for other records", at, len(lab.ids), len(refLab.ids))
+		}
+		if err != nil {
+			continue
+		}
+		if math.Float64bits(sel.Threshold) != math.Float64bits(want.threshold) {
+			t.Fatalf("%s: threshold %v (%#x), reference %v (%#x)", at,
+				sel.Threshold, math.Float64bits(sel.Threshold), want.threshold, math.Float64bits(want.threshold))
+		}
+		if sel.OracleCalls != int64(len(want.drawn)) || sel.Degraded != want.degraded {
+			t.Fatalf("%s: %d calls, degraded %v; reference %d, %v", at, sel.OracleCalls, sel.Degraded, len(want.drawn), want.degraded)
+		}
+		if sel.Len() != len(want.set) {
+			t.Fatalf("%s: Len %d, reference %d", at, sel.Len(), len(want.set))
+		}
+		// An empty set is nil, and so must IDs be: the served body encodes
+		// it as null.
+		if got, head := sel.IDs(20), want.set[:min(20, len(want.set))]; !reflect.DeepEqual(got, head) {
+			t.Fatalf("%s: IDs(20) = %v, reference head %v", at, got, head)
+		}
+		if got := sel.Result().Returned; !reflect.DeepEqual(got, want.set) {
+			t.Fatalf("%s: listed %d records, reference %d, or others", at, len(got), len(want.set))
+		}
+	}
+	return want, wantErr
+}
+
+// TestRecallTargetMatchesReference holds RecallTargetSelection, through
+// every entry, to the naive reference over one matrix:
+//   - draws: three proxies (realistic; zeros, negatives and positives mixed;
+//     all zero) at five seeds, with a budget larger than the corpus, a label
+//     budget that runs out mid-draw, and a cancellation that fails a draw —
+//     the sample's end, the exhausting draw and the failing draw each also
+//     on either side of a block boundary and on one;
+//   - the returned set: no sampled positive (the −Inf fallback), a corpus of
+//     one record, records drawn twice with both labels, a degraded sample,
+//     scores tied exactly at the threshold, and an empty set;
+//   - the threshold search: the served benchmark's seven select shapes at
+//     two proxies, three seeds and three deltas; tie-heavy proxies with ±0
+//     and a NaN at four seeds, targets, deltas up to 0.95 and three budgets,
+//     each also degraded; and, at Delta 0.5 (z = 0), targets equal to a
+//     candidate's bound, which a skip testing <= instead of < gets wrong;
+//   - counting: hand-built samples settled at the thresholds a binary
+//     search over sorted floats is easiest to get wrong on (±0, NaN, ±Inf,
+//     ties and their neighbors), against the reference's set, and first
+//     counts racing to build a fresh design's sorted copy.
+func TestRecallTargetMatchesReference(t *testing.T) {
+	t.Run("draws", func(t *testing.T) {
+		_, _, _, truth := selectionEnv(t, 2500)
+		good := goodProxy(truth, 0.15, 2)
+		signed := make([]float64, len(good))
+		for i, v := range good {
+			signed[i] = []float64{0, -v, v, v}[i%4]
+		}
+		type variant struct {
+			name           string
+			budget         int
+			labels, failAt int64
+		}
+		variants := []variant{{"plain", 300, 0, 0}, {"budget>n", 4000, 0, 0}, {"exhausted", 300, 120, 0}, {"canceled", 300, 0, 150}}
+		for _, k := range []int{xrand.Block - 1, xrand.Block, xrand.Block + 1, 2 * xrand.Block} {
+			variants = append(variants,
+				variant{fmt.Sprintf("ends at draw %d", k), k, 0, 0},
+				variant{fmt.Sprintf("exhausted at draw %d", k), 300, int64(k - 1), 0},
+				variant{fmt.Sprintf("canceled at draw %d", k), 300, 0, int64(k)})
+		}
+		for name, proxy := range map[string][]float64{"good": good, "signed": signed, "zero": make([]float64, len(good))} {
+			d := NewDesign(proxy)
+			for _, v := range variants {
+				for seed := int64(1); seed <= 5; seed++ {
+					c := refCase{fmt.Sprintf("%s %s seed=%d", name, v.name, seed), d,
+						Options{Budget: v.budget, Target: 0.9, Delta: 0.05, Seed: seed}, truth, v.labels, v.failAt, nil}
+					want, err := c.run(t)
+					switch {
+					case v.failAt > 0 && !errors.Is(err, context.Canceled):
+						t.Fatalf("%s: err = %v, want the cancellation", c.name, err)
+					case err == nil && want.degraded != (v.labels > 0):
+						t.Fatalf("%s: degraded = %v", c.name, want.degraded)
+					case v.name == "budget>n" && len(want.drawn) != len(proxy):
+						t.Fatalf("%s: %d draws, want the corpus size", c.name, len(want.drawn))
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("set", func(t *testing.T) {
+		_, _, _, truth := selectionEnv(t, 1200)
+		good := goodProxy(truth, 0.15, 2)
+		tied := make([]float64, len(good)) // every threshold shared by many records
+		for i, p := range good {
+			tied[i] = math.Round(p*4) / 4
+		}
+		none := make([]bool, len(truth))
+		firstDrawMatches := func() func(int) bool {
+			draws := map[int]int{}
+			return func(id int) bool { draws[id]++; return draws[id] == 1 }
+		}
+		opts := func(budget int, target float64, seed int64) Options {
+			return Options{Budget: budget, Target: target, Delta: 0.05, Seed: seed}
+		}
+		for _, tc := range []struct {
+			c      refCase
+			arises func(n naive) bool
+		}{
+			{refCase{"plain", NewDesign(good), opts(150, 0.9, 1), truth, 0, 0, nil}, nil},
+			{refCase{"no sampled positive", NewDesign(good), opts(150, 0.9, 2), none, 0, 0, nil},
+				func(n naive) bool { return math.IsInf(n.threshold, -1) }},
+			{refCase{"every record a sampled negative", NewDesign([]float64{0.3}), opts(150, 0.9, 6), none[:1], 0, 0, nil},
+				func(n naive) bool { return len(n.drawn) == 1 && n.set == nil }},
+			{refCase{"drawn twice", NewDesign(good), opts(900, 0.8, 3), nil, 0, 0, firstDrawMatches},
+				func(n naive) bool {
+					first := map[int]bool{}
+					for i, id := range n.drawn {
+						if seen, ok := first[id]; ok && seen != n.labels[i] {
+							return true
+						}
+						first[id] = n.labels[i]
+					}
+					return false
+				}},
+			{refCase{"degraded", NewDesign(good), opts(300, 0.9, 4), truth, 70, 0, nil},
+				func(n naive) bool { return n.degraded && len(n.drawn) == 70 }},
+			{refCase{"ties at threshold", NewDesign(tied), opts(200, 0.9, 5), truth, 0, 0, nil},
+				func(n naive) bool { // records at τ: those ≥ τ less those ≥ the next float
+					return len(naiveSet(tied, n.threshold, nil, nil))-len(naiveSet(tied, math.Nextafter(n.threshold, 2), nil, nil)) >= 2
+				}},
+		} {
+			want, err := tc.c.run(t)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.c.name, err)
+			}
+			if tc.arises != nil && !tc.arises(want) {
+				t.Errorf("%s: the case does not arise", tc.c.name)
+			}
+		}
+	})
+
+	t.Run("threshold", func(t *testing.T) {
+		for _, sh := range selectShapes {
+			truth := taipeiTruth(t, sh.class, sh.count)
+			for _, noise := range []float64{0.15, 0.4} {
+				d := NewDesign(goodProxy(truth, noise, 2))
+				for seed := int64(1); seed <= 3; seed++ {
+					for _, delta := range []float64{0.05, 0.3, 0.7} {
+						refCase{fmt.Sprintf("%s noise=%v seed=%d delta=%v", sh, noise, seed, delta), d,
+							Options{Budget: sh.budget, Target: sh.recall, Delta: delta, Seed: seed}, truth, 0, 0, nil}.run(t)
+					}
+				}
+			}
+		}
+
+		_, _, _, truth := selectionEnv(t, 3000)
+		// Four distinct scores, the lowest a mix of 0 and -0, so every
+		// candidate is shared by hundreds of records and most sampled
+		// positives tie.
+		tied := make([]float64, len(truth))
+		for i, p := range goodProxy(truth, 0.3, 4) {
+			tied[i] = math.Round(p * 3)
+			if tied[i] == 0 && i%2 == 0 {
+				tied[i] = math.Copysign(0, -1)
+			}
+		}
+		withNaN := slices.Clone(tied)
+		withNaN[17] = math.NaN()
+		good := goodProxy(truth, 0.15, 2)
+		designs := map[string]*Design{"tied": NewDesign(tied), "NaN": NewDesign(withNaN), "good": NewDesign(good)}
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, target := range []float64{0.5, 0.8, 0.95, 0.99} {
+				for _, delta := range []float64{0.05, 0.3, 0.7, 0.95} {
+					for name, d := range designs {
+						for _, budget := range []int{20, 150, 600} {
+							for _, labels := range []int64{0, int64(budget / 3)} {
+								c := refCase{fmt.Sprintf("%s b%d r%v delta=%v seed=%d labels=%d", name, budget, target, delta, seed, labels),
+									d, Options{Budget: budget, Target: target, Delta: delta, Seed: seed}, truth, labels, 0, nil}
+								if want, _ := c.run(t); want.degraded != (labels > 0) {
+									t.Fatalf("%s: degraded %v", c.name, want.degraded)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+
+		met := 0
+		for _, budget := range []int{40, 300} {
+			for seed := int64(1); seed <= 3; seed++ {
+				opts := Options{Budget: budget, Target: 0.5, Delta: 0.5, Seed: seed}
+				probe, err := naiveRecallTarget(opts, good, func(id int) (bool, error) { return truth[id], nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range probe.bounds {
+					if b > 0 && b < 1 {
+						opts.Target = b
+						refCase{fmt.Sprintf("b%d seed=%d target=bound %v", budget, seed, b), designs["good"], opts, truth, 0, 0, nil}.run(t)
+						met++
+					}
+				}
+			}
+		}
+		if met < 10 {
+			t.Fatalf("only %d targets on a candidate's bound", met)
+		}
+	})
+
+	t.Run("count", func(t *testing.T) {
+		negZero, nan, inf := math.Copysign(0, -1), math.NaN(), math.Inf(1)
+		grid, signed, withNaN, equal := make([]float64, 400), make([]float64, 400), make([]float64, 400), make([]float64, 400)
+		for i := range grid {
+			grid[i] = float64(i%9) / 8 // every score shared by ~44 records
+			signed[i] = []float64{-1, negZero, 0, 0.5, -0.25, negZero}[i%6]
+			withNaN[i] = float64(i%7) / 6
+			if i%5 == 0 {
+				withNaN[i] = nan
+			}
+			equal[i] = 0.5
+		}
+		for _, c := range []struct {
+			name       string
+			proxy      []float64
+			thresholds []float64
+			ids        []int
+			labels     []bool
+			degraded   bool
+		}{
+			{"−Inf fallback", grid, []float64{-inf}, []int{3, 40, 41, 399}, []bool{false, false, true, false}, false},
+			{"ties at τ", grid, []float64{0, 0.25, 0.5, 1}, []int{0, 9, 18, 4, 13}, []bool{true, false, true, false, true}, false},
+			{"all equal", equal, []float64{0.5, math.Nextafter(0.5, 1), math.Nextafter(0.5, 0), -inf, inf},
+				[]int{7, 8, 300}, []bool{false, true, false}, false},
+			{"negative and ±0", signed, []float64{0, negZero, -0.25, -1, math.Nextafter(0, 1), math.Nextafter(0, -1)},
+				[]int{0, 1, 2, 3, 5}, []bool{true, true, false, false, true}, false},
+			{"NaN scores", withNaN, []float64{0, 0.5, 1, -inf, inf, nan},
+				[]int{0, 5, 6, 10, 12}, []bool{true, true, false, false, true}, false},
+			{"one record", []float64{0.7}, []float64{0.7, 0.8, -inf}, []int{0}, []bool{false}, false},
+			{"drawn twice", grid, []float64{0.5}, []int{4, 13, 4, 13, 22, 4}, []bool{true, false, false, true, true, true}, false},
+			{"degraded", grid, []float64{0.375}, []int{2, 11}, []bool{true, false}, true},
+		} {
+			d := NewDesign(c.proxy)
+			for _, th := range c.thresholds {
+				name := fmt.Sprintf("%s τ=%v", c.name, th)
+				sel := d.selection(Options{}, th, &sample{ids: c.ids, labels: c.labels, degraded: c.degraded})
+				want := naiveSet(c.proxy, th, c.ids, c.labels)
+				if sel.Len() != len(want) || !reflect.DeepEqual(sel.Result().Returned, want) || sel.Degraded != c.degraded {
+					t.Errorf("%s: Len %d, listed %d, degraded %v; reference %d", name, sel.Len(), len(sel.Result().Returned), sel.Degraded, len(want))
+				}
+			}
+		}
+
+		// The first counts over a fresh design race to build its sorted
+		// copy; each must read the whole of it (run under -race).
+		sel := NewDesign(grid).selection(Options{}, 0.5, &sample{ids: []int{1}, labels: []bool{true}})
+		want := len(naiveSet(grid, 0.5, []int{1}, []bool{true}))
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := sel.Len(); got != want {
+					t.Errorf("concurrent first count: Len %d, reference %d", got, want)
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // drawLog records the record IDs a run asks its labeler for, in order.
@@ -143,23 +528,9 @@ func (s tabled) Match(id int, match, known bool) (bool, error) {
 	return s.truth[id], nil
 }
 
-// knowsNone, knowsHalf and knowsAll say which records a tabled source peeks.
-func knowsNone(int) bool    { return false }
+// knowsHalf and knowsAll say which records a tabled source peeks.
 func knowsHalf(id int) bool { return id%2 == 0 }
 func knowsAll(int) bool     { return true }
-
-// entries are the ways into every sampler body: the annotation adapter and
-// match sources that never look at an annotation, peeking at no record, at
-// half of them and at every one.
-var entries = []struct {
-	name   string
-	source func(pred Predicate, truth []bool, lab labeler.Labeler) MatchSource
-}{
-	{"annotations", func(pred Predicate, _ []bool, lab labeler.Labeler) MatchSource { return labeled(pred, lab) }},
-	{"values", func(_ Predicate, truth []bool, lab labeler.Labeler) MatchSource { return tabled{truth, knowsNone, lab} }},
-	{"half known", func(_ Predicate, truth []bool, lab labeler.Labeler) MatchSource { return tabled{truth, knowsHalf, lab} }},
-	{"all known", func(_ Predicate, truth []bool, lab labeler.Labeler) MatchSource { return tabled{truth, knowsAll, lab} }},
-}
 
 // failAt is a labeler whose call number at fails with context.Canceled, the
 // way a request canceled mid-query fails its next draw.
@@ -189,121 +560,6 @@ func matches(d *Design, opts Options, match MatchSource) (Result, error) {
 func sameResult(a, b Result) bool {
 	return math.Float64bits(a.Threshold) == math.Float64bits(b.Threshold) &&
 		a.OracleCalls == b.OracleCalls && a.Degraded == b.Degraded && reflect.DeepEqual(a.Returned, b.Returned)
-}
-
-// selectBoth runs one query through both entries — predicate and labeler,
-// and a table of the records' answers that only charges its labeler — each on
-// its own newLab(). It fails the test unless the two agree on the Result, on
-// failing at all, and on the sequence of records drawn; it returns the one
-// answer.
-func selectBoth(t *testing.T, d *Design, opts Options, pred Predicate, truth []bool, newLab func() labeler.Labeler) (Result, error) {
-	t.Helper()
-	viaAnn := &drawLog{Labeler: newLab()}
-	want, wantErr := matches(d, opts, labeled(pred, viaAnn))
-	viaValues := &drawLog{Labeler: newLab()}
-	got, gotErr := matches(d, opts, tabled{truth, knowsHalf, viaValues})
-	if (wantErr == nil) != (gotErr == nil) || errors.Is(wantErr, labeler.ErrBudgetExhausted) != errors.Is(gotErr, labeler.ErrBudgetExhausted) {
-		t.Fatalf("match source failed with %v, annotation entry with %v", gotErr, wantErr)
-	}
-	if !sameResult(got, want) {
-		t.Fatalf("match source and annotation entry disagree:\n got %+v\nwant %+v", got, want)
-	}
-	if !reflect.DeepEqual(viaValues.ids, viaAnn.ids) {
-		t.Fatalf("match source drew %d records, annotation entry %d, or in another order", len(viaValues.ids), len(viaAnn.ids))
-	}
-	return want, wantErr
-}
-
-// TestDrawSampleMatchesReference requires the CDF-search draw, through every
-// entry, to produce the same record IDs, labels and importance weights as the
-// per-draw linear scan, and to ask its labeler for the same records — with
-// zero and negative proxy scores in the corpus, a budget larger than the
-// corpus, a label budget that runs out mid-draw, and a cancellation that fails
-// a draw; the sample's end, the exhausting draw and the failing draw each also
-// fall on either side of a block boundary and on one.
-func TestDrawSampleMatchesReference(t *testing.T) {
-	ds, _, pred, truth := selectionEnv(t, 2500)
-	good := goodProxy(truth, 0.15, 2)
-	signed := make([]float64, len(good)) // zeros, negatives and positives mixed
-	for i, v := range good {
-		switch i % 4 {
-		case 0:
-			signed[i] = 0
-		case 1:
-			signed[i] = -v
-		default:
-			signed[i] = v
-		}
-	}
-	proxies := map[string][]float64{"good": good, "signed": signed, "zero": make([]float64, len(good))}
-	type variant struct {
-		name        string
-		budget      int
-		labelBudget int64 // 0 = unlimited
-		failAt      int64 // 0 = never
-	}
-	variants := []variant{
-		{"plain", 300, 0, 0},
-		{"budget>n", 4000, 0, 0},
-		{"exhausted", 300, 120, 0},
-		{"canceled", 300, 0, 150},
-	}
-	for _, k := range []int{xrand.Block - 1, xrand.Block, xrand.Block + 1, 2 * xrand.Block} {
-		variants = append(variants,
-			variant{fmt.Sprintf("ends at draw %d", k), k, 0, 0},
-			variant{fmt.Sprintf("exhausted at draw %d", k), 300, int64(k - 1), 0},
-			variant{fmt.Sprintf("canceled at draw %d", k), 300, 0, int64(k)})
-	}
-	for name, proxy := range proxies {
-		for _, v := range variants {
-			for seed := int64(1); seed <= 5; seed++ {
-				newLab := func() labeler.Labeler {
-					var lab labeler.Labeler = labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost)
-					if v.labelBudget > 0 {
-						lab = labeler.NewBudgeted(lab, v.labelBudget)
-					}
-					if v.failAt > 0 {
-						lab = &failAt{Labeler: lab, at: v.failAt}
-					}
-					return lab
-				}
-				opts := Options{Budget: v.budget, Target: 0.9, Delta: 0.05, Seed: seed}
-				refLab := &drawLog{Labeler: newLab()}
-				want, refErr := referenceDrawSample(opts, ds.Len(), proxy, pred, refLab)
-				for _, e := range entries {
-					lab := &drawLog{Labeler: newLab()}
-					got, err := NewDesign(proxy).drawSample(opts, e.source(pred, truth, lab))
-					if v.failAt > 0 {
-						if !errors.Is(refErr, context.Canceled) || !errors.Is(err, context.Canceled) {
-							t.Fatalf("%s %s seed=%d %s: failed with %v, reference with %v", name, v.name, seed, e.name, err, refErr)
-						}
-						if !reflect.DeepEqual(lab.ids, refLab.ids) || int64(len(lab.ids)) != v.failAt {
-							t.Fatalf("%s %s seed=%d %s: %d labeler calls, reference %d, or for other records", name, v.name, seed, e.name, len(lab.ids), len(refLab.ids))
-						}
-						continue
-					}
-					if refErr != nil || err != nil {
-						t.Fatalf("%s %s seed=%d %s: failed with %v, reference with %v", name, v.name, seed, e.name, err, refErr)
-					}
-					if !reflect.DeepEqual(got.ids, want.ids) || !reflect.DeepEqual(got.labels, want.labels) ||
-						!reflect.DeepEqual(got.weights, want.weights) || got.degraded != want.degraded {
-						t.Fatalf("%s %s seed=%d %s: sample differs from the reference (ids equal: %v, weights equal: %v, degraded %v/%v)",
-							name, v.name, seed, e.name, reflect.DeepEqual(got.ids, want.ids), reflect.DeepEqual(got.weights, want.weights), got.degraded, want.degraded)
-					}
-					if !reflect.DeepEqual(lab.ids, refLab.ids) {
-						t.Fatalf("%s %s seed=%d %s: %d labeler calls, reference %d, or for other records", name, v.name, seed, e.name, len(lab.ids), len(refLab.ids))
-					}
-					if wantDegraded := v.labelBudget > 0; got.degraded != wantDegraded {
-						t.Fatalf("%s %s seed=%d %s: degraded = %v", name, v.name, seed, e.name, got.degraded)
-					}
-					if v.name == "budget>n" && len(got.ids) != ds.Len() {
-						t.Fatalf("%s %s: %d draws, want the corpus size %d", v.name, e.name, len(got.ids), ds.Len())
-					}
-					got.release()
-				}
-			}
-		}
-	}
 }
 
 // TestSampleReuse: the vectors a query leaves in the pool must not reach the
@@ -401,290 +657,6 @@ func BenchmarkDrawSample(b *testing.B) {
 	}
 }
 
-// referenceAssemble is the returned-set builder as it stood before Selection:
-// an n-bool membership vector written in full, the sample overrides applied
-// in draw order, and the members collected. Kept verbatim (its pooled vector
-// made local) as the reference for Len and IDs.
-func referenceAssemble(proxy []float64, threshold float64, s *sample) []int {
-	include := make([]bool, len(proxy))
-	count := 0
-	for i, p := range proxy {
-		in := p >= threshold
-		include[i] = in
-		if in {
-			count++
-		}
-	}
-	for i, id := range s.ids {
-		// Sampled negatives are known non-matches; excluding them is free
-		// precision. A record drawn twice is settled by its last draw.
-		if include[id] != s.labels[i] {
-			include[id] = s.labels[i]
-			if s.labels[i] {
-				count++
-			} else {
-				count--
-			}
-		}
-	}
-	if count == 0 {
-		return nil
-	}
-	out := make([]int, 0, count)
-	for i, ok := range include {
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// TestSelectionMatchesReferenceAssemble settles each case through the
-// Selection entry and requires Len, the first 20 IDs and the full listing to
-// be what the old membership vector gives over the same sample and threshold
-// — and the Result entry to list the same set. The cases cover each way the
-// rule can go wrong: the fallback threshold (no sampled positive: −Inf),
-// records drawn more than once with both labels, a degraded sample cut short
-// by the label budget, an empty set, and proxy scores tied exactly at the
-// threshold.
-func TestSelectionMatchesReferenceAssemble(t *testing.T) {
-	_, _, _, truth := selectionEnv(t, 1200)
-	good := goodProxy(truth, 0.15, 2)
-	// Ties: scores on a coarse grid, so every threshold is shared by many
-	// records.
-	tied := make([]float64, len(good))
-	for i, p := range good {
-		tied[i] = math.Round(p*4) / 4
-	}
-	none := MatchFunc(func(int) (bool, error) { return false, nil })
-	type tcase struct {
-		name   string
-		proxy  []float64
-		opts   Options
-		source func() MatchSource
-		check  func(sel Selection, s *sample) string
-	}
-	truthSource := func(labelBudget int64) func() MatchSource {
-		return func() MatchSource {
-			var calls int64
-			return MatchFunc(func(id int) (bool, error) {
-				if labelBudget > 0 && calls == labelBudget {
-					return false, labeler.ErrBudgetExhausted
-				}
-				calls++
-				return truth[id], nil
-			})
-		}
-	}
-	cases := []tcase{
-		{"plain", good, Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 1}, truthSource(0), nil},
-		{"no sampled positive", good, Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 2},
-			func() MatchSource { return none },
-			func(sel Selection, _ *sample) string {
-				// Recall falls back to −Inf: everything but the sampled
-				// negatives.
-				if !math.IsInf(sel.Threshold, -1) {
-					return fmt.Sprintf("threshold %v with no sampled positive", sel.Threshold)
-				}
-				return ""
-			}},
-		{"every record a sampled negative", []float64{0.3}, Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 6},
-			func() MatchSource { return none },
-			func(sel Selection, s *sample) string {
-				if len(s.ids) != 1 || !math.IsInf(sel.Threshold, -1) {
-					return fmt.Sprintf("%d draws at threshold %v", len(s.ids), sel.Threshold)
-				}
-				return ""
-			}},
-		{"drawn twice", good, Options{Budget: 900, Target: 0.8, Delta: 0.05, Seed: 3},
-			// Every record is a match on its first draw and a non-match on
-			// every later one, so a record drawn twice has first and last
-			// draws that disagree.
-			func() MatchSource {
-				draws := map[int]int{}
-				return MatchFunc(func(id int) (bool, error) {
-					draws[id]++
-					return draws[id] == 1, nil
-				})
-			},
-			func(_ Selection, s *sample) string {
-				seen := map[int]map[bool]bool{}
-				for i, id := range s.ids {
-					if seen[id] == nil {
-						seen[id] = map[bool]bool{}
-					}
-					seen[id][s.labels[i]] = true
-				}
-				for _, labels := range seen {
-					if len(labels) == 2 {
-						return ""
-					}
-				}
-				return "no record drawn twice with both labels"
-			}},
-		{"degraded", good, Options{Budget: 300, Target: 0.9, Delta: 0.05, Seed: 4}, truthSource(70),
-			func(sel Selection, _ *sample) string {
-				if !sel.Degraded || sel.OracleCalls != 70 {
-					return fmt.Sprintf("degraded=%v after %d calls", sel.Degraded, sel.OracleCalls)
-				}
-				return ""
-			}},
-		{"ties at threshold", tied, Options{Budget: 200, Target: 0.9, Delta: 0.05, Seed: 5}, truthSource(0),
-			func(sel Selection, _ *sample) string {
-				at := 0
-				for _, p := range tied {
-					if p == sel.Threshold {
-						at++
-					}
-				}
-				if at < 2 {
-					return fmt.Sprintf("%d records at the threshold %v", at, sel.Threshold)
-				}
-				return ""
-			}},
-	}
-	empty := 0
-	for _, c := range cases {
-		d := NewDesign(c.proxy)
-		sel, err := d.RecallTargetSelection(c.opts, c.source())
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		s, err := d.drawSample(c.opts, c.source())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := referenceAssemble(c.proxy, sel.Threshold, s)
-		if c.check != nil {
-			if msg := c.check(sel, s); msg != "" {
-				t.Errorf("%s: the case does not arise: %s", c.name, msg)
-			}
-		}
-		s.release()
-		if sel.Len() != len(want) {
-			t.Errorf("%s: Len %d, reference %d", c.name, sel.Len(), len(want))
-		}
-		// An empty reference is nil, and so must IDs be: the served body
-		// encodes it as null.
-		if got, head := sel.IDs(20), want[:min(20, len(want))]; !reflect.DeepEqual(got, head) {
-			t.Errorf("%s: IDs(20) = %v, reference head %v", c.name, got, head)
-		}
-		if got := sel.Result().Returned; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: listed %d records, reference %d, or others", c.name, len(got), len(want))
-		}
-		res, err := matches(d, c.opts, c.source())
-		if err != nil || !sameResult(res, sel.Result()) {
-			t.Errorf("%s: the Result entry disagrees with its Selection (%v)", c.name, err)
-		}
-		if len(want) == 0 {
-			empty++
-		}
-	}
-	if empty == 0 {
-		t.Error("no case settled on an empty set")
-	}
-	t.Run("count", testCountMatchesLinearCount)
-}
-
-// referenceLen is Selection.Len as it stood before the sorted copy: one
-// branch-free, read-only pass over the proxy scores, then the overrides'
-// corrections. Kept verbatim as the reference the binary search must equal.
-func referenceLen(proxy []float64, t float64, overrides []override) int {
-	count := 0
-	for _, p := range proxy {
-		count += b2i(p >= t)
-	}
-	for _, o := range overrides {
-		count += b2i(o.positive) - b2i(proxy[o.id] >= t)
-	}
-	return count
-}
-
-// testCountMatchesLinearCount settles hand-built samples at chosen
-// thresholds — the values a binary search over sorted floats is easiest to
-// get wrong on — and requires Len to equal the linear count, the length of
-// the full listing and the old membership vector's count.
-func testCountMatchesLinearCount(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	nan, inf := math.NaN(), math.Inf(1)
-	grid := make([]float64, 400)
-	for i := range grid {
-		grid[i] = float64(i%9) / 8 // every score shared by ~44 records
-	}
-	signed := make([]float64, 400)
-	for i := range signed {
-		signed[i] = []float64{-1, negZero, 0, 0.5, -0.25, negZero}[i%6]
-	}
-	withNaN := make([]float64, 400)
-	for i := range withNaN {
-		withNaN[i] = float64(i%7) / 6
-		if i%5 == 0 {
-			withNaN[i] = nan
-		}
-	}
-	equal := make([]float64, 400)
-	for i := range equal {
-		equal[i] = 0.5
-	}
-	cases := []struct {
-		name       string
-		proxy      []float64
-		thresholds []float64
-		ids        []int
-		labels     []bool
-		degraded   bool
-	}{
-		{"−Inf fallback", grid, []float64{-inf}, []int{3, 40, 41, 399}, []bool{false, false, true, false}, false},
-		{"ties at τ", grid, []float64{0, 0.25, 0.5, 1}, []int{0, 9, 18, 4, 13}, []bool{true, false, true, false, true}, false},
-		{"all equal", equal, []float64{0.5, math.Nextafter(0.5, 1), math.Nextafter(0.5, 0), -inf, inf},
-			[]int{7, 8, 300}, []bool{false, true, false}, false},
-		{"negative and ±0", signed, []float64{0, negZero, -0.25, -1, math.Nextafter(0, 1), math.Nextafter(0, -1)},
-			[]int{0, 1, 2, 3, 5}, []bool{true, true, false, false, true}, false},
-		{"NaN scores", withNaN, []float64{0, 0.5, 1, -inf, inf, nan},
-			[]int{0, 5, 6, 10, 12}, []bool{true, true, false, false, true}, false},
-		{"one record", []float64{0.7}, []float64{0.7, 0.8, -inf}, []int{0}, []bool{false}, false},
-		{"drawn twice", grid, []float64{0.5}, []int{4, 13, 4, 13, 22, 4}, []bool{true, false, false, true, true, true}, false},
-		{"degraded", grid, []float64{0.375}, []int{2, 11}, []bool{true, false}, true},
-	}
-	for _, c := range cases {
-		d := NewDesign(c.proxy)
-		for _, th := range c.thresholds {
-			name := fmt.Sprintf("%s τ=%v", c.name, th)
-			s := &sample{ids: c.ids, labels: c.labels, degraded: c.degraded}
-			sel := d.selection(Options{}, th, s)
-			want := referenceLen(c.proxy, th, sel.overrides)
-			if got := sel.Len(); got != want {
-				t.Errorf("%s: Len %d, linear count %d", name, got, want)
-			}
-			if got := len(sel.Result().Returned); got != want {
-				t.Errorf("%s: listed %d records, linear count %d", name, got, want)
-			}
-			if got := len(referenceAssemble(c.proxy, th, s)); got != want {
-				t.Errorf("%s: membership vector holds %d records, linear count %d", name, got, want)
-			}
-			if sel.Degraded != c.degraded {
-				t.Errorf("%s: degraded %v", name, sel.Degraded)
-			}
-		}
-	}
-
-	// The first counts over a fresh design race to build its sorted copy;
-	// each must read the whole of it (run under -race).
-	sel := NewDesign(grid).selection(Options{}, 0.5, &sample{ids: []int{1}, labels: []bool{true}})
-	want := referenceLen(grid, 0.5, sel.overrides)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := sel.Len(); got != want {
-				t.Errorf("concurrent first count: Len %d, linear count %d", got, want)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestOneShotSelectNeverSorts: a one-shot RecallTarget lists its set without
 // counting it first, so it never builds the design's sorted copy — 8 bytes a
 // record. Beyond the design it builds and the set it returns (append's growth
@@ -720,222 +692,6 @@ func TestOneShotSelectNeverSorts(t *testing.T) {
 			total, design, set, len(res.Returned))
 	}
 	t.Logf("allocated %d bytes beyond the design and the listing of %d records", total-design-set, len(res.Returned))
-}
-
-// referenceThreshold is RecallTargetSelection's threshold search as it stood
-// before it skipped candidates and sorted with slices.SortFunc: the O(P)
-// variance pass at every candidate. Kept verbatim (its pooled positives made
-// local) as the reference the search must equal bit for bit.
-func referenceThreshold(opts Options, proxy []float64, s *sample) float64 {
-	totalW := 0.0
-	var positives []posSample
-	for i := range s.ids {
-		if s.labels[i] {
-			totalW += s.weights[i]
-			positives = append(positives, posSample{score: proxy[s.ids[i]], weight: s.weights[i]})
-		}
-	}
-
-	threshold := math.Inf(-1) // fallback: return everything
-	if totalW > 0 {
-		sort.Slice(positives, func(i, j int) bool { return positives[i].score > positives[j].score })
-		z := normalQuantile(1 - opts.Delta)
-		acc := 0.0
-		for i, p := range positives {
-			acc += p.weight
-			// Candidate thresholds sit at distinct score boundaries.
-			if i+1 < len(positives) && positives[i+1].score == p.score {
-				continue
-			}
-			recall := acc / totalW
-			// Var(A/B) ~ sum_j w_j^2 (1[above] - R)^2 / B^2 over the
-			// positive sample (delta method for a ratio of weighted sums).
-			varSum := 0.0
-			for j, q := range positives {
-				ind := 0.0
-				if j <= i {
-					ind = 1
-				}
-				d := ind - recall
-				varSum += q.weight * q.weight * d * d
-			}
-			se := math.Sqrt(varSum) / totalW
-			// The continuity correction guards the discrete positive sample
-			// against the normal approximation's undercoverage at small
-			// budgets.
-			correction := 0.5 / float64(len(positives))
-			if recall-z*se-correction >= opts.Target {
-				threshold = p.score
-				break
-			}
-		}
-		if math.IsInf(threshold, -1) {
-			// No candidate cleared the bound; return everything at or above
-			// the weakest sampled positive, the conservative fallback.
-			threshold = positives[len(positives)-1].score
-		}
-	}
-	return threshold
-}
-
-// candidateBounds returns recall less the continuity correction at each of
-// the sample's candidate thresholds, in the order the search visits them:
-// the bound it tests when z is 0 (Delta 0.5). A target equal to one of them
-// is met with equality, the case a skip that tests <= instead of < gets
-// wrong.
-func candidateBounds(proxy []float64, s *sample) []float64 {
-	totalW := 0.0
-	var positives []posSample
-	for i := range s.ids {
-		if s.labels[i] {
-			totalW += s.weights[i]
-			positives = append(positives, posSample{score: proxy[s.ids[i]], weight: s.weights[i]})
-		}
-	}
-	sort.Slice(positives, func(i, j int) bool { return positives[i].score > positives[j].score })
-	var bounds []float64
-	acc := 0.0
-	for i, p := range positives {
-		acc += p.weight
-		if i+1 < len(positives) && positives[i+1].score == p.score {
-			continue
-		}
-		bounds = append(bounds, acc/totalW-0.5/float64(len(positives)))
-	}
-	return bounds
-}
-
-// TestThresholdMatchesReference settles each case through
-// RecallTargetSelection and requires the threshold's bits, Len and the
-// first 20 IDs to be what the verbatim search and the old membership vector
-// give over the same sample. The cases: the served benchmark's seven select
-// shapes at three seeds and two proxies; tie-heavy proxies with ±0 and a NaN;
-// Delta above 0.5, where z is negative and no candidate may be skipped;
-// samples cut short by the label budget; and, at Delta 0.5, targets equal to
-// a candidate's bound.
-func TestThresholdMatchesReference(t *testing.T) {
-	type tcase struct {
-		name   string
-		proxy  []float64
-		truth  []bool
-		opts   Options
-		labels int // label budget, 0 = unlimited
-	}
-	var cases []tcase
-	for _, sh := range selectShapes {
-		truth := taipeiTruth(t, sh.class, sh.count)
-		for _, noise := range []float64{0.15, 0.4} {
-			proxy := goodProxy(truth, noise, 2)
-			for seed := int64(1); seed <= 3; seed++ {
-				for _, delta := range []float64{0.05, 0.3, 0.7} {
-					cases = append(cases, tcase{
-						fmt.Sprintf("%s noise=%v seed=%d delta=%v", sh, noise, seed, delta), proxy, truth,
-						Options{Budget: sh.budget, Target: sh.recall, Delta: delta, Seed: seed}, 0})
-				}
-			}
-		}
-	}
-
-	_, _, _, truth := selectionEnv(t, 3000)
-	negZero := math.Copysign(0, -1)
-	// Four distinct scores, the lowest of them a mix of 0 and -0, so every
-	// candidate is shared by hundreds of records and most sampled positives
-	// tie.
-	tied := make([]float64, len(truth))
-	for i, p := range goodProxy(truth, 0.3, 4) {
-		tied[i] = math.Round(p * 3)
-		if tied[i] == 0 && i%2 == 0 {
-			tied[i] = negZero
-		}
-	}
-	withNaN := slices.Clone(tied)
-	withNaN[17] = math.NaN()
-	good := goodProxy(truth, 0.15, 2)
-	for seed := int64(1); seed <= 4; seed++ {
-		for _, target := range []float64{0.5, 0.8, 0.95, 0.99} {
-			for _, delta := range []float64{0.05, 0.3, 0.7, 0.95} {
-				for _, p := range []struct {
-					name  string
-					proxy []float64
-				}{{"tied", tied}, {"NaN", withNaN}, {"good", good}} {
-					for _, budget := range []int{20, 150, 600} {
-						opts := Options{Budget: budget, Target: target, Delta: delta, Seed: seed}
-						name := fmt.Sprintf("%s b%d r%v delta=%v seed=%d", p.name, budget, target, delta, seed)
-						cases = append(cases, tcase{name, p.proxy, truth, opts, 0},
-							tcase{name + " degraded", p.proxy, truth, opts, budget / 3})
-					}
-				}
-			}
-		}
-	}
-
-	run := func(c tcase) {
-		t.Helper()
-		source := func() MatchSource {
-			calls := 0
-			return MatchFunc(func(id int) (bool, error) {
-				if c.labels > 0 && calls == c.labels {
-					return false, labeler.ErrBudgetExhausted
-				}
-				calls++
-				return c.truth[id], nil
-			})
-		}
-		d := NewDesign(c.proxy)
-		sel, err := d.RecallTargetSelection(c.opts, source())
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		s, err := d.drawSample(c.opts, source())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.release()
-		want := referenceThreshold(c.opts, c.proxy, s)
-		if math.Float64bits(sel.Threshold) != math.Float64bits(want) {
-			t.Fatalf("%s: threshold %v (%#x), reference %v (%#x)", c.name,
-				sel.Threshold, math.Float64bits(sel.Threshold), want, math.Float64bits(want))
-		}
-		set := referenceAssemble(c.proxy, want, s)
-		if sel.Len() != len(set) {
-			t.Fatalf("%s: Len %d, reference %d", c.name, sel.Len(), len(set))
-		}
-		if got, head := sel.IDs(20), set[:min(20, len(set))]; !reflect.DeepEqual(got, head) {
-			t.Fatalf("%s: IDs(20) = %v, reference head %v", c.name, got, head)
-		}
-		if sel.Degraded != (c.labels > 0) {
-			t.Fatalf("%s: degraded %v", c.name, sel.Degraded)
-		}
-	}
-	for _, c := range cases {
-		run(c)
-	}
-
-	// Targets a candidate meets with equality, at Delta 0.5 (z = 0, so the
-	// search tests recall - correction itself).
-	met := 0
-	for _, budget := range []int{40, 300} {
-		for seed := int64(1); seed <= 3; seed++ {
-			opts := Options{Budget: budget, Delta: 0.5, Seed: seed}
-			s, err := NewDesign(good).drawSample(opts, MatchFunc(func(id int) (bool, error) { return truth[id], nil }))
-			if err != nil {
-				t.Fatal(err)
-			}
-			bounds := candidateBounds(good, s)
-			s.release()
-			for _, b := range bounds {
-				if b <= 0 || b >= 1 {
-					continue
-				}
-				opts.Target = b
-				run(tcase{fmt.Sprintf("b%d seed=%d target=bound %v", budget, seed, b), good, truth, opts, 0})
-				met++
-			}
-		}
-	}
-	if met < 10 {
-		t.Fatalf("only %d targets on a candidate's bound", met)
-	}
 }
 
 // TestDrawKeySortMatchesSort requires the radix sort of draw keys to order

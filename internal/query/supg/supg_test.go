@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -92,44 +93,18 @@ func TestBetterProxyLowersFPR(t *testing.T) {
 	}
 }
 
+// TestSampledNegativesExcluded: a record below the threshold is returned
+// only as a sampled positive, and a sampled negative never is, so no
+// returned record below the threshold is a non-match.
 func TestSampledNegativesExcluded(t *testing.T) {
-	// Records the sample labeled negative must never be returned: they are
-	// known non-matches.
 	ds, lab, pred, truth := selectionEnv(t, 1500)
 	scores := goodProxy(truth, 0.3, 6)
-	opts := Options{Budget: 300, Target: 0.9, Delta: 0.05, Seed: 7}
-	res, err := RecallTarget(opts, ds.Len(), scores, pred, lab)
+	res, err := RecallTarget(Options{Budget: 300, Target: 0.9, Delta: 0.05, Seed: 7}, ds.Len(), scores, pred, lab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	returned := make(map[int]bool, len(res.Returned))
 	for _, id := range res.Returned {
-		returned[id] = true
-	}
-	for _, id := range res.Returned {
-		_ = id
-	}
-	for i, m := range truth {
-		if returned[i] && !m && scores[i] >= res.Threshold {
-			// Allowed: unsampled false positives above the threshold.
-			continue
-		}
-	}
-	// Direct check: run with a labeler that records which IDs were sampled.
-	counting := labeler.NewCounting(lab)
-	res2, err := RecallTarget(opts, ds.Len(), scores, pred, counting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ret2 := make(map[int]bool, len(res2.Returned))
-	for _, id := range res2.Returned {
-		ret2[id] = true
-	}
-	// Any sampled negative in the returned set is a bug; sampled IDs are
-	// not exposed, so approximate by checking no returned record below the
-	// threshold is a non-match.
-	for _, id := range res2.Returned {
-		if scores[id] < res2.Threshold && !truth[id] {
+		if scores[id] < res.Threshold && !truth[id] {
 			t.Fatalf("returned sub-threshold non-match %d", id)
 		}
 	}
@@ -196,33 +171,19 @@ func TestNormalQuantilePanics(t *testing.T) {
 }
 
 // TestBudgetExhaustionDegradesSelection exhausts the label budget partway
-// through the SUPG sample and requires a graceful partial answer: the draws
-// already bought are reweighted over the actual draw count and the result is
-// flagged Degraded instead of failing.
+// through the SUPG sample and requires a graceful partial answer, through
+// every entry as the reference gives it: the draws already bought are
+// reweighted over the actual draw count and the result is flagged Degraded
+// instead of failing.
 func TestBudgetExhaustionDegradesSelection(t *testing.T) {
-	ds, _, pred, truth := selectionEnv(t, 2000)
-	d := NewDesign(goodProxy(truth, 0.15, 4))
-	budgeted := func() labeler.Labeler {
-		return labeler.NewBudgeted(labeler.NewOracle(ds, "o", labeler.MaskRCNNCost), 40)
-	}
-	opts := Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 4}
-	res, err := selectBoth(t, d, opts, pred, truth, budgeted)
+	_, _, _, truth := selectionEnv(t, 2000)
+	res, err := refCase{"exhausted", NewDesign(goodProxy(truth, 0.15, 4)),
+		Options{Budget: 150, Target: 0.9, Delta: 0.05, Seed: 4}, truth, 40, 0, nil}.run(t)
 	if err != nil {
 		t.Fatalf("exhaustion mid-sample should degrade, not fail: %v", err)
 	}
-	if !res.Degraded {
-		t.Error("truncated sample not flagged Degraded")
-	}
-	if res.OracleCalls != 40 {
-		t.Errorf("calls = %d, want the full budget of 40", res.OracleCalls)
-	}
-	if len(res.Returned) == 0 {
-		t.Error("degraded selection returned an empty set")
-	}
-	for _, id := range res.Returned {
-		if id < 0 || id >= ds.Len() {
-			t.Fatalf("returned ID %d out of range", id)
-		}
+	if !res.degraded || len(res.drawn) != 40 || len(res.set) == 0 {
+		t.Errorf("degraded %v after %d draws, %d returned; want degraded after the full budget of 40", res.degraded, len(res.drawn), len(res.set))
 	}
 }
 
@@ -243,21 +204,15 @@ func TestBudgetExhaustionBeforeAnyDrawFails(t *testing.T) {
 // post-loop reweighting must reproduce the original weights exactly when the
 // sample completes.
 func TestBudgetAmpleIsBitwiseIdentical(t *testing.T) {
-	ds, lab, pred, truth := selectionEnv(t, 2000)
-	d := NewDesign(goodProxy(truth, 0.15, 6))
-	opts := Options{Budget: 120, Target: 0.9, Delta: 0.05, Seed: 6}
-	plain, err := selectBoth(t, d, opts, pred, truth, func() labeler.Labeler { return lab })
+	_, _, _, truth := selectionEnv(t, 2000)
+	c := refCase{"plain", NewDesign(goodProxy(truth, 0.15, 6)), Options{Budget: 120, Target: 0.9, Delta: 0.05, Seed: 6}, truth, 0, 0, nil}
+	plain, err := c.run(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := selectBoth(t, d, opts, pred, truth, func() labeler.Labeler {
-		return labeler.NewBudgeted(labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost), 1<<30)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameResult(plain, budgeted) {
-		t.Errorf("ample budget changed the result:\n got %+v\nwant %+v", budgeted, plain)
+	c.name, c.labels = "ample", 1<<30
+	if ample, err := c.run(t); err != nil || !reflect.DeepEqual(ample, plain) {
+		t.Errorf("ample budget changed the result (%v):\n got %+v\nwant %+v", err, ample, plain)
 	}
 }
 

@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -35,33 +34,5 @@ func TestShardAppendNoEmbedder(t *testing.T) {
 	}
 	if _, err := x.AppendRecords(extraFeatures(t, 1, 3)); !errors.Is(err, core.ErrNoEmbedder) {
 		t.Fatalf("err = %v, want core.ErrNoEmbedder", err)
-	}
-}
-
-// TestShardPersistEmbedder checks the embedding model survives a snapshot
-// round trip — and that a model-less index round-trips to a model-less index
-// (the historic contract, and the shape of pre-embedder snapshots, which
-// simply lack the frame).
-func TestShardPersistEmbedder(t *testing.T) {
-	for _, withModel := range []bool{true, false} {
-		ix, _ := buildIndex(t, 200, 25)
-		if !withModel {
-			ix.Embedder = nil
-		}
-		x, err := shard.Split(ix, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := x.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := shard.Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (loaded.Embedder() != nil) != withModel {
-			t.Fatalf("saved with a model %v, loaded with one %v", withModel, loaded.Embedder() != nil)
-		}
 	}
 }

@@ -35,25 +35,21 @@ func (v *Version) Clone() *Index {
 		anns:  maps.Clone(v.anns), n: v.NumShards()})
 }
 
-// Requantize retrains the quantized scan plane's parameters over the index's
-// current embedding rows and re-codes the plane under them.
+// CrackAndRequantize is CrackInOrder followed by a refit of the quantized
+// scan plane, published as one version: the drift refresher's batch, which a
+// reader sees whole or not at all. The refit retrains the plane's parameters
+// over the current embedding rows and re-codes the plane under them.
 //
 // Appends after build quantize under the build-time parameters; rows outside
 // the trained range widen the plane's decode-error bound, which keeps scans
-// correct but prunes less. The drift refresher refits after its crack batch
-// (CrackAndRequantize) so a drifted corpus gets a freshly fitted grid — a
-// pure pruning improvement with zero effect on any result, since every scan
-// reranks bound survivors against the unchanged float rows.
-//
-// A write like any other, except that no result moves: the version it
-// publishes keeps its predecessor's generation and proxy columns. When the
-// plane's decode-error bound has not widened since it was coded, the refit
-// would buy no pruning, and Requantize publishes nothing.
-func (x *Index) Requantize() { x.CrackAndRequantize(nil, nil) }
-
-// CrackAndRequantize is CrackInOrder followed by Requantize, published as
-// one version: the drift refresher's batch, which a reader sees whole or not
-// at all.
+// correct but prunes less. The refit gives a drifted corpus a freshly fitted
+// grid — a pure pruning improvement with zero effect on any result, since
+// every scan reranks bound survivors against the unchanged float rows. When
+// the bound has not widened since the plane was coded, the refit would buy no
+// pruning and is skipped. A refit with no crack (nil ids) is a write like any
+// other, except that no result moves: the version it publishes keeps its
+// predecessor's generation and proxy columns, and when there is nothing to
+// refit it publishes nothing.
 func (x *Index) CrackAndRequantize(ids []int, anns map[int]dataset.Annotation) (added int) {
 	_ = x.write(func(cur *Version) (*Version, error) {
 		next, n := cur.cracked(ids, anns)

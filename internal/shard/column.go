@@ -35,10 +35,11 @@ import (
 // that changes a propagated score publishes a Version of a later generation
 // with a store of its own: CrackAll for each representative it adds, and
 // AppendRecords. A Crack of an already-annotated record changes nothing and
-// keeps the version; Requantize, which re-codes the scan plane without moving
-// any result, publishes a version sharing its predecessor's generation and
-// store. A store only ever holds columns of the one state its versions pin,
-// and needs no invalidation: it becomes garbage with them.
+// keeps the version; a refit of the scan plane alone (CrackAndRequantize of
+// no records), which moves no result, publishes a version sharing its
+// predecessor's generation and store. A store only ever holds columns of the
+// one state its versions pin, and needs no invalidation: it becomes garbage
+// with them.
 //
 // A write's successor store links to its predecessor's, and every column is
 // derived from the predecessor's retained column of the same key: a record

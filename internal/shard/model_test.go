@@ -782,7 +782,7 @@ func TestVersionSharesOneRepresentativeSet(t *testing.T) {
 // TestEveryShardCarriesAPlane: every version holds a quantized plane over
 // exactly its records — after Split of a built index and of a hand-built one
 // with no plane, and after Load, CrackAll, AppendRecords, Clone and
-// Requantize.
+// a refit.
 func TestEveryShardCarriesAPlane(t *testing.T) {
 	x, _, truth := modelIndex(t, 300, 30, 3)
 	bare, _ := buildIndex(t, 300, 30)
@@ -805,8 +805,8 @@ func TestEveryShardCarriesAPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	versions["append"], versions["clone"] = x.Pin(), x.Clone().Pin()
-	x.Requantize()
-	versions["requantize"] = x.Pin()
+	x.CrackAndRequantize(nil, nil)
+	versions["refit"] = x.Pin()
 	for step, v := range versions {
 		if err := v.Validate(); err != nil {
 			t.Errorf("%s: %v", step, err)

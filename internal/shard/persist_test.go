@@ -7,14 +7,18 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/labeler"
 	"repro/internal/snapshot"
+	"repro/internal/triplet"
 	"repro/internal/vecmath"
 )
 
@@ -22,13 +26,19 @@ import (
 // night-street records at the given embedding width and serves it over
 // shards.
 func buildSplit(n, dim, shards int) (*Index, error) {
+	cfg := core.PretrainedConfig(n/10, 3)
+	cfg.EmbedDim = dim
+	cfg.K = 3
+	return buildWith(cfg, n, shards)
+}
+
+// buildWith builds an index under cfg over n night-street records and serves
+// it over shards.
+func buildWith(cfg core.Config, n, shards int) (*Index, error) {
 	ds, err := dataset.Generate("night-street", n, 3)
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.PretrainedConfig(n/10, 3)
-	cfg.EmbedDim = dim
-	cfg.K = 3
 	ix, err := core.Build(cfg, ds, labeler.NewOracle(ds, "oracle", labeler.MaskRCNNCost))
 	if err != nil {
 		return nil, err
@@ -472,6 +482,225 @@ func FuzzLoadIndex(f *testing.F) {
 			t.Fatalf("input without the snapshot magic: err = %v, want ErrBadMagic", err)
 		}
 	})
+}
+
+// seedVersion is seedSnapshot loaded: the shapes and values the frame
+// fuzzers below start from.
+var seedVersion = sync.OnceValue(func() *Version {
+	x, err := Load(bytes.NewReader(seedSnapshot()))
+	if err != nil {
+		panic(err)
+	}
+	return x.Pin()
+})
+
+// FuzzLoadIndexFlat targets the embeddings frame: it re-frames the seed
+// snapshot so the manifest declares rows records, the meta a dim-wide
+// embedding, and the embeddings frame holds dataLen float64s (the seed's
+// values first), exploring rows×dim overflow, truncated data and negative
+// shapes. Load must return a consistent index or a typed error, and must
+// accept the seed's own shape.
+func FuzzLoadIndexFlat(f *testing.F) {
+	seed := seedVersion().emb
+	maxInt := int(^uint(0) >> 1)
+	f.Add(seed.Rows(), seed.Dim(), len(seed.Data()))
+	f.Add(0, 0, 0)
+	f.Add(-1, 4, 8)
+	f.Add(maxInt/2+1, 4, 8)
+	f.Add(maxInt/3, 3, 9)
+	f.Add(2, 3, 5)
+	f.Add(maxInt/4+1, 8, 0) // rows×dim wraps to zero
+
+	f.Fuzz(func(t *testing.T, rows, dim, dataLen int) {
+		if dataLen < 0 || dataLen > 1<<16 {
+			return // cap the backing array so the fuzzer can't OOM the host
+		}
+		emb := make([]byte, 8*dataLen)
+		for i, x := range seed.Data()[:min(dataLen, len(seed.Data()))] {
+			binary.LittleEndian.PutUint64(emb[8*i:], math.Float64bits(x))
+		}
+		x, err := Load(bytes.NewReader(craft(t, func(t testing.TB, fs []frame) []frame {
+			fs = editGob(manifestFrame, func(m *manifest) { m.Total = rows })(t, fs)
+			fs = editGob(metaFrame, func(m *planeMeta) { m.Dim = dim })(t, fs)
+			return editPayload(embeddingsFrame, func([]byte) []byte { return emb })(t, fs)
+		})))
+		if err != nil {
+			requireTyped(t, err, "reshaped embeddings")
+			if rows == seed.Rows() && dim == seed.Dim() && dataLen == rows*dim {
+				t.Fatalf("the seed's own shape was rejected: %v", err)
+			}
+			return
+		}
+		// The only accepted shape is one consistent with the neighbor table.
+		if v := x.Pin(); v.emb.Rows() != rows || v.emb.Dim() != dim || rows*dim != dataLen || v.validate() != nil {
+			t.Fatalf("accepted inconsistent shape %dx%d over %d entries as %dx%d",
+				rows, dim, dataLen, v.emb.Rows(), v.emb.Dim())
+		}
+	})
+}
+
+// FuzzLoadIndexQuant targets the quantized plane: it re-frames the seed
+// snapshot with fuzz-controlled parameter-array lengths, code-array length
+// and decode-error bound (the seed's values first) and requires Load to
+// return a plane that mirrors the embeddings or a typed error — ErrMalformed
+// for an index with no plane at all, which no index lacks. The seed's own
+// parameters must load.
+func FuzzLoadIndexQuant(f *testing.F) {
+	seed := seedVersion().quant
+	rows, dim, maxErr := seed.Rows(), seed.Dim(), seed.MaxErr()
+	f.Add(dim, dim, rows*dim, maxErr)
+	f.Add(dim-1, dim, rows*dim, maxErr)       // short scale array
+	f.Add(dim, dim+1, rows*dim, maxErr)       // long offset array
+	f.Add(dim, dim, rows*dim-1, maxErr)       // truncated codes
+	f.Add(dim, dim, (rows+1)*dim, maxErr)     // a row more codes than embeddings
+	f.Add(0, 0, 0, maxErr)                    // no plane at all: malformed
+	f.Add(dim+1, dim+1, rows*(dim+1), maxErr) // a plane one column wider
+	f.Add(dim, dim, rows*dim, -1.0)           // negative error bound
+	f.Add(dim, dim, rows*dim, math.Inf(1))    // non-finite error bound
+
+	f.Fuzz(func(t *testing.T, scaleLen, offsetLen, codesLen int, qmaxErr float64) {
+		if scaleLen < 0 || scaleLen > 1<<12 || offsetLen < 0 || offsetLen > 1<<12 ||
+			codesLen < 0 || codesLen > 1<<16 {
+			return // cap array allocations so the fuzzer can't OOM the host
+		}
+		scale := make([]float64, scaleLen)
+		for i := range scale {
+			scale[i] = 0.5
+		}
+		copy(scale, seed.Params().Scale)
+		offset := make([]float64, offsetLen)
+		copy(offset, seed.Params().Offset)
+		codes := make([]byte, codesLen)
+		copy(codes, seed.Codes())
+		x, err := Load(bytes.NewReader(craft(t, func(t testing.TB, fs []frame) []frame {
+			fs = editGob(metaFrame, func(m *planeMeta) {
+				m.Quant.Scale, m.Quant.Offset, m.MaxErr = scale, offset, qmaxErr
+			})(t, fs)
+			return editPayload(quantFrame, func([]byte) []byte { return codes })(t, fs)
+		})))
+		if scaleLen == 0 && codesLen == 0 && !errors.Is(err, snapshot.ErrMalformed) {
+			t.Fatalf("an index without a plane: err = %v, want ErrMalformed", err)
+		}
+		if err != nil {
+			requireTyped(t, err, "re-coded plane")
+			if scaleLen == dim && offsetLen == dim && codesLen == rows*dim && qmaxErr == maxErr {
+				t.Fatalf("the seed's own plane was rejected: %v", err)
+			}
+			return
+		}
+		// Anything accepted must be a plane that exactly mirrors the
+		// embedding matrix, with internally consistent parts.
+		if v := x.Pin(); v.validate() != nil {
+			t.Fatalf("accepted a %dx%d plane over %dx%d embeddings",
+				v.quant.Rows(), v.quant.Dim(), v.emb.Rows(), v.emb.Dim())
+		}
+		if codesLen != rows*dim || scaleLen != dim || offsetLen != dim || !(qmaxErr >= 0) || math.IsInf(qmaxErr, 0) {
+			t.Fatalf("accepted inconsistent quant parts: %d/%d params, %d codes, error bound %v",
+				scaleLen, offsetLen, codesLen, qmaxErr)
+		}
+	})
+}
+
+// sameFloats reports whether a and b hold the same float64 bits.
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// sameState fails unless got holds want's state bit for bit: view count,
+// build stats, annotations, embeddings, table, the plane's codes, parameters
+// and both error bounds, and whether an embedding model comes with it.
+func sameState(t *testing.T, at string, got, want *Version) {
+	t.Helper()
+	if got.n != want.n || !reflect.DeepEqual(got.Stats, want.Stats) || !reflect.DeepEqual(got.anns, want.anns) ||
+		(got.w.emb != nil) != (want.w.emb != nil) {
+		t.Fatalf("%s: %d views, stats %+v, %d annotations, model %v; want %d, %+v, %d, %v", at, got.n, got.Stats,
+			len(got.anns), got.w.emb != nil, want.n, want.Stats, len(want.anns), want.w.emb != nil)
+	}
+	if got.emb.Dim() != want.emb.Dim() || !sameFloats(got.emb.Data(), want.emb.Data()) {
+		t.Fatalf("%s: embedding bits differ", at)
+	}
+	if got.table.K != want.table.K || !slices.Equal(got.table.Reps, want.table.Reps) ||
+		!slices.EqualFunc(got.table.Neighbors, want.table.Neighbors, func(a, b []cluster.Neighbor) bool {
+			return slices.EqualFunc(a, b, func(x, y cluster.Neighbor) bool {
+				return x.Rep == y.Rep && math.Float64bits(x.Dist) == math.Float64bits(y.Dist)
+			})
+		}) {
+		t.Fatalf("%s: table differs", at)
+	}
+	gq, wq := got.quant, want.quant
+	if gq.Widened() != wq.Widened() || !slices.Equal(gq.Codes(), wq.Codes()) ||
+		!sameFloats([]float64{gq.MaxErr(), gq.FitErr()}, []float64{wq.MaxErr(), wq.FitErr()}) ||
+		!sameFloats(gq.Params().Scale, wq.Params().Scale) || !sameFloats(gq.Params().Offset, wq.Params().Offset) {
+		t.Fatalf("%s: plane differs", at)
+	}
+}
+
+// TestPersistRoundTrip: Load restores every bit Save wrote (sameState) over
+// an index grown by a drifted append, so its plane has widened, and a crack,
+// with a pretrained embedding model, a triplet-trained one and none. A
+// restored model appends as the saved one does — the invariant WAL replay
+// after a restart rests on — a crack prunes through the restored plane as
+// through the saved one, and the loaded index propagates at four workers what
+// the saved one does at one.
+func TestPersistRoundTrip(t *testing.T) {
+	more, err := dataset.Generate("night-street", 20, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted := make([][]float64, more.Len())
+	for i, r := range more.Records {
+		drifted[i] = slices.Clone(r.Features)
+		for d := range drifted[i] {
+			drifted[i][d] = drifted[i][d]*3 + 5
+		}
+	}
+	for _, model := range []string{"pretrained", "trained", "none"} {
+		cfg := core.PretrainedConfig(30, 3)
+		if model == "trained" {
+			cfg = core.DefaultConfig(60, 30, triplet.VideoBucketKey(0.5), 3)
+			cfg.Train = triplet.DefaultConfig(cfg.EmbedDim, cfg.Seed)
+			cfg.Train.Steps = 120
+		}
+		x, err := buildWith(cfg, 300, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.AppendRecords(drifted[:10]); err != nil {
+			t.Fatal(err)
+		}
+		x.CrackAll(map[int]dataset.Annotation{7: more.Truth[0], 305: more.Truth[5]})
+		if model == "none" {
+			x.rewire(func(w *wiring) { w.emb = nil })
+		}
+		if !x.Pin().quant.Widened() {
+			t.Fatalf("%s: the drifted append did not widen the plane", model)
+		}
+		var buf bytes.Buffer
+		if err := x.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameState(t, model+": loaded", loaded.Pin(), x.Pin())
+		for _, ix := range []*Index{x, loaded} {
+			if _, err := ix.AppendRecords(drifted[10:]); (err != nil) != (model == "none") {
+				t.Fatalf("%s: append: %v", model, err)
+			}
+			ix.Crack(123, more.Truth[1])
+		}
+		sameState(t, model+": appended and cracked after the load", loaded.Pin(), x.Pin())
+		loaded.SetParallelism(4)
+		score := core.CountScore("car")
+		gw, _ := loaded.Propagate(score)
+		ww, _ := x.Propagate(score)
+		gs, gd, _ := loaded.PropagateNearest(score)
+		ws, wd, _ := x.PropagateNearest(score)
+		if !sameFloats(gw, ww) || !sameFloats(gs, ws) || !sameFloats(gd, wd) {
+			t.Fatalf("%s: the loaded index propagates otherwise", model)
+		}
+	}
 }
 
 // TestSnapshotNamesItsCorpus: an index names the corpus it was built over

@@ -1,8 +1,6 @@
 package shard_test
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -28,30 +26,9 @@ func TestShardQuantMemoryStats(t *testing.T) {
 	}
 }
 
-// TestShardQuantPersistRoundTrip: the snapshot carries the plane through
-// Save/Load, and the restored plane is live: a crack pruning through it
-// leaves the model's float table.
-func TestShardQuantPersistRoundTrip(t *testing.T) {
-	x, m, truth := modelIndex(t, 300, 30, 3)
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := shard.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Pin().MemoryStats() != x.Pin().MemoryStats() {
-		t.Fatalf("restored %+v, saved %+v", got.Pin().MemoryStats(), x.Pin().MemoryStats())
-	}
-	got.Crack(123, truth[123])
-	m.crack([]int{123}, annsOf(truth, 123))
-	matchesModel(t, "cracked after the load", got.Pin(), m, rand.New(rand.NewSource(1)))
-}
-
-// TestShardQuantRequantize: refitting the plane after drifted appends is a
-// pure pruning improvement — results stay bitwise identical and the grid
-// tightens.
+// TestShardQuantRequantize: refitting the plane after drifted appends (a
+// crack batch of no records) is a pure pruning improvement — results stay
+// bitwise identical and the grid tightens.
 func TestShardQuantRequantize(t *testing.T) {
 	const n, reps = 400, 40
 	ix, _ := buildIndex(t, n, reps)
@@ -82,7 +59,7 @@ func TestShardQuantRequantize(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	x.Requantize()
+	x.CrackAndRequantize(nil, nil)
 	if err := x.Pin().Validate(); err != nil {
 		t.Fatal(err)
 	}

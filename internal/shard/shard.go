@@ -45,16 +45,16 @@
 // conveniences that pin per call; a request that makes several reads pins
 // once and reads the Version, so they all describe one state.
 //
-// Writers — Crack/CrackAll, AppendRecords, Requantize, Replace and the Set*
-// wiring calls — are serialized among themselves only, by one mutex readers
-// never touch. Each builds the next version copy-on-write from the published
-// one and publishes it: nothing reachable from a published Version is written
-// again. A crack batch clones the representative list, the annotation map and
-// the Neighbors outer slice once, and gives every neighbor list it changes a
-// fresh row (cluster.Table); appending extends the matrix, plane and table
-// past the lengths older versions hold, where their readers never look. A
-// superseded version is garbage once the last request that pinned it
-// returns.
+// Writers — Crack/CrackAll, AppendRecords, CrackAndRequantize, Replace and the
+// Set* wiring calls — are serialized among themselves only, by one mutex
+// readers never touch. Each builds the next version copy-on-write from the
+// published one and publishes it: nothing reachable from a published Version
+// is written again. A crack batch clones the representative list, the
+// annotation map and the Neighbors outer slice once, and gives every neighbor
+// list it changes a fresh row (cluster.Table); appending extends the matrix,
+// plane and table past the lengths older versions hold, where their readers
+// never look. A superseded version is garbage once the last request that
+// pinned it returns.
 package shard
 
 import (

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -77,24 +76,6 @@ func sameInts(t *testing.T, name string, got, want []int) {
 			t.Fatalf("%s[%d] = %d, want %d", name, i, got[i], want[i])
 		}
 	}
-}
-
-// TestPersistRoundTrip: Save then Load restores the view count, the build
-// stats and every bit the model holds.
-func TestPersistRoundTrip(t *testing.T) {
-	x, m, _ := modelIndex(t, 300, 30, 3)
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := shard.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := loaded.Pin().Stats.TotalLabelCalls(), x.Pin().Stats.TotalLabelCalls(); got != want {
-		t.Errorf("loaded stats report %d label calls, want %d", got, want)
-	}
-	matchesModel(t, "loaded", loaded.Pin(), m, rand.New(rand.NewSource(1)))
 }
 
 // TestSnapshotKindMismatch pins the typed-error contract: an index snapshot

@@ -3,6 +3,7 @@ package tasti_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"repro/tasti"
@@ -151,5 +152,42 @@ func TestPretrainedFacade(t *testing.T) {
 	}
 	if _, err := index.Propagate(tasti.MatchScore(isMale)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotErrorTaxonomyExported pins the public corruption contract: a
+// truncated snapshot surfaces a typed error reachable through the facade's
+// exported sentinels.
+func TestSnapshotErrorTaxonomyExported(t *testing.T) {
+	ds, err := tasti.GenerateDataset("night-street", 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := tasti.Build(tasti.PretrainedConfig(20, 1), ds, tasti.NewOracle(ds, "o", tasti.MaskRCNNCost))
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, err := tasti.SplitIndex(built, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := index.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+
+	if _, err := tasti.LoadShardedIndex(bytes.NewReader(data[:len(data)-3])); err == nil {
+		t.Fatal("truncated snapshot loaded")
+	} else if !errors.Is(err, tasti.ErrSnapshotChecksum) && !errors.Is(err, tasti.ErrSnapshotTruncated) {
+		t.Fatalf("truncated snapshot error %v is not in the exported taxonomy", err)
+	}
+
+	var labels bytes.Buffer
+	if err := tasti.NewLabelStore(tasti.LabelStoreOptions{}).Save(&labels); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tasti.LoadShardedIndex(bytes.NewReader(labels.Bytes())); !errors.Is(err, tasti.ErrSnapshotKind) {
+		t.Fatalf("label-store-as-index error = %v, want ErrSnapshotKind", err)
 	}
 }
